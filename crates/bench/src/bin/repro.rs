@@ -20,6 +20,9 @@
 //!   fig14    1D block-artifact smoothing demonstration
 //!   ablation redundant-coarse-data handling (skip/restore) vs ratio
 //!   all      everything above
+//!   obs-overhead  instrumentation self-overhead gate (not part of `all`):
+//!            Nyx × SZ-L/R timed with the recorder off vs on + journal,
+//!            exits nonzero above 3 % (takes --scale, default tiny, and --out)
 //!
 //! `--suite enumerated` replaces the figure experiments with the
 //! recipe-enumerated scenario suite (crates/recipe): the built-in recipe
@@ -37,10 +40,12 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use amrviz_bench::{fig14_series, step_roughness, RD_EBS};
+use amrviz_bench::obs_overhead::{run_obs_overhead, OBS_OVERHEAD_MAX_PCT};
+use amrviz_bench::{fig14_series, git_describe, step_roughness, RD_EBS};
 use amrviz_compress::{
     compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, ErrorBound,
 };
+use amrviz_core::args;
 use amrviz_core::experiment::{self, standard_camera, CompressorKind};
 use amrviz_core::prelude::*;
 use amrviz_core::report;
@@ -54,7 +59,9 @@ struct Args {
     /// `--suite enumerated[:RECIPE]` — recipe source for the enumerated
     /// suite (resolved to recipe text; replaces the figure experiments).
     suite: Option<String>,
-    scale: Scale,
+    /// `None` when `--scale` was not given: the experiments default to
+    /// Medium, the `obs-overhead` gate to Tiny.
+    scale: Option<Scale>,
     seed: u64,
     out: PathBuf,
     flame: Option<PathBuf>,
@@ -64,101 +71,63 @@ struct Args {
     trace_sample: u64,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let mut experiment = None;
-    let mut suite = None;
-    let mut scale = Scale::Medium;
-    let mut seed = 42u64;
-    let mut out = PathBuf::from("repro_out");
-    let mut flame = None;
-    let mut journal = None;
-    let mut metrics_out = None;
-    let mut metrics_interval = 5.0f64;
-    let mut trace_sample = 1u64;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = args.next().ok_or("--scale needs a value")?;
-                scale = Scale::parse(&v).ok_or(format!("unknown scale: {v}"))?;
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--suite" => {
-                let v = args.next().ok_or("--suite needs a value")?;
-                suite = Some(resolve_suite(&v)?);
-            }
-            "--out" => out = PathBuf::from(args.next().ok_or("--out needs a value")?),
-            "--flame" => {
-                flame = Some(PathBuf::from(args.next().ok_or("--flame needs a value")?));
-            }
-            "--journal" => {
-                journal = Some(PathBuf::from(args.next().ok_or("--journal needs a value")?));
-            }
-            "--metrics-out" => {
-                metrics_out = Some(PathBuf::from(
-                    args.next().ok_or("--metrics-out needs a value")?,
-                ));
-            }
-            "--metrics-interval" => {
-                metrics_interval = args
-                    .next()
-                    .ok_or("--metrics-interval needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad metrics interval: {e}"))?;
-                if !metrics_interval.is_finite() || metrics_interval <= 0.0 {
-                    return Err("--metrics-interval must be a positive number".to_string());
-                }
-            }
-            "--trace-sample" => {
-                trace_sample = args
-                    .next()
-                    .ok_or("--trace-sample needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad trace sample: {e}"))?;
-                if trace_sample == 0 {
-                    return Err("--trace-sample must be at least 1 (keep every Nth trace)".into());
-                }
-            }
-            "--threads" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad thread count: {e}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                amrviz_par::set_threads(n);
-            }
-            other if experiment.is_none() && !other.starts_with('-') => {
-                experiment = Some(other.to_string());
-            }
-            other => return Err(format!("unexpected argument: {other}")),
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let p = args::parse(
+        argv,
+        &[
+            "scale",
+            "seed",
+            "suite",
+            "out",
+            "flame",
+            "journal",
+            "metrics-out",
+            "metrics-interval",
+            "trace-sample",
+            "threads",
+        ],
+        &[],
+    )?;
+    p.report_warnings();
+    let scale = p
+        .opt("scale")
+        .map(|v| Scale::parse(v).ok_or(format!("unknown scale: {v}")))
+        .transpose()?;
+    let metrics_interval = p.opt_parse::<f64>("metrics-interval")?.unwrap_or(5.0);
+    if !metrics_interval.is_finite() || metrics_interval <= 0.0 {
+        return Err("--metrics-interval must be a positive number".into());
+    }
+    let trace_sample = p.opt_parse::<u64>("trace-sample")?.unwrap_or(1);
+    if trace_sample == 0 {
+        return Err("--trace-sample must be at least 1 (keep every Nth trace)".into());
+    }
+    if let Some(n) = p.opt_parse::<usize>("threads")? {
+        if n == 0 {
+            return Err("--threads must be at least 1".into());
         }
+        amrviz_par::set_threads(n);
     }
-    if suite.is_some() && experiment.is_some() {
-        return Err("--suite replaces the experiment name; pass one or the other".into());
+    let suite = p.opt("suite").map(resolve_suite).transpose()?;
+    if let Some(extra) = p.positional.get(1) {
+        return Err(format!("unexpected argument: {extra}"));
     }
-    let experiment = match (&suite, experiment) {
+    let experiment = match (&suite, p.positional.first()) {
+        (Some(_), Some(_)) => {
+            return Err("--suite replaces the experiment name; pass one or the other".into())
+        }
         (Some(_), None) => "enumerated".to_string(),
-        (None, e) => e.ok_or("missing experiment name (try `all`)")?,
-        _ => unreachable!(),
+        (None, Some(e)) => e.clone(),
+        (None, None) => return Err("missing experiment name (try `all`)".into()),
     };
     Ok(Args {
         experiment,
         suite,
         scale,
-        seed,
-        out,
-        flame,
-        journal,
-        metrics_out,
+        seed: p.opt_parse("seed")?.unwrap_or(42),
+        out: PathBuf::from(p.opt("out").unwrap_or("repro_out")),
+        flame: p.opt("flame").map(PathBuf::from),
+        journal: p.opt("journal").map(PathBuf::from),
+        metrics_out: p.opt("metrics-out").map(PathBuf::from),
         metrics_interval,
         trace_sample,
     })
@@ -666,8 +635,31 @@ fn enumerated(ctx: &mut Ctx, recipe_src: &str) {
     ctx.record("enumerated", &all);
 }
 
+/// `repro obs-overhead`: writes `OBS_OVERHEAD_<git>.json` into `out` and
+/// fails when instrumentation costs more than [`OBS_OVERHEAD_MAX_PCT`].
+fn obs_overhead(scale: Scale, out: &Path) -> ExitCode {
+    let report = run_obs_overhead(scale, out);
+    let path = out.join(format!("OBS_OVERHEAD_{}.json", git_describe()));
+    if let Err(e) = std::fs::write(&path, report.to_json().to_string_pretty()) {
+        eprintln!("error: writing {}: {e}", path.display());
+        return ExitCode::FAILURE;
+    }
+    println!("OBS_OVERHEAD written to {}", path.display());
+    print!("{}", report.render());
+    if report.passed() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!(
+            "error: instrumentation overhead {:.2}% exceeds the {:.0}% budget",
+            report.overhead_pct, OBS_OVERHEAD_MAX_PCT
+        );
+        ExitCode::FAILURE
+    }
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(e) => {
             eprintln!(
@@ -680,6 +672,11 @@ fn main() -> ExitCode {
         }
     };
     std::fs::create_dir_all(&args.out).ok();
+    // The overhead gate switches the recorder on and off itself, so it
+    // runs before any of the recorder setup below.
+    if args.experiment == "obs-overhead" {
+        return obs_overhead(args.scale.unwrap_or(Scale::Tiny), &args.out);
+    }
     // Merge into any existing results.json so partial re-runs (e.g.
     // `repro fig9` after `repro all`) keep the other experiments' records.
     let existing = std::fs::read_to_string(args.out.join("results.json"))
@@ -688,7 +685,7 @@ fn main() -> ExitCode {
         .filter(|v| matches!(v, Json::Obj(_)))
         .unwrap_or_else(Json::obj);
     let mut ctx = Ctx {
-        scale: args.scale,
+        scale: args.scale.unwrap_or(Scale::Medium),
         seed: args.seed,
         out: args.out.clone(),
         built: BTreeMap::new(),
@@ -722,8 +719,19 @@ fn main() -> ExitCode {
     }
     let exp = args.experiment.as_str();
     let known = [
-        "table1", "table2", "fig1", "fig2", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-        "ablation", "all",
+        "table1",
+        "table2",
+        "fig1",
+        "fig2",
+        "fig9",
+        "fig10",
+        "fig11",
+        "fig12",
+        "fig13",
+        "fig14",
+        "ablation",
+        "all",
+        "obs-overhead",
     ];
     if args.suite.is_none() && !known.contains(&exp) {
         eprintln!("unknown experiment `{exp}`; known: {known:?} (or --suite enumerated)");
@@ -869,7 +877,7 @@ fn main() -> ExitCode {
         .set("experiment", exp)
         .set("scale", format!("{:?}", ctx.scale).to_lowercase())
         .set("seed", ctx.seed)
-        .set("git", amrviz_bench::harness::git_describe())
+        .set("git", git_describe())
         .set("threads", amrviz_par::threads() as u64)
         .set("experiments", Json::Arr(ctx.experiments.clone()))
         .set("decode_fabs", decode_fabs)

@@ -10,14 +10,13 @@ use amrviz_compress::{
     CompressedHierarchyField, CompressionStats, Compressor, DecodeBudget, DecodePolicy, ErrorBound,
     FabStatus, SzInterp, SzLr, ZfpLike,
 };
+use amrviz_core::args::{parse, Parsed};
 use amrviz_render::{
     render_mesh, render_slice, render_volume, Camera, RenderOptions, SliceOptions, VolumeOptions,
 };
 use amrviz_sim::solver::AmrAdvection;
 use amrviz_sim::{NyxScenario, Scale, WarpxScenario};
 use amrviz_viz::{extract_amr_isosurface, obj, IsoMethod};
-
-use crate::args::parse;
 
 fn algo(name: Option<&str>) -> Result<Box<dyn Compressor>, String> {
     match name.unwrap_or("szlr") {
@@ -39,7 +38,7 @@ fn method(name: Option<&str>) -> Result<IsoMethod, String> {
     }
 }
 
-fn bound(p: &crate::args::Parsed) -> Result<ErrorBound, String> {
+fn bound(p: &Parsed) -> Result<ErrorBound, String> {
     match (p.opt_parse::<f64>("rel")?, p.opt_parse::<f64>("abs")?) {
         (Some(_), Some(_)) => Err("--rel and --abs are mutually exclusive".into()),
         (Some(r), None) => Ok(ErrorBound::Rel(r)),
@@ -53,7 +52,7 @@ fn load(path: &str) -> Result<AmrHierarchy, String> {
 }
 
 /// Iso value from `--iso` or `--quantile` (default: 0.9 quantile).
-fn iso_value(p: &crate::args::Parsed, hier: &AmrHierarchy, field: &str) -> Result<f64, String> {
+fn iso_value(p: &Parsed, hier: &AmrHierarchy, field: &str) -> Result<f64, String> {
     if let Some(v) = p.opt_parse::<f64>("iso")? {
         return Ok(v);
     }
@@ -454,124 +453,6 @@ pub fn torture(argv: &[String]) -> Result<(), String> {
         }
         Err(msg)
     }
-}
-
-/// Pinned benchmark matrix with BENCH_*.json output and baseline gating.
-pub fn bench(argv: &[String]) -> Result<(), String> {
-    let p = parse(
-        argv,
-        &[
-            "name",
-            "out",
-            "baseline",
-            "threshold",
-            "scale",
-            "thread-counts",
-            "ebs",
-        ],
-        &["quick", "obs-overhead"],
-    )?;
-    p.report_warnings();
-    let out_dir = std::path::PathBuf::from(p.opt("out").unwrap_or("."));
-    std::fs::create_dir_all(&out_dir)
-        .map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
-    let name = match p.opt("name") {
-        Some(n) => n.to_string(),
-        None => amrviz_bench::harness::git_describe(),
-    };
-    if p.switch("obs-overhead") {
-        let scale = match p.opt("scale") {
-            None => Scale::Tiny,
-            Some(s) => Scale::parse(s).ok_or(format!("unknown scale `{s}`"))?,
-        };
-        let report = amrviz_bench::harness::run_obs_overhead(scale, &out_dir);
-        let path = out_dir.join(format!("OBS_OVERHEAD_{name}.json"));
-        std::fs::write(&path, report.to_json().to_string_pretty())
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("OBS_OVERHEAD written to {}", path.display());
-        print!("{}", report.render());
-        return if report.passed() {
-            Ok(())
-        } else {
-            Err(format!(
-                "instrumentation overhead {:.2}% exceeds the {:.0}% budget",
-                report.overhead_pct,
-                amrviz_bench::harness::OBS_OVERHEAD_MAX_PCT
-            ))
-        };
-    }
-    let mut cfg = if p.switch("quick") {
-        amrviz_bench::harness::BenchConfig::quick(name, out_dir.clone())
-    } else {
-        amrviz_bench::harness::BenchConfig::full(name, out_dir.clone())
-    };
-    if let Some(s) = p.opt("scale") {
-        cfg.scale = Scale::parse(s).ok_or(format!("unknown scale `{s}`"))?;
-    }
-    if let Some(list) = p.opt("thread-counts") {
-        cfg.thread_counts = list
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--thread-counts: bad entry `{t}`"))
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(list) = p.opt("ebs") {
-        cfg.rel_ebs = list
-            .split(',')
-            .map(|e| {
-                e.trim()
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|v| *v > 0.0)
-                    .ok_or(format!("--ebs: bad entry `{e}`"))
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    let threshold = p
-        .opt_parse::<f64>("threshold")?
-        .unwrap_or(amrviz_bench::harness::DEFAULT_THRESHOLD_PCT);
-
-    // Read the baseline *before* running (and before writing, in case the
-    // baseline is the file this run is about to overwrite).
-    let baseline = match p.opt("baseline") {
-        None => None,
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("reading baseline {path}: {e}"))?;
-            let doc = amrviz_json::Json::parse(&text)
-                .map_err(|e| format!("parsing baseline {path}: {e}"))?;
-            Some((path.to_string(), doc))
-        }
-    };
-
-    eprintln!(
-        "bench: scale {:?}, threads {:?}, ebs {:?} ({} matrix)",
-        cfg.scale,
-        cfg.thread_counts,
-        cfg.rel_ebs,
-        if cfg.quick { "quick" } else { "full" }
-    );
-    let doc = amrviz_bench::harness::run_bench(&cfg);
-    let path = amrviz_bench::harness::write_bench(&doc, &out_dir)
-        .map_err(|e| format!("writing BENCH file: {e}"))?;
-    println!("BENCH written to {}", path.display());
-
-    if let Some((bpath, base)) = baseline {
-        let cmp = amrviz_bench::harness::compare(&doc, &base, threshold);
-        print!("{}", cmp.render(threshold));
-        if !cmp.regressions.is_empty() {
-            return Err(format!(
-                "{} metric(s) regressed against baseline {bpath} (threshold ±{threshold}%)",
-                cmp.regressions.len()
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Pretty-prints continuous-telemetry artifacts: a `--journal` JSONL file
@@ -1043,7 +924,7 @@ fn stats_snapshot(path: &str, doc: &amrviz_json::Json) -> Result<(), String> {
 }
 
 /// `amrviz torture --serve`: chaos-test the serving stack end to end.
-fn serve_torture(p: &crate::args::Parsed) -> Result<(), String> {
+fn serve_torture(p: &Parsed) -> Result<(), String> {
     let cfg = amrviz_serve::ServeTortureConfig {
         iters: p.opt_parse::<u64>("iters")?.unwrap_or(300),
         seed: p.opt_parse::<u64>("seed")?.unwrap_or(7),

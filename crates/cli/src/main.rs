@@ -15,7 +15,6 @@
 //! (default), `dual`, `dual-redundant`. Plotfiles are the directories
 //! written by `amrviz-amr::plotfile`.
 
-mod args;
 mod commands;
 mod top;
 
@@ -64,7 +63,6 @@ fn main() -> ExitCode {
         "torture" => commands::torture(rest),
         "serve" => commands::serve(rest),
         "loadgen" => commands::loadgen(rest),
-        "bench" => commands::bench(rest),
         "stats" => commands::stats(rest),
         "top" => top::top(rest),
         other => Err(format!("unknown command `{other}`\n\n{}", usage())),
@@ -194,7 +192,7 @@ impl ObsOptions {
 /// `--metrics-interval SECS`, `--trace-sample N` — valid anywhere on the
 /// command line) from `argv` before subcommand dispatch. Repeated value
 /// flags keep the last occurrence and warn on stderr, matching
-/// [`args::parse`].
+/// [`amrviz_core::args::parse`].
 fn extract_obs_options(argv: Vec<String>) -> Result<(Vec<String>, ObsOptions), String> {
     fn set_warn<T: std::fmt::Display>(slot: &mut Option<T>, flag: &str, value: T) {
         if let Some(prev) = slot.replace(value) {
@@ -340,21 +338,6 @@ USAGE:
                     chaos-proxy faults. --once renders a single frame;
                     --once --json prints the raw validated snapshot for
                     scripts and CI.
-  amrviz bench      [--quick] [--name LABEL] [--out DIR]
-                    [--baseline OLD.json] [--threshold PCT]
-                    [--thread-counts 1,4] [--scale S] [--ebs 1e-3,1e-2]
-                    runs the pinned Nyx/WarpX × {szlr, interp, zfp-like} ×
-                    thread-count matrix and writes BENCH_<name>.json (wall
-                    times, histogram percentiles, peak memory, CR/PSNR/SSIM
-                    per cell). With --baseline, prints per-metric deltas and
-                    exits nonzero when any gated metric leaves the ±PCT%
-                    band (default 200). Time metrics gate symmetrically —
-                    an implausibly *faster* run also fails, since it means
-                    the baseline is stale or doctored.
-                    [--obs-overhead] instead runs the instrumentation
-                    self-overhead cell (Nyx × szlr, recorder off vs. on +
-                    journal) and exits nonzero when the overhead exceeds
-                    the 3% wall-time budget.
   amrviz stats      <FILE> [--strict] [--slo SPEC]
                     pretty-prints continuous-telemetry artifacts: a
                     `--journal` JSONL file or a `--metrics-out` snapshot

@@ -8,7 +8,7 @@
 //! in. `--once --json` prints one validated snapshot and exits, which is
 //! what scripts and CI consume.
 
-use crate::args::parse;
+use amrviz_core::args::parse;
 use amrviz_json::Json;
 use amrviz_serve::{exchange, ClientConfig, Op, Request};
 use std::collections::{BTreeMap, VecDeque};

@@ -29,14 +29,12 @@ use crate::wire::{ByteReader, ByteWriter};
 use crate::{CompressError, Compressor, ErrorBound};
 use amrviz_par::scratch;
 
-/// Magic byte opening a serialized [`CompressedHierarchyField`] container
-/// (v2 and later). v1 streams had no magic — they began directly with the
-/// `f64` error bound — and are still accepted by
-/// [`CompressedHierarchyField::from_bytes`].
+/// Magic byte opening a serialized [`CompressedHierarchyField`] container.
 pub const CONTAINER_MAGIC: u8 = 0xC3;
 
-/// Current container wire version. v2 added the magic/version preamble and
-/// a per-blob FNV-1a checksum.
+/// Container wire version: magic/version preamble plus a per-blob FNV-1a
+/// checksum. It is the only version [`CompressedHierarchyField::from_bytes`]
+/// accepts.
 pub const CONTAINER_VERSION: u8 = 2;
 
 /// Options for hierarchy compression.
@@ -124,36 +122,22 @@ impl CompressedHierarchyField {
     /// Parses a serialized container, validating every declared count
     /// against `budget` and the remaining input before allocation.
     ///
-    /// Accepts both wire versions: v2 (magic `0xC3`, version 2, per-blob
-    /// checksums) and the legacy v1 layout (no magic, no checksums — the
-    /// stream opens directly with the `f64` bound). For v1, checksums are
-    /// computed from the parsed blobs so downstream verification passes
-    /// trivially. A v1 stream whose first bytes collide with the v2 magic
-    /// is still recovered by falling back to a v1 parse when the v2 parse
-    /// fails. Parsing is structural only — a blob with a wrong checksum is
+    /// Only the v2 layout written by [`CompressedHierarchyField::to_bytes`]
+    /// is accepted; a stream without the magic byte or with another version
+    /// is `Malformed`, so the stored checksums are always the ones that were
+    /// written. Parsing is structural only — a blob with a wrong checksum is
     /// parsed fine here and surfaces later, per-fab, during decode (which
     /// is what lets [`DecodePolicy::Degrade`] repair it).
     pub fn from_bytes_budgeted(bytes: &[u8], budget: &DecodeBudget) -> Result<Self, CompressError> {
-        if bytes.len() >= 2 && bytes[0] == CONTAINER_MAGIC {
-            if bytes[1] == CONTAINER_VERSION {
-                return match Self::parse_v2(bytes, budget) {
-                    Ok(s) => Ok(s),
-                    // Could be a v1 stream that happens to open with the
-                    // magic bytes; give it one chance before reporting the
-                    // v2 error.
-                    Err(v2_err) => Self::parse_v1(bytes, budget).map_err(|_| v2_err),
-                };
-            }
-            // Magic with an unknown version: a future format — unless it's
-            // a colliding v1 stream, which still parses.
-            return Self::parse_v1(bytes, budget).map_err(|_| {
-                CompressError::Malformed(format!(
-                    "unsupported container version {} (expected {})",
-                    bytes[1], CONTAINER_VERSION
-                ))
-            });
+        match bytes {
+            [CONTAINER_MAGIC, CONTAINER_VERSION, ..] => Self::parse_v2(bytes, budget),
+            [CONTAINER_MAGIC, version, ..] => Err(CompressError::Malformed(format!(
+                "unsupported container version {version} (expected {CONTAINER_VERSION})"
+            ))),
+            _ => Err(CompressError::Malformed(
+                "missing container magic/version preamble".into(),
+            )),
         }
-        Self::parse_v1(bytes, budget)
     }
 
     fn parse_v2(bytes: &[u8], budget: &DecodeBudget) -> Result<Self, CompressError> {
@@ -199,38 +183,6 @@ impl CompressedHierarchyField {
             abs_eb,
             n_values,
         })
-    }
-
-    fn parse_v1(bytes: &[u8], budget: &DecodeBudget) -> Result<Self, CompressError> {
-        let mut r = ByteReader::with_budget(bytes, *budget);
-        let abs_eb = r.f64()?;
-        let n_values = budget.check_values(r.uvarint()? as usize)?;
-        let nlev = r.uvarint()? as usize;
-        if nlev > r.remaining() {
-            return Err(CompressError::Malformed(
-                "level count exceeds stream".into(),
-            ));
-        }
-        let mut blobs = Vec::with_capacity(nlev);
-        for _ in 0..nlev {
-            let nfab = r.uvarint()? as usize;
-            // Each blob costs at least one byte (its length prefix).
-            if nfab > r.remaining() {
-                return Err(CompressError::Malformed("blob count exceeds stream".into()));
-            }
-            let mut level = Vec::with_capacity(nfab);
-            for _ in 0..nfab {
-                // Owned copy required, as in `parse_v2`.
-                level.push(r.section()?.to_vec());
-            }
-            blobs.push(level);
-        }
-        if r.remaining() != 0 {
-            return Err(CompressError::Malformed(
-                "trailing bytes after container".into(),
-            ));
-        }
-        Ok(Self::from_blobs(blobs, abs_eb, n_values))
     }
 }
 
@@ -1184,12 +1136,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_stream_still_decodes() {
+    fn legacy_v1_stream_is_rejected() {
         let h = two_level_hier();
         let comp = SzInterp;
         let cfg = AmrCodecConfig::default();
         let c = compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
-        // Serialize by hand in the v1 layout (no magic, no checksums).
+        // Serialize by hand in the v1 layout (no magic, no checksums). It
+        // must not parse: accepting it would mean recomputing checksums
+        // from the blobs, i.e. "verifying" a stream whose integrity words
+        // were stripped.
         let mut w = ByteWriter::new();
         w.f64(c.abs_eb);
         w.uvarint(c.n_values as u64);
@@ -1200,13 +1155,16 @@ mod tests {
                 w.section(blob);
             }
         }
-        let v1 = w.finish();
-        let back = CompressedHierarchyField::from_bytes(&v1).unwrap();
-        assert_eq!(back.abs_eb, c.abs_eb);
-        assert_eq!(back.blobs, c.blobs);
-        assert_eq!(back.checksums, c.checksums, "v1 checksums recomputed");
-        let levels = decompress_hierarchy_field(&h, &back, &comp, &cfg).unwrap();
-        assert_eq!(levels.len(), 2);
+        let err = CompressedHierarchyField::from_bytes(&w.finish()).unwrap_err();
+        assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
+        assert!(err.to_string().contains("magic"), "got {err}");
+
+        // A v2 parse error is reported as itself, not masked by a retry.
+        let mut bytes = c.to_bytes();
+        bytes.push(0);
+        let err = CompressedHierarchyField::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
+        assert!(err.to_string().contains("trailing bytes"), "got {err}");
     }
 
     #[test]
@@ -1218,6 +1176,7 @@ mod tests {
         let mut bytes = c.to_bytes();
         bytes[1] = 99;
         let err = CompressedHierarchyField::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
         assert!(
             err.to_string().contains("unsupported container version"),
             "got: {err}"

@@ -13,7 +13,8 @@
 //! * [`scenario`] — the two applications (Nyx-like, WarpX-like) with their
 //!   evaluation fields and iso-values;
 //! * [`experiment`] — runners for each table/figure of the paper;
-//! * [`report`] — plain-text table formatting for the `repro` harness.
+//! * [`report`] — plain-text table formatting for the `repro` harness;
+//! * [`args`] — the flag parser the `amrviz` and `repro` binaries share.
 //!
 //! # Quickstart
 //!
@@ -28,6 +29,7 @@
 //! assert!(run.psnr_db > 40.0);
 //! ```
 
+pub mod args;
 pub mod experiment;
 pub mod report;
 pub mod scenario;

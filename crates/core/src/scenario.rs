@@ -98,7 +98,7 @@ impl BuiltScenario {
         // Nyx-like: over-density surface spanning refined and unrefined
         // regions. WarpX-like: low positive Ez level wrapping the pulse
         // (fine) and decaying wake (coarse), crossing the interface.
-        let iso = quantile_of(&uniform.data, spec.iso_quantile());
+        let iso = amrviz_sim::quantile(&uniform.data, spec.iso_quantile());
         BuiltScenario {
             spec,
             hierarchy,
@@ -106,13 +106,6 @@ impl BuiltScenario {
             iso,
         }
     }
-}
-
-fn quantile_of(values: &[f64], p: f64) -> f64 {
-    let mut v = values.to_vec();
-    let k = ((v.len() - 1) as f64 * p).round() as usize;
-    let (_, val, _) = v.select_nth_unstable_by(k, |a, b| a.partial_cmp(b).expect("no NaNs"));
-    *val
 }
 
 #[cfg(test)]

@@ -413,7 +413,7 @@ fn overhead_add(t0: Instant) {
 
 /// Microseconds the recorder has spent on its own bookkeeping since the
 /// last [`reset`] — the numerator of the instrumentation-overhead budget
-/// checked by `amrviz bench --obs-overhead`.
+/// checked by `repro obs-overhead`.
 pub fn overhead_micros() -> u64 {
     OVERHEAD_NS.load(Ordering::Relaxed) / 1_000
 }
@@ -526,8 +526,8 @@ fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// when recording is turned off *mid-span*: a counter increment that races
 /// with [`disable`] may or may not land, and nothing is buffered for a
 /// later [`enable`]. Callers needing exact totals must keep the recorder
-/// enabled for the whole measured region (the pattern used by `repro` and
-/// `amrviz bench`: `reset` → `enable` → work → snapshot).
+/// enabled for the whole measured region (the pattern used by `repro`:
+/// `reset` → `enable` → work → snapshot).
 pub fn counter_add(name: &'static str, delta: u64) {
     if !is_enabled() {
         return;

@@ -15,8 +15,7 @@
 //! Two views are maintained:
 //!
 //! * **Global** — process-wide live/peak bytes, used by the torture runner's
-//!   bounded-memory assertions ([`alloc_baseline`] / [`peak_since`]) and by
-//!   the bench harness's per-cell peak.
+//!   bounded-memory assertions ([`alloc_baseline`] / [`peak_since`]).
 //! * **Per-thread** (behind the `mem-profile` feature, on by default) —
 //!   `const`-initialized thread-local counters, safe to touch from inside
 //!   `GlobalAlloc` because they never allocate or run destructors. Each

@@ -59,17 +59,8 @@ pub fn expand(src: &str, base_seed: u64) -> Result<Expansion, String> {
 /// unseeded recipe string's FNV-1a hash.
 fn derive_seed(base_seed: u64, canonical_unseeded: &str) -> u64 {
     Rng::seed(base_seed)
-        .fork(fnv1a(canonical_unseeded.as_bytes()))
+        .fork(amrviz_codec::fnv1a_64(canonical_unseeded.as_bytes()))
         .next_u64()
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Expands one term into concrete scenario sexps.

@@ -1,6 +1,6 @@
 //! The scenario axes and the concrete [`ScenarioSpec`] a recipe expands
-//! into — the unit of experiment across repro, bench, torture, and the
-//! property harness.
+//! into — the unit of experiment across repro, torture, and the property
+//! harness.
 
 use crate::sexp::Sexp;
 use amrviz_sim::Scale;

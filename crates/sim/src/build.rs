@@ -20,7 +20,7 @@ pub(crate) struct TwoLevelSpec {
 }
 
 /// `p`-quantile (0..1) of `values` (interpolation-free, by selection).
-pub(crate) fn quantile(values: &[f64], p: f64) -> f64 {
+pub fn quantile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty() && (0.0..=1.0).contains(&p));
     let mut v: Vec<f64> = values.to_vec();
     let k = ((v.len() - 1) as f64 * p).round() as usize;

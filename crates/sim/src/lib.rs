@@ -30,6 +30,7 @@ pub mod solver;
 pub mod synth;
 pub mod warpx;
 
+pub use build::quantile;
 pub use nyx::NyxScenario;
 pub use scale::Scale;
 pub use solver::AmrAdvection;

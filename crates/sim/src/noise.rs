@@ -4,23 +4,14 @@
 //! Nyx-like fields, modulating the WarpX background). Value noise is
 //! trilinearly interpolated lattice noise; `fractal` stacks octaves.
 
-/// SplitMix64 — a tiny, high-quality 64-bit mixer.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
 /// Hash of a lattice point + seed → uniform in [−1, 1].
 #[inline]
 fn lattice(seed: u64, i: i64, j: i64, k: i64) -> f64 {
-    let h = splitmix64(
-        seed ^ (i as u64).wrapping_mul(0x8DA6B343)
-            ^ (j as u64).wrapping_mul(0xD8163841)
-            ^ (k as u64).wrapping_mul(0xCB1AB31F),
-    );
+    let mut state = seed
+        ^ (i as u64).wrapping_mul(0x8DA6B343)
+        ^ (j as u64).wrapping_mul(0xD8163841)
+        ^ (k as u64).wrapping_mul(0xCB1AB31F);
+    let h = amrviz_rng::splitmix64(&mut state);
     // 53 random mantissa bits → [0,1) → [−1,1).
     (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
 }

@@ -1,22 +1,12 @@
 //! Integration-test host crate (tests live in `tests/tests/`) plus shared
-//! helpers: an FNV-1a hasher, mesh canonicalization/fingerprinting, the
-//! golden-snapshot harness (`BLESS=1` regenerates), and scenario builders.
+//! helpers: mesh canonicalization/fingerprinting, the golden-snapshot
+//! harness (`BLESS=1` regenerates), and scenario builders.
 
 use std::path::PathBuf;
 
+use amrviz_codec::fnv1a_64;
 use amrviz_core::prelude::*;
 use amrviz_viz::TriMesh;
-
-/// 64-bit FNV-1a over a byte stream. Dependency-free, stable across
-/// platforms — the fingerprint that golden snapshots store.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// Quantizes one coordinate to a lattice fine enough that any real change
 /// moves it, while `-0.0`/`+0.0` and representation noise collapse.
@@ -67,7 +57,7 @@ pub fn mesh_fingerprint(mesh: &TriMesh) -> u64 {
             }
         }
     }
-    fnv1a(&bytes)
+    fnv1a_64(&bytes)
 }
 
 /// Where golden snapshots live (`tests/golden/`), anchored to the crate so
@@ -118,9 +108,9 @@ mod tests {
     #[test]
     fn fnv1a_matches_reference_vectors() {
         // Published FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a_64(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a_64(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

@@ -4,9 +4,20 @@
 //! plain dual cells leave a ~cell-wide gap, and dual cells + redundant
 //! coarse data close the gap to (near) zero.
 
+use std::sync::Mutex;
+
 use amrviz_core::prelude::*;
 use amrviz_integration_tests::warpx_like;
 use amrviz_viz::{extract_amr_isosurface, interface_gap, CrackMetrics};
+
+/// `viz.crack_rim_edges` is a process-global obs counter: every
+/// `interface_gap` call made while the recorder is enabled adds to it, so
+/// the tests in this file must not overlap.
+static LOCK: Mutex<()> = Mutex::new(());
+
+fn lock() -> std::sync::MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn gap_for(built: &BuiltScenario, method: IsoMethod) -> CrackMetrics {
     let field = built.spec.eval_field();
@@ -32,6 +43,7 @@ fn fine_cell(built: &BuiltScenario) -> f64 {
 
 #[test]
 fn resampling_has_cracks_dual_has_gaps_redundant_closes_them() {
+    let _g = lock();
     let built = warpx_like(42);
     let cell = fine_cell(&built);
 
@@ -76,6 +88,7 @@ fn resampling_has_cracks_dual_has_gaps_redundant_closes_them() {
 
 #[test]
 fn rim_edge_counter_matches_reported_metrics() {
+    let _g = lock();
     let built = warpx_like(42);
     amrviz_obs::reset();
     amrviz_obs::enable();
@@ -91,6 +104,7 @@ fn rim_edge_counter_matches_reported_metrics() {
 
 #[test]
 fn watertight_single_level_reports_zero_everywhere() {
+    let _g = lock();
     // A mesh measured against itself has no interface defects at all; this
     // pins the metric's zero so the positive assertions above mean
     // something.

@@ -65,7 +65,7 @@ fn compression_snapshot(built: &BuiltScenario) -> String {
             "{} stream_bytes={} stream_fnv={:016x}",
             kind.label(),
             c.to_bytes().len(),
-            amrviz_integration_tests::fnv1a(&c.to_bytes()),
+            amrviz_codec::fnv1a_64(&c.to_bytes()),
         )
         .unwrap();
     }

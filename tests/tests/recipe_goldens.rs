@@ -6,9 +6,10 @@
 
 use std::fmt::Write as _;
 
+use amrviz_codec::fnv1a_64;
 use amrviz_compress::{compress_hierarchy_field, AmrCodecConfig, ErrorBound, SzLr};
 use amrviz_core::prelude::*;
-use amrviz_integration_tests::{assert_golden, fnv1a, mesh_fingerprint};
+use amrviz_integration_tests::{assert_golden, mesh_fingerprint};
 use amrviz_recipe::{expand, PINNED_SUBSET};
 use amrviz_viz::extract_amr_isosurface;
 
@@ -67,9 +68,9 @@ fn recipe_golden_pinned_subset() {
              triangles={} mesh_fnv={:016x}",
             spec.label(),
             spec.seed,
-            fnv1a(&bytes),
+            fnv1a_64(&bytes),
             stream.len(),
-            fnv1a(&stream),
+            fnv1a_64(&stream),
             res.total_triangles(),
             mesh_fingerprint(&res.into_combined()),
         )

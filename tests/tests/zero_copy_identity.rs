@@ -7,13 +7,14 @@
 
 use std::fmt::Write as _;
 
+use amrviz_codec::fnv1a_64;
 use amrviz_compress::{
     compress_hierarchy_field, decompress_hierarchy_field, decompress_hierarchy_field_into,
     AmrCodecConfig, Compressor, DecodeBudget, DecodePolicy, ErrorBound, Field3, SzInterp, SzLr,
     ZfpLike,
 };
 use amrviz_core::prelude::*;
-use amrviz_integration_tests::{fnv1a, mesh_fingerprint, nyx_like, warpx_like};
+use amrviz_integration_tests::{mesh_fingerprint, nyx_like, warpx_like};
 use amrviz_viz::extract_amr_isosurface;
 
 fn compressors() -> Vec<(&'static str, Box<dyn Compressor>)> {
@@ -147,7 +148,7 @@ fn streams_and_meshes_identical_across_thread_counts() {
                 sig,
                 "{} stream_fnv={:016x} len={}",
                 kind.label(),
-                fnv1a(&bytes),
+                fnv1a_64(&bytes),
                 bytes.len()
             )
             .unwrap();
