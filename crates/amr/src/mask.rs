@@ -57,6 +57,14 @@ impl Raster {
         self.bits[self.region.offset(iv)]
     }
 
+    /// The x-run of flags at row `(j, k)`, counted from the region's low
+    /// corner — the slice to index when sweeping the region row by row.
+    #[inline]
+    pub fn row(&self, j: usize, k: usize) -> &[bool] {
+        let [nx, ny, _] = self.region.size();
+        &self.bits[nx * (j + ny * k)..][..nx]
+    }
+
     #[inline]
     pub fn set(&mut self, iv: IntVect, v: bool) {
         if self.region.contains(iv) {
@@ -235,6 +243,19 @@ mod tests {
         assert!(!r.get(IntVect::new(0, 0, 0)));
         assert!(!r.get(IntVect::new(9, 9, 9))); // out of region
         assert!((r.fill_fraction() - 8.0 / 64.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn row_matches_per_cell_lookup() {
+        let region = b([2, -1, 5], [5, 1, 6]);
+        let mut r = Raster::falses(region);
+        r.set_box(&b([3, 0, 6], [4, 1, 6]), true);
+        for (k, z) in (5..=6).enumerate() {
+            for (j, y) in (-1..=1).enumerate() {
+                let want: Vec<bool> = (2..=5).map(|x| r.get(IntVect::new(x, y, z))).collect();
+                assert_eq!(r.row(j, k), want, "row ({j}, {k})");
+            }
+        }
     }
 
     #[test]

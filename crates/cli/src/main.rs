@@ -80,7 +80,7 @@ fn main() -> ExitCode {
 }
 
 /// Observability flags, valid on every subcommand.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ObsOptions {
     trace_path: Option<String>,
     flame_path: Option<String>,
@@ -191,71 +191,47 @@ impl ObsOptions {
 /// `--timing`, `--threads N`, `--journal FILE`, `--metrics-out FILE`,
 /// `--metrics-interval SECS`, `--trace-sample N` — valid anywhere on the
 /// command line) from `argv` before subcommand dispatch. Repeated value
-/// flags keep the last occurrence and warn on stderr, matching
-/// [`amrviz_core::args::parse`].
+/// flags keep the last occurrence and warn on stderr.
 fn extract_obs_options(argv: Vec<String>) -> Result<(Vec<String>, ObsOptions), String> {
-    fn set_warn<T: std::fmt::Display>(slot: &mut Option<T>, flag: &str, value: T) {
-        if let Some(prev) = slot.replace(value) {
-            let v = slot.as_ref().expect("just replaced");
-            eprintln!("warning: {flag} given more than once; using `{v}` (ignoring `{prev}`)");
-        }
+    const VALUE_FLAGS: [&str; 7] = [
+        "trace",
+        "flame",
+        "threads",
+        "journal",
+        "metrics-out",
+        "metrics-interval",
+        "trace-sample",
+    ];
+    let (p, rest) = amrviz_core::args::split(&argv, &VALUE_FLAGS, &["timing"])?;
+    p.report_warnings();
+    fn number<T: std::str::FromStr>(v: Option<&str>, what: &str) -> Result<Option<T>, String> {
+        v.map(|v| v.parse().map_err(|_| format!("{what}, got `{v}`")))
+            .transpose()
     }
-    let mut opts = ObsOptions::default();
-    let mut rest = Vec::with_capacity(argv.len());
-    let mut it = argv.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--trace" => {
-                let path = it.next().ok_or("--trace needs a value".to_string())?;
-                set_warn(&mut opts.trace_path, "--trace", path);
-            }
-            "--flame" => {
-                let path = it.next().ok_or("--flame needs a value".to_string())?;
-                set_warn(&mut opts.flame_path, "--flame", path);
-            }
-            "--timing" => opts.timing = true,
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--threads needs a positive integer, got `{v}`"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                set_warn(&mut opts.threads, "--threads", n);
-            }
-            "--journal" => {
-                let path = it.next().ok_or("--journal needs a value".to_string())?;
-                set_warn(&mut opts.journal_path, "--journal", path);
-            }
-            "--metrics-out" => {
-                let path = it.next().ok_or("--metrics-out needs a value".to_string())?;
-                set_warn(&mut opts.metrics_path, "--metrics-out", path);
-            }
-            "--metrics-interval" => {
-                let v = it
-                    .next()
-                    .ok_or("--metrics-interval needs a value".to_string())?;
-                let secs: f64 = v.parse().map_err(|_| {
-                    format!("--metrics-interval needs a number of seconds, got `{v}`")
-                })?;
-                set_warn(&mut opts.metrics_interval_secs, "--metrics-interval", secs);
-            }
-            "--trace-sample" => {
-                let v = it
-                    .next()
-                    .ok_or("--trace-sample needs a value".to_string())?;
-                let n: u64 = v.parse().map_err(|_| {
-                    format!("--trace-sample needs a positive integer N (keep 1/N), got `{v}`")
-                })?;
-                if n == 0 {
-                    return Err("--trace-sample must be at least 1".to_string());
-                }
-                set_warn(&mut opts.trace_sample, "--trace-sample", n);
-            }
-            _ => rest.push(a),
-        }
+    let threads = number::<usize>(p.opt("threads"), "--threads needs a positive integer")?;
+    if threads == Some(0) {
+        return Err("--threads must be at least 1".to_string());
     }
+    let trace_sample = number::<u64>(
+        p.opt("trace-sample"),
+        "--trace-sample needs a positive integer N (keep 1/N)",
+    )?;
+    if trace_sample == Some(0) {
+        return Err("--trace-sample must be at least 1".to_string());
+    }
+    let opts = ObsOptions {
+        trace_path: p.opt("trace").map(String::from),
+        flame_path: p.opt("flame").map(String::from),
+        timing: p.switch("timing"),
+        threads,
+        journal_path: p.opt("journal").map(String::from),
+        metrics_path: p.opt("metrics-out").map(String::from),
+        metrics_interval_secs: number(
+            p.opt("metrics-interval"),
+            "--metrics-interval needs a number of seconds",
+        )?,
+        trace_sample,
+    };
     Ok((rest, opts))
 }
 

@@ -18,34 +18,57 @@ pub struct Parsed {
 /// Parses `argv` given the set of value-taking option names and boolean
 /// switch names (both without the `--` prefix).
 pub fn parse(argv: &[String], value_opts: &[&str], switch_opts: &[&str]) -> Result<Parsed, String> {
-    let mut out = Parsed::default();
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            if let Some((key, _)) = name.split_once('=') {
-                return Err(format!(
-                    "`--{key}=VALUE` style is not supported; use `--{key} VALUE`"
-                ));
+    let (mut out, rest) = split(argv, value_opts, switch_opts)?;
+    for a in rest {
+        match a.strip_prefix("--") {
+            Some(name) => {
+                return Err(match name.split_once('=') {
+                    Some((key, _)) => equals_style(key),
+                    None => format!("unknown option --{name}"),
+                })
             }
-            if switch_opts.contains(&name) {
-                if !out.switches.iter().any(|s| s == name) {
-                    out.switches.push(name.to_string());
-                }
-            } else if value_opts.contains(&name) {
-                let v = it.next().ok_or(format!("--{name} needs a value"))?;
-                if let Some(prev) = out.options.insert(name.to_string(), v.clone()) {
-                    out.warnings.push(format!(
-                        "--{name} given more than once; using `{v}` (ignoring `{prev}`)"
-                    ));
-                }
-            } else {
-                return Err(format!("unknown option --{name}"));
-            }
-        } else {
-            out.positional.push(a.clone());
+            None => out.positional.push(a),
         }
     }
     Ok(out)
+}
+
+/// Parses the listed options out of `argv` wherever they stand and returns
+/// every other argument untouched and in order — how a front end takes its
+/// global flags off a command line before a subcommand parses the rest.
+pub fn split(
+    argv: &[String],
+    value_opts: &[&str],
+    switch_opts: &[&str],
+) -> Result<(Parsed, Vec<String>), String> {
+    let mut out = Parsed::default();
+    let mut rest = Vec::new();
+    let mut it = argv.iter();
+    while let Some(a) = it.next() {
+        let name = a.strip_prefix("--").unwrap_or("");
+        let key = name.split_once('=').map_or(name, |(key, _)| key);
+        if switch_opts.contains(&name) {
+            if !out.switches.iter().any(|s| s == name) {
+                out.switches.push(name.to_string());
+            }
+        } else if value_opts.contains(&name) {
+            let v = it.next().ok_or(format!("--{name} needs a value"))?;
+            if let Some(prev) = out.options.insert(name.to_string(), v.clone()) {
+                out.warnings.push(format!(
+                    "--{name} given more than once; using `{v}` (ignoring `{prev}`)"
+                ));
+            }
+        } else if key != name && (value_opts.contains(&key) || switch_opts.contains(&key)) {
+            return Err(equals_style(key));
+        } else {
+            rest.push(a.clone());
+        }
+    }
+    Ok((out, rest))
+}
+
+fn equals_style(key: &str) -> String {
+    format!("`--{key}=VALUE` style is not supported; use `--{key} VALUE`")
 }
 
 impl Parsed {
@@ -170,6 +193,33 @@ mod tests {
         // Even an unknown key gets the syntax hint, not "unknown option".
         let err = parse(&sv(&["--nope=1"]), &["field"], &[]).unwrap_err();
         assert!(err.contains("`--nope=VALUE`"), "unexpected message: {err}");
+    }
+
+    #[test]
+    fn split_takes_listed_options_and_leaves_the_rest_in_order() {
+        let argv = sv(&[
+            "extract",
+            "--threads",
+            "2",
+            "plot",
+            "--field",
+            "rho",
+            "--timing",
+            "--threads",
+            "4",
+        ]);
+        let (p, rest) = split(&argv, &["threads"], &["timing"]).unwrap();
+        assert_eq!(rest, sv(&["extract", "plot", "--field", "rho"]));
+        assert_eq!(p.opt("threads"), Some("4"), "last wins");
+        assert!(p.switch("timing"));
+        assert_eq!(p.warnings().len(), 1);
+        assert!(p.positional.is_empty(), "positionals stay with the rest");
+        // A listed option still needs its value and still refuses `=`; an
+        // unlisted `--key=value` is the next parser's to judge.
+        assert!(split(&sv(&["--threads"]), &["threads"], &[]).is_err());
+        assert!(split(&sv(&["--threads=2"]), &["threads"], &[]).is_err());
+        let (_, rest) = split(&sv(&["--field=rho"]), &["threads"], &[]).unwrap();
+        assert_eq!(rest, sv(&["--field=rho"]));
     }
 
     #[test]

@@ -256,6 +256,22 @@ where
         .collect()
 }
 
+/// Calls `f(i, parts[i])` for every part across the pool, handing each part
+/// to exactly one call by value. With disjoint `&mut` slices as parts this is
+/// the write side of count → scan → emit: the caller sizes one output from
+/// the scanned counts, splits it, and the workers fill their ranges in place.
+pub fn for_each_part<P, F>(parts: Vec<P>, f: F)
+where
+    P: Send,
+    F: Fn(usize, P) + Sync,
+{
+    let cells: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    run(cells.len(), |i| {
+        let part = cells[i].lock().unwrap_or_else(|e| e.into_inner()).take();
+        f(i, part.expect("run visits every index exactly once"));
+    });
+}
+
 /// Splits `data` into consecutive chunks of `chunk_len` elements (the last
 /// may be shorter) and calls `f(chunk_index, chunk)` for each across the
 /// pool. The decomposition depends only on `chunk_len`, never on the thread
@@ -266,51 +282,7 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    let n_chunks = data.len().div_ceil(chunk_len.max(1)).max(1);
-    let width = threads().min(n_chunks);
-    if data.is_empty() {
-        return;
-    }
-    if width <= 1 || IN_POOL.with(Cell::get) {
-        for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(ci, chunk);
-        }
-        return;
-    }
-
-    // Round-robin chunks over worker slots: static, deterministic, and
-    // contiguous slabs stay cache-friendly within a worker.
-    let mut buckets: Vec<Vec<(usize, &mut [T])>> = (0..width).map(|_| Vec::new()).collect();
-    for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
-        buckets[ci % width].push((ci, chunk));
-    }
-
-    let ctx = amrviz_obs::current_context();
-    let t_region = Instant::now();
-    let mut busy = vec![0.0f64; width];
-
-    let worker = |bucket: Vec<(usize, &mut [T])>| -> f64 {
-        let _scope = amrviz_obs::context_scope(ctx);
-        IN_POOL.with(|c| c.set(true));
-        let t0 = Instant::now();
-        for (ci, chunk) in bucket {
-            f(ci, chunk);
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        IN_POOL.with(|c| c.set(false));
-        secs
-    };
-
-    let mut iter = buckets.into_iter();
-    let bucket0 = iter.next().expect("width >= 1");
-    std::thread::scope(|s| {
-        let handles: Vec<_> = iter.map(|b| s.spawn(|| worker(b))).collect();
-        busy[0] = worker(bucket0);
-        for (slot, h) in handles.into_iter().enumerate() {
-            busy[slot + 1] = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-        }
-    });
-    record_region(&busy, t_region.elapsed().as_secs_f64());
+    for_each_part(data.chunks_mut(chunk_len).collect(), f);
 }
 
 /// Deterministic parallel reduction: maps fixed `chunk_len`-sized index

@@ -17,7 +17,7 @@
 //! compression artifacts, which is why this method *amplifies* them (§4.3).
 
 use amrviz_amr::multifab::rasterize_into;
-use amrviz_amr::{AmrHierarchy, IntVect, MultiFab};
+use amrviz_amr::{AmrHierarchy, MultiFab};
 
 use crate::marching::{marching_tetrahedra, SampledGrid};
 use crate::mesh::TriMesh;
@@ -61,29 +61,25 @@ pub fn extract_dual_level(
     let mut mask = vec![false; dx * dy * dz];
     let sp_mask = amrviz_obs::span!("dual.mask", level = lev);
     amrviz_par::for_each_chunk_mut(&mut mask, dx * dy, |k, slab| {
-        for j in 0..dy {
-            for i in 0..dx {
-                let mut all_valid = true;
-                let mut any_unique = false;
-                let mut all_unique = true;
-                for dk in 0..2i64 {
-                    for dj in 0..2i64 {
-                        for di in 0..2i64 {
-                            let iv = dom.lo()
-                                + IntVect::new(i as i64 + di, j as i64 + dj, k as i64 + dk);
-                            let v = valid.get_unchecked(iv);
-                            let c = covered.get_unchecked(iv);
-                            all_valid &= v;
-                            let unique = v && !c;
-                            any_unique |= unique;
-                            all_unique &= unique;
-                        }
-                    }
-                }
-                slab[i + dx * j] = match mode {
-                    DualMode::Plain => all_unique,
-                    DualMode::SwitchingCells => all_valid && any_unique,
+        for (j, out) in slab.chunks_exact_mut(dx).enumerate() {
+            let rows = [(j, k), (j + 1, k), (j, k + 1), (j + 1, k + 1)]
+                .map(|(j, k)| (valid.row(j, k), covered.row(j, k)));
+            // Over the four cells at x = i: (all valid, any unique, all unique).
+            let column = |i: usize| {
+                rows.iter()
+                    .fold((true, false, true), |(all_v, any_u, all_u), (v, c)| {
+                        let unique = v[i] && !c[i];
+                        (all_v && v[i], any_u || unique, all_u && unique)
+                    })
+            };
+            let mut here = column(0);
+            for (i, m) in out.iter_mut().enumerate() {
+                let next = column(i + 1);
+                *m = match mode {
+                    DualMode::Plain => here.2 && next.2,
+                    DualMode::SwitchingCells => here.0 && next.0 && (here.1 || next.1),
                 };
+                here = next;
             }
         }
     });
@@ -109,7 +105,7 @@ pub fn extract_dual_level(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amrviz_amr::{Box3, BoxArray, Geometry};
+    use amrviz_amr::{Box3, BoxArray, Geometry, IntVect};
 
     fn sphere_field(g: Geometry, ratio: i64) -> impl Fn(IntVect) -> f64 {
         move |iv| {

@@ -8,11 +8,18 @@
 //! level — exactly the property classic marching cubes provides, without a
 //! hand-transcribed 256-case table (see DESIGN.md substitution note).
 //!
+//! Every Kuhn edge runs from a cube corner to a componentwise-greater one,
+//! so a crossing is named `(lo node, direction 1..=7)` and welding needs no
+//! map: a node plane keeps a byte of crossed directions per node and the
+//! mesh index of the node's first crossing. Extraction is count → scan →
+//! emit: classify the crossed cubes of every layer, count the crossings of
+//! every node plane, then let fixed chunks of planes write their vertices
+//! (node raster order) and triangles (cube raster order) into their own
+//! ranges of one pre-sized mesh — the same mesh for any chunking.
+//!
 //! Cracks between AMR *levels* (the paper's Fig. 1a) are unaffected by the
 //! in-cell triangulator: they come from resolution mismatch at level
 //! interfaces and are reproduced faithfully by the level extractors.
-
-use std::collections::HashMap;
 
 use crate::mesh::TriMesh;
 
@@ -39,54 +46,43 @@ impl SampledGrid {
         mut f: impl FnMut(f64, f64, f64) -> f64,
     ) -> Self {
         let [nx, ny, nz] = dims;
-        let mut values = Vec::with_capacity(nx * ny * nz);
-        for k in 0..nz {
-            for j in 0..ny {
-                for i in 0..nx {
-                    values.push(f(
-                        origin[0] + i as f64 * spacing[0],
-                        origin[1] + j as f64 * spacing[1],
-                        origin[2] + k as f64 * spacing[2],
-                    ));
-                }
-            }
-        }
-        SampledGrid {
+        let mut grid = SampledGrid {
             dims,
             origin,
             spacing,
-            values,
+            values: vec![0.0; nx * ny * nz],
             cell_mask: None,
+        };
+        for n in 0..grid.values.len() {
+            let ([x, y, z], _) = grid.node([n % nx, n / nx % ny, n / (nx * ny)], 0);
+            grid.values[n] = f(x, y, z);
         }
+        grid
     }
 
     /// Number of cubes along each axis.
     pub fn cell_dims(&self) -> [usize; 3] {
-        [
-            self.dims[0].saturating_sub(1),
-            self.dims[1].saturating_sub(1),
-            self.dims[2].saturating_sub(1),
-        ]
+        self.dims.map(|n| n.saturating_sub(1))
     }
 
+    /// Position and value of the node one `step` (a corner or direction
+    /// code `dx + 2dy + 4dz`) away from node `(i, j, k)`.
     #[inline]
-    fn node_id(&self, i: usize, j: usize, k: usize) -> u64 {
-        (i + self.dims[0] * (j + self.dims[1] * k)) as u64
-    }
-
-    #[inline]
-    fn node_pos(&self, i: usize, j: usize, k: usize) -> [f64; 3] {
-        [
+    fn node(&self, [i, j, k]: [usize; 3], step: usize) -> ([f64; 3], f64) {
+        let [i, j, k] = [i + (step & 1), j + (step >> 1 & 1), k + (step >> 2)];
+        let pos = [
             self.origin[0] + i as f64 * self.spacing[0],
             self.origin[1] + j as f64 * self.spacing[1],
             self.origin[2] + k as f64 * self.spacing[2],
-        ]
+        ];
+        (pos, self.values[i + self.dims[0] * (j + self.dims[1] * k)])
     }
 }
 
 /// The six Kuhn tetrahedra of a cube, as corner indices (`dx + 2dy + 4dz`).
 /// All share the main diagonal 0–7; every cube face is split along the same
-/// diagonal as its neighbor's matching face.
+/// diagonal as its neighbor's matching face. Every edge runs from a corner
+/// to one whose bits contain it, so `lo ^ hi` is the edge's direction.
 const TETS: [[usize; 4]; 6] = [
     [0, 1, 3, 7],
     [0, 1, 5, 7],
@@ -100,118 +96,211 @@ const TETS: [[usize; 4]; 6] = [
 /// nodes so no triangle degenerates when a sample equals the iso-value.
 const T_EPS: f64 = 1e-6;
 
-struct Extractor {
+/// Cube layers per unit of parallel work. A constant, so the decomposition
+/// never depends on the thread count.
+const CHUNK: usize = 32;
+
+/// Per tetrahedron and cube inside-mask (bit `c`: corner `c` is at or above
+/// iso): the triangle count, then the cycle of crossed edges they fan out
+/// over from its first edge, each `lo corner << 3 | direction`. A lone
+/// corner is cut off along its edges to the other three, ascending; two
+/// inside corners a < b against outside c < d give the quad AC → AD → BD →
+/// BC (consecutive edges share a tet face).
+const TET_TRIS: [[[u8; 5]; 256]; 6] = {
+    let mut out = [[[0u8; 5]; 256]; 6];
+    let mut n = 0;
+    while n < 6 * 256 {
+        let (t, case) = (n >> 8, n & 255);
+        // The tet's corners by side (outside, inside), ascending.
+        let (mut side, mut len, mut c) = ([[0; 4]; 2], [0; 2], 0);
+        while c < 4 {
+            let s = case >> TETS[t][c] & 1;
+            side[s][len[s]] = TETS[t][c];
+            len[s] += 1;
+            c += 1;
+        }
+        let [o, i] = side;
+        let (a, b) = if len[1] == 3 { (o, i) } else { (i, o) };
+        let (from, to, count) = match len[1] {
+            0 | 4 => ([0; 4], [0; 4], 0),
+            2 => ([a[0], a[0], a[1], a[1]], [b[0], b[1], b[1], b[0]], 2),
+            _ => ([a[0]; 4], [b[0], b[1], b[2], 0], 1),
+        };
+        out[t][case][0] = count;
+        let mut e = 0;
+        while e < 4 {
+            let lo = if from[e] < to[e] { from[e] } else { to[e] };
+            out[t][case][1 + e] = (lo << 3 | (from[e] ^ to[e])) as u8;
+            e += 1;
+        }
+        n += 1;
+    }
+    out
+};
+
+/// Per cube inside-mask and lo corner: the directions (bit `d`) of the Kuhn
+/// edges leaving that corner whose two ends lie on different sides.
+const CROSSED_DIRS: [[u8; 8]; 256] = {
+    let mut out = [[0u8; 8]; 256];
+    let mut n = 0;
+    while n < 256 * 64 {
+        let (case, lo, d) = (n >> 6, n >> 3 & 7, n & 7);
+        if lo & d == 0 && (case >> lo ^ case >> (lo | d)) & 1 == 1 {
+            out[case][lo] |= 1 << d;
+        }
+        n += 1;
+    }
+    out
+};
+
+/// The cubes of layer `k` that an unmasked iso-crossing passes through, in
+/// raster order — each the in-plane index `i + nx·j` of its corner-0 node
+/// and its inside-mask — and how many triangles they will emit.
+fn classify(grid: &SampledGrid, iso: f64, k: usize) -> (Vec<(u32, u8)>, usize) {
+    let [nx, ny, _] = grid.dims;
+    let [cx, cy, _] = grid.cell_dims();
+    let (mut cubes, mut triangles, mask) = (Vec::new(), 0, grid.cell_mask.as_ref());
+    for j in 0..cy {
+        let rows = [(0, 0), (1, 0), (0, 1), (1, 1)]
+            .map(|(dj, dk)| &grid.values[nx * (j + dj + ny * (k + dk))..][..nx]);
+        // Inside flags of the four nodes at x = i, on corner bits 0, 2, 4, 6.
+        let column = |i: usize| (0..4).fold(0, |m, r| m | ((rows[r][i] >= iso) as u8) << (2 * r));
+        let mut here = column(0);
+        for i in 0..cx {
+            let next = column(i + 1);
+            let case = (here | next << 1) as usize;
+            here = next;
+            if case != 0 && case != 0xFF && mask.is_none_or(|m| m[i + cx * (j + cy * k)]) {
+                let n0 = u32::try_from(i + nx * j).expect("a node plane has under 2^32 nodes");
+                cubes.push((n0, case as u8));
+                triangles += TET_TRIS.iter().map(|t| t[case][0] as usize).sum::<usize>();
+            }
+        }
+    }
+    (cubes, triangles)
+}
+
+/// One node plane's welding table.
+struct Plane {
+    /// Per node: bit `d` set when the edge to the node `d` further on is
+    /// crossed in some unmasked cube — one mesh vertex each.
+    dirs: Vec<u8>,
+    /// Per node: mesh index of its lowest-direction crossing; the node's
+    /// others follow in direction order.
+    first: Vec<u32>,
+    /// The plane's vertices in node raster order, mesh indices `base..`.
+    base: u32,
+    pos: Vec<[f64; 3]>,
+}
+
+struct Marcher<'a> {
+    grid: &'a SampledGrid,
     iso: f64,
-    mesh: TriMesh,
-    /// Welding map: edge (lo node id, hi node id) → mesh vertex index.
-    edge_vertices: HashMap<(u64, u64), u32>,
+    /// [`classify`] of every cube layer, and an empty one above the top plane.
+    layers: Vec<(Vec<(u32, u8)>, usize)>,
 }
 
-impl Extractor {
-    /// Mesh vertex on the crossing of edge (a, b); created on first use.
-    fn edge_vertex(&mut self, a: (u64, [f64; 3], f64), b: (u64, [f64; 3], f64)) -> u32 {
-        let key = if a.0 < b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        if let Some(&v) = self.edge_vertices.get(&key) {
-            return v;
+impl Marcher<'_> {
+    /// The crossed directions of every node of plane `q`, gathered from the
+    /// cube layers below and above it, and how many crossings that makes.
+    fn mark_plane(&self, q: usize) -> (Vec<u8>, usize) {
+        let [nx, ny, _] = self.grid.dims;
+        let (mut dirs, mut crossings) = (vec![0u8; nx * ny], 0);
+        for (k, corners) in [(q.wrapping_sub(1), 4..8), (q, 0..4)] {
+            for &(n0, case) in self.layers.get(k).map_or(&[][..], |l| &l.0) {
+                for c in corners.clone() {
+                    let slot = &mut dirs[n0 as usize + (c & 1) + nx * (c >> 1 & 1)];
+                    let crossed = CROSSED_DIRS[case as usize][c];
+                    crossings += (crossed & !*slot).count_ones() as usize;
+                    *slot |= crossed;
+                }
+            }
         }
-        // Deterministic orientation of the interpolation (lo id → hi id) so
-        // both incident cubes compute bit-identical positions.
-        let (p, q) = if a.0 < b.0 { (a, b) } else { (b, a) };
-        let (va, vb) = (p.2, q.2);
-        let t = ((self.iso - va) / (vb - va)).clamp(T_EPS, 1.0 - T_EPS);
-        let pos = [
-            p.1[0] + t * (q.1[0] - p.1[0]),
-            p.1[1] + t * (q.1[1] - p.1[1]),
-            p.1[2] + t * (q.1[2] - p.1[2]),
-        ];
-        let idx = self.mesh.vertices.len() as u32;
-        self.mesh.vertices.push(pos);
-        self.edge_vertices.insert(key, idx);
-        idx
+        (dirs, crossings)
     }
 
-    /// Emits a triangle oriented so its normal points toward *lower* field
-    /// values (outward from the `v ≥ iso` region), using the exact gradient
-    /// of the linear interpolant over the tetrahedron.
-    fn emit(&mut self, tri: [u32; 3], grad: [f64; 3]) {
-        let p = self.mesh.vertices[tri[0] as usize];
-        let q = self.mesh.vertices[tri[1] as usize];
-        let r = self.mesh.vertices[tri[2] as usize];
-        let u = [q[0] - p[0], q[1] - p[1], q[2] - p[2]];
-        let v = [r[0] - p[0], r[1] - p[1], r[2] - p[2]];
-        let n = [
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        ];
-        let dot = n[0] * grad[0] + n[1] * grad[1] + n[2] * grad[2];
-        if dot > 0.0 {
-            self.mesh.triangles.push([tri[0], tri[2], tri[1]]);
-        } else {
-            self.mesh.triangles.push(tri);
+    /// Plane `q` with its crossings numbered from `base` on and interpolated.
+    fn plane(&self, q: usize, base: u32) -> Plane {
+        let (g, nx) = (self.grid, self.grid.dims[0]);
+        let (dirs, crossings) = self.mark_plane(q);
+        let (mut first, mut pos) = (vec![0; dirs.len()], Vec::with_capacity(crossings));
+        for (n, &crossed) in dirs.iter().enumerate().filter(|(_, &c)| c != 0) {
+            first[n] = base + pos.len() as u32;
+            let (p, va) = g.node([n % nx, n / nx, q], 0);
+            for d in (1..8).filter(|d| crossed >> d & 1 == 1) {
+                // Always interpolated lo node → hi node, so every cube
+                // around the edge sees the same bits.
+                let (r, vb) = g.node([n % nx, n / nx, q], d);
+                let t = ((self.iso - va) / (vb - va)).clamp(T_EPS, 1.0 - T_EPS);
+                pos.push(std::array::from_fn(|a| p[a] + t * (r[a] - p[a])));
+            }
+        }
+        Plane {
+            dirs,
+            first,
+            base,
+            pos,
         }
     }
 
-    fn march_tet(&mut self, corners: &[(u64, [f64; 3], f64); 4]) {
-        let inside: Vec<usize> = (0..4).filter(|&c| corners[c].2 >= self.iso).collect();
-        if inside.is_empty() || inside.len() == 4 {
-            return;
+    /// Triangulates layer `k` between its two node planes into `tris`;
+    /// returns how many triangles it wrote.
+    fn emit_layer(&self, k: usize, lo: &Plane, hi: &Plane, tris: &mut [[u32; 3]]) -> usize {
+        let (g, nx) = (self.grid, self.grid.dims[0]);
+        let mut written = 0;
+        for &(n0, case) in &self.layers[k].0 {
+            let n0 = n0 as usize;
+            let corners: [_; 8] = std::array::from_fn(|c| g.node([n0 % nx, n0 / nx, k], c));
+            let vertex = |edge: u8| {
+                let (c, d) = ((edge >> 3) as usize, edge & 7);
+                let plane = if c < 4 { lo } else { hi };
+                let n = n0 + (c & 1) + nx * (c >> 1 & 1);
+                let id = plane.first[n] + (plane.dirs[n] & ((1 << d) - 1)).count_ones();
+                (id, plane.pos[(id - plane.base) as usize])
+            };
+            for (tet, cases) in TETS.iter().zip(&TET_TRIS) {
+                let [count @ 1..=2, cycle @ ..] = cases[case as usize] else {
+                    continue;
+                };
+                let grad = tet_gradient(tet.map(|c| corners[c]));
+                for (&b, &c) in cycle[1..].iter().zip(&cycle[2..]).take(count as usize) {
+                    // (Three calls, not `[..].map(vertex)`: that halves the throughput.)
+                    tris[written] = orient([vertex(cycle[0]), vertex(b), vertex(c)], grad);
+                    written += 1;
+                }
+            }
         }
-        // Gradient of the linear interpolant: solve Mᵀ·g = dv with rows
-        // (corner_i − corner_0).
-        let grad = tet_gradient(corners);
-
-        let outside: Vec<usize> = (0..4).filter(|c| !inside.contains(c)).collect();
-        match inside.len() {
-            1 => {
-                let a = corners[inside[0]];
-                let tri = [
-                    self.edge_vertex(a, corners[outside[0]]),
-                    self.edge_vertex(a, corners[outside[1]]),
-                    self.edge_vertex(a, corners[outside[2]]),
-                ];
-                self.emit(tri, grad);
-            }
-            3 => {
-                let d = corners[outside[0]];
-                let tri = [
-                    self.edge_vertex(d, corners[inside[0]]),
-                    self.edge_vertex(d, corners[inside[1]]),
-                    self.edge_vertex(d, corners[inside[2]]),
-                ];
-                self.emit(tri, grad);
-            }
-            2 => {
-                let (a, b) = (corners[inside[0]], corners[inside[1]]);
-                let (c, d) = (corners[outside[0]], corners[outside[1]]);
-                // Quad cycle AC → AD → BD → BC (consecutive pairs share a
-                // tet face), split into two triangles.
-                let ac = self.edge_vertex(a, c);
-                let ad = self.edge_vertex(a, d);
-                let bd = self.edge_vertex(b, d);
-                let bc = self.edge_vertex(b, c);
-                self.emit([ac, ad, bd], grad);
-                self.emit([ac, bd, bc], grad);
-            }
-            _ => unreachable!(),
-        }
+        written
     }
 }
 
-/// Gradient of the linear field over a tetrahedron (Cramer's rule on the
-/// 3×3 edge-matrix system).
-fn tet_gradient(corners: &[(u64, [f64; 3], f64); 4]) -> [f64; 3] {
-    let p0 = corners[0].1;
-    let v0 = corners[0].2;
-    let mut m = [[0.0f64; 3]; 3];
-    let mut dv = [0.0f64; 3];
-    for r in 0..3 {
-        let c = &corners[r + 1];
-        for a in 0..3 {
-            m[r][a] = c.1[a] - p0[a];
-        }
-        dv[r] = c.2 - v0;
+/// Orders a triangle so its normal points toward *lower* field values
+/// (outward from the `v ≥ iso` region), using the exact gradient of the
+/// linear interpolant over the tetrahedron.
+fn orient(tri: [(u32, [f64; 3]); 3], grad: [f64; 3]) -> [u32; 3] {
+    let [(a, p), (b, q), (c, r)] = tri;
+    let u = [q[0] - p[0], q[1] - p[1], q[2] - p[2]];
+    let v = [r[0] - p[0], r[1] - p[1], r[2] - p[2]];
+    let n = [
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    ];
+    let dot = n[0] * grad[0] + n[1] * grad[1] + n[2] * grad[2];
+    if dot > 0.0 {
+        [a, c, b]
+    } else {
+        [a, b, c]
     }
+}
+
+/// Gradient of the linear field over a tetrahedron given as (position,
+/// value) corners: Cramer's rule on the 3×3 system with rows
+/// `corner_i − corner_0`.
+fn tet_gradient(corners: [([f64; 3], f64); 4]) -> [f64; 3] {
+    let (p0, v0) = corners[0];
+    let m: [[f64; 3]; 3] =
+        std::array::from_fn(|r| std::array::from_fn(|a| corners[r + 1].0[a] - p0[a]));
     let det = |m: &[[f64; 3]; 3]| -> f64 {
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -221,24 +310,33 @@ fn tet_gradient(corners: &[(u64, [f64; 3], f64); 4]) -> [f64; 3] {
     if d == 0.0 {
         return [0.0; 3];
     }
-    let mut g = [0.0f64; 3];
-    for a in 0..3 {
+    std::array::from_fn(|a| {
         let mut ma = m;
         for r in 0..3 {
-            ma[r][a] = dv[r];
+            ma[r][a] = corners[r + 1].1 - v0;
         }
-        g[a] = det(&ma) / d;
-    }
-    g
+        det(&ma) / d
+    })
 }
 
-/// Extracts the isosurface `value == iso` from a sampled grid.
-///
-/// Large grids are processed as parallel z-slabs; duplicated crossing
-/// vertices on slab-boundary planes (whose positions are bit-identical by
-/// construction — both slabs interpolate the same edge the same way) are
-/// merged afterwards, so the result is independent of the slab split.
+/// Total crossings over all planes. Mesh indices are `u32`, and the scan
+/// knows the total before anything is written: checked once, here.
+fn vertex_total(crossings: &[usize], dims: [usize; 3]) -> usize {
+    let total: usize = crossings.iter().sum();
+    let fits = total <= u32::MAX as usize;
+    assert!(fits, "{total} vertices of the {dims:?} grid exceed u32");
+    total
+}
+
+/// Extracts the isosurface `value == iso` from a sampled grid, in parallel;
+/// the mesh is bit-identical at any thread count.
 pub fn marching_tetrahedra(grid: &SampledGrid, iso: f64) -> TriMesh {
+    let mesh = extract(grid, iso, CHUNK);
+    amrviz_obs::counter!("viz.triangles", mesh.num_triangles());
+    mesh
+}
+
+fn extract(grid: &SampledGrid, iso: f64, chunk: usize) -> TriMesh {
     let [cx, cy, cz] = grid.cell_dims();
     if cx == 0 || cy == 0 || cz == 0 {
         return TriMesh::new();
@@ -246,150 +344,52 @@ pub fn marching_tetrahedra(grid: &SampledGrid, iso: f64) -> TriMesh {
     if let Some(mask) = &grid.cell_mask {
         assert_eq!(mask.len(), cx * cy * cz, "cell mask size mismatch");
     }
-    // Fixed slab height keeps the decomposition (and thus the output)
-    // independent of thread count.
-    const SLAB: usize = 32;
-    if cz <= SLAB {
-        let mesh = extract_range(grid, iso, 0, cz);
-        amrviz_obs::counter!("viz.triangles", mesh.num_triangles());
-        return mesh;
+    // Count: each layer's crossed cubes, then each node plane's crossings.
+    let mut layers = amrviz_par::run(cz, |k| classify(grid, iso, k));
+    layers.push((Vec::new(), 0));
+    let m = Marcher { grid, iso, layers };
+    let crossings = amrviz_par::run(cz + 1, |q| m.mark_plane(q).1);
+
+    // Scan: size the output once and give every chunk of planes, with the
+    // layer above each, its own ranges of it.
+    let mut mesh = TriMesh {
+        vertices: vec![[0.0; 3]; vertex_total(&crossings, grid.dims)],
+        triangles: vec![[0; 3]; m.layers.iter().map(|l| l.1).sum()],
+    };
+    let (mut verts, mut tris, mut first) = (&mut mesh.vertices[..], &mut mesh.triangles[..], 0);
+    let mut parts = Vec::new();
+    for (v, l) in crossings.chunks(chunk).zip(m.layers.chunks(chunk)) {
+        let (nv, nt) = (v.iter().sum(), l.iter().map(|l| l.1).sum());
+        let (v, t);
+        (v, verts) = verts.split_at_mut(nv);
+        (t, tris) = tris.split_at_mut(nt);
+        parts.push((first as u32, v, t));
+        first += nv;
     }
-    let n_slabs = cz.div_ceil(SLAB);
-    let slabs: Vec<TriMesh> = amrviz_par::run(n_slabs, |s| {
-        let t0 = amrviz_obs::is_enabled().then(std::time::Instant::now);
-        let mesh = extract_range(grid, iso, s * SLAB, ((s + 1) * SLAB).min(cz));
-        if let Some(t0) = t0 {
-            amrviz_obs::histogram!("extract.slab_us", t0.elapsed().as_micros());
+
+    // Emit: every chunk writes the vertices of its node planes and the
+    // triangles of the cube layer above each.
+    amrviz_par::for_each_part(parts, |c, (first, verts, tris)| {
+        let (mut nv, mut nt) = (0, 0);
+        let mut lo = m.plane(c * chunk, first);
+        for q in c * chunk..(cz + 1).min((c + 1) * chunk) {
+            verts[nv..nv + lo.pos.len()].copy_from_slice(&lo.pos);
+            nv += lo.pos.len();
+            // The chunk's last layer needs the plane above it, which the
+            // next chunk owns — and numbers from the same base.
+            let hi = m.plane(q + 1, lo.base + lo.pos.len() as u32);
+            nt += m.emit_layer(q, &lo, &hi, &mut tris[nt..]);
+            lo = hi;
         }
-        mesh
+        debug_assert_eq!((nv, nt), (verts.len(), tris.len()), "count ≠ emit");
     });
-
-    // Merge, de-duplicating vertices that lie exactly on interior boundary
-    // planes (z = origin + k·spacing for slab boundaries k).
-    let boundary_zs: std::collections::HashSet<u64> = (1..n_slabs)
-        .map(|s| (grid.origin[2] + (s * SLAB) as f64 * grid.spacing[2]).to_bits())
-        .collect();
-    // The first slab seeds the output by move: with the shared map empty, the
-    // copy loop below would append every one of its vertices in order anyway,
-    // so taking over its buffers is byte-identical — unless the slab itself
-    // holds two bit-equal boundary-plane vertices, which the copy loop would
-    // have merged. The pre-scan detects that (pathological) case and falls
-    // back to copying the first slab too. Remaining slabs are consumed one at
-    // a time — each freed as soon as it is merged — with exact reservations,
-    // so the merge holds ~one output plus one slab rather than two full
-    // meshes.
-    let mut slabs = slabs.into_iter();
-    let first = slabs.next().expect("cz > SLAB implies at least two slabs");
-    let mut shared: HashMap<[u64; 3], u32> = HashMap::new();
-    let mut seed_dup = false;
-    for (i, p) in first.vertices.iter().enumerate() {
-        let key = [p[0].to_bits(), p[1].to_bits(), p[2].to_bits()];
-        if boundary_zs.contains(&key[2]) && shared.insert(key, i as u32).is_some() {
-            seed_dup = true;
-            break;
-        }
-    }
-    let (mut out, fallback) = if seed_dup {
-        shared.clear();
-        (TriMesh::new(), Some(first))
-    } else {
-        (first, None)
-    };
-    let mut remap = Vec::new();
-    for slab in fallback.into_iter().chain(slabs) {
-        remap.clear();
-        remap.reserve(slab.vertices.len());
-        out.vertices.reserve_exact(slab.vertices.len());
-        out.triangles.reserve_exact(slab.triangles.len());
-        for &p in &slab.vertices {
-            let key = [p[0].to_bits(), p[1].to_bits(), p[2].to_bits()];
-            let id = if boundary_zs.contains(&key[2]) {
-                *shared.entry(key).or_insert_with(|| {
-                    let id = out.vertices.len() as u32;
-                    out.vertices.push(p);
-                    id
-                })
-            } else {
-                let id = out.vertices.len() as u32;
-                out.vertices.push(p);
-                id
-            };
-            remap.push(id);
-        }
-        out.triangles.extend(slab.triangles.iter().map(|t| {
-            [
-                remap[t[0] as usize],
-                remap[t[1] as usize],
-                remap[t[2] as usize],
-            ]
-        }));
-    }
-    amrviz_obs::counter!("viz.triangles", out.num_triangles());
-    out
-}
-
-/// Sequential extraction of the cube slab `k_begin..k_end`.
-fn extract_range(grid: &SampledGrid, iso: f64, k_begin: usize, k_end: usize) -> TriMesh {
-    let [cx, cy, _cz] = grid.cell_dims();
-    let mut ex = Extractor {
-        iso,
-        mesh: TriMesh::new(),
-        edge_vertices: HashMap::new(),
-    };
-    let [nx, ny, _] = grid.dims;
-    for k in k_begin..k_end {
-        for j in 0..cy {
-            for i in 0..cx {
-                if let Some(mask) = &grid.cell_mask {
-                    if !mask[i + cx * (j + cy * k)] {
-                        continue;
-                    }
-                }
-                // Quick reject: all 8 corners same side.
-                let mut any_in = false;
-                let mut any_out = false;
-                let mut corners = [(0u64, [0.0f64; 3], 0.0f64); 8];
-                for dz in 0..2usize {
-                    for dy in 0..2usize {
-                        for dx in 0..2usize {
-                            let (gi, gj, gk) = (i + dx, j + dy, k + dz);
-                            let v = grid.values[gi + nx * (gj + ny * gk)];
-                            let c = dx + 2 * dy + 4 * dz;
-                            corners[c] = (grid.node_id(gi, gj, gk), grid.node_pos(gi, gj, gk), v);
-                            if v >= iso {
-                                any_in = true;
-                            } else {
-                                any_out = true;
-                            }
-                        }
-                    }
-                }
-                if !(any_in && any_out) {
-                    continue;
-                }
-                for tet in &TETS {
-                    let tc = [
-                        corners[tet[0]],
-                        corners[tet[1]],
-                        corners[tet[2]],
-                        corners[tet[3]],
-                    ];
-                    ex.march_tet(&tc);
-                }
-            }
-        }
-    }
-    // Trim the doubling-growth overshoot: the mesh is retained (and, on the
-    // slab path, coexists with its siblings during the merge) long after
-    // extraction, so the ~25% capacity slack is pure dead weight.
-    ex.mesh.vertices.shrink_to_fit();
-    ex.mesh.triangles.shrink_to_fit();
-    ex.mesh
+    mesh
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn sphere_grid(n: usize, r: f64) -> SampledGrid {
         // Field = r − |x − c|: positive inside the ball.
@@ -500,22 +500,241 @@ mod tests {
 
     #[test]
     fn parallel_slab_path_is_watertight_and_seamless() {
-        // 80 nodes → 79 cubes > SLAB: exercises the parallel merge. Any
-        // missed vertex dedup on slab planes would show up as open edges.
+        // 80 nodes → 79 cube layers, three chunks. A crossing on a chunk's
+        // top plane is numbered by the chunk above; any disagreement between
+        // the two would show up as open edges or duplicated vertices.
         let grid = sphere_grid(80, 0.35);
         let mesh = marching_tetrahedra(&grid, 0.0);
         assert!(mesh.num_triangles() > 10_000);
         assert!(
             mesh.is_watertight(),
-            "open edges across slab boundaries: {}",
+            "open edges across chunk boundaries: {}",
             mesh.boundary_edges().len()
         );
         let exact = 4.0 * std::f64::consts::PI * 0.35 * 0.35;
         assert!((mesh.total_area() - exact).abs() / exact < 0.02);
+        // Chunking independence: one chunk, one layer per chunk, chunk sizes
+        // that do and do not divide the layer count — the very same buffers.
+        for chunk in [1, 7, 79, 80, 1000] {
+            assert_eq!(extract(&grid, 0.0, chunk), mesh, "chunk = {chunk}");
+        }
         // No duplicated vertices anywhere (welding with a tiny tolerance
         // must be a no-op). `mesh` is not needed afterwards, so weld in place.
         let mut welded = mesh;
-        assert_eq!(welded.weld(1e-12), 0, "duplicate vertices survived merge");
+        assert_eq!(welded.weld(1e-12), 0, "duplicate vertices in the output");
+    }
+
+    #[test]
+    fn vertex_total_is_checked_against_u32_once() {
+        let max = u32::MAX as usize;
+        assert_eq!(vertex_total(&[max - 5, 0, 5], [3, 4, 5]), max);
+    }
+
+    #[test]
+    #[should_panic(expected = "4294967296 vertices of the [3, 4, 5] grid exceed u32")]
+    fn vertex_total_refuses_what_u32_indices_cannot_address() {
+        // A faked per-plane count: no grid that large fits in memory here.
+        vertex_total(&[u32::MAX as usize, 1], [3, 4, 5]);
+    }
+
+    /// A deliberately naive reference extractor: every unmasked cube and
+    /// every tetrahedron on its own, heap-allocated case analysis, three
+    /// fresh vertices per triangle — a triangle soup, welded afterwards by
+    /// position bits. Shares only `TETS` and `T_EPS` with the real one.
+    fn reference(grid: &SampledGrid, iso: f64) -> TriMesh {
+        type Corner = (usize, [f64; 3], f64);
+        let [nx, ny, _] = grid.dims;
+        let [cx, cy, cz] = grid.cell_dims();
+        let cut = |a: Corner, b: Corner| -> [f64; 3] {
+            // Interpolate from the lower node id to the higher.
+            let (p, q) = if a.0 < b.0 { (a, b) } else { (b, a) };
+            let t = ((iso - p.2) / (q.2 - p.2)).clamp(T_EPS, 1.0 - T_EPS);
+            [
+                p.1[0] + t * (q.1[0] - p.1[0]),
+                p.1[1] + t * (q.1[1] - p.1[1]),
+                p.1[2] + t * (q.1[2] - p.1[2]),
+            ]
+        };
+        let gradient = |tc: &[Corner; 4]| -> [f64; 3] {
+            // Cramer's rule on rows (corner_r − corner_0)·g = value_r − value_0.
+            let (p0, v0) = (tc[0].1, tc[0].2);
+            let row = |r: usize| [tc[r].1[0] - p0[0], tc[r].1[1] - p0[1], tc[r].1[2] - p0[2]];
+            let (m, dv) = (
+                [row(1), row(2), row(3)],
+                [tc[1].2 - v0, tc[2].2 - v0, tc[3].2 - v0],
+            );
+            let det = |m: &[[f64; 3]; 3]| -> f64 {
+                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                    - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                    + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+            };
+            let d = det(&m);
+            if d == 0.0 {
+                return [0.0; 3];
+            }
+            let component = |a: usize| {
+                let mut ma = m;
+                (ma[0][a], ma[1][a], ma[2][a]) = (dv[0], dv[1], dv[2]);
+                det(&ma) / d
+            };
+            [component(0), component(1), component(2)]
+        };
+        let mut soup: Vec<[[f64; 3]; 3]> = Vec::new();
+        for (k, j, i) in
+            (0..cz).flat_map(|k| (0..cy).flat_map(move |j| (0..cx).map(move |i| (k, j, i))))
+        {
+            if grid
+                .cell_mask
+                .as_ref()
+                .is_some_and(|m| !m[i + cx * (j + cy * k)])
+            {
+                continue;
+            }
+            for tet in &TETS {
+                let tc: [Corner; 4] = tet.map(|c| {
+                    let (gi, gj, gk) = (i + (c & 1), j + (c >> 1 & 1), k + (c >> 2));
+                    let id = gi + nx * (gj + ny * gk);
+                    let pos = [
+                        grid.origin[0] + gi as f64 * grid.spacing[0],
+                        grid.origin[1] + gj as f64 * grid.spacing[1],
+                        grid.origin[2] + gk as f64 * grid.spacing[2],
+                    ];
+                    (id, pos, grid.values[id])
+                });
+                let inside: Vec<usize> = (0..4).filter(|&c| tc[c].2 >= iso).collect();
+                let outside: Vec<usize> = (0..4).filter(|c| !inside.contains(c)).collect();
+                let tris = match inside.len() {
+                    1 | 3 => {
+                        let (lone, rest) = if inside.len() == 1 {
+                            (inside[0], &outside)
+                        } else {
+                            (outside[0], &inside)
+                        };
+                        vec![[
+                            cut(tc[lone], tc[rest[0]]),
+                            cut(tc[lone], tc[rest[1]]),
+                            cut(tc[lone], tc[rest[2]]),
+                        ]]
+                    }
+                    2 => {
+                        let (a, b, c, d) =
+                            (tc[inside[0]], tc[inside[1]], tc[outside[0]], tc[outside[1]]);
+                        let (ac, ad, bd, bc) = (cut(a, c), cut(a, d), cut(b, d), cut(b, c));
+                        vec![[ac, ad, bd], [ac, bd, bc]]
+                    }
+                    _ => vec![],
+                };
+                let grad = gradient(&tc);
+                for [p, q, r] in tris {
+                    let u = [q[0] - p[0], q[1] - p[1], q[2] - p[2]];
+                    let v = [r[0] - p[0], r[1] - p[1], r[2] - p[2]];
+                    let n = [
+                        u[1] * v[2] - u[2] * v[1],
+                        u[2] * v[0] - u[0] * v[2],
+                        u[0] * v[1] - u[1] * v[0],
+                    ];
+                    let dot = n[0] * grad[0] + n[1] * grad[1] + n[2] * grad[2];
+                    soup.push(if dot > 0.0 { [p, r, q] } else { [p, q, r] });
+                }
+            }
+        }
+        let mut mesh = TriMesh::new();
+        let mut welded: HashMap<[u64; 3], u32> = HashMap::new();
+        for tri in soup {
+            mesh.triangles.push(tri.map(|p| {
+                *welded.entry(p.map(f64::to_bits)).or_insert_with(|| {
+                    mesh.vertices.push(p);
+                    mesh.vertices.len() as u32 - 1
+                })
+            }));
+        }
+        mesh
+    }
+
+    /// The mesh as a sorted list of triangles of position bits, each rotated
+    /// to lead with its smallest corner (winding preserved).
+    fn canonical(mesh: &TriMesh) -> Vec<[[u64; 3]; 3]> {
+        let mut tris: Vec<_> = mesh
+            .triangles
+            .iter()
+            .map(|t| {
+                let c = t.map(|v| mesh.vertices[v as usize].map(f64::to_bits));
+                let lead = (0..3).min_by_key(|&i| c[i]).unwrap();
+                [c[lead], c[(lead + 1) % 3], c[(lead + 2) % 3]]
+            })
+            .collect();
+        tris.sort_unstable();
+        tris
+    }
+
+    fn assert_matches_reference(grid: &SampledGrid, iso: f64) -> TriMesh {
+        let (mesh, want) = (marching_tetrahedra(grid, iso), reference(grid, iso));
+        assert_eq!(mesh.num_vertices(), want.num_vertices(), "welding differs");
+        assert_eq!(canonical(&mesh), canonical(&want), "triangle sets differ");
+        mesh
+    }
+
+    #[test]
+    fn matches_the_naive_reference_on_random_masked_grids() {
+        // Layer counts around the chunk size: under one chunk, exactly one,
+        // one layer into the second, and into the third and fourth.
+        for cz in [1, 31, 32, 33, 65, 97] {
+            amrviz_rng::check(0x7e7 + cz as u64, 6, |rng| {
+                let dims = [rng.range_usize(2, 5), rng.range_usize(2, 5), cz + 1];
+                let iso = 0.5;
+                let mut grid =
+                    SampledGrid::from_fn(dims, [-1.0, 0.0, 2.0], [0.5, 0.25, 0.125], |_, _, _| {
+                        // A third of the samples sit exactly on the iso-value.
+                        match rng.below(3) {
+                            0 => iso,
+                            _ => rng.range_f64(-1.0, 2.0),
+                        }
+                    });
+                if rng.chance(0.7) {
+                    let cd = grid.cell_dims();
+                    grid.cell_mask = Some(
+                        (0..cd[0] * cd[1] * cd[2])
+                            .map(|_| rng.chance(0.6))
+                            .collect(),
+                    );
+                }
+                assert_matches_reference(&grid, iso);
+            });
+        }
+    }
+
+    #[test]
+    fn crossings_only_the_chunk_below_references_are_still_emitted() {
+        // 64 layers, two chunks; the field leaves zero only on node plane 32,
+        // the boundary plane, which the upper chunk owns. Layer 32 is masked
+        // out entirely and layer 31 has a hole: the in-plane crossings of
+        // plane 32 are referenced from the lower chunk alone.
+        let plane = CHUNK;
+        let mut grid =
+            SampledGrid::from_fn([5, 5, 2 * CHUNK + 1], [0.0; 3], [1.0; 3], |x, y, z| {
+                let on = z as usize == plane && !(x as usize + 2 * y as usize).is_multiple_of(3);
+                on as u8 as f64
+            });
+        let cd = grid.cell_dims();
+        let mask = (0..cd[0] * cd[1] * cd[2]).map(|n| {
+            let (i, j, k) = (n % cd[0], n / cd[0] % cd[1], n / (cd[0] * cd[1]));
+            k != plane && !(k == plane - 1 && i == 1 && j == 2)
+        });
+        grid.cell_mask = Some(mask.collect());
+        let mesh = assert_matches_reference(&grid, 0.5);
+        let on_plane = mesh
+            .vertices
+            .iter()
+            .filter(|v| v[2] == plane as f64)
+            .count();
+        assert!(
+            on_plane > 10,
+            "only {on_plane} crossings within the boundary plane"
+        );
+        assert!(
+            mesh.vertices.iter().all(|v| v[2] <= plane as f64),
+            "layer 32 is masked"
+        );
     }
 
     #[test]

@@ -98,10 +98,10 @@ pub fn extract_amr_isosurface(
         "level data does not match hierarchy"
     );
     let mut sp = amrviz_obs::span!("extract", method = method.label());
-    // Levels fan out across the worker pool; results come back in level
-    // order, so the combined mesh is identical at any thread count.
-    let level_meshes: Vec<TriMesh> = amrviz_par::run(levels.len(), |lev| {
-        let mf = &levels[lev];
+    // One level at a time: the pool is spent inside each level (node and
+    // mask rows, marching chunks), where the finest level — most of the
+    // work — would otherwise be stuck on one worker.
+    let level_meshes = levels.iter().enumerate().map(|(lev, mf)| {
         let mut lsp = amrviz_obs::span!("extract.level", level = lev);
         let t0 = amrviz_obs::is_enabled().then(std::time::Instant::now);
         let mesh = match method {
@@ -120,7 +120,7 @@ pub fn extract_amr_isosurface(
     let res = AmrIsoResult {
         method,
         iso,
-        level_meshes,
+        level_meshes: level_meshes.collect(),
     };
     sp.add_field("triangles", res.total_triangles());
     res

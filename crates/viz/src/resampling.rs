@@ -10,7 +10,7 @@
 //! characteristic **cracks** of Fig. 1a — reproduced here by construction.
 
 use amrviz_amr::multifab::rasterize_into;
-use amrviz_amr::{AmrHierarchy, IntVect, MultiFab};
+use amrviz_amr::{AmrHierarchy, MultiFab};
 
 use crate::marching::{marching_tetrahedra, SampledGrid};
 use crate::mesh::TriMesh;
@@ -47,36 +47,32 @@ pub fn extract_resampled_level(
     let mut nodes = vec![0.0f64; nnx * nny * nnz];
     {
         let cells = &cells;
-        let cell_at = |i: usize, j: usize, k: usize| cells[i + cx * (j + cy * k)];
         let sp_nodes = amrviz_obs::span!("resample.nodes", level = lev);
         amrviz_par::for_each_chunk_mut(&mut nodes, nnx * nny, |nk, slab| {
-            for nj in 0..nny {
-                for ni in 0..nnx {
+            for (nj, out) in slab.chunks_exact_mut(nnx).enumerate() {
+                // The ≤4 cell rows touching this node row, z-major: with the
+                // x pair innermost below, the sum keeps its (z, y, x) order.
+                let rows: [Option<(&[bool], &[f64])>; 4] = std::array::from_fn(|r| {
+                    let (cj, ck) = (
+                        (nj + (r & 1)).wrapping_sub(1),
+                        (nk + (r >> 1)).wrapping_sub(1),
+                    );
+                    (cj < cy && ck < cz)
+                        .then(|| (valid.row(cj, ck), &cells[cx * (cj + cy * ck)..][..cx]))
+                });
+                for (ni, node) in out.iter_mut().enumerate() {
                     let mut sum = 0.0;
                     let mut cnt = 0u32;
-                    for dk in 0..2usize {
-                        for dj in 0..2usize {
-                            for di in 0..2usize {
-                                // Cell (ni-1+di, nj-1+dj, nk-1+dk) touches
-                                // the node.
-                                let (ci, cj, ck) = (
-                                    (ni + di).wrapping_sub(1),
-                                    (nj + dj).wrapping_sub(1),
-                                    (nk + dk).wrapping_sub(1),
-                                );
-                                if ci < cx && cj < cy && ck < cz {
-                                    let iv =
-                                        dom.lo() + IntVect::new(ci as i64, cj as i64, ck as i64);
-                                    if valid.get_unchecked(iv) {
-                                        sum += cell_at(ci, cj, ck);
-                                        cnt += 1;
-                                    }
-                                }
+                    for (valid, values) in rows.iter().flatten() {
+                        for ci in ni.saturating_sub(1)..(ni + 1).min(cx) {
+                            if valid[ci] {
+                                sum += values[ci];
+                                cnt += 1;
                             }
                         }
                     }
                     if cnt > 0 {
-                        slab[ni + nnx * nj] = sum / cnt as f64;
+                        *node = sum / cnt as f64;
                     }
                 }
             }
@@ -88,10 +84,9 @@ pub fn extract_resampled_level(
     // March the level's unique cells only (parallel over cell slabs).
     let mut mask = vec![false; cx * cy * cz];
     amrviz_par::for_each_chunk_mut(&mut mask, cx * cy, |k, slab| {
-        for j in 0..cy {
-            for i in 0..cx {
-                let iv = dom.lo() + IntVect::new(i as i64, j as i64, k as i64);
-                slab[i + cx * j] = valid.get_unchecked(iv) && !covered.get_unchecked(iv);
+        for (j, out) in slab.chunks_exact_mut(cx).enumerate() {
+            for ((m, &v), &c) in out.iter_mut().zip(valid.row(j, k)).zip(covered.row(j, k)) {
+                *m = v && !c;
             }
         }
     });
@@ -111,7 +106,7 @@ pub fn extract_resampled_level(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amrviz_amr::{Box3, BoxArray, Geometry};
+    use amrviz_amr::{Box3, BoxArray, Geometry, IntVect};
 
     /// Single-level hierarchy holding a sphere SDF-like field.
     fn single_level_sphere(n: usize) -> AmrHierarchy {

@@ -143,6 +143,12 @@ fn nyx_pipeline_is_bit_identical_at_1_2_8_threads() {
 
 #[test]
 fn warpx_pipeline_is_bit_identical_at_1_2_8_threads() {
+    // The marcher hands out 32-layer chunks; the raw vertex and index
+    // buffers compared here must come from a grid spanning several of them
+    // (the Nyx scenario's 64-cell levels span only two).
+    let hier = warpx_like(42).hierarchy;
+    let tall = hier.level_domain(hier.num_levels() - 1).size()[2];
+    assert!(tall >= 3 * 32, "finest level only {tall} cells tall");
     assert_thread_invariant(|| warpx_like(42), "WarpX");
 }
 
