@@ -530,6 +530,26 @@ mod tests {
     }
 
     #[test]
+    fn expired_deadline_surfaces_through_decompress() {
+        // 40³ codes are more than three deadline strides of symbols.
+        let f = smooth_field([40, 40, 40]);
+        assert!(f.data.len() >= 3 * DecodeBudget::DEADLINE_STRIDE);
+        let sz = SzLr::default();
+        let buf = sz.compress(&f, ErrorBound::Rel(1e-3));
+        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
+        let expired = DecodeBudget::default().with_deadline(past);
+        let mut out = Vec::new();
+        assert!(sz
+            .decompress_into(&buf, &expired, &mut out)
+            .unwrap_err()
+            .is_deadline());
+        let dims = sz
+            .decompress_into(&buf, &DecodeBudget::default(), &mut out)
+            .unwrap();
+        assert_eq!(dims, f.dims);
+    }
+
+    #[test]
     fn larger_bound_compresses_more() {
         let f = smooth_field([24, 24, 24]);
         let sz = SzLr::default();
