@@ -7,6 +7,10 @@ use crate::ivec::IntVect;
 /// Piecewise-constant (injection) prolongation: each fine cell takes its
 /// coarse parent's value. `target` is a fine-index box; `coarse` must cover
 /// `target.coarsen(ratio)`.
+///
+/// Works a row at a time: a fine row or plane whose coarse parent row or
+/// plane is the one just written is a copy of it, and only the first fine
+/// row under each coarse row is expanded cell by cell.
 pub fn prolong_piecewise_constant(coarse: &Fab, target: Box3, ratio: i64) -> Fab {
     let needed = target.coarsen(ratio);
     assert!(
@@ -15,7 +19,31 @@ pub fn prolong_piecewise_constant(coarse: &Fab, target: Box3, ratio: i64) -> Fab
         coarse.box3(),
         needed
     );
-    Fab::from_fn(target, |fine| coarse.get(fine.coarsen(ratio)))
+    let (lo, hi) = (target.lo(), target.hi());
+    let [nx, ny, _] = target.size();
+    let parent = |fine: i64| fine.div_euclid(ratio);
+    // Each fine cell's parent as an offset into a coarse row: one map for
+    // every row.
+    let x_parent: Vec<usize> = (lo[0]..=hi[0])
+        .map(|i| (parent(i) - needed.lo()[0]) as usize)
+        .collect();
+    let mut data = Vec::with_capacity(target.num_cells());
+    for k in lo[2]..=hi[2] {
+        if k > lo[2] && parent(k) == parent(k - 1) {
+            data.extend_from_within(data.len() - nx * ny..);
+            continue;
+        }
+        for j in lo[1]..=hi[1] {
+            if j > lo[1] && parent(j) == parent(j - 1) {
+                data.extend_from_within(data.len() - nx..);
+                continue;
+            }
+            let first = IntVect::new(needed.lo()[0], parent(j), parent(k));
+            let coarse_row = &coarse.data()[coarse.box3().offset(first)..];
+            data.extend(x_parent.iter().map(|&c| coarse_row[c]));
+        }
+    }
+    Fab::from_vec(target, data)
 }
 
 /// Trilinear cell-centered prolongation. Fine cell centers are interpolated
@@ -103,6 +131,29 @@ mod tests {
         assert_eq!(fine.get(IntVect::new(1, 1, 1)), 0.0);
         assert_eq!(fine.get(IntVect::new(2, 0, 0)), 1.0);
         assert_eq!(fine.get(IntVect::new(3, 3, 3)), 3.0);
+    }
+
+    #[test]
+    fn piecewise_constant_matches_the_per_cell_oracle() {
+        // The oracle is the per-cell definition: every fine cell looks its
+        // parent up by floor division.
+        amrviz_rng::check(0x9c01, 64, |rng| {
+            let ratio = rng.range_i64(2, 4);
+            // Negative, positive and straddling targets, aligned to the
+            // ratio on no side in general.
+            let lo = IntVect([0; 3].map(|_| rng.range_i64(-9, 6)));
+            let target = Box3::new(lo, lo + IntVect([0; 3].map(|_| rng.range_i64(0, 9))));
+            // The coarse fab covers the parents with uneven margins.
+            let needed = target.coarsen(ratio);
+            let margin = |rng: &mut amrviz_rng::Rng| IntVect([0; 3].map(|_| rng.range_i64(0, 2)));
+            let cb = Box3::new(needed.lo() - margin(rng), needed.hi() + margin(rng));
+            let coarse = Fab::from_fn(cb, |_| rng.f64());
+            let want = Fab::from_fn(target, |fine| coarse.get(fine.coarsen(ratio)));
+            let got = prolong_piecewise_constant(&coarse, target, ratio);
+            assert_eq!(got.box3(), target);
+            let bits = |f: &Fab| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "ratio {ratio} target {target:?}");
+        });
     }
 
     #[test]

@@ -54,14 +54,9 @@ impl UniformField {
 }
 
 /// Up-samples a dense field covering `region` by `ratio`, returning a dense
-/// field covering `region.refine(ratio)`.
-pub fn upsample_dense(field: &UniformField, ratio: i64, method: Upsample) -> UniformField {
-    upsample_dense_owned(field.clone(), ratio, method)
-}
-
-/// [`upsample_dense`] taking the field by value: the coarse buffer is moved
-/// into the interpolation (no clone), which matters when flattening large
-/// hierarchies level by level.
+/// field covering `region.refine(ratio)`. The field is taken by value: the
+/// coarse buffer is moved into the interpolation (no clone), which matters
+/// when flattening large hierarchies level by level.
 pub fn upsample_dense_owned(field: UniformField, ratio: i64, method: Upsample) -> UniformField {
     let region = field.region;
     let coarse_fab = Fab::from_vec(region, field.data);
@@ -188,7 +183,7 @@ mod tests {
     #[test]
     fn upsample_dense_dims() {
         let u = UniformField::new(b([0, 0, 0], [1, 1, 1]), vec![1.0; 8]);
-        let f = upsample_dense(&u, 2, Upsample::PiecewiseConstant);
+        let f = upsample_dense_owned(u, 2, Upsample::PiecewiseConstant);
         assert_eq!(f.dims(), [4, 4, 4]);
         assert!(f.data.iter().all(|&v| v == 1.0));
     }

@@ -83,7 +83,7 @@ impl ErrorBound {
     }
 }
 
-/// Errors produced by decompression.
+/// Errors produced by decompression, and by checking what it returned.
 #[derive(Debug)]
 pub enum CompressError {
     /// Stream failed structural validation.
@@ -100,6 +100,14 @@ pub enum CompressError {
         /// What went wrong with that blob.
         cause: String,
     },
+    /// A reconstruction decoded cleanly but strays further from the
+    /// original than the bound it was compressed under.
+    BoundViolated {
+        /// Largest absolute pointwise error found.
+        max_abs_error: f64,
+        /// The absolute bound the stream promised.
+        abs_eb: f64,
+    },
 }
 
 impl std::fmt::Display for CompressError {
@@ -110,6 +118,13 @@ impl std::fmt::Display for CompressError {
             CompressError::FabDecode { level, fab, cause } => {
                 write!(f, "fab decode failed at level {level}, fab {fab}: {cause}")
             }
+            CompressError::BoundViolated {
+                max_abs_error,
+                abs_eb,
+            } => write!(
+                f,
+                "error bound violated: max error {max_abs_error:e} over the bound {abs_eb:e}"
+            ),
         }
     }
 }
@@ -122,7 +137,7 @@ impl CompressError {
     /// [`amrviz_codec::CodecError`] keeps its class.
     pub fn class(&self) -> &'static str {
         match self {
-            CompressError::Malformed(_) => "corrupt",
+            CompressError::Malformed(_) | CompressError::BoundViolated { .. } => "corrupt",
             CompressError::Codec(e) => e.class(),
             CompressError::FabDecode { cause, .. } => {
                 // Cause strings are rendered Display output; the class
@@ -146,7 +161,7 @@ impl CompressError {
             CompressError::FabDecode { cause, .. } => {
                 cause.contains(amrviz_codec::CodecError::DEADLINE_MSG)
             }
-            CompressError::Malformed(_) => false,
+            CompressError::Malformed(_) | CompressError::BoundViolated { .. } => false,
         }
     }
 }

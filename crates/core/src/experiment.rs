@@ -12,7 +12,7 @@ use amrviz_compress::{
     CompressionStats, Compressor, ErrorBound, SzInterp, SzLr, ZfpLike,
 };
 use amrviz_json::{Json, ToJson};
-use amrviz_metrics::{quality, rssim, ssim2, ssim3, SsimConfig};
+use amrviz_metrics::{quality, rssim, ssim2, ssim3, QualityStats, SsimConfig};
 use amrviz_render::{render_mesh, Camera, RenderOptions};
 use amrviz_viz::{
     extract_amr_isosurface, interface_gap, normal_roughness, surface_distance_to, IsoMethod,
@@ -109,16 +109,8 @@ pub fn run_compression(
     let decompress_seconds = sp.finish();
 
     let sp_score = amrviz_obs::span!("score", compressor = kind.label());
-    let recon_uniform = flatten_levels(built, &levels)?;
     let stats = CompressionStats::new(compressed.n_values, compressed.compressed_bytes());
-    let q = quality(&built.uniform.data, &recon_uniform);
-    let dims = built.uniform.dims();
-    let s = ssim3(
-        &built.uniform.data,
-        &recon_uniform,
-        dims,
-        &SsimConfig::default(),
-    );
+    let (q, s) = score(built, &levels, compressed.abs_eb)?;
     sp_score.finish();
     Ok(CompressionRun {
         scenario: built.spec.label(),
@@ -137,6 +129,35 @@ pub fn run_compression(
         decompress_seconds,
         trace_id,
     })
+}
+
+/// Scores decompressed level data on the uniform-resolution merge: the
+/// pointwise statistics and SSIM. A reconstruction further than `abs_eb`
+/// from the original (with the 1e-12 relative slack `error_bounds.rs` and
+/// the benchmark allow) is an error, so no table cell is printed for a
+/// compressor that broke its bound.
+fn score(
+    built: &BuiltScenario,
+    levels: &[MultiFab],
+    abs_eb: f64,
+) -> Result<(QualityStats, f64), CompressError> {
+    let recon_uniform = flatten_levels(built, levels)?;
+    let q = quality(&built.uniform.data, &recon_uniform);
+    // `!(a <= b)` so that a NaN error fails the check too.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    if !(q.max_abs_err <= abs_eb * (1.0 + 1e-12)) {
+        return Err(CompressError::BoundViolated {
+            max_abs_error: q.max_abs_err,
+            abs_eb,
+        });
+    }
+    let s = ssim3(
+        &built.uniform.data,
+        &recon_uniform,
+        built.uniform.dims(),
+        &SsimConfig::default(),
+    );
+    Ok((q, s))
 }
 
 /// Merges decompressed level data to the finest uniform resolution. The
@@ -533,6 +554,40 @@ mod tests {
         assert!((run.rssim - (1.0 - run.ssim)).abs() < 1e-12);
         assert!(run.max_abs_error <= run.abs_error_bound * (1.0 + 1e-9));
         assert!(run.bits_per_value < 16.0);
+    }
+
+    #[test]
+    fn reconstruction_outside_its_bound_is_an_error() {
+        // Decode a stream compressed at 1e-2 and score it against the bound
+        // a 1e-4 run would have promised.
+        let b = warpx();
+        let comp = CompressorKind::SzLr.instance();
+        let cfg = AmrCodecConfig::default();
+        let field = b.spec.eval_field();
+        let compress = |rel| {
+            compress_hierarchy_field(
+                &b.hierarchy,
+                field,
+                comp.as_ref(),
+                ErrorBound::Rel(rel),
+                &cfg,
+            )
+            .unwrap()
+        };
+        let loose = compress(1e-2);
+        let levels = decompress_hierarchy_field(&b.hierarchy, &loose, comp.as_ref(), &cfg).unwrap();
+        assert!(score(&b, &levels, loose.abs_eb).is_ok());
+        let tight_eb = compress(1e-4).abs_eb;
+        match score(&b, &levels, tight_eb) {
+            Err(CompressError::BoundViolated {
+                max_abs_error,
+                abs_eb,
+            }) => {
+                assert_eq!(abs_eb, tight_eb);
+                assert!(max_abs_error > tight_eb && max_abs_error <= loose.abs_eb);
+            }
+            other => panic!("expected a bound violation, got {other:?}"),
+        }
     }
 
     #[test]

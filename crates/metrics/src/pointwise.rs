@@ -35,39 +35,34 @@ pub fn quality(original: &[f64], reconstructed: &[f64]) -> QualityStats {
 
     // Fixed-size chunks reduced in chunk order: the float accumulation
     // grouping depends only on CHUNK, never on the thread count, so the
-    // stats are bit-identical at any `--threads` setting.
+    // stats are bit-identical at any `--threads` setting. One trip over
+    // the data yields the original's range and the error sums together.
     const CHUNK: usize = 1 << 16;
-    let n_total = original.len();
-    let (min, max) = amrviz_par::reduce_chunked(
-        n_total,
+    let start = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64, 0.0f64, 0.0f64);
+    let (min, max, se_sum, ae_sum, max_ae) = amrviz_par::reduce_chunked(
+        original.len(),
         CHUNK,
-        (f64::INFINITY, f64::NEG_INFINITY),
-        |r| {
-            original[r]
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                    (lo.min(v), hi.max(v))
-                })
-        },
-        |(al, ah), (bl, bh)| (al.min(bl), ah.max(bh)),
-    );
-    let range = max - min;
-
-    let (se_sum, ae_sum, max_ae) = amrviz_par::reduce_chunked(
-        n_total,
-        CHUNK,
-        (0.0f64, 0.0f64, 0.0f64),
+        start,
         |r| {
             original[r.clone()].iter().zip(&reconstructed[r]).fold(
-                (0.0f64, 0.0f64, 0.0f64),
-                |(se, ae, mx), (&o, &rv)| {
+                start,
+                |(lo, hi, se, ae, mx), (&o, &rv)| {
                     let d = o - rv;
-                    (se + d * d, ae + d.abs(), mx.max(d.abs()))
+                    (
+                        lo.min(o),
+                        hi.max(o),
+                        se + d * d,
+                        ae + d.abs(),
+                        mx.max(d.abs()),
+                    )
                 },
             )
         },
-        |(se1, ae1, m1), (se2, ae2, m2)| (se1 + se2, ae1 + ae2, m1.max(m2)),
+        |(al, ah, se1, ae1, m1), (bl, bh, se2, ae2, m2)| {
+            (al.min(bl), ah.max(bh), se1 + se2, ae1 + ae2, m1.max(m2))
+        },
     );
+    let range = max - min;
 
     let n = original.len();
     let mse = se_sum / n as f64;
@@ -153,6 +148,53 @@ mod tests {
         assert_eq!(s.range, 0.0);
         assert_eq!(s.psnr, f64::NEG_INFINITY);
         assert_eq!(s.nrmse, 0.0);
+    }
+
+    #[test]
+    fn one_pass_matches_the_two_pass_reference() {
+        // The reference: min/max in one chunked reduction, the error sums in
+        // a second, both over the same 65 536-element chunks.
+        fn two_pass(orig: &[f64], recon: &[f64]) -> [f64; 4] {
+            let chunks = || orig.chunks(1 << 16).zip(recon.chunks(1 << 16));
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for (o, _) in chunks() {
+                let (l, h) = o
+                    .iter()
+                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &v| {
+                        (l.min(v), h.max(v))
+                    });
+                (lo, hi) = (lo.min(l), hi.max(h));
+            }
+            let (mut se, mut ae, mut mx) = (0.0f64, 0.0f64, 0.0f64);
+            for (o, r) in chunks() {
+                let (s, a, m) =
+                    o.iter()
+                        .zip(r)
+                        .fold((0.0f64, 0.0f64, 0.0f64), |(s, a, m), (&o, &r)| {
+                            let d = o - r;
+                            (s + d * d, a + d.abs(), m.max(d.abs()))
+                        });
+                (se, ae, mx) = (se + s, ae + a, mx.max(m));
+            }
+            let n = orig.len() as f64;
+            [hi - lo, se / n, ae / n, mx]
+        }
+        amrviz_rng::check(0x9a11, 6, |rng| {
+            // Several chunks and a ragged last one.
+            let n = rng.range_usize(1, 200_000);
+            let orig: Vec<f64> = (0..n).map(|_| rng.range_f64(-3.0, 5.0)).collect();
+            let recon: Vec<f64> = orig
+                .iter()
+                .map(|v| v + rng.range_f64(-0.01, 0.01))
+                .collect();
+            let q = quality(&orig, &recon);
+            let got = [q.range, q.mse, q.mean_abs_err, q.max_abs_err];
+            assert_eq!(
+                got.map(f64::to_bits),
+                two_pass(&orig, &recon).map(f64::to_bits),
+                "n = {n}"
+            );
+        });
     }
 
     #[test]

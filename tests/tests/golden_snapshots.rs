@@ -69,6 +69,21 @@ fn compression_snapshot(built: &BuiltScenario) -> String {
         )
         .unwrap();
     }
+    // The uniform-resolution merge every score is taken on: level 0
+    // up-sampled, finer data written over it.
+    let merge: Vec<u8> = built
+        .uniform
+        .data
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    writeln!(
+        out,
+        "uniform_merge cells={} fnv={:016x}",
+        built.uniform.data.len(),
+        amrviz_codec::fnv1a_64(&merge),
+    )
+    .unwrap();
     out
 }
 
