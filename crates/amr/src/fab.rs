@@ -64,6 +64,23 @@ impl Fab {
         self.data
     }
 
+    /// Lets `fill` rebuild the fab's buffer in place — a decoder writing
+    /// its output where it will live, with no scratch copy. If `fill` fails
+    /// or leaves a buffer that does not match the box, the fab is
+    /// zero-filled and stays valid.
+    pub fn refill_with<E>(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<f64>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let filled = fill(&mut self.data);
+        let n = self.bx.num_cells();
+        if filled.is_err() || self.data.len() != n {
+            self.data.clear();
+            self.data.resize(n, 0.0);
+        }
+        filled
+    }
+
     #[inline]
     pub fn get(&self, iv: IntVect) -> f64 {
         self.data[self.bx.offset(iv)]
@@ -188,6 +205,29 @@ mod tests {
 
     fn b(lo: [i64; 3], hi: [i64; 3]) -> Box3 {
         Box3::new(IntVect(lo), IntVect(hi))
+    }
+
+    #[test]
+    fn refill_with_keeps_the_fab_valid() {
+        let mut fab = Fab::constant(b([0, 0, 0], [1, 1, 1]), 3.0);
+        // A fill of the right length lands in place.
+        let ok: Result<(), ()> = fab.refill_with(|v| {
+            v.clear();
+            v.extend((0..8).map(f64::from));
+            Ok(())
+        });
+        assert_eq!((ok, fab.data()[7]), (Ok(()), 7.0));
+        // A failed fill, or one of the wrong length, reads as zero.
+        let failed = fab.refill_with(|v| {
+            v[0] = 9.0;
+            Err("bad blob")
+        });
+        assert_eq!((failed, fab.data()), (Err("bad blob"), &[0.0; 8][..]));
+        let short: Result<(), ()> = fab.refill_with(|v| {
+            v.truncate(3);
+            Ok(())
+        });
+        assert_eq!((short, fab.data()), (Ok(()), &[0.0; 8][..]));
     }
 
     #[test]

@@ -32,6 +32,8 @@
 //! assert_eq!(back, symbols);
 //! ```
 
+#![warn(clippy::or_fun_call)]
+
 pub mod bitio;
 pub mod budget;
 pub mod checksum;

@@ -199,20 +199,7 @@ pub fn compress_hierarchy_field(
         .map_err(|e| CompressError::Malformed(e.to_string()))?;
 
     // Global range across all levels → single absolute bound.
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for mf in &amr_field.levels {
-        let (l, h) = mf.min_max();
-        lo = lo.min(l);
-        hi = hi.max(h);
-    }
-    let abs_eb = {
-        let e = bound.to_abs(hi - lo);
-        if e > 0.0 {
-            e
-        } else {
-            1e-300
-        }
-    };
+    let abs_eb = bound.resolve(|| global_range(&amr_field.levels));
     amrviz_obs::gauge_set("compress.abs_eb", abs_eb);
 
     let mut blobs = Vec::with_capacity(hier.num_levels());
@@ -234,19 +221,27 @@ pub fn compress_hierarchy_field(
         // so the per-level blob sequence is identical at any thread count.
         let level_blobs: Vec<Vec<u8>> = amrviz_par::run(tasks.len(), |ti| {
             let (fi, piece) = tasks[ti];
-            // Gather the piece into per-thread scratch and compress straight
-            // off the borrowed view — no owned sub-fab or `Field3` per piece.
-            // The blob itself stays a fresh `Vec`: it outlives the task as
-            // part of the returned `CompressedHierarchyField`.
+            let fab = &mf.fabs()[fi];
+            // A piece that is its fab's whole box (always, unless redundant
+            // data is skipped) compresses straight off the fab; a sub-box is
+            // gathered into per-thread scratch first. Either way the
+            // compressor reads a borrowed view — no owned sub-fab or `Field3`
+            // per piece. The blob itself stays a fresh `Vec`: it outlives
+            // the task as part of the returned `CompressedHierarchyField`.
             let mut vals = scratch::take_f64();
-            vals.resize(piece.num_cells(), 0.0);
-            mf.fabs()[fi].read_region_into(piece, &mut vals);
+            let data = if piece == fab.box3() {
+                fab.data()
+            } else {
+                vals.resize(piece.num_cells(), 0.0);
+                fab.read_region_into(piece, &mut vals);
+                &vals
+            };
             // Per-piece latency + blob-size distributions. The Instant pair
             // is gated so a disabled recorder costs nothing extra here.
             let t0 = amrviz_obs::is_enabled().then(std::time::Instant::now);
             let mut blob = Vec::new();
             compressor.compress_into(
-                Field3View::new(piece.size(), &vals),
+                Field3View::new(piece.size(), data),
                 ErrorBound::Abs(abs_eb),
                 &mut blob,
             );
@@ -268,6 +263,17 @@ pub fn compress_hierarchy_field(
     Ok(CompressedHierarchyField::from_blobs(
         blobs, abs_eb, n_values,
     ))
+}
+
+/// Value range `max − min` over every level of a field.
+pub(crate) fn global_range(levels: &[MultiFab]) -> f64 {
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for mf in levels {
+        let (l, h) = mf.min_max();
+        lo = lo.min(l);
+        hi = hi.max(h);
+    }
+    hi - lo
 }
 
 /// The rectangular pieces of `bx` that get encoded: the whole box normally,
@@ -610,9 +616,10 @@ fn prepare_levels(hier: &AmrHierarchy, levels: &mut Vec<MultiFab>) {
     }
 }
 
-/// Verifies and decodes one piece blob into `fab` over `piece`, routing the
-/// decoded values through per-thread scratch (no per-piece `Fab` or owned
-/// `Field3`).
+/// Verifies and decodes one piece blob into `fab` over `piece`. A piece
+/// that is the fab's whole box decodes straight into the fab's buffer; a
+/// sub-box goes through per-thread scratch (no per-piece `Fab` or owned
+/// `Field3`). A failed piece leaves its cells zero.
 fn decode_piece_into(
     compressor: &dyn Compressor,
     blob: &[u8],
@@ -625,28 +632,30 @@ fn decode_piece_into(
         return Err(CompressError::Malformed("blob checksum mismatch".into()));
     }
     let t0 = amrviz_obs::is_enabled().then(std::time::Instant::now);
-    let mut vals = scratch::take_f64();
-    let dims = match compressor.decompress_into(blob, budget, &mut vals) {
-        Ok(d) => d,
-        Err(e) => {
-            scratch::give_f64(vals);
-            return Err(e);
+    let decode = |vals: &mut Vec<f64>| {
+        let dims = compressor.decompress_into(blob, budget, vals)?;
+        if let Some(t0) = t0 {
+            amrviz_obs::histogram!("decompress.piece_us", t0.elapsed().as_micros());
         }
+        if dims != piece.size() {
+            return Err(CompressError::Malformed(format!(
+                "piece dims {:?} but box size {:?}",
+                dims,
+                piece.size()
+            )));
+        }
+        Ok(())
     };
-    if let Some(t0) = t0 {
-        amrviz_obs::histogram!("decompress.piece_us", t0.elapsed().as_micros());
+    if piece == fab.box3() {
+        return fab.refill_with(decode);
     }
-    if dims != piece.size() {
-        scratch::give_f64(vals);
-        return Err(CompressError::Malformed(format!(
-            "piece dims {:?} but box size {:?}",
-            dims,
-            piece.size()
-        )));
+    let mut vals = scratch::take_f64();
+    let decoded = decode(&mut vals);
+    if decoded.is_ok() {
+        fab.write_region_from(piece, &vals);
     }
-    fab.write_region_from(piece, &vals);
     scratch::give_f64(vals);
-    Ok(())
+    decoded
 }
 
 /// Rebuilds one failed piece from neighbor-level data and returns the
@@ -1115,6 +1124,41 @@ mod tests {
         .unwrap();
         let (_, degraded, failed) = report.counts();
         assert_eq!((degraded, failed), (0, 1), "no neighbor level exists");
+    }
+
+    #[test]
+    fn whole_box_piece_that_fails_after_decoding_leaves_the_fab_zero() {
+        // The fab's blob is replaced by a valid stream of the wrong shape
+        // (checksum and all): the decoder fills the fab's own buffer before
+        // the shape check rejects it, and a failed piece must read as zero.
+        let geom = Geometry::unit(Box3::from_dims(8, 8, 8));
+        let mut h = AmrHierarchy::new(geom, vec![], vec![BoxArray::single(geom.domain)]).unwrap();
+        h.add_field_from_fn("rho", |_, iv| 1.0 + iv[0] as f64)
+            .unwrap();
+        let cfg = AmrCodecConfig::default();
+        for comp in [
+            &SzLr::default() as &dyn Compressor,
+            &SzInterp,
+            &crate::ZfpLike,
+        ] {
+            // Same cell count, other shape: only the shape check can object.
+            let other = crate::Field3::from_fn([4, 8, 16], |i, _, _| 5.0 + i as f64);
+            let blob = comp.compress(&other, ErrorBound::Abs(1e-3));
+            let c = CompressedHierarchyField::from_blobs(vec![vec![blob]], 1e-3, 512);
+            let (levels, report) = decompress_hierarchy_field_policy(
+                &h,
+                &c,
+                comp,
+                &cfg,
+                DecodePolicy::Degrade,
+                &DecodeBudget::default(),
+            )
+            .unwrap();
+            assert_eq!(report.counts(), (0, 0, 1), "{}", comp.name());
+            let fab = &levels[0].fabs()[0];
+            assert_eq!(fab.data().len(), 512);
+            assert!(fab.data().iter().all(|&v| v == 0.0), "{}", comp.name());
+        }
     }
 
     #[test]

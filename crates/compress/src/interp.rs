@@ -13,14 +13,11 @@
 //! (WarpX) and why its artifacts are smooth "bumps"/faulted geometry rather
 //! than blocks (paper §4).
 
-use amrviz_codec::{
-    huffman_decode_into, huffman_encode_into, lzss_compress_into, lzss_decompress_into,
-    DecodeBudget,
-};
+use amrviz_codec::DecodeBudget;
 use amrviz_par::scratch;
 
 use crate::field::{Field3View, FieldMut};
-use crate::quantizer::{QuantStats, Quantized, Quantizer};
+use crate::quantizer::{Outliers, QuantStats, Quantizer};
 use crate::wire::{ByteReader, ByteWriter};
 use crate::{CompressError, Compressor, ErrorBound};
 
@@ -37,86 +34,120 @@ fn cubic(a: f64, b: f64, c: f64, d: f64) -> f64 {
     (-a + 9.0 * b + 9.0 * c - d) * (1.0 / 16.0)
 }
 
-/// One predicted position during a sweep.
+/// How a site is predicted from the known points of its line, which sit at
+/// `t−3s`, `t−s`, `t+s`, `t+3s` along the axis being interpolated.
 #[derive(Clone, Copy)]
-struct Site {
-    idx: usize,
-    pred: f64,
+enum Stencil {
+    /// All four neighbors exist.
+    Cubic,
+    /// Only the inner pair is usable: their mean.
+    Linear,
+    /// Nothing beyond the site: constant extension of `t−s`.
+    Constant,
+}
+
+impl Stencil {
+    /// The stencil of site `t` (an odd multiple of `s`) on an axis of `n`
+    /// points.
+    #[inline]
+    fn at(t: usize, s: usize, n: usize) -> Stencil {
+        if t + s >= n {
+            Stencil::Constant
+        } else if t >= 3 * s && t + 3 * s < n {
+            Stencil::Cubic
+        } else {
+            Stencil::Linear
+        }
+    }
+}
+
+/// Predicts and visits the sites `row + i` for `i = 0, step, 2·step, … < nx`
+/// of one x-row whose interpolation axis runs *across* rows: the neighbors
+/// of a site sit `d` and `3d` elements before and after it, in rows that
+/// are already complete. The stencil is the same for the whole row, and the
+/// five rows are cut out once, so the site loop indexes equal-length slices.
+#[inline(always)]
+fn across_rows(
+    v: &mut [f64],
+    (row, nx, step): (usize, usize, usize),
+    d: usize,
+    stencil: Stencil,
+    visit: &mut impl FnMut(usize, f64) -> f64,
+) {
+    let (before, rest) = v.split_at_mut(row);
+    let (cur, after) = rest.split_at_mut(nx);
+    let m1 = &before[row - d..][..nx];
+    match stencil {
+        Stencil::Constant => {
+            for i in (0..nx).step_by(step) {
+                cur[i] = visit(row + i, m1[i]);
+            }
+        }
+        Stencil::Linear => {
+            let p1 = &after[d - nx..][..nx];
+            for i in (0..nx).step_by(step) {
+                cur[i] = visit(row + i, 0.5 * (m1[i] + p1[i]));
+            }
+        }
+        Stencil::Cubic => {
+            let m3 = &before[row - 3 * d..][..nx];
+            let p1 = &after[d - nx..][..nx];
+            let p3 = &after[3 * d - nx..][..nx];
+            for i in (0..nx).step_by(step) {
+                cur[i] = visit(row + i, cubic(m3[i], m1[i], p1[i], p3[i]));
+            }
+        }
+    }
 }
 
 /// Visits every site of one full interpolation schedule in a fixed order,
 /// computing the prediction from the current reconstruction buffer and
-/// handing it to `visit`, which returns the reconstructed value to store.
+/// handing `(index, prediction)` to `visit`, which returns the
+/// reconstructed value to store.
 ///
 /// Shared by compressor and decompressor so the traversal can never drift
-/// out of sync.
-fn sweep(recon: FieldMut<'_>, mut visit: impl FnMut(Site) -> f64) {
+/// out of sync. Each pass walks x-rows by base offset and stride; nothing
+/// is addressed as `i + nx·(j + ny·k)` per site.
+fn sweep(recon: FieldMut<'_>, mut visit: impl FnMut(usize, f64) -> f64) {
     let [nx, ny, nz] = recon.dims;
-    let recon = recon.data;
-    let idx = |i: usize, j: usize, k: usize| i + nx * (j + ny * k);
+    let v = recon.data;
     let max_dim = nx.max(ny).max(nz);
     if max_dim <= 1 {
         return;
     }
+    let plane = nx * ny;
     let mut s = max_dim.next_power_of_two() / 2;
     while s >= 1 {
         let s2 = 2 * s;
-        // Predict along an axis: positions `t = s, 3s, 5s, …` on lines where
-        // the other coordinates are already known at this level.
-        // Neighbors along the axis sit at t−3s, t−s, t+s, t+3s.
-        let predict_line = |recon: &[f64], n: usize, t: usize, at: &dyn Fn(usize) -> usize| {
-            let vm1 = recon[at(t - s)];
-            let p1 = t + s;
-            if p1 >= n {
-                return vm1; // constant extension
-            }
-            let vp1 = recon[at(p1)];
-            let m3 = t as isize - 3 * s as isize;
-            let p3 = t + 3 * s;
-            if m3 >= 0 && p3 < n {
-                cubic(recon[at(m3 as usize)], vm1, vp1, recon[at(p3)])
-            } else {
-                0.5 * (vm1 + vp1)
-            }
-        };
-
-        // Pass 1: interpolate along x on the (2s, 2s) coarse lattice.
+        // Pass 1: interpolate along x on the (2s, 2s) coarse lattice. Sites
+        // and neighbors interleave in one row, so the stencil is per site.
         for k in (0..nz).step_by(s2) {
             for j in (0..ny).step_by(s2) {
+                let row = nx * j + plane * k;
                 for i in (s..nx).step_by(s2) {
-                    let at = |t: usize| idx(t, j, k);
-                    let pred = predict_line(recon, nx, i, &at);
-                    recon[idx(i, j, k)] = visit(Site {
-                        idx: idx(i, j, k),
-                        pred,
-                    });
+                    let at = row + i;
+                    let pred = match Stencil::at(i, s, nx) {
+                        Stencil::Constant => v[at - s],
+                        Stencil::Linear => 0.5 * (v[at - s] + v[at + s]),
+                        Stencil::Cubic => cubic(v[at - 3 * s], v[at - s], v[at + s], v[at + 3 * s]),
+                    };
+                    v[at] = visit(at, pred);
                 }
             }
         }
         // Pass 2: along y; x is now known at stride s.
         for k in (0..nz).step_by(s2) {
             for j in (s..ny).step_by(s2) {
-                for i in (0..nx).step_by(s) {
-                    let at = |t: usize| idx(i, t, k);
-                    let pred = predict_line(recon, ny, j, &at);
-                    recon[idx(i, j, k)] = visit(Site {
-                        idx: idx(i, j, k),
-                        pred,
-                    });
-                }
+                let rows = (nx * j + plane * k, nx, s);
+                across_rows(v, rows, s * nx, Stencil::at(j, s, ny), &mut visit);
             }
         }
         // Pass 3: along z; x and y known at stride s.
         for k in (s..nz).step_by(s2) {
+            let stencil = Stencil::at(k, s, nz);
             for j in (0..ny).step_by(s) {
-                for i in (0..nx).step_by(s) {
-                    let at = |t: usize| idx(i, j, t);
-                    let pred = predict_line(recon, nz, k, &at);
-                    recon[idx(i, j, k)] = visit(Site {
-                        idx: idx(i, j, k),
-                        pred,
-                    });
-                }
+                let rows = (nx * j + plane * k, nx, s);
+                across_rows(v, rows, s * plane, stencil, &mut visit);
             }
         }
         s /= 2;
@@ -133,70 +164,47 @@ impl Compressor for SzInterp {
         let start_len = out.len();
         let dims = field.dims;
         let n = field.len();
-        let eb = {
-            let e = bound.to_abs(field.range());
-            if e > 0.0 {
-                e
-            } else {
-                1e-300
-            }
-        };
-        let q = Quantizer::new(eb);
-        let mut qstats = QuantStats::default();
+        let data = field.data;
+        let q = Quantizer::new(bound.resolve(|| field.range()));
 
         // Working buffers are rented per worker thread, not allocated per
         // field.
         let mut recon = scratch::take_f64();
         recon.resize(n, 0.0);
-        recon[0] = field.data[0]; // corner anchor, stored raw
-        let mut codes = scratch::take_u32();
-        codes.reserve(n);
+        recon[0] = data[0]; // corner anchor, stored raw
         let mut outliers = scratch::take_f64();
+        let mut codes = scratch::take_u32();
+        codes.resize(n - 1, 0);
 
-        sweep(FieldMut::new(dims, &mut recon), |site| {
-            let actual = field.data[site.idx];
-            let quantized = q.quantize(site.pred, actual);
-            qstats.tally(&quantized);
-            match quantized {
-                Quantized::Code { code, recon } => {
-                    codes.push(code);
-                    recon
-                }
-                Quantized::Outlier => {
-                    codes.push(0);
-                    outliers.push(actual);
-                    actual
-                }
+        let mut pos = 0usize;
+        sweep(FieldMut::new(dims, &mut recon), |at, pred| {
+            let (code, value) = q.encode(pred, data[at]);
+            codes[pos] = code;
+            pos += 1;
+            if code == 0 {
+                outliers.push(value);
             }
+            value
         });
-
-        scratch::give_f64(recon);
 
         let mut w = ByteWriter::from_vec(std::mem::take(out));
         w.u8(MAGIC);
         w.uvarint(dims[0] as u64);
         w.uvarint(dims[1] as u64);
         w.uvarint(dims[2] as u64);
-        w.f64(eb);
-        w.f64(field.data[0]);
-        let mut huff = scratch::take_bytes();
-        huffman_encode_into(&codes, &mut huff);
-        let mut lz = scratch::take_bytes();
-        lzss_compress_into(&huff, &mut lz);
-        w.section(&lz);
-        scratch::give_bytes(lz);
-        scratch::give_bytes(huff);
-        scratch::give_u32(codes);
-        let mut outlier_bytes = scratch::take_bytes();
-        outlier_bytes.reserve(outliers.len() * 8);
-        for v in &outliers {
-            outlier_bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        w.section(&outlier_bytes);
-        scratch::give_bytes(outlier_bytes);
-        scratch::give_f64(outliers);
+        w.f64(q.eb());
+        w.f64(data[0]);
+        w.coded_section(&codes);
+        w.f64_section(&outliers);
         *out = w.finish();
-        qstats.report();
+        QuantStats {
+            codes: (codes.len() - outliers.len()) as u64,
+            outliers: outliers.len() as u64,
+        }
+        .report();
+        scratch::give_u32(codes);
+        scratch::give_f64(outliers);
+        scratch::give_f64(recon);
         sp.add_field("bytes_out", out.len() - start_len);
     }
 
@@ -211,7 +219,7 @@ impl Compressor for SzInterp {
         if r.u8()? != MAGIC {
             return Err(CompressError::Malformed("bad SZ-Interp magic".into()));
         }
-        let ([nx, ny, nz], n) = r.dims3()?;
+        let (dims, n) = r.dims3()?;
         let eb = r.f64()?;
         let anchor = r.f64()?;
         if eb.is_nan() || eb <= 0.0 {
@@ -219,11 +227,8 @@ impl Compressor for SzInterp {
         }
         let q = Quantizer::new(eb);
 
-        let mut lz = scratch::take_bytes();
-        lzss_decompress_into(r.section()?, budget, &mut lz)?;
         let mut codes = scratch::take_u32();
-        huffman_decode_into(&lz, budget, &mut codes)?;
-        scratch::give_bytes(lz);
+        r.coded_section(&mut codes)?;
         if codes.len() != n - 1 {
             return Err(CompressError::Malformed(format!(
                 "expected {} codes, found {}",
@@ -231,40 +236,26 @@ impl Compressor for SzInterp {
                 codes.len()
             )));
         }
-        let outlier_section = r.section()?;
-        if outlier_section.len() % 8 != 0 {
-            return Err(CompressError::Malformed("ragged outlier section".into()));
-        }
-        // Outliers stream straight out of the borrowed section — no copy.
-        let mut outlier_iter = outlier_section
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")));
+        // Checked against the zero codes — short *and* surplus — before
+        // anything is written; the sweep below cannot fail. Outliers stream
+        // straight out of the borrowed section, no copy.
+        let mut outliers = Outliers::new(r.section()?, &codes)?;
 
-        out.clear();
+        // Every cell is written below, so a buffer that already has the
+        // right length (a fab decoded in place) is not zeroed first.
         out.resize(n, 0.0);
         out[0] = anchor;
-        let mut code_pos = 0usize;
-        let mut missing_outlier = false;
-        sweep(FieldMut::new([nx, ny, nz], out), |site| {
-            let code = codes[code_pos];
-            code_pos += 1;
-            if code == 0 {
-                match outlier_iter.next() {
-                    Some(v) => v,
-                    None => {
-                        missing_outlier = true;
-                        0.0
-                    }
-                }
-            } else {
-                q.reconstruct(site.pred, code)
+        let mut pos = 0usize;
+        sweep(FieldMut::new(dims, out), |_, pred| {
+            let code = codes[pos];
+            pos += 1;
+            match code {
+                0 => outliers.take(),
+                code => q.reconstruct(pred, code),
             }
         });
         scratch::give_u32(codes);
-        if missing_outlier {
-            return Err(CompressError::Malformed("missing outlier value".into()));
-        }
-        Ok([nx, ny, nz])
+        Ok(dims)
     }
 }
 
@@ -272,7 +263,178 @@ impl Compressor for SzInterp {
 mod tests {
     use super::*;
     use crate::field::Field3;
+    use crate::oracle_inputs::{bits, decode_in_place, oracle_case};
     use amrviz_rng::check;
+
+    /// The per-site sweep the row passes replaced, kept verbatim as the
+    /// reference: every neighbor addressed through `idx(i, j, k)` behind a
+    /// `&dyn Fn`, the stencil decided per site, and the `f64::round`
+    /// quantizer.
+    mod oracle {
+        use super::super::{cubic, MAGIC};
+        use crate::quantizer::{quantize_oracle, Quantized, Quantizer};
+        use crate::wire::{ByteReader, ByteWriter};
+        use crate::{CompressError, ErrorBound, Field3};
+        use amrviz_codec::{huffman_decode, huffman_encode, lzss_compress, lzss_decompress};
+
+        fn sweep(dims: [usize; 3], recon: &mut [f64], mut visit: impl FnMut(usize, f64) -> f64) {
+            let [nx, ny, nz] = dims;
+            let idx = |i: usize, j: usize, k: usize| i + nx * (j + ny * k);
+            let max_dim = nx.max(ny).max(nz);
+            if max_dim <= 1 {
+                return;
+            }
+            let mut s = max_dim.next_power_of_two() / 2;
+            while s >= 1 {
+                let s2 = 2 * s;
+                let predict_line =
+                    |recon: &[f64], n: usize, t: usize, at: &dyn Fn(usize) -> usize| {
+                        let vm1 = recon[at(t - s)];
+                        let p1 = t + s;
+                        if p1 >= n {
+                            return vm1;
+                        }
+                        let vp1 = recon[at(p1)];
+                        let m3 = t as isize - 3 * s as isize;
+                        let p3 = t + 3 * s;
+                        if m3 >= 0 && p3 < n {
+                            cubic(recon[at(m3 as usize)], vm1, vp1, recon[at(p3)])
+                        } else {
+                            0.5 * (vm1 + vp1)
+                        }
+                    };
+                for k in (0..nz).step_by(s2) {
+                    for j in (0..ny).step_by(s2) {
+                        for i in (s..nx).step_by(s2) {
+                            let pred = predict_line(recon, nx, i, &|t| idx(t, j, k));
+                            recon[idx(i, j, k)] = visit(idx(i, j, k), pred);
+                        }
+                    }
+                }
+                for k in (0..nz).step_by(s2) {
+                    for j in (s..ny).step_by(s2) {
+                        for i in (0..nx).step_by(s) {
+                            let pred = predict_line(recon, ny, j, &|t| idx(i, t, k));
+                            recon[idx(i, j, k)] = visit(idx(i, j, k), pred);
+                        }
+                    }
+                }
+                for k in (s..nz).step_by(s2) {
+                    for j in (0..ny).step_by(s) {
+                        for i in (0..nx).step_by(s) {
+                            let pred = predict_line(recon, nz, k, &|t| idx(i, j, t));
+                            recon[idx(i, j, k)] = visit(idx(i, j, k), pred);
+                        }
+                    }
+                }
+                s /= 2;
+            }
+        }
+
+        pub fn compress(field: &Field3, bound: ErrorBound) -> Vec<u8> {
+            let eb = match bound.to_abs(field.range()) {
+                e if e > 0.0 => e,
+                _ => 1e-300,
+            };
+            let q = Quantizer::new(eb);
+            let mut recon = vec![0.0; field.len()];
+            recon[0] = field.data[0];
+            let (mut codes, mut outliers) = (Vec::new(), Vec::new());
+            sweep(field.dims, &mut recon, |at, pred| {
+                let actual = field.data[at];
+                match quantize_oracle(&q, pred, actual) {
+                    Quantized::Code { code, recon } => {
+                        codes.push(code);
+                        recon
+                    }
+                    Quantized::Outlier => {
+                        codes.push(0);
+                        outliers.push(actual);
+                        actual
+                    }
+                }
+            });
+            let mut w = ByteWriter::new();
+            w.u8(MAGIC);
+            field.dims.iter().for_each(|&d| w.uvarint(d as u64));
+            w.f64(eb);
+            w.f64(field.data[0]);
+            w.section(&lzss_compress(&huffman_encode(&codes)));
+            let outlier_bytes: Vec<u8> = outliers.iter().flat_map(|v| v.to_le_bytes()).collect();
+            w.section(&outlier_bytes);
+            w.finish()
+        }
+
+        pub fn decompress(bytes: &[u8]) -> Result<Field3, CompressError> {
+            let mut r = ByteReader::new(bytes);
+            assert_eq!(r.u8()?, MAGIC);
+            let (dims, n) = r.dims3()?;
+            let q = Quantizer::new(r.f64()?);
+            let mut recon = vec![0.0; n];
+            recon[0] = r.f64()?;
+            let codes = huffman_decode(&lzss_decompress(r.section()?)?)?;
+            assert_eq!(codes.len(), n - 1);
+            let mut outliers = r
+                .section()?
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
+            let mut code_pos = 0;
+            sweep(dims, &mut recon, |_, pred| {
+                let code = codes[code_pos];
+                code_pos += 1;
+                if code == 0 {
+                    outliers.next().unwrap()
+                } else {
+                    q.reconstruct(pred, code)
+                }
+            });
+            Ok(Field3::new(dims, recon))
+        }
+    }
+
+    #[test]
+    fn row_passes_match_the_per_site_oracle() {
+        check(0x17E2, 96, |rng| {
+            let (f, bound) = oracle_case(rng);
+            let want = oracle::compress(&f, bound);
+            let got = SzInterp.compress(&f, bound);
+            assert_eq!(got, want, "stream differs: dims {:?} {bound:?}", f.dims);
+            let want = oracle::decompress(&got).unwrap();
+            let got = decode_in_place(&SzInterp, &got, f.len());
+            assert_eq!(got.dims, want.dims);
+            assert_eq!(bits(&got), bits(&want), "decode differs: {:?}", f.dims);
+        });
+    }
+
+    #[test]
+    fn short_and_surplus_outliers_are_rejected_before_writing() {
+        let mut rng = amrviz_rng::Rng::seed(9);
+        let f = Field3::from_fn([9, 6, 5], |i, _, _| {
+            i as f64 + if rng.chance(0.1) { 1e6 } else { 0.0 }
+        });
+        let good = SzInterp.compress(&f, ErrorBound::Abs(0.01));
+        // Everything up to the outlier section, then the section itself.
+        let mut r = ByteReader::new(&good);
+        r.u8().unwrap();
+        r.dims3().unwrap();
+        r.f64().unwrap();
+        r.f64().unwrap();
+        r.section().unwrap();
+        let head = &good[..good.len() - r.remaining()];
+        let outliers = r.section().unwrap();
+        assert!(outliers.len() >= 16 && r.remaining() == 0);
+        // One byte more, one value fewer.
+        for edited in [[outliers, &[0u8][..]].concat(), outliers[8..].to_vec()] {
+            let mut w = ByteWriter::from_vec(head.to_vec());
+            w.section(&edited);
+            let mut out = vec![7.0; 3];
+            let err = SzInterp
+                .decompress_into(&w.finish(), &DecodeBudget::default(), &mut out)
+                .unwrap_err();
+            assert!(matches!(err, CompressError::Malformed(_)), "{err}");
+            assert_eq!(out, [7.0; 3], "output touched");
+        }
+    }
 
     fn check_bound(orig: &Field3, recon: &Field3, eb: f64) {
         assert_eq!(orig.dims, recon.dims);
@@ -297,13 +459,9 @@ mod tests {
             let mut seen = vec![false; n];
             seen[0] = true; // anchor
             let mut recon = vec![0.0; n];
-            sweep(FieldMut::new(dims, &mut recon), |site| {
-                assert!(
-                    !seen[site.idx],
-                    "site {} visited twice (dims {dims:?})",
-                    site.idx
-                );
-                seen[site.idx] = true;
+            sweep(FieldMut::new(dims, &mut recon), |at, _| {
+                assert!(!seen[at], "site {at} visited twice (dims {dims:?})");
+                seen[at] = true;
                 0.0
             });
             assert!(

@@ -38,12 +38,14 @@
 //! }
 //! ```
 
+#![warn(clippy::or_fun_call)]
+
 pub mod amr_codec;
 pub mod field;
 pub mod interp;
-pub mod lorenzo;
+mod lorenzo;
 pub mod quantizer;
-pub mod regression;
+mod regression;
 pub mod stats;
 pub mod szlr;
 pub mod wire;
@@ -79,6 +81,23 @@ impl ErrorBound {
         match self {
             ErrorBound::Abs(v) => v,
             ErrorBound::Rel(v) => v * range,
+        }
+    }
+
+    /// The absolute bound a stream is encoded with. `range` is only called
+    /// for a relative bound — an absolute one never scans the data. A
+    /// degenerate (zero) bound gets a tiny positive stand-in so the
+    /// quantizer is well-defined (constant fields then encode as all-zero
+    /// residuals).
+    pub fn resolve(self, range: impl FnOnce() -> f64) -> f64 {
+        let eb = match self {
+            ErrorBound::Abs(v) => v,
+            ErrorBound::Rel(v) => v * range(),
+        };
+        if eb > 0.0 {
+            eb
+        } else {
+            1e-300
         }
     }
 }
@@ -215,16 +234,78 @@ pub trait Compressor: Sync {
         Ok(Field3::new(dims, data))
     }
 
-    /// Decompresses into `out` (cleared first, capacity reused) with every
-    /// declared dimension, count, and section length validated against
-    /// `budget` before allocation; returns the decoded dims. On error `out`
-    /// may hold a partial prefix; its contents are unspecified.
+    /// Decompresses into `out` (resized and overwritten, capacity reused)
+    /// with every declared dimension, count, and section length validated
+    /// against `budget` before allocation; returns the decoded dims. On
+    /// error `out` may hold a partial prefix; its contents are unspecified.
     fn decompress_into(
         &self,
         bytes: &[u8],
         budget: &amrviz_codec::DecodeBudget,
         out: &mut Vec<f64>,
     ) -> Result<[usize; 3], CompressError>;
+}
+
+/// Inputs shared by the tests that hold each compressor's row kernels to
+/// the per-cell loops they replaced.
+#[cfg(test)]
+pub(crate) mod oracle_inputs {
+    use crate::{ErrorBound, Field3};
+
+    /// Oracle inputs: every dims in 1..=14 per axis is reachable (partial
+    /// blocks, thin and degenerate axes, 1×1×1), smooth or rough data,
+    /// sometimes with exact zeros of both signs and NaN or ±Inf cells, and
+    /// a bound from 1e-6 to 1e-1 of the range or an outlier-forcing
+    /// absolute one.
+    ///
+    /// A field gets NaN cells or ±Inf cells, not both: a block holding both
+    /// mixes the field's NaN with the default NaN of `∞ − ∞`, and which
+    /// payload survives the addition of two NaNs is the compiler's operand
+    /// order — the sign bit of a NaN regression coefficient is the one
+    /// stream bit neither version pins.
+    pub(crate) fn oracle_case(rng: &mut amrviz_rng::Rng) -> (Field3, ErrorBound) {
+        let dims = [0; 3].map(|_| rng.range_usize(1, 14));
+        let rough = rng.range_f64(0.0, 0.5);
+        let special = rng.chance(0.3);
+        let specials = match rng.chance(0.5) {
+            true => [f64::NAN, f64::NAN, 0.0, -0.0],
+            false => [f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0],
+        };
+        let mut cells = rng.fork(1);
+        let f = Field3::from_fn(dims, |i, j, k| {
+            if special && cells.chance(0.02) {
+                return specials[cells.below(4) as usize];
+            }
+            (i as f64 * 0.3).sin() * (j as f64 * 0.2).cos()
+                + 0.05 * k as f64
+                + cells.range_f64(-rough, rough)
+        });
+        // (A relative bound on a field holding ±Inf is infinite, which the
+        // quantizer refuses by contract.)
+        let rel = 10f64.powf(rng.range_f64(-6.0, -1.0));
+        let bound = match rng.below(4) {
+            0 => ErrorBound::Abs(1e-9),
+            _ if special => ErrorBound::Abs(rel * 2.0),
+            _ => ErrorBound::Rel(rel),
+        };
+        (f, bound)
+    }
+
+    /// The exact bits of a field, so `-0.0 ≠ 0.0` and `NaN = NaN`.
+    pub(crate) fn bits(f: &Field3) -> Vec<u64> {
+        f.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Decodes into a buffer that already has the right length and is full
+    /// of garbage — a fab decoded in place. Decoders do not zero such a
+    /// buffer first, so every cell must be written.
+    pub(crate) fn decode_in_place(comp: &dyn crate::Compressor, bytes: &[u8], n: usize) -> Field3 {
+        let mut out = vec![f64::from_bits(0xDEAD_BEEF_DEAD_BEEF); n];
+        let dims = comp
+            .decompress_into(bytes, &crate::DecodeBudget::default(), &mut out)
+            .unwrap();
+        Field3::new(dims, out)
+    }
 }
 
 #[cfg(test)]
@@ -235,5 +316,10 @@ mod tests {
     fn error_bound_resolution() {
         assert_eq!(ErrorBound::Abs(0.5).to_abs(100.0), 0.5);
         assert_eq!(ErrorBound::Rel(1e-2).to_abs(100.0), 1.0);
+        assert_eq!(ErrorBound::Rel(1e-2).resolve(|| 100.0), 1.0);
+        assert_eq!(ErrorBound::Rel(1e-2).resolve(|| 0.0), 1e-300);
+        // An absolute bound never looks at the data.
+        assert_eq!(ErrorBound::Abs(0.5).resolve(|| unreachable!()), 0.5);
+        assert_eq!(ErrorBound::Abs(0.0).resolve(|| unreachable!()), 1e-300);
     }
 }

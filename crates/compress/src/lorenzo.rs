@@ -1,4 +1,4 @@
-//! 3D first-order Lorenzo prediction.
+//! 3D first-order Lorenzo prediction, one row segment at a time.
 //!
 //! The Lorenzo predictor estimates a value from its already-processed
 //! neighbors (the corner of a unit cube):
@@ -12,12 +12,96 @@
 //! Out-of-domain neighbors contribute 0, which degrades gracefully to 2D/1D
 //! Lorenzo on faces/edges. During compression the neighbor values must be
 //! *reconstructed* values so the decompressor can mirror the computation.
+//!
+//! [`Neighbours::walk`] predicts one x-row segment. The seven neighbors of a
+//! cell live in four rows — the row itself and the rows at `j−1`, `k−1` and
+//! `(j−1, k−1)` — so [`Neighbours`] cuts the three finished rows out of the
+//! buffer once per segment, with an all-zero row standing in for a row that
+//! is out of the domain, and the four `i−1` values ride from cell to cell
+//! in registers. The cell loop then has no boundary test and no index
+//! arithmetic.
+//!
+//! The sum is evaluated exactly as written above, left to right. That pins
+//! every stream byte, and it puts `v(i−1,j,k)` — the value the previous
+//! cell has only just produced — innermost: encoding a Lorenzo row is a
+//! serial chain of six additions plus the quantize round trip per cell, so
+//! it is latency-bound and stays well above the regression and
+//! interpolation rates. Re-associating the sum would shorten the chain and
+//! change the bits.
 
-/// Lorenzo prediction reading neighbors from a dense buffer `v` with dims
-/// `[nx, ny, nz]`. `v` holds reconstructed values at already-visited
-/// positions; positions at or after `(i,j,k)` are never read.
-#[inline]
-pub fn lorenzo3_predict(v: &[f64], dims: [usize; 3], i: usize, j: usize, k: usize) -> f64 {
+/// The finished neighbor rows of one row segment and the values just west
+/// of it.
+pub(crate) struct Neighbours<'a> {
+    /// Row `(j−1, k)`, aligned with the segment.
+    rj: &'a [f64],
+    /// Row `(j, k−1)`.
+    rk: &'a [f64],
+    /// Row `(j−1, k−1)`.
+    rjk: &'a [f64],
+    /// The `i−1` values of the segment's own row and of `rj`, `rk`, `rjk`.
+    west: [f64; 4],
+}
+
+impl<'a> Neighbours<'a> {
+    /// Neighbors of the `len`-cell segment that starts at offset
+    /// `done.len()` of a volume with x-extent `nx` and plane size `plane`;
+    /// `done` is everything before the segment. `inside` says whether the
+    /// segment has a west neighbor (`i > 0`), a `j−1` row and a `k−1` row;
+    /// `zero` (at least `len` zeros) stands in for the rows it lacks.
+    #[inline]
+    pub(crate) fn new(
+        done: &'a [f64],
+        zero: &'a [f64],
+        nx: usize,
+        plane: usize,
+        inside: [bool; 3],
+        len: usize,
+    ) -> Self {
+        let row = done.len();
+        let [west, south, below] = inside;
+        // Start offset of each neighbor row, `None` when out of the domain.
+        let starts = [
+            south.then(|| row - nx),
+            below.then(|| row - plane),
+            (south && below).then(|| row - plane - nx),
+        ];
+        let cut = |s: Option<usize>| s.map_or(&zero[..len], |s| &done[s..s + len]);
+        let before = |s: Option<usize>| match s {
+            Some(s) if west => done[s - 1],
+            _ => 0.0,
+        };
+        Neighbours {
+            rj: cut(starts[0]),
+            rk: cut(starts[1]),
+            rjk: cut(starts[2]),
+            west: [
+                before(Some(row)),
+                before(starts[0]),
+                before(starts[1]),
+                before(starts[2]),
+            ],
+        }
+    }
+
+    /// Walks the segment: `visit(n, pred)` returns the value cell `n` ends
+    /// up holding, which is the west neighbor of cell `n + 1`.
+    #[inline(always)]
+    pub(crate) fn walk(&self, mut visit: impl FnMut(usize, f64) -> f64) {
+        let len = self.rj.len();
+        let (rj, rk, rjk) = (self.rj, &self.rk[..len], &self.rjk[..len]);
+        let [mut w, mut wj, mut wk, mut wjk] = self.west;
+        for n in 0..len {
+            let pred = w + rj[n] + rk[n] - wj - wk - rjk[n] + wjk;
+            w = visit(n, pred);
+            (wj, wk, wjk) = (rj[n], rk[n], rjk[n]);
+        }
+    }
+}
+
+/// Per-cell reference the row kernels are tested against: Lorenzo prediction
+/// reading neighbors from a dense buffer `v` with dims `[nx, ny, nz]`.
+#[cfg(test)]
+pub(crate) fn lorenzo3_predict(v: &[f64], dims: [usize; 3], i: usize, j: usize, k: usize) -> f64 {
     let [nx, ny, _] = dims;
     let idx = |i: usize, j: usize, k: usize| i + nx * (j + ny * k);
     let g = |di: usize, dj: usize, dk: usize| -> f64 {

@@ -7,10 +7,57 @@
 //! uses `0` as an escape for *outliers* — residuals too large for the bin
 //! budget, or cases where floating-point cancellation would break the bound —
 //! whose values are stored verbatim.
+//!
+//! # Rounding without libm
+//!
+//! `f64::round` is a libm call on the default x86-64 target (no SSE4.1), and
+//! the quantizer runs once per value of every SZ stream. [`Quantizer::quantize`]
+//! therefore rounds with one truncating conversion instead. With
+//! `t = (x − p) / (2·eb)`:
+//!
+//! * **Range.** `round` rounds halves away from zero, so
+//!   `|round(t)| ≥ RADIUS ⇔ |t| ≥ RADIUS − 0.5`. The in-range test is
+//!   `|t| < RADIUS − 0.5`, which NaN and ±∞ fail like every other outlier.
+//! * **Identity.** Let `h = 0.49999999999999994` (the largest double below
+//!   ½, `½ − 2⁻⁵⁴`). For every in-range `t`,
+//!   `trunc(t + copysign(h, t)) = round(t)`. Take `t ≥ 0` with integer part
+//!   `k` (negative `t` mirrors): if `frac(t) < ½` the exact sum is at most
+//!   `k + 1 − ulp(t) − 2⁻⁵⁴`, below the representable `k + 1 − ulp(t)`, so
+//!   the rounded sum stays under `k + 1`; if `frac(t) ≥ ½` the exact sum is
+//!   at least `k + 1 − 2⁻⁵⁴`, which rounds to `k + 1` (for `k = 0` it is the
+//!   tie between `1 − 2⁻⁵³` and `1`, and ties-to-even picks `1`). Adding a
+//!   plain `0.5` fails exactly there: `0.49999999999999994 + 0.5` rounds up
+//!   to `1.0`. The argument needs halves to be representable next to `t`,
+//!   i.e. `|t| < 2⁵¹`; in range `ulp(t) ≤ 2⁻³⁸`, and the ZFP-like codec,
+//!   which shares [`round_half_away`], stays below `2⁴⁵`.
+//!
+//! The result differs from `round` in one unobservable bit: `round(−0.3)` is
+//! `−0.0` and the integer path gives `+0`, so a reconstruction of `p = −0.0`
+//! with a zero residual is `+0.0` here — which is what the decoder (integer
+//! codes only) has always produced. Codes, outliers and every nonzero value
+//! are unchanged.
+
+use crate::CompressError;
 
 /// Quantization symbol radius: codes are `m + RADIUS`, so the symbol
 /// alphabet is `1 ..= 2·RADIUS` with `0` reserved for outliers.
 pub const RADIUS: i64 = 1 << 15;
+
+/// `t.round()` as an integer without the libm call; exact for
+/// `|t| < 2⁵¹` (see the module docs), which callers establish first.
+#[inline(always)]
+pub(crate) fn round_half_away(t: f64) -> i64 {
+    /// The largest double below one half.
+    const BELOW_HALF: f64 = 0.499_999_999_999_999_94;
+    (t + BELOW_HALF.copysign(t)) as i64
+}
+
+/// `t.round()` if it is a symbol (`|round(t)| < RADIUS`). NaN fails the
+/// range test like any other outlier.
+#[inline(always)]
+fn round_in_range(t: f64) -> Option<i64> {
+    (t.abs() < RADIUS as f64 - 0.5).then(|| round_half_away(t))
+}
 
 /// Outcome of quantizing one value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,21 +132,27 @@ impl Quantizer {
     /// Quantizes `actual` against prediction `pred`.
     #[inline]
     pub fn quantize(&self, pred: f64, actual: f64) -> Quantized {
-        let diff = actual - pred;
-        let m = (diff * self.inv_2eb).round();
-        if m.abs() >= RADIUS as f64 || !m.is_finite() {
-            return Quantized::Outlier;
+        match self.encode(pred, actual) {
+            (0, _) => Quantized::Outlier,
+            (code, recon) => Quantized::Code { code, recon },
         }
-        let recon = pred + 2.0 * self.eb * m;
+    }
+
+    /// The row kernels' form of [`Quantizer::quantize`]: the symbol and the
+    /// value the decoder will hold at this position. An outlier is
+    /// `(0, actual)` — the caller stores `actual` verbatim.
+    #[inline(always)]
+    pub(crate) fn encode(&self, pred: f64, actual: f64) -> (u32, f64) {
+        let Some(m) = round_in_range((actual - pred) * self.inv_2eb) else {
+            return (0, actual);
+        };
+        let recon = pred + 2.0 * self.eb * m as f64;
         // Floating-point safety net: if cancellation pushed the
         // reconstruction outside the bound, escape to an outlier.
         if (recon - actual).abs() > self.eb {
-            return Quantized::Outlier;
+            return (0, actual);
         }
-        Quantized::Code {
-            code: (m as i64 + RADIUS) as u32,
-            recon,
-        }
+        ((m + RADIUS) as u32, recon)
     }
 
     /// Reconstructs from a symbol code (inverse of the `Code` arm).
@@ -110,10 +163,174 @@ impl Quantizer {
     }
 }
 
+/// Appends the values whose symbol is the outlier escape. Encoders call
+/// this once per row, after the cell loop: a `push` inside that loop is a
+/// possible call, and a call makes the compiler keep every value the loop
+/// carries from cell to cell on the stack.
+#[inline]
+pub(crate) fn append_outliers(codes: &[u32], actual: &[f64], outliers: &mut Vec<f64>) {
+    outliers.extend(
+        codes
+            .iter()
+            .zip(actual)
+            .filter(|(&code, _)| code == 0)
+            .map(|(_, &v)| v),
+    );
+}
+
+/// The verbatim outlier values of a stream, in code order. Only
+/// constructible from a section that holds exactly one value per zero code,
+/// so reading is infallible and the reconstruction loops carry no `Result`.
+pub(crate) struct Outliers<'a>(std::slice::ChunksExact<'a, u8>);
+
+impl<'a> Outliers<'a> {
+    /// Checks `section` against the zero (escape) symbols of `codes`: a
+    /// short *or* surplus section is malformed.
+    pub(crate) fn new(section: &'a [u8], codes: &[u32]) -> Result<Self, CompressError> {
+        let escapes = codes.iter().filter(|&&c| c == 0).count();
+        if section.len() != escapes * 8 {
+            return Err(CompressError::Malformed(format!(
+                "{escapes} outlier codes but a {}-byte outlier section",
+                section.len()
+            )));
+        }
+        Ok(Outliers(section.chunks_exact(8)))
+    }
+
+    /// The next outlier value.
+    #[inline]
+    pub(crate) fn take(&mut self) -> f64 {
+        let bytes = self.0.next().expect("one value per zero code");
+        f64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+    }
+}
+
+/// The `f64::round` quantizer the integer path replaced, kept as the
+/// reference the compressors' per-cell oracles quantize with.
+#[cfg(test)]
+pub(crate) fn quantize_oracle(q: &Quantizer, pred: f64, actual: f64) -> Quantized {
+    let diff = actual - pred;
+    let m = (diff * q.inv_2eb).round();
+    if m.abs() >= RADIUS as f64 || !m.is_finite() {
+        return Quantized::Outlier;
+    }
+    let recon = pred + 2.0 * q.eb * m;
+    if (recon - actual).abs() > q.eb {
+        return Quantized::Outlier;
+    }
+    Quantized::Code {
+        code: (m as i64 + RADIUS) as u32,
+        recon,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use amrviz_rng::check;
+
+    /// `round_in_range` as the parent computed it.
+    fn round_oracle(t: f64) -> Option<i64> {
+        let m = t.round();
+        (m.abs() < RADIUS as f64 && m.is_finite()).then_some(m as i64)
+    }
+
+    fn next_up(x: f64) -> f64 {
+        f64::from_bits(if x >= 0.0 {
+            x.to_bits() + 1
+        } else {
+            x.to_bits() - 1
+        })
+    }
+
+    fn next_down(x: f64) -> f64 {
+        -next_up(-x)
+    }
+
+    #[test]
+    fn integer_rounding_equals_f64_round() {
+        let check_around = |t: f64| {
+            for t in [
+                next_down(next_down(t)),
+                next_down(t),
+                t,
+                next_up(t),
+                next_up(next_up(t)),
+            ] {
+                assert_eq!(round_in_range(t), round_oracle(t), "t = {t:e}");
+                assert_eq!(round_in_range(-t), round_oracle(-t), "t = {:e}", -t);
+            }
+        };
+        // Every half-way point and every integer up to the radius; the last
+        // half, RADIUS − 0.5, is the range limit itself.
+        for k in 0..=RADIUS {
+            check_around(k as f64);
+            check_around(k as f64 + 0.5);
+            check_around(k as f64 - 0.5);
+        }
+        assert_eq!(round_in_range(RADIUS as f64 - 0.5), None);
+        assert_eq!(
+            round_in_range(next_down(RADIUS as f64 - 0.5)),
+            Some(RADIUS - 1)
+        );
+        // The value a plain `+ 0.5` gets wrong.
+        assert_eq!(round_in_range(0.499_999_999_999_999_94), Some(0));
+        for t in [
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            f64::from_bits(1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(round_in_range(t), round_oracle(t), "t = {t:e}");
+            assert_eq!(round_in_range(-t), round_oracle(-t), "t = {:e}", -t);
+        }
+    }
+
+    #[test]
+    fn quantize_equals_the_round_based_quantizer() {
+        // 2¹⁶ draws; `Quantized` equality is value equality, which is all a
+        // stream can observe (see the module docs on the sign of zero).
+        check(0x0AC1E, 1 << 16, |rng| {
+            let eb = 10f64.powf(rng.range_f64(-9.0, 3.0));
+            let q = Quantizer::new(eb);
+            let pred = rng.range_f64(-1e3, 1e3);
+            // Residuals from well inside one bin to past the radius, and
+            // exact bin edges, where rounding decides the code.
+            let actual = match rng.below(4) {
+                0 => pred + rng.range_f64(-4.0, 4.0) * eb,
+                1 => pred + (2 * rng.range_i64(-40000, 40000) + 1) as f64 * eb,
+                2 => pred + rng.range_f64(-7e4, 7e4) * 2.0 * eb,
+                _ => rng.range_f64(-1e3, 1e3),
+            };
+            assert_eq!(
+                q.quantize(pred, actual),
+                quantize_oracle(&q, pred, actual),
+                "pred {pred:e} actual {actual:e} eb {eb:e}"
+            );
+        });
+    }
+
+    #[test]
+    fn outliers_reject_short_and_surplus_sections() {
+        let codes = [5, 0, 7, 0];
+        let section = [1.5f64, -2.5].map(f64::to_le_bytes).concat();
+        let mut ok = Outliers::new(&section, &codes).unwrap();
+        assert_eq!((ok.take(), ok.take()), (1.5, -2.5));
+        for bad in [
+            &section[..8],
+            &section[..15],
+            &[section.as_slice(), &[0]].concat()[..],
+        ] {
+            assert!(matches!(
+                Outliers::new(bad, &codes),
+                Err(CompressError::Malformed(_))
+            ));
+        }
+        assert!(Outliers::new(&[], &[1, 2, 3]).is_ok());
+    }
 
     #[test]
     fn stats_tally_outcomes() {

@@ -1,13 +1,20 @@
-//! Per-block linear regression prediction (the "R" of SZ-L/R).
+//! Per-block linear regression prediction (the "R" of SZ-L/R), one block
+//! row at a time.
 //!
 //! Each block fits `f(di,dj,dk) = β₀ + β₁·di + β₂·dj + β₃·dk` to the block's
 //! original values by least squares. Because block offsets form a full
 //! rectangular lattice, the design matrix is orthogonal after centering and
 //! the fit has a cheap closed form — no linear solve needed.
+//!
+//! [`FitSums`] accumulates the four sums of that closed form one row slice
+//! at a time, in x-fastest block order (the order pins the bits). The
+//! prediction along a row is `((β₀ + β₁·di) + β₂·dj) + β₃·dk` with the last
+//! two products hoisted per row; it does not depend on the previous cell, so
+//! unlike Lorenzo the quantize steps of a row overlap.
 
 /// Regression plane coefficients for one block.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegressionCoeffs {
+pub(crate) struct RegressionCoeffs {
     /// Intercept at block offset (0,0,0).
     pub b0: f64,
     /// Slopes along the block-local i/j/k offsets.
@@ -15,15 +22,118 @@ pub struct RegressionCoeffs {
 }
 
 impl RegressionCoeffs {
-    #[inline]
-    pub fn predict(&self, di: usize, dj: usize, dk: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn predict(&self, di: usize, dj: usize, dk: usize) -> f64 {
         self.b0 + self.b[0] * di as f64 + self.b[1] * dj as f64 + self.b[2] * dk as f64
+    }
+
+    /// The coefficients as the stream stores them (`f32`×4, little-endian).
+    pub(crate) fn to_wire(self) -> [f32; 4] {
+        [
+            self.b0 as f32,
+            self.b[0] as f32,
+            self.b[1] as f32,
+            self.b[2] as f32,
+        ]
+    }
+
+    /// The coefficients the decoder sees; the encoder predicts with the
+    /// same rounded values to stay in sync.
+    pub(crate) fn from_wire(c: [f32; 4]) -> Self {
+        RegressionCoeffs {
+            b0: c[0] as f64,
+            b: [c[1] as f64, c[2] as f64, c[3] as f64],
+        }
+    }
+
+    /// Walks row `(dj, dk)` of the block: `visit(di, pred)`. The visitor
+    /// has the shape the Lorenzo walk needs, so one quantize step serves
+    /// both; the value it returns is not used here.
+    #[inline(always)]
+    pub(crate) fn walk(
+        &self,
+        len: usize,
+        [dj, dk]: [usize; 2],
+        mut visit: impl FnMut(usize, f64) -> f64,
+    ) {
+        let (tj, tk) = (self.b[1] * dj as f64, self.b[2] * dk as f64);
+        // `x` is `di as f64`, counted up exactly instead of converted.
+        let mut x = 0.0;
+        for di in 0..len {
+            visit(di, self.b0 + self.b[0] * x + tj + tk);
+            x += 1.0;
+        }
     }
 }
 
-/// Fits the plane to `values`, the block contents in x-fastest order with
-/// extents `bs = [bi, bj, bk]` (partial edge blocks allowed).
-pub fn fit_block(values: &[f64], bs: [usize; 3]) -> RegressionCoeffs {
+/// Running sums of the closed-form fit over a block with extents `ext`.
+pub(crate) struct FitSums {
+    ext: [usize; 3],
+    /// Centroid of the block offsets: centering makes the design orthogonal.
+    center: [f64; 3],
+    sv: f64,
+    sxv: [f64; 3],
+}
+
+impl FitSums {
+    pub(crate) fn new(ext: [usize; 3]) -> Self {
+        FitSums {
+            ext,
+            center: ext.map(|m| (m as f64 - 1.0) / 2.0),
+            sv: 0.0,
+            sxv: [0.0; 3],
+        }
+    }
+
+    /// Adds row `(dj, dk)`; rows must arrive in x-fastest block order.
+    #[inline]
+    pub(crate) fn add_row(&mut self, row: &[f64], [dj, dk]: [usize; 2]) {
+        let [ci, cj, ck] = self.center;
+        let (wj, wk) = (dj as f64 - cj, dk as f64 - ck);
+        // `x` is `di as f64`, counted up exactly instead of converted.
+        let mut x = 0.0;
+        for &v in row {
+            self.sv += v;
+            self.sxv[0] += (x - ci) * v;
+            self.sxv[1] += wj * v;
+            self.sxv[2] += wk * v;
+            x += 1.0;
+        }
+    }
+
+    /// The least-squares plane:
+    ///   β_a = Σ (x_a − x̄_a)·v / Σ (x_a − x̄_a)²   per axis,
+    ///   β₀' = v̄ (intercept at the centroid), shifted back to offset 0.
+    pub(crate) fn finish(self) -> RegressionCoeffs {
+        let [bi, bj, bk] = self.ext;
+        // Σ (x − x̄)² for 0..m-1 along one axis, times the count of the
+        // other two axes.
+        let sq = |m: usize| m as f64 * (m as f64 * m as f64 - 1.0) / 12.0;
+        let denom = [
+            sq(bi) * (bj * bk) as f64,
+            sq(bj) * (bi * bk) as f64,
+            sq(bk) * (bi * bj) as f64,
+        ];
+        let vbar = self.sv / (bi * bj * bk) as f64;
+        let mut b = [0.0f64; 3];
+        for a in 0..3 {
+            b[a] = if denom[a] > 0.0 {
+                self.sxv[a] / denom[a]
+            } else {
+                0.0
+            };
+        }
+        let [ci, cj, ck] = self.center;
+        let b0 = vbar - b[0] * ci - b[1] * cj - b[2] * ck;
+        RegressionCoeffs { b0, b }
+    }
+}
+
+/// Whole-block reference [`FitSums`] is tested against: fits the plane to
+/// `values`, the block contents in x-fastest order with extents
+/// `bs = [bi, bj, bk]` (partial edge blocks allowed).
+#[cfg(test)]
+pub(crate) fn fit_block(values: &[f64], bs: [usize; 3]) -> RegressionCoeffs {
     let [bi, bj, bk] = bs;
     let n = bi * bj * bk;
     assert_eq!(values.len(), n, "block buffer mismatch");

@@ -15,18 +15,38 @@
 //! Stream layout (after the common header): predictor-selection bits,
 //! regression coefficients (`f32`×4 per regression block), Huffman+LZSS
 //! coded quantization symbols, raw outlier values.
+//!
+//! # Shape of the hot path
+//!
+//! Everything below the block loop works on x-row slices of the field; no
+//! cell is addressed as `i + nx·(j + ny·k)` and no block is copied out.
+//! Selection reads a block twice: one pass feeds each row to the fit sums
+//! ([`FitSums`]) and to the Lorenzo-on-originals error (neither needs the
+//! coefficients), a second accumulates the regression error. The predictor
+//! choice is then made once per block, outside the cell loop, and the block
+//! is encoded row by row through one of two predictor walks
+//! ([`Neighbours::walk`], [`RegressionCoeffs::walk`]) around a single inline
+//! quantize → code → reconstruct step that writes `codes[pos..pos + len]`
+//! by slice; outliers are appended out of line and counted afterwards. The
+//! decoder validates its sections up front and then runs the same walks
+//! around the inverse step, which cannot fail.
+//!
+//! What pins the arithmetic: stream bytes are a function of the exact
+//! operation order — the Lorenzo sum left to right (see `lorenzo.rs` for why
+//! that makes Lorenzo *encode* latency-bound), the regression prediction as
+//! `((β₀ + β₁·di) + β₂·dj) + β₃·dk` on the `f32`-rounded coefficients, the
+//! four fit accumulators adding in x-fastest block order, and
+//! `err_reg < err_lorenzo` with its NaN behaviour. The per-cell loops these
+//! kernels replaced are kept as test oracles that must agree byte for byte.
 
-use amrviz_codec::{
-    huffman_decode_into, huffman_encode_into, lzss_compress_into, lzss_decompress_into,
-    DecodeBudget,
-};
-use amrviz_codec::{BitReader, BitWriter};
+use amrviz_codec::BitWriter;
+use amrviz_codec::DecodeBudget;
 use amrviz_par::scratch;
 
 use crate::field::Field3View;
-use crate::lorenzo::lorenzo3_predict;
-use crate::quantizer::{QuantStats, Quantized, Quantizer};
-use crate::regression::{fit_block, RegressionCoeffs};
+use crate::lorenzo::Neighbours;
+use crate::quantizer::{append_outliers, Outliers, QuantStats, Quantizer};
+use crate::regression::{FitSums, RegressionCoeffs};
 use crate::wire::{ByteReader, ByteWriter};
 use crate::{CompressError, Compressor, ErrorBound};
 
@@ -82,69 +102,115 @@ impl SzLr {
     }
 }
 
-/// Effective absolute bound; degenerate (zero) bounds get a tiny positive
-/// stand-in so the quantizer is well-defined (constant fields then encode
-/// as all-zero residuals).
-fn effective_eb(bound: ErrorBound, range: f64) -> f64 {
-    let eb = bound.to_abs(range);
-    if eb > 0.0 {
-        eb
-    } else {
-        1e-300
-    }
+/// The block partition of a volume: every block's row segments, in the one
+/// order encoder and decoder share.
+#[derive(Clone, Copy)]
+struct Blocks {
+    dims: [usize; 3],
+    bs: usize,
 }
 
-/// Per-block predictor choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pred {
-    Lorenzo,
-    Regression,
+/// One block: origin and (possibly partial) extents.
+#[derive(Clone, Copy)]
+struct Block {
+    base: [usize; 3],
+    ext: [usize; 3],
 }
 
-impl SzLr {
-    fn block_extents(&self, dims: [usize; 3]) -> [usize; 3] {
-        [
-            dims[0].div_ceil(self.block_size),
-            dims[1].div_ceil(self.block_size),
-            dims[2].div_ceil(self.block_size),
-        ]
+impl Blocks {
+    fn count(&self) -> usize {
+        self.dims.iter().map(|d| d.div_ceil(self.bs)).product()
     }
 
-    /// Estimates which predictor fits a block better, comparing summed
-    /// absolute prediction errors. The Lorenzo estimate uses *original*
-    /// neighbors — the standard SZ approximation, cheap and adequate for
-    /// selection.
-    fn select_predictor(
-        &self,
-        data: &[f64],
-        dims: [usize; 3],
-        base: [usize; 3],
-        ext: [usize; 3],
-        coeffs: &RegressionCoeffs,
-    ) -> Pred {
-        match self.mode {
-            PredictorMode::LorenzoOnly => return Pred::Lorenzo,
-            PredictorMode::RegressionOnly => return Pred::Regression,
-            PredictorMode::Hybrid => {}
-        }
-        let mut err_lorenzo = 0.0;
-        let mut err_reg = 0.0;
-        let [nx, ny, _] = dims;
-        for dk in 0..ext[2] {
-            for dj in 0..ext[1] {
-                for di in 0..ext[0] {
-                    let (i, j, k) = (base[0] + di, base[1] + dj, base[2] + dk);
-                    let actual = data[i + nx * (j + ny * k)];
-                    err_lorenzo += (lorenzo3_predict(data, dims, i, j, k) - actual).abs();
-                    err_reg += (coeffs.predict(di, dj, dk) - actual).abs();
+    /// Calls `f` for every block, x-fastest.
+    fn for_each(&self, mut f: impl FnMut(Block)) {
+        let bs = self.bs;
+        let [nx, ny, nz] = self.dims;
+        for k in (0..nz).step_by(bs) {
+            for j in (0..ny).step_by(bs) {
+                for i in (0..nx).step_by(bs) {
+                    f(Block {
+                        base: [i, j, k],
+                        ext: [bs.min(nx - i), bs.min(ny - j), bs.min(nz - k)],
+                    });
                 }
             }
         }
-        if err_reg < err_lorenzo {
-            Pred::Regression
-        } else {
-            Pred::Lorenzo
+    }
+
+    /// Calls `f(offset, [dj, dk])` for every row of `block`, x-fastest;
+    /// `offset` is where the row's first cell sits in the volume.
+    #[inline(always)]
+    fn rows(&self, block: Block, mut f: impl FnMut(usize, [usize; 2])) {
+        let [nx, ny, _] = self.dims;
+        let [i, j, k] = block.base;
+        for dk in 0..block.ext[2] {
+            for dj in 0..block.ext[1] {
+                f(i + nx * ((j + dj) + ny * (k + dk)), [dj, dk]);
+            }
         }
+    }
+
+    /// The Lorenzo neighbors of the row of `block` at `offset`; `done` is
+    /// the volume up to `offset`.
+    #[inline(always)]
+    fn neighbours<'a>(
+        &self,
+        block: Block,
+        [dj, dk]: [usize; 2],
+        done: &'a [f64],
+        zero: &'a [f64],
+    ) -> Neighbours<'a> {
+        let [nx, ny, _] = self.dims;
+        let [i, j, k] = block.base;
+        let inside = [i > 0, j + dj > 0, k + dk > 0];
+        Neighbours::new(done, zero, nx, nx * ny, inside, block.ext[0])
+    }
+}
+
+impl SzLr {
+    /// The regression plane of `block` if it is to be predicted by
+    /// regression, `None` for Lorenzo. `Hybrid` compares summed absolute
+    /// prediction errors; the Lorenzo estimate uses *original* neighbors —
+    /// the standard SZ approximation, cheap and adequate for selection.
+    fn select(
+        &self,
+        data: &[f64],
+        blocks: &Blocks,
+        block: Block,
+        zero: &[f64],
+    ) -> Option<RegressionCoeffs> {
+        if self.mode == PredictorMode::LorenzoOnly {
+            return None;
+        }
+        let hybrid = self.mode == PredictorMode::Hybrid;
+        let len = block.ext[0];
+        let mut fit = FitSums::new(block.ext);
+        let mut err_lorenzo = 0.0;
+        blocks.rows(block, |at, row| {
+            let actual = &data[at..at + len];
+            fit.add_row(actual, row);
+            if hybrid {
+                let nb = blocks.neighbours(block, row, &data[..at], zero);
+                nb.walk(|n, pred| {
+                    err_lorenzo += (pred - actual[n]).abs();
+                    actual[n]
+                });
+            }
+        });
+        let coeffs = fit.finish();
+        if !hybrid {
+            return Some(coeffs);
+        }
+        let mut err_reg = 0.0;
+        blocks.rows(block, |at, row| {
+            let actual = &data[at..at + len];
+            coeffs.walk(len, row, |n, pred| {
+                err_reg += (pred - actual[n]).abs();
+                actual[n]
+            });
+        });
+        (err_reg < err_lorenzo).then_some(coeffs)
     }
 }
 
@@ -156,101 +222,60 @@ impl Compressor for SzLr {
     fn compress_into(&self, field: Field3View<'_>, bound: ErrorBound, out: &mut Vec<u8>) {
         let mut sp = amrviz_obs::span!("szlr.compress", values = field.len());
         let start_len = out.len();
-        let dims = field.dims;
-        let [nx, ny, nz] = dims;
+        let [nx, ny, nz] = field.dims;
         let n = field.len();
-        let eb = effective_eb(bound, field.range());
+        let data = field.data;
+        let eb = bound.resolve(|| field.range());
         let q = Quantizer::new(eb);
-        let mut qstats = QuantStats::default();
         let bs = self.block_size;
-        let nblocks = self.block_extents(dims);
+        let blocks = Blocks {
+            dims: field.dims,
+            bs,
+        };
 
         // All working state is rented from the per-thread scratch pool, so
         // a worker compressing many boxes allocates these once, not per box.
+        // The zero row is its own short buffer: growing `recon` by a row
+        // instead can tip a rented buffer over its next doubling step.
         let mut recon = scratch::take_f64();
         recon.resize(n, 0.0);
-        let mut codes = scratch::take_u32();
-        codes.reserve(n);
         let mut outliers = scratch::take_f64();
+        let mut zero = scratch::take_f64();
+        zero.resize(bs.min(nx), 0.0);
+        let mut codes = scratch::take_u32();
+        codes.resize(n, 0);
         let mut pred_bits = BitWriter::with_buffer(scratch::take_bytes());
         let mut coeff_bytes = ByteWriter::from_vec(scratch::take_bytes());
 
-        let mut block_vals = scratch::take_f64();
-        block_vals.reserve(bs * bs * bs);
-        for bk in 0..nblocks[2] {
-            for bj in 0..nblocks[1] {
-                for bi in 0..nblocks[0] {
-                    let base = [bi * bs, bj * bs, bk * bs];
-                    let ext = [
-                        bs.min(nx - base[0]),
-                        bs.min(ny - base[1]),
-                        bs.min(nz - base[2]),
-                    ];
-                    // Gather block and fit the regression plane.
-                    block_vals.clear();
-                    for dk in 0..ext[2] {
-                        for dj in 0..ext[1] {
-                            for di in 0..ext[0] {
-                                let (i, j, k) = (base[0] + di, base[1] + dj, base[2] + dk);
-                                block_vals.push(field.data[i + nx * (j + ny * k)]);
-                            }
-                        }
-                    }
-                    let coeffs = fit_block(&block_vals, ext);
-                    let pred_kind = self.select_predictor(field.data, dims, base, ext, &coeffs);
-                    pred_bits.write_bit(pred_kind == Pred::Regression);
-
-                    // Decompressor sees f32 coefficients; predict with the
-                    // same rounded values to stay in sync.
-                    let c32 = if pred_kind == Pred::Regression {
-                        let c = RegressionCoeffs {
-                            b0: coeffs.b0 as f32 as f64,
-                            b: [
-                                coeffs.b[0] as f32 as f64,
-                                coeffs.b[1] as f32 as f64,
-                                coeffs.b[2] as f32 as f64,
-                            ],
-                        };
-                        coeff_bytes.f32(coeffs.b0 as f32);
-                        coeff_bytes.f32(coeffs.b[0] as f32);
-                        coeff_bytes.f32(coeffs.b[1] as f32);
-                        coeff_bytes.f32(coeffs.b[2] as f32);
-                        Some(c)
-                    } else {
-                        None
-                    };
-
-                    for dk in 0..ext[2] {
-                        for dj in 0..ext[1] {
-                            for di in 0..ext[0] {
-                                let (i, j, k) = (base[0] + di, base[1] + dj, base[2] + dk);
-                                let idx = i + nx * (j + ny * k);
-                                let pred = match &c32 {
-                                    Some(c) => c.predict(di, dj, dk),
-                                    None => lorenzo3_predict(&recon, dims, i, j, k),
-                                };
-                                let actual = field.data[idx];
-                                let quantized = q.quantize(pred, actual);
-                                qstats.tally(&quantized);
-                                match quantized {
-                                    Quantized::Code { code, recon: r } => {
-                                        codes.push(code);
-                                        recon[idx] = r;
-                                    }
-                                    Quantized::Outlier => {
-                                        codes.push(0);
-                                        outliers.push(actual);
-                                        recon[idx] = actual;
-                                    }
-                                }
-                            }
-                        }
-                    }
+        let mut pos = 0usize;
+        blocks.for_each(|block| {
+            let len = block.ext[0];
+            let plane = self.select(data, &blocks, block, &zero).map(|plane| {
+                // The decompressor sees f32 coefficients; predict with the
+                // same rounded values to stay in sync.
+                let wire = plane.to_wire();
+                wire.iter().for_each(|&c| coeff_bytes.f32(c));
+                RegressionCoeffs::from_wire(wire)
+            });
+            pred_bits.write_bit(plane.is_some());
+            blocks.rows(block, |at, row| {
+                let actual = &data[at..at + len];
+                let codes = &mut codes[pos..pos + len];
+                let (done, rest) = recon.split_at_mut(at);
+                let recon = &mut rest[..len];
+                // Quantize → code → reconstruct, one inline step per cell.
+                let step = |n: usize, pred: f64| {
+                    (codes[n], recon[n]) = q.encode(pred, actual[n]);
+                    recon[n]
+                };
+                match &plane {
+                    Some(plane) => plane.walk(len, row, step),
+                    None => blocks.neighbours(block, row, done, &zero).walk(step),
                 }
-            }
-        }
-
-        scratch::give_f64(block_vals);
+                append_outliers(codes, actual, &mut outliers);
+                pos += len;
+            });
+        });
 
         // Assemble the stream directly onto the caller's buffer; the
         // entropy stages run through rented intermediates.
@@ -263,29 +288,22 @@ impl Compressor for SzLr {
         w.uvarint(bs as u64);
         let pred = pred_bits.finish();
         w.section(&pred);
-        scratch::give_bytes(pred);
         let coeff = coeff_bytes.finish();
         w.section(&coeff);
-        scratch::give_bytes(coeff);
-        let mut huff = scratch::take_bytes();
-        huffman_encode_into(&codes, &mut huff);
-        let mut lz = scratch::take_bytes();
-        lzss_compress_into(&huff, &mut lz);
-        w.section(&lz);
-        scratch::give_bytes(lz);
-        scratch::give_bytes(huff);
-        scratch::give_u32(codes);
-        scratch::give_f64(recon);
-        let mut outlier_bytes = scratch::take_bytes();
-        outlier_bytes.reserve(outliers.len() * 8);
-        for v in &outliers {
-            outlier_bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        w.section(&outlier_bytes);
-        scratch::give_bytes(outlier_bytes);
-        scratch::give_f64(outliers);
+        w.coded_section(&codes);
+        w.f64_section(&outliers);
         *out = w.finish();
-        qstats.report();
+        QuantStats {
+            codes: (n - outliers.len()) as u64,
+            outliers: outliers.len() as u64,
+        }
+        .report();
+        scratch::give_bytes(coeff);
+        scratch::give_bytes(pred);
+        scratch::give_u32(codes);
+        scratch::give_f64(zero);
+        scratch::give_f64(outliers);
+        scratch::give_f64(recon);
         sp.add_field("bytes_out", out.len() - start_len);
     }
 
@@ -300,105 +318,82 @@ impl Compressor for SzLr {
         if r.u8()? != MAGIC {
             return Err(CompressError::Malformed("bad SZ-L/R magic".into()));
         }
-        let ([nx, ny, nz], n) = r.dims3()?;
+        let (dims, n) = r.dims3()?;
         let eb = r.f64()?;
         let bs = r.uvarint()? as usize;
         if bs == 0 || eb.is_nan() || eb <= 0.0 {
             return Err(CompressError::Malformed("bad SZ-L/R header".into()));
         }
-        let dims = [nx, ny, nz];
         let q = Quantizer::new(eb);
+        let blocks = Blocks { dims, bs };
 
         // Section slices borrow the input stream directly (`ByteReader`
         // hands back `&[u8]` tied to `bytes`), so nothing here is copied.
         let pred_section = r.section()?;
         let coeff_section = r.section()?;
-        let mut lz = scratch::take_bytes();
-        lzss_decompress_into(r.section()?, budget, &mut lz)?;
         let mut codes = scratch::take_u32();
-        huffman_decode_into(&lz, budget, &mut codes)?;
-        scratch::give_bytes(lz);
+        r.coded_section(&mut codes)?;
         if codes.len() != n {
             return Err(CompressError::Malformed(format!(
                 "expected {n} codes, found {}",
                 codes.len()
             )));
         }
-        let outlier_section = r.section()?;
-        if outlier_section.len() % 8 != 0 {
-            return Err(CompressError::Malformed("ragged outlier section".into()));
+        // Every section is checked against what the loop below will read —
+        // short *and* surplus — before anything is written, so the
+        // reconstruction itself cannot fail.
+        let mut outliers = Outliers::new(r.section()?, &codes)?;
+        let is_regression = |b: usize| pred_section[b / 8] & (0x80 >> (b % 8)) != 0;
+        if pred_section.len() != blocks.count().div_ceil(8) {
+            return Err(CompressError::Malformed(format!(
+                "{} blocks but a {}-byte predictor section",
+                blocks.count(),
+                pred_section.len()
+            )));
         }
-        // Outliers stream straight out of the borrowed section.
-        let mut outlier_iter = outlier_section
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")));
+        let planes = (0..blocks.count()).filter(|&b| is_regression(b)).count();
+        if coeff_section.len() != planes * 16 {
+            return Err(CompressError::Malformed(format!(
+                "{planes} regression blocks but a {}-byte coefficient section",
+                coeff_section.len()
+            )));
+        }
+        let mut planes = coeff_section.chunks_exact(16).map(|c| {
+            let f = |n: usize| f32::from_le_bytes(c[4 * n..4 * n + 4].try_into().expect("4 bytes"));
+            RegressionCoeffs::from_wire([f(0), f(1), f(2), f(3)])
+        });
 
-        let mut pred_bits = BitReader::new(pred_section);
-        let mut coeffs_r = ByteReader::new(coeff_section);
-        out.clear();
+        // Every cell is written below, so a buffer that already has the
+        // right length (a fab decoded in place) is not zeroed first.
         out.resize(n, 0.0);
-        let recon = &mut out[..];
-        let mut code_pos = 0usize;
-        let nblocks = self.block_extents_for(dims, bs);
-
-        for bk in 0..nblocks[2] {
-            for bj in 0..nblocks[1] {
-                for bi in 0..nblocks[0] {
-                    let base = [bi * bs, bj * bs, bk * bs];
-                    let ext = [
-                        bs.min(nx - base[0]),
-                        bs.min(ny - base[1]),
-                        bs.min(nz - base[2]),
-                    ];
-                    let is_reg = pred_bits.read_bit()?;
-                    let c = if is_reg {
-                        Some(RegressionCoeffs {
-                            b0: coeffs_r.f32()? as f64,
-                            b: [
-                                coeffs_r.f32()? as f64,
-                                coeffs_r.f32()? as f64,
-                                coeffs_r.f32()? as f64,
-                            ],
-                        })
-                    } else {
-                        None
+        let mut zero = scratch::take_f64();
+        zero.resize(bs.min(dims[0]), 0.0);
+        let (mut pos, mut b) = (0usize, 0usize);
+        blocks.for_each(|block| {
+            let len = block.ext[0];
+            let plane = is_regression(b).then(|| planes.next().expect("one plane per bit"));
+            b += 1;
+            blocks.rows(block, |at, row| {
+                let codes = &codes[pos..pos + len];
+                let (done, rest) = out.split_at_mut(at);
+                let recon = &mut rest[..len];
+                let step = |n: usize, pred: f64| {
+                    recon[n] = match codes[n] {
+                        0 => outliers.take(),
+                        code => q.reconstruct(pred, code),
                     };
-                    for dk in 0..ext[2] {
-                        for dj in 0..ext[1] {
-                            for di in 0..ext[0] {
-                                let (i, j, k) = (base[0] + di, base[1] + dj, base[2] + dk);
-                                let idx = i + nx * (j + ny * k);
-                                let pred = match &c {
-                                    Some(c) => c.predict(di, dj, dk),
-                                    None => lorenzo3_predict(recon, dims, i, j, k),
-                                };
-                                let code = codes[code_pos];
-                                code_pos += 1;
-                                recon[idx] = if code == 0 {
-                                    outlier_iter.next().ok_or_else(|| {
-                                        CompressError::Malformed("missing outlier".into())
-                                    })?
-                                } else {
-                                    q.reconstruct(pred, code)
-                                };
-                            }
-                        }
-                    }
+                    recon[n]
+                };
+                match &plane {
+                    Some(plane) => plane.walk(len, row, step),
+                    None => blocks.neighbours(block, row, done, &zero).walk(step),
                 }
-            }
-        }
+                pos += len;
+            });
+        });
+        scratch::give_f64(zero);
         scratch::give_u32(codes);
         Ok(dims)
-    }
-}
-
-impl SzLr {
-    fn block_extents_for(&self, dims: [usize; 3], bs: usize) -> [usize; 3] {
-        [
-            dims[0].div_ceil(bs),
-            dims[1].div_ceil(bs),
-            dims[2].div_ceil(bs),
-        ]
     }
 }
 
@@ -406,7 +401,285 @@ impl SzLr {
 mod tests {
     use super::*;
     use crate::field::Field3;
+    use crate::oracle_inputs::{bits, decode_in_place, oracle_case};
     use amrviz_rng::check;
+
+    /// The per-cell encoder and decoder the row kernels replaced, kept
+    /// verbatim as the reference: a side-buffer gather into `fit_block`, a
+    /// second read in `select_predictor`, then a walk that recomputes the
+    /// cell offset, branches on the predictor and calls `lorenzo3_predict`
+    /// with its boundary tests per cell, quantizing through `f64::round`.
+    mod oracle {
+        use super::super::MAGIC;
+        use crate::lorenzo::lorenzo3_predict;
+        use crate::quantizer::{quantize_oracle, Quantized, Quantizer};
+        use crate::regression::{fit_block, RegressionCoeffs};
+        use crate::szlr::{PredictorMode, SzLr};
+        use crate::wire::{ByteReader, ByteWriter};
+        use crate::{CompressError, ErrorBound, Field3};
+        use amrviz_codec::{
+            huffman_decode, huffman_encode, lzss_compress, lzss_decompress, BitReader, BitWriter,
+        };
+
+        fn select_predictor(
+            mode: PredictorMode,
+            data: &[f64],
+            dims: [usize; 3],
+            base: [usize; 3],
+            ext: [usize; 3],
+            coeffs: &RegressionCoeffs,
+        ) -> bool {
+            match mode {
+                PredictorMode::LorenzoOnly => return false,
+                PredictorMode::RegressionOnly => return true,
+                PredictorMode::Hybrid => {}
+            }
+            let mut err_lorenzo = 0.0;
+            let mut err_reg = 0.0;
+            let [nx, ny, _] = dims;
+            for dk in 0..ext[2] {
+                for dj in 0..ext[1] {
+                    for di in 0..ext[0] {
+                        let (i, j, k) = (base[0] + di, base[1] + dj, base[2] + dk);
+                        let actual = data[i + nx * (j + ny * k)];
+                        err_lorenzo += (lorenzo3_predict(data, dims, i, j, k) - actual).abs();
+                        err_reg += (coeffs.predict(di, dj, dk) - actual).abs();
+                    }
+                }
+            }
+            err_reg < err_lorenzo
+        }
+
+        fn blocks(dims: [usize; 3], bs: usize) -> Vec<([usize; 3], [usize; 3])> {
+            let [nx, ny, nz] = dims;
+            let mut out = Vec::new();
+            for bk in 0..nz.div_ceil(bs) {
+                for bj in 0..ny.div_ceil(bs) {
+                    for bi in 0..nx.div_ceil(bs) {
+                        let base = [bi * bs, bj * bs, bk * bs];
+                        let ext = [
+                            bs.min(nx - base[0]),
+                            bs.min(ny - base[1]),
+                            bs.min(nz - base[2]),
+                        ];
+                        out.push((base, ext));
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn compress(sz: &SzLr, field: &Field3, bound: ErrorBound) -> Vec<u8> {
+            let dims = field.dims;
+            let [nx, ny, nz] = dims;
+            let eb = match bound.to_abs(field.range()) {
+                e if e > 0.0 => e,
+                _ => 1e-300,
+            };
+            let q = Quantizer::new(eb);
+            let mut recon = vec![0.0; field.len()];
+            let (mut codes, mut outliers) = (Vec::new(), Vec::new());
+            let mut pred_bits = BitWriter::new();
+            let mut coeff_bytes = ByteWriter::new();
+            for (base, ext) in blocks(dims, sz.block_size) {
+                let mut block_vals = Vec::new();
+                for dk in 0..ext[2] {
+                    for dj in 0..ext[1] {
+                        for di in 0..ext[0] {
+                            let (i, j, k) = (base[0] + di, base[1] + dj, base[2] + dk);
+                            block_vals.push(field.data[i + nx * (j + ny * k)]);
+                        }
+                    }
+                }
+                let coeffs = fit_block(&block_vals, ext);
+                let is_reg = select_predictor(sz.mode, &field.data, dims, base, ext, &coeffs);
+                pred_bits.write_bit(is_reg);
+                let c32 = is_reg.then(|| {
+                    coeff_bytes.f32(coeffs.b0 as f32);
+                    coeffs.b.iter().for_each(|&b| coeff_bytes.f32(b as f32));
+                    RegressionCoeffs {
+                        b0: coeffs.b0 as f32 as f64,
+                        b: coeffs.b.map(|b| b as f32 as f64),
+                    }
+                });
+                for dk in 0..ext[2] {
+                    for dj in 0..ext[1] {
+                        for di in 0..ext[0] {
+                            let (i, j, k) = (base[0] + di, base[1] + dj, base[2] + dk);
+                            let idx = i + nx * (j + ny * k);
+                            let pred = match &c32 {
+                                Some(c) => c.predict(di, dj, dk),
+                                None => lorenzo3_predict(&recon, dims, i, j, k),
+                            };
+                            let actual = field.data[idx];
+                            match quantize_oracle(&q, pred, actual) {
+                                Quantized::Code { code, recon: r } => {
+                                    codes.push(code);
+                                    recon[idx] = r;
+                                }
+                                Quantized::Outlier => {
+                                    codes.push(0);
+                                    outliers.push(actual);
+                                    recon[idx] = actual;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let mut w = ByteWriter::new();
+            w.u8(MAGIC);
+            w.uvarint(nx as u64);
+            w.uvarint(ny as u64);
+            w.uvarint(nz as u64);
+            w.f64(eb);
+            w.uvarint(sz.block_size as u64);
+            w.section(&pred_bits.finish());
+            w.section(&coeff_bytes.finish());
+            w.section(&lzss_compress(&huffman_encode(&codes)));
+            let outlier_bytes: Vec<u8> = outliers.iter().flat_map(|v| v.to_le_bytes()).collect();
+            w.section(&outlier_bytes);
+            w.finish()
+        }
+
+        pub fn decompress(bytes: &[u8]) -> Result<Field3, CompressError> {
+            let mut r = ByteReader::new(bytes);
+            assert_eq!(r.u8()?, MAGIC);
+            let (dims, n) = r.dims3()?;
+            let [nx, ny, _] = dims;
+            let q = Quantizer::new(r.f64()?);
+            let bs = r.uvarint()? as usize;
+            let mut pred_bits = BitReader::new(r.section()?);
+            let mut coeffs_r = ByteReader::new(r.section()?);
+            let codes = huffman_decode(&lzss_decompress(r.section()?)?)?;
+            assert_eq!(codes.len(), n);
+            let mut outliers = r
+                .section()?
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
+            let mut recon = vec![0.0; n];
+            let mut code_pos = 0;
+            for (base, ext) in blocks(dims, bs) {
+                let c = if pred_bits.read_bit()? {
+                    Some(RegressionCoeffs {
+                        b0: coeffs_r.f32()? as f64,
+                        b: [
+                            coeffs_r.f32()? as f64,
+                            coeffs_r.f32()? as f64,
+                            coeffs_r.f32()? as f64,
+                        ],
+                    })
+                } else {
+                    None
+                };
+                for dk in 0..ext[2] {
+                    for dj in 0..ext[1] {
+                        for di in 0..ext[0] {
+                            let (i, j, k) = (base[0] + di, base[1] + dj, base[2] + dk);
+                            let pred = match &c {
+                                Some(c) => c.predict(di, dj, dk),
+                                None => lorenzo3_predict(&recon, dims, i, j, k),
+                            };
+                            let code = codes[code_pos];
+                            code_pos += 1;
+                            recon[i + nx * (j + ny * k)] = if code == 0 {
+                                outliers.next().unwrap()
+                            } else {
+                                q.reconstruct(pred, code)
+                            };
+                        }
+                    }
+                }
+            }
+            Ok(Field3::new(dims, recon))
+        }
+    }
+
+    #[test]
+    fn row_kernels_match_the_per_cell_oracle() {
+        check(0x5A1B, 96, |rng| {
+            let (f, bound) = oracle_case(rng);
+            let sz = SzLr {
+                block_size: [6, 6, 6, 4, 1, 9][rng.below(6) as usize],
+                mode: [
+                    PredictorMode::Hybrid,
+                    PredictorMode::LorenzoOnly,
+                    PredictorMode::RegressionOnly,
+                ][rng.below(3) as usize],
+            };
+            let want = oracle::compress(&sz, &f, bound);
+            let got = sz.compress(&f, bound);
+            assert_eq!(
+                got, want,
+                "stream differs: {sz:?} dims {:?} {bound:?}",
+                f.dims
+            );
+            let want = oracle::decompress(&got).unwrap();
+            let got = decode_in_place(&sz, &got, f.len());
+            assert_eq!(got.dims, want.dims);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "decode differs: {sz:?} {:?}",
+                f.dims
+            );
+        });
+    }
+
+    /// A valid stream re-assembled with its four sections passed through
+    /// `edit(section index, bytes)`.
+    fn with_sections(stream: &[u8], edit: impl Fn(usize, &[u8]) -> Vec<u8>) -> Vec<u8> {
+        let mut r = ByteReader::new(stream);
+        let mut w = ByteWriter::new();
+        w.u8(r.u8().unwrap());
+        for _ in 0..3 {
+            w.uvarint(r.uvarint().unwrap());
+        }
+        w.f64(r.f64().unwrap());
+        w.uvarint(r.uvarint().unwrap());
+        for n in 0..4 {
+            w.section(&edit(n, r.section().unwrap()));
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn short_and_surplus_sections_are_rejected_before_writing() {
+        // Rough enough for outliers, planar enough for regression blocks.
+        let mut rng = amrviz_rng::Rng::seed(3);
+        let f = Field3::from_fn([13, 8, 7], |i, j, _| {
+            i as f64 + 2.0 * j as f64 + if rng.chance(0.05) { 1e6 } else { 0.0 }
+        });
+        let sz = SzLr::default();
+        let good = sz.compress(&f, ErrorBound::Abs(0.01));
+        assert_eq!(with_sections(&good, |_, s| s.to_vec()), good);
+        // (section, bytes per value): predictor bits, planes, outliers.
+        for (section, unit) in [(0, 1), (1, 16), (3, 8)] {
+            // One byte more, one value fewer.
+            for surplus in [true, false] {
+                let bad = with_sections(&good, |n, s| {
+                    assert!(
+                        n != section || s.len() >= unit,
+                        "section {n}: nothing to cut"
+                    );
+                    match (n == section, surplus) {
+                        (false, _) => s.to_vec(),
+                        (true, true) => [s, &[0u8][..]].concat(),
+                        (true, false) => s[..s.len() - unit].to_vec(),
+                    }
+                });
+                let mut out = vec![7.0; 3];
+                let err = sz
+                    .decompress_into(&bad, &DecodeBudget::default(), &mut out)
+                    .unwrap_err();
+                assert!(
+                    matches!(err, CompressError::Malformed(_)),
+                    "section {section}: {err}"
+                );
+                assert_eq!(out, [7.0; 3], "section {section}: output touched");
+            }
+        }
+    }
 
     fn check_bound(orig: &Field3, recon: &Field3, eb: f64) {
         assert_eq!(orig.dims, recon.dims);

@@ -5,7 +5,11 @@
 //! before anything is sliced or allocated, so corrupted length prefixes
 //! surface as [`CodecError`]s instead of panics or absurd allocations.
 
-use amrviz_codec::{read_uvarint, write_uvarint, CodecError, DecodeBudget};
+use amrviz_codec::{
+    huffman_decode_into, huffman_encode_into, lzss_compress_into, lzss_decompress_into,
+    read_uvarint, write_uvarint, CodecError, DecodeBudget,
+};
+use amrviz_par::scratch;
 
 /// Append-only byte buffer with typed writers.
 #[derive(Debug, Default)]
@@ -51,6 +55,26 @@ impl ByteWriter {
     pub fn section(&mut self, bytes: &[u8]) {
         self.uvarint(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Section of raw little-endian `f64`s (outliers, raw blocks).
+    pub fn f64_section(&mut self, values: &[f64]) {
+        self.uvarint(values.len() as u64 * 8);
+        for &v in values {
+            self.f64(v);
+        }
+    }
+
+    /// Section of Huffman + LZSS coded symbols — the entropy stage every
+    /// compressor shares, run through rented intermediates.
+    pub fn coded_section(&mut self, symbols: &[u32]) {
+        let mut huff = scratch::take_bytes();
+        huffman_encode_into(symbols, &mut huff);
+        let mut lz = scratch::take_bytes();
+        lzss_compress_into(&huff, &mut lz);
+        self.section(&lz);
+        scratch::give_bytes(lz);
+        scratch::give_bytes(huff);
     }
 
     pub fn finish(self) -> Vec<u8> {
@@ -140,6 +164,15 @@ impl<'a> ByteReader<'a> {
         let len = self.uvarint()? as usize;
         self.budget.check_section(len, self.remaining())?;
         self.exact(len)
+    }
+
+    /// Inverse of [`ByteWriter::coded_section`]: the symbols land in `out`.
+    pub fn coded_section(&mut self, out: &mut Vec<u32>) -> Result<(), CodecError> {
+        let mut lz = scratch::take_bytes();
+        lzss_decompress_into(self.section()?, &self.budget, &mut lz)?;
+        huffman_decode_into(&lz, &self.budget, out)?;
+        scratch::give_bytes(lz);
+        Ok(())
     }
 
     /// Three box dimensions, each budget-checked (nonzero, bounded) and the

@@ -56,20 +56,7 @@ pub fn compress_zmesh(
     let covered = hier.covered_mask(0);
 
     // Global range → absolute bound.
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for mf in &f.levels {
-        let (l, h) = mf.min_max();
-        lo = lo.min(l);
-        hi = hi.max(h);
-    }
-    let eb = {
-        let e = bound.to_abs(hi - lo);
-        if e > 0.0 {
-            e
-        } else {
-            1e-300
-        }
-    };
+    let eb = bound.resolve(|| crate::amr_codec::global_range(&f.levels));
     let q = Quantizer::new(eb);
 
     // The interleaved 1D walk with previous-reconstruction prediction.

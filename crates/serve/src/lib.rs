@@ -28,6 +28,8 @@
 //! [`chaos`] (fault proxy) · [`loadgen`] (load generator) · [`torture`]
 //! (invariant harness).
 
+#![warn(clippy::or_fun_call)]
+
 pub mod artifact;
 pub mod cache;
 pub mod chaos;
