@@ -503,6 +503,9 @@ struct ServeLine {
     elapsed_us: u64,
     /// Per-stage timing breakdown (server GET lines), taxonomy order.
     stages_us: Vec<(String, u64)>,
+    /// Request start to first LEVEL frame written (server GET lines that
+    /// sent one).
+    first_level_us: Option<u64>,
 }
 
 /// One parsed `kind: "slo"` journal line (burn-rate window evaluation).
@@ -616,6 +619,7 @@ fn stats_journal(path: &str, text: &str, strict: bool, slo: Option<&str>) -> Res
                         result: result.to_string(),
                         elapsed_us: v.get("elapsed_us").and_then(|x| x.as_u64()).unwrap_or(0),
                         stages_us,
+                        first_level_us: v.get("first_level_us").and_then(|x| x.as_u64()),
                     });
                 }
             }
@@ -797,8 +801,11 @@ fn print_tail_breakdown(lines: &[ServeLine]) {
             Some((name, us)) => format!("{name}-bound ({:.2} ms)", *us as f64 / 1e3),
             None => "no stage breakdown".to_string(),
         };
+        let first = l.first_level_us.map_or(String::new(), |us| {
+            format!(", first level at {:.2} ms", us as f64 / 1e3)
+        });
         println!(
-            "  {:>10.2} ms  trace {}  {}  {attribution}",
+            "  {:>10.2} ms  trace {}  {}  {attribution}{first}",
             l.elapsed_us as f64 / 1e3,
             l.trace,
             l.result
@@ -836,6 +843,17 @@ fn print_serve_summary(lines: &[ServeLine]) {
             lat.len(),
             pct(lat, 0.50),
             pct(lat, 0.99)
+        );
+    }
+    // When a viewer could first render, against when the stream closed.
+    let mut first: Vec<u64> = lines.iter().filter_map(|l| l.first_level_us).collect();
+    if !first.is_empty() {
+        first.sort_unstable();
+        println!(
+            "  server first_level_us over {} GET(s): p50 {:.2} ms, p99 {:.2} ms",
+            first.len(),
+            pct(&first, 0.50),
+            pct(&first, 0.99)
         );
     }
     // Stitching: a trace observed by both ends means the client journal line

@@ -28,6 +28,7 @@ use crate::field::Field3View;
 use crate::wire::{ByteReader, ByteWriter};
 use crate::{CompressError, Compressor, ErrorBound};
 use amrviz_par::scratch;
+use std::ops::ControlFlow;
 
 /// Magic byte opening a serialized [`CompressedHierarchyField`] container.
 pub const CONTAINER_MAGIC: u8 = 0xC3;
@@ -86,6 +87,19 @@ impl CompressedHierarchyField {
             .iter()
             .flat_map(|level| level.iter().map(Vec::len))
             .sum()
+    }
+
+    /// How many blobs no longer hash to their stored checksum — the pieces
+    /// a decode will fail with "checksum mismatch", known before anything
+    /// is decoded. (A checksum table of the wrong shape is the decode's
+    /// structural error, not counted here.)
+    pub fn checksum_failures(&self) -> usize {
+        self.blobs
+            .iter()
+            .zip(&self.checksums)
+            .flat_map(|(level, sums)| level.iter().zip(sums))
+            .filter(|(blob, &sum)| fnv1a_64(blob) != sum)
+            .count()
     }
 
     /// Serializes to the v2 container:
@@ -430,196 +444,315 @@ pub fn decompress_hierarchy_field_into(
     budget: &DecodeBudget,
     levels: &mut Vec<MultiFab>,
 ) -> Result<DecodeReport, CompressError> {
-    if compressed.blobs.len() != hier.num_levels() {
+    decompress_hierarchy_field_streamed(
+        hier,
+        compressed,
+        compressor,
+        cfg,
+        policy,
+        budget,
+        levels,
+        |_, _, _| ControlFlow::Continue(()),
+    )
+}
+
+/// The (fab, piece) schedule of one level, reconstructed from the hierarchy
+/// exactly as the encoder enumerated it. Tasks are fab-major, so each fab's
+/// pieces occupy one contiguous task range — which is what lets the decode
+/// fan out per *fab* with every worker writing straight into its own fab's
+/// buffer.
+struct LevelPlan {
+    tasks: Vec<(usize, amrviz_amr::Box3)>,
+    fab_tasks: Vec<std::ops::Range<usize>>,
+}
+
+/// Failed pieces of one level: (fab index, piece box, cause).
+type LevelFailures = Vec<(usize, amrviz_amr::Box3, String)>;
+
+/// [`decompress_hierarchy_field_into`] as one coarse → fine walk that hands
+/// each level to `sink(level, data, degraded_fabs)` the moment nothing later
+/// in the decode can change it — `degraded_fabs` counts the level's fabs
+/// that did not decode cleanly. The sink runs on the calling thread, once
+/// per level, in level order; returning [`ControlFlow::Break`] stops the
+/// walk (the report then covers the levels handed over so far, and the
+/// finer entries of `levels` are unspecified).
+///
+/// When a level is final: every level's structure is checked against the
+/// stream before anything decodes. Level `k ≥ 1` is final once it has
+/// decoded and its failed pieces are prolonged from level `k − 1`, itself
+/// final by then. Level 0 is final as soon as it has decoded cleanly; with
+/// failed pieces it waits for level 1 to decode, because restriction from
+/// the *unrepaired* finer level is its repair. `restore_redundant` rewrites
+/// coarse cells from finer levels, so it holds every level to the end.
+#[allow(clippy::too_many_arguments)]
+pub fn decompress_hierarchy_field_streamed(
+    hier: &AmrHierarchy,
+    compressed: &CompressedHierarchyField,
+    compressor: &dyn Compressor,
+    cfg: &AmrCodecConfig,
+    policy: DecodePolicy,
+    budget: &DecodeBudget,
+    levels: &mut Vec<MultiFab>,
+    mut sink: impl FnMut(usize, &MultiFab, u32) -> ControlFlow<()>,
+) -> Result<DecodeReport, CompressError> {
+    let nlev = hier.num_levels();
+    if compressed.blobs.len() != nlev {
         return Err(CompressError::Malformed(format!(
-            "{} levels in stream, hierarchy has {}",
+            "{} levels in stream, hierarchy has {nlev}",
             compressed.blobs.len(),
-            hier.num_levels()
         )));
     }
-    prepare_levels(hier, levels);
-    // Failed pieces per level: (fab index, piece box, cause).
-    let mut failures: Vec<Vec<(usize, amrviz_amr::Box3, String)>> =
-        vec![Vec::new(); hier.num_levels()];
-    for (lev, level_blobs) in compressed.blobs.iter().enumerate() {
-        budget.check_deadline()?;
-        let mut sp = amrviz_obs::span!("decompress.level", level = lev);
-        let ba = hier.box_array(lev);
-        // Reconstruct the deterministic (fab, piece) schedule. Tasks are
-        // fab-major, so each fab's pieces occupy one contiguous task range —
-        // which is what lets the decode fan out per *fab* below with every
-        // worker writing straight into its own fab's buffer.
-        let mut tasks: Vec<(usize, amrviz_amr::Box3)> = Vec::new();
-        let mut fab_tasks: Vec<std::ops::Range<usize>> = Vec::with_capacity(ba.len());
-        for (fi, bx) in ba.iter().enumerate() {
-            let start = tasks.len();
-            for piece in encode_pieces(hier, lev, *bx, cfg) {
-                tasks.push((fi, piece));
-            }
-            fab_tasks.push(start..tasks.len());
-        }
-        if tasks.len() != level_blobs.len() {
-            return Err(CompressError::Malformed(format!(
-                "level {lev}: {} blobs for {} pieces",
-                level_blobs.len(),
-                tasks.len()
-            )));
-        }
-        let sums = compressed.checksums.get(lev);
-        if sums.map(Vec::len) != Some(level_blobs.len()) {
-            return Err(CompressError::Malformed(format!(
-                "level {lev}: checksum table does not match blob count"
-            )));
-        }
-        let sums = sums.expect("checked above");
-        // One chunk per fab: each worker decodes that fab's pieces into
-        // per-thread scratch and writes them into the fab's (reused) buffer.
-        // Failures land in a mutex in scheduling order and are re-sorted by
-        // task index so reporting is thread-count independent.
-        let failed: std::sync::Mutex<Vec<(usize, usize, amrviz_amr::Box3, String)>> =
-            std::sync::Mutex::new(Vec::new());
-        amrviz_par::for_each_chunk_mut(levels[lev].fabs_mut(), 1, |fi, chunk| {
-            let fab = &mut chunk[0];
-            for ti in fab_tasks[fi].clone() {
-                let (_, piece) = tasks[ti];
-                if let Err(e) =
-                    decode_piece_into(compressor, &level_blobs[ti], sums[ti], piece, budget, fab)
-                {
-                    failed.lock().unwrap_or_else(|p| p.into_inner()).push((
-                        ti,
-                        fi,
-                        piece,
-                        e.to_string(),
-                    ));
-                }
-            }
-        });
-        let mut failed = failed.into_inner().unwrap_or_else(|p| p.into_inner());
-        failed.sort_by_key(|&(ti, ..)| ti);
-        // A deadline breach is *not* repairable data: escalate it to a typed
-        // error even under `Degrade`, so a timed-out request can never be
-        // passed off as a degraded-but-served hierarchy.
-        if let Some((_, fi, _, cause)) = failed
-            .iter()
-            .find(|(.., cause)| cause.contains(amrviz_codec::CodecError::DEADLINE_MSG))
-        {
-            return Err(CompressError::FabDecode {
-                level: lev,
-                fab: *fi,
-                cause: cause.clone(),
-            });
-        }
-        match policy {
-            DecodePolicy::Strict => {
-                if let Some((_, fi, _, cause)) = failed.into_iter().next() {
-                    return Err(CompressError::FabDecode {
-                        level: lev,
-                        fab: fi,
-                        cause,
-                    });
-                }
-            }
-            DecodePolicy::Degrade => {
-                failures[lev] = failed
-                    .into_iter()
-                    .map(|(_, fi, piece, cause)| (fi, piece, cause))
-                    .collect();
-            }
-        }
-        let level_bytes: usize = level_blobs.iter().map(Vec::len).sum();
-        amrviz_obs::counter!("decompress.bytes_in", level_bytes);
-        amrviz_obs::counter!("decompress.bytes_out", ba.num_cells() * 8);
-        sp.add_field("pieces", tasks.len());
-        sp.add_field("bytes_in", level_bytes);
-    }
+    let plans = (0..nlev)
+        .map(|lev| plan_level(hier, compressed, cfg, lev))
+        .collect::<Result<Vec<_>, _>>()?;
+    levels.truncate(nlev);
 
-    // Repair pass, coarse to fine, so prolongation always reads from a
-    // level that has itself been repaired already.
     let mut report = DecodeReport::default();
-    for (lev, lev_failures) in failures.iter_mut().enumerate() {
-        let mut fab_status: Vec<FabStatus> = vec![FabStatus::Ok; hier.box_array(lev).len()];
-        for (fi, piece, cause) in lev_failures.drain(..) {
-            let status = repair_piece(hier, levels, lev, piece, cause);
-            // A fab with several failed pieces keeps its worst status
-            // (Failed > Degraded > Ok).
-            if !matches!(fab_status[fi], FabStatus::Failed { .. }) {
-                fab_status[fi] = status;
-            }
+    let mut failures: Vec<LevelFailures> = vec![Vec::new(); nlev];
+    // Levels below `settled` are repaired, reported and (unless held for
+    // `restore_redundant`) handed to the sink.
+    let mut settled = 0;
+    let mut degraded = Vec::with_capacity(nlev);
+    for lev in 0..nlev {
+        budget.check_deadline()?;
+        prepare_level(hier.box_array(lev), &plans[lev], levels, lev);
+        failures[lev] = decode_level(
+            compressed,
+            compressor,
+            policy,
+            budget,
+            &plans[lev],
+            &mut levels[lev],
+            lev,
+        )?;
+        if lev == 0 && nlev > 1 && !failures[0].is_empty() {
+            continue;
         }
-        for (fi, status) in fab_status.into_iter().enumerate() {
-            match &status {
-                FabStatus::Ok => amrviz_obs::counter!("decode.fabs_ok", 1),
-                FabStatus::Degraded { .. } => {
-                    amrviz_obs::counter!("decode.fabs_degraded", 1)
-                }
-                FabStatus::Failed { .. } => amrviz_obs::counter!("decode.fabs_failed", 1),
+        // Coarse to fine, so prolongation always reads from a level that
+        // has itself been repaired already.
+        while settled <= lev {
+            let failed = std::mem::take(&mut failures[settled]);
+            degraded.push(settle_level(hier, levels, settled, failed, &mut report));
+            if !cfg.restore_redundant
+                && sink(settled, &levels[settled], degraded[settled]).is_break()
+            {
+                return Ok(report);
             }
-            report.fabs.push((lev, fi, status));
+            settled += 1;
         }
     }
 
     if cfg.restore_redundant {
-        let _sp = amrviz_obs::span!("decompress.restore_redundant");
-        // Rebuild coarse data under fine patches from the decompressed fine
-        // level (finest first so restrictions cascade downward).
-        for lev in (0..hier.num_levels().saturating_sub(1)).rev() {
-            let ratio = hier.ratio_at(lev);
-            let (coarse_slice, fine_slice) = levels.split_at_mut(lev + 1);
-            let coarse = &mut coarse_slice[lev];
-            let fine = &fine_slice[0];
-            for cfab in coarse.fabs_mut() {
-                for ffab in fine.fabs() {
-                    let fine_bx = ffab.box3();
-                    // Only coarse cells with a full set of fine children can
-                    // be restored by averaging; a degenerate unaligned fine
-                    // box may fully cover none (its coarse parent keeps its
-                    // own encoded data — `encode_pieces` never skipped it).
-                    let Some(covered) = fine_bx.coarsen_inward(ratio) else {
-                        continue;
-                    };
-                    let Some(overlap) = cfab.box3().intersect(&covered) else {
-                        continue;
-                    };
-                    let restricted = restrict_average(ffab, overlap, ratio);
-                    cfab.copy_from(&restricted);
-                }
+        restore_redundant(hier, levels);
+        for (lev, mf) in levels.iter().enumerate() {
+            if sink(lev, mf, degraded[lev]).is_break() {
+                break;
             }
         }
     }
     Ok(report)
 }
 
-/// Shapes `levels` onto the hierarchy's box structure, reusing existing fab
-/// allocations when the boxes already match. Everything is zero-filled
-/// either way: pieces absent from the stream (skipped redundant regions,
-/// failed blobs) must decode to zero, exactly as a fresh decode would.
-fn prepare_levels(hier: &AmrHierarchy, levels: &mut Vec<MultiFab>) {
-    levels.truncate(hier.num_levels());
-    for lev in 0..hier.num_levels() {
-        let ba = hier.box_array(lev);
-        match levels.get_mut(lev) {
-            Some(mf)
-                if mf.fabs().len() == ba.len()
-                    && mf
-                        .fabs()
-                        .iter()
-                        .zip(ba.iter())
-                        .all(|(f, &bx)| f.box3() == bx) =>
+/// Reconstructs level `lev`'s piece schedule and checks the stream's blob
+/// and checksum tables against it.
+fn plan_level(
+    hier: &AmrHierarchy,
+    compressed: &CompressedHierarchyField,
+    cfg: &AmrCodecConfig,
+    lev: usize,
+) -> Result<LevelPlan, CompressError> {
+    let ba = hier.box_array(lev);
+    let mut tasks: Vec<(usize, amrviz_amr::Box3)> = Vec::new();
+    let mut fab_tasks: Vec<std::ops::Range<usize>> = Vec::with_capacity(ba.len());
+    for (fi, bx) in ba.iter().enumerate() {
+        let start = tasks.len();
+        for piece in encode_pieces(hier, lev, *bx, cfg) {
+            tasks.push((fi, piece));
+        }
+        fab_tasks.push(start..tasks.len());
+    }
+    let n_blobs = compressed.blobs[lev].len();
+    if tasks.len() != n_blobs {
+        return Err(CompressError::Malformed(format!(
+            "level {lev}: {n_blobs} blobs for {} pieces",
+            tasks.len()
+        )));
+    }
+    if compressed.checksums.get(lev).map(Vec::len) != Some(n_blobs) {
+        return Err(CompressError::Malformed(format!(
+            "level {lev}: checksum table does not match blob count"
+        )));
+    }
+    Ok(LevelPlan { tasks, fab_tasks })
+}
+
+/// Decodes every piece of level `lev` into `mf` and returns the pieces that
+/// failed, in task order. A deadline breach, or any failure under
+/// [`DecodePolicy::Strict`], is the error.
+fn decode_level(
+    compressed: &CompressedHierarchyField,
+    compressor: &dyn Compressor,
+    policy: DecodePolicy,
+    budget: &DecodeBudget,
+    plan: &LevelPlan,
+    mf: &mut MultiFab,
+    lev: usize,
+) -> Result<LevelFailures, CompressError> {
+    let mut sp = amrviz_obs::span!("decompress.level", level = lev);
+    let (level_blobs, sums) = (&compressed.blobs[lev], &compressed.checksums[lev]);
+    // One chunk per fab: each worker decodes that fab's pieces into
+    // per-thread scratch and writes them into the fab's (reused) buffer.
+    // Failures land in a mutex in scheduling order and are re-sorted by
+    // task index so reporting is thread-count independent.
+    let failed: std::sync::Mutex<Vec<(usize, usize, amrviz_amr::Box3, String)>> =
+        std::sync::Mutex::new(Vec::new());
+    amrviz_par::for_each_chunk_mut(mf.fabs_mut(), 1, |fi, chunk| {
+        let fab = &mut chunk[0];
+        for ti in plan.fab_tasks[fi].clone() {
+            let (_, piece) = plan.tasks[ti];
+            if let Err(e) =
+                decode_piece_into(compressor, &level_blobs[ti], sums[ti], piece, budget, fab)
             {
-                for fab in mf.fabs_mut() {
+                failed.lock().unwrap_or_else(|p| p.into_inner()).push((
+                    ti,
+                    fi,
+                    piece,
+                    e.to_string(),
+                ));
+            }
+        }
+    });
+    let mut failed = failed.into_inner().unwrap_or_else(|p| p.into_inner());
+    failed.sort_by_key(|&(ti, ..)| ti);
+    // A deadline breach is *not* repairable data: escalate it to a typed
+    // error even under `Degrade`, so a timed-out request can never be
+    // passed off as a degraded-but-served hierarchy.
+    let fatal = failed
+        .iter()
+        .find(|(.., cause)| cause.contains(amrviz_codec::CodecError::DEADLINE_MSG))
+        .or_else(|| match policy {
+            DecodePolicy::Strict => failed.first(),
+            DecodePolicy::Degrade => None,
+        });
+    if let Some((_, fi, _, cause)) = fatal {
+        return Err(CompressError::FabDecode {
+            level: lev,
+            fab: *fi,
+            cause: cause.clone(),
+        });
+    }
+    let level_bytes: usize = level_blobs.iter().map(Vec::len).sum();
+    amrviz_obs::counter!("decompress.bytes_in", level_bytes);
+    amrviz_obs::counter!("decompress.bytes_out", mf.num_cells() * 8);
+    sp.add_field("pieces", plan.tasks.len());
+    sp.add_field("bytes_in", level_bytes);
+    Ok(failed
+        .into_iter()
+        .map(|(_, fi, piece, cause)| (fi, piece, cause))
+        .collect())
+}
+
+/// Repairs level `lev`'s failed pieces from its neighbor levels, appends
+/// the level's fab statuses to `report`, and returns how many of its fabs
+/// are not clean.
+fn settle_level(
+    hier: &AmrHierarchy,
+    levels: &mut [MultiFab],
+    lev: usize,
+    failed: LevelFailures,
+    report: &mut DecodeReport,
+) -> u32 {
+    let mut fab_status: Vec<FabStatus> = vec![FabStatus::Ok; hier.box_array(lev).len()];
+    for (fi, piece, cause) in failed {
+        let status = repair_piece(hier, levels, lev, piece, cause);
+        // A fab with several failed pieces keeps its worst status
+        // (Failed > Degraded > Ok).
+        if !matches!(fab_status[fi], FabStatus::Failed { .. }) {
+            fab_status[fi] = status;
+        }
+    }
+    let mut degraded = 0;
+    for (fi, status) in fab_status.into_iter().enumerate() {
+        match &status {
+            FabStatus::Ok => amrviz_obs::counter!("decode.fabs_ok", 1),
+            FabStatus::Degraded { .. } => {
+                amrviz_obs::counter!("decode.fabs_degraded", 1)
+            }
+            FabStatus::Failed { .. } => amrviz_obs::counter!("decode.fabs_failed", 1),
+        }
+        degraded += u32::from(status != FabStatus::Ok);
+        report.fabs.push((lev, fi, status));
+    }
+    degraded
+}
+
+/// Rebuilds coarse data under fine patches from the decompressed fine
+/// level (finest first so restrictions cascade downward).
+fn restore_redundant(hier: &AmrHierarchy, levels: &mut [MultiFab]) {
+    let _sp = amrviz_obs::span!("decompress.restore_redundant");
+    for lev in (0..hier.num_levels().saturating_sub(1)).rev() {
+        let ratio = hier.ratio_at(lev);
+        let (coarse_slice, fine_slice) = levels.split_at_mut(lev + 1);
+        let coarse = &mut coarse_slice[lev];
+        let fine = &fine_slice[0];
+        for cfab in coarse.fabs_mut() {
+            for ffab in fine.fabs() {
+                let fine_bx = ffab.box3();
+                // Only coarse cells with a full set of fine children can
+                // be restored by averaging; a degenerate unaligned fine
+                // box may fully cover none (its coarse parent keeps its
+                // own encoded data — `encode_pieces` never skipped it).
+                let Some(covered) = fine_bx.coarsen_inward(ratio) else {
+                    continue;
+                };
+                let Some(overlap) = cfab.box3().intersect(&covered) else {
+                    continue;
+                };
+                let restricted = restrict_average(ffab, overlap, ratio);
+                cfab.copy_from(&restricted);
+            }
+        }
+    }
+}
+
+/// Shapes `levels[lev]` onto `ba`, reusing the existing fab allocations
+/// when the boxes already match. A reused fab is zeroed only if its pieces
+/// do not tile it with one whole-box piece: cells no piece covers (skipped
+/// redundant regions) must decode to zero, exactly as a fresh decode would,
+/// while a whole-box piece overwrites the fab on success and
+/// [`decode_piece_into`] zeroes it on failure.
+fn prepare_level(
+    ba: &amrviz_amr::BoxArray,
+    plan: &LevelPlan,
+    levels: &mut Vec<MultiFab>,
+    lev: usize,
+) {
+    match levels.get_mut(lev) {
+        Some(mf)
+            if mf.fabs().len() == ba.len()
+                && mf
+                    .fabs()
+                    .iter()
+                    .zip(ba.iter())
+                    .all(|(f, &bx)| f.box3() == bx) =>
+        {
+            for (fab, tasks) in mf.fabs_mut().iter_mut().zip(&plan.fab_tasks) {
+                let whole_box = tasks.len() == 1 && plan.tasks[tasks.start].1 == fab.box3();
+                if !whole_box {
                     fab.data_mut().fill(0.0);
                 }
             }
-            Some(mf) => *mf = MultiFab::zeros(ba),
-            None => levels.push(MultiFab::zeros(ba)),
         }
+        Some(mf) => *mf = MultiFab::zeros(ba),
+        None => levels.push(MultiFab::zeros(ba)),
     }
 }
 
 /// Verifies and decodes one piece blob into `fab` over `piece`. A piece
 /// that is the fab's whole box decodes straight into the fab's buffer; a
 /// sub-box goes through per-thread scratch (no per-piece `Fab` or owned
-/// `Field3`). A failed piece leaves its cells zero.
+/// `Field3`). A failed piece leaves its cells zero: a sub-box piece never
+/// writes them, a whole-box piece re-zeroes the (possibly recycled) fab.
 fn decode_piece_into(
     compressor: &dyn Compressor,
     blob: &[u8],
@@ -629,6 +762,9 @@ fn decode_piece_into(
     fab: &mut Fab,
 ) -> Result<(), CompressError> {
     if fnv1a_64(blob) != sum {
+        if piece == fab.box3() {
+            fab.data_mut().fill(0.0);
+        }
         return Err(CompressError::Malformed("blob checksum mismatch".into()));
     }
     let t0 = amrviz_obs::is_enabled().then(std::time::Instant::now);
@@ -1159,6 +1295,305 @@ mod tests {
             assert_eq!(fab.data().len(), 512);
             assert!(fab.data().iter().all(|&v| v == 0.0), "{}", comp.name());
         }
+    }
+
+    /// The decode as it was before the level-at-a-time walk: decode every
+    /// level into fully zeroed storage, then repair every level coarse to
+    /// fine, then restore redundant cells. Kept as the oracle the walk must
+    /// reproduce bit for bit.
+    fn two_pass_oracle(
+        hier: &AmrHierarchy,
+        compressed: &CompressedHierarchyField,
+        compressor: &dyn Compressor,
+        cfg: &AmrCodecConfig,
+        policy: DecodePolicy,
+        budget: &DecodeBudget,
+    ) -> Result<(Vec<MultiFab>, DecodeReport), CompressError> {
+        let nlev = hier.num_levels();
+        let mut levels: Vec<MultiFab> = (0..nlev)
+            .map(|lev| MultiFab::zeros(hier.box_array(lev)))
+            .collect();
+        let mut failures: Vec<LevelFailures> = vec![Vec::new(); nlev];
+        for lev in 0..nlev {
+            let plan = plan_level(hier, compressed, cfg, lev)?;
+            for (ti, &(fi, piece)) in plan.tasks.iter().enumerate() {
+                let fab = &mut levels[lev].fabs_mut()[fi];
+                let (blob, sum) = (&compressed.blobs[lev][ti], compressed.checksums[lev][ti]);
+                if let Err(e) = decode_piece_into(compressor, blob, sum, piece, budget, fab) {
+                    if policy == DecodePolicy::Strict {
+                        return Err(e);
+                    }
+                    failures[lev].push((fi, piece, e.to_string()));
+                }
+            }
+        }
+        let mut report = DecodeReport::default();
+        for (lev, lev_failures) in failures.iter_mut().enumerate() {
+            let mut fab_status = vec![FabStatus::Ok; hier.box_array(lev).len()];
+            for (fi, piece, cause) in lev_failures.drain(..) {
+                let status = repair_piece(hier, &mut levels, lev, piece, cause);
+                if !matches!(fab_status[fi], FabStatus::Failed { .. }) {
+                    fab_status[fi] = status;
+                }
+            }
+            for (fi, status) in fab_status.into_iter().enumerate() {
+                report.fabs.push((lev, fi, status));
+            }
+        }
+        if cfg.restore_redundant {
+            restore_redundant(hier, &mut levels);
+        }
+        Ok((levels, report))
+    }
+
+    fn three_level_hier() -> AmrHierarchy {
+        let geom = Geometry::unit(Box3::from_dims(16, 16, 16));
+        let mut h = AmrHierarchy::new(
+            geom,
+            vec![2, 2],
+            vec![
+                BoxArray::single(geom.domain).chop_to_max_cells(1024),
+                BoxArray::single(Box3::new(IntVect::new(16, 0, 0), IntVect::new(31, 31, 31)))
+                    .chop_to_max_cells(4096),
+                BoxArray::single(Box3::new(IntVect::new(48, 0, 0), IntVect::new(63, 63, 63)))
+                    .chop_to_max_cells(32768),
+            ],
+        )
+        .unwrap();
+        h.add_field_from_fn("rho", |lev, iv| {
+            let s = [1.0, 0.5, 0.25][lev];
+            (iv[0] as f64 * s * 0.3).sin() * 7.0 + (iv[1] as f64 * s * 0.2).cos() * 3.0
+                - iv[2] as f64 * s * 0.1
+        })
+        .unwrap();
+        h
+    }
+
+    /// Bit patterns of every cell, so that `-0.0`/NaN differences would show.
+    fn bits(levels: &[MultiFab]) -> Vec<Vec<Vec<u64>>> {
+        levels
+            .iter()
+            .map(|mf| {
+                mf.fabs()
+                    .iter()
+                    .map(|f| f.data().iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn streamed_walk_matches_the_two_pass_oracle() {
+        let skip_restore = AmrCodecConfig {
+            skip_redundant: true,
+            restore_redundant: true,
+        };
+        // (name, hierarchy, config, blobs to damage as (level, blob)).
+        type Case<'a> = (
+            &'a str,
+            &'a AmrHierarchy,
+            AmrCodecConfig,
+            Vec<(usize, usize)>,
+        );
+        let two = two_level_hier();
+        let nyx = nyx_like_hier();
+        let three = three_level_hier();
+        let plain = AmrCodecConfig::default();
+        let cases: Vec<Case> = vec![
+            ("clean", &two, plain, vec![]),
+            ("damaged fine", &two, plain, vec![(1, 0)]),
+            ("damaged coarse", &two, plain, vec![(0, 1), (0, 2)]),
+            ("damaged coarse, one fab", &nyx, plain, vec![(0, 0)]),
+            ("damaged both", &two, plain, vec![(0, 3), (1, 0)]),
+            ("three levels clean", &three, plain, vec![]),
+            (
+                "three levels, every level damaged",
+                &three,
+                plain,
+                vec![(0, 0), (1, 1), (2, 0)],
+            ),
+            (
+                "three levels, middle and fine",
+                &three,
+                plain,
+                vec![(1, 0), (2, 1)],
+            ),
+            ("restore redundant", &two, skip_restore, vec![]),
+            (
+                "restore redundant, damaged",
+                &two,
+                skip_restore,
+                vec![(0, 0), (1, 0)],
+            ),
+            (
+                "restore redundant, three levels",
+                &three,
+                skip_restore,
+                vec![(1, 0)],
+            ),
+        ];
+        let comp = SzLr::default();
+        let budget = DecodeBudget::default();
+        for threads in [1, 4] {
+            amrviz_par::set_threads(threads);
+            for (name, h, cfg, damage) in &cases {
+                let name = format!("{name} at {threads} thread(s)");
+                let mut c =
+                    compress_hierarchy_field(h, "rho", &comp, ErrorBound::Rel(1e-3), cfg).unwrap();
+                for &(lev, blob) in damage {
+                    let mid = c.blobs[lev][blob].len() / 2;
+                    c.blobs[lev][blob][mid] ^= 0xFF;
+                }
+                assert_eq!(c.checksum_failures(), damage.len(), "{name}");
+                let (want_levels, want_report) =
+                    two_pass_oracle(h, &c, &comp, cfg, DecodePolicy::Degrade, &budget).unwrap();
+                // Decode into a dirty, right-shaped arena: every recycled
+                // cell must be overwritten or re-zeroed.
+                let mut levels: Vec<MultiFab> = (0..h.num_levels())
+                    .map(|lev| MultiFab::from_fn(h.box_array(lev), |_| f64::NAN))
+                    .collect();
+                let mut seen = Vec::new();
+                let report = decompress_hierarchy_field_streamed(
+                    h,
+                    &c,
+                    &comp,
+                    cfg,
+                    DecodePolicy::Degrade,
+                    &budget,
+                    &mut levels,
+                    |lev, mf, degraded| {
+                        // What the sink is shown is already the final data.
+                        assert_eq!(
+                            bits(std::slice::from_ref(mf)),
+                            bits(&want_levels[lev..=lev])
+                        );
+                        seen.push((lev, degraded));
+                        ControlFlow::Continue(())
+                    },
+                )
+                .unwrap();
+                assert_eq!(bits(&levels), bits(&want_levels), "{name}");
+                assert_eq!(report.fabs, want_report.fabs, "{name}");
+                let want_seen: Vec<(usize, u32)> = (0..h.num_levels())
+                    .map(|lev| {
+                        let bad = want_report.problems().filter(|(l, ..)| *l == lev).count();
+                        (lev, bad as u32)
+                    })
+                    .collect();
+                assert_eq!(seen, want_seen, "{name}: one sink call per level, in order");
+                assert_eq!(
+                    report.is_clean(),
+                    damage.is_empty(),
+                    "{name}: damage must show in the report"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sink_can_stop_the_walk_and_a_clean_coarse_level_does_not_wait() {
+        let h = three_level_hier();
+        let comp = SzInterp;
+        let cfg = AmrCodecConfig::default();
+        let mut c =
+            compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
+        // Level 2 is undecodable, but nothing of it is looked at before the
+        // sink has level 0 and stops the walk.
+        for blob in &mut c.blobs[2] {
+            blob.clear();
+        }
+        let mut levels = Vec::new();
+        let mut calls = 0;
+        let report = decompress_hierarchy_field_streamed(
+            &h,
+            &c,
+            &comp,
+            &cfg,
+            DecodePolicy::Strict,
+            &DecodeBudget::default(),
+            &mut levels,
+            |lev, _, degraded| {
+                assert_eq!((lev, degraded), (0, 0));
+                calls += 1;
+                ControlFlow::Break(())
+            },
+        )
+        .unwrap();
+        assert_eq!(calls, 1);
+        assert_eq!(levels.len(), 1, "finer levels were never shaped");
+        assert_eq!(report.fabs.len(), h.box_array(0).len());
+        // Structure is still checked for every level before level 0 decodes.
+        c.blobs[2].pop();
+        let err = decompress_hierarchy_field_streamed(
+            &h,
+            &c,
+            &comp,
+            &cfg,
+            DecodePolicy::Strict,
+            &DecodeBudget::default(),
+            &mut levels,
+            |_, _, _| panic!("no level may be handed over from a malformed stream"),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("level 2"), "got {err}");
+    }
+
+    #[test]
+    fn dirty_arena_plus_failed_whole_box_piece_reads_zero() {
+        let geom = Geometry::unit(Box3::from_dims(8, 8, 8));
+        let mut h = AmrHierarchy::new(geom, vec![], vec![BoxArray::single(geom.domain)]).unwrap();
+        h.add_field_from_fn("rho", |_, iv| 1.0 + iv[0] as f64)
+            .unwrap();
+        let comp = SzLr::default();
+        let cfg = AmrCodecConfig::default();
+        let clean =
+            compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Abs(1e-3), &cfg).unwrap();
+        // A stored checksum that does not match (the early return that never
+        // reaches `refill_with`), and a valid checksum over a stream the
+        // compressor rejects.
+        let mut bad_sum = clean.clone();
+        bad_sum.checksums[0][0] ^= 1;
+        let mut bad_stream = clean.blobs.clone();
+        bad_stream[0][0].truncate(5);
+        let bad_stream = CompressedHierarchyField::from_blobs(bad_stream, 1e-3, 512);
+        assert_eq!(
+            (bad_sum.checksum_failures(), bad_stream.checksum_failures()),
+            (1, 0)
+        );
+        for (what, c) in [("checksum", &bad_sum), ("stream", &bad_stream)] {
+            let mut levels = vec![MultiFab::from_fn(h.box_array(0), |_| 7.5)];
+            let report = decompress_hierarchy_field_into(
+                &h,
+                c,
+                &comp,
+                &cfg,
+                DecodePolicy::Degrade,
+                &DecodeBudget::default(),
+                &mut levels,
+            )
+            .unwrap();
+            assert_eq!(report.counts(), (0, 0, 1), "{what}");
+            let data = levels[0].fabs()[0].data();
+            assert_eq!(data.len(), 512, "{what}");
+            assert!(
+                data.iter().all(|&v| v == 0.0),
+                "{what}: stale cells survive"
+            );
+        }
+        // And a clean whole-box piece overwrites every recycled cell.
+        let mut levels = vec![MultiFab::from_fn(h.box_array(0), |_| 7.5)];
+        decompress_hierarchy_field_into(
+            &h,
+            &clean,
+            &comp,
+            &cfg,
+            DecodePolicy::Strict,
+            &DecodeBudget::default(),
+            &mut levels,
+        )
+        .unwrap();
+        let fresh = decompress_hierarchy_field(&h, &clean, &comp, &cfg).unwrap();
+        assert_eq!(bits(&levels), bits(&fresh));
     }
 
     #[test]

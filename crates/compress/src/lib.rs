@@ -54,8 +54,8 @@ pub mod zmesh;
 
 pub use amr_codec::{
     compress_hierarchy_field, decompress_hierarchy_field, decompress_hierarchy_field_into,
-    decompress_hierarchy_field_policy, AmrCodecConfig, CompressedHierarchyField, DecodePolicy,
-    DecodeReport, FabStatus, RepairKind,
+    decompress_hierarchy_field_policy, decompress_hierarchy_field_streamed, AmrCodecConfig,
+    CompressedHierarchyField, DecodePolicy, DecodeReport, FabStatus, RepairKind,
 };
 pub use amrviz_codec::DecodeBudget;
 pub use field::{Field3, Field3View, FieldMut};

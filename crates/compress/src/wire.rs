@@ -11,6 +11,23 @@ use amrviz_codec::{
 };
 use amrviz_par::scratch;
 
+#[cfg(not(target_endian = "little"))]
+compile_error!(
+    "the wire formats store f64s little-endian and are written as the values' own bytes; \
+     a big-endian target needs a byte-swapping `f64s_as_le_bytes`"
+);
+
+/// The little-endian wire bytes of `values` — on the little-endian targets
+/// this crate builds for, the values' own memory. The one mechanism every
+/// bulk `f64` payload (compressor sections, serve LEVEL frames) goes
+/// through, whether it is copied into a buffer or handed to the socket.
+pub fn f64s_as_le_bytes(values: &[f64]) -> &[u8] {
+    // SAFETY: `values` is `size_of_val(values)` initialised bytes, `u8` has
+    // alignment 1 and no invalid bit patterns, and the returned slice
+    // borrows `values`, so it cannot outlive or alias a mutation of them.
+    unsafe { std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), size_of_val(values)) }
+}
+
 /// Append-only byte buffer with typed writers.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
@@ -59,10 +76,7 @@ impl ByteWriter {
 
     /// Section of raw little-endian `f64`s (outliers, raw blocks).
     pub fn f64_section(&mut self, values: &[f64]) {
-        self.uvarint(values.len() as u64 * 8);
-        for &v in values {
-            self.f64(v);
-        }
+        self.section(f64s_as_le_bytes(values));
     }
 
     /// Section of Huffman + LZSS coded symbols — the entropy stage every
@@ -134,6 +148,12 @@ impl<'a> ByteReader<'a> {
         let bytes = self.buf.get(self.pos..end).ok_or(CodecError::Truncated)?;
         self.pos = end;
         Ok(bytes)
+    }
+
+    /// Steps over `n` bytes without looking at them (a payload the caller
+    /// has sized and only needs to count).
+    pub fn skip(&mut self, n: usize) -> Result<(), CodecError> {
+        self.exact(n).map(|_| ())
     }
 
     pub fn f64(&mut self) -> Result<f64, CodecError> {
@@ -216,6 +236,24 @@ mod tests {
         assert_eq!(r.f32().unwrap(), 2.25);
         assert_eq!(r.section().unwrap(), b"hello");
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn bulk_f64_bytes_equal_the_per_value_encoding() {
+        let values = [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE];
+        let mut per_value = ByteWriter::new();
+        per_value.uvarint(values.len() as u64 * 8);
+        for v in values {
+            per_value.f64(v);
+        }
+        let mut bulk = ByteWriter::new();
+        bulk.f64_section(&values);
+        assert_eq!(bulk.finish(), per_value.finish());
+        assert!(f64s_as_le_bytes(&[]).is_empty());
+        let mut r = ByteReader::new(f64s_as_le_bytes(&values));
+        r.skip(40).unwrap();
+        assert_eq!(r.f64().unwrap(), f64::MIN_POSITIVE);
+        assert!(r.skip(1).is_err());
     }
 
     #[test]

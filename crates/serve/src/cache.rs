@@ -7,7 +7,7 @@
 //! bounded by an approximate byte budget. Evicted arenas whose `Arc` is no
 //! longer shared are recycled into a level pool: the next decode of a
 //! same-shaped hierarchy reuses the buffers via
-//! `decompress_hierarchy_field_into` instead of reallocating.
+//! `decompress_hierarchy_field_streamed` instead of reallocating.
 
 use amrviz_amr::MultiFab;
 use std::collections::HashMap;
@@ -135,7 +135,7 @@ impl ArenaCache {
     }
 
     /// Hands out an evicted arena for reuse by
-    /// `decompress_hierarchy_field_into` (empty when none are pooled).
+    /// `decompress_hierarchy_field_streamed` (empty when none are pooled).
     pub fn take_arena(&self) -> Vec<MultiFab> {
         self.state.lock().unwrap().pool.pop().unwrap_or_default()
     }

@@ -20,7 +20,8 @@ use std::time::{Duration, Instant};
 pub enum Outcome {
     /// Complete stream, all fabs clean.
     Ok,
-    /// Complete stream, served with repaired fabs (`FLAG_DEGRADED`).
+    /// Complete stream, served with repaired fabs (`FLAG_DEGRADED` in the
+    /// header, or `Status::Degraded` in `END`).
     Degraded,
     /// Header arrived but the stream was cut before `END` — the server hit
     /// its deadline mid-response. The received prefix is usable.
@@ -200,9 +201,16 @@ pub fn exchange(addr: SocketAddr, req: &Request, cfg: &ClientConfig) -> Exchange
                     }
                 }
             }
+            // Levels arrive coarse-first as 0, 1, …, at most as many as the
+            // header announced; anything else is not this protocol.
             proto::TAG_LEVEL => match proto::decode_level_frame(&payload, &budget) {
-                Ok(s) => ex.levels.push(s),
-                Err(_) => {
+                Ok(s)
+                    if s.level as usize == ex.levels.len()
+                        && ex.header.is_some_and(|h| s.level < h.n_levels) =>
+                {
+                    ex.levels.push(s)
+                }
+                _ => {
                     ex.outcome = Outcome::ProtocolError;
                     return finish(ex);
                 }
@@ -232,7 +240,11 @@ pub fn exchange(addr: SocketAddr, req: &Request, cfg: &ClientConfig) -> Exchange
                 ex.end = Some(e);
                 if let Some(h) = ex.header {
                     if h.status_streams_data() {
-                        ex.outcome = if h.flags & proto::FLAG_DEGRADED != 0 {
+                        // The header flags what was known when it left;
+                        // END's status also covers what decoding found.
+                        let degraded =
+                            h.flags & proto::FLAG_DEGRADED != 0 || e.status == Status::Degraded;
+                        ex.outcome = if degraded {
                             Outcome::Degraded
                         } else {
                             Outcome::Ok
@@ -254,5 +266,83 @@ impl RespHeader {
     /// frames follow before END).
     pub fn status_streams_data(&self) -> bool {
         matches!(self.status, Status::Ok | Status::Degraded)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amrviz_amr::{Box3, BoxArray, MultiFab};
+    use std::net::TcpListener;
+
+    /// One exchange against a scripted server: a header announcing
+    /// `n_levels`, then LEVEL frames numbered `levels`, then END.
+    fn scripted(n_levels: u8, levels: &[usize], end_status: Status) -> Exchange {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let levels = levels.to_vec();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            proto::read_frame(&mut s, proto::MAX_REQUEST_FRAME).unwrap();
+            let header = RespHeader {
+                status: Status::Ok,
+                flags: 0,
+                retry_after_ms: 0,
+                n_levels,
+                key: 9,
+            };
+            let mf = MultiFab::from_fn(&BoxArray::single(Box3::from_dims(2, 2, 2)), |_| 1.0);
+            // The client may hang up at the first frame it rejects.
+            let _ = proto::write_frame(&mut s, &header.encode());
+            for lev in levels {
+                let _ = proto::write_level_frame(&mut s, lev, 0, &mf);
+            }
+            let end = EndFrame {
+                status: end_status,
+                levels_sent: 0,
+                server_elapsed_us: 1,
+            };
+            let _ = proto::write_frame(&mut s, &end.encode());
+        });
+        let req = Request {
+            op: Op::Get,
+            trace: 1,
+            key: 9,
+            deadline_ms: 2_000,
+            max_level: 0xFF,
+        };
+        let ex = exchange(addr, &req, &ClientConfig::default());
+        server.join().unwrap();
+        ex
+    }
+
+    #[test]
+    fn levels_must_arrive_in_order_and_within_the_announced_count() {
+        let ok = scripted(3, &[0, 1, 2], Status::Ok);
+        assert_eq!((ok.outcome, ok.levels.len()), (Outcome::Ok, 3));
+        // A prefix is fine (coarse-only, max_level): END says how many.
+        assert_eq!(scripted(3, &[0], Status::Ok).outcome, Outcome::Ok);
+        for (n_levels, levels) in [
+            (2, &[1, 0][..]), // out of order
+            (2, &[0, 0][..]), // repeated
+            (2, &[1][..]),    // does not start at the coarse level
+            (1, &[0, 1][..]), // more than the header announced
+            (0, &[0][..]),    // none announced
+        ] {
+            let ex = scripted(n_levels, levels, Status::Ok);
+            assert_eq!(
+                ex.outcome,
+                Outcome::ProtocolError,
+                "{levels:?} of {n_levels}"
+            );
+            assert!(ex.end.is_none(), "the exchange stops at the bad frame");
+        }
+    }
+
+    #[test]
+    fn end_status_degraded_counts_even_when_the_header_could_not_know() {
+        let ex = scripted(2, &[0, 1], Status::Degraded);
+        assert_eq!(ex.header.unwrap().flags, 0);
+        assert_eq!(ex.outcome, Outcome::Degraded);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! This crate turns the repo's compression pipeline into a small service:
 //! a blocking-worker TCP server streams *decoded* hierarchies coarse-level
-//! first over a length-prefixed binary protocol, backed by a
+//! first — each level the moment it is final, as the fabs' own bytes —
+//! over a length-prefixed binary protocol, backed by a
 //! crash-consistent content-addressed blob store and an LRU cache of
 //! decoded arenas. The interesting part is the failure model:
 //!
@@ -16,7 +17,9 @@
 //! - **Corruption** is typed end to end: the store quarantines blobs that
 //!   fail their content hash; damaged fabs inside a parseable artifact are
 //!   repaired under `DecodePolicy::Degrade` and flagged in the response
-//!   header — a response never silently passes off damaged data as clean.
+//!   header (failed checksums) or in the `LEVEL` frame and `END` status
+//!   (damage only decoding finds) — a response never silently passes off
+//!   damaged data as clean.
 //! - The whole stack is **chaos-tested**: [`torture`] runs a real server
 //!   behind a deterministic fault-injecting proxy ([`chaos`]) and asserts
 //!   the contract (no panics, no post-deadline data frames, corrupt blobs

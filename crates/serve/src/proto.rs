@@ -10,21 +10,31 @@
 //! ```
 //!
 //! `HEADER` carries the typed status (and, for `RetryLater`, a retry-after
-//! hint) plus response flags — `FLAG_DEGRADED` when any fab was repaired
-//! under `DecodePolicy::Degrade`, `FLAG_COARSE_ONLY` when the deadline
-//! budget forced a coarse-only response. `LEVEL` frames stream the decoded
-//! hierarchy coarse-first; `END` closes a successful stream. A stream cut
-//! without `END` means the server hit the deadline mid-response and stopped
-//! rather than write past it — the received prefix is still a valid
-//! progressive result.
+//! hint) plus response flags. The header leaves before the finer levels
+//! have decoded, so its flags mean *known at header time*:
+//! `FLAG_DEGRADED` when a stored checksum already fails (or the cached
+//! entry holds repaired fabs), `FLAG_COARSE_ONLY` when the deadline budget
+//! forced a coarse-only response. `LEVEL` frames stream the decoded
+//! hierarchy coarse-first as levels `0, 1, …`, each with its own count of
+//! repaired fabs; `END` closes a successful stream and its status is the
+//! authoritative one — `Degraded` if any level sent was repaired, whether
+//! or not the header could know. A stream cut without `END` means the
+//! server hit the deadline mid-response and stopped rather than write past
+//! it — the received prefix is still a valid progressive result.
+//!
+//! A `LEVEL` payload is `tag, level, uvarint degraded_fabs, uvarint n_fabs`,
+//! then per fab six zig-zag uvarints (box lo, hi) followed by the fab's
+//! cells as little-endian `f64`s, x-fastest — the fab's own bytes, which
+//! the server writes straight from its buffers ([`write_level_frame`]).
 //!
 //! Frame payloads are encoded with the same budget-checked
 //! [`ByteWriter`]/[`ByteReader`] pair the compressed container uses, so a
 //! chaos-corrupted frame surfaces as a typed [`CodecError`], never a panic.
 
+use amrviz_amr::MultiFab;
 use amrviz_codec::{zigzag_decode, zigzag_encode, CodecError, DecodeBudget};
-use amrviz_compress::wire::{ByteReader, ByteWriter};
-use std::io::{Read, Write};
+use amrviz_compress::wire::{f64s_as_le_bytes, ByteReader, ByteWriter};
+use std::io::{IoSlice, Read, Write};
 
 /// Protocol version byte, first in every request and header payload.
 pub const PROTO_VERSION: u8 = 1;
@@ -317,13 +327,33 @@ impl EndFrame {
     }
 }
 
-/// Encodes one level of a decoded hierarchy as a `LEVEL` frame payload.
-pub fn encode_level_frame(level: usize, degraded_fabs: u32, mf: &amrviz_amr::MultiFab) -> Vec<u8> {
+/// Everything of a `LEVEL` frame that is not cell data: the preamble (tag,
+/// level, degraded-fab and fab counts) followed by every fab's zig-zag box
+/// header, back to back in `head`. `cuts[0]` ends the preamble and
+/// `cuts[i + 1]` ends fab `i`'s box header; on the wire fab `i`'s cell data
+/// (its `f64`s, little-endian — the fab's own bytes) follows its header.
+struct LevelLayout {
+    head: Vec<u8>,
+    cuts: Vec<usize>,
+    /// Payload length of the whole frame, cell data included, and the
+    /// length prefix that announces it.
+    len: usize,
+    prefix: [u8; 4],
+}
+
+/// Lays out the `LEVEL` frame of `mf`. A level that does not fit the wire —
+/// a level number above 255, a payload above [`MAX_RESPONSE_FRAME`] — is
+/// `InvalidInput`, never a silently truncated field.
+fn level_layout(level: usize, degraded_fabs: u32, mf: &MultiFab) -> std::io::Result<LevelLayout> {
+    let level = u8::try_from(level)
+        .map_err(|_| invalid_input(format!("level {level} does not fit the frame's level byte")))?;
     let mut w = ByteWriter::new();
     w.u8(TAG_LEVEL);
-    w.u8(level as u8);
+    w.u8(level);
     w.uvarint(degraded_fabs as u64);
     w.uvarint(mf.len() as u64);
+    let mut cuts = Vec::with_capacity(mf.len() + 1);
+    cuts.push(w.len());
     for fab in mf.fabs() {
         let bx = fab.box3();
         for v in [
@@ -336,11 +366,80 @@ pub fn encode_level_frame(level: usize, degraded_fabs: u32, mf: &amrviz_amr::Mul
         ] {
             w.uvarint(zigzag_encode(v));
         }
-        for &v in fab.data() {
-            w.f64(v);
+        cuts.push(w.len());
+    }
+    let len = w.len() + mf.num_cells() * 8;
+    Ok(LevelLayout {
+        prefix: check_frame_len(len)?,
+        head: w.finish(),
+        cuts,
+        len,
+    })
+}
+
+fn invalid_input(what: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidInput, what)
+}
+
+/// The length prefix of a frame of `len` payload bytes, or `InvalidInput`
+/// for a frame no reader would accept.
+fn check_frame_len(len: usize) -> std::io::Result<[u8; 4]> {
+    if len > MAX_RESPONSE_FRAME {
+        return Err(invalid_input(format!(
+            "frame of {len} bytes exceeds cap {MAX_RESPONSE_FRAME}"
+        )));
+    }
+    Ok((len as u32).to_le_bytes())
+}
+
+/// Encodes one level of a decoded hierarchy as a `LEVEL` frame payload —
+/// the bytes [`write_level_frame`] puts on the wire after the length prefix.
+///
+/// # Panics
+/// Panics if the level does not fit a frame (see [`write_level_frame`],
+/// which returns that as an error instead).
+pub fn encode_level_frame(level: usize, degraded_fabs: u32, mf: &MultiFab) -> Vec<u8> {
+    let layout = level_layout(level, degraded_fabs, mf).expect("level fits a frame");
+    let mut out = Vec::with_capacity(layout.len);
+    out.extend_from_slice(&layout.head[..layout.cuts[0]]);
+    for (fab, cut) in mf.fabs().iter().zip(layout.cuts.windows(2)) {
+        out.extend_from_slice(&layout.head[cut[0]..cut[1]]);
+        out.extend_from_slice(f64s_as_le_bytes(fab.data()));
+    }
+    out
+}
+
+/// Writes one level as a length-prefixed `LEVEL` frame without assembling
+/// it: `[len][preamble][box₀][data₀][box₁][data₁]…` goes out as vectored
+/// writes straight from the fabs' buffers, resumed after every short write.
+/// Byte for byte `write_frame(w, &encode_level_frame(..))`.
+pub fn write_level_frame(
+    w: &mut impl Write,
+    level: usize,
+    degraded_fabs: u32,
+    mf: &MultiFab,
+) -> std::io::Result<()> {
+    let layout = level_layout(level, degraded_fabs, mf)?;
+    let mut bufs = Vec::with_capacity(2 * mf.len() + 2);
+    bufs.push(IoSlice::new(&layout.prefix));
+    bufs.push(IoSlice::new(&layout.head[..layout.cuts[0]]));
+    for (fab, cut) in mf.fabs().iter().zip(layout.cuts.windows(2)) {
+        bufs.push(IoSlice::new(&layout.head[cut[0]..cut[1]]));
+        bufs.push(IoSlice::new(f64s_as_le_bytes(fab.data())));
+    }
+    // `write_vectored` takes what the OS accepts in one call (at most
+    // `IOV_MAX` slices, often less than all their bytes): advance past what
+    // went out and offer the rest again.
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
-    w.finish()
+    Ok(())
 }
 
 /// Summary of a parsed `LEVEL` frame (the client validates structure and
@@ -354,7 +453,9 @@ pub struct LevelSummary {
 }
 
 /// Parses a `LEVEL` frame payload, validating every declared size against
-/// `budget` before trusting it.
+/// `budget` before trusting it. Cell data is sized and stepped over, not
+/// read: the cost is per fab, not per value. Bytes after the last fab are
+/// an error.
 pub fn decode_level_frame(bytes: &[u8], budget: &DecodeBudget) -> Result<LevelSummary, CodecError> {
     let mut r = ByteReader::with_budget(bytes, *budget);
     if r.u8()? != TAG_LEVEL {
@@ -365,27 +466,13 @@ pub fn decode_level_frame(bytes: &[u8], budget: &DecodeBudget) -> Result<LevelSu
     let fabs = budget.check_values(r.uvarint()? as usize)? as u64;
     let mut cells = 0u64;
     for _ in 0..fabs {
-        let mut c = [0i64; 6];
-        for v in c.iter_mut() {
-            *v = zigzag_decode(r.uvarint()?);
-        }
-        let (lo, hi) = (&c[..3], &c[3..]);
-        let mut n = 1usize;
-        for a in 0..3 {
-            if hi[a] < lo[a] {
-                return Err(CodecError::Corrupt("inverted fab box"));
-            }
-            let d = budget.check_dim((hi[a] - lo[a] + 1) as usize)?;
-            n = n
-                .checked_mul(d)
-                .ok_or(CodecError::Corrupt("fab dims overflow"))?;
-        }
-        budget.check_values(n)?;
+        let n = fab_cells(&mut r, budget)?;
         budget.check_section(n * 8, r.remaining())?;
-        for _ in 0..n {
-            r.f64()?;
-        }
+        r.skip(n * 8)?;
         cells += n as u64;
+    }
+    if r.remaining() != 0 {
+        return Err(CodecError::Corrupt("trailing bytes after last fab"));
     }
     Ok(LevelSummary {
         level,
@@ -393,6 +480,26 @@ pub fn decode_level_frame(bytes: &[u8], budget: &DecodeBudget) -> Result<LevelSu
         fabs,
         cells,
     })
+}
+
+/// Reads one fab's box header and returns its budget-checked cell count.
+fn fab_cells(r: &mut ByteReader<'_>, budget: &DecodeBudget) -> Result<usize, CodecError> {
+    let mut c = [0i64; 6];
+    for v in c.iter_mut() {
+        *v = zigzag_decode(r.uvarint()?);
+    }
+    let (lo, hi) = (&c[..3], &c[3..]);
+    let mut n = 1usize;
+    for a in 0..3 {
+        if hi[a] < lo[a] {
+            return Err(CodecError::Corrupt("inverted fab box"));
+        }
+        let d = budget.check_dim(hi[a].abs_diff(lo[a]).saturating_add(1) as usize)?;
+        n = n
+            .checked_mul(d)
+            .ok_or(CodecError::Corrupt("fab dims overflow"))?;
+    }
+    budget.check_values(n)
 }
 
 /// Encodes a `KEYS` frame (LIST response).
@@ -445,10 +552,11 @@ pub fn decode_keys_frame(bytes: &[u8], budget: &DecodeBudget) -> Result<Vec<u64>
     Ok(keys)
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame. A payload above
+/// [`MAX_RESPONSE_FRAME`] (which no reader accepts, and whose length would
+/// not survive the `u32` prefix much longer) is `InvalidInput`.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let len = payload.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
+    w.write_all(&check_frame_len(payload.len())?)?;
     w.write_all(payload)
 }
 
@@ -519,6 +627,288 @@ mod tests {
             server_elapsed_us: 12_345,
         };
         assert_eq!(EndFrame::decode(&e.encode()).unwrap(), e);
+    }
+
+    /// The frame encoder as it was before the bulk layout: one `w.f64(v)`
+    /// per value. The oracle the layout-built frames must equal.
+    fn encode_per_value(level: usize, degraded_fabs: u32, mf: &MultiFab) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u8(TAG_LEVEL);
+        w.u8(level as u8);
+        w.uvarint(degraded_fabs as u64);
+        w.uvarint(mf.len() as u64);
+        for fab in mf.fabs() {
+            let bx = fab.box3();
+            for a in 0..3 {
+                w.uvarint(zigzag_encode(bx.lo()[a]));
+            }
+            for a in 0..3 {
+                w.uvarint(zigzag_encode(bx.hi()[a]));
+            }
+            for &v in fab.data() {
+                w.f64(v);
+            }
+        }
+        w.finish()
+    }
+
+    /// The frame parser as it was: every value read back. Also returns the
+    /// bytes left over, which the old parser ignored.
+    fn decode_per_value(
+        bytes: &[u8],
+        budget: &DecodeBudget,
+    ) -> Result<(LevelSummary, usize), CodecError> {
+        let mut r = ByteReader::with_budget(bytes, *budget);
+        if r.u8()? != TAG_LEVEL {
+            return Err(CodecError::Corrupt("expected level frame"));
+        }
+        let level = r.u8()?;
+        let degraded_fabs = r.uvarint()?;
+        let fabs = budget.check_values(r.uvarint()? as usize)? as u64;
+        let mut cells = 0u64;
+        for _ in 0..fabs {
+            let n = fab_cells(&mut r, budget)?;
+            budget.check_section(n * 8, r.remaining())?;
+            for _ in 0..n {
+                r.f64()?;
+            }
+            cells += n as u64;
+        }
+        let summary = LevelSummary {
+            level,
+            degraded_fabs,
+            fabs,
+            cells,
+        };
+        Ok((summary, r.remaining()))
+    }
+
+    /// A writer that takes at most `k` bytes per call, across slices.
+    struct Trickle {
+        k: usize,
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut left = self.k;
+            for b in bufs {
+                let n = left.min(b.len());
+                self.out.extend_from_slice(&b[..n]);
+                left -= n;
+            }
+            Ok(self.k - left)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Values whose bit patterns a value-level copy could lose.
+    const ODD: [f64; 6] = [
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        5e-324,
+        f64::MAX,
+    ];
+
+    fn random_level(rng: &mut amrviz_rng::Rng) -> MultiFab {
+        let n_fabs = rng.below(6) as usize; // 0 = an empty level
+        let fabs = (0..n_fabs)
+            .map(|_| {
+                let lo = amrviz_amr::IntVect::new(
+                    rng.range_i64(-300, 300),
+                    rng.range_i64(-300, 300),
+                    rng.range_i64(-300, 300),
+                );
+                let ext = if rng.chance(0.3) {
+                    [0, 0, 0] // a 1×1×1 fab
+                } else {
+                    [
+                        rng.range_i64(0, 9),
+                        rng.range_i64(0, 5),
+                        rng.range_i64(0, 3),
+                    ]
+                };
+                let hi = lo + amrviz_amr::IntVect::new(ext[0], ext[1], ext[2]);
+                amrviz_amr::Fab::from_fn(Box3::new(lo, hi), |_| match rng.below(4) {
+                    0 => ODD[rng.below(ODD.len() as u64) as usize],
+                    // NaNs with payload bits: quiet, signalling, negative.
+                    1 => f64::from_bits(
+                        0x7FF0_0000_0000_0001 | rng.next_u64() >> 12 | rng.next_u64() << 63,
+                    ),
+                    _ => rng.normal() * 1e3,
+                })
+            })
+            .collect();
+        MultiFab::from_fabs(fabs)
+    }
+
+    #[test]
+    fn frame_bytes_equal_the_per_value_oracle() {
+        amrviz_rng::check(0xF4A3E, 200, |rng| {
+            let mf = random_level(rng);
+            let (level, degraded) = (rng.below(256) as usize, rng.below(1000) as u32);
+            let frame = encode_level_frame(level, degraded, &mf);
+            assert_eq!(frame, encode_per_value(level, degraded, &mf));
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &frame).unwrap();
+            let mut wire = Vec::new();
+            write_level_frame(&mut wire, level, degraded, &mf).unwrap();
+            assert_eq!(wire, framed);
+            // The O(fabs) parser agrees with the per-value one, on the frame
+            // and on every truncation and single-byte corruption of its head.
+            let budget = DecodeBudget::strict();
+            let want = decode_per_value(&frame, &budget).unwrap();
+            assert_eq!(want.1, 0);
+            assert_eq!(decode_level_frame(&frame, &budget).unwrap(), want.0);
+            assert_eq!(
+                (
+                    want.0.level as usize,
+                    want.0.degraded_fabs,
+                    want.0.fabs,
+                    want.0.cells
+                ),
+                (
+                    level,
+                    degraded as u64,
+                    mf.len() as u64,
+                    mf.num_cells() as u64
+                )
+            );
+            let cut = rng.below(frame.len() as u64) as usize;
+            assert!(decode_level_frame(&frame[..cut], &budget).is_err());
+            let mut bad = frame.clone();
+            let at = rng.below(frame.len().min(24) as u64) as usize;
+            bad[at] ^= 1 << rng.below(8);
+            match (
+                decode_per_value(&bad, &budget),
+                decode_level_frame(&bad, &budget),
+            ) {
+                (Ok((s, 0)), got) => assert_eq!(got.unwrap(), s),
+                (Ok(_), got) => assert!(matches!(got, Err(CodecError::Corrupt(_)))),
+                (Err(_), got) => assert!(got.is_err()),
+            }
+        });
+    }
+
+    #[test]
+    fn short_writes_resume_mid_slice_and_past_iov_max() {
+        // 1100 fabs → 2202 slices, more than one `writev` may take (1024).
+        let ba = BoxArray::new(
+            (0..1100)
+                .map(|i| {
+                    Box3::new(
+                        amrviz_amr::IntVect::new(i, 0, 0),
+                        amrviz_amr::IntVect::new(i, 1, 2),
+                    )
+                })
+                .collect(),
+        );
+        let mf = MultiFab::from_fn(&ba, |iv| iv[0] as f64 * 0.5 - iv[2] as f64);
+        let mut want = Vec::new();
+        write_frame(&mut want, &encode_level_frame(3, 7, &mf)).unwrap();
+        for k in [1, 7, 4096] {
+            let mut w = Trickle {
+                k,
+                out: Vec::new(),
+                calls: 0,
+            };
+            write_level_frame(&mut w, 3, 7, &mf).unwrap();
+            assert_eq!(w.out, want, "k = {k}");
+            assert_eq!(w.calls, want.len().div_ceil(k), "k = {k}: no empty writes");
+        }
+        // A writer without `write_vectored` (std's default offers it the
+        // first non-empty slice) sees the same bytes.
+        struct Plain(Vec<u8>);
+        impl Write for Plain {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut plain = Plain(Vec::new());
+        write_level_frame(&mut plain, 3, 7, &mf).unwrap();
+        assert_eq!(plain.0, want);
+        // A writer that stops taking bytes is an error, not a spin.
+        let mut full = Trickle {
+            k: 0,
+            out: Vec::new(),
+            calls: 0,
+        };
+        let err = write_level_frame(&mut full, 3, 7, &mf).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_last_fab_are_rejected() {
+        let mf = MultiFab::from_fn(&BoxArray::single(Box3::from_dims(2, 2, 2)), |iv| {
+            iv[1] as f64
+        });
+        let mut frame = encode_level_frame(0, 0, &mf);
+        assert!(decode_level_frame(&frame, &DecodeBudget::strict()).is_ok());
+        frame.push(0);
+        assert!(matches!(
+            decode_level_frame(&frame, &DecodeBudget::strict()),
+            Err(CodecError::Corrupt("trailing bytes after last fab"))
+        ));
+        // An empty level is a preamble and nothing else.
+        let empty = encode_level_frame(9, 0, &MultiFab::from_fabs(Vec::new()));
+        assert_eq!(empty, [TAG_LEVEL, 9, 0, 0]);
+        let s = decode_level_frame(&empty, &DecodeBudget::strict()).unwrap();
+        assert_eq!((s.level, s.fabs, s.cells), (9, 0, 0));
+        // A box whose extent overflows `i64` is a typed error.
+        let mut w = ByteWriter::new();
+        w.u8(TAG_LEVEL);
+        w.u8(0);
+        w.uvarint(0);
+        w.uvarint(1);
+        for v in [i64::MIN, 0, 0, i64::MAX, 0, 0] {
+            w.uvarint(zigzag_encode(v));
+        }
+        assert!(decode_level_frame(&w.finish(), &DecodeBudget::permissive()).is_err());
+    }
+
+    #[test]
+    fn unencodable_frames_are_invalid_input_not_truncated() {
+        let small = MultiFab::from_fn(&BoxArray::single(Box3::from_dims(2, 1, 1)), |_| 1.0);
+        let mut out = Vec::new();
+        write_level_frame(&mut out, 255, 0, &small).unwrap();
+        assert_eq!(out[5], 255, "level byte");
+        out.clear();
+        let err = write_level_frame(&mut out, 256, 0, &small).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(
+            out.is_empty(),
+            "nothing leaves before the frame is known to fit"
+        );
+        // One level past the response cap. The cells are never touched, so
+        // the zero pages behind them are never committed.
+        let huge = MultiFab::zeros(&BoxArray::single(Box3::from_dims(
+            1024,
+            1024,
+            MAX_RESPONSE_FRAME / (8 << 20),
+        )));
+        let err = write_level_frame(&mut out, 0, 0, &huge).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(out.is_empty());
+        drop(huge);
+        let payload = vec![0u8; MAX_RESPONSE_FRAME + 1];
+        let err = write_frame(&mut out, &payload).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(out.is_empty());
+        write_frame(&mut out, &payload[..9]).unwrap();
+        assert_eq!(out.len(), 13);
     }
 
     #[test]

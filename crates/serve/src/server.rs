@@ -18,7 +18,9 @@
 //!   `RetryLater` + retry-after hint (drop-newest) rather than waiting.
 //! - **Corruption degrades or errors, never lies.** A quarantined blob is
 //!   `Corrupt`; a blob whose fabs partially fail decodes under
-//!   `DecodePolicy::Degrade` and is served flagged `FLAG_DEGRADED`.
+//!   `DecodePolicy::Degrade` and is served flagged `FLAG_DEGRADED` (failed
+//!   checksums, known before the header) or closed `Status::Degraded`
+//!   (damage only decoding a later level finds).
 
 use crate::artifact::{compressor_for, decode_artifact};
 use crate::cache::{ArenaCache, DecodedEntry};
@@ -28,12 +30,16 @@ use crate::proto::{
 };
 use crate::store::{BlobStore, StoreError};
 use crate::telemetry::{ReqTelemetry, StageTimes};
+use amrviz_amr::MultiFab;
 use amrviz_codec::DecodeBudget;
-use amrviz_compress::{decompress_hierarchy_field_into, AmrCodecConfig, DecodePolicy};
+use amrviz_compress::{
+    decompress_hierarchy_field_streamed, AmrCodecConfig, CompressError, DecodePolicy,
+};
 use amrviz_obs::slo::SloSpec;
 use amrviz_obs::{context_scope, journal, TraceContext};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -351,23 +357,7 @@ fn admit(inner: &Inner, mut stream: TcpStream) {
         // Best-effort typed reply from the accept thread (bounded by the
         // socket write timeout). The request frame is never read — shedding
         // must not depend on a possibly-slow client.
-        let header = RespHeader {
-            status: Status::RetryLater,
-            flags: 0,
-            retry_after_ms: inner.cfg.retry_after_ms,
-            n_levels: 0,
-            key: 0,
-        };
-        let _ = proto::write_frame(&mut stream, &header.encode());
-        let _ = proto::write_frame(
-            &mut stream,
-            &EndFrame {
-                status: Status::RetryLater,
-                levels_sent: 0,
-                server_elapsed_us: 0,
-            }
-            .encode(),
-        );
+        write_notification(inner, &mut stream, Status::RetryLater, 0);
         // Shed requests count against availability in the SLO windows.
         inner.telemetry.record(Status::RetryLater, 0, None, 0, 0);
         return;
@@ -412,65 +402,78 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// Outcome of a gated data-frame write.
-enum Gated {
-    Written,
-    /// Deadline expired at decision time; nothing was written.
-    Expired,
-    Io,
-}
-
 /// The single choke point for data-bearing frames: sample the clock, refuse
-/// to write at/after the deadline. `post_deadline_responses` re-checks the
-/// *decision* timestamp after the write — it can only increment if a write
-/// was started despite an expired deadline, i.e. if this gate is broken.
+/// to write at/after the deadline. A refused or failed write is counted here
+/// (`deadline_aborts`, `io_errors`) and comes back as the status that ends
+/// the response. `post_deadline_responses` re-checks the *decision*
+/// timestamp after the write — it can only increment if a write was started
+/// despite an expired deadline, i.e. if this gate is broken.
 fn write_gated(
     stream: &mut TcpStream,
-    payload: &[u8],
     deadline: Instant,
     stats: &ServeStats,
-) -> Gated {
+    write: impl FnOnce(&mut TcpStream) -> std::io::Result<()>,
+) -> Result<(), Status> {
     let decided_at = Instant::now();
     if decided_at >= deadline {
-        return Gated::Expired;
+        stats.deadline_aborts.fetch_add(1, Ordering::Relaxed);
+        amrviz_obs::counter!("serve.deadline_abort", 1);
+        return Err(Status::Timeout);
     }
-    let r = proto::write_frame(stream, payload);
+    let written = write(stream);
     if decided_at >= deadline {
         stats
             .post_deadline_responses
             .fetch_add(1, Ordering::Relaxed);
     }
-    match r {
-        Ok(()) => Gated::Written,
-        Err(_) => Gated::Io,
-    }
+    // A socket error, or a frame that does not fit the wire (`InvalidInput`).
+    written.map_err(|_| {
+        stats.io_errors.fetch_add(1, Ordering::Relaxed);
+        Status::Internal
+    })
 }
 
-/// Writes an error/notification header + END. Exempt from the deadline gate:
-/// a `Timeout` reply *is* the deadline signal, and shed/corrupt/not-found
-/// replies carry no hierarchy data.
-fn write_notification(stream: &mut TcpStream, status: Status, retry_after_ms: u32, key: u64) {
-    let header = RespHeader {
+/// A header that announces no levels: every reply but a GET's data stream.
+fn bare_header(status: Status, retry_after_ms: u32, key: u64) -> Vec<u8> {
+    let (flags, n_levels) = (0, 0);
+    RespHeader {
         status,
-        flags: 0,
+        flags,
         retry_after_ms,
-        n_levels: 0,
+        n_levels,
         key,
+    }
+    .encode()
+}
+
+fn end_frame(status: Status, levels_sent: u8, server_elapsed_us: u64) -> Vec<u8> {
+    EndFrame {
+        status,
+        levels_sent,
+        server_elapsed_us,
+    }
+    .encode()
+}
+
+fn us_since(t: Instant) -> u64 {
+    t.elapsed().as_micros() as u64
+}
+
+/// Writes an error/notification header + END, with the retry-after hint on
+/// the statuses a retry can help. Exempt from the deadline gate: a `Timeout`
+/// reply *is* the deadline signal, and shed/corrupt/not-found replies carry
+/// no hierarchy data.
+fn write_notification(inner: &Inner, stream: &mut TcpStream, status: Status, key: u64) {
+    let retry = match status.is_retryable() {
+        true => inner.cfg.retry_after_ms,
+        false => 0,
     };
-    let _ = proto::write_frame(stream, &header.encode());
-    let _ = proto::write_frame(
-        stream,
-        &EndFrame {
-            status,
-            levels_sent: 0,
-            server_elapsed_us: 0,
-        }
-        .encode(),
-    );
+    let _ = proto::write_frame(stream, &bare_header(status, retry, key));
+    let _ = proto::write_frame(stream, &end_frame(status, 0, 0));
 }
 
 fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant) {
-    let queue_wait_us = admitted_at.elapsed().as_micros() as u64;
+    let queue_wait_us = us_since(admitted_at);
     let payload = match proto::read_frame(&mut stream, MAX_REQUEST_FRAME) {
         Ok(Some(p)) => p,
         Ok(None) => return, // peer connected and left
@@ -484,7 +487,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
         Err(_) => {
             inner.stats.bad_request.fetch_add(1, Ordering::Relaxed);
             inner.stats.requests.fetch_add(1, Ordering::Relaxed);
-            write_notification(&mut stream, Status::BadRequest, 0, 0);
+            write_notification(inner, &mut stream, Status::BadRequest, 0);
             return;
         }
     };
@@ -499,14 +502,11 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
     let t0 = Instant::now();
     let (status, levels_sent, flags, stages) = match req.op {
         Op::Ping => {
-            write_notification(&mut stream, Status::Ok, 0, 0);
+            write_notification(inner, &mut stream, Status::Ok, 0);
             (Status::Ok, 0u8, 0u8, None)
         }
-        Op::List => {
-            let (s, l, f) = serve_list(inner, &mut stream, &req, t0);
-            (s, l, f, None)
-        }
-        Op::Stats => (serve_stats(inner, &mut stream, t0), 0u8, 0u8, None),
+        Op::List => (serve_list(inner, &mut stream, &req, t0), 0u8, 0u8, None),
+        Op::Stats => (serve_stats(inner, &mut stream, t0), 0, 0, None),
         Op::Get => {
             let mut st = StageTimes {
                 queue_wait_us: Some(queue_wait_us),
@@ -516,7 +516,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
             (s, l, f, Some(st))
         }
     };
-    let elapsed_us = t0.elapsed().as_micros() as u64;
+    let elapsed_us = us_since(t0);
     match status {
         Status::Ok => inner.stats.ok.fetch_add(1, Ordering::Relaxed),
         Status::Degraded => inner.stats.degraded.fetch_add(1, Ordering::Relaxed),
@@ -548,6 +548,9 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
     ];
     if let Some(st) = &stages {
         fields.push(("stages_us", st.to_json()));
+        if let Some(us) = st.first_level_us {
+            fields.push(("first_level_us", us.to_string()));
+        }
     }
     journal::emit("serve", &fields);
 }
@@ -571,22 +574,10 @@ fn serve_stats(inner: &Inner, stream: &mut TcpStream, t0: Instant) -> Status {
     // Every poll also journals the SLO state as typed events, so burn-rate
     // history is reconstructible offline from the journal alone.
     amrviz_obs::slo::emit_journal(&inner.telemetry.slo_report());
-    let header = RespHeader {
-        status: Status::Ok,
-        flags: 0,
-        retry_after_ms: 0,
-        n_levels: 0,
-        key: 0,
-    };
     for payload in [
-        header.encode(),
+        bare_header(Status::Ok, 0, 0),
         proto::encode_stats_frame(&json),
-        EndFrame {
-            status: Status::Ok,
-            levels_sent: 0,
-            server_elapsed_us: t0.elapsed().as_micros() as u64,
-        }
-        .encode(),
+        end_frame(Status::Ok, 0, us_since(t0)),
     ] {
         if proto::write_frame(stream, &payload).is_err() {
             inner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
@@ -596,70 +587,140 @@ fn serve_stats(inner: &Inner, stream: &mut TcpStream, t0: Instant) -> Status {
     Status::Ok
 }
 
-fn serve_list(
-    inner: &Inner,
-    stream: &mut TcpStream,
-    req: &Request,
-    t0: Instant,
-) -> (Status, u8, u8) {
-    let deadline = t0 + Duration::from_millis(effective_deadline_ms(inner, req) as u64);
+fn serve_list(inner: &Inner, stream: &mut TcpStream, req: &Request, t0: Instant) -> Status {
+    let budget_ms = req.deadline_ms.min(inner.cfg.max_deadline_ms);
+    let deadline = t0 + Duration::from_millis(budget_ms as u64);
     let keys = match inner.store.list() {
         Ok(k) => k,
         Err(_) => {
-            write_notification(stream, Status::Internal, 0, 0);
-            return (Status::Internal, 0, 0);
+            write_notification(inner, stream, Status::Internal, 0);
+            return Status::Internal;
         }
     };
-    let header = RespHeader {
-        status: Status::Ok,
-        flags: 0,
-        retry_after_ms: 0,
-        n_levels: 0,
-        key: 0,
-    };
-    for payload in [header.encode(), proto::encode_keys_frame(&keys)] {
-        match write_gated(stream, &payload, deadline, &inner.stats) {
-            Gated::Written => {}
-            Gated::Expired => {
-                inner.stats.deadline_aborts.fetch_add(1, Ordering::Relaxed);
-                return (Status::Timeout, 0, 0);
-            }
-            Gated::Io => {
-                inner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
-                return (Status::Internal, 0, 0);
-            }
+    for payload in [
+        bare_header(Status::Ok, 0, 0),
+        proto::encode_keys_frame(&keys),
+    ] {
+        let frame = |s: &mut TcpStream| proto::write_frame(s, &payload);
+        if let Err(status) = write_gated(stream, deadline, &inner.stats, frame) {
+            return status;
         }
     }
-    let _ = proto::write_frame(
-        stream,
-        &EndFrame {
-            status: Status::Ok,
-            levels_sent: 0,
-            server_elapsed_us: t0.elapsed().as_micros() as u64,
-        }
-        .encode(),
-    );
-    (Status::Ok, 0, 0)
+    let _ = proto::write_frame(stream, &end_frame(Status::Ok, 0, us_since(t0)));
+    Status::Ok
 }
 
-fn effective_deadline_ms(inner: &Inner, req: &Request) -> u32 {
-    req.deadline_ms.min(inner.cfg.max_deadline_ms)
-}
-
-/// Looks up (or decodes into cache) the entry for `key`. Deadline-aware:
-/// decode loops carry the budget's deadline and bail cooperatively.
-fn lookup_or_decode(
-    inner: &Inner,
-    key: u64,
+/// One GET's response: the header when level 0 is ready, gated `LEVEL`
+/// frames, `END`. A cache hit and a decoding miss feed it the same way — one
+/// level at a time, each the moment it is final.
+struct GetStream<'a> {
+    inner: &'a Inner,
+    stream: &'a mut TcpStream,
+    req: &'a Request,
+    st: &'a mut StageTimes,
+    t0: Instant,
     deadline: Instant,
-    st: &mut StageTimes,
-) -> Result<Arc<DecodedEntry>, Status> {
-    if let Some(entry) = inner.cache.get(key) {
-        inner.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        // Cache hit: the read/validate/decode stages never ran; their
-        // absence in the breakdown is the "warm cache" signal.
-        return Ok(entry);
+    /// Levels the source holds; set before the first level arrives.
+    available: usize,
+    /// `FLAG_DEGRADED` once repaired fabs are known of (failed checksums or
+    /// the cached entry up front, each level's count after), `FLAG_COARSE_ONLY`.
+    flags: u8,
+    /// Levels the header announced, and the levels sent since.
+    n_levels: usize,
+    sent: u8,
+    /// Why the stream ended early (no `END` follows), once it has.
+    cut: Option<Status>,
+}
+
+impl GetStream<'_> {
+    /// A gated write, timed; `false` means the stream is over — cut WITHOUT
+    /// the END frame: the prefix the client holds is a valid progressive result.
+    fn write(&mut self, frame: impl FnOnce(&mut TcpStream) -> std::io::Result<()>) -> bool {
+        let write_t = Instant::now();
+        self.cut = write_gated(self.stream, self.deadline, &self.inner.stats, frame).err();
+        self.st.add_write(us_since(write_t));
+        self.cut.is_none()
     }
+
+    fn status(&self) -> Status {
+        match self.flags & FLAG_DEGRADED {
+            0 => Status::Ok,
+            _ => Status::Degraded,
+        }
+    }
+
+    /// Plans the stream now that level 0 is ready — cap at the client's max
+    /// level, drop to coarse-only when the remaining budget is thin — and
+    /// sends the header. Its flags are what is known now; `END`'s status
+    /// adds what decoding the finer levels finds.
+    fn open(&mut self) -> bool {
+        let want = (self.req.max_level as usize + 1).min(self.available);
+        self.n_levels = want.min(u8::MAX as usize);
+        let thin = (self.deadline - self.t0).mul_f64(self.inner.cfg.coarse_only_frac);
+        if self.deadline.saturating_duration_since(Instant::now()) < thin {
+            self.flags |= FLAG_COARSE_ONLY;
+            self.inner.stats.coarse_only.fetch_add(1, Ordering::Relaxed);
+            self.n_levels = 1;
+        }
+        let header = RespHeader {
+            status: self.status(),
+            flags: self.flags,
+            retry_after_ms: 0,
+            n_levels: self.n_levels as u8,
+            key: self.req.key,
+        };
+        if self.write(|s| proto::write_frame(s, &header.encode())) {
+            return true;
+        }
+        if self.cut == Some(Status::Timeout) {
+            // Nothing sent yet: a typed Timeout is still possible.
+            write_notification(self.inner, self.stream, Status::Timeout, self.req.key);
+        }
+        false
+    }
+
+    /// Takes one final level; `Break` once nothing more is to be sent.
+    fn level(&mut self, lev: usize, mf: &MultiFab, degraded_fabs: u32) -> ControlFlow<()> {
+        self.flags |= FLAG_DEGRADED * u8::from(degraded_fabs > 0);
+        if (lev == 0 && !self.open())
+            || !self.write(|s| proto::write_level_frame(s, lev, degraded_fabs, mf))
+        {
+            return ControlFlow::Break(());
+        }
+        self.sent += 1;
+        let t0 = self.t0;
+        self.st.first_level_us.get_or_insert_with(|| us_since(t0));
+        match (self.sent as usize) < self.n_levels {
+            true => ControlFlow::Continue(()),
+            false => ControlFlow::Break(()),
+        }
+    }
+
+    /// Closes a stream that was not cut with `END`: the authoritative status.
+    fn finish(mut self) -> (Status, u8, u8) {
+        if self.cut.is_none() {
+            let end = end_frame(self.status(), self.sent, us_since(self.t0));
+            self.write(|s| proto::write_frame(s, &end));
+        }
+        let status = self.cut.unwrap_or_else(|| self.status());
+        (status, self.sent, self.flags)
+    }
+}
+
+fn decode_failure(e: &CompressError) -> Status {
+    match e.is_deadline() {
+        true => Status::Timeout,
+        false => Status::Corrupt,
+    }
+}
+
+/// A cache miss: read and validate the artifact, then decode it coarse →
+/// fine into `out`, each level leaving as soon as it is final (the decode
+/// loops carry the deadline and bail cooperatively). `Err` is a failure
+/// before the header, which a typed notification can still report; later
+/// ones cut the stream. The cache entry is complete or absent.
+fn decode_into_stream(out: &mut GetStream<'_>) -> Result<(), Status> {
+    let (inner, key) = (out.inner, out.req.key);
     inner.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
     let stage_t = Instant::now();
     let bytes = match inner.store.get(key) {
@@ -668,48 +729,56 @@ fn lookup_or_decode(
         Err(StoreError::Corrupt { .. }) => return Err(Status::Corrupt),
         Err(StoreError::Io(_)) => return Err(Status::Internal),
     };
-    st.store_read_us = Some(stage_t.elapsed().as_micros() as u64);
-    let budget = DecodeBudget::permissive().with_deadline(deadline);
+    out.st.store_read_us = Some(us_since(stage_t));
+    let budget = DecodeBudget::permissive().with_deadline(out.deadline);
     let stage_t = Instant::now();
-    let art = match decode_artifact(&bytes, &budget) {
-        Ok(a) => a,
-        Err(e) if e.is_deadline() => return Err(Status::Timeout),
-        Err(_) => return Err(Status::Corrupt),
-    };
-    st.structure_validate_us = Some(stage_t.elapsed().as_micros() as u64);
-    let Some(compressor) = compressor_for(&art.algo) else {
-        return Err(Status::Corrupt);
-    };
+    let art = decode_artifact(&bytes, &budget).map_err(|e| decode_failure(&e))?;
+    let compressor = compressor_for(&art.algo).ok_or(Status::Corrupt)?;
+    // Failed checksums are known before the header and announced in it;
+    // damage only decoding finds shows in its LEVEL frame and in END.
+    out.flags = FLAG_DEGRADED * u8::from(art.container.checksum_failures() > 0);
+    out.available = art.hier.num_levels();
+    out.st.structure_validate_us = Some(us_since(stage_t));
     let mut levels = inner.cache.take_arena();
-    let cfg = AmrCodecConfig::default();
-    let stage_t = Instant::now();
-    let report = match decompress_hierarchy_field_into(
+    let mut degraded_fabs = Vec::new();
+    let (stage_t, written_us) = (Instant::now(), out.st.write_us.unwrap_or(0));
+    let walked = decompress_hierarchy_field_streamed(
         &art.hier,
         &art.container,
         compressor.as_ref(),
-        &cfg,
+        &AmrCodecConfig::default(),
         DecodePolicy::Degrade,
         &budget,
         &mut levels,
-    ) {
-        Ok(r) => r,
-        Err(e) if e.is_deadline() => return Err(Status::Timeout),
-        Err(_) => return Err(Status::Corrupt),
-    };
-    st.decode_us = Some(stage_t.elapsed().as_micros() as u64);
-    let mut degraded_fabs = vec![0u32; levels.len()];
-    for (lev, _, status) in &report.fabs {
-        if !matches!(status, amrviz_compress::FabStatus::Ok) {
-            degraded_fabs[*lev] += 1;
+        |lev, mf, degraded| {
+            degraded_fabs.push(degraded);
+            out.level(lev, mf, degraded)
+        },
+    );
+    // Frame writes ran inside the walk; they are the write stage's time.
+    let written_us = out.st.write_us.unwrap_or(0) - written_us;
+    out.st.decode_us = Some(us_since(stage_t).saturating_sub(written_us));
+    match walked.map_err(|e| decode_failure(&e)) {
+        Err(status) if degraded_fabs.is_empty() => return Err(status),
+        // The header is out: cut the stream, as an expired write would.
+        Err(status) => {
+            if status == Status::Timeout {
+                inner.stats.deadline_aborts.fetch_add(1, Ordering::Relaxed);
+            }
+            out.cut = Some(status);
         }
+        Ok(_) if degraded_fabs.len() == out.available => {
+            let entry = DecodedEntry {
+                algo: art.algo,
+                field: art.field,
+                levels,
+                degraded_fabs,
+            };
+            inner.cache.insert(key, entry);
+        }
+        Ok(_) => {}
     }
-    let entry = DecodedEntry {
-        algo: art.algo,
-        field: art.field,
-        levels,
-        degraded_fabs,
-    };
-    Ok(inner.cache.insert(key, entry))
+    Ok(())
 }
 
 fn serve_get(
@@ -719,108 +788,38 @@ fn serve_get(
     t0: Instant,
     st: &mut StageTimes,
 ) -> (Status, u8, u8) {
-    let budget_ms = effective_deadline_ms(inner, req);
-    let total = Duration::from_millis(budget_ms as u64);
-    let deadline = t0 + total;
-    if budget_ms == 0 || Instant::now() >= deadline {
-        write_notification(stream, Status::Timeout, inner.cfg.retry_after_ms, req.key);
+    let budget_ms = req.deadline_ms.min(inner.cfg.max_deadline_ms);
+    let deadline = t0 + Duration::from_millis(budget_ms as u64);
+    if Instant::now() >= deadline {
+        write_notification(inner, stream, Status::Timeout, req.key);
         return (Status::Timeout, 0, 0);
     }
-    let entry = match lookup_or_decode(inner, req.key, deadline, st) {
-        Ok(e) => e,
-        Err(status) => {
-            let retry = if status.is_retryable() {
-                inner.cfg.retry_after_ms
-            } else {
-                0
-            };
-            write_notification(stream, status, retry, req.key);
-            return (status, 0, 0);
-        }
+    let mut out = GetStream {
+        inner,
+        stream,
+        req,
+        st,
+        t0,
+        deadline,
+        available: 0,
+        flags: 0,
+        n_levels: 0,
+        sent: 0,
+        cut: None,
     };
-
-    // Plan the stream: cap at the client's max level; drop to coarse-only
-    // when the remaining budget is thin.
-    let want = (req.max_level as usize + 1).min(entry.levels.len());
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    let mut flags = if entry.is_degraded() {
-        FLAG_DEGRADED
-    } else {
-        0
-    };
-    let n_levels = if remaining < total.mul_f64(inner.cfg.coarse_only_frac) {
-        flags |= FLAG_COARSE_ONLY;
-        inner.stats.coarse_only.fetch_add(1, Ordering::Relaxed);
-        1
-    } else {
-        want
-    };
-    let status = if entry.is_degraded() {
-        Status::Degraded
-    } else {
-        Status::Ok
-    };
-    let header = RespHeader {
-        status,
-        flags,
-        retry_after_ms: 0,
-        n_levels: n_levels as u8,
-        key: req.key,
-    };
-    let write_t = Instant::now();
-    let gated = write_gated(stream, &header.encode(), deadline, &inner.stats);
-    st.add_write(write_t.elapsed().as_micros() as u64);
-    match gated {
-        Gated::Written => {}
-        Gated::Expired => {
-            // Nothing sent yet: a typed Timeout is still possible.
-            inner.stats.deadline_aborts.fetch_add(1, Ordering::Relaxed);
-            write_notification(stream, Status::Timeout, inner.cfg.retry_after_ms, req.key);
-            return (Status::Timeout, 0, 0);
-        }
-        Gated::Io => {
-            inner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
-            return (Status::Internal, 0, 0);
-        }
+    if let Some(entry) = inner.cache.get(req.key) {
+        // Cache hit: the read/validate/decode stages never ran; their
+        // absence in the breakdown is the "warm cache" signal.
+        inner.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+        out.available = entry.levels.len();
+        out.flags = FLAG_DEGRADED * u8::from(entry.is_degraded());
+        let levels = entry.levels.iter().zip(&entry.degraded_fabs);
+        let _ = levels
+            .enumerate()
+            .try_for_each(|(lev, (mf, &degraded))| out.level(lev, mf, degraded));
+    } else if let Err(status) = decode_into_stream(&mut out) {
+        write_notification(inner, out.stream, status, req.key);
+        return (status, 0, 0);
     }
-    let mut sent = 0u8;
-    for lev in 0..n_levels {
-        let frame = proto::encode_level_frame(lev, entry.degraded_fabs[lev], &entry.levels[lev]);
-        let write_t = Instant::now();
-        let gated = write_gated(stream, &frame, deadline, &inner.stats);
-        st.add_write(write_t.elapsed().as_micros() as u64);
-        match gated {
-            Gated::Written => sent += 1,
-            Gated::Expired => {
-                // Mid-stream expiry: cut WITHOUT the END frame. The prefix
-                // the client holds is a valid progressive result.
-                inner.stats.deadline_aborts.fetch_add(1, Ordering::Relaxed);
-                amrviz_obs::counter!("serve.deadline_abort", 1);
-                return (Status::Timeout, sent, flags);
-            }
-            Gated::Io => {
-                inner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
-                return (Status::Internal, sent, flags);
-            }
-        }
-    }
-    let end = EndFrame {
-        status,
-        levels_sent: sent,
-        server_elapsed_us: t0.elapsed().as_micros() as u64,
-    };
-    let write_t = Instant::now();
-    let gated = write_gated(stream, &end.encode(), deadline, &inner.stats);
-    st.add_write(write_t.elapsed().as_micros() as u64);
-    match gated {
-        Gated::Written => (status, sent, flags),
-        Gated::Expired => {
-            inner.stats.deadline_aborts.fetch_add(1, Ordering::Relaxed);
-            (Status::Timeout, sent, flags)
-        }
-        Gated::Io => {
-            inner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
-            (Status::Internal, sent, flags)
-        }
-    }
+    out.finish()
 }

@@ -72,6 +72,11 @@ pub struct StageTimes {
     pub decode_us: Option<u64>,
     /// Cumulative gated socket writes.
     pub write_us: Option<u64>,
+    /// Not a stage but a milestone on the same clock: request start to the
+    /// first `LEVEL` frame written — when the client could first render.
+    /// Absent from [`StageTimes::as_pairs`]; stages add up to at most the
+    /// request's elapsed time, a milestone overlaps them.
+    pub first_level_us: Option<u64>,
 }
 
 impl StageTimes {
@@ -118,6 +123,9 @@ pub struct ReqTelemetry {
     latency: Mutex<Vec<WindowedHistogram>>,
     /// Stage histograms indexed by [`STAGE_NAMES`] position.
     stages: Mutex<Vec<WindowedHistogram>>,
+    /// Request start to first `LEVEL` frame written, over the GETs that
+    /// sent one.
+    first_level: Mutex<WindowedHistogram>,
     exemplars: Mutex<Reservoir>,
     spec: SloSpec,
 }
@@ -139,6 +147,7 @@ impl ReqTelemetry {
                     .map(|_| WindowedHistogram::with_slots(SLOTS))
                     .collect(),
             ),
+            first_level: Mutex::new(WindowedHistogram::with_slots(SLOTS)),
             exemplars: Mutex::new(Reservoir::new(EXEMPLAR_CAP)),
             spec,
         }
@@ -191,6 +200,9 @@ impl ReqTelemetry {
             for (name, us) in st.as_pairs() {
                 let idx = STAGE_NAMES.iter().position(|n| *n == name).unwrap();
                 hs[idx].record(slot, us);
+            }
+            if let Some(us) = st.first_level_us {
+                self.first_level.lock().unwrap().record(slot, us);
             }
         }
         if amrviz_obs::is_enabled() {
@@ -294,7 +306,16 @@ impl ReqTelemetry {
             snap.cache_hits, snap.cache_misses
         ));
 
-        // Per-status latency: lifetime + trailing-5m views, nonzero only.
+        // Every histogram is shown as its lifetime and trailing-5m views.
+        let views = |h: &WindowedHistogram| {
+            format!(
+                "{{\"lifetime\":{},\"w5m\":{}}}",
+                hist_stats_json(&h.lifetime),
+                hist_stats_json(&h.window_merged(now_slot, w5m)),
+            )
+        };
+
+        // Per-status latency, nonzero only.
         out.push_str(",\"latency_us\":{");
         {
             let lat = self.latency.lock().unwrap();
@@ -310,12 +331,7 @@ impl ReqTelemetry {
                     out.push(',');
                 }
                 first = false;
-                out.push_str(&format!(
-                    "\"{}\":{{\"lifetime\":{},\"w5m\":{}}}",
-                    status.name(),
-                    hist_stats_json(&h.lifetime),
-                    hist_stats_json(&h.window_merged(now_slot, w5m)),
-                ));
+                out.push_str(&format!("\"{}\":{}", status.name(), views(h)));
             }
         }
         out.push('}');
@@ -333,15 +349,13 @@ impl ReqTelemetry {
                     out.push(',');
                 }
                 first = false;
-                out.push_str(&format!(
-                    "\"{}\":{{\"lifetime\":{},\"w5m\":{}}}",
-                    STAGE_NAMES[idx],
-                    hist_stats_json(&h.lifetime),
-                    hist_stats_json(&h.window_merged(now_slot, w5m)),
-                ));
+                out.push_str(&format!("\"{}\":{}", STAGE_NAMES[idx], views(h)));
             }
         }
         out.push('}');
+
+        let first_level = views(&self.first_level.lock().unwrap());
+        out.push_str(&format!(",\"first_level_us\":{first_level}"));
 
         out.push_str(&format!(",\"slo\":{}", slo.to_json()));
         out.push_str(&format!(
@@ -387,6 +401,7 @@ mod tests {
             structure_validate_us: None,
             decode_us: Some(decode),
             write_us: Some(write),
+            first_level_us: Some(decode + 5),
         }
     }
 
@@ -473,6 +488,8 @@ mod tests {
         assert!(lat.get("ok").is_some() && lat.get("timeout").is_some());
         let st = doc.get("stages_us").unwrap();
         assert!(st.get("decode").is_some() && st.get("write").is_some());
+        let first = doc.get("first_level_us").unwrap().get("lifetime").unwrap();
+        assert_eq!(first.get("count").unwrap().as_u64().unwrap(), 2);
         assert!(
             st.get("decode")
                 .unwrap()

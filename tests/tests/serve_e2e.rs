@@ -1,13 +1,22 @@
 //! End-to-end coverage of the serving stack: real sockets, real store,
 //! real worker pool — the full `amrviz serve` path minus the CLI veneer.
 
-use amrviz_compress::{compress_hierarchy_field, AmrCodecConfig, ErrorBound, SzLr};
-use amrviz_serve::proto::{Op, Request};
+use amrviz_amr::{AmrHierarchy, Box3, BoxArray, Geometry, IntVect};
+use amrviz_codec::fnv1a_64;
+use amrviz_compress::{
+    compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, CompressedHierarchyField,
+    ErrorBound, SzLr,
+};
+use amrviz_serve::proto::{
+    encode_level_frame, read_frame, write_frame, EndFrame, Op, Request, FLAG_COARSE_ONLY,
+    FLAG_DEGRADED, MAX_RESPONSE_FRAME,
+};
 use amrviz_serve::{
-    encode_artifact, exchange, start, BlobStore, ClientConfig, Outcome, ServeConfig,
+    encode_artifact, exchange, start, BlobStore, ClientConfig, Outcome, RespHeader, ServeConfig,
     ServeTortureConfig, Status,
 };
 use amrviz_sim::{NyxScenario, Scale};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -118,6 +127,215 @@ fn serve_roundtrip_cache_and_deadline_statuses() {
     let stats = server.join();
     assert_eq!(stats.panics, 0);
     assert_eq!(stats.post_deadline_responses, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A 16³ root under one 128³ patch under a 16³ one: level 1 is a 16 MiB
+/// frame, more than loopback socket buffers hold, so a server writing it to
+/// a peer that has gone must see the write fail — with level 2 still to do.
+fn big_middle_level() -> AmrHierarchy {
+    let geom = Geometry::unit(Box3::from_dims(16, 16, 16));
+    let middle = Box3::new(IntVect::new(0, 0, 0), IntVect::new(127, 127, 127));
+    let mut h = AmrHierarchy::new(
+        geom,
+        vec![8, 2],
+        vec![
+            BoxArray::single(geom.domain),
+            BoxArray::single(middle),
+            BoxArray::single(geom.domain),
+        ],
+    )
+    .unwrap();
+    h.add_field_from_fn("rho", |lev, iv| {
+        let s = [1.0, 0.125, 0.0625][lev];
+        (iv[0] as f64 * s * 0.4).sin() + iv[1] as f64 * s * 0.05 - (iv[2] as f64 * s * 0.3).cos()
+    })
+    .unwrap();
+    h
+}
+
+/// Stores `hier`'s `rho` and returns the key plus the payload hash of every
+/// LEVEL frame a clean local decode produces.
+fn store_rho(store: &BlobStore, hier: &AmrHierarchy) -> (u64, Vec<u64>) {
+    let (comp, cfg) = (SzLr::default(), AmrCodecConfig::default());
+    let clean = compress_hierarchy_field(hier, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
+    let hashes = decompress_hierarchy_field(hier, &clean, &comp, &cfg)
+        .unwrap()
+        .iter()
+        .enumerate()
+        .map(|(lev, mf)| fnv1a_64(&encode_level_frame(lev, 0, mf)))
+        .collect();
+    let key = store
+        .put(&encode_artifact(hier, "rho", "szlr", &clean))
+        .unwrap();
+    (key, hashes)
+}
+
+/// Sends a GET and reads frames off the raw socket until `frames` have
+/// arrived or the stream closes.
+fn raw_get(addr: SocketAddr, key: u64, frames: usize) -> (TcpStream, Vec<Vec<u8>>) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write_frame(&mut stream, &get(key, 8_000).encode()).unwrap();
+    let mut got = Vec::new();
+    while got.len() < frames {
+        match read_frame(&mut stream, MAX_RESPONSE_FRAME).unwrap() {
+            Some(frame) => got.push(frame),
+            None => break,
+        }
+    }
+    (stream, got)
+}
+
+#[test]
+fn damage_only_decoding_finds_is_in_its_level_frame_and_in_end() {
+    let dir = temp_dir("late_damage");
+    let store = BlobStore::open(&dir).unwrap();
+    let hier = NyxScenario::new(Scale::Tiny, 11).generate();
+    let container = compress_hierarchy_field(
+        &hier,
+        "baryon_density",
+        &SzLr::default(),
+        ErrorBound::Rel(1e-3),
+        &AmrCodecConfig::default(),
+    )
+    .unwrap();
+    // One fine blob replaced by bytes no compressor decodes, then sealed:
+    // `from_blobs` computes the checksum over the garbage, so it matches.
+    let mut blobs = container.blobs.clone();
+    blobs[1][0] = vec![0xEE; 40];
+    let sealed = CompressedHierarchyField::from_blobs(blobs, container.abs_eb, container.n_values);
+    assert_eq!(sealed.checksum_failures(), 0);
+    let key = store
+        .put(&encode_artifact(&hier, "baryon_density", "szlr", &sealed))
+        .unwrap();
+    // The other kind of damage: a bit flipped under a stored checksum.
+    let mut flipped = container.clone();
+    flipped.blobs[1][0][3] ^= 0x10;
+    assert_eq!(flipped.checksum_failures(), 1);
+    let flipped_key = store
+        .put(&encode_artifact(&hier, "baryon_density", "szlr", &flipped))
+        .unwrap();
+    let server = start(ServeConfig {
+        store_dir: dir.clone(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+
+    // Miss: when the header leaves, level 1 has not been looked at.
+    let ex = exchange(server.addr(), &get(key, 5_000), &ClientConfig::default());
+    let header = ex.header.unwrap();
+    assert_eq!((header.status, header.flags), (Status::Ok, 0), "{ex:?}");
+    let per_level: Vec<u64> = ex.levels.iter().map(|l| l.degraded_fabs).collect();
+    assert_eq!(per_level, [0, 1]);
+    assert_eq!(ex.end.unwrap().status, Status::Degraded);
+    assert_eq!(ex.outcome, Outcome::Degraded);
+    // Hit: the cached entry knows, so the header says so.
+    let ex = exchange(server.addr(), &get(key, 5_000), &ClientConfig::default());
+    let header = ex.header.unwrap();
+    assert_eq!(
+        (header.status, header.flags),
+        (Status::Degraded, FLAG_DEGRADED)
+    );
+    assert_eq!(ex.outcome, Outcome::Degraded);
+
+    // A failed checksum is known before anything decodes: even the miss
+    // announces it up front.
+    let ex = exchange(
+        server.addr(),
+        &get(flipped_key, 5_000),
+        &ClientConfig::default(),
+    );
+    let header = ex.header.unwrap();
+    assert_eq!(
+        (header.status, header.flags),
+        (Status::Degraded, FLAG_DEGRADED)
+    );
+    assert_eq!(ex.levels[1].degraded_fabs, 1);
+    assert_eq!(ex.end.unwrap().status, Status::Degraded);
+
+    server.shutdown();
+    let stats = server.join();
+    assert_eq!((stats.degraded, stats.ok, stats.panics), (3, 0, 0));
+    assert_eq!((stats.cache_misses, stats.cache_hits), (2, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hang_up_after_level_0_leaves_no_partial_cache_entry() {
+    let dir = temp_dir("hangup");
+    let store = BlobStore::open(&dir).unwrap();
+    let (key, hashes) = store_rho(&store, &big_middle_level());
+    let server = start(ServeConfig {
+        store_dir: dir.clone(),
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+
+    // Header and level 0 arrive while level 1 is still decoding; then the
+    // client is gone, and the write of level 1 fails with level 2 undecoded.
+    let (stream, got) = raw_get(server.addr(), key, 2);
+    assert_eq!(RespHeader::decode(&got[0]).unwrap().n_levels, 3);
+    assert_eq!(fnv1a_64(&got[1]), hashes[0]);
+    drop(stream);
+
+    // The one worker takes the next GET only after the first has failed.
+    // It must decode again (the two levels it had were not kept) and be
+    // complete.
+    let (_stream, got) = raw_get(server.addr(), key, 5);
+    let stats = server.stats();
+    assert_eq!((stats.cache_misses, stats.cache_hits), (2, 0));
+    assert!(
+        stats.io_errors >= 1,
+        "the hang-up was seen as a failed write"
+    );
+    assert_eq!(got.len(), 5, "header, three levels, END");
+    for (lev, hash) in hashes.iter().enumerate() {
+        assert_eq!(
+            fnv1a_64(&got[1 + lev]),
+            *hash,
+            "level {lev} equals a local decode"
+        );
+    }
+    let end = EndFrame::decode(&got[4]).unwrap();
+    assert_eq!((end.status, end.levels_sent), (Status::Ok, 3));
+    // Now it is cached, whole.
+    let ex = exchange(server.addr(), &get(key, 8_000), &ClientConfig::default());
+    assert_eq!((ex.outcome, ex.levels.len()), (Outcome::Ok, 3));
+    assert_eq!(server.stats().cache_hits, 1);
+
+    server.shutdown();
+    assert_eq!(server.join().panics, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn coarse_only_miss_sends_one_level_and_caches_nothing() {
+    let (dir, key, _) = populate("coarse_only");
+    // Any remaining budget is "thin": every response is coarse-only.
+    let server = start(ServeConfig {
+        store_dir: dir.clone(),
+        coarse_only_frac: 1.5,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    for round in 1..=2 {
+        let ex = exchange(server.addr(), &get(key, 5_000), &ClientConfig::default());
+        assert_eq!(ex.outcome, Outcome::Ok, "{ex:?}");
+        let header = ex.header.unwrap();
+        assert_eq!((header.n_levels, header.flags), (1, FLAG_COARSE_ONLY));
+        assert_eq!(ex.levels.len(), 1);
+        assert_eq!(ex.end.unwrap().levels_sent, 1);
+        // The decode stopped at level 0, so there was nothing whole to keep.
+        let stats = server.stats();
+        assert_eq!((stats.cache_misses, stats.cache_hits), (round, 0));
+    }
+    server.shutdown();
+    let stats = server.join();
+    assert_eq!((stats.coarse_only, stats.panics), (2, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -244,7 +462,21 @@ fn stats_endpoint_reports_stages_slo_and_exemplars() {
             "exemplar trace resolves to the driving request"
         );
         assert!(e.get("stages_us").unwrap().get("queue_wait").is_some());
+        // Frame writes happen inside the level-at-a-time decode but are
+        // charged to `write` alone: the stages a request runs through after
+        // it is picked up still fit in its elapsed time.
+        let stages = e.get("stages_us").unwrap();
+        let in_request: u64 = ["store_read", "structure_validate", "decode", "write"]
+            .iter()
+            .filter_map(|s| stages.get(s)?.as_u64())
+            .sum();
+        assert!(in_request <= e.get("total_us").unwrap().as_u64().unwrap());
     }
+    // Time to the first LEVEL frame: one sample per GET that sent data.
+    let first = doc.get("first_level_us").unwrap();
+    let first_count = first.get("lifetime").unwrap().get("count").unwrap();
+    assert_eq!(first_count.as_u64(), Some(2));
+    assert!(first.get("w5m").unwrap().get("p99").is_some());
 
     // STATS polls are monitoring traffic and NotFound is a client error:
     // neither moves the SLO windows' totals.
