@@ -885,20 +885,15 @@ fn print_serve_summary(lines: &[ServeLine]) {
 fn stats_snapshot(path: &str, doc: &amrviz_json::Json) -> Result<(), String> {
     let f = |v: Option<&amrviz_json::Json>| v.and_then(|x| x.as_f64()).unwrap_or(0.0);
     println!(
-        "metrics snapshot {path} (schema {}, uptime {:.1} s, window {:.0} s)",
+        "metrics snapshot {path} (schema {}, uptime {:.1} s)",
         doc.get("schema").and_then(|s| s.as_str()).unwrap_or("?"),
         f(doc.get("uptime_ns")) / 1e9,
-        f(doc.get("window").and_then(|w| w.get("view_secs"))),
     );
     if let Some(amrviz_json::Json::Obj(entries)) = doc.get("counters") {
         if !entries.is_empty() {
-            println!("{:<32} {:>14} {:>14}", "counter", "lifetime", "window");
+            println!("{:<32} {:>14}", "counter", "lifetime");
             for (name, c) in entries {
-                println!(
-                    "{name:<32} {:>14} {:>14}",
-                    f(c.get("lifetime")) as u64,
-                    f(c.get("window")) as u64
-                );
+                println!("{name:<32} {:>14}", f(c.get("lifetime")) as u64);
             }
         }
     }

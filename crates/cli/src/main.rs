@@ -9,6 +9,7 @@
 //! amrviz extract    <plotfile> --field F --out FILE.obj [--iso V | --quantile Q] [--method M]
 //! amrviz render     <plotfile> --field F --out FILE.png [--mode surface|slice|volume] [...]
 //! amrviz diff       <plotfile A> <plotfile B> --field F [--field-b G]
+//! amrviz repro      <experiment> | --suite enumerated[:RECIPE]   (see [`repro`])
 //! ```
 //!
 //! Algorithms: `szlr` (default), `szinterp`, `zfp`. Methods: `resampling`
@@ -16,6 +17,8 @@
 //! written by `amrviz-amr::plotfile`.
 
 mod commands;
+mod obs_overhead;
+mod repro;
 mod top;
 
 use std::process::ExitCode;
@@ -65,6 +68,7 @@ fn main() -> ExitCode {
         "loadgen" => commands::loadgen(rest),
         "stats" => commands::stats(rest),
         "top" => top::top(rest),
+        "repro" => repro::repro(rest, &obs_opts),
         other => Err(format!("unknown command `{other}`\n\n{}", usage())),
     };
     // Streaming shutdown and exporters run even when the command failed:
@@ -88,8 +92,12 @@ struct ObsOptions {
     threads: Option<usize>,
     journal_path: Option<String>,
     metrics_path: Option<String>,
-    metrics_interval_secs: Option<f64>,
+    metrics_interval_secs: f64,
     trace_sample: Option<u64>,
+    /// Span events a command took out of the recorder before resetting it
+    /// (see [`ObsOptions::carry_events`]); the exporters put them in front
+    /// of what the recorder still holds.
+    carried: std::cell::RefCell<Vec<amrviz_obs::SpanEvent>>,
 }
 
 impl Drop for ObsOptions {
@@ -119,51 +127,77 @@ impl ObsOptions {
         if let Some(n) = self.trace_sample {
             amrviz_obs::set_trace_sampling(n);
         }
+        // `repro --out DIR --journal DIR/j.jsonl` on a fresh DIR: the files
+        // open here, before the command gets to create its output directory.
+        for path in self.journal_path.iter().chain(&self.metrics_path) {
+            if let Some(dir) = std::path::Path::new(path).parent() {
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| format!("creating {}: {e}", dir.display()))?;
+            }
+        }
         if let Some(path) = &self.journal_path {
             amrviz_obs::journal::start(std::path::Path::new(path))?;
         }
         if let Some(path) = &self.metrics_path {
-            let secs = self.metrics_interval_secs.unwrap_or(5.0);
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err(format!("--metrics-interval must be positive, got {secs}"));
-            }
             amrviz_obs::expose::writer_start(
                 std::path::PathBuf::from(path),
-                std::time::Duration::from_secs_f64(secs),
+                std::time::Duration::from_secs_f64(self.metrics_interval_secs),
             )?;
         }
         Ok(())
     }
 
-    /// Stops streaming (flushing the journal and a final metrics snapshot)
-    /// and then runs the batch exporters. Called whether or not the
-    /// command succeeded.
-    fn finish(&self) -> Result<(), String> {
+    /// Stops streaming — a final metrics snapshot, then the journal flushed
+    /// and closed — and returns the journal's totals if one was running.
+    /// `repro` calls this ahead of [`ObsOptions::finish`] so its `SUMMARY`
+    /// line can carry final totals; a second call finds nothing to stop.
+    fn stop_streaming(&self) -> Option<amrviz_obs::journal::JournalStats> {
         if self.metrics_path.is_some() {
             amrviz_obs::expose::writer_stop();
         }
-        if self.journal_path.is_some() {
-            let stats = amrviz_obs::journal::stop();
-            if let Some(path) = &self.journal_path {
-                eprintln!(
-                    "journal written to {path} ({} lines, {} dropped)",
-                    stats.enqueued, stats.dropped
-                );
-            }
+        let path = self.journal_path.as_ref()?;
+        if !amrviz_obs::journal::is_active() {
+            return None;
         }
+        let stats = amrviz_obs::journal::stop();
+        eprintln!(
+            "journal written to {path} ({} lines, {} dropped)",
+            stats.enqueued, stats.dropped
+        );
+        Some(stats)
+    }
+
+    /// Stops streaming and then runs the batch exporters. Called whether or
+    /// not the command succeeded.
+    fn finish(&self) -> Result<(), String> {
+        self.stop_streaming();
         self.export()
     }
 
+    /// For a command about to [`amrviz_obs::reset`] mid-run (`repro` resets
+    /// per experiment): keeps the recorder's span events for the exporters,
+    /// when an exporter that reads them was asked for.
+    fn carry_events(&self) {
+        if self.trace_path.is_some() || self.flame_path.is_some() || self.timing {
+            self.carried
+                .borrow_mut()
+                .extend(amrviz_obs::events_snapshot());
+        }
+    }
+
     /// Writes the chrome trace / flamegraph and/or prints the timing
-    /// summary.
+    /// summary, over the carried events plus the recorder's.
     fn export(&self) -> Result<(), String> {
+        let mut events = self.carried.take();
+        events.extend(amrviz_obs::events_snapshot());
         if let Some(path) = &self.trace_path {
-            amrviz_obs::chrome::write_chrome_trace(std::path::Path::new(path))
-                .map_err(|e| format!("writing trace to {path}: {e}"))?;
+            let counters = amrviz_obs::counters_snapshot();
+            let json = amrviz_obs::chrome::render_chrome_trace(&events, &counters);
+            std::fs::write(path, json).map_err(|e| format!("writing trace to {path}: {e}"))?;
             eprintln!("trace written to {path} (open in chrome://tracing or ui.perfetto.dev)");
         }
         if let Some(path) = &self.flame_path {
-            amrviz_obs::flame::write_flamegraph(std::path::Path::new(path))
+            amrviz_obs::flame::write_flamegraph_events(std::path::Path::new(path), &events)
                 .map_err(|e| format!("writing flamegraph to {path}: {e}"))?;
             let kind = if path.to_ascii_lowercase().ends_with(".html")
                 || path.to_ascii_lowercase().ends_with(".htm")
@@ -175,8 +209,7 @@ impl ObsOptions {
             eprintln!("flamegraph written to {path} ({kind})");
         }
         if self.timing {
-            let summary = amrviz_obs::summary::collect();
-            eprint!("{}", summary.to_text());
+            eprint!("{}", amrviz_obs::summary::build(&events).to_text());
             let hists = amrviz_obs::histograms_snapshot();
             if !hists.is_empty() {
                 eprint!("{}", amrviz_obs::hist::render_text(&hists));
@@ -217,7 +250,15 @@ fn extract_obs_options(argv: Vec<String>) -> Result<(Vec<String>, ObsOptions), S
         "--trace-sample needs a positive integer N (keep 1/N)",
     )?;
     if trace_sample == Some(0) {
-        return Err("--trace-sample must be at least 1".to_string());
+        return Err("--trace-sample must be at least 1 (keep every Nth trace)".to_string());
+    }
+    let metrics_interval_secs = number::<f64>(
+        p.opt("metrics-interval"),
+        "--metrics-interval needs a number of seconds",
+    )?
+    .unwrap_or(5.0);
+    if !metrics_interval_secs.is_finite() || metrics_interval_secs <= 0.0 {
+        return Err("--metrics-interval must be a positive number".to_string());
     }
     let opts = ObsOptions {
         trace_path: p.opt("trace").map(String::from),
@@ -226,11 +267,9 @@ fn extract_obs_options(argv: Vec<String>) -> Result<(Vec<String>, ObsOptions), S
         threads,
         journal_path: p.opt("journal").map(String::from),
         metrics_path: p.opt("metrics-out").map(String::from),
-        metrics_interval_secs: number(
-            p.opt("metrics-interval"),
-            "--metrics-interval needs a number of seconds",
-        )?,
+        metrics_interval_secs,
         trace_sample,
+        carried: Default::default(),
     };
     Ok((rest, opts))
 }
@@ -314,6 +353,18 @@ USAGE:
                     chaos-proxy faults. --once renders a single frame;
                     --once --json prints the raw validated snapshot for
                     scripts and CI.
+  amrviz repro      <experiment> [--scale tiny|small|medium|paper] [--seed N]
+                    [--out DIR]
+  amrviz repro      --suite enumerated[:RECIPE] [--seed N] [--out DIR]
+                    regenerates the paper's tables and figures: table1,
+                    table2, fig1, fig2, fig9..fig14, ablation, or all; ASCII
+                    tables on stdout, renders + results.json +
+                    manifest_<name>.json + summary.jsonl in --out (default
+                    repro_out/), and one `SUMMARY {...}` line. --suite runs
+                    the recipe-enumerated scenario matrix instead (`:@FILE`
+                    or `:(scenario ...)` for a custom recipe). The recorder
+                    is always on, seeded from --seed. `repro obs-overhead`
+                    is the instrumentation self-overhead gate (3 % budget).
   amrviz stats      <FILE> [--strict] [--slo SPEC]
                     pretty-prints continuous-telemetry artifacts: a
                     `--journal` JSONL file or a `--metrics-out` snapshot
@@ -347,7 +398,7 @@ GLOBAL OPTIONS (valid on every command):
                  drop-oldest backpressure, line-atomic appends. Inspect
                  with `amrviz stats FILE`.
   --metrics-out FILE
-                 write a rolling `amrviz-metrics-v1` JSON snapshot to FILE
+                 write a rolling `amrviz-metrics-v2` JSON snapshot to FILE
                  (plus Prometheus text at FILE.prom) every interval,
                  atomically replaced so readers never see a torn file
   --metrics-interval SECS

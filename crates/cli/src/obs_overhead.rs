@@ -1,4 +1,4 @@
-//! The instrumentation self-overhead gate (`repro obs-overhead`): the same
+//! The instrumentation self-overhead gate (`amrviz repro obs-overhead`): the same
 //! Nyx × SZ-L/R compress → decompress → extract workload timed with the
 //! `amrviz-obs` recorder off and with it on plus the journal streaming,
 //! failing above [`OBS_OVERHEAD_MAX_PCT`].

@@ -1,11 +1,12 @@
-//! `repro` — regenerates every table and figure of the paper.
+//! `amrviz repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro <experiment> [--scale tiny|small|medium|paper] [--seed N] [--out DIR]
-//!                    [--threads N] [--flame FILE] [--journal FILE]
-//!                    [--metrics-out FILE] [--metrics-interval SECS]
-//!                    [--trace-sample N]
-//! repro --suite enumerated[:RECIPE] [--seed N] [--out DIR] [--threads N] …
+//! amrviz repro <experiment> [--scale tiny|small|medium|paper] [--seed N] [--out DIR]
+//! amrviz repro --suite enumerated[:RECIPE] [--seed N] [--out DIR]
+//!
+//! (plus the global telemetry flags every `amrviz` command takes: --threads,
+//! --trace, --flame, --timing, --journal, --metrics-out, --metrics-interval,
+//! --trace-sample)
 //!
 //! experiments:
 //!   table1   dataset structure (grid sizes, per-level densities)
@@ -35,13 +36,15 @@
 //!
 //! Results print as ASCII tables; renders and machine-readable JSON land in
 //! `--out` (default `repro_out/`).
+//!
+//! The repo's performance benchmark is not here — it is `BENCHMARK.json`
+//! plus `crates/benchmark`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 
-use amrviz_bench::obs_overhead::{run_obs_overhead, OBS_OVERHEAD_MAX_PCT};
-use amrviz_bench::{fig14_series, git_describe, step_roughness, RD_EBS};
+use crate::obs_overhead::{run_obs_overhead, OBS_OVERHEAD_MAX_PCT};
+use crate::ObsOptions;
 use amrviz_compress::{
     compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, ErrorBound,
 };
@@ -64,49 +67,38 @@ struct Args {
     scale: Option<Scale>,
     seed: u64,
     out: PathBuf,
-    flame: Option<PathBuf>,
-    journal: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    metrics_interval: f64,
-    trace_sample: u64,
 }
 
+const USAGE: &str = "usage: amrviz repro <experiment> [--scale S] [--seed N] [--out DIR]\n\
+                     or:    amrviz repro --suite enumerated[:RECIPE] [--seed N] [--out DIR]";
+
+type Experiment = fn(&mut Ctx);
+
+/// The figure experiments in `all` order — the one list both the argument
+/// check and the run loop read.
+const FIGURES: [(&str, Experiment); 11] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig9", |c| figs_9_10(c, CompressorKind::SzLr, "fig9")),
+    ("fig10", |c| figs_9_10(c, CompressorKind::SzInterp, "fig10")),
+    ("fig11", fig11),
+    ("fig12", |c| rate_distortion(c, Application::Warpx, "fig12")),
+    ("fig13", |c| rate_distortion(c, Application::Nyx, "fig13")),
+    ("fig14", fig14),
+    ("ablation", ablation),
+];
+
+/// Parses what is left of the command line once `main` has taken the global
+/// telemetry flags off it.
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let p = args::parse(
-        argv,
-        &[
-            "scale",
-            "seed",
-            "suite",
-            "out",
-            "flame",
-            "journal",
-            "metrics-out",
-            "metrics-interval",
-            "trace-sample",
-            "threads",
-        ],
-        &[],
-    )?;
+    let p = args::parse(argv, &["scale", "seed", "suite", "out"], &[])?;
     p.report_warnings();
     let scale = p
         .opt("scale")
         .map(|v| Scale::parse(v).ok_or(format!("unknown scale: {v}")))
         .transpose()?;
-    let metrics_interval = p.opt_parse::<f64>("metrics-interval")?.unwrap_or(5.0);
-    if !metrics_interval.is_finite() || metrics_interval <= 0.0 {
-        return Err("--metrics-interval must be a positive number".into());
-    }
-    let trace_sample = p.opt_parse::<u64>("trace-sample")?.unwrap_or(1);
-    if trace_sample == 0 {
-        return Err("--trace-sample must be at least 1 (keep every Nth trace)".into());
-    }
-    if let Some(n) = p.opt_parse::<usize>("threads")? {
-        if n == 0 {
-            return Err("--threads must be at least 1".into());
-        }
-        amrviz_par::set_threads(n);
-    }
     let suite = p.opt("suite").map(resolve_suite).transpose()?;
     if let Some(extra) = p.positional.get(1) {
         return Err(format!("unexpected argument: {extra}"));
@@ -116,7 +108,16 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             return Err("--suite replaces the experiment name; pass one or the other".into())
         }
         (Some(_), None) => "enumerated".to_string(),
-        (None, Some(e)) => e.clone(),
+        (None, Some(e)) => {
+            let figures = FIGURES.iter().map(|(name, _)| *name);
+            let known: Vec<&str> = figures.chain(["all", "obs-overhead"]).collect();
+            if !known.contains(&e.as_str()) {
+                return Err(format!(
+                    "unknown experiment `{e}`; known: {known:?} (or --suite enumerated)"
+                ));
+            }
+            e.clone()
+        }
         (None, None) => return Err("missing experiment name (try `all`)".into()),
     };
     Ok(Args {
@@ -125,11 +126,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         scale,
         seed: p.opt_parse("seed")?.unwrap_or(42),
         out: PathBuf::from(p.opt("out").unwrap_or("repro_out")),
-        flame: p.opt("flame").map(PathBuf::from),
-        journal: p.opt("journal").map(PathBuf::from),
-        metrics_out: p.opt("metrics-out").map(PathBuf::from),
-        metrics_interval,
-        trace_sample,
     })
 }
 
@@ -169,10 +165,6 @@ struct Ctx {
     experiments: Vec<Json>,
     /// (ok, degraded, failed) fab decode totals across all experiments.
     decode_fabs: (u64, u64, u64),
-    /// When `--flame` is given, span events accumulated across experiments
-    /// (each experiment resets the recorder, so they're drained here).
-    flame: Option<PathBuf>,
-    flame_events: Vec<amrviz_obs::SpanEvent>,
 }
 
 impl Ctx {
@@ -196,9 +188,6 @@ impl Ctx {
     /// Drains the obs recorder into `manifest_<name>.json` and folds the
     /// top-level stage times into the invocation-wide totals.
     fn finish_experiment(&mut self, name: &str) {
-        if self.flame.is_some() {
-            self.flame_events.extend(amrviz_obs::events_snapshot());
-        }
         let summary = amrviz_obs::summary::collect();
         for r in &summary.roots {
             *self.stage_seconds.entry(r.key.clone()).or_insert(0.0) += r.seconds;
@@ -605,7 +594,7 @@ fn ablation(ctx: &mut Ctx) {
 /// the compression-quality matrix over every one of them. Each run row
 /// (table and summary.jsonl) carries the scenario's canonical recipe
 /// string, so any row reproduces with
-/// `repro --suite "enumerated:<recipe>" --seed <seed>`.
+/// `amrviz repro --suite "enumerated:<recipe>" --seed <seed>`.
 fn enumerated(ctx: &mut Ctx, recipe_src: &str) {
     println!("\n=== Enumerated suite: recipe-expanded scenario matrix ===");
     let exp = match amrviz_recipe::expand(recipe_src, ctx.seed) {
@@ -637,44 +626,34 @@ fn enumerated(ctx: &mut Ctx, recipe_src: &str) {
 
 /// `repro obs-overhead`: writes `OBS_OVERHEAD_<git>.json` into `out` and
 /// fails when instrumentation costs more than [`OBS_OVERHEAD_MAX_PCT`].
-fn obs_overhead(scale: Scale, out: &Path) -> ExitCode {
+fn obs_overhead(scale: Scale, out: &Path) -> Result<(), String> {
     let report = run_obs_overhead(scale, out);
     let path = out.join(format!("OBS_OVERHEAD_{}.json", git_describe()));
-    if let Err(e) = std::fs::write(&path, report.to_json().to_string_pretty()) {
-        eprintln!("error: writing {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&path, report.to_json().to_string_pretty())
+        .map_err(|e| format!("writing {}: {e}", path.display()))?;
     println!("OBS_OVERHEAD written to {}", path.display());
     print!("{}", report.render());
     if report.passed() {
-        ExitCode::SUCCESS
+        Ok(())
     } else {
-        eprintln!(
-            "error: instrumentation overhead {:.2}% exceeds the {:.0}% budget",
+        Err(format!(
+            "instrumentation overhead {:.2}% exceeds the {:.0}% budget",
             report.overhead_pct, OBS_OVERHEAD_MAX_PCT
-        );
-        ExitCode::FAILURE
+        ))
     }
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!(
-                "error: {e}\nusage: repro <experiment> [--scale S] [--seed N] [--out DIR] \
-                 [--threads N] [--flame FILE] [--journal FILE] [--metrics-out FILE] \
-                 [--metrics-interval SECS] [--trace-sample N]\n\
-                 or:    repro --suite enumerated[:RECIPE] [--seed N] [--out DIR] [--threads N]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
+pub fn repro(argv: &[String], obs: &ObsOptions) -> Result<(), String> {
+    let args = parse_args(argv).map_err(|e| format!("{e}\n{USAGE}"))?;
     std::fs::create_dir_all(&args.out).ok();
-    // The overhead gate switches the recorder on and off itself, so it
-    // runs before any of the recorder setup below.
     if args.experiment == "obs-overhead" {
+        // The gate switches the recorder on and off and runs a journal of
+        // its own; telemetry `main` has already started would be in its way.
+        if obs.active() {
+            return Err("obs-overhead drives the recorder itself; \
+                        drop the telemetry flags"
+                .into());
+        }
         return obs_overhead(args.scale.unwrap_or(Scale::Tiny), &args.out);
     }
     // Merge into any existing results.json so partial re-runs (e.g.
@@ -694,55 +673,22 @@ fn main() -> ExitCode {
         stage_seconds: BTreeMap::new(),
         experiments: Vec::new(),
         decode_fabs: (0, 0, 0),
-        flame: args.flame.clone(),
-        flame_events: Vec::new(),
     };
+    // The manifests and the SUMMARY stage times are read off the recorder,
+    // so it is on whether or not a telemetry flag asked for it.
     amrviz_obs::enable();
     // Trace ids are derived from the run seed, so the same seed reproduces
     // the same ids (and the same sampling verdicts) at any thread count.
     amrviz_obs::set_trace_seed(args.seed);
-    amrviz_obs::set_trace_sampling(args.trace_sample);
-    if let Some(jpath) = &args.journal {
-        if let Err(e) = amrviz_obs::journal::start(jpath) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(mpath) = &args.metrics_out {
-        if let Err(e) = amrviz_obs::expose::writer_start(
-            mpath.clone(),
-            std::time::Duration::from_secs_f64(args.metrics_interval),
-        ) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
     let exp = args.experiment.as_str();
-    let known = [
-        "table1",
-        "table2",
-        "fig1",
-        "fig2",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "ablation",
-        "all",
-        "obs-overhead",
-    ];
-    if args.suite.is_none() && !known.contains(&exp) {
-        eprintln!("unknown experiment `{exp}`; known: {known:?} (or --suite enumerated)");
-        return ExitCode::FAILURE;
-    }
-    let run = |name: &str| args.suite.is_none() && (exp == name || exp == "all");
     // Each experiment records into a fresh obs recorder so its manifest only
-    // covers its own spans and counters. A panicking experiment is recorded
-    // as `"status":"failed"` and the batch continues — one broken figure
-    // must not cost the rest of an `all` run.
+    // covers its own spans and counters (`--trace` / `--flame` / `--timing`
+    // still see the whole run: the events are handed on before each reset).
+    // A panicking experiment is recorded as `"status":"failed"` and the
+    // batch continues — one broken figure must not cost the rest of an
+    // `all` run.
     let instrumented = |ctx: &mut Ctx, name: &str, f: &dyn Fn(&mut Ctx)| {
+        obs.carry_events();
         amrviz_obs::reset();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx)));
         ctx.finish_experiment(name);
@@ -764,49 +710,15 @@ fn main() -> ExitCode {
         }
         ctx.experiments.push(rec);
     };
-    if run("table1") {
-        instrumented(&mut ctx, "table1", &table1);
-    }
-    if run("table2") {
-        instrumented(&mut ctx, "table2", &table2);
-    }
-    if run("fig1") {
-        instrumented(&mut ctx, "fig1", &fig1);
-    }
-    if run("fig2") {
-        instrumented(&mut ctx, "fig2", &fig2);
-    }
-    if run("fig9") {
-        instrumented(&mut ctx, "fig9", &|c| {
-            figs_9_10(c, CompressorKind::SzLr, "fig9")
-        });
-    }
-    if run("fig10") {
-        instrumented(&mut ctx, "fig10", &|c| {
-            figs_9_10(c, CompressorKind::SzInterp, "fig10")
-        });
-    }
-    if run("fig11") {
-        instrumented(&mut ctx, "fig11", &fig11);
-    }
-    if run("fig12") {
-        instrumented(&mut ctx, "fig12", &|c| {
-            rate_distortion(c, Application::Warpx, "fig12")
-        });
-    }
-    if run("fig13") {
-        instrumented(&mut ctx, "fig13", &|c| {
-            rate_distortion(c, Application::Nyx, "fig13")
-        });
-    }
-    if run("fig14") {
-        instrumented(&mut ctx, "fig14", &fig14);
-    }
-    if run("ablation") {
-        instrumented(&mut ctx, "ablation", &ablation);
-    }
-    if let Some(recipe_src) = args.suite.clone() {
-        instrumented(&mut ctx, "enumerated", &|c| enumerated(c, &recipe_src));
+    match &args.suite {
+        Some(recipe_src) => instrumented(&mut ctx, "enumerated", &|c| enumerated(c, recipe_src)),
+        None => {
+            for (name, f) in FIGURES {
+                if exp == name || exp == "all" {
+                    instrumented(&mut ctx, name, &f);
+                }
+            }
+        }
     }
 
     let json_path: &Path = &ctx.out.join("results.json");
@@ -814,31 +726,9 @@ fn main() -> ExitCode {
         println!("\nresults recorded in {}", json_path.display());
     }
 
-    if let Some(flame_path) = &ctx.flame {
-        match amrviz_obs::flame::write_flamegraph_events(flame_path, &ctx.flame_events) {
-            Ok(()) => println!("flamegraph written to {}", flame_path.display()),
-            Err(e) => eprintln!(
-                "[repro] writing flamegraph to {}: {e}",
-                flame_path.display()
-            ),
-        }
-    }
-
     // Tear streaming down before the SUMMARY line so its journal totals
     // are final (the writer threads flush everything on stop).
-    if args.metrics_out.is_some() {
-        amrviz_obs::expose::writer_stop();
-    }
-    let journal_stats = args.journal.as_ref().map(|jpath| {
-        let stats = amrviz_obs::journal::stop();
-        eprintln!(
-            "[repro] journal written to {} ({} lines, {} dropped)",
-            jpath.display(),
-            stats.enqueued,
-            stats.dropped
-        );
-        stats
-    });
+    let journal_stats = obs.stop_streaming();
 
     // Final machine-readable one-liner: what ran, how well it compressed,
     // and where the wall time went. Also appended to summary.jsonl so
@@ -900,8 +790,178 @@ fn main() -> ExitCode {
         let _ = writeln!(f, "{line}");
     }
     if any_failed {
-        ExitCode::FAILURE
+        Err("one or more experiments failed (see the SUMMARY line)".into())
     } else {
-        ExitCode::SUCCESS
+        Ok(())
+    }
+}
+
+/// The error bounds the rate-distortion figures sweep.
+const RD_EBS: [f64; 6] = [1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2];
+
+/// `git describe --always --dirty` of the working tree, falling back to
+/// `GITHUB_SHA` (CI) and then `"unknown"`. Never fails.
+fn git_describe() -> String {
+    let out = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output();
+    if let Ok(o) = out {
+        if o.status.success() {
+            let s = String::from_utf8_lossy(&o.stdout).trim().to_string();
+            if !s.is_empty() {
+                return s;
+            }
+        }
+    }
+    if let Ok(sha) = std::env::var("GITHUB_SHA") {
+        if sha.len() >= 7 {
+            return sha[..7].to_string();
+        }
+    }
+    "unknown".to_string()
+}
+
+/// The one-dimensional Fig. 14 demonstration: a linear ramp, its blocky
+/// reconstruction under a coarse quantizer, and the re-sampled
+/// (vertex-averaged + midpoint-interpolated) version that smooths the
+/// blocks. Returns `(original, blocky, resampled)`; the resampled series
+/// has `n + 1` vertex samples.
+fn fig14_series(n: usize, eb: f64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    use amrviz_compress::quantizer::{Quantized, Quantizer};
+    let original: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    // A large absolute bound makes the quantizer's staircase visible — the
+    // 1D stand-in for SZ-L/R's block artifacts (the paper's "111//444//777"
+    // sketch). Prediction is held at 0 so the raw quantization staircase
+    // shows (the real block compressor would predict the ramp exactly).
+    let q = Quantizer::new(eb);
+    let blocky: Vec<f64> = original
+        .iter()
+        .map(|&v| match q.quantize(0.0, v) {
+            Quantized::Code { recon, .. } => recon,
+            Quantized::Outlier => v,
+        })
+        .collect();
+    // Re-sampling: cell → vertex averaging (paper §2.3, 1D version).
+    let mut resampled = Vec::with_capacity(n + 1);
+    resampled.push(blocky[0]);
+    for i in 1..n {
+        resampled.push(0.5 * (blocky[i - 1] + blocky[i]));
+    }
+    resampled.push(blocky[n - 1]);
+    (original, blocky, resampled)
+}
+
+/// Total variation of a series — the Fig. 14 smoothing effect in one
+/// number (lower = smoother).
+fn step_roughness(series: &[f64]) -> f64 {
+    series
+        .windows(3)
+        .map(|w| (w[2] - 2.0 * w[1] + w[0]).abs())
+        .sum()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fig14_resampling_smooths_blocks() {
+        let (orig, blocky, resampled) = fig14_series(24, 1.4);
+        assert_eq!(orig.len(), 24);
+        assert_eq!(resampled.len(), 25);
+        // The quantizer staircases the ramp…
+        assert!(step_roughness(&blocky) > 2.0 * step_roughness(&orig));
+        // …and re-sampling smooths it back down (the paper's Fig. 14 point).
+        assert!(
+            step_roughness(&resampled) < step_roughness(&blocky),
+            "resampled {} !< blocky {}",
+            step_roughness(&resampled),
+            step_roughness(&blocky)
+        );
+    }
+
+    #[test]
+    fn git_describe_never_panics() {
+        assert!(!git_describe().is_empty());
+    }
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn parse_err(line: &str) -> String {
+        parse_args(&argv(line)).err().expect("must be rejected")
+    }
+
+    #[test]
+    fn repro_rejects_bad_experiment_selection() {
+        assert_eq!(parse_err(""), "missing experiment name (try `all`)");
+        let unknown = parse_err("fig99");
+        assert!(
+            unknown.starts_with("unknown experiment `fig99`; known: [\"table1\","),
+            "{unknown}"
+        );
+        assert!(unknown.ends_with("(or --suite enumerated)"), "{unknown}");
+        assert_eq!(
+            parse_err("table2 --suite enumerated"),
+            "--suite replaces the experiment name; pass one or the other"
+        );
+        assert_eq!(parse_err("table1 table2"), "unexpected argument: table2");
+        let ok = parse_args(&argv("table2 --scale tiny --seed 7")).unwrap();
+        assert_eq!((ok.experiment.as_str(), ok.seed), ("table2", 7));
+        assert!(ok.suite.is_none() && ok.scale == Some(Scale::Tiny));
+        let suite = parse_args(&argv("--suite enumerated")).unwrap();
+        assert_eq!(suite.experiment, "enumerated");
+    }
+
+    /// The telemetry flags of a `repro` command line are `main`'s to check.
+    #[test]
+    fn repro_rejects_bad_global_telemetry_flags() {
+        let split =
+            |flags: &str| crate::extract_obs_options(argv(&format!("repro table2 {flags}")));
+        let err = |flags: &str| split(flags).expect_err("rejected");
+        assert_eq!(err("--threads 0"), "--threads must be at least 1");
+        assert_eq!(
+            err("--trace-sample 0"),
+            "--trace-sample must be at least 1 (keep every Nth trace)"
+        );
+        for bad in ["0", "-1", "nan"] {
+            assert_eq!(
+                err(&format!("--metrics-interval {bad}")),
+                "--metrics-interval must be a positive number"
+            );
+        }
+        let (rest, opts) = split("--flame f.html --threads 2 --seed 9").unwrap();
+        assert_eq!(rest, argv("repro table2 --seed 9"));
+        assert!(opts.active() && opts.threads == Some(2));
+    }
+
+    #[test]
+    fn resolve_suite_forms() {
+        assert_eq!(
+            resolve_suite("enumerated").unwrap(),
+            amrviz_recipe::ENUMERATED_SUITE
+        );
+        assert_eq!(
+            resolve_suite("enumerated:(scenario x)").unwrap(),
+            "(scenario x)"
+        );
+        let file = std::env::temp_dir().join(format!("amrviz_recipe_{}", std::process::id()));
+        std::fs::write(&file, "(scenario from-file)").unwrap();
+        let from_file = resolve_suite(&format!("enumerated:@{}", file.display()));
+        std::fs::remove_file(&file).unwrap();
+        assert_eq!(from_file.unwrap(), "(scenario from-file)");
+        let missing = resolve_suite("enumerated:@/nonexistent/x.recipe").unwrap_err();
+        assert!(missing.starts_with("reading recipe file /nonexistent/x.recipe:"));
+        assert_eq!(
+            resolve_suite("enumerated:").unwrap_err(),
+            "empty recipe after `enumerated:`"
+        );
+        for unknown in ["paper", "enumeratedX"] {
+            assert_eq!(
+                resolve_suite(unknown).unwrap_err(),
+                format!("unknown suite `{unknown}` (try `enumerated[:RECIPE]`)")
+            );
+        }
     }
 }

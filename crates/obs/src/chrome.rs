@@ -7,8 +7,6 @@
 //! recorder epoch.
 
 use std::collections::BTreeSet;
-use std::io;
-use std::path::Path;
 
 use crate::{counters_snapshot, events_snapshot, json_escape, SpanEvent};
 
@@ -52,15 +50,13 @@ pub fn render_chrome_trace(
             }
             args.push_str(&format!("\"{}\":{}", json_escape(k), v.to_json()));
         }
-        if cfg!(feature = "mem-profile") {
-            if !args.is_empty() {
-                args.push(',');
-            }
-            args.push_str(&format!(
-                "\"mem.peak_bytes\":{},\"mem.net_bytes\":{}",
-                e.mem_peak_bytes, e.mem_net_bytes
-            ));
+        if !args.is_empty() {
+            args.push(',');
         }
+        args.push_str(&format!(
+            "\"mem.peak_bytes\":{},\"mem.net_bytes\":{}",
+            e.mem_peak_bytes, e.mem_net_bytes
+        ));
         if e.trace_id != 0 {
             if !args.is_empty() {
                 args.push(',');
@@ -102,12 +98,6 @@ pub fn chrome_trace_json() -> String {
     render_chrome_trace(&events_snapshot(), &counters_snapshot())
 }
 
-/// Writes [`chrome_trace_json`] to `path` (open the file in
-/// `chrome://tracing` or <https://ui.perfetto.dev>).
-pub fn write_chrome_trace(path: &Path) -> io::Result<()> {
-    std::fs::write(path, chrome_trace_json())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,10 +134,8 @@ mod tests {
         assert!(s.contains("\"ph\":\"M\""));
         assert!(s.contains("\"name\":\"compress\""));
         assert!(s.contains("\"level\":1"));
-        if cfg!(feature = "mem-profile") {
-            assert!(s.contains("\"mem.peak_bytes\":128"));
-            assert!(s.contains("\"mem.net_bytes\":64"));
-        }
+        assert!(s.contains("\"mem.peak_bytes\":128"));
+        assert!(s.contains("\"mem.net_bytes\":64"));
         assert!(s.contains("\"trace\":\"000000000000feed\""));
     }
 

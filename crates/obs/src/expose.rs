@@ -3,22 +3,22 @@
 //!
 //! Two formats from one snapshot pass:
 //!
-//! * **JSON** (`amrviz-metrics-v1`) — machine-readable document carrying
-//!   both *lifetime* aggregates (since the last [`crate::reset`]) and the
-//!   *rolling window* view (trailing [`crate::window::coverage_seconds`]),
-//!   plus the recorder's `obs.*` self-accounting meta-metrics. Consumed
-//!   by `amrviz stats`.
+//! * **JSON** (`amrviz-metrics-v2`) — machine-readable document carrying
+//!   the *lifetime* aggregates (since the last [`crate::reset`]) plus the
+//!   recorder's `obs.*` self-accounting meta-metrics. Consumed by
+//!   `amrviz stats`. Rolling-window views are not here: the one process
+//!   that runs long enough to want them answers them in `serve`'s STATS
+//!   snapshot.
 //! * **Prometheus text exposition** — `amrviz_<name>` families with
 //!   counter totals, gauge values, and histogram summaries (quantiles
-//!   0.5/0.9/0.99 over the rolling window, `_sum`/`_count` lifetime), for
-//!   scraping or eyeballing with standard tooling.
+//!   0.5/0.9/0.99, `_sum`/`_count`), for scraping or eyeballing with
+//!   standard tooling.
 //!
 //! [`write_snapshot`] is crash-safe: the JSON document is written to a
 //! sibling temp file and atomically renamed over the target, so a reader
 //! polling the file mid-run never sees a torn document. The `.prom`
 //! sibling is written the same way.
 
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,10 +27,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::hist::Histogram;
-use crate::{lock_clean, window};
+use crate::lock_clean;
 
 /// Metrics snapshot schema identifier.
-pub const METRICS_SCHEMA: &str = "amrviz-metrics-v1";
+pub const METRICS_SCHEMA: &str = "amrviz-metrics-v2";
 
 /// Formats a float as plain decimal (Prometheus- and JSON-safe; integral
 /// values render with a trailing `.0`, non-finite values as `0.0`).
@@ -65,74 +65,33 @@ pub fn hist_stats_json(h: &Histogram) -> String {
     )
 }
 
-/// Renders the full recorder state as one `amrviz-metrics-v1` JSON
-/// document (single line, suitable for atomic replacement). `window_secs`
-/// bounds the rolling-window view; pass
-/// [`window::coverage_seconds`] for "everything the ring covers".
-pub fn snapshot_json(window_secs: f64) -> String {
-    let (slot_nanos, slots) = window::config();
-    let counters = crate::counters_snapshot();
-    let counters_w = crate::counters_window_snapshot(window_secs);
-    let gauges = crate::gauges_snapshot();
-    let gauges_w = crate::gauges_window_snapshot(window_secs);
-    let hists = crate::histograms_snapshot();
-    let hists_w = crate::histograms_window_snapshot(window_secs);
+/// Renders the full recorder state as one `amrviz-metrics-v2` JSON
+/// document (single line, suitable for atomic replacement).
+pub fn snapshot_json() -> String {
     let meta = crate::meta_snapshot();
 
     let mut out = format!(
-        "{{\"schema\":\"{METRICS_SCHEMA}\",\"uptime_ns\":{},\
-         \"window\":{{\"slot_ns\":{slot_nanos},\"slots\":{slots},\
-         \"view_secs\":{}}}",
+        "{{\"schema\":\"{METRICS_SCHEMA}\",\"uptime_ns\":{}",
         crate::epoch_elapsed_ns(),
-        fmt_f64(window_secs),
     );
 
-    out.push_str(",\"counters\":{");
-    for (i, (name, lifetime)) in counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let w = counters_w.get(name).copied().unwrap_or(0);
-        out.push_str(&format!(
-            "\"{}\":{{\"lifetime\":{lifetime},\"window\":{w}}}",
-            crate::json_escape(name)
-        ));
-    }
-    out.push('}');
-
-    out.push_str(",\"gauges\":{");
-    for (i, (name, last)) in gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{}\":{{\"last\":{}",
-            crate::json_escape(name),
-            fmt_f64(*last)
-        ));
-        if let Some(w) = gauges_w.get(name) {
-            out.push_str(&format!(",\"window\":{}", fmt_f64(*w)));
-        }
-        out.push('}');
-    }
-    out.push('}');
-
-    out.push_str(",\"histograms\":{");
-    for (i, (name, h)) in hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{}\":{{\"lifetime\":{}",
-            crate::json_escape(name),
-            hist_stats_json(h)
-        ));
-        if let Some(w) = hists_w.get(name) {
-            out.push_str(&format!(",\"window\":{}", hist_stats_json(w)));
-        }
-        out.push('}');
-    }
-    out.push('}');
+    // One shape per section: `"<name>":{"<member>":<value>}` for each metric.
+    let mut section = |key: &str, member: &str, metrics: Vec<(&str, String)>| {
+        let body: Vec<String> = metrics
+            .iter()
+            .map(|(name, v)| format!("\"{}\":{{\"{member}\":{v}}}", crate::json_escape(name)))
+            .collect();
+        out.push_str(&format!(",\"{key}\":{{{}}}", body.join(",")));
+    };
+    let counters = crate::counters_snapshot();
+    let counters = counters.iter().map(|(n, v)| (*n, v.to_string()));
+    section("counters", "lifetime", counters.collect());
+    let gauges = crate::gauges_snapshot();
+    let gauges = gauges.iter().map(|(n, v)| (*n, fmt_f64(*v)));
+    section("gauges", "last", gauges.collect());
+    let hists = crate::histograms_snapshot();
+    let hists = hists.iter().map(|(n, h)| (*n, hist_stats_json(h)));
+    section("histograms", "lifetime", hists.collect());
 
     out.push_str(&format!(
         ",\"meta\":{{\"overhead_us\":{},\"spans_recorded\":{},\
@@ -161,11 +120,9 @@ fn prom_name(name: &str) -> String {
     out
 }
 
-/// Renders the recorder state as Prometheus text exposition. Counters and
-/// `_sum`/`_count` are lifetime totals; histogram quantiles are computed
-/// over the trailing `window_secs` rolling window (falling back to the
-/// lifetime distribution when the window is empty).
-pub fn prometheus_text(window_secs: f64) -> String {
+/// Renders the recorder state as Prometheus text exposition: lifetime
+/// totals and lifetime quantiles.
+pub fn prometheus_text() -> String {
     let mut out = String::new();
     for (name, v) in crate::counters_snapshot() {
         let p = prom_name(name);
@@ -180,16 +137,13 @@ pub fn prometheus_text(window_secs: f64) -> String {
             fmt_f64(v)
         ));
     }
-    let hists = crate::histograms_snapshot();
-    let hists_w = crate::histograms_window_snapshot(window_secs);
-    for (name, lifetime) in &hists {
+    for (name, lifetime) in &crate::histograms_snapshot() {
         let p = prom_name(name);
-        let q = hists_w.get(name).unwrap_or(lifetime);
         out.push_str(&format!("# TYPE amrviz_{p} summary\n"));
         for (label, pct) in [("0.5", 50.0), ("0.9", 90.0), ("0.99", 99.0)] {
             out.push_str(&format!(
                 "amrviz_{p}{{quantile=\"{label}\"}} {}\n",
-                fmt_f64(q.percentile(pct))
+                fmt_f64(lifetime.percentile(pct))
             ));
         }
         out.push_str(&format!("amrviz_{p}_sum {}\n", lifetime.sum()));
@@ -216,18 +170,15 @@ pub fn prometheus_text(window_secs: f64) -> String {
         out.push_str(&format!("amrviz_{p}_hist_count {}\n", lifetime.count()));
     }
     let meta = crate::meta_snapshot();
-    out.push_str(&format!(
-        "# TYPE amrviz_obs_overhead_us counter\namrviz_obs_overhead_us {}\n",
-        meta.overhead_us
-    ));
-    out.push_str(&format!(
-        "# TYPE amrviz_obs_dropped_events counter\namrviz_obs_dropped_events {}\n",
-        meta.journal_dropped
-    ));
-    out.push_str(&format!(
-        "# TYPE amrviz_obs_spans_recorded counter\namrviz_obs_spans_recorded {}\n",
-        meta.spans_recorded
-    ));
+    for (name, v) in [
+        ("overhead_us", meta.overhead_us),
+        ("dropped_events", meta.journal_dropped),
+        ("spans_recorded", meta.spans_recorded),
+    ] {
+        out.push_str(&format!(
+            "# TYPE amrviz_obs_{name} counter\namrviz_obs_{name} {v}\n"
+        ));
+    }
     out
 }
 
@@ -245,9 +196,8 @@ fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
 /// sibling `path.with_extension("prom")`, each via temp-file + atomic
 /// rename so concurrent readers never observe a torn document.
 pub fn write_snapshot(path: &Path) -> std::io::Result<()> {
-    let window_secs = window::coverage_seconds();
-    write_atomic(path, &snapshot_json(window_secs))?;
-    write_atomic(&path.with_extension("prom"), &prometheus_text(window_secs))
+    write_atomic(path, &snapshot_json())?;
+    write_atomic(&path.with_extension("prom"), &prometheus_text())
 }
 
 static WRITER_ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -312,13 +262,6 @@ pub fn writer_stop() {
     }
 }
 
-/// Formats a snapshot's histogram map as the human-readable table used by
-/// `--timing` output (re-exported convenience over [`crate::hist::render_text`]).
-pub fn render_window_text(window_secs: f64) -> String {
-    let hists: BTreeMap<&'static str, Histogram> = crate::histograms_window_snapshot(window_secs);
-    crate::hist::render_text(&hists)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,15 +282,15 @@ mod tests {
         crate::gauge_set("exp.eb", 0.5);
         crate::histogram_record("exp.lat", 100);
         crate::disable();
-        let j = snapshot_json(window::coverage_seconds());
-        assert!(j.starts_with("{\"schema\":\"amrviz-metrics-v1\""));
+        let j = snapshot_json();
+        assert!(j.starts_with("{\"schema\":\"amrviz-metrics-v2\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
-        assert!(j.contains("\"exp.bytes\":{\"lifetime\":10,\"window\":10}"));
+        assert!(j.contains("\"exp.bytes\":{\"lifetime\":10}"));
         assert!(j.contains("\"exp.eb\""));
         assert!(j.contains("\"p99\""));
         assert!(j.contains("\"meta\""));
 
-        let p = prometheus_text(window::coverage_seconds());
+        let p = prometheus_text();
         assert!(p.contains("amrviz_exp_bytes_total 10"));
         assert!(p.contains("amrviz_exp_eb 0.5"));
         assert!(p.contains("amrviz_exp_lat{quantile=\"0.99\"}"));
@@ -365,7 +308,7 @@ mod tests {
             crate::histogram_record("bkt.lat", v);
         }
         crate::disable();
-        let p = prometheus_text(window::coverage_seconds());
+        let p = prometheus_text();
 
         // Parse the `_bucket{le=...}` lines back out of the exposition.
         let mut buckets: Vec<(f64, u64)> = Vec::new();

@@ -9,7 +9,7 @@
 //! * [`html`] — a self-contained icicle-style flamegraph (inline CSS + a
 //!   few lines of JS for click-to-zoom; no external assets, opens from
 //!   `file://`). Frame tooltips carry total/self time, span count and —
-//!   when the `mem-profile` feature recorded them — peak bytes.
+//!   when [`crate::mem::CountingAlloc`] recorded them — peak bytes.
 //!
 //! Aggregation matches [`crate::summary`]: spans group by parent chain and
 //! name, with `level = N` fields split into ` [L<n>]` rows, so the
@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 
-use crate::{events_snapshot, SpanEvent};
+use crate::SpanEvent;
 
 /// One aggregated frame of the flamegraph tree.
 #[derive(Debug, Clone)]
@@ -292,16 +292,10 @@ fn html_escape(s: &str) -> String {
     out
 }
 
-/// Writes a flamegraph of everything recorded so far. A `.html` extension
-/// selects the self-contained HTML rendering; anything else gets
-/// collapsed-stack text.
-pub fn write_flamegraph(path: &std::path::Path) -> std::io::Result<()> {
-    let events = events_snapshot();
-    write_flamegraph_events(path, &events)
-}
-
-/// [`write_flamegraph`] over an explicit event list (used by `repro`, which
-/// accumulates events across per-experiment recorder resets).
+/// Writes a flamegraph of `events`. A `.html` extension selects the
+/// self-contained HTML rendering; anything else gets collapsed-stack text.
+/// The caller supplies the events because `amrviz repro` resets the
+/// recorder per experiment and hands over what it collected in between.
 pub fn write_flamegraph_events(
     path: &std::path::Path,
     events: &[SpanEvent],

@@ -15,25 +15,25 @@
 //!   [`hist::Histogram`]s (per-piece latencies, blob sizes, hit rates) whose
 //!   shard merge is a commutative integer sum, so p50/p90/p99 are identical
 //!   at any thread count for the same multiset of samples.
-//! * **Memory** — with the default `mem-profile` feature and
-//!   [`mem::CountingAlloc`] installed as the global allocator, every span
-//!   carries `mem_net_bytes` / `mem_peak_bytes` attribution (see [`mem`]).
+//! * **Memory** — with [`mem::CountingAlloc`] installed as the global
+//!   allocator, every span carries `mem_net_bytes` / `mem_peak_bytes`
+//!   attribution (see [`mem`]).
 //! * **Exporters** — [`chrome::chrome_trace_json`] emits a
 //!   `chrome://tracing` / Perfetto `traceEvents` file;
 //!   [`summary::collect`] aggregates spans into a hierarchical
-//!   stage/level summary with percentages; [`flame::write_flamegraph`]
+//!   stage/level summary with percentages; [`flame::write_flamegraph_events`]
 //!   renders the span tree as collapsed stacks or a self-contained HTML
 //!   flamegraph.
-//! * **Continuous operation** — counters/gauges/histograms additionally
-//!   feed a ring of rolling time windows ([`window`]) so "p99 over the
-//!   last minute" is queryable at any instant without [`reset`]; every
-//!   root span starts a **trace** (deterministic splitmix-derived
-//!   `trace_id`, propagated across `amrviz-par` workers via
-//!   [`current_context`] / [`context_scope`]); completed spans can stream
-//!   to a JSONL [`journal`]; and [`expose`] writes periodic JSON +
-//!   Prometheus-style metric snapshots. The recorder accounts for its own
-//!   cost in `obs.overhead_us` / `obs.dropped_events` meta-metrics
-//!   ([`meta_snapshot`]).
+//! * **Continuous operation** — every root span starts a **trace**
+//!   (deterministic splitmix-derived `trace_id`, propagated across
+//!   `amrviz-par` workers via [`current_context`] / [`context_scope`]);
+//!   completed spans can stream to a JSONL [`journal`]; and [`expose`]
+//!   writes periodic JSON + Prometheus-style metric snapshots. The
+//!   recorder accounts for its own cost in `obs.overhead_us` /
+//!   `obs.dropped_events` meta-metrics ([`meta_snapshot`]). Recorder cells
+//!   are totals since the last [`reset`]; the rolling-window ring
+//!   ([`window`]) belongs to its one long-running owner, `serve`'s request
+//!   telemetry, not to the recorder.
 //!
 //! # Overhead
 //!
@@ -69,14 +69,6 @@ pub mod hist;
 pub mod journal;
 pub mod mem;
 pub mod slo;
-
-/// Synchronously drains pending journal lines to disk — see
-/// [`journal::flush`]. Exposed at the crate root because serve's graceful
-/// drain calls it without caring about the journal's internals.
-pub fn journal_flush() {
-    journal::flush();
-}
-
 pub mod summary;
 pub mod window;
 
@@ -182,9 +174,8 @@ pub struct SpanEvent {
     /// Wall duration in nanoseconds.
     pub dur_ns: u64,
     /// Net bytes allocated minus freed on this thread while the span was
-    /// active (0 unless the `mem-profile` feature is on and
-    /// [`mem::CountingAlloc`] is installed). Negative when the span freed
-    /// more than it allocated.
+    /// active (0 unless [`mem::CountingAlloc`] is installed). Negative when
+    /// the span freed more than it allocated.
     pub mem_net_bytes: i64,
     /// This thread's allocation high-water mark above the span's entry
     /// level (same availability as `mem_net_bytes`).
@@ -211,9 +202,9 @@ struct Recorder {
     next_trace: AtomicU64,
     epoch: Instant,
     events: [Mutex<Vec<SpanEvent>>; SHARDS],
-    counters: [Mutex<BTreeMap<&'static str, window::WindowedCounter>>; SHARDS],
-    gauges: Mutex<BTreeMap<&'static str, window::WindowedGauge>>,
-    hists: [Mutex<BTreeMap<&'static str, window::WindowedHistogram>>; SHARDS],
+    counters: [Mutex<BTreeMap<&'static str, u64>>; SHARDS],
+    gauges: Mutex<BTreeMap<&'static str, f64>>,
+    hists: [Mutex<BTreeMap<&'static str, hist::Histogram>>; SHARDS],
 }
 
 impl Recorder {
@@ -230,11 +221,6 @@ impl Recorder {
             gauges: Mutex::new(BTreeMap::new()),
             hists: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
         }
-    }
-
-    /// Current rolling-window slot under the global [`window::config`].
-    fn now_slot(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64 / window::config().0
     }
 }
 
@@ -465,19 +451,12 @@ pub fn is_enabled() -> bool {
         .is_some_and(|r| r.enabled.load(Ordering::Relaxed))
 }
 
-/// Clears all recorded events, counters, gauges and histograms — lifetime
-/// totals *and* their rolling windows — zeroes the self-overhead
-/// meta-metrics, and collapses the global allocation high-water mark back
-/// to the current live count (enabled state, thread ids, and the trace
-/// ordinal counter are kept). Successive measurements therefore never
-/// inherit a stale distribution or peak from an earlier experiment.
-///
-/// # Windows vs. lifetime totals
-///
-/// This is the **only** operation that clears lifetime totals. Rolling
-/// window rotation (see [`window`]) merely recycles ring slots as time
-/// advances; `counters_snapshot()` keeps growing monotonically across
-/// rotations and only returns to zero after `reset()`.
+/// Clears all recorded events, counters, gauges and histograms, zeroes the
+/// self-overhead meta-metrics, and collapses the global allocation
+/// high-water mark back to the current live count (enabled state, thread
+/// ids, and the trace ordinal counter are kept). Successive measurements
+/// therefore never inherit a stale distribution or peak from an earlier
+/// experiment. This is the **only** operation that lowers a total.
 ///
 /// # Reset during active spans
 ///
@@ -533,13 +512,10 @@ pub fn counter_add(name: &'static str, delta: u64) {
         return;
     }
     let t0 = Instant::now();
-    let r = recorder();
-    let slot = r.now_slot();
     let shard = (thread_id() as usize) % SHARDS;
-    lock_clean(&r.counters[shard])
+    *lock_clean(&recorder().counters[shard])
         .entry(name)
-        .or_default()
-        .add(slot, delta);
+        .or_default() += delta;
     overhead_add(t0);
 }
 
@@ -555,12 +531,7 @@ pub fn gauge_set(name: &'static str, value: f64) {
         return;
     }
     let t0 = Instant::now();
-    let r = recorder();
-    let slot = r.now_slot();
-    lock_clean(&r.gauges)
-        .entry(name)
-        .or_insert_with(|| window::WindowedGauge::new(value))
-        .set(slot, value);
+    lock_clean(&recorder().gauges).insert(name, value);
     overhead_add(t0);
 }
 
@@ -571,96 +542,43 @@ pub fn histogram_record(name: &'static str, value: u64) {
         return;
     }
     let t0 = Instant::now();
-    let r = recorder();
-    let slot = r.now_slot();
     let shard = (thread_id() as usize) % SHARDS;
-    lock_clean(&r.hists[shard])
+    lock_clean(&recorder().hists[shard])
         .entry(name)
         .or_default()
-        .record(slot, value);
+        .record(value);
     overhead_add(t0);
 }
 
-/// Merged *lifetime* snapshot of all histograms (every sample since the
-/// last [`reset`]). Shard merge is a bucket-wise integer sum, so the
-/// result is independent of which thread recorded which sample.
+/// Merged snapshot of all histograms (every sample since the last
+/// [`reset`]). Shard merge is a bucket-wise integer sum, so the result is
+/// independent of which thread recorded which sample.
 pub fn histograms_snapshot() -> BTreeMap<&'static str, hist::Histogram> {
     let r = recorder();
     let mut out: BTreeMap<&'static str, hist::Histogram> = BTreeMap::new();
     for shard in &r.hists {
         for (k, h) in lock_clean(shard).iter() {
-            out.entry(*k).or_default().merge(&h.lifetime);
+            out.entry(*k).or_default().merge(h);
         }
     }
     out
 }
 
-/// Merged histogram snapshot over the trailing `last_secs` seconds
-/// (clamped to the configured window coverage).
-pub fn histograms_window_snapshot(last_secs: f64) -> BTreeMap<&'static str, hist::Histogram> {
-    let r = recorder();
-    let now = r.now_slot();
-    let k = window::slots_for_secs(last_secs);
-    let mut out: BTreeMap<&'static str, hist::Histogram> = BTreeMap::new();
-    for shard in &r.hists {
-        for (name, h) in lock_clean(shard).iter() {
-            out.entry(*name)
-                .or_default()
-                .merge(&h.window_merged(now, k));
-        }
-    }
-    // Drop metrics that went quiet before the window opened.
-    out.retain(|_, h| h.count() > 0);
-    out
-}
-
-/// Merged *lifetime* snapshot of all counters (monotonic since the last
-/// [`reset`]; window rotation never lowers these).
+/// Merged snapshot of all counters (monotonic since the last [`reset`]).
 pub fn counters_snapshot() -> BTreeMap<&'static str, u64> {
     let r = recorder();
     let mut out = BTreeMap::new();
     for shard in &r.counters {
         for (k, v) in lock_clean(shard).iter() {
-            *out.entry(*k).or_insert(0) += v.lifetime;
+            *out.entry(*k).or_insert(0) += *v;
         }
     }
     out
 }
 
-/// Counter totals over the trailing `last_secs` seconds (clamped to the
-/// configured window coverage). Quiet counters report 0 and are omitted.
-pub fn counters_window_snapshot(last_secs: f64) -> BTreeMap<&'static str, u64> {
-    let r = recorder();
-    let now = r.now_slot();
-    let k = window::slots_for_secs(last_secs);
-    let mut out = BTreeMap::new();
-    for shard in &r.counters {
-        for (name, v) in lock_clean(shard).iter() {
-            *out.entry(*name).or_insert(0) += v.window_sum(now, k);
-        }
-    }
-    out.retain(|_, v| *v > 0);
-    out
-}
-
-/// Snapshot of all gauges (last written value, lifetime).
+/// Snapshot of all gauges (last written value).
 pub fn gauges_snapshot() -> BTreeMap<&'static str, f64> {
-    lock_clean(&recorder().gauges)
-        .iter()
-        .map(|(k, g)| (*k, g.last))
-        .collect()
-}
-
-/// Gauges written within the trailing `last_secs` seconds (most recent
-/// value inside the window; gauges that went quiet earlier are omitted).
-pub fn gauges_window_snapshot(last_secs: f64) -> BTreeMap<&'static str, f64> {
-    let r = recorder();
-    let now = r.now_slot();
-    let k = window::slots_for_secs(last_secs);
-    lock_clean(&r.gauges)
-        .iter()
-        .filter_map(|(name, g)| g.window_last(now, k).map(|v| (*name, v)))
-        .collect()
+    lock_clean(&recorder().gauges).clone()
 }
 
 /// Snapshot of all completed spans, ordered by start time.
@@ -1077,24 +995,6 @@ mod tests {
         let inner_ev = ev.iter().find(|e| e.name == "inner").unwrap();
         assert_eq!(inner_ev.parent, outer_ev.id, "nesting survives the reset");
         assert_eq!(inner_ev.trace_id, outer_ev.trace_id);
-    }
-
-    #[test]
-    fn window_snapshots_subset_lifetime() {
-        let _g = guard();
-        reset();
-        enable();
-        counter!("win.bytes", 100u64);
-        gauge_set("win.eb", 0.5);
-        histogram!("win.lat", 42u64);
-        disable();
-        let cover = window::coverage_seconds();
-        assert_eq!(counters_snapshot()["win.bytes"], 100);
-        assert_eq!(counters_window_snapshot(cover)["win.bytes"], 100);
-        assert_eq!(gauges_window_snapshot(cover)["win.eb"], 0.5);
-        let wh = &histograms_window_snapshot(cover)["win.lat"];
-        assert_eq!(wh.count(), 1);
-        assert_eq!(histograms_snapshot()["win.lat"], *wh);
     }
 
     #[test]

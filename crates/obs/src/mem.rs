@@ -16,7 +16,7 @@
 //!
 //! * **Global** — process-wide live/peak bytes, used by the torture runner's
 //!   bounded-memory assertions ([`alloc_baseline`] / [`peak_since`]).
-//! * **Per-thread** (behind the `mem-profile` feature, on by default) —
+//! * **Per-thread** —
 //!   `const`-initialized thread-local counters, safe to touch from inside
 //!   `GlobalAlloc` because they never allocate or run destructors. Each
 //!   [`crate::SpanGuard`] saves the thread counters on entry and computes
@@ -31,15 +31,12 @@
 //! [`counting_alloc_installed`] reports so; all deltas read as 0.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-#[cfg(feature = "mem-profile")]
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
-#[cfg(feature = "mem-profile")]
 thread_local! {
     // const-initialized Cells: no lazy init, no destructor, no allocation —
     // the only thread-local shapes that are safe inside a global allocator.
@@ -54,7 +51,6 @@ pub struct CountingAlloc;
 fn add(n: usize) {
     let cur = CURRENT.fetch_add(n, Ordering::Relaxed) + n;
     PEAK.fetch_max(cur, Ordering::Relaxed);
-    #[cfg(feature = "mem-profile")]
     T_CUR.with(|c| {
         let v = c.get() + n as i64;
         c.set(v);
@@ -72,7 +68,6 @@ fn sub(n: usize) {
     // Note: cross-thread frees (allocate on worker A, drop on worker B)
     // make the per-thread counter go negative on B; the i64 domain and the
     // saturating span math below absorb that.
-    #[cfg(feature = "mem-profile")]
     T_CUR.with(|c| c.set(c.get() - n as i64));
 }
 
@@ -134,11 +129,6 @@ pub fn counting_alloc_installed() -> bool {
     CURRENT.load(Ordering::Relaxed) > 0 || PEAK.load(Ordering::Relaxed) > 0
 }
 
-/// Whether per-span memory attribution is compiled in *and* live.
-pub fn span_profiling_active() -> bool {
-    cfg!(feature = "mem-profile") && counting_alloc_installed()
-}
-
 /// Collapses the global high-water mark back to the current live count —
 /// part of [`crate::reset`], so successive measurements don't inherit a
 /// stale peak.
@@ -160,9 +150,7 @@ pub fn reset_peak() {
 /// Saved per-thread state for one span; see [`frame_enter`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MemFrame {
-    #[cfg(feature = "mem-profile")]
     start_cur: i64,
-    #[cfg(feature = "mem-profile")]
     saved_peak: i64,
 }
 
@@ -171,22 +159,15 @@ pub(crate) struct MemFrame {
 /// span measures only its own allocations.
 #[inline]
 pub(crate) fn frame_enter() -> MemFrame {
-    #[cfg(feature = "mem-profile")]
-    {
-        let cur = T_CUR.with(Cell::get);
-        let saved_peak = T_PEAK.with(|p| {
-            let saved = p.get();
-            p.set(cur);
-            saved
-        });
-        MemFrame {
-            start_cur: cur,
-            saved_peak,
-        }
-    }
-    #[cfg(not(feature = "mem-profile"))]
-    {
-        MemFrame {}
+    let cur = T_CUR.with(Cell::get);
+    let saved_peak = T_PEAK.with(|p| {
+        let saved = p.get();
+        p.set(cur);
+        saved
+    });
+    MemFrame {
+        start_cur: cur,
+        saved_peak,
     }
 }
 
@@ -195,23 +176,15 @@ pub(crate) fn frame_enter() -> MemFrame {
 /// account, so parents see through their children).
 #[inline]
 pub(crate) fn frame_exit(frame: MemFrame) -> (i64, u64) {
-    #[cfg(feature = "mem-profile")]
-    {
-        let cur = T_CUR.with(Cell::get);
-        let peak = T_PEAK.with(|p| {
-            let peak = p.get();
-            p.set(peak.max(frame.saved_peak));
-            peak
-        });
-        let net = cur - frame.start_cur;
-        let peak_delta = (peak - frame.start_cur).max(0) as u64;
-        (net, peak_delta)
-    }
-    #[cfg(not(feature = "mem-profile"))]
-    {
-        let _ = frame;
-        (0, 0)
-    }
+    let cur = T_CUR.with(Cell::get);
+    let peak = T_PEAK.with(|p| {
+        let peak = p.get();
+        p.set(peak.max(frame.saved_peak));
+        peak
+    });
+    let net = cur - frame.start_cur;
+    let peak_delta = (peak - frame.start_cur).max(0) as u64;
+    (net, peak_delta)
 }
 
 #[cfg(test)]
@@ -238,7 +211,6 @@ mod tests {
         assert_eq!(peak_since(base2), 0);
     }
 
-    #[cfg(feature = "mem-profile")]
     #[test]
     fn frames_attribute_net_and_peak_to_the_span() {
         let _g = guard();
@@ -261,7 +233,6 @@ mod tests {
         sub(150); // balance the books for other tests sharing the globals
     }
 
-    #[cfg(feature = "mem-profile")]
     #[test]
     fn reset_peak_during_active_frames_is_safe() {
         let _g = guard();
@@ -285,7 +256,6 @@ mod tests {
         sub(150); // balance the global books for other tests
     }
 
-    #[cfg(feature = "mem-profile")]
     #[test]
     fn freeing_more_than_allocated_goes_negative() {
         let _g = guard();

@@ -1,14 +1,12 @@
-//! Rolling time windows: a lazy slot ring over counters, gauges and
-//! histograms.
+//! Rolling time windows: a lazy slot ring and the windowed histogram
+//! built on it.
 //!
-//! Continuous operation (`amrviz serve`, long repro batches) needs "p99
-//! over the last minute" answerable at any instant *without* resetting the
-//! recorder. The scheme here is a ring of `N` time slots of `slot_nanos`
-//! each (default 12 × 5 s = one minute of coverage):
+//! A long-running owner (`amrviz serve`'s request telemetry — the only
+//! one) needs "p99 over the last five minutes" answerable at any instant
+//! without resetting anything. The scheme is a ring of `N` time slots:
 //!
-//! * Every recorded value lands in the slot `elapsed / slot_nanos`
-//!   (computed from the recorder epoch), stored at ring index
-//!   `slot % N`.
+//! * Every recorded value lands in the slot the owner derives from its own
+//!   clock (`elapsed / slot width`), stored at ring index `slot % N`.
 //! * Rotation is **lazy**: nothing ticks in the background. When a write
 //!   hits a ring entry whose stored slot id is stale, the entry is simply
 //!   overwritten with a fresh value for the current slot — O(1), no
@@ -18,14 +16,8 @@
 //!   covers) are skipped, so an idle metric naturally decays to empty.
 //!
 //! The ring itself is time-free: callers pass explicit slot ids, which is
-//! what makes the unit tests deterministic. The recorder derives "now"
-//! from its epoch; see [`crate::counters_window_snapshot`].
-//!
-//! **Windows vs. lifetime totals**: every windowed cell also carries a
-//! lifetime aggregate that rotation never touches — rotation only
-//! recycles ring entries. Only [`crate::reset`] clears lifetime totals.
-
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+//! what makes the unit tests deterministic. The global recorder keeps
+//! plain totals and does not use this module.
 
 use crate::hist::Histogram;
 
@@ -33,51 +25,9 @@ use crate::hist::Histogram;
 /// that would need ~585 years of uptime at 1 ns slots).
 const EMPTY: u64 = u64::MAX;
 
-/// Default slot width: 5 seconds.
-pub const DEFAULT_SLOT_NANOS: u64 = 5_000_000_000;
-
-/// Default ring size: 12 slots (one minute of coverage at the default
-/// width).
-pub const DEFAULT_SLOTS: usize = 12;
-
-static SLOT_NANOS: AtomicU64 = AtomicU64::new(DEFAULT_SLOT_NANOS);
-static SLOTS: AtomicUsize = AtomicUsize::new(DEFAULT_SLOTS);
-
-/// Configures the global window scheme: `slot_secs` per slot, `slots`
-/// ring entries (coverage = `slot_secs * slots`). Affects rings created
-/// *after* the call, so configure before [`crate::enable`]; existing cells
-/// keep their old geometry until the next [`crate::reset`].
-pub fn set_window(slot_secs: f64, slots: usize) {
-    let ns = (slot_secs.max(1e-3) * 1e9) as u64;
-    SLOT_NANOS.store(ns.max(1), Ordering::Relaxed);
-    SLOTS.store(slots.clamp(1, 4096), Ordering::Relaxed);
-}
-
-/// Current global window geometry as `(slot_nanos, slots)`.
-pub fn config() -> (u64, usize) {
-    (
-        SLOT_NANOS.load(Ordering::Relaxed),
-        SLOTS.load(Ordering::Relaxed),
-    )
-}
-
-/// Window coverage in seconds under the current geometry.
-pub fn coverage_seconds() -> f64 {
-    let (ns, n) = config();
-    ns as f64 * n as f64 / 1e9
-}
-
-/// Number of slots needed to cover the trailing `secs` seconds, clamped to
-/// the ring size.
-pub fn slots_for_secs(secs: f64) -> u64 {
-    let (ns, n) = config();
-    let k = (secs.max(0.0) * 1e9 / ns as f64).ceil() as u64;
-    k.clamp(1, n as u64)
-}
-
 /// A fixed-size ring of `(slot id, value)` entries with lazy rotation.
-/// Pure data structure: callers supply slot ids (the recorder derives them
-/// from its epoch), so behaviour is fully deterministic under test.
+/// Pure data structure: callers supply slot ids, so behaviour is fully
+/// deterministic under test.
 #[derive(Debug, Clone)]
 pub struct SlotRing<T> {
     slots: Vec<(u64, T)>,
@@ -89,21 +39,6 @@ impl<T: Default> SlotRing<T> {
         SlotRing {
             slots: (0..n.max(1)).map(|_| (EMPTY, T::default())).collect(),
         }
-    }
-
-    /// Ring sized by the global [`config`].
-    pub fn with_global_config() -> Self {
-        SlotRing::new(config().1)
-    }
-
-    /// Number of ring entries.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether every entry is empty (never written or fully recycled).
-    pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|(id, _)| *id == EMPTY)
     }
 
     /// Mutable access to the value for `slot`, lazily recycling the ring
@@ -130,104 +65,18 @@ impl<T: Default> SlotRing<T> {
     }
 }
 
-/// A counter cell: monotonic lifetime total plus a windowed ring.
-/// Rotation recycles ring slots only; `lifetime` survives until
-/// [`crate::reset`].
+/// A histogram cell: lifetime histogram plus per-slot histograms. Rotation
+/// recycles ring slots only; `lifetime` is never cleared. The window view
+/// merges slot histograms with a commutative bucket sum, so windowed
+/// percentiles do not depend on which thread recorded which sample.
 #[derive(Debug, Clone)]
-pub struct WindowedCounter {
-    pub lifetime: u64,
-    pub ring: SlotRing<u64>,
-}
-
-impl WindowedCounter {
-    pub fn new() -> Self {
-        WindowedCounter {
-            lifetime: 0,
-            ring: SlotRing::with_global_config(),
-        }
-    }
-
-    /// Counter with an explicit ring size, independent of the global
-    /// geometry — for subsystems (e.g. serve telemetry) that need longer
-    /// coverage than the recorder's window without reconfiguring it.
-    pub fn with_slots(n: usize) -> Self {
-        WindowedCounter {
-            lifetime: 0,
-            ring: SlotRing::new(n),
-        }
-    }
-
-    /// Adds `delta` at `slot` (and to the lifetime total).
-    pub fn add(&mut self, slot: u64, delta: u64) {
-        self.lifetime += delta;
-        *self.ring.slot_mut(slot) += delta;
-    }
-
-    /// Sum over the trailing `k` slots ending at `now_slot`.
-    pub fn window_sum(&self, now_slot: u64, k: u64) -> u64 {
-        self.ring.iter_window(now_slot, k).map(|(_, v)| *v).sum()
-    }
-}
-
-impl Default for WindowedCounter {
-    fn default() -> Self {
-        WindowedCounter::new()
-    }
-}
-
-/// A gauge cell: last-written value plus a per-slot last-write ring, so a
-/// window query reports the most recent value written inside the window
-/// (`None` when the gauge went quiet before the window opened).
-#[derive(Debug, Clone)]
-pub struct WindowedGauge {
-    pub last: f64,
-    pub ring: SlotRing<Option<f64>>,
-}
-
-impl WindowedGauge {
-    pub fn new(value: f64) -> Self {
-        WindowedGauge {
-            last: value,
-            ring: SlotRing::with_global_config(),
-        }
-    }
-
-    /// Records a write at `slot` (last write wins within a slot).
-    pub fn set(&mut self, slot: u64, value: f64) {
-        self.last = value;
-        *self.ring.slot_mut(slot) = Some(value);
-    }
-
-    /// Most recent value written within the trailing `k` slots.
-    pub fn window_last(&self, now_slot: u64, k: u64) -> Option<f64> {
-        self.ring
-            .iter_window(now_slot, k)
-            .filter_map(|(id, v)| v.map(|x| (id, x)))
-            .max_by_key(|(id, _)| *id)
-            .map(|(_, v)| v)
-    }
-}
-
-/// A histogram cell: lifetime histogram plus per-slot histograms. The
-/// window view merges slot histograms with the same commutative bucket
-/// sum as the shard merge, so windowed percentiles are thread-count
-/// invariant for a fixed multiset of samples.
-#[derive(Debug, Clone, Default)]
 pub struct WindowedHistogram {
     pub lifetime: Histogram,
     pub ring: SlotRing<Histogram>,
 }
 
 impl WindowedHistogram {
-    pub fn new() -> Self {
-        WindowedHistogram {
-            lifetime: Histogram::new(),
-            ring: SlotRing::with_global_config(),
-        }
-    }
-
-    /// Histogram with an explicit ring size, independent of the global
-    /// geometry (see [`WindowedCounter::with_slots`]).
+    /// Histogram over a ring of `n` slots.
     pub fn with_slots(n: usize) -> Self {
         WindowedHistogram {
             lifetime: Histogram::new(),
@@ -244,24 +93,10 @@ impl WindowedHistogram {
     /// Merged histogram over the trailing `k` slots ending at `now_slot`.
     pub fn window_merged(&self, now_slot: u64, k: u64) -> Histogram {
         let mut out = Histogram::new();
-        for (_, h) in self.iter_ordered(now_slot, k) {
+        for (_, h) in self.ring.iter_window(now_slot, k) {
             out.merge(h);
         }
         out
-    }
-
-    /// Window entries in ascending slot order (merge order never changes
-    /// the result — this just makes iteration deterministic for tests).
-    fn iter_ordered(&self, now_slot: u64, k: u64) -> Vec<(u64, &Histogram)> {
-        let mut v: Vec<(u64, &Histogram)> = self.ring.iter_window(now_slot, k).collect();
-        v.sort_by_key(|(id, _)| *id);
-        v
-    }
-}
-
-impl Default for SlotRing<Histogram> {
-    fn default() -> Self {
-        SlotRing::with_global_config()
     }
 }
 
@@ -298,38 +133,6 @@ mod tests {
         assert_eq!(r.iter_window(7, 8).count(), 8);
         // Future slots are never included.
         assert_eq!(r.iter_window(3, 8).count(), 4);
-    }
-
-    #[test]
-    fn counter_lifetime_survives_rotation() {
-        let mut c = WindowedCounter {
-            lifetime: 0,
-            ring: SlotRing::new(3),
-        };
-        for slot in 0..100u64 {
-            c.add(slot, 2);
-        }
-        assert_eq!(c.lifetime, 200, "rotation never clears the lifetime");
-        // Window only sees the last 3 slots.
-        assert_eq!(c.window_sum(99, 3), 6);
-        assert_eq!(c.window_sum(99, 1), 2);
-    }
-
-    #[test]
-    fn gauge_window_reports_latest_in_window() {
-        let mut g = WindowedGauge {
-            last: 0.0,
-            ring: SlotRing::new(4),
-        };
-        g.set(0, 1.0);
-        g.set(1, 2.0);
-        g.set(1, 3.0); // last write in the slot wins
-        assert_eq!(g.window_last(1, 2), Some(3.0));
-        assert_eq!(g.last, 3.0);
-        // Window that excludes every write.
-        assert_eq!(g.window_last(9, 2), None);
-        // Lifetime last survives even when the window is empty.
-        assert_eq!(g.last, 3.0);
     }
 
     #[test]
@@ -381,21 +184,5 @@ mod tests {
             assert_eq!(fwd, expect, "window merge must equal direct recording");
             assert_eq!(rev, expect, "merge order must not matter");
         });
-    }
-
-    #[test]
-    fn global_config_roundtrip() {
-        // Mutating the global geometry races with recorder tests that
-        // create rings; serialize on the crate-wide test lock.
-        let _g = crate::tests::guard();
-        let (ns0, n0) = config();
-        set_window(0.5, 6);
-        assert_eq!(config(), (500_000_000, 6));
-        assert!((coverage_seconds() - 3.0).abs() < 1e-9);
-        assert_eq!(slots_for_secs(1.2), 3);
-        assert_eq!(slots_for_secs(100.0), 6, "clamped to the ring size");
-        assert_eq!(slots_for_secs(0.0), 1);
-        // Restore for other tests.
-        set_window(ns0 as f64 / 1e9, n0);
     }
 }

@@ -335,13 +335,12 @@ fn finish_returns_zero_when_disabled_mid_span() {
     assert!(amrviz_obs::histograms_snapshot().is_empty());
 }
 
-#[cfg(feature = "mem-profile")]
 #[test]
 fn spans_attribute_peak_and_net_memory() {
     let _g = lock();
     amrviz_obs::reset();
     amrviz_obs::enable();
-    assert!(amrviz_obs::mem::span_profiling_active());
+    assert!(amrviz_obs::mem::counting_alloc_installed());
     const BUF: usize = 4 << 20;
     {
         let _sp = amrviz_obs::span!("transient");

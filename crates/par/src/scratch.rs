@@ -23,7 +23,7 @@
 //!   reused across the many tasks *within* a region — the hot per-box
 //!   loops), while the submitting thread's pool persists across regions.
 //!
-//! `mem-profile` span watermarks keep working unchanged: rentals are real
+//! Span memory watermarks keep working unchanged: rentals are real
 //! allocations the first time a buffer grows, and simply stop showing up
 //! once the pool reaches steady state — which is exactly the signal the
 //! `mem_peak_bytes` metric is supposed to report.

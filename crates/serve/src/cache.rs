@@ -82,17 +82,10 @@ impl ArenaCache {
         let mut st = self.state.lock().unwrap();
         st.tick += 1;
         let tick = st.tick;
-        match st.map.get_mut(&key) {
-            Some(slot) => {
-                slot.recency = tick;
-                amrviz_obs::counter!("serve.cache_hit", 1);
-                Some(Arc::clone(&slot.entry))
-            }
-            None => {
-                amrviz_obs::counter!("serve.cache_miss", 1);
-                None
-            }
-        }
+        st.map.get_mut(&key).map(|slot| {
+            slot.recency = tick;
+            Arc::clone(&slot.entry)
+        })
     }
 
     /// Inserts a decoded entry, evicting least-recently-used entries until

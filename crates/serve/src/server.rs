@@ -94,98 +94,92 @@ impl Default for ServeConfig {
     }
 }
 
-/// Monotonic counters shared by all server threads.
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    pub requests: AtomicU64,
-    pub ok: AtomicU64,
-    pub degraded: AtomicU64,
-    pub shed: AtomicU64,
-    pub not_found: AtomicU64,
-    pub corrupt: AtomicU64,
-    pub timeout: AtomicU64,
-    pub bad_request: AtomicU64,
-    pub io_errors: AtomicU64,
-    pub panics: AtomicU64,
-    /// Data frames written at/after their deadline — the invariant counter;
-    /// must be 0.
-    pub post_deadline_responses: AtomicU64,
-    /// Streams cut (no END) because the deadline expired mid-response.
-    pub deadline_aborts: AtomicU64,
-    pub coarse_only: AtomicU64,
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
+/// Declares the serve counters once. The list generates the shared atomics
+/// ([`ServeStats`]), their point-in-time copy ([`StatsSnapshot`]),
+/// `snapshot()` and `counters()`; the `SERVE_STATS` marker, the STATS
+/// `requests` object and the drain journal event are all rendered from
+/// `counters()`, so list order *is* the JSON key order CI greps.
+macro_rules! serve_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Monotonic counters shared by all server threads.
+        #[derive(Debug, Default)]
+        pub struct ServeStats {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// Point-in-time copy of [`ServeStats`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl ServeStats {
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Every counter as `(name, value)`, in declaration order.
+            pub fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
+        }
+    };
 }
 
-/// Point-in-time copy of [`ServeStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub requests: u64,
-    pub ok: u64,
-    pub degraded: u64,
-    pub shed: u64,
-    pub not_found: u64,
-    pub corrupt: u64,
-    pub timeout: u64,
-    pub bad_request: u64,
-    pub io_errors: u64,
-    pub panics: u64,
-    pub post_deadline_responses: u64,
-    pub deadline_aborts: u64,
-    pub coarse_only: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
+serve_counters! {
+    requests,
+    ok,
+    degraded,
+    shed,
+    not_found,
+    corrupt,
+    timeout,
+    bad_request,
+    io_errors,
+    panics,
+    /// Data frames written at/after their deadline — the invariant counter;
+    /// must be 0.
+    post_deadline_responses,
+    /// Streams cut (no END) because the deadline expired mid-response.
+    deadline_aborts,
+    coarse_only,
+    cache_hits,
+    cache_misses,
 }
 
 impl ServeStats {
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            ok: self.ok.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            not_found: self.not_found.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-            timeout: self.timeout.load(Ordering::Relaxed),
-            bad_request: self.bad_request.load(Ordering::Relaxed),
-            io_errors: self.io_errors.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            post_deadline_responses: self.post_deadline_responses.load(Ordering::Relaxed),
-            deadline_aborts: self.deadline_aborts.load(Ordering::Relaxed),
-            coarse_only: self.coarse_only.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-        }
+    /// The one place a request's outcome is counted: the shed reply, the
+    /// undecodable request and every finished request all come through here,
+    /// each exactly once. `Internal` is a failed socket write or store read.
+    fn count_outcome(&self, status: Status) {
+        let counter = match status {
+            Status::Ok => &self.ok,
+            Status::Degraded => &self.degraded,
+            Status::RetryLater => &self.shed,
+            Status::NotFound => &self.not_found,
+            Status::Corrupt => &self.corrupt,
+            Status::Timeout => &self.timeout,
+            Status::BadRequest => &self.bad_request,
+            Status::Internal => &self.io_errors,
+            Status::ShuttingDown => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 impl StatsSnapshot {
     /// One-line JSON for the `SERVE_STATS` stdout marker and CI greps.
     pub fn to_json_line(&self) -> String {
-        format!(
-            concat!(
-                "{{\"requests\":{},\"ok\":{},\"degraded\":{},\"shed\":{},",
-                "\"not_found\":{},\"corrupt\":{},\"timeout\":{},",
-                "\"bad_request\":{},\"io_errors\":{},\"panics\":{},",
-                "\"post_deadline_responses\":{},\"deadline_aborts\":{},",
-                "\"coarse_only\":{},\"cache_hits\":{},\"cache_misses\":{}}}"
-            ),
-            self.requests,
-            self.ok,
-            self.degraded,
-            self.shed,
-            self.not_found,
-            self.corrupt,
-            self.timeout,
-            self.bad_request,
-            self.io_errors,
-            self.panics,
-            self.post_deadline_responses,
-            self.deadline_aborts,
-            self.coarse_only,
-            self.cache_hits,
-            self.cache_misses,
-        )
+        let pairs: Vec<String> = self
+            .counters()
+            .iter()
+            .map(|(name, v)| format!("\"{name}\":{v}"))
+            .collect();
+        format!("{{{}}}", pairs.join(","))
     }
 }
 
@@ -245,26 +239,17 @@ impl ServerHandle {
         // Final SLO verdict as typed journal events, so a run's breach
         // state is on record even if nobody ever polled STATS.
         amrviz_obs::slo::emit_journal(&self.inner.telemetry.slo_report());
-        journal::emit(
-            "serve",
-            &[
-                ("role", "\"server\"".into()),
-                ("event", "\"drain\"".into()),
-                ("requests", snap.requests.to_string()),
-                ("ok", snap.ok.to_string()),
-                ("degraded", snap.degraded.to_string()),
-                ("shed", snap.shed.to_string()),
-                ("timeout", snap.timeout.to_string()),
-                ("panics", snap.panics.to_string()),
-                (
-                    "post_deadline_responses",
-                    snap.post_deadline_responses.to_string(),
-                ),
-                ("deadline_aborts", snap.deadline_aborts.to_string()),
-                ("cache_hits", snap.cache_hits.to_string()),
-            ],
+        let mut fields = vec![
+            ("role", "\"server\"".to_string()),
+            ("event", "\"drain\"".to_string()),
+        ];
+        fields.extend(
+            snap.counters()
+                .iter()
+                .map(|(name, v)| (*name, v.to_string())),
         );
-        amrviz_obs::journal_flush();
+        journal::emit("serve", &fields);
+        journal::flush();
         snap
     }
 }
@@ -344,8 +329,7 @@ fn admit(inner: &Inner, mut stream: TcpStream) {
     let mut q = inner.queue.lock().unwrap();
     if q.len() >= inner.cfg.queue_depth.max(1) {
         drop(q);
-        inner.stats.shed.fetch_add(1, Ordering::Relaxed);
-        amrviz_obs::counter!("serve.shed", 1);
+        inner.stats.count_outcome(Status::RetryLater);
         journal::emit(
             "serve",
             &[
@@ -393,7 +377,6 @@ fn worker_loop(inner: &Inner) {
         }));
         if result.is_err() {
             inner.stats.panics.fetch_add(1, Ordering::Relaxed);
-            amrviz_obs::counter!("serve.panic", 1);
             journal::emit(
                 "serve",
                 &[("role", "\"server\"".into()), ("event", "\"panic\"".into())],
@@ -403,11 +386,12 @@ fn worker_loop(inner: &Inner) {
 }
 
 /// The single choke point for data-bearing frames: sample the clock, refuse
-/// to write at/after the deadline. A refused or failed write is counted here
-/// (`deadline_aborts`, `io_errors`) and comes back as the status that ends
-/// the response. `post_deadline_responses` re-checks the *decision*
-/// timestamp after the write — it can only increment if a write was started
-/// despite an expired deadline, i.e. if this gate is broken.
+/// to write at/after the deadline. A refused write is counted here
+/// (`deadline_aborts`); refused or failed, it comes back as the status that
+/// ends the response, and that status is what `handle_connection` counts.
+/// `post_deadline_responses` re-checks the *decision* timestamp after the
+/// write — it can only increment if a write was started despite an expired
+/// deadline, i.e. if this gate is broken.
 fn write_gated(
     stream: &mut TcpStream,
     deadline: Instant,
@@ -417,7 +401,6 @@ fn write_gated(
     let decided_at = Instant::now();
     if decided_at >= deadline {
         stats.deadline_aborts.fetch_add(1, Ordering::Relaxed);
-        amrviz_obs::counter!("serve.deadline_abort", 1);
         return Err(Status::Timeout);
     }
     let written = write(stream);
@@ -427,10 +410,7 @@ fn write_gated(
             .fetch_add(1, Ordering::Relaxed);
     }
     // A socket error, or a frame that does not fit the wire (`InvalidInput`).
-    written.map_err(|_| {
-        stats.io_errors.fetch_add(1, Ordering::Relaxed);
-        Status::Internal
-    })
+    written.map_err(|_| Status::Internal)
 }
 
 /// A header that announces no levels: every reply but a GET's data stream.
@@ -485,8 +465,8 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
     let req = match Request::decode(&payload) {
         Ok(r) => r,
         Err(_) => {
-            inner.stats.bad_request.fetch_add(1, Ordering::Relaxed);
             inner.stats.requests.fetch_add(1, Ordering::Relaxed);
+            inner.stats.count_outcome(Status::BadRequest);
             write_notification(inner, &mut stream, Status::BadRequest, 0);
             return;
         }
@@ -498,7 +478,6 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
         sampled: true,
     });
     inner.stats.requests.fetch_add(1, Ordering::Relaxed);
-    amrviz_obs::counter!("serve.requests", 1);
     let t0 = Instant::now();
     let (status, levels_sent, flags, stages) = match req.op {
         Op::Ping => {
@@ -517,17 +496,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
         }
     };
     let elapsed_us = us_since(t0);
-    match status {
-        Status::Ok => inner.stats.ok.fetch_add(1, Ordering::Relaxed),
-        Status::Degraded => inner.stats.degraded.fetch_add(1, Ordering::Relaxed),
-        Status::NotFound => inner.stats.not_found.fetch_add(1, Ordering::Relaxed),
-        Status::Corrupt => inner.stats.corrupt.fetch_add(1, Ordering::Relaxed),
-        Status::Timeout => inner.stats.timeout.fetch_add(1, Ordering::Relaxed),
-        Status::BadRequest => inner.stats.bad_request.fetch_add(1, Ordering::Relaxed),
-        Status::Internal => inner.stats.io_errors.fetch_add(1, Ordering::Relaxed),
-        Status::RetryLater | Status::ShuttingDown => 0,
-    };
-    amrviz_obs::histogram!("serve.latency_us", elapsed_us as f64);
+    inner.stats.count_outcome(status);
     // STATS polls are monitoring traffic: answered, counted in `requests`,
     // but excluded from the SLO latency/availability windows so watching
     // the server never moves its own objectives.
@@ -580,7 +549,6 @@ fn serve_stats(inner: &Inner, stream: &mut TcpStream, t0: Instant) -> Status {
         end_frame(Status::Ok, 0, us_since(t0)),
     ] {
         if proto::write_frame(stream, &payload).is_err() {
-            inner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
             return Status::Internal;
         }
     }
@@ -822,4 +790,82 @@ fn serve_get(
         return (status, 0, 0);
     }
     out.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every counter set to its 1-based position in the declared order.
+    fn numbered() -> StatsSnapshot {
+        let stats = ServeStats::default();
+        let atomics = [
+            &stats.requests,
+            &stats.ok,
+            &stats.degraded,
+            &stats.shed,
+            &stats.not_found,
+            &stats.corrupt,
+            &stats.timeout,
+            &stats.bad_request,
+            &stats.io_errors,
+            &stats.panics,
+            &stats.post_deadline_responses,
+            &stats.deadline_aborts,
+            &stats.coarse_only,
+            &stats.cache_hits,
+            &stats.cache_misses,
+        ];
+        for (i, a) in atomics.iter().enumerate() {
+            a.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        stats.snapshot()
+    }
+
+    #[test]
+    fn snapshot_round_trips_every_counter() {
+        let snap = numbered();
+        let values: Vec<u64> = snap.counters().iter().map(|(_, v)| *v).collect();
+        assert_eq!(values, (1..=15).collect::<Vec<u64>>());
+        assert_eq!(
+            (snap.requests, snap.io_errors, snap.cache_misses),
+            (1, 9, 15)
+        );
+    }
+
+    #[test]
+    fn json_line_key_order_is_pinned() {
+        // CI greps substrings of this line (`"cache_hits":0,`, `"panics":0`),
+        // so the key order is a contract, not a rendering detail.
+        assert_eq!(
+            numbered().to_json_line(),
+            "{\"requests\":1,\"ok\":2,\"degraded\":3,\"shed\":4,\"not_found\":5,\
+             \"corrupt\":6,\"timeout\":7,\"bad_request\":8,\"io_errors\":9,\"panics\":10,\
+             \"post_deadline_responses\":11,\"deadline_aborts\":12,\"coarse_only\":13,\
+             \"cache_hits\":14,\"cache_misses\":15}"
+        );
+    }
+
+    #[test]
+    fn each_outcome_bumps_exactly_its_own_counter() {
+        let stats = ServeStats::default();
+        for code in 0..=u8::MAX {
+            if let Some(status) = Status::from_code(code) {
+                stats.count_outcome(status);
+            }
+        }
+        let snap = stats.snapshot();
+        let expect = StatsSnapshot {
+            ok: 1,
+            degraded: 1,
+            shed: 1,
+            not_found: 1,
+            corrupt: 1,
+            timeout: 1,
+            bad_request: 1,
+            io_errors: 1,
+            ..Default::default()
+        };
+        assert_eq!(snap, expect, "ShuttingDown counts nowhere");
+    }
 }

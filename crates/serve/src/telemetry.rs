@@ -4,12 +4,11 @@
 //! The server answers `Op::Stats` from this module alone — it is
 //! deliberately independent of the global obs recorder's enable state, so
 //! an operator gets live telemetry even from a server started without
-//! `--journal`/`--metrics-out`. (When the recorder *is* enabled, the same
-//! samples are mirrored into it so Prometheus exposition sees them too.)
+//! `--journal`/`--metrics-out`. These samples are stored here and nowhere
+//! else: STATS is the one place serve latency series are read.
 //!
-//! Ring geometry is private to serving: 720 slots × 5 s = one hour of
-//! coverage, enough for the 1 h SLO burn window, regardless of how the
-//! global recorder's window is configured.
+//! Ring geometry: 720 slots × 5 s = one hour of coverage, enough for the
+//! 1 h SLO burn window.
 
 use crate::proto::{Status, PROTO_VERSION};
 use crate::server::StatsSnapshot;
@@ -169,9 +168,7 @@ impl ReqTelemetry {
     }
 
     /// Records one finished request. `stages` is `None` for ops with no
-    /// stage breakdown (ping/list/shed). Mirrored into the global recorder
-    /// when it is enabled, so `--metrics-out` exposition sees the same
-    /// samples.
+    /// stage breakdown (ping/list/shed).
     pub fn record(
         &self,
         status: Status,
@@ -195,40 +192,28 @@ impl ReqTelemetry {
         key: u64,
     ) {
         self.latency.lock().unwrap()[status.code() as usize].record(slot, total_us);
-        if let Some(st) = stages {
+        // Only requests that carried a stage breakdown (GETs) are
+        // diagnosable, so only they reach the tail reservoir below.
+        let Some(st) = stages else { return };
+        let pairs = st.as_pairs();
+        {
             let mut hs = self.stages.lock().unwrap();
-            for (name, us) in st.as_pairs() {
-                let idx = STAGE_NAMES.iter().position(|n| *n == name).unwrap();
-                hs[idx].record(slot, us);
-            }
-            if let Some(us) = st.first_level_us {
-                self.first_level.lock().unwrap().record(slot, us);
+            for (name, us) in &pairs {
+                let idx = STAGE_NAMES.iter().position(|n| n == name).unwrap();
+                hs[idx].record(slot, *us);
             }
         }
-        if amrviz_obs::is_enabled() {
-            amrviz_obs::histogram_record(status_hist_name(status), total_us);
-            if let Some(st) = stages {
-                for (name, us) in st.as_pairs() {
-                    amrviz_obs::histogram_record(stage_hist_name(name), us);
-                }
-            }
+        if let Some(us) = st.first_level_us {
+            self.first_level.lock().unwrap().record(slot, us);
         }
-        // Tail reservoir: only requests that carried a stage breakdown
-        // (GETs) are diagnosable, so only they become exemplars.
-        if let Some(st) = stages {
-            let mut res = self.exemplars.lock().unwrap();
-            if total_us > res.min_retained_us() {
-                res.offer(Exemplar {
-                    trace,
-                    total_us,
-                    label: format!("{} key={key:016x}", status.name()),
-                    stages: st
-                        .as_pairs()
-                        .iter()
-                        .map(|(n, us)| (n.to_string(), *us))
-                        .collect(),
-                });
-            }
+        let mut res = self.exemplars.lock().unwrap();
+        if total_us > res.min_retained_us() {
+            res.offer(Exemplar {
+                trace,
+                total_us,
+                label: format!("{} key={key:016x}", status.name()),
+                stages: pairs.iter().map(|(n, us)| (n.to_string(), *us)).collect(),
+            });
         }
     }
 
@@ -315,44 +300,27 @@ impl ReqTelemetry {
             )
         };
 
-        // Per-status latency, nonzero only.
-        out.push_str(",\"latency_us\":{");
+        // A family of histograms keyed by name, nonzero members only.
+        let family = |hists: &mut dyn Iterator<Item = (&str, &WindowedHistogram)>| {
+            let body: Vec<String> = hists
+                .filter(|(_, h)| h.lifetime.count() > 0)
+                .map(|(name, h)| format!("\"{name}\":{}", views(h)))
+                .collect();
+            format!("{{{}}}", body.join(","))
+        };
         {
             let lat = self.latency.lock().unwrap();
-            let mut first = true;
-            for (code, h) in lat.iter().enumerate() {
-                if h.lifetime.count() == 0 {
-                    continue;
-                }
-                let Some(status) = Status::from_code(code as u8) else {
-                    continue;
-                };
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!("\"{}\":{}", status.name(), views(h)));
-            }
+            let mut by_status = lat.iter().enumerate().filter_map(|(code, h)| {
+                Status::from_code(code as u8).map(|status| (status.name(), h))
+            });
+            out.push_str(&format!(",\"latency_us\":{}", family(&mut by_status)));
         }
-        out.push('}');
-
         // Per-stage timing: same shape, keyed by the stage taxonomy.
-        out.push_str(",\"stages_us\":{");
         {
             let hs = self.stages.lock().unwrap();
-            let mut first = true;
-            for (idx, h) in hs.iter().enumerate() {
-                if h.lifetime.count() == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!("\"{}\":{}", STAGE_NAMES[idx], views(h)));
-            }
+            let mut by_stage = STAGE_NAMES.into_iter().zip(hs.iter());
+            out.push_str(&format!(",\"stages_us\":{}", family(&mut by_stage)));
         }
-        out.push('}');
 
         let first_level = views(&self.first_level.lock().unwrap());
         out.push_str(&format!(",\"first_level_us\":{first_level}"));
@@ -363,30 +331,6 @@ impl ReqTelemetry {
             self.exemplars.lock().unwrap().to_json()
         ));
         out
-    }
-}
-
-fn status_hist_name(status: Status) -> &'static str {
-    match status {
-        Status::Ok => "serve.latency_us.ok",
-        Status::Degraded => "serve.latency_us.degraded",
-        Status::RetryLater => "serve.latency_us.retry_later",
-        Status::NotFound => "serve.latency_us.not_found",
-        Status::Corrupt => "serve.latency_us.corrupt",
-        Status::Timeout => "serve.latency_us.timeout",
-        Status::BadRequest => "serve.latency_us.bad_request",
-        Status::ShuttingDown => "serve.latency_us.shutting_down",
-        Status::Internal => "serve.latency_us.internal",
-    }
-}
-
-fn stage_hist_name(stage: &str) -> &'static str {
-    match stage {
-        "queue_wait" => "serve.stage.queue_wait_us",
-        "store_read" => "serve.stage.store_read_us",
-        "structure_validate" => "serve.stage.structure_validate_us",
-        "decode" => "serve.stage.decode_us",
-        _ => "serve.stage.write_us",
     }
 }
 
@@ -465,19 +409,10 @@ mod tests {
         let snap = StatsSnapshot {
             requests: 2,
             ok: 1,
-            degraded: 0,
-            shed: 0,
-            not_found: 0,
-            corrupt: 0,
             timeout: 1,
-            bad_request: 0,
-            io_errors: 0,
-            panics: 0,
-            post_deadline_responses: 0,
-            deadline_aborts: 0,
-            coarse_only: 0,
             cache_hits: 1,
             cache_misses: 1,
+            ..Default::default()
         };
         let j = t.snapshot_json(&snap, 0, 2, 1, 4096, 1 << 20);
         let doc = amrviz_json::Json::parse(&j).expect("snapshot json parses");
@@ -509,23 +444,7 @@ mod tests {
     #[test]
     fn health_degrades_on_invariant_violation() {
         let t = ReqTelemetry::new(SloSpec::default());
-        let mut snap = StatsSnapshot {
-            requests: 0,
-            ok: 0,
-            degraded: 0,
-            shed: 0,
-            not_found: 0,
-            corrupt: 0,
-            timeout: 0,
-            bad_request: 0,
-            io_errors: 0,
-            panics: 0,
-            post_deadline_responses: 0,
-            deadline_aborts: 0,
-            coarse_only: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-        };
+        let mut snap = StatsSnapshot::default();
         let j = t.snapshot_json(&snap, 0, 1, 0, 0, 0);
         assert!(j.contains("\"health\":\"ok\""));
         snap.post_deadline_responses = 1;

@@ -1,8 +1,7 @@
 //! Continuous-telemetry integration: trace trees are structurally
 //! invariant under the worker-pool width, journal files parse line by line
-//! with `amrviz-json` and stitch back into the same trees, head sampling
-//! keeps whole traces, and windowed snapshots age out while lifetime
-//! totals survive.
+//! with `amrviz-json` and stitch back into the same trees, and head
+//! sampling keeps whole traces.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -199,34 +198,4 @@ fn head_sampling_keeps_or_drops_whole_traces() {
     for shape in &shapes {
         assert_eq!(shape.len(), 9, "kept trace must be complete: {shape:?}");
     }
-}
-
-#[test]
-fn windowed_counters_age_out_but_lifetime_survives() {
-    let _g = lock();
-    amrviz_obs::reset();
-    amrviz_obs::enable();
-    // 50 ms slots x 4 -> 200 ms coverage; generous sleeps below keep this
-    // robust on slow CI machines.
-    amrviz_obs::window::set_window(0.05, 4);
-    amrviz_obs::counter_add("telemetry.test_hits", 5);
-    let fresh = amrviz_obs::counters_window_snapshot(10.0);
-    assert_eq!(fresh.get("telemetry.test_hits"), Some(&5));
-
-    std::thread::sleep(std::time::Duration::from_millis(400));
-    let aged = amrviz_obs::counters_window_snapshot(10.0);
-    assert_eq!(
-        aged.get("telemetry.test_hits"),
-        None,
-        "window total must age out after coverage elapses"
-    );
-    let lifetime = amrviz_obs::counters_snapshot();
-    assert_eq!(
-        lifetime.get("telemetry.test_hits"),
-        Some(&5),
-        "lifetime total must survive rotation"
-    );
-    amrviz_obs::window::set_window(5.0, 12);
-    amrviz_obs::disable();
-    amrviz_obs::reset();
 }
