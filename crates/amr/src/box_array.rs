@@ -61,11 +61,6 @@ impl BoxArray {
         self.boxes.iter().any(|b| b.intersects(bx))
     }
 
-    /// All non-empty intersections of member boxes with `bx`.
-    pub fn intersections(&self, bx: &Box3) -> Vec<Box3> {
-        self.boxes.iter().filter_map(|b| b.intersect(bx)).collect()
-    }
-
     /// Refines every box.
     pub fn refine(&self, ratio: i64) -> BoxArray {
         BoxArray {

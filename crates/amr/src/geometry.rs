@@ -66,27 +66,6 @@ impl Geometry {
             self.prob_lo[2] + (iv[2] as f64 + 0.5) * h[2],
         ]
     }
-
-    /// Physical position of a *node* (cell corner) at the given ratio.
-    pub fn node_pos(&self, iv: IntVect, ratio_to_level0: i64) -> [f64; 3] {
-        let h = self.cell_size_at(ratio_to_level0);
-        [
-            self.prob_lo[0] + iv[0] as f64 * h[0],
-            self.prob_lo[1] + iv[1] as f64 * h[1],
-            self.prob_lo[2] + iv[2] as f64 * h[2],
-        ]
-    }
-
-    /// Normalized coordinates in `[0,1]³` of a cell center at level 0.
-    pub fn unit_coords(&self, iv: IntVect) -> [f64; 3] {
-        let s = self.domain.size();
-        let d = iv - self.domain.lo();
-        [
-            (d[0] as f64 + 0.5) / s[0] as f64,
-            (d[1] as f64 + 0.5) / s[1] as f64,
-            (d[2] as f64 + 0.5) / s[2] as f64,
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -105,18 +84,9 @@ mod tests {
         let g = Geometry::unit(Box3::from_dims(4, 4, 4));
         let c = g.cell_center(IntVect::new(0, 0, 0), 1);
         assert_eq!(c, [0.125, 0.125, 0.125]);
-        let n = g.node_pos(IntVect::new(4, 4, 4), 1);
-        assert_eq!(n, [1.0, 1.0, 1.0]);
         // fine cell 0 center sits at half the coarse offset
         let cf = g.cell_center(IntVect::new(0, 0, 0), 2);
         assert_eq!(cf, [0.0625, 0.0625, 0.0625]);
-    }
-
-    #[test]
-    fn unit_coords_center_of_domain() {
-        let g = Geometry::unit(Box3::from_dims(2, 2, 2));
-        assert_eq!(g.unit_coords(IntVect::new(0, 0, 0)), [0.25, 0.25, 0.25]);
-        assert_eq!(g.unit_coords(IntVect::new(1, 1, 1)), [0.75, 0.75, 0.75]);
     }
 
     #[test]

@@ -56,12 +56,6 @@ impl IntVect {
         ])
     }
 
-    /// Component-wise multiplication.
-    #[inline]
-    pub fn mul_elem(self, o: IntVect) -> IntVect {
-        IntVect([self.0[0] * o.0[0], self.0[1] * o.0[1], self.0[2] * o.0[2]])
-    }
-
     /// Floor division by a positive scalar — the coarsening map. Rounds
     /// toward negative infinity so that, e.g., index −1 coarsened by 2 maps
     /// to −1 (the cell containing it), matching AMReX `coarsen` semantics.
@@ -87,12 +81,6 @@ impl IntVect {
     #[inline]
     pub fn all_le(self, o: IntVect) -> bool {
         self.0[0] <= o.0[0] && self.0[1] <= o.0[1] && self.0[2] <= o.0[2]
-    }
-
-    /// True if all components of `self` are `>=` those of `o`.
-    #[inline]
-    pub fn all_ge(self, o: IntVect) -> bool {
-        self.0[0] >= o.0[0] && self.0[1] >= o.0[1] && self.0[2] >= o.0[2]
     }
 
     /// Sum of components.
@@ -181,7 +169,6 @@ mod tests {
         assert_eq!(a - b, IntVect::new(-3, 3, 3));
         assert_eq!(a * 2, IntVect::new(2, 4, 6));
         assert_eq!(-a, IntVect::new(-1, -2, -3));
-        assert_eq!(a.mul_elem(b), IntVect::new(4, -2, 0));
     }
 
     #[test]
@@ -206,6 +193,6 @@ mod tests {
         assert_eq!(a.min(b), IntVect::new(1, 3, -2));
         assert_eq!(a.max(b), IntVect::new(2, 5, -2));
         assert!(a.min(b).all_le(a));
-        assert!(a.max(b).all_ge(b));
+        assert!(b.all_le(a.max(b)));
     }
 }

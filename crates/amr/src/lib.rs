@@ -49,6 +49,5 @@ pub use mask::Raster;
 pub use multifab::{rasterize_into, MultiFab};
 pub use regrid::{berger_rigoutsos, RegridConfig};
 pub use resample::{
-    flatten_levels_to_finest, flatten_to_finest, rasterize_level, upsample_dense_owned,
-    UniformField, Upsample,
+    flatten_levels_to_finest, flatten_to_finest, upsample_dense_owned, UniformField, Upsample,
 };

@@ -95,17 +95,8 @@ impl Raster {
         self.bits.iter().filter(|&&b| b).count()
     }
 
-    /// Fraction of the region that is `true`.
-    pub fn fill_fraction(&self) -> f64 {
-        self.count() as f64 / self.bits.len() as f64
-    }
-
     pub fn any(&self) -> bool {
         self.bits.iter().any(|&b| b)
-    }
-
-    pub fn all(&self) -> bool {
-        self.bits.iter().all(|&b| b)
     }
 
     /// In-place logical negation.
@@ -131,56 +122,6 @@ impl Raster {
         }
     }
 
-    /// Morphological erosion by `n` cells: a cell stays `true` only if every
-    /// cell within Chebyshev distance `n` (clipped to the region) is `true`.
-    /// Cells near the region boundary treat outside as `false`, so eroding
-    /// shrinks regions touching the boundary too.
-    pub fn erode(&self, n: i64) -> Raster {
-        assert!(n >= 0);
-        if n == 0 {
-            return self.clone();
-        }
-        let mut out = Raster::falses(self.region);
-        for cell in self.region.cells() {
-            let mut keep = true;
-            'probe: for dz in -n..=n {
-                for dy in -n..=n {
-                    for dx in -n..=n {
-                        let p = cell + IntVect::new(dx, dy, dz);
-                        if !self.region.contains(p) || !self.get_unchecked(p) {
-                            keep = false;
-                            break 'probe;
-                        }
-                    }
-                }
-            }
-            if keep {
-                let off = self.region.offset(cell);
-                out.bits[off] = true;
-            }
-        }
-        out
-    }
-
-    /// Morphological dilation by `n` cells (Chebyshev ball), clipped to the
-    /// region.
-    pub fn dilate(&self, n: i64) -> Raster {
-        assert!(n >= 0);
-        if n == 0 {
-            return self.clone();
-        }
-        let mut out = Raster::falses(self.region);
-        for cell in self.region.cells() {
-            if !self.get_unchecked(cell) {
-                continue;
-            }
-            let lo = (cell - IntVect::splat(n)).max(self.region.lo());
-            let hi = (cell + IntVect::splat(n)).min(self.region.hi());
-            out.set_box(&Box3::new(lo, hi), true);
-        }
-        out
-    }
-
     /// Iterates over the `true` cells.
     pub fn true_cells(&self) -> impl Iterator<Item = IntVect> + '_ {
         self.region
@@ -197,30 +138,6 @@ impl Raster {
         for cell in self.true_cells() {
             let off = coarse_region.offset(cell.coarsen(ratio));
             out.bits[off] = true;
-        }
-        out
-    }
-
-    /// Coarsens the mask by `ratio`: a coarse cell is `true` only if **all**
-    /// of its fine children are `true` (children outside the fine region
-    /// count as `false`).
-    pub fn coarsen_all(&self, ratio: i64) -> Raster {
-        let coarse_region = self.region.coarsen(ratio);
-        let mut out = Raster::trues(coarse_region);
-        for coarse in coarse_region.cells() {
-            let base = coarse.refine(ratio);
-            'children: for dz in 0..ratio {
-                for dy in 0..ratio {
-                    for dx in 0..ratio {
-                        let child = base + IntVect::new(dx, dy, dz);
-                        if !self.get(child) {
-                            let off = coarse_region.offset(coarse);
-                            out.bits[off] = false;
-                            break 'children;
-                        }
-                    }
-                }
-            }
         }
         out
     }
@@ -242,7 +159,6 @@ mod tests {
         assert!(r.get(IntVect::new(1, 2, 1)));
         assert!(!r.get(IntVect::new(0, 0, 0)));
         assert!(!r.get(IntVect::new(9, 9, 9))); // out of region
-        assert!((r.fill_fraction() - 8.0 / 64.0).abs() < 1e-15);
     }
 
     #[test]
@@ -267,50 +183,14 @@ mod tests {
     }
 
     #[test]
-    fn erode_shrinks() {
-        let mut r = Raster::falses(b([0, 0, 0], [6, 6, 6]));
-        r.set_box(&b([1, 1, 1], [5, 5, 5]), true);
-        let e = r.erode(1);
-        assert_eq!(e.count(), 27); // 5³ → 3³
-        assert!(e.get(IntVect::new(3, 3, 3)));
-        assert!(!e.get(IntVect::new(1, 1, 1)));
-    }
-
-    #[test]
-    fn erode_removes_boundary_touching_cells() {
-        let r = Raster::trues(b([0, 0, 0], [2, 2, 2]));
-        let e = r.erode(1);
-        assert_eq!(e.count(), 1);
-        assert!(e.get(IntVect::new(1, 1, 1)));
-    }
-
-    #[test]
-    fn dilate_grows_and_clips() {
-        let mut r = Raster::falses(b([0, 0, 0], [4, 4, 4]));
-        r.set(IntVect::new(0, 0, 0), true);
-        let d = r.dilate(1);
-        assert_eq!(d.count(), 8); // clipped 3³ ball at the corner
-    }
-
-    #[test]
-    fn erode_dilate_are_adjoint_on_interior() {
-        let mut r = Raster::falses(b([0, 0, 0], [9, 9, 9]));
-        r.set_box(&b([3, 3, 3], [6, 6, 6]), true);
-        assert_eq!(r.erode(1).dilate(1), r);
-    }
-
-    #[test]
     fn coarsen_any_vs_all() {
         let mut r = Raster::falses(b([0, 0, 0], [3, 3, 3]));
         // Fill exactly one fine child of coarse cell (0,0,0), all 8 of (1,1,1).
         r.set(IntVect::new(0, 0, 0), true);
         r.set_box(&b([2, 2, 2], [3, 3, 3]), true);
         let any = r.coarsen_any(2);
-        let all = r.coarsen_all(2);
         assert!(any.get(IntVect::new(0, 0, 0)));
-        assert!(!all.get(IntVect::new(0, 0, 0)));
         assert!(any.get(IntVect::new(1, 1, 1)));
-        assert!(all.get(IntVect::new(1, 1, 1)));
         assert!(!any.get(IntVect::new(1, 0, 0)));
     }
 

@@ -96,29 +96,6 @@ impl MultiFab {
         })
     }
 
-    /// L2 norm of all values. Partial sums are per fab and combined in box
-    /// order — bit-identical at any thread count.
-    pub fn norm_l2(&self) -> f64 {
-        amrviz_par::run(self.fabs.len(), |i| {
-            self.fabs[i].data().iter().map(|v| v * v).sum::<f64>()
-        })
-        .into_iter()
-        .sum::<f64>()
-        .sqrt()
-    }
-
-    /// Copies overlapping regions from `src` into `self` (fab-by-fab
-    /// all-pairs; counts copied cells).
-    pub fn copy_from(&mut self, src: &MultiFab) -> usize {
-        let mut copied = 0;
-        for dst in &mut self.fabs {
-            for s in &src.fabs {
-                copied += dst.copy_from(s);
-            }
-        }
-        copied
-    }
-
     /// Applies `f` to every value, in parallel over fabs.
     pub fn apply(&mut self, f: impl Fn(f64) -> f64 + Sync) {
         amrviz_par::for_each_chunk_mut(&mut self.fabs, 1, |_, chunk| {
@@ -215,17 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_transfers_overlap() {
-        let ba = sample_ba();
-        let mut dst = MultiFab::zeros(&ba);
-        let src = MultiFab::from_fn(&BoxArray::single(b([2, 0, 0], [5, 3, 3])), |_| 9.0);
-        let copied = dst.copy_from(&src);
-        assert_eq!(copied, 4 * 4 * 4);
-        assert_eq!(dst.value_at(IntVect::new(3, 0, 0)), Some(9.0));
-        assert_eq!(dst.value_at(IntVect::new(1, 0, 0)), Some(0.0));
-    }
-
-    #[test]
     fn rasterize_into_region() {
         let ba = sample_ba();
         let mf = MultiFab::from_fn(&ba, |iv| iv.sum() as f64);
@@ -246,17 +212,5 @@ mod tests {
         let written = rasterize_into(&mf, region, &mut out);
         assert_eq!(written, 8);
         assert_eq!(out.iter().filter(|&&v| v == -5.0).count(), 8);
-    }
-
-    #[test]
-    fn norms() {
-        let mf = MultiFab::from_fn(&BoxArray::single(b([0, 0, 0], [0, 0, 1])), |iv| {
-            if iv[2] == 0 {
-                3.0
-            } else {
-                4.0
-            }
-        });
-        assert!((mf.norm_l2() - 5.0).abs() < 1e-12);
     }
 }

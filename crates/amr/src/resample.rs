@@ -113,21 +113,6 @@ pub fn flatten_levels_to_finest(
     Ok(uniform)
 }
 
-/// Rasterizes one level of a field onto its full level domain. Returns the
-/// dense data plus the validity mask (true where the level has boxes).
-pub fn rasterize_level(
-    hier: &AmrHierarchy,
-    field: &str,
-    lev: usize,
-) -> Result<(UniformField, crate::mask::Raster), AmrError> {
-    let mf = hier.field_level(field, lev)?;
-    let dom = hier.level_domain(lev);
-    let mut data = vec![f64::NAN; dom.num_cells()];
-    rasterize_into(mf, dom, &mut data);
-    let valid = hier.valid_mask(lev);
-    Ok((UniformField { region: dom, data }, valid))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,17 +171,6 @@ mod tests {
         let f = upsample_dense_owned(u, 2, Upsample::PiecewiseConstant);
         assert_eq!(f.dims(), [4, 4, 4]);
         assert!(f.data.iter().all(|&v| v == 1.0));
-    }
-
-    #[test]
-    fn rasterize_level_masks_uncovered() {
-        let h = two_level_with_field(|lev, _| lev as f64);
-        let (u, valid) = rasterize_level(&h, "v", 1).unwrap();
-        assert_eq!(u.region, b([0, 0, 0], [15, 15, 15]));
-        assert_eq!(valid.count(), 512);
-        // Covered cells hold data; uncovered cells are NaN.
-        assert_eq!(u.at(8, 8, 8), 1.0);
-        assert!(u.at(0, 0, 0).is_nan());
     }
 
     #[test]

@@ -6,9 +6,9 @@ use amrviz_amr::plotfile::{read_plotfile, write_plotfile};
 use amrviz_amr::resample::{flatten_to_finest, Upsample};
 use amrviz_amr::AmrHierarchy;
 use amrviz_compress::{
-    compress_hierarchy_field, decompress_hierarchy_field_policy, AmrCodecConfig,
+    compress_hierarchy_field, compressor_by_name, decompress_hierarchy_field_into, AmrCodecConfig,
     CompressedHierarchyField, CompressionStats, Compressor, DecodeBudget, DecodePolicy, ErrorBound,
-    FabStatus, SzInterp, SzLr, ZfpLike,
+    FabStatus, SzLr,
 };
 use amrviz_core::args::{parse, Parsed};
 use amrviz_render::{
@@ -19,12 +19,9 @@ use amrviz_sim::{NyxScenario, Scale, WarpxScenario};
 use amrviz_viz::{extract_amr_isosurface, obj, IsoMethod};
 
 fn algo(name: Option<&str>) -> Result<Box<dyn Compressor>, String> {
-    match name.unwrap_or("szlr") {
-        "szlr" => Ok(Box::new(SzLr::default())),
-        "szinterp" => Ok(Box::new(SzInterp)),
-        "zfp" => Ok(Box::new(ZfpLike)),
-        other => Err(format!("unknown algorithm `{other}` (szlr|szinterp|zfp)")),
-    }
+    let name = name.unwrap_or("szlr");
+    compressor_by_name(name)
+        .ok_or_else(|| format!("unknown algorithm `{name}` (szlr|szinterp|zfp)"))
 }
 
 fn method(name: Option<&str>) -> Result<IsoMethod, String> {
@@ -221,13 +218,15 @@ pub fn decompress(argv: &[String]) -> Result<(), String> {
     } else {
         DecodePolicy::Strict
     };
-    let (levels, report) = decompress_hierarchy_field_policy(
+    let mut levels = Vec::new();
+    let report = decompress_hierarchy_field_into(
         &hier,
         &c,
         comp.as_ref(),
         &cfg,
         policy,
         &DecodeBudget::default(),
+        &mut levels,
     )
     .map_err(|e| e.to_string())?;
     let (n_ok, n_degraded, n_failed) = report.counts();
@@ -735,26 +734,23 @@ fn stats_journal(path: &str, text: &str, strict: bool, slo: Option<&str>) -> Res
     // log-bucketed) since the raw latencies are all in hand.
     if let Some(spec_str) = slo {
         let spec = amrviz_obs::slo::SloSpec::parse(spec_str)?;
-        // Client-attributable errors don't burn the server's budget —
-        // same exclusion the live STATS endpoint applies.
+        // The live STATS endpoint's rule, applied to the journal's status
+        // names: client-attributable errors don't burn the server's budget.
+        // A name this build does not know counts, and is not good.
+        let status = |l: &ServeLine| amrviz_serve::Status::from_name(&l.result);
         let server: Vec<&ServeLine> = serve_lines
             .iter()
             .filter(|l| {
-                l.role == "server" && !matches!(l.result.as_str(), "not_found" | "bad_request")
+                l.role == "server" && status(l).is_none_or(amrviz_serve::Status::counts_toward_slo)
             })
             .collect();
         let good = server
             .iter()
-            .filter(|l| matches!(l.result.as_str(), "ok" | "degraded"))
+            .filter(|l| status(l).is_some_and(amrviz_serve::Status::is_good))
             .count() as u64;
         let mut lat: Vec<u64> = server.iter().map(|l| l.elapsed_us).collect();
         lat.sort_unstable();
-        let p99_us = if lat.is_empty() {
-            0
-        } else {
-            let idx = ((lat.len() as f64 - 1.0) * 0.99).round() as usize;
-            lat[idx.min(lat.len() - 1)]
-        };
+        let p99_us = amrviz_obs::hist::exact_percentile(&lat, 0.99);
         let reading = amrviz_obs::slo::WindowReading {
             label: "journal",
             secs: 0,
@@ -817,11 +813,7 @@ fn print_tail_breakdown(lines: &[ServeLine]) {
 /// `serve` journal kind.
 fn print_serve_summary(lines: &[ServeLine]) {
     let pct = |sorted_us: &[u64], p: f64| -> f64 {
-        if sorted_us.is_empty() {
-            return 0.0;
-        }
-        let idx = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-        sorted_us[idx.min(sorted_us.len() - 1)] as f64 / 1e3
+        amrviz_obs::hist::exact_percentile(sorted_us, p) as f64 / 1e3
     };
     // (role, result) -> latencies; BTreeMap keeps the table stable.
     let mut table: std::collections::BTreeMap<(String, String), Vec<u64>> = Default::default();

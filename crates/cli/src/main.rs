@@ -27,7 +27,7 @@ use std::process::ExitCode;
 // corrupted-stream decodes; negligible overhead on the other commands
 // (two relaxed atomic ops per allocation).
 #[global_allocator]
-static ALLOC: amrviz_fault::CountingAlloc = amrviz_fault::CountingAlloc;
+static ALLOC: amrviz_obs::mem::CountingAlloc = amrviz_obs::mem::CountingAlloc;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -399,8 +399,8 @@ GLOBAL OPTIONS (valid on every command):
                  with `amrviz stats FILE`.
   --metrics-out FILE
                  write a rolling `amrviz-metrics-v2` JSON snapshot to FILE
-                 (plus Prometheus text at FILE.prom) every interval,
-                 atomically replaced so readers never see a torn file
+                 every interval, atomically replaced so readers never see
+                 a torn file
   --metrics-interval SECS
                  snapshot period for --metrics-out (default 5)
   --trace-sample N

@@ -6,8 +6,6 @@
 //!
 //! * [`bitio`] — MSB-first bit-level reader/writer;
 //! * [`huffman`] — canonical Huffman coding over `u32` symbol alphabets;
-//! * [`rle`] — zero-run-length coding (quantization codes are dominated by
-//!   the zero-error bin on smooth data);
 //! * [`lzss`] — an LZ77/LZSS byte compressor with hash-chain matching,
 //!   standing in for zstd as the final lossless stage;
 //! * [`varint`] — LEB128 varints and zigzag mapping for signed values.
@@ -39,7 +37,6 @@ pub mod budget;
 pub mod checksum;
 pub mod huffman;
 pub mod lzss;
-pub mod rle;
 pub mod varint;
 
 pub use bitio::{BitReader, BitWriter};
@@ -53,7 +50,6 @@ pub use lzss::{
     lzss_compress, lzss_compress_into, lzss_decompress, lzss_decompress_budgeted,
     lzss_decompress_into,
 };
-pub use rle::{rle_decode_zeros, rle_decode_zeros_budgeted, rle_encode_zeros};
 pub use varint::{read_uvarint, write_uvarint, zigzag_decode, zigzag_encode};
 
 /// Errors returned by decoders when the input is malformed, truncated, or

@@ -310,7 +310,7 @@ fn encode_pieces(
     covered.complement_in(&bx)
 }
 
-/// How [`decompress_hierarchy_field_policy`] treats a fab blob that fails
+/// How [`decompress_hierarchy_field_into`] treats a fab blob that fails
 /// its checksum or decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecodePolicy {
@@ -389,49 +389,31 @@ pub fn decompress_hierarchy_field(
     compressor: &dyn Compressor,
     cfg: &AmrCodecConfig,
 ) -> Result<Vec<MultiFab>, CompressError> {
-    decompress_hierarchy_field_policy(
+    let mut levels = Vec::new();
+    decompress_hierarchy_field_into(
         hier,
         compressed,
         compressor,
         cfg,
         DecodePolicy::Strict,
         &DecodeBudget::default(),
-    )
-    .map(|(levels, _)| levels)
+        &mut levels,
+    )?;
+    Ok(levels)
 }
 
 /// [`decompress_hierarchy_field`] with an explicit failure policy and
-/// decode budget. Every blob's FNV-1a checksum is verified before it is
-/// decompressed; under [`DecodePolicy::Degrade`], fabs whose blobs fail
-/// checksum or decode are rebuilt from neighbor levels and the returned
-/// [`DecodeReport`] says which fabs were touched and why. Structural
-/// problems (wrong level/blob counts for this hierarchy) are hard errors
-/// under either policy — there is nothing to degrade onto.
-pub fn decompress_hierarchy_field_policy(
-    hier: &AmrHierarchy,
-    compressed: &CompressedHierarchyField,
-    compressor: &dyn Compressor,
-    cfg: &AmrCodecConfig,
-    policy: DecodePolicy,
-    budget: &DecodeBudget,
-) -> Result<(Vec<MultiFab>, DecodeReport), CompressError> {
-    let mut levels = Vec::new();
-    let report = decompress_hierarchy_field_into(
-        hier,
-        compressed,
-        compressor,
-        cfg,
-        policy,
-        budget,
-        &mut levels,
-    )?;
-    Ok((levels, report))
-}
-
-/// [`decompress_hierarchy_field_policy`] decoding into caller-owned level
-/// storage. When `levels` already has the hierarchy's box structure (e.g.
-/// from a previous decode of the same hierarchy), every fab buffer is reused
-/// in place — repeated decodes allocate nothing for cell data. Structure
+/// decode budget, decoding into caller-owned level storage. Every blob's
+/// FNV-1a checksum is verified before it is decompressed; under
+/// [`DecodePolicy::Degrade`], fabs whose blobs fail checksum or decode are
+/// rebuilt from neighbor levels and the returned [`DecodeReport`] says
+/// which fabs were touched and why. Structural problems (wrong level/blob
+/// counts for this hierarchy) are hard errors under either policy — there
+/// is nothing to degrade onto.
+///
+/// When `levels` already has the hierarchy's box structure (e.g. from a
+/// previous decode of the same hierarchy), every fab buffer is reused in
+/// place — repeated decodes allocate nothing for cell data. Structure
 /// mismatches rebuild the affected level. On error, `levels` may hold a
 /// partially decoded state; its contents are unspecified.
 #[allow(clippy::too_many_arguments)]
@@ -466,8 +448,8 @@ struct LevelPlan {
     fab_tasks: Vec<std::ops::Range<usize>>,
 }
 
-/// Failed pieces of one level: (fab index, piece box, cause).
-type LevelFailures = Vec<(usize, amrviz_amr::Box3, String)>;
+/// Failed pieces of one level: (fab index, piece box, error).
+type LevelFailures = Vec<(usize, amrviz_amr::Box3, CompressError)>;
 
 /// [`decompress_hierarchy_field_into`] as one coarse → fine walk that hands
 /// each level to `sink(level, data, degraded_fabs)` the moment nothing later
@@ -508,7 +490,7 @@ pub fn decompress_hierarchy_field_streamed(
     levels.truncate(nlev);
 
     let mut report = DecodeReport::default();
-    let mut failures: Vec<LevelFailures> = vec![Vec::new(); nlev];
+    let mut failures: Vec<LevelFailures> = (0..nlev).map(|_| Vec::new()).collect();
     // Levels below `settled` are repaired, reported and (unless held for
     // `restore_redundant`) handed to the sink.
     let mut settled = 0;
@@ -604,7 +586,7 @@ fn decode_level(
     // per-thread scratch and writes them into the fab's (reused) buffer.
     // Failures land in a mutex in scheduling order and are re-sorted by
     // task index so reporting is thread-count independent.
-    let failed: std::sync::Mutex<Vec<(usize, usize, amrviz_amr::Box3, String)>> =
+    let failed: std::sync::Mutex<Vec<(usize, usize, amrviz_amr::Box3, CompressError)>> =
         std::sync::Mutex::new(Vec::new());
     amrviz_par::for_each_chunk_mut(mf.fabs_mut(), 1, |fi, chunk| {
         let fab = &mut chunk[0];
@@ -613,12 +595,10 @@ fn decode_level(
             if let Err(e) =
                 decode_piece_into(compressor, &level_blobs[ti], sums[ti], piece, budget, fab)
             {
-                failed.lock().unwrap_or_else(|p| p.into_inner()).push((
-                    ti,
-                    fi,
-                    piece,
-                    e.to_string(),
-                ));
+                failed
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .push((ti, fi, piece, e));
             }
         }
     });
@@ -629,16 +609,17 @@ fn decode_level(
     // passed off as a degraded-but-served hierarchy.
     let fatal = failed
         .iter()
-        .find(|(.., cause)| cause.contains(amrviz_codec::CodecError::DEADLINE_MSG))
-        .or_else(|| match policy {
-            DecodePolicy::Strict => failed.first(),
-            DecodePolicy::Degrade => None,
+        .position(|(.., e)| e.is_deadline())
+        .or(match policy {
+            DecodePolicy::Strict if !failed.is_empty() => Some(0),
+            _ => None,
         });
-    if let Some((_, fi, _, cause)) = fatal {
+    if let Some(i) = fatal {
+        let (_, fab, _, e) = failed.swap_remove(i);
         return Err(CompressError::FabDecode {
             level: lev,
-            fab: *fi,
-            cause: cause.clone(),
+            fab,
+            source: Box::new(e),
         });
     }
     let level_bytes: usize = level_blobs.iter().map(Vec::len).sum();
@@ -648,7 +629,7 @@ fn decode_level(
     sp.add_field("bytes_in", level_bytes);
     Ok(failed
         .into_iter()
-        .map(|(_, fi, piece, cause)| (fi, piece, cause))
+        .map(|(_, fi, piece, e)| (fi, piece, e))
         .collect())
 }
 
@@ -663,8 +644,8 @@ fn settle_level(
     report: &mut DecodeReport,
 ) -> u32 {
     let mut fab_status: Vec<FabStatus> = vec![FabStatus::Ok; hier.box_array(lev).len()];
-    for (fi, piece, cause) in failed {
-        let status = repair_piece(hier, levels, lev, piece, cause);
+    for (fi, piece, e) in failed {
+        let status = repair_piece(hier, levels, lev, piece, e.to_string());
         // A fab with several failed pieces keeps its worst status
         // (Failed > Degraded > Ok).
         if !matches!(fab_status[fi], FabStatus::Failed { .. }) {
@@ -1098,13 +1079,14 @@ mod tests {
         let comp = SzInterp;
         let cfg = AmrCodecConfig::default();
         let c = compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
-        let (_, report) = decompress_hierarchy_field_policy(
+        let report = decompress_hierarchy_field_into(
             &h,
             &c,
             &comp,
             &cfg,
             DecodePolicy::Degrade,
             &DecodeBudget::default(),
+            &mut Vec::new(),
         )
         .unwrap();
         assert!(report.is_clean());
@@ -1123,19 +1105,23 @@ mod tests {
         // no longer matches.
         let mid = c.blobs[1][0].len() / 2;
         c.blobs[1][0][mid] ^= 0xFF;
-        let err = decompress_hierarchy_field_policy(
+        let err = decompress_hierarchy_field_into(
             &h,
             &c,
             &comp,
             &cfg,
             DecodePolicy::Strict,
             &DecodeBudget::default(),
+            &mut Vec::new(),
         )
         .unwrap_err();
         match err {
-            CompressError::FabDecode { level, fab, cause } => {
+            CompressError::FabDecode { level, fab, source } => {
                 assert_eq!((level, fab), (1, 0));
-                assert!(cause.contains("checksum"), "unexpected cause: {cause}");
+                assert!(
+                    matches!(&*source, CompressError::Malformed(m) if m.contains("checksum")),
+                    "unexpected cause: {source}"
+                );
             }
             other => panic!("expected FabDecode, got {other}"),
         }
@@ -1150,13 +1136,15 @@ mod tests {
             compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
         let mid = c.blobs[1][0].len() / 2;
         c.blobs[1][0][mid] ^= 0xFF;
-        let (levels, report) = decompress_hierarchy_field_policy(
+        let mut levels = Vec::new();
+        let report = decompress_hierarchy_field_into(
             &h,
             &c,
             &comp,
             &cfg,
             DecodePolicy::Degrade,
             &DecodeBudget::default(),
+            &mut levels,
         )
         .unwrap();
         let (_, degraded, failed) = report.counts();
@@ -1199,13 +1187,15 @@ mod tests {
             compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-4), &cfg).unwrap();
         let mid = c.blobs[0][0].len() / 2;
         c.blobs[0][0][mid] ^= 0xFF;
-        let (levels, report) = decompress_hierarchy_field_policy(
+        let mut levels = Vec::new();
+        let report = decompress_hierarchy_field_into(
             &h,
             &c,
             &comp,
             &cfg,
             DecodePolicy::Degrade,
             &DecodeBudget::default(),
+            &mut levels,
         )
         .unwrap();
         let (_, degraded, failed) = report.counts();
@@ -1249,13 +1239,14 @@ mod tests {
             compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
         let mid = c.blobs[0][0].len() / 2;
         c.blobs[0][0][mid] ^= 0xFF;
-        let (_, report) = decompress_hierarchy_field_policy(
+        let report = decompress_hierarchy_field_into(
             &h,
             &c,
             &comp,
             &cfg,
             DecodePolicy::Degrade,
             &DecodeBudget::default(),
+            &mut Vec::new(),
         )
         .unwrap();
         let (_, degraded, failed) = report.counts();
@@ -1281,13 +1272,15 @@ mod tests {
             let other = crate::Field3::from_fn([4, 8, 16], |i, _, _| 5.0 + i as f64);
             let blob = comp.compress(&other, ErrorBound::Abs(1e-3));
             let c = CompressedHierarchyField::from_blobs(vec![vec![blob]], 1e-3, 512);
-            let (levels, report) = decompress_hierarchy_field_policy(
+            let mut levels = Vec::new();
+            let report = decompress_hierarchy_field_into(
                 &h,
                 &c,
                 comp,
                 &cfg,
                 DecodePolicy::Degrade,
                 &DecodeBudget::default(),
+                &mut levels,
             )
             .unwrap();
             assert_eq!(report.counts(), (0, 0, 1), "{}", comp.name());
@@ -1313,7 +1306,7 @@ mod tests {
         let mut levels: Vec<MultiFab> = (0..nlev)
             .map(|lev| MultiFab::zeros(hier.box_array(lev)))
             .collect();
-        let mut failures: Vec<LevelFailures> = vec![Vec::new(); nlev];
+        let mut failures: Vec<Vec<(usize, amrviz_amr::Box3, String)>> = vec![Vec::new(); nlev];
         for lev in 0..nlev {
             let plan = plan_level(hier, compressed, cfg, lev)?;
             for (ti, &(fi, piece)) in plan.tasks.iter().enumerate() {

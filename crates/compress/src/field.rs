@@ -22,13 +22,6 @@ impl Field3 {
         Field3 { dims, data }
     }
 
-    pub fn zeros(dims: [usize; 3]) -> Self {
-        Field3 {
-            dims,
-            data: vec![0.0; dims[0] * dims[1] * dims[2]],
-        }
-    }
-
     /// Builds a field by evaluating `f(i, j, k)`.
     pub fn from_fn(dims: [usize; 3], mut f: impl FnMut(usize, usize, usize) -> f64) -> Self {
         let [nx, ny, nz] = dims;
@@ -94,15 +87,6 @@ impl Field3 {
             data: &self.data,
         }
     }
-
-    /// Borrows the field as a [`FieldMut`].
-    #[inline]
-    pub fn view_mut(&mut self) -> FieldMut<'_> {
-        FieldMut {
-            dims: self.dims,
-            data: &mut self.data,
-        }
-    }
 }
 
 /// A borrowed, dense, x-fastest 3D scalar field — the zero-copy input type
@@ -165,14 +149,6 @@ impl<'a> Field3View<'a> {
     pub fn nbytes(&self) -> usize {
         std::mem::size_of_val(self.data)
     }
-
-    /// Copies the view into an owned [`Field3`].
-    pub fn to_owned_field(&self) -> Field3 {
-        Field3 {
-            dims: self.dims,
-            data: self.data.to_vec(),
-        }
-    }
 }
 
 /// A mutably borrowed dense field: reconstruction buffers, rented scratch,
@@ -191,32 +167,6 @@ impl<'a> FieldMut<'a> {
             "field buffer does not match dims"
         );
         FieldMut { dims, data }
-    }
-
-    #[inline]
-    pub fn idx(&self, i: usize, j: usize, k: usize) -> usize {
-        debug_assert!(i < self.dims[0] && j < self.dims[1] && k < self.dims[2]);
-        i + self.dims[0] * (j + self.dims[1] * k)
-    }
-
-    #[inline]
-    pub fn at(&self, i: usize, j: usize, k: usize) -> f64 {
-        self.data[self.idx(i, j, k)]
-    }
-
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, k: usize, v: f64) {
-        let idx = self.idx(i, j, k);
-        self.data[idx] = v;
-    }
-
-    /// Reborrows immutably.
-    #[inline]
-    pub fn as_view(&self) -> Field3View<'_> {
-        Field3View {
-            dims: self.dims,
-            data: self.data,
-        }
     }
 }
 
@@ -261,16 +211,6 @@ mod tests {
             f.data.as_ptr(),
             "view must alias the field"
         );
-        assert_eq!(v.to_owned_field(), f);
-    }
-
-    #[test]
-    fn field_mut_writes_through() {
-        let mut f = Field3::zeros([2, 2, 2]);
-        let mut m = f.view_mut();
-        m.set(1, 1, 1, 9.0);
-        assert_eq!(m.as_view().at(1, 1, 1), 9.0);
-        assert_eq!(f.at(1, 1, 1), 9.0);
     }
 
     #[test]

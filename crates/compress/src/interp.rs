@@ -215,48 +215,61 @@ impl Compressor for SzInterp {
         out: &mut Vec<f64>,
     ) -> Result<[usize; 3], CompressError> {
         let _sp = amrviz_obs::span!("szitp.decompress", bytes_in = bytes.len());
-        let mut r = ByteReader::with_budget(bytes, *budget);
-        if r.u8()? != MAGIC {
-            return Err(CompressError::Malformed("bad SZ-Interp magic".into()));
-        }
-        let (dims, n) = r.dims3()?;
-        let eb = r.f64()?;
-        let anchor = r.f64()?;
-        if eb.is_nan() || eb <= 0.0 {
-            return Err(CompressError::Malformed("bad SZ-Interp header".into()));
-        }
-        let q = Quantizer::new(eb);
-
+        // The rentals go back on every path: a failed decode (a corrupt
+        // blob, a deadline) must not drain the thread's pool.
         let mut codes = scratch::take_u32();
-        r.coded_section(&mut codes)?;
-        if codes.len() != n - 1 {
-            return Err(CompressError::Malformed(format!(
-                "expected {} codes, found {}",
-                n - 1,
-                codes.len()
-            )));
-        }
-        // Checked against the zero codes — short *and* surplus — before
-        // anything is written; the sweep below cannot fail. Outliers stream
-        // straight out of the borrowed section, no copy.
-        let mut outliers = Outliers::new(r.section()?, &codes)?;
-
-        // Every cell is written below, so a buffer that already has the
-        // right length (a fab decoded in place) is not zeroed first.
-        out.resize(n, 0.0);
-        out[0] = anchor;
-        let mut pos = 0usize;
-        sweep(FieldMut::new(dims, out), |_, pred| {
-            let code = codes[pos];
-            pos += 1;
-            match code {
-                0 => outliers.take(),
-                code => q.reconstruct(pred, code),
-            }
-        });
+        let dims = decode(bytes, budget, out, &mut codes);
         scratch::give_u32(codes);
-        Ok(dims)
+        dims
     }
+}
+
+/// [`SzInterp::decompress_into`] over its rented `codes` scratch.
+fn decode(
+    bytes: &[u8],
+    budget: &DecodeBudget,
+    out: &mut Vec<f64>,
+    codes: &mut Vec<u32>,
+) -> Result<[usize; 3], CompressError> {
+    let mut r = ByteReader::with_budget(bytes, *budget);
+    if r.u8()? != MAGIC {
+        return Err(CompressError::Malformed("bad SZ-Interp magic".into()));
+    }
+    let (dims, n) = r.dims3()?;
+    let eb = r.f64()?;
+    let anchor = r.f64()?;
+    if eb.is_nan() || eb <= 0.0 {
+        return Err(CompressError::Malformed("bad SZ-Interp header".into()));
+    }
+    let q = Quantizer::new(eb);
+
+    r.coded_section(codes)?;
+    if codes.len() != n - 1 {
+        return Err(CompressError::Malformed(format!(
+            "expected {} codes, found {}",
+            n - 1,
+            codes.len()
+        )));
+    }
+    // Checked against the zero codes — short *and* surplus — before
+    // anything is written; the sweep below cannot fail. Outliers stream
+    // straight out of the borrowed section, no copy.
+    let mut outliers = Outliers::new(r.section()?, codes)?;
+
+    // Every cell is written below, so a buffer that already has the
+    // right length (a fab decoded in place) is not zeroed first.
+    out.resize(n, 0.0);
+    out[0] = anchor;
+    let mut pos = 0usize;
+    sweep(FieldMut::new(dims, out), |_, pred| {
+        let code = codes[pos];
+        pos += 1;
+        match code {
+            0 => outliers.take(),
+            code => q.reconstruct(pred, code),
+        }
+    });
+    Ok(dims)
 }
 
 #[cfg(test)]

@@ -54,8 +54,8 @@ pub mod zmesh;
 
 pub use amr_codec::{
     compress_hierarchy_field, decompress_hierarchy_field, decompress_hierarchy_field_into,
-    decompress_hierarchy_field_policy, decompress_hierarchy_field_streamed, AmrCodecConfig,
-    CompressedHierarchyField, DecodePolicy, DecodeReport, FabStatus, RepairKind,
+    decompress_hierarchy_field_streamed, AmrCodecConfig, CompressedHierarchyField, DecodePolicy,
+    DecodeReport, FabStatus, RepairKind,
 };
 pub use amrviz_codec::DecodeBudget;
 pub use field::{Field3, Field3View, FieldMut};
@@ -117,7 +117,7 @@ pub enum CompressError {
         /// Fab index within the level.
         fab: usize,
         /// What went wrong with that blob.
-        cause: String,
+        source: Box<CompressError>,
     },
     /// A reconstruction decoded cleanly but strays further from the
     /// original than the bound it was compressed under.
@@ -134,8 +134,8 @@ impl std::fmt::Display for CompressError {
         match self {
             CompressError::Malformed(m) => write!(f, "malformed compressed stream: {m}"),
             CompressError::Codec(e) => write!(f, "codec error: {e}"),
-            CompressError::FabDecode { level, fab, cause } => {
-                write!(f, "fab decode failed at level {level}, fab {fab}: {cause}")
+            CompressError::FabDecode { level, fab, source } => {
+                write!(f, "fab decode failed at level {level}, fab {fab}: {source}")
             }
             CompressError::BoundViolated {
                 max_abs_error,
@@ -152,23 +152,13 @@ impl CompressError {
     /// Maps this failure onto the codec taxonomy so callers (serve, torture)
     /// can decide retryable-vs-fatal without string matching: `"corrupt"`,
     /// `"truncated"`, or `"budget"`. Structural failures above the codec
-    /// layer are corruption; a `FabDecode` cause string produced from a
-    /// [`amrviz_codec::CodecError`] keeps its class.
+    /// layer are corruption; a `FabDecode` has the class of the error it
+    /// wraps.
     pub fn class(&self) -> &'static str {
         match self {
             CompressError::Malformed(_) | CompressError::BoundViolated { .. } => "corrupt",
             CompressError::Codec(e) => e.class(),
-            CompressError::FabDecode { cause, .. } => {
-                // Cause strings are rendered Display output; the class
-                // prefixes below are stable (tested in the codec crate).
-                if cause.contains("decode budget exceeded") {
-                    "budget"
-                } else if cause.contains("truncated stream") {
-                    "truncated"
-                } else {
-                    "corrupt"
-                }
-            }
+            CompressError::FabDecode { source, .. } => source.class(),
         }
     }
 
@@ -177,9 +167,7 @@ impl CompressError {
     pub fn is_deadline(&self) -> bool {
         match self {
             CompressError::Codec(e) => e.is_deadline(),
-            CompressError::FabDecode { cause, .. } => {
-                cause.contains(amrviz_codec::CodecError::DEADLINE_MSG)
-            }
+            CompressError::FabDecode { source, .. } => source.is_deadline(),
             CompressError::Malformed(_) | CompressError::BoundViolated { .. } => false,
         }
     }
@@ -244,6 +232,17 @@ pub trait Compressor: Sync {
         budget: &amrviz_codec::DecodeBudget,
         out: &mut Vec<f64>,
     ) -> Result<[usize; 3], CompressError>;
+}
+
+/// The compressor behind an algorithm name (`szlr` | `szinterp` | `zfp`) —
+/// the names `--algo` takes and serve artifacts record.
+pub fn compressor_by_name(name: &str) -> Option<Box<dyn Compressor>> {
+    match name {
+        "szlr" => Some(Box::new(SzLr::default())),
+        "szinterp" => Some(Box::new(SzInterp)),
+        "zfp" => Some(Box::new(ZfpLike)),
+        _ => None,
+    }
 }
 
 /// Inputs shared by the tests that hold each compressor's row kernels to
@@ -321,5 +320,31 @@ mod tests {
         // An absolute bound never looks at the data.
         assert_eq!(ErrorBound::Abs(0.5).resolve(|| unreachable!()), 0.5);
         assert_eq!(ErrorBound::Abs(0.0).resolve(|| unreachable!()), 1e-300);
+    }
+
+    #[test]
+    fn fab_decode_keeps_the_class_of_the_error_it_wraps() {
+        use amrviz_codec::CodecError;
+        let wrap = |source: CompressError| CompressError::FabDecode {
+            level: 1,
+            fab: 2,
+            source: Box::new(source),
+        };
+        for (source, class, deadline) in [
+            (CodecError::deadline(), "budget", true),
+            (CodecError::BudgetExceeded("too big"), "budget", false),
+            (CodecError::Truncated, "truncated", false),
+            (CodecError::Corrupt("bad header"), "corrupt", false),
+        ] {
+            let e = wrap(source.into());
+            assert_eq!((e.class(), e.is_deadline()), (class, deadline), "{e}");
+        }
+        let e = wrap(CompressError::Malformed("blob checksum mismatch".into()));
+        assert_eq!((e.class(), e.is_deadline()), ("corrupt", false));
+        assert_eq!(
+            e.to_string(),
+            "fab decode failed at level 1, fab 2: malformed compressed stream: \
+             blob checksum mismatch"
+        );
     }
 }

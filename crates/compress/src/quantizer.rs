@@ -83,15 +83,6 @@ pub struct QuantStats {
 }
 
 impl QuantStats {
-    /// Records one quantization outcome.
-    #[inline]
-    pub fn tally(&mut self, q: &Quantized) {
-        match q {
-            Quantized::Code { .. } => self.codes += 1,
-            Quantized::Outlier => self.outliers += 1,
-        }
-    }
-
     /// Publishes the tally to the global observability counters (batched:
     /// two counter adds per stream, regardless of value count) and records
     /// the stream's integer hit rate (% of values that quantized in-range)
@@ -330,23 +321,6 @@ mod tests {
             ));
         }
         assert!(Outliers::new(&[], &[1, 2, 3]).is_ok());
-    }
-
-    #[test]
-    fn stats_tally_outcomes() {
-        let q = Quantizer::new(0.1);
-        let mut stats = QuantStats::default();
-        stats.tally(&q.quantize(0.0, 0.05));
-        stats.tally(&q.quantize(0.0, 1e9));
-        stats.tally(&q.quantize(0.0, f64::NAN));
-        assert_eq!(
-            stats,
-            QuantStats {
-                codes: 1,
-                outliers: 2
-            }
-        );
-        stats.report(); // recorder disabled: must be a free no-op
     }
 
     #[test]

@@ -314,87 +314,100 @@ impl Compressor for SzLr {
         out: &mut Vec<f64>,
     ) -> Result<[usize; 3], CompressError> {
         let _sp = amrviz_obs::span!("szlr.decompress", bytes_in = bytes.len());
-        let mut r = ByteReader::with_budget(bytes, *budget);
-        if r.u8()? != MAGIC {
-            return Err(CompressError::Malformed("bad SZ-L/R magic".into()));
-        }
-        let (dims, n) = r.dims3()?;
-        let eb = r.f64()?;
-        let bs = r.uvarint()? as usize;
-        if bs == 0 || eb.is_nan() || eb <= 0.0 {
-            return Err(CompressError::Malformed("bad SZ-L/R header".into()));
-        }
-        let q = Quantizer::new(eb);
-        let blocks = Blocks { dims, bs };
-
-        // Section slices borrow the input stream directly (`ByteReader`
-        // hands back `&[u8]` tied to `bytes`), so nothing here is copied.
-        let pred_section = r.section()?;
-        let coeff_section = r.section()?;
-        let mut codes = scratch::take_u32();
-        r.coded_section(&mut codes)?;
-        if codes.len() != n {
-            return Err(CompressError::Malformed(format!(
-                "expected {n} codes, found {}",
-                codes.len()
-            )));
-        }
-        // Every section is checked against what the loop below will read —
-        // short *and* surplus — before anything is written, so the
-        // reconstruction itself cannot fail.
-        let mut outliers = Outliers::new(r.section()?, &codes)?;
-        let is_regression = |b: usize| pred_section[b / 8] & (0x80 >> (b % 8)) != 0;
-        if pred_section.len() != blocks.count().div_ceil(8) {
-            return Err(CompressError::Malformed(format!(
-                "{} blocks but a {}-byte predictor section",
-                blocks.count(),
-                pred_section.len()
-            )));
-        }
-        let planes = (0..blocks.count()).filter(|&b| is_regression(b)).count();
-        if coeff_section.len() != planes * 16 {
-            return Err(CompressError::Malformed(format!(
-                "{planes} regression blocks but a {}-byte coefficient section",
-                coeff_section.len()
-            )));
-        }
-        let mut planes = coeff_section.chunks_exact(16).map(|c| {
-            let f = |n: usize| f32::from_le_bytes(c[4 * n..4 * n + 4].try_into().expect("4 bytes"));
-            RegressionCoeffs::from_wire([f(0), f(1), f(2), f(3)])
-        });
-
-        // Every cell is written below, so a buffer that already has the
-        // right length (a fab decoded in place) is not zeroed first.
-        out.resize(n, 0.0);
-        let mut zero = scratch::take_f64();
-        zero.resize(bs.min(dims[0]), 0.0);
-        let (mut pos, mut b) = (0usize, 0usize);
-        blocks.for_each(|block| {
-            let len = block.ext[0];
-            let plane = is_regression(b).then(|| planes.next().expect("one plane per bit"));
-            b += 1;
-            blocks.rows(block, |at, row| {
-                let codes = &codes[pos..pos + len];
-                let (done, rest) = out.split_at_mut(at);
-                let recon = &mut rest[..len];
-                let step = |n: usize, pred: f64| {
-                    recon[n] = match codes[n] {
-                        0 => outliers.take(),
-                        code => q.reconstruct(pred, code),
-                    };
-                    recon[n]
-                };
-                match &plane {
-                    Some(plane) => plane.walk(len, row, step),
-                    None => blocks.neighbours(block, row, done, &zero).walk(step),
-                }
-                pos += len;
-            });
-        });
+        // The rentals go back on every path: a failed decode (a corrupt
+        // blob, a deadline) must not drain the thread's pool.
+        let (mut codes, mut zero) = (scratch::take_u32(), scratch::take_f64());
+        let dims = decode(bytes, budget, out, &mut codes, &mut zero);
         scratch::give_f64(zero);
         scratch::give_u32(codes);
-        Ok(dims)
+        dims
     }
+}
+
+/// [`SzLr::decompress_into`] over its rented `codes` and `zero` scratch.
+fn decode(
+    bytes: &[u8],
+    budget: &DecodeBudget,
+    out: &mut Vec<f64>,
+    codes: &mut Vec<u32>,
+    zero: &mut Vec<f64>,
+) -> Result<[usize; 3], CompressError> {
+    let mut r = ByteReader::with_budget(bytes, *budget);
+    if r.u8()? != MAGIC {
+        return Err(CompressError::Malformed("bad SZ-L/R magic".into()));
+    }
+    let (dims, n) = r.dims3()?;
+    let eb = r.f64()?;
+    let bs = r.uvarint()? as usize;
+    if bs == 0 || eb.is_nan() || eb <= 0.0 {
+        return Err(CompressError::Malformed("bad SZ-L/R header".into()));
+    }
+    let q = Quantizer::new(eb);
+    let blocks = Blocks { dims, bs };
+
+    // Section slices borrow the input stream directly (`ByteReader`
+    // hands back `&[u8]` tied to `bytes`), so nothing here is copied.
+    let pred_section = r.section()?;
+    let coeff_section = r.section()?;
+    r.coded_section(codes)?;
+    if codes.len() != n {
+        return Err(CompressError::Malformed(format!(
+            "expected {n} codes, found {}",
+            codes.len()
+        )));
+    }
+    // Every section is checked against what the loop below will read —
+    // short *and* surplus — before anything is written, so the
+    // reconstruction itself cannot fail.
+    let mut outliers = Outliers::new(r.section()?, codes)?;
+    let is_regression = |b: usize| pred_section[b / 8] & (0x80 >> (b % 8)) != 0;
+    if pred_section.len() != blocks.count().div_ceil(8) {
+        return Err(CompressError::Malformed(format!(
+            "{} blocks but a {}-byte predictor section",
+            blocks.count(),
+            pred_section.len()
+        )));
+    }
+    let planes = (0..blocks.count()).filter(|&b| is_regression(b)).count();
+    if coeff_section.len() != planes * 16 {
+        return Err(CompressError::Malformed(format!(
+            "{planes} regression blocks but a {}-byte coefficient section",
+            coeff_section.len()
+        )));
+    }
+    let mut planes = coeff_section.chunks_exact(16).map(|c| {
+        let f = |n: usize| f32::from_le_bytes(c[4 * n..4 * n + 4].try_into().expect("4 bytes"));
+        RegressionCoeffs::from_wire([f(0), f(1), f(2), f(3)])
+    });
+
+    // Every cell is written below, so a buffer that already has the
+    // right length (a fab decoded in place) is not zeroed first.
+    out.resize(n, 0.0);
+    zero.resize(bs.min(dims[0]), 0.0);
+    let (mut pos, mut b) = (0usize, 0usize);
+    blocks.for_each(|block| {
+        let len = block.ext[0];
+        let plane = is_regression(b).then(|| planes.next().expect("one plane per bit"));
+        b += 1;
+        blocks.rows(block, |at, row| {
+            let codes = &codes[pos..pos + len];
+            let (done, rest) = out.split_at_mut(at);
+            let recon = &mut rest[..len];
+            let step = |n: usize, pred: f64| {
+                recon[n] = match codes[n] {
+                    0 => outliers.take(),
+                    code => q.reconstruct(pred, code),
+                };
+                recon[n]
+            };
+            match &plane {
+                Some(plane) => plane.walk(len, row, step),
+                None => blocks.neighbours(block, row, done, zero).walk(step),
+            }
+            pos += len;
+        });
+    });
+    Ok(dims)
 }
 
 #[cfg(test)]

@@ -5,9 +5,10 @@
 //! before anything is sliced or allocated, so corrupted length prefixes
 //! surface as [`CodecError`]s instead of panics or absurd allocations.
 
+use amrviz_amr::{Box3, IntVect};
 use amrviz_codec::{
     huffman_decode_into, huffman_encode_into, lzss_compress_into, lzss_decompress_into,
-    read_uvarint, write_uvarint, CodecError, DecodeBudget,
+    read_uvarint, write_uvarint, zigzag_decode, zigzag_encode, CodecError, DecodeBudget,
 };
 use amrviz_par::scratch;
 
@@ -66,6 +67,14 @@ impl ByteWriter {
     /// 8-byte little-endian `u64` (checksums).
     pub fn u64_le(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// A box as six zig-zag varints, `lo` then `hi` — the one box codec the
+    /// serve artifact and the LEVEL frame share.
+    pub fn box3(&mut self, bx: &Box3) {
+        for v in bx.lo().0.into_iter().chain(bx.hi().0) {
+            self.uvarint(zigzag_encode(v));
+        }
     }
 
     /// Length-prefixed byte section.
@@ -127,11 +136,6 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    /// The budget this reader enforces.
-    pub fn budget(&self) -> &DecodeBudget {
-        &self.budget
-    }
-
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         let b = *self.buf.get(self.pos).ok_or(CodecError::Truncated)?;
         self.pos += 1;
@@ -188,11 +192,36 @@ impl<'a> ByteReader<'a> {
 
     /// Inverse of [`ByteWriter::coded_section`]: the symbols land in `out`.
     pub fn coded_section(&mut self, out: &mut Vec<u32>) -> Result<(), CodecError> {
+        let section = self.section()?;
+        // The rental goes back on every path: a failed decode (a corrupt
+        // blob, a deadline) must not drain the thread's pool.
         let mut lz = scratch::take_bytes();
-        lzss_decompress_into(self.section()?, &self.budget, &mut lz)?;
-        huffman_decode_into(&lz, &self.budget, out)?;
+        let decoded = lzss_decompress_into(section, &self.budget, &mut lz)
+            .and_then(|()| huffman_decode_into(&lz, &self.budget, out));
         scratch::give_bytes(lz);
-        Ok(())
+        decoded
+    }
+
+    /// Inverse of [`ByteWriter::box3`]. An inverted box is `Corrupt`, and
+    /// every axis extent is budget-checked, so the caller may take the box's
+    /// `size()` without overflow.
+    pub fn box3(&mut self) -> Result<Box3, CodecError> {
+        let mut c = [0i64; 6];
+        for v in &mut c {
+            *v = zigzag_decode(self.uvarint()?);
+        }
+        for a in 0..3 {
+            if c[3 + a] < c[a] {
+                return Err(CodecError::Corrupt("inverted box"));
+            }
+            // `abs_diff`: `hi − lo + 1` overflows `i64` on a forged box.
+            let extent = c[3 + a].abs_diff(c[a]).saturating_add(1);
+            self.budget.check_dim(extent as usize)?;
+        }
+        Ok(Box3::new(
+            IntVect([c[0], c[1], c[2]]),
+            IntVect([c[3], c[4], c[5]]),
+        ))
     }
 
     /// Three box dimensions, each budget-checked (nonzero, bounded) and the
@@ -302,6 +331,40 @@ mod tests {
         let buf = w.finish();
         let mut r = ByteReader::with_budget(&buf, budget);
         assert!(r.dims3().is_err());
+    }
+
+    #[test]
+    fn box3_roundtrips_and_rejects_inverted_or_oversized() {
+        let bx = Box3::new(IntVect([-7, 0, 300]), IntVect([-7, 63, 4395]));
+        let mut w = ByteWriter::new();
+        w.box3(&bx);
+        let buf = w.finish();
+        // Six zig-zag varints, lo then hi: −7 → 13, 300 → 600 (two bytes).
+        assert_eq!(buf[..4], [13, 0, 0xd8, 0x04]);
+        let strict = DecodeBudget::strict();
+        let mut r = ByteReader::with_budget(&buf, strict);
+        assert_eq!(r.box3(), Ok(bx));
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(
+            ByteReader::new(&buf[..buf.len() - 1]).box3(),
+            Err(CodecError::Truncated)
+        );
+
+        let read = |c: [i64; 6]| {
+            let mut w = ByteWriter::new();
+            c.iter().for_each(|&v| w.uvarint(zigzag_encode(v)));
+            ByteReader::with_budget(&w.finish(), strict).box3()
+        };
+        assert_eq!(
+            read([0, 0, 5, 3, 3, 4]),
+            Err(CodecError::Corrupt("inverted box"))
+        );
+        // One cell past `max_dim`, and a forged box whose extent overflows.
+        assert_eq!(strict.max_dim, 4096);
+        assert_eq!(read([0, 0, 0, 0, 4095, 0]).unwrap().size(), [1, 4096, 1]);
+        for c in [[0, 0, 0, 0, 4096, 0], [i64::MIN, 0, 0, i64::MAX, 0, 0]] {
+            assert!(matches!(read(c), Err(CodecError::BudgetExceeded(_))));
+        }
     }
 
     #[test]

@@ -250,66 +250,80 @@ impl Compressor for ZfpLike {
         out: &mut Vec<f64>,
     ) -> Result<[usize; 3], CompressError> {
         let _sp = amrviz_obs::span!("zfp.decompress", bytes_in = bytes.len());
-        let mut r = ByteReader::with_budget(bytes, *budget);
-        if r.u8()? != MAGIC {
-            return Err(CompressError::Malformed("bad ZFP-like magic".into()));
-        }
-        let (dims, n) = r.dims3()?;
-        let eb = r.f64()?;
-        if eb.is_nan() || eb <= 0.0 {
-            return Err(CompressError::Malformed("bad ZFP-like header".into()));
-        }
-        let step = 2.0 * eb;
-        let mut symbols = scratch::take_u32();
-        r.coded_section(&mut symbols)?;
-        let mut esc_bytes = scratch::take_bytes();
-        lzss_decompress_into(r.section()?, budget, &mut esc_bytes)?;
-        let mut escapes = esc_bytes
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().expect("8 bytes")));
-        let raw_section = r.section()?;
-        let mut raws = raw_section
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")));
-
-        // Every cell is written below, so a buffer that already has the
-        // right length (a fab decoded in place) is not zeroed first.
-        out.resize(n, 0.0);
-        let mut sym = symbols.iter().copied();
-        let underrun = |what: &str| CompressError::Malformed(format!("{what} underrun"));
-
-        let blocks = Blocks { dims };
-        for (origin, interior) in blocks.iter() {
-            let first = sym.next().ok_or_else(|| underrun("symbol"))?;
-            let mut vals = [0.0f64; 64];
-            if first == 0 {
-                for v in vals.iter_mut() {
-                    *v = raws.next().ok_or_else(|| underrun("raw-block"))?;
-                }
-            } else {
-                let mut block = [0i64; 64];
-                let mut s = first;
-                for (n, item) in block.iter_mut().enumerate() {
-                    if n > 0 {
-                        s = sym.next().ok_or_else(|| underrun("symbol"))?;
-                    }
-                    *item = match s {
-                        0 => return Err(CompressError::Malformed("raw marker mid-block".into())),
-                        1 => escapes.next().ok_or_else(|| underrun("escape"))?,
-                        s => zigzag_decode(s as u64 - 2),
-                    };
-                }
-                block_inv(&mut block);
-                for (v, &q) in vals.iter_mut().zip(&block) {
-                    *v = q as f64 * step;
-                }
-            }
-            blocks.scatter(out, origin, interior, &vals);
-        }
+        // The rentals go back on every path: a failed decode (a corrupt
+        // blob, a deadline) must not drain the thread's pool.
+        let (mut symbols, mut esc_bytes) = (scratch::take_u32(), scratch::take_bytes());
+        let dims = decode(bytes, budget, out, &mut symbols, &mut esc_bytes);
         scratch::give_bytes(esc_bytes);
         scratch::give_u32(symbols);
-        Ok(dims)
+        dims
     }
+}
+
+/// [`ZfpLike::decompress_into`] over its rented `symbols` and `esc_bytes`
+/// scratch.
+fn decode(
+    bytes: &[u8],
+    budget: &DecodeBudget,
+    out: &mut Vec<f64>,
+    symbols: &mut Vec<u32>,
+    esc_bytes: &mut Vec<u8>,
+) -> Result<[usize; 3], CompressError> {
+    let mut r = ByteReader::with_budget(bytes, *budget);
+    if r.u8()? != MAGIC {
+        return Err(CompressError::Malformed("bad ZFP-like magic".into()));
+    }
+    let (dims, n) = r.dims3()?;
+    let eb = r.f64()?;
+    if eb.is_nan() || eb <= 0.0 {
+        return Err(CompressError::Malformed("bad ZFP-like header".into()));
+    }
+    let step = 2.0 * eb;
+    r.coded_section(symbols)?;
+    lzss_decompress_into(r.section()?, budget, esc_bytes)?;
+    let mut escapes = esc_bytes
+        .chunks_exact(8)
+        .map(|c| i64::from_le_bytes(c.try_into().expect("8 bytes")));
+    let raw_section = r.section()?;
+    let mut raws = raw_section
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")));
+
+    // Every cell is written below, so a buffer that already has the
+    // right length (a fab decoded in place) is not zeroed first.
+    out.resize(n, 0.0);
+    let mut sym = symbols.iter().copied();
+    let underrun = |what: &str| CompressError::Malformed(format!("{what} underrun"));
+
+    let blocks = Blocks { dims };
+    for (origin, interior) in blocks.iter() {
+        let first = sym.next().ok_or_else(|| underrun("symbol"))?;
+        let mut vals = [0.0f64; 64];
+        if first == 0 {
+            for v in vals.iter_mut() {
+                *v = raws.next().ok_or_else(|| underrun("raw-block"))?;
+            }
+        } else {
+            let mut block = [0i64; 64];
+            let mut s = first;
+            for (n, item) in block.iter_mut().enumerate() {
+                if n > 0 {
+                    s = sym.next().ok_or_else(|| underrun("symbol"))?;
+                }
+                *item = match s {
+                    0 => return Err(CompressError::Malformed("raw marker mid-block".into())),
+                    1 => escapes.next().ok_or_else(|| underrun("escape"))?,
+                    s => zigzag_decode(s as u64 - 2),
+                };
+            }
+            block_inv(&mut block);
+            for (v, &q) in vals.iter_mut().zip(&block) {
+                *v = q as f64 * step;
+            }
+        }
+        blocks.scatter(out, origin, interior, &vals);
+    }
+    Ok(dims)
 }
 
 #[cfg(test)]

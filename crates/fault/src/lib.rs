@@ -9,10 +9,8 @@
 //! * [`Mutation`] / [`mutate_stream`] — seeded corruption of byte streams
 //!   (bit flips, truncation, byte swaps, section duplication, varint
 //!   length inflation), reproducible from a single `u64` seed;
-//! * [`CountingAlloc`] — a system-allocator wrapper counting live/peak
-//!   bytes so a run can assert bounded memory;
 //! * [`run_torture`] — feeds mutated streams to every public decoder
-//!   (varint, bitio, huffman, RLE, LZSS, the three field compressors,
+//!   (varint, bitio, huffman, LZSS, the three field compressors,
 //!   zMesh, the hierarchy container, and degraded-mode hierarchy decode)
 //!   and tallies outcomes. Exposed to users as `amrviz torture`.
 //!
@@ -20,12 +18,8 @@
 //! (seed, iters) pair replays the exact same corruption sequence, so a
 //! violation found in CI reproduces locally byte-for-byte.
 
-pub mod alloc;
 pub mod mutate;
 pub mod torture;
 
-pub use alloc::{
-    alloc_baseline, counting_alloc_installed, current_bytes, peak_since, CountingAlloc,
-};
 pub use mutate::{mutate_stream, Mutation};
 pub use torture::{run_torture, TargetTally, TortureConfig, TortureReport};

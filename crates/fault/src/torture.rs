@@ -6,7 +6,7 @@
 //! decode target, corrupts that target's known-good corpus stream with
 //! 1–3 [`Mutation`]s, and decodes under [`DecodeBudget::strict`] inside
 //! `catch_unwind`. Peak allocation above the pre-decode baseline is
-//! checked against a cap when [`CountingAlloc`](crate::CountingAlloc) is
+//! checked against a cap when [`amrviz_obs::mem::CountingAlloc`] is
 //! installed as the global allocator (the `amrviz torture` subcommand
 //! installs it; plain `cargo test` does not, and the memory assertion is
 //! skipped there rather than reporting fake peaks).
@@ -16,18 +16,17 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use amrviz_amr::{AmrHierarchy, Box3, BoxArray, Geometry, IntVect, MultiFab};
 use amrviz_codec::{
     huffman_decode_budgeted, huffman_encode, lzss_compress, lzss_decompress_budgeted, read_uvarint,
-    rle_decode_zeros_budgeted, rle_encode_zeros, write_uvarint, BitReader, BitWriter, DecodeBudget,
+    write_uvarint, BitReader, BitWriter, DecodeBudget,
 };
 use amrviz_compress::{
     compress_hierarchy_field, compress_zmesh, decompress_hierarchy_field_into,
-    decompress_hierarchy_field_policy, zmesh::decompress_zmesh_budgeted, AmrCodecConfig,
-    CompressedHierarchyField, Compressor, DecodePolicy, ErrorBound, Field3, SzInterp, SzLr,
-    ZfpLike,
+    zmesh::decompress_zmesh_budgeted, AmrCodecConfig, CompressedHierarchyField, Compressor,
+    DecodePolicy, ErrorBound, Field3, SzInterp, SzLr, ZfpLike,
 };
+use amrviz_obs::mem::{alloc_baseline, counting_alloc_installed, peak_since};
 use amrviz_recipe::ScenarioSpec;
 use amrviz_rng::Rng;
 
-use crate::alloc::{alloc_baseline, counting_alloc_installed, peak_since};
 use crate::mutate::{mutate_stream, Mutation};
 
 /// Torture-run parameters.
@@ -322,20 +321,6 @@ fn build_targets() -> Vec<Target> {
         }),
     ));
 
-    let mut rle_input = vec![0u32; 500];
-    for i in (0..500).step_by(17) {
-        rle_input[i] = i as u32;
-    }
-    targets.push(Target::fixed(
-        "rle",
-        rle_encode_zeros(&rle_input),
-        Box::new(|bytes, budget| {
-            rle_decode_zeros_budgeted(bytes, budget)
-                .map(|_| ())
-                .map_err(fail)
-        }),
-    ));
-
     let text: Vec<u8> = (0..3000).map(|i| ((i * 7) % 251) as u8).collect();
     targets.push(Target::fixed(
         "lzss",
@@ -404,13 +389,14 @@ fn build_targets() -> Vec<Target> {
             move |bytes, budget| {
                 let parsed =
                     CompressedHierarchyField::from_bytes_budgeted(bytes, budget).map_err(fail)?;
-                decompress_hierarchy_field_policy(
+                decompress_hierarchy_field_into(
                     &hier,
                     &parsed,
                     &SzLr::default(),
                     &cfg,
                     DecodePolicy::Degrade,
                     budget,
+                    &mut Vec::new(),
                 )
                 .map(|_| ())
                 .map_err(fail)
@@ -477,13 +463,14 @@ fn recipe_targets(seed: u64, count: u32) -> Vec<Target> {
             decode: Box::new(move |bytes, budget| {
                 let parsed =
                     CompressedHierarchyField::from_bytes_budgeted(bytes, budget).map_err(fail)?;
-                decompress_hierarchy_field_policy(
+                decompress_hierarchy_field_into(
                     &hier,
                     &parsed,
                     &SzLr::default(),
                     &cfg,
                     DecodePolicy::Degrade,
                     budget,
+                    &mut Vec::new(),
                 )
                 .map(|_| ())
                 .map_err(fail)

@@ -44,18 +44,10 @@ impl Fft1dPlan {
         Fft1dPlan { n, rev, twiddles }
     }
 
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// In-place forward transform.
     ///
     /// # Panics
-    /// Panics if `data.len() != self.len()`.
+    /// Panics if `data.len()` is not the plan length.
     pub fn forward(&self, data: &mut [Complex]) {
         self.transform(data, false);
     }

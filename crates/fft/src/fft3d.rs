@@ -38,15 +38,6 @@ impl Grid3 {
     }
 
     #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    #[inline]
     pub fn idx(&self, i: usize, j: usize, k: usize) -> usize {
         debug_assert!(i < self.nx && j < self.ny && k < self.nz);
         i + self.nx * (j + self.ny * k)

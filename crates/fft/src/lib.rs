@@ -25,12 +25,6 @@ pub fn is_pow2(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
 }
 
-/// Smallest power of two `>= n`.
-#[inline]
-pub fn next_pow2(n: usize) -> usize {
-    n.next_power_of_two()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,13 +37,5 @@ mod tests {
         assert!(!is_pow2(0));
         assert!(!is_pow2(3));
         assert!(!is_pow2(1023));
-    }
-
-    #[test]
-    fn next_pow2_rounds_up() {
-        assert_eq!(next_pow2(1), 1);
-        assert_eq!(next_pow2(3), 4);
-        assert_eq!(next_pow2(4), 4);
-        assert_eq!(next_pow2(1000), 1024);
     }
 }

@@ -104,10 +104,6 @@ impl Json {
         }
     }
 
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Compact single-line serialization.
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();

@@ -5,8 +5,7 @@
 //!   images;
 //! * [`rssim`] — the paper's proposed **reverse SSIM**, `R-SSIM = 1 − SSIM`
 //!   (Eq. 1), which spreads the interesting `0.999…` range over orders of
-//!   magnitude;
-//! * [`Histogram`] — simple fixed-bin histograms for distribution checks.
+//!   magnitude.
 //!
 //! ```
 //! use amrviz_metrics::{quality, rssim, ssim3, SsimConfig};
@@ -19,10 +18,8 @@
 //! assert!(rssim(s) < 1e-4);
 //! ```
 
-pub mod histogram;
 pub mod pointwise;
 pub mod ssim;
 
-pub use histogram::Histogram;
 pub use pointwise::{quality, QualityStats};
 pub use ssim::{rssim, ssim2, ssim3, SsimConfig};

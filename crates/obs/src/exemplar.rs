@@ -25,15 +25,6 @@ pub struct Exemplar {
 }
 
 impl Exemplar {
-    /// The stage that consumed the most time (ties broken by name, so the
-    /// answer is deterministic). `None` when no stages were recorded.
-    pub fn dominant_stage(&self) -> Option<(&str, u64)> {
-        self.stages
-            .iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)))
-            .map(|(n, us)| (n.as_str(), *us))
-    }
-
     /// Single-line JSON object (trace as hex string — the journal's own
     /// convention, since crates/json parses numbers as f64).
     pub fn to_json(&self) -> String {
@@ -203,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn dominant_stage_and_json() {
+    fn exemplar_and_reservoir_json_parse() {
         let e = Exemplar {
             trace: 0xBEEF,
             total_us: 900,
@@ -214,7 +205,6 @@ mod tests {
                 ("write".into(), 90),
             ],
         };
-        assert_eq!(e.dominant_stage(), Some(("decode", 800)));
         let j = e.to_json();
         assert!(j.contains("\"trace\":\"beef\""), "{j}");
         assert!(j.contains("\"decode\":800"), "{j}");
@@ -224,16 +214,5 @@ mod tests {
         r.offer(e);
         assert!(r.to_json().starts_with('['));
         amrviz_json::Json::parse(&r.to_json()).expect("reservoir json parses");
-    }
-
-    #[test]
-    fn no_stages_has_no_dominant() {
-        let e = Exemplar {
-            trace: 1,
-            total_us: 5,
-            label: String::new(),
-            stages: Vec::new(),
-        };
-        assert_eq!(e.dominant_stage(), None);
     }
 }

@@ -1,23 +1,15 @@
-//! Metric exposition: point-in-time snapshots of the recorder as JSON and
-//! Prometheus-style text, plus a periodic background snapshot writer.
+//! Metric exposition: point-in-time snapshots of the recorder as one
+//! JSON document, plus a periodic background snapshot writer.
 //!
-//! Two formats from one snapshot pass:
+//! The document (`amrviz-metrics-v2`) carries the *lifetime* aggregates
+//! (since the last [`crate::reset`]) plus the recorder's `obs.*`
+//! self-accounting meta-metrics. Consumed by `amrviz stats`.
+//! Rolling-window views are not here: the one process that runs long
+//! enough to want them answers them in `serve`'s STATS snapshot.
 //!
-//! * **JSON** (`amrviz-metrics-v2`) — machine-readable document carrying
-//!   the *lifetime* aggregates (since the last [`crate::reset`]) plus the
-//!   recorder's `obs.*` self-accounting meta-metrics. Consumed by
-//!   `amrviz stats`. Rolling-window views are not here: the one process
-//!   that runs long enough to want them answers them in `serve`'s STATS
-//!   snapshot.
-//! * **Prometheus text exposition** — `amrviz_<name>` families with
-//!   counter totals, gauge values, and histogram summaries (quantiles
-//!   0.5/0.9/0.99, `_sum`/`_count`), for scraping or eyeballing with
-//!   standard tooling.
-//!
-//! [`write_snapshot`] is crash-safe: the JSON document is written to a
-//! sibling temp file and atomically renamed over the target, so a reader
-//! polling the file mid-run never sees a torn document. The `.prom`
-//! sibling is written the same way.
+//! [`write_snapshot`] is crash-safe: the document is written to a sibling
+//! temp file and atomically renamed over the target, so a reader polling
+//! the file mid-run never sees a torn document.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -32,11 +24,10 @@ use crate::lock_clean;
 /// Metrics snapshot schema identifier.
 pub const METRICS_SCHEMA: &str = "amrviz-metrics-v2";
 
-/// Formats a float as plain decimal (Prometheus- and JSON-safe; integral
-/// values render with a trailing `.0`, non-finite values as `0.0`).
+/// Formats a float as plain decimal (JSON-safe; integral values render
+/// with a trailing `.0`, non-finite values as `0.0`).
 pub fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
-        // Plain decimal keeps Prometheus parsers happy; JSON accepts it too.
         if v == v.trunc() && v.abs() < 1e15 {
             format!("{v:.1}")
         } else {
@@ -105,99 +96,16 @@ pub fn snapshot_json() -> String {
     out
 }
 
-/// Sanitizes a metric name into a Prometheus identifier
-/// (`[a-zA-Z_][a-zA-Z0-9_]*`).
-fn prom_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphanumeric() || c == '_';
-        let c = if ok { c } else { '_' };
-        if i == 0 && c.is_ascii_digit() {
-            out.push('_');
-        }
-        out.push(c);
-    }
-    out
-}
-
-/// Renders the recorder state as Prometheus text exposition: lifetime
-/// totals and lifetime quantiles.
-pub fn prometheus_text() -> String {
-    let mut out = String::new();
-    for (name, v) in crate::counters_snapshot() {
-        let p = prom_name(name);
-        out.push_str(&format!(
-            "# TYPE amrviz_{p}_total counter\namrviz_{p}_total {v}\n"
-        ));
-    }
-    for (name, v) in crate::gauges_snapshot() {
-        let p = prom_name(name);
-        out.push_str(&format!(
-            "# TYPE amrviz_{p} gauge\namrviz_{p} {}\n",
-            fmt_f64(v)
-        ));
-    }
-    for (name, lifetime) in &crate::histograms_snapshot() {
-        let p = prom_name(name);
-        out.push_str(&format!("# TYPE amrviz_{p} summary\n"));
-        for (label, pct) in [("0.5", 50.0), ("0.9", 90.0), ("0.99", 99.0)] {
-            out.push_str(&format!(
-                "amrviz_{p}{{quantile=\"{label}\"}} {}\n",
-                fmt_f64(lifetime.percentile(pct))
-            ));
-        }
-        out.push_str(&format!("amrviz_{p}_sum {}\n", lifetime.sum()));
-        out.push_str(&format!("amrviz_{p}_count {}\n", lifetime.count()));
-        // Full distribution as a native Prometheus histogram: cumulative
-        // `_bucket{le=...}` counts straight from the log-bucketed storage.
-        // A separate `_hist` family — the summary above predates it and
-        // the two TYPEs cannot share a name.
-        out.push_str(&format!("# TYPE amrviz_{p}_hist histogram\n"));
-        let mut cumulative = 0u64;
-        for (_lo, hi, count) in lifetime.nonzero_buckets() {
-            cumulative += count;
-            // Bucket bounds are inclusive [lo, hi], so `le = hi` is exact.
-            out.push_str(&format!(
-                "amrviz_{p}_hist_bucket{{le=\"{}\"}} {cumulative}\n",
-                fmt_f64(hi as f64)
-            ));
-        }
-        out.push_str(&format!(
-            "amrviz_{p}_hist_bucket{{le=\"+Inf\"}} {}\n",
-            lifetime.count()
-        ));
-        out.push_str(&format!("amrviz_{p}_hist_sum {}\n", lifetime.sum()));
-        out.push_str(&format!("amrviz_{p}_hist_count {}\n", lifetime.count()));
-    }
-    let meta = crate::meta_snapshot();
-    for (name, v) in [
-        ("overhead_us", meta.overhead_us),
-        ("dropped_events", meta.journal_dropped),
-        ("spans_recorded", meta.spans_recorded),
-    ] {
-        out.push_str(&format!(
-            "# TYPE amrviz_obs_{name} counter\namrviz_obs_{name} {v}\n"
-        ));
-    }
-    out
-}
-
-fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+/// Writes the JSON snapshot to `path` via temp-file + atomic rename so
+/// concurrent readers never observe a torn document.
+pub fn write_snapshot(path: &Path) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(contents.as_bytes())?;
+        f.write_all(snapshot_json().as_bytes())?;
         f.flush()?;
     }
     std::fs::rename(&tmp, path)
-}
-
-/// Writes the JSON snapshot to `path` and the Prometheus exposition to the
-/// sibling `path.with_extension("prom")`, each via temp-file + atomic
-/// rename so concurrent readers never observe a torn document.
-pub fn write_snapshot(path: &Path) -> std::io::Result<()> {
-    write_atomic(path, &snapshot_json())?;
-    write_atomic(&path.with_extension("prom"), &prometheus_text())
 }
 
 static WRITER_ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -209,7 +117,7 @@ fn writer_handle() -> &'static Mutex<Option<JoinHandle<()>>> {
 }
 
 /// Starts the periodic snapshot writer: every `interval` the current
-/// recorder state is flushed to `path` (+ `.prom` sibling) via
+/// recorder state is flushed to `path` via
 /// [`write_snapshot`]. Errors if a writer is already running.
 pub fn writer_start(path: PathBuf, interval: Duration) -> Result<(), String> {
     if WRITER_ACTIVE.swap(true, Ordering::SeqCst) {
@@ -267,13 +175,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn prom_names_are_sanitized() {
-        assert_eq!(prom_name("compress.blob_bytes"), "compress_blob_bytes");
-        assert_eq!(prom_name("9lives"), "_9lives");
-        assert_eq!(prom_name("a-b c"), "a_b_c");
-    }
-
-    #[test]
     fn snapshot_shapes_are_stable() {
         let _g = crate::tests::guard();
         crate::reset();
@@ -289,78 +190,10 @@ mod tests {
         assert!(j.contains("\"exp.eb\""));
         assert!(j.contains("\"p99\""));
         assert!(j.contains("\"meta\""));
-
-        let p = prometheus_text();
-        assert!(p.contains("amrviz_exp_bytes_total 10"));
-        assert!(p.contains("amrviz_exp_eb 0.5"));
-        assert!(p.contains("amrviz_exp_lat{quantile=\"0.99\"}"));
-        assert!(p.contains("amrviz_obs_overhead_us"));
-        assert!(p.contains("amrviz_obs_dropped_events"));
     }
 
     #[test]
-    fn prom_histogram_buckets_are_cumulative_and_parse() {
-        let _g = crate::tests::guard();
-        crate::reset();
-        crate::enable();
-        // Samples spread across several octaves so multiple buckets fill.
-        for v in [1u64, 3, 3, 17, 170, 170, 170, 4096, 100_000] {
-            crate::histogram_record("bkt.lat", v);
-        }
-        crate::disable();
-        let p = prometheus_text();
-
-        // Parse the `_bucket{le=...}` lines back out of the exposition.
-        let mut buckets: Vec<(f64, u64)> = Vec::new();
-        let mut hist_count = None;
-        let mut hist_sum = None;
-        for line in p.lines() {
-            if let Some(rest) = line.strip_prefix("amrviz_bkt_lat_hist_bucket{le=\"") {
-                let (le, count) = rest.split_once("\"} ").expect("bucket line shape");
-                let le = if le == "+Inf" {
-                    f64::INFINITY
-                } else {
-                    le.parse::<f64>().expect("le bound parses")
-                };
-                buckets.push((le, count.parse().expect("bucket count parses")));
-            } else if let Some(v) = line.strip_prefix("amrviz_bkt_lat_hist_count ") {
-                hist_count = Some(v.parse::<u64>().unwrap());
-            } else if let Some(v) = line.strip_prefix("amrviz_bkt_lat_hist_sum ") {
-                hist_sum = Some(v.parse::<u64>().unwrap());
-            }
-        }
-        assert!(
-            buckets.len() >= 6,
-            "distinct sample octaves produce distinct buckets: {buckets:?}"
-        );
-        // le bounds strictly increase and counts are monotone non-decreasing.
-        for w in buckets.windows(2) {
-            assert!(w[0].0 < w[1].0, "le bounds must increase: {buckets:?}");
-            assert!(w[0].1 <= w[1].1, "cumulative counts must not drop");
-        }
-        let (last_le, last_count) = *buckets.last().unwrap();
-        assert!(last_le.is_infinite(), "terminal bucket is +Inf");
-        assert_eq!(last_count, 9, "+Inf bucket equals total count");
-        assert_eq!(hist_count, Some(9));
-        assert_eq!(hist_sum, Some(1u64 + 3 + 3 + 17 + 170 * 3 + 4096 + 100_000));
-        // Every sample is <= its bucket's le (cumulative count at the
-        // first bucket whose le >= v must include v).
-        for v in [1u64, 3, 17, 170, 4096, 100_000] {
-            let covered = buckets
-                .iter()
-                .find(|(le, _)| *le >= v as f64)
-                .map(|(_, c)| *c)
-                .unwrap_or(0);
-            assert!(covered > 0, "sample {v} falls inside some bucket");
-        }
-        // The TYPE line declares the family as a histogram.
-        assert!(p.contains("# TYPE amrviz_bkt_lat_hist histogram"));
-        // The legacy summary family still exists alongside.
-        assert!(p.contains("amrviz_bkt_lat{quantile=\"0.99\"}"));
-    }
-
-    #[test]
-    fn write_snapshot_is_atomic_and_makes_prom_sibling() {
+    fn write_snapshot_is_atomic_and_leaves_no_sibling() {
         let _g = crate::tests::guard();
         crate::reset();
         let dir = std::env::temp_dir().join(format!("amrviz_m_{}", std::process::id()));
@@ -369,10 +202,11 @@ mod tests {
         write_snapshot(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains(METRICS_SCHEMA));
-        assert!(path.with_extension("prom").exists());
-        assert!(
-            !path.with_extension("tmp").exists(),
-            "temp file must be renamed away"
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(
+            left.len(),
+            1,
+            "temp file renamed away, no sibling: {left:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -11,15 +11,14 @@
 //!   `file://`). Frame tooltips carry total/self time, span count and —
 //!   when [`crate::mem::CountingAlloc`] recorded them — peak bytes.
 //!
-//! Aggregation matches [`crate::summary`]: spans group by parent chain and
+//! The aggregation is [`crate::summary`]'s: spans group by parent chain and
 //! name, with `level = N` fields split into ` [L<n>]` rows, so the
 //! flamegraph's root frames are exactly the summary's (and the chrome
 //! trace's) root spans. Children are laid out in deterministic
 //! (lexicographic) order, so the same recording always renders the same
 //! file.
 
-use std::collections::HashMap;
-
+use crate::summary::{aggregate, SpanAgg};
 use crate::SpanEvent;
 
 /// One aggregated frame of the flamegraph tree.
@@ -41,83 +40,26 @@ pub struct FlameNode {
 /// Builds the aggregated frame tree. The returned vector holds the root
 /// frames in deterministic (lexicographic) order.
 pub fn build_tree(events: &[SpanEvent]) -> Vec<FlameNode> {
-    struct Agg {
-        key: String,
-        total_ns: u64,
-        count: usize,
-        mem_peak: u64,
-        children: Vec<usize>,
-        child_by_key: HashMap<String, usize>,
+    fn view(nodes: Vec<SpanAgg>) -> Vec<FlameNode> {
+        let mut out: Vec<FlameNode> = nodes
+            .into_iter()
+            .map(|n| {
+                let children = view(n.children);
+                let child_total: u64 = children.iter().map(|c| c.total_ns).sum();
+                FlameNode {
+                    key: n.key,
+                    total_ns: n.total_ns,
+                    self_ns: n.total_ns.saturating_sub(child_total),
+                    count: n.count,
+                    mem_peak_bytes: n.mem_peak_bytes,
+                    children,
+                }
+            })
+            .collect();
+        out.sort_by(|a, b| a.key.cmp(&b.key));
+        out
     }
-    // Index 0 is a virtual root, as in `summary::build`.
-    let mut nodes: Vec<Agg> = vec![Agg {
-        key: String::new(),
-        total_ns: 0,
-        count: 0,
-        mem_peak: 0,
-        children: Vec::new(),
-        child_by_key: HashMap::new(),
-    }];
-    let mut node_of_event: HashMap<u64, usize> = HashMap::new();
-
-    let mut sorted: Vec<&SpanEvent> = events.iter().collect();
-    sorted.sort_by_key(|e| e.id); // parents have smaller ids
-
-    for e in sorted {
-        let parent_idx = if e.parent == 0 {
-            0
-        } else {
-            node_of_event.get(&e.parent).copied().unwrap_or(0)
-        };
-        let key = match e.level() {
-            Some(l) => format!("{} [L{l}]", e.name),
-            None => e.name.to_string(),
-        };
-        let idx = match nodes[parent_idx].child_by_key.get(&key) {
-            Some(&i) => i,
-            None => {
-                let i = nodes.len();
-                nodes.push(Agg {
-                    key: key.clone(),
-                    total_ns: 0,
-                    count: 0,
-                    mem_peak: 0,
-                    children: Vec::new(),
-                    child_by_key: HashMap::new(),
-                });
-                nodes[parent_idx].children.push(i);
-                nodes[parent_idx].child_by_key.insert(key, i);
-                i
-            }
-        };
-        nodes[idx].total_ns += e.dur_ns;
-        nodes[idx].count += 1;
-        nodes[idx].mem_peak = nodes[idx].mem_peak.max(e.mem_peak_bytes);
-        node_of_event.insert(e.id, idx);
-    }
-
-    fn convert(nodes: &[Agg], idx: usize) -> FlameNode {
-        let n = &nodes[idx];
-        let mut children: Vec<FlameNode> = n.children.iter().map(|&c| convert(nodes, c)).collect();
-        children.sort_by(|a, b| a.key.cmp(&b.key));
-        let child_total: u64 = children.iter().map(|c| c.total_ns).sum();
-        FlameNode {
-            key: n.key.clone(),
-            total_ns: n.total_ns,
-            self_ns: n.total_ns.saturating_sub(child_total),
-            count: n.count,
-            mem_peak_bytes: n.mem_peak,
-            children,
-        }
-    }
-
-    let mut roots: Vec<FlameNode> = nodes[0]
-        .children
-        .iter()
-        .map(|&i| convert(&nodes, i))
-        .collect();
-    roots.sort_by(|a, b| a.key.cmp(&b.key));
-    roots
+    view(aggregate(events))
 }
 
 /// Collapsed-stack text: `a;b;c <self-µs>` per frame with non-zero self
@@ -355,6 +297,47 @@ mod tests {
         assert_eq!(compress.mem_peak_bytes, 1000);
         let extract = roots.iter().find(|r| r.key == "extract").unwrap();
         assert_eq!(extract.self_ns, extract.total_ns);
+    }
+
+    #[test]
+    fn summary_and_flame_agree_per_key() {
+        // Level-split children plus a span whose parent was never recorded.
+        let mut events = sample_events();
+        events.push(ev(5, 2, "compress.level", Some(0), 50_000_000));
+        events.push(ev(9, 7, "lost", None, 42));
+        fn flat_flame(nodes: &[FlameNode], path: &str, out: &mut Vec<(String, u64, usize)>) {
+            for n in nodes {
+                let p = format!("{path}/{}", n.key);
+                out.push((p.clone(), n.total_ns, n.count));
+                flat_flame(&n.children, &p, out);
+            }
+        }
+        fn flat_summary(
+            nodes: &[crate::summary::SummaryNode],
+            path: &str,
+            out: &mut Vec<(String, u64, usize)>,
+        ) {
+            for n in nodes {
+                let p = format!("{path}/{}", n.key);
+                out.push((p.clone(), (n.seconds * 1e9).round() as u64, n.count));
+                flat_summary(&n.children, &p, out);
+            }
+        }
+        let (mut f, mut s) = (Vec::new(), Vec::new());
+        flat_flame(&build_tree(&events), "", &mut f);
+        flat_summary(&crate::summary::build(&events).roots, "", &mut s);
+        f.sort();
+        s.sort();
+        assert_eq!(f, s);
+        assert!(
+            f.contains(&("/lost".to_string(), 42, 1)),
+            "orphan is a root"
+        );
+        assert!(f.contains(&(
+            "/compress/compress.level [L0]/compress.level [L0]".to_string(),
+            50_000_000,
+            1
+        )));
     }
 
     #[test]

@@ -196,6 +196,17 @@ impl Histogram {
     }
 }
 
+/// Exact-rank percentile of an ascending sample: the value at index
+/// `round((n − 1) · p)`, `p` in `[0, 1]`; 0 for an empty sample. For raw
+/// samples already in hand (a journal, a load run) — where the samples
+/// stream by, [`Histogram::percentile`] is the log-bucketed estimate.
+pub fn exact_percentile(sorted: &[u64], p: f64) -> u64 {
+    let Some(last) = sorted.len().checked_sub(1) else {
+        return 0;
+    };
+    sorted[((last as f64 * p).round() as usize).min(last)]
+}
+
 /// Renders a snapshot map as an aligned text table (used by `--timing`).
 pub fn render_text(hists: &BTreeMap<&'static str, Histogram>) -> String {
     let mut out = String::new();
@@ -224,6 +235,15 @@ pub fn render_text(hists: &BTreeMap<&'static str, Histogram>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn exact_percentile_picks_expected_ranks() {
+        let v: Vec<u64> = (1..=100).collect();
+        assert_eq!(exact_percentile(&v, 0.50), 51); // round((99)*0.5)=50 → v[50]=51
+        assert_eq!(exact_percentile(&v, 0.99), 99);
+        assert_eq!(exact_percentile(&v, 1.0), 100);
+        assert_eq!(exact_percentile(&[], 0.5), 0);
+    }
 
     #[test]
     fn small_values_are_exact() {

@@ -28,7 +28,7 @@
 //!   (deterministic splitmix-derived `trace_id`, propagated across
 //!   `amrviz-par` workers via [`current_context`] / [`context_scope`]);
 //!   completed spans can stream to a JSONL [`journal`]; and [`expose`]
-//!   writes periodic JSON + Prometheus-style metric snapshots. The
+//!   writes periodic JSON metric snapshots. The
 //!   recorder accounts for its own cost in `obs.overhead_us` /
 //!   `obs.dropped_events` meta-metrics ([`meta_snapshot`]). Recorder cells
 //!   are totals since the last [`reset`]; the rolling-window ring
@@ -162,8 +162,7 @@ pub struct SpanEvent {
     /// Trace this span belongs to. Every root span starts a trace whose id
     /// is splitmix-derived from the trace seed and the root's creation
     /// ordinal, so for a fixed workload the *k*-th trace has the same id
-    /// at any `AMRVIZ_THREADS`. 0 only for spans recorded through the
-    /// legacy [`parent_scope`] path with no ambient trace.
+    /// at any `AMRVIZ_THREADS`.
     pub trace_id: u64,
     pub name: &'static str,
     pub fields: Vec<(&'static str, FieldValue)>,
@@ -255,39 +254,10 @@ pub fn thread_id() -> u64 {
     })
 }
 
-/// Id of the innermost span active on this thread (0 when none). Capture
-/// this before fanning work out to a pool and re-establish it on the worker
-/// with [`parent_scope`], so spans created inside worker tasks nest under
-/// the submitting span instead of becoming detached roots.
+/// Id of the innermost span active on this thread (0 when none); the
+/// `parent` half of a [`TraceContext`].
 pub fn current_span_id() -> u64 {
     SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
-}
-
-/// RAII guard that makes `parent` the ambient parent span for the current
-/// thread (see [`current_span_id`]). Used by `amrviz-par` to thread span
-/// lanes through its workers; a `parent` of 0 is a no-op.
-pub struct ParentScope {
-    pushed: bool,
-}
-
-/// Enters `parent` as this thread's ambient span.
-pub fn parent_scope(parent: u64) -> ParentScope {
-    if parent != 0 && is_enabled() {
-        SPAN_STACK.with(|s| s.borrow_mut().push(parent));
-        ParentScope { pushed: true }
-    } else {
-        ParentScope { pushed: false }
-    }
-}
-
-impl Drop for ParentScope {
-    fn drop(&mut self) {
-        if self.pushed {
-            SPAN_STACK.with(|s| {
-                s.borrow_mut().pop();
-            });
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -351,8 +321,7 @@ pub fn current_context() -> TraceContext {
     }
 }
 
-/// RAII guard holding a restored [`TraceContext`] on a worker thread.
-/// Supersedes [`ParentScope`] (which restores only the parent span):
+/// RAII guard holding a restored [`TraceContext`] on a worker thread:
 /// spans opened under a `ContextScope` both nest under the submitting
 /// span *and* join its trace.
 pub struct ContextScope {

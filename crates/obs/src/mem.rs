@@ -9,12 +9,9 @@
 //! static ALLOC: amrviz_obs::mem::CountingAlloc = amrviz_obs::mem::CountingAlloc;
 //! ```
 //!
-//! (`amrviz-fault` re-exports the same type, so existing
-//! `amrviz_fault::CountingAlloc` installs keep working.)
-//!
 //! Two views are maintained:
 //!
-//! * **Global** — process-wide live/peak bytes, used by the torture runner's
+//! * **Global** — process-wide live/peak bytes, used by the torture runners'
 //!   bounded-memory assertions ([`alloc_baseline`] / [`peak_since`]).
 //! * **Per-thread** —
 //!   `const`-initialized thread-local counters, safe to touch from inside
@@ -101,11 +98,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
         }
         p
     }
-}
-
-/// Bytes currently live (0 if the counting allocator is not installed).
-pub fn current_bytes() -> usize {
-    CURRENT.load(Ordering::Relaxed)
 }
 
 /// Resets the global high-water mark to the current live count and returns

@@ -42,100 +42,109 @@ pub struct Summary {
     pub total_seconds: f64,
 }
 
-struct Agg {
-    key: String,
-    total_ns: u64,
-    count: usize,
-    children: Vec<usize>,
-    child_by_key: HashMap<String, usize>,
+/// One node of the keyed span tree: spans grouped by parent chain and key
+/// (name plus ` [L<n>]` for a `level` field), children in first-seen
+/// order. [`Summary`] and [`crate::flame::FlameNode`] are both views of it.
+pub(crate) struct SpanAgg {
+    pub(crate) key: String,
+    pub(crate) total_ns: u64,
+    pub(crate) count: usize,
+    /// Largest `mem_peak_bytes` of any aggregated span.
+    pub(crate) mem_peak_bytes: u64,
+    pub(crate) children: Vec<SpanAgg>,
 }
 
-impl Agg {
-    fn new(key: String) -> Self {
-        Agg {
-            key,
-            total_ns: 0,
-            count: 0,
-            children: Vec::new(),
-            child_by_key: HashMap::new(),
-        }
+/// Aggregates span events into the keyed tree; returns its roots. Spans
+/// with no recorded parent (including spans whose parent ran on another
+/// thread) are roots.
+pub(crate) fn aggregate(events: &[SpanEvent]) -> Vec<SpanAgg> {
+    struct Slot {
+        key: String,
+        total_ns: u64,
+        count: usize,
+        mem_peak_bytes: u64,
+        children: Vec<usize>,
+        child_by_key: HashMap<String, usize>,
     }
-}
-
-/// Builds a summary from a list of span events.
-pub fn build(events: &[SpanEvent]) -> Summary {
-    // Index 0 is a virtual root; children of spans with no recorded parent
-    // (including spans whose parent ran on another thread) hang off it.
-    let mut nodes: Vec<Agg> = vec![Agg::new(String::new())];
-    let mut node_of_event: HashMap<u64, usize> = HashMap::new();
+    let slot = |key: String| Slot {
+        key,
+        total_ns: 0,
+        count: 0,
+        mem_peak_bytes: 0,
+        children: Vec::new(),
+        child_by_key: HashMap::new(),
+    };
+    // Index 0 is a virtual root.
+    let mut slots: Vec<Slot> = vec![slot(String::new())];
+    let mut slot_of_event: HashMap<u64, usize> = HashMap::new();
 
     // Parents always have smaller ids than their children.
     let mut sorted: Vec<&SpanEvent> = events.iter().collect();
     sorted.sort_by_key(|e| e.id);
 
     for e in sorted {
-        let parent_idx = if e.parent == 0 {
-            0
-        } else {
-            node_of_event.get(&e.parent).copied().unwrap_or(0)
-        };
+        let parent_idx = slot_of_event.get(&e.parent).copied().unwrap_or(0);
         let key = match e.level() {
             Some(l) => format!("{} [L{l}]", e.name),
             None => e.name.to_string(),
         };
-        let idx = match nodes[parent_idx].child_by_key.get(&key) {
+        let idx = match slots[parent_idx].child_by_key.get(&key) {
             Some(&i) => i,
             None => {
-                let i = nodes.len();
-                nodes.push(Agg::new(key.clone()));
-                nodes[parent_idx].children.push(i);
-                nodes[parent_idx].child_by_key.insert(key, i);
+                let i = slots.len();
+                slots.push(slot(key.clone()));
+                slots[parent_idx].children.push(i);
+                slots[parent_idx].child_by_key.insert(key, i);
                 i
             }
         };
-        nodes[idx].total_ns += e.dur_ns;
-        nodes[idx].count += 1;
-        node_of_event.insert(e.id, idx);
+        slots[idx].total_ns += e.dur_ns;
+        slots[idx].count += 1;
+        slots[idx].mem_peak_bytes = slots[idx].mem_peak_bytes.max(e.mem_peak_bytes);
+        slot_of_event.insert(e.id, idx);
     }
 
-    let total_ns: u64 = nodes[0].children.iter().map(|&i| nodes[i].total_ns).sum();
-    let total_seconds = total_ns as f64 / 1e9;
+    fn lift(slots: &mut [Slot], idx: usize) -> SpanAgg {
+        let children = std::mem::take(&mut slots[idx].children);
+        SpanAgg {
+            key: std::mem::take(&mut slots[idx].key),
+            total_ns: slots[idx].total_ns,
+            count: slots[idx].count,
+            mem_peak_bytes: slots[idx].mem_peak_bytes,
+            children: children.into_iter().map(|c| lift(slots, c)).collect(),
+        }
+    }
+    lift(&mut slots, 0).children
+}
+
+/// Builds a summary from a list of span events.
+pub fn build(events: &[SpanEvent]) -> Summary {
+    let roots = aggregate(events);
+    let total_ns: u64 = roots.iter().map(|r| r.total_ns).sum();
     let denom = if total_ns == 0 { 1.0 } else { total_ns as f64 };
 
-    fn convert(nodes: &[Agg], idx: usize, denom: f64) -> SummaryNode {
-        let n = &nodes[idx];
-        let mut children: Vec<SummaryNode> = n
-            .children
-            .iter()
-            .map(|&c| convert(nodes, c, denom))
+    // Stable sort over first-seen order, so equal times keep that order.
+    fn view(nodes: Vec<SpanAgg>, denom: f64) -> Vec<SummaryNode> {
+        let mut out: Vec<SummaryNode> = nodes
+            .into_iter()
+            .map(|n| SummaryNode {
+                key: n.key,
+                seconds: n.total_ns as f64 / 1e9,
+                percent: 100.0 * n.total_ns as f64 / denom,
+                count: n.count,
+                children: view(n.children, denom),
+            })
             .collect();
-        children.sort_by(|a, b| {
+        out.sort_by(|a, b| {
             b.seconds
                 .partial_cmp(&a.seconds)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        SummaryNode {
-            key: n.key.clone(),
-            seconds: n.total_ns as f64 / 1e9,
-            percent: 100.0 * n.total_ns as f64 / denom,
-            count: n.count,
-            children,
-        }
+        out
     }
-
-    let mut roots: Vec<SummaryNode> = nodes[0]
-        .children
-        .iter()
-        .map(|&i| convert(&nodes, i, denom))
-        .collect();
-    roots.sort_by(|a, b| {
-        b.seconds
-            .partial_cmp(&a.seconds)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
     Summary {
-        roots,
-        total_seconds,
+        roots: view(roots, denom),
+        total_seconds: total_ns as f64 / 1e9,
     }
 }
 
@@ -192,11 +201,6 @@ impl Summary {
             self.total_seconds,
             roots.join(",")
         )
-    }
-
-    /// Total seconds recorded for a root stage, if present.
-    pub fn root_seconds(&self, name: &str) -> Option<f64> {
-        self.roots.iter().find(|r| r.key == name).map(|r| r.seconds)
     }
 }
 

@@ -155,29 +155,6 @@ fn parenting_survives_thread_fan_out() {
     assert_eq!(leaf_count, 64);
 }
 
-#[test]
-fn parent_scope_adopts_workers_into_the_submitting_span() {
-    let _g = lock();
-    amrviz_obs::reset();
-    amrviz_obs::enable();
-    let fan_id;
-    {
-        let _outer = amrviz_obs::span!("fan");
-        let parent = amrviz_obs::current_span_id();
-        fan_id = parent;
-        fan_out(16, 4, |i| {
-            let _scope = amrviz_obs::parent_scope(parent);
-            let _sp = amrviz_obs::span!("leaf", level = i % 2);
-        });
-    }
-    amrviz_obs::disable();
-    let events = amrviz_obs::events_snapshot();
-    assert_eq!(events.len(), 17);
-    for e in events.iter().filter(|e| e.name == "leaf") {
-        assert_eq!(e.parent, fan_id, "leaf not adopted under fan");
-    }
-}
-
 fn count_key(nodes: &[amrviz_obs::summary::SummaryNode], name: &str) -> usize {
     nodes
         .iter()

@@ -1,4 +1,4 @@
-//! RGB raster images with PPM (P6) and PNG writers.
+//! RGB raster images with a PNG writer.
 //!
 //! The PNG writer emits valid, universally-readable files using *stored*
 //! (uncompressed) deflate blocks — no zlib dependency needed; the files are
@@ -44,27 +44,6 @@ impl Image {
             .iter()
             .map(|c| 0.299 * c.r as f64 + 0.587 * c.g as f64 + 0.114 * c.b as f64)
             .collect()
-    }
-
-    /// Writes binary PPM (P6).
-    pub fn write_ppm(&self, w: &mut impl Write) -> io::Result<()> {
-        write!(w, "P6\n{} {}\n255\n", self.width, self.height)?;
-        let mut row = Vec::with_capacity(self.width * 3);
-        for y in 0..self.height {
-            row.clear();
-            for x in 0..self.width {
-                let c = self.get(x, y);
-                row.extend_from_slice(&[c.r, c.g, c.b]);
-            }
-            w.write_all(&row)?;
-        }
-        Ok(())
-    }
-
-    pub fn save_ppm(&self, path: &Path) -> io::Result<()> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
-        self.write_ppm(&mut w)?;
-        w.flush()
     }
 
     /// Writes a PNG (8-bit RGB, stored deflate blocks).
@@ -167,19 +146,6 @@ mod tests {
     fn adler32_known_vectors() {
         assert_eq!(adler32(b""), 1);
         assert_eq!(adler32(b"Wikipedia"), 0x11E6_0398);
-    }
-
-    #[test]
-    fn ppm_layout() {
-        let mut img = Image::new(2, 2, Color::BLACK);
-        img.set(1, 0, Color::new(255, 0, 0));
-        let mut buf = Vec::new();
-        img.write_ppm(&mut buf).unwrap();
-        let text_end = buf.iter().filter(|&&b| b == b'\n').count();
-        assert!(text_end >= 3);
-        assert!(buf.starts_with(b"P6\n2 2\n255\n"));
-        assert_eq!(buf.len(), 11 + 12);
-        assert_eq!(&buf[11..17], &[0, 0, 0, 255, 0, 0]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper's evidence is largely visual (Figs. 1, 2, 9–11). This crate
 //! renders the same artifacts without any GPU or windowing dependency:
 //!
-//! * [`image`] — RGB raster images with PPM and (uncompressed) PNG writers;
+//! * [`image`] — RGB raster images with an (uncompressed) PNG writer;
 //! * [`color`] — colormaps (viridis-like, coolwarm, grayscale);
 //! * [`camera`] — orthographic/perspective look-at cameras;
 //! * [`raster`] — a z-buffer triangle rasterizer with flat or smooth

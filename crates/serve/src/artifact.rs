@@ -8,12 +8,10 @@
 //! Everything is budget-checked on decode; a corrupted artifact surfaces as
 //! a typed error, never a panic or absurd allocation.
 
-use amrviz_amr::{AmrHierarchy, Box3, BoxArray, Geometry, IntVect};
-use amrviz_codec::{zigzag_decode, zigzag_encode, CodecError, DecodeBudget};
+use amrviz_amr::{AmrHierarchy, BoxArray, Geometry};
+use amrviz_codec::DecodeBudget;
 use amrviz_compress::wire::{ByteReader, ByteWriter};
-use amrviz_compress::{
-    CompressError, CompressedHierarchyField, Compressor, SzInterp, SzLr, ZfpLike,
-};
+use amrviz_compress::{CompressError, CompressedHierarchyField};
 
 /// Artifact wire magic + version.
 pub const ARTIFACT_MAGIC: &[u8; 4] = b"AVH1";
@@ -29,20 +27,6 @@ pub struct Artifact {
     pub hier: AmrHierarchy,
     /// The compressed field itself.
     pub container: CompressedHierarchyField,
-}
-
-/// Resolves a compressor by artifact algorithm name.
-pub fn compressor_for(algo: &str) -> Option<Box<dyn Compressor>> {
-    match algo {
-        "szlr" => Some(Box::new(SzLr::default())),
-        "szinterp" => Some(Box::new(SzInterp)),
-        "zfp" => Some(Box::new(ZfpLike)),
-        _ => None,
-    }
-}
-
-fn ivarint(w: &mut ByteWriter, v: i64) {
-    w.uvarint(zigzag_encode(v));
 }
 
 /// Serializes an artifact from a hierarchy's structure plus an
@@ -61,16 +45,7 @@ pub fn encode_artifact(
     w.section(algo.as_bytes());
     w.section(field.as_bytes());
     let geom = hier.geometry();
-    for v in [
-        geom.domain.lo()[0],
-        geom.domain.lo()[1],
-        geom.domain.lo()[2],
-        geom.domain.hi()[0],
-        geom.domain.hi()[1],
-        geom.domain.hi()[2],
-    ] {
-        ivarint(&mut w, v);
-    }
+    w.box3(&geom.domain);
     for a in 0..3 {
         w.f64(geom.prob_lo[a]);
     }
@@ -85,36 +60,11 @@ pub fn encode_artifact(
         let ba = hier.box_array(lev);
         w.uvarint(ba.len() as u64);
         for bx in ba.iter() {
-            for v in [
-                bx.lo()[0],
-                bx.lo()[1],
-                bx.lo()[2],
-                bx.hi()[0],
-                bx.hi()[1],
-                bx.hi()[2],
-            ] {
-                ivarint(&mut w, v);
-            }
+            w.box3(bx);
         }
     }
     w.section(&container.to_bytes());
     w.finish()
-}
-
-fn read_box(r: &mut ByteReader<'_>) -> Result<Box3, CodecError> {
-    let mut c = [0i64; 6];
-    for v in c.iter_mut() {
-        *v = zigzag_decode(r.uvarint()?);
-    }
-    for a in 0..3 {
-        if c[3 + a] < c[a] {
-            return Err(CodecError::Corrupt("inverted box in artifact"));
-        }
-    }
-    Ok(Box3::new(
-        IntVect::new(c[0], c[1], c[2]),
-        IntVect::new(c[3], c[4], c[5]),
-    ))
 }
 
 /// Parses and validates an artifact. The reconstructed hierarchy passes
@@ -135,7 +85,7 @@ pub fn decode_artifact(bytes: &[u8], budget: &DecodeBudget) -> Result<Artifact, 
         .map_err(|_| CompressError::Malformed("algo name not utf-8".into()))?;
     let field = String::from_utf8(r.section()?.to_vec())
         .map_err(|_| CompressError::Malformed("field name not utf-8".into()))?;
-    let domain = read_box(&mut r).map_err(CompressError::Codec)?;
+    let domain = r.box3()?;
     let mut prob_lo = [0f64; 3];
     let mut prob_hi = [0f64; 3];
     for v in prob_lo.iter_mut() {
@@ -176,13 +126,7 @@ pub fn decode_artifact(bytes: &[u8], budget: &DecodeBudget) -> Result<Artifact, 
             .map_err(CompressError::Codec)?;
         let mut boxes = Vec::with_capacity(nboxes.min(1 << 16));
         for _ in 0..nboxes {
-            let bx = read_box(&mut r).map_err(CompressError::Codec)?;
-            for a in 0..3 {
-                budget
-                    .check_dim(bx.size()[a])
-                    .map_err(CompressError::Codec)?;
-            }
-            boxes.push(bx);
+            boxes.push(r.box3()?);
         }
         box_arrays.push(BoxArray::new(boxes));
     }
@@ -201,7 +145,8 @@ pub fn decode_artifact(bytes: &[u8], budget: &DecodeBudget) -> Result<Artifact, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amrviz_compress::{compress_hierarchy_field, AmrCodecConfig, ErrorBound};
+    use amrviz_amr::{Box3, IntVect};
+    use amrviz_compress::{compress_hierarchy_field, AmrCodecConfig, ErrorBound, SzLr};
 
     fn tiny_hierarchy() -> AmrHierarchy {
         let geom = Geometry::new(Box3::from_dims(8, 8, 8), [0.0; 3], [1.0; 3]);

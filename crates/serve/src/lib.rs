@@ -44,7 +44,8 @@ pub mod store;
 pub mod telemetry;
 pub mod torture;
 
-pub use artifact::{compressor_for, decode_artifact, encode_artifact, Artifact};
+pub use amrviz_compress::compressor_by_name as compressor_for;
+pub use artifact::{decode_artifact, encode_artifact, Artifact};
 pub use cache::{ArenaCache, DecodedEntry};
 pub use chaos::{ChaosConfig, ChaosProxy};
 pub use client::{exchange, ClientConfig, Exchange, Outcome};

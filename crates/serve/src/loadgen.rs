@@ -10,7 +10,7 @@
 
 use crate::client::{exchange, ClientConfig, Exchange};
 use crate::proto::{Op, Request};
-use amrviz_obs::hist::Histogram;
+use amrviz_obs::hist::{exact_percentile, Histogram};
 use amrviz_obs::journal;
 use amrviz_rng::Rng;
 use std::collections::BTreeMap;
@@ -124,14 +124,6 @@ impl LoadgenReport {
     }
 }
 
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-    sorted_us[idx.min(sorted_us.len() - 1)]
-}
-
 /// One logical request with retry/backoff. Returns the final exchange, the
 /// number of wire attempts made, and total elapsed.
 fn logical_request(
@@ -151,7 +143,8 @@ fn logical_request(
             max_level: cfg.max_level,
         };
         let ex = exchange(addr, &req, &cfg.client);
-        {
+        // Rendered only for a listener: the fields cost an allocation each.
+        if journal::is_active() {
             // Same trace as the request, so `amrviz stats` can stitch this
             // client line to the server's line for the exchange.
             let _scope = amrviz_obs::context_scope(amrviz_obs::TraceContext {
@@ -251,25 +244,12 @@ pub fn run(cfg: &LoadgenConfig, keys: &[u64]) -> LoadgenReport {
         outcomes: outcome_counts,
         outcome_latency,
         late_frames: late_total.load(Ordering::Relaxed),
-        p50_us: percentile(&all_latencies, 0.50),
-        p99_us: percentile(&all_latencies, 0.99),
+        p50_us: exact_percentile(&all_latencies, 0.50),
+        p99_us: exact_percentile(&all_latencies, 0.99),
         success_rate: if requests == 0 {
             0.0
         } else {
             successes as f64 / requests as f64
         },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentiles_pick_expected_ranks() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 0.50), 51); // round((99)*0.5)=50 → v[50]=51
-        assert_eq!(percentile(&v, 0.99), 99);
-        assert_eq!(percentile(&[], 0.5), 0);
     }
 }

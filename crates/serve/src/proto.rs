@@ -32,7 +32,7 @@
 //! chaos-corrupted frame surfaces as a typed [`CodecError`], never a panic.
 
 use amrviz_amr::MultiFab;
-use amrviz_codec::{zigzag_decode, zigzag_encode, CodecError, DecodeBudget};
+use amrviz_codec::{CodecError, DecodeBudget};
 use amrviz_compress::wire::{f64s_as_le_bytes, ByteReader, ByteWriter};
 use std::io::{IoSlice, Read, Write};
 
@@ -178,6 +178,26 @@ impl Status {
             Status::ShuttingDown => "shutting_down",
             Status::Internal => "internal",
         }
+    }
+
+    /// Inverse of [`Status::name`] — how a journal reader gets the typed
+    /// status back.
+    pub fn from_name(name: &str) -> Option<Status> {
+        (0u8..)
+            .map_while(Status::from_code)
+            .find(|s| s.name() == name)
+    }
+
+    /// Counted as *good* for availability: the client got usable data.
+    pub fn is_good(self) -> bool {
+        matches!(self, Status::Ok | Status::Degraded)
+    }
+
+    /// Whether the status counts toward the SLO at all. Client-attributable
+    /// errors (unknown key, malformed request) never burn the server's
+    /// error budget — the same rule as excluding 4xx from HTTP availability.
+    pub fn counts_toward_slo(self) -> bool {
+        !matches!(self, Status::NotFound | Status::BadRequest)
     }
 
     /// True when the same request may succeed if retried later.
@@ -355,17 +375,7 @@ fn level_layout(level: usize, degraded_fabs: u32, mf: &MultiFab) -> std::io::Res
     let mut cuts = Vec::with_capacity(mf.len() + 1);
     cuts.push(w.len());
     for fab in mf.fabs() {
-        let bx = fab.box3();
-        for v in [
-            bx.lo()[0],
-            bx.lo()[1],
-            bx.lo()[2],
-            bx.hi()[0],
-            bx.hi()[1],
-            bx.hi()[2],
-        ] {
-            w.uvarint(zigzag_encode(v));
-        }
+        w.box3(&fab.box3());
         cuts.push(w.len());
     }
     let len = w.len() + mf.num_cells() * 8;
@@ -484,21 +494,12 @@ pub fn decode_level_frame(bytes: &[u8], budget: &DecodeBudget) -> Result<LevelSu
 
 /// Reads one fab's box header and returns its budget-checked cell count.
 fn fab_cells(r: &mut ByteReader<'_>, budget: &DecodeBudget) -> Result<usize, CodecError> {
-    let mut c = [0i64; 6];
-    for v in c.iter_mut() {
-        *v = zigzag_decode(r.uvarint()?);
-    }
-    let (lo, hi) = (&c[..3], &c[3..]);
-    let mut n = 1usize;
-    for a in 0..3 {
-        if hi[a] < lo[a] {
-            return Err(CodecError::Corrupt("inverted fab box"));
-        }
-        let d = budget.check_dim(hi[a].abs_diff(lo[a]).saturating_add(1) as usize)?;
-        n = n
-            .checked_mul(d)
-            .ok_or(CodecError::Corrupt("fab dims overflow"))?;
-    }
+    let n = r
+        .box3()?
+        .size()
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .ok_or(CodecError::Corrupt("fab dims overflow"))?;
     budget.check_values(n)
 }
 
@@ -598,6 +599,7 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> std::io::Result<Option<Vec<u
 mod tests {
     use super::*;
     use amrviz_amr::{Box3, BoxArray, MultiFab};
+    use amrviz_codec::zigzag_encode;
 
     #[test]
     fn request_roundtrip() {
@@ -867,16 +869,6 @@ mod tests {
         assert_eq!(empty, [TAG_LEVEL, 9, 0, 0]);
         let s = decode_level_frame(&empty, &DecodeBudget::strict()).unwrap();
         assert_eq!((s.level, s.fabs, s.cells), (9, 0, 0));
-        // A box whose extent overflows `i64` is a typed error.
-        let mut w = ByteWriter::new();
-        w.u8(TAG_LEVEL);
-        w.u8(0);
-        w.uvarint(0);
-        w.uvarint(1);
-        for v in [i64::MIN, 0, 0, i64::MAX, 0, 0] {
-            w.uvarint(zigzag_encode(v));
-        }
-        assert!(decode_level_frame(&w.finish(), &DecodeBudget::permissive()).is_err());
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   checksums, known before the header) or closed `Status::Degraded`
 //!   (damage only decoding a later level finds).
 
-use crate::artifact::{compressor_for, decode_artifact};
+use crate::artifact::decode_artifact;
 use crate::cache::{ArenaCache, DecodedEntry};
+use crate::compressor_for;
 use crate::proto::{
     self, EndFrame, Op, Request, RespHeader, Status, FLAG_COARSE_ONLY, FLAG_DEGRADED,
     MAX_REQUEST_FRAME,
@@ -330,14 +331,16 @@ fn admit(inner: &Inner, mut stream: TcpStream) {
     if q.len() >= inner.cfg.queue_depth.max(1) {
         drop(q);
         inner.stats.count_outcome(Status::RetryLater);
-        journal::emit(
-            "serve",
-            &[
-                ("role", "\"server\"".into()),
-                ("event", "\"shed\"".into()),
-                ("retry_after_ms", inner.cfg.retry_after_ms.to_string()),
-            ],
-        );
+        if journal::is_active() {
+            journal::emit(
+                "serve",
+                &[
+                    ("role", "\"server\"".into()),
+                    ("event", "\"shed\"".into()),
+                    ("retry_after_ms", inner.cfg.retry_after_ms.to_string()),
+                ],
+            );
+        }
         // Best-effort typed reply from the accept thread (bounded by the
         // socket write timeout). The request frame is never read — shedding
         // must not depend on a possibly-slow client.
@@ -377,10 +380,12 @@ fn worker_loop(inner: &Inner) {
         }));
         if result.is_err() {
             inner.stats.panics.fetch_add(1, Ordering::Relaxed);
-            journal::emit(
-                "serve",
-                &[("role", "\"server\"".into()), ("event", "\"panic\"".into())],
-            );
+            if journal::is_active() {
+                journal::emit(
+                    "serve",
+                    &[("role", "\"server\"".into()), ("event", "\"panic\"".into())],
+                );
+            }
         }
     }
 }
@@ -504,6 +509,11 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
         inner
             .telemetry
             .record(status, elapsed_us, stages.as_ref(), req.trace, req.key);
+    }
+    // The line is rendered only for a listener: a request served with no
+    // journal attached must not pay for ten `String`s nobody reads.
+    if !journal::is_active() {
+        return;
     }
     let mut fields = vec![
         ("role", "\"server\"".into()),

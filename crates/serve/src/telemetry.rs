@@ -44,18 +44,6 @@ pub const STAGE_NAMES: [&str; 5] = [
     "write",
 ];
 
-/// Statuses counted as *good* for availability: the client got usable data.
-fn is_good(status: Status) -> bool {
-    matches!(status, Status::Ok | Status::Degraded)
-}
-
-/// Statuses that count toward the SLO at all. Client-attributable errors
-/// (unknown key, malformed request) never burn the server's error budget —
-/// the same rule as excluding 4xx from HTTP availability.
-fn slo_counts(status: Status) -> bool {
-    !matches!(status, Status::NotFound | Status::BadRequest)
-}
-
 /// Per-request stage timing breakdown in microseconds. `None` means the
 /// stage never ran for this request — a cache hit skips `store_read`,
 /// `structure_validate` and `decode` entirely, which is itself signal.
@@ -152,11 +140,6 @@ impl ReqTelemetry {
         }
     }
 
-    /// Declared SLO.
-    pub fn spec(&self) -> &SloSpec {
-        &self.spec
-    }
-
     /// Milliseconds since the server started.
     pub fn uptime_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
@@ -235,13 +218,13 @@ impl ReqTelemetry {
                 let Some(status) = Status::from_code(code as u8) else {
                     continue;
                 };
-                if !slo_counts(status) {
+                if !status.counts_toward_slo() {
                     continue;
                 }
                 let w = h.window_merged(now_slot, k);
                 let n = w.count();
                 total += n;
-                if is_good(status) {
+                if status.is_good() {
                     good += n;
                 }
                 merged.merge(&w);

@@ -18,7 +18,7 @@
 //! * [`crack`] — crack/gap quantification at level interfaces;
 //! * [`surface_compare`] — mesh↔mesh distance and normal-roughness metrics
 //!   (our quantitative stand-in for Figures 9–11);
-//! * [`obj`] — OBJ/PLY export for eyeballing results in external viewers.
+//! * [`obj`] — OBJ export for eyeballing results in external viewers.
 //!
 //! ```
 //! use amrviz_viz::{marching_tetrahedra, SampledGrid};
@@ -40,7 +40,6 @@ pub mod mesh;
 pub mod obj;
 pub mod pipeline;
 pub mod resampling;
-pub mod stitch;
 pub mod surface_compare;
 
 pub use crack::{interface_gap, CrackMetrics};
@@ -49,7 +48,6 @@ pub use marching::{marching_tetrahedra, SampledGrid};
 pub use mesh::TriMesh;
 pub use pipeline::{extract_amr_isosurface, AmrIsoResult, IsoMethod};
 pub use resampling::extract_resampled_level;
-pub use stitch::stitch_rims;
 pub use surface_compare::{
     normal_roughness, surface_distance, surface_distance_to, SurfaceDistance, TriLocator,
 };

@@ -1,4 +1,4 @@
-//! Mesh export: Wavefront OBJ and binary-free ASCII PLY.
+//! Mesh export: Wavefront OBJ.
 
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -30,70 +30,6 @@ pub fn save_obj(path: &Path, mesh: &TriMesh) -> io::Result<()> {
     w.flush()
 }
 
-/// Writes a mesh as ASCII PLY.
-pub fn write_ply(w: &mut impl Write, mesh: &TriMesh) -> io::Result<()> {
-    writeln!(w, "ply")?;
-    writeln!(w, "format ascii 1.0")?;
-    writeln!(w, "element vertex {}", mesh.num_vertices())?;
-    writeln!(w, "property double x")?;
-    writeln!(w, "property double y")?;
-    writeln!(w, "property double z")?;
-    writeln!(w, "element face {}", mesh.num_triangles())?;
-    writeln!(w, "property list uchar int vertex_indices")?;
-    writeln!(w, "end_header")?;
-    for v in &mesh.vertices {
-        writeln!(w, "{} {} {}", v[0], v[1], v[2])?;
-    }
-    for t in &mesh.triangles {
-        writeln!(w, "3 {} {} {}", t[0], t[1], t[2])?;
-    }
-    Ok(())
-}
-
-/// Minimal OBJ reader (vertices + triangular faces) for round-trip tests
-/// and tooling.
-pub fn parse_obj(text: &str) -> Result<TriMesh, String> {
-    let mut mesh = TriMesh::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("v") => {
-                let mut coords = [0.0f64; 3];
-                for c in &mut coords {
-                    *c = parts
-                        .next()
-                        .ok_or_else(|| format!("line {}: short vertex", lineno + 1))?
-                        .parse()
-                        .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                }
-                mesh.vertices.push(coords);
-            }
-            Some("f") => {
-                let mut ids = Vec::new();
-                for p in parts {
-                    let first = p.split('/').next().unwrap_or(p);
-                    let idx: i64 = first
-                        .parse()
-                        .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                    if idx < 1 || idx as usize > mesh.vertices.len() {
-                        return Err(format!("line {}: index {idx} out of range", lineno + 1));
-                    }
-                    ids.push((idx - 1) as u32);
-                }
-                if ids.len() < 3 {
-                    return Err(format!("line {}: face with <3 vertices", lineno + 1));
-                }
-                // Fan-triangulate polygons.
-                for t in 1..ids.len() - 1 {
-                    mesh.triangles.push([ids[0], ids[t], ids[t + 1]]);
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(mesh)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,37 +47,13 @@ mod tests {
     }
 
     #[test]
-    fn obj_roundtrip() {
-        let mesh = sample();
+    fn obj_text_is_one_based_and_complete() {
         let mut buf = Vec::new();
-        write_obj(&mut buf, &mesh).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let back = parse_obj(&text).unwrap();
-        assert_eq!(back, mesh);
-    }
-
-    #[test]
-    fn ply_has_correct_header() {
-        let mesh = sample();
-        let mut buf = Vec::new();
-        write_ply(&mut buf, &mesh).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with("ply\n"));
-        assert!(text.contains("element vertex 4"));
-        assert!(text.contains("element face 2"));
-        assert!(text.lines().count() >= 9 + 4 + 2);
-    }
-
-    #[test]
-    fn parse_rejects_bad_indices() {
-        assert!(parse_obj("v 0 0 0\nf 1 2 3\n").is_err());
-        assert!(parse_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n").is_err());
-    }
-
-    #[test]
-    fn parse_handles_slash_format_and_quads() {
-        let text = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1/1 2/2 3/3 4/4\n";
-        let mesh = parse_obj(text).unwrap();
-        assert_eq!(mesh.num_triangles(), 2);
+        write_obj(&mut buf, &sample()).unwrap();
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "# amrviz isosurface: 4 vertices, 2 triangles\n\
+             v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 2 4\n"
+        );
     }
 }

@@ -1,0 +1,60 @@
+//! Every `amrviz-*` edge a member declares under `[dependencies]` is one
+//! its sources use. Everything in the workspace is `pub` across crates, so
+//! neither rustc nor clippy notices a dependency nothing imports any more;
+//! an unused edge still costs build order and misdescribes the layering
+//! DESIGN.md draws.
+
+use std::path::{Path, PathBuf};
+
+fn rust_sources(dir: &Path, out: &mut String) {
+    for entry in std::fs::read_dir(dir).expect("member directory is readable") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "target") {
+                rust_sources(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push_str(&std::fs::read_to_string(&path).expect("source is UTF-8"));
+        }
+    }
+}
+
+/// The `amrviz-*` package names listed under `[dependencies]`.
+fn workspace_deps(manifest: &str) -> Vec<String> {
+    manifest
+        .lines()
+        .skip_while(|l| l.trim() != "[dependencies]")
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter_map(|l| l.split('=').next())
+        .map(|name| name.trim().to_string())
+        .filter(|name| name.starts_with("amrviz-"))
+        .collect()
+}
+
+#[test]
+fn every_declared_workspace_dependency_is_used() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
+    let mut members: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ exists")
+        .map(|e| e.expect("directory entry").path())
+        .collect();
+    members.extend([root.join("examples"), root.join("tests")]);
+    members.sort();
+
+    let (mut edges, mut unused) = (0, Vec::new());
+    for member in &members {
+        let manifest = std::fs::read_to_string(member.join("Cargo.toml"))
+            .unwrap_or_else(|e| panic!("{}: {e}", member.display()));
+        let mut sources = String::new();
+        rust_sources(member, &mut sources);
+        for dep in workspace_deps(&manifest) {
+            edges += 1;
+            if !sources.contains(&dep.replace('-', "_")) {
+                unused.push(format!("{} -> {dep}", member.display()));
+            }
+        }
+    }
+    assert!(edges > 50, "manifests were not parsed: {edges} edges");
+    assert!(unused.is_empty(), "declared but never used: {unused:#?}");
+}
