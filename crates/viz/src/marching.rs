@@ -12,10 +12,20 @@
 //! so a crossing is named `(lo node, direction 1..=7)` and welding needs no
 //! map: a node plane keeps a byte of crossed directions per node and the
 //! mesh index of the node's first crossing. Extraction is count → scan →
-//! emit: classify the crossed cubes of every layer, count the crossings of
-//! every node plane, then let fixed chunks of planes write their vertices
-//! (node raster order) and triangles (cube raster order) into their own
-//! ranges of one pre-sized mesh — the same mesh for any chunking.
+//! emit: classify the crossed cubes of every layer, mark and count the
+//! crossings of every node plane, then let fixed chunks of planes write their
+//! vertices (node raster order) and triangles (cube raster order) into their
+//! own ranges of one pre-sized mesh — the same mesh for any chunking.
+//!
+//! Emitting is table look-ups and index arithmetic. Triangles face *lower*
+//! values, and the table knows which way round that is: the polygon cut from
+//! a linear tetrahedron is perpendicular to the interpolant's gradient, so
+//! its winding is a constant of (tetrahedron, inside-mask) under any
+//! orientation-preserving affine map — any finite positive spacing, which
+//! [`extract`] insists on — whatever the values. A vertex is interpolated
+//! once, straight into the mesh, by the chunk that owns its plane; the plane
+//! on top of a chunk belongs to the chunk above, and the lower chunk only
+//! numbers it — that numbering is the one thing still done twice.
 //!
 //! Cracks between AMR *levels* (the paper's Fig. 1a) are unaffected by the
 //! in-cell triangulator: they come from resolution mismatch at level
@@ -28,6 +38,8 @@ use crate::mesh::TriMesh;
 /// `dims` counts grid *nodes* per axis; cubes (cells) number `dims − 1` per
 /// axis. `cell_mask`, when present, selects which cubes are triangulated
 /// (used by the AMR extractors to restrict each level to its own region).
+/// Every component of `spacing` must be finite and strictly positive: the
+/// triangle winding is tabulated for a grid that is not mirrored.
 #[derive(Debug, Clone)]
 pub struct SampledGrid {
     pub dims: [usize; 3],
@@ -100,17 +112,22 @@ const T_EPS: f64 = 1e-6;
 /// never depends on the thread count.
 const CHUNK: usize = 32;
 
-/// Per tetrahedron and cube inside-mask (bit `c`: corner `c` is at or above
-/// iso): the triangle count, then the cycle of crossed edges they fan out
-/// over from its first edge, each `lo corner << 3 | direction`. A lone
-/// corner is cut off along its edges to the other three, ascending; two
-/// inside corners a < b against outside c < d give the quad AC → AD → BD →
-/// BC (consecutive edges share a tet face).
-const TET_TRIS: [[[u8; 5]; 256]; 6] = {
-    let mut out = [[[0u8; 5]; 256]; 6];
+/// Coordinate `axis` of cube corner `c`.
+const fn coord(c: usize, axis: usize) -> isize {
+    (c >> axis & 1) as isize
+}
+
+/// Per cube inside-mask (bit `c`: corner `c` is at or above iso): how many
+/// triangles the cube emits, then each as three crossed edges, `lo corner <<
+/// 3 | direction`, wound to face lower values; tetrahedron by tetrahedron. A
+/// lone corner is cut off along its edges to the other three, ascending; two
+/// inside corners a < b against outside c < d give the quad AC → AD → BD → BC
+/// (consecutive edges share a tet face), fanned out from AC.
+const CUBE_TRIS: [(u8, [[u8; 3]; 12]); 256] = {
+    let mut out = [(0, [[0; 3]; 12]); 256];
     let mut n = 0;
-    while n < 6 * 256 {
-        let (t, case) = (n >> 8, n & 255);
+    while n < 256 * 6 {
+        let (case, t) = (n / 6, n % 6);
         // The tet's corners by side (outside, inside), ascending.
         let (mut side, mut len, mut c) = ([[0; 4]; 2], [0; 2], 0);
         while c < 4 {
@@ -126,11 +143,34 @@ const TET_TRIS: [[[u8; 5]; 256]; 6] = {
             2 => ([a[0], a[0], a[1], a[1]], [b[0], b[1], b[1], b[0]], 2),
             _ => ([a[0]; 4], [b[0], b[1], b[2], 0], 1),
         };
-        out[t][case][0] = count;
-        let mut e = 0;
+        // Winding, decided on the polygon through the edge midpoints — the
+        // cut of the field +1 inside, −1 outside — in doubled unit-cube
+        // coordinates: `u` and `v` span its first triangle, and `w`, from an
+        // outside corner to an inside one, has the gradient's side of it.
+        let (mut u, mut v, mut w, mut axis) = ([0; 3], [0; 3], [0; 3], 0);
+        while axis < 3 {
+            let p = coord(from[0], axis) + coord(to[0], axis);
+            u[axis] = coord(from[1], axis) + coord(to[1], axis) - p;
+            v[axis] = coord(from[2], axis) + coord(to[2], axis) - p;
+            w[axis] = coord(i[0], axis) - coord(o[0], axis);
+            axis += 1;
+        }
+        let faces_up = (u[1] * v[2] - u[2] * v[1]) * w[0]
+            + (u[2] * v[0] - u[0] * v[2]) * w[1]
+            + (u[0] * v[1] - u[1] * v[0]) * w[2]
+            > 0;
+        let (mut edge, mut e) = ([0; 4], 0);
         while e < 4 {
             let lo = if from[e] < to[e] { from[e] } else { to[e] };
-            out[t][case][1 + e] = (lo << 3 | (from[e] ^ to[e])) as u8;
+            edge[e] = (lo << 3 | (from[e] ^ to[e])) as u8;
+            e += 1;
+        }
+        let (filled, tris) = &mut out[case];
+        e = 1;
+        while e <= count {
+            let (b, c) = if faces_up { (e + 1, e) } else { (e, e + 1) };
+            tris[*filled as usize] = [edge[0], edge[b], edge[c]];
+            *filled += 1;
             e += 1;
         }
         n += 1;
@@ -153,10 +193,13 @@ const CROSSED_DIRS: [[u8; 8]; 256] = {
     out
 };
 
-/// The cubes of layer `k` that an unmasked iso-crossing passes through, in
+/// The cubes of a layer that an unmasked iso-crossing passes through, in
 /// raster order — each the in-plane index `i + nx·j` of its corner-0 node
 /// and its inside-mask — and how many triangles they will emit.
-fn classify(grid: &SampledGrid, iso: f64, k: usize) -> (Vec<(u32, u8)>, usize) {
+type Layer = (Vec<(u32, u8)>, usize);
+
+/// [`Layer`] `k` of the grid.
+fn classify(grid: &SampledGrid, iso: f64, k: usize) -> Layer {
     let [nx, ny, _] = grid.dims;
     let [cx, cy, _] = grid.cell_dims();
     let (mut cubes, mut triangles, mask) = (Vec::new(), 0, grid.cell_mask.as_ref());
@@ -173,150 +216,104 @@ fn classify(grid: &SampledGrid, iso: f64, k: usize) -> (Vec<(u32, u8)>, usize) {
             if case != 0 && case != 0xFF && mask.is_none_or(|m| m[i + cx * (j + cy * k)]) {
                 let n0 = u32::try_from(i + nx * j).expect("a node plane has under 2^32 nodes");
                 cubes.push((n0, case as u8));
-                triangles += TET_TRIS.iter().map(|t| t[case][0] as usize).sum::<usize>();
+                triangles += CUBE_TRIS[case].0 as usize;
             }
         }
     }
     (cubes, triangles)
 }
 
+/// The crossed directions of every node of plane `q` — bit `d` set when the
+/// edge to the node `d` further on is crossed in some unmasked cube, one mesh
+/// vertex each — gathered from the cube layers below and above it, and how
+/// many crossings that makes.
+fn mark_plane([nx, ny, _]: [usize; 3], layers: &[Layer], q: usize) -> (Vec<u8>, usize) {
+    let (mut dirs, mut crossings) = (vec![0u8; nx * ny], 0);
+    for (k, corners) in [(q.wrapping_sub(1), 4..8), (q, 0..4)] {
+        for &(n0, case) in layers.get(k).map_or(&[][..], |l| &l.0) {
+            for c in corners.clone() {
+                let slot = &mut dirs[n0 as usize + (c & 1) + nx * (c >> 1 & 1)];
+                let crossed = CROSSED_DIRS[case as usize][c];
+                crossings += (crossed & !*slot).count_ones() as usize;
+                *slot |= crossed;
+            }
+        }
+    }
+    (dirs, crossings)
+}
+
 /// One node plane's welding table.
-struct Plane {
-    /// Per node: bit `d` set when the edge to the node `d` further on is
-    /// crossed in some unmasked cube — one mesh vertex each.
-    dirs: Vec<u8>,
+struct Plane<'a> {
+    /// Per node, its [`mark_plane`] byte.
+    dirs: &'a [u8],
     /// Per node: mesh index of its lowest-direction crossing; the node's
     /// others follow in direction order.
     first: Vec<u32>,
-    /// The plane's vertices in node raster order, mesh indices `base..`.
-    base: u32,
-    pos: Vec<[f64; 3]>,
 }
 
 struct Marcher<'a> {
     grid: &'a SampledGrid,
     iso: f64,
     /// [`classify`] of every cube layer, and an empty one above the top plane.
-    layers: Vec<(Vec<(u32, u8)>, usize)>,
+    layers: Vec<Layer>,
+    /// [`mark_plane`]'s byte rows of every node plane.
+    dirs: Vec<Vec<u8>>,
 }
 
 impl Marcher<'_> {
-    /// The crossed directions of every node of plane `q`, gathered from the
-    /// cube layers below and above it, and how many crossings that makes.
-    fn mark_plane(&self, q: usize) -> (Vec<u8>, usize) {
-        let [nx, ny, _] = self.grid.dims;
-        let (mut dirs, mut crossings) = (vec![0u8; nx * ny], 0);
-        for (k, corners) in [(q.wrapping_sub(1), 4..8), (q, 0..4)] {
-            for &(n0, case) in self.layers.get(k).map_or(&[][..], |l| &l.0) {
-                for c in corners.clone() {
-                    let slot = &mut dirs[n0 as usize + (c & 1) + nx * (c >> 1 & 1)];
-                    let crossed = CROSSED_DIRS[case as usize][c];
-                    crossings += (crossed & !*slot).count_ones() as usize;
-                    *slot |= crossed;
-                }
-            }
-        }
-        (dirs, crossings)
-    }
-
-    /// Plane `q` with its crossings numbered from `base` on and interpolated.
-    fn plane(&self, q: usize, base: u32) -> Plane {
+    /// Plane `q` with its crossings numbered from `base` on in node raster
+    /// order and, for the chunk that owns the plane, interpolated into
+    /// `verts`, that range of the mesh.
+    fn plane(&self, q: usize, base: u32, mut verts: Option<&mut [[f64; 3]]>) -> Plane<'_> {
         let (g, nx) = (self.grid, self.grid.dims[0]);
-        let (dirs, crossings) = self.mark_plane(q);
-        let (mut first, mut pos) = (vec![0; dirs.len()], Vec::with_capacity(crossings));
+        let dirs = &self.dirs[q][..];
+        let (mut first, mut id) = (vec![0; dirs.len()], 0);
         for (n, &crossed) in dirs.iter().enumerate().filter(|(_, &c)| c != 0) {
-            first[n] = base + pos.len() as u32;
+            first[n] = base + id as u32;
+            let Some(verts) = &mut verts else {
+                id += crossed.count_ones() as usize;
+                continue;
+            };
             let (p, va) = g.node([n % nx, n / nx, q], 0);
-            for d in (1..8).filter(|d| crossed >> d & 1 == 1) {
+            let mut left = crossed;
+            while left != 0 {
+                let d = left.trailing_zeros() as usize;
+                left &= left - 1;
                 // Always interpolated lo node → hi node, so every cube
                 // around the edge sees the same bits.
                 let (r, vb) = g.node([n % nx, n / nx, q], d);
                 let t = ((self.iso - va) / (vb - va)).clamp(T_EPS, 1.0 - T_EPS);
-                pos.push(std::array::from_fn(|a| p[a] + t * (r[a] - p[a])));
+                verts[id] = std::array::from_fn(|a| p[a] + t * (r[a] - p[a]));
+                id += 1;
             }
         }
-        Plane {
-            dirs,
-            first,
-            base,
-            pos,
-        }
+        Plane { dirs, first }
     }
 
     /// Triangulates layer `k` between its two node planes into `tris`;
     /// returns how many triangles it wrote.
     fn emit_layer(&self, k: usize, lo: &Plane, hi: &Plane, tris: &mut [[u32; 3]]) -> usize {
-        let (g, nx) = (self.grid, self.grid.dims[0]);
+        let nx = self.grid.dims[0];
         let mut written = 0;
         for &(n0, case) in &self.layers[k].0 {
-            let n0 = n0 as usize;
-            let corners: [_; 8] = std::array::from_fn(|c| g.node([n0 % nx, n0 / nx, k], c));
-            let vertex = |edge: u8| {
-                let (c, d) = ((edge >> 3) as usize, edge & 7);
+            // Each corner's first crossing and crossed directions.
+            let corners: [(u32, u8); 8] = std::array::from_fn(|c| {
                 let plane = if c < 4 { lo } else { hi };
-                let n = n0 + (c & 1) + nx * (c >> 1 & 1);
-                let id = plane.first[n] + (plane.dirs[n] & ((1 << d) - 1)).count_ones();
-                (id, plane.pos[(id - plane.base) as usize])
+                let n = n0 as usize + (c & 1) + nx * (c >> 1 & 1);
+                (plane.first[n], plane.dirs[n])
+            });
+            let vertex = |edge: u8| {
+                let (first, dirs) = corners[(edge >> 3) as usize];
+                first + (dirs & ((1 << (edge & 7)) - 1)).count_ones()
             };
-            for (tet, cases) in TETS.iter().zip(&TET_TRIS) {
-                let [count @ 1..=2, cycle @ ..] = cases[case as usize] else {
-                    continue;
-                };
-                let grad = tet_gradient(tet.map(|c| corners[c]));
-                for (&b, &c) in cycle[1..].iter().zip(&cycle[2..]).take(count as usize) {
-                    // (Three calls, not `[..].map(vertex)`: that halves the throughput.)
-                    tris[written] = orient([vertex(cycle[0]), vertex(b), vertex(c)], grad);
-                    written += 1;
-                }
+            let (count, list) = &CUBE_TRIS[case as usize];
+            for &[a, b, c] in &list[..*count as usize] {
+                tris[written] = [vertex(a), vertex(b), vertex(c)];
+                written += 1;
             }
         }
         written
     }
-}
-
-/// Orders a triangle so its normal points toward *lower* field values
-/// (outward from the `v ≥ iso` region), using the exact gradient of the
-/// linear interpolant over the tetrahedron.
-fn orient(tri: [(u32, [f64; 3]); 3], grad: [f64; 3]) -> [u32; 3] {
-    let [(a, p), (b, q), (c, r)] = tri;
-    let u = [q[0] - p[0], q[1] - p[1], q[2] - p[2]];
-    let v = [r[0] - p[0], r[1] - p[1], r[2] - p[2]];
-    let n = [
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    ];
-    let dot = n[0] * grad[0] + n[1] * grad[1] + n[2] * grad[2];
-    if dot > 0.0 {
-        [a, c, b]
-    } else {
-        [a, b, c]
-    }
-}
-
-/// Gradient of the linear field over a tetrahedron given as (position,
-/// value) corners: Cramer's rule on the 3×3 system with rows
-/// `corner_i − corner_0`.
-fn tet_gradient(corners: [([f64; 3], f64); 4]) -> [f64; 3] {
-    let (p0, v0) = corners[0];
-    let m: [[f64; 3]; 3] =
-        std::array::from_fn(|r| std::array::from_fn(|a| corners[r + 1].0[a] - p0[a]));
-    let det = |m: &[[f64; 3]; 3]| -> f64 {
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    };
-    let d = det(&m);
-    if d == 0.0 {
-        return [0.0; 3];
-    }
-    std::array::from_fn(|a| {
-        let mut ma = m;
-        for r in 0..3 {
-            ma[r][a] = corners[r + 1].1 - v0;
-        }
-        det(&ma) / d
-    })
 }
 
 /// Total crossings over all planes. Mesh indices are `u32`, and the scan
@@ -344,11 +341,20 @@ fn extract(grid: &SampledGrid, iso: f64, chunk: usize) -> TriMesh {
     if let Some(mask) = &grid.cell_mask {
         assert_eq!(mask.len(), cx * cy * cz, "cell mask size mismatch");
     }
+    let spacing = grid.spacing;
+    let upright = spacing.iter().all(|&h| h > 0.0 && h.is_finite());
+    assert!(upright, "spacing {spacing:?} is not finite and positive");
     // Count: each layer's crossed cubes, then each node plane's crossings.
     let mut layers = amrviz_par::run(cz, |k| classify(grid, iso, k));
     layers.push((Vec::new(), 0));
-    let m = Marcher { grid, iso, layers };
-    let crossings = amrviz_par::run(cz + 1, |q| m.mark_plane(q).1);
+    let planes = amrviz_par::run(cz + 1, |q| mark_plane(grid.dims, &layers, q));
+    let (dirs, crossings): (_, Vec<_>) = planes.into_iter().unzip();
+    let m = Marcher {
+        grid,
+        iso,
+        layers,
+        dirs,
+    };
 
     // Scan: size the output once and give every chunk of planes, with the
     // layer above each, its own ranges of it.
@@ -370,15 +376,23 @@ fn extract(grid: &SampledGrid, iso: f64, chunk: usize) -> TriMesh {
     // Emit: every chunk writes the vertices of its node planes and the
     // triangles of the cube layer above each.
     amrviz_par::for_each_part(parts, |c, (first, verts, tris)| {
+        let own = c * chunk..(cz + 1).min((c + 1) * chunk);
         let (mut nv, mut nt) = (0, 0);
-        let mut lo = m.plane(c * chunk, first);
-        for q in c * chunk..(cz + 1).min((c + 1) * chunk) {
-            verts[nv..nv + lo.pos.len()].copy_from_slice(&lo.pos);
-            nv += lo.pos.len();
-            // The chunk's last layer needs the plane above it, which the
-            // next chunk owns — and numbers from the same base.
-            let hi = m.plane(q + 1, lo.base + lo.pos.len() as u32);
-            nt += m.emit_layer(q, &lo, &hi, &mut tris[nt..]);
+        // The chunk's planes take their vertex ranges in turn. Its last layer
+        // needs the plane above it, which the next chunk owns and
+        // interpolates: that one is numbered only — from the same base.
+        let mut plane = |q: usize| {
+            let (base, nq) = (first + nv as u32, crossings[q]);
+            let range = own.contains(&q).then(|| {
+                nv += nq;
+                &mut verts[nv - nq..nv]
+            });
+            m.plane(q, base, range)
+        };
+        let mut lo = plane(own.start);
+        for k in own.start..own.end.min(cz) {
+            let hi = plane(k + 1);
+            nt += m.emit_layer(k, &lo, &hi, &mut tris[nt..]);
             lo = hi;
         }
         debug_assert_eq!((nv, nt), (verts.len(), tris.len()), "count ≠ emit");
@@ -701,6 +715,52 @@ mod tests {
                 assert_matches_reference(&grid, iso);
             });
         }
+    }
+
+    #[test]
+    fn every_crossing_case_on_an_anisotropic_cube_matches_the_reference() {
+        // One cube per inside-mask, winding included (`canonical` keeps it).
+        // Excesses down to 1e-9 clamp crossings at both `T_EPS` ends; the
+        // second kind of draw puts inside corners exactly on the iso-value.
+        let iso = 0.5;
+        for (case, &(count, _)) in CUBE_TRIS.iter().enumerate().take(255).skip(1) {
+            amrviz_rng::check(0xca5e + case as u64, 40, |rng| {
+                let on_iso = rng.chance(0.5);
+                let mut corner = 0;
+                let grid = SampledGrid::from_fn(
+                    [2; 3],
+                    [-1.0, 0.0, 2.0],
+                    [0.5, 0.25, 0.125],
+                    |_, _, _| {
+                        let inside = case >> corner & 1 == 1;
+                        corner += 1;
+                        let excess = 10f64.powf(rng.range_f64(-9.0, 0.0));
+                        match inside {
+                            true if on_iso && rng.chance(0.5) => iso,
+                            true => iso + excess,
+                            false => iso - excess,
+                        }
+                    },
+                );
+                let mesh = assert_matches_reference(&grid, iso);
+                assert_eq!(mesh.num_triangles(), count as usize);
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "spacing [0.5, 0.0, 0.125] is not finite and positive")]
+    fn zero_spacing_is_refused() {
+        let grid = SampledGrid::from_fn([3; 3], [0.0; 3], [0.5, 0.0, 0.125], |x, _, _| x);
+        marching_tetrahedra(&grid, 0.25);
+    }
+
+    #[test]
+    #[should_panic(expected = "spacing [0.5, 0.25, -0.125] is not finite and positive")]
+    fn negative_spacing_is_refused() {
+        // A mirrored grid would mirror every triangle's winding with it.
+        let grid = SampledGrid::from_fn([3; 3], [0.0; 3], [0.5, 0.25, -0.125], |x, _, _| x);
+        marching_tetrahedra(&grid, 0.25);
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl TriMesh {
 
     /// Appends another mesh (no welding across the seam).
     pub fn append(&mut self, other: &TriMesh) {
-        let off = self.vertices.len() as u32;
+        let off = index_offset(self.vertices.len(), other.vertices.len());
         self.vertices.extend_from_slice(&other.vertices);
         self.triangles.extend(
             other
@@ -55,7 +55,10 @@ impl TriMesh {
 
     /// Face normal of triangle `t` (not normalized; magnitude = 2·area).
     pub fn face_normal_raw(&self, t: usize) -> [f64; 3] {
-        let [a, b, c] = self.triangles[t];
+        self.raw_normal(self.triangles[t])
+    }
+
+    fn raw_normal(&self, [a, b, c]: [u32; 3]) -> [f64; 3] {
         let p = self.vertices[a as usize];
         let q = self.vertices[b as usize];
         let r = self.vertices[c as usize];
@@ -85,9 +88,22 @@ impl TriMesh {
         0.5 * (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt()
     }
 
-    /// Total surface area.
+    /// Total surface area: the [`TriMesh::face_area`]s summed in triangle
+    /// order, to the bit (`-0.0` is what an empty `sum()` gives). The squared
+    /// norms are gathered a batch ahead, so the serial sum waits on square
+    /// roots alone.
     pub fn total_area(&self) -> f64 {
-        (0..self.triangles.len()).map(|t| self.face_area(t)).sum()
+        let (mut total, mut squares) = (-0.0, [0.0; 64]);
+        for batch in self.triangles.chunks(squares.len()) {
+            for (sq, &t) in squares.iter_mut().zip(batch) {
+                let n = self.raw_normal(t);
+                *sq = n[0] * n[0] + n[1] * n[1] + n[2] * n[2];
+            }
+            for sq in &squares[..batch.len()] {
+                total += 0.5 * sq.sqrt();
+            }
+        }
+        total
     }
 
     /// Centroid of triangle `t`.
@@ -252,6 +268,17 @@ impl TriMesh {
     }
 }
 
+/// What [`TriMesh::append`] adds to the indices of a mesh of `more` vertices
+/// joining one of `len`. Indices are `u32`: the sum is checked, once.
+fn index_offset(len: usize, more: usize) -> u32 {
+    let fits = len.saturating_add(more) <= u32::MAX as usize;
+    assert!(
+        fits,
+        "{len} + {more} vertices of the appended meshes exceed u32"
+    );
+    len as u32
+}
+
 #[cfg(test)]
 pub(crate) fn unit_quad() -> TriMesh {
     TriMesh {
@@ -315,6 +342,40 @@ mod tests {
         assert_eq!(m.num_vertices(), before + 4);
         assert_eq!(m.num_triangles(), 6);
         assert_eq!(m.triangles[2], [4, 6, 5]);
+    }
+
+    #[test]
+    fn append_checks_the_joint_vertex_count_against_u32() {
+        let max = u32::MAX as usize;
+        assert_eq!(index_offset(max - 5, 5), u32::MAX - 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "4294967290 + 6 vertices of the appended meshes exceed u32")]
+    fn append_refuses_what_u32_indices_cannot_address() {
+        // Faked lengths: no mesh that large fits in memory here.
+        index_offset(u32::MAX as usize - 5, 6);
+    }
+
+    #[test]
+    fn total_area_is_the_sequential_face_area_sum_to_the_bit() {
+        // Around the batch size, and the empty mesh's sign of zero.
+        for triangles in [0, 1, 63, 64, 65, 1000] {
+            amrviz_rng::check(0xa2ea + triangles as u64, 4, |rng| {
+                let vertices = (0..50).map(|_| [(); 3].map(|_| rng.range_f64(-3.0, 5.0)));
+                let mut mesh = TriMesh {
+                    vertices: vertices.collect(),
+                    triangles: (0..triangles)
+                        .map(|_| [(); 3].map(|_| rng.below(50) as u32))
+                        .collect(),
+                };
+                if let Some(t) = mesh.triangles.first_mut() {
+                    t[2] = t[1]; // degenerate
+                }
+                let want: f64 = (0..triangles).map(|t| mesh.face_area(t)).sum();
+                assert_eq!(mesh.total_area().to_bits(), want.to_bits());
+            });
+        }
     }
 
     #[test]

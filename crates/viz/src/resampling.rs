@@ -10,7 +10,7 @@
 //! characteristic **cracks** of Fig. 1a — reproduced here by construction.
 
 use amrviz_amr::multifab::rasterize_into;
-use amrviz_amr::{AmrHierarchy, MultiFab};
+use amrviz_amr::{AmrHierarchy, MultiFab, Raster};
 
 use crate::marching::{marching_tetrahedra, SampledGrid};
 use crate::mesh::TriMesh;
@@ -40,45 +40,9 @@ pub fn extract_resampled_level(
     let valid = hier.valid_mask(lev);
     let covered = hier.covered_mask(lev);
 
-    // Vertex-centered grid: node (i,j,k) averages the ≤8 adjacent valid
-    // cells. At patch boundaries the average is one-sided — the "dangling
-    // node" conflict responsible for cracks. Parallel over node slabs.
-    let (nnx, nny, nnz) = (cx + 1, cy + 1, cz + 1);
-    let mut nodes = vec![0.0f64; nnx * nny * nnz];
-    {
-        let cells = &cells;
-        let sp_nodes = amrviz_obs::span!("resample.nodes", level = lev);
-        amrviz_par::for_each_chunk_mut(&mut nodes, nnx * nny, |nk, slab| {
-            for (nj, out) in slab.chunks_exact_mut(nnx).enumerate() {
-                // The ≤4 cell rows touching this node row, z-major: with the
-                // x pair innermost below, the sum keeps its (z, y, x) order.
-                let rows: [Option<(&[bool], &[f64])>; 4] = std::array::from_fn(|r| {
-                    let (cj, ck) = (
-                        (nj + (r & 1)).wrapping_sub(1),
-                        (nk + (r >> 1)).wrapping_sub(1),
-                    );
-                    (cj < cy && ck < cz)
-                        .then(|| (valid.row(cj, ck), &cells[cx * (cj + cy * ck)..][..cx]))
-                });
-                for (ni, node) in out.iter_mut().enumerate() {
-                    let mut sum = 0.0;
-                    let mut cnt = 0u32;
-                    for (valid, values) in rows.iter().flatten() {
-                        for ci in ni.saturating_sub(1)..(ni + 1).min(cx) {
-                            if valid[ci] {
-                                sum += values[ci];
-                                cnt += 1;
-                            }
-                        }
-                    }
-                    if cnt > 0 {
-                        *node = sum / cnt as f64;
-                    }
-                }
-            }
-        });
-        sp_nodes.finish();
-    }
+    let sp_nodes = amrviz_obs::span!("resample.nodes", level = lev);
+    let nodes = node_averages(&cells, &valid);
+    sp_nodes.finish();
     amrviz_par::scratch::give_f64(cells);
 
     // March the level's unique cells only (parallel over cell slabs).
@@ -93,7 +57,7 @@ pub fn extract_resampled_level(
 
     let origin = hier.geometry().prob_lo;
     let grid = SampledGrid {
-        dims: [nnx, nny, nnz],
+        dims: [cx + 1, cy + 1, cz + 1],
         origin,
         spacing: h,
         values: nodes,
@@ -101,6 +65,52 @@ pub fn extract_resampled_level(
     };
     let _sp = amrviz_obs::span!("resample.march", level = lev);
     marching_tetrahedra(&grid, iso)
+}
+
+/// The vertex-centered grid of a level: node (i, j, k) averages the ≤ 8
+/// adjacent valid cells (`+0.0` where there is none). At patch boundaries
+/// the average is one-sided — the "dangling node" conflict responsible for
+/// cracks. Parallel over node slabs.
+fn node_averages(cells: &[f64], valid: &Raster) -> Vec<f64> {
+    let [cx, cy, cz] = valid.region().size();
+    let nnx = cx + 1;
+    let mut nodes = vec![0.0f64; nnx * (cy + 1) * (cz + 1)];
+    amrviz_par::for_each_chunk_mut(&mut nodes, nnx * (cy + 1), |nk, slab| {
+        // One cell row, invalid cells as zero, with one absent cell (zero,
+        // uncounted) before and after it; and the node row's cell counts.
+        let (mut w, mut c, mut cnt) = (vec![0.0; cx + 2], vec![0u32; cx + 2], vec![0u32; nnx]);
+        for (nj, out) in slab.chunks_exact_mut(nnx).enumerate() {
+            cnt.fill(0);
+            // The ≤ 4 cell rows touching this node row, z-major, each added
+            // x pair innermost: every node's sum keeps its (z, y, x) order,
+            // and adding `+0.0` cannot change a sum that started at `+0.0`.
+            for r in 0..4 {
+                let (cj, ck) = (
+                    (nj + (r & 1)).wrapping_sub(1),
+                    (nk + (r >> 1)).wrapping_sub(1),
+                );
+                if cj >= cy || ck >= cz {
+                    continue;
+                }
+                let row = valid.row(cj, ck).iter().zip(&cells[cx * (cj + cy * ck)..]);
+                for ((w, c), (&valid, &v)) in w[1..].iter_mut().zip(&mut c[1..]).zip(row) {
+                    (*w, *c) = (if valid { v } else { 0.0 }, valid as u32);
+                }
+                for (node, w) in out.iter_mut().zip(w.windows(2)) {
+                    *node = (*node + w[0]) + w[1];
+                }
+                for (cnt, c) in cnt.iter_mut().zip(c.windows(2)) {
+                    *cnt += c[0] + c[1];
+                }
+            }
+            for (node, &cnt) in out.iter_mut().zip(&cnt) {
+                if cnt > 0 {
+                    *node /= cnt as f64;
+                }
+            }
+        }
+    });
+    nodes
 }
 
 #[cfg(test)]
@@ -141,6 +151,64 @@ mod tests {
         })
         .unwrap();
         h
+    }
+
+    /// [`node_averages`] one node at a time: the per-node loop the row kernel
+    /// replaced, kept as its oracle.
+    fn node_averages_oracle(cells: &[f64], valid: &Raster) -> Vec<f64> {
+        let [cx, cy, cz] = valid.region().size();
+        let (nnx, nny) = (cx + 1, cy + 1);
+        let mut nodes = vec![0.0f64; nnx * nny * (cz + 1)];
+        for (n, node) in nodes.iter_mut().enumerate() {
+            let (ni, nj, nk) = (n % nnx, n / nnx % nny, n / (nnx * nny));
+            let (mut sum, mut cnt) = (0.0, 0u32);
+            for ck in nk.saturating_sub(1)..(nk + 1).min(cz) {
+                for cj in nj.saturating_sub(1)..(nj + 1).min(cy) {
+                    for ci in ni.saturating_sub(1)..(ni + 1).min(cx) {
+                        if valid.row(cj, ck)[ci] {
+                            sum += cells[ci + cx * (cj + cy * ck)];
+                            cnt += 1;
+                        }
+                    }
+                }
+            }
+            if cnt > 0 {
+                *node = sum / cnt as f64;
+            }
+        }
+        nodes
+    }
+
+    #[test]
+    fn node_rows_match_the_per_node_oracle_to_the_bit() {
+        amrviz_rng::check(0x40de, 40, |rng| {
+            let [cx, cy, cz] = [(); 3].map(|_| rng.range_usize(1, 7));
+            let dom = Box3::from_dims(cx, cy, cz);
+            // Valid cells come in runs, so whole neighbourhoods are invalid;
+            // every domain face has node rows with absent cell rows.
+            let (mut valid, mut on) = (Raster::falses(dom), true);
+            let cells: Vec<f64> = (0..dom.num_cells())
+                .map(|n| {
+                    if rng.chance(0.2) {
+                        on = !on;
+                    }
+                    let at = [n % cx, n / cx % cy, n / (cx * cy)];
+                    valid.set(IntVect(at.map(|c| c as i64)), on);
+                    match (on, rng.below(4)) {
+                        // What an invalid cell holds is never read.
+                        (false, _) => f64::NAN,
+                        (true, 0) => -0.0,
+                        (true, _) => rng.range_f64(-1e3, 1e3),
+                    }
+                })
+                .collect();
+            let (got, want) = (
+                node_averages(&cells, &valid),
+                node_averages_oracle(&cells, &valid),
+            );
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want));
+        });
     }
 
     #[test]
