@@ -354,7 +354,7 @@ USAGE:
                     --once --json prints the raw validated snapshot for
                     scripts and CI.
   amrviz repro      <experiment> [--scale tiny|small|medium|paper] [--seed N]
-                    [--out DIR]
+                    [--out DIR] [--check]
   amrviz repro      --suite enumerated[:RECIPE] [--seed N] [--out DIR]
                     regenerates the paper's tables and figures: table1,
                     table2, fig1, fig2, fig9..fig14, ablation, or all; ASCII
@@ -363,7 +363,10 @@ USAGE:
                     repro_out/), and one `SUMMARY {...}` line. --suite runs
                     the recipe-enumerated scenario matrix instead (`:@FILE`
                     or `:(scenario ...)` for a custom recipe). The recorder
-                    is always on, seeded from --seed. `repro obs-overhead`
+                    is always on, seeded from --seed. --check judges fig1,
+                    fig9, fig10 and fig11 on the rows just recorded and
+                    exits non-zero naming the figure and row of each claim
+                    of the paper that fails. `repro obs-overhead`
                     is the instrumentation self-overhead gate (3 % budget).
   amrviz stats      <FILE> [--strict] [--slo SPEC]
                     pretty-prints continuous-telemetry artifacts: a

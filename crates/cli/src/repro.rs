@@ -1,7 +1,7 @@
 //! `amrviz repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! amrviz repro <experiment> [--scale tiny|small|medium|paper] [--seed N] [--out DIR]
+//! amrviz repro <experiment> [--scale tiny|small|medium|paper] [--seed N] [--out DIR] [--check]
 //! amrviz repro --suite enumerated[:RECIPE] [--seed N] [--out DIR]
 //!
 //! (plus the global telemetry flags every `amrviz` command takes: --threads,
@@ -24,6 +24,11 @@
 //!   obs-overhead  instrumentation self-overhead gate (not part of `all`):
 //!            Nyx × SZ-L/R timed with the recorder off vs on + journal,
 //!            exits nonzero above 3 % (takes --scale, default tiny, and --out)
+//!
+//! `--check` judges each figure that has a machine-read verdict (`fig1`,
+//! `fig9`, `fig10`, `fig11` so far) on the rows it has just recorded and
+//! exits non-zero naming the figure and the row of every claim of the paper
+//! that does not hold.
 //!
 //! `--suite enumerated` replaces the figure experiments with the
 //! recipe-enumerated scenario suite (crates/recipe): the built-in recipe
@@ -67,33 +72,151 @@ struct Args {
     scale: Option<Scale>,
     seed: u64,
     out: PathBuf,
+    /// `--check`: judge the figures' [`Verdict`]s.
+    check: bool,
 }
 
-const USAGE: &str = "usage: amrviz repro <experiment> [--scale S] [--seed N] [--out DIR]\n\
+const USAGE: &str =
+    "usage: amrviz repro <experiment> [--scale S] [--seed N] [--out DIR] [--check]\n\
                      or:    amrviz repro --suite enumerated[:RECIPE] [--seed N] [--out DIR]";
 
 type Experiment = fn(&mut Ctx);
 
-/// The figure experiments in `all` order — the one list both the argument
-/// check and the run loop read.
-const FIGURES: [(&str, Experiment); 11] = [
-    ("table1", table1),
-    ("table2", table2),
-    ("fig1", fig1),
-    ("fig2", fig2),
-    ("fig9", |c| figs_9_10(c, CompressorKind::SzLr, "fig9")),
-    ("fig10", |c| figs_9_10(c, CompressorKind::SzInterp, "fig10")),
-    ("fig11", fig11),
-    ("fig12", |c| rate_distortion(c, Application::Warpx, "fig12")),
-    ("fig13", |c| rate_distortion(c, Application::Nyx, "fig13")),
-    ("fig14", fig14),
-    ("ablation", ablation),
+/// A figure's verdict, read off the rows its experiment recorded under the
+/// figure's name in `results.json`: one line per claim of the paper that does
+/// not hold, each naming its row. Empty = reproduced.
+type Verdict = fn(&Json) -> Vec<String>;
+
+/// The figure experiments in `all` order — the one list the argument check,
+/// the run loop and `--check` read.
+const FIGURES: [(&str, Experiment, Option<Verdict>); 11] = [
+    ("table1", table1, None),
+    ("table2", table2, None),
+    ("fig1", fig1, Some(fig1_verdict)),
+    ("fig2", fig2, None),
+    (
+        "fig9",
+        |c| figs_9_10(c, CompressorKind::SzLr, "fig9"),
+        Some(|rows| dual_worse(rows, 3, "image_rssim", None)),
+    ),
+    (
+        "fig10",
+        |c| figs_9_10(c, CompressorKind::SzInterp, "fig10"),
+        Some(|rows| dual_worse(rows, 3, "image_rssim", None)),
+    ),
+    ("fig11", fig11, Some(fig11_verdict)),
+    (
+        "fig12",
+        |c| rate_distortion(c, Application::Warpx, "fig12"),
+        None,
+    ),
+    (
+        "fig13",
+        |c| rate_distortion(c, Application::Nyx, "fig13"),
+        None,
+    ),
+    ("fig14", fig14, None),
+    ("ablation", ablation, None),
 ];
+
+/// Why Fig. 11's geometric ordering is expected to be the reverse of the
+/// paper's (EXPERIMENTS.md divergence #3).
+const DIVERGENCE_3: &str = "divergence #3 (on spiky Nyx data re-sampling's 8-cell averaging \
+     flattens the gradient more than it reduces the error, so its crossings move further)";
+
+/// `field` of a recorded row; NaN — which fails every comparison — when the
+/// row or the field is missing.
+fn cell(row: Option<&Json>, field: &str) -> f64 {
+    let value = row.and_then(|r| r.get(field));
+    value.and_then(Json::as_f64).unwrap_or(f64::NAN)
+}
+
+/// The recorded rows extracted with `method`.
+fn rows_of(rows: &Json, method: IsoMethod) -> impl Iterator<Item = &Json> {
+    let rows = rows.as_arr().unwrap_or(&[]).iter();
+    rows.filter(move |r| r.get("method").and_then(Json::as_str) == Some(method.label()))
+}
+
+/// Judges one claim of the paper, `hi > lo`, on `row`. `diverges` names the
+/// known divergence under which the claim is expected to fail, the other way
+/// round: then anything but `hi < lo` is the failure, so an ordering that
+/// flips is reported until the row and EXPERIMENTS.md are updated together.
+fn ordering(row: &str, hi: (&str, f64), lo: (&str, f64), diverges: Option<&str>) -> Option<String> {
+    let ((hi_name, hi), (lo_name, lo)) = (hi, lo);
+    match diverges {
+        None if hi > lo => None,
+        None => Some(format!(
+            "{row}: {hi_name} {hi:e} is not above {lo_name} {lo:e}"
+        )),
+        Some(_) if hi < lo => None,
+        Some(known) => Some(format!(
+            "{row}: {hi_name} {hi:e} is not below {lo_name} {lo:e} as {known} expects — \
+             update the row and EXPERIMENTS.md together"
+        )),
+    }
+}
+
+/// Fig. 1: re-sampling cracks and dual-cell gaps both exist, and the
+/// redundant coarse data closes the gap to under a quarter of either.
+fn fig1_verdict(rows: &Json) -> Vec<String> {
+    let gap = |method| cell(rows_of(rows, method).next(), "mean_gap");
+    let fixed = ("its own", gap(IsoMethod::DualCellRedundant));
+    let mut failed = Vec::new();
+    for open in [IsoMethod::Resampling, IsoMethod::DualCell] {
+        let (label, gap) = (open.label(), gap(open));
+        failed.extend(ordering(label, ("mean gap", gap), ("zero", 0.0), None));
+        let quarter = (&*format!("a quarter of {label}'s mean gap"), 0.25 * gap);
+        let row = IsoMethod::DualCellRedundant.label();
+        failed.extend(ordering(row, quarter, fixed, None));
+    }
+    failed
+}
+
+/// Figs. 9–11: the paper's ordering — dual-cell worse than re-sampling in
+/// `field` — at each recorded (compressor, bound) pair, of which there must
+/// be `pairs`; `diverges` as in [`ordering`].
+fn dual_worse(rows: &Json, pairs: usize, field: &str, diverges: Option<&str>) -> Vec<String> {
+    let mut failed = Vec::new();
+    let mut seen = 0;
+    for basic in rows_of(rows, IsoMethod::Resampling) {
+        seen += 1;
+        let run = ["compressor", "rel_error_bound"];
+        let dual = rows_of(rows, IsoMethod::DualCellRedundant)
+            .find(|r| run.iter().all(|key| r.get(key) == basic.get(key)));
+        let row = format!(
+            "{} eb {:e}",
+            basic.get(run[0]).and_then(Json::as_str).unwrap_or("?"),
+            cell(Some(basic), run[1])
+        );
+        let dual = (&*format!("dual-cell {field}"), cell(dual, field));
+        let basic = ("re-sampling's", cell(Some(basic), field));
+        failed.extend(ordering(&row, dual, basic, diverges));
+    }
+    if seen != pairs {
+        failed.push(format!(
+            "{seen} re-sampling row(s) recorded, {pairs} expected"
+        ));
+    }
+    failed
+}
+
+/// Fig. 11: the rendered ordering holds for both compressors; the geometric
+/// one is the expected failure of divergence #3.
+fn fig11_verdict(rows: &Json) -> Vec<String> {
+    let mut failed = dual_worse(rows, 2, "image_rssim", None);
+    failed.extend(dual_worse(
+        rows,
+        2,
+        "surface_error_cells",
+        Some(DIVERGENCE_3),
+    ));
+    failed
+}
 
 /// Parses what is left of the command line once `main` has taken the global
 /// telemetry flags off it.
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let p = args::parse(argv, &["scale", "seed", "suite", "out"], &[])?;
+    let p = args::parse(argv, &["scale", "seed", "suite", "out"], &["check"])?;
     p.report_warnings();
     let scale = p
         .opt("scale")
@@ -107,9 +230,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         (Some(_), Some(_)) => {
             return Err("--suite replaces the experiment name; pass one or the other".into())
         }
+        (Some(_), None) if p.switch("check") => {
+            return Err("--check judges the figure experiments; the suite has no verdicts".into())
+        }
         (Some(_), None) => "enumerated".to_string(),
         (None, Some(e)) => {
-            let figures = FIGURES.iter().map(|(name, _)| *name);
+            let figures = FIGURES.iter().map(|(name, ..)| *name);
             let known: Vec<&str> = figures.chain(["all", "obs-overhead"]).collect();
             if !known.contains(&e.as_str()) {
                 return Err(format!(
@@ -126,6 +252,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         scale,
         seed: p.opt_parse("seed")?.unwrap_or(42),
         out: PathBuf::from(p.opt("out").unwrap_or("repro_out")),
+        check: p.switch("check"),
     })
 }
 
@@ -710,12 +837,19 @@ pub fn repro(argv: &[String], obs: &ObsOptions) -> Result<(), String> {
         }
         ctx.experiments.push(rec);
     };
+    // `--check`: every claim that does not hold, as `figure: row: what`.
+    let mut broken: Vec<String> = Vec::new();
     match &args.suite {
         Some(recipe_src) => instrumented(&mut ctx, "enumerated", &|c| enumerated(c, recipe_src)),
         None => {
-            for (name, f) in FIGURES {
+            for (name, f, verdict) in FIGURES {
                 if exp == name || exp == "all" {
                     instrumented(&mut ctx, name, &f);
+                    if let (true, Some(verdict)) = (args.check, verdict) {
+                        let failed = verdict(ctx.json.get(name).unwrap_or(&Json::Null));
+                        println!("CHECK {name}: {} claim(s) failed", failed.len());
+                        broken.extend(failed.iter().map(|row| format!("{name}: {row}")));
+                    }
                 }
             }
         }
@@ -791,6 +925,8 @@ pub fn repro(argv: &[String], obs: &ObsOptions) -> Result<(), String> {
     }
     if any_failed {
         Err("one or more experiments failed (see the SUMMARY line)".into())
+    } else if !broken.is_empty() {
+        Err(format!("verdict check failed:\n  {}", broken.join("\n  ")))
     } else {
         Ok(())
     }
@@ -907,6 +1043,11 @@ mod tests {
             "--suite replaces the experiment name; pass one or the other"
         );
         assert_eq!(parse_err("table1 table2"), "unexpected argument: table2");
+        assert_eq!(
+            parse_err("--suite enumerated --check"),
+            "--check judges the figure experiments; the suite has no verdicts"
+        );
+        assert!(parse_args(&argv("fig1 --check")).unwrap().check);
         let ok = parse_args(&argv("table2 --scale tiny --seed 7")).unwrap();
         assert_eq!((ok.experiment.as_str(), ok.seed), ("table2", 7));
         assert!(ok.suite.is_none() && ok.scale == Some(Scale::Tiny));
@@ -934,6 +1075,109 @@ mod tests {
         let (rest, opts) = split("--flame f.html --threads 2 --seed 9").unwrap();
         assert_eq!(rest, argv("repro table2 --seed 9"));
         assert!(opts.active() && opts.threads == Some(2));
+    }
+
+    /// A row set on which the figure's verdict holds: `(re-sampling,
+    /// dual-cell+redundant)` image R-SSIM and surface error per run.
+    fn viz_rows(
+        runs: &[(&'static str, f64)],
+        geometry: [f64; 2],
+    ) -> Vec<experiment::VizQualityRun> {
+        let mut rows = Vec::new();
+        for &(compressor, rel_error_bound) in runs {
+            for (m, method) in [IsoMethod::Resampling, IsoMethod::DualCellRedundant]
+                .into_iter()
+                .enumerate()
+            {
+                rows.push(experiment::VizQualityRun {
+                    scenario: "x".into(),
+                    compressor,
+                    rel_error_bound,
+                    method: method.label(),
+                    surface_error_cells: geometry[m],
+                    surface_error_max_cells: 1.0,
+                    roughness_increase: 0.0,
+                    image_rssim: [1e-5, 2e-5][m],
+                    triangles: 10,
+                });
+            }
+        }
+        rows
+    }
+
+    fn verdict_of(figure: &str) -> Verdict {
+        let row = FIGURES.iter().find(|(name, ..)| *name == figure);
+        row.and_then(|r| r.2).expect("the figure has a verdict")
+    }
+
+    /// Every failure line of `figure` on `rows`, as `--check` prints them.
+    fn broken(figure: &str, rows: &impl ToJson) -> Vec<String> {
+        let failed = verdict_of(figure)(&rows.to_json());
+        failed.iter().map(|f| format!("{figure}: {f}")).collect()
+    }
+
+    #[test]
+    fn each_verdict_names_its_figure_and_row_on_a_hand_broken_row_set() {
+        // Fig. 1: zero a gap; leave the gap open.
+        let crack = |method: IsoMethod, mean_gap| experiment::CrackRun {
+            scenario: "x".into(),
+            method: method.label(),
+            coarse_triangles: 1,
+            fine_triangles: 1,
+            rim_edges: 1,
+            rim_length: 1.0,
+            mean_gap,
+            max_gap: 1.0,
+        };
+        let fig1 = |gaps: [f64; 3]| {
+            let rows = IsoMethod::ALL.iter().zip(gaps).map(|(&m, g)| crack(m, g));
+            broken("fig1", &rows.collect::<Vec<_>>())
+        };
+        assert_eq!(fig1([0.011, 0.049, 7e-4]), [""; 0]);
+        let no_crack = fig1([0.0, 0.049, 0.0]);
+        assert_eq!(no_crack.len(), 2, "{no_crack:?}");
+        assert!(no_crack[0].starts_with("fig1: re-sampling: mean gap 0e0"));
+        let open = fig1([0.011, 0.049, 0.004]);
+        assert_eq!(open.len(), 1, "{open:?}");
+        assert!(open[0].starts_with("fig1: dual-cell+redundant: a quarter of re-sampling"));
+        assert_eq!(fig1([0.011, 0.049, f64::NAN]).len(), 2);
+
+        // Figs. 9 / 10: swap the two methods in one pair; lose a bound.
+        let sweep = |c| [(c, 1e-4), (c, 1e-3), (c, 1e-2)];
+        for (figure, compressor) in [("fig9", "SZ-L/R"), ("fig10", "SZ-Itp")] {
+            let mut rows = viz_rows(&sweep(compressor), [0.1, 0.2]);
+            assert_eq!(broken(figure, &rows), [""; 0]);
+            let swapped = rows[2].image_rssim;
+            rows[2].image_rssim = rows[3].image_rssim;
+            rows[3].image_rssim = swapped;
+            let failed = broken(figure, &rows);
+            assert_eq!(failed.len(), 1, "{failed:?}");
+            let start = format!("{figure}: {compressor} eb 1e-3: dual-cell image_rssim 1e-5");
+            assert!(failed[0].starts_with(&start), "{failed:?}");
+            let failed = broken(figure, &rows[..4].to_vec());
+            assert!(failed[1].ends_with("2 re-sampling row(s) recorded, 3 expected"));
+        }
+
+        // Fig. 11: the image ordering as above, and divergence #3 — the
+        // geometric ordering is recorded the other way round, so it fails
+        // when it turns into the paper's, or stops being an ordering.
+        let both = [("SZ-L/R", 1e-2), ("SZ-Itp", 1e-2)];
+        let mut rows = viz_rows(&both, [0.5, 0.4]);
+        assert_eq!(broken("fig11", &rows), [""; 0]);
+        rows[1].image_rssim = 0.0;
+        let failed = broken("fig11", &rows);
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].starts_with("fig11: SZ-L/R eb 1e-2: dual-cell image_rssim 0e0"));
+        for geometry in [[0.4, 0.5], [0.5, 0.5], [0.5, f64::NAN]] {
+            let failed = broken("fig11", &viz_rows(&both, geometry));
+            assert_eq!(failed.len(), 2, "{failed:?}");
+            assert!(failed[1].starts_with("fig11: SZ-Itp eb 1e-2: dual-cell surface_error_cells"));
+            assert!(failed[1].contains("divergence #3"), "{failed:?}");
+        }
+        // Nothing recorded at all is a failure, not a pass.
+        for figure in ["fig1", "fig9", "fig10", "fig11"] {
+            assert!(!verdict_of(figure)(&Json::Null).is_empty(), "{figure}");
+        }
     }
 
     #[test]
