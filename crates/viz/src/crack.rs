@@ -43,9 +43,9 @@ impl ToJson for CrackMetrics {
 
 /// Measures the interface gap between `fine` and `coarse`.
 ///
-/// `domain_lo`/`domain_hi` bound the physical domain; rim edges lying on
-/// those outer faces (within `boundary_tol`) are excluded — they are domain
-/// clipping, not level-interface defects.
+/// `domain_lo`/`domain_hi` bound the physical domain; a rim edge lying in
+/// one of those outer faces (both ends within `boundary_tol` of the same
+/// face) is excluded — it is domain clipping, not a level-interface defect.
 pub fn interface_gap(
     fine: &TriMesh,
     coarse: &TriMesh,
@@ -54,10 +54,11 @@ pub fn interface_gap(
     boundary_tol: f64,
 ) -> Option<CrackMetrics> {
     let locator = TriLocator::build(coarse)?;
-    let on_domain_face = |p: [f64; 3]| -> bool {
+    let in_a_domain_face = |p: [f64; 3], q: [f64; 3]| -> bool {
         (0..3).any(|a| {
-            (p[a] - domain_lo[a]).abs() <= boundary_tol
-                || (p[a] - domain_hi[a]).abs() <= boundary_tol
+            [domain_lo[a], domain_hi[a]].iter().any(|face| {
+                (p[a] - face).abs() <= boundary_tol && (q[a] - face).abs() <= boundary_tol
+            })
         })
     };
     let mut gaps: Vec<f64> = Vec::new();
@@ -66,7 +67,7 @@ pub fn interface_gap(
     for (a, b) in fine.boundary_edges() {
         let p = fine.vertices[a as usize];
         let q = fine.vertices[b as usize];
-        if on_domain_face(p) && on_domain_face(q) {
+        if in_a_domain_face(p, q) {
             continue;
         }
         let mid = [
@@ -182,6 +183,31 @@ mod tests {
             "redundant data should close the gap: {} vs {}",
             fixed.mean_gap,
             plain.mean_gap
+        );
+    }
+
+    #[test]
+    fn an_open_edge_across_a_domain_corner_is_counted() {
+        // Two fine triangles, four open edges: Q–R lies in the `y = lo`
+        // face, P–S and R–S in the `x = lo` face — domain clipping. P–Q runs
+        // from the `x = lo` face to the `y = lo` face: on the domain boundary
+        // at both ends, in no face of it.
+        let (p, q) = ([0.0, 0.2, 0.5], [0.2, 0.0, 0.5]);
+        let (r, s) = ([0.0, 0.0, 0.7], [0.0, 0.2, 0.9]);
+        let fine = TriMesh {
+            vertices: vec![p, q, r, s],
+            triangles: vec![[0, 1, 2], [0, 2, 3]],
+        };
+        let coarse = TriMesh {
+            vertices: vec![[0.0, 0.0, 0.4], [1.0, 0.0, 0.4], [0.0, 1.0, 0.4]],
+            triangles: vec![[0, 1, 2]],
+        };
+        let m = interface_gap(&fine, &coarse, [0.0; 3], [1.0; 3], 1e-9).unwrap();
+        assert_eq!(m.n_rim_edges, 1, "the corner edge, once");
+        assert!((m.rim_length - 0.08f64.sqrt()).abs() < 1e-12);
+        assert!(
+            (m.max_gap - 0.1).abs() < 1e-12,
+            "midpoint 0.1 above z = 0.4"
         );
     }
 

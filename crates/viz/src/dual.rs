@@ -19,7 +19,7 @@
 use amrviz_amr::multifab::rasterize_into;
 use amrviz_amr::{AmrHierarchy, MultiFab};
 
-use crate::marching::{marching_tetrahedra, SampledGrid};
+use crate::marching::{marching_cubes, SampledGrid};
 use crate::mesh::TriMesh;
 
 /// Gap handling at coarse/fine interfaces.
@@ -99,7 +99,7 @@ pub fn extract_dual_level(
         cell_mask: Some(mask),
     };
     let _sp = amrviz_obs::span!("dual.march", level = lev);
-    marching_tetrahedra(&grid, iso)
+    marching_cubes(&grid, iso)
 }
 
 #[cfg(test)]

@@ -1,15 +1,34 @@
-//! Isosurface extraction on a sampled grid.
+//! Isosurface extraction on a sampled grid: marching cubes, with the case
+//! table generated at compile time from one rule per cube face.
 //!
-//! Each cube of the node grid is decomposed into six tetrahedra (the Kuhn
-//! triangulation around the main diagonal), and each tetrahedron is
-//! triangulated against the iso-value. The decomposition is
-//! translation-invariant, so shared cube faces are split along the same
-//! diagonal on both sides and the extracted surface is watertight within a
-//! level — exactly the property classic marching cubes provides, without a
-//! hand-transcribed 256-case table (see DESIGN.md substitution note).
+//! **The face rule.** A cube face is seen from outside the cube and its four
+//! corners are walked counter-clockwise. Every step from a corner below iso
+//! to one at or above it starts an iso-segment on the edge it crosses, and
+//! the segment ends on the next edge the walk leaves through. That decides
+//! every face from its own four signs — on the two ambiguous patterns
+//! (diagonal corners inside) it cuts each inside corner off on its own — so
+//! two cubes sharing a face draw the same segments on it, and the surface is
+//! watertight within a level by construction: no transcribed 256-case table
+//! to get wrong (see DESIGN.md substitution note).
 //!
-//! Every Kuhn edge runs from a cube corner to a componentwise-greater one,
-//! so a crossing is named `(lo node, direction 1..=7)` and welding needs no
+//! **Loops.** A crossed cube edge lies in two faces of the cube, which walk
+//! it in opposite directions: one segment arrives at it, one leaves. The
+//! segments of a cube therefore chain into closed loops, and each loop is
+//! fanned into triangles from its lowest edge.
+//!
+//! **Winding** is a property of the walk direction, not of any normal: a
+//! segment runs from where the counter-clockwise walk enters the inside to
+//! where it leaves it, so every loop runs counter-clockwise as seen from the
+//! lower-valued side, and so does every triangle of its fan — under any
+//! finite positive spacing, which [`extract`] insists on, whatever the
+//! values. The neighbouring cube sees a shared face from the other side and
+//! walks the same segment the other way round, which is what a consistently
+//! oriented surface needs of the two triangles meeting there. (A fan is not
+//! a minimal surface: a loop that crosses an ambiguous face twice may lay a
+//! triangle flat into it, and the neighbour then lays the same one back.)
+//!
+//! Every cube edge runs from a corner to the next one along an axis, so a
+//! crossing is named `(lo node, direction 1, 2 or 4)` and welding needs no
 //! map: a node plane keeps a byte of crossed directions per node and the
 //! mesh index of the node's first crossing. Extraction is count → scan →
 //! emit: classify the crossed cubes of every layer, mark and count the
@@ -17,12 +36,7 @@
 //! vertices (node raster order) and triangles (cube raster order) into their
 //! own ranges of one pre-sized mesh — the same mesh for any chunking.
 //!
-//! Emitting is table look-ups and index arithmetic. Triangles face *lower*
-//! values, and the table knows which way round that is: the polygon cut from
-//! a linear tetrahedron is perpendicular to the interpolant's gradient, so
-//! its winding is a constant of (tetrahedron, inside-mask) under any
-//! orientation-preserving affine map — any finite positive spacing, which
-//! [`extract`] insists on — whatever the values. A vertex is interpolated
+//! Emitting is table look-ups and index arithmetic. A vertex is interpolated
 //! once, straight into the mesh, by the chunk that owns its plane; the plane
 //! on top of a chunk belongs to the chunk above, and the lower chunk only
 //! numbers it — that numbering is the one thing still done twice.
@@ -91,19 +105,6 @@ impl SampledGrid {
     }
 }
 
-/// The six Kuhn tetrahedra of a cube, as corner indices (`dx + 2dy + 4dz`).
-/// All share the main diagonal 0–7; every cube face is split along the same
-/// diagonal as its neighbor's matching face. Every edge runs from a corner
-/// to one whose bits contain it, so `lo ^ hi` is the edge's direction.
-const TETS: [[usize; 4]; 6] = [
-    [0, 1, 3, 7],
-    [0, 1, 5, 7],
-    [0, 2, 3, 7],
-    [0, 2, 6, 7],
-    [0, 4, 5, 7],
-    [0, 4, 6, 7],
-];
-
 /// Interpolation parameter clamp: keeps crossing vertices strictly off grid
 /// nodes so no triangle degenerates when a sample equals the iso-value.
 const T_EPS: f64 = 1e-6;
@@ -112,79 +113,73 @@ const T_EPS: f64 = 1e-6;
 /// never depends on the thread count.
 const CHUNK: usize = 32;
 
-/// Coordinate `axis` of cube corner `c`.
-const fn coord(c: usize, axis: usize) -> isize {
-    (c >> axis & 1) as isize
+/// The edge between two adjacent cube corners (`dx + 2dy + 4dz`) as
+/// `lo corner << 3 | direction`.
+const fn edge(p: usize, q: usize) -> usize {
+    (if p < q { p } else { q }) << 3 | (p ^ q)
 }
 
 /// Per cube inside-mask (bit `c`: corner `c` is at or above iso): how many
-/// triangles the cube emits, then each as three crossed edges, `lo corner <<
-/// 3 | direction`, wound to face lower values; tetrahedron by tetrahedron. A
-/// lone corner is cut off along its edges to the other three, ascending; two
-/// inside corners a < b against outside c < d give the quad AC → AD → BD → BC
-/// (consecutive edges share a tet face), fanned out from AC.
-const CUBE_TRIS: [(u8, [[u8; 3]; 12]); 256] = {
-    let mut out = [(0, [[0; 3]; 12]); 256];
-    let mut n = 0;
-    while n < 256 * 6 {
-        let (case, t) = (n / 6, n % 6);
-        // The tet's corners by side (outside, inside), ascending.
-        let (mut side, mut len, mut c) = ([[0; 4]; 2], [0; 2], 0);
-        while c < 4 {
-            let s = case >> TETS[t][c] & 1;
-            side[s][len[s]] = TETS[t][c];
-            len[s] += 1;
-            c += 1;
+/// triangles the cube emits, then each as three crossed [`edge`]s, wound to
+/// face lower values. Built from the face rule of the module doc: at most
+/// four loops of three to seven edges, at most five triangles.
+const CUBE_TRIS: [(u8, [[u8; 3]; 5]); 256] = {
+    let mut out = [(0, [[0; 3]; 5]); 256];
+    let mut case = 0;
+    while case < 256 {
+        // Per crossed edge, the edge its outgoing iso-segment ends on.
+        let mut next = [0; 64];
+        let mut face = 0;
+        while face < 6 {
+            // The face's corners counter-clockwise as seen from outside.
+            let (a, s) = (face >> 1, (face & 1) << (face >> 1));
+            let (u, v) = (1 << ((a + 1) % 3), 1 << ((a + 2) % 3));
+            let ring = if s != 0 {
+                [s, s | u, s | u | v, s | v]
+            } else {
+                [0, v, u | v, u]
+            };
+            let mut i = 0;
+            while i < 4 {
+                // Enter on the walk's step `i → i + 1`, leave on `j → j + 1`.
+                if case >> ring[i] & 1 == 0 && case >> ring[(i + 1) % 4] & 1 == 1 {
+                    let mut j = i + 1;
+                    while case >> ring[(j + 1) % 4] & 1 == 1 {
+                        j += 1;
+                    }
+                    next[edge(ring[i], ring[(i + 1) % 4])] = edge(ring[j % 4], ring[(j + 1) % 4]);
+                }
+                i += 1;
+            }
+            face += 1;
         }
-        let [o, i] = side;
-        let (a, b) = if len[1] == 3 { (o, i) } else { (i, o) };
-        let (from, to, count) = match len[1] {
-            0 | 4 => ([0; 4], [0; 4], 0),
-            2 => ([a[0], a[0], a[1], a[1]], [b[0], b[1], b[1], b[0]], 2),
-            _ => ([a[0]; 4], [b[0], b[1], b[2], 0], 1),
-        };
-        // Winding, decided on the polygon through the edge midpoints — the
-        // cut of the field +1 inside, −1 outside — in doubled unit-cube
-        // coordinates: `u` and `v` span its first triangle, and `w`, from an
-        // outside corner to an inside one, has the gradient's side of it.
-        let (mut u, mut v, mut w, mut axis) = ([0; 3], [0; 3], [0; 3], 0);
-        while axis < 3 {
-            let p = coord(from[0], axis) + coord(to[0], axis);
-            u[axis] = coord(from[1], axis) + coord(to[1], axis) - p;
-            v[axis] = coord(from[2], axis) + coord(to[2], axis) - p;
-            w[axis] = coord(i[0], axis) - coord(o[0], axis);
-            axis += 1;
-        }
-        let faces_up = (u[1] * v[2] - u[2] * v[1]) * w[0]
-            + (u[2] * v[0] - u[0] * v[2]) * w[1]
-            + (u[0] * v[1] - u[1] * v[0]) * w[2]
-            > 0;
-        let (mut edge, mut e) = ([0; 4], 0);
-        while e < 4 {
-            let lo = if from[e] < to[e] { from[e] } else { to[e] };
-            edge[e] = (lo << 3 | (from[e] ^ to[e])) as u8;
-            e += 1;
-        }
+        // Each loop, met at its lowest edge, as a fan from there.
         let (filled, tris) = &mut out[case];
-        e = 1;
-        while e <= count {
-            let (b, c) = if faces_up { (e + 1, e) } else { (e, e + 1) };
-            tris[*filled as usize] = [edge[0], edge[b], edge[c]];
-            *filled += 1;
+        let mut e = 0;
+        while e < 64 {
+            if next[e] != 0 {
+                let (mut b, mut c) = (next[e], next[next[e]]);
+                while c != e {
+                    tris[*filled as usize] = [e as u8, b as u8, c as u8];
+                    *filled += 1;
+                    (next[b], b, c) = (0, c, next[c]);
+                }
+                next[b] = 0;
+            }
             e += 1;
         }
-        n += 1;
+        case += 1;
     }
     out
 };
 
-/// Per cube inside-mask and lo corner: the directions (bit `d`) of the Kuhn
+/// Per cube inside-mask and lo corner: the directions (bit `d`) of the cube
 /// edges leaving that corner whose two ends lie on different sides.
 const CROSSED_DIRS: [[u8; 8]; 256] = {
     let mut out = [[0u8; 8]; 256];
     let mut n = 0;
-    while n < 256 * 64 {
-        let (case, lo, d) = (n >> 6, n >> 3 & 7, n & 7);
+    while n < 256 * 8 * 3 {
+        let (case, lo, d) = (n / 24, n / 3 % 8, 1 << (n % 3));
         if lo & d == 0 && (case >> lo ^ case >> (lo | d)) & 1 == 1 {
             out[case][lo] |= 1 << d;
         }
@@ -327,7 +322,7 @@ fn vertex_total(crossings: &[usize], dims: [usize; 3]) -> usize {
 
 /// Extracts the isosurface `value == iso` from a sampled grid, in parallel;
 /// the mesh is bit-identical at any thread count.
-pub fn marching_tetrahedra(grid: &SampledGrid, iso: f64) -> TriMesh {
+pub fn marching_cubes(grid: &SampledGrid, iso: f64) -> TriMesh {
     let mesh = extract(grid, iso, CHUNK);
     amrviz_obs::counter!("viz.triangles", mesh.num_triangles());
     mesh
@@ -403,7 +398,20 @@ fn extract(grid: &SampledGrid, iso: f64, chunk: usize) -> TriMesh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use crate::surface_compare::surface_distance;
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+    /// The six Kuhn tetrahedra of a cube, as corner indices (`dx + 2dy +
+    /// 4dz`), all around the main diagonal 0–7: the triangulator this module
+    /// marched before the cube table, kept as the [`reference`]'s.
+    const TETS: [[usize; 4]; 6] = [
+        [0, 1, 3, 7],
+        [0, 1, 5, 7],
+        [0, 2, 3, 7],
+        [0, 2, 6, 7],
+        [0, 4, 5, 7],
+        [0, 4, 6, 7],
+    ];
 
     fn sphere_grid(n: usize, r: f64) -> SampledGrid {
         // Field = r − |x − c|: positive inside the ball.
@@ -416,7 +424,7 @@ mod tests {
     #[test]
     fn sphere_is_watertight_with_correct_area() {
         let grid = sphere_grid(33, 0.3);
-        let mesh = marching_tetrahedra(&grid, 0.0);
+        let mesh = marching_cubes(&grid, 0.0);
         assert!(mesh.num_triangles() > 500);
         assert!(
             mesh.is_watertight(),
@@ -434,7 +442,7 @@ mod tests {
     #[test]
     fn sphere_normals_point_outward() {
         let grid = sphere_grid(17, 0.3);
-        let mesh = marching_tetrahedra(&grid, 0.0);
+        let mesh = marching_cubes(&grid, 0.0);
         for t in 0..mesh.num_triangles() {
             let n = mesh.face_normal(t);
             let c = mesh.face_centroid(t);
@@ -447,7 +455,7 @@ mod tests {
     #[test]
     fn sphere_vertices_lie_near_radius() {
         let grid = sphere_grid(33, 0.3);
-        let mesh = marching_tetrahedra(&grid, 0.0);
+        let mesh = marching_cubes(&grid, 0.0);
         let h = 1.0 / 32.0;
         for v in &mesh.vertices {
             let r = ((v[0] - 0.5).powi(2) + (v[1] - 0.5).powi(2) + (v[2] - 0.5).powi(2)).sqrt();
@@ -458,7 +466,7 @@ mod tests {
     #[test]
     fn plane_isosurface_is_flat() {
         let grid = SampledGrid::from_fn([9, 9, 9], [0.0; 3], [0.125; 3], |x, _, _| x);
-        let mesh = marching_tetrahedra(&grid, 0.5);
+        let mesh = marching_cubes(&grid, 0.5);
         assert!(!mesh.is_empty());
         for v in &mesh.vertices {
             assert!((v[0] - 0.5).abs() < 1e-5, "vertex off plane: {v:?}");
@@ -472,8 +480,8 @@ mod tests {
     #[test]
     fn empty_when_no_crossing() {
         let grid = SampledGrid::from_fn([5, 5, 5], [0.0; 3], [0.25; 3], |_, _, _| 1.0);
-        assert!(marching_tetrahedra(&grid, 2.0).is_empty());
-        assert!(marching_tetrahedra(&grid, 0.0).is_empty());
+        assert!(marching_cubes(&grid, 2.0).is_empty());
+        assert!(marching_cubes(&grid, 0.0).is_empty());
     }
 
     #[test]
@@ -485,7 +493,7 @@ mod tests {
             .map(|n| (n / (cd[0] * cd[1])) < 4)
             .collect();
         grid.cell_mask = Some(mask);
-        let mesh = marching_tetrahedra(&grid, 0.5);
+        let mesh = marching_cubes(&grid, 0.5);
         assert!(!mesh.is_empty());
         for v in &mesh.vertices {
             assert!(v[2] <= 0.5 + 1e-9, "vertex escaped mask: {v:?}");
@@ -500,7 +508,7 @@ mod tests {
         let grid = SampledGrid::from_fn([7, 7, 7], [0.0; 3], [1.0; 3], |x, y, z| {
             ((x + y + z) as i64 % 2) as f64
         });
-        let mesh = marching_tetrahedra(&grid, 0.5);
+        let mesh = marching_cubes(&grid, 0.5);
         for t in 0..mesh.num_triangles() {
             assert!(mesh.face_area(t) > 0.0, "degenerate triangle {t}");
         }
@@ -509,7 +517,7 @@ mod tests {
     #[test]
     fn degenerate_grid_dims() {
         let grid = SampledGrid::from_fn([1, 5, 5], [0.0; 3], [1.0; 3], |_, _, _| 1.0);
-        assert!(marching_tetrahedra(&grid, 0.5).is_empty());
+        assert!(marching_cubes(&grid, 0.5).is_empty());
     }
 
     #[test]
@@ -518,7 +526,7 @@ mod tests {
         // top plane is numbered by the chunk above; any disagreement between
         // the two would show up as open edges or duplicated vertices.
         let grid = sphere_grid(80, 0.35);
-        let mesh = marching_tetrahedra(&grid, 0.0);
+        let mesh = marching_cubes(&grid, 0.0);
         assert!(mesh.num_triangles() > 10_000);
         assert!(
             mesh.is_watertight(),
@@ -551,10 +559,11 @@ mod tests {
         vertex_total(&[u32::MAX as usize, 1], [3, 4, 5]);
     }
 
-    /// A deliberately naive reference extractor: every unmasked cube and
-    /// every tetrahedron on its own, heap-allocated case analysis, three
-    /// fresh vertices per triangle — a triangle soup, welded afterwards by
-    /// position bits. Shares only `TETS` and `T_EPS` with the real one.
+    /// A deliberately naive marching-tetrahedra extractor: every unmasked cube
+    /// and every tetrahedron on its own, heap-allocated case analysis, three
+    /// fresh vertices per triangle, each wound against the tetrahedron's
+    /// gradient — a triangle soup, welded afterwards by position bits. Shares
+    /// only `T_EPS` with the real one.
     fn reference(grid: &SampledGrid, iso: f64) -> TriMesh {
         type Corner = (usize, [f64; 3], f64);
         let [nx, ny, _] = grid.dims;
@@ -665,31 +674,143 @@ mod tests {
         mesh
     }
 
-    /// The mesh as a sorted list of triangles of position bits, each rotated
-    /// to lead with its smallest corner (winding preserved).
-    fn canonical(mesh: &TriMesh) -> Vec<[[u64; 3]; 3]> {
-        let mut tris: Vec<_> = mesh
-            .triangles
-            .iter()
-            .map(|t| {
-                let c = t.map(|v| mesh.vertices[v as usize].map(f64::to_bits));
-                let lead = (0..3).min_by_key(|&i| c[i]).unwrap();
-                [c[lead], c[(lead + 1) % 3], c[(lead + 2) % 3]]
-            })
-            .collect();
-        tris.sort_unstable();
-        tris
+    /// The crossed axis edges of the grid's unmasked cubes, `(lo node, axis)`,
+    /// keyed by the position bits of the one vertex each must get:
+    /// interpolated lo node → hi node and clamped off both.
+    fn crossings(grid: &SampledGrid, iso: f64) -> HashMap<[u64; 3], ([usize; 3], usize)> {
+        let [cx, cy, cz] = grid.cell_dims();
+        let mut out = HashMap::new();
+        for (n, (corner, axis)) in
+            (0..cx * cy * cz).flat_map(|n| (0..24).map(move |e| (n, (e / 3, e % 3))))
+        {
+            if corner >> axis & 1 == 1 || grid.cell_mask.as_ref().is_some_and(|m| !m[n]) {
+                continue;
+            }
+            let cube = [n % cx, n / cx % cy, n / (cx * cy)];
+            let lo: [usize; 3] = std::array::from_fn(|a| cube[a] + (corner >> a & 1));
+            let ((p, va), (r, vb)) = (grid.node(lo, 0), grid.node(lo, 1 << axis));
+            if (va >= iso) != (vb >= iso) {
+                let t = ((iso - va) / (vb - va)).clamp(T_EPS, 1.0 - T_EPS);
+                let at: [f64; 3] = std::array::from_fn(|a| p[a] + t * (r[a] - p[a]));
+                out.insert(at.map(f64::to_bits), (lo, axis));
+            }
+        }
+        out
     }
 
-    fn assert_matches_reference(grid: &SampledGrid, iso: f64) -> TriMesh {
-        let (mesh, want) = (marching_tetrahedra(grid, iso), reference(grid, iso));
-        assert_eq!(mesh.num_vertices(), want.num_vertices(), "welding differs");
-        assert_eq!(canonical(&mesh), canonical(&want), "triangle sets differ");
+    /// Checks the vertices — one per [`crossings`] entry and nothing else —
+    /// and returns the grid edge of each.
+    fn edges_of_vertices(grid: &SampledGrid, iso: f64, mesh: &TriMesh) -> Vec<([usize; 3], usize)> {
+        let want = crossings(grid, iso);
+        let edges: Vec<_> = mesh
+            .vertices
+            .iter()
+            .map(|v| {
+                *want
+                    .get(&v.map(f64::to_bits))
+                    .expect("a vertex off every crossed axis edge")
+            })
+            .collect();
+        let distinct: BTreeSet<_> = edges.iter().collect();
+        assert_eq!(distinct.len(), edges.len(), "a crossing has two vertices");
+        assert_eq!(edges.len(), want.len(), "a crossing has no vertex");
+        edges
+    }
+
+    /// The mesh's edges that triangles do not run along exactly once each
+    /// way: the open ones (once, one way) and the doubled ones (twice each
+    /// way), as vertex pairs. Anything else is a winding disagreement.
+    fn open_and_doubled_edges(mesh: &TriMesh) -> [Vec<(u32, u32)>; 2] {
+        let mut runs: BTreeMap<(u32, u32), [usize; 2]> = BTreeMap::new();
+        for t in &mesh.triangles {
+            for e in 0..3 {
+                let (a, b) = (t[e], t[(e + 1) % 3]);
+                runs.entry((a.min(b), a.max(b))).or_default()[(a > b) as usize] += 1;
+            }
+        }
+        let (mut open, mut doubled) = (Vec::new(), Vec::new());
+        for (edge, run) in runs {
+            match run {
+                [1, 1] => {}
+                [1, 0] | [0, 1] => open.push(edge),
+                [2, 2] => doubled.push(edge),
+                _ => panic!("edge {edge:?} is run along {run:?} times there and back"),
+            }
+        }
+        [open, doubled]
+    }
+
+    /// Whether the face of cube `lo` towards lower `axis` has two diagonal
+    /// corners inside and two outside.
+    fn ambiguous(grid: &SampledGrid, iso: f64, lo: [usize; 3], axis: usize) -> bool {
+        let inside = |du: usize, dv: usize| {
+            let mut node = lo;
+            node[(axis + 1) % 3] += du;
+            node[(axis + 2) % 3] += dv;
+            grid.node(node, 0).1 >= iso
+        };
+        inside(0, 0) == inside(1, 1) && inside(1, 0) == inside(0, 1) && inside(0, 0) != inside(1, 0)
+    }
+
+    /// What any extraction must be: a vertex on every crossed axis edge of an
+    /// unmasked cube and none elsewhere; every edge run along once each way
+    /// — or twice, where the fans of two cubes both cross their shared
+    /// ambiguous face — or open, in a cube face with an unmarched cube
+    /// (masked, or outside the grid) on exactly one side; and the same mesh
+    /// whatever the chunking.
+    fn assert_well_formed(grid: &SampledGrid, iso: f64) -> TriMesh {
+        let mesh = marching_cubes(grid, iso);
+        for chunk in [1, 5, CHUNK + 1, 1000] {
+            assert_eq!(extract(grid, iso, chunk), mesh, "chunk = {chunk}");
+        }
+        let edges = edges_of_vertices(grid, iso, &mesh);
+        let cd = grid.cell_dims();
+        let marched = |cube: [usize; 3]| {
+            (0..3).all(|a| cube[a] < cd[a])
+                && grid
+                    .cell_mask
+                    .as_ref()
+                    .is_none_or(|m| m[cube[0] + cd[0] * (cube[1] + cd[1] * cube[2])])
+        };
+        // The cube face both grid edges of a mesh edge lie in — the axis all
+        // four end nodes agree on, at the least of the nodes — as the cubes
+        // below and above it.
+        let face = |(a, b): (u32, u32)| {
+            let ends = [edges[a as usize], edges[b as usize]].map(|(lo, axis)| {
+                let mut hi = lo;
+                hi[axis] += 1;
+                [lo, hi]
+            });
+            let nodes = ends.as_flattened();
+            let mut across = (0..3).filter(|&c| nodes.iter().all(|n| n[c] == nodes[0][c]));
+            let axis = across.next().expect("the edge lies in a cube face");
+            assert_eq!(across.next(), None, "two grid edges in line");
+            let above: [usize; 3] =
+                std::array::from_fn(|c| nodes.iter().map(|n| n[c]).min().unwrap());
+            let mut below = above;
+            below[axis] = below[axis].wrapping_sub(1);
+            (below, above, axis)
+        };
+        let [open, doubled] = open_and_doubled_edges(&mesh);
+        for edge in open {
+            let (below, above, _) = face(edge);
+            assert!(
+                marched(above) != marched(below),
+                "open edge in the face between cubes {below:?} and {above:?}"
+            );
+        }
+        for edge in doubled {
+            let (below, above, axis) = face(edge);
+            assert!(
+                marched(above) && marched(below) && ambiguous(grid, iso, above, axis),
+                "doubled edge in the face between cubes {below:?} and {above:?}"
+            );
+        }
         mesh
     }
 
     #[test]
-    fn matches_the_naive_reference_on_random_masked_grids() {
+    fn random_masked_grids_are_welded_closed_and_chunk_invariant() {
         // Layer counts around the chunk size: under one chunk, exactly one,
         // one layer into the second, and into the third and fourth.
         for cz in [1, 31, 32, 33, 65, 97] {
@@ -712,18 +833,67 @@ mod tests {
                             .collect(),
                     );
                 }
-                assert_matches_reference(&grid, iso);
+                assert_well_formed(&grid, iso);
             });
         }
     }
 
+    /// The iso-segments of every cube face, as unordered pairs of edge
+    /// codes, decided from the face's four signs by cases — one, three, two
+    /// adjacent or two diagonal corners inside — with no walk and no table.
+    fn face_segments(case: usize) -> BTreeSet<[u8; 2]> {
+        let mut segments = BTreeSet::new();
+        for (a, side) in (0..3).flat_map(|a| [(a, 0), (a, 1)]) {
+            let (u, v) = ((a + 1) % 3, (a + 2) % 3);
+            let corner = |i: usize, j: usize| side << a | i << u | j << v;
+            let inside = |i: usize, j: usize| case >> corner(i, j) & 1 == 1;
+            let code = |p: usize, q: usize| edge(p, q) as u8;
+            let mut segment = |mut s: [u8; 2]| {
+                s.sort_unstable();
+                segments.insert(s);
+            };
+            // Cutting a corner off joins its two face edges.
+            let cut = |i: usize, j: usize| {
+                let c = corner(i, j);
+                [code(c, corner(1 - i, j)), code(c, corner(i, 1 - j))]
+            };
+            let all = [(0, 0), (1, 0), (1, 1), (0, 1)];
+            let lone = |is_in: bool| all.into_iter().find(|&(i, j)| inside(i, j) == is_in);
+            match all.iter().filter(|&&(i, j)| inside(i, j)).count() {
+                1 => segment(lone(true).map(|(i, j)| cut(i, j)).unwrap()),
+                3 => segment(lone(false).map(|(i, j)| cut(i, j)).unwrap()),
+                // Diagonal: each inside corner on its own.
+                2 if inside(0, 0) == inside(1, 1) => {
+                    let i = inside(0, 0) as usize;
+                    segment(cut(1 - i, 0));
+                    segment(cut(i, 1));
+                }
+                // Adjacent: straight across, between the two split edges.
+                2 if inside(0, 0) == inside(1, 0) => segment([
+                    code(corner(0, 0), corner(0, 1)),
+                    code(corner(1, 0), corner(1, 1)),
+                ]),
+                2 => segment([
+                    code(corner(0, 0), corner(1, 0)),
+                    code(corner(0, 1), corner(1, 1)),
+                ]),
+                _ => {}
+            }
+        }
+        segments
+    }
+
     #[test]
-    fn every_crossing_case_on_an_anisotropic_cube_matches_the_reference() {
-        // One cube per inside-mask, winding included (`canonical` keeps it).
-        // Excesses down to 1e-9 clamp crossings at both `T_EPS` ends; the
-        // second kind of draw puts inside corners exactly on the iso-value.
+    fn every_case_on_an_anisotropic_cube_draws_the_face_segments() {
+        // The construction, proved per case: the patch's rim is exactly what
+        // each face's own four signs dictate, so two cubes sharing a face
+        // cannot disagree. Excesses down to 1e-9 clamp crossings at both
+        // `T_EPS` ends; the second kind of draw puts inside corners exactly
+        // on the iso-value.
         let iso = 0.5;
-        for (case, &(count, _)) in CUBE_TRIS.iter().enumerate().take(255).skip(1) {
+        let mut histogram = [0; 6];
+        for (case, &(count, _)) in CUBE_TRIS.iter().enumerate() {
+            histogram[count as usize] += 1;
             amrviz_rng::check(0xca5e + case as u64, 40, |rng| {
                 let on_iso = rng.chance(0.5);
                 let mut corner = 0;
@@ -742,9 +912,218 @@ mod tests {
                         }
                     },
                 );
-                let mesh = assert_matches_reference(&grid, iso);
+                let mesh = marching_cubes(&grid, iso);
                 assert_eq!(mesh.num_triangles(), count as usize);
+                // Vertex → edge code; every crossed edge has its vertex.
+                let codes: Vec<u8> = edges_of_vertices(&grid, iso, &mesh)
+                    .iter()
+                    .map(|&([i, j, k], axis)| ((i + 2 * j + 4 * k) << 3 | 1 << axis) as u8)
+                    .collect();
+                let used: BTreeSet<u32> = mesh.triangles.iter().flatten().copied().collect();
+                assert_eq!(used.len(), codes.len(), "a crossed edge is in no triangle");
+                // Inside the patch edges pair up in opposite directions; what
+                // is left over is the rim.
+                let [open, doubled] = open_and_doubled_edges(&mesh);
+                assert_eq!(doubled, [], "one cube runs along an edge twice");
+                let rim: BTreeSet<[u8; 2]> = open
+                    .iter()
+                    .map(|&(a, b)| {
+                        let mut s = [codes[a as usize], codes[b as usize]];
+                        s.sort_unstable();
+                        s
+                    })
+                    .collect();
+                assert_eq!(rim, face_segments(case), "case {case:#010b}");
+                // Each loop is fanned from its lowest edge: the least code
+                // the rim connects the apex to is the apex itself.
+                let mut lowest: BTreeMap<u8, u8> = codes.iter().map(|&c| (c, c)).collect();
+                for _ in 0..rim.len() {
+                    for s in &rim {
+                        let least = lowest[&s[0]].min(lowest[&s[1]]);
+                        lowest.extend(s.map(|code| (code, least)));
+                    }
+                }
+                for t in &mesh.triangles {
+                    let apex = codes[t[0] as usize];
+                    assert_eq!(lowest[&apex], apex, "fan apex of {t:?}");
+                }
             });
+        }
+        assert_eq!(histogram, [2, 16, 50, 80, 76, 32], "triangles per case");
+    }
+
+    #[test]
+    fn every_case_closes_into_an_outward_wound_surface() {
+        // Winding, decided globally rather than per triangle (the fan of a
+        // non-planar loop may fold): the mask set into the middle cube of a
+        // 4³-node grid otherwise below iso bounds a region, so the mesh is
+        // closed, every edge is run along once each way, and the enclosed
+        // volume is positive when the triangles face the lower values.
+        let iso = 0.5;
+        for case in 1..=255usize {
+            amrviz_rng::check(0xc105ed + case as u64, 20, |rng| {
+                let mut node = 0;
+                let grid = SampledGrid::from_fn(
+                    [4; 3],
+                    [-1.0, 0.0, 2.0],
+                    [0.5, 0.25, 0.125],
+                    |_, _, _| {
+                        let at = [node % 4, node / 4 % 4, node / 16];
+                        node += 1;
+                        let excess = rng.range_f64(0.05, 1.0);
+                        let middle = at.iter().all(|&c| c == 1 || c == 2);
+                        let corner = (at[0] - 1) + 2 * (at[1] - 1) + 4 * (at[2] - 1);
+                        match middle && case >> corner & 1 == 1 {
+                            true => iso + excess,
+                            false => iso - excess,
+                        }
+                    },
+                );
+                let mesh = assert_well_formed(&grid, iso);
+                let [open, doubled] = open_and_doubled_edges(&mesh);
+                assert!(open.is_empty() && doubled.is_empty(), "case {case:#010b}");
+                let o = mesh.vertices[0];
+                let volume: f64 = mesh
+                    .triangles
+                    .iter()
+                    .map(|t| {
+                        let [a, b, c] = t.map(|v| {
+                            let p = mesh.vertices[v as usize];
+                            [p[0] - o[0], p[1] - o[1], p[2] - o[2]]
+                        });
+                        a[0] * (b[1] * c[2] - b[2] * c[1])
+                            + a[1] * (b[2] * c[0] - b[0] * c[2])
+                            + a[2] * (b[0] * c[1] - b[1] * c[0])
+                    })
+                    .sum::<f64>()
+                    / 6.0;
+                assert!(volume > 1e-6, "case {case:#010b} encloses {volume:e}");
+            });
+        }
+    }
+
+    /// Per connected component of the mesh, its Euler characteristic
+    /// `V − E + F`, sorted.
+    fn euler_characteristics(mesh: &TriMesh) -> Vec<i64> {
+        let mut root: Vec<usize> = (0..mesh.num_vertices()).collect();
+        fn find(root: &mut [usize], mut v: usize) -> usize {
+            while root[v] != v {
+                root[v] = root[root[v]];
+                v = root[v];
+            }
+            v
+        }
+        for t in &mesh.triangles {
+            for e in 1..3 {
+                let (a, b) = (
+                    find(&mut root, t[0] as usize),
+                    find(&mut root, t[e] as usize),
+                );
+                root[a] = b;
+            }
+        }
+        let mut chi: HashMap<usize, i64> = HashMap::new();
+        for v in 0..mesh.num_vertices() {
+            *chi.entry(find(&mut root, v)).or_default() += 1;
+        }
+        let mut edges = BTreeSet::new();
+        for t in &mesh.triangles {
+            *chi.entry(find(&mut root, t[0] as usize)).or_default() += 1;
+            for e in 0..3 {
+                let (a, b) = (t[e], t[(e + 1) % 3]);
+                if edges.insert((a.min(b), a.max(b))) {
+                    *chi.entry(find(&mut root, a as usize)).or_default() -= 1;
+                }
+            }
+        }
+        let mut chi: Vec<i64> = chi.into_values().collect();
+        chi.sort_unstable();
+        chi
+    }
+
+    /// The cubes the mesh's triangles lie in, by centroid.
+    fn crossed_cubes(grid: &SampledGrid, mesh: &TriMesh) -> BTreeSet<[usize; 3]> {
+        (0..mesh.num_triangles())
+            .map(|t| {
+                let c = mesh.face_centroid(t);
+                std::array::from_fn(|a| ((c[a] - grid.origin[a]) / grid.spacing[a]) as usize)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn smooth_fields_match_the_tetrahedral_reference() {
+        // Where no face is ambiguous the two triangulators cut the same
+        // cubes into the same surface, up to how each cube's patch is split.
+        let ball = |c: [f64; 3], r: f64| {
+            move |x: f64, y: f64, z: f64| {
+                r - ((x - c[0]).powi(2) + (y - c[1]).powi(2) + (z - c[2]).powi(2)).sqrt()
+            }
+        };
+        let (one, other) = (ball([0.3, 0.3, 0.3], 0.17), ball([0.7, 0.68, 0.72], 0.21));
+        type Field = Box<dyn Fn(f64, f64, f64) -> f64>;
+        let fields: [(&str, Field); 5] = [
+            ("sphere", Box::new(ball([0.5; 3], 0.3))),
+            ("offset sphere", Box::new(ball([0.53, 0.47, 0.51], 0.3))),
+            (
+                "torus",
+                Box::new(|x, y, z| {
+                    let ring = ((x - 0.5).powi(2) + (y - 0.5).powi(2)).sqrt() - 0.27;
+                    0.13 - (ring * ring + (z - 0.5).powi(2)).sqrt()
+                }),
+            ),
+            (
+                "two spheres",
+                Box::new(move |x, y, z| one(x, y, z).max(other(x, y, z))),
+            ),
+            (
+                "masked plane",
+                Box::new(|x, y, z| 0.4 * x + 0.3 * y + z - 0.83),
+            ),
+        ];
+        let n = 25;
+        let h = 1.0 / (n - 1) as f64;
+        for (name, field) in fields {
+            let mut grid = SampledGrid::from_fn([n; 3], [0.0; 3], [h; 3], field);
+            if name == "masked plane" {
+                let cd = grid.cell_dims();
+                let cells =
+                    (0..cd[0] * cd[1] * cd[2]).map(|c| (c % cd[0] + c / cd[0] % cd[1]) % 7 != 3);
+                grid.cell_mask = Some(cells.collect());
+            }
+            let faces = (0..n * n * n)
+                .flat_map(|c| (0..3).map(move |a| ([c % n, c / n % n, c / (n * n)], a)));
+            let unambiguous = faces
+                .filter(|&(lo, a)| lo[(a + 1) % 3] < n - 1 && lo[(a + 2) % 3] < n - 1)
+                .all(|(lo, a)| !ambiguous(&grid, 0.0, lo, a));
+            assert!(unambiguous, "{name}: not a field this comparison is for");
+            let (mesh, want) = (assert_well_formed(&grid, 0.0), reference(&grid, 0.0));
+            assert_eq!(
+                crossed_cubes(&grid, &mesh),
+                crossed_cubes(&grid, &want),
+                "{name}"
+            );
+            assert_eq!(
+                euler_characteristics(&mesh),
+                euler_characteristics(&want),
+                "{name}"
+            );
+            let close = |a: f64, b: f64| (a - b).abs() <= 0.02 * b;
+            let (area, rim) = (mesh.total_area(), mesh.boundary_length());
+            assert!(
+                close(area, want.total_area()),
+                "{name}: area {area} vs {}",
+                want.total_area()
+            );
+            assert!(
+                close(rim, want.boundary_length()),
+                "{name}: rim {rim} vs {}",
+                want.boundary_length()
+            );
+            for (from, to) in [(&mesh, &want), (&want, &mesh)] {
+                let far = surface_distance(from, to).expect("both non-empty").max;
+                assert!(far <= h, "{name}: {far} apart, a cell is {h}");
+            }
         }
     }
 
@@ -752,7 +1131,7 @@ mod tests {
     #[should_panic(expected = "spacing [0.5, 0.0, 0.125] is not finite and positive")]
     fn zero_spacing_is_refused() {
         let grid = SampledGrid::from_fn([3; 3], [0.0; 3], [0.5, 0.0, 0.125], |x, _, _| x);
-        marching_tetrahedra(&grid, 0.25);
+        marching_cubes(&grid, 0.25);
     }
 
     #[test]
@@ -760,14 +1139,14 @@ mod tests {
     fn negative_spacing_is_refused() {
         // A mirrored grid would mirror every triangle's winding with it.
         let grid = SampledGrid::from_fn([3; 3], [0.0; 3], [0.5, 0.25, -0.125], |x, _, _| x);
-        marching_tetrahedra(&grid, 0.25);
+        marching_cubes(&grid, 0.25);
     }
 
     #[test]
     fn crossings_only_the_chunk_below_references_are_still_emitted() {
         // 64 layers, two chunks; the field leaves zero only on node plane 32,
         // the boundary plane, which the upper chunk owns. Layer 32 is masked
-        // out entirely and layer 31 has a hole: the in-plane crossings of
+        // out entirely and layer 31 has a hole: the x and y crossings within
         // plane 32 are referenced from the lower chunk alone.
         let plane = CHUNK;
         let mut grid =
@@ -781,7 +1160,7 @@ mod tests {
             k != plane && !(k == plane - 1 && i == 1 && j == 2)
         });
         grid.cell_mask = Some(mask.collect());
-        let mesh = assert_matches_reference(&grid, 0.5);
+        let mesh = assert_well_formed(&grid, 0.5);
         let on_plane = mesh
             .vertices
             .iter()
@@ -805,7 +1184,7 @@ mod tests {
         let grid = SampledGrid::from_fn([33, 33, 33], [0.0; 3], [1.0 / 32.0; 3], |x, y, z| {
             0.3 - ((x - c[0]).powi(2) + (y - c[1]).powi(2) + (z - c[2]).powi(2)).sqrt()
         });
-        let mesh = marching_tetrahedra(&grid, 0.0);
+        let mesh = marching_cubes(&grid, 0.0);
         assert!(mesh.is_watertight());
         let exact = 4.0 * std::f64::consts::PI * 0.09;
         assert!((mesh.total_area() - exact).abs() / exact < 0.05);

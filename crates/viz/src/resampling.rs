@@ -12,7 +12,7 @@
 use amrviz_amr::multifab::rasterize_into;
 use amrviz_amr::{AmrHierarchy, MultiFab, Raster};
 
-use crate::marching::{marching_tetrahedra, SampledGrid};
+use crate::marching::{marching_cubes, SampledGrid};
 use crate::mesh::TriMesh;
 
 /// Extracts the `iso` surface of one level using the re-sampling method.
@@ -64,7 +64,7 @@ pub fn extract_resampled_level(
         cell_mask: Some(mask),
     };
     let _sp = amrviz_obs::span!("resample.march", level = lev);
-    marching_tetrahedra(&grid, iso)
+    marching_cubes(&grid, iso)
 }
 
 /// The vertex-centered grid of a level: node (i, j, k) averages the ≤ 8

@@ -375,14 +375,14 @@ pub fn normal_roughness(mesh: &TriMesh) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::marching::{marching_tetrahedra, SampledGrid};
+    use crate::marching::{marching_cubes, SampledGrid};
 
     fn sphere_mesh(n: usize, r: f64, c: [f64; 3]) -> TriMesh {
         let grid =
             SampledGrid::from_fn([n, n, n], [0.0; 3], [1.0 / (n - 1) as f64; 3], |x, y, z| {
                 r - ((x - c[0]).powi(2) + (y - c[1]).powi(2) + (z - c[2]).powi(2)).sqrt()
             });
-        marching_tetrahedra(&grid, 0.0)
+        marching_cubes(&grid, 0.0)
     }
 
     fn assert_pt(got: [f64; 3], want: [f64; 3]) {

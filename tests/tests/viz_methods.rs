@@ -64,7 +64,7 @@ fn methods_agree_on_surface_location_for_original_data() {
 
 #[test]
 fn per_level_meshes_are_watertight_away_from_boundaries() {
-    // Within one level the tetrahedral extraction is watertight; open edges
+    // Within one level the marching-cubes extraction is watertight; open edges
     // only appear at level interfaces and domain boundaries. Check the
     // single-level case has *no* open edges at all for an interior surface.
     let built = Scenario::new(Application::Nyx, Scale::Tiny, 8).build();
