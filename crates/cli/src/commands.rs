@@ -1,5 +1,6 @@
 //! Implementations of the `amrviz` subcommands.
 
+use std::io::Write;
 use std::path::Path;
 
 use amrviz_amr::plotfile::{read_plotfile, write_plotfile};
@@ -11,12 +12,17 @@ use amrviz_compress::{
     FabStatus, SzLr,
 };
 use amrviz_core::args::{parse, Parsed};
-use amrviz_render::{
-    render_mesh, render_slice, render_volume, Camera, RenderOptions, SliceOptions, VolumeOptions,
-};
+use amrviz_core::experiment::standard_camera;
+use amrviz_render::{render_mesh, render_slice, RenderOptions};
+use amrviz_serve::telemetry::dominant_stage;
 use amrviz_sim::solver::AmrAdvection;
 use amrviz_sim::{NyxScenario, Scale, WarpxScenario};
 use amrviz_viz::{extract_amr_isosurface, obj, IsoMethod};
+
+/// The `(value flags, switches)` a subcommand accepts, without the `--`. Each
+/// command parses with its own pair, and `usage_and_parsers_agree` holds the
+/// usage text to the same lists.
+pub type Flags = (&'static [&'static str], &'static [&'static str]);
 
 fn algo(name: Option<&str>) -> Result<Box<dyn Compressor>, String> {
     let name = name.unwrap_or("szlr");
@@ -65,8 +71,9 @@ fn iso_value(p: &Parsed, hier: &AmrHierarchy, field: &str) -> Result<f64, String
     Ok(*val)
 }
 
+pub const GENERATE_FLAGS: Flags = (&["out", "scale", "seed"], &["all-fields"]);
 pub fn generate(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv, &["out", "scale", "seed"], &["all-fields"])?;
+    let p = parse(argv, GENERATE_FLAGS.0, GENERATE_FLAGS.1)?;
     let app = p.positional(0, "application (nyx|warpx)")?;
     let out = p.required("out")?;
     let scale = match p.opt("scale") {
@@ -95,8 +102,9 @@ pub fn generate(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub const SIMULATE_FLAGS: Flags = (&["out", "n", "steps", "snap-every"], &[]);
 pub fn simulate(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv, &["out", "n", "steps", "snap-every"], &[])?;
+    let p = parse(argv, SIMULATE_FLAGS.0, SIMULATE_FLAGS.1)?;
     let out = Path::new(p.required("out")?);
     let n = p.opt_parse::<usize>("n")?.unwrap_or(32);
     let steps = p.opt_parse::<u64>("steps")?.unwrap_or(24);
@@ -130,8 +138,9 @@ pub fn simulate(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub const INFO_FLAGS: Flags = (&[], &[]);
 pub fn info(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv, &[], &[])?;
+    let p = parse(argv, INFO_FLAGS.0, INFO_FLAGS.1)?;
     let hier = load(p.positional(0, "plotfile path")?)?;
     println!("levels:      {}", hier.num_levels());
     println!("ref ratios:  {:?}", hier.ref_ratios());
@@ -160,12 +169,9 @@ pub fn info(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub const COMPRESS_FLAGS: Flags = (&["field", "out", "algo", "rel", "abs"], &["skip-redundant"]);
 pub fn compress(argv: &[String]) -> Result<(), String> {
-    let p = parse(
-        argv,
-        &["field", "out", "algo", "rel", "abs"],
-        &["skip-redundant"],
-    )?;
+    let p = parse(argv, COMPRESS_FLAGS.0, COMPRESS_FLAGS.1)?;
     let hier = load(p.positional(0, "plotfile path")?)?;
     let field = p.required("field")?;
     let out = p.required("out")?;
@@ -196,12 +202,9 @@ pub fn compress(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub const DECOMPRESS_FLAGS: Flags = (&["out", "algo", "field"], &["skip-redundant", "degrade"]);
 pub fn decompress(argv: &[String]) -> Result<(), String> {
-    let p = parse(
-        argv,
-        &["out", "algo", "field"],
-        &["skip-redundant", "degrade"],
-    )?;
+    let p = parse(argv, DECOMPRESS_FLAGS.0, DECOMPRESS_FLAGS.1)?;
     let hier = load(p.positional(0, "plotfile path (for structure)")?)?;
     let stream_path = p.positional(1, "compressed stream path")?;
     let out = p.required("out")?;
@@ -265,8 +268,9 @@ pub fn decompress(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub const EXTRACT_FLAGS: Flags = (&["field", "out", "iso", "quantile", "method"], &[]);
 pub fn extract(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv, &["field", "out", "iso", "quantile", "method"], &[])?;
+    let p = parse(argv, EXTRACT_FLAGS.0, EXTRACT_FLAGS.1)?;
     let hier = load(p.positional(0, "plotfile path")?)?;
     let field = p.required("field")?;
     let out = p.required("out")?;
@@ -288,36 +292,19 @@ pub fn extract(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub const RENDER_FLAGS: Flags = (
+    &[
+        "field", "out", "iso", "quantile", "method", "mode", "width", "height",
+    ],
+    &["log"],
+);
 pub fn render(argv: &[String]) -> Result<(), String> {
-    let p = parse(
-        argv,
-        &[
-            "field", "out", "iso", "quantile", "method", "mode", "width", "height",
-        ],
-        &["log"],
-    )?;
+    let p = parse(argv, RENDER_FLAGS.0, RENDER_FLAGS.1)?;
     let hier = load(p.positional(0, "plotfile path")?)?;
     let field = p.required("field")?;
     let out = p.required("out")?;
     let width = p.opt_parse::<usize>("width")?.unwrap_or(960);
     let height = p.opt_parse::<usize>("height")?.unwrap_or(720);
-
-    let g = hier.geometry();
-    let center = [
-        0.5 * (g.prob_lo[0] + g.prob_hi[0]),
-        0.5 * (g.prob_lo[1] + g.prob_hi[1]),
-        0.5 * (g.prob_lo[2] + g.prob_hi[2]),
-    ];
-    let diag = (0..3)
-        .map(|a| (g.prob_hi[a] - g.prob_lo[a]).powi(2))
-        .sum::<f64>()
-        .sqrt();
-    let eye = [
-        center[0] - diag,
-        center[1] - 0.6 * diag,
-        center[2] + 0.5 * diag,
-    ];
-    let cam = Camera::orthographic(eye, center, 0.55 * diag);
 
     let img = match p.opt("mode").unwrap_or("surface") {
         "surface" => {
@@ -329,53 +316,23 @@ pub fn render(argv: &[String]) -> Result<(), String> {
                 "surface @ iso {iso:.6e}: {} triangles",
                 mesh.num_triangles()
             );
-            render_mesh(
-                &mesh,
-                &cam,
-                &RenderOptions {
-                    width,
-                    height,
-                    ..Default::default()
-                },
-            )
+            let cam = standard_camera(hier.geometry());
+            render_mesh(&mesh, &cam, &RenderOptions { width, height })
         }
-        "slice" => render_slice(
-            &hier,
-            field,
-            &SliceOptions {
-                log_scale: p.switch("log"),
-                ..Default::default()
-            },
-        )
-        .map_err(|e| e.to_string())?,
-        "volume" => {
-            let uniform = flatten_to_finest(&hier, field, Upsample::PiecewiseConstant)
-                .map_err(|e| e.to_string())?;
-            render_volume(
-                &uniform,
-                g.prob_lo,
-                g.prob_hi,
-                &cam,
-                &VolumeOptions {
-                    width,
-                    height,
-                    log_scale: p.switch("log"),
-                    ..Default::default()
-                },
-            )
-        }
-        other => return Err(format!("unknown mode `{other}` (surface|slice|volume)")),
+        "slice" => render_slice(&hier, field, p.switch("log")).map_err(|e| e.to_string())?,
+        other => return Err(format!("unknown mode `{other}` (surface|slice)")),
     };
     img.save_png(Path::new(out)).map_err(|e| e.to_string())?;
     println!("wrote {out} ({}x{})", img.width, img.height);
     Ok(())
 }
 
+pub const DIFF_FLAGS: Flags = (&["field", "field-b"], &[]);
 /// Compares a field across two plotfiles on the uniform-resolution merge:
 /// PSNR, SSIM, R-SSIM, max error — the quality check for a compression
 /// round-trip.
 pub fn diff(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv, &["field", "field-b"], &[])?;
+    let p = parse(argv, DIFF_FLAGS.0, DIFF_FLAGS.1)?;
     let ha = load(p.positional(0, "first plotfile")?)?;
     let hb = load(p.positional(1, "second plotfile")?)?;
     let fa = p.required("field")?;
@@ -406,14 +363,14 @@ pub fn diff(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub const TORTURE_FLAGS: Flags = (
+    &["iters", "seed", "max-peak-mb", "recipes", "workers"],
+    &["serve"],
+);
 /// Fault-injection sweep: corrupt known-good streams and assert every
 /// decoder errors gracefully within its memory budget.
 pub fn torture(argv: &[String]) -> Result<(), String> {
-    let p = parse(
-        argv,
-        &["iters", "seed", "max-peak-mb", "recipes", "workers"],
-        &["serve"],
-    )?;
+    let p = parse(argv, TORTURE_FLAGS.0, TORTURE_FLAGS.1)?;
     if p.switch("serve") {
         return serve_torture(&p);
     }
@@ -454,32 +411,23 @@ pub fn torture(argv: &[String]) -> Result<(), String> {
     }
 }
 
-/// Pretty-prints continuous-telemetry artifacts: a `--journal` JSONL file
-/// or a `--metrics-out` snapshot. Journals written by newer binaries may
-/// carry event kinds this binary doesn't know; those (and malformed lines)
-/// warn and are skipped so the tool stays useful across versions —
-/// `--strict` restores hard failure on the first bad line (the CI
+pub const STATS_FLAGS: Flags = (&["slo"], &["strict"]);
+/// Pretty-prints a `--journal` JSONL file. Journals written by newer
+/// binaries may carry event kinds this binary doesn't know; those (and
+/// malformed lines) warn and are skipped so the tool stays useful across
+/// versions — `--strict` restores hard failure on the first bad line (the CI
 /// well-formedness check). `--slo SPEC` additionally gates the journal's
 /// server-side outcomes against a declared objective.
 pub fn stats(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv, &["slo"], &["strict"])?;
+    let p = parse(argv, STATS_FLAGS.0, STATS_FLAGS.1)?;
     p.report_warnings();
-    let path = p.positional(0, "telemetry file (journal JSONL or metrics snapshot)")?;
+    let path = p.positional(0, "journal file (JSONL)")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let first = text
-        .lines()
-        .find(|l| !l.trim().is_empty())
-        .ok_or(format!("{path} is empty"))?;
-    let head = amrviz_json::Json::parse(first).map_err(|e| format!("{path}:1: {e}"))?;
-    let is_snapshot = head
-        .get("schema")
-        .and_then(|s| s.as_str())
-        .is_some_and(|s| s.starts_with("amrviz-metrics"));
-    if is_snapshot {
-        stats_snapshot(path, &head)
-    } else {
-        stats_journal(path, &text, p.switch("strict"), p.opt("slo"))
+    if text.trim().is_empty() {
+        return Err(format!("{path} is empty"));
     }
+    let mut out = std::io::stdout().lock();
+    stats_journal(&mut out, path, &text, p.switch("strict"), p.opt("slo"))
 }
 
 /// One parsed `kind: "span"` journal line.
@@ -521,7 +469,13 @@ struct SloEvent {
 /// Journal event kinds this binary understands.
 const KNOWN_KINDS: [&str; 5] = ["span", "serve", "meta", "fault", "slo"];
 
-fn stats_journal(path: &str, text: &str, strict: bool, slo: Option<&str>) -> Result<(), String> {
+fn stats_journal(
+    out: &mut dyn Write,
+    path: &str,
+    text: &str,
+    strict: bool,
+    slo: Option<&str>,
+) -> Result<(), String> {
     let mut kinds: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
     let mut spans: Vec<JournalSpan> = Vec::new();
     let mut serve_lines: Vec<ServeLine> = Vec::new();
@@ -644,174 +598,198 @@ fn stats_journal(path: &str, text: &str, strict: bool, slo: Option<&str>) -> Res
         }
     }
 
-    if skipped > 0 {
-        println!("journal {path}: {n_lines} lines, {dropped} dropped, {skipped} skipped");
-    } else {
-        println!("journal {path}: {n_lines} lines, {dropped} dropped");
-    }
-    for (kind, n) in &kinds {
-        println!("  {kind:<12} {n}");
-    }
-    if !serve_lines.is_empty() {
-        print_serve_summary(&serve_lines);
-        print_tail_breakdown(&serve_lines);
-    }
-    if !slo_events.is_empty() {
-        println!("slo events ({}):", slo_events.len());
-        println!(
-            "  {:<20} {:<6} {:>12} {:>10} {:>8} {:>9}",
-            "spec", "window", "good/total", "p99 ms", "burn", "breached"
-        );
-        for e in &slo_events {
-            println!(
-                "  {:<20} {:<6} {:>12} {:>10.2} {:>8.2} {:>9}",
-                e.spec,
-                e.window,
-                format!("{}/{}", e.good, e.total),
-                e.p99_us as f64 / 1e3,
-                e.burn,
-                e.breached
-            );
+    // `--slo SPEC`: gate the journal's server-side outcomes against a
+    // declared objective, whole journal as one window. Exact-rank p99 (not
+    // log-bucketed) since the raw latencies are all in hand. Judged before
+    // anything is printed, so a reader that hangs up early cannot skip it.
+    let gate = match slo {
+        None => None,
+        Some(spec_str) => {
+            let spec = amrviz_serve::slo::SloSpec::parse(spec_str)?;
+            // The live STATS endpoint's rule, applied to the journal's status
+            // names: client-attributable errors don't burn the server's
+            // budget. A name this build does not know counts, and is not good.
+            let status = |l: &ServeLine| amrviz_serve::Status::from_name(&l.result);
+            let server: Vec<&ServeLine> = serve_lines
+                .iter()
+                .filter(|l| {
+                    l.role == "server"
+                        && status(l).is_none_or(amrviz_serve::Status::counts_toward_slo)
+                })
+                .collect();
+            let good = server
+                .iter()
+                .filter(|l| status(l).is_some_and(amrviz_serve::Status::is_good))
+                .count() as u64;
+            let mut lat: Vec<u64> = server.iter().map(|l| l.elapsed_us).collect();
+            lat.sort_unstable();
+            let reading = amrviz_serve::slo::WindowReading {
+                label: "journal",
+                secs: 0,
+                good,
+                total: server.len() as u64,
+                p99_us: amrviz_obs::hist::exact_percentile(&lat, 0.99),
+            };
+            Some((server.len(), amrviz_serve::slo::evaluate(&spec, &[reading])))
         }
-    }
+    };
 
-    // Stitch spans into per-trace trees, traces in first-seen order.
-    let mut trace_order: Vec<String> = Vec::new();
-    let mut by_trace: std::collections::BTreeMap<String, Vec<usize>> = Default::default();
-    for (i, s) in spans.iter().enumerate() {
-        if !by_trace.contains_key(&s.trace) {
-            trace_order.push(s.trace.clone());
+    let printed = (|| -> std::io::Result<()> {
+        if skipped > 0 {
+            writeln!(
+                out,
+                "journal {path}: {n_lines} lines, {dropped} dropped, {skipped} skipped"
+            )?;
+        } else {
+            writeln!(out, "journal {path}: {n_lines} lines, {dropped} dropped")?;
         }
-        by_trace.entry(s.trace.clone()).or_default().push(i);
-    }
-    const MAX_TRACES: usize = 20;
-    for trace in trace_order.iter().take(MAX_TRACES) {
-        let idxs = &by_trace[trace];
-        println!("trace {trace} ({} spans):", idxs.len());
-        let ids: std::collections::BTreeSet<u64> = idxs.iter().map(|&i| spans[i].id).collect();
-        let mut children: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
-        let mut roots: Vec<usize> = Vec::new();
-        for &i in idxs {
-            let s = &spans[i];
-            if s.parent != 0 && ids.contains(&s.parent) {
-                children.entry(s.parent).or_default().push(i);
-            } else {
-                roots.push(i);
+        for (kind, n) in &kinds {
+            writeln!(out, "  {kind:<12} {n}")?;
+        }
+        if !serve_lines.is_empty() {
+            print_serve_summary(out, &serve_lines)?;
+            print_tail_breakdown(out, &serve_lines)?;
+        }
+        if !slo_events.is_empty() {
+            writeln!(out, "slo events ({}):", slo_events.len())?;
+            writeln!(
+                out,
+                "  {:<20} {:<6} {:>12} {:>10} {:>8} {:>9}",
+                "spec", "window", "good/total", "p99 ms", "burn", "breached"
+            )?;
+            for e in &slo_events {
+                writeln!(
+                    out,
+                    "  {:<20} {:<6} {:>12} {:>10.2} {:>8.2} {:>9}",
+                    e.spec,
+                    e.window,
+                    format!("{}/{}", e.good, e.total),
+                    e.p99_us as f64 / 1e3,
+                    e.burn,
+                    e.breached
+                )?;
             }
         }
-        let order = |list: &mut Vec<usize>| {
-            list.sort_by_key(|&i| (spans[i].start_ns, spans[i].id));
-        };
-        order(&mut roots);
-        for list in children.values_mut() {
-            order(list);
+
+        // Stitch spans into per-trace trees, traces in first-seen order.
+        let mut trace_order: Vec<String> = Vec::new();
+        let mut by_trace: std::collections::BTreeMap<String, Vec<usize>> = Default::default();
+        for (i, s) in spans.iter().enumerate() {
+            if !by_trace.contains_key(&s.trace) {
+                trace_order.push(s.trace.clone());
+            }
+            by_trace.entry(s.trace.clone()).or_default().push(i);
         }
-        // Depth-first print; explicit stack so deep trees can't recurse out.
-        let mut stack: Vec<(usize, usize)> = roots.iter().rev().map(|&i| (i, 0)).collect();
-        while let Some((i, depth)) = stack.pop() {
-            let s = &spans[i];
-            println!(
-                "  {:indent$}{} [{:.3} ms, thread {}]",
-                "",
-                s.name,
-                s.dur_ns as f64 / 1e6,
-                s.thread,
-                indent = depth * 2
-            );
-            if let Some(kids) = children.get(&s.id) {
-                for &k in kids.iter().rev() {
-                    stack.push((k, depth + 1));
+        const MAX_TRACES: usize = 20;
+        for trace in trace_order.iter().take(MAX_TRACES) {
+            let idxs = &by_trace[trace];
+            writeln!(out, "trace {trace} ({} spans):", idxs.len())?;
+            let ids: std::collections::BTreeSet<u64> = idxs.iter().map(|&i| spans[i].id).collect();
+            let mut children: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
+            let mut roots: Vec<usize> = Vec::new();
+            for &i in idxs {
+                let s = &spans[i];
+                if s.parent != 0 && ids.contains(&s.parent) {
+                    children.entry(s.parent).or_default().push(i);
+                } else {
+                    roots.push(i);
+                }
+            }
+            let order = |list: &mut Vec<usize>| {
+                list.sort_by_key(|&i| (spans[i].start_ns, spans[i].id));
+            };
+            order(&mut roots);
+            for list in children.values_mut() {
+                order(list);
+            }
+            // Depth-first print; explicit stack so deep trees can't recurse out.
+            let mut stack: Vec<(usize, usize)> = roots.iter().rev().map(|&i| (i, 0)).collect();
+            while let Some((i, depth)) = stack.pop() {
+                let s = &spans[i];
+                writeln!(
+                    out,
+                    "  {:indent$}{} [{:.3} ms, thread {}]",
+                    "",
+                    s.name,
+                    s.dur_ns as f64 / 1e6,
+                    s.thread,
+                    indent = depth * 2
+                )?;
+                if let Some(kids) = children.get(&s.id) {
+                    for &k in kids.iter().rev() {
+                        stack.push((k, depth + 1));
+                    }
                 }
             }
         }
-    }
-    if trace_order.len() > MAX_TRACES {
-        println!("... and {} more trace(s)", trace_order.len() - MAX_TRACES);
-    }
-
-    // `--slo SPEC`: gate the journal's server-side outcomes against a
-    // declared objective, whole journal as one window. Exact-rank p99 (not
-    // log-bucketed) since the raw latencies are all in hand.
-    if let Some(spec_str) = slo {
-        let spec = amrviz_obs::slo::SloSpec::parse(spec_str)?;
-        // The live STATS endpoint's rule, applied to the journal's status
-        // names: client-attributable errors don't burn the server's budget.
-        // A name this build does not know counts, and is not good.
-        let status = |l: &ServeLine| amrviz_serve::Status::from_name(&l.result);
-        let server: Vec<&ServeLine> = serve_lines
-            .iter()
-            .filter(|l| {
-                l.role == "server" && status(l).is_none_or(amrviz_serve::Status::counts_toward_slo)
-            })
-            .collect();
-        let good = server
-            .iter()
-            .filter(|l| status(l).is_some_and(amrviz_serve::Status::is_good))
-            .count() as u64;
-        let mut lat: Vec<u64> = server.iter().map(|l| l.elapsed_us).collect();
-        lat.sort_unstable();
-        let p99_us = amrviz_obs::hist::exact_percentile(&lat, 0.99);
-        let reading = amrviz_obs::slo::WindowReading {
-            label: "journal",
-            secs: 0,
-            good,
-            total: server.len() as u64,
-            p99_us,
-        };
-        let eval = amrviz_obs::slo::evaluate(&spec, &[reading]);
-        println!("SLO_EVAL {}", eval.to_json());
-        if eval.breached() {
-            return Err(format!(
-                "SLO {} breached over {} server request(s) in {path}",
-                spec.display(),
-                server.len()
-            ));
+        if trace_order.len() > MAX_TRACES {
+            writeln!(
+                out,
+                "... and {} more trace(s)",
+                trace_order.len() - MAX_TRACES
+            )?;
         }
+        if let Some((_, eval)) = &gate {
+            writeln!(out, "SLO_EVAL {}", eval.to_json())?;
+        }
+        Ok(())
+    })();
+    match printed {
+        // `stats FILE | head -1`: the reader has what it came for.
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            return Err(format!("writing stats: {e}"))
+        }
+        _ => {}
     }
-    Ok(())
+    match gate {
+        Some((requests, eval)) if eval.breached() => Err(format!(
+            "SLO {} breached over {requests} server request(s) in {path}",
+            eval.spec.display()
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// Names the dominant stage of the slowest server requests — the "p99 is
 /// decode-bound" answer, straight from journal `stages_us` breakdowns.
-fn print_tail_breakdown(lines: &[ServeLine]) {
+fn print_tail_breakdown(out: &mut dyn Write, lines: &[ServeLine]) -> std::io::Result<()> {
     let mut tail: Vec<&ServeLine> = lines
         .iter()
         .filter(|l| l.role == "server" && !l.stages_us.is_empty())
         .collect();
     if tail.is_empty() {
-        return;
+        return Ok(());
     }
     tail.sort_by(|a, b| b.elapsed_us.cmp(&a.elapsed_us).then(b.trace.cmp(&a.trace)));
-    println!("slowest server requests (stage-attributed):");
+    writeln!(out, "slowest server requests (stage-attributed):")?;
     for l in tail.iter().take(3) {
-        let dominant = l
-            .stages_us
-            .iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        let attribution = match dominant {
+        let stages = l.stages_us.iter().map(|(name, us)| (name.as_str(), *us));
+        let attribution = match dominant_stage(stages) {
             Some((name, us)) if l.elapsed_us > 0 => format!(
                 "{name}-bound ({:.2} ms, {:.0}%)",
-                *us as f64 / 1e3,
-                *us as f64 / l.elapsed_us as f64 * 100.0
+                us as f64 / 1e3,
+                us as f64 / l.elapsed_us as f64 * 100.0
             ),
-            Some((name, us)) => format!("{name}-bound ({:.2} ms)", *us as f64 / 1e3),
+            Some((name, us)) => format!("{name}-bound ({:.2} ms)", us as f64 / 1e3),
             None => "no stage breakdown".to_string(),
         };
         let first = l.first_level_us.map_or(String::new(), |us| {
             format!(", first level at {:.2} ms", us as f64 / 1e3)
         });
-        println!(
+        writeln!(
+            out,
             "  {:>10.2} ms  trace {}  {}  {attribution}{first}",
             l.elapsed_us as f64 / 1e3,
             l.trace,
             l.result
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Per-role outcome table plus client↔server trace stitching for the
 /// `serve` journal kind.
-fn print_serve_summary(lines: &[ServeLine]) {
+fn print_serve_summary(out: &mut dyn Write, lines: &[ServeLine]) -> std::io::Result<()> {
     let pct = |sorted_us: &[u64], p: f64| -> f64 {
         amrviz_obs::hist::exact_percentile(sorted_us, p) as f64 / 1e3
     };
@@ -823,30 +801,33 @@ fn print_serve_summary(lines: &[ServeLine]) {
             .or_default()
             .push(l.elapsed_us);
     }
-    println!("serve outcomes ({} lines):", lines.len());
-    println!(
+    writeln!(out, "serve outcomes ({} lines):", lines.len())?;
+    writeln!(
+        out,
         "  {:<8} {:<16} {:>8} {:>10} {:>10}",
         "role", "outcome", "count", "p50 ms", "p99 ms"
-    );
+    )?;
     for ((role, result), lat) in &mut table {
         lat.sort_unstable();
-        println!(
+        writeln!(
+            out,
             "  {role:<8} {result:<16} {:>8} {:>10.2} {:>10.2}",
             lat.len(),
             pct(lat, 0.50),
             pct(lat, 0.99)
-        );
+        )?;
     }
     // When a viewer could first render, against when the stream closed.
     let mut first: Vec<u64> = lines.iter().filter_map(|l| l.first_level_us).collect();
     if !first.is_empty() {
         first.sort_unstable();
-        println!(
+        writeln!(
+            out,
             "  server first_level_us over {} GET(s): p50 {:.2} ms, p99 {:.2} ms",
             first.len(),
             pct(&first, 0.50),
             pct(&first, 0.99)
-        );
+        )?;
     }
     // Stitching: a trace observed by both ends means the client journal line
     // and the server journal line describe the same exchange.
@@ -867,65 +848,12 @@ fn print_serve_summary(lines: &[ServeLine]) {
         }
     }
     let both = server_traces.intersection(&client_traces).count();
-    println!(
+    writeln!(
+        out,
         "  traces: {both} stitched (both ends), {} server-only, {} client-only",
         server_traces.len() - both,
         client_traces.len() - both
-    );
-}
-
-fn stats_snapshot(path: &str, doc: &amrviz_json::Json) -> Result<(), String> {
-    let f = |v: Option<&amrviz_json::Json>| v.and_then(|x| x.as_f64()).unwrap_or(0.0);
-    println!(
-        "metrics snapshot {path} (schema {}, uptime {:.1} s)",
-        doc.get("schema").and_then(|s| s.as_str()).unwrap_or("?"),
-        f(doc.get("uptime_ns")) / 1e9,
-    );
-    if let Some(amrviz_json::Json::Obj(entries)) = doc.get("counters") {
-        if !entries.is_empty() {
-            println!("{:<32} {:>14}", "counter", "lifetime");
-            for (name, c) in entries {
-                println!("{name:<32} {:>14}", f(c.get("lifetime")) as u64);
-            }
-        }
-    }
-    if let Some(amrviz_json::Json::Obj(entries)) = doc.get("gauges") {
-        if !entries.is_empty() {
-            println!("{:<32} {:>14}", "gauge", "last");
-            for (name, g) in entries {
-                println!("{name:<32} {:>14.6}", f(g.get("last")));
-            }
-        }
-    }
-    if let Some(amrviz_json::Json::Obj(entries)) = doc.get("histograms") {
-        if !entries.is_empty() {
-            println!(
-                "{:<32} {:>9} {:>12} {:>12} {:>12}",
-                "histogram (lifetime)", "count", "p50", "p90", "p99"
-            );
-            for (name, h) in entries {
-                let l = h.get("lifetime");
-                let g = |k: &str| f(l.and_then(|x| x.get(k)));
-                println!(
-                    "{name:<32} {:>9} {:>12.1} {:>12.1} {:>12.1}",
-                    g("count") as u64,
-                    g("p50"),
-                    g("p90"),
-                    g("p99")
-                );
-            }
-        }
-    }
-    if let Some(meta) = doc.get("meta") {
-        println!(
-            "obs: overhead {:.1} ms, {} spans, {} traces, {} dropped events",
-            f(meta.get("overhead_us")) / 1e3,
-            f(meta.get("spans_recorded")) as u64,
-            f(meta.get("traces_started")) as u64,
-            f(meta.get("dropped_events")) as u64
-        );
-    }
-    Ok(())
+    )
 }
 
 /// `amrviz torture --serve`: chaos-test the serving stack end to end.
@@ -998,26 +926,26 @@ fn seed_store(dir: &Path, n: usize, seed: u64) -> Result<Vec<u64>, String> {
     Ok(keys)
 }
 
+pub const SERVE_FLAGS: Flags = (
+    &[
+        "store",
+        "addr",
+        "workers",
+        "queue-depth",
+        "cache-mb",
+        "max-deadline-ms",
+        "shutdown-after",
+        "chaos",
+        "seed-scenarios",
+        "seed",
+        "slo",
+    ],
+    &[],
+);
 /// `amrviz serve`: run the progressive server (optionally behind a chaos
 /// proxy) until `--shutdown-after` elapses.
 pub fn serve(argv: &[String]) -> Result<(), String> {
-    let p = parse(
-        argv,
-        &[
-            "store",
-            "addr",
-            "workers",
-            "queue-depth",
-            "cache-mb",
-            "max-deadline-ms",
-            "shutdown-after",
-            "chaos",
-            "seed-scenarios",
-            "seed",
-            "slo",
-        ],
-        &[],
-    )?;
+    let p = parse(argv, SERVE_FLAGS.0, SERVE_FLAGS.1)?;
     p.report_warnings();
     let store_dir = std::path::PathBuf::from(p.required("store")?);
     if let Some(n) = p.opt_parse::<usize>("seed-scenarios")? {
@@ -1044,8 +972,8 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         max_deadline_ms: p.opt_parse::<u32>("max-deadline-ms")?.unwrap_or(10_000),
         shutdown_after,
         slo: match p.opt("slo") {
-            Some(s) => amrviz_obs::slo::SloSpec::parse(s)?,
-            None => amrviz_obs::slo::SloSpec::default(),
+            Some(s) => amrviz_serve::slo::SloSpec::parse(s)?,
+            None => amrviz_serve::slo::SloSpec::default(),
         },
         ..amrviz_serve::ServeConfig::default()
     };
@@ -1066,7 +994,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         Some(pr) => println!("SERVE_LISTENING addr={} chaos={}", server.addr(), pr.addr()),
         None => println!("SERVE_LISTENING addr={}", server.addr()),
     }
-    use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
     // With --shutdown-after, `start`'s accept thread flips the stop flag
@@ -1085,24 +1012,24 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub const LOADGEN_FLAGS: Flags = (
+    &[
+        "addr",
+        "clients",
+        "rps",
+        "duration",
+        "deadline-ms",
+        "retries",
+        "seed",
+        "min-success",
+        "slo",
+    ],
+    &[],
+);
 /// `amrviz loadgen`: drive a running server and report latency/outcome
 /// distribution; exits nonzero below the success-rate floor.
 pub fn loadgen(argv: &[String]) -> Result<(), String> {
-    let p = parse(
-        argv,
-        &[
-            "addr",
-            "clients",
-            "rps",
-            "duration",
-            "deadline-ms",
-            "retries",
-            "seed",
-            "min-success",
-            "slo",
-        ],
-        &[],
-    )?;
+    let p = parse(argv, LOADGEN_FLAGS.0, LOADGEN_FLAGS.1)?;
     p.report_warnings();
     let addr: std::net::SocketAddr = p
         .required("addr")?
@@ -1170,21 +1097,21 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
     // `--slo`: gate the whole run as one evaluation window, reusing the
     // same evaluator the server's burn-rate windows run through.
     if let Some(spec_str) = p.opt("slo") {
-        let spec = amrviz_obs::slo::SloSpec::parse(spec_str)?;
+        let spec = amrviz_serve::slo::SloSpec::parse(spec_str)?;
         let good: u64 = report
             .outcomes
             .iter()
             .filter(|(name, _)| matches!(**name, "ok" | "degraded" | "cut_short"))
             .map(|(_, n)| n)
             .sum();
-        let reading = amrviz_obs::slo::WindowReading {
+        let reading = amrviz_serve::slo::WindowReading {
             label: "run",
             secs: cfg.duration.as_secs(),
             good,
             total: report.requests,
             p99_us: report.p99_us,
         };
-        let eval = amrviz_obs::slo::evaluate(&spec, &[reading]);
+        let eval = amrviz_serve::slo::evaluate(&spec, &[reading]);
         println!("LOADGEN_SLO {}", eval.to_json());
         if eval.breached() {
             return Err(format!(
@@ -1196,4 +1123,71 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accepts `room` bytes, then reports that the reader has hung up.
+    struct HangsUp {
+        room: usize,
+    }
+
+    impl Write for HangsUp {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `amrviz stats FILE | head -1`: a closed pipe ends the printing, not
+    /// the command — and not the `--slo` gate either.
+    #[test]
+    fn stats_survives_a_reader_that_hangs_up() {
+        let journal = "\
+            {\"kind\":\"serve\",\"trace\":\"01\",\"role\":\"server\",\"status\":\"ok\",\
+             \"elapsed_us\":900,\"stages_us\":{\"decode\":800,\"write\":90}}\n\
+            {\"kind\":\"serve\",\"trace\":\"02\",\"role\":\"server\",\"status\":\"timeout\",\
+             \"elapsed_us\":5000,\"stages_us\":{\"decode\":4900}}\n\
+            {\"kind\":\"span\",\"trace\":\"01\",\"span\":1,\"parent\":0,\"name\":\"serve.get\",\
+             \"thread\":1,\"start_ns\":0,\"dur_ns\":900000}\n";
+        let mut whole = Vec::new();
+        stats_journal(&mut whole, "j", journal, true, None).unwrap();
+        let whole = String::from_utf8(whole).unwrap();
+        assert!(
+            whole.starts_with("journal j: 3 lines, 0 dropped\n"),
+            "{whole}"
+        );
+        assert!(whole.contains("decode-bound (4.90 ms, 98%)"), "{whole}");
+        for room in [0, 10, whole.len() / 2] {
+            let mut pipe = HangsUp { room };
+            assert_eq!(stats_journal(&mut pipe, "j", journal, true, None), Ok(()));
+            let gated = stats_journal(&mut pipe, "j", journal, true, Some("avail>99"));
+            assert!(
+                gated.unwrap_err().starts_with("SLO avail>99"),
+                "room {room}"
+            );
+        }
+        // Any other write error is still an error.
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::StorageFull.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let failed = stats_journal(&mut Full, "j", journal, true, None).unwrap_err();
+        assert!(failed.starts_with("writing stats:"), "{failed}");
+    }
 }

@@ -7,7 +7,7 @@
 //! amrviz compress   <plotfile> --field F --out FILE [--algo A] [--rel EB | --abs EB] [--skip-redundant]
 //! amrviz decompress <plotfile> <stream> --out DIR [--algo A] [--skip-redundant] [--degrade]
 //! amrviz extract    <plotfile> --field F --out FILE.obj [--iso V | --quantile Q] [--method M]
-//! amrviz render     <plotfile> --field F --out FILE.png [--mode surface|slice|volume] [...]
+//! amrviz render     <plotfile> --field F --out FILE.png [--mode surface|slice] [...]
 //! amrviz diff       <plotfile A> <plotfile B> --field F [--field-b G]
 //! amrviz repro      <experiment> | --suite enumerated[:RECIPE]   (see [`repro`])
 //! ```
@@ -91,9 +91,6 @@ struct ObsOptions {
     timing: bool,
     threads: Option<usize>,
     journal_path: Option<String>,
-    metrics_path: Option<String>,
-    metrics_interval_secs: f64,
-    trace_sample: Option<u64>,
     /// Span events a command took out of the recorder before resetting it
     /// (see [`ObsOptions::carry_events`]); the exporters put them in front
     /// of what the recorder still holds.
@@ -118,18 +115,15 @@ impl ObsOptions {
             || self.flame_path.is_some()
             || self.timing
             || self.journal_path.is_some()
-            || self.metrics_path.is_some()
     }
 
-    /// Starts the continuous-telemetry machinery (trace sampling, JSONL
-    /// journal, periodic metrics snapshots) before command dispatch.
+    /// Creates the parent directory of every output file and starts the
+    /// JSONL journal, before command dispatch. The journal opens here; the
+    /// trace and the flamegraph are written after the command has run, and a
+    /// missing directory must not cost the run that produced them.
     fn start_streaming(&self) -> Result<(), String> {
-        if let Some(n) = self.trace_sample {
-            amrviz_obs::set_trace_sampling(n);
-        }
-        // `repro --out DIR --journal DIR/j.jsonl` on a fresh DIR: the files
-        // open here, before the command gets to create its output directory.
-        for path in self.journal_path.iter().chain(&self.metrics_path) {
+        let outputs = [&self.journal_path, &self.trace_path, &self.flame_path];
+        for path in outputs.into_iter().flatten() {
             if let Some(dir) = std::path::Path::new(path).parent() {
                 std::fs::create_dir_all(dir)
                     .map_err(|e| format!("creating {}: {e}", dir.display()))?;
@@ -138,23 +132,14 @@ impl ObsOptions {
         if let Some(path) = &self.journal_path {
             amrviz_obs::journal::start(std::path::Path::new(path))?;
         }
-        if let Some(path) = &self.metrics_path {
-            amrviz_obs::expose::writer_start(
-                std::path::PathBuf::from(path),
-                std::time::Duration::from_secs_f64(self.metrics_interval_secs),
-            )?;
-        }
         Ok(())
     }
 
-    /// Stops streaming — a final metrics snapshot, then the journal flushed
-    /// and closed — and returns the journal's totals if one was running.
-    /// `repro` calls this ahead of [`ObsOptions::finish`] so its `SUMMARY`
-    /// line can carry final totals; a second call finds nothing to stop.
+    /// Stops streaming — the journal flushed and closed — and returns its
+    /// totals if one was running. `repro` calls this ahead of
+    /// [`ObsOptions::finish`] so its `SUMMARY` line can carry final totals;
+    /// a second call finds nothing to stop.
     fn stop_streaming(&self) -> Option<amrviz_obs::journal::JournalStats> {
-        if self.metrics_path.is_some() {
-            amrviz_obs::expose::writer_stop();
-        }
         let path = self.journal_path.as_ref()?;
         if !amrviz_obs::journal::is_active() {
             return None;
@@ -220,45 +205,19 @@ impl ObsOptions {
     }
 }
 
+/// The global flags, as a [`commands::Flags`] pair.
+const GLOBAL_FLAGS: commands::Flags = (&["trace", "flame", "threads", "journal"], &["timing"]);
+
 /// Strips the global observability flags (`--trace PATH`, `--flame PATH`,
-/// `--timing`, `--threads N`, `--journal FILE`, `--metrics-out FILE`,
-/// `--metrics-interval SECS`, `--trace-sample N` — valid anywhere on the
+/// `--timing`, `--threads N`, `--journal FILE` — valid anywhere on the
 /// command line) from `argv` before subcommand dispatch. Repeated value
 /// flags keep the last occurrence and warn on stderr.
 fn extract_obs_options(argv: Vec<String>) -> Result<(Vec<String>, ObsOptions), String> {
-    const VALUE_FLAGS: [&str; 7] = [
-        "trace",
-        "flame",
-        "threads",
-        "journal",
-        "metrics-out",
-        "metrics-interval",
-        "trace-sample",
-    ];
-    let (p, rest) = amrviz_core::args::split(&argv, &VALUE_FLAGS, &["timing"])?;
+    let (p, rest) = amrviz_core::args::split(&argv, GLOBAL_FLAGS.0, GLOBAL_FLAGS.1)?;
     p.report_warnings();
-    fn number<T: std::str::FromStr>(v: Option<&str>, what: &str) -> Result<Option<T>, String> {
-        v.map(|v| v.parse().map_err(|_| format!("{what}, got `{v}`")))
-            .transpose()
-    }
-    let threads = number::<usize>(p.opt("threads"), "--threads needs a positive integer")?;
+    let threads = p.opt_parse::<usize>("threads")?;
     if threads == Some(0) {
         return Err("--threads must be at least 1".to_string());
-    }
-    let trace_sample = number::<u64>(
-        p.opt("trace-sample"),
-        "--trace-sample needs a positive integer N (keep 1/N)",
-    )?;
-    if trace_sample == Some(0) {
-        return Err("--trace-sample must be at least 1 (keep every Nth trace)".to_string());
-    }
-    let metrics_interval_secs = number::<f64>(
-        p.opt("metrics-interval"),
-        "--metrics-interval needs a number of seconds",
-    )?
-    .unwrap_or(5.0);
-    if !metrics_interval_secs.is_finite() || metrics_interval_secs <= 0.0 {
-        return Err("--metrics-interval must be a positive number".to_string());
     }
     let opts = ObsOptions {
         trace_path: p.opt("trace").map(String::from),
@@ -266,9 +225,6 @@ fn extract_obs_options(argv: Vec<String>) -> Result<(Vec<String>, ObsOptions), S
         timing: p.switch("timing"),
         threads,
         journal_path: p.opt("journal").map(String::from),
-        metrics_path: p.opt("metrics-out").map(String::from),
-        metrics_interval_secs,
-        trace_sample,
         carried: Default::default(),
     };
     Ok((rest, opts))
@@ -285,15 +241,16 @@ USAGE:
   amrviz compress   <plotfile> --field F --out FILE
                     [--algo szlr|szinterp|zfp] [--rel EB | --abs EB]
                     [--skip-redundant]
-  amrviz decompress <plotfile> <stream> --out DIR
+  amrviz decompress <plotfile> <stream> --out DIR [--field NAME]
                     [--algo szlr|szinterp|zfp] [--skip-redundant]
                     [--degrade]  repair corrupt fabs from neighbor levels
-                    instead of failing; prints a per-fab decode report
+                    instead of failing; prints a per-fab decode report.
+                    --field names the output field (default `decompressed`)
   amrviz extract    <plotfile> --field F --out FILE.obj
                     [--iso V | --quantile Q]
                     [--method resampling|dual|dual-redundant]
   amrviz render     <plotfile> --field F --out FILE.png
-                    [--mode surface|slice|volume] [--iso V | --quantile Q]
+                    [--mode surface|slice] [--iso V | --quantile Q]
                     [--method M] [--width W] [--height H] [--log]
   amrviz diff       <plotfile A> <plotfile B> --field F [--field-b G]
   amrviz torture    [--iters N] [--seed S] [--max-peak-mb M] [--recipes K]
@@ -307,10 +264,11 @@ USAGE:
                     [--serve] instead chaos-tests the serving stack: an
                     in-process server behind a fault-injecting proxy, with
                     good/degraded/disk-corrupt/unknown keys and randomized
-                    deadlines. Asserts no panics, no post-deadline data,
-                    typed errors for corrupt blobs, and bounded peak
-                    memory. Prints `SERVE_TORTURE {...}`; exits nonzero on
-                    any violation with a reproducing command line.
+                    deadlines ([--workers N] server workers, default 2).
+                    Asserts no panics, no post-deadline data, typed errors
+                    for corrupt blobs, and bounded peak memory. Prints
+                    `SERVE_TORTURE {...}`; exits nonzero on any violation
+                    with a reproducing command line.
   amrviz serve      --store DIR [--addr HOST:PORT] [--workers N]
                     [--queue-depth D] [--cache-mb MB] [--max-deadline-ms MS]
                     [--shutdown-after SECS] [--chaos SEED] [--slo SPEC]
@@ -369,13 +327,10 @@ USAGE:
                     of the paper that fails. `repro obs-overhead`
                     is the instrumentation self-overhead gate (3 % budget).
   amrviz stats      <FILE> [--strict] [--slo SPEC]
-                    pretty-prints continuous-telemetry artifacts: a
-                    `--journal` JSONL file or a `--metrics-out` snapshot
-                    (counters, gauges, histogram percentiles, recorder
-                    self-overhead). Unknown event kinds and malformed
-                    journal lines warn and are skipped so old binaries can
-                    read new journals; --strict restores hard failure on
-                    the first bad line. Journals from `serve`/`loadgen`
+                    pretty-prints a `--journal` JSONL file. Unknown event
+                    kinds and malformed lines warn and are skipped so old
+                    binaries can read new journals; --strict restores hard
+                    failure on the first bad line. Journals from `serve`/`loadgen`
                     additionally get a per-role outcome table
                     (ok/degraded/shed/timeout with p50/p99), a
                     client-to-server trace-stitching summary, a tail
@@ -400,14 +355,92 @@ GLOBAL OPTIONS (valid on every command):
                  FILE as JSONL (`amrviz-journal-v1`): bounded queues,
                  drop-oldest backpressure, line-atomic appends. Inspect
                  with `amrviz stats FILE`.
-  --metrics-out FILE
-                 write a rolling `amrviz-metrics-v2` JSON snapshot to FILE
-                 every interval, atomically replaced so readers never see
-                 a torn file
-  --metrics-interval SECS
-                 snapshot period for --metrics-out (default 5)
-  --trace-sample N
-                 head-based trace sampling: keep every N-th trace's spans
-                 (counters/histograms are unaffected; default 1 = keep all)
 "
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Every `--flag` the usage text prints under a command is one the
+    /// command (or, being global, every command) accepts, and every flag a
+    /// command accepts is printed under it.
+    #[test]
+    fn usage_and_parsers_agree() {
+        use commands::*;
+        let parsers = [
+            ("generate", GENERATE_FLAGS),
+            ("simulate", SIMULATE_FLAGS),
+            ("info", INFO_FLAGS),
+            ("compress", COMPRESS_FLAGS),
+            ("decompress", DECOMPRESS_FLAGS),
+            ("extract", EXTRACT_FLAGS),
+            ("render", RENDER_FLAGS),
+            ("diff", DIFF_FLAGS),
+            ("torture", TORTURE_FLAGS),
+            ("serve", SERVE_FLAGS),
+            ("loadgen", LOADGEN_FLAGS),
+            ("top", top::TOP_FLAGS),
+            ("repro", repro::REPRO_FLAGS),
+            ("stats", STATS_FLAGS),
+            ("GLOBAL", GLOBAL_FLAGS),
+        ];
+        let set = |f: Flags| -> BTreeSet<&str> { f.0.iter().chain(f.1).copied().collect() };
+
+        // The text as one block of `--flag` mentions per command: a block
+        // opens at `  amrviz <name>` (or at the global-options heading).
+        let mut printed: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        let mut block = None;
+        for line in usage().lines() {
+            if let Some(rest) = line.strip_prefix("  amrviz ") {
+                block = rest.split_whitespace().next();
+            } else if line.starts_with("GLOBAL OPTIONS") {
+                block = Some("GLOBAL");
+            }
+            let Some(block) = block else { continue };
+            let flags = line.split("--").skip(1).map(|after| {
+                let end = after.find(|c: char| !(c.is_ascii_lowercase() || c == '-'));
+                &after[..end.unwrap_or(after.len())]
+            });
+            printed.entry(block).or_default().extend(flags);
+        }
+
+        let names: BTreeSet<&str> = parsers.iter().map(|(name, _)| *name).collect();
+        assert_eq!(printed.keys().copied().collect::<BTreeSet<_>>(), names);
+        let mut disagree = Vec::new();
+        for (name, flags) in parsers {
+            let accepted = set(flags);
+            let anywhere: BTreeSet<&str> = accepted.union(&set(GLOBAL_FLAGS)).copied().collect();
+            for flag in printed[name].difference(&anywhere) {
+                disagree.push(format!("`{name}` prints --{flag} and rejects it"));
+            }
+            for flag in accepted.difference(&printed[name]) {
+                disagree.push(format!("`{name}` accepts --{flag} and does not print it"));
+            }
+        }
+        assert!(disagree.is_empty(), "{disagree:#?}");
+    }
+
+    /// `--trace d/t.json` on a directory that does not exist yet must not
+    /// cost the run: every output's parent exists before dispatch.
+    #[test]
+    fn output_parents_exist_before_dispatch() {
+        let root = std::env::temp_dir().join(format!("amrviz_parents_{}", std::process::id()));
+        let file = |leaf: &str| Some(root.join(leaf).to_string_lossy().into_owned());
+        let opts = ObsOptions {
+            trace_path: file("t/trace.json"),
+            flame_path: file("f/flame.html"),
+            timing: false,
+            threads: None,
+            journal_path: file("j/journal.jsonl"),
+            carried: Default::default(),
+        };
+        opts.start_streaming().unwrap();
+        drop(opts); // closes the journal
+        for dir in ["t", "f", "j"] {
+            assert!(root.join(dir).is_dir(), "{dir}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

@@ -5,8 +5,7 @@
 //! amrviz repro --suite enumerated[:RECIPE] [--seed N] [--out DIR]
 //!
 //! (plus the global telemetry flags every `amrviz` command takes: --threads,
-//! --trace, --flame, --timing, --journal, --metrics-out, --metrics-interval,
-//! --trace-sample)
+//! --trace, --flame, --timing, --journal)
 //!
 //! experiments:
 //!   table1   dataset structure (grid sizes, per-level densities)
@@ -58,7 +57,7 @@ use amrviz_core::experiment::{self, standard_camera, CompressorKind};
 use amrviz_core::prelude::*;
 use amrviz_core::report;
 use amrviz_json::{Json, ToJson};
-use amrviz_render::{render_slice, Color, RenderOptions, SliceOptions};
+use amrviz_render::{render_slice, Color, RenderOptions};
 use amrviz_sim::solver::{AmrAdvection, FIELD};
 use amrviz_viz::extract_amr_isosurface;
 
@@ -218,10 +217,11 @@ fn fig11_verdict(rows: &Json) -> Vec<String> {
     failed
 }
 
+pub const REPRO_FLAGS: crate::commands::Flags = (&["scale", "seed", "suite", "out"], &["check"]);
 /// Parses what is left of the command line once `main` has taken the global
 /// telemetry flags off it.
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let p = args::parse(argv, &["scale", "seed", "suite", "out"], &["check"])?;
+    let p = args::parse(argv, REPRO_FLAGS.0, REPRO_FLAGS.1)?;
     p.report_warnings();
     let scale = p
         .opt("scale")
@@ -338,12 +338,17 @@ impl Ctx {
         for (k, v) in amrviz_obs::gauges_snapshot() {
             gauges.set(k, v);
         }
+        let mut histograms = Json::obj();
+        for (k, h) in amrviz_obs::histograms_snapshot() {
+            histograms.set(k, Json::parse(&h.stats_json()).unwrap_or(Json::Null));
+        }
         let mut m = Json::obj();
         m.set("experiment", name)
             .set("scale", format!("{:?}", self.scale).to_lowercase())
             .set("seed", self.seed)
             .set("counters", counters)
             .set("gauges", gauges)
+            .set("histograms", histograms)
             .set(
                 "span_summary",
                 Json::parse(&summary.to_json()).unwrap_or(Json::Null),
@@ -393,12 +398,11 @@ impl Ctx {
                 ];
                 amrviz_render::Camera::orthographic(eye, center, 0.65 * extent)
             }
-            None => standard_camera(built),
+            None => standard_camera(built.hierarchy.geometry()),
         };
         let opts = RenderOptions {
             width: 960,
             height: 720,
-            ..Default::default()
         };
         // Color the levels differently so cracks/gaps/overlaps stand out,
         // like the paper's red fine-level box.
@@ -497,7 +501,7 @@ fn fig2(ctx: &mut Ctx) {
             h.box_array(1).num_cells(),
             bb.map(|b| b.to_string()).unwrap_or_else(|| "-".into()),
         );
-        let img = render_slice(h, FIELD, &SliceOptions::default()).expect("field exists");
+        let img = render_slice(h, FIELD, false).expect("field exists");
         let path = ctx.out.join(format!("fig2_step{}.png", h.step));
         img.save_png(&path).ok();
         println!("  wrote {}", path.display());
@@ -810,7 +814,7 @@ pub fn repro(argv: &[String], obs: &ObsOptions) -> Result<(), String> {
     // so it is on whether or not a telemetry flag asked for it.
     amrviz_obs::enable();
     // Trace ids are derived from the run seed, so the same seed reproduces
-    // the same ids (and the same sampling verdicts) at any thread count.
+    // the same ids at any thread count.
     amrviz_obs::set_trace_seed(args.seed);
     let exp = args.experiment.as_str();
     // Each experiment records into a fresh obs recorder so its manifest only
@@ -1067,16 +1071,7 @@ mod tests {
             |flags: &str| crate::extract_obs_options(argv(&format!("repro table2 {flags}")));
         let err = |flags: &str| split(flags).expect_err("rejected");
         assert_eq!(err("--threads 0"), "--threads must be at least 1");
-        assert_eq!(
-            err("--trace-sample 0"),
-            "--trace-sample must be at least 1 (keep every Nth trace)"
-        );
-        for bad in ["0", "-1", "nan"] {
-            assert_eq!(
-                err(&format!("--metrics-interval {bad}")),
-                "--metrics-interval must be a positive number"
-            );
-        }
+        assert!(err("--threads two").starts_with("--threads: "));
         let (rest, opts) = split("--flame f.html --threads 2 --seed 9").unwrap();
         assert_eq!(rest, argv("repro table2 --seed 9"));
         assert!(opts.active() && opts.threads == Some(2));

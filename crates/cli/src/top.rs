@@ -10,6 +10,7 @@
 
 use amrviz_core::args::parse;
 use amrviz_json::Json;
+use amrviz_serve::telemetry::dominant_stage;
 use amrviz_serve::{exchange, ClientConfig, Op, Request};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
@@ -23,8 +24,9 @@ const POLL_ATTEMPTS: u32 = 15;
 /// Sparkline history length (polls).
 const SPARK_LEN: usize = 24;
 
+pub const TOP_FLAGS: crate::commands::Flags = (&["interval", "exemplars"], &["once", "json"]);
 pub fn top(argv: &[String]) -> Result<(), String> {
-    let p = parse(argv, &["interval", "exemplars"], &["once", "json"])?;
+    let p = parse(argv, TOP_FLAGS.0, TOP_FLAGS.1)?;
     p.report_warnings();
     let addr: SocketAddr = p
         .positional(0, "server address (HOST:PORT)")?
@@ -275,16 +277,14 @@ fn render(
             out.push_str("tail exemplars (slowest retained requests)\n");
             for e in exs.iter().take(max_exemplars) {
                 let total = gu(e, "total_us");
-                let mut dominant: Option<(&str, u64)> = None;
-                if let Some(Json::Obj(stages)) = e.get("stages_us") {
-                    for (name, us) in stages {
-                        let us = us.as_u64().unwrap_or(0);
-                        if dominant.is_none_or(|(dn, dus)| (us, name.as_str()) > (dus, dn)) {
-                            dominant = Some((name, us));
-                        }
-                    }
-                }
-                let bound = match dominant {
+                let stages = match e.get("stages_us") {
+                    Some(Json::Obj(stages)) => stages.as_slice(),
+                    _ => &[],
+                };
+                let stages = stages
+                    .iter()
+                    .map(|(name, us)| (name.as_str(), us.as_u64().unwrap_or(0)));
+                let bound = match dominant_stage(stages) {
                     Some((name, us)) if total > 0 => format!(
                         "{name}-bound ({} ms, {:.0}%)",
                         ms(us as f64),

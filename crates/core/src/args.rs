@@ -10,7 +10,7 @@ pub struct Parsed {
     switches: Vec<String>,
     /// One entry per repeated value option (last occurrence wins, matching
     /// the switch dedupe behavior, but noisily: callers print these to
-    /// stderr so `--metrics-interval 5 ... --metrics-interval 1` in a long
+    /// stderr so `--seed 5 ... --seed 1` in a long
     /// command line is never a silent surprise).
     warnings: Vec<String>,
 }

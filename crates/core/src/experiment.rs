@@ -6,7 +6,7 @@
 //! the tabulated timings can never disagree.
 
 use amrviz_amr::resample::{flatten_levels_to_finest, Upsample};
-use amrviz_amr::MultiFab;
+use amrviz_amr::{Geometry, MultiFab};
 use amrviz_compress::{
     compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, CompressError,
     CompressionStats, Compressor, ErrorBound, SzInterp, SzLr, ZfpLike,
@@ -322,9 +322,8 @@ pub struct VizQualityRun {
     pub triangles: usize,
 }
 
-/// A standard camera looking diagonally at the scenario's domain.
-pub fn standard_camera(built: &BuiltScenario) -> Camera {
-    let geom = built.hierarchy.geometry();
+/// A standard camera looking diagonally at the domain.
+pub fn standard_camera(geom: &Geometry) -> Camera {
     let center = [
         0.5 * (geom.prob_lo[0] + geom.prob_hi[0]),
         0.5 * (geom.prob_lo[1] + geom.prob_hi[1]),
@@ -366,11 +365,10 @@ pub fn run_viz_quality(
 
     // Reference surfaces and renders from the original data, computed once
     // per method (they do not depend on the error bound).
-    let cam = standard_camera(built);
+    let cam = standard_camera(built.hierarchy.geometry());
     let opts = RenderOptions {
         width: 480,
         height: 360,
-        ..Default::default()
     };
     struct Reference {
         method: IsoMethod,

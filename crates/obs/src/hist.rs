@@ -182,6 +182,34 @@ impl Histogram {
         self.max as f64
     }
 
+    /// Summary stats (count/sum/min/max/mean + p50/p90/p99) as one JSON
+    /// object — the shape the serve STATS snapshot and the `repro` manifests
+    /// share. Floats are plain decimal: integral values carry a trailing
+    /// `.0`, non-finite ones render as `0.0`.
+    pub fn stats_json(&self) -> String {
+        fn fmt_f64(v: f64) -> String {
+            if !v.is_finite() {
+                "0.0".to_string()
+            } else if v == v.trunc() && v.abs() < 1e15 {
+                format!("{v:.1}")
+            } else {
+                format!("{v}")
+            }
+        }
+        format!(
+            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\
+             \"p50\":{},\"p90\":{},\"p99\":{}}}",
+            self.count(),
+            self.sum(),
+            self.min(),
+            self.max(),
+            fmt_f64(self.mean()),
+            fmt_f64(self.percentile(50.0)),
+            fmt_f64(self.percentile(90.0)),
+            fmt_f64(self.percentile(99.0)),
+        )
+    }
+
     /// Non-empty buckets as `(lo, hi, count)` triples, ascending.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
         self.buckets

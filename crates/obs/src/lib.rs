@@ -27,13 +27,9 @@
 //! * **Continuous operation** — every root span starts a **trace**
 //!   (deterministic splitmix-derived `trace_id`, propagated across
 //!   `amrviz-par` workers via [`current_context`] / [`context_scope`]);
-//!   completed spans can stream to a JSONL [`journal`]; and [`expose`]
-//!   writes periodic JSON metric snapshots. The
-//!   recorder accounts for its own cost in `obs.overhead_us` /
-//!   `obs.dropped_events` meta-metrics ([`meta_snapshot`]). Recorder cells
-//!   are totals since the last [`reset`]; the rolling-window ring
-//!   ([`window`]) belongs to its one long-running owner, `serve`'s request
-//!   telemetry, not to the recorder.
+//!   completed spans can stream to a JSONL [`journal`]. Recorder cells
+//!   are totals since the last [`reset`]; rolling windows, SLOs and tail
+//!   exemplars are request vocabulary and live with `amrviz-serve`.
 //!
 //! # Overhead
 //!
@@ -62,15 +58,11 @@
 //! ```
 
 pub mod chrome;
-pub mod exemplar;
-pub mod expose;
 pub mod flame;
 pub mod hist;
 pub mod journal;
 pub mod mem;
-pub mod slo;
 pub mod summary;
-pub mod window;
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -265,19 +257,13 @@ pub fn current_span_id() -> u64 {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    /// Ambient `(trace_id, sampled)` for the calling thread. `trace_id`
-    /// is 0 outside any trace; `sampled` defaults to true so counters and
-    /// ad-hoc journal events are never silently discarded.
-    static TRACE_STATE: Cell<(u64, bool)> = const { Cell::new((0, true)) };
+    /// Ambient trace id for the calling thread; 0 outside any trace.
+    static TRACE_STATE: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Seed from which trace ids are derived (mixable per run: `repro` feeds
 /// its `--seed` here so trace ids are reproducible across reruns).
 static TRACE_SEED: AtomicU64 = AtomicU64::new(0xa317);
-
-/// Head-based sampling modulus: trace ordinal `% n == 0` is kept. 1 keeps
-/// everything.
-static TRACE_SAMPLE: AtomicU64 = AtomicU64::new(1);
 
 /// Sets the seed mixed into every derived trace id. Call before the first
 /// root span of a run (typically right after [`enable`]).
@@ -285,16 +271,9 @@ pub fn set_trace_seed(seed: u64) {
     TRACE_SEED.store(seed, Ordering::Relaxed);
 }
 
-/// Enables head-based trace sampling: only every `n`-th trace (by creation
-/// ordinal) records span events and journal lines; counters, gauges and
-/// histograms are unaffected. `n <= 1` keeps every trace.
-pub fn set_trace_sampling(n: u64) {
-    TRACE_SAMPLE.store(n.max(1), Ordering::Relaxed);
-}
-
 /// Trace id of the innermost active trace on this thread (0 when none).
 pub fn current_trace_id() -> u64 {
-    TRACE_STATE.with(|t| t.get().0)
+    TRACE_STATE.with(|t| t.get())
 }
 
 /// Everything a pool worker needs to continue the submitter's causal
@@ -307,17 +286,13 @@ pub struct TraceContext {
     pub parent: u64,
     /// Trace the capturing thread is inside (0 when none).
     pub trace: u64,
-    /// Whether that trace passed head-based sampling.
-    pub sampled: bool,
 }
 
 /// Captures the calling thread's ambient trace context.
 pub fn current_context() -> TraceContext {
-    let (trace, sampled) = TRACE_STATE.with(|t| t.get());
     TraceContext {
         parent: current_span_id(),
-        trace,
-        sampled,
+        trace: current_trace_id(),
     }
 }
 
@@ -326,7 +301,7 @@ pub fn current_context() -> TraceContext {
 /// span *and* join its trace.
 pub struct ContextScope {
     pushed: bool,
-    prev: (u64, bool),
+    prev: u64,
 }
 
 /// Re-establishes `ctx` as the calling thread's ambient context.
@@ -335,7 +310,7 @@ pub fn context_scope(ctx: TraceContext) -> ContextScope {
     if pushed {
         SPAN_STACK.with(|s| s.borrow_mut().push(ctx.parent));
     }
-    let prev = TRACE_STATE.with(|t| t.replace((ctx.trace, ctx.sampled)));
+    let prev = TRACE_STATE.with(|t| t.replace(ctx.trace));
     ContextScope { pushed, prev }
 }
 
@@ -351,38 +326,17 @@ impl Drop for ContextScope {
 }
 
 // ---------------------------------------------------------------------------
-// Self-overhead accounting
+// Self-accounting
 // ---------------------------------------------------------------------------
-
-/// Nanoseconds spent inside the recorder itself (span bookkeeping, shard
-/// locking, journal serialization) since the last [`reset`].
-static OVERHEAD_NS: AtomicU64 = AtomicU64::new(0);
 
 /// Span events pushed since the last [`reset`].
 static SPANS_RECORDED: AtomicU64 = AtomicU64::new(0);
 
-#[inline]
-fn overhead_add(t0: Instant) {
-    OVERHEAD_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-}
-
-/// Microseconds the recorder has spent on its own bookkeeping since the
-/// last [`reset`] — the numerator of the instrumentation-overhead budget
-/// checked by `repro obs-overhead`.
-pub fn overhead_micros() -> u64 {
-    OVERHEAD_NS.load(Ordering::Relaxed) / 1_000
-}
-
-/// Recorder meta-metrics, exported as `obs.*` by [`expose`].
+/// Recorder meta-metrics (read by `repro obs-overhead`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetaSnapshot {
-    /// See [`overhead_micros`].
-    pub overhead_us: u64,
     /// Span events recorded since the last [`reset`].
     pub spans_recorded: u64,
-    /// Traces started since process start (never reset — root ordinals
-    /// must stay unique so derived trace ids never collide within a run).
-    pub traces_started: u64,
     /// Journal lines accepted since process start.
     pub journal_enqueued: u64,
     /// Journal lines evicted by backpressure since process start.
@@ -392,9 +346,7 @@ pub struct MetaSnapshot {
 /// Snapshot of the recorder's self-accounting meta-metrics.
 pub fn meta_snapshot() -> MetaSnapshot {
     MetaSnapshot {
-        overhead_us: overhead_micros(),
         spans_recorded: SPANS_RECORDED.load(Ordering::Relaxed),
-        traces_started: recorder().next_trace.load(Ordering::Relaxed),
         journal_enqueued: journal::enqueued(),
         journal_dropped: journal::dropped(),
     }
@@ -421,7 +373,7 @@ pub fn is_enabled() -> bool {
 }
 
 /// Clears all recorded events, counters, gauges and histograms, zeroes the
-/// self-overhead meta-metrics, and collapses the global allocation
+/// span tally of [`meta_snapshot`], and collapses the global allocation
 /// high-water mark back to the current live count (enabled state, thread
 /// ids, and the trace ordinal counter are kept). Successive measurements
 /// therefore never inherit a stale distribution or peak from an earlier
@@ -455,7 +407,6 @@ pub fn reset() {
     for shard in &r.hists {
         lock_clean(shard).clear();
     }
-    OVERHEAD_NS.store(0, Ordering::Relaxed);
     SPANS_RECORDED.store(0, Ordering::Relaxed);
     mem::reset_peak();
 }
@@ -480,12 +431,10 @@ pub fn counter_add(name: &'static str, delta: u64) {
     if !is_enabled() {
         return;
     }
-    let t0 = Instant::now();
     let shard = (thread_id() as usize) % SHARDS;
     *lock_clean(&recorder().counters[shard])
         .entry(name)
         .or_default() += delta;
-    overhead_add(t0);
 }
 
 /// Sets the named gauge to `value` (last write wins).
@@ -499,9 +448,7 @@ pub fn gauge_set(name: &'static str, value: f64) {
     if !is_enabled() {
         return;
     }
-    let t0 = Instant::now();
     lock_clean(&recorder().gauges).insert(name, value);
-    overhead_add(t0);
 }
 
 /// Records one `u64` sample into the named histogram. No-op while
@@ -510,13 +457,11 @@ pub fn histogram_record(name: &'static str, value: u64) {
     if !is_enabled() {
         return;
     }
-    let t0 = Instant::now();
     let shard = (thread_id() as usize) % SHARDS;
     lock_clean(&recorder().hists[shard])
         .entry(name)
         .or_default()
         .record(value);
-    overhead_add(t0);
 }
 
 /// Merged snapshot of all histograms (every sample since the last
@@ -572,11 +517,9 @@ struct ActiveSpan {
     mem: mem::MemFrame,
     /// Trace identity inherited (non-root) or freshly derived (root).
     trace: u64,
-    /// Head-based sampling verdict for this span's trace.
-    sampled: bool,
     /// For root spans: the thread's previous `TRACE_STATE`, restored when
     /// the root finishes. `None` for non-root spans (they never touch it).
-    prev_trace: Option<(u64, bool)>,
+    prev_trace: Option<u64>,
 }
 
 /// RAII timer for one pipeline stage. Always measures wall time (so
@@ -592,7 +535,6 @@ impl SpanGuard {
     /// field vector while recording is disabled.
     pub fn with_fields(name: &'static str, fields: Vec<(&'static str, FieldValue)>) -> Self {
         let active = if is_enabled() {
-            let t0 = Instant::now();
             let r = recorder();
             let id = r.next_id.fetch_add(1, Ordering::Relaxed);
             let parent = SPAN_STACK.with(|s| {
@@ -601,23 +543,20 @@ impl SpanGuard {
                 s.push(id);
                 parent
             });
-            let (trace, sampled, prev_trace) = if parent == 0 {
+            let (trace, prev_trace) = if parent == 0 {
                 // Root span: start a new trace. The id is derived from the
                 // trace seed and the root's creation ordinal, so the k-th
                 // trace of a fixed workload has the same id at any thread
-                // count; sampling keys off the ordinal for the same reason.
+                // count.
                 let ordinal = r.next_trace.fetch_add(1, Ordering::Relaxed);
                 let mut sm = TRACE_SEED.load(Ordering::Relaxed) ^ ordinal;
                 let trace = amrviz_rng::splitmix64(&mut sm).max(1);
-                let sampled = ordinal.is_multiple_of(TRACE_SAMPLE.load(Ordering::Relaxed));
-                let prev = TRACE_STATE.with(|t| t.replace((trace, sampled)));
-                (trace, sampled, Some(prev))
+                (trace, Some(TRACE_STATE.with(|t| t.replace(trace))))
             } else {
                 // Nested span: inherit the ambient trace (set either by an
                 // enclosing root on this thread or by a ContextScope on a
                 // pool worker).
-                let (trace, sampled) = TRACE_STATE.with(|t| t.get());
-                (trace, sampled, None)
+                (current_trace_id(), None)
             };
             let a = ActiveSpan {
                 id,
@@ -628,10 +567,8 @@ impl SpanGuard {
                 start_ns: r.epoch.elapsed().as_nanos() as u64,
                 mem: mem::frame_enter(),
                 trace,
-                sampled,
                 prev_trace,
             };
-            overhead_add(t0);
             Some(a)
         } else {
             None
@@ -676,7 +613,7 @@ impl SpanGuard {
                 }
             });
             // A finishing root ends its trace on this thread regardless of
-            // sampling or the enabled flag — ambient state must not leak.
+            // the enabled flag — ambient state must not leak.
             if let Some(prev) = a.prev_trace {
                 TRACE_STATE.with(|t| t.set(prev));
             }
@@ -687,14 +624,6 @@ impl SpanGuard {
                 // discard it and report 0.0 instead of a stale duration.
                 return 0.0;
             }
-            if !a.sampled {
-                // Head-based sampling: the whole trace (root and children
-                // share the verdict) skips event buffers and the journal;
-                // wall time is still returned so timing-driven callers are
-                // unaffected.
-                return dur.as_secs_f64();
-            }
-            let t0 = Instant::now();
             let dur_ns = dur.as_nanos() as u64;
             if journal::is_active() {
                 let mut body = format!(
@@ -735,7 +664,6 @@ impl SpanGuard {
                 mem_peak_bytes,
             });
             SPANS_RECORDED.fetch_add(1, Ordering::Relaxed);
-            overhead_add(t0);
         }
         dur.as_secs_f64()
     }
@@ -786,7 +714,7 @@ macro_rules! histogram {
 }
 
 /// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -923,26 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn head_sampling_keeps_every_nth_trace() {
-        let _g = guard();
-        reset();
-        enable();
-        set_trace_sampling(2);
-        for i in 0..4 {
-            let mut sp = span!("sampled_root");
-            sp.add_field("i", i as u64);
-            sp.finish();
-        }
-        set_trace_sampling(1);
-        disable();
-        let ev = events_snapshot();
-        let kept: Vec<_> = ev.iter().filter(|e| e.name == "sampled_root").collect();
-        // Ordinals are global, so the phase is unknown — but exactly 2 of
-        // any 4 consecutive ordinals are ≡ 0 (mod 2).
-        assert_eq!(kept.len(), 2, "1/2 sampling keeps half of 4 roots");
-    }
-
-    #[test]
     fn reset_during_active_span_cannot_corrupt_state() {
         let _g = guard();
         reset();
@@ -976,13 +884,9 @@ mod tests {
             counter!("meta.c", 1u64);
         }
         disable();
-        let meta = meta_snapshot();
-        assert_eq!(meta.spans_recorded, 10);
-        assert!(meta.traces_started >= 10);
+        assert_eq!(meta_snapshot().spans_recorded, 10);
         reset();
-        let after = meta_snapshot();
-        assert_eq!(after.spans_recorded, 0);
-        assert_eq!(after.overhead_us, 0);
+        assert_eq!(meta_snapshot().spans_recorded, 0);
     }
 
     #[test]

@@ -42,17 +42,6 @@ impl Color {
     }
 }
 
-/// Available colormaps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Colormap {
-    /// Perceptually-uniform dark-blue → green → yellow (viridis-like).
-    Viridis,
-    /// Diverging blue → white → red.
-    CoolWarm,
-    /// Plain grayscale.
-    Gray,
-}
-
 /// Anchor points of the viridis-like map.
 const VIRIDIS: [(f64, [u8; 3]); 7] = [
     (0.00, [68, 1, 84]),
@@ -64,38 +53,20 @@ const VIRIDIS: [(f64, [u8; 3]); 7] = [
     (1.00, [253, 231, 37]),
 ];
 
-/// Maps `t ∈ [0,1]` through a colormap (values are clamped).
-pub fn colormap(map: Colormap, t: f64) -> Color {
+/// Maps `t ∈ [0,1]` through the perceptually-uniform dark-blue → green →
+/// yellow (viridis-like) colormap; values are clamped, NaN maps low.
+pub fn viridis(t: f64) -> Color {
     let t = if t.is_nan() { 0.0 } else { t.clamp(0.0, 1.0) };
-    match map {
-        Colormap::Gray => {
-            let v = (t * 255.0).round() as u8;
-            Color::new(v, v, v)
-        }
-        Colormap::CoolWarm => {
-            let blue = Color::new(59, 76, 192);
-            let white = Color::new(242, 242, 242);
-            let red = Color::new(180, 4, 38);
-            if t < 0.5 {
-                blue.lerp(white, t * 2.0)
-            } else {
-                white.lerp(red, (t - 0.5) * 2.0)
-            }
-        }
-        Colormap::Viridis => {
-            for w in VIRIDIS.windows(2) {
-                let (t0, c0) = w[0];
-                let (t1, c1) = w[1];
-                if t <= t1 {
-                    let f = if t1 > t0 { (t - t0) / (t1 - t0) } else { 0.0 };
-                    return Color::new(c0[0], c0[1], c0[2])
-                        .lerp(Color::new(c1[0], c1[1], c1[2]), f);
-                }
-            }
-            let last = VIRIDIS[VIRIDIS.len() - 1].1;
-            Color::new(last[0], last[1], last[2])
+    for w in VIRIDIS.windows(2) {
+        let (t0, c0) = w[0];
+        let (t1, c1) = w[1];
+        if t <= t1 {
+            let f = if t1 > t0 { (t - t0) / (t1 - t0) } else { 0.0 };
+            return Color::new(c0[0], c0[1], c0[2]).lerp(Color::new(c1[0], c1[1], c1[2]), f);
         }
     }
+    let last = VIRIDIS[VIRIDIS.len() - 1].1;
+    Color::new(last[0], last[1], last[2])
 }
 
 #[cfg(test)]
@@ -114,33 +85,18 @@ mod tests {
 
     #[test]
     fn colormaps_cover_range() {
-        for map in [Colormap::Viridis, Colormap::CoolWarm, Colormap::Gray] {
-            let lo = colormap(map, 0.0);
-            let hi = colormap(map, 1.0);
-            assert_ne!(lo, hi, "{map:?} endpoints identical");
-            // Values outside [0,1] are clamped; NaN maps to the low end.
-            assert_eq!(colormap(map, -5.0), lo);
-            assert_eq!(colormap(map, 7.0), hi);
-            assert_eq!(colormap(map, f64::NAN), lo);
-        }
+        let (lo, hi) = (viridis(0.0), viridis(1.0));
+        assert_ne!(lo, hi, "endpoints identical");
+        // Values outside [0,1] are clamped; NaN maps to the low end.
+        assert_eq!(viridis(-5.0), lo);
+        assert_eq!(viridis(7.0), hi);
+        assert_eq!(viridis(f64::NAN), lo);
     }
 
     #[test]
     fn viridis_known_anchors() {
-        assert_eq!(colormap(Colormap::Viridis, 0.0), Color::new(68, 1, 84));
-        assert_eq!(colormap(Colormap::Viridis, 1.0), Color::new(253, 231, 37));
-    }
-
-    #[test]
-    fn gray_is_monotone() {
-        let mut prev = -1i32;
-        for n in 0..=10 {
-            let c = colormap(Colormap::Gray, n as f64 / 10.0);
-            assert_eq!(c.r, c.g);
-            assert_eq!(c.g, c.b);
-            assert!(c.r as i32 >= prev);
-            prev = c.r as i32;
-        }
+        assert_eq!(viridis(0.0), Color::new(68, 1, 84));
+        assert_eq!(viridis(1.0), Color::new(253, 231, 37));
     }
 
     #[test]

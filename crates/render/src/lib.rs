@@ -4,11 +4,11 @@
 //! renders the same artifacts without any GPU or windowing dependency:
 //!
 //! * [`image`] — RGB raster images with an (uncompressed) PNG writer;
-//! * [`color`] — colormaps (viridis-like, coolwarm, grayscale);
+//! * [`color`] — colors and the viridis-like colormap;
 //! * [`camera`] — orthographic/perspective look-at cameras;
-//! * [`raster`] — a z-buffer triangle rasterizer with flat or smooth
-//!   Lambertian shading (flat shading makes compression bump/block
-//!   artifacts pop, which is the point);
+//! * [`raster`] — a z-buffer triangle rasterizer with flat Lambertian
+//!   shading (flat shading makes compression bump/block artifacts pop,
+//!   which is the point);
 //! * [`slice`] — volume slice rendering with AMR box-outline overlays
 //!   (the Fig. 2 "grid adapts with the universe" analogue).
 
@@ -17,11 +17,9 @@ pub mod color;
 pub mod image;
 pub mod raster;
 pub mod slice;
-pub mod volume;
 
 pub use camera::Camera;
-pub use color::{colormap, Color, Colormap};
+pub use color::{viridis, Color};
 pub use image::Image;
-pub use raster::{render_mesh, RenderOptions, Shading};
-pub use slice::{render_slice, SliceAxis, SliceOptions};
-pub use volume::{render_volume, VolumeOptions};
+pub use raster::{render_mesh, RenderOptions};
+pub use slice::render_slice;

@@ -1,4 +1,5 @@
-//! Z-buffer triangle rasterization with Lambertian shading.
+//! Z-buffer triangle rasterization with flat Lambertian shading: per-face
+//! normals keep faceting — and compression artifacts — visible.
 
 use amrviz_viz::TriMesh;
 
@@ -6,53 +7,32 @@ use crate::camera::Camera;
 use crate::color::Color;
 use crate::image::Image;
 
-/// Shading mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shading {
-    /// Per-face normals: faceting (and compression artifacts) stay visible.
-    Flat,
-    /// Area-weighted per-vertex normals, interpolated.
-    Smooth,
-}
-
-/// Rendering parameters.
+/// Frame size in pixels.
 #[derive(Debug, Clone, Copy)]
 pub struct RenderOptions {
     pub width: usize,
     pub height: usize,
-    pub background: Color,
-    pub surface: Color,
-    pub shading: Shading,
-    /// Ambient light floor (0..1).
-    pub ambient: f64,
 }
 
-impl Default for RenderOptions {
-    fn default() -> Self {
-        RenderOptions {
-            width: 640,
-            height: 480,
-            background: Color::new(20, 24, 30),
-            surface: Color::new(208, 208, 214),
-            shading: Shading::Flat,
-            ambient: 0.25,
-        }
-    }
-}
+/// Frame background.
+const BACKGROUND: Color = Color::new(20, 24, 30);
+
+/// Surface colour of [`render_mesh`].
+const SURFACE: Color = Color::new(208, 208, 214);
+
+/// Ambient light floor (0..1).
+const AMBIENT: f64 = 0.25;
 
 /// Renders a mesh with a headlight (light from the camera). Double-sided:
 /// the absolute value of `normal · light` shades both faces.
 pub fn render_mesh(mesh: &TriMesh, camera: &Camera, opts: &RenderOptions) -> Image {
-    let mut img = Image::new(opts.width, opts.height, opts.background);
-    let mut zbuf = vec![f64::INFINITY; opts.width * opts.height];
-    render_mesh_into(mesh, camera, opts, opts.surface, &mut img, &mut zbuf);
-    img
+    render_meshes(&[(mesh, SURFACE)], camera, opts)
 }
 
 /// Renders several meshes into one frame, each with its own color (used to
 /// visualize the per-level surfaces of an AMR extraction).
 pub fn render_meshes(meshes: &[(&TriMesh, Color)], camera: &Camera, opts: &RenderOptions) -> Image {
-    let mut img = Image::new(opts.width, opts.height, opts.background);
+    let mut img = Image::new(opts.width, opts.height, BACKGROUND);
     let mut zbuf = vec![f64::INFINITY; opts.width * opts.height];
     for (mesh, color) in meshes {
         render_mesh_into(mesh, camera, opts, *color, &mut img, &mut zbuf);
@@ -69,10 +49,6 @@ fn render_mesh_into(
     zbuf: &mut [f64],
 ) {
     let light = camera.view_dir();
-    let vertex_normals = match opts.shading {
-        Shading::Smooth => Some(mesh.vertex_normals()),
-        Shading::Flat => None,
-    };
     let (w, h) = (opts.width, opts.height);
 
     for t in 0..mesh.num_triangles() {
@@ -99,7 +75,9 @@ fn render_mesh_into(
         if area.abs() < 1e-12 {
             continue;
         }
-        let face_normal = mesh.face_normal(t);
+        let n = mesh.face_normal(t);
+        let lambert = (n[0] * light[0] + n[1] * light[1] + n[2] * light[2]).abs();
+        let shaded = surface.dim(AMBIENT + (1.0 - AMBIENT) * lambert);
         for py in min_y..=max_y {
             for px in min_x..=max_x {
                 let p = [px as f64 + 0.5, py as f64 + 0.5];
@@ -115,24 +93,7 @@ fn render_mesh_into(
                     continue;
                 }
                 zbuf[zi] = z;
-                let n = match &vertex_normals {
-                    None => face_normal,
-                    Some(vn) => {
-                        let (na, nb, nc) = (vn[ia as usize], vn[ib as usize], vn[ic as usize]);
-                        let raw = [
-                            w0 * na[0] + w1 * nb[0] + w2 * nc[0],
-                            w0 * na[1] + w1 * nb[1] + w2 * nc[1],
-                            w0 * na[2] + w1 * nb[2] + w2 * nc[2],
-                        ];
-                        let l = (raw[0] * raw[0] + raw[1] * raw[1] + raw[2] * raw[2])
-                            .sqrt()
-                            .max(1e-12);
-                        [raw[0] / l, raw[1] / l, raw[2] / l]
-                    }
-                };
-                let lambert = (n[0] * light[0] + n[1] * light[1] + n[2] * light[2]).abs();
-                let intensity = opts.ambient + (1.0 - opts.ambient) * lambert;
-                img.set(px, py, surface.dim(intensity));
+                img.set(px, py, shaded);
             }
         }
     }
@@ -176,10 +137,9 @@ mod tests {
         let opts = RenderOptions {
             width: 100,
             height: 100,
-            ..Default::default()
         };
         let img = render_mesh(&facing_triangle(), &cam, &opts);
-        let lit = count_non_background(&img, opts.background);
+        let lit = count_non_background(&img, BACKGROUND);
         // Triangle area 0.5 in a 2×2 view → 1/8 of 10 000 pixels = 1250.
         assert!((1100..1400).contains(&lit), "lit pixels: {lit}");
     }
@@ -197,7 +157,6 @@ mod tests {
         let opts = RenderOptions {
             width: 64,
             height: 64,
-            ..Default::default()
         };
         let red = Color::new(255, 0, 0);
         let blue = Color::new(0, 0, 255);
@@ -218,7 +177,6 @@ mod tests {
         let opts = RenderOptions {
             width: 64,
             height: 64,
-            ..Default::default()
         };
         let img_facing = render_mesh(&facing_triangle(), &cam, &opts);
         let mut grazing = facing_triangle();
@@ -242,24 +200,8 @@ mod tests {
         let opts = RenderOptions {
             width: 16,
             height: 16,
-            ..Default::default()
         };
         let img = render_mesh(&TriMesh::new(), &cam, &opts);
-        assert_eq!(count_non_background(&img, opts.background), 0);
-    }
-
-    #[test]
-    fn smooth_and_flat_shading_both_work() {
-        let cam = Camera::orthographic([0.0, -3.0, 0.0], [0.0, 0.0, 0.0], 1.0);
-        for shading in [Shading::Flat, Shading::Smooth] {
-            let opts = RenderOptions {
-                width: 32,
-                height: 32,
-                shading,
-                ..Default::default()
-            };
-            let img = render_mesh(&facing_triangle(), &cam, &opts);
-            assert!(count_non_background(&img, opts.background) > 50);
-        }
+        assert_eq!(count_non_background(&img, BACKGROUND), 0);
     }
 }

@@ -4,125 +4,67 @@
 use amrviz_amr::resample::{flatten_to_finest, Upsample};
 use amrviz_amr::{AmrError, AmrHierarchy};
 
-use crate::color::{colormap, Color, Colormap};
+use crate::color::{viridis, Color};
 use crate::image::Image;
 
-/// Slicing axis (the image shows the two remaining axes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SliceAxis {
-    X,
-    Y,
-    Z,
-}
+/// Pixels per finest-level cell.
+const PIXELS_PER_CELL: usize = 2;
 
-/// Slice rendering options.
-#[derive(Debug, Clone, Copy)]
-pub struct SliceOptions {
-    pub axis: SliceAxis,
-    /// Slice position as a fraction of the domain (0..1).
-    pub frac: f64,
-    pub colormap: Colormap,
-    /// Log-scale the values before mapping (useful for density fields).
-    pub log_scale: bool,
-    /// Draw the fine-level box outlines (the paper's dashed boxes).
-    pub draw_boxes: bool,
-    /// Pixels per finest-level cell.
-    pub pixels_per_cell: usize,
-}
+/// Colour of the fine-level box outlines (the paper's dashed boxes).
+const OUTLINE: Color = Color::new(255, 60, 60);
 
-impl Default for SliceOptions {
-    fn default() -> Self {
-        SliceOptions {
-            axis: SliceAxis::Z,
-            frac: 0.5,
-            colormap: Colormap::Viridis,
-            log_scale: false,
-            draw_boxes: true,
-            pixels_per_cell: 2,
-        }
-    }
-}
-
-/// Renders a 2D slice of a hierarchy field at the finest resolution, with
-/// optional fine-level box outlines.
-pub fn render_slice(
-    hier: &AmrHierarchy,
-    field: &str,
-    opts: &SliceOptions,
-) -> Result<Image, AmrError> {
+/// Renders the mid-z slice of a hierarchy field at the finest resolution
+/// (x across, y up), with the finest level's box outlines drawn over it.
+/// `log_scale` takes log10 of the values before colour mapping (useful for
+/// density fields).
+pub fn render_slice(hier: &AmrHierarchy, field: &str, log_scale: bool) -> Result<Image, AmrError> {
     let uniform = flatten_to_finest(hier, field, Upsample::PiecewiseConstant)?;
     let [nx, ny, nz] = uniform.dims();
-
-    // In-plane dims (u, v) and the fixed index.
-    let (nu, nv) = match opts.axis {
-        SliceAxis::X => (ny, nz),
-        SliceAxis::Y => (nx, nz),
-        SliceAxis::Z => (nx, ny),
-    };
-    let fixed_n = match opts.axis {
-        SliceAxis::X => nx,
-        SliceAxis::Y => ny,
-        SliceAxis::Z => nz,
-    };
-    let fixed = ((opts.frac.clamp(0.0, 1.0) * fixed_n as f64) as usize).min(fixed_n - 1);
-
-    let value = |u: usize, v: usize| -> f64 {
-        match opts.axis {
-            SliceAxis::X => uniform.at(fixed, u, v),
-            SliceAxis::Y => uniform.at(u, fixed, v),
-            SliceAxis::Z => uniform.at(u, v, fixed),
-        }
-    };
+    let z = nz / 2;
+    let value = |x: usize, y: usize| transform(uniform.at(x, y, z), log_scale);
 
     // Value range over the slice.
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for v in 0..nv {
-        for u in 0..nu {
-            let val = transform(value(u, v), opts.log_scale);
-            lo = lo.min(val);
-            hi = hi.max(val);
+    for y in 0..ny {
+        for x in 0..nx {
+            let v = value(x, y);
+            lo = lo.min(v);
+            hi = hi.max(v);
         }
     }
     let range = (hi - lo).max(1e-300);
 
-    let pc = opts.pixels_per_cell.max(1);
-    let mut img = Image::new(nu * pc, nv * pc, Color::BLACK);
-    for v in 0..nv {
-        for u in 0..nu {
-            let t = (transform(value(u, v), opts.log_scale) - lo) / range;
-            let c = colormap(opts.colormap, t);
+    let pc = PIXELS_PER_CELL;
+    let mut img = Image::new(nx * pc, ny * pc, Color::BLACK);
+    for y in 0..ny {
+        for x in 0..nx {
+            let c = viridis((value(x, y) - lo) / range);
             for dy in 0..pc {
                 for dx in 0..pc {
-                    // Image y runs downward; flip v so "up" is up.
-                    img.set(u * pc + dx, (nv - 1 - v) * pc + dy, c);
+                    // Image y runs downward; flip so "up" is up.
+                    img.set(x * pc + dx, (ny - 1 - y) * pc + dy, c);
                 }
             }
         }
     }
 
-    if opts.draw_boxes && hier.num_levels() > 1 {
-        let outline = Color::new(255, 60, 60);
+    if hier.num_levels() > 1 {
         for bx in hier.box_array(hier.num_levels() - 1).iter() {
-            // Project the box to slice coordinates if the slice plane cuts it.
-            let (alo, ahi) = (bx.lo(), bx.hi());
-            let (fix_lo, fix_hi, ulo, uhi, vlo, vhi) = match opts.axis {
-                SliceAxis::X => (alo[0], ahi[0], alo[1], ahi[1], alo[2], ahi[2]),
-                SliceAxis::Y => (alo[1], ahi[1], alo[0], ahi[0], alo[2], ahi[2]),
-                SliceAxis::Z => (alo[2], ahi[2], alo[0], ahi[0], alo[1], ahi[1]),
-            };
-            if (fixed as i64) < fix_lo || (fixed as i64) > fix_hi {
+            // Outline the box where the slice plane cuts it.
+            let (blo, bhi) = (bx.lo(), bx.hi());
+            if (z as i64) < blo[2] || (z as i64) > bhi[2] {
                 continue;
             }
-            let (u0, u1) = (ulo as usize * pc, (uhi as usize + 1) * pc - 1);
-            let (v0, v1) = (vlo as usize * pc, (vhi as usize + 1) * pc - 1);
-            let flip = |v: usize| nv * pc - 1 - v;
-            for u in u0..=u1.min(nu * pc - 1) {
-                img.set(u, flip(v0), outline);
-                img.set(u, flip(v1.min(nv * pc - 1)), outline);
+            let (x0, x1) = (blo[0] as usize * pc, (bhi[0] as usize + 1) * pc - 1);
+            let (y0, y1) = (blo[1] as usize * pc, (bhi[1] as usize + 1) * pc - 1);
+            let flip = |y: usize| ny * pc - 1 - y;
+            for x in x0..=x1.min(nx * pc - 1) {
+                img.set(x, flip(y0), OUTLINE);
+                img.set(x, flip(y1.min(ny * pc - 1)), OUTLINE);
             }
-            for v in v0..=v1.min(nv * pc - 1) {
-                img.set(u0, flip(v), outline);
-                img.set(u1.min(nu * pc - 1), flip(v), outline);
+            for y in y0..=y1.min(ny * pc - 1) {
+                img.set(x0, flip(y), OUTLINE);
+                img.set(x1.min(nx * pc - 1), flip(y), OUTLINE);
             }
         }
     }
@@ -142,15 +84,17 @@ mod tests {
     use super::*;
     use amrviz_amr::{Box3, BoxArray, Geometry, IntVect};
 
-    fn two_level() -> AmrHierarchy {
+    /// 8³ coarse cells under one fine box spanning `fine_z` (of 16) in z.
+    fn two_level_with(fine_z: [i64; 2]) -> AmrHierarchy {
         let geom = Geometry::unit(Box3::from_dims(8, 8, 8));
+        let fine = Box3::new(
+            IntVect::new(4, 4, fine_z[0]),
+            IntVect::new(11, 11, fine_z[1]),
+        );
         let mut h = AmrHierarchy::new(
             geom,
             vec![2],
-            vec![
-                BoxArray::single(geom.domain),
-                BoxArray::single(Box3::new(IntVect::new(4, 4, 4), IntVect::new(11, 11, 11))),
-            ],
+            vec![BoxArray::single(geom.domain), BoxArray::single(fine)],
         )
         .unwrap();
         h.add_field_from_fn("f", |lev, iv| {
@@ -160,117 +104,54 @@ mod tests {
         h
     }
 
+    /// The fine box covers z ∈ [4,11]: the mid slice (z = 8) cuts it.
+    fn two_level() -> AmrHierarchy {
+        two_level_with([4, 11])
+    }
+
     #[test]
     fn slice_dimensions() {
-        let h = two_level();
-        let img = render_slice(
-            &h,
-            "f",
-            &SliceOptions {
-                pixels_per_cell: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Finest res 16×16, 3 px/cell.
-        assert_eq!(img.width, 48);
-        assert_eq!(img.height, 48);
+        let img = render_slice(&two_level(), "f", false).unwrap();
+        // Finest res 16×16, 2 px/cell.
+        assert_eq!(img.width, 32);
+        assert_eq!(img.height, 32);
     }
 
     #[test]
     fn gradient_appears_in_image() {
-        let h = two_level();
-        let img = render_slice(
-            &h,
-            "f",
-            &SliceOptions {
-                draw_boxes: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let img = render_slice(&two_level(), "f", false).unwrap();
         // f grows along +x → left and right edges differ.
         let left = img.get(0, img.height / 2);
         let right = img.get(img.width - 1, img.height / 2);
         assert_ne!(left, right);
     }
 
+    fn outline_pixels(img: &Image) -> usize {
+        let pixels = (0..img.height).flat_map(|y| (0..img.width).map(move |x| (x, y)));
+        pixels.filter(|&(x, y)| img.get(x, y) == OUTLINE).count()
+    }
+
     #[test]
     fn box_outline_drawn_when_slice_cuts_it() {
-        let h = two_level();
-        let with = render_slice(
-            &h,
-            "f",
-            &SliceOptions {
-                frac: 0.5,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let without = render_slice(
-            &h,
-            "f",
-            &SliceOptions {
-                frac: 0.5,
-                draw_boxes: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_ne!(with, without, "outline had no effect");
-        // Outline color appears.
-        let mut found = false;
-        for y in 0..with.height {
-            for x in 0..with.width {
-                if with.get(x, y) == Color::new(255, 60, 60) {
-                    found = true;
-                }
-            }
-        }
-        assert!(found);
+        let img = render_slice(&two_level(), "f", false).unwrap();
+        assert!(outline_pixels(&img) > 0, "the outline colour appears");
     }
 
     #[test]
     fn slice_missing_the_fine_box_has_no_outline() {
-        let h = two_level();
-        // Fine box covers z ∈ [4,11] of 16 → frac 0.1 (z=1) misses it.
-        let img = render_slice(
-            &h,
-            "f",
-            &SliceOptions {
-                frac: 0.05,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for y in 0..img.height {
-            for x in 0..img.width {
-                assert_ne!(img.get(x, y), Color::new(255, 60, 60));
-            }
-        }
+        // Fine box covers z ∈ [0,3] of 16 → the mid slice (z = 8) misses it.
+        let img = render_slice(&two_level_with([0, 3]), "f", false).unwrap();
+        assert_eq!(outline_pixels(&img), 0);
     }
 
     #[test]
-    fn all_axes_work() {
-        let h = two_level();
-        for axis in [SliceAxis::X, SliceAxis::Y, SliceAxis::Z] {
-            let img = render_slice(
-                &h,
-                "f",
-                &SliceOptions {
-                    axis,
-                    log_scale: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert!(img.width > 0 && img.height > 0);
-        }
+    fn log_scale_slice_renders() {
+        let img = render_slice(&two_level(), "f", true).unwrap();
+        assert!(img.width > 0 && img.height > 0);
     }
 
     #[test]
     fn unknown_field_errors() {
-        let h = two_level();
-        assert!(render_slice(&h, "nope", &SliceOptions::default()).is_err());
+        assert!(render_slice(&two_level(), "nope", false).is_err());
     }
 }

@@ -33,13 +33,13 @@ impl Exemplar {
             if i > 0 {
                 stages.push(',');
             }
-            stages.push_str(&format!("\"{}\":{us}", crate::json_escape(name)));
+            stages.push_str(&format!("\"{}\":{us}", amrviz_obs::json_escape(name)));
         }
         format!(
             "{{\"trace\":\"{:x}\",\"total_us\":{},\"label\":\"{}\",\"stages_us\":{{{}}}}}",
             self.trace,
             self.total_us,
-            crate::json_escape(&self.label),
+            amrviz_obs::json_escape(&self.label),
             stages
         )
     }

@@ -29,7 +29,9 @@
 //! [`artifact`] (self-contained blob format) · [`cache`] (decoded-arena
 //! LRU) · [`server`] (worker pool) · [`client`] (measuring client) ·
 //! [`chaos`] (fault proxy) · [`loadgen`] (load generator) · [`torture`]
-//! (invariant harness).
+//! (invariant harness) · [`telemetry`] (request telemetry and the STATS
+//! snapshot, over [`window`] rings, the [`exemplar`] reservoir and the
+//! [`slo`] burn-rate math).
 
 #![warn(clippy::or_fun_call)]
 
@@ -37,12 +39,15 @@ pub mod artifact;
 pub mod cache;
 pub mod chaos;
 pub mod client;
+pub mod exemplar;
 pub mod loadgen;
 pub mod proto;
 pub mod server;
+pub mod slo;
 pub mod store;
 pub mod telemetry;
 pub mod torture;
+pub mod window;
 
 pub use amrviz_compress::compressor_by_name as compressor_for;
 pub use artifact::{decode_artifact, encode_artifact, Artifact};

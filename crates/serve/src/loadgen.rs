@@ -150,7 +150,6 @@ fn logical_request(
             let _scope = amrviz_obs::context_scope(amrviz_obs::TraceContext {
                 parent: 0,
                 trace: req.trace,
-                sampled: true,
             });
             journal::emit(
                 "serve",

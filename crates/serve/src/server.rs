@@ -29,6 +29,7 @@ use crate::proto::{
     self, EndFrame, Op, Request, RespHeader, Status, FLAG_COARSE_ONLY, FLAG_DEGRADED,
     MAX_REQUEST_FRAME,
 };
+use crate::slo::SloSpec;
 use crate::store::{BlobStore, StoreError};
 use crate::telemetry::{ReqTelemetry, StageTimes};
 use amrviz_amr::MultiFab;
@@ -36,7 +37,6 @@ use amrviz_codec::DecodeBudget;
 use amrviz_compress::{
     decompress_hierarchy_field_streamed, AmrCodecConfig, CompressError, DecodePolicy,
 };
-use amrviz_obs::slo::SloSpec;
 use amrviz_obs::{context_scope, journal, TraceContext};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -239,7 +239,7 @@ impl ServerHandle {
         let snap = self.inner.stats.snapshot();
         // Final SLO verdict as typed journal events, so a run's breach
         // state is on record even if nobody ever polled STATS.
-        amrviz_obs::slo::emit_journal(&self.inner.telemetry.slo_report());
+        crate::slo::emit_journal(&self.inner.telemetry.slo_report());
         let mut fields = vec![
             ("role", "\"server\"".to_string()),
             ("event", "\"drain\"".to_string()),
@@ -480,7 +480,6 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
     let _scope = context_scope(TraceContext {
         parent: 0,
         trace: req.trace,
-        sampled: true,
     });
     inner.stats.requests.fetch_add(1, Ordering::Relaxed);
     let t0 = Instant::now();
@@ -552,7 +551,7 @@ fn serve_stats(inner: &Inner, stream: &mut TcpStream, t0: Instant) -> Status {
     );
     // Every poll also journals the SLO state as typed events, so burn-rate
     // history is reconstructible offline from the journal alone.
-    amrviz_obs::slo::emit_journal(&inner.telemetry.slo_report());
+    crate::slo::emit_journal(&inner.telemetry.slo_report());
     for payload in [
         bare_header(Status::Ok, 0, 0),
         proto::encode_stats_frame(&json),

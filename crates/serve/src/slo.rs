@@ -20,11 +20,11 @@
 //! remembers an incident the short window shows as resolved). Windows with
 //! no traffic are skipped: no data is not an outage.
 //!
-//! The module is pure math over [`WindowReading`]s; the serve layer owns
-//! the rings that produce them (see `amrviz-serve`'s telemetry) and the
-//! recorder's slot-ring geometry (`super::window`) supplies the windows.
+//! The module is pure math over [`WindowReading`]s; [`crate::telemetry`]
+//! owns the rings that produce them and [`crate::window`] supplies the
+//! slot geometry.
 
-use crate::hist::Histogram;
+use amrviz_obs::hist::Histogram;
 
 /// Burn rate threshold above which a window is flagged. 1.0 would alert on
 /// exactly-at-budget; small overshoots are noise, so flag at 2x budget
@@ -213,7 +213,7 @@ impl SloReport {
         }
         format!(
             "{{\"spec\":\"{}\",\"windows\":[{}],\"avail_breach\":{},\"latency_breach\":{},\"breached\":{}}}",
-            crate::json_escape(&self.spec.display()),
+            amrviz_obs::json_escape(&self.spec.display()),
             windows,
             self.avail_breach,
             self.latency_breach,
@@ -269,16 +269,16 @@ pub fn evaluate(spec: &SloSpec, readings: &[WindowReading]) -> SloReport {
 /// verdict on each line, so a single grepped line is self-contained).
 /// No-op when no journal is attached.
 pub fn emit_journal(report: &SloReport) {
-    if !crate::journal::is_active() {
+    if !amrviz_obs::journal::is_active() {
         return;
     }
     for w in &report.windows {
-        crate::journal::emit(
+        amrviz_obs::journal::emit(
             "slo",
             &[
                 (
                     "spec",
-                    format!("\"{}\"", crate::json_escape(&report.spec.display())),
+                    format!("\"{}\"", amrviz_obs::json_escape(&report.spec.display())),
                 ),
                 ("window", format!("\"{}\"", w.label)),
                 ("secs", w.secs.to_string()),

@@ -4,18 +4,17 @@
 //! The server answers `Op::Stats` from this module alone — it is
 //! deliberately independent of the global obs recorder's enable state, so
 //! an operator gets live telemetry even from a server started without
-//! `--journal`/`--metrics-out`. These samples are stored here and nowhere
+//! `--journal`. These samples are stored here and nowhere
 //! else: STATS is the one place serve latency series are read.
 //!
 //! Ring geometry: 720 slots × 5 s = one hour of coverage, enough for the
 //! 1 h SLO burn window.
 
+use crate::exemplar::{Exemplar, Reservoir};
 use crate::proto::{Status, PROTO_VERSION};
 use crate::server::StatsSnapshot;
-use amrviz_obs::exemplar::{Exemplar, Reservoir};
-use amrviz_obs::expose::hist_stats_json;
-use amrviz_obs::slo::{evaluate, SloReport, SloSpec, WindowReading};
-use amrviz_obs::window::WindowedHistogram;
+use crate::slo::{evaluate, SloReport, SloSpec, WindowReading};
+use crate::window::WindowedHistogram;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -99,6 +98,15 @@ impl StageTimes {
     pub fn add_write(&mut self, us: u64) {
         self.write_us = Some(self.write_us.unwrap_or(0) + us);
     }
+}
+
+/// The stage a request spent longest in, of `(name, us)` pairs; equal times
+/// go to the name that sorts last. The one "what is this slow request bound
+/// by" rule, for journal lines (`amrviz stats`) and exemplars (`amrviz top`).
+pub fn dominant_stage<'a>(
+    stages: impl IntoIterator<Item = (&'a str, u64)>,
+) -> Option<(&'a str, u64)> {
+    stages.into_iter().max_by_key(|&(name, us)| (us, name))
 }
 
 /// The server's request telemetry: windowed per-status latency, windowed
@@ -278,8 +286,8 @@ impl ReqTelemetry {
         let views = |h: &WindowedHistogram| {
             format!(
                 "{{\"lifetime\":{},\"w5m\":{}}}",
-                hist_stats_json(&h.lifetime),
-                hist_stats_json(&h.window_merged(now_slot, w5m)),
+                h.lifetime.stats_json(),
+                h.window_merged(now_slot, w5m).stats_json(),
             )
         };
 

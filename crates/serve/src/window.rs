@@ -1,9 +1,9 @@
 //! Rolling time windows: a lazy slot ring and the windowed histogram
 //! built on it.
 //!
-//! A long-running owner (`amrviz serve`'s request telemetry — the only
-//! one) needs "p99 over the last five minutes" answerable at any instant
-//! without resetting anything. The scheme is a ring of `N` time slots:
+//! The server's request telemetry ([`crate::telemetry`]) needs "p99 over
+//! the last five minutes" answerable at any instant without resetting
+//! anything. The scheme is a ring of `N` time slots:
 //!
 //! * Every recorded value lands in the slot the owner derives from its own
 //!   clock (`elapsed / slot width`), stored at ring index `slot % N`.
@@ -16,10 +16,9 @@
 //!   covers) are skipped, so an idle metric naturally decays to empty.
 //!
 //! The ring itself is time-free: callers pass explicit slot ids, which is
-//! what makes the unit tests deterministic. The global recorder keeps
-//! plain totals and does not use this module.
+//! what makes the unit tests deterministic.
 
-use crate::hist::Histogram;
+use amrviz_obs::hist::Histogram;
 
 /// Slot id marking an empty ring entry (no real slot reaches u64::MAX:
 /// that would need ~585 years of uptime at 1 ns slots).

@@ -119,30 +119,6 @@ impl TriMesh {
         ]
     }
 
-    /// Area-weighted per-vertex normals (normalized; zero for isolated
-    /// vertices).
-    pub fn vertex_normals(&self) -> Vec<[f64; 3]> {
-        let mut normals = vec![[0.0f64; 3]; self.vertices.len()];
-        for t in 0..self.triangles.len() {
-            let n = self.face_normal_raw(t);
-            for &vi in &self.triangles[t] {
-                let acc = &mut normals[vi as usize];
-                acc[0] += n[0];
-                acc[1] += n[1];
-                acc[2] += n[2];
-            }
-        }
-        for n in &mut normals {
-            let len = (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt();
-            if len > 0.0 {
-                n[0] /= len;
-                n[1] /= len;
-                n[2] /= len;
-            }
-        }
-        normals
-    }
-
     /// All edges as packed `(min << 32) | max` keys, one entry per incident
     /// triangle, sorted. Shared by the boundary/adjacency queries; the sort
     /// is parallel, which matters on multi-million-triangle surfaces.
@@ -407,14 +383,6 @@ mod tests {
         };
         m.weld(1e-9);
         assert_eq!(m.num_triangles(), 0);
-    }
-
-    #[test]
-    fn vertex_normals_point_outward_for_flat_patch() {
-        let quad = unit_quad();
-        for n in quad.vertex_normals() {
-            assert!((n[2] - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

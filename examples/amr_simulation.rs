@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use amrviz_amr::plotfile::{read_plotfile, write_plotfile};
-use amrviz_render::{render_slice, SliceOptions};
+use amrviz_render::render_slice;
 use amrviz_sim::solver::{AmrAdvection, FIELD};
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
         );
 
         // Slice rendering with fine-box outlines (Fig. 2 analogue).
-        let img = render_slice(h, FIELD, &SliceOptions::default()).expect("field exists");
+        let img = render_slice(h, FIELD, false).expect("field exists");
         let img_path = out.join(format!("slice_step{:03}.png", h.step));
         img.save_png(&img_path).expect("write PNG");
 

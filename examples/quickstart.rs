@@ -63,11 +63,10 @@ fn main() {
 
     let img = render_mesh(
         &mesh,
-        &standard_camera(&built),
+        &standard_camera(built.hierarchy.geometry()),
         &RenderOptions {
             width: 800,
             height: 600,
-            ..Default::default()
         },
     );
     let img_path = Path::new("quickstart_isosurface.png");

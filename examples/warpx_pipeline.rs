@@ -65,11 +65,10 @@ fn main() {
     .expect("field exists");
     let levels = decompress_hierarchy_field(&built.hierarchy, &compressed, comp.as_ref(), &cfg)
         .expect("own stream decodes");
-    let cam = standard_camera(&built);
+    let cam = standard_camera(built.hierarchy.geometry());
     let opts = RenderOptions {
         width: 960,
         height: 720,
-        ..Default::default()
     };
     for (method, name) in [
         (IsoMethod::Resampling, "warpx_szlr_1e-2_resampling.png"),

@@ -3,10 +3,10 @@
 //! exemplar-reservoir determinism at different thread counts, and the SLO
 //! burn-rate math the serve STATS endpoint reports.
 
-use amrviz_obs::exemplar::{Exemplar, Reservoir};
-use amrviz_obs::slo::{evaluate, SloSpec, WindowReading};
-use amrviz_obs::window::WindowedHistogram;
+use amrviz_serve::exemplar::{Exemplar, Reservoir};
+use amrviz_serve::slo::{evaluate, SloSpec, WindowReading};
 use amrviz_serve::telemetry::{ReqTelemetry, StageTimes, SLOTS, SLOT_SECS};
+use amrviz_serve::window::WindowedHistogram;
 use amrviz_serve::Status;
 use std::sync::Mutex;
 

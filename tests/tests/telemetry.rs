@@ -1,7 +1,6 @@
 //! Continuous-telemetry integration: trace trees are structurally
 //! invariant under the worker-pool width, journal files parse line by line
-//! with `amrviz-json` and stitch back into the same trees, and head
-//! sampling keeps whole traces.
+//! with `amrviz-json` and stitch back into the same trees.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -175,27 +174,4 @@ fn journal_roundtrips_span_trees_through_jsonl() {
     assert!(text.lines().next().unwrap().contains("journal_start"));
     assert!(text.lines().last().unwrap().contains("journal_stop"));
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn head_sampling_keeps_or_drops_whole_traces() {
-    let _g = lock();
-    let prior = amrviz_par::threads();
-    amrviz_par::set_threads(4);
-    amrviz_obs::reset();
-    amrviz_obs::enable();
-    amrviz_obs::set_trace_sampling(2);
-    fan_out_workload(4);
-    amrviz_obs::set_trace_sampling(1);
-    amrviz_obs::disable();
-    let events = amrviz_obs::events_snapshot();
-    amrviz_obs::reset();
-    amrviz_par::set_threads(prior);
-
-    let shapes = trace_shapes(&events);
-    assert_eq!(shapes.len(), 2, "1-in-2 sampling keeps 2 of 4 traces");
-    // No torn traces: a kept trace has its full tree, a dropped one nothing.
-    for shape in &shapes {
-        assert_eq!(shape.len(), 9, "kept trace must be complete: {shape:?}");
-    }
 }
