@@ -24,8 +24,8 @@
 //!            Nyx × SZ-L/R timed with the recorder off vs on + journal,
 //!            exits nonzero above 3 % (takes --scale, default tiny, and --out)
 //!
-//! `--check` judges each figure that has a machine-read verdict (`fig1`,
-//! `fig9`, `fig10`, `fig11` so far) on the rows it has just recorded and
+//! `--check` judges each figure that has a machine-read verdict (`table2`,
+//! `fig1`, `fig9` – `fig13` so far) on the rows it has just recorded and
 //! exits non-zero naming the figure and the row of every claim of the paper
 //! that does not hold.
 //!
@@ -90,7 +90,7 @@ type Verdict = fn(&Json) -> Vec<String>;
 /// the run loop and `--check` read.
 const FIGURES: [(&str, Experiment, Option<Verdict>); 11] = [
     ("table1", table1, None),
-    ("table2", table2, None),
+    ("table2", table2, Some(table2_verdict)),
     ("fig1", fig1, Some(fig1_verdict)),
     ("fig2", fig2, None),
     (
@@ -107,12 +107,12 @@ const FIGURES: [(&str, Experiment, Option<Verdict>); 11] = [
     (
         "fig12",
         |c| rate_distortion(c, Application::Warpx, "fig12"),
-        None,
+        Some(fig12_verdict),
     ),
     (
         "fig13",
         |c| rate_distortion(c, Application::Nyx, "fig13"),
-        None,
+        Some(fig13_verdict),
     ),
     ("fig14", fig14, None),
     ("ablation", ablation, None),
@@ -214,6 +214,161 @@ fn fig11_verdict(rows: &Json) -> Vec<String> {
         "surface_error_cells",
         Some(DIVERGENCE_3),
     ));
+    failed
+}
+
+/// Why Fig. 13's matched-bitrate ordering is expected to be the reverse of
+/// the paper's (EXPERIMENTS.md divergence #4).
+const DIVERGENCE_4: &str = "divergence #4 (our synthetic log-normal Nyx field lacks the \
+     anisotropic filaments that let block regression win on real Nyx data at equal bitrate)";
+
+/// The recorded rows of `kind` — and of `app`, when one is given — in
+/// ascending error bound.
+fn series<'a>(rows: &'a Json, app: Option<&str>, kind: CompressorKind) -> Vec<&'a Json> {
+    let is = |r: &Json, key, want| r.get(key).and_then(Json::as_str) == Some(want);
+    let mut series: Vec<&Json> = (rows.as_arr().unwrap_or(&[]).iter())
+        .filter(|r| is(r, "compressor", kind.label()) && app.is_none_or(|app| is(r, "app", app)))
+        .collect();
+    series.sort_by(|a, b| {
+        cell(Some(a), "rel_error_bound").total_cmp(&cell(Some(b), "rel_error_bound"))
+    });
+    series
+}
+
+/// Each recorded SZ-L/R row, named `"[app ]eb <bound>"`, with the SZ-Interp
+/// row of the same bound (`None` when there is none); a failure line unless
+/// there are `bounds` of them.
+fn by_bound<'a>(
+    rows: &'a Json,
+    app: Option<&str>,
+    bounds: usize,
+    failed: &mut Vec<String>,
+) -> Vec<(String, &'a Json, Option<&'a Json>)> {
+    let prefix = app.map(|app| format!("{app} ")).unwrap_or_default();
+    let itp = series(rows, app, CompressorKind::SzInterp);
+    let pairs: Vec<_> = (series(rows, app, CompressorKind::SzLr).into_iter())
+        .map(|lr| {
+            let eb = lr.get("rel_error_bound");
+            let row = format!("{prefix}eb {:e}", cell(Some(lr), "rel_error_bound"));
+            (
+                row,
+                lr,
+                itp.iter().copied().find(|r| r.get("rel_error_bound") == eb),
+            )
+        })
+        .collect();
+    if pairs.len() != bounds {
+        failed.push(format!(
+            "{prefix}{} SZ-L/R row(s) recorded, {bounds} expected",
+            pairs.len()
+        ));
+    }
+    pairs
+}
+
+/// Table 2: CR rises and PSNR falls with the bound for both apps and both
+/// compressors, SZ-Interp out-compresses SZ-L/R at every bound, and SZ-L/R
+/// keeps the lower R-SSIM on Nyx at 1e-2.
+fn table2_verdict(rows: &Json) -> Vec<String> {
+    let mut failed = Vec::new();
+    for app in Application::ALL.map(Application::label) {
+        for kind in CompressorKind::PAPER {
+            for pair in series(rows, Some(app), kind).windows(2) {
+                let (tight, loose) = (Some(pair[0]), Some(pair[1]));
+                let eb = cell(loose, "rel_error_bound");
+                let row = format!("{app} {} eb {eb:e}", kind.label());
+                let cr = |r| cell(r, "compression_ratio");
+                let psnr = |r| cell(r, "psnr_db");
+                failed.extend(ordering(
+                    &row,
+                    ("CR", cr(loose)),
+                    ("the tighter bound's", cr(tight)),
+                    None,
+                ));
+                failed.extend(ordering(
+                    &row,
+                    ("the tighter bound's PSNR", psnr(tight)),
+                    ("PSNR", psnr(loose)),
+                    None,
+                ));
+            }
+        }
+        for (row, lr, itp) in by_bound(rows, Some(app), 3, &mut failed) {
+            let lr = Some(lr);
+            let cr = ("SZ-L/R's", cell(lr, "compression_ratio"));
+            let itp_cr = ("SZ-Itp CR", cell(itp, "compression_ratio"));
+            failed.extend(ordering(&row, itp_cr, cr, None));
+            if app == Application::Nyx.label() && cell(lr, "rel_error_bound") == 1e-2 {
+                let rssim = ("SZ-L/R's", cell(lr, "rssim"));
+                let itp_rssim = ("SZ-Itp R-SSIM", cell(itp, "rssim"));
+                failed.extend(ordering(&row, itp_rssim, rssim, None));
+            }
+        }
+    }
+    failed
+}
+
+/// Fig. 12: on WarpX SZ-Interp spends fewer bits per value, for a higher
+/// PSNR and a lower R-SSIM, at every bound.
+fn fig12_verdict(rows: &Json) -> Vec<String> {
+    let mut failed = Vec::new();
+    for (row, lr, itp) in by_bound(rows, None, RD_EBS.len(), &mut failed) {
+        let lr = Some(lr);
+        let field = |name, r, key| (name, cell(r, key));
+        for (hi, lo) in [
+            (
+                field("SZ-L/R bits/val", lr, "bits_per_value"),
+                field("SZ-Itp's", itp, "bits_per_value"),
+            ),
+            (
+                field("SZ-Itp PSNR", itp, "psnr_db"),
+                field("SZ-L/R's", lr, "psnr_db"),
+            ),
+            (
+                field("SZ-L/R R-SSIM", lr, "rssim"),
+                field("SZ-Itp's", itp, "rssim"),
+            ),
+        ] {
+            failed.extend(ordering(&row, hi, lo, None));
+        }
+    }
+    failed
+}
+
+/// The R-SSIM of a rate-distortion `series` at `bits` per value: log-linear
+/// between the two neighbouring recorded points that bracket it, NaN when
+/// none do.
+fn rssim_at_bits(series: &[&Json], bits: f64) -> f64 {
+    let point = |r: &Json| (cell(Some(r), "bits_per_value"), cell(Some(r), "rssim").ln());
+    let between = |w: &[&Json]| {
+        let ((b0, r0), (b1, r1)) = (point(w[0]), point(w[1]));
+        let inside = b0.min(b1) <= bits && bits <= b0.max(b1) && b0 != b1;
+        inside.then(|| (r0 + (bits - b0) / (b1 - b0) * (r1 - r0)).exp())
+    };
+    series.windows(2).find_map(between).unwrap_or(f64::NAN)
+}
+
+/// Fig. 13: on Nyx SZ-L/R keeps the lower R-SSIM at equal bound from eb 1e-2
+/// up. The paper's ordering at equal *bitrate* is the expected failure of
+/// divergence #4: SZ-L/R's 1e-2 point against SZ-Interp's R-SSIM
+/// log-interpolated at the same bits per value.
+fn fig13_verdict(rows: &Json) -> Vec<String> {
+    let mut failed = Vec::new();
+    for (row, lr, itp) in by_bound(rows, None, RD_EBS.len(), &mut failed) {
+        let eb = cell(Some(lr), "rel_error_bound");
+        let rssim = ("SZ-L/R's", cell(Some(lr), "rssim"));
+        if eb >= 1e-2 {
+            let itp_rssim = ("SZ-Itp R-SSIM", cell(itp, "rssim"));
+            failed.extend(ordering(&row, itp_rssim, rssim, None));
+        }
+        if eb == 1e-2 {
+            let bits = cell(Some(lr), "bits_per_value");
+            let itp = series(rows, None, CompressorKind::SzInterp);
+            let matched = ("SZ-Itp R-SSIM", rssim_at_bits(&itp, bits));
+            let row = format!("{row} at {bits:.3} bits/val");
+            failed.extend(ordering(&row, matched, rssim, Some(DIVERGENCE_4)));
+        }
+    }
     failed
 }
 
@@ -1174,10 +1329,151 @@ mod tests {
             assert!(failed[1].starts_with("fig11: SZ-Itp eb 1e-2: dual-cell surface_error_cells"));
             assert!(failed[1].contains("divergence #3"), "{failed:?}");
         }
+        // Table 2: swap the two compressors' CR at one bound; reverse one
+        // series' PSNR column; give SZ-L/R the worse R-SSIM on Nyx at 1e-2.
+        let mut rows = table2_rows();
+        assert_eq!(broken("table2", &rows), [""; 0]);
+        let (lr, itp) = (rows[1].compression_ratio, rows[4].compression_ratio);
+        (rows[1].compression_ratio, rows[4].compression_ratio) = (itp, lr);
+        let failed = broken("table2", &rows);
+        assert_eq!(
+            failed,
+            ["table2: WarpX eb 1e-3: SZ-Itp CR 2e1 is not above SZ-L/R's 2.1e1"]
+        );
+        let mut rows = table2_rows();
+        let psnr: Vec<f64> = rows[6..9].iter().map(|r| r.psnr_db).collect();
+        for (row, psnr) in rows[6..9].iter_mut().zip(psnr.into_iter().rev()) {
+            row.psnr_db = psnr;
+        }
+        let failed = broken("table2", &rows);
+        assert_eq!(failed.len(), 2, "{failed:?}");
+        let start =
+            "table2: Nyx SZ-L/R eb 1e-3: the tighter bound's PSNR 4e1 is not above PSNR 6e1";
+        assert_eq!(failed[0], start);
+        let mut rows = table2_rows();
+        rows[8].rssim = 1.0;
+        let failed = broken("table2", &rows);
+        assert_eq!(
+            failed,
+            ["table2: Nyx eb 1e-2: SZ-Itp R-SSIM 2e-2 is not above SZ-L/R's 1e0"]
+        );
+        let mut rows = table2_rows();
+        rows.remove(8);
+        let failed = broken("table2", &rows);
+        assert_eq!(failed, ["table2: Nyx 2 SZ-L/R row(s) recorded, 3 expected"]);
+
+        // Fig. 12: swap the two compressors' bits/val at one bound.
+        let warpx = |s: f64| {
+            std::array::from_fn(|e| {
+                let e = e as f64;
+                let psnr = 90.0 - 10.0 * e + 2.0 * (1.0 - s);
+                ((6.0 - e) * s, psnr, 1e-5 * 10f64.powf(e) * s)
+            })
+        };
+        let mut rows = rd_rows([warpx(1.0), warpx(0.5)]);
+        assert_eq!(broken("fig12", &rows), [""; 0]);
+        let (lr, itp) = (rows[2].bits_per_value, rows[8].bits_per_value);
+        (rows[2].bits_per_value, rows[8].bits_per_value) = (itp, lr);
+        let failed = broken("fig12", &rows);
+        assert_eq!(
+            failed,
+            ["fig12: eb 1e-3: SZ-L/R bits/val 2e0 is not above SZ-Itp's 4e0"]
+        );
+
+        // Fig. 13: SZ-L/R ahead in R-SSIM from 1e-2 up; at equal bitrate the
+        // paper's ordering is the expected failure of divergence #4, so a
+        // matched-bitrate flip into it fails.
+        let nyx = rd_rows([
+            [
+                (9.8, 84.8, 4e-6),
+                (7.0, 75.2, 3.4e-5),
+                (4.7, 64.7, 4.1e-4),
+                (3.1, 56.5, 3.6e-3),
+                (2.0, 51.4, 1.08e-2),
+                (1.5, 48.6, 1.57e-2),
+            ],
+            [
+                (9.3, 84.8, 3.8e-6),
+                (6.4, 75.2, 3.4e-5),
+                (3.9, 64.9, 3.8e-4),
+                (2.3, 56.2, 3.3e-3),
+                (1.3, 49.0, 2.29e-2),
+                (0.6, 45.3, 4.5e-2),
+            ],
+        ]);
+        assert_eq!(broken("fig13", &nyx), [""; 0]);
+        let mut rows = nyx.clone();
+        rows[4].rssim = 1e-3;
+        let failed = broken("fig13", &rows);
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        let start = "fig13: eb 1e-2 at 2.000 bits/val: SZ-Itp R-SSIM 5.9";
+        assert!(failed[0].starts_with(start), "{failed:?}");
+        assert!(failed[0].contains("not below SZ-L/R's 1e-3 as divergence #4"));
+        let mut rows = nyx;
+        rows[11].rssim = 1e-2;
+        let failed = broken("fig13", &rows);
+        assert_eq!(
+            failed,
+            ["fig13: eb 3e-2: SZ-Itp R-SSIM 1e-2 is not above SZ-L/R's 1.57e-2"]
+        );
+
         // Nothing recorded at all is a failure, not a pass.
-        for figure in ["fig1", "fig9", "fig10", "fig11"] {
+        for (figure, ..) in FIGURES.iter().filter(|f| f.2.is_some()) {
             assert!(!verdict_of(figure)(&Json::Null).is_empty(), "{figure}");
         }
+    }
+
+    /// A Table 2 row set on which the verdict holds: per app, SZ-L/R then
+    /// SZ-Interp at 1e-4, 1e-3, 1e-2, SZ-Interp one CR point ahead and
+    /// SZ-L/R's R-SSIM the lower at every bound.
+    fn table2_rows() -> Vec<experiment::CompressionRun> {
+        let mut rows = Vec::new();
+        for app in Application::ALL {
+            for (c, compressor) in ["SZ-L/R", "SZ-Itp"].into_iter().enumerate() {
+                for (e, rel_error_bound) in [1e-4, 1e-3, 1e-2].into_iter().enumerate() {
+                    rows.push(experiment::CompressionRun {
+                        scenario: app.label().into(),
+                        recipe: String::new(),
+                        compressor,
+                        rel_error_bound,
+                        abs_error_bound: rel_error_bound,
+                        compression_ratio: (10 * (e + 1) + c) as f64,
+                        compression_ratio_f32: 0.0,
+                        bits_per_value: 1.0,
+                        psnr_db: 80.0 - 20.0 * e as f64,
+                        ssim: 1.0,
+                        rssim: rel_error_bound * (1 + c) as f64,
+                        max_abs_error: 0.0,
+                        compress_seconds: 0.0,
+                        decompress_seconds: 0.0,
+                        trace_id: 0,
+                    });
+                }
+            }
+        }
+        rows
+    }
+
+    /// Rate-distortion points `(bits/val, PSNR, R-SSIM)` of SZ-L/R, then of
+    /// SZ-Interp, at each of the figures' six bounds.
+    fn rd_rows(points: [[(f64, f64, f64); 6]; 2]) -> Vec<experiment::RateDistortionPoint> {
+        let series = ["SZ-L/R", "SZ-Itp"].into_iter().zip(points);
+        series
+            .flat_map(|(compressor, points)| {
+                RD_EBS
+                    .into_iter()
+                    .zip(points)
+                    .map(
+                        move |(rel_error_bound, p)| experiment::RateDistortionPoint {
+                            compressor,
+                            rel_error_bound,
+                            bits_per_value: p.0,
+                            psnr_db: p.1,
+                            rssim: p.2,
+                        },
+                    )
+            })
+            .collect()
     }
 
     #[test]
