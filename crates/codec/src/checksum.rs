@@ -1,9 +1,9 @@
 //! FNV-1a 64-bit checksums for wire-format integrity.
 //!
 //! FNV-1a is not cryptographic — it guards against bit rot, truncation, and
-//! transport corruption, which is exactly the failure model of the v2 wire
+//! transport corruption, which is exactly the failure model of the v3 wire
 //! format. It is dependency-free, stable across platforms, and fast enough
-//! to run over every blob on every decode.
+//! to run over every chunk on every decode.
 
 /// 64-bit FNV-1a over a byte stream.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {

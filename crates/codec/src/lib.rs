@@ -17,8 +17,8 @@
 //! validated against a [`DecodeBudget`] (and the remaining input, where the
 //! format allows) *before* any allocation, so a corrupted length prefix
 //! yields a [`CodecError`] instead of a panic or an abort-on-alloc. The
-//! [`checksum`] module provides the FNV-1a hash the v2 wire format uses for
-//! per-blob integrity.
+//! [`checksum`] module provides the FNV-1a hash the v3 wire format uses for
+//! per-chunk integrity.
 //!
 //! ```
 //! use amrviz_codec::{huffman_encode, huffman_decode, lzss_compress, lzss_decompress};

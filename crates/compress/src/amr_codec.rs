@@ -1,11 +1,14 @@
 //! AMR-aware compression: applying a field compressor level-by-level to a
 //! patch-based hierarchy.
 //!
-//! Each fab (one box of one level) is compressed as an independent 3D field,
-//! exactly how in-situ AMR compression operates on AMReX data (one dataset
-//! per level, paper §2.2). A relative error bound is resolved against the
-//! *global* value range across all levels so every level honors the same
-//! absolute bound.
+//! Each fab (one box of one level) is predicted and quantized on its own,
+//! the way in-situ AMR compression treats AMReX data (one dataset per level,
+//! paper §2.2); the entropy stage is shared the way AMRIC shares it. A
+//! level's fabs are cut, in box order, into *chunks* of at least
+//! [`CHUNK_CELLS`] cells, and each chunk's pieces go through one Huffman +
+//! LZSS pass under one checksum. The chunk is the unit of fan-out and of
+//! damage. A relative error bound is resolved against the *global* value
+//! range across all levels so every level honors the same absolute bound.
 //!
 //! The paper notes that the redundant coarse data underneath fine patches
 //! "is frequently not used during post-analysis and visualization … one can
@@ -20,23 +23,29 @@
 //! the redundant data) functional.
 
 use amrviz_amr::{
-    prolong_trilinear, rasterize_into, restrict_average, AmrHierarchy, Fab, MultiFab,
+    prolong_trilinear, rasterize_into, restrict_average, AmrHierarchy, Box3, Fab, MultiFab,
 };
 use amrviz_codec::{fnv1a_64, DecodeBudget};
 
 use crate::field::Field3View;
-use crate::wire::{ByteReader, ByteWriter};
-use crate::{CompressError, Compressor, ErrorBound};
+use crate::wire::{read_pieces, write_pieces, ByteReader, ByteWriter};
+use crate::{checked_eb, CompressError, Compressor, ErrorBound};
 use amrviz_par::scratch;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 
 /// Magic byte opening a serialized [`CompressedHierarchyField`] container.
 pub const CONTAINER_MAGIC: u8 = 0xC3;
 
-/// Container wire version: magic/version preamble plus a per-blob FNV-1a
-/// checksum. It is the only version [`CompressedHierarchyField::from_bytes`]
-/// accepts.
-pub const CONTAINER_VERSION: u8 = 2;
+/// Container wire version: the chunked layout of
+/// [`CompressedHierarchyField::to_bytes`]. It is the only version
+/// [`CompressedHierarchyField::from_bytes`] accepts.
+pub const CONTAINER_VERSION: u8 = 3;
+
+/// A chunk closes once its pieces hold this many cells: enough symbols that
+/// one Huffman table and one LZSS pass pay for themselves across many small
+/// fabs, few enough that a level still fans out and a bad chunk stays a
+/// local loss.
+pub const CHUNK_CELLS: usize = 64 << 10;
 
 /// Options for hierarchy compression.
 #[derive(Debug, Clone, Copy, Default)]
@@ -49,39 +58,31 @@ pub struct AmrCodecConfig {
     pub restore_redundant: bool,
 }
 
-/// A compressed hierarchy field: one blob per (fab, piece) per level, plus
-/// enough metadata to report sizes and verify integrity. Use
-/// [`decompress_hierarchy_field`] with the same hierarchy structure to
-/// decode.
+/// A compressed hierarchy field: one blob per chunk per level, the header
+/// that says how they were cut, and enough metadata to report sizes and
+/// verify integrity. Use [`decompress_hierarchy_field`] with the same
+/// hierarchy structure, compressor and `skip_redundant` setting to decode.
 #[derive(Debug, Clone)]
 pub struct CompressedHierarchyField {
-    /// `blobs[level][piece]`.
+    /// `blobs[level][chunk]`.
     pub blobs: Vec<Vec<Vec<u8>>>,
     /// FNV-1a checksum of each blob, aligned with `blobs`. Verified before
-    /// each blob is decompressed; a mismatch is a per-fab decode failure.
+    /// each chunk is decoded; a mismatch is a failure of the chunk's fabs.
     pub checksums: Vec<Vec<u64>>,
     /// The absolute error bound every level was encoded with.
     pub abs_eb: f64,
     /// Number of scalar values across all levels.
     pub n_values: usize,
+    /// [`Compressor::tag`] of the compressor that encoded every chunk.
+    pub compressor: u64,
+    /// [`AmrCodecConfig::skip_redundant`] at encode time: it decides which
+    /// pieces exist.
+    pub skip_redundant: bool,
 }
 
 impl CompressedHierarchyField {
-    /// Builds the struct from blobs, computing checksums.
-    pub fn from_blobs(blobs: Vec<Vec<Vec<u8>>>, abs_eb: f64, n_values: usize) -> Self {
-        let checksums = blobs
-            .iter()
-            .map(|level| level.iter().map(|b| fnv1a_64(b)).collect())
-            .collect();
-        CompressedHierarchyField {
-            blobs,
-            checksums,
-            abs_eb,
-            n_values,
-        }
-    }
-
-    /// Total compressed payload size in bytes.
+    /// Total compressed payload size in bytes: every byte a chunk decoder
+    /// reads, model sections and coded sections alike.
     pub fn compressed_bytes(&self) -> usize {
         self.blobs
             .iter()
@@ -89,7 +90,7 @@ impl CompressedHierarchyField {
             .sum()
     }
 
-    /// How many blobs no longer hash to their stored checksum — the pieces
+    /// How many blobs no longer hash to their stored checksum — the chunks
     /// a decode will fail with "checksum mismatch", known before anything
     /// is decoded. (A checksum table of the wrong shape is the decode's
     /// structural error, not counted here.)
@@ -102,18 +103,26 @@ impl CompressedHierarchyField {
             .count()
     }
 
-    /// Serializes to the v2 container:
+    /// Serializes to the v3 container:
     ///
     /// ```text
-    /// u8 CONTAINER_MAGIC (0xC3), u8 CONTAINER_VERSION (2),
-    /// f64 abs_eb, uvarint n_values, uvarint n_levels,
-    /// per level: uvarint n_blobs,
-    ///   per blob: u64le fnv1a checksum, uvarint len, bytes
+    /// u8 CONTAINER_MAGIC (0xC3), u8 CONTAINER_VERSION (3),
+    /// uvarint compressor tag, u8 skip_redundant, f64 abs_eb,
+    /// uvarint n_values, uvarint n_levels,
+    /// per level: uvarint n_chunks,
+    ///   per chunk: u64le fnv1a checksum, uvarint len, bytes
     /// ```
+    ///
+    /// A chunk's bytes are its pieces' models, in piece order, as one
+    /// section, then one Huffman + LZSS coded section over all their
+    /// symbols. Which fabs and pieces a chunk holds is recomputed from the
+    /// hierarchy and the header, never stored.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u8(CONTAINER_MAGIC);
         w.u8(CONTAINER_VERSION);
+        w.uvarint(self.compressor);
+        w.u8(self.skip_redundant.into());
         w.f64(self.abs_eb);
         w.uvarint(self.n_values as u64);
         w.uvarint(self.blobs.len() as u64);
@@ -136,15 +145,15 @@ impl CompressedHierarchyField {
     /// Parses a serialized container, validating every declared count
     /// against `budget` and the remaining input before allocation.
     ///
-    /// Only the v2 layout written by [`CompressedHierarchyField::to_bytes`]
+    /// Only the v3 layout written by [`CompressedHierarchyField::to_bytes`]
     /// is accepted; a stream without the magic byte or with another version
     /// is `Malformed`, so the stored checksums are always the ones that were
-    /// written. Parsing is structural only — a blob with a wrong checksum is
-    /// parsed fine here and surfaces later, per-fab, during decode (which
-    /// is what lets [`DecodePolicy::Degrade`] repair it).
+    /// written. Parsing is structural only — a chunk with a wrong checksum
+    /// is parsed fine here and surfaces later, per chunk, during decode
+    /// (which is what lets [`DecodePolicy::Degrade`] repair its fabs).
     pub fn from_bytes_budgeted(bytes: &[u8], budget: &DecodeBudget) -> Result<Self, CompressError> {
         match bytes {
-            [CONTAINER_MAGIC, CONTAINER_VERSION, ..] => Self::parse_v2(bytes, budget),
+            [CONTAINER_MAGIC, CONTAINER_VERSION, ..] => Self::parse_v3(bytes, budget),
             [CONTAINER_MAGIC, version, ..] => Err(CompressError::Malformed(format!(
                 "unsupported container version {version} (expected {CONTAINER_VERSION})"
             ))),
@@ -154,14 +163,20 @@ impl CompressedHierarchyField {
         }
     }
 
-    fn parse_v2(bytes: &[u8], budget: &DecodeBudget) -> Result<Self, CompressError> {
+    fn parse_v3(bytes: &[u8], budget: &DecodeBudget) -> Result<Self, CompressError> {
         let mut r = ByteReader::with_budget(bytes, *budget);
         r.u8()?; // magic
         r.u8()?; // version
-        let abs_eb = r.f64()?;
+        let compressor = r.uvarint()?;
+        let skip_redundant = match r.u8()? {
+            0 => false,
+            1 => true,
+            b => return Err(CompressError::Malformed(format!("skip_redundant byte {b}"))),
+        };
+        let abs_eb = checked_eb(r.f64()?)?;
         let n_values = budget.check_values(r.uvarint()? as usize)?;
         let nlev = r.uvarint()? as usize;
-        // Each level costs at least one byte (its blob count).
+        // Each level costs at least one byte (its chunk count).
         if nlev > r.remaining() {
             return Err(CompressError::Malformed(
                 "level count exceeds stream".into(),
@@ -171,9 +186,11 @@ impl CompressedHierarchyField {
         let mut checksums = Vec::with_capacity(nlev);
         for _ in 0..nlev {
             let nblob = r.uvarint()? as usize;
-            // Each blob costs at least 9 bytes (checksum + length prefix).
+            // Each chunk costs at least 9 bytes (checksum + length prefix).
             if nblob > r.remaining() / 9 {
-                return Err(CompressError::Malformed("blob count exceeds stream".into()));
+                return Err(CompressError::Malformed(
+                    "chunk count exceeds stream".into(),
+                ));
             }
             let mut level = Vec::with_capacity(nblob);
             let mut sums = Vec::with_capacity(nblob);
@@ -196,6 +213,8 @@ impl CompressedHierarchyField {
             checksums,
             abs_eb,
             n_values,
+            compressor,
+            skip_redundant,
         })
     }
 }
@@ -220,63 +239,64 @@ pub fn compress_hierarchy_field(
     let mut n_values = 0usize;
     for (lev, mf) in amr_field.levels.iter().enumerate() {
         let mut sp = amrviz_obs::span!("compress.level", level = lev);
-        // Enumerate (fab, piece) tasks, then compress them in parallel.
-        let mut tasks: Vec<(usize, amrviz_amr::Box3)> = Vec::new();
-        let mut level_values = 0usize;
-        for (fi, fab) in mf.fabs().iter().enumerate() {
-            let bx = fab.box3();
-            level_values += bx.num_cells();
-            for piece in encode_pieces(hier, lev, bx, cfg) {
-                tasks.push((fi, piece));
-            }
-        }
+        let plan = LevelPlan::new(hier, cfg, lev);
+        let level_values = mf.num_cells();
         n_values += level_values;
-        // Fan the pieces across the pool; results come back in task order,
-        // so the per-level blob sequence is identical at any thread count.
-        let level_blobs: Vec<Vec<u8>> = amrviz_par::run(tasks.len(), |ti| {
-            let (fi, piece) = tasks[ti];
-            let fab = &mf.fabs()[fi];
-            // A piece that is its fab's whole box (always, unless redundant
-            // data is skipped) compresses straight off the fab; a sub-box is
-            // gathered into per-thread scratch first. Either way the
-            // compressor reads a borrowed view — no owned sub-fab or `Field3`
-            // per piece. The blob itself stays a fresh `Vec`: it outlives
-            // the task as part of the returned `CompressedHierarchyField`.
-            let mut vals = scratch::take_f64();
-            let data = if piece == fab.box3() {
-                fab.data()
-            } else {
-                vals.resize(piece.num_cells(), 0.0);
-                fab.read_region_into(piece, &mut vals);
-                &vals
-            };
-            // Per-piece latency + blob-size distributions. The Instant pair
+        // Fan the chunks across the pool; results come back in chunk order,
+        // so the level's blob sequence is identical at any thread count.
+        let level_blobs: Vec<Vec<u8>> = amrviz_par::run(plan.chunks.len(), |ci| {
+            // Per-chunk latency + blob-size distributions. The Instant pair
             // is gated so a disabled recorder costs nothing extra here.
             let t0 = amrviz_obs::is_enabled().then(std::time::Instant::now);
+            // The blob itself stays a fresh `Vec`: it outlives the task as
+            // part of the returned `CompressedHierarchyField`.
             let mut blob = Vec::new();
-            compressor.compress_into(
-                Field3View::new(piece.size(), data),
-                ErrorBound::Abs(abs_eb),
-                &mut blob,
-            );
+            write_pieces(&mut blob, |model, symbols| {
+                let mut vals = scratch::take_f64();
+                for &(fi, piece) in &plan.tasks[plan.chunk_tasks(ci)] {
+                    let fab = &mf.fabs()[fi];
+                    // A piece that is its fab's whole box (always, unless
+                    // redundant data is skipped) compresses straight off the
+                    // fab; a sub-box is gathered into per-thread scratch.
+                    let data = if piece == fab.box3() {
+                        fab.data()
+                    } else {
+                        vals.resize(piece.num_cells(), 0.0);
+                        fab.read_region_into(piece, &mut vals);
+                        &vals
+                    };
+                    let field = Field3View::new(piece.size(), data);
+                    compressor.encode_piece(field, abs_eb, model, symbols);
+                }
+                scratch::give_f64(vals);
+            });
             if let Some(t0) = t0 {
                 amrviz_obs::histogram!("compress.piece_us", t0.elapsed().as_micros());
                 amrviz_obs::histogram!("compress.blob_bytes", blob.len());
             }
-            scratch::give_f64(vals);
             blob
         });
         let level_bytes: usize = level_blobs.iter().map(Vec::len).sum();
         amrviz_obs::counter!("compress.bytes_in", level_values * 8);
         amrviz_obs::counter!("compress.bytes_out", level_bytes);
-        sp.add_field("pieces", tasks.len());
+        sp.add_field("pieces", plan.tasks.len());
+        sp.add_field("chunks", plan.chunks.len());
         sp.add_field("bytes_in", level_values * 8);
         sp.add_field("bytes_out", level_bytes);
         blobs.push(level_blobs);
     }
-    Ok(CompressedHierarchyField::from_blobs(
-        blobs, abs_eb, n_values,
-    ))
+    let checksums = blobs
+        .iter()
+        .map(|level| level.iter().map(|b| fnv1a_64(b)).collect())
+        .collect();
+    Ok(CompressedHierarchyField {
+        blobs,
+        checksums,
+        abs_eb,
+        n_values,
+        compressor: compressor.tag(),
+        skip_redundant: cfg.skip_redundant,
+    })
 }
 
 /// Value range `max − min` over every level of a field.
@@ -293,12 +313,7 @@ pub(crate) fn global_range(levels: &[MultiFab]) -> f64 {
 /// The rectangular pieces of `bx` that get encoded: the whole box normally,
 /// or (with `skip_redundant`) the parts not covered by the finer level.
 /// Deterministic, so compressor and decompressor always agree.
-fn encode_pieces(
-    hier: &AmrHierarchy,
-    lev: usize,
-    bx: amrviz_amr::Box3,
-    cfg: &AmrCodecConfig,
-) -> Vec<amrviz_amr::Box3> {
+fn encode_pieces(hier: &AmrHierarchy, lev: usize, bx: Box3, cfg: &AmrCodecConfig) -> Vec<Box3> {
     if !cfg.skip_redundant || lev + 1 >= hier.num_levels() {
         return vec![bx];
     }
@@ -310,18 +325,64 @@ fn encode_pieces(
     covered.complement_in(&bx)
 }
 
-/// How [`decompress_hierarchy_field_into`] treats a fab blob that fails
-/// its checksum or decode.
+/// The (fab, piece) schedule of one level and its cut into chunks — a pure
+/// function of the hierarchy and the config, so encoder and decoder always
+/// agree and no chunk table is stored. Tasks are fab-major and chunks are
+/// runs of whole fabs, so each fab's pieces and each chunk's tasks occupy
+/// one contiguous range.
+struct LevelPlan {
+    tasks: Vec<(usize, Box3)>,
+    fab_tasks: Vec<Range<usize>>,
+    /// The fabs of each chunk: a maximal run, in box order, closed once its
+    /// pieces hold [`CHUNK_CELLS`] cells.
+    chunks: Vec<Range<usize>>,
+}
+
+impl LevelPlan {
+    fn new(hier: &AmrHierarchy, cfg: &AmrCodecConfig, lev: usize) -> LevelPlan {
+        let ba = hier.box_array(lev);
+        let (mut tasks, mut fab_tasks, mut chunks) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut first, mut cells) = (0, 0);
+        for (fi, bx) in ba.iter().enumerate() {
+            let start = tasks.len();
+            for piece in encode_pieces(hier, lev, *bx, cfg) {
+                cells += piece.num_cells();
+                tasks.push((fi, piece));
+            }
+            fab_tasks.push(start..tasks.len());
+            if cells >= CHUNK_CELLS || fi + 1 == ba.len() {
+                chunks.push(first..fi + 1);
+                (first, cells) = (fi + 1, 0);
+            }
+        }
+        LevelPlan {
+            tasks,
+            fab_tasks,
+            chunks,
+        }
+    }
+
+    /// The task range of chunk `ci`.
+    fn chunk_tasks(&self, ci: usize) -> Range<usize> {
+        let fabs = &self.chunks[ci];
+        self.fab_tasks[fabs.start].start..self.fab_tasks[fabs.end - 1].end
+    }
+}
+
+/// How [`decompress_hierarchy_field_into`] treats a chunk that fails its
+/// checksum or decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecodePolicy {
     /// First failure aborts the decode with
-    /// [`CompressError::FabDecode`] naming the level and fab.
+    /// [`CompressError::FabDecode`] naming the level and the chunk's first
+    /// fab.
     #[default]
     Strict,
-    /// Failed fabs are reconstructed from neighbor levels — trilinear
-    /// prolongation from the coarser level, or (at level 0) restriction
-    /// from the finer level — and reported in the [`DecodeReport`]. Only
-    /// fabs with no neighbor data at all stay zero-filled.
+    /// The failed chunk's fabs are reconstructed from neighbor levels —
+    /// trilinear prolongation from the coarser level, or (at level 0)
+    /// restriction from the finer level — and reported in the
+    /// [`DecodeReport`]. Only fabs with no neighbor data at all stay
+    /// zero-filled.
     Degrade,
 }
 
@@ -340,7 +401,7 @@ pub enum RepairKind {
 pub enum FabStatus {
     /// Every piece of the fab decoded and verified.
     Ok,
-    /// At least one piece failed but was reconstructed from a neighbor
+    /// Its chunk failed, but its pieces were reconstructed from a neighbor
     /// level.
     Degraded { repair: RepairKind, cause: String },
     /// Failed and unrepairable (no neighbor level); left zero-filled.
@@ -381,7 +442,7 @@ impl DecodeReport {
 }
 
 /// Decompresses a hierarchy field back onto the box structure of `hier`.
-/// Returns one [`MultiFab`] per level. Strict policy: any bad blob is an
+/// Returns one [`MultiFab`] per level. Strict policy: any bad chunk is an
 /// error.
 pub fn decompress_hierarchy_field(
     hier: &AmrHierarchy,
@@ -403,13 +464,15 @@ pub fn decompress_hierarchy_field(
 }
 
 /// [`decompress_hierarchy_field`] with an explicit failure policy and
-/// decode budget, decoding into caller-owned level storage. Every blob's
+/// decode budget, decoding into caller-owned level storage. Every chunk's
 /// FNV-1a checksum is verified before it is decompressed; under
-/// [`DecodePolicy::Degrade`], fabs whose blobs fail checksum or decode are
-/// rebuilt from neighbor levels and the returned [`DecodeReport`] says
-/// which fabs were touched and why. Structural problems (wrong level/blob
-/// counts for this hierarchy) are hard errors under either policy — there
-/// is nothing to degrade onto.
+/// [`DecodePolicy::Degrade`], the fabs of a chunk that fails checksum or
+/// decode are rebuilt from neighbor levels and the returned
+/// [`DecodeReport`] says which fabs were touched and why. Structural
+/// problems — wrong level/chunk counts for this hierarchy, a header naming
+/// another compressor or `skip_redundant` setting — are hard errors under
+/// either policy, found before anything decodes: there is nothing to
+/// degrade onto.
 ///
 /// When `levels` already has the hierarchy's box structure (e.g. from a
 /// previous decode of the same hierarchy), every fab buffer is reused in
@@ -438,18 +501,8 @@ pub fn decompress_hierarchy_field_into(
     )
 }
 
-/// The (fab, piece) schedule of one level, reconstructed from the hierarchy
-/// exactly as the encoder enumerated it. Tasks are fab-major, so each fab's
-/// pieces occupy one contiguous task range — which is what lets the decode
-/// fan out per *fab* with every worker writing straight into its own fab's
-/// buffer.
-struct LevelPlan {
-    tasks: Vec<(usize, amrviz_amr::Box3)>,
-    fab_tasks: Vec<std::ops::Range<usize>>,
-}
-
-/// Failed pieces of one level: (fab index, piece box, error).
-type LevelFailures = Vec<(usize, amrviz_amr::Box3, CompressError)>;
+/// Failed chunks of one level: (chunk index, error), in chunk order.
+type LevelFailures = Vec<(usize, CompressError)>;
 
 /// [`decompress_hierarchy_field_into`] as one coarse → fine walk that hands
 /// each level to `sink(level, data, degraded_fabs)` the moment nothing later
@@ -459,13 +512,14 @@ type LevelFailures = Vec<(usize, amrviz_amr::Box3, CompressError)>;
 /// walk (the report then covers the levels handed over so far, and the
 /// finer entries of `levels` are unspecified).
 ///
-/// When a level is final: every level's structure is checked against the
-/// stream before anything decodes. Level `k ≥ 1` is final once it has
-/// decoded and its failed pieces are prolonged from level `k − 1`, itself
-/// final by then. Level 0 is final as soon as it has decoded cleanly; with
-/// failed pieces it waits for level 1 to decode, because restriction from
-/// the *unrepaired* finer level is its repair. `restore_redundant` rewrites
-/// coarse cells from finer levels, so it holds every level to the end.
+/// When a level is final: the header and every level's structure are
+/// checked against the stream before anything decodes. Level `k ≥ 1` is
+/// final once it has decoded and the fabs of its failed chunks are
+/// prolonged from level `k − 1`, itself final by then. Level 0 is final as
+/// soon as it has decoded cleanly; with a failed chunk it waits for level 1
+/// to decode, because restriction from the *unrepaired* finer level is its
+/// repair. `restore_redundant` rewrites coarse cells from finer levels, so
+/// it holds every level to the end.
 #[allow(clippy::too_many_arguments)]
 pub fn decompress_hierarchy_field_streamed(
     hier: &AmrHierarchy,
@@ -477,6 +531,21 @@ pub fn decompress_hierarchy_field_streamed(
     levels: &mut Vec<MultiFab>,
     mut sink: impl FnMut(usize, &MultiFab, u32) -> ControlFlow<()>,
 ) -> Result<DecodeReport, CompressError> {
+    if compressed.compressor != compressor.tag() {
+        return Err(CompressError::Malformed(format!(
+            "the container's chunks are compressor {:#x}'s, not {}'s ({:#x})",
+            compressed.compressor,
+            compressor.name(),
+            compressor.tag()
+        )));
+    }
+    if compressed.skip_redundant != cfg.skip_redundant {
+        return Err(CompressError::Malformed(format!(
+            "the container was encoded with skip_redundant = {}, the decode asks for {}",
+            compressed.skip_redundant, cfg.skip_redundant
+        )));
+    }
+    checked_eb(compressed.abs_eb)?;
     let nlev = hier.num_levels();
     if compressed.blobs.len() != nlev {
         return Err(CompressError::Malformed(format!(
@@ -485,7 +554,22 @@ pub fn decompress_hierarchy_field_streamed(
         )));
     }
     let plans = (0..nlev)
-        .map(|lev| plan_level(hier, compressed, cfg, lev))
+        .map(|lev| {
+            let plan = LevelPlan::new(hier, cfg, lev);
+            let n_blobs = compressed.blobs[lev].len();
+            if plan.chunks.len() != n_blobs {
+                return Err(CompressError::Malformed(format!(
+                    "level {lev}: {n_blobs} blobs for {} chunks",
+                    plan.chunks.len()
+                )));
+            }
+            if compressed.checksums.get(lev).map(Vec::len) != Some(n_blobs) {
+                return Err(CompressError::Malformed(format!(
+                    "level {lev}: checksum table does not match blob count"
+                )));
+            }
+            Ok(plan)
+        })
         .collect::<Result<Vec<_>, _>>()?;
     levels.truncate(nlev);
 
@@ -514,7 +598,15 @@ pub fn decompress_hierarchy_field_streamed(
         // has itself been repaired already.
         while settled <= lev {
             let failed = std::mem::take(&mut failures[settled]);
-            degraded.push(settle_level(hier, levels, settled, failed, &mut report));
+            let plan = &plans[settled];
+            degraded.push(settle_level(
+                hier,
+                levels,
+                plan,
+                settled,
+                failed,
+                &mut report,
+            ));
             if !cfg.restore_redundant
                 && sink(settled, &levels[settled], degraded[settled]).is_break()
             {
@@ -535,42 +627,9 @@ pub fn decompress_hierarchy_field_streamed(
     Ok(report)
 }
 
-/// Reconstructs level `lev`'s piece schedule and checks the stream's blob
-/// and checksum tables against it.
-fn plan_level(
-    hier: &AmrHierarchy,
-    compressed: &CompressedHierarchyField,
-    cfg: &AmrCodecConfig,
-    lev: usize,
-) -> Result<LevelPlan, CompressError> {
-    let ba = hier.box_array(lev);
-    let mut tasks: Vec<(usize, amrviz_amr::Box3)> = Vec::new();
-    let mut fab_tasks: Vec<std::ops::Range<usize>> = Vec::with_capacity(ba.len());
-    for (fi, bx) in ba.iter().enumerate() {
-        let start = tasks.len();
-        for piece in encode_pieces(hier, lev, *bx, cfg) {
-            tasks.push((fi, piece));
-        }
-        fab_tasks.push(start..tasks.len());
-    }
-    let n_blobs = compressed.blobs[lev].len();
-    if tasks.len() != n_blobs {
-        return Err(CompressError::Malformed(format!(
-            "level {lev}: {n_blobs} blobs for {} pieces",
-            tasks.len()
-        )));
-    }
-    if compressed.checksums.get(lev).map(Vec::len) != Some(n_blobs) {
-        return Err(CompressError::Malformed(format!(
-            "level {lev}: checksum table does not match blob count"
-        )));
-    }
-    Ok(LevelPlan { tasks, fab_tasks })
-}
-
-/// Decodes every piece of level `lev` into `mf` and returns the pieces that
-/// failed, in task order. A deadline breach, or any failure under
-/// [`DecodePolicy::Strict`], is the error.
+/// Decodes every chunk of level `lev` into `mf` and returns the chunks that
+/// failed, in chunk order; their fabs read as zero. A deadline breach, or
+/// any failure under [`DecodePolicy::Strict`], is the error.
 fn decode_level(
     compressed: &CompressedHierarchyField,
     compressor: &dyn Compressor,
@@ -581,75 +640,131 @@ fn decode_level(
     lev: usize,
 ) -> Result<LevelFailures, CompressError> {
     let mut sp = amrviz_obs::span!("decompress.level", level = lev);
-    let (level_blobs, sums) = (&compressed.blobs[lev], &compressed.checksums[lev]);
-    // One chunk per fab: each worker decodes that fab's pieces into
-    // per-thread scratch and writes them into the fab's (reused) buffer.
-    // Failures land in a mutex in scheduling order and are re-sorted by
-    // task index so reporting is thread-count independent.
-    let failed: std::sync::Mutex<Vec<(usize, usize, amrviz_amr::Box3, CompressError)>> =
-        std::sync::Mutex::new(Vec::new());
-    amrviz_par::for_each_chunk_mut(mf.fabs_mut(), 1, |fi, chunk| {
-        let fab = &mut chunk[0];
-        for ti in plan.fab_tasks[fi].clone() {
-            let (_, piece) = plan.tasks[ti];
-            if let Err(e) =
-                decode_piece_into(compressor, &level_blobs[ti], sums[ti], piece, budget, fab)
-            {
-                failed
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push((ti, fi, piece, e));
-            }
+    // One part per chunk: each worker decodes its chunk's pieces straight
+    // into the chunk's own (reused) fabs. Failures land in a mutex in
+    // scheduling order and are re-sorted by chunk so reporting is
+    // thread-count independent.
+    let mut parts = Vec::with_capacity(plan.chunks.len());
+    let mut rest = mf.fabs_mut();
+    for fabs in &plan.chunks {
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut(fabs.len());
+        parts.push(part);
+        rest = tail;
+    }
+    let failed = std::sync::Mutex::new(Vec::new());
+    amrviz_par::for_each_part(parts, |ci, fabs| {
+        if let Err(e) = decode_chunk(compressor, compressed, lev, plan, ci, budget, fabs) {
+            fabs.iter_mut().for_each(|fab| fab.data_mut().fill(0.0));
+            failed
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .push((ci, e));
         }
     });
-    let mut failed = failed.into_inner().unwrap_or_else(|p| p.into_inner());
-    failed.sort_by_key(|&(ti, ..)| ti);
+    let mut failed: LevelFailures = failed.into_inner().unwrap_or_else(|p| p.into_inner());
+    failed.sort_by_key(|&(ci, _)| ci);
     // A deadline breach is *not* repairable data: escalate it to a typed
     // error even under `Degrade`, so a timed-out request can never be
     // passed off as a degraded-but-served hierarchy.
     let fatal = failed
         .iter()
-        .position(|(.., e)| e.is_deadline())
+        .position(|(_, e)| e.is_deadline())
         .or(match policy {
             DecodePolicy::Strict if !failed.is_empty() => Some(0),
             _ => None,
         });
     if let Some(i) = fatal {
-        let (_, fab, _, e) = failed.swap_remove(i);
+        let (ci, e) = failed.swap_remove(i);
         return Err(CompressError::FabDecode {
             level: lev,
-            fab,
+            fab: plan.chunks[ci].start,
             source: Box::new(e),
         });
     }
-    let level_bytes: usize = level_blobs.iter().map(Vec::len).sum();
+    let level_bytes: usize = compressed.blobs[lev].iter().map(Vec::len).sum();
     amrviz_obs::counter!("decompress.bytes_in", level_bytes);
     amrviz_obs::counter!("decompress.bytes_out", mf.num_cells() * 8);
     sp.add_field("pieces", plan.tasks.len());
+    sp.add_field("chunks", plan.chunks.len());
     sp.add_field("bytes_in", level_bytes);
-    Ok(failed
-        .into_iter()
-        .map(|(_, fi, piece, e)| (fi, piece, e))
-        .collect())
+    Ok(failed)
 }
 
-/// Repairs level `lev`'s failed pieces from its neighbor levels, appends
-/// the level's fab statuses to `report`, and returns how many of its fabs
-/// are not clean.
+/// Verifies and decodes chunk `ci` of level `lev` into `fabs`, the chunk's
+/// own fabs. A piece that is its fab's whole box decodes straight into the
+/// fab's buffer; a sub-box goes through per-thread scratch. The checksum,
+/// the chunk's symbol count and each piece's sections are checked before
+/// the cells they govern are written; on error the fabs may hold part of
+/// the chunk.
+fn decode_chunk(
+    compressor: &dyn Compressor,
+    compressed: &CompressedHierarchyField,
+    lev: usize,
+    plan: &LevelPlan,
+    ci: usize,
+    budget: &DecodeBudget,
+    fabs: &mut [Fab],
+) -> Result<(), CompressError> {
+    let blob = &compressed.blobs[lev][ci];
+    if fnv1a_64(blob) != compressed.checksums[lev][ci] {
+        return Err(CompressError::Malformed("chunk checksum mismatch".into()));
+    }
+    let t0 = amrviz_obs::is_enabled().then(std::time::Instant::now);
+    let tasks = &plan.tasks[plan.chunk_tasks(ci)];
+    let counts = tasks
+        .iter()
+        .map(|(_, piece)| compressor.symbol_count(piece.size()));
+    let reader = ByteReader::with_budget(blob, *budget);
+    let (first_fab, eb) = (plan.chunks[ci].start, compressed.abs_eb);
+    read_pieces(reader, counts.clone().sum(), |model, mut symbols| {
+        let mut vals = scratch::take_f64();
+        // The rental goes back on every path: a failed chunk (a corrupt
+        // blob, a deadline) must not drain the thread's pool.
+        let decoded = tasks.iter().zip(counts).try_for_each(|(&(fi, piece), n)| {
+            // The counts sum to what `read_pieces` decoded, so each piece's
+            // share is there.
+            let (own, rest) = symbols.split_at(n);
+            symbols = rest;
+            let mut decode =
+                |out: &mut Vec<f64>| compressor.decode_piece(piece.size(), eb, model, own, out);
+            let fab = &mut fabs[fi - first_fab];
+            if piece == fab.box3() {
+                return fab.refill_with(decode);
+            }
+            decode(&mut vals)?;
+            fab.write_region_from(piece, &vals);
+            Ok(())
+        });
+        scratch::give_f64(vals);
+        decoded
+    })?;
+    if let Some(t0) = t0 {
+        amrviz_obs::histogram!("decompress.piece_us", t0.elapsed().as_micros());
+    }
+    Ok(())
+}
+
+/// Repairs the fabs of level `lev`'s failed chunks from its neighbor
+/// levels, appends the level's fab statuses to `report`, and returns how
+/// many of its fabs are not clean.
 fn settle_level(
     hier: &AmrHierarchy,
     levels: &mut [MultiFab],
+    plan: &LevelPlan,
     lev: usize,
     failed: LevelFailures,
     report: &mut DecodeReport,
 ) -> u32 {
-    let mut fab_status: Vec<FabStatus> = vec![FabStatus::Ok; hier.box_array(lev).len()];
-    for (fi, piece, e) in failed {
-        let status = repair_piece(hier, levels, lev, piece, e.to_string());
-        // A fab with several failed pieces keeps its worst status
-        // (Failed > Degraded > Ok).
-        if !matches!(fab_status[fi], FabStatus::Failed { .. }) {
-            fab_status[fi] = status;
+    let mut fab_status: Vec<FabStatus> = vec![FabStatus::Ok; plan.fab_tasks.len()];
+    for (ci, e) in failed {
+        let cause = e.to_string();
+        for &(fi, piece) in &plan.tasks[plan.chunk_tasks(ci)] {
+            let status = repair_piece(hier, levels, lev, piece, cause.clone());
+            // A fab with several pieces keeps its worst status
+            // (Failed > Degraded > Ok).
+            if !matches!(fab_status[fi], FabStatus::Failed { .. }) {
+                fab_status[fi] = status;
+            }
         }
     }
     let mut degraded = 0;
@@ -700,8 +815,8 @@ fn restore_redundant(hier: &AmrHierarchy, levels: &mut [MultiFab]) {
 /// when the boxes already match. A reused fab is zeroed only if its pieces
 /// do not tile it with one whole-box piece: cells no piece covers (skipped
 /// redundant regions) must decode to zero, exactly as a fresh decode would,
-/// while a whole-box piece overwrites the fab on success and
-/// [`decode_piece_into`] zeroes it on failure.
+/// while a whole-box piece overwrites the fab on success and a failed chunk
+/// is zero-filled by [`decode_level`].
 fn prepare_level(
     ba: &amrviz_amr::BoxArray,
     plan: &LevelPlan,
@@ -729,52 +844,6 @@ fn prepare_level(
     }
 }
 
-/// Verifies and decodes one piece blob into `fab` over `piece`. A piece
-/// that is the fab's whole box decodes straight into the fab's buffer; a
-/// sub-box goes through per-thread scratch (no per-piece `Fab` or owned
-/// `Field3`). A failed piece leaves its cells zero: a sub-box piece never
-/// writes them, a whole-box piece re-zeroes the (possibly recycled) fab.
-fn decode_piece_into(
-    compressor: &dyn Compressor,
-    blob: &[u8],
-    sum: u64,
-    piece: amrviz_amr::Box3,
-    budget: &DecodeBudget,
-    fab: &mut Fab,
-) -> Result<(), CompressError> {
-    if fnv1a_64(blob) != sum {
-        if piece == fab.box3() {
-            fab.data_mut().fill(0.0);
-        }
-        return Err(CompressError::Malformed("blob checksum mismatch".into()));
-    }
-    let t0 = amrviz_obs::is_enabled().then(std::time::Instant::now);
-    let decode = |vals: &mut Vec<f64>| {
-        let dims = compressor.decompress_into(blob, budget, vals)?;
-        if let Some(t0) = t0 {
-            amrviz_obs::histogram!("decompress.piece_us", t0.elapsed().as_micros());
-        }
-        if dims != piece.size() {
-            return Err(CompressError::Malformed(format!(
-                "piece dims {:?} but box size {:?}",
-                dims,
-                piece.size()
-            )));
-        }
-        Ok(())
-    };
-    if piece == fab.box3() {
-        return fab.refill_with(decode);
-    }
-    let mut vals = scratch::take_f64();
-    let decoded = decode(&mut vals);
-    if decoded.is_ok() {
-        fab.write_region_from(piece, &vals);
-    }
-    scratch::give_f64(vals);
-    decoded
-}
-
 /// Rebuilds one failed piece from neighbor-level data and returns the
 /// resulting [`FabStatus`]. Levels below `lev` have already been repaired
 /// (the caller sweeps coarse to fine), so prolongation reads best-available
@@ -783,7 +852,7 @@ fn repair_piece(
     hier: &AmrHierarchy,
     levels: &mut [MultiFab],
     lev: usize,
-    piece: amrviz_amr::Box3,
+    piece: Box3,
     cause: String,
 ) -> FabStatus {
     if lev > 0 {
@@ -817,7 +886,12 @@ fn repair_piece(
                 continue;
             };
             for ffab in fine.fabs() {
-                let Some(overlap) = target.intersect(&ffab.box3().coarsen(ratio)) else {
+                // As in `restore_redundant`: a degenerate unaligned fine box
+                // may hold the full set of children of no coarse cell.
+                let Some(covered) = ffab.box3().coarsen_inward(ratio) else {
+                    continue;
+                };
+                let Some(overlap) = target.intersect(&covered) else {
                     continue;
                 };
                 let restricted = restrict_average(ffab, overlap, ratio);
@@ -842,7 +916,9 @@ mod tests {
     use super::*;
     use crate::interp::SzInterp;
     use crate::szlr::SzLr;
-    use amrviz_amr::{Box3, BoxArray, Geometry, IntVect};
+    use crate::zfp_like::ZfpLike;
+    use amrviz_amr::{BoxArray, Geometry, IntVect};
+    use amrviz_codec::{huffman_decode, lzss_decompress};
 
     fn two_level_hier() -> AmrHierarchy {
         let geom = Geometry::unit(Box3::from_dims(16, 16, 16));
@@ -889,7 +965,7 @@ mod tests {
     fn roundtrip_within_bound_all_compressors() {
         let h = two_level_hier();
         let cfg = AmrCodecConfig::default();
-        let compressors: [&dyn Compressor; 2] = [&SzLr::default(), &SzInterp];
+        let compressors: [&dyn Compressor; 3] = [&SzLr::default(), &SzInterp, &ZfpLike];
         for comp in compressors {
             let c = compress_hierarchy_field(&h, "rho", comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
             let levels = decompress_hierarchy_field(&h, &c, comp, &cfg).unwrap();
@@ -926,6 +1002,37 @@ mod tests {
         })
         .unwrap();
         h
+    }
+
+    /// Nyx's shape in miniature: eight coarse fabs under a fine level of
+    /// 512 fabs of 8×8×6 cells, which fill three chunks (171, 171 and 170
+    /// fabs).
+    fn many_fab_hier() -> AmrHierarchy {
+        let geom = Geometry::unit(Box3::from_dims(32, 32, 32));
+        let fine = Box3::new(IntVect::new(0, 0, 0), IntVect::new(63, 63, 47));
+        let mut h = AmrHierarchy::new(
+            geom,
+            vec![2],
+            vec![
+                BoxArray::single(geom.domain).chop_to_max_cells(4096),
+                BoxArray::single(fine).chop_to_max_cells(512),
+            ],
+        )
+        .unwrap();
+        h.add_field_from_fn("rho", |lev, iv| {
+            let s = if lev == 0 { 0.3 } else { 0.15 };
+            let x = (iv[0] as f64 * s).sin() * (iv[1] as f64 * s).cos();
+            (x + (iv[2] as f64 * s * 0.7).sin()).exp()
+        })
+        .unwrap();
+        h
+    }
+
+    fn skip_restore() -> AmrCodecConfig {
+        AmrCodecConfig {
+            skip_redundant: true,
+            restore_redundant: true,
+        }
     }
 
     #[test]
@@ -972,10 +1079,7 @@ mod tests {
     fn restore_redundant_rebuilds_covered_cells() {
         let h = two_level_hier();
         let comp = SzLr::default();
-        let cfg = AmrCodecConfig {
-            skip_redundant: true,
-            restore_redundant: true,
-        };
+        let cfg = skip_restore();
         let c = compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-4), &cfg).unwrap();
         let levels = decompress_hierarchy_field(&h, &c, &comp, &cfg).unwrap();
         // Covered coarse cells should now approximate the restriction of the
@@ -1062,13 +1166,17 @@ mod tests {
     fn serialized_form_roundtrips() {
         let h = two_level_hier();
         let comp = SzInterp;
-        let cfg = AmrCodecConfig::default();
+        let cfg = skip_restore();
         let c = compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
         let bytes = c.to_bytes();
         let back = CompressedHierarchyField::from_bytes(&bytes).unwrap();
         assert_eq!(back.abs_eb, c.abs_eb);
         assert_eq!(back.n_values, c.n_values);
         assert_eq!(back.blobs, c.blobs);
+        assert_eq!(
+            (back.compressor, back.skip_redundant),
+            (SzInterp.tag(), true)
+        );
         let levels = decompress_hierarchy_field(&h, &back, &comp, &cfg).unwrap();
         assert_eq!(levels.len(), 2);
     }
@@ -1101,7 +1209,7 @@ mod tests {
         let cfg = AmrCodecConfig::default();
         let mut c =
             compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
-        // Flip one byte inside the fine level's blob; the stored checksum
+        // Flip one byte inside the fine level's chunk; the stored checksum
         // no longer matches.
         let mid = c.blobs[1][0].len() / 2;
         c.blobs[1][0][mid] ^= 0xFF;
@@ -1254,24 +1362,63 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_coarse_chunk_over_an_unaligned_fine_cell_is_repaired_without_a_panic() {
+        // One fine cell at an odd index holds none of its coarse parent's
+        // full set of children: restriction has nothing to average there.
+        let geom = Geometry::unit(Box3::from_dims(8, 8, 8));
+        let cell = Box3::new(IntVect::new(7, 7, 7), IntVect::new(7, 7, 7));
+        let levels = vec![BoxArray::single(geom.domain), BoxArray::new(vec![cell])];
+        let mut h = AmrHierarchy::new(geom, vec![2], levels).unwrap();
+        h.add_field_from_fn("rho", |_, iv| iv[0] as f64).unwrap();
+        let (comp, cfg) = (SzLr::default(), AmrCodecConfig::default());
+        let mut c =
+            compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
+        c.blobs[0][0][3] ^= 0xFF;
+        let report = decompress_hierarchy_field_into(
+            &h,
+            &c,
+            &comp,
+            &cfg,
+            DecodePolicy::Degrade,
+            &DecodeBudget::default(),
+            &mut Vec::new(),
+        )
+        .unwrap();
+        assert_eq!(report.counts(), (1, 0, 1));
+    }
+
+    /// Re-assembles chunk `ci` of level `lev` with its models and its
+    /// decoded symbols passed through `edit`, and reseals its checksum.
+    fn edit_chunk(
+        c: &mut CompressedHierarchyField,
+        (lev, ci): (usize, usize),
+        edit: impl FnOnce(&mut Vec<u8>, &mut Vec<u32>),
+    ) {
+        let mut r = ByteReader::new(&c.blobs[lev][ci]);
+        let mut models = r.section().unwrap().to_vec();
+        let mut symbols = huffman_decode(&lzss_decompress(r.section().unwrap()).unwrap()).unwrap();
+        edit(&mut models, &mut symbols);
+        let mut w = ByteWriter::new();
+        w.section(&models);
+        w.coded_section(&symbols);
+        c.blobs[lev][ci] = w.finish();
+        c.checksums[lev][ci] = fnv1a_64(&c.blobs[lev][ci]);
+    }
+
+    #[test]
     fn whole_box_piece_that_fails_after_decoding_leaves_the_fab_zero() {
-        // The fab's blob is replaced by a valid stream of the wrong shape
-        // (checksum and all): the decoder fills the fab's own buffer before
-        // the shape check rejects it, and a failed piece must read as zero.
+        // The chunk decodes its one piece into the fab's own buffer, then
+        // fails the end-of-chunk check on one surplus model byte (checksum
+        // resealed): a failed chunk must read as zero.
         let geom = Geometry::unit(Box3::from_dims(8, 8, 8));
         let mut h = AmrHierarchy::new(geom, vec![], vec![BoxArray::single(geom.domain)]).unwrap();
         h.add_field_from_fn("rho", |_, iv| 1.0 + iv[0] as f64)
             .unwrap();
         let cfg = AmrCodecConfig::default();
-        for comp in [
-            &SzLr::default() as &dyn Compressor,
-            &SzInterp,
-            &crate::ZfpLike,
-        ] {
-            // Same cell count, other shape: only the shape check can object.
-            let other = crate::Field3::from_fn([4, 8, 16], |i, _, _| 5.0 + i as f64);
-            let blob = comp.compress(&other, ErrorBound::Abs(1e-3));
-            let c = CompressedHierarchyField::from_blobs(vec![vec![blob]], 1e-3, 512);
+        for comp in [&SzLr::default() as &dyn Compressor, &SzInterp, &ZfpLike] {
+            let mut c =
+                compress_hierarchy_field(&h, "rho", comp, ErrorBound::Abs(1e-3), &cfg).unwrap();
+            edit_chunk(&mut c, (0, 0), |models, _| models.push(0));
             let mut levels = Vec::new();
             let report = decompress_hierarchy_field_into(
                 &h,
@@ -1291,9 +1438,9 @@ mod tests {
     }
 
     /// The decode as it was before the level-at-a-time walk: decode every
-    /// level into fully zeroed storage, then repair every level coarse to
-    /// fine, then restore redundant cells. Kept as the oracle the walk must
-    /// reproduce bit for bit.
+    /// chunk of every level into fully zeroed storage, then repair every
+    /// level coarse to fine, then restore redundant cells. Kept as the
+    /// oracle the walk must reproduce bit for bit.
     fn two_pass_oracle(
         hier: &AmrHierarchy,
         compressed: &CompressedHierarchyField,
@@ -1306,27 +1453,29 @@ mod tests {
         let mut levels: Vec<MultiFab> = (0..nlev)
             .map(|lev| MultiFab::zeros(hier.box_array(lev)))
             .collect();
-        let mut failures: Vec<Vec<(usize, amrviz_amr::Box3, String)>> = vec![Vec::new(); nlev];
-        for lev in 0..nlev {
-            let plan = plan_level(hier, compressed, cfg, lev)?;
-            for (ti, &(fi, piece)) in plan.tasks.iter().enumerate() {
-                let fab = &mut levels[lev].fabs_mut()[fi];
-                let (blob, sum) = (&compressed.blobs[lev][ti], compressed.checksums[lev][ti]);
-                if let Err(e) = decode_piece_into(compressor, blob, sum, piece, budget, fab) {
+        let plans: Vec<LevelPlan> = (0..nlev).map(|l| LevelPlan::new(hier, cfg, l)).collect();
+        let mut failures: Vec<Vec<(usize, String)>> = vec![Vec::new(); nlev];
+        for (lev, plan) in plans.iter().enumerate() {
+            for (ci, fabs) in plan.chunks.iter().enumerate() {
+                let fabs = &mut levels[lev].fabs_mut()[fabs.clone()];
+                if let Err(e) = decode_chunk(compressor, compressed, lev, plan, ci, budget, fabs) {
                     if policy == DecodePolicy::Strict {
                         return Err(e);
                     }
-                    failures[lev].push((fi, piece, e.to_string()));
+                    fabs.iter_mut().for_each(|fab| fab.data_mut().fill(0.0));
+                    failures[lev].push((ci, e.to_string()));
                 }
             }
         }
         let mut report = DecodeReport::default();
-        for (lev, lev_failures) in failures.iter_mut().enumerate() {
-            let mut fab_status = vec![FabStatus::Ok; hier.box_array(lev).len()];
-            for (fi, piece, cause) in lev_failures.drain(..) {
-                let status = repair_piece(hier, &mut levels, lev, piece, cause);
-                if !matches!(fab_status[fi], FabStatus::Failed { .. }) {
-                    fab_status[fi] = status;
+        for (lev, plan) in plans.iter().enumerate() {
+            let mut fab_status = vec![FabStatus::Ok; plan.fab_tasks.len()];
+            for (ci, cause) in &failures[lev] {
+                for &(fi, piece) in &plan.tasks[plan.chunk_tasks(*ci)] {
+                    let status = repair_piece(hier, &mut levels, lev, piece, cause.clone());
+                    if !matches!(fab_status[fi], FabStatus::Failed { .. }) {
+                        fab_status[fi] = status;
+                    }
                 }
             }
             for (fi, status) in fab_status.into_iter().enumerate() {
@@ -1377,11 +1526,7 @@ mod tests {
 
     #[test]
     fn streamed_walk_matches_the_two_pass_oracle() {
-        let skip_restore = AmrCodecConfig {
-            skip_redundant: true,
-            restore_redundant: true,
-        };
-        // (name, hierarchy, config, blobs to damage as (level, blob)).
+        // (name, hierarchy, config, chunks to damage as (level, chunk)).
         type Case<'a> = (
             &'a str,
             &'a AmrHierarchy,
@@ -1391,37 +1536,56 @@ mod tests {
         let two = two_level_hier();
         let nyx = nyx_like_hier();
         let three = three_level_hier();
+        let many = many_fab_hier();
         let plain = AmrCodecConfig::default();
         let cases: Vec<Case> = vec![
             ("clean", &two, plain, vec![]),
             ("damaged fine", &two, plain, vec![(1, 0)]),
-            ("damaged coarse", &two, plain, vec![(0, 1), (0, 2)]),
+            ("damaged coarse", &two, plain, vec![(0, 0)]),
             ("damaged coarse, one fab", &nyx, plain, vec![(0, 0)]),
-            ("damaged both", &two, plain, vec![(0, 3), (1, 0)]),
+            ("damaged both", &two, plain, vec![(0, 0), (1, 0)]),
             ("three levels clean", &three, plain, vec![]),
             (
                 "three levels, every level damaged",
                 &three,
                 plain,
-                vec![(0, 0), (1, 1), (2, 0)],
+                vec![(0, 0), (1, 0), (2, 0)],
             ),
             (
                 "three levels, middle and fine",
                 &three,
                 plain,
-                vec![(1, 0), (2, 1)],
+                vec![(1, 0), (2, 0)],
             ),
-            ("restore redundant", &two, skip_restore, vec![]),
+            (
+                "many chunks, middle one damaged",
+                &many,
+                plain,
+                vec![(1, 1)],
+            ),
+            (
+                "many chunks, coarse and last fine damaged",
+                &many,
+                plain,
+                vec![(0, 0), (1, 2)],
+            ),
+            ("restore redundant", &two, skip_restore(), vec![]),
             (
                 "restore redundant, damaged",
                 &two,
-                skip_restore,
+                skip_restore(),
                 vec![(0, 0), (1, 0)],
             ),
             (
                 "restore redundant, three levels",
                 &three,
-                skip_restore,
+                skip_restore(),
+                vec![(1, 0)],
+            ),
+            (
+                "restore redundant, many chunks",
+                &many,
+                skip_restore(),
                 vec![(1, 0)],
             ),
         ];
@@ -1433,9 +1597,9 @@ mod tests {
                 let name = format!("{name} at {threads} thread(s)");
                 let mut c =
                     compress_hierarchy_field(h, "rho", &comp, ErrorBound::Rel(1e-3), cfg).unwrap();
-                for &(lev, blob) in damage {
-                    let mid = c.blobs[lev][blob].len() / 2;
-                    c.blobs[lev][blob][mid] ^= 0xFF;
+                for &(lev, chunk) in damage {
+                    let mid = c.blobs[lev][chunk].len() / 2;
+                    c.blobs[lev][chunk][mid] ^= 0xFF;
                 }
                 assert_eq!(c.checksum_failures(), damage.len(), "{name}");
                 let (want_levels, want_report) =
@@ -1474,12 +1638,186 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(seen, want_seen, "{name}: one sink call per level, in order");
-                assert_eq!(
-                    report.is_clean(),
-                    damage.is_empty(),
-                    "{name}: damage must show in the report"
-                );
+                // Damage shows in the report as every fab of each damaged
+                // chunk, and as nothing else.
+                let mut want_bad: Vec<(usize, usize)> = Vec::new();
+                for &(lev, chunk) in damage {
+                    let fabs = LevelPlan::new(h, cfg, lev).chunks[chunk].clone();
+                    want_bad.extend(fabs.map(|fi| (lev, fi)));
+                }
+                want_bad.sort();
+                let bad: Vec<(usize, usize)> =
+                    report.problems().map(|&(lev, fi, _)| (lev, fi)).collect();
+                assert_eq!(bad, want_bad, "{name}");
             }
+        }
+    }
+
+    #[test]
+    fn chunks_are_runs_of_whole_fabs_cut_at_64ki_cells_at_any_thread_count() {
+        let h = many_fab_hier();
+        let cells = |plan: &LevelPlan, tasks: Range<usize>| -> usize {
+            plan.tasks[tasks].iter().map(|(_, p)| p.num_cells()).sum()
+        };
+        for cfg in [AmrCodecConfig::default(), skip_restore()] {
+            for lev in 0..h.num_levels() {
+                let plan = LevelPlan::new(&h, &cfg, lev);
+                // The chunks tile the level's fabs in box order, and every
+                // one but the last closed on the fab that took it to
+                // `CHUNK_CELLS`.
+                let mut next = 0;
+                for (ci, fabs) in plan.chunks.iter().enumerate() {
+                    assert_eq!(fabs.start, next);
+                    next = fabs.end;
+                    let tasks = plan.chunk_tasks(ci);
+                    if ci + 1 < plan.chunks.len() {
+                        let last = plan.fab_tasks[fabs.end - 1].start;
+                        assert!(cells(&plan, tasks.clone()) >= CHUNK_CELLS);
+                        assert!(cells(&plan, tasks.start..last) < CHUNK_CELLS);
+                    }
+                }
+                assert_eq!(next, h.box_array(lev).len());
+            }
+        }
+        let fine = LevelPlan::new(&h, &AmrCodecConfig::default(), 1);
+        assert_eq!(fine.chunks, [0..171, 171..342, 342..512]);
+        // The same plan and the same container bytes at any thread count.
+        let comp = SzLr::default();
+        let run = |threads| {
+            amrviz_par::set_threads(threads);
+            let cfg = skip_restore();
+            let plans: Vec<_> = (0..2).map(|l| LevelPlan::new(&h, &cfg, l).chunks).collect();
+            let c = compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg);
+            (plans, c.unwrap().to_bytes())
+        };
+        assert_eq!(run(1), run(4));
+    }
+
+    #[test]
+    fn a_damaged_chunk_degrades_exactly_its_own_fabs() {
+        let h = many_fab_hier();
+        let (comp, cfg) = (SzLr::default(), AmrCodecConfig::default());
+        let plan = LevelPlan::new(&h, &cfg, 1);
+        for threads in [1, 4] {
+            amrviz_par::set_threads(threads);
+            let clean =
+                compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
+            let want = bits(&decompress_hierarchy_field(&h, &clean, &comp, &cfg).unwrap());
+            for (ci, fabs) in plan.chunks.iter().enumerate() {
+                let mut c = clean.clone();
+                let mid = c.blobs[1][ci].len() / 2;
+                c.blobs[1][ci][mid] ^= 0xFF;
+                let mut levels = Vec::new();
+                let report = decompress_hierarchy_field_into(
+                    &h,
+                    &c,
+                    &comp,
+                    &cfg,
+                    DecodePolicy::Degrade,
+                    &DecodeBudget::default(),
+                    &mut levels,
+                )
+                .unwrap();
+                let name = format!("chunk {ci} at {threads} thread(s)");
+                let bad: Vec<(usize, usize)> =
+                    report.problems().map(|&(lev, fi, _)| (lev, fi)).collect();
+                let want_bad: Vec<(usize, usize)> = fabs.clone().map(|fi| (1, fi)).collect();
+                assert_eq!(bad, want_bad, "{name}");
+                let got = bits(&levels);
+                assert_eq!(got[0], want[0], "{name}");
+                for (fi, (got, want)) in got[1].iter().zip(&want[1]).enumerate() {
+                    assert!(fabs.contains(&fi) || got == want, "{name}: fab {fi}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_chunk_one_symbol_short_or_long_is_typed_before_any_cell_is_written() {
+        let h = many_fab_hier();
+        let cfg = AmrCodecConfig::default();
+        let plan = LevelPlan::new(&h, &cfg, 1);
+        let fabs = plan.chunks[1].clone();
+        for comp in [&SzLr::default() as &dyn Compressor, &SzInterp, &ZfpLike] {
+            let clean =
+                compress_hierarchy_field(&h, "rho", comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
+            for grow in [false, true] {
+                let name = format!(
+                    "{}, one symbol {}",
+                    comp.name(),
+                    ["short", "long"][grow as usize]
+                );
+                let mut c = clean.clone();
+                edit_chunk(&mut c, (1, 1), |_, symbols| match grow {
+                    true => symbols.push(7),
+                    false => drop(symbols.pop()),
+                });
+                let mut mf = MultiFab::from_fn(h.box_array(1), |_| 7.5);
+                let chunk = &mut mf.fabs_mut()[fabs.clone()];
+                let budget = DecodeBudget::default();
+                let err = decode_chunk(comp, &c, 1, &plan, 1, &budget, chunk).unwrap_err();
+                assert!(
+                    matches!(&err, CompressError::Malformed(m) if m.contains("symbols coded")),
+                    "{name}: {err}"
+                );
+                let untouched = chunk.iter().all(|f| f.data().iter().all(|&v| v == 7.5));
+                assert!(untouched, "{name}: a cell was written");
+                // Through the whole decode: the chunk's fabs degrade, no other.
+                let report = decompress_hierarchy_field_into(
+                    &h,
+                    &c,
+                    comp,
+                    &cfg,
+                    DecodePolicy::Degrade,
+                    &budget,
+                    &mut Vec::new(),
+                )
+                .unwrap();
+                assert_eq!(report.counts().1, fabs.len(), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_header_naming_another_compressor_or_skip_setting_is_typed_before_decoding() {
+        let h = two_level_hier();
+        let plain = AmrCodecConfig::default();
+        let szlr = SzLr::default();
+        let c = compress_hierarchy_field(&h, "rho", &szlr, ErrorBound::Rel(1e-3), &plain).unwrap();
+        let c = CompressedHierarchyField::from_bytes(&c.to_bytes()).unwrap();
+        assert_eq!((c.compressor, c.skip_redundant), (szlr.tag(), false));
+        let other_block = SzLr {
+            block_size: 4,
+            ..szlr
+        };
+        let cases: [(&dyn Compressor, AmrCodecConfig, &str); 3] = [
+            (&SzInterp, plain, "not SZ-Itp's"),
+            (&other_block, plain, "not SZ-L/R's (0x4a1)"),
+            (&szlr, skip_restore(), "skip_redundant = false"),
+        ];
+        for (comp, cfg, says) in cases {
+            let mut levels = vec![MultiFab::from_fn(h.box_array(0), |_| 7.5)];
+            let err = decompress_hierarchy_field_streamed(
+                &h,
+                &c,
+                comp,
+                &cfg,
+                DecodePolicy::Degrade,
+                &DecodeBudget::default(),
+                &mut levels,
+                |_, _, _| panic!("no level may be handed over"),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, CompressError::Malformed(m) if m.contains(says)),
+                "{says}: {err}"
+            );
+            assert_eq!(levels.len(), 1, "{says}");
+            let untouched = levels[0]
+                .fabs()
+                .iter()
+                .all(|f| f.data().iter().all(|&v| v == 7.5));
+            assert!(untouched, "{says}: a cell was written");
         }
     }
 
@@ -1543,12 +1881,12 @@ mod tests {
             compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Abs(1e-3), &cfg).unwrap();
         // A stored checksum that does not match (the early return that never
         // reaches `refill_with`), and a valid checksum over a stream the
-        // compressor rejects.
+        // decoder rejects.
         let mut bad_sum = clean.clone();
         bad_sum.checksums[0][0] ^= 1;
-        let mut bad_stream = clean.blobs.clone();
-        bad_stream[0][0].truncate(5);
-        let bad_stream = CompressedHierarchyField::from_blobs(bad_stream, 1e-3, 512);
+        let mut bad_stream = clean.clone();
+        bad_stream.blobs[0][0].truncate(5);
+        bad_stream.checksums[0][0] = fnv1a_64(&bad_stream.blobs[0][0]);
         assert_eq!(
             (bad_sum.checksum_failures(), bad_stream.checksum_failures()),
             (1, 0)
@@ -1590,7 +1928,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_container_detects_checksum_mismatch_after_roundtrip() {
+    fn container_detects_checksum_mismatch_after_roundtrip() {
         let h = two_level_hier();
         let comp = SzInterp;
         let cfg = AmrCodecConfig::default();
@@ -1598,10 +1936,10 @@ mod tests {
         let mut bytes = c.to_bytes();
         assert_eq!(bytes[0], CONTAINER_MAGIC);
         assert_eq!(bytes[1], CONTAINER_VERSION);
-        // Corrupt a byte near the end (inside the last blob's payload).
+        // Corrupt a byte near the end (inside the last chunk's payload).
         let at = bytes.len() - 8;
         bytes[at] ^= 0x01;
-        // Structural parse still succeeds — integrity is per-blob.
+        // Structural parse still succeeds — integrity is per chunk.
         let back = CompressedHierarchyField::from_bytes(&bytes).unwrap();
         let err = decompress_hierarchy_field(&h, &back, &comp, &cfg).unwrap_err();
         assert!(matches!(err, CompressError::FabDecode { .. }), "got {err}");
@@ -1631,12 +1969,40 @@ mod tests {
         assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
         assert!(err.to_string().contains("magic"), "got {err}");
 
-        // A v2 parse error is reported as itself, not masked by a retry.
+        // A v3 parse error is reported as itself, not masked by a retry.
         let mut bytes = c.to_bytes();
         bytes.push(0);
         let err = CompressedHierarchyField::from_bytes(&bytes).unwrap_err();
         assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
         assert!(err.to_string().contains("trailing bytes"), "got {err}");
+    }
+
+    #[test]
+    fn legacy_v2_stream_is_rejected() {
+        let h = two_level_hier();
+        let comp = SzInterp;
+        let cfg = AmrCodecConfig::default();
+        let c = compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
+        // Serialize by hand in the v2 layout: magic, version 2, no
+        // compressor or skip_redundant in the header, one checksummed blob
+        // per piece. It must not parse — a v2 blob is a standalone stream
+        // per piece, which no v3 chunk decoder reads.
+        let mut w = ByteWriter::new();
+        w.u8(CONTAINER_MAGIC);
+        w.u8(2);
+        w.f64(c.abs_eb);
+        w.uvarint(c.n_values as u64);
+        w.uvarint(c.blobs.len() as u64);
+        for (level, sums) in c.blobs.iter().zip(&c.checksums) {
+            w.uvarint(level.len() as u64);
+            for (blob, &sum) in level.iter().zip(sums) {
+                w.u64_le(sum);
+                w.section(blob);
+            }
+        }
+        let err = CompressedHierarchyField::from_bytes(&w.finish()).unwrap_err();
+        assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
+        assert!(err.to_string().contains("version 2"), "got {err}");
     }
 
     #[test]

@@ -7,19 +7,19 @@
 //! dimension at a time with 4-point cubic interpolation
 //! (weights −1/16, 9/16, 9/16, −1/16), falling back to linear/constant
 //! where neighbors are missing. Residuals go through the shared
-//! error-bounded quantizer; symbols through Huffman + LZSS.
+//! error-bounded quantizer; symbols through the shared Huffman + LZSS
+//! stage. A piece's model is the raw corner anchor and the outliers.
 //!
 //! The global smooth predictor is why SZ-Interp wins on smooth fields
 //! (WarpX) and why its artifacts are smooth "bumps"/faulted geometry rather
 //! than blocks (paper §4).
 
-use amrviz_codec::DecodeBudget;
 use amrviz_par::scratch;
 
 use crate::field::{Field3View, FieldMut};
 use crate::quantizer::{Outliers, QuantStats, Quantizer};
 use crate::wire::{ByteReader, ByteWriter};
-use crate::{CompressError, Compressor, ErrorBound};
+use crate::{CompressError, Compressor};
 
 /// Magic byte identifying an SZ-Interp stream.
 const MAGIC: u8 = 0xA2;
@@ -159,13 +159,27 @@ impl Compressor for SzInterp {
         "SZ-Itp"
     }
 
-    fn compress_into(&self, field: Field3View<'_>, bound: ErrorBound, out: &mut Vec<u8>) {
-        let mut sp = amrviz_obs::span!("szitp.compress", values = field.len());
-        let start_len = out.len();
+    fn tag(&self) -> u64 {
+        MAGIC.into()
+    }
+
+    /// Every cell but the corner anchor, which the model stores raw.
+    fn symbol_count(&self, dims: [usize; 3]) -> usize {
+        dims.iter().product::<usize>() - 1
+    }
+
+    fn encode_piece(
+        &self,
+        field: Field3View<'_>,
+        eb: f64,
+        model: &mut ByteWriter,
+        symbols: &mut Vec<u32>,
+    ) {
+        let _sp = amrviz_obs::span!("szitp.compress", values = field.len());
         let dims = field.dims;
         let n = field.len();
         let data = field.data;
-        let q = Quantizer::new(bound.resolve(|| field.range()));
+        let q = Quantizer::new(eb);
 
         // Working buffers are rented per worker thread, not allocated per
         // field.
@@ -173,8 +187,9 @@ impl Compressor for SzInterp {
         recon.resize(n, 0.0);
         recon[0] = data[0]; // corner anchor, stored raw
         let mut outliers = scratch::take_f64();
-        let mut codes = scratch::take_u32();
-        codes.resize(n - 1, 0);
+        let start = symbols.len();
+        symbols.resize(start + n - 1, 0);
+        let codes = &mut symbols[start..];
 
         let mut pos = 0usize;
         sweep(FieldMut::new(dims, &mut recon), |at, pred| {
@@ -187,89 +202,49 @@ impl Compressor for SzInterp {
             value
         });
 
-        let mut w = ByteWriter::from_vec(std::mem::take(out));
-        w.u8(MAGIC);
-        w.uvarint(dims[0] as u64);
-        w.uvarint(dims[1] as u64);
-        w.uvarint(dims[2] as u64);
-        w.f64(q.eb());
-        w.f64(data[0]);
-        w.coded_section(&codes);
-        w.f64_section(&outliers);
-        *out = w.finish();
+        // The model: the anchor, then the outliers.
+        model.f64(data[0]);
+        model.f64_section(&outliers);
         QuantStats {
             codes: (codes.len() - outliers.len()) as u64,
             outliers: outliers.len() as u64,
         }
         .report();
-        scratch::give_u32(codes);
         scratch::give_f64(outliers);
         scratch::give_f64(recon);
-        sp.add_field("bytes_out", out.len() - start_len);
     }
 
-    fn decompress_into(
+    fn decode_piece(
         &self,
-        bytes: &[u8],
-        budget: &DecodeBudget,
+        dims: [usize; 3],
+        eb: f64,
+        model: &mut ByteReader<'_>,
+        codes: &[u32],
         out: &mut Vec<f64>,
-    ) -> Result<[usize; 3], CompressError> {
-        let _sp = amrviz_obs::span!("szitp.decompress", bytes_in = bytes.len());
-        // The rentals go back on every path: a failed decode (a corrupt
-        // blob, a deadline) must not drain the thread's pool.
-        let mut codes = scratch::take_u32();
-        let dims = decode(bytes, budget, out, &mut codes);
-        scratch::give_u32(codes);
-        dims
-    }
-}
+    ) -> Result<(), CompressError> {
+        let _sp = amrviz_obs::span!("szitp.decompress", values = codes.len() + 1);
+        let q = Quantizer::new(eb);
+        let anchor = model.f64()?;
+        // Checked against the zero codes — short *and* surplus — before
+        // anything is written; the sweep below cannot fail. Outliers stream
+        // straight out of the borrowed section, no copy.
+        let mut outliers = Outliers::new(model.section()?, codes)?;
 
-/// [`SzInterp::decompress_into`] over its rented `codes` scratch.
-fn decode(
-    bytes: &[u8],
-    budget: &DecodeBudget,
-    out: &mut Vec<f64>,
-    codes: &mut Vec<u32>,
-) -> Result<[usize; 3], CompressError> {
-    let mut r = ByteReader::with_budget(bytes, *budget);
-    if r.u8()? != MAGIC {
-        return Err(CompressError::Malformed("bad SZ-Interp magic".into()));
+        // Every cell is written below, so a buffer that already has the
+        // right length (a fab decoded in place) is not zeroed first.
+        out.resize(codes.len() + 1, 0.0);
+        out[0] = anchor;
+        let mut pos = 0usize;
+        sweep(FieldMut::new(dims, out), |_, pred| {
+            let code = codes[pos];
+            pos += 1;
+            match code {
+                0 => outliers.take(),
+                code => q.reconstruct(pred, code),
+            }
+        });
+        Ok(())
     }
-    let (dims, n) = r.dims3()?;
-    let eb = r.f64()?;
-    let anchor = r.f64()?;
-    if eb.is_nan() || eb <= 0.0 {
-        return Err(CompressError::Malformed("bad SZ-Interp header".into()));
-    }
-    let q = Quantizer::new(eb);
-
-    r.coded_section(codes)?;
-    if codes.len() != n - 1 {
-        return Err(CompressError::Malformed(format!(
-            "expected {} codes, found {}",
-            n - 1,
-            codes.len()
-        )));
-    }
-    // Checked against the zero codes — short *and* surplus — before
-    // anything is written; the sweep below cannot fail. Outliers stream
-    // straight out of the borrowed section, no copy.
-    let mut outliers = Outliers::new(r.section()?, codes)?;
-
-    // Every cell is written below, so a buffer that already has the
-    // right length (a fab decoded in place) is not zeroed first.
-    out.resize(n, 0.0);
-    out[0] = anchor;
-    let mut pos = 0usize;
-    sweep(FieldMut::new(dims, out), |_, pred| {
-        let code = codes[pos];
-        pos += 1;
-        match code {
-            0 => outliers.take(),
-            code => q.reconstruct(pred, code),
-        }
-    });
-    Ok(dims)
 }
 
 #[cfg(test)]
@@ -277,12 +252,13 @@ mod tests {
     use super::*;
     use crate::field::Field3;
     use crate::oracle_inputs::{bits, decode_in_place, oracle_case};
+    use crate::{DecodeBudget, ErrorBound};
     use amrviz_rng::check;
 
     /// The per-site sweep the row passes replaced, kept verbatim as the
-    /// reference: every neighbor addressed through `idx(i, j, k)` behind a
-    /// `&dyn Fn`, the stencil decided per site, and the `f64::round`
-    /// quantizer.
+    /// reference (only the stream framing follows the wire): every neighbor
+    /// addressed through `idx(i, j, k)` behind a `&dyn Fn`, the stencil
+    /// decided per site, and the `f64::round` quantizer.
     mod oracle {
         use super::super::{cubic, MAGIC};
         use crate::quantizer::{quantize_oracle, Quantized, Quantizer};
@@ -367,30 +343,33 @@ mod tests {
                     }
                 }
             });
+            let mut model = ByteWriter::new();
+            model.f64(field.data[0]);
+            let outlier_bytes: Vec<u8> = outliers.iter().flat_map(|v| v.to_le_bytes()).collect();
+            model.section(&outlier_bytes);
             let mut w = ByteWriter::new();
-            w.u8(MAGIC);
+            w.uvarint(MAGIC as u64);
             field.dims.iter().for_each(|&d| w.uvarint(d as u64));
             w.f64(eb);
-            w.f64(field.data[0]);
+            w.section(&model.finish());
             w.section(&lzss_compress(&huffman_encode(&codes)));
-            let outlier_bytes: Vec<u8> = outliers.iter().flat_map(|v| v.to_le_bytes()).collect();
-            w.section(&outlier_bytes);
             w.finish()
         }
 
         pub fn decompress(bytes: &[u8]) -> Result<Field3, CompressError> {
             let mut r = ByteReader::new(bytes);
-            assert_eq!(r.u8()?, MAGIC);
+            assert_eq!(r.uvarint()?, MAGIC as u64);
             let (dims, n) = r.dims3()?;
             let q = Quantizer::new(r.f64()?);
+            let mut model = ByteReader::new(r.section()?);
             let mut recon = vec![0.0; n];
-            recon[0] = r.f64()?;
-            let codes = huffman_decode(&lzss_decompress(r.section()?)?)?;
-            assert_eq!(codes.len(), n - 1);
-            let mut outliers = r
+            recon[0] = model.f64()?;
+            let mut outliers = model
                 .section()?
                 .chunks_exact(8)
                 .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
+            let codes = huffman_decode(&lzss_decompress(r.section()?)?)?;
+            assert_eq!(codes.len(), n - 1);
             let mut code_pos = 0;
             sweep(dims, &mut recon, |_, pred| {
                 let code = codes[code_pos];
@@ -426,20 +405,25 @@ mod tests {
             i as f64 + if rng.chance(0.1) { 1e6 } else { 0.0 }
         });
         let good = SzInterp.compress(&f, ErrorBound::Abs(0.01));
-        // Everything up to the outlier section, then the section itself.
+        // The header, the model (anchor and outliers), the coded symbols.
         let mut r = ByteReader::new(&good);
-        r.u8().unwrap();
+        r.uvarint().unwrap();
         r.dims3().unwrap();
         r.f64().unwrap();
-        r.f64().unwrap();
-        r.section().unwrap();
         let head = &good[..good.len() - r.remaining()];
-        let outliers = r.section().unwrap();
+        let mut model = ByteReader::new(r.section().unwrap());
+        let anchor = model.f64().unwrap();
+        let outliers = model.section().unwrap();
+        let coded = r.section().unwrap();
         assert!(outliers.len() >= 16 && r.remaining() == 0);
         // One byte more, one value fewer.
         for edited in [[outliers, &[0u8][..]].concat(), outliers[8..].to_vec()] {
+            let mut model = ByteWriter::new();
+            model.f64(anchor);
+            model.section(&edited);
             let mut w = ByteWriter::from_vec(head.to_vec());
-            w.section(&edited);
+            w.section(&model.finish());
+            w.section(coded);
             let mut out = vec![7.0; 3];
             let err = SzInterp
                 .decompress_into(&w.finish(), &DecodeBudget::default(), &mut out)

@@ -65,6 +65,8 @@ pub use szlr::{PredictorMode, SzLr};
 pub use zfp_like::ZfpLike;
 pub use zmesh::{compress_zmesh, decompress_zmesh};
 
+use wire::{read_pieces, write_pieces, ByteReader, ByteWriter};
+
 /// User-facing error-bound specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ErrorBound {
@@ -109,14 +111,14 @@ pub enum CompressError {
     Malformed(String),
     /// Underlying entropy-codec failure.
     Codec(amrviz_codec::CodecError),
-    /// A specific fab blob failed checksum or decode under
+    /// A chunk of fabs failed checksum or decode under
     /// [`amr_codec::DecodePolicy::Strict`]; names the offending position.
     FabDecode {
-        /// Hierarchy level of the failing fab.
+        /// Hierarchy level of the failing chunk.
         level: usize,
-        /// Fab index within the level.
+        /// Index within the level of the chunk's first fab.
         fab: usize,
-        /// What went wrong with that blob.
+        /// What went wrong with that chunk.
         source: Box<CompressError>,
     },
     /// A reconstruction decoded cleanly but strays further from the
@@ -181,23 +183,68 @@ impl From<amrviz_codec::CodecError> for CompressError {
     }
 }
 
-/// A lossy, error-bounded compressor for 3D scalar fields.
+/// A lossy, error-bounded compressor for 3D scalar fields, split where AMRIC
+/// splits it: the *model* half — predict and quantize one piece into model
+/// sections plus a symbol stream — is each compressor's own; the *entropy*
+/// half — one Huffman + LZSS coded section over the symbols of many pieces —
+/// is shared (`wire::write_pieces` / `wire::read_pieces`).
 ///
-/// The primary methods are the zero-copy pair: [`Compressor::compress_into`]
-/// reads a borrowed [`Field3View`] and appends the self-describing stream to
-/// a caller-owned buffer; [`Compressor::decompress_into`] decodes into a
-/// reusable `Vec<f64>` and returns the dims. The owned `compress` /
-/// `decompress*` API is kept as default-impl shims over those, so existing
-/// callers (and the doc examples) keep working unchanged — byte-for-byte.
+/// A compressor implements the model half. The standalone stream is built
+/// on it: [`Compressor::compress_into`] writes the tag, the dims and the
+/// bound, then one piece's model and one coded section;
+/// [`Compressor::decompress_into`] decodes it into a reusable `Vec<f64>`. The
+/// AMR container ([`amr_codec`]) puts many pieces under one coded section.
 pub trait Compressor: Sync {
     /// Short identifier used in reports ("SZ-L/R", "SZ-Itp", …).
     fn name(&self) -> &'static str;
 
-    /// Appends the compressed stream for `field` to `out`. The stream is
-    /// fully self-describing (dims and bound are recoverable), and the
-    /// appended bytes are identical to what [`Compressor::compress`]
-    /// returns for the same input.
-    fn compress_into(&self, field: Field3View<'_>, bound: ErrorBound, out: &mut Vec<u8>);
+    /// The compressor's wire tag: its magic byte, with every parameter its
+    /// decoder needs above it. It opens every standalone stream and names
+    /// the compressor in the container header, so no decoder reads another
+    /// compressor's pieces.
+    fn tag(&self) -> u64;
+
+    /// How many symbols a piece of `dims` cells puts on the entropy stream.
+    fn symbol_count(&self, dims: [usize; 3]) -> usize;
+
+    /// Predicts and quantizes `field` under the absolute bound `eb`: appends
+    /// the piece's model — everything its decoder reads besides the symbols —
+    /// to `model`, and its [`Compressor::symbol_count`] symbols to `symbols`.
+    fn encode_piece(
+        &self,
+        field: Field3View<'_>,
+        eb: f64,
+        model: &mut ByteWriter,
+        symbols: &mut Vec<u32>,
+    );
+
+    /// Inverse of [`Compressor::encode_piece`]: reads one piece's model off
+    /// `model` and reconstructs its `dims` cells into `out` (resized and
+    /// overwritten) from `symbols`, which holds exactly the piece's
+    /// [`Compressor::symbol_count`]. Every section is checked before any
+    /// cell is written.
+    fn decode_piece(
+        &self,
+        dims: [usize; 3],
+        eb: f64,
+        model: &mut ByteReader<'_>,
+        symbols: &[u32],
+        out: &mut Vec<f64>,
+    ) -> Result<(), CompressError>;
+
+    /// Appends the standalone stream for `field` to `out`: tag, dims and
+    /// absolute bound, then the piece's model and its coded symbols.
+    fn compress_into(&self, field: Field3View<'_>, bound: ErrorBound, out: &mut Vec<u8>) {
+        let eb = bound.resolve(|| field.range());
+        let mut w = ByteWriter::from_vec(std::mem::take(out));
+        w.uvarint(self.tag());
+        field.dims.iter().for_each(|&d| w.uvarint(d as u64));
+        w.f64(eb);
+        *out = w.finish();
+        write_pieces(out, |model, symbols| {
+            self.encode_piece(field, eb, model, symbols)
+        });
+    }
 
     /// Owned-API shim over [`Compressor::compress_into`].
     fn compress(&self, field: &Field3, bound: ErrorBound) -> Vec<u8> {
@@ -222,16 +269,39 @@ pub trait Compressor: Sync {
         Ok(Field3::new(dims, data))
     }
 
-    /// Decompresses into `out` (resized and overwritten, capacity reused)
-    /// with every declared dimension, count, and section length validated
-    /// against `budget` before allocation; returns the decoded dims. On
-    /// error `out` may hold a partial prefix; its contents are unspecified.
+    /// Decompresses a standalone stream into `out` (resized and overwritten,
+    /// capacity reused) with every declared dimension, count, and section
+    /// length validated against `budget` before allocation; returns the
+    /// decoded dims. A stream of another compressor is `Malformed`. On error
+    /// `out`'s contents are unspecified.
     fn decompress_into(
         &self,
         bytes: &[u8],
         budget: &amrviz_codec::DecodeBudget,
         out: &mut Vec<f64>,
-    ) -> Result<[usize; 3], CompressError>;
+    ) -> Result<[usize; 3], CompressError> {
+        let mut r = ByteReader::with_budget(bytes, *budget);
+        if r.uvarint()? != self.tag() {
+            return Err(CompressError::Malformed(format!(
+                "not a {} stream",
+                self.name()
+            )));
+        }
+        let (dims, _) = r.dims3()?;
+        let eb = checked_eb(r.f64()?)?;
+        read_pieces(r, self.symbol_count(dims), |model, symbols| {
+            self.decode_piece(dims, eb, model, symbols, out)
+        })?;
+        Ok(dims)
+    }
+}
+
+/// `eb` if it is a bound a quantizer can work with (finite, positive).
+pub(crate) fn checked_eb(eb: f64) -> Result<f64, CompressError> {
+    match eb > 0.0 && eb.is_finite() {
+        true => Ok(eb),
+        false => Err(CompressError::Malformed(format!("bad error bound {eb:e}"))),
+    }
 }
 
 /// The compressor behind an algorithm name (`szlr` | `szinterp` | `zfp`) —

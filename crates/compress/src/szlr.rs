@@ -12,9 +12,9 @@
 //!   values; fully local, which is what gives SZ-L/R random access and its
 //!   "block-wise" artifact structure at large error bounds.
 //!
-//! Stream layout (after the common header): predictor-selection bits,
-//! regression coefficients (`f32`×4 per regression block), Huffman+LZSS
-//! coded quantization symbols, raw outlier values.
+//! A piece's model: predictor-selection bits, regression coefficients
+//! (`f32`×4 per regression block), raw outlier values; its symbols are one
+//! quantization code per cell, entropy-coded with the other pieces'.
 //!
 //! # Shape of the hot path
 //!
@@ -40,7 +40,6 @@
 //! kernels replaced are kept as test oracles that must agree byte for byte.
 
 use amrviz_codec::BitWriter;
-use amrviz_codec::DecodeBudget;
 use amrviz_par::scratch;
 
 use crate::field::Field3View;
@@ -48,7 +47,7 @@ use crate::lorenzo::Neighbours;
 use crate::quantizer::{append_outliers, Outliers, QuantStats, Quantizer};
 use crate::regression::{FitSums, RegressionCoeffs};
 use crate::wire::{ByteReader, ByteWriter};
-use crate::{CompressError, Compressor, ErrorBound};
+use crate::{CompressError, Compressor};
 
 /// Magic byte identifying an SZ-L/R stream.
 const MAGIC: u8 = 0xA1;
@@ -219,13 +218,25 @@ impl Compressor for SzLr {
         "SZ-L/R"
     }
 
-    fn compress_into(&self, field: Field3View<'_>, bound: ErrorBound, out: &mut Vec<u8>) {
-        let mut sp = amrviz_obs::span!("szlr.compress", values = field.len());
-        let start_len = out.len();
-        let [nx, ny, nz] = field.dims;
+    fn tag(&self) -> u64 {
+        u64::from(MAGIC) | (self.block_size as u64) << 8
+    }
+
+    fn symbol_count(&self, dims: [usize; 3]) -> usize {
+        dims.iter().product()
+    }
+
+    fn encode_piece(
+        &self,
+        field: Field3View<'_>,
+        eb: f64,
+        model: &mut ByteWriter,
+        symbols: &mut Vec<u32>,
+    ) {
+        let _sp = amrviz_obs::span!("szlr.compress", values = field.len());
+        let nx = field.dims[0];
         let n = field.len();
         let data = field.data;
-        let eb = bound.resolve(|| field.range());
         let q = Quantizer::new(eb);
         let bs = self.block_size;
         let blocks = Blocks {
@@ -242,8 +253,9 @@ impl Compressor for SzLr {
         let mut outliers = scratch::take_f64();
         let mut zero = scratch::take_f64();
         zero.resize(bs.min(nx), 0.0);
-        let mut codes = scratch::take_u32();
-        codes.resize(n, 0);
+        let start = symbols.len();
+        symbols.resize(start + n, 0);
+        let codes = &mut symbols[start..];
         let mut pred_bits = BitWriter::with_buffer(scratch::take_bytes());
         let mut coeff_bytes = ByteWriter::from_vec(scratch::take_bytes());
 
@@ -277,22 +289,12 @@ impl Compressor for SzLr {
             });
         });
 
-        // Assemble the stream directly onto the caller's buffer; the
-        // entropy stages run through rented intermediates.
-        let mut w = ByteWriter::from_vec(std::mem::take(out));
-        w.u8(MAGIC);
-        w.uvarint(nx as u64);
-        w.uvarint(ny as u64);
-        w.uvarint(nz as u64);
-        w.f64(eb);
-        w.uvarint(bs as u64);
+        // The model: predictor bits, regression planes, outliers.
         let pred = pred_bits.finish();
-        w.section(&pred);
+        model.section(&pred);
         let coeff = coeff_bytes.finish();
-        w.section(&coeff);
-        w.coded_section(&codes);
-        w.f64_section(&outliers);
-        *out = w.finish();
+        model.section(&coeff);
+        model.f64_section(&outliers);
         QuantStats {
             codes: (n - outliers.len()) as u64,
             outliers: outliers.len() as u64,
@@ -300,114 +302,83 @@ impl Compressor for SzLr {
         .report();
         scratch::give_bytes(coeff);
         scratch::give_bytes(pred);
-        scratch::give_u32(codes);
         scratch::give_f64(zero);
         scratch::give_f64(outliers);
         scratch::give_f64(recon);
-        sp.add_field("bytes_out", out.len() - start_len);
     }
 
-    fn decompress_into(
+    fn decode_piece(
         &self,
-        bytes: &[u8],
-        budget: &DecodeBudget,
+        dims: [usize; 3],
+        eb: f64,
+        model: &mut ByteReader<'_>,
+        codes: &[u32],
         out: &mut Vec<f64>,
-    ) -> Result<[usize; 3], CompressError> {
-        let _sp = amrviz_obs::span!("szlr.decompress", bytes_in = bytes.len());
-        // The rentals go back on every path: a failed decode (a corrupt
-        // blob, a deadline) must not drain the thread's pool.
-        let (mut codes, mut zero) = (scratch::take_u32(), scratch::take_f64());
-        let dims = decode(bytes, budget, out, &mut codes, &mut zero);
-        scratch::give_f64(zero);
-        scratch::give_u32(codes);
-        dims
-    }
-}
+    ) -> Result<(), CompressError> {
+        let _sp = amrviz_obs::span!("szlr.decompress", values = codes.len());
+        let q = Quantizer::new(eb);
+        let bs = self.block_size;
+        let blocks = Blocks { dims, bs };
 
-/// [`SzLr::decompress_into`] over its rented `codes` and `zero` scratch.
-fn decode(
-    bytes: &[u8],
-    budget: &DecodeBudget,
-    out: &mut Vec<f64>,
-    codes: &mut Vec<u32>,
-    zero: &mut Vec<f64>,
-) -> Result<[usize; 3], CompressError> {
-    let mut r = ByteReader::with_budget(bytes, *budget);
-    if r.u8()? != MAGIC {
-        return Err(CompressError::Malformed("bad SZ-L/R magic".into()));
-    }
-    let (dims, n) = r.dims3()?;
-    let eb = r.f64()?;
-    let bs = r.uvarint()? as usize;
-    if bs == 0 || eb.is_nan() || eb <= 0.0 {
-        return Err(CompressError::Malformed("bad SZ-L/R header".into()));
-    }
-    let q = Quantizer::new(eb);
-    let blocks = Blocks { dims, bs };
-
-    // Section slices borrow the input stream directly (`ByteReader`
-    // hands back `&[u8]` tied to `bytes`), so nothing here is copied.
-    let pred_section = r.section()?;
-    let coeff_section = r.section()?;
-    r.coded_section(codes)?;
-    if codes.len() != n {
-        return Err(CompressError::Malformed(format!(
-            "expected {n} codes, found {}",
-            codes.len()
-        )));
-    }
-    // Every section is checked against what the loop below will read —
-    // short *and* surplus — before anything is written, so the
-    // reconstruction itself cannot fail.
-    let mut outliers = Outliers::new(r.section()?, codes)?;
-    let is_regression = |b: usize| pred_section[b / 8] & (0x80 >> (b % 8)) != 0;
-    if pred_section.len() != blocks.count().div_ceil(8) {
-        return Err(CompressError::Malformed(format!(
-            "{} blocks but a {}-byte predictor section",
-            blocks.count(),
-            pred_section.len()
-        )));
-    }
-    let planes = (0..blocks.count()).filter(|&b| is_regression(b)).count();
-    if coeff_section.len() != planes * 16 {
-        return Err(CompressError::Malformed(format!(
-            "{planes} regression blocks but a {}-byte coefficient section",
-            coeff_section.len()
-        )));
-    }
-    let mut planes = coeff_section.chunks_exact(16).map(|c| {
-        let f = |n: usize| f32::from_le_bytes(c[4 * n..4 * n + 4].try_into().expect("4 bytes"));
-        RegressionCoeffs::from_wire([f(0), f(1), f(2), f(3)])
-    });
-
-    // Every cell is written below, so a buffer that already has the
-    // right length (a fab decoded in place) is not zeroed first.
-    out.resize(n, 0.0);
-    zero.resize(bs.min(dims[0]), 0.0);
-    let (mut pos, mut b) = (0usize, 0usize);
-    blocks.for_each(|block| {
-        let len = block.ext[0];
-        let plane = is_regression(b).then(|| planes.next().expect("one plane per bit"));
-        b += 1;
-        blocks.rows(block, |at, row| {
-            let codes = &codes[pos..pos + len];
-            let (done, rest) = out.split_at_mut(at);
-            let recon = &mut rest[..len];
-            let step = |n: usize, pred: f64| {
-                recon[n] = match codes[n] {
-                    0 => outliers.take(),
-                    code => q.reconstruct(pred, code),
-                };
-                recon[n]
-            };
-            match &plane {
-                Some(plane) => plane.walk(len, row, step),
-                None => blocks.neighbours(block, row, done, zero).walk(step),
-            }
-            pos += len;
+        // Section slices borrow the input stream directly (`ByteReader`
+        // hands back `&[u8]` tied to its buffer), so nothing is copied.
+        // Every section is checked against what the loop below will read —
+        // short *and* surplus — before anything is written, so the
+        // reconstruction itself cannot fail.
+        let pred_section = model.section()?;
+        let coeff_section = model.section()?;
+        let mut outliers = Outliers::new(model.section()?, codes)?;
+        let is_regression = |b: usize| pred_section[b / 8] & (0x80 >> (b % 8)) != 0;
+        if pred_section.len() != blocks.count().div_ceil(8) {
+            return Err(CompressError::Malformed(format!(
+                "{} blocks but a {}-byte predictor section",
+                blocks.count(),
+                pred_section.len()
+            )));
+        }
+        let planes = (0..blocks.count()).filter(|&b| is_regression(b)).count();
+        if coeff_section.len() != planes * 16 {
+            return Err(CompressError::Malformed(format!(
+                "{planes} regression blocks but a {}-byte coefficient section",
+                coeff_section.len()
+            )));
+        }
+        let mut planes = coeff_section.chunks_exact(16).map(|c| {
+            let f = |n: usize| f32::from_le_bytes(c[4 * n..4 * n + 4].try_into().expect("4 bytes"));
+            RegressionCoeffs::from_wire([f(0), f(1), f(2), f(3)])
         });
-    });
-    Ok(dims)
+
+        // Every cell is written below, so a buffer that already has the
+        // right length (a fab decoded in place) is not zeroed first.
+        out.resize(codes.len(), 0.0);
+        let mut zero = scratch::take_f64();
+        zero.resize(bs.min(dims[0]), 0.0);
+        let (mut pos, mut b) = (0usize, 0usize);
+        blocks.for_each(|block| {
+            let len = block.ext[0];
+            let plane = is_regression(b).then(|| planes.next().expect("one plane per bit"));
+            b += 1;
+            blocks.rows(block, |at, row| {
+                let codes = &codes[pos..pos + len];
+                let (done, rest) = out.split_at_mut(at);
+                let recon = &mut rest[..len];
+                let step = |n: usize, pred: f64| {
+                    recon[n] = match codes[n] {
+                        0 => outliers.take(),
+                        code => q.reconstruct(pred, code),
+                    };
+                    recon[n]
+                };
+                match &plane {
+                    Some(plane) => plane.walk(len, row, step),
+                    None => blocks.neighbours(block, row, done, &zero).walk(step),
+                }
+                pos += len;
+            });
+        });
+        scratch::give_f64(zero);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -415,13 +386,15 @@ mod tests {
     use super::*;
     use crate::field::Field3;
     use crate::oracle_inputs::{bits, decode_in_place, oracle_case};
+    use crate::{DecodeBudget, ErrorBound};
     use amrviz_rng::check;
 
     /// The per-cell encoder and decoder the row kernels replaced, kept
-    /// verbatim as the reference: a side-buffer gather into `fit_block`, a
-    /// second read in `select_predictor`, then a walk that recomputes the
-    /// cell offset, branches on the predictor and calls `lorenzo3_predict`
-    /// with its boundary tests per cell, quantizing through `f64::round`.
+    /// verbatim as the reference (only the stream framing follows the
+    /// wire): a side-buffer gather into `fit_block`, a second read in
+    /// `select_predictor`, then a walk that recomputes the cell offset,
+    /// branches on the predictor and calls `lorenzo3_predict` with its
+    /// boundary tests per cell, quantizing through `f64::round`.
     mod oracle {
         use super::super::MAGIC;
         use crate::lorenzo::lorenzo3_predict;
@@ -540,36 +513,39 @@ mod tests {
                     }
                 }
             }
+            let mut model = ByteWriter::new();
+            model.section(&pred_bits.finish());
+            model.section(&coeff_bytes.finish());
+            let outlier_bytes: Vec<u8> = outliers.iter().flat_map(|v| v.to_le_bytes()).collect();
+            model.section(&outlier_bytes);
             let mut w = ByteWriter::new();
-            w.u8(MAGIC);
+            w.uvarint(MAGIC as u64 | (sz.block_size as u64) << 8);
             w.uvarint(nx as u64);
             w.uvarint(ny as u64);
             w.uvarint(nz as u64);
             w.f64(eb);
-            w.uvarint(sz.block_size as u64);
-            w.section(&pred_bits.finish());
-            w.section(&coeff_bytes.finish());
+            w.section(&model.finish());
             w.section(&lzss_compress(&huffman_encode(&codes)));
-            let outlier_bytes: Vec<u8> = outliers.iter().flat_map(|v| v.to_le_bytes()).collect();
-            w.section(&outlier_bytes);
             w.finish()
         }
 
         pub fn decompress(bytes: &[u8]) -> Result<Field3, CompressError> {
             let mut r = ByteReader::new(bytes);
-            assert_eq!(r.u8()?, MAGIC);
+            let tag = r.uvarint()?;
+            assert_eq!(tag & 0xFF, MAGIC as u64);
+            let bs = (tag >> 8) as usize;
             let (dims, n) = r.dims3()?;
             let [nx, ny, _] = dims;
             let q = Quantizer::new(r.f64()?);
-            let bs = r.uvarint()? as usize;
-            let mut pred_bits = BitReader::new(r.section()?);
-            let mut coeffs_r = ByteReader::new(r.section()?);
-            let codes = huffman_decode(&lzss_decompress(r.section()?)?)?;
-            assert_eq!(codes.len(), n);
-            let mut outliers = r
+            let mut model = ByteReader::new(r.section()?);
+            let mut pred_bits = BitReader::new(model.section()?);
+            let mut coeffs_r = ByteReader::new(model.section()?);
+            let mut outliers = model
                 .section()?
                 .chunks_exact(8)
                 .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
+            let codes = huffman_decode(&lzss_decompress(r.section()?)?)?;
+            assert_eq!(codes.len(), n);
             let mut recon = vec![0.0; n];
             let mut code_pos = 0;
             for (base, ext) in blocks(dims, bs) {
@@ -639,20 +615,22 @@ mod tests {
         });
     }
 
-    /// A valid stream re-assembled with its four sections passed through
-    /// `edit(section index, bytes)`.
+    /// A valid stream re-assembled with its three model sections passed
+    /// through `edit(section index, bytes)`.
     fn with_sections(stream: &[u8], edit: impl Fn(usize, &[u8]) -> Vec<u8>) -> Vec<u8> {
         let mut r = ByteReader::new(stream);
         let mut w = ByteWriter::new();
-        w.u8(r.u8().unwrap());
-        for _ in 0..3 {
+        for _ in 0..4 {
             w.uvarint(r.uvarint().unwrap());
         }
         w.f64(r.f64().unwrap());
-        w.uvarint(r.uvarint().unwrap());
-        for n in 0..4 {
-            w.section(&edit(n, r.section().unwrap()));
+        let mut model = ByteReader::new(r.section().unwrap());
+        let mut edited = ByteWriter::new();
+        for n in 0..3 {
+            edited.section(&edit(n, model.section().unwrap()));
         }
+        w.section(&edited.finish());
+        w.section(r.section().unwrap());
         w.finish()
     }
 
@@ -667,7 +645,7 @@ mod tests {
         let good = sz.compress(&f, ErrorBound::Abs(0.01));
         assert_eq!(with_sections(&good, |_, s| s.to_vec()), good);
         // (section, bytes per value): predictor bits, planes, outliers.
-        for (section, unit) in [(0, 1), (1, 16), (3, 8)] {
+        for (section, unit) in [(0, 1), (1, 16), (2, 8)] {
             // One byte more, one value fewer.
             for surplus in [true, false] {
                 let bad = with_sections(&good, |n, s| {

@@ -1,4 +1,6 @@
-//! Little helpers for serializing compressor headers and sections.
+//! Little helpers for serializing compressor headers and sections, and the
+//! one entropy stage every stream shares ([`write_pieces`] /
+//! [`read_pieces`]).
 //!
 //! [`ByteReader`] carries a [`DecodeBudget`]: declared section lengths and
 //! box dimensions are validated against it (and the remaining buffer)
@@ -11,6 +13,8 @@ use amrviz_codec::{
     read_uvarint, write_uvarint, zigzag_decode, zigzag_encode, CodecError, DecodeBudget,
 };
 use amrviz_par::scratch;
+
+use crate::CompressError;
 
 #[cfg(not(target_endian = "little"))]
 compile_error!(
@@ -190,14 +194,26 @@ impl<'a> ByteReader<'a> {
         self.exact(len)
     }
 
-    /// Inverse of [`ByteWriter::coded_section`]: the symbols land in `out`.
-    pub fn coded_section(&mut self, out: &mut Vec<u32>) -> Result<(), CodecError> {
+    /// Inverse of [`ByteWriter::coded_section`]: exactly `expected` symbols
+    /// land in `out`. The count the section declares is checked against
+    /// `expected` before the symbol buffer is sized.
+    pub fn coded_section(
+        &mut self,
+        expected: usize,
+        out: &mut Vec<u32>,
+    ) -> Result<(), CompressError> {
         let section = self.section()?;
         // The rental goes back on every path: a failed decode (a corrupt
         // blob, a deadline) must not drain the thread's pool.
         let mut lz = scratch::take_bytes();
         let decoded = lzss_decompress_into(section, &self.budget, &mut lz)
-            .and_then(|()| huffman_decode_into(&lz, &self.budget, out));
+            .map_err(CompressError::from)
+            .and_then(|()| match read_uvarint(&lz, &mut 0)? {
+                n if n == expected as u64 => Ok(huffman_decode_into(&lz, &self.budget, out)?),
+                n => Err(CompressError::Malformed(format!(
+                    "{n} symbols coded where the pieces read {expected}"
+                ))),
+            });
         scratch::give_bytes(lz);
         decoded
     }
@@ -243,6 +259,58 @@ impl<'a> ByteReader<'a> {
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
+}
+
+/// The entropy stage every stream shares. `pieces` runs the model half
+/// ([`crate::Compressor::encode_piece`]) of each piece in order onto one
+/// model writer and one symbol buffer; the body appended to `out` is the
+/// models, as one section, then one Huffman + LZSS coded section over all
+/// the symbols — the tail of a standalone stream and the whole of a chunk.
+pub(crate) fn write_pieces(out: &mut Vec<u8>, pieces: impl FnOnce(&mut ByteWriter, &mut Vec<u32>)) {
+    let (mut models, mut symbols) = (
+        ByteWriter::from_vec(scratch::take_bytes()),
+        scratch::take_u32(),
+    );
+    pieces(&mut models, &mut symbols);
+    let mut w = ByteWriter::from_vec(std::mem::take(out));
+    w.section(&models.buf);
+    w.coded_section(&symbols);
+    *out = w.finish();
+    scratch::give_u32(symbols);
+    scratch::give_bytes(models.finish());
+}
+
+/// Inverse of [`write_pieces`] over the rest of `r`: `pieces` takes each
+/// piece's model off the model reader and its share of the decoded symbols,
+/// `expected` in all — the coded section must declare exactly that many
+/// (checked before the symbol buffer is sized) and end the input, and the
+/// models must end where the last piece stops.
+pub(crate) fn read_pieces<'a>(
+    mut r: ByteReader<'a>,
+    expected: usize,
+    pieces: impl FnOnce(&mut ByteReader<'a>, &[u32]) -> Result<(), CompressError>,
+) -> Result<(), CompressError> {
+    let mut models = ByteReader::with_budget(r.section()?, r.budget);
+    // The rental goes back on every path: a failed decode (a corrupt
+    // chunk, a deadline) must not drain the thread's pool.
+    let mut symbols = scratch::take_u32();
+    let decoded = r.coded_section(expected, &mut symbols).and_then(|()| {
+        let trailing = r.remaining();
+        if trailing != 0 {
+            return Err(CompressError::Malformed(format!(
+                "{trailing} bytes after the coded section"
+            )));
+        }
+        pieces(&mut models, &symbols)?;
+        match models.remaining() {
+            0 => Ok(()),
+            left => Err(CompressError::Malformed(format!(
+                "{left} model bytes after the last piece"
+            ))),
+        }
+    });
+    scratch::give_u32(symbols);
+    decoded
 }
 
 #[cfg(test)]

@@ -9,16 +9,16 @@
 //! S-transform (exactly invertible integer lifting) and the workspace's
 //! Huffman+LZSS backend. The codec honors an absolute error bound by
 //! pre-quantizing values with step `2·eb` (the transform itself is
-//! lossless on integers).
+//! lossless on integers). A piece's model is its escaped coefficients and
+//! raw-block values; its symbols are 64 per block.
 
-use amrviz_codec::{lzss_compress_into, lzss_decompress_into, DecodeBudget};
 use amrviz_codec::{zigzag_decode, zigzag_encode};
 use amrviz_par::scratch;
 
 use crate::field::Field3View;
 use crate::quantizer::round_half_away;
 use crate::wire::{ByteReader, ByteWriter};
-use crate::{CompressError, Compressor, ErrorBound};
+use crate::{CompressError, Compressor};
 
 const MAGIC: u8 = 0xA3;
 const BS: usize = 4;
@@ -26,7 +26,7 @@ const BS: usize = 4;
 /// transform adds up to a few bits of growth; stay far from i64 range).
 const MAX_Q: i64 = 1 << 45;
 /// Symbol budget for the Huffman stage: coefficient codes beyond this are
-/// escaped. Symbol 0 marks a raw block.
+/// escaped. Symbol 0 marks the cells of a raw block.
 const SYM_CAP: u64 = 1 << 20;
 
 /// Forward S-transform on a pair: `(a, b) → (⌊(a+b)/2⌋, a − b)`.
@@ -35,11 +35,12 @@ fn s_fwd(a: i64, b: i64) -> (i64, i64) {
     ((a + b) >> 1, a - b)
 }
 
-/// Inverse S-transform: exact integer inverse of [`s_fwd`].
+/// Inverse S-transform: exact integer inverse of [`s_fwd`]. Wrapping, so a
+/// forged escape coefficient decodes to garbage, not to an overflow panic.
 #[inline]
 fn s_inv(s: i64, d: i64) -> (i64, i64) {
-    let a = s + ((d + 1) >> 1);
-    (a, a - d)
+    let a = s.wrapping_add(d.wrapping_add(1) >> 1);
+    (a, a.wrapping_sub(d))
 }
 
 /// 2-level Haar along a length-4 lane (in place): after this, lane =
@@ -174,20 +175,29 @@ impl Compressor for ZfpLike {
         "ZFP-like"
     }
 
-    fn compress_into(&self, field: Field3View<'_>, bound: ErrorBound, out: &mut Vec<u8>) {
-        let mut sp = amrviz_obs::span!("zfp.compress", values = field.len());
-        let start_len = out.len();
-        let [nx, ny, nz] = field.dims;
-        let eb = bound.resolve(|| field.range());
-        let inv_step = 1.0 / (2.0 * eb);
+    fn tag(&self) -> u64 {
+        MAGIC.into()
+    }
 
-        let mut symbols = scratch::take_u32();
-        symbols.reserve(field.len());
-        // Escapes stay owned: there is no i64 scratch pool and the vector is
-        // almost always empty (only adversarially huge coefficients land
-        // here).
-        let mut escapes: Vec<i64> = Vec::new();
-        let mut raw = scratch::take_f64(); // raw-block values
+    /// One symbol per coefficient of every 4×4×4 block, raw blocks too.
+    fn symbol_count(&self, dims: [usize; 3]) -> usize {
+        dims.iter().map(|n| n.div_ceil(BS)).product::<usize>() * 64
+    }
+
+    fn encode_piece(
+        &self,
+        field: Field3View<'_>,
+        eb: f64,
+        model: &mut ByteWriter,
+        symbols: &mut Vec<u32>,
+    ) {
+        let _sp = amrviz_obs::span!("zfp.compress", values = field.len());
+        let inv_step = 1.0 / (2.0 * eb);
+        symbols.reserve(self.symbol_count(field.dims));
+        // Escaped coefficients are almost always none (only adversarially
+        // huge ones land here), raw-block values likewise.
+        let mut escapes = scratch::take_bytes();
+        let mut raw = scratch::take_f64();
 
         let blocks = Blocks { dims: field.dims };
         for (origin, interior) in blocks.iter() {
@@ -202,8 +212,8 @@ impl Compressor for ZfpLike {
                 *q = round_half_away(scaled);
             }
             if !fits {
-                // Raw escape: symbol 0 once, then 64 raw values.
-                symbols.push(0);
+                // Raw escape: 64 zero symbols, 64 raw values.
+                symbols.extend([0; 64]);
                 raw.extend_from_slice(&vals);
                 continue;
             }
@@ -213,117 +223,92 @@ impl Compressor for ZfpLike {
                 if z + 2 < SYM_CAP {
                     (z + 2) as u32 // 0 = raw, 1 = escape
                 } else {
-                    escapes.push(c);
+                    escapes.extend_from_slice(&c.to_le_bytes());
                     1
                 }
             }));
         }
 
-        let mut w = ByteWriter::from_vec(std::mem::take(out));
-        w.u8(MAGIC);
-        w.uvarint(nx as u64);
-        w.uvarint(ny as u64);
-        w.uvarint(nz as u64);
-        w.f64(eb);
-        w.coded_section(&symbols);
-        let mut esc_bytes = scratch::take_bytes();
-        esc_bytes.reserve(escapes.len() * 8);
-        for &e in &escapes {
-            esc_bytes.extend_from_slice(&e.to_le_bytes());
-        }
-        let mut lz = scratch::take_bytes();
-        lzss_compress_into(&esc_bytes, &mut lz);
-        w.section(&lz);
-        w.f64_section(&raw);
-        *out = w.finish();
-        scratch::give_bytes(lz);
-        scratch::give_bytes(esc_bytes);
+        // The model: escaped coefficients, then raw-block values.
+        model.section(&escapes);
+        model.f64_section(&raw);
         scratch::give_f64(raw);
-        scratch::give_u32(symbols);
-        sp.add_field("bytes_out", out.len() - start_len);
+        scratch::give_bytes(escapes);
     }
 
-    fn decompress_into(
+    fn decode_piece(
         &self,
-        bytes: &[u8],
-        budget: &DecodeBudget,
+        dims: [usize; 3],
+        eb: f64,
+        model: &mut ByteReader<'_>,
+        symbols: &[u32],
         out: &mut Vec<f64>,
-    ) -> Result<[usize; 3], CompressError> {
-        let _sp = amrviz_obs::span!("zfp.decompress", bytes_in = bytes.len());
-        // The rentals go back on every path: a failed decode (a corrupt
-        // blob, a deadline) must not drain the thread's pool.
-        let (mut symbols, mut esc_bytes) = (scratch::take_u32(), scratch::take_bytes());
-        let dims = decode(bytes, budget, out, &mut symbols, &mut esc_bytes);
-        scratch::give_bytes(esc_bytes);
-        scratch::give_u32(symbols);
-        dims
-    }
-}
-
-/// [`ZfpLike::decompress_into`] over its rented `symbols` and `esc_bytes`
-/// scratch.
-fn decode(
-    bytes: &[u8],
-    budget: &DecodeBudget,
-    out: &mut Vec<f64>,
-    symbols: &mut Vec<u32>,
-    esc_bytes: &mut Vec<u8>,
-) -> Result<[usize; 3], CompressError> {
-    let mut r = ByteReader::with_budget(bytes, *budget);
-    if r.u8()? != MAGIC {
-        return Err(CompressError::Malformed("bad ZFP-like magic".into()));
-    }
-    let (dims, n) = r.dims3()?;
-    let eb = r.f64()?;
-    if eb.is_nan() || eb <= 0.0 {
-        return Err(CompressError::Malformed("bad ZFP-like header".into()));
-    }
-    let step = 2.0 * eb;
-    r.coded_section(symbols)?;
-    lzss_decompress_into(r.section()?, budget, esc_bytes)?;
-    let mut escapes = esc_bytes
-        .chunks_exact(8)
-        .map(|c| i64::from_le_bytes(c.try_into().expect("8 bytes")));
-    let raw_section = r.section()?;
-    let mut raws = raw_section
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")));
-
-    // Every cell is written below, so a buffer that already has the
-    // right length (a fab decoded in place) is not zeroed first.
-    out.resize(n, 0.0);
-    let mut sym = symbols.iter().copied();
-    let underrun = |what: &str| CompressError::Malformed(format!("{what} underrun"));
-
-    let blocks = Blocks { dims };
-    for (origin, interior) in blocks.iter() {
-        let first = sym.next().ok_or_else(|| underrun("symbol"))?;
-        let mut vals = [0.0f64; 64];
-        if first == 0 {
-            for v in vals.iter_mut() {
-                *v = raws.next().ok_or_else(|| underrun("raw-block"))?;
-            }
-        } else {
-            let mut block = [0i64; 64];
-            let mut s = first;
-            for (n, item) in block.iter_mut().enumerate() {
-                if n > 0 {
-                    s = sym.next().ok_or_else(|| underrun("symbol"))?;
+    ) -> Result<(), CompressError> {
+        let n = dims.iter().product();
+        let _sp = amrviz_obs::span!("zfp.decompress", values = n);
+        let step = 2.0 * eb;
+        let escapes = model.section()?;
+        let raws = model.section()?;
+        // Checked before anything is written, so the loop below cannot
+        // fail: a block's symbols are all zero (raw) or none is, and the
+        // escape and raw sections hold exactly what the symbols call for.
+        let mut raw_blocks = 0;
+        for block in symbols.chunks(64) {
+            match block.iter().filter(|&&s| s == 0).count() {
+                0 => {}
+                64 => raw_blocks += 1,
+                _ => {
+                    return Err(CompressError::Malformed(
+                        "a block mixes raw and coded symbols".into(),
+                    ))
                 }
-                *item = match s {
-                    0 => return Err(CompressError::Malformed("raw marker mid-block".into())),
-                    1 => escapes.next().ok_or_else(|| underrun("escape"))?,
-                    s => zigzag_decode(s as u64 - 2),
-                };
-            }
-            block_inv(&mut block);
-            for (v, &q) in vals.iter_mut().zip(&block) {
-                *v = q as f64 * step;
             }
         }
-        blocks.scatter(out, origin, interior, &vals);
+        let n_escapes = symbols.iter().filter(|&&s| s == 1).count();
+        if escapes.len() != 8 * n_escapes || raws.len() != 512 * raw_blocks {
+            return Err(CompressError::Malformed(format!(
+                "{n_escapes} escapes and {raw_blocks} raw blocks but a {}-byte escape \
+                 and a {}-byte raw section",
+                escapes.len(),
+                raws.len()
+            )));
+        }
+        let mut escapes = escapes.chunks_exact(8);
+        let mut raws = raws.chunks_exact(8);
+        let next = |chunks: &mut std::slice::ChunksExact<u8>| -> [u8; 8] {
+            chunks
+                .next()
+                .expect("sized above")
+                .try_into()
+                .expect("8 bytes")
+        };
+
+        // Every cell is written below, so a buffer that already has the
+        // right length (a fab decoded in place) is not zeroed first.
+        out.resize(n, 0.0);
+        let blocks = Blocks { dims };
+        for ((origin, interior), coded) in blocks.iter().zip(symbols.chunks_exact(64)) {
+            let mut vals = [0.0f64; 64];
+            if coded[0] == 0 {
+                vals.iter_mut()
+                    .for_each(|v| *v = f64::from_le_bytes(next(&mut raws)));
+            } else {
+                let mut block = [0i64; 64];
+                for (item, &s) in block.iter_mut().zip(coded) {
+                    *item = match s {
+                        1 => i64::from_le_bytes(next(&mut escapes)),
+                        s => zigzag_decode(s as u64 - 2),
+                    };
+                }
+                block_inv(&mut block);
+                for (v, &q) in vals.iter_mut().zip(&block) {
+                    *v = q as f64 * step;
+                }
+            }
+            blocks.scatter(out, origin, interior, &vals);
+        }
+        Ok(())
     }
-    Ok(dims)
 }
 
 #[cfg(test)]
@@ -331,12 +316,13 @@ mod tests {
     use super::*;
     use crate::field::Field3;
     use crate::oracle_inputs::{bits, decode_in_place, oracle_case};
+    use crate::ErrorBound;
     use amrviz_rng::check;
 
     /// The per-cell block loops the row gather/scatter replaced, kept
-    /// verbatim as the reference: every block clamps each index on the way
-    /// in and tests each on the way out, and pre-quantizes with
-    /// `f64::round`.
+    /// verbatim as the reference (only the stream framing follows the
+    /// wire): every block clamps each index on the way in and tests each on
+    /// the way out, and pre-quantizes with `f64::round`.
     mod oracle {
         use super::super::{block_fwd, block_inv, BS, MAGIC, MAX_Q, SYM_CAP};
         use crate::wire::{ByteReader, ByteWriter};
@@ -376,7 +362,7 @@ mod tests {
                             }
                         }
                         if overflow {
-                            symbols.push(0);
+                            symbols.extend([0; 64]);
                             raw.extend_from_slice(&vals);
                             continue;
                         }
@@ -397,32 +383,35 @@ mod tests {
                     }
                 }
             }
+            let mut model = ByteWriter::new();
+            let esc_bytes: Vec<u8> = escapes.iter().flat_map(|e| e.to_le_bytes()).collect();
+            model.section(&esc_bytes);
+            let raw_bytes: Vec<u8> = raw.iter().flat_map(|v| v.to_le_bytes()).collect();
+            model.section(&raw_bytes);
             let mut w = ByteWriter::new();
-            w.u8(MAGIC);
+            w.uvarint(MAGIC as u64);
             field.dims.iter().for_each(|&d| w.uvarint(d as u64));
             w.f64(eb);
+            w.section(&model.finish());
             w.section(&lzss_compress(&huffman_encode(&symbols)));
-            let esc_bytes: Vec<u8> = escapes.iter().flat_map(|e| e.to_le_bytes()).collect();
-            w.section(&lzss_compress(&esc_bytes));
-            let raw_bytes: Vec<u8> = raw.iter().flat_map(|v| v.to_le_bytes()).collect();
-            w.section(&raw_bytes);
             w.finish()
         }
 
         pub fn decompress(bytes: &[u8]) -> Result<Field3, CompressError> {
             let mut r = ByteReader::new(bytes);
-            assert_eq!(r.u8()?, MAGIC);
+            assert_eq!(r.uvarint()?, MAGIC as u64);
             let ([nx, ny, nz], n) = r.dims3()?;
             let step = 2.0 * r.f64()?;
-            let symbols = huffman_decode(&lzss_decompress(r.section()?)?)?;
-            let esc_bytes = lzss_decompress(r.section()?)?;
-            let mut escapes = esc_bytes
+            let mut model = ByteReader::new(r.section()?);
+            let mut escapes = model
+                .section()?
                 .chunks_exact(8)
                 .map(|c| i64::from_le_bytes(c.try_into().unwrap()));
-            let mut raws = r
+            let mut raws = model
                 .section()?
                 .chunks_exact(8)
                 .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
+            let symbols = huffman_decode(&lzss_decompress(r.section()?)?)?;
             let mut sym = symbols.iter().copied();
             let mut out = vec![0.0; n];
             for bk in 0..nz.div_ceil(BS) {
@@ -431,6 +420,7 @@ mod tests {
                         let first = sym.next().unwrap();
                         let mut vals = [0.0f64; 64];
                         if first == 0 {
+                            (1..64).for_each(|_| assert_eq!(sym.next(), Some(0)));
                             vals.iter_mut().for_each(|v| *v = raws.next().unwrap());
                         } else {
                             let mut block = [0i64; 64];

@@ -134,6 +134,11 @@ pub fn decode_artifact(bytes: &[u8], budget: &DecodeBudget) -> Result<Artifact, 
     let hier = AmrHierarchy::new(geom, ratios, box_arrays)
         .map_err(|e| CompressError::Malformed(format!("invalid artifact hierarchy: {e}")))?;
     let container = CompressedHierarchyField::from_bytes_budgeted(r.section()?, budget)?;
+    if r.remaining() != 0 {
+        return Err(CompressError::Malformed(
+            "trailing bytes after artifact".into(),
+        ));
+    }
     Ok(Artifact {
         algo,
         field,
@@ -189,6 +194,28 @@ mod tests {
             art.container.to_bytes(),
             container.to_bytes(),
             "container survives byte-for-byte"
+        );
+    }
+
+    #[test]
+    fn bytes_after_the_container_are_malformed() {
+        let hier = tiny_hierarchy();
+        let cfg = AmrCodecConfig::default();
+        let container = compress_hierarchy_field(
+            &hier,
+            "density",
+            &SzLr::default(),
+            ErrorBound::Rel(1e-3),
+            &cfg,
+        )
+        .unwrap();
+        let mut bytes = encode_artifact(&hier, "density", "szlr", &container);
+        assert!(decode_artifact(&bytes, &DecodeBudget::strict()).is_ok());
+        bytes.push(0);
+        let err = decode_artifact(&bytes, &DecodeBudget::strict()).unwrap_err();
+        assert!(
+            matches!(&err, CompressError::Malformed(m) if m.contains("trailing bytes")),
+            "{err}"
         );
     }
 

@@ -4,9 +4,9 @@
 //!
 //! Store population (deterministic per seed):
 //! - a **good** artifact (Nyx-tiny snapshot, cleanly compressed);
-//! - a **degraded** artifact — one compressed fab blob bit-flipped *before*
-//!   the artifact was sealed, so its checksum fails and
-//!   `DecodePolicy::Degrade` must repair it (served `FLAG_DEGRADED`);
+//! - a **degraded** artifact — one compressed chunk of fabs bit-flipped
+//!   *before* the artifact was sealed, so its checksum fails and
+//!   `DecodePolicy::Degrade` must repair its fabs (served `FLAG_DEGRADED`);
 //! - a **disk-corrupt** blob — valid artifact bytes damaged on disk *after*
 //!   `put`, so the store's read-path checksum catches it (quarantine →
 //!   `Corrupt`, then `NotFound`);
@@ -146,9 +146,9 @@ fn populate(dir: &std::path::Path, seed: u64) -> StoreSetup {
         .put(&encode_artifact(&hier, "baryon_density", "szlr", &clean))
         .expect("put good");
 
-    // Degraded: flip one bit in a fine-level blob before sealing, so the
-    // blob's checksum fails and Degrade must prolong that fab from the
-    // coarse level.
+    // Degraded: flip one bit in the first fine-level chunk before sealing,
+    // so the chunk's checksum fails and Degrade must prolong its fabs from
+    // the coarse level.
     let mut damaged = clean.clone();
     let lev = damaged.blobs.len() - 1;
     assert!(

@@ -4,8 +4,7 @@
 use amrviz_amr::{AmrHierarchy, Box3, BoxArray, Geometry, IntVect};
 use amrviz_codec::fnv1a_64;
 use amrviz_compress::{
-    compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, CompressedHierarchyField,
-    ErrorBound, SzLr,
+    compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, ErrorBound, SzLr,
 };
 use amrviz_serve::proto::{
     encode_level_frame, read_frame, write_frame, EndFrame, Op, Request, FLAG_COARSE_ONLY,
@@ -202,11 +201,13 @@ fn damage_only_decoding_finds_is_in_its_level_frame_and_in_end() {
         &AmrCodecConfig::default(),
     )
     .unwrap();
-    // One fine blob replaced by bytes no compressor decodes, then sealed:
-    // `from_blobs` computes the checksum over the garbage, so it matches.
-    let mut blobs = container.blobs.clone();
-    blobs[1][0] = vec![0xEE; 40];
-    let sealed = CompressedHierarchyField::from_blobs(blobs, container.abs_eb, container.n_values);
+    // The first fine chunk — 65 of level 1's 103 fabs — replaced by bytes
+    // no compressor decodes, then sealed: the checksum is recomputed over
+    // the garbage, so it matches.
+    const CHUNK_0_FABS: u64 = 65;
+    let mut sealed = container.clone();
+    sealed.blobs[1][0] = vec![0xEE; 40];
+    sealed.checksums[1][0] = fnv1a_64(&sealed.blobs[1][0]);
     assert_eq!(sealed.checksum_failures(), 0);
     let key = store
         .put(&encode_artifact(&hier, "baryon_density", "szlr", &sealed))
@@ -229,7 +230,7 @@ fn damage_only_decoding_finds_is_in_its_level_frame_and_in_end() {
     let header = ex.header.unwrap();
     assert_eq!((header.status, header.flags), (Status::Ok, 0), "{ex:?}");
     let per_level: Vec<u64> = ex.levels.iter().map(|l| l.degraded_fabs).collect();
-    assert_eq!(per_level, [0, 1]);
+    assert_eq!(per_level, [0, CHUNK_0_FABS]);
     assert_eq!(ex.end.unwrap().status, Status::Degraded);
     assert_eq!(ex.outcome, Outcome::Degraded);
     // Hit: the cached entry knows, so the header says so.
@@ -253,7 +254,7 @@ fn damage_only_decoding_finds_is_in_its_level_frame_and_in_end() {
         (header.status, header.flags),
         (Status::Degraded, FLAG_DEGRADED)
     );
-    assert_eq!(ex.levels[1].degraded_fabs, 1);
+    assert_eq!(ex.levels[1].degraded_fabs, CHUNK_0_FABS);
     assert_eq!(ex.end.unwrap().status, Status::Degraded);
 
     server.shutdown();
