@@ -25,9 +25,9 @@
 //!            exits nonzero above 3 % (takes --scale, default tiny, and --out)
 //!
 //! `--check` judges each figure that has a machine-read verdict (`table2`,
-//! `fig1`, `fig9` – `fig13` so far) on the rows it has just recorded and
-//! exits non-zero naming the figure and the row of every claim of the paper
-//! that does not hold.
+//! `fig1`, `fig9` – `fig14` and `ablation` so far) on the rows it has just
+//! recorded and exits non-zero naming the figure and the row of every claim
+//! of the paper that does not hold.
 //!
 //! `--suite enumerated` replaces the figure experiments with the
 //! recipe-enumerated scenario suite (crates/recipe): the built-in recipe
@@ -50,7 +50,8 @@ use std::path::{Path, PathBuf};
 use crate::obs_overhead::{run_obs_overhead, OBS_OVERHEAD_MAX_PCT};
 use crate::ObsOptions;
 use amrviz_compress::{
-    compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, ErrorBound,
+    compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, Compressor, ErrorBound,
+    PredictorMode, SzLr,
 };
 use amrviz_core::args;
 use amrviz_core::experiment::{self, standard_camera, CompressorKind};
@@ -114,8 +115,8 @@ const FIGURES: [(&str, Experiment, Option<Verdict>); 11] = [
         |c| rate_distortion(c, Application::Nyx, "fig13"),
         Some(fig13_verdict),
     ),
-    ("fig14", fig14, None),
-    ("ablation", ablation, None),
+    ("fig14", fig14, Some(fig14_verdict)),
+    ("ablation", ablation, Some(ablation_verdict)),
 ];
 
 /// Why Fig. 11's geometric ordering is expected to be the reverse of the
@@ -151,6 +152,17 @@ fn ordering(row: &str, hi: (&str, f64), lo: (&str, f64), diverges: Option<&str>)
         Some(known) => Some(format!(
             "{row}: {hi_name} {hi:e} is not below {lo_name} {lo:e} as {known} expects — \
              update the row and EXPERIMENTS.md together"
+        )),
+    }
+}
+
+/// Judges one claim of the paper, `value ≥ floor`, on `row` (NaN fails).
+fn at_least(row: &str, value: (&str, f64), floor: (&str, f64)) -> Option<String> {
+    let ((name, value), (floor_name, floor)) = (value, floor);
+    match value >= floor {
+        true => None,
+        false => Some(format!(
+            "{row}: {name} {value:e} is below {floor_name} {floor:e}"
         )),
     }
 }
@@ -367,6 +379,83 @@ fn fig13_verdict(rows: &Json) -> Vec<String> {
             let matched = ("SZ-Itp R-SSIM", rssim_at_bits(&itp, bits));
             let row = format!("{row} at {bits:.3} bits/val");
             failed.extend(ordering(&row, matched, rssim, Some(DIVERGENCE_4)));
+        }
+    }
+    failed
+}
+
+/// Fig. 14: re-sampling takes at least half the step roughness out of the
+/// decompressed staircase.
+fn fig14_verdict(rows: &Json) -> Vec<String> {
+    let roughness = |key| {
+        let series = rows.get(key).and_then(Json::as_arr).unwrap_or(&[]);
+        let values: Vec<f64> = series
+            .iter()
+            .map(|v| v.as_f64().unwrap_or(f64::NAN))
+            .collect();
+        if values.len() < 3 {
+            return f64::NAN;
+        }
+        step_roughness(&values)
+    };
+    let half = 0.5 * roughness("decompressed");
+    let half = ("half the decompressed staircase's step roughness", half);
+    let resampled = ("the re-sampled series'", roughness("resampled"));
+    at_least("re-sampled", half, resampled)
+        .into_iter()
+        .collect()
+}
+
+/// Why zMesh-1D does not compress WarpX least (EXPERIMENTS.md divergence #6).
+const DIVERGENCE_6: &str = "divergence #6 (forced onto every block of smooth WarpX data, where \
+     the hybrid picks Lorenzo, a regression plane leaves larger residuals and adds four raw f32 \
+     coefficients per 6³ block)";
+
+/// The ablation: skipping the redundant coarse data never costs ratio, for
+/// every app × compressor; the hybrid SZ-L/R is within 1 % of each pure mode;
+/// and zMesh-1D, whose 1D walk throws WarpX's 3D structure away, compresses
+/// it least — regression-only SZ-L/R below it is divergence #6.
+fn ablation_verdict(rows: &Json) -> Vec<String> {
+    let part = |name| rows.get(name).and_then(Json::as_arr).unwrap_or(&[]);
+    let (redundant, predictors) = (part("redundant"), part("predictors"));
+    let cr = |rows: &[Json], keys: &[(&str, &str)]| {
+        let is =
+            |r: &Json, (key, want): &(&str, &str)| r.get(key).and_then(Json::as_str) == Some(want);
+        cell(rows.iter().find(|r| keys.iter().all(|k| is(r, k))), "cr")
+    };
+    let mut failed = Vec::new();
+    for app in Application::ALL.map(Application::label) {
+        for kind in CompressorKind::PAPER.map(CompressorKind::label) {
+            let cr = |how| {
+                cr(
+                    redundant,
+                    &[("app", app), ("compressor", kind), ("redundant", how)],
+                )
+            };
+            let row = format!("{app} {kind}");
+            failed.extend(at_least(
+                &row,
+                ("skip CR", cr("skip")),
+                ("keep CR", cr("keep")),
+            ));
+        }
+        let cr = |variant| cr(predictors, &[("app", app), ("variant", variant)]);
+        let [(hybrid, _), pure @ ..] = predictor_variants();
+        for (pure, _) in pure {
+            let floor = (&*format!("99 % of {pure}'s"), 0.99 * cr(pure));
+            failed.extend(at_least(
+                &format!("{app} {hybrid}"),
+                ("CR", cr(hybrid)),
+                floor,
+            ));
+        }
+        if app == Application::Warpx.label() {
+            let zmesh = ("zMesh-1D's", cr(ZMESH));
+            for (variant, comp) in predictor_variants() {
+                let diverges = (comp.mode == PredictorMode::RegressionOnly).then_some(DIVERGENCE_6);
+                let row = format!("{app} {variant}");
+                failed.extend(ordering(&row, ("CR", cr(variant)), zmesh, diverges));
+            }
         }
     }
     failed
@@ -789,96 +878,86 @@ fn fig14(ctx: &mut Ctx) {
     ctx.record("fig14", series);
 }
 
+/// The ablation's zMesh-style cross-level 1D baseline (the related work the
+/// paper's intro discusses).
+const ZMESH: &str = "zMesh-1D";
+
+/// The SZ-L/R predictor ablation: the hybrid first, then its pure modes.
+fn predictor_variants() -> [(&'static str, SzLr); 3] {
+    [
+        ("SZ-L/R hybrid", SzLr::default()),
+        ("SZ-L/R lorenzo-only", SzLr::lorenzo_only()),
+        ("SZ-L/R regression-only", SzLr::regression_only()),
+    ]
+}
+
 fn ablation(ctx: &mut Ctx) {
     println!("\n=== Ablation: redundant coarse data during compression (§2.2) ===");
-    let mut rows = Vec::new();
+    let compress = |built: &BuiltScenario, comp: &dyn Compressor, cfg| {
+        let field = built.spec.eval_field();
+        let c =
+            compress_hierarchy_field(&built.hierarchy, field, comp, ErrorBound::Rel(1e-3), &cfg)
+                .expect("field exists");
+        (c.n_values * 8) as f64 / c.compressed_bytes() as f64
+    };
+    // Each row twice: as the table prints it and, with the CR a number, as
+    // `results.json` records it.
+    let (mut table, mut redundant) = (Vec::new(), Vec::new());
     for app in Application::ALL {
         let built = ctx.scenario(app);
-        let field = built.spec.eval_field();
         for kind in CompressorKind::PAPER {
-            let comp = kind.instance();
-            for (label, cfg) in [
-                ("keep", AmrCodecConfig::default()),
-                (
-                    "skip",
-                    AmrCodecConfig {
-                        skip_redundant: true,
-                        restore_redundant: false,
-                    },
-                ),
-            ] {
-                let c = compress_hierarchy_field(
-                    &built.hierarchy,
-                    field,
-                    comp.as_ref(),
-                    ErrorBound::Rel(1e-3),
-                    &cfg,
-                )
-                .expect("field exists");
-                rows.push(vec![
-                    app.label().to_string(),
-                    kind.label().to_string(),
-                    label.to_string(),
-                    format!(
-                        "{:.1}",
-                        (c.n_values * 8) as f64 / c.compressed_bytes() as f64
-                    ),
+            for (how, skip_redundant) in [("keep", false), ("skip", true)] {
+                let cfg = AmrCodecConfig {
+                    skip_redundant,
+                    restore_redundant: false,
+                };
+                let cr = compress(built, kind.instance().as_ref(), cfg);
+                let (app, kind) = (app.label(), kind.label());
+                table.push(vec![
+                    app.into(),
+                    kind.into(),
+                    how.into(),
+                    format!("{cr:.1}"),
                 ]);
+                let mut row = Json::obj();
+                row.set("app", app)
+                    .set("compressor", kind)
+                    .set("redundant", how)
+                    .set("cr", cr);
+                redundant.push(row);
             }
         }
     }
-    println!(
-        "{}",
-        report::ascii_table(&["App", "Compressor", "Redundant data", "CR (f64)"], &rows)
-    );
-    ctx.record("ablation_redundant", &rows);
+    let header = ["App", "Compressor", "Redundant data", "CR (f64)"];
+    println!("{}", report::ascii_table(&header, &table));
 
-    // zMesh-style cross-level 1D baseline (the related work the paper's
-    // intro discusses) and the SZ-L/R predictor ablation.
     println!("--- related-work baseline + predictor ablation (rel eb 1e-3) ---");
-    let mut rows = Vec::new();
+    let (mut table, mut predictors) = (Vec::new(), Vec::new());
     for app in Application::ALL {
         let built = ctx.scenario(app);
         let field = built.spec.eval_field();
-        let n = built.hierarchy.total_cells();
         let z = amrviz_compress::compress_zmesh(&built.hierarchy, field, ErrorBound::Rel(1e-3))
             .expect("field exists");
-        rows.push(vec![
-            app.label().to_string(),
-            "zMesh-1D".to_string(),
-            format!("{:.1}", (n * 8) as f64 / z.len() as f64),
-        ]);
-        for (label, comp) in [
-            ("SZ-L/R hybrid", amrviz_compress::SzLr::default()),
-            ("SZ-L/R lorenzo-only", amrviz_compress::SzLr::lorenzo_only()),
-            (
-                "SZ-L/R regression-only",
-                amrviz_compress::SzLr::regression_only(),
-            ),
-        ] {
-            let c = compress_hierarchy_field(
-                &built.hierarchy,
-                field,
-                &comp,
-                ErrorBound::Rel(1e-3),
-                &AmrCodecConfig::default(),
-            )
-            .expect("field exists");
-            rows.push(vec![
-                app.label().to_string(),
-                label.to_string(),
-                format!(
-                    "{:.1}",
-                    (c.n_values * 8) as f64 / c.compressed_bytes() as f64
-                ),
-            ]);
+        let zmesh = (built.hierarchy.total_cells() * 8) as f64 / z.len() as f64;
+        let variants = predictor_variants()
+            .map(|(variant, comp)| (variant, compress(built, &comp, AmrCodecConfig::default())));
+        for (variant, cr) in [(ZMESH, zmesh)].into_iter().chain(variants) {
+            table.push(vec![app.label().into(), variant.into(), format!("{cr:.1}")]);
+            let mut row = Json::obj();
+            row.set("app", app.label())
+                .set("variant", variant)
+                .set("cr", cr);
+            predictors.push(row);
         }
     }
     println!(
         "{}",
-        report::ascii_table(&["App", "Variant", "CR (f64)"], &rows)
+        report::ascii_table(&["App", "Variant", "CR (f64)"], &table)
     );
-    ctx.record("ablation_predictors", &rows);
+    let mut rows = Json::obj();
+    rows.set("redundant", redundant)
+        .set("predictors", predictors);
+    ctx.record("ablation", rows);
 }
 
 /// `--suite enumerated`: expand a recipe into concrete scenarios and run
@@ -1417,10 +1496,94 @@ mod tests {
             ["fig13: eb 3e-2: SZ-Itp R-SSIM 1e-2 is not above SZ-L/R's 1.57e-2"]
         );
 
+        // Fig. 14: the demonstration's own series hold; a re-sampling that
+        // keeps the staircase does not.
+        let (orig, blocky, resampled) = fig14_series(16, 1.4);
+        let fig14 = |resampled: &[f64]| {
+            let mut rows = Json::obj();
+            rows.set("original", orig.to_json())
+                .set("decompressed", blocky.to_json())
+                .set("resampled", resampled.to_json());
+            broken("fig14", &rows)
+        };
+        assert_eq!(fig14(&resampled), [""; 0]);
+        assert_eq!(
+            fig14(&blocky),
+            [
+                "fig14: re-sampled: half the decompressed staircase's step roughness 1.4e1 \
+              is below the re-sampled series' 2.8e1"
+            ]
+        );
+
+        // Ablation: skip under keep; the hybrid 2 % behind a pure mode; a
+        // WarpX variant under zMesh-1D; divergence #6 turning into the
+        // paper's ordering.
+        assert_eq!(broken("ablation", &ablation_rows(|_, _, _| {})), [""; 0]);
+        let edit = |app: &'static str, variant: &'static str, to: f64| {
+            ablation_rows(move |a, v, cr| {
+                if (a, v) == (app, variant) {
+                    *cr = to;
+                }
+            })
+        };
+        let failed = broken("ablation", &edit("Nyx", "SZ-Itp skip", 9.0));
+        assert_eq!(
+            failed,
+            ["ablation: Nyx SZ-Itp: skip CR 9e0 is below keep CR 1e1"]
+        );
+        let failed = broken("ablation", &edit("WarpX", "SZ-L/R hybrid", 29.4));
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        let start =
+            "ablation: WarpX SZ-L/R hybrid: CR 2.94e1 is below 99 % of SZ-L/R lorenzo-only's";
+        assert!(failed[0].starts_with(start), "{failed:?}");
+        let failed = broken("ablation", &edit("WarpX", "SZ-L/R lorenzo-only", 7.0));
+        assert_eq!(
+            failed,
+            ["ablation: WarpX SZ-L/R lorenzo-only: CR 7e0 is not above zMesh-1D's 8e0"]
+        );
+        let failed = broken("ablation", &edit("WarpX", "SZ-L/R regression-only", 9.0));
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        let start = "ablation: WarpX SZ-L/R regression-only: CR 9e0 is not below zMesh-1D's 8e0 \
+                     as divergence #6";
+        assert!(failed[0].starts_with(start), "{failed:?}");
+
         // Nothing recorded at all is a failure, not a pass.
         for (figure, ..) in FIGURES.iter().filter(|f| f.2.is_some()) {
             assert!(!verdict_of(figure)(&Json::Null).is_empty(), "{figure}");
         }
+    }
+
+    /// An ablation row set on which the verdict holds, each CR passed through
+    /// `edit(app, row, cr)`; a redundant-data row is `"<compressor> keep"` or
+    /// `"<compressor> skip"`, a predictor row its variant.
+    fn ablation_rows(edit: impl Fn(&str, &str, &mut f64)) -> Json {
+        let (mut redundant, mut predictors) = (Vec::new(), Vec::new());
+        for app in Application::ALL.map(Application::label) {
+            for kind in CompressorKind::PAPER.map(CompressorKind::label) {
+                for (how, mut cr) in [("keep", 10.0), ("skip", 11.0)] {
+                    edit(app, &format!("{kind} {how}"), &mut cr);
+                    let mut row = Json::obj();
+                    row.set("app", app)
+                        .set("compressor", kind)
+                        .set("redundant", how)
+                        .set("cr", cr);
+                    redundant.push(row);
+                }
+            }
+            let variants = [ZMESH]
+                .into_iter()
+                .chain(predictor_variants().map(|(v, _)| v));
+            for (variant, mut cr) in variants.zip([8.0, 30.0, 30.0, 5.0]) {
+                edit(app, variant, &mut cr);
+                let mut row = Json::obj();
+                row.set("app", app).set("variant", variant).set("cr", cr);
+                predictors.push(row);
+            }
+        }
+        let mut rows = Json::obj();
+        rows.set("redundant", redundant)
+            .set("predictors", predictors);
+        rows
     }
 
     /// A Table 2 row set on which the verdict holds: per app, SZ-L/R then
