@@ -45,8 +45,12 @@ fn main() -> ExitCode {
     if let Some(n) = obs_opts.threads {
         amrviz_par::set_threads(n);
     }
-    if obs_opts.active() {
+    // Spans are kept only for a reader of the whole run; a journal alone
+    // streams them.
+    if obs_opts.reads_events() {
         amrviz_obs::enable();
+    } else if obs_opts.journal_path.is_some() {
+        amrviz_obs::enable_streaming();
     }
     if let Err(e) = obs_opts.start_streaming() {
         eprintln!("error: {e}");
@@ -111,10 +115,12 @@ impl Drop for ObsOptions {
 
 impl ObsOptions {
     fn active(&self) -> bool {
-        self.trace_path.is_some()
-            || self.flame_path.is_some()
-            || self.timing
-            || self.journal_path.is_some()
+        self.reads_events() || self.journal_path.is_some()
+    }
+
+    /// Whether an exporter reads the recorder's span events after the run.
+    fn reads_events(&self) -> bool {
+        self.trace_path.is_some() || self.flame_path.is_some() || self.timing
     }
 
     /// Creates the parent directory of every output file and starts the
@@ -163,7 +169,7 @@ impl ObsOptions {
     /// per experiment): keeps the recorder's span events for the exporters,
     /// when an exporter that reads them was asked for.
     fn carry_events(&self) {
-        if self.trace_path.is_some() || self.flame_path.is_some() || self.timing {
+        if self.reads_events() {
             self.carried
                 .borrow_mut()
                 .extend(amrviz_obs::events_snapshot());

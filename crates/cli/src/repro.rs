@@ -891,6 +891,18 @@ fn predictor_variants() -> [(&'static str, SzLr); 3] {
     ]
 }
 
+/// One ablation row: its table cells (the values of `keys`, then the CR to
+/// one decimal) and its `results.json` object (`keys`, then the CR).
+fn ablation_row(keys: &[(&str, &str)], cr: f64) -> (Vec<String>, Json) {
+    let mut row = Json::obj();
+    for &(key, value) in keys {
+        row.set(key, value);
+    }
+    row.set("cr", cr);
+    let cells = keys.iter().map(|(_, value)| value.to_string());
+    (cells.chain([format!("{cr:.1}")]).collect(), row)
+}
+
 fn ablation(ctx: &mut Ctx) {
     println!("\n=== Ablation: redundant coarse data during compression (§2.2) ===");
     let compress = |built: &BuiltScenario, comp: &dyn Compressor, cfg| {
@@ -900,9 +912,7 @@ fn ablation(ctx: &mut Ctx) {
                 .expect("field exists");
         (c.n_values * 8) as f64 / c.compressed_bytes() as f64
     };
-    // Each row twice: as the table prints it and, with the CR a number, as
-    // `results.json` records it.
-    let (mut table, mut redundant) = (Vec::new(), Vec::new());
+    let mut rows = Vec::new();
     for app in Application::ALL {
         let built = ctx.scenario(app);
         for kind in CompressorKind::PAPER {
@@ -912,27 +922,17 @@ fn ablation(ctx: &mut Ctx) {
                     restore_redundant: false,
                 };
                 let cr = compress(built, kind.instance().as_ref(), cfg);
-                let (app, kind) = (app.label(), kind.label());
-                table.push(vec![
-                    app.into(),
-                    kind.into(),
-                    how.into(),
-                    format!("{cr:.1}"),
-                ]);
-                let mut row = Json::obj();
-                row.set("app", app)
-                    .set("compressor", kind)
-                    .set("redundant", how)
-                    .set("cr", cr);
-                redundant.push(row);
+                let keys = [("app", app.label()), ("compressor", kind.label())];
+                rows.push(ablation_row(&[keys[0], keys[1], ("redundant", how)], cr));
             }
         }
     }
+    let (table, redundant): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
     let header = ["App", "Compressor", "Redundant data", "CR (f64)"];
     println!("{}", report::ascii_table(&header, &table));
 
     println!("--- related-work baseline + predictor ablation (rel eb 1e-3) ---");
-    let (mut table, mut predictors) = (Vec::new(), Vec::new());
+    let mut rows = Vec::new();
     for app in Application::ALL {
         let built = ctx.scenario(app);
         let field = built.spec.eval_field();
@@ -942,22 +942,22 @@ fn ablation(ctx: &mut Ctx) {
         let variants = predictor_variants()
             .map(|(variant, comp)| (variant, compress(built, &comp, AmrCodecConfig::default())));
         for (variant, cr) in [(ZMESH, zmesh)].into_iter().chain(variants) {
-            table.push(vec![app.label().into(), variant.into(), format!("{cr:.1}")]);
-            let mut row = Json::obj();
-            row.set("app", app.label())
-                .set("variant", variant)
-                .set("cr", cr);
-            predictors.push(row);
+            rows.push(ablation_row(
+                &[("app", app.label()), ("variant", variant)],
+                cr,
+            ));
         }
     }
+    let (table, predictors): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
     println!(
         "{}",
         report::ascii_table(&["App", "Variant", "CR (f64)"], &table)
     );
-    let mut rows = Json::obj();
-    rows.set("redundant", redundant)
+    let mut record = Json::obj();
+    record
+        .set("redundant", redundant)
         .set("predictors", predictors);
-    ctx.record("ablation", rows);
+    ctx.record("ablation", record);
 }
 
 /// `--suite enumerated`: expand a recipe into concrete scenarios and run
@@ -1562,12 +1562,8 @@ mod tests {
             for kind in CompressorKind::PAPER.map(CompressorKind::label) {
                 for (how, mut cr) in [("keep", 10.0), ("skip", 11.0)] {
                     edit(app, &format!("{kind} {how}"), &mut cr);
-                    let mut row = Json::obj();
-                    row.set("app", app)
-                        .set("compressor", kind)
-                        .set("redundant", how)
-                        .set("cr", cr);
-                    redundant.push(row);
+                    let keys = [("app", app), ("compressor", kind), ("redundant", how)];
+                    redundant.push(ablation_row(&keys, cr).1);
                 }
             }
             let variants = [ZMESH]
@@ -1575,9 +1571,7 @@ mod tests {
                 .chain(predictor_variants().map(|(v, _)| v));
             for (variant, mut cr) in variants.zip([8.0, 30.0, 30.0, 5.0]) {
                 edit(app, variant, &mut cr);
-                let mut row = Json::obj();
-                row.set("app", app).set("variant", variant).set("cr", cr);
-                predictors.push(row);
+                predictors.push(ablation_row(&[("app", app), ("variant", variant)], cr).1);
             }
         }
         let mut rows = Json::obj();

@@ -239,26 +239,18 @@ pub fn huffman_encode_into(symbols: &[u32], out: &mut Vec<u8>) {
 /// Decodes a stream produced by [`huffman_encode`] under the default
 /// (permissive) [`DecodeBudget`].
 pub fn huffman_decode(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
-    huffman_decode_budgeted(bytes, &DecodeBudget::default())
-}
-
-/// Decodes a stream produced by [`huffman_encode`], validating every
-/// declared count against `budget` and the remaining input before any
-/// allocation. Corrupt tables (symbols or lengths beyond their range,
-/// non-canonical or repeated entries, over-full Kraft sums) return
-/// [`CodecError::Corrupt`]; they never panic or mis-index.
-pub fn huffman_decode_budgeted(
-    bytes: &[u8],
-    budget: &DecodeBudget,
-) -> Result<Vec<u32>, CodecError> {
     let mut out = Vec::new();
-    huffman_decode_into(bytes, budget, &mut out)?;
+    huffman_decode_into(bytes, &DecodeBudget::default(), &mut out)?;
     Ok(out)
 }
 
-/// Decodes into `out` (cleared first, capacity reused) with the same
-/// validation as [`huffman_decode_budgeted`]. On error `out` may hold a
-/// partial prefix; its contents are unspecified.
+/// Decodes a stream produced by [`huffman_encode`] into `out` (cleared
+/// first, capacity reused), validating every declared count against
+/// `budget` and the remaining input before any allocation. Corrupt tables
+/// (symbols or lengths beyond their range, non-canonical or repeated
+/// entries, over-full Kraft sums) return [`CodecError::Corrupt`]; they
+/// never panic or mis-index. On error `out` may hold a partial prefix; its
+/// contents are unspecified.
 pub fn huffman_decode_into(
     bytes: &[u8],
     budget: &DecodeBudget,
@@ -416,6 +408,12 @@ mod tests {
     use super::*;
     use amrviz_rng::check;
 
+    /// [`huffman_decode_into`] a fresh buffer under `budget`.
+    fn decode_under(bytes: &[u8], budget: &DecodeBudget) -> Result<Vec<u32>, CodecError> {
+        let mut out = Vec::new();
+        huffman_decode_into(bytes, budget, &mut out).map(|()| out)
+    }
+
     #[test]
     fn empty_stream() {
         let enc = huffman_encode(&[]);
@@ -548,13 +546,10 @@ mod tests {
             ..DecodeBudget::strict()
         };
         assert!(matches!(
-            huffman_decode_budgeted(&enc, &tiny),
+            decode_under(&enc, &tiny),
             Err(CodecError::BudgetExceeded(_))
         ));
-        assert_eq!(
-            huffman_decode_budgeted(&enc, &DecodeBudget::strict()).unwrap(),
-            data
-        );
+        assert_eq!(decode_under(&enc, &DecodeBudget::strict()).unwrap(), data);
     }
 
     #[test]
@@ -1008,7 +1003,7 @@ mod tests {
             for stream in taxonomy_corpus(rng) {
                 for cut in 0..=stream.len() {
                     assert_eq!(
-                        huffman_decode_budgeted(&stream[..cut], &budget),
+                        decode_under(&stream[..cut], &budget),
                         reference::decode(&stream[..cut], &budget),
                         "cut {cut} of {}",
                         stream.len()
@@ -1027,7 +1022,7 @@ mod tests {
                     let bit = rng.below(stream.len() as u64 * 8) as usize;
                     stream[bit / 8] ^= 1 << (bit % 8);
                     assert_eq!(
-                        huffman_decode_budgeted(&stream, &budget),
+                        decode_under(&stream, &budget),
                         reference::decode(&stream, &budget),
                         "bit {bit} of {} bytes",
                         stream.len()

@@ -16,8 +16,8 @@
 //! Decoders are hardened against untrusted input: every declared length is
 //! validated against a [`DecodeBudget`] (and the remaining input, where the
 //! format allows) *before* any allocation, so a corrupted length prefix
-//! yields a [`CodecError`] instead of a panic or an abort-on-alloc. The
-//! [`checksum`] module provides the FNV-1a hash the v3 wire format uses for
+//! yields a [`CodecError`] instead of a panic or an abort-on-alloc.
+//! [`fnv1a_64`] (from `amrviz-rng`) is the hash the v3 wire format uses for
 //! per-chunk integrity.
 //!
 //! ```
@@ -34,22 +34,15 @@
 
 pub mod bitio;
 pub mod budget;
-pub mod checksum;
 pub mod huffman;
 pub mod lzss;
 pub mod varint;
 
+pub use amrviz_rng::fnv1a_64;
 pub use bitio::{BitReader, BitWriter};
 pub use budget::DecodeBudget;
-pub use checksum::fnv1a_64;
-pub use huffman::{
-    huffman_decode, huffman_decode_budgeted, huffman_decode_into, huffman_encode,
-    huffman_encode_into,
-};
-pub use lzss::{
-    lzss_compress, lzss_compress_into, lzss_decompress, lzss_decompress_budgeted,
-    lzss_decompress_into,
-};
+pub use huffman::{huffman_decode, huffman_decode_into, huffman_encode, huffman_encode_into};
+pub use lzss::{lzss_compress, lzss_compress_into, lzss_decompress, lzss_decompress_into};
 pub use varint::{read_uvarint, write_uvarint, zigzag_decode, zigzag_encode};
 
 /// Errors returned by decoders when the input is malformed, truncated, or

@@ -205,25 +205,16 @@ fn compress_with(heads: &mut Heads, input: &[u8], out: &mut Vec<u8>) {
 /// Decompresses a buffer produced by [`lzss_compress`] under the default
 /// (permissive) [`DecodeBudget`].
 pub fn lzss_decompress(bytes: &[u8]) -> Result<Vec<u8>, CodecError> {
-    lzss_decompress_budgeted(bytes, &DecodeBudget::default())
-}
-
-/// Decompresses a buffer produced by [`lzss_compress`], validating the
-/// declared output length against `budget` and against the maximum
-/// expansion the remaining input could possibly produce — before the output
-/// buffer is allocated.
-pub fn lzss_decompress_budgeted(
-    bytes: &[u8],
-    budget: &DecodeBudget,
-) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::new();
-    lzss_decompress_into(bytes, budget, &mut out)?;
+    lzss_decompress_into(bytes, &DecodeBudget::default(), &mut out)?;
     Ok(out)
 }
 
-/// Decompresses into `out` (cleared first, capacity reused) with the same
-/// validation as [`lzss_decompress_budgeted`]. On error `out` may hold a
-/// partial prefix; its contents are unspecified.
+/// Decompresses a buffer produced by [`lzss_compress`] into `out` (cleared
+/// first, capacity reused), validating the declared output length against
+/// `budget` and against the maximum expansion the remaining input could
+/// possibly produce — before the output buffer is allocated. On error `out`
+/// may hold a partial prefix; its contents are unspecified.
 pub fn lzss_decompress_into(
     bytes: &[u8],
     budget: &DecodeBudget,
@@ -370,11 +361,10 @@ mod tests {
             max_section_bytes: 64,
             ..DecodeBudget::strict()
         };
-        assert!(lzss_decompress_budgeted(&enc, &tiny).is_err());
-        assert_eq!(
-            lzss_decompress_budgeted(&enc, &DecodeBudget::strict()).unwrap(),
-            data
-        );
+        let mut out = Vec::new();
+        assert!(lzss_decompress_into(&enc, &tiny, &mut out).is_err());
+        lzss_decompress_into(&enc, &DecodeBudget::strict(), &mut out).unwrap();
+        assert_eq!(out, data);
     }
 
     #[test]

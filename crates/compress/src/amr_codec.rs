@@ -918,7 +918,6 @@ mod tests {
     use crate::szlr::SzLr;
     use crate::zfp_like::ZfpLike;
     use amrviz_amr::{BoxArray, Geometry, IntVect};
-    use amrviz_codec::{huffman_decode, lzss_decompress};
 
     fn two_level_hier() -> AmrHierarchy {
         let geom = Geometry::unit(Box3::from_dims(16, 16, 16));
@@ -1387,16 +1386,22 @@ mod tests {
         assert_eq!(report.counts(), (1, 0, 1));
     }
 
-    /// Re-assembles chunk `ci` of level `lev` with its models and its
-    /// decoded symbols passed through `edit`, and reseals its checksum.
+    /// Re-assembles chunk `ci` of level `lev` of `h`'s field, encoded by
+    /// `comp` under `cfg`, with its models and its decoded symbols passed
+    /// through `edit`, and reseals its checksum.
     fn edit_chunk(
         c: &mut CompressedHierarchyField,
+        (h, cfg, comp): (&AmrHierarchy, &AmrCodecConfig, &dyn Compressor),
         (lev, ci): (usize, usize),
         edit: impl FnOnce(&mut Vec<u8>, &mut Vec<u32>),
     ) {
+        let plan = LevelPlan::new(h, cfg, lev);
+        let pieces = &plan.tasks[plan.chunk_tasks(ci)];
+        let n = pieces.iter().map(|(_, p)| comp.symbol_count(p.size()));
         let mut r = ByteReader::new(&c.blobs[lev][ci]);
         let mut models = r.section().unwrap().to_vec();
-        let mut symbols = huffman_decode(&lzss_decompress(r.section().unwrap()).unwrap()).unwrap();
+        let mut symbols = Vec::new();
+        r.coded_section(n.sum(), &mut symbols).unwrap();
         edit(&mut models, &mut symbols);
         let mut w = ByteWriter::new();
         w.section(&models);
@@ -1418,7 +1423,7 @@ mod tests {
         for comp in [&SzLr::default() as &dyn Compressor, &SzInterp, &ZfpLike] {
             let mut c =
                 compress_hierarchy_field(&h, "rho", comp, ErrorBound::Abs(1e-3), &cfg).unwrap();
-            edit_chunk(&mut c, (0, 0), |models, _| models.push(0));
+            edit_chunk(&mut c, (&h, &cfg, comp), (0, 0), |models, _| models.push(0));
             let mut levels = Vec::new();
             let report = decompress_hierarchy_field_into(
                 &h,
@@ -1748,7 +1753,7 @@ mod tests {
                     ["short", "long"][grow as usize]
                 );
                 let mut c = clean.clone();
-                edit_chunk(&mut c, (1, 1), |_, symbols| match grow {
+                edit_chunk(&mut c, (&h, &cfg, comp), (1, 1), |_, symbols| match grow {
                     true => symbols.push(7),
                     false => drop(symbols.pop()),
                 });

@@ -250,21 +250,22 @@ impl Compressor for SzInterp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::field::Field3;
-    use crate::oracle_inputs::{bits, decode_in_place, oracle_case};
+    use crate::test_support::{
+        bits, decode, decode_in_place, decode_into, encode, from_fn, oracle_case,
+    };
     use crate::{DecodeBudget, ErrorBound};
     use amrviz_rng::check;
 
     /// The per-site sweep the row passes replaced, kept verbatim as the
-    /// reference (only the stream framing follows the wire): every neighbor
-    /// addressed through `idx(i, j, k)` behind a `&dyn Fn`, the stencil
-    /// decided per site, and the `f64::round` quantizer.
+    /// reference (only the framing follows the wire: the body of a
+    /// one-piece chunk): every neighbor addressed through `idx(i, j, k)`
+    /// behind a `&dyn Fn`, the stencil decided per site, and the
+    /// `f64::round` quantizer.
     mod oracle {
-        use super::super::{cubic, MAGIC};
+        use super::super::cubic;
         use crate::quantizer::{quantize_oracle, Quantized, Quantizer};
         use crate::wire::{ByteReader, ByteWriter};
-        use crate::{CompressError, ErrorBound, Field3};
-        use amrviz_codec::{huffman_decode, huffman_encode, lzss_compress, lzss_decompress};
+        use crate::CompressError;
 
         fn sweep(dims: [usize; 3], recon: &mut [f64], mut visit: impl FnMut(usize, f64) -> f64) {
             let [nx, ny, nz] = dims;
@@ -320,17 +321,13 @@ mod tests {
             }
         }
 
-        pub fn compress(field: &Field3, bound: ErrorBound) -> Vec<u8> {
-            let eb = match bound.to_abs(field.range()) {
-                e if e > 0.0 => e,
-                _ => 1e-300,
-            };
+        pub fn compress(dims: [usize; 3], data: &[f64], eb: f64) -> Vec<u8> {
             let q = Quantizer::new(eb);
-            let mut recon = vec![0.0; field.len()];
-            recon[0] = field.data[0];
+            let mut recon = vec![0.0; data.len()];
+            recon[0] = data[0];
             let (mut codes, mut outliers) = (Vec::new(), Vec::new());
-            sweep(field.dims, &mut recon, |at, pred| {
-                let actual = field.data[at];
+            sweep(dims, &mut recon, |at, pred| {
+                let actual = data[at];
                 match quantize_oracle(&q, pred, actual) {
                     Quantized::Code { code, recon } => {
                         codes.push(code);
@@ -344,23 +341,23 @@ mod tests {
                 }
             });
             let mut model = ByteWriter::new();
-            model.f64(field.data[0]);
+            model.f64(data[0]);
             let outlier_bytes: Vec<u8> = outliers.iter().flat_map(|v| v.to_le_bytes()).collect();
             model.section(&outlier_bytes);
             let mut w = ByteWriter::new();
-            w.uvarint(MAGIC as u64);
-            field.dims.iter().for_each(|&d| w.uvarint(d as u64));
-            w.f64(eb);
             w.section(&model.finish());
-            w.section(&lzss_compress(&huffman_encode(&codes)));
+            w.coded_section(&codes);
             w.finish()
         }
 
-        pub fn decompress(bytes: &[u8]) -> Result<Field3, CompressError> {
-            let mut r = ByteReader::new(bytes);
-            assert_eq!(r.uvarint()?, MAGIC as u64);
-            let (dims, n) = r.dims3()?;
-            let q = Quantizer::new(r.f64()?);
+        pub fn decompress(
+            dims: [usize; 3],
+            eb: f64,
+            body: &[u8],
+        ) -> Result<Vec<f64>, CompressError> {
+            let n = dims.iter().product();
+            let q = Quantizer::new(eb);
+            let mut r = ByteReader::new(body);
             let mut model = ByteReader::new(r.section()?);
             let mut recon = vec![0.0; n];
             recon[0] = model.f64()?;
@@ -368,8 +365,8 @@ mod tests {
                 .section()?
                 .chunks_exact(8)
                 .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
-            let codes = huffman_decode(&lzss_decompress(r.section()?)?)?;
-            assert_eq!(codes.len(), n - 1);
+            let mut codes = Vec::new();
+            r.coded_section(n - 1, &mut codes)?;
             let mut code_pos = 0;
             sweep(dims, &mut recon, |_, pred| {
                 let code = codes[code_pos];
@@ -380,37 +377,33 @@ mod tests {
                     q.reconstruct(pred, code)
                 }
             });
-            Ok(Field3::new(dims, recon))
+            Ok(recon)
         }
     }
 
     #[test]
     fn row_passes_match_the_per_site_oracle() {
         check(0x17E2, 96, |rng| {
-            let (f, bound) = oracle_case(rng);
-            let want = oracle::compress(&f, bound);
-            let got = SzInterp.compress(&f, bound);
-            assert_eq!(got, want, "stream differs: dims {:?} {bound:?}", f.dims);
-            let want = oracle::decompress(&got).unwrap();
-            let got = decode_in_place(&SzInterp, &got, f.len());
-            assert_eq!(got.dims, want.dims);
-            assert_eq!(bits(&got), bits(&want), "decode differs: {:?}", f.dims);
+            let (dims, f, bound) = oracle_case(rng);
+            let (got, eb) = encode(&SzInterp, dims, &f, bound);
+            let want = oracle::compress(dims, &f, eb);
+            assert_eq!(got, want, "body differs: dims {dims:?} {bound:?}");
+            let want = oracle::decompress(dims, eb, &got).unwrap();
+            let got = decode_in_place(&SzInterp, (dims, eb), &got);
+            assert_eq!(bits(&got), bits(&want), "decode differs: {dims:?}");
         });
     }
 
     #[test]
     fn short_and_surplus_outliers_are_rejected_before_writing() {
         let mut rng = amrviz_rng::Rng::seed(9);
-        let f = Field3::from_fn([9, 6, 5], |i, _, _| {
+        let dims = [9, 6, 5];
+        let f = from_fn(dims, |i, _, _| {
             i as f64 + if rng.chance(0.1) { 1e6 } else { 0.0 }
         });
-        let good = SzInterp.compress(&f, ErrorBound::Abs(0.01));
-        // The header, the model (anchor and outliers), the coded symbols.
+        let (good, eb) = encode(&SzInterp, dims, &f, ErrorBound::Abs(0.01));
+        // The model (anchor and outliers), the coded symbols.
         let mut r = ByteReader::new(&good);
-        r.uvarint().unwrap();
-        r.dims3().unwrap();
-        r.f64().unwrap();
-        let head = &good[..good.len() - r.remaining()];
         let mut model = ByteReader::new(r.section().unwrap());
         let anchor = model.f64().unwrap();
         let outliers = model.section().unwrap();
@@ -421,21 +414,21 @@ mod tests {
             let mut model = ByteWriter::new();
             model.f64(anchor);
             model.section(&edited);
-            let mut w = ByteWriter::from_vec(head.to_vec());
+            let mut w = ByteWriter::new();
             w.section(&model.finish());
             w.section(coded);
             let mut out = vec![7.0; 3];
-            let err = SzInterp
-                .decompress_into(&w.finish(), &DecodeBudget::default(), &mut out)
-                .unwrap_err();
+            let budget = DecodeBudget::default();
+            let err = decode_into(&SzInterp, (dims, eb), &w.finish(), &budget, &mut out);
+            let err = err.unwrap_err();
             assert!(matches!(err, CompressError::Malformed(_)), "{err}");
             assert_eq!(out, [7.0; 3], "output touched");
         }
     }
 
-    fn check_bound(orig: &Field3, recon: &Field3, eb: f64) {
-        assert_eq!(orig.dims, recon.dims);
-        for (n, (a, b)) in orig.data.iter().zip(&recon.data).enumerate() {
+    fn check_bound(orig: &[f64], recon: &[f64], eb: f64) {
+        assert_eq!(orig.len(), recon.len());
+        for (n, (a, b)) in orig.iter().zip(recon).enumerate() {
             assert!(
                 (a - b).abs() <= eb * (1.0 + 1e-12),
                 "bound violated at {n}: |{a} - {b}| > {eb}"
@@ -443,10 +436,19 @@ mod tests {
         }
     }
 
-    fn smooth_field(dims: [usize; 3]) -> Field3 {
-        Field3::from_fn(dims, |i, j, k| {
+    fn smooth_field(dims: [usize; 3]) -> Vec<f64> {
+        from_fn(dims, |i, j, k| {
             (i as f64 * 0.1).sin() * (j as f64 * 0.08).cos() * (1.0 + 0.02 * k as f64)
         })
+    }
+
+    /// `f` through a one-piece chunk under `bound`, checked against the
+    /// bound it resolved to: the body's length and the decoded cells.
+    fn roundtrip(dims: [usize; 3], f: &[f64], bound: ErrorBound) -> (usize, Vec<f64>) {
+        let (body, eb) = encode(&SzInterp, dims, f, bound);
+        let back = decode(&SzInterp, (dims, eb), &body).unwrap();
+        check_bound(f, &back, eb);
+        (body.len(), back)
     }
 
     #[test]
@@ -471,20 +473,18 @@ mod tests {
     #[test]
     fn roundtrip_smooth_within_bound() {
         let f = smooth_field([20, 18, 16]);
-        let sz = SzInterp;
         for rel in [1e-4, 1e-3, 1e-2] {
-            let buf = sz.compress(&f, ErrorBound::Rel(rel));
-            let back = sz.decompress(&buf).unwrap();
-            check_bound(&f, &back, rel * f.range());
+            roundtrip([20, 18, 16], &f, ErrorBound::Rel(rel));
         }
     }
 
     #[test]
     fn beats_szlr_on_very_smooth_data() {
         use crate::szlr::SzLr;
-        let f = smooth_field([32, 32, 32]);
-        let itp = SzInterp.compress(&f, ErrorBound::Rel(1e-3)).len();
-        let lr = SzLr::default().compress(&f, ErrorBound::Rel(1e-3)).len();
+        let dims = [32, 32, 32];
+        let f = smooth_field(dims);
+        let bytes = |comp: &dyn Compressor| encode(comp, dims, &f, ErrorBound::Rel(1e-3)).0.len();
+        let (itp, lr) = (bytes(&SzInterp), bytes(&SzLr::default()));
         assert!(
             itp < lr,
             "interp should win on smooth data: {itp} vs {lr} bytes"
@@ -494,47 +494,43 @@ mod tests {
     #[test]
     fn random_field_respects_bound() {
         let mut rng = amrviz_rng::Rng::seed(5);
-        let f = Field3::from_fn([11, 13, 6], |_, _, _| rng.range_f64(-50.0, 50.0));
-        let buf = SzInterp.compress(&f, ErrorBound::Abs(0.25));
-        let back = SzInterp.decompress(&buf).unwrap();
-        check_bound(&f, &back, 0.25);
+        let f = from_fn([11, 13, 6], |_, _, _| rng.range_f64(-50.0, 50.0));
+        roundtrip([11, 13, 6], &f, ErrorBound::Abs(0.25));
     }
 
     #[test]
     fn degenerate_shapes() {
         for dims in [[1, 1, 1], [64, 1, 1], [1, 32, 1], [2, 2, 2], [1, 1, 128]] {
-            let f = Field3::from_fn(dims, |i, j, k| (i + 2 * j + 3 * k) as f64 * 0.37);
-            let buf = SzInterp.compress(&f, ErrorBound::Rel(1e-3));
-            let back = SzInterp.decompress(&buf).unwrap();
-            check_bound(&f, &back, 1e-3 * f.range().max(1e-300));
+            let f = from_fn(dims, |i, j, k| (i + 2 * j + 3 * k) as f64 * 0.37);
+            roundtrip(dims, &f, ErrorBound::Rel(1e-3));
         }
     }
 
     #[test]
     fn constant_field_exact() {
-        let f = Field3::new([9, 9, 9], vec![-2.5; 729]);
-        let buf = SzInterp.compress(&f, ErrorBound::Rel(1e-2));
-        let back = SzInterp.decompress(&buf).unwrap();
-        assert_eq!(back.data, f.data);
-        assert!(buf.len() < 200, "constant stream too big: {}", buf.len());
+        let f = vec![-2.5; 729];
+        let (len, back) = roundtrip([9, 9, 9], &f, ErrorBound::Rel(1e-2));
+        assert_eq!(back, f);
+        assert!(len < 200, "constant body too big: {len}");
     }
 
     #[test]
     fn larger_bound_compresses_more() {
-        let f = smooth_field([24, 24, 24]);
-        let small = SzInterp.compress(&f, ErrorBound::Rel(1e-4)).len();
-        let large = SzInterp.compress(&f, ErrorBound::Rel(1e-2)).len();
+        let dims = [24, 24, 24];
+        let f = smooth_field(dims);
+        let (small, _) = roundtrip(dims, &f, ErrorBound::Rel(1e-4));
+        let (large, _) = roundtrip(dims, &f, ErrorBound::Rel(1e-2));
         assert!(large < small);
     }
 
     #[test]
     fn corrupt_stream_rejected() {
-        let f = smooth_field([8, 8, 8]);
-        let buf = SzInterp.compress(&f, ErrorBound::Rel(1e-3));
-        assert!(SzInterp.decompress(&buf[..6]).is_err());
-        let mut bad = buf.clone();
+        let dims = [8, 8, 8];
+        let (body, eb) = encode(&SzInterp, dims, &smooth_field(dims), ErrorBound::Rel(1e-3));
+        assert!(decode(&SzInterp, (dims, eb), &body[..6]).is_err());
+        let mut bad = body.clone();
         bad[0] = 0x00;
-        assert!(SzInterp.decompress(&bad).is_err());
+        assert!(decode(&SzInterp, (dims, eb), &bad).is_err());
     }
 
     #[test]
@@ -545,15 +541,12 @@ mod tests {
             let nz = rng.range_usize(1, 13);
             let eb_exp = rng.range_i64(-6, -1) as i32;
             let mut field_rng = rng.fork(1);
-            let f = Field3::from_fn([nx, ny, nz], |i, _, k| {
+            let dims = [nx, ny, nz];
+            let f = from_fn(dims, |i, _, k| {
                 (k as f64 * 0.2).cos() + field_rng.range_f64(-0.3, 0.3) + i as f64 * 0.05
             });
-            let eb = 10f64.powi(eb_exp) * f.range().max(1e-12);
-            let buf = SzInterp.compress(&f, ErrorBound::Abs(eb));
-            let back = SzInterp.decompress(&buf).unwrap();
-            for (a, b) in f.data.iter().zip(&back.data) {
-                assert!((a - b).abs() <= eb * (1.0 + 1e-12));
-            }
+            let eb = 10f64.powi(eb_exp) * Field3View::new(dims, &f).range().max(1e-12);
+            roundtrip(dims, &f, ErrorBound::Abs(eb));
         });
     }
 }

@@ -21,20 +21,34 @@
 //! [`ZfpLike`] adds a fixed-block transform codec in the spirit of ZFP
 //! (mentioned, but not evaluated, by the paper) and [`amr_codec`] applies
 //! any compressor level-by-level to an AMR hierarchy, optionally skipping
-//! the redundant coarse data (paper §2.2).
+//! the redundant coarse data (paper §2.2). Its container is the one format
+//! a compressor's output is written in.
 //!
 //! ```
-//! use amrviz_compress::{Compressor, ErrorBound, Field3, SzInterp};
+//! use amrviz_amr::{AmrHierarchy, Box3, BoxArray, Geometry, IntVect};
+//! use amrviz_compress::{
+//!     compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, ErrorBound, SzInterp,
+//! };
 //!
-//! let field = Field3::from_fn([32, 32, 32], |i, j, k| {
-//!     (i as f64 * 0.2).sin() + (j as f64 * 0.15).cos() + 0.01 * k as f64
-//! });
-//! let blob = SzInterp.compress(&field, ErrorBound::Rel(1e-3));
-//! assert!(blob.len() * 8 < field.nbytes()); // > 8x smaller
-//! let recon = SzInterp.decompress(&blob).unwrap();
-//! let eb = 1e-3 * field.range();
-//! for (a, b) in field.data.iter().zip(&recon.data) {
-//!     assert!((a - b).abs() <= eb);
+//! let geom = Geometry::unit(Box3::from_dims(32, 32, 32));
+//! let fine = Box3::new(IntVect::new(16, 16, 16), IntVect::new(47, 47, 47));
+//! let boxes = vec![BoxArray::single(geom.domain), BoxArray::single(fine)];
+//! let mut hier = AmrHierarchy::new(geom, vec![2], boxes).unwrap();
+//! hier.add_field_from_fn("u", |lev, iv| {
+//!     let s = 0.2 / (1 << lev) as f64;
+//!     (iv[0] as f64 * s).sin() + (iv[1] as f64 * s).cos() + 0.01 * iv[2] as f64
+//! })
+//! .unwrap();
+//! let cfg = AmrCodecConfig::default();
+//! let c = compress_hierarchy_field(&hier, "u", &SzInterp, ErrorBound::Rel(1e-3), &cfg).unwrap();
+//! assert!(c.compressed_bytes() < c.n_values); // > 8x smaller than the f64s
+//! let levels = decompress_hierarchy_field(&hier, &c, &SzInterp, &cfg).unwrap();
+//! let orig = &hier.field("u").unwrap().levels;
+//! for (a, b) in orig.iter().zip(&levels) {
+//!     for (a, b) in a.fabs().iter().zip(b.fabs()) {
+//!         let pairs = a.data().iter().zip(b.data());
+//!         assert!(pairs.into_iter().all(|(x, y)| (x - y).abs() <= c.abs_eb));
+//!     }
 //! }
 //! ```
 
@@ -58,14 +72,14 @@ pub use amr_codec::{
     DecodeReport, FabStatus, RepairKind,
 };
 pub use amrviz_codec::DecodeBudget;
-pub use field::{Field3, Field3View, FieldMut};
+pub use field::{Field3View, FieldMut};
 pub use interp::SzInterp;
 pub use stats::CompressionStats;
 pub use szlr::{PredictorMode, SzLr};
 pub use zfp_like::ZfpLike;
 pub use zmesh::{compress_zmesh, decompress_zmesh};
 
-use wire::{read_pieces, write_pieces, ByteReader, ByteWriter};
+use wire::{ByteReader, ByteWriter};
 
 /// User-facing error-bound specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,14 +92,6 @@ pub enum ErrorBound {
 }
 
 impl ErrorBound {
-    /// Resolves to an absolute bound given the data's value range.
-    pub fn to_abs(self, range: f64) -> f64 {
-        match self {
-            ErrorBound::Abs(v) => v,
-            ErrorBound::Rel(v) => v * range,
-        }
-    }
-
     /// The absolute bound a stream is encoded with. `range` is only called
     /// for a relative bound — an absolute one never scans the data. A
     /// degenerate (zero) bound gets a tiny positive stand-in so the
@@ -189,19 +195,16 @@ impl From<amrviz_codec::CodecError> for CompressError {
 /// half — one Huffman + LZSS coded section over the symbols of many pieces —
 /// is shared (`wire::write_pieces` / `wire::read_pieces`).
 ///
-/// A compressor implements the model half. The standalone stream is built
-/// on it: [`Compressor::compress_into`] writes the tag, the dims and the
-/// bound, then one piece's model and one coded section;
-/// [`Compressor::decompress_into`] decodes it into a reusable `Vec<f64>`. The
-/// AMR container ([`amr_codec`]) puts many pieces under one coded section.
+/// A compressor implements the model half; the AMR container
+/// ([`amr_codec`]) puts the pieces of a chunk of fabs under one coded
+/// section, and is the only way pieces are written or read.
 pub trait Compressor: Sync {
     /// Short identifier used in reports ("SZ-L/R", "SZ-Itp", …).
     fn name(&self) -> &'static str;
 
     /// The compressor's wire tag: its magic byte, with every parameter its
-    /// decoder needs above it. It opens every standalone stream and names
-    /// the compressor in the container header, so no decoder reads another
-    /// compressor's pieces.
+    /// decoder needs above it. It names the compressor in the container
+    /// header, so no decoder reads another compressor's pieces.
     fn tag(&self) -> u64;
 
     /// How many symbols a piece of `dims` cells puts on the entropy stream.
@@ -231,69 +234,6 @@ pub trait Compressor: Sync {
         symbols: &[u32],
         out: &mut Vec<f64>,
     ) -> Result<(), CompressError>;
-
-    /// Appends the standalone stream for `field` to `out`: tag, dims and
-    /// absolute bound, then the piece's model and its coded symbols.
-    fn compress_into(&self, field: Field3View<'_>, bound: ErrorBound, out: &mut Vec<u8>) {
-        let eb = bound.resolve(|| field.range());
-        let mut w = ByteWriter::from_vec(std::mem::take(out));
-        w.uvarint(self.tag());
-        field.dims.iter().for_each(|&d| w.uvarint(d as u64));
-        w.f64(eb);
-        *out = w.finish();
-        write_pieces(out, |model, symbols| {
-            self.encode_piece(field, eb, model, symbols)
-        });
-    }
-
-    /// Owned-API shim over [`Compressor::compress_into`].
-    fn compress(&self, field: &Field3, bound: ErrorBound) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.compress_into(field.view(), bound, &mut out);
-        out
-    }
-
-    /// Decompresses under the default (permissive) [`DecodeBudget`].
-    fn decompress(&self, bytes: &[u8]) -> Result<Field3, CompressError> {
-        self.decompress_budgeted(bytes, &amrviz_codec::DecodeBudget::default())
-    }
-
-    /// Owned-API shim over [`Compressor::decompress_into`].
-    fn decompress_budgeted(
-        &self,
-        bytes: &[u8],
-        budget: &amrviz_codec::DecodeBudget,
-    ) -> Result<Field3, CompressError> {
-        let mut data = Vec::new();
-        let dims = self.decompress_into(bytes, budget, &mut data)?;
-        Ok(Field3::new(dims, data))
-    }
-
-    /// Decompresses a standalone stream into `out` (resized and overwritten,
-    /// capacity reused) with every declared dimension, count, and section
-    /// length validated against `budget` before allocation; returns the
-    /// decoded dims. A stream of another compressor is `Malformed`. On error
-    /// `out`'s contents are unspecified.
-    fn decompress_into(
-        &self,
-        bytes: &[u8],
-        budget: &amrviz_codec::DecodeBudget,
-        out: &mut Vec<f64>,
-    ) -> Result<[usize; 3], CompressError> {
-        let mut r = ByteReader::with_budget(bytes, *budget);
-        if r.uvarint()? != self.tag() {
-            return Err(CompressError::Malformed(format!(
-                "not a {} stream",
-                self.name()
-            )));
-        }
-        let (dims, _) = r.dims3()?;
-        let eb = checked_eb(r.f64()?)?;
-        read_pieces(r, self.symbol_count(dims), |model, symbols| {
-            self.decode_piece(dims, eb, model, symbols, out)
-        })?;
-        Ok(dims)
-    }
 }
 
 /// `eb` if it is a bound a quantizer can work with (finite, positive).
@@ -315,11 +255,68 @@ pub fn compressor_by_name(name: &str) -> Option<Box<dyn Compressor>> {
     }
 }
 
-/// Inputs shared by the tests that hold each compressor's row kernels to
-/// the per-cell loops they replaced.
+/// The unit tests' way in and out of a compressor — one piece through the
+/// shared entropy stage, the body of a one-piece chunk — and the inputs
+/// shared by the tests that hold each compressor's row kernels to the
+/// per-cell loops they replaced.
 #[cfg(test)]
-pub(crate) mod oracle_inputs {
-    use crate::{ErrorBound, Field3};
+pub(crate) mod test_support {
+    use crate::wire::{read_pieces, write_pieces, ByteReader};
+    use crate::{CompressError, Compressor, DecodeBudget, ErrorBound, Field3View};
+
+    /// `f(i, j, k)` over `dims`, x-fastest.
+    pub(crate) fn from_fn(
+        dims: [usize; 3],
+        mut f: impl FnMut(usize, usize, usize) -> f64,
+    ) -> Vec<f64> {
+        let [nx, ny, nz] = dims;
+        (0..nx * ny * nz)
+            .map(|n| f(n % nx, n / nx % ny, n / (nx * ny)))
+            .collect()
+    }
+
+    /// `data` (of `dims`) under `bound` as the body of a one-piece chunk —
+    /// [`write_pieces`] over [`Compressor::encode_piece`] — and the absolute
+    /// bound it was encoded with.
+    pub(crate) fn encode(
+        comp: &dyn Compressor,
+        dims: [usize; 3],
+        data: &[f64],
+        bound: ErrorBound,
+    ) -> (Vec<u8>, f64) {
+        let field = Field3View::new(dims, data);
+        let eb = bound.resolve(|| field.range());
+        let mut body = Vec::new();
+        write_pieces(&mut body, |model, symbols| {
+            comp.encode_piece(field, eb, model, symbols)
+        });
+        (body, eb)
+    }
+
+    /// Inverse of [`encode`] under `budget`, into `out`: [`read_pieces`]
+    /// over [`Compressor::decode_piece`].
+    pub(crate) fn decode_into(
+        comp: &dyn Compressor,
+        (dims, eb): ([usize; 3], f64),
+        body: &[u8],
+        budget: &DecodeBudget,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CompressError> {
+        let reader = ByteReader::with_budget(body, *budget);
+        read_pieces(reader, comp.symbol_count(dims), |model, symbols| {
+            comp.decode_piece(dims, eb, model, symbols, out)
+        })
+    }
+
+    /// [`decode_into`] a fresh buffer under the default budget.
+    pub(crate) fn decode(
+        comp: &dyn Compressor,
+        piece: ([usize; 3], f64),
+        body: &[u8],
+    ) -> Result<Vec<f64>, CompressError> {
+        let mut out = Vec::new();
+        decode_into(comp, piece, body, &DecodeBudget::default(), &mut out).map(|()| out)
+    }
 
     /// Oracle inputs: every dims in 1..=14 per axis is reachable (partial
     /// blocks, thin and degenerate axes, 1×1×1), smooth or rough data,
@@ -332,7 +329,7 @@ pub(crate) mod oracle_inputs {
     /// payload survives the addition of two NaNs is the compiler's operand
     /// order — the sign bit of a NaN regression coefficient is the one
     /// stream bit neither version pins.
-    pub(crate) fn oracle_case(rng: &mut amrviz_rng::Rng) -> (Field3, ErrorBound) {
+    pub(crate) fn oracle_case(rng: &mut amrviz_rng::Rng) -> ([usize; 3], Vec<f64>, ErrorBound) {
         let dims = [0; 3].map(|_| rng.range_usize(1, 14));
         let rough = rng.range_f64(0.0, 0.5);
         let special = rng.chance(0.3);
@@ -341,7 +338,7 @@ pub(crate) mod oracle_inputs {
             false => [f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0],
         };
         let mut cells = rng.fork(1);
-        let f = Field3::from_fn(dims, |i, j, k| {
+        let f = from_fn(dims, |i, j, k| {
             if special && cells.chance(0.02) {
                 return specials[cells.below(4) as usize];
             }
@@ -357,23 +354,26 @@ pub(crate) mod oracle_inputs {
             _ if special => ErrorBound::Abs(rel * 2.0),
             _ => ErrorBound::Rel(rel),
         };
-        (f, bound)
+        (dims, f, bound)
     }
 
     /// The exact bits of a field, so `-0.0 ≠ 0.0` and `NaN = NaN`.
-    pub(crate) fn bits(f: &Field3) -> Vec<u64> {
-        f.data.iter().map(|v| v.to_bits()).collect()
+    pub(crate) fn bits(f: &[f64]) -> Vec<u64> {
+        f.iter().map(|v| v.to_bits()).collect()
     }
 
     /// Decodes into a buffer that already has the right length and is full
     /// of garbage — a fab decoded in place. Decoders do not zero such a
     /// buffer first, so every cell must be written.
-    pub(crate) fn decode_in_place(comp: &dyn crate::Compressor, bytes: &[u8], n: usize) -> Field3 {
-        let mut out = vec![f64::from_bits(0xDEAD_BEEF_DEAD_BEEF); n];
-        let dims = comp
-            .decompress_into(bytes, &crate::DecodeBudget::default(), &mut out)
-            .unwrap();
-        Field3::new(dims, out)
+    pub(crate) fn decode_in_place(
+        comp: &dyn Compressor,
+        (dims, eb): ([usize; 3], f64),
+        body: &[u8],
+    ) -> Vec<f64> {
+        let mut out = vec![f64::from_bits(0xDEAD_BEEF_DEAD_BEEF); dims.iter().product()];
+        let budget = DecodeBudget::default();
+        decode_into(comp, (dims, eb), body, &budget, &mut out).unwrap();
+        out
     }
 }
 
@@ -383,8 +383,6 @@ mod tests {
 
     #[test]
     fn error_bound_resolution() {
-        assert_eq!(ErrorBound::Abs(0.5).to_abs(100.0), 0.5);
-        assert_eq!(ErrorBound::Rel(1e-2).to_abs(100.0), 1.0);
         assert_eq!(ErrorBound::Rel(1e-2).resolve(|| 100.0), 1.0);
         assert_eq!(ErrorBound::Rel(1e-2).resolve(|| 0.0), 1e-300);
         // An absolute bound never looks at the data.

@@ -384,28 +384,26 @@ impl Compressor for SzLr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::field::Field3;
-    use crate::oracle_inputs::{bits, decode_in_place, oracle_case};
+    use crate::test_support::{
+        bits, decode, decode_in_place, decode_into, encode, from_fn, oracle_case,
+    };
     use crate::{DecodeBudget, ErrorBound};
     use amrviz_rng::check;
 
     /// The per-cell encoder and decoder the row kernels replaced, kept
-    /// verbatim as the reference (only the stream framing follows the
-    /// wire): a side-buffer gather into `fit_block`, a second read in
-    /// `select_predictor`, then a walk that recomputes the cell offset,
-    /// branches on the predictor and calls `lorenzo3_predict` with its
-    /// boundary tests per cell, quantizing through `f64::round`.
+    /// verbatim as the reference (only the framing follows the wire: the
+    /// body of a one-piece chunk): a side-buffer gather into `fit_block`, a
+    /// second read in `select_predictor`, then a walk that recomputes the
+    /// cell offset, branches on the predictor and calls `lorenzo3_predict`
+    /// with its boundary tests per cell, quantizing through `f64::round`.
     mod oracle {
-        use super::super::MAGIC;
         use crate::lorenzo::lorenzo3_predict;
         use crate::quantizer::{quantize_oracle, Quantized, Quantizer};
         use crate::regression::{fit_block, RegressionCoeffs};
         use crate::szlr::{PredictorMode, SzLr};
         use crate::wire::{ByteReader, ByteWriter};
-        use crate::{CompressError, ErrorBound, Field3};
-        use amrviz_codec::{
-            huffman_decode, huffman_encode, lzss_compress, lzss_decompress, BitReader, BitWriter,
-        };
+        use crate::CompressError;
+        use amrviz_codec::{BitReader, BitWriter};
 
         fn select_predictor(
             mode: PredictorMode,
@@ -455,15 +453,10 @@ mod tests {
             out
         }
 
-        pub fn compress(sz: &SzLr, field: &Field3, bound: ErrorBound) -> Vec<u8> {
-            let dims = field.dims;
-            let [nx, ny, nz] = dims;
-            let eb = match bound.to_abs(field.range()) {
-                e if e > 0.0 => e,
-                _ => 1e-300,
-            };
+        pub fn compress(sz: &SzLr, dims: [usize; 3], data: &[f64], eb: f64) -> Vec<u8> {
+            let [nx, ny, _] = dims;
             let q = Quantizer::new(eb);
-            let mut recon = vec![0.0; field.len()];
+            let mut recon = vec![0.0; data.len()];
             let (mut codes, mut outliers) = (Vec::new(), Vec::new());
             let mut pred_bits = BitWriter::new();
             let mut coeff_bytes = ByteWriter::new();
@@ -473,12 +466,12 @@ mod tests {
                     for dj in 0..ext[1] {
                         for di in 0..ext[0] {
                             let (i, j, k) = (base[0] + di, base[1] + dj, base[2] + dk);
-                            block_vals.push(field.data[i + nx * (j + ny * k)]);
+                            block_vals.push(data[i + nx * (j + ny * k)]);
                         }
                     }
                 }
                 let coeffs = fit_block(&block_vals, ext);
-                let is_reg = select_predictor(sz.mode, &field.data, dims, base, ext, &coeffs);
+                let is_reg = select_predictor(sz.mode, data, dims, base, ext, &coeffs);
                 pred_bits.write_bit(is_reg);
                 let c32 = is_reg.then(|| {
                     coeff_bytes.f32(coeffs.b0 as f32);
@@ -497,7 +490,7 @@ mod tests {
                                 Some(c) => c.predict(di, dj, dk),
                                 None => lorenzo3_predict(&recon, dims, i, j, k),
                             };
-                            let actual = field.data[idx];
+                            let actual = data[idx];
                             match quantize_oracle(&q, pred, actual) {
                                 Quantized::Code { code, recon: r } => {
                                     codes.push(code);
@@ -519,24 +512,21 @@ mod tests {
             let outlier_bytes: Vec<u8> = outliers.iter().flat_map(|v| v.to_le_bytes()).collect();
             model.section(&outlier_bytes);
             let mut w = ByteWriter::new();
-            w.uvarint(MAGIC as u64 | (sz.block_size as u64) << 8);
-            w.uvarint(nx as u64);
-            w.uvarint(ny as u64);
-            w.uvarint(nz as u64);
-            w.f64(eb);
             w.section(&model.finish());
-            w.section(&lzss_compress(&huffman_encode(&codes)));
+            w.coded_section(&codes);
             w.finish()
         }
 
-        pub fn decompress(bytes: &[u8]) -> Result<Field3, CompressError> {
-            let mut r = ByteReader::new(bytes);
-            let tag = r.uvarint()?;
-            assert_eq!(tag & 0xFF, MAGIC as u64);
-            let bs = (tag >> 8) as usize;
-            let (dims, n) = r.dims3()?;
+        pub fn decompress(
+            bs: usize,
+            dims: [usize; 3],
+            eb: f64,
+            body: &[u8],
+        ) -> Result<Vec<f64>, CompressError> {
+            let n = dims.iter().product();
             let [nx, ny, _] = dims;
-            let q = Quantizer::new(r.f64()?);
+            let q = Quantizer::new(eb);
+            let mut r = ByteReader::new(body);
             let mut model = ByteReader::new(r.section()?);
             let mut pred_bits = BitReader::new(model.section()?);
             let mut coeffs_r = ByteReader::new(model.section()?);
@@ -544,8 +534,8 @@ mod tests {
                 .section()?
                 .chunks_exact(8)
                 .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
-            let codes = huffman_decode(&lzss_decompress(r.section()?)?)?;
-            assert_eq!(codes.len(), n);
+            let mut codes = Vec::new();
+            r.coded_section(n, &mut codes)?;
             let mut recon = vec![0.0; n];
             let mut code_pos = 0;
             for (base, ext) in blocks(dims, bs) {
@@ -580,14 +570,14 @@ mod tests {
                     }
                 }
             }
-            Ok(Field3::new(dims, recon))
+            Ok(recon)
         }
     }
 
     #[test]
     fn row_kernels_match_the_per_cell_oracle() {
         check(0x5A1B, 96, |rng| {
-            let (f, bound) = oracle_case(rng);
+            let (dims, f, bound) = oracle_case(rng);
             let sz = SzLr {
                 block_size: [6, 6, 6, 4, 1, 9][rng.below(6) as usize],
                 mode: [
@@ -596,34 +586,20 @@ mod tests {
                     PredictorMode::RegressionOnly,
                 ][rng.below(3) as usize],
             };
-            let want = oracle::compress(&sz, &f, bound);
-            let got = sz.compress(&f, bound);
-            assert_eq!(
-                got, want,
-                "stream differs: {sz:?} dims {:?} {bound:?}",
-                f.dims
-            );
-            let want = oracle::decompress(&got).unwrap();
-            let got = decode_in_place(&sz, &got, f.len());
-            assert_eq!(got.dims, want.dims);
-            assert_eq!(
-                bits(&got),
-                bits(&want),
-                "decode differs: {sz:?} {:?}",
-                f.dims
-            );
+            let (got, eb) = encode(&sz, dims, &f, bound);
+            let want = oracle::compress(&sz, dims, &f, eb);
+            assert_eq!(got, want, "body differs: {sz:?} dims {dims:?} {bound:?}");
+            let want = oracle::decompress(sz.block_size, dims, eb, &got).unwrap();
+            let got = decode_in_place(&sz, (dims, eb), &got);
+            assert_eq!(bits(&got), bits(&want), "decode differs: {sz:?} {dims:?}");
         });
     }
 
-    /// A valid stream re-assembled with its three model sections passed
+    /// A valid chunk body re-assembled with its three model sections passed
     /// through `edit(section index, bytes)`.
-    fn with_sections(stream: &[u8], edit: impl Fn(usize, &[u8]) -> Vec<u8>) -> Vec<u8> {
-        let mut r = ByteReader::new(stream);
+    fn with_sections(body: &[u8], edit: impl Fn(usize, &[u8]) -> Vec<u8>) -> Vec<u8> {
+        let mut r = ByteReader::new(body);
         let mut w = ByteWriter::new();
-        for _ in 0..4 {
-            w.uvarint(r.uvarint().unwrap());
-        }
-        w.f64(r.f64().unwrap());
         let mut model = ByteReader::new(r.section().unwrap());
         let mut edited = ByteWriter::new();
         for n in 0..3 {
@@ -638,11 +614,12 @@ mod tests {
     fn short_and_surplus_sections_are_rejected_before_writing() {
         // Rough enough for outliers, planar enough for regression blocks.
         let mut rng = amrviz_rng::Rng::seed(3);
-        let f = Field3::from_fn([13, 8, 7], |i, j, _| {
+        let dims = [13, 8, 7];
+        let f = from_fn(dims, |i, j, _| {
             i as f64 + 2.0 * j as f64 + if rng.chance(0.05) { 1e6 } else { 0.0 }
         });
         let sz = SzLr::default();
-        let good = sz.compress(&f, ErrorBound::Abs(0.01));
+        let (good, eb) = encode(&sz, dims, &f, ErrorBound::Abs(0.01));
         assert_eq!(with_sections(&good, |_, s| s.to_vec()), good);
         // (section, bytes per value): predictor bits, planes, outliers.
         for (section, unit) in [(0, 1), (1, 16), (2, 8)] {
@@ -660,9 +637,8 @@ mod tests {
                     }
                 });
                 let mut out = vec![7.0; 3];
-                let err = sz
-                    .decompress_into(&bad, &DecodeBudget::default(), &mut out)
-                    .unwrap_err();
+                let budget = DecodeBudget::default();
+                let err = decode_into(&sz, (dims, eb), &bad, &budget, &mut out).unwrap_err();
                 assert!(
                     matches!(err, CompressError::Malformed(_)),
                     "section {section}: {err}"
@@ -672,9 +648,9 @@ mod tests {
         }
     }
 
-    fn check_bound(orig: &Field3, recon: &Field3, eb: f64) {
-        assert_eq!(orig.dims, recon.dims);
-        for (a, b) in orig.data.iter().zip(&recon.data) {
+    fn check_bound(orig: &[f64], recon: &[f64], eb: f64) {
+        assert_eq!(orig.len(), recon.len());
+        for (a, b) in orig.iter().zip(recon) {
             assert!(
                 (a - b).abs() <= eb * (1.0 + 1e-12),
                 "bound violated: |{a} - {b}| > {eb}"
@@ -682,143 +658,122 @@ mod tests {
         }
     }
 
-    fn smooth_field(dims: [usize; 3]) -> Field3 {
-        Field3::from_fn(dims, |i, j, k| {
+    fn smooth_field(dims: [usize; 3]) -> Vec<f64> {
+        from_fn(dims, |i, j, k| {
             (i as f64 * 0.2).sin() * (j as f64 * 0.15).cos() + 0.05 * k as f64
         })
+    }
+
+    /// `f` through a one-piece chunk under `bound`, checked against the
+    /// bound it resolved to: the body's length and the decoded cells.
+    fn roundtrip(dims: [usize; 3], f: &[f64], bound: ErrorBound) -> (usize, Vec<f64>) {
+        let sz = SzLr::default();
+        let (body, eb) = encode(&sz, dims, f, bound);
+        let back = decode(&sz, (dims, eb), &body).unwrap();
+        check_bound(f, &back, eb);
+        (body.len(), back)
     }
 
     #[test]
     fn roundtrip_smooth_within_bound() {
         let f = smooth_field([20, 18, 16]);
-        let sz = SzLr::default();
         for rel in [1e-4, 1e-3, 1e-2] {
-            let buf = sz.compress(&f, ErrorBound::Rel(rel));
-            let back = sz.decompress(&buf).unwrap();
-            check_bound(&f, &back, rel * f.range());
+            roundtrip([20, 18, 16], &f, ErrorBound::Rel(rel));
         }
     }
 
     #[test]
     fn compresses_smooth_data_well() {
         let f = smooth_field([32, 32, 32]);
-        let sz = SzLr::default();
-        let buf = sz.compress(&f, ErrorBound::Rel(1e-3));
-        let ratio = f.nbytes() as f64 / buf.len() as f64;
+        let (len, _) = roundtrip([32, 32, 32], &f, ErrorBound::Rel(1e-3));
+        let ratio = (f.len() * 8) as f64 / len as f64;
         assert!(ratio > 15.0, "ratio too low: {ratio:.1}");
     }
 
     #[test]
     fn constant_field_is_tiny_and_exact() {
-        let f = Field3::new([16, 16, 16], vec![3.25; 4096]);
-        let sz = SzLr::default();
-        let buf = sz.compress(&f, ErrorBound::Rel(1e-3));
-        assert!(
-            buf.len() < 600,
-            "constant field stream too big: {}",
-            buf.len()
-        );
-        let back = sz.decompress(&buf).unwrap();
-        assert_eq!(back.data, f.data);
+        let f = vec![3.25; 4096];
+        let (len, back) = roundtrip([16, 16, 16], &f, ErrorBound::Rel(1e-3));
+        assert!(len < 600, "constant field body too big: {len}");
+        assert_eq!(back, f);
     }
 
     #[test]
     fn random_field_respects_bound() {
         let mut rng = amrviz_rng::Rng::seed(11);
-        let f = Field3::from_fn([13, 9, 7], |_, _, _| rng.range_f64(-100.0, 100.0));
-        let sz = SzLr::default();
-        let buf = sz.compress(&f, ErrorBound::Abs(0.5));
-        let back = sz.decompress(&buf).unwrap();
-        check_bound(&f, &back, 0.5);
+        let f = from_fn([13, 9, 7], |_, _, _| rng.range_f64(-100.0, 100.0));
+        roundtrip([13, 9, 7], &f, ErrorBound::Abs(0.5));
     }
 
     #[test]
     fn outlier_heavy_data_roundtrips_exactly() {
         // Alternating huge jumps — every residual escapes.
-        let f = Field3::from_fn(
-            [8, 8, 8],
-            |i, j, k| {
-                if (i + j + k) % 2 == 0 {
-                    1e9
-                } else {
-                    -1e9
-                }
-            },
-        );
-        let sz = SzLr::default();
-        let buf = sz.compress(&f, ErrorBound::Abs(1e-9));
-        let back = sz.decompress(&buf).unwrap();
-        check_bound(&f, &back, 1e-9);
+        let f = from_fn([8, 8, 8], |i, j, k| match (i + j + k) % 2 {
+            0 => 1e9,
+            _ => -1e9,
+        });
+        roundtrip([8, 8, 8], &f, ErrorBound::Abs(1e-9));
     }
 
     #[test]
     fn non_multiple_dims_handled() {
         let f = smooth_field([7, 11, 5]); // none a multiple of 6
-        let sz = SzLr::default();
-        let buf = sz.compress(&f, ErrorBound::Rel(1e-3));
-        let back = sz.decompress(&buf).unwrap();
-        check_bound(&f, &back, 1e-3 * f.range());
+        roundtrip([7, 11, 5], &f, ErrorBound::Rel(1e-3));
     }
 
     #[test]
     fn single_cell_field() {
-        let f = Field3::new([1, 1, 1], vec![42.0]);
-        let sz = SzLr::default();
-        let buf = sz.compress(&f, ErrorBound::Abs(0.1));
-        let back = sz.decompress(&buf).unwrap();
-        assert!((back.data[0] - 42.0).abs() <= 0.1);
+        roundtrip([1, 1, 1], &[42.0], ErrorBound::Abs(0.1));
     }
 
     #[test]
     fn regression_wins_on_planes() {
-        // A perfect plane: regression predicts exactly; the stream should be
+        // A perfect plane: regression predicts exactly; the body should be
         // almost all zero-residual symbols → very small.
-        let f = Field3::from_fn([24, 24, 24], |i, j, k| {
+        let dims = [24, 24, 24];
+        let f = from_fn(dims, |i, j, k| {
             2.0 * i as f64 - 3.0 * j as f64 + 0.5 * k as f64
         });
-        let sz = SzLr::default();
-        let buf = sz.compress(&f, ErrorBound::Rel(1e-4));
-        let ratio = f.nbytes() as f64 / buf.len() as f64;
+        let (len, _) = roundtrip(dims, &f, ErrorBound::Rel(1e-4));
+        let ratio = (f.len() * 8) as f64 / len as f64;
         assert!(ratio > 20.0, "plane should compress hard, got {ratio:.1}");
     }
 
     #[test]
     fn corrupt_stream_rejected() {
-        let f = smooth_field([8, 8, 8]);
+        let dims = [8, 8, 8];
         let sz = SzLr::default();
-        let buf = sz.compress(&f, ErrorBound::Rel(1e-3));
-        assert!(sz.decompress(&buf[..4]).is_err());
-        let mut bad = buf.clone();
+        let (body, eb) = encode(&sz, dims, &smooth_field(dims), ErrorBound::Rel(1e-3));
+        assert!(decode(&sz, (dims, eb), &body[..4]).is_err());
+        let mut bad = body.clone();
         bad[0] = 0xFF;
-        assert!(sz.decompress(&bad).is_err());
+        assert!(decode(&sz, (dims, eb), &bad).is_err());
     }
 
     #[test]
     fn expired_deadline_surfaces_through_decompress() {
         // 40³ codes are more than three deadline strides of symbols.
-        let f = smooth_field([40, 40, 40]);
-        assert!(f.data.len() >= 3 * DecodeBudget::DEADLINE_STRIDE);
+        let dims = [40, 40, 40];
+        let f = smooth_field(dims);
+        assert!(f.len() >= 3 * DecodeBudget::DEADLINE_STRIDE);
         let sz = SzLr::default();
-        let buf = sz.compress(&f, ErrorBound::Rel(1e-3));
+        let (body, eb) = encode(&sz, dims, &f, ErrorBound::Rel(1e-3));
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
         let expired = DecodeBudget::default().with_deadline(past);
         let mut out = Vec::new();
-        assert!(sz
-            .decompress_into(&buf, &expired, &mut out)
-            .unwrap_err()
-            .is_deadline());
-        let dims = sz
-            .decompress_into(&buf, &DecodeBudget::default(), &mut out)
-            .unwrap();
-        assert_eq!(dims, f.dims);
+        let err = decode_into(&sz, (dims, eb), &body, &expired, &mut out).unwrap_err();
+        assert!(err.is_deadline(), "{err}");
+        let budget = DecodeBudget::default();
+        decode_into(&sz, (dims, eb), &body, &budget, &mut out).unwrap();
+        assert_eq!(out.len(), f.len());
     }
 
     #[test]
     fn larger_bound_compresses_more() {
-        let f = smooth_field([24, 24, 24]);
-        let sz = SzLr::default();
-        let small = sz.compress(&f, ErrorBound::Rel(1e-4)).len();
-        let large = sz.compress(&f, ErrorBound::Rel(1e-2)).len();
+        let dims = [24, 24, 24];
+        let f = smooth_field(dims);
+        let (small, _) = roundtrip(dims, &f, ErrorBound::Rel(1e-4));
+        let (large, _) = roundtrip(dims, &f, ErrorBound::Rel(1e-2));
         assert!(large < small, "{large} !< {small}");
     }
 
@@ -830,16 +785,12 @@ mod tests {
             let nz = rng.range_usize(1, 13);
             let eb_exp = rng.range_i64(-6, -1) as i32;
             let mut field_rng = rng.fork(1);
-            let f = Field3::from_fn([nx, ny, nz], |i, j, _| {
+            let dims = [nx, ny, nz];
+            let f = from_fn(dims, |i, j, _| {
                 (i as f64 * 0.3).sin() + field_rng.range_f64(-0.2, 0.2) + j as f64 * 0.01
             });
-            let eb = 10f64.powi(eb_exp) * f.range().max(1e-12);
-            let sz = SzLr::default();
-            let buf = sz.compress(&f, ErrorBound::Abs(eb));
-            let back = sz.decompress(&buf).unwrap();
-            for (a, b) in f.data.iter().zip(&back.data) {
-                assert!((a - b).abs() <= eb * (1.0 + 1e-12));
-            }
+            let eb = 10f64.powi(eb_exp) * Field3View::new(dims, &f).range().max(1e-12);
+            roundtrip(dims, &f, ErrorBound::Abs(eb));
         });
     }
 }

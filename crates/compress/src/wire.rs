@@ -1,6 +1,7 @@
-//! Little helpers for serializing compressor headers and sections, and the
-//! one entropy stage every stream shares ([`write_pieces`] /
-//! [`read_pieces`]).
+//! Little helpers for serializing headers and sections, and the one
+//! entropy stage every compressed byte goes through: [`ByteWriter::coded_section`]
+//! / [`ByteReader::coded_section`], and over it the chunk body of
+//! [`write_pieces`] / [`read_pieces`].
 //!
 //! [`ByteReader`] carries a [`DecodeBudget`]: declared section lengths and
 //! box dimensions are validated against it (and the remaining buffer)
@@ -240,32 +241,16 @@ impl<'a> ByteReader<'a> {
         ))
     }
 
-    /// Three box dimensions, each budget-checked (nonzero, bounded) and the
-    /// product validated against both `usize` overflow and the budget's
-    /// value cap. Returns `([nx, ny, nz], n_cells)`.
-    pub fn dims3(&mut self) -> Result<([usize; 3], usize), CodecError> {
-        let (dx, dy, dz) = (self.uvarint()?, self.uvarint()?, self.uvarint()?);
-        let nx = self.budget.check_dim(dx as usize)?;
-        let ny = self.budget.check_dim(dy as usize)?;
-        let nz = self.budget.check_dim(dz as usize)?;
-        let n = nx
-            .checked_mul(ny)
-            .and_then(|v| v.checked_mul(nz))
-            .ok_or(CodecError::Corrupt("dims overflow"))?;
-        self.budget.check_values(n)?;
-        Ok(([nx, ny, nz], n))
-    }
-
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 }
 
-/// The entropy stage every stream shares. `pieces` runs the model half
+/// A chunk body. `pieces` runs the model half
 /// ([`crate::Compressor::encode_piece`]) of each piece in order onto one
 /// model writer and one symbol buffer; the body appended to `out` is the
 /// models, as one section, then one Huffman + LZSS coded section over all
-/// the symbols — the tail of a standalone stream and the whole of a chunk.
+/// the symbols.
 pub(crate) fn write_pieces(out: &mut Vec<u8>, pieces: impl FnOnce(&mut ByteWriter, &mut Vec<u32>)) {
     let (mut models, mut symbols) = (
         ByteWriter::from_vec(scratch::take_bytes()),
@@ -369,36 +354,6 @@ mod tests {
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.u64_le().unwrap(), 0xdead_beef_cafe_f00d);
         assert!(r.u64_le().is_err());
-    }
-
-    #[test]
-    fn dims3_validates_against_budget() {
-        let mut w = ByteWriter::new();
-        w.uvarint(8);
-        w.uvarint(8);
-        w.uvarint(8);
-        let buf = w.finish();
-        let mut r = ByteReader::new(&buf);
-        assert_eq!(r.dims3().unwrap(), ([8, 8, 8], 512));
-
-        // One huge axis: rejected by the dim cap, not allocated.
-        let mut w = ByteWriter::new();
-        w.uvarint(8);
-        w.uvarint(1 << 50);
-        w.uvarint(8);
-        let buf = w.finish();
-        let mut r = ByteReader::new(&buf);
-        assert!(r.dims3().is_err());
-
-        // Axes individually fine but the product busts the value cap.
-        let budget = amrviz_codec::DecodeBudget::strict();
-        let mut w = ByteWriter::new();
-        w.uvarint(4000);
-        w.uvarint(4000);
-        w.uvarint(4000);
-        let buf = w.finish();
-        let mut r = ByteReader::with_budget(&buf, budget);
-        assert!(r.dims3().is_err());
     }
 
     #[test]

@@ -314,30 +314,23 @@ impl Compressor for ZfpLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::field::Field3;
-    use crate::oracle_inputs::{bits, decode_in_place, oracle_case};
+    use crate::test_support::{bits, decode, decode_in_place, encode, from_fn, oracle_case};
     use crate::ErrorBound;
     use amrviz_rng::check;
 
     /// The per-cell block loops the row gather/scatter replaced, kept
-    /// verbatim as the reference (only the stream framing follows the
-    /// wire): every block clamps each index on the way in and tests each on
-    /// the way out, and pre-quantizes with `f64::round`.
+    /// verbatim as the reference (only the framing follows the wire: the
+    /// body of a one-piece chunk): every block clamps each index on the way
+    /// in and tests each on the way out, and pre-quantizes with
+    /// `f64::round`.
     mod oracle {
-        use super::super::{block_fwd, block_inv, BS, MAGIC, MAX_Q, SYM_CAP};
+        use super::super::{block_fwd, block_inv, BS, MAX_Q, SYM_CAP};
         use crate::wire::{ByteReader, ByteWriter};
-        use crate::{CompressError, ErrorBound, Field3};
-        use amrviz_codec::{
-            huffman_decode, huffman_encode, lzss_compress, lzss_decompress, zigzag_decode,
-            zigzag_encode,
-        };
+        use crate::CompressError;
+        use amrviz_codec::{zigzag_decode, zigzag_encode};
 
-        pub fn compress(field: &Field3, bound: ErrorBound) -> Vec<u8> {
-            let [nx, ny, nz] = field.dims;
-            let eb = match bound.to_abs(field.range()) {
-                e if e > 0.0 => e,
-                _ => 1e-300,
-            };
+        pub fn compress(dims: [usize; 3], data: &[f64], eb: f64) -> Vec<u8> {
+            let [nx, ny, nz] = dims;
             let inv_step = 1.0 / (2.0 * eb);
             let nb = [nx.div_ceil(BS), ny.div_ceil(BS), nz.div_ceil(BS)];
             let (mut symbols, mut escapes, mut raw) = (Vec::new(), Vec::<i64>::new(), Vec::new());
@@ -352,7 +345,7 @@ mod tests {
                                     let i = (bi * BS + di).min(nx - 1);
                                     let j = (bj * BS + dj).min(ny - 1);
                                     let k = (bk * BS + dk).min(nz - 1);
-                                    let v = field.data[i + nx * (j + ny * k)];
+                                    let v = data[i + nx * (j + ny * k)];
                                     vals[di + 4 * (dj + 4 * dk)] = v;
                                     let q = v * inv_step;
                                     if !q.is_finite() || q.abs() >= MAX_Q as f64 {
@@ -389,19 +382,20 @@ mod tests {
             let raw_bytes: Vec<u8> = raw.iter().flat_map(|v| v.to_le_bytes()).collect();
             model.section(&raw_bytes);
             let mut w = ByteWriter::new();
-            w.uvarint(MAGIC as u64);
-            field.dims.iter().for_each(|&d| w.uvarint(d as u64));
-            w.f64(eb);
             w.section(&model.finish());
-            w.section(&lzss_compress(&huffman_encode(&symbols)));
+            w.coded_section(&symbols);
             w.finish()
         }
 
-        pub fn decompress(bytes: &[u8]) -> Result<Field3, CompressError> {
-            let mut r = ByteReader::new(bytes);
-            assert_eq!(r.uvarint()?, MAGIC as u64);
-            let ([nx, ny, nz], n) = r.dims3()?;
-            let step = 2.0 * r.f64()?;
+        pub fn decompress(
+            dims: [usize; 3],
+            eb: f64,
+            body: &[u8],
+        ) -> Result<Vec<f64>, CompressError> {
+            let [nx, ny, nz] = dims;
+            let n = nx * ny * nz;
+            let step = 2.0 * eb;
+            let mut r = ByteReader::new(body);
             let mut model = ByteReader::new(r.section()?);
             let mut escapes = model
                 .section()?
@@ -411,7 +405,9 @@ mod tests {
                 .section()?
                 .chunks_exact(8)
                 .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
-            let symbols = huffman_decode(&lzss_decompress(r.section()?)?)?;
+            let blocks = nx.div_ceil(BS) * ny.div_ceil(BS) * nz.div_ceil(BS);
+            let mut symbols = Vec::new();
+            r.coded_section(64 * blocks, &mut symbols)?;
             let mut sym = symbols.iter().copied();
             let mut out = vec![0.0; n];
             for bk in 0..nz.div_ceil(BS) {
@@ -450,27 +446,26 @@ mod tests {
                     }
                 }
             }
-            Ok(Field3::new([nx, ny, nz], out))
+            Ok(out)
         }
     }
 
     #[test]
     fn row_gather_and_scatter_match_the_per_cell_oracle() {
         check(0x2F90, 96, |rng| {
-            let (mut f, bound) = oracle_case(rng);
+            let (dims, mut f, bound) = oracle_case(rng);
             // Now and then a value past the transform's headroom, so raw
             // blocks and coded blocks interleave.
             if rng.chance(0.3) {
                 let at = rng.below(f.len() as u64) as usize;
-                f.data[at] = 1e300;
+                f[at] = 1e300;
             }
-            let want = oracle::compress(&f, bound);
-            let got = ZfpLike.compress(&f, bound);
-            assert_eq!(got, want, "stream differs: dims {:?} {bound:?}", f.dims);
-            let want = oracle::decompress(&got).unwrap();
-            let got = decode_in_place(&ZfpLike, &got, f.len());
-            assert_eq!(got.dims, want.dims);
-            assert_eq!(bits(&got), bits(&want), "decode differs: {:?}", f.dims);
+            let (got, eb) = encode(&ZfpLike, dims, &f, bound);
+            let want = oracle::compress(dims, &f, eb);
+            assert_eq!(got, want, "body differs: dims {dims:?} {bound:?}");
+            let want = oracle::decompress(dims, eb, &got).unwrap();
+            let got = decode_in_place(&ZfpLike, (dims, eb), &got);
+            assert_eq!(bits(&got), bits(&want), "decode differs: {dims:?}");
         });
     }
 
@@ -522,45 +517,48 @@ mod tests {
         assert!(v[2].abs() <= 2 && v[3].abs() <= 2);
     }
 
-    fn check_bound(orig: &Field3, recon: &Field3, eb: f64) {
-        for (a, b) in orig.data.iter().zip(&recon.data) {
+    /// `f` through a one-piece chunk under `bound`, every cell checked
+    /// against the bound it resolved to; returns the body's length.
+    fn roundtrip(dims: [usize; 3], f: &[f64], bound: ErrorBound) -> usize {
+        let (body, eb) = encode(&ZfpLike, dims, f, bound);
+        let back = decode(&ZfpLike, (dims, eb), &body).unwrap();
+        assert_eq!(back.len(), f.len());
+        for (a, b) in f.iter().zip(&back) {
             assert!((a - b).abs() <= eb * (1.0 + 1e-12), "|{a}-{b}| > {eb}");
         }
+        body.len()
     }
 
     #[test]
     fn roundtrip_smooth_within_bound() {
-        let f = Field3::from_fn([17, 12, 9], |i, j, k| {
+        let f = from_fn([17, 12, 9], |i, j, k| {
             (i as f64 * 0.3).sin() + (j as f64 * 0.2).cos() * k as f64 * 0.1
         });
         for rel in [1e-4, 1e-2] {
-            let buf = ZfpLike.compress(&f, ErrorBound::Rel(rel));
-            let back = ZfpLike.decompress(&buf).unwrap();
-            check_bound(&f, &back, rel * f.range());
+            roundtrip([17, 12, 9], &f, ErrorBound::Rel(rel));
         }
     }
 
     #[test]
     fn compresses_smooth_data() {
-        let f = Field3::from_fn([32, 32, 32], |i, j, k| ((i + j + k) as f64 * 0.05).sin());
-        let buf = ZfpLike.compress(&f, ErrorBound::Rel(1e-3));
-        let ratio = f.nbytes() as f64 / buf.len() as f64;
+        let f = from_fn([32, 32, 32], |i, j, k| ((i + j + k) as f64 * 0.05).sin());
+        let len = roundtrip([32, 32, 32], &f, ErrorBound::Rel(1e-3));
+        let ratio = (f.len() * 8) as f64 / len as f64;
         assert!(ratio > 8.0, "ratio {ratio:.1}");
     }
 
     #[test]
     fn huge_values_escape_to_raw_blocks() {
-        let f = Field3::from_fn([8, 8, 8], |i, _, _| if i == 0 { 1e300 } else { 1.0 });
-        let buf = ZfpLike.compress(&f, ErrorBound::Abs(1e-6));
-        let back = ZfpLike.decompress(&buf).unwrap();
-        check_bound(&f, &back, 1e-6);
+        let f = from_fn([8, 8, 8], |i, _, _| if i == 0 { 1e300 } else { 1.0 });
+        roundtrip([8, 8, 8], &f, ErrorBound::Abs(1e-6));
     }
 
     #[test]
     fn corrupt_stream_rejected() {
-        let f = Field3::from_fn([8, 8, 8], |i, _, _| i as f64);
-        let buf = ZfpLike.compress(&f, ErrorBound::Abs(0.01));
-        assert!(ZfpLike.decompress(&buf[..5]).is_err());
+        let dims = [8, 8, 8];
+        let f = from_fn(dims, |i, _, _| i as f64);
+        let (body, eb) = encode(&ZfpLike, dims, &f, ErrorBound::Abs(0.01));
+        assert!(decode(&ZfpLike, (dims, eb), &body[..5]).is_err());
     }
 
     #[test]
@@ -570,13 +568,8 @@ mod tests {
             let ny = rng.range_usize(1, 10);
             let nz = rng.range_usize(1, 10);
             let mut field_rng = rng.fork(1);
-            let f = Field3::from_fn([nx, ny, nz], |_, _, _| field_rng.range_f64(-10.0, 10.0));
-            let eb = 0.05;
-            let buf = ZfpLike.compress(&f, ErrorBound::Abs(eb));
-            let back = ZfpLike.decompress(&buf).unwrap();
-            for (a, b) in f.data.iter().zip(&back.data) {
-                assert!((a - b).abs() <= eb * (1.0 + 1e-12));
-            }
+            let f = from_fn([nx, ny, nz], |_, _, _| field_rng.range_f64(-10.0, 10.0));
+            roundtrip([nx, ny, nz], &f, ErrorBound::Abs(0.05));
         });
     }
 }

@@ -15,19 +15,39 @@
 //! fine data does not exist; unrefined coarse cells contribute one value.
 //! Residuals against a 1D first-order (previous-value) Lorenzo predictor
 //! are quantized with the shared error-bounded quantizer and entropy-coded
-//! with Huffman + LZSS.
+//! by the shared coded section (`wire`).
 
 use amrviz_amr::multifab::rasterize_into;
-use amrviz_amr::{AmrHierarchy, Fab, IntVect, MultiFab};
-use amrviz_codec::{
-    huffman_decode_budgeted, huffman_encode, lzss_compress, lzss_decompress_budgeted, DecodeBudget,
-};
+use amrviz_amr::{AmrHierarchy, Box3, Fab, MultiFab};
+use amrviz_codec::DecodeBudget;
 
 use crate::quantizer::{Quantized, Quantizer};
 use crate::wire::{ByteReader, ByteWriter};
-use crate::{CompressError, ErrorBound};
+use crate::{checked_eb, CompressError, ErrorBound};
 
 const MAGIC: u8 = 0xA4;
+
+/// The interleaved 1D order, shared by encoder and decoder: every coarse
+/// cell x-fastest as `(0, index)`, each covered one followed by its `r³`
+/// fine children x-fastest as `(1, index)` — indices into the dense level
+/// buffers over `level_domain(0)` / `level_domain(1)`.
+fn walk(
+    hier: &AmrHierarchy,
+    mut visit: impl FnMut(usize, usize) -> Result<(), CompressError>,
+) -> Result<(), CompressError> {
+    let (ratio, dom1) = (hier.ratio_at(0), hier.level_domain(1));
+    let covered = hier.covered_mask(0);
+    for (n, cell) in hier.level_domain(0).cells().enumerate() {
+        visit(0, n)?;
+        if covered.get_unchecked(cell) {
+            let children = Box3::single(cell).refine(ratio);
+            children
+                .cells()
+                .try_for_each(|c| visit(1, dom1.offset(c)))?;
+        }
+    }
+    Ok(())
+}
 
 /// Compresses one field of a **two-level** hierarchy with the zMesh-style
 /// reordering. Returns the self-describing stream.
@@ -44,168 +64,104 @@ pub fn compress_zmesh(
     let f = hier
         .field(field)
         .map_err(|e| CompressError::Malformed(e.to_string()))?;
-    let ratio = hier.ratio_at(0);
-
     // Dense views of both levels.
-    let dom0 = hier.level_domain(0);
-    let dom1 = hier.level_domain(1);
-    let mut coarse = vec![0.0f64; dom0.num_cells()];
-    rasterize_into(&f.levels[0], dom0, &mut coarse);
-    let mut fine = vec![0.0f64; dom1.num_cells()];
-    rasterize_into(&f.levels[1], dom1, &mut fine);
-    let covered = hier.covered_mask(0);
+    let dense = [0, 1].map(|lev| {
+        let dom = hier.level_domain(lev);
+        let mut values = vec![0.0f64; dom.num_cells()];
+        rasterize_into(&f.levels[lev], dom, &mut values);
+        values
+    });
 
     // Global range → absolute bound.
     let eb = bound.resolve(|| crate::amr_codec::global_range(&f.levels));
     let q = Quantizer::new(eb);
 
     // The interleaved 1D walk with previous-reconstruction prediction.
-    let [fnx, fny, _] = dom1.size();
-    let mut codes: Vec<u32> = Vec::with_capacity(coarse.len() + fine.len());
+    let mut codes: Vec<u32> = Vec::with_capacity(dense[0].len() + dense[1].len());
     let mut outliers: Vec<f64> = Vec::new();
     let mut prev = 0.0f64;
-    let push = |v: f64, prev: &mut f64, codes: &mut Vec<u32>, outliers: &mut Vec<f64>| match q
-        .quantize(*prev, v)
-    {
-        Quantized::Code { code, recon } => {
-            codes.push(code);
-            *prev = recon;
-        }
-        Quantized::Outlier => {
-            codes.push(0);
-            outliers.push(v);
-            *prev = v;
-        }
-    };
-    for (n, cell) in dom0.cells().enumerate() {
-        push(coarse[n], &mut prev, &mut codes, &mut outliers);
-        if covered.get_unchecked(cell) {
-            let base = cell.refine(ratio);
-            for dz in 0..ratio {
-                for dy in 0..ratio {
-                    for dx in 0..ratio {
-                        let c = base + IntVect::new(dx, dy, dz);
-                        let d = c - dom1.lo();
-                        push(
-                            fine[d[0] as usize + fnx * (d[1] as usize + fny * d[2] as usize)],
-                            &mut prev,
-                            &mut codes,
-                            &mut outliers,
-                        );
-                    }
-                }
+    walk(hier, |lev, at| {
+        let v = dense[lev][at];
+        match q.quantize(prev, v) {
+            Quantized::Code { code, recon } => {
+                codes.push(code);
+                prev = recon;
+            }
+            Quantized::Outlier => {
+                codes.push(0);
+                outliers.push(v);
+                prev = v;
             }
         }
-    }
+        Ok(())
+    })?;
 
     let mut w = ByteWriter::new();
     w.u8(MAGIC);
     w.f64(eb);
-    w.section(&lzss_compress(&huffman_encode(&codes)));
-    let mut ob = Vec::with_capacity(outliers.len() * 8);
-    for v in &outliers {
-        ob.extend_from_slice(&v.to_le_bytes());
-    }
-    w.section(&ob);
+    w.coded_section(&codes);
+    w.f64_section(&outliers);
     Ok(w.finish())
 }
 
 /// Decompresses a [`compress_zmesh`] stream back onto the hierarchy's box
-/// structure. Fine cells outside the refined region and coarse cells are
-/// reconstructed; (coarse) values come back within the bound.
-pub fn decompress_zmesh(hier: &AmrHierarchy, bytes: &[u8]) -> Result<Vec<MultiFab>, CompressError> {
-    decompress_zmesh_budgeted(hier, bytes, &DecodeBudget::default())
-}
-
-/// [`decompress_zmesh`] with declared counts and section lengths validated
-/// against `budget` before allocation. (Dense level buffers are sized by
-/// the trusted hierarchy structure, not by the stream.)
-pub fn decompress_zmesh_budgeted(
+/// structure, with declared section lengths validated against `budget`
+/// before allocation. Fine cells outside the refined region and coarse
+/// cells are reconstructed; (coarse) values come back within the bound.
+/// (Dense level buffers, and the symbol count the coded section must
+/// declare, come from the trusted hierarchy structure, not the stream.)
+pub fn decompress_zmesh(
     hier: &AmrHierarchy,
     bytes: &[u8],
     budget: &DecodeBudget,
 ) -> Result<Vec<MultiFab>, CompressError> {
     assert_eq!(hier.num_levels(), 2, "zMesh baseline handles two levels");
+    let doms = [0, 1].map(|lev| hier.level_domain(lev));
     let mut r = ByteReader::with_budget(bytes, *budget);
     if r.u8()? != MAGIC {
         return Err(CompressError::Malformed("bad zMesh magic".into()));
     }
-    let eb = r.f64()?;
-    if eb.is_nan() || eb <= 0.0 {
-        return Err(CompressError::Malformed("bad zMesh bound".into()));
-    }
-    let q = Quantizer::new(eb);
-    let codes = huffman_decode_budgeted(&lzss_decompress_budgeted(r.section()?, budget)?, budget)?;
+    let q = Quantizer::new(checked_eb(r.f64()?)?);
+    let mut codes = Vec::new();
+    let children = hier.covered_mask(0).count() * hier.ratio_at(0).pow(3) as usize;
+    r.coded_section(doms[0].num_cells() + children, &mut codes)?;
     let outlier_bytes = r.section()?;
     let mut outliers = outlier_bytes
         .chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")));
 
-    let ratio = hier.ratio_at(0);
-    let dom0 = hier.level_domain(0);
-    let dom1 = hier.level_domain(1);
-    let covered = hier.covered_mask(0);
-    let mut coarse = vec![0.0f64; dom0.num_cells()];
-    let [fnx, fny, _] = dom1.size();
-    let mut fine = vec![0.0f64; dom1.num_cells()];
-
-    let mut code_iter = codes.into_iter();
-    let mut prev = 0.0f64;
-    let mut pull = |prev: &mut f64| -> Result<f64, CompressError> {
-        let code = code_iter
-            .next()
-            .ok_or_else(|| CompressError::Malformed("code underrun".into()))?;
-        let v = if code == 0 {
-            outliers
+    // The coded section holds exactly one code per walked cell.
+    let mut dense = doms.map(|dom| vec![0.0f64; dom.num_cells()]);
+    let (mut codes, mut prev) = (codes.into_iter(), 0.0f64);
+    walk(hier, |lev, at| {
+        prev = match codes.next().expect("one code per walked cell") {
+            0 => outliers
                 .next()
-                .ok_or_else(|| CompressError::Malformed("outlier underrun".into()))?
-        } else {
-            q.reconstruct(*prev, code)
+                .ok_or_else(|| CompressError::Malformed("outlier underrun".into()))?,
+            code => q.reconstruct(prev, code),
         };
-        *prev = v;
-        Ok(v)
-    };
-    for (n, cell) in dom0.cells().enumerate() {
-        coarse[n] = pull(&mut prev)?;
-        if covered.get_unchecked(cell) {
-            let base = cell.refine(ratio);
-            for dz in 0..ratio {
-                for dy in 0..ratio {
-                    for dx in 0..ratio {
-                        let c = base + IntVect::new(dx, dy, dz);
-                        let d = c - dom1.lo();
-                        fine[d[0] as usize + fnx * (d[1] as usize + fny * d[2] as usize)] =
-                            pull(&mut prev)?;
-                    }
-                }
-            }
-        }
-    }
+        dense[lev][at] = prev;
+        Ok(())
+    })?;
 
     // Scatter dense arrays back to the hierarchy's fabs.
-    let coarse_full = Fab::from_vec(dom0, coarse);
-    let fine_full = Fab::from_vec(dom1, fine);
-    let rebuild = |full: &Fab, ba: &amrviz_amr::BoxArray| {
-        MultiFab::from_fabs(
-            ba.iter()
-                .map(|&bx| {
-                    let mut fab = Fab::zeros(bx);
-                    fab.copy_from(full);
-                    fab
-                })
-                .collect(),
-        )
-    };
-    Ok(vec![
-        rebuild(&coarse_full, hier.box_array(0)),
-        rebuild(&fine_full, hier.box_array(1)),
-    ])
+    let mut levels = Vec::with_capacity(2);
+    for (lev, (dom, values)) in doms.into_iter().zip(dense).enumerate() {
+        let full = Fab::from_vec(dom, values);
+        let fabs = hier.box_array(lev).iter().map(|&bx| {
+            let mut fab = Fab::zeros(bx);
+            fab.copy_from(&full);
+            fab
+        });
+        levels.push(MultiFab::from_fabs(fabs.collect()));
+    }
+    Ok(levels)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amrviz_amr::{Box3, BoxArray, Geometry};
+    use amrviz_amr::{BoxArray, Geometry, IntVect};
 
     fn hier() -> AmrHierarchy {
         let geom = Geometry::unit(Box3::from_dims(12, 12, 12));
@@ -230,7 +186,7 @@ mod tests {
     fn roundtrip_within_bound() {
         let h = hier();
         let blob = compress_zmesh(&h, "u", ErrorBound::Rel(1e-3)).unwrap();
-        let levels = decompress_zmesh(&h, &blob).unwrap();
+        let levels = decompress_zmesh(&h, &blob, &DecodeBudget::default()).unwrap();
         let orig = h.field("u").unwrap();
         // Manually resolve the bound the compressor used.
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -269,10 +225,10 @@ mod tests {
     fn corrupt_stream_rejected() {
         let h = hier();
         let blob = compress_zmesh(&h, "u", ErrorBound::Rel(1e-3)).unwrap();
-        assert!(decompress_zmesh(&h, &blob[..4]).is_err());
+        assert!(decompress_zmesh(&h, &blob[..4], &DecodeBudget::default()).is_err());
         let mut bad = blob.clone();
         bad[0] = 0;
-        assert!(decompress_zmesh(&h, &bad).is_err());
+        assert!(decompress_zmesh(&h, &bad, &DecodeBudget::default()).is_err());
     }
 
     #[test]

@@ -12,16 +12,17 @@
 //! skipped there rather than reporting fake peaks).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 use amrviz_amr::{AmrHierarchy, Box3, BoxArray, Geometry, IntVect, MultiFab};
 use amrviz_codec::{
-    huffman_decode_budgeted, huffman_encode, lzss_compress, lzss_decompress_budgeted, read_uvarint,
-    write_uvarint, BitReader, BitWriter, DecodeBudget,
+    fnv1a_64, huffman_decode_into, huffman_encode, lzss_compress, lzss_decompress_into,
+    read_uvarint, write_uvarint, BitReader, BitWriter, DecodeBudget,
 };
 use amrviz_compress::{
-    compress_hierarchy_field, compress_zmesh, decompress_hierarchy_field_into,
-    zmesh::decompress_zmesh_budgeted, AmrCodecConfig, CompressedHierarchyField, Compressor,
-    DecodePolicy, ErrorBound, Field3, SzInterp, SzLr, ZfpLike,
+    compress_hierarchy_field, compress_zmesh, decompress_hierarchy_field_into, decompress_zmesh,
+    AmrCodecConfig, CompressedHierarchyField, Compressor, DecodePolicy, ErrorBound, SzInterp, SzLr,
+    ZfpLike,
 };
 use amrviz_obs::mem::{alloc_baseline, counting_alloc_installed, peak_since};
 use amrviz_recipe::ScenarioSpec;
@@ -209,18 +210,21 @@ impl TortureReport {
     }
 }
 
-/// Small two-level hierarchy used to build compressed corpus streams.
+/// Small two-level hierarchy used to build compressed corpus streams. The
+/// coarse level is two fabs, one chunk: under `skip_redundant` the first,
+/// under the fine patch, is cut into sub-box pieces and the second is one
+/// whole-box piece.
 fn corpus_hierarchy() -> AmrHierarchy {
     let geom = Geometry::new(Box3::from_dims(8, 8, 8), [0.0; 3], [1.0; 3]);
     let mut h = AmrHierarchy::new(
         geom,
         vec![2],
         vec![
-            BoxArray::single(geom.domain),
             BoxArray::new(vec![
-                Box3::new(IntVect::new(0, 0, 0), IntVect::new(7, 7, 7)),
-                Box3::new(IntVect::new(8, 8, 8), IntVect::new(15, 15, 15)),
+                Box3::new(IntVect::new(0, 0, 0), IntVect::new(7, 7, 3)),
+                Box3::new(IntVect::new(0, 0, 4), IntVect::new(7, 7, 7)),
             ]),
+            BoxArray::single(Box3::new(IntVect::new(2, 2, 0), IntVect::new(9, 9, 5))),
         ],
     )
     .expect("corpus hierarchy is valid");
@@ -234,39 +238,51 @@ fn corpus_hierarchy() -> AmrHierarchy {
     h
 }
 
-fn corpus_field() -> Field3 {
-    Field3::from_fn([12, 10, 8], |i, j, k| {
-        (i as f64 * 0.4).sin() * (j as f64 * 0.3).cos() + 0.05 * k as f64
-    })
-}
+/// The skip+restore config: the structurally hardest decode path, and the
+/// one that cuts coarse fabs into sub-box pieces.
+const SKIP_RESTORE: AmrCodecConfig = AmrCodecConfig {
+    skip_redundant: true,
+    restore_redundant: true,
+};
 
-fn compressor_target<C: Compressor + 'static>(name: &'static str, c: C) -> Target {
-    let stream = c.compress(&corpus_field(), ErrorBound::Rel(1e-3));
+/// `c`'s chunk decoder, past its checksum: the stream is the coarse level's
+/// one chunk of the corpus container (skip+restore) — several pieces, sub-box
+/// and whole-box — and every corrupted chunk is put back into the container
+/// with its FNV-1a re-stamped before a strict decode. All decodes share one
+/// arena of level storage, which starts as NaN and stays dirtied (or left
+/// partially decoded) by the decode before.
+fn chunk_target<C: Compressor + 'static>(name: &str, c: C) -> Target {
+    let hier = corpus_hierarchy();
+    let compressed =
+        compress_hierarchy_field(&hier, "density", &c, ErrorBound::Rel(1e-3), &SKIP_RESTORE)
+            .expect("corpus hierarchy compresses");
+    let stream = compressed.blobs[0][0].clone();
+    let arena: Vec<MultiFab> = (0..hier.num_levels())
+        .map(|lev| MultiFab::from_fn(hier.box_array(lev), |_| f64::NAN))
+        .collect();
+    let state = Mutex::new((compressed, arena));
     Target::fixed(
         name,
         stream,
         Box::new(move |bytes, budget| {
-            c.decompress_budgeted(bytes, budget)
-                .map(|_| ())
-                .map_err(fail)
-        }),
-    )
-}
-
-/// Like [`compressor_target`] but via `decompress_into`, reusing one dirty
-/// output buffer across iterations — the zero-copy path must uphold the
-/// same no-panic contract regardless of what a previous decode left behind.
-fn compressor_into_target<C: Compressor + 'static>(name: &'static str, c: C) -> Target {
-    let stream = c.compress(&corpus_field(), ErrorBound::Rel(1e-3));
-    let reused: std::sync::Mutex<Vec<f64>> = std::sync::Mutex::new(Vec::new());
-    Target::fixed(
-        name,
-        stream,
-        Box::new(move |bytes, budget| {
-            let mut out = reused.lock().unwrap_or_else(|p| p.into_inner());
-            c.decompress_into(bytes, budget, &mut out)
-                .map(|_| ())
-                .map_err(fail)
+            let mut state = state.lock().unwrap_or_else(|p| p.into_inner());
+            let (compressed, levels) = &mut *state;
+            let blob = &mut compressed.blobs[0][0];
+            blob.clear();
+            blob.extend_from_slice(bytes);
+            compressed.checksums[0][0] = fnv1a_64(bytes);
+            let policy = DecodePolicy::Strict;
+            decompress_hierarchy_field_into(
+                &hier,
+                compressed,
+                &c,
+                &SKIP_RESTORE,
+                policy,
+                budget,
+                levels,
+            )
+            .map(|_| ())
+            .map_err(fail)
         }),
     )
 }
@@ -314,11 +330,7 @@ fn build_targets() -> Vec<Target> {
     targets.push(Target::fixed(
         "huffman",
         huffman_encode(&symbols),
-        Box::new(|bytes, budget| {
-            huffman_decode_budgeted(bytes, budget)
-                .map(|_| ())
-                .map_err(fail)
-        }),
+        Box::new(|bytes, budget| huffman_decode_into(bytes, budget, &mut Vec::new()).map_err(fail)),
     ));
 
     let text: Vec<u8> = (0..3000).map(|i| ((i * 7) % 251) as u8).collect();
@@ -326,19 +338,14 @@ fn build_targets() -> Vec<Target> {
         "lzss",
         lzss_compress(&text),
         Box::new(|bytes, budget| {
-            lzss_decompress_budgeted(bytes, budget)
-                .map(|_| ())
-                .map_err(fail)
+            lzss_decompress_into(bytes, budget, &mut Vec::new()).map_err(fail)
         }),
     ));
 
-    // --- compressor layer ---
-    targets.push(compressor_target("szlr", SzLr::default()));
-    targets.push(compressor_target("szinterp", SzInterp));
-    targets.push(compressor_target("zfp_like", ZfpLike));
-    targets.push(compressor_into_target("szlr_into", SzLr::default()));
-    targets.push(compressor_into_target("szinterp_into", SzInterp));
-    targets.push(compressor_into_target("zfp_like_into", ZfpLike));
+    // --- compressor layer: each compressor's pieces inside one chunk ---
+    targets.push(chunk_target("szlr_chunk", SzLr::default()));
+    targets.push(chunk_target("szinterp_chunk", SzInterp));
+    targets.push(chunk_target("zfp_like_chunk", ZfpLike));
 
     // --- hierarchy layer ---
     let hier = corpus_hierarchy();
@@ -350,27 +357,14 @@ fn build_targets() -> Vec<Target> {
             "zmesh",
             zmesh_stream,
             Box::new(move |bytes, budget| {
-                decompress_zmesh_budgeted(&hier, bytes, budget)
+                decompress_zmesh(&hier, bytes, budget)
                     .map(|_| ())
                     .map_err(fail)
             }),
         ));
     }
 
-    let cfg = AmrCodecConfig {
-        skip_redundant: true,
-        restore_redundant: true,
-    };
-    let compressed = compress_hierarchy_field(
-        &hier,
-        "density",
-        &SzLr::default(),
-        ErrorBound::Rel(1e-3),
-        &cfg,
-    )
-    .expect("corpus hierarchy compresses");
-    let container = compressed.to_bytes();
-
+    let container = szlr_container(&hier, "density");
     targets.push(Target::fixed(
         "container_from_bytes",
         container.clone(),
@@ -381,55 +375,50 @@ fn build_targets() -> Vec<Target> {
         }),
     ));
 
+    let fresh_hier = hier.clone();
     targets.push(Target::fixed(
         "hierarchy_degrade",
         container.clone(),
-        Box::new({
-            let hier = hier.clone();
-            move |bytes, budget| {
-                let parsed =
-                    CompressedHierarchyField::from_bytes_budgeted(bytes, budget).map_err(fail)?;
-                decompress_hierarchy_field_into(
-                    &hier,
-                    &parsed,
-                    &SzLr::default(),
-                    &cfg,
-                    DecodePolicy::Degrade,
-                    budget,
-                    &mut Vec::new(),
-                )
-                .map(|_| ())
-                .map_err(fail)
-            }
-        }),
+        Box::new(move |bytes, budget| degrade(&fresh_hier, bytes, budget, &mut Vec::new())),
     ));
 
     // The storage-reusing decode path: one `levels` buffer survives across
     // iterations, so every corrupted stream lands on fabs dirtied (or left
     // partially decoded) by the previous one.
-    let reused_levels: std::sync::Mutex<Vec<MultiFab>> = std::sync::Mutex::new(Vec::new());
+    let reused_levels: Mutex<Vec<MultiFab>> = Mutex::new(Vec::new());
     targets.push(Target::fixed(
         "hierarchy_degrade_into",
         container,
         Box::new(move |bytes, budget| {
-            let parsed =
-                CompressedHierarchyField::from_bytes_budgeted(bytes, budget).map_err(fail)?;
             let mut levels = reused_levels.lock().unwrap_or_else(|p| p.into_inner());
-            decompress_hierarchy_field_into(
-                &hier,
-                &parsed,
-                &SzLr::default(),
-                &cfg,
-                DecodePolicy::Degrade,
-                budget,
-                &mut levels,
-            )
-            .map(|_| ())
-            .map_err(fail)
+            degrade(&hier, bytes, budget, &mut levels)
         }),
     ));
 
     targets
+}
+
+/// `field` of `hier` compressed by SZ-L/R (skip+restore), serialized.
+fn szlr_container(hier: &AmrHierarchy, field: &str) -> Vec<u8> {
+    let comp = SzLr::default();
+    let compressed =
+        compress_hierarchy_field(hier, field, &comp, ErrorBound::Rel(1e-3), &SKIP_RESTORE);
+    compressed.expect("the field compresses").to_bytes()
+}
+
+/// Parses `bytes` as a [`szlr_container`] and decodes it onto `hier` under
+/// [`DecodePolicy::Degrade`], into `levels`.
+fn degrade(
+    hier: &AmrHierarchy,
+    bytes: &[u8],
+    budget: &DecodeBudget,
+    levels: &mut Vec<MultiFab>,
+) -> Result<(), DecodeFailure> {
+    let parsed = CompressedHierarchyField::from_bytes_budgeted(bytes, budget).map_err(fail)?;
+    let (comp, policy) = (SzLr::default(), DecodePolicy::Degrade);
+    decompress_hierarchy_field_into(hier, &parsed, &comp, &SKIP_RESTORE, policy, budget, levels)
+        .map(|_| ())
+        .map_err(fail)
 }
 
 /// Builds `count` recipe-sampled hierarchy targets: each draws a
@@ -440,41 +429,15 @@ fn build_targets() -> Vec<Target> {
 /// exact scenario to regenerate.
 fn recipe_targets(seed: u64, count: u32) -> Vec<Target> {
     let mut rng = Rng::seed(seed).fork(0x7EC1FE5);
-    let cfg = AmrCodecConfig {
-        skip_redundant: true,
-        restore_redundant: true,
-    };
     let mut out = Vec::new();
     for _ in 0..count {
         let spec = ScenarioSpec::sample(&mut rng);
         let hier = spec.generate();
-        let compressed = compress_hierarchy_field(
-            &hier,
-            spec.eval_field(),
-            &SzLr::default(),
-            ErrorBound::Rel(1e-3),
-            &cfg,
-        )
-        .expect("sampled scenario compresses");
         out.push(Target {
             name: format!("recipe:{}", spec.label()),
             repro: spec.recipe.clone(),
-            stream: compressed.to_bytes(),
-            decode: Box::new(move |bytes, budget| {
-                let parsed =
-                    CompressedHierarchyField::from_bytes_budgeted(bytes, budget).map_err(fail)?;
-                decompress_hierarchy_field_into(
-                    &hier,
-                    &parsed,
-                    &SzLr::default(),
-                    &cfg,
-                    DecodePolicy::Degrade,
-                    budget,
-                    &mut Vec::new(),
-                )
-                .map(|_| ())
-                .map_err(fail)
-            }),
+            stream: szlr_container(&hier, spec.eval_field()),
+            decode: Box::new(move |bytes, budget| degrade(&hier, bytes, budget, &mut Vec::new())),
         });
     }
     out
@@ -636,6 +599,37 @@ mod tests {
                 t.name
             );
         }
+    }
+
+    #[test]
+    fn chunk_targets_reach_the_chunk_decoder_past_its_checksum() {
+        let budget = DecodeBudget::strict();
+        let chunks = build_targets()
+            .into_iter()
+            .filter(|t| t.name.ends_with("_chunk"));
+        let mut seen = 0;
+        for t in chunks {
+            seen += 1;
+            let (mut errors, master) = (0, Rng::seed(0xC4C));
+            for i in 0..240 {
+                let (mutated, muts) = mutate_stream(&mut master.fork(i), &t.stream);
+                let outcome = catch_unwind(AssertUnwindSafe(|| (t.decode)(&mutated, &budget)));
+                let result = outcome
+                    .unwrap_or_else(|_| panic!("{}: mutation {i} {muts:?} panicked", t.name));
+                if let Err(e) = result {
+                    assert!(!e.msg.contains("checksum"), "{} {i}: {}", t.name, e.msg);
+                    errors += 1;
+                }
+            }
+            assert!(
+                errors > 120,
+                "{}: only {errors} of 240 decodes failed",
+                t.name
+            );
+            // The arena those decodes dirtied still takes the clean chunk.
+            assert!((t.decode)(&t.stream, &budget).is_ok(), "{}", t.name);
+        }
+        assert_eq!(seen, 3, "one chunk target per compressor");
     }
 
     #[test]

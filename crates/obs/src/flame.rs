@@ -94,11 +94,7 @@ pub fn collapsed(events: &[SpanEvent]) -> String {
 
 /// Deterministic warm color for a frame name (FNV-1a hash → hue).
 fn frame_color(name: &str) -> String {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
+    let h = amrviz_rng::fnv1a_64(name.as_bytes());
     let hue = (h % 55) as u32; // 0..55: red → orange → yellow
     let sat = 70 + (h >> 8) % 20; // 70..90 %
     let light = 52 + (h >> 16) % 10; // 52..62 %

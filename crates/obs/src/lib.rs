@@ -41,7 +41,8 @@
 //! per-value fast paths never touch the recorder. When enabled, completed
 //! spans are pushed to sharded, per-thread-indexed buffers; the single
 //! uncontended lock per *span* (not per value) is negligible next to the
-//! work a span wraps.
+//! work a span wraps. A process that only streams a journal turns recording
+//! on with [`enable_streaming`] instead, and keeps no span at all.
 //!
 //! ```
 //! amrviz_obs::reset();
@@ -185,6 +186,9 @@ impl SpanEvent {
 
 struct Recorder {
     enabled: AtomicBool,
+    /// Whether finished spans are kept in `events` for a batch reader, or
+    /// only streamed to the journal (see [`enable_streaming`]).
+    retain: AtomicBool,
     next_id: AtomicU64,
     next_thread: AtomicU64,
     /// Trace creation ordinal (0-based). Roots are created in program
@@ -202,6 +206,7 @@ impl Recorder {
     fn new() -> Self {
         Recorder {
             enabled: AtomicBool::new(false),
+            retain: AtomicBool::new(false),
             // 0 means "no parent", so real ids start at 1.
             next_id: AtomicU64::new(1),
             next_thread: AtomicU64::new(0),
@@ -352,8 +357,19 @@ pub fn meta_snapshot() -> MetaSnapshot {
     }
 }
 
-/// Turns recording on. Span/counter calls before this are free no-ops.
+/// Turns recording on, keeping every finished span for a batch reader
+/// ([`events_snapshot`] and the exporters built on it). Span/counter calls
+/// before this are free no-ops.
 pub fn enable() {
+    recorder().retain.store(true, Ordering::Relaxed);
+    recorder().enabled.store(true, Ordering::Relaxed);
+}
+
+/// Turns recording on for a [`journal`] alone: finished spans stream to it
+/// and are not kept, so a long-running process holds no event per span
+/// (counters, gauges and histograms record as under [`enable`]).
+pub fn enable_streaming() {
+    recorder().retain.store(false, Ordering::Relaxed);
     recorder().enabled.store(true, Ordering::Relaxed);
 }
 
@@ -650,6 +666,9 @@ impl SpanGuard {
                 journal::push_raw("span", a.thread, &body);
             }
             let r = recorder();
+            if !r.retain.load(Ordering::Relaxed) {
+                return dur.as_secs_f64();
+            }
             let shard = (a.thread as usize) % SHARDS;
             lock_clean(&r.events[shard]).push(SpanEvent {
                 id: a.id,
@@ -753,6 +772,34 @@ mod tests {
         counter!("quiet_counter", 7u64);
         assert!(events_snapshot().is_empty());
         assert!(counters_snapshot().is_empty());
+    }
+
+    #[test]
+    fn a_journal_alone_streams_every_span_and_keeps_none() {
+        let _g = guard();
+        let path = std::env::temp_dir().join(format!("amrviz_js_{}.jsonl", std::process::id()));
+        reset();
+        journal::start(&path).unwrap();
+        enable_streaming();
+        for i in 0..40usize {
+            let _piece = span!("decode_piece", piece = i);
+            let _inner = span!("szlr.decompress");
+        }
+        disable();
+        journal::stop();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text.matches("\"kind\":\"span\"").count(),
+            80,
+            "a line per span"
+        );
+        assert!(events_snapshot().is_empty(), "no span is kept");
+        enable();
+        span!("kept").finish();
+        disable();
+        assert_eq!(events_snapshot().len(), 1, "`enable` keeps spans again");
+        reset();
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub fn expand(src: &str, base_seed: u64) -> Result<Expansion, String> {
 /// unseeded recipe string's FNV-1a hash.
 fn derive_seed(base_seed: u64, canonical_unseeded: &str) -> u64 {
     Rng::seed(base_seed)
-        .fork(amrviz_codec::fnv1a_64(canonical_unseeded.as_bytes()))
+        .fork(amrviz_rng::fnv1a_64(canonical_unseeded.as_bytes()))
         .next_u64()
 }
 

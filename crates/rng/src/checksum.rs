@@ -1,4 +1,6 @@
-//! FNV-1a 64-bit checksums for wire-format integrity.
+//! FNV-1a 64-bit hashing: the wire format's integrity checksum, and the
+//! one hash anything else in the workspace keys on (recipe seeds, store
+//! keys, flamegraph colours).
 //!
 //! FNV-1a is not cryptographic — it guards against bit rot, truncation, and
 //! transport corruption, which is exactly the failure model of the v3 wire

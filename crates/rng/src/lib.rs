@@ -10,7 +10,12 @@
 //!
 //! Also hosts [`check`], a miniature property-test harness: run a closure
 //! over `cases` seeded generators and report the failing seed on panic, so a
-//! failure reproduces with `Rng::seed(reported_seed)`.
+//! failure reproduces with `Rng::seed(reported_seed)`; and, beside
+//! [`splitmix64`], the workspace's one byte hash, [`fnv1a_64`].
+
+mod checksum;
+
+pub use checksum::fnv1a_64;
 
 /// Xoshiro256++ generator seeded via SplitMix64 (the reference seeding
 /// procedure). Passes BigCrush; 2^256 − 1 period; no allocation.

@@ -4,6 +4,7 @@
 
 use std::path::PathBuf;
 
+use amrviz_amr::{AmrHierarchy, Box3, BoxArray, Fab, Geometry, MultiFab};
 use amrviz_codec::fnv1a_64;
 use amrviz_core::prelude::*;
 use amrviz_viz::TriMesh;
@@ -99,6 +100,26 @@ pub fn nyx_like(seed: u64) -> BuiltScenario {
 /// The WarpX-like evaluation scenario at test scale (smooth EM field).
 pub fn warpx_like(seed: u64) -> BuiltScenario {
     Scenario::new(Application::Warpx, Scale::Tiny, seed).build()
+}
+
+/// A one-level hierarchy of one box of `dims` cells whose field `"u"` is
+/// `f(i, j, k)`, evaluated x-fastest — how a test hands a plain 3D field to
+/// a compressor, which only ever runs inside the container.
+pub fn one_box(dims: [usize; 3], mut f: impl FnMut(usize, usize, usize) -> f64) -> AmrHierarchy {
+    let [nx, ny, nz] = dims;
+    let mut data = Vec::with_capacity(nx * ny * nz);
+    for k in 0..nz {
+        for j in 0..ny {
+            data.extend((0..nx).map(|i| f(i, j, k)));
+        }
+    }
+    let domain = Box3::from_dims(nx, ny, nz);
+    let boxes = vec![BoxArray::single(domain)];
+    let mut h = AmrHierarchy::new(Geometry::unit(domain), vec![], boxes).expect("one box");
+    let level = MultiFab::from_fabs(vec![Fab::from_vec(domain, data)]);
+    h.add_field("u", vec![level])
+        .expect("the field fits its box");
+    h
 }
 
 #[cfg(test)]

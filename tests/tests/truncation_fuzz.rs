@@ -10,7 +10,7 @@
 //! either.
 
 use amrviz_codec::{
-    huffman_decode_budgeted, huffman_encode, lzss_compress, lzss_decompress_budgeted, read_uvarint,
+    huffman_decode_into, huffman_encode, lzss_compress, lzss_decompress_into, read_uvarint,
     write_uvarint, BitReader, BitWriter, DecodeBudget,
 };
 use amrviz_compress::{
@@ -70,9 +70,10 @@ fn huffman_survives_truncation_at_every_prefix() {
             .map(|s| if s > 40 { s } else { s % 5 })
             .collect();
         let stream = huffman_encode(&syms);
+        let mut decoded = Vec::new();
         for cut in 0..=stream.len() {
-            match huffman_decode_budgeted(&stream[..cut], &budget) {
-                Ok(decoded) if cut == stream.len() => assert_eq!(decoded, syms),
+            match huffman_decode_into(&stream[..cut], &budget, &mut decoded) {
+                Ok(()) if cut == stream.len() => assert_eq!(decoded, syms),
                 _ => {}
             }
         }
@@ -89,9 +90,10 @@ fn lzss_survives_truncation_at_every_prefix() {
             .map(|i| ((i / 7) % 31) as u8 ^ rng.below(4) as u8)
             .collect();
         let stream = lzss_compress(&data);
+        let mut decoded = Vec::new();
         for cut in 0..=stream.len() {
-            match lzss_decompress_budgeted(&stream[..cut], &budget) {
-                Ok(decoded) if cut == stream.len() => assert_eq!(decoded, data),
+            match lzss_decompress_into(&stream[..cut], &budget, &mut decoded) {
+                Ok(()) if cut == stream.len() => assert_eq!(decoded, data),
                 _ => {}
             }
         }

@@ -1,20 +1,20 @@
 //! Bit-identity proofs for the zero-copy hot path.
 //!
-//! The `_into` decode entry points and the scratch-pooled encoders must be
-//! *observably indistinguishable* from the owned APIs: same bytes out of
+//! The `_into` decode entry point and the scratch-pooled encoders must be
+//! *observably indistinguishable* from a fresh decode: same bytes out of
 //! the encoders, same bits out of the decoders — regardless of what a
-//! reused buffer held before, and regardless of the worker-pool size.
+//! reused arena held before, and regardless of the worker-pool size.
 
 use std::fmt::Write as _;
 
+use amrviz_amr::{AmrHierarchy, MultiFab};
 use amrviz_codec::fnv1a_64;
 use amrviz_compress::{
     compress_hierarchy_field, decompress_hierarchy_field, decompress_hierarchy_field_into,
-    AmrCodecConfig, Compressor, DecodeBudget, DecodePolicy, ErrorBound, Field3, SzInterp, SzLr,
-    ZfpLike,
+    AmrCodecConfig, Compressor, DecodeBudget, DecodePolicy, ErrorBound, SzInterp, SzLr, ZfpLike,
 };
 use amrviz_core::prelude::*;
-use amrviz_integration_tests::{mesh_fingerprint, nyx_like, warpx_like};
+use amrviz_integration_tests::{mesh_fingerprint, nyx_like, one_box, warpx_like};
 use amrviz_viz::extract_amr_isosurface;
 
 fn compressors() -> Vec<(&'static str, Box<dyn Compressor>)> {
@@ -25,8 +25,8 @@ fn compressors() -> Vec<(&'static str, Box<dyn Compressor>)> {
     ]
 }
 
-fn test_field(dims: [usize; 3], phase: f64) -> Field3 {
-    Field3::from_fn(dims, |i, j, k| {
+fn test_field(dims: [usize; 3], phase: f64) -> AmrHierarchy {
+    one_box(dims, |i, j, k| {
         (i as f64 * 0.37 + phase).sin() * (j as f64 * 0.23).cos() + 0.02 * k as f64
     })
 }
@@ -39,33 +39,33 @@ fn assert_bits_eq(a: &[f64], b: &[f64], ctx: &str) {
 }
 
 #[test]
-fn compress_into_appends_exactly_the_owned_bytes() {
-    let field = test_field([11, 9, 7], 0.0);
-    for (name, c) in compressors() {
-        let owned = c.compress(&field, ErrorBound::Rel(1e-3));
-        // Appending after a nonempty prefix must neither disturb the prefix
-        // nor change the emitted stream.
-        let mut out = b"prefix".to_vec();
-        c.compress_into(field.view(), ErrorBound::Rel(1e-3), &mut out);
-        assert_eq!(&out[..6], b"prefix", "{name}: prefix clobbered");
-        assert_eq!(&out[6..], &owned[..], "{name}: appended stream differs");
-    }
-}
-
-#[test]
 fn decompress_into_dirty_buffer_is_bit_identical() {
-    let budget = DecodeBudget::default();
+    let (budget, cfg) = (DecodeBudget::default(), AmrCodecConfig::default());
     let fields = [test_field([11, 9, 7], 0.0), test_field([5, 13, 6], 1.7)];
     for (name, c) in compressors() {
-        // One reused buffer, pre-poisoned with NaNs and oversized — every
-        // decode must fully overwrite it to exactly the fresh result.
-        let mut reused = vec![f64::NAN; 10_000];
-        for (fi, field) in fields.iter().enumerate() {
-            let stream = c.compress(field, ErrorBound::Rel(1e-3));
-            let fresh = c.decompress(&stream).unwrap();
-            let dims = c.decompress_into(&stream, &budget, &mut reused).unwrap();
-            assert_eq!(dims, fresh.dims, "{name}/{fi}: dims differ");
-            assert_bits_eq(&reused, &fresh.data, &format!("{name}/{fi}"));
+        // One reused arena, first poisoned with NaNs in the first field's
+        // shape: each decode must overwrite it to exactly the fresh result,
+        // whether it lands on garbage, on its own output, or on another
+        // field's shape.
+        let mut reused = vec![MultiFab::from_fn(fields[0].box_array(0), |_| f64::NAN)];
+        for (fi, h) in [0, 0, 1, 1].map(|fi| (fi, &fields[fi])) {
+            let comp = c.as_ref();
+            let compressed =
+                compress_hierarchy_field(h, "u", comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
+            let fresh = decompress_hierarchy_field(h, &compressed, comp, &cfg).unwrap();
+            let policy = DecodePolicy::Strict;
+            decompress_hierarchy_field_into(
+                h,
+                &compressed,
+                comp,
+                &cfg,
+                policy,
+                &budget,
+                &mut reused,
+            )
+            .unwrap();
+            let (got, want) = (reused[0].fabs()[0].data(), fresh[0].fabs()[0].data());
+            assert_bits_eq(got, want, &format!("{name}/{fi}"));
         }
     }
 }
