@@ -17,7 +17,7 @@
 //! validated against a [`DecodeBudget`] (and the remaining input, where the
 //! format allows) *before* any allocation, so a corrupted length prefix
 //! yields a [`CodecError`] instead of a panic or an abort-on-alloc.
-//! [`fnv1a_64`] (from `amrviz-rng`) is the hash the v3 wire format uses for
+//! [`fnv1a_64`] (from `amrviz-rng`) is the hash the v4 wire format uses for
 //! per-chunk integrity.
 //!
 //! ```

@@ -39,7 +39,7 @@ pub const CONTAINER_MAGIC: u8 = 0xC3;
 /// Container wire version: the chunked layout of
 /// [`CompressedHierarchyField::to_bytes`]. It is the only version
 /// [`CompressedHierarchyField::from_bytes`] accepts.
-pub const CONTAINER_VERSION: u8 = 3;
+pub const CONTAINER_VERSION: u8 = 4;
 
 /// A chunk closes once its pieces hold this many cells: enough symbols that
 /// one Huffman table and one LZSS pass pay for themselves across many small
@@ -103,10 +103,10 @@ impl CompressedHierarchyField {
             .count()
     }
 
-    /// Serializes to the v3 container:
+    /// Serializes to the v4 container:
     ///
     /// ```text
-    /// u8 CONTAINER_MAGIC (0xC3), u8 CONTAINER_VERSION (3),
+    /// u8 CONTAINER_MAGIC (0xC3), u8 CONTAINER_VERSION (4),
     /// uvarint compressor tag, u8 skip_redundant, f64 abs_eb,
     /// uvarint n_values, uvarint n_levels,
     /// per level: uvarint n_chunks,
@@ -115,8 +115,10 @@ impl CompressedHierarchyField {
     ///
     /// A chunk's bytes are its pieces' models, in piece order, as one
     /// section, then one Huffman + LZSS coded section over all their
-    /// symbols. Which fabs and pieces a chunk holds is recomputed from the
-    /// hierarchy and the header, never stored.
+    /// symbols and one over all their side symbols (SZ-L/R's plane
+    /// categories; an empty side section is its length byte). Which fabs
+    /// and pieces a chunk holds is recomputed from the hierarchy and the
+    /// header, never stored.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u8(CONTAINER_MAGIC);
@@ -145,7 +147,7 @@ impl CompressedHierarchyField {
     /// Parses a serialized container, validating every declared count
     /// against `budget` and the remaining input before allocation.
     ///
-    /// Only the v3 layout written by [`CompressedHierarchyField::to_bytes`]
+    /// Only the v4 layout written by [`CompressedHierarchyField::to_bytes`]
     /// is accepted; a stream without the magic byte or with another version
     /// is `Malformed`, so the stored checksums are always the ones that were
     /// written. Parsing is structural only — a chunk with a wrong checksum
@@ -153,7 +155,7 @@ impl CompressedHierarchyField {
     /// (which is what lets [`DecodePolicy::Degrade`] repair its fabs).
     pub fn from_bytes_budgeted(bytes: &[u8], budget: &DecodeBudget) -> Result<Self, CompressError> {
         match bytes {
-            [CONTAINER_MAGIC, CONTAINER_VERSION, ..] => Self::parse_v3(bytes, budget),
+            [CONTAINER_MAGIC, CONTAINER_VERSION, ..] => Self::parse(bytes, budget),
             [CONTAINER_MAGIC, version, ..] => Err(CompressError::Malformed(format!(
                 "unsupported container version {version} (expected {CONTAINER_VERSION})"
             ))),
@@ -163,7 +165,7 @@ impl CompressedHierarchyField {
         }
     }
 
-    fn parse_v3(bytes: &[u8], budget: &DecodeBudget) -> Result<Self, CompressError> {
+    fn parse(bytes: &[u8], budget: &DecodeBudget) -> Result<Self, CompressError> {
         let mut r = ByteReader::with_budget(bytes, *budget);
         r.u8()?; // magic
         r.u8()?; // version
@@ -235,7 +237,7 @@ pub fn compress_hierarchy_field(
     let abs_eb = bound.resolve(|| global_range(&amr_field.levels));
     amrviz_obs::gauge_set("compress.abs_eb", abs_eb);
 
-    let mut blobs = Vec::with_capacity(hier.num_levels());
+    let mut blobs: Vec<Vec<Vec<u8>>> = Vec::with_capacity(hier.num_levels());
     let mut n_values = 0usize;
     for (lev, mf) in amr_field.levels.iter().enumerate() {
         let mut sp = amrviz_obs::span!("compress.level", level = lev);
@@ -244,14 +246,14 @@ pub fn compress_hierarchy_field(
         n_values += level_values;
         // Fan the chunks across the pool; results come back in chunk order,
         // so the level's blob sequence is identical at any thread count.
-        let level_blobs: Vec<Vec<u8>> = amrviz_par::run(plan.chunks.len(), |ci| {
+        let chunks: Vec<(Vec<u8>, [usize; 2])> = amrviz_par::run(plan.chunks.len(), |ci| {
             // Per-chunk latency + blob-size distributions. The Instant pair
             // is gated so a disabled recorder costs nothing extra here.
             let t0 = amrviz_obs::is_enabled().then(std::time::Instant::now);
             // The blob itself stays a fresh `Vec`: it outlives the task as
             // part of the returned `CompressedHierarchyField`.
             let mut blob = Vec::new();
-            write_pieces(&mut blob, |model, symbols| {
+            let bytes = write_pieces(&mut blob, |model, symbols, side| {
                 let mut vals = scratch::take_f64();
                 for &(fi, piece) in &plan.tasks[plan.chunk_tasks(ci)] {
                     let fab = &mf.fabs()[fi];
@@ -266,24 +268,31 @@ pub fn compress_hierarchy_field(
                         &vals
                     };
                     let field = Field3View::new(piece.size(), data);
-                    compressor.encode_piece(field, abs_eb, model, symbols);
+                    compressor.encode_piece(field, abs_eb, model, symbols, side);
                 }
                 scratch::give_f64(vals);
             });
             if let Some(t0) = t0 {
                 amrviz_obs::histogram!("compress.piece_us", t0.elapsed().as_micros());
                 amrviz_obs::histogram!("compress.blob_bytes", blob.len());
+                amrviz_obs::histogram!("compress.model_bytes", bytes[0]);
+                amrviz_obs::histogram!("compress.side_bytes", bytes[1]);
             }
-            blob
+            (blob, bytes)
         });
-        let level_bytes: usize = level_blobs.iter().map(Vec::len).sum();
+        let level_bytes: usize = chunks.iter().map(|(blob, _)| blob.len()).sum();
+        let [model_bytes, side_bytes] = chunks
+            .iter()
+            .fold([0, 0], |[m, s], (_, [cm, cs])| [m + cm, s + cs]);
         amrviz_obs::counter!("compress.bytes_in", level_values * 8);
         amrviz_obs::counter!("compress.bytes_out", level_bytes);
         sp.add_field("pieces", plan.tasks.len());
         sp.add_field("chunks", plan.chunks.len());
         sp.add_field("bytes_in", level_values * 8);
         sp.add_field("bytes_out", level_bytes);
-        blobs.push(level_blobs);
+        sp.add_field("model_bytes", model_bytes);
+        sp.add_field("side_bytes", side_bytes);
+        blobs.push(chunks.into_iter().map(|(blob, _)| blob).collect());
     }
     let checksums = blobs
         .iter()
@@ -711,33 +720,33 @@ fn decode_chunk(
     }
     let t0 = amrviz_obs::is_enabled().then(std::time::Instant::now);
     let tasks = &plan.tasks[plan.chunk_tasks(ci)];
-    let counts = tasks
-        .iter()
-        .map(|(_, piece)| compressor.symbol_count(piece.size()));
+    let counts = tasks.iter().map(|(_, piece)| {
+        let dims = piece.size();
+        [
+            compressor.symbol_count(dims),
+            compressor.side_capacity(dims),
+        ]
+    });
     let reader = ByteReader::with_budget(blob, *budget);
     let (first_fab, eb) = (plan.chunks[ci].start, compressed.abs_eb);
-    read_pieces(reader, counts.clone().sum(), |model, mut symbols| {
-        let mut vals = scratch::take_f64();
-        // The rental goes back on every path: a failed chunk (a corrupt
-        // blob, a deadline) must not drain the thread's pool.
-        let decoded = tasks.iter().zip(counts).try_for_each(|(&(fi, piece), n)| {
-            // The counts sum to what `read_pieces` decoded, so each piece's
-            // share is there.
-            let (own, rest) = symbols.split_at(n);
-            symbols = rest;
-            let mut decode =
-                |out: &mut Vec<f64>| compressor.decode_piece(piece.size(), eb, model, own, out);
-            let fab = &mut fabs[fi - first_fab];
-            if piece == fab.box3() {
-                return fab.refill_with(decode);
-            }
-            decode(&mut vals)?;
-            fab.write_region_from(piece, &vals);
-            Ok(())
-        });
-        scratch::give_f64(vals);
-        decoded
-    })?;
+    // The rental goes back on every path: a failed chunk (a corrupt blob, a
+    // deadline) must not drain the thread's pool.
+    let mut vals = scratch::take_f64();
+    let decoded = read_pieces(reader, counts, |i, model, symbols, side| {
+        let (fi, piece) = tasks[i];
+        let mut decode = |out: &mut Vec<f64>| {
+            compressor.decode_piece(piece.size(), eb, model, symbols, side, out)
+        };
+        let fab = &mut fabs[fi - first_fab];
+        if piece == fab.box3() {
+            return fab.refill_with(decode);
+        }
+        decode(&mut vals)?;
+        fab.write_region_from(piece, &vals);
+        Ok(())
+    });
+    scratch::give_f64(vals);
+    decoded?;
     if let Some(t0) = t0 {
         amrviz_obs::histogram!("decompress.piece_us", t0.elapsed().as_micros());
     }
@@ -1387,25 +1396,30 @@ mod tests {
     }
 
     /// Re-assembles chunk `ci` of level `lev` of `h`'s field, encoded by
-    /// `comp` under `cfg`, with its models and its decoded symbols passed
-    /// through `edit`, and reseals its checksum.
+    /// `comp` under `cfg`, with its models, its decoded symbols and its
+    /// decoded side symbols passed through `edit`, and reseals its checksum.
     fn edit_chunk(
         c: &mut CompressedHierarchyField,
         (h, cfg, comp): (&AmrHierarchy, &AmrCodecConfig, &dyn Compressor),
         (lev, ci): (usize, usize),
-        edit: impl FnOnce(&mut Vec<u8>, &mut Vec<u32>),
+        edit: impl FnOnce(&mut Vec<u8>, &mut Vec<u32>, &mut Vec<u32>),
     ) {
         let plan = LevelPlan::new(h, cfg, lev);
         let pieces = &plan.tasks[plan.chunk_tasks(ci)];
-        let n = pieces.iter().map(|(_, p)| comp.symbol_count(p.size()));
+        let n: usize = pieces
+            .iter()
+            .map(|(_, p)| comp.symbol_count(p.size()))
+            .sum();
         let mut r = ByteReader::new(&c.blobs[lev][ci]);
         let mut models = r.section().unwrap().to_vec();
-        let mut symbols = Vec::new();
-        r.coded_section(n.sum(), &mut symbols).unwrap();
-        edit(&mut models, &mut symbols);
+        let (mut symbols, mut side) = (Vec::new(), Vec::new());
+        r.coded_section(n..=n, &mut symbols).unwrap();
+        r.coded_section(0..=usize::MAX, &mut side).unwrap();
+        edit(&mut models, &mut symbols, &mut side);
         let mut w = ByteWriter::new();
         w.section(&models);
         w.coded_section(&symbols);
+        w.coded_section(&side);
         c.blobs[lev][ci] = w.finish();
         c.checksums[lev][ci] = fnv1a_64(&c.blobs[lev][ci]);
     }
@@ -1423,7 +1437,9 @@ mod tests {
         for comp in [&SzLr::default() as &dyn Compressor, &SzInterp, &ZfpLike] {
             let mut c =
                 compress_hierarchy_field(&h, "rho", comp, ErrorBound::Abs(1e-3), &cfg).unwrap();
-            edit_chunk(&mut c, (&h, &cfg, comp), (0, 0), |models, _| models.push(0));
+            edit_chunk(&mut c, (&h, &cfg, comp), (0, 0), |models, _, _| {
+                models.push(0)
+            });
             let mut levels = Vec::new();
             let report = decompress_hierarchy_field_into(
                 &h,
@@ -1753,10 +1769,15 @@ mod tests {
                     ["short", "long"][grow as usize]
                 );
                 let mut c = clean.clone();
-                edit_chunk(&mut c, (&h, &cfg, comp), (1, 1), |_, symbols| match grow {
-                    true => symbols.push(7),
-                    false => drop(symbols.pop()),
-                });
+                edit_chunk(
+                    &mut c,
+                    (&h, &cfg, comp),
+                    (1, 1),
+                    |_, symbols, _| match grow {
+                        true => symbols.push(7),
+                        false => drop(symbols.pop()),
+                    },
+                );
                 let mut mf = MultiFab::from_fn(h.box_array(1), |_| 7.5);
                 let chunk = &mut mf.fabs_mut()[fabs.clone()];
                 let budget = DecodeBudget::default();
@@ -1974,7 +1995,7 @@ mod tests {
         assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
         assert!(err.to_string().contains("magic"), "got {err}");
 
-        // A v3 parse error is reported as itself, not masked by a retry.
+        // A v4 parse error is reported as itself, not masked by a retry.
         let mut bytes = c.to_bytes();
         bytes.push(0);
         let err = CompressedHierarchyField::from_bytes(&bytes).unwrap_err();
@@ -1991,7 +2012,7 @@ mod tests {
         // Serialize by hand in the v2 layout: magic, version 2, no
         // compressor or skip_redundant in the header, one checksummed blob
         // per piece. It must not parse — a v2 blob is a standalone stream
-        // per piece, which no v3 chunk decoder reads.
+        // per piece, which no chunk decoder reads.
         let mut w = ByteWriter::new();
         w.u8(CONTAINER_MAGIC);
         w.u8(2);
@@ -2008,6 +2029,33 @@ mod tests {
         let err = CompressedHierarchyField::from_bytes(&w.finish()).unwrap_err();
         assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
         assert!(err.to_string().contains("version 2"), "got {err}");
+    }
+
+    #[test]
+    fn legacy_v3_stream_is_rejected() {
+        let h = two_level_hier();
+        let (comp, cfg) = (SzLr::default(), AmrCodecConfig::default());
+        let mut c =
+            compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
+        // Re-assemble every chunk in the v3 layout — models and symbols, no
+        // side section — under version 3. It must not parse: a v3 chunk
+        // stores f32 planes where v4 stores plane bits, and has no side
+        // section to read their categories from.
+        for lev in 0..c.blobs.len() {
+            for ci in 0..c.blobs[lev].len() {
+                let mut r = ByteReader::new(&c.blobs[lev][ci]);
+                let mut w = ByteWriter::new();
+                w.section(r.section().unwrap());
+                w.section(r.section().unwrap());
+                c.blobs[lev][ci] = w.finish();
+                c.checksums[lev][ci] = fnv1a_64(&c.blobs[lev][ci]);
+            }
+        }
+        let mut bytes = c.to_bytes();
+        bytes[1] = 3;
+        let err = CompressedHierarchyField::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
+        assert!(err.to_string().contains("version 3"), "got {err}");
     }
 
     #[test]

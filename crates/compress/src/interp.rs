@@ -18,7 +18,7 @@ use amrviz_par::scratch;
 
 use crate::field::{Field3View, FieldMut};
 use crate::quantizer::{Outliers, QuantStats, Quantizer};
-use crate::wire::{ByteReader, ByteWriter};
+use crate::wire::{ByteReader, ByteWriter, SideSymbols};
 use crate::{CompressError, Compressor};
 
 /// Magic byte identifying an SZ-Interp stream.
@@ -174,6 +174,7 @@ impl Compressor for SzInterp {
         eb: f64,
         model: &mut ByteWriter,
         symbols: &mut Vec<u32>,
+        _side: &mut Vec<u32>,
     ) {
         let _sp = amrviz_obs::span!("szitp.compress", values = field.len());
         let dims = field.dims;
@@ -220,6 +221,7 @@ impl Compressor for SzInterp {
         eb: f64,
         model: &mut ByteReader<'_>,
         codes: &[u32],
+        _side: &mut SideSymbols<'_>,
         out: &mut Vec<f64>,
     ) -> Result<(), CompressError> {
         let _sp = amrviz_obs::span!("szitp.decompress", values = codes.len() + 1);
@@ -347,6 +349,7 @@ mod tests {
             let mut w = ByteWriter::new();
             w.section(&model.finish());
             w.coded_section(&codes);
+            w.coded_section(&[]);
             w.finish()
         }
 
@@ -366,7 +369,7 @@ mod tests {
                 .chunks_exact(8)
                 .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
             let mut codes = Vec::new();
-            r.coded_section(n - 1, &mut codes)?;
+            r.coded_section(n - 1..=n - 1, &mut codes)?;
             let mut code_pos = 0;
             sweep(dims, &mut recon, |_, pred| {
                 let code = codes[code_pos];
@@ -402,13 +405,14 @@ mod tests {
             i as f64 + if rng.chance(0.1) { 1e6 } else { 0.0 }
         });
         let (good, eb) = encode(&SzInterp, dims, &f, ErrorBound::Abs(0.01));
-        // The model (anchor and outliers), the coded symbols.
+        // The model (anchor and outliers), the coded symbols, the empty
+        // side section.
         let mut r = ByteReader::new(&good);
         let mut model = ByteReader::new(r.section().unwrap());
         let anchor = model.f64().unwrap();
         let outliers = model.section().unwrap();
         let coded = r.section().unwrap();
-        assert!(outliers.len() >= 16 && r.remaining() == 0);
+        assert!(outliers.len() >= 16 && r.section().unwrap().is_empty() && r.remaining() == 0);
         // One byte more, one value fewer.
         for edited in [[outliers, &[0u8][..]].concat(), outliers[8..].to_vec()] {
             let mut model = ByteWriter::new();
@@ -417,6 +421,7 @@ mod tests {
             let mut w = ByteWriter::new();
             w.section(&model.finish());
             w.section(coded);
+            w.section(&[]);
             let mut out = vec![7.0; 3];
             let budget = DecodeBudget::default();
             let err = decode_into(&SzInterp, (dims, eb), &w.finish(), &budget, &mut out);

@@ -79,7 +79,7 @@ pub use szlr::{PredictorMode, SzLr};
 pub use zfp_like::ZfpLike;
 pub use zmesh::{compress_zmesh, decompress_zmesh};
 
-use wire::{ByteReader, ByteWriter};
+use wire::{ByteReader, ByteWriter, SideSymbols};
 
 /// User-facing error-bound specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -191,9 +191,10 @@ impl From<amrviz_codec::CodecError> for CompressError {
 
 /// A lossy, error-bounded compressor for 3D scalar fields, split where AMRIC
 /// splits it: the *model* half — predict and quantize one piece into model
-/// sections plus a symbol stream — is each compressor's own; the *entropy*
-/// half — one Huffman + LZSS coded section over the symbols of many pieces —
-/// is shared (`wire::write_pieces` / `wire::read_pieces`).
+/// sections plus a symbol stream (and, for SZ-L/R, a side stream) — is each
+/// compressor's own; the *entropy* half — one Huffman + LZSS coded section
+/// over the symbols of many pieces, one over their side symbols — is shared
+/// (`wire::write_pieces` / `wire::read_pieces`).
 ///
 /// A compressor implements the model half; the AMR container
 /// ([`amr_codec`]) puts the pieces of a chunk of fabs under one coded
@@ -210,28 +211,37 @@ pub trait Compressor: Sync {
     /// How many symbols a piece of `dims` cells puts on the entropy stream.
     fn symbol_count(&self, dims: [usize; 3]) -> usize;
 
+    /// The most side symbols a piece of `dims` cells may put on the chunk's
+    /// side stream; none unless the compressor has a side stream.
+    fn side_capacity(&self, _dims: [usize; 3]) -> usize {
+        0
+    }
+
     /// Predicts and quantizes `field` under the absolute bound `eb`: appends
     /// the piece's model — everything its decoder reads besides the symbols —
-    /// to `model`, and its [`Compressor::symbol_count`] symbols to `symbols`.
+    /// to `model`, its [`Compressor::symbol_count`] symbols to `symbols`, and
+    /// whatever side symbols its model calls for to `side`.
     fn encode_piece(
         &self,
         field: Field3View<'_>,
         eb: f64,
         model: &mut ByteWriter,
         symbols: &mut Vec<u32>,
+        side: &mut Vec<u32>,
     );
 
     /// Inverse of [`Compressor::encode_piece`]: reads one piece's model off
-    /// `model` and reconstructs its `dims` cells into `out` (resized and
-    /// overwritten) from `symbols`, which holds exactly the piece's
-    /// [`Compressor::symbol_count`]. Every section is checked before any
-    /// cell is written.
+    /// `model` and its side symbols off `side`, and reconstructs its `dims`
+    /// cells into `out` (resized and overwritten) from `symbols`, which holds
+    /// exactly the piece's [`Compressor::symbol_count`]. Every section is
+    /// checked before any cell is written.
     fn decode_piece(
         &self,
         dims: [usize; 3],
         eb: f64,
         model: &mut ByteReader<'_>,
         symbols: &[u32],
+        side: &mut SideSymbols<'_>,
         out: &mut Vec<f64>,
     ) -> Result<(), CompressError>;
 }
@@ -287,8 +297,8 @@ pub(crate) mod test_support {
         let field = Field3View::new(dims, data);
         let eb = bound.resolve(|| field.range());
         let mut body = Vec::new();
-        write_pieces(&mut body, |model, symbols| {
-            comp.encode_piece(field, eb, model, symbols)
+        write_pieces(&mut body, |model, symbols, side| {
+            comp.encode_piece(field, eb, model, symbols, side)
         });
         (body, eb)
     }
@@ -303,8 +313,9 @@ pub(crate) mod test_support {
         out: &mut Vec<f64>,
     ) -> Result<(), CompressError> {
         let reader = ByteReader::with_budget(body, *budget);
-        read_pieces(reader, comp.symbol_count(dims), |model, symbols| {
-            comp.decode_piece(dims, eb, model, symbols, out)
+        let piece = [comp.symbol_count(dims), comp.side_capacity(dims)];
+        read_pieces(reader, [piece].into_iter(), |_, model, symbols, side| {
+            comp.decode_piece(dims, eb, model, symbols, side, out)
         })
     }
 

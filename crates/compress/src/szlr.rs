@@ -12,9 +12,13 @@
 //!   values; fully local, which is what gives SZ-L/R random access and its
 //!   "block-wise" artifact structure at large error bounds.
 //!
-//! A piece's model: predictor-selection bits, regression coefficients
-//! (`f32`×4 per regression block), raw outlier values; its symbols are one
-//! quantization code per cell, entropy-coded with the other pieces'.
+//! A piece's model: predictor-selection bits, the raw bits of its regression
+//! planes, raw outlier values. Its symbols are one quantization code per
+//! cell, entropy-coded with the other pieces'; its side symbols are four
+//! plane categories per regression block, entropy-coded in the chunk's side
+//! section. Each plane is quantized against the piece's previous one
+//! ([`PlaneCoder`]), and encoder, selection and decoder all predict with the
+//! dequantized plane.
 //!
 //! # Shape of the hot path
 //!
@@ -34,19 +38,19 @@
 //! What pins the arithmetic: stream bytes are a function of the exact
 //! operation order — the Lorenzo sum left to right (see `lorenzo.rs` for why
 //! that makes Lorenzo *encode* latency-bound), the regression prediction as
-//! `((β₀ + β₁·di) + β₂·dj) + β₃·dk` on the `f32`-rounded coefficients, the
+//! `((β₀ + β₁·di) + β₂·dj) + β₃·dk` on the dequantized coefficients, the
 //! four fit accumulators adding in x-fastest block order, and
 //! `err_reg < err_lorenzo` with its NaN behaviour. The per-cell loops these
 //! kernels replaced are kept as test oracles that must agree byte for byte.
 
-use amrviz_codec::BitWriter;
+use amrviz_codec::{BitReader, BitWriter};
 use amrviz_par::scratch;
 
 use crate::field::Field3View;
 use crate::lorenzo::Neighbours;
 use crate::quantizer::{append_outliers, Outliers, QuantStats, Quantizer};
-use crate::regression::{FitSums, RegressionCoeffs};
-use crate::wire::{ByteReader, ByteWriter};
+use crate::regression::{CodedPlane, FitSums, PlaneCoder};
+use crate::wire::{ByteReader, ByteWriter, SideSymbols};
 use crate::{CompressError, Compressor};
 
 /// Magic byte identifying an SZ-L/R stream.
@@ -168,17 +172,19 @@ impl Blocks {
 }
 
 impl SzLr {
-    /// The regression plane of `block` if it is to be predicted by
+    /// The coded regression plane of `block` if it is to be predicted by
     /// regression, `None` for Lorenzo. `Hybrid` compares summed absolute
-    /// prediction errors; the Lorenzo estimate uses *original* neighbors —
-    /// the standard SZ approximation, cheap and adequate for selection.
+    /// prediction errors — the regression error of the dequantized plane the
+    /// block would be encoded with; the Lorenzo estimate uses *original*
+    /// neighbors, the standard SZ approximation, cheap and adequate for
+    /// selection.
     fn select(
         &self,
         data: &[f64],
-        blocks: &Blocks,
-        block: Block,
+        (blocks, block): (&Blocks, Block),
         zero: &[f64],
-    ) -> Option<RegressionCoeffs> {
+        coder: &PlaneCoder,
+    ) -> Option<CodedPlane> {
         if self.mode == PredictorMode::LorenzoOnly {
             return None;
         }
@@ -197,19 +203,19 @@ impl SzLr {
                 });
             }
         });
-        let coeffs = fit.finish();
+        let coded = coder.quantize(fit.finish());
         if !hybrid {
-            return Some(coeffs);
+            return Some(coded);
         }
         let mut err_reg = 0.0;
         blocks.rows(block, |at, row| {
             let actual = &data[at..at + len];
-            coeffs.walk(len, row, |n, pred| {
+            coded.plane.walk(len, row, |n, pred| {
                 err_reg += (pred - actual[n]).abs();
                 actual[n]
             });
         });
-        (err_reg < err_lorenzo).then_some(coeffs)
+        (err_reg < err_lorenzo).then_some(coded)
     }
 }
 
@@ -226,12 +232,22 @@ impl Compressor for SzLr {
         dims.iter().product()
     }
 
+    /// Four plane categories per regression block.
+    fn side_capacity(&self, dims: [usize; 3]) -> usize {
+        4 * Blocks {
+            dims,
+            bs: self.block_size,
+        }
+        .count()
+    }
+
     fn encode_piece(
         &self,
         field: Field3View<'_>,
         eb: f64,
         model: &mut ByteWriter,
         symbols: &mut Vec<u32>,
+        side: &mut Vec<u32>,
     ) {
         let _sp = amrviz_obs::span!("szlr.compress", values = field.len());
         let nx = field.dims[0];
@@ -257,18 +273,18 @@ impl Compressor for SzLr {
         symbols.resize(start + n, 0);
         let codes = &mut symbols[start..];
         let mut pred_bits = BitWriter::with_buffer(scratch::take_bytes());
-        let mut coeff_bytes = ByteWriter::from_vec(scratch::take_bytes());
+        let mut plane_bits = BitWriter::with_buffer(scratch::take_bytes());
+        let mut coder = PlaneCoder::new(eb, bs);
 
         let mut pos = 0usize;
         blocks.for_each(|block| {
             let len = block.ext[0];
-            let plane = self.select(data, &blocks, block, &zero).map(|plane| {
-                // The decompressor sees f32 coefficients; predict with the
-                // same rounded values to stay in sync.
-                let wire = plane.to_wire();
-                wire.iter().for_each(|&c| coeff_bytes.f32(c));
-                RegressionCoeffs::from_wire(wire)
-            });
+            let plane = self
+                .select(data, (&blocks, block), &zero, &coder)
+                .map(|coded| {
+                    coder.commit(&coded, side, &mut plane_bits);
+                    coded.plane
+                });
             pred_bits.write_bit(plane.is_some());
             blocks.rows(block, |at, row| {
                 let actual = &data[at..at + len];
@@ -289,18 +305,18 @@ impl Compressor for SzLr {
             });
         });
 
-        // The model: predictor bits, regression planes, outliers.
+        // The model: predictor bits, plane bits, outliers.
         let pred = pred_bits.finish();
         model.section(&pred);
-        let coeff = coeff_bytes.finish();
-        model.section(&coeff);
+        let planes = plane_bits.finish();
+        model.section(&planes);
         model.f64_section(&outliers);
         QuantStats {
             codes: (n - outliers.len()) as u64,
             outliers: outliers.len() as u64,
         }
         .report();
-        scratch::give_bytes(coeff);
+        scratch::give_bytes(planes);
         scratch::give_bytes(pred);
         scratch::give_f64(zero);
         scratch::give_f64(outliers);
@@ -313,6 +329,7 @@ impl Compressor for SzLr {
         eb: f64,
         model: &mut ByteReader<'_>,
         codes: &[u32],
+        side: &mut SideSymbols<'_>,
         out: &mut Vec<f64>,
     ) -> Result<(), CompressError> {
         let _sp = amrviz_obs::span!("szlr.decompress", values = codes.len());
@@ -326,7 +343,7 @@ impl Compressor for SzLr {
         // short *and* surplus — before anything is written, so the
         // reconstruction itself cannot fail.
         let pred_section = model.section()?;
-        let coeff_section = model.section()?;
+        let plane_section = model.section()?;
         let mut outliers = Outliers::new(model.section()?, codes)?;
         let is_regression = |b: usize| pred_section[b / 8] & (0x80 >> (b % 8)) != 0;
         if pred_section.len() != blocks.count().div_ceil(8) {
@@ -337,16 +354,16 @@ impl Compressor for SzLr {
             )));
         }
         let planes = (0..blocks.count()).filter(|&b| is_regression(b)).count();
-        if coeff_section.len() != planes * 16 {
+        let categories = side.take(4 * planes)?;
+        let bits = PlaneCoder::bit_count(categories)?;
+        if plane_section.len() != bits.div_ceil(8) {
             return Err(CompressError::Malformed(format!(
-                "{planes} regression blocks but a {}-byte coefficient section",
-                coeff_section.len()
+                "{planes} regression planes of {bits} bits but a {}-byte plane section",
+                plane_section.len()
             )));
         }
-        let mut planes = coeff_section.chunks_exact(16).map(|c| {
-            let f = |n: usize| f32::from_le_bytes(c[4 * n..4 * n + 4].try_into().expect("4 bytes"));
-            RegressionCoeffs::from_wire([f(0), f(1), f(2), f(3)])
-        });
+        let (mut coder, mut reader) = (PlaneCoder::new(eb, bs), BitReader::new(plane_section));
+        let mut categories = categories.chunks_exact(4);
 
         // Every cell is written below, so a buffer that already has the
         // right length (a fab decoded in place) is not zeroed first.
@@ -356,7 +373,10 @@ impl Compressor for SzLr {
         let (mut pos, mut b) = (0usize, 0usize);
         blocks.for_each(|block| {
             let len = block.ext[0];
-            let plane = is_regression(b).then(|| planes.next().expect("one plane per bit"));
+            let plane = is_regression(b).then(|| {
+                let categories = categories.next().expect("four categories per plane");
+                coder.decode(categories, &mut reader)
+            });
             b += 1;
             blocks.rows(block, |at, row| {
                 let codes = &codes[pos..pos + len];
@@ -384,6 +404,7 @@ impl Compressor for SzLr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regression::ESCAPE;
     use crate::test_support::{
         bits, decode, decode_in_place, decode_into, encode, from_fn, oracle_case,
     };
@@ -453,13 +474,29 @@ mod tests {
             out
         }
 
+        /// The quantization steps of a plane's intercept and slopes.
+        fn steps(eb: f64, bs: usize) -> [f64; 4] {
+            let slope = 2.0 * eb / (100.0 * bs as f64);
+            [2.0 * eb / 100.0, slope, slope, slope]
+        }
+
+        /// The bit length of `|d|`: a plane category.
+        fn category(d: i64) -> u32 {
+            let mut c = 0;
+            while d.abs() >> c != 0 {
+                c += 1;
+            }
+            c
+        }
+
         pub fn compress(sz: &SzLr, dims: [usize; 3], data: &[f64], eb: f64) -> Vec<u8> {
             let [nx, ny, _] = dims;
             let q = Quantizer::new(eb);
             let mut recon = vec![0.0; data.len()];
             let (mut codes, mut outliers) = (Vec::new(), Vec::new());
-            let mut pred_bits = BitWriter::new();
-            let mut coeff_bytes = ByteWriter::new();
+            let (mut pred_bits, mut plane_bits) = (BitWriter::new(), BitWriter::new());
+            let (mut categories, mut prev) = (Vec::new(), [0i64; 4]);
+            let step = steps(eb, sz.block_size);
             for (base, ext) in blocks(dims, sz.block_size) {
                 let mut block_vals = Vec::new();
                 for dk in 0..ext[2] {
@@ -470,23 +507,42 @@ mod tests {
                         }
                     }
                 }
-                let coeffs = fit_block(&block_vals, ext);
+                // Each coefficient quantized against the previous regression
+                // block's, or escaped (`None`) when not finite or when its
+                // difference needs more than 32 bits.
+                let fit = fit_block(&block_vals, ext);
+                let raw = fit.0;
+                let mut quantized = [None; 4];
+                let mut deq = raw;
+                for a in 0..4 {
+                    let t = (raw[a] / step[a]).round();
+                    if t.abs() < 2f64.powi(52) && (t as i64 - prev[a]).abs() < 1 << 32 {
+                        quantized[a] = Some(t as i64);
+                        deq[a] = t * step[a];
+                    }
+                }
+                let coeffs = RegressionCoeffs(deq);
                 let is_reg = select_predictor(sz.mode, data, dims, base, ext, &coeffs);
                 pred_bits.write_bit(is_reg);
-                let c32 = is_reg.then(|| {
-                    coeff_bytes.f32(coeffs.b0 as f32);
-                    coeffs.b.iter().for_each(|&b| coeff_bytes.f32(b as f32));
-                    RegressionCoeffs {
-                        b0: coeffs.b0 as f32 as f64,
-                        b: coeffs.b.map(|b| b as f32 as f64),
-                    }
-                });
+                for a in (0..4).filter(|_| is_reg) {
+                    let Some(qa) = quantized[a] else {
+                        categories.push(33);
+                        plane_bits.write_bits(raw[a].to_bits(), 64);
+                        continue;
+                    };
+                    let (d, c) = (qa - prev[a], category(qa - prev[a]));
+                    categories.push(c);
+                    let magnitude = if d < 0 { d + (1 << c) - 1 } else { d };
+                    plane_bits.write_bits(magnitude as u64, c);
+                    prev[a] = qa;
+                }
+                let plane = is_reg.then_some(coeffs);
                 for dk in 0..ext[2] {
                     for dj in 0..ext[1] {
                         for di in 0..ext[0] {
                             let (i, j, k) = (base[0] + di, base[1] + dj, base[2] + dk);
                             let idx = i + nx * (j + ny * k);
-                            let pred = match &c32 {
+                            let pred = match &plane {
                                 Some(c) => c.predict(di, dj, dk),
                                 None => lorenzo3_predict(&recon, dims, i, j, k),
                             };
@@ -508,12 +564,13 @@ mod tests {
             }
             let mut model = ByteWriter::new();
             model.section(&pred_bits.finish());
-            model.section(&coeff_bytes.finish());
+            model.section(&plane_bits.finish());
             let outlier_bytes: Vec<u8> = outliers.iter().flat_map(|v| v.to_le_bytes()).collect();
             model.section(&outlier_bytes);
             let mut w = ByteWriter::new();
             w.section(&model.finish());
             w.coded_section(&codes);
+            w.coded_section(&categories);
             w.finish()
         }
 
@@ -529,25 +586,33 @@ mod tests {
             let mut r = ByteReader::new(body);
             let mut model = ByteReader::new(r.section()?);
             let mut pred_bits = BitReader::new(model.section()?);
-            let mut coeffs_r = ByteReader::new(model.section()?);
+            let mut plane_bits = BitReader::new(model.section()?);
             let mut outliers = model
                 .section()?
                 .chunks_exact(8)
                 .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
-            let mut codes = Vec::new();
-            r.coded_section(n, &mut codes)?;
+            let (mut codes, mut categories) = (Vec::new(), Vec::new());
+            r.coded_section(n..=n, &mut codes)?;
+            r.coded_section(0..=usize::MAX, &mut categories)?;
+            let mut categories = categories.into_iter();
+            let (step, mut prev) = (steps(eb, bs), [0i64; 4]);
             let mut recon = vec![0.0; n];
             let mut code_pos = 0;
             for (base, ext) in blocks(dims, bs) {
                 let c = if pred_bits.read_bit()? {
-                    Some(RegressionCoeffs {
-                        b0: coeffs_r.f32()? as f64,
-                        b: [
-                            coeffs_r.f32()? as f64,
-                            coeffs_r.f32()? as f64,
-                            coeffs_r.f32()? as f64,
-                        ],
-                    })
+                    let mut c = [0.0; 4];
+                    for a in 0..4 {
+                        c[a] = match categories.next().unwrap() {
+                            33 => f64::from_bits(plane_bits.read_bits(64)?),
+                            cat => {
+                                let v = plane_bits.read_bits(cat)? as i64;
+                                let negative = cat > 0 && v < 1 << (cat - 1);
+                                prev[a] += if negative { v - (1 << cat) + 1 } else { v };
+                                prev[a] as f64 * step[a]
+                            }
+                        };
+                    }
+                    Some(RegressionCoeffs(c))
                 } else {
                     None
                 };
@@ -596,8 +661,13 @@ mod tests {
     }
 
     /// A valid chunk body re-assembled with its three model sections passed
-    /// through `edit(section index, bytes)`.
-    fn with_sections(body: &[u8], edit: impl Fn(usize, &[u8]) -> Vec<u8>) -> Vec<u8> {
+    /// through `edit(section index, bytes)` and its side section rewritten
+    /// by `side(decoded side symbols, writer)`.
+    fn with_sections(
+        body: &[u8],
+        edit: impl Fn(usize, &[u8]) -> Vec<u8>,
+        side: impl FnOnce(Vec<u32>, &mut ByteWriter),
+    ) -> Vec<u8> {
         let mut r = ByteReader::new(body);
         let mut w = ByteWriter::new();
         let mut model = ByteReader::new(r.section().unwrap());
@@ -607,7 +677,14 @@ mod tests {
         }
         w.section(&edited.finish());
         w.section(r.section().unwrap());
+        let mut symbols = Vec::new();
+        r.coded_section(0..=usize::MAX, &mut symbols).unwrap();
+        side(symbols, &mut w);
         w.finish()
+    }
+
+    fn same_side(symbols: Vec<u32>, w: &mut ByteWriter) {
+        w.coded_section(&symbols);
     }
 
     #[test]
@@ -620,12 +697,20 @@ mod tests {
         });
         let sz = SzLr::default();
         let (good, eb) = encode(&sz, dims, &f, ErrorBound::Abs(0.01));
-        assert_eq!(with_sections(&good, |_, s| s.to_vec()), good);
-        // (section, bytes per value): predictor bits, planes, outliers.
-        for (section, unit) in [(0, 1), (1, 16), (2, 8)] {
+        assert_eq!(with_sections(&good, |_, s| s.to_vec(), same_side), good);
+        let rejected = |bad: &[u8], what: &str| {
+            let mut out = vec![7.0; 3];
+            let budget = DecodeBudget::default();
+            let err = decode_into(&sz, (dims, eb), bad, &budget, &mut out).unwrap_err();
+            assert!(matches!(err, CompressError::Malformed(_)), "{what}: {err}");
+            assert_eq!(out, [7.0; 3], "{what}: output touched");
+            err.to_string()
+        };
+        // (section, bytes per value): predictor bits, plane bits, outliers.
+        for (section, unit) in [(0, 1), (1, 1), (2, 8)] {
             // One byte more, one value fewer.
             for surplus in [true, false] {
-                let bad = with_sections(&good, |n, s| {
+                let edit = |n, s: &[u8]| {
                     assert!(
                         n != section || s.len() >= unit,
                         "section {n}: nothing to cut"
@@ -635,16 +720,63 @@ mod tests {
                         (true, true) => [s, &[0u8][..]].concat(),
                         (true, false) => s[..s.len() - unit].to_vec(),
                     }
-                });
-                let mut out = vec![7.0; 3];
-                let budget = DecodeBudget::default();
-                let err = decode_into(&sz, (dims, eb), &bad, &budget, &mut out).unwrap_err();
-                assert!(
-                    matches!(err, CompressError::Malformed(_)),
-                    "section {section}: {err}"
-                );
-                assert_eq!(out, [7.0; 3], "section {section}: output touched");
+                };
+                rejected(&with_sections(&good, edit, same_side), "model");
             }
+        }
+        // One plane category short, one surplus: the piece is the chunk's
+        // last, so both are found before it writes.
+        let keep = |_, s: &[u8]| s.to_vec();
+        let short = with_sections(&good, keep, |mut side, w| {
+            assert!(side.pop().is_some(), "no regression blocks");
+            w.coded_section(&side)
+        });
+        assert!(rejected(&short, "short side").contains("last piece takes"));
+        let surplus = with_sections(&good, keep, |mut side, w| {
+            side.push(0);
+            w.coded_section(&side)
+        });
+        assert!(rejected(&surplus, "surplus side").contains("last piece takes"));
+        // A side count over four per block, and a forged count of 2⁴⁰, fail
+        // on the declared count, before the side buffer is sized.
+        let blocks = Blocks { dims, bs: 6 }.count();
+        let over = with_sections(&good, keep, |_, w| {
+            w.coded_section(&vec![0; 4 * blocks + 1])
+        });
+        assert!(rejected(&over, "over capacity").contains("symbols coded"));
+        let forged = with_sections(&good, keep, |_, w| {
+            let mut huff = Vec::new();
+            amrviz_codec::write_uvarint(&mut huff, 1 << 40);
+            huff.extend([1, 0, 1]);
+            w.section(&amrviz_codec::lzss_compress(&huff))
+        });
+        assert!(rejected(&forged, "forged count").contains("1099511627776 symbols coded"));
+    }
+
+    #[test]
+    fn non_finite_and_huge_planes_round_trip_exactly_through_the_escape() {
+        let dims = [12, 6, 6];
+        let sz = SzLr::regression_only();
+        for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+            // The first block holds `special`; the second is a plain plane.
+            let f = from_fn(dims, |i, j, k| match (i, j, k) {
+                (2, 3, 1) => special,
+                _ => 0.5 * i as f64 - 0.25 * j as f64,
+            });
+            let (body, eb) = encode(&sz, dims, &f, ErrorBound::Abs(1e-3));
+            let mut side = Vec::new();
+            with_sections(&body, |_, s| s.to_vec(), |s, _| side = s);
+            assert_eq!(side.len(), 8, "{special}: two planes");
+            assert!(side[..4].contains(&ESCAPE), "{special}: {side:?}");
+            let back = decode(&sz, (dims, eb), &body).unwrap();
+            for (n, (a, b)) in f.iter().zip(&back).enumerate() {
+                let exact = a.to_bits() == b.to_bits();
+                assert!(
+                    exact || (a - b).abs() <= eb,
+                    "{special}: cell {n}: {a} vs {b}"
+                );
+            }
+            assert_eq!(back[2 + 12 * (3 + 6)].to_bits(), special.to_bits());
         }
     }
 

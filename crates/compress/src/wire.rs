@@ -14,6 +14,7 @@ use amrviz_codec::{
     read_uvarint, write_uvarint, zigzag_decode, zigzag_encode, CodecError, DecodeBudget,
 };
 use amrviz_par::scratch;
+use std::ops::RangeInclusive;
 
 use crate::CompressError;
 
@@ -65,10 +66,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// 8-byte little-endian `u64` (checksums).
     pub fn u64_le(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -94,8 +91,12 @@ impl ByteWriter {
     }
 
     /// Section of Huffman + LZSS coded symbols — the entropy stage every
-    /// compressor shares, run through rented intermediates.
+    /// compressor shares, run through rented intermediates. No symbols is
+    /// an empty section: its length byte alone.
     pub fn coded_section(&mut self, symbols: &[u32]) {
+        if symbols.is_empty() {
+            return self.section(&[]);
+        }
         let mut huff = scratch::take_bytes();
         huffman_encode_into(symbols, &mut huff);
         let mut lz = scratch::take_bytes();
@@ -172,13 +173,6 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_le_bytes(arr))
     }
 
-    pub fn f32(&mut self) -> Result<f32, CodecError> {
-        let bytes = self.exact(4)?;
-        let mut arr = [0u8; 4];
-        arr.copy_from_slice(bytes);
-        Ok(f32::from_le_bytes(arr))
-    }
-
     /// 8-byte little-endian `u64` (checksums).
     pub fn u64_le(&mut self) -> Result<u64, CodecError> {
         let bytes = self.exact(8)?;
@@ -195,26 +189,35 @@ impl<'a> ByteReader<'a> {
         self.exact(len)
     }
 
-    /// Inverse of [`ByteWriter::coded_section`]: exactly `expected` symbols
-    /// land in `out`. The count the section declares is checked against
-    /// `expected` before the symbol buffer is sized.
+    /// Inverse of [`ByteWriter::coded_section`]: as many symbols as the
+    /// section declares, which must be within `expected` (exactly one count,
+    /// or `0..=at_most`), land in `out`. The count is checked before the
+    /// symbol buffer is sized.
     pub fn coded_section(
         &mut self,
-        expected: usize,
+        expected: RangeInclusive<usize>,
         out: &mut Vec<u32>,
     ) -> Result<(), CompressError> {
         let section = self.section()?;
+        let (exact, hi) = (expected.start() == expected.end(), expected.end());
+        let count = |n: u64| match usize::try_from(n) {
+            Ok(n) if expected.contains(&n) => Ok(()),
+            _ => Err(CompressError::Malformed(format!(
+                "{n} symbols coded where the pieces read {}{hi}",
+                if exact { "" } else { "at most " }
+            ))),
+        };
+        if section.is_empty() {
+            out.clear();
+            return count(0);
+        }
         // The rental goes back on every path: a failed decode (a corrupt
         // blob, a deadline) must not drain the thread's pool.
         let mut lz = scratch::take_bytes();
         let decoded = lzss_decompress_into(section, &self.budget, &mut lz)
             .map_err(CompressError::from)
-            .and_then(|()| match read_uvarint(&lz, &mut 0)? {
-                n if n == expected as u64 => Ok(huffman_decode_into(&lz, &self.budget, out)?),
-                n => Err(CompressError::Malformed(format!(
-                    "{n} symbols coded where the pieces read {expected}"
-                ))),
-            });
+            .and_then(|()| count(read_uvarint(&lz, &mut 0)?))
+            .and_then(|()| Ok(huffman_decode_into(&lz, &self.budget, out)?));
         scratch::give_bytes(lz);
         decoded
     }
@@ -246,54 +249,119 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// The side symbols of a chunk (SZ-L/R's plane categories), which its
+/// pieces take in order, each as many as its model calls for.
+pub struct SideSymbols<'a> {
+    rest: &'a [u32],
+    /// Whether the piece taking next is the chunk's last.
+    last: bool,
+}
+
+impl<'a> SideSymbols<'a> {
+    /// The next `n` side symbols. Fewer than `n` is `Malformed`, and so,
+    /// for the chunk's last piece, is more — either way before the piece
+    /// writes a cell.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u32], CompressError> {
+        let have = self.rest.len();
+        if n > have || self.last && n < have {
+            let piece = if self.last { "the chunk's last" } else { "a" };
+            return Err(CompressError::Malformed(format!(
+                "{have} side symbols left where {piece} piece takes {n}"
+            )));
+        }
+        let (own, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(own)
+    }
+}
+
 /// A chunk body. `pieces` runs the model half
 /// ([`crate::Compressor::encode_piece`]) of each piece in order onto one
-/// model writer and one symbol buffer; the body appended to `out` is the
-/// models, as one section, then one Huffman + LZSS coded section over all
-/// the symbols.
-pub(crate) fn write_pieces(out: &mut Vec<u8>, pieces: impl FnOnce(&mut ByteWriter, &mut Vec<u32>)) {
-    let (mut models, mut symbols) = (
+/// model writer, one symbol buffer and one side-symbol buffer; the body
+/// appended to `out` is the models, as one section, then one Huffman + LZSS
+/// coded section over all the symbols and one over all the side symbols.
+/// Returns the bytes of the models and of the side section.
+pub(crate) fn write_pieces(
+    out: &mut Vec<u8>,
+    pieces: impl FnOnce(&mut ByteWriter, &mut Vec<u32>, &mut Vec<u32>),
+) -> [usize; 2] {
+    let (mut models, mut symbols, mut side) = (
         ByteWriter::from_vec(scratch::take_bytes()),
         scratch::take_u32(),
+        scratch::take_u32(),
     );
-    pieces(&mut models, &mut symbols);
+    pieces(&mut models, &mut symbols, &mut side);
     let mut w = ByteWriter::from_vec(std::mem::take(out));
     w.section(&models.buf);
     w.coded_section(&symbols);
+    let side_start = w.len();
+    w.coded_section(&side);
+    let bytes = [models.len(), w.len() - side_start];
     *out = w.finish();
+    scratch::give_u32(side);
     scratch::give_u32(symbols);
     scratch::give_bytes(models.finish());
+    bytes
 }
 
-/// Inverse of [`write_pieces`] over the rest of `r`: `pieces` takes each
-/// piece's model off the model reader and its share of the decoded symbols,
-/// `expected` in all — the coded section must declare exactly that many
-/// (checked before the symbol buffer is sized) and end the input, and the
-/// models must end where the last piece stops.
+/// Inverse of [`write_pieces`] over the rest of `r`, for `pieces`' symbol
+/// counts and side capacities in piece order: `decode(i, model, symbols,
+/// side)` takes piece `i`'s model off the model reader, its share of the
+/// symbols, and its side symbols off `side`. Before either symbol buffer is
+/// sized, the coded section must declare exactly the pieces' symbols and
+/// the side section at most their capacity; the side section must end the
+/// input, the models must end where the last piece stops, and no side
+/// symbol may be left.
 pub(crate) fn read_pieces<'a>(
     mut r: ByteReader<'a>,
-    expected: usize,
-    pieces: impl FnOnce(&mut ByteReader<'a>, &[u32]) -> Result<(), CompressError>,
+    pieces: impl ExactSizeIterator<Item = [usize; 2]> + Clone,
+    mut decode: impl FnMut(
+        usize,
+        &mut ByteReader<'a>,
+        &[u32],
+        &mut SideSymbols<'_>,
+    ) -> Result<(), CompressError>,
 ) -> Result<(), CompressError> {
     let mut models = ByteReader::with_budget(r.section()?, r.budget);
-    // The rental goes back on every path: a failed decode (a corrupt
-    // chunk, a deadline) must not drain the thread's pool.
-    let mut symbols = scratch::take_u32();
-    let decoded = r.coded_section(expected, &mut symbols).and_then(|()| {
-        let trailing = r.remaining();
-        if trailing != 0 {
-            return Err(CompressError::Malformed(format!(
-                "{trailing} bytes after the coded section"
-            )));
-        }
-        pieces(&mut models, &symbols)?;
-        match models.remaining() {
-            0 => Ok(()),
-            left => Err(CompressError::Malformed(format!(
-                "{left} model bytes after the last piece"
-            ))),
-        }
-    });
+    let [expected, capacity] = pieces
+        .clone()
+        .fold([0, 0], |[n, s], [pn, ps]| [n + pn, s + ps]);
+    // The rentals go back on every path: a failed decode (a corrupt chunk,
+    // a deadline) must not drain the thread's pool.
+    let (mut symbols, mut side) = (scratch::take_u32(), scratch::take_u32());
+    let decoded = r
+        .coded_section(expected..=expected, &mut symbols)
+        .and_then(|()| r.coded_section(0..=capacity, &mut side))
+        .and_then(|()| {
+            let trailing = r.remaining();
+            if trailing != 0 {
+                return Err(CompressError::Malformed(format!(
+                    "{trailing} bytes after the side section"
+                )));
+            }
+            let (count, mut rest) = (pieces.len(), &symbols[..]);
+            let mut side = SideSymbols {
+                rest: &side,
+                last: false,
+            };
+            for (i, [n, _]) in pieces.enumerate() {
+                // The counts sum to what was decoded, so each share is there.
+                let (own, tail) = rest.split_at(n);
+                rest = tail;
+                side.last = i + 1 == count;
+                decode(i, &mut models, own, &mut side)?;
+            }
+            // Also for pieces that took none.
+            side.last = true;
+            side.take(0)?;
+            match models.remaining() {
+                0 => Ok(()),
+                left => Err(CompressError::Malformed(format!(
+                    "{left} model bytes after the last piece"
+                ))),
+            }
+        });
+    scratch::give_u32(side);
     scratch::give_u32(symbols);
     decoded
 }
@@ -308,14 +376,12 @@ mod tests {
         w.u8(7);
         w.uvarint(300);
         w.f64(-1.5);
-        w.f32(2.25);
         w.section(b"hello");
         let buf = w.finish();
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.uvarint().unwrap(), 300);
         assert_eq!(r.f64().unwrap(), -1.5);
-        assert_eq!(r.f32().unwrap(), 2.25);
         assert_eq!(r.section().unwrap(), b"hello");
         assert_eq!(r.remaining(), 0);
     }

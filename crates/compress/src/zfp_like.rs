@@ -17,7 +17,7 @@ use amrviz_par::scratch;
 
 use crate::field::Field3View;
 use crate::quantizer::round_half_away;
-use crate::wire::{ByteReader, ByteWriter};
+use crate::wire::{ByteReader, ByteWriter, SideSymbols};
 use crate::{CompressError, Compressor};
 
 const MAGIC: u8 = 0xA3;
@@ -190,6 +190,7 @@ impl Compressor for ZfpLike {
         eb: f64,
         model: &mut ByteWriter,
         symbols: &mut Vec<u32>,
+        _side: &mut Vec<u32>,
     ) {
         let _sp = amrviz_obs::span!("zfp.compress", values = field.len());
         let inv_step = 1.0 / (2.0 * eb);
@@ -242,6 +243,7 @@ impl Compressor for ZfpLike {
         eb: f64,
         model: &mut ByteReader<'_>,
         symbols: &[u32],
+        _side: &mut SideSymbols<'_>,
         out: &mut Vec<f64>,
     ) -> Result<(), CompressError> {
         let n = dims.iter().product();
@@ -384,6 +386,7 @@ mod tests {
             let mut w = ByteWriter::new();
             w.section(&model.finish());
             w.coded_section(&symbols);
+            w.coded_section(&[]);
             w.finish()
         }
 
@@ -407,7 +410,7 @@ mod tests {
                 .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
             let blocks = nx.div_ceil(BS) * ny.div_ceil(BS) * nz.div_ceil(BS);
             let mut symbols = Vec::new();
-            r.coded_section(64 * blocks, &mut symbols)?;
+            r.coded_section(64 * blocks..=64 * blocks, &mut symbols)?;
             let mut sym = symbols.iter().copied();
             let mut out = vec![0.0; n];
             for bk in 0..nz.div_ceil(BS) {

@@ -124,7 +124,8 @@ pub fn decompress_zmesh(
     let q = Quantizer::new(checked_eb(r.f64()?)?);
     let mut codes = Vec::new();
     let children = hier.covered_mask(0).count() * hier.ratio_at(0).pow(3) as usize;
-    r.coded_section(doms[0].num_cells() + children, &mut codes)?;
+    let n = doms[0].num_cells() + children;
+    r.coded_section(n..=n, &mut codes)?;
     let outlier_bytes = r.section()?;
     let mut outliers = outlier_bytes
         .chunks_exact(8)

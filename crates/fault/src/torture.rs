@@ -588,6 +588,7 @@ pub fn run_torture(cfg: &TortureConfig) -> TortureReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amrviz_compress::wire::{ByteReader, ByteWriter};
 
     #[test]
     fn corpus_streams_decode_cleanly_unmutated() {
@@ -630,6 +631,33 @@ mod tests {
             assert!((t.decode)(&t.stream, &budget).is_ok(), "{}", t.name);
         }
         assert_eq!(seen, 3, "one chunk target per compressor");
+    }
+
+    #[test]
+    fn szlr_chunk_side_section_mutations_never_panic() {
+        let budget = DecodeBudget::strict();
+        let target = build_targets()
+            .into_iter()
+            .find(|t| t.name == "szlr_chunk")
+            .expect("an SZ-L/R chunk target");
+        // The chunk body: models, symbols, side symbols (plane categories).
+        let mut r = ByteReader::new(&target.stream);
+        let (models, symbols, side) = (r.section(), r.section(), r.section());
+        let (models, symbols, side) = (models.unwrap(), symbols.unwrap(), side.unwrap());
+        assert!(side.len() > 8, "the corpus chunk holds regression planes");
+        let (mut errors, master) = (0, Rng::seed(0x51DE));
+        for i in 0..240 {
+            let (mutated, muts) = mutate_stream(&mut master.fork(i), side);
+            let mut w = ByteWriter::new();
+            w.section(models);
+            w.section(symbols);
+            w.section(&mutated);
+            let outcome = catch_unwind(AssertUnwindSafe(|| (target.decode)(&w.finish(), &budget)));
+            let result = outcome.unwrap_or_else(|_| panic!("side mutation {i} {muts:?} panicked"));
+            errors += usize::from(result.is_err());
+        }
+        assert!(errors > 120, "only {errors} of 240 side mutations failed");
+        assert!((target.decode)(&target.stream, &budget).is_ok());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! keys, flamegraph colours).
 //!
 //! FNV-1a is not cryptographic — it guards against bit rot, truncation, and
-//! transport corruption, which is exactly the failure model of the v3 wire
+//! transport corruption, which is exactly the failure model of the v4 wire
 //! format. It is dependency-free, stable across platforms, and fast enough
 //! to run over every chunk on every decode.
 

@@ -163,7 +163,12 @@ fn warpx_pipeline_is_bit_identical_at_1_2_8_threads() {
 /// time) must aggregate to the exact same distribution at any thread
 /// count: the sharded recorders merge bucket-wise with commutative integer
 /// sums, and the recorded values themselves are bit-deterministic.
-const VALUE_HISTOGRAMS: [&str; 2] = ["compress.blob_bytes", "quantizer.hit_pct"];
+const VALUE_HISTOGRAMS: [&str; 4] = [
+    "compress.blob_bytes",
+    "compress.model_bytes",
+    "compress.side_bytes",
+    "quantizer.hit_pct",
+];
 
 /// `(name, count, sum, min, max, nonzero buckets)` for each value-based
 /// histogram recorded during one instrumented pipeline run.

@@ -124,12 +124,12 @@ fn container_survives_truncation_at_every_prefix() {
             prefix_oks += 1;
         }
     }
-    // Only the complete stream parses: every v3 container ends with a
+    // Only the complete stream parses: every v4 container ends with a
     // trailing-bytes check and a final chunk section, so proper prefixes
     // must all fail structurally.
     assert_eq!(
         prefix_oks, 1,
-        "a proper prefix of a v3 container parsed as valid"
+        "a proper prefix of a v4 container parsed as valid"
     );
     assert!(
         CompressedHierarchyField::from_bytes_budgeted(&stream, &budget).is_ok(),
