@@ -16,7 +16,7 @@ use amrviz_core::experiment::standard_camera;
 use amrviz_render::{render_mesh, render_slice, RenderOptions};
 use amrviz_serve::telemetry::dominant_stage;
 use amrviz_sim::solver::AmrAdvection;
-use amrviz_sim::{NyxScenario, Scale, WarpxScenario};
+use amrviz_sim::{quantile, NyxScenario, Scale, WarpxScenario};
 use amrviz_viz::{extract_amr_isosurface, obj, IsoMethod};
 
 /// The `(value flags, switches)` a subcommand accepts, without the `--`. Each
@@ -24,10 +24,13 @@ use amrviz_viz::{extract_amr_isosurface, obj, IsoMethod};
 /// usage text to the same lists.
 pub type Flags = (&'static [&'static str], &'static [&'static str]);
 
+/// The names `--algo` takes, which `compressor_by_name` knows.
+const ALGOS: [&str; 3] = ["szlr", "szinterp", "zfp"];
+
 fn algo(name: Option<&str>) -> Result<Box<dyn Compressor>, String> {
     let name = name.unwrap_or("szlr");
     compressor_by_name(name)
-        .ok_or_else(|| format!("unknown algorithm `{name}` (szlr|szinterp|zfp)"))
+        .ok_or_else(|| format!("unknown algorithm `{name}` ({})", ALGOS.join("|")))
 }
 
 fn method(name: Option<&str>) -> Result<IsoMethod, String> {
@@ -65,10 +68,7 @@ fn iso_value(p: &Parsed, hier: &AmrHierarchy, field: &str) -> Result<f64, String
     }
     let uniform =
         flatten_to_finest(hier, field, Upsample::PiecewiseConstant).map_err(|e| e.to_string())?;
-    let mut v = uniform.data;
-    let k = ((v.len() - 1) as f64 * q).round() as usize;
-    let (_, val, _) = v.select_nth_unstable_by(k, |a, b| a.partial_cmp(b).expect("no NaNs"));
-    Ok(*val)
+    Ok(quantile(&uniform.data, q))
 }
 
 pub const GENERATE_FLAGS: Flags = (&["out", "scale", "seed"], &["all-fields"]);
@@ -202,19 +202,26 @@ pub fn compress(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-pub const DECOMPRESS_FLAGS: Flags = (&["out", "algo", "field"], &["skip-redundant", "degrade"]);
+pub const DECOMPRESS_FLAGS: Flags = (&["out", "field"], &["degrade"]);
+/// Decodes a compressed stream with the compressor and `skip_redundant`
+/// setting its header names, rebuilding skipped coarse cells from the finer
+/// levels.
 pub fn decompress(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, DECOMPRESS_FLAGS.0, DECOMPRESS_FLAGS.1)?;
     let hier = load(p.positional(0, "plotfile path (for structure)")?)?;
     let stream_path = p.positional(1, "compressed stream path")?;
     let out = p.required("out")?;
-    let comp = algo(p.opt("algo"))?;
     let field_name = p.opt("field").unwrap_or("decompressed");
     let bytes = std::fs::read(stream_path).map_err(|e| e.to_string())?;
     let c = CompressedHierarchyField::from_bytes(&bytes).map_err(|e| e.to_string())?;
+    let comp = ALGOS
+        .into_iter()
+        .filter_map(compressor_by_name)
+        .find(|comp| comp.tag() == c.compressor)
+        .ok_or_else(|| format!("{stream_path}: unknown compressor tag {:#x}", c.compressor))?;
     let cfg = AmrCodecConfig {
-        skip_redundant: p.switch("skip-redundant"),
-        restore_redundant: p.switch("skip-redundant"),
+        skip_redundant: c.skip_redundant,
+        restore_redundant: c.skip_redundant,
     };
     let policy = if p.switch("degrade") {
         DecodePolicy::Degrade
@@ -980,12 +987,8 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let server = amrviz_serve::start(cfg).map_err(|e| format!("starting server: {e}"))?;
     let proxy = match p.opt_parse::<u64>("chaos")? {
         Some(chaos_seed) => Some(
-            amrviz_serve::ChaosProxy::start(
-                server.addr(),
-                chaos_seed,
-                amrviz_serve::ChaosConfig::default(),
-            )
-            .map_err(|e| format!("starting chaos proxy: {e}"))?,
+            amrviz_serve::ChaosProxy::start(server.addr(), chaos_seed)
+                .map_err(|e| format!("starting chaos proxy: {e}"))?,
         ),
         None => None,
     };
@@ -1045,7 +1048,6 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
         deadline_ms: p.opt_parse::<u32>("deadline-ms")?.unwrap_or(500),
         max_retries: p.opt_parse::<u32>("retries")?.unwrap_or(3),
         seed: p.opt_parse::<u64>("seed")?.unwrap_or(1),
-        ..amrviz_serve::LoadgenConfig::default()
     };
     let min_success = p.opt_parse::<f64>("min-success")?.unwrap_or(0.9);
 
@@ -1098,12 +1100,7 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
     // same evaluator the server's burn-rate windows run through.
     if let Some(spec_str) = p.opt("slo") {
         let spec = amrviz_serve::slo::SloSpec::parse(spec_str)?;
-        let good: u64 = report
-            .outcomes
-            .iter()
-            .filter(|(name, _)| matches!(**name, "ok" | "degraded" | "cut_short"))
-            .map(|(_, n)| n)
-            .sum();
+        let good = report.good;
         let reading = amrviz_serve::slo::WindowReading {
             label: "run",
             secs: cfg.duration.as_secs(),
@@ -1189,5 +1186,60 @@ mod tests {
         }
         let failed = stats_journal(&mut Full, "j", journal, true, None).unwrap_err();
         assert!(failed.starts_with("writing stats:"), "{failed}");
+    }
+
+    /// `decompress` takes the compressor and `skip_redundant` from the
+    /// stream's header: every algorithm, with and without skipping, comes
+    /// back within the pointwise bound with no flag naming either, and the
+    /// flags that used to are refused.
+    #[test]
+    fn decompress_reads_its_configuration_from_the_header() {
+        let root = std::env::temp_dir().join(format!("amrviz_cli_rt_{}", std::process::id()));
+        let path = |leaf: &str| root.join(leaf).to_string_lossy().into_owned();
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let ds = path("ds");
+        generate(&args(&[
+            "nyx", "--out", &ds, "--scale", "tiny", "--seed", "3",
+        ]))
+        .unwrap();
+        let orig = load(&ds).unwrap();
+        let field = orig.field("baryon_density").unwrap();
+        for algo in ALGOS {
+            for skip in [false, true] {
+                let stream = path(&format!("{algo}_{skip}.amrz"));
+                let mut argv = args(&[&ds, "--field", "baryon_density", "--out", &stream]);
+                argv.extend(args(&["--algo", algo, "--rel", "1e-3"]));
+                if skip {
+                    argv.push("--skip-redundant".into());
+                }
+                compress(&argv).unwrap();
+                let bytes = std::fs::read(&stream).unwrap();
+                let eb = CompressedHierarchyField::from_bytes(&bytes).unwrap().abs_eb;
+                let out = path(&format!("{algo}_{skip}_dec"));
+                decompress(&args(&[&ds, &stream, "--out", &out])).unwrap();
+                let dec = load(&out).unwrap();
+                let dec = dec.field("decompressed").unwrap();
+                for lev in 0..orig.num_levels() {
+                    let pairs = field.levels[lev].fabs().iter().zip(dec.levels[lev].fabs());
+                    for (a, b) in pairs {
+                        for (cell, v) in a.iter() {
+                            let err = (v - b.get(cell)).abs();
+                            assert!(
+                                err <= eb * (1.0 + 1e-12),
+                                "{algo} skip={skip} level {lev} {cell:?}: {err:e} > {eb:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let stream = path("szlr_true.amrz");
+        for flag in [&["--algo", "szlr"][..], &["--skip-redundant"]] {
+            let mut argv = args(&[&ds, &stream, "--out", &path("refused")]);
+            argv.extend(args(flag));
+            let refused = decompress(&argv).unwrap_err();
+            assert!(refused.contains("unknown option"), "{flag:?}: {refused}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

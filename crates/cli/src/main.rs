@@ -5,7 +5,7 @@
 //! amrviz simulate   --out DIR [--n N] [--steps K] [--snap-every M]
 //! amrviz info       <plotfile>
 //! amrviz compress   <plotfile> --field F --out FILE [--algo A] [--rel EB | --abs EB] [--skip-redundant]
-//! amrviz decompress <plotfile> <stream> --out DIR [--algo A] [--skip-redundant] [--degrade]
+//! amrviz decompress <plotfile> <stream> --out DIR [--field NAME] [--degrade]
 //! amrviz extract    <plotfile> --field F --out FILE.obj [--iso V | --quantile Q] [--method M]
 //! amrviz render     <plotfile> --field F --out FILE.png [--mode surface|slice] [...]
 //! amrviz diff       <plotfile A> <plotfile B> --field F [--field-b G]
@@ -248,10 +248,12 @@ USAGE:
                     [--algo szlr|szinterp|zfp] [--rel EB | --abs EB]
                     [--skip-redundant]
   amrviz decompress <plotfile> <stream> --out DIR [--field NAME]
-                    [--algo szlr|szinterp|zfp] [--skip-redundant]
                     [--degrade]  repair corrupt fabs from neighbor levels
                     instead of failing; prints a per-fab decode report.
-                    --field names the output field (default `decompressed`)
+                    The stream's header names its compressor and whether
+                    it skipped covered coarse cells (rebuilt here from the
+                    finer levels). --field names the output field
+                    (default `decompressed`)
   amrviz extract    <plotfile> --field F --out FILE.obj
                     [--iso V | --quantile Q]
                     [--method resampling|dual|dual-redundant]
@@ -327,10 +329,10 @@ USAGE:
                     repro_out/), and one `SUMMARY {...}` line. --suite runs
                     the recipe-enumerated scenario matrix instead (`:@FILE`
                     or `:(scenario ...)` for a custom recipe). The recorder
-                    is always on, seeded from --seed. --check judges fig1,
-                    fig9, fig10 and fig11 on the rows just recorded and
-                    exits non-zero naming the figure and row of each claim
-                    of the paper that fails. `repro obs-overhead`
+                    is always on, seeded from --seed. --check judges
+                    table2, fig1, fig9..fig14 and ablation on the rows just
+                    recorded and exits non-zero naming the figure and row
+                    of each claim of the paper that fails. `repro obs-overhead`
                     is the instrumentation self-overhead gate (3 % budget).
   amrviz stats      <FILE> [--strict] [--slo SPEC]
                     pretty-prints a `--journal` JSONL file. Unknown event

@@ -796,28 +796,35 @@ fn settle_level(
 fn restore_redundant(hier: &AmrHierarchy, levels: &mut [MultiFab]) {
     let _sp = amrviz_obs::span!("decompress.restore_redundant");
     for lev in (0..hier.num_levels().saturating_sub(1)).rev() {
-        let ratio = hier.ratio_at(lev);
-        let (coarse_slice, fine_slice) = levels.split_at_mut(lev + 1);
-        let coarse = &mut coarse_slice[lev];
-        let fine = &fine_slice[0];
-        for cfab in coarse.fabs_mut() {
-            for ffab in fine.fabs() {
-                let fine_bx = ffab.box3();
-                // Only coarse cells with a full set of fine children can
-                // be restored by averaging; a degenerate unaligned fine
-                // box may fully cover none (its coarse parent keeps its
-                // own encoded data — `encode_pieces` never skipped it).
-                let Some(covered) = fine_bx.coarsen_inward(ratio) else {
-                    continue;
-                };
-                let Some(overlap) = cfab.box3().intersect(&covered) else {
-                    continue;
-                };
-                let restricted = restrict_average(ffab, overlap, ratio);
-                cfab.copy_from(&restricted);
-            }
+        let (coarse, fine) = levels.split_at_mut(lev + 1);
+        let domain = hier.level_domain(lev);
+        restrict_within(&mut coarse[lev], &fine[0], hier.ratio_at(lev), domain);
+    }
+}
+
+/// Overwrites each cell of `coarse` inside `region` that has a full set of
+/// children in `fine` with their average, and returns whether any cell was.
+/// A degenerate unaligned fine box may hold the full set of children of no
+/// coarse cell; its coarse parents keep their own data (`encode_pieces`
+/// never skips them).
+fn restrict_within(coarse: &mut MultiFab, fine: &MultiFab, ratio: i64, region: Box3) -> bool {
+    let mut restricted_any = false;
+    for cfab in coarse.fabs_mut() {
+        let Some(target) = cfab.box3().intersect(&region) else {
+            continue;
+        };
+        for ffab in fine.fabs() {
+            let Some(covered) = ffab.box3().coarsen_inward(ratio) else {
+                continue;
+            };
+            let Some(overlap) = target.intersect(&covered) else {
+                continue;
+            };
+            cfab.copy_from(&restrict_average(ffab, overlap, ratio));
+            restricted_any = true;
         }
     }
+    restricted_any
 }
 
 /// Shapes `levels[lev]` onto `ba`, reusing the existing fab allocations
@@ -886,29 +893,8 @@ fn repair_piece(
         // Coarsest level: averaging restriction from the finer level over
         // whatever the fine patches cover; the rest has no donor and stays
         // zero.
-        let ratio = hier.ratio_at(0);
-        let (coarse_slice, fine_slice) = levels.split_at_mut(1);
-        let fine = &fine_slice[0];
-        let mut covered_any = false;
-        for cfab in coarse_slice[0].fabs_mut() {
-            let Some(target) = cfab.box3().intersect(&piece) else {
-                continue;
-            };
-            for ffab in fine.fabs() {
-                // As in `restore_redundant`: a degenerate unaligned fine box
-                // may hold the full set of children of no coarse cell.
-                let Some(covered) = ffab.box3().coarsen_inward(ratio) else {
-                    continue;
-                };
-                let Some(overlap) = target.intersect(&covered) else {
-                    continue;
-                };
-                let restricted = restrict_average(ffab, overlap, ratio);
-                cfab.copy_from(&restricted);
-                covered_any = true;
-            }
-        }
-        if covered_any {
+        let (coarse, fine) = levels.split_at_mut(1);
+        if restrict_within(&mut coarse[0], &fine[0], hier.ratio_at(0), piece) {
             return FabStatus::Degraded {
                 repair: RepairKind::Restricted,
                 cause,

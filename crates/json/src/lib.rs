@@ -251,7 +251,7 @@ fn write_value(v: &Json, out: &mut String, indent: Option<usize>, depth: usize) 
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
         Json::Num(n) => write_num(*n, out),
-        Json::Str(s) => write_str(s, out),
+        Json::Str(s) => out.push_str(&format!("\"{}\"", escape(s))),
         Json::Arr(items) => {
             if items.is_empty() {
                 out.push_str("[]");
@@ -279,7 +279,7 @@ fn write_value(v: &Json, out: &mut String, indent: Option<usize>, depth: usize) 
                     out.push(',');
                 }
                 newline_indent(out, indent, depth + 1);
-                write_str(k, out);
+                out.push_str(&format!("\"{}\"", escape(k)));
                 out.push(':');
                 if indent.is_some() {
                     out.push(' ');
@@ -315,8 +315,10 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
+/// `s` escaped for use inside a JSON string literal, without the quotes —
+/// for writers that render JSON with `format!`.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -330,7 +332,7 @@ fn write_str(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-    out.push('"');
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -625,6 +627,12 @@ mod tests {
         let v = Json::Str(s.to_string());
         let back = Json::parse(&v.to_string_compact()).unwrap();
         assert_eq!(back.as_str().unwrap(), s);
+    }
+
+    #[test]
+    fn json_escape_control_chars() {
+        assert_eq!(escape("a\u{1}b"), "a\\u0001b");
+        assert_eq!(escape("tab\there"), "tab\\there");
     }
 
     #[test]

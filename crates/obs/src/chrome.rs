@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::{counters_snapshot, events_snapshot, json_escape, SpanEvent};
+use crate::{counters_snapshot, events_snapshot, SpanEvent};
 
 /// Renders the given spans and counters as a chrome-trace JSON document.
 pub fn render_chrome_trace(
@@ -48,7 +48,7 @@ pub fn render_chrome_trace(
             if !args.is_empty() {
                 args.push(',');
             }
-            args.push_str(&format!("\"{}\":{}", json_escape(k), v.to_json()));
+            args.push_str(&format!("\"{}\":{}", amrviz_json::escape(k), v.to_json()));
         }
         if !args.is_empty() {
             args.push(',');
@@ -69,7 +69,7 @@ pub fn render_chrome_trace(
             format!(
                 "{{\"name\":\"{}\",\"cat\":\"amrviz\",\"ph\":\"X\",\"ts\":{ts:.3},\
                  \"dur\":{dur:.3},\"pid\":1,\"tid\":{},\"args\":{{{args}}}}}",
-                json_escape(e.name),
+                amrviz_json::escape(e.name),
                 e.thread
             ),
             &mut out,
@@ -82,7 +82,7 @@ pub fn render_chrome_trace(
             format!(
                 "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{end_us:.3},\"pid\":1,\
                  \"args\":{{\"value\":{value}}}}}",
-                json_escape(name)
+                amrviz_json::escape(name)
             ),
             &mut out,
             &mut first,

@@ -96,7 +96,7 @@ impl FieldValue {
                     "null".to_string()
                 }
             }
-            FieldValue::Str(s) => format!("\"{}\"", json_escape(s)),
+            FieldValue::Str(s) => format!("\"{}\"", amrviz_json::escape(s)),
         }
     }
 
@@ -645,7 +645,7 @@ impl SpanGuard {
                 let mut body = format!(
                     "\"name\":\"{}\",\"trace\":\"{:016x}\",\"span\":{},\"parent\":{},\
                      \"thread\":{},\"start_ns\":{},\"dur_ns\":{}",
-                    json_escape(a.name),
+                    amrviz_json::escape(a.name),
                     a.trace,
                     a.id,
                     a.parent,
@@ -659,7 +659,7 @@ impl SpanGuard {
                         if i > 0 {
                             body.push(',');
                         }
-                        body.push_str(&format!("\"{}\":{}", json_escape(k), v.to_json()));
+                        body.push_str(&format!("\"{}\":{}", amrviz_json::escape(k), v.to_json()));
                     }
                     body.push('}');
                 }
@@ -730,25 +730,6 @@ macro_rules! histogram {
     ($name:expr, $value:expr) => {
         $crate::histogram_record($name, $value as u64)
     };
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -944,11 +925,5 @@ mod tests {
         assert_eq!(FieldValue::from(f64::NAN).to_json(), "null");
         let j = FieldValue::from(1e-3f64).to_json();
         assert!(j.contains('e'), "float json should be exponent form: {j}");
-    }
-
-    #[test]
-    fn json_escape_control_chars() {
-        assert_eq!(json_escape("a\u{1}b"), "a\\u0001b");
-        assert_eq!(json_escape("tab\there"), "tab\\there");
     }
 }

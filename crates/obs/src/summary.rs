@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use crate::{events_snapshot, json_escape, SpanEvent};
+use crate::{events_snapshot, SpanEvent};
 
 /// One aggregated row of the summary tree.
 #[derive(Debug, Clone)]
@@ -188,7 +188,7 @@ impl Summary {
             format!(
                 "{{\"stage\":\"{}\",\"seconds\":{:e},\"percent\":{:e},\
                  \"count\":{},\"children\":[{}]}}",
-                json_escape(&n.key),
+                amrviz_json::escape(&n.key),
                 n.seconds,
                 n.percent,
                 n.count,

@@ -16,10 +16,6 @@ use std::sync::{Arc, Mutex};
 /// One cached decode: everything a worker needs to stream a response.
 #[derive(Debug)]
 pub struct DecodedEntry {
-    /// Compressor algorithm the blob was encoded with.
-    pub algo: String,
-    /// Field name from the artifact.
-    pub field: String,
     /// Decoded cell data, one `MultiFab` per level (coarse → fine).
     pub levels: Vec<MultiFab>,
     /// Per-level count of fabs that were repaired from neighbor levels
@@ -157,8 +153,6 @@ mod tests {
     fn entry(cells: usize) -> DecodedEntry {
         let ba = BoxArray::single(Box3::from_dims(cells, 1, 1));
         DecodedEntry {
-            algo: "szlr".into(),
-            field: "density".into(),
             levels: vec![MultiFab::from_fn(&ba, |iv| iv[0] as f64)],
             degraded_fabs: vec![0],
         }

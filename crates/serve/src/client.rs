@@ -83,8 +83,6 @@ pub struct Exchange {
     /// STATS snapshot JSON (`Op::Stats` responses).
     pub stats: Option<String>,
     pub end: Option<EndFrame>,
-    /// Wire bytes received (payloads only).
-    pub bytes: u64,
     pub elapsed: Duration,
     /// Frames whose *arrival* was later than `deadline + grace` — the
     /// client-side check of the server's no-response-after-deadline
@@ -92,11 +90,12 @@ pub struct Exchange {
     pub late_frames: u64,
 }
 
+/// Socket connect/read/write timeout.
+const IO_TIMEOUT: Duration = Duration::from_millis(3_000);
+
 /// Client knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ClientConfig {
-    /// Socket connect/read/write timeout.
-    pub io_timeout: Duration,
     /// Allowance past the request deadline before an arriving frame counts
     /// as late (network + chaos-delay + scheduling slack).
     pub grace: Duration,
@@ -105,7 +104,6 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            io_timeout: Duration::from_millis(3_000),
             grace: Duration::from_millis(500),
         }
     }
@@ -128,7 +126,6 @@ pub fn exchange(addr: SocketAddr, req: &Request, cfg: &ClientConfig) -> Exchange
         keys: None,
         stats: None,
         end: None,
-        bytes: 0,
         elapsed: Duration::ZERO,
         late_frames: 0,
     };
@@ -137,13 +134,13 @@ pub fn exchange(addr: SocketAddr, req: &Request, cfg: &ClientConfig) -> Exchange
         ex
     };
 
-    let mut stream = match TcpStream::connect_timeout(&addr, cfg.io_timeout) {
+    let mut stream = match TcpStream::connect_timeout(&addr, IO_TIMEOUT) {
         Ok(s) => s,
         Err(_) => return finish(ex),
     };
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(cfg.io_timeout));
-    let _ = stream.set_write_timeout(Some(cfg.io_timeout));
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     if proto::write_frame(&mut stream, &req.encode()).is_err() {
         return finish(ex);
     }
@@ -170,7 +167,6 @@ pub fn exchange(addr: SocketAddr, req: &Request, cfg: &ClientConfig) -> Exchange
                 return finish(ex);
             }
         };
-        ex.bytes += payload.len() as u64;
         if let Some(cutoff) = late_cutoff {
             if Instant::now() > cutoff {
                 ex.late_frames += 1;

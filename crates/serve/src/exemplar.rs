@@ -33,13 +33,13 @@ impl Exemplar {
             if i > 0 {
                 stages.push(',');
             }
-            stages.push_str(&format!("\"{}\":{us}", amrviz_obs::json_escape(name)));
+            stages.push_str(&format!("\"{}\":{us}", amrviz_json::escape(name)));
         }
         format!(
             "{{\"trace\":\"{:x}\",\"total_us\":{},\"label\":\"{}\",\"stages_us\":{{{}}}}}",
             self.trace,
             self.total_us,
-            amrviz_obs::json_escape(&self.label),
+            amrviz_json::escape(&self.label),
             stages
         )
     }
@@ -59,16 +59,6 @@ pub struct Reservoir {
     cap: usize,
     /// Sorted descending by [`key`]; never exceeds `cap`.
     items: Vec<Exemplar>,
-}
-
-/// Default reservoir capacity: enough tail context to diagnose, small
-/// enough that a STATS snapshot stays a few KB.
-pub const DEFAULT_CAP: usize = 8;
-
-impl Default for Reservoir {
-    fn default() -> Self {
-        Reservoir::new(DEFAULT_CAP)
-    }
 }
 
 impl Reservoir {

@@ -52,7 +52,7 @@ pub mod window;
 pub use amrviz_compress::compressor_by_name as compressor_for;
 pub use artifact::{decode_artifact, encode_artifact, Artifact};
 pub use cache::{ArenaCache, DecodedEntry};
-pub use chaos::{ChaosConfig, ChaosProxy};
+pub use chaos::ChaosProxy;
 pub use client::{exchange, ClientConfig, Exchange, Outcome};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use proto::{Op, Request, RespHeader, Status};

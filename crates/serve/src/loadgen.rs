@@ -8,7 +8,7 @@
 //! logical request's end-to-end latency (including retries) lands in a
 //! histogram; the report carries p50/p99 and per-outcome counts.
 
-use crate::client::{exchange, ClientConfig, Exchange};
+use crate::client::{exchange, ClientConfig, Exchange, Outcome};
 use crate::proto::{Op, Request};
 use amrviz_obs::hist::{exact_percentile, Histogram};
 use amrviz_obs::journal;
@@ -32,34 +32,14 @@ pub struct LoadgenConfig {
     pub duration: Duration,
     /// Deadline budget stamped on every request.
     pub deadline_ms: u32,
-    /// Client max level request.
-    pub max_level: u8,
     /// Retries per logical request on retryable outcomes.
     pub max_retries: u32,
-    /// Base backoff; attempt k sleeps `base * 2^k * jitter(0.5..1.5)`.
-    pub backoff_base: Duration,
     /// Determinism seed (forked per client thread).
     pub seed: u64,
-    /// Socket/grace knobs.
-    pub client: ClientConfig,
 }
 
-impl Default for LoadgenConfig {
-    fn default() -> Self {
-        LoadgenConfig {
-            addr: "127.0.0.1:0".parse().unwrap(),
-            clients: 4,
-            rps: 20.0,
-            duration: Duration::from_secs(5),
-            deadline_ms: 500,
-            max_level: 0xFF,
-            max_retries: 3,
-            backoff_base: Duration::from_millis(20),
-            seed: 1,
-            client: ClientConfig::default(),
-        }
-    }
-}
+/// Base backoff: attempt k sleeps `BACKOFF_BASE * 2^k * jitter(0.5..1.5)`.
+const BACKOFF_BASE: Duration = Duration::from_millis(20);
 
 /// Aggregated run outcome.
 #[derive(Debug, Clone)]
@@ -78,7 +58,10 @@ pub struct LoadgenReport {
     pub late_frames: u64,
     pub p50_us: u64,
     pub p99_us: u64,
-    /// Fraction of logical requests whose final outcome carried data.
+    /// Logical requests whose final outcome carried data
+    /// ([`Outcome::has_data`]).
+    pub good: u64,
+    /// `good` over `requests`.
     pub success_rate: f64,
 }
 
@@ -140,9 +123,9 @@ fn logical_request(
             trace: rng.next_u64() | 1, // nonzero: 0 means "no trace"
             key,
             deadline_ms: cfg.deadline_ms,
-            max_level: cfg.max_level,
+            max_level: 0xFF, // every level
         };
-        let ex = exchange(addr, &req, &cfg.client);
+        let ex = exchange(addr, &req, &ClientConfig::default());
         // Rendered only for a listener: the fields cost an allocation each.
         if journal::is_active() {
             // Same trace as the request, so `amrviz stats` can stitch this
@@ -168,7 +151,7 @@ fn logical_request(
         }
         // Jittered exponential backoff: 2^k spread, ±50% seeded jitter.
         let scale = (1u64 << attempt.min(10)) as f64 * (0.5 + rng.f64());
-        let backoff = cfg.backoff_base.mul_f64(scale);
+        let backoff = BACKOFF_BASE.mul_f64(scale);
         std::thread::sleep(backoff.min(Duration::from_millis(500)));
     }
 }
@@ -187,7 +170,7 @@ pub fn run(cfg: &LoadgenConfig, keys: &[u64]) -> LoadgenReport {
         None
     };
 
-    let per_thread: Vec<(Vec<u64>, Vec<&'static str>)> = std::thread::scope(|s| {
+    let per_thread: Vec<(Vec<u64>, Vec<Outcome>)> = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for c in 0..cfg.clients.max(1) {
             let late_total = &late_total;
@@ -203,7 +186,7 @@ pub fn run(cfg: &LoadgenConfig, keys: &[u64]) -> LoadgenReport {
                     attempts_total.fetch_add(attempts as u64, Ordering::Relaxed);
                     latencies_us.push(elapsed.as_micros() as u64);
                     amrviz_obs::histogram!("loadgen.latency_us", elapsed.as_micros() as f64);
-                    outcomes.push(ex.outcome.name());
+                    outcomes.push(ex.outcome);
                     if let Some(gap) = interarrival {
                         // Jittered pacing (0.5..1.5×) so client fleets don't
                         // phase-lock into synchronized bursts.
@@ -219,20 +202,19 @@ pub fn run(cfg: &LoadgenConfig, keys: &[u64]) -> LoadgenReport {
     let mut all_latencies = Vec::new();
     let mut outcome_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut outcome_latency: BTreeMap<&'static str, Histogram> = BTreeMap::new();
-    let mut successes = 0u64;
+    let mut good = 0u64;
     let mut requests = 0u64;
     for (lat, outs) in per_thread {
-        for (us, name) in lat.iter().zip(outs.iter().copied()) {
-            outcome_latency.entry(name).or_default().record(*us);
+        for (&us, outcome) in lat.iter().zip(outs) {
+            outcome_latency
+                .entry(outcome.name())
+                .or_default()
+                .record(us);
+            *outcome_counts.entry(outcome.name()).or_insert(0) += 1;
+            requests += 1;
+            good += u64::from(outcome.has_data());
         }
         all_latencies.extend(lat);
-        for name in outs {
-            *outcome_counts.entry(name).or_insert(0) += 1;
-            requests += 1;
-            if matches!(name, "ok" | "degraded" | "cut_short") {
-                successes += 1;
-            }
-        }
     }
     all_latencies.sort_unstable();
     let attempts = attempts_total.load(Ordering::Relaxed);
@@ -245,10 +227,11 @@ pub fn run(cfg: &LoadgenConfig, keys: &[u64]) -> LoadgenReport {
         late_frames: late_total.load(Ordering::Relaxed),
         p50_us: exact_percentile(&all_latencies, 0.50),
         p99_us: exact_percentile(&all_latencies, 0.99),
+        good,
         success_rate: if requests == 0 {
             0.0
         } else {
-            successes as f64 / requests as f64
+            good as f64 / requests as f64
         },
     }
 }

@@ -63,129 +63,98 @@ pub const FLAG_DEGRADED: u8 = 1;
 /// admission, so only the coarse level is streamed.
 pub const FLAG_COARSE_ONLY: u8 = 2;
 
-/// Request operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
-    /// Progressive fetch of a decoded hierarchy by blob key.
-    Get,
-    /// Enumerate the store's blob keys.
-    List,
-    /// Liveness probe.
-    Ping,
-    /// In-band telemetry pull: the server answers with a versioned JSON
-    /// snapshot (health, windowed latency/stage percentiles, SLO burn,
-    /// tail exemplars) in a single `STATS` frame. Same listener, same
-    /// framing — no second port to firewall or keep alive.
-    Stats,
+/// Declares a wire enum from one `variant = code, "name"` list: the enum,
+/// `ALL`, `code`, `from_code` and `name` all come from it, so the mappings
+/// cannot disagree.
+macro_rules! wire_enum {
+    ($(#[$meta:meta])* pub enum $ty:ident {
+        $($(#[$doc:meta])* $variant:ident = $code:literal, $name:literal,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl $ty {
+            /// Every variant, in declaration order.
+            pub const ALL: &[$ty] = &[$($ty::$variant,)*];
+
+            /// The variant's wire byte.
+            pub fn code(self) -> u8 {
+                match self {
+                    $($ty::$variant => $code,)*
+                }
+            }
+
+            /// The variant a wire byte names, if any.
+            pub fn from_code(c: u8) -> Option<$ty> {
+                match c {
+                    $($code => Some($ty::$variant),)*
+                    _ => None,
+                }
+            }
+
+            /// The variant's name in journal lines and reports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+        }
+    };
 }
 
-impl Op {
-    pub fn code(self) -> u8 {
-        match self {
-            Op::Get => 1,
-            Op::List => 2,
-            Op::Ping => 3,
-            Op::Stats => 4,
-        }
-    }
-
-    pub fn from_code(c: u8) -> Option<Op> {
-        match c {
-            1 => Some(Op::Get),
-            2 => Some(Op::List),
-            3 => Some(Op::Ping),
-            4 => Some(Op::Stats),
-            _ => None,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Op::Get => "get",
-            Op::List => "list",
-            Op::Ping => "ping",
-            Op::Stats => "stats",
-        }
+wire_enum! {
+    /// Request operations.
+    pub enum Op {
+        /// Progressive fetch of a decoded hierarchy by blob key.
+        Get = 1, "get",
+        /// Enumerate the store's blob keys.
+        List = 2, "list",
+        /// Liveness probe.
+        Ping = 3, "ping",
+        /// In-band telemetry pull: the server answers with a versioned JSON
+        /// snapshot (health, windowed latency/stage percentiles, SLO burn,
+        /// tail exemplars) in a single `STATS` frame. Same listener, same
+        /// framing — no second port to firewall or keep alive.
+        Stats = 4, "stats",
     }
 }
 
-/// Typed response statuses. The split mirrors the codec error taxonomy:
-/// `RetryLater` and `Timeout` are transient (retry may succeed); `Corrupt`,
-/// `NotFound` and `BadRequest` are permanent for the same request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Status {
-    /// Fully decoded, all fabs clean.
-    Ok,
-    /// Served, but some fabs were repaired (see `FLAG_DEGRADED`).
-    Degraded,
-    /// Load shed at admission: the work queue was full. The header carries
-    /// a retry-after hint in milliseconds.
-    RetryLater,
-    /// No blob under that key.
-    NotFound,
-    /// Blob failed its checksum (quarantined) or its contents failed
-    /// structural decode — permanently unservable as stored.
-    Corrupt,
-    /// The deadline budget expired before even the coarse level was ready.
-    Timeout,
-    /// Unparseable or unsupported request frame.
-    BadRequest,
-    /// Server is draining; no new work accepted.
-    ShuttingDown,
-    /// Unexpected server-side failure.
-    Internal,
+wire_enum! {
+    /// Typed response statuses. The split mirrors the codec error taxonomy:
+    /// `RetryLater` and `Timeout` are transient (retry may succeed); `Corrupt`,
+    /// `NotFound` and `BadRequest` are permanent for the same request.
+    pub enum Status {
+        /// Fully decoded, all fabs clean.
+        Ok = 0, "ok",
+        /// Served, but some fabs were repaired (see `FLAG_DEGRADED`).
+        Degraded = 1, "degraded",
+        /// Load shed at admission: the work queue was full. The header carries
+        /// a retry-after hint in milliseconds.
+        RetryLater = 2, "retry_later",
+        /// No blob under that key.
+        NotFound = 3, "not_found",
+        /// Blob failed its checksum (quarantined) or its contents failed
+        /// structural decode — permanently unservable as stored.
+        Corrupt = 4, "corrupt",
+        /// The deadline budget expired before even the coarse level was ready.
+        Timeout = 5, "timeout",
+        /// Unparseable or unsupported request frame.
+        BadRequest = 6, "bad_request",
+        /// Server is draining; no new work accepted.
+        ShuttingDown = 7, "shutting_down",
+        /// Unexpected server-side failure.
+        Internal = 8, "internal",
+    }
 }
 
 impl Status {
-    pub fn code(self) -> u8 {
-        match self {
-            Status::Ok => 0,
-            Status::Degraded => 1,
-            Status::RetryLater => 2,
-            Status::NotFound => 3,
-            Status::Corrupt => 4,
-            Status::Timeout => 5,
-            Status::BadRequest => 6,
-            Status::ShuttingDown => 7,
-            Status::Internal => 8,
-        }
-    }
-
-    pub fn from_code(c: u8) -> Option<Status> {
-        Some(match c {
-            0 => Status::Ok,
-            1 => Status::Degraded,
-            2 => Status::RetryLater,
-            3 => Status::NotFound,
-            4 => Status::Corrupt,
-            5 => Status::Timeout,
-            6 => Status::BadRequest,
-            7 => Status::ShuttingDown,
-            8 => Status::Internal,
-            _ => return None,
-        })
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Status::Ok => "ok",
-            Status::Degraded => "degraded",
-            Status::RetryLater => "retry_later",
-            Status::NotFound => "not_found",
-            Status::Corrupt => "corrupt",
-            Status::Timeout => "timeout",
-            Status::BadRequest => "bad_request",
-            Status::ShuttingDown => "shutting_down",
-            Status::Internal => "internal",
-        }
-    }
-
     /// Inverse of [`Status::name`] — how a journal reader gets the typed
     /// status back.
     pub fn from_name(name: &str) -> Option<Status> {
-        (0u8..)
-            .map_while(Status::from_code)
-            .find(|s| s.name() == name)
+        Status::ALL.iter().copied().find(|s| s.name() == name)
     }
 
     /// Counted as *good* for availability: the client got usable data.
@@ -959,7 +928,50 @@ mod tests {
             max_level: 0,
         };
         assert_eq!(Request::decode(&req.encode()).unwrap(), req);
-        assert_eq!(Op::Stats.name(), "stats");
+    }
+
+    /// The wire codes are the protocol and the names are the journal's
+    /// vocabulary (`amrviz stats` maps names back through
+    /// `Status::from_name`): both are pinned here, literally.
+    #[test]
+    fn wire_codes_and_names_are_pinned() {
+        let ops = [
+            (Op::Get, 1, "get"),
+            (Op::List, 2, "list"),
+            (Op::Ping, 3, "ping"),
+            (Op::Stats, 4, "stats"),
+        ];
+        let statuses = [
+            (Status::Ok, 0, "ok"),
+            (Status::Degraded, 1, "degraded"),
+            (Status::RetryLater, 2, "retry_later"),
+            (Status::NotFound, 3, "not_found"),
+            (Status::Corrupt, 4, "corrupt"),
+            (Status::Timeout, 5, "timeout"),
+            (Status::BadRequest, 6, "bad_request"),
+            (Status::ShuttingDown, 7, "shutting_down"),
+            (Status::Internal, 8, "internal"),
+        ];
+        assert_eq!(Op::ALL, ops.map(|(op, ..)| op));
+        assert_eq!(Status::ALL, statuses.map(|(s, ..)| s));
+        for (op, code, name) in ops {
+            assert_eq!((op.code(), op.name()), (code, name));
+            assert_eq!(Op::from_code(code), Some(op));
+        }
+        for (status, code, name) in statuses {
+            assert_eq!((status.code(), status.name()), (code, name));
+            assert_eq!(Status::from_code(code), Some(status));
+            assert_eq!(Status::from_name(name), Some(status));
+        }
+        for byte in 0..=u8::MAX {
+            if !ops.iter().any(|&(_, code, _)| code == byte) {
+                assert_eq!(Op::from_code(byte), None, "op byte {byte}");
+            }
+            if !statuses.iter().any(|&(_, code, _)| code == byte) {
+                assert_eq!(Status::from_code(byte), None, "status byte {byte}");
+            }
+        }
+        assert_eq!(Status::from_name("retry later"), None);
     }
 
     #[test]

@@ -62,11 +62,6 @@ pub struct ServeConfig {
     pub cache_bytes: usize,
     /// Cap on client-requested deadlines.
     pub max_deadline_ms: u32,
-    /// Per-socket read/write timeout (a stalled or chaos-delayed peer can
-    /// hold a worker at most this long per syscall).
-    pub io_timeout_ms: u64,
-    /// Retry-after hint handed to shed clients.
-    pub retry_after_ms: u32,
     /// When the remaining deadline budget falls below this fraction at
     /// stream-planning time, serve only the coarse level.
     pub coarse_only_frac: f64,
@@ -86,11 +81,36 @@ impl Default for ServeConfig {
             queue_depth: 32,
             cache_bytes: 256 << 20,
             max_deadline_ms: 10_000,
-            io_timeout_ms: 2_000,
-            retry_after_ms: 50,
             coarse_only_frac: 0.25,
             shutdown_after: None,
             slo: SloSpec::default(),
+        }
+    }
+}
+
+/// Per-socket read/write timeout: a stalled or chaos-delayed peer can hold
+/// a worker at most this long per syscall.
+const IO_TIMEOUT: Duration = Duration::from_millis(2_000);
+
+/// Retry-after hint handed to shed clients.
+const RETRY_AFTER_MS: u32 = 50;
+
+/// How long an accept loop sleeps when no connection is waiting.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
+/// Accepts on the non-blocking `listener` until `stop()` says so, handing
+/// each connection to `admit`. The accept loop of the server and of the
+/// chaos proxy.
+pub(crate) fn accept_loop(
+    listener: &TcpListener,
+    mut stop: impl FnMut() -> bool,
+    mut admit: impl FnMut(TcpStream),
+) {
+    while !stop() {
+        match listener.accept() {
+            Ok((stream, _)) => admit(stream),
+            // Nothing waiting (`WouldBlock`) or a failed accept: poll again.
+            Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
 }
@@ -286,7 +306,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         let inner = Arc::clone(&inner);
         std::thread::Builder::new()
             .name("serve-accept".into())
-            .spawn(move || accept_loop(&inner, listener))?
+            .spawn(move || accept_connections(&inner, &listener))?
     };
     Ok(ServerHandle {
         addr,
@@ -296,32 +316,24 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-fn accept_loop(inner: &Inner, listener: TcpListener) {
+fn accept_connections(inner: &Inner, listener: &TcpListener) {
     let started = Instant::now();
-    loop {
-        if inner.stop.load(Ordering::SeqCst) {
-            break;
+    let stop = || {
+        if inner
+            .cfg
+            .shutdown_after
+            .is_some_and(|after| started.elapsed() >= after)
+        {
+            inner.stop.store(true, Ordering::SeqCst);
         }
-        if let Some(after) = inner.cfg.shutdown_after {
-            if started.elapsed() >= after {
-                inner.stop.store(true, Ordering::SeqCst);
-                break;
-            }
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let io_t = Duration::from_millis(inner.cfg.io_timeout_ms.max(1));
-                let _ = stream.set_read_timeout(Some(io_t));
-                let _ = stream.set_write_timeout(Some(io_t));
-                admit(inner, stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
+        inner.stop.load(Ordering::SeqCst)
+    };
+    accept_loop(listener, stop, |stream| {
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+        admit(inner, stream);
+    });
     inner.cond.notify_all();
 }
 
@@ -337,14 +349,14 @@ fn admit(inner: &Inner, mut stream: TcpStream) {
                 &[
                     ("role", "\"server\"".into()),
                     ("event", "\"shed\"".into()),
-                    ("retry_after_ms", inner.cfg.retry_after_ms.to_string()),
+                    ("retry_after_ms", RETRY_AFTER_MS.to_string()),
                 ],
             );
         }
         // Best-effort typed reply from the accept thread (bounded by the
         // socket write timeout). The request frame is never read — shedding
         // must not depend on a possibly-slow client.
-        write_notification(inner, &mut stream, Status::RetryLater, 0);
+        write_notification(&mut stream, Status::RetryLater, 0);
         // Shed requests count against availability in the SLO windows.
         inner.telemetry.record(Status::RetryLater, 0, None, 0, 0);
         return;
@@ -448,9 +460,9 @@ fn us_since(t: Instant) -> u64 {
 /// the statuses a retry can help. Exempt from the deadline gate: a `Timeout`
 /// reply *is* the deadline signal, and shed/corrupt/not-found replies carry
 /// no hierarchy data.
-fn write_notification(inner: &Inner, stream: &mut TcpStream, status: Status, key: u64) {
+fn write_notification(stream: &mut TcpStream, status: Status, key: u64) {
     let retry = match status.is_retryable() {
-        true => inner.cfg.retry_after_ms,
+        true => RETRY_AFTER_MS,
         false => 0,
     };
     let _ = proto::write_frame(stream, &bare_header(status, retry, key));
@@ -472,7 +484,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
         Err(_) => {
             inner.stats.requests.fetch_add(1, Ordering::Relaxed);
             inner.stats.count_outcome(Status::BadRequest);
-            write_notification(inner, &mut stream, Status::BadRequest, 0);
+            write_notification(&mut stream, Status::BadRequest, 0);
             return;
         }
     };
@@ -485,7 +497,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
     let t0 = Instant::now();
     let (status, levels_sent, flags, stages) = match req.op {
         Op::Ping => {
-            write_notification(inner, &mut stream, Status::Ok, 0);
+            write_notification(&mut stream, Status::Ok, 0);
             (Status::Ok, 0u8, 0u8, None)
         }
         Op::List => (serve_list(inner, &mut stream, &req, t0), 0u8, 0u8, None),
@@ -570,7 +582,7 @@ fn serve_list(inner: &Inner, stream: &mut TcpStream, req: &Request, t0: Instant)
     let keys = match inner.store.list() {
         Ok(k) => k,
         Err(_) => {
-            write_notification(inner, stream, Status::Internal, 0);
+            write_notification(stream, Status::Internal, 0);
             return Status::Internal;
         }
     };
@@ -651,7 +663,7 @@ impl GetStream<'_> {
         }
         if self.cut == Some(Status::Timeout) {
             // Nothing sent yet: a typed Timeout is still possible.
-            write_notification(self.inner, self.stream, Status::Timeout, self.req.key);
+            write_notification(self.stream, Status::Timeout, self.req.key);
         }
         false
     }
@@ -746,8 +758,6 @@ fn decode_into_stream(out: &mut GetStream<'_>) -> Result<(), Status> {
         }
         Ok(_) if degraded_fabs.len() == out.available => {
             let entry = DecodedEntry {
-                algo: art.algo,
-                field: art.field,
                 levels,
                 degraded_fabs,
             };
@@ -768,7 +778,7 @@ fn serve_get(
     let budget_ms = req.deadline_ms.min(inner.cfg.max_deadline_ms);
     let deadline = t0 + Duration::from_millis(budget_ms as u64);
     if Instant::now() >= deadline {
-        write_notification(inner, stream, Status::Timeout, req.key);
+        write_notification(stream, Status::Timeout, req.key);
         return (Status::Timeout, 0, 0);
     }
     let mut out = GetStream {
@@ -795,7 +805,7 @@ fn serve_get(
             .enumerate()
             .try_for_each(|(lev, (mf, &degraded))| out.level(lev, mf, degraded));
     } else if let Err(status) = decode_into_stream(&mut out) {
-        write_notification(inner, out.stream, status, req.key);
+        write_notification(out.stream, status, req.key);
         return (status, 0, 0);
     }
     out.finish()

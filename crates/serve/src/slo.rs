@@ -24,8 +24,6 @@
 //! owns the rings that produce them and [`crate::window`] supplies the
 //! slot geometry.
 
-use amrviz_obs::hist::Histogram;
-
 /// Burn rate threshold above which a window is flagged. 1.0 would alert on
 /// exactly-at-budget; small overshoots are noise, so flag at 2x budget
 /// consumption (a common page threshold for mid-length windows).
@@ -146,26 +144,6 @@ pub struct WindowReading {
     pub p99_us: u64,
 }
 
-impl WindowReading {
-    /// Builds a reading from a merged window histogram plus good/total
-    /// counts.
-    pub fn from_histogram(
-        label: &'static str,
-        secs: u64,
-        good: u64,
-        total: u64,
-        latency: &Histogram,
-    ) -> Self {
-        WindowReading {
-            label,
-            secs,
-            good,
-            total,
-            p99_us: latency.percentile(99.0).round() as u64,
-        }
-    }
-}
-
 /// Per-window evaluation result.
 #[derive(Debug, Clone)]
 pub struct WindowEval {
@@ -213,7 +191,7 @@ impl SloReport {
         }
         format!(
             "{{\"spec\":\"{}\",\"windows\":[{}],\"avail_breach\":{},\"latency_breach\":{},\"breached\":{}}}",
-            amrviz_obs::json_escape(&self.spec.display()),
+            amrviz_json::escape(&self.spec.display()),
             windows,
             self.avail_breach,
             self.latency_breach,
@@ -278,7 +256,7 @@ pub fn emit_journal(report: &SloReport) {
             &[
                 (
                     "spec",
-                    format!("\"{}\"", amrviz_obs::json_escape(&report.spec.display())),
+                    format!("\"{}\"", amrviz_json::escape(&report.spec.display())),
                 ),
                 ("window", format!("\"{}\"", w.label)),
                 ("secs", w.secs.to_string()),
@@ -392,17 +370,5 @@ mod tests {
         assert!(j.contains("\"label\":\"5m\""), "{j}");
         // The JSON is parseable by the in-tree parser (used by CI asserts).
         amrviz_json::Json::parse(&j).expect("slo report json parses");
-    }
-
-    #[test]
-    fn from_histogram_reads_p99() {
-        let mut h = Histogram::new();
-        for _ in 0..99 {
-            h.record(10);
-        }
-        h.record(10_000);
-        let r = WindowReading::from_histogram("5m", 300, 100, 100, &h);
-        assert_eq!(r.p99_us, h.percentile(99.0).round() as u64);
-        assert!(r.p99_us >= 10);
     }
 }

@@ -30,7 +30,8 @@ pub const SLOTS: usize = 720;
 /// Evaluation windows for the SLO burn math: fast/noisy and slow/stable.
 pub const WINDOWS: [(&str, u64); 2] = [("5m", 300), ("1h", 3600)];
 
-/// Tail exemplars retained.
+/// Tail exemplars retained: enough tail context to diagnose, small enough
+/// that a STATS snapshot stays a few KB.
 pub const EXEMPLAR_CAP: usize = 8;
 
 /// Request stage names, in pipeline order. The taxonomy every aggregated
@@ -114,7 +115,8 @@ pub fn dominant_stage<'a>(
 /// server, shared by all workers.
 pub struct ReqTelemetry {
     started: Instant,
-    /// Latency histograms indexed by `Status::code()`.
+    /// Latency histograms indexed by `Status::code()`, which numbers
+    /// `Status::ALL` from 0.
     latency: Mutex<Vec<WindowedHistogram>>,
     /// Stage histograms indexed by [`STAGE_NAMES`] position.
     stages: Mutex<Vec<WindowedHistogram>>,
@@ -125,15 +127,12 @@ pub struct ReqTelemetry {
     spec: SloSpec,
 }
 
-/// Number of `Status` variants (codes 0..N_STATUS are all valid).
-const N_STATUS: usize = 9;
-
 impl ReqTelemetry {
     pub fn new(spec: SloSpec) -> Self {
         ReqTelemetry {
             started: Instant::now(),
             latency: Mutex::new(
-                (0..N_STATUS)
+                (0..Status::ALL.len())
                     .map(|_| WindowedHistogram::with_slots(SLOTS))
                     .collect(),
             ),
@@ -222,14 +221,11 @@ impl ReqTelemetry {
             let mut good = 0u64;
             let mut total = 0u64;
             let mut merged = amrviz_obs::hist::Histogram::new();
-            for (code, h) in lat.iter().enumerate() {
-                let Some(status) = Status::from_code(code as u8) else {
-                    continue;
-                };
+            for &status in Status::ALL {
                 if !status.counts_toward_slo() {
                     continue;
                 }
-                let w = h.window_merged(now_slot, k);
+                let w = lat[status.code() as usize].window_merged(now_slot, k);
                 let n = w.count();
                 total += n;
                 if status.is_good() {
@@ -237,9 +233,13 @@ impl ReqTelemetry {
                 }
                 merged.merge(&w);
             }
-            readings.push(WindowReading::from_histogram(
-                label, secs, good, total, &merged,
-            ));
+            readings.push(WindowReading {
+                label,
+                secs,
+                good,
+                total,
+                p99_us: merged.percentile(99.0).round() as u64,
+            });
         }
         evaluate(&self.spec, &readings)
     }
@@ -301,9 +301,9 @@ impl ReqTelemetry {
         };
         {
             let lat = self.latency.lock().unwrap();
-            let mut by_status = lat.iter().enumerate().filter_map(|(code, h)| {
-                Status::from_code(code as u8).map(|status| (status.name(), h))
-            });
+            let mut by_status = Status::ALL
+                .iter()
+                .map(|s| (s.name(), &lat[s.code() as usize]));
             out.push_str(&format!(",\"latency_us\":{}", family(&mut by_status)));
         }
         // Per-stage timing: same shape, keyed by the stage taxonomy.
@@ -371,15 +371,26 @@ mod tests {
             t.record_at(119, Status::Ok, 100, None, 0, 0);
         }
         let r = t.slo_report_at(119);
+        // Each window's p99 is read off the merge of its slots' histograms.
+        let p99 = |samples: &[(u64, u64)]| {
+            let mut h = amrviz_obs::hist::Histogram::new();
+            for &(n, us) in samples {
+                (0..n).for_each(|_| h.record(us));
+            }
+            h.percentile(99.0).round() as u64
+        };
         // 5m window (60 slots ending at 119): only the good burst.
         let w5 = &r.windows[0];
         assert_eq!(w5.total, 100);
         assert_eq!(w5.good, 100);
+        assert_eq!(w5.p99_us, p99(&[(100, 100)]));
         assert!(!w5.avail_exceeded);
         // 1h window sees both bursts: 150 good of 200.
         let w1h = &r.windows[1];
         assert_eq!(w1h.total, 200);
         assert_eq!(w1h.good, 150);
+        assert_eq!(w1h.p99_us, p99(&[(150, 100), (50, 1000)]));
+        assert!(w1h.p99_us >= 1000, "the failure burst is the window's tail");
         assert!(w1h.avail_exceeded, "25% bad over a 1% budget");
         // AND semantics: short window recovered, so no breach.
         assert!(!r.breached());

@@ -24,7 +24,7 @@
 //!    and reused, not re-allocated per request).
 
 use crate::artifact::encode_artifact;
-use crate::chaos::{ChaosConfig, ChaosProxy};
+use crate::chaos::ChaosProxy;
 use crate::client::{exchange, ClientConfig, Outcome};
 use crate::proto::{Op, Request, FLAG_DEGRADED};
 use crate::server::{start, ServeConfig, StatsSnapshot};
@@ -203,8 +203,7 @@ pub fn run(cfg: &ServeTortureConfig) -> ServeTortureReport {
     })
     .expect("server start");
     let direct_addr = server.addr();
-    let proxy = ChaosProxy::start(direct_addr, cfg.seed, ChaosConfig::default())
-        .expect("chaos proxy start");
+    let proxy = ChaosProxy::start(direct_addr, cfg.seed).expect("chaos proxy start");
     let chaos_addr = proxy.addr();
 
     let mem_baseline = mem::alloc_baseline();
@@ -220,7 +219,6 @@ pub fn run(cfg: &ServeTortureConfig) -> ServeTortureReport {
     };
 
     let client_cfg = ClientConfig {
-        io_timeout: Duration::from_millis(3_000),
         // Grace must absorb the proxy's worst-case injected delay (100 ms
         // per chunk) plus scheduling noise.
         grace: Duration::from_millis(800),

@@ -349,7 +349,6 @@ fn overload_sheds_with_typed_retry_later() {
         store_dir: dir.clone(),
         workers: 1,
         queue_depth: 1,
-        io_timeout_ms: 3_000,
         ..ServeConfig::default()
     })
     .unwrap();
