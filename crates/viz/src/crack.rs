@@ -23,7 +23,7 @@ pub struct CrackMetrics {
     pub rim_length: f64,
     /// Mean distance from rim edge midpoints to the coarse surface.
     pub mean_gap: f64,
-    /// 95th-percentile gap.
+    /// 95th-percentile gap, nearest rank.
     pub p95_gap: f64,
     /// Maximum gap.
     pub max_gap: f64,
@@ -92,7 +92,8 @@ pub fn interface_gap(
     amrviz_obs::counter!("viz.crack_rim_edges", n_rim);
     gaps.sort_by(|x, y| x.partial_cmp(y).expect("finite distances"));
     let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-    let p95 = gaps[((gaps.len() as f64 * 0.95) as usize).min(gaps.len() - 1)];
+    let rank = (gaps.len() as f64 * 0.95).ceil() as usize;
+    let p95 = gaps[rank.clamp(1, gaps.len()) - 1];
     let max = *gaps.last().expect("nonempty");
     Some(CrackMetrics {
         n_rim_edges: n_rim,
@@ -209,6 +210,29 @@ mod tests {
             (m.max_gap - 0.1).abs() < 1e-12,
             "midpoint 0.1 above z = 0.4"
         );
+    }
+
+    #[test]
+    fn p95_is_the_nearest_rank() {
+        // Twenty fine triangles, each with one open edge off the domain
+        // faces (as in the corner test above), at heights 0.20 down to 0.01
+        // above the coarse plane: rank 19 of 20 is 0.19, the max 0.20.
+        let mut fine = TriMesh::new();
+        for n in (1..=20u32).rev() {
+            let z = f64::from(n) / 100.0;
+            let at = fine.num_vertices() as u32;
+            fine.vertices
+                .extend([[0.0, 0.0, z], [0.0, 0.01, z], [0.01, 0.0, z]]);
+            fine.triangles.push([at, at + 1, at + 2]);
+        }
+        let coarse = TriMesh {
+            vertices: vec![[-1.0, -1.0, 0.0], [3.0, -1.0, 0.0], [-1.0, 3.0, 0.0]],
+            triangles: vec![[0, 1, 2]],
+        };
+        let m = interface_gap(&fine, &coarse, [0.0; 3], [1.0; 3], 1e-9).unwrap();
+        assert_eq!(m.n_rim_edges, 20);
+        assert!((m.p95_gap - 0.19).abs() < 1e-12, "p95 {}", m.p95_gap);
+        assert!((m.max_gap - 0.20).abs() < 1e-12, "max {}", m.max_gap);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! compression artifacts, which is why this method *amplifies* them (§4.3).
 
 use amrviz_amr::multifab::rasterize_into;
-use amrviz_amr::{AmrHierarchy, MultiFab};
+use amrviz_amr::{AmrHierarchy, Box3, IntVect, MultiFab, Raster};
 
 use crate::marching::{marching_cubes, SampledGrid};
 use crate::mesh::TriMesh;
@@ -50,39 +50,16 @@ pub fn extract_dual_level(
     let ratio0 = hier.ratio_to_level0(lev);
     let h = hier.geometry().cell_size_at(ratio0);
 
-    let mut cells = vec![0.0f64; dom.num_cells()];
+    // The cell values are rented scratch, the node values of the marched
+    // grid, and go back once it is marched.
+    let mut cells = amrviz_par::scratch::take_f64();
+    cells.resize(dom.num_cells(), 0.0);
     rasterize_into(level_data, dom, &mut cells);
     let valid = hier.valid_mask(lev);
     let covered = hier.covered_mask(lev);
 
-    // Dual cells connect 2×2×2 neighborhoods of cell centers. Parallel
-    // over dual-cell slabs.
-    let (dx, dy, dz) = (cx - 1, cy - 1, cz - 1);
-    let mut mask = vec![false; dx * dy * dz];
     let sp_mask = amrviz_obs::span!("dual.mask", level = lev);
-    amrviz_par::for_each_chunk_mut(&mut mask, dx * dy, |k, slab| {
-        for (j, out) in slab.chunks_exact_mut(dx).enumerate() {
-            let rows = [(j, k), (j + 1, k), (j, k + 1), (j + 1, k + 1)]
-                .map(|(j, k)| (valid.row(j, k), covered.row(j, k)));
-            // Over the four cells at x = i: (all valid, any unique, all unique).
-            let column = |i: usize| {
-                rows.iter()
-                    .fold((true, false, true), |(all_v, any_u, all_u), (v, c)| {
-                        let unique = v[i] && !c[i];
-                        (all_v && v[i], any_u || unique, all_u && unique)
-                    })
-            };
-            let mut here = column(0);
-            for (i, m) in out.iter_mut().enumerate() {
-                let next = column(i + 1);
-                *m = match mode {
-                    DualMode::Plain => here.2 && next.2,
-                    DualMode::SwitchingCells => here.0 && next.0 && (here.1 || next.1),
-                };
-                here = next;
-            }
-        }
-    });
+    let mask = dual_mask(&valid, &covered, mode);
     sp_mask.finish();
 
     // Node grid sits at cell centers: origin shifted by h/2.
@@ -99,7 +76,46 @@ pub fn extract_dual_level(
         cell_mask: Some(mask),
     };
     let _sp = amrviz_obs::span!("dual.march", level = lev);
-    marching_cubes(&grid, iso)
+    let mesh = marching_cubes(&grid, iso);
+    amrviz_par::scratch::give_f64(grid.values);
+    mesh
+}
+
+/// The dual cells to march, over the dual-cell box of the level's `valid`
+/// and `covered` masks. A dual cell connects a 2×2×2 neighborhood of cell
+/// centers: over the four cell rows of a dual-cell row, 64 cells a word,
+/// which cells are all valid, any unique and all unique (valid and not
+/// covered); a dual cell takes its lower x cell's flags and the next one's.
+fn dual_mask(valid: &Raster, covered: &Raster, mode: DualMode) -> Raster {
+    let dom = valid.region();
+    let dual_cells = Box3::new(dom.lo(), dom.hi() - IntVect::splat(1));
+    Raster::from_rows(dual_cells, |j, k, out| {
+        let rows = [(j, k), (j + 1, k), (j, k + 1), (j + 1, k + 1)]
+            .map(|(j, k)| (valid.row_words(j, k), covered.row_words(j, k)));
+        // Past the row's end every flag is zero.
+        let column = |w: usize| {
+            rows.iter()
+                .fold((!0, 0, !0), |(all_v, any_u, all_u), (v, c)| {
+                    let (v, c) = (
+                        v.get(w).copied().unwrap_or(0),
+                        c.get(w).copied().unwrap_or(0),
+                    );
+                    (all_v & v, any_u | v & !c, all_u & v & !c)
+                })
+        };
+        let on = |here: u64, next: u64| here >> 1 | next << 63;
+        let mut here = column(0);
+        for (w, out) in out.iter_mut().enumerate() {
+            let next = column(w + 1);
+            *out = match mode {
+                DualMode::Plain => here.2 & on(here.2, next.2),
+                DualMode::SwitchingCells => {
+                    here.0 & on(here.0, next.0) & (here.1 | on(here.1, next.1))
+                }
+            };
+            here = next;
+        }
+    })
 }
 
 #[cfg(test)]
@@ -230,6 +246,40 @@ mod tests {
         assert!(!mesh.is_empty());
         for v in &mesh.vertices {
             assert!((v[0] - 0.5).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn dual_mask_words_match_the_per_cell_rule() {
+        // Row widths around one and two words, so a dual cell's upper x cell
+        // is the next word's first for every 64th dual cell.
+        for cx in [2, 63, 64, 65, 66, 129, 130] {
+            amrviz_rng::check(0xd0a1 + cx as u64, 8, |rng| {
+                let lo = IntVect::new(-7, 2, 4);
+                let size = IntVect::new(cx as i64, rng.range_i64(2, 4), rng.range_i64(2, 4));
+                let dom = Box3::new(lo, lo + size - IntVect::splat(1));
+                let (mut valid, mut covered) = (Raster::falses(dom), Raster::falses(dom));
+                for iv in dom.cells() {
+                    valid.set(iv, rng.chance(0.85));
+                    covered.set(iv, rng.chance(0.3));
+                }
+                for mode in [DualMode::Plain, DualMode::SwitchingCells] {
+                    let mask = dual_mask(&valid, &covered, mode);
+                    for d in mask.region().cells() {
+                        let eight: Vec<IntVect> = (0..8)
+                            .map(|c| d + IntVect::new(c & 1, c >> 1 & 1, c >> 2))
+                            .collect();
+                        let unique = |iv: &IntVect| valid.get(*iv) && !covered.get(*iv);
+                        let want = match mode {
+                            DualMode::Plain => eight.iter().all(unique),
+                            DualMode::SwitchingCells => {
+                                eight.iter().all(|iv| valid.get(*iv)) && eight.iter().any(unique)
+                            }
+                        };
+                        assert_eq!(mask.get(d), want, "{mode:?} dual cell {d:?}");
+                    }
+                }
+            });
         }
     }
 

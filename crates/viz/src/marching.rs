@@ -45,13 +45,16 @@
 //! in-cell triangulator: they come from resolution mismatch at level
 //! interfaces and are reproduced faithfully by the level extractors.
 
+use amrviz_amr::{Box3, Raster};
+
 use crate::mesh::TriMesh;
 
 /// A node-centered sampled scalar grid in physical space.
 ///
 /// `dims` counts grid *nodes* per axis; cubes (cells) number `dims − 1` per
 /// axis. `cell_mask`, when present, selects which cubes are triangulated
-/// (used by the AMR extractors to restrict each level to its own region).
+/// (used by the AMR extractors to restrict each level to its own region):
+/// a raster of the cube grid's shape, its row `(j, k)` the cubes' row.
 /// Every component of `spacing` must be finite and strictly positive: the
 /// triangle winding is tabulated for a grid that is not mirrored.
 #[derive(Debug, Clone)]
@@ -60,7 +63,7 @@ pub struct SampledGrid {
     pub origin: [f64; 3],
     pub spacing: [f64; 3],
     pub values: Vec<f64>,
-    pub cell_mask: Option<Vec<bool>>,
+    pub cell_mask: Option<Raster>,
 }
 
 impl SampledGrid {
@@ -193,22 +196,38 @@ const CROSSED_DIRS: [[u8; 8]; 256] = {
 /// and its inside-mask — and how many triangles they will emit.
 type Layer = (Vec<(u32, u8)>, usize);
 
-/// [`Layer`] `k` of the grid.
-fn classify(grid: &SampledGrid, iso: f64, k: usize) -> Layer {
-    let [nx, ny, _] = grid.dims;
+/// [`Layer`] `k` of the grid, from the `inside` flags of its nodes. A cube
+/// is crossed when its eight corners are neither all outside nor all
+/// inside: per cube row that is the OR and the AND of four node rows and of
+/// the same rows one node on, 64 cubes a word, visited in raster order.
+fn classify(grid: &SampledGrid, inside: &Raster, k: usize) -> Layer {
+    let nx = grid.dims[0];
     let [cx, cy, _] = grid.cell_dims();
-    let (mut cubes, mut triangles, mask) = (Vec::new(), 0, grid.cell_mask.as_ref());
+    // The cube bits of a row's last word; a node row may have one word more.
+    let (words, tail) = (cx.div_ceil(64), u64::MAX >> (63 - (cx - 1) % 64));
+    let (mut cubes, mut triangles) = (Vec::new(), 0);
     for j in 0..cy {
-        let rows = [(0, 0), (1, 0), (0, 1), (1, 1)]
-            .map(|(dj, dk)| &grid.values[nx * (j + dj + ny * (k + dk))..][..nx]);
-        // Inside flags of the four nodes at x = i, on corner bits 0, 2, 4, 6.
-        let column = |i: usize| (0..4).fold(0, |m, r| m | ((rows[r][i] >= iso) as u8) << (2 * r));
-        let mut here = column(0);
-        for i in 0..cx {
-            let next = column(i + 1);
-            let case = (here | next << 1) as usize;
-            here = next;
-            if case != 0 && case != 0xFF && mask.is_none_or(|m| m[i + cx * (j + cy * k)]) {
+        let rows =
+            [(0, 0), (1, 0), (0, 1), (1, 1)].map(|(dj, dk)| inside.row_words(j + dj, k + dk));
+        let mask = grid.cell_mask.as_ref().map(|m| m.row_words(j, k));
+        for w in 0..words {
+            // Per node row, the flags at x = i and at x = i + 1 of cube i:
+            // corner bits 2r and 2r + 1.
+            let on = |r: &[u64]| r[w] >> 1 | r.get(w + 1).map_or(0, |&n| n << 63);
+            let corners = rows.map(|r| (r[w], on(r)));
+            let (any, all) = corners.iter().fold((0, u64::MAX), |(any, all), &(a, b)| {
+                (any | a | b, all & a & b)
+            });
+            let live = if w + 1 == words { tail } else { u64::MAX };
+            let mut crossed = any & !all & live & mask.map_or(u64::MAX, |m| m[w]);
+            while crossed != 0 {
+                let b = crossed.trailing_zeros();
+                crossed &= crossed - 1;
+                let case = (0..4).fold(0, |case, r| {
+                    let (a, next) = corners[r];
+                    case | (a >> b & 1) << (2 * r) | (next >> b & 1) << (2 * r + 1)
+                }) as usize;
+                let i = 64 * w + b as usize;
                 let n0 = u32::try_from(i + nx * j).expect("a node plane has under 2^32 nodes");
                 cubes.push((n0, case as u8));
                 triangles += CUBE_TRIS[case].0 as usize;
@@ -334,13 +353,22 @@ fn extract(grid: &SampledGrid, iso: f64, chunk: usize) -> TriMesh {
         return TriMesh::new();
     }
     if let Some(mask) = &grid.cell_mask {
-        assert_eq!(mask.len(), cx * cy * cz, "cell mask size mismatch");
+        let size = mask.region().size();
+        assert_eq!(size, [cx, cy, cz], "cell mask size mismatch");
     }
     let spacing = grid.spacing;
     let upright = spacing.iter().all(|&h| h > 0.0 && h.is_finite());
     assert!(upright, "spacing {spacing:?} is not finite and positive");
-    // Count: each layer's crossed cubes, then each node plane's crossings.
-    let mut layers = amrviz_par::run(cz, |k| classify(grid, iso, k));
+    // Count: each node's side of the iso-value, one compare and one bit a
+    // node; each layer's crossed cubes; then each node plane's crossings.
+    let [nx, ny, nz] = grid.dims;
+    let inside = Raster::from_rows(Box3::from_dims(nx, ny, nz), |j, k, words| {
+        let row = &grid.values[nx * (j + ny * k)..][..nx];
+        for (word, values) in words.iter_mut().zip(row.chunks(64)) {
+            *word = (values.iter().enumerate()).fold(0, |w, (b, &v)| w | ((v >= iso) as u64) << b);
+        }
+    });
+    let mut layers = amrviz_par::run(cz, |k| classify(grid, &inside, k));
     layers.push((Vec::new(), 0));
     let planes = amrviz_par::run(cz + 1, |q| mark_plane(grid.dims, &layers, q));
     let (dirs, crossings): (_, Vec<_>) = planes.into_iter().unzip();
@@ -399,7 +427,25 @@ fn extract(grid: &SampledGrid, iso: f64, chunk: usize) -> TriMesh {
 mod tests {
     use super::*;
     use crate::surface_compare::surface_distance;
+    use amrviz_amr::IntVect;
     use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+    /// A cube mask holding `keep(cube)` per cube, asked in raster order.
+    fn cube_mask(grid: &SampledGrid, mut keep: impl FnMut([usize; 3]) -> bool) -> Raster {
+        let [cx, cy, cz] = grid.cell_dims();
+        let mut mask = Raster::falses(Box3::from_dims(cx, cy, cz));
+        for n in 0..cx * cy * cz {
+            let cube = [n % cx, n / cx % cy, n / (cx * cy)];
+            mask.set(IntVect(cube.map(|c| c as i64)), keep(cube));
+        }
+        mask
+    }
+
+    /// Whether the grid's mask, if it has one, lets `cube` be marched.
+    fn unmasked(grid: &SampledGrid, [i, j, k]: [usize; 3]) -> bool {
+        let bit = |m: &Raster| m.row_words(j, k)[i / 64] >> (i % 64) & 1 == 1;
+        grid.cell_mask.as_ref().is_none_or(bit)
+    }
 
     /// The six Kuhn tetrahedra of a cube, as corner indices (`dx + 2dy +
     /// 4dz`), all around the main diagonal 0–7: the triangulator this module
@@ -487,12 +533,8 @@ mod tests {
     #[test]
     fn cell_mask_restricts_output() {
         let mut grid = SampledGrid::from_fn([9, 9, 9], [0.0; 3], [0.125; 3], |x, _, _| x);
-        let cd = grid.cell_dims();
         // Only march the k < 4 half.
-        let mask: Vec<bool> = (0..cd[0] * cd[1] * cd[2])
-            .map(|n| (n / (cd[0] * cd[1])) < 4)
-            .collect();
-        grid.cell_mask = Some(mask);
+        grid.cell_mask = Some(cube_mask(&grid, |[_, _, k]| k < 4));
         let mesh = marching_cubes(&grid, 0.5);
         assert!(!mesh.is_empty());
         for v in &mesh.vertices {
@@ -606,11 +648,7 @@ mod tests {
         for (k, j, i) in
             (0..cz).flat_map(|k| (0..cy).flat_map(move |j| (0..cx).map(move |i| (k, j, i))))
         {
-            if grid
-                .cell_mask
-                .as_ref()
-                .is_some_and(|m| !m[i + cx * (j + cy * k)])
-            {
+            if !unmasked(grid, [i, j, k]) {
                 continue;
             }
             for tet in &TETS {
@@ -683,10 +721,10 @@ mod tests {
         for (n, (corner, axis)) in
             (0..cx * cy * cz).flat_map(|n| (0..24).map(move |e| (n, (e / 3, e % 3))))
         {
-            if corner >> axis & 1 == 1 || grid.cell_mask.as_ref().is_some_and(|m| !m[n]) {
+            let cube = [n % cx, n / cx % cy, n / (cx * cy)];
+            if corner >> axis & 1 == 1 || !unmasked(grid, cube) {
                 continue;
             }
-            let cube = [n % cx, n / cx % cy, n / (cx * cy)];
             let lo: [usize; 3] = std::array::from_fn(|a| cube[a] + (corner >> a & 1));
             let ((p, va), (r, vb)) = (grid.node(lo, 0), grid.node(lo, 1 << axis));
             if (va >= iso) != (vb >= iso) {
@@ -765,13 +803,7 @@ mod tests {
         }
         let edges = edges_of_vertices(grid, iso, &mesh);
         let cd = grid.cell_dims();
-        let marched = |cube: [usize; 3]| {
-            (0..3).all(|a| cube[a] < cd[a])
-                && grid
-                    .cell_mask
-                    .as_ref()
-                    .is_none_or(|m| m[cube[0] + cd[0] * (cube[1] + cd[1] * cube[2])])
-        };
+        let marched = |cube: [usize; 3]| (0..3).all(|a| cube[a] < cd[a]) && unmasked(grid, cube);
         // The cube face both grid edges of a mesh edge lie in — the axis all
         // four end nodes agree on, at the least of the nodes — as the cubes
         // below and above it.
@@ -812,29 +844,40 @@ mod tests {
     #[test]
     fn random_masked_grids_are_welded_closed_and_chunk_invariant() {
         // Layer counts around the chunk size: under one chunk, exactly one,
-        // one layer into the second, and into the third and fourth.
-        for cz in [1, 31, 32, 33, 65, 97] {
-            amrviz_rng::check(0x7e7 + cz as u64, 6, |rng| {
-                let dims = [rng.range_usize(2, 5), rng.range_usize(2, 5), cz + 1];
-                let iso = 0.5;
-                let mut grid =
-                    SampledGrid::from_fn(dims, [-1.0, 0.0, 2.0], [0.5, 0.25, 0.125], |_, _, _| {
-                        // A third of the samples sit exactly on the iso-value.
-                        match rng.below(3) {
-                            0 => iso,
-                            _ => rng.range_f64(-1.0, 2.0),
-                        }
-                    });
-                if rng.chance(0.7) {
-                    let cd = grid.cell_dims();
-                    grid.cell_mask = Some(
-                        (0..cd[0] * cd[1] * cd[2])
-                            .map(|_| rng.chance(0.6))
-                            .collect(),
+        // one layer into the second, and into the third and fourth. Node rows
+        // of a few nodes, and around one and two words of inside flags: the
+        // corner one node on comes from the next word for the last cube of
+        // a word, and a row of 65 nodes has a word with one node and no cube.
+        let widths = [None, Some(63), Some(64), Some(65), Some(130)];
+        for (cz, width) in [1, 31, 32, 33, 65, 97]
+            .into_iter()
+            .flat_map(|cz| widths.map(|w| (cz, w)))
+        {
+            amrviz_rng::check(
+                0x7e7 + cz as u64 + width.map_or(0, |w| w << 8) as u64,
+                6,
+                |rng| {
+                    let nx = width.unwrap_or_else(|| rng.range_usize(2, 5));
+                    let dims = [nx, rng.range_usize(2, 5), cz + 1];
+                    let iso = 0.5;
+                    let mut grid = SampledGrid::from_fn(
+                        dims,
+                        [-1.0, 0.0, 2.0],
+                        [0.5, 0.25, 0.125],
+                        |_, _, _| {
+                            // A third of the samples sit exactly on the iso-value.
+                            match rng.below(3) {
+                                0 => iso,
+                                _ => rng.range_f64(-1.0, 2.0),
+                            }
+                        },
                     );
-                }
-                assert_well_formed(&grid, iso);
-            });
+                    if rng.chance(0.7) {
+                        grid.cell_mask = Some(cube_mask(&grid, |_| rng.chance(0.6)));
+                    }
+                    assert_well_formed(&grid, iso);
+                },
+            );
         }
     }
 
@@ -1086,10 +1129,7 @@ mod tests {
         for (name, field) in fields {
             let mut grid = SampledGrid::from_fn([n; 3], [0.0; 3], [h; 3], field);
             if name == "masked plane" {
-                let cd = grid.cell_dims();
-                let cells =
-                    (0..cd[0] * cd[1] * cd[2]).map(|c| (c % cd[0] + c / cd[0] % cd[1]) % 7 != 3);
-                grid.cell_mask = Some(cells.collect());
+                grid.cell_mask = Some(cube_mask(&grid, |[i, j, _]| (i + j) % 7 != 3));
             }
             let faces = (0..n * n * n)
                 .flat_map(|c| (0..3).map(move |a| ([c % n, c / n % n, c / (n * n)], a)));
@@ -1154,12 +1194,10 @@ mod tests {
                 let on = z as usize == plane && !(x as usize + 2 * y as usize).is_multiple_of(3);
                 on as u8 as f64
             });
-        let cd = grid.cell_dims();
-        let mask = (0..cd[0] * cd[1] * cd[2]).map(|n| {
-            let (i, j, k) = (n % cd[0], n / cd[0] % cd[1], n / (cd[0] * cd[1]));
+        let mask = cube_mask(&grid, |[i, j, k]| {
             k != plane && !(k == plane - 1 && i == 1 && j == 2)
         });
-        grid.cell_mask = Some(mask.collect());
+        grid.cell_mask = Some(mask);
         let mesh = assert_well_formed(&grid, 0.5);
         let on_plane = mesh
             .vertices

@@ -89,18 +89,22 @@ impl TriMesh {
     }
 
     /// Total surface area: the [`TriMesh::face_area`]s summed in triangle
-    /// order, to the bit (`-0.0` is what an empty `sum()` gives). The squared
-    /// norms are gathered a batch ahead, so the serial sum waits on square
-    /// roots alone.
+    /// order, to the bit (`-0.0` is what an empty `sum()` gives). A batch's
+    /// squared norms are gathered first and turned into areas in a pass of
+    /// their own over the whole batch buffer, which vectorizes, so the serial
+    /// sum waits on nothing but additions.
     pub fn total_area(&self) -> f64 {
-        let (mut total, mut squares) = (-0.0, [0.0; 64]);
-        for batch in self.triangles.chunks(squares.len()) {
-            for (sq, &t) in squares.iter_mut().zip(batch) {
+        let (mut total, mut areas) = (-0.0, [0.0f64; 64]);
+        for batch in self.triangles.chunks(areas.len()) {
+            for (area, &t) in areas.iter_mut().zip(batch) {
                 let n = self.raw_normal(t);
-                *sq = n[0] * n[0] + n[1] * n[1] + n[2] * n[2];
+                *area = n[0] * n[0] + n[1] * n[1] + n[2] * n[2];
             }
-            for sq in &squares[..batch.len()] {
-                total += 0.5 * sq.sqrt();
+            for area in &mut areas {
+                *area = 0.5 * area.sqrt();
+            }
+            for area in &areas[..batch.len()] {
+                total += area;
             }
         }
         total

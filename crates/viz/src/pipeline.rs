@@ -103,7 +103,6 @@ pub fn extract_amr_isosurface(
     // work — would otherwise be stuck on one worker.
     let level_meshes = levels.iter().enumerate().map(|(lev, mf)| {
         let mut lsp = amrviz_obs::span!("extract.level", level = lev);
-        let t0 = amrviz_obs::is_enabled().then(std::time::Instant::now);
         let mesh = match method {
             IsoMethod::Resampling => extract_resampled_level(hier, mf, lev, iso),
             IsoMethod::DualCell => extract_dual_level(hier, mf, lev, iso, DualMode::Plain),
@@ -111,10 +110,8 @@ pub fn extract_amr_isosurface(
                 extract_dual_level(hier, mf, lev, iso, DualMode::SwitchingCells)
             }
         };
-        if let Some(t0) = t0 {
-            amrviz_obs::histogram!("extract.level_us", t0.elapsed().as_micros());
-        }
         lsp.add_field("triangles", mesh.num_triangles());
+        amrviz_obs::histogram!("extract.level_us", lsp.finish() * 1e6);
         mesh
     });
     let res = AmrIsoResult {
@@ -189,6 +186,18 @@ mod tests {
             switching.level_meshes[1].num_triangles(),
             plain.level_meshes[1].num_triangles()
         );
+    }
+
+    #[test]
+    fn extraction_gives_back_every_buffer_it_rents() {
+        let h = two_level();
+        let levels = &h.field("f").unwrap().levels;
+        for method in IsoMethod::ALL {
+            extract_amr_isosurface(&h, levels, 0.0, method);
+            let pooled = amrviz_par::scratch::pooled_counts();
+            extract_amr_isosurface(&h, levels, 0.0, method);
+            assert_eq!(amrviz_par::scratch::pooled_counts(), pooled, "{method:?}");
+        }
     }
 
     #[test]

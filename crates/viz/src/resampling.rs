@@ -10,7 +10,7 @@
 //! characteristic **cracks** of Fig. 1a — reproduced here by construction.
 
 use amrviz_amr::multifab::rasterize_into;
-use amrviz_amr::{AmrHierarchy, MultiFab, Raster};
+use amrviz_amr::{AmrHierarchy, Box3, IntVect, MultiFab, Raster};
 
 use crate::marching::{marching_cubes, SampledGrid};
 use crate::mesh::TriMesh;
@@ -31,55 +31,60 @@ pub fn extract_resampled_level(
     let ratio0 = hier.ratio_to_level0(lev);
     let h = hier.geometry().cell_size_at(ratio0);
 
-    // Dense cell values + validity. The cell buffer is rented scratch: it
-    // is only needed while the node grid is assembled and goes back to the
-    // pool before marching, so it never stacks on top of the mesh build.
-    let mut cells = amrviz_par::scratch::take_f64();
-    cells.resize(dom.num_cells(), 0.0);
-    rasterize_into(level_data, dom, &mut cells);
+    // The node grid is rented scratch, given back once it is marched: the
+    // one level-sized buffer of the method.
     let valid = hier.valid_mask(lev);
-    let covered = hier.covered_mask(lev);
-
+    let mut nodes = amrviz_par::scratch::take_f64();
     let sp_nodes = amrviz_obs::span!("resample.nodes", level = lev);
-    let nodes = node_averages(&cells, &valid);
+    node_averages(level_data, &valid, &mut nodes);
     sp_nodes.finish();
-    amrviz_par::scratch::give_f64(cells);
 
-    // March the level's unique cells only (parallel over cell slabs).
-    let mut mask = vec![false; cx * cy * cz];
-    amrviz_par::for_each_chunk_mut(&mut mask, cx * cy, |k, slab| {
-        for (j, out) in slab.chunks_exact_mut(cx).enumerate() {
-            for ((m, &v), &c) in out.iter_mut().zip(valid.row(j, k)).zip(covered.row(j, k)) {
-                *m = v && !c;
-            }
-        }
-    });
-
+    // March the level's unique cells only: valid and not covered.
     let origin = hier.geometry().prob_lo;
     let grid = SampledGrid {
         dims: [cx + 1, cy + 1, cz + 1],
         origin,
         spacing: h,
         values: nodes,
-        cell_mask: Some(mask),
+        cell_mask: Some(hier.unique_mask(lev)),
     };
     let _sp = amrviz_obs::span!("resample.march", level = lev);
-    marching_cubes(&grid, iso)
+    let mesh = marching_cubes(&grid, iso);
+    amrviz_par::scratch::give_f64(grid.values);
+    mesh
 }
 
-/// The vertex-centered grid of a level: node (i, j, k) averages the ≤ 8
+/// Node planes per task of [`node_averages`]. A task rasterizes the cell
+/// planes its nodes touch, one more than it has node planes.
+const NODE_PLANES: usize = 8;
+
+/// The vertex-centered grid of a level — its cells `level`, its domain
+/// `valid`'s region — written over `nodes`: node (i, j, k) averages the ≤ 8
 /// adjacent valid cells (`+0.0` where there is none). At patch boundaries
 /// the average is one-sided — the "dangling node" conflict responsible for
-/// cracks. Parallel over node slabs.
-fn node_averages(cells: &[f64], valid: &Raster) -> Vec<f64> {
-    let [cx, cy, cz] = valid.region().size();
-    let nnx = cx + 1;
-    let mut nodes = vec![0.0f64; nnx * (cy + 1) * (cz + 1)];
-    amrviz_par::for_each_chunk_mut(&mut nodes, nnx * (cy + 1), |nk, slab| {
+/// cracks. Parallel over slabs of node planes.
+fn node_averages(level: &MultiFab, valid: &Raster, nodes: &mut Vec<f64>) {
+    let dom = valid.region();
+    let [cx, cy, cz] = dom.size();
+    let (nnx, plane) = (cx + 1, (cx + 1) * (cy + 1));
+    nodes.clear();
+    nodes.resize(plane * (cz + 1), 0.0);
+    amrviz_par::for_each_chunk_mut(nodes, NODE_PLANES * plane, |s, slab| {
+        // The dense cell planes `ck0..ck1` under and over the slab's nodes.
+        let nk0 = s * NODE_PLANES;
+        let (ck0, ck1) = (nk0.saturating_sub(1), (nk0 + slab.len() / plane).min(cz));
+        let (lo, hi) = (dom.lo(), dom.hi());
+        let planes = Box3::new(
+            IntVect::new(lo[0], lo[1], lo[2] + ck0 as i64),
+            IntVect::new(hi[0], hi[1], lo[2] + ck1 as i64 - 1),
+        );
+        let mut cells = vec![0.0; planes.num_cells()];
+        rasterize_into(level, planes, &mut cells);
         // One cell row, invalid cells as zero, with one absent cell (zero,
         // uncounted) before and after it; and the node row's cell counts.
         let (mut w, mut c, mut cnt) = (vec![0.0; cx + 2], vec![0u32; cx + 2], vec![0u32; nnx]);
-        for (nj, out) in slab.chunks_exact_mut(nnx).enumerate() {
+        for (n, out) in slab.chunks_exact_mut(nnx).enumerate() {
+            let (nj, nk) = (n % (cy + 1), nk0 + n / (cy + 1));
             cnt.fill(0);
             // The ≤ 4 cell rows touching this node row, z-major, each added
             // x pair innermost: every node's sum keeps its (z, y, x) order,
@@ -92,8 +97,12 @@ fn node_averages(cells: &[f64], valid: &Raster) -> Vec<f64> {
                 if cj >= cy || ck >= cz {
                     continue;
                 }
-                let row = valid.row(cj, ck).iter().zip(&cells[cx * (cj + cy * ck)..]);
-                for ((w, c), (&valid, &v)) in w[1..].iter_mut().zip(&mut c[1..]).zip(row) {
+                let flags = valid.row_words(cj, ck);
+                let row = cells[cx * (cj + cy * (ck - ck0))..][..cx]
+                    .iter()
+                    .enumerate();
+                for ((w, c), (i, &v)) in w[1..].iter_mut().zip(&mut c[1..]).zip(row) {
+                    let valid = flags[i / 64] >> (i % 64) & 1 == 1;
                     (*w, *c) = (if valid { v } else { 0.0 }, valid as u32);
                 }
                 for (node, w) in out.iter_mut().zip(w.windows(2)) {
@@ -110,13 +119,12 @@ fn node_averages(cells: &[f64], valid: &Raster) -> Vec<f64> {
             }
         }
     });
-    nodes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amrviz_amr::{Box3, BoxArray, Geometry, IntVect};
+    use amrviz_amr::{BoxArray, Fab, Geometry};
 
     /// Single-level hierarchy holding a sphere SDF-like field.
     fn single_level_sphere(n: usize) -> AmrHierarchy {
@@ -165,7 +173,8 @@ mod tests {
             for ck in nk.saturating_sub(1)..(nk + 1).min(cz) {
                 for cj in nj.saturating_sub(1)..(nj + 1).min(cy) {
                     for ci in ni.saturating_sub(1)..(ni + 1).min(cx) {
-                        if valid.row(cj, ck)[ci] {
+                        let at = IntVect([ci, cj, ck].map(|c| c as i64));
+                        if valid.get(valid.region().lo() + at) {
                             sum += cells[ci + cx * (cj + cy * ck)];
                             cnt += 1;
                         }
@@ -182,8 +191,10 @@ mod tests {
     #[test]
     fn node_rows_match_the_per_node_oracle_to_the_bit() {
         amrviz_rng::check(0x40de, 40, |rng| {
-            let [cx, cy, cz] = [(); 3].map(|_| rng.range_usize(1, 7));
-            let dom = Box3::from_dims(cx, cy, cz);
+            // Node slabs of `NODE_PLANES` planes: one, two and three of them.
+            let [cx, cy, cz] = [7, 7, 3 * NODE_PLANES].map(|n| rng.range_usize(1, n));
+            let lo = IntVect::new(3, -2, 5);
+            let dom = Box3::new(lo, lo + IntVect([cx, cy, cz].map(|n| n as i64 - 1)));
             // Valid cells come in runs, so whole neighbourhoods are invalid;
             // every domain face has node rows with absent cell rows.
             let (mut valid, mut on) = (Raster::falses(dom), true);
@@ -193,7 +204,7 @@ mod tests {
                         on = !on;
                     }
                     let at = [n % cx, n / cx % cy, n / (cx * cy)];
-                    valid.set(IntVect(at.map(|c| c as i64)), on);
+                    valid.set(lo + IntVect(at.map(|c| c as i64)), on);
                     match (on, rng.below(4)) {
                         // What an invalid cell holds is never read.
                         (false, _) => f64::NAN,
@@ -202,10 +213,18 @@ mod tests {
                     }
                 })
                 .collect();
-            let (got, want) = (
-                node_averages(&cells, &valid),
-                node_averages_oracle(&cells, &valid),
-            );
+            // One fab per cell plane; the node grid written over a rented
+            // buffer that held other values.
+            let fabs = (0..cz).map(|k| {
+                let plane = Box3::new(
+                    lo + IntVect::new(0, 0, k as i64),
+                    dom.hi() - IntVect::new(0, 0, (cz - 1 - k) as i64),
+                );
+                Fab::from_fn(plane, |iv| cells[dom.offset(iv)])
+            });
+            let mut got = vec![f64::NAN; 5];
+            node_averages(&MultiFab::from_fabs(fabs.collect()), &valid, &mut got);
+            let want = node_averages_oracle(&cells, &valid);
             let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             assert_eq!(bits(got), bits(want));
         });
