@@ -369,9 +369,62 @@ mod tests {
 
     #[test]
     fn deterministic_output() {
-        let a = html(&sample_events());
-        let b = html(&sample_events());
-        assert_eq!(a, b);
-        assert_eq!(collapsed(&sample_events()), collapsed(&sample_events()));
+        let events = crate::tests::fixture_events();
+        assert_eq!(
+            collapsed(&events),
+            concat!(
+                "compress 100000\n",
+                "compress;compress.level [L0] 250000\n",
+                "compress;compress.level [L0];compress.level [L0] 50000\n",
+                "compress;compress.level [L1] 600000\n",
+                "extract 500000\n",
+                "extract;extract.level [L1] 250000\n",
+                "lost 0\n",
+            )
+        );
+        assert_eq!(
+            html(&events),
+            concat!(
+                "<!DOCTYPE html>\n",
+                "<html><head><meta charset=\"utf-8\">\n",
+                "<title>amrviz flamegraph</title>\n",
+                "<style>\n",
+                "body{font:12px monospace;margin:16px;background:#1e1e1e;color:#ddd}\n",
+                "#g{position:relative;height:54px;margin-top:8px}\n",
+                ".f{position:absolute;height:16px;line-height:16px;overflow:hidden;white-space:nowrap;text-overflow:clip;border:1px solid #1e1e1e;box-sizing:border-box;color:#222;cursor:pointer;font-size:11px;padding-left:2px;border-radius:2px}\n",
+                ".f:hover{filter:brightness(1.2)}\n",
+                "#hdr{display:flex;gap:16px;align-items:baseline}\n",
+                "button{font:inherit;background:#333;color:#ddd;border:1px solid #555;border-radius:3px;cursor:pointer}\n",
+                "</style></head><body>\n",
+                "<div id=\"hdr\"><b>amrviz flamegraph</b><span>total 1750.000 ms across 3 root span(s)</span><button onclick=\"zoom(0,1)\">reset zoom</button><span>click a frame to zoom</span></div>\n",
+                "<div id=\"g\">\n",
+                "<div class=\"f\" data-x=\"0.000000\" data-w=\"0.571429\" style=\"left:0.0000%;width:57.1429%;top:0px;background:hsl(1,84%,60%)\" title=\"compress — 1000.000 ms total, 100.000 ms self, 1 span(s), 57.1% | peak 4.0 KiB\">compress</div>\n",
+                "<div class=\"f\" data-x=\"0.000000\" data-w=\"0.171429\" style=\"left:0.0000%;width:17.1429%;top:18px;background:hsl(22,74%,58%)\" title=\"compress.level [L0] — 300.000 ms total, 250.000 ms self, 1 span(s), 17.1% | peak 1000 B\">compress.level [L0]</div>\n",
+                "<div class=\"f\" data-x=\"0.000000\" data-w=\"0.028571\" style=\"left:0.0000%;width:2.8571%;top:36px;background:hsl(22,74%,58%)\" title=\"compress.level [L0] — 50.000 ms total, 50.000 ms self, 1 span(s), 2.9%\">compress.level [L0]</div>\n",
+                "<div class=\"f\" data-x=\"0.171429\" data-w=\"0.342857\" style=\"left:17.1429%;width:34.2857%;top:18px;background:hsl(10,70%,60%)\" title=\"compress.level [L1] — 600.000 ms total, 600.000 ms self, 1 span(s), 34.3% | peak 3.3 MiB\">compress.level [L1]</div>\n",
+                "<div class=\"f\" data-x=\"0.571429\" data-w=\"0.428571\" style=\"left:57.1429%;width:42.8571%;top:0px;background:hsl(27,71%,56%)\" title=\"extract — 750.000 ms total, 500.000 ms self, 2 span(s), 42.9% | peak 2.0 KiB\">extract</div>\n",
+                "<div class=\"f\" data-x=\"0.571429\" data-w=\"0.142857\" style=\"left:57.1429%;width:14.2857%;top:18px;background:hsl(28,88%,57%)\" title=\"extract.level [L1] — 250.000 ms total, 250.000 ms self, 1 span(s), 14.3%\">extract.level [L1]</div>\n",
+                "<div class=\"f\" data-x=\"1.000000\" data-w=\"0.000000\" style=\"left:100.0000%;width:0.0000%;top:0px;background:hsl(51,87%,54%)\" title=\"lost — 0.000 ms total, 0.000 ms self, 1 span(s), 0.0%\">lost</div>\n",
+                "</div>\n",
+                "<script>\n",
+                "function zoom(x0,w0){\n",
+                "document.querySelectorAll('.f').forEach(function(d){\n",
+                "var x=parseFloat(d.dataset.x),w=parseFloat(d.dataset.w);\n",
+                "var nx=(x-x0)/w0,nw=w/w0;\n",
+                "if(nx+nw<=0||nx>=1||nw<1e-6){d.style.display='none';return;}\n",
+                "d.style.display='block';\n",
+                "d.style.left=(Math.max(nx,0)*100)+'%';\n",
+                "d.style.width=((Math.min(nx+nw,1)-Math.max(nx,0))*100)+'%';\n",
+                "});\n",
+                "}\n",
+                "document.querySelectorAll('.f').forEach(function(d){\n",
+                "d.addEventListener('click',function(){\n",
+                "zoom(parseFloat(d.dataset.x),parseFloat(d.dataset.w));\n",
+                "});\n",
+                "});\n",
+                "</script>\n",
+                "</body></html>\n",
+            )
+        );
     }
 }

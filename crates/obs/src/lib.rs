@@ -742,6 +742,35 @@ mod tests {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The recording the exporters' pinned renderings are taken from:
+    /// `level` fields, a repeated root, a child with its parent's key, an
+    /// orphan whose parent was never recorded, and memory peaks in each
+    /// unit the flamegraph prints.
+    pub(crate) fn fixture_events() -> Vec<SpanEvent> {
+        let ev = |id, parent, name, level: Option<i64>, dur_ns, mem_peak_bytes| SpanEvent {
+            id,
+            parent,
+            trace_id: 0xfeed,
+            name,
+            fields: level.map_or(Vec::new(), |l| vec![("level", FieldValue::Int(l))]),
+            thread: 0,
+            start_ns: id * 10,
+            dur_ns,
+            mem_net_bytes: 0,
+            mem_peak_bytes,
+        };
+        vec![
+            ev(1, 0, "compress", None, 1_000_000_000, 4_096),
+            ev(2, 1, "compress.level", Some(0), 300_000_000, 1_000),
+            ev(3, 1, "compress.level", Some(1), 600_000_000, 3_500_000),
+            ev(4, 0, "extract", None, 500_000_000, 0),
+            ev(5, 2, "compress.level", Some(0), 50_000_000, 0),
+            ev(6, 0, "extract", None, 250_000_000, 2_048),
+            ev(8, 6, "extract.level", Some(1), 250_000_000, 0),
+            ev(9, 7, "lost", None, 42, 0),
+        ]
+    }
+
     #[test]
     fn disabled_spans_record_nothing_but_still_time() {
         let _g = guard();

@@ -267,18 +267,36 @@ mod tests {
 
     #[test]
     fn text_and_json_render() {
-        let events = vec![
-            ev(1, 0, "compress", None, 500_000_000),
-            ev(2, 1, "compress.level", Some(0), 250_000_000),
-        ];
-        let s = build(&events);
-        let txt = s.to_text();
-        assert!(txt.contains("compress"));
-        assert!(txt.contains("[L0]"));
-        assert!(txt.contains('%'));
-        let json = s.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"stage\":\"compress\""));
+        let s = build(&crate::tests::fixture_events());
+        assert_eq!(
+            s.to_text(),
+            concat!(
+                "stage                                             time        %   count\n",
+                "compress                                       1.000 s    57.1%       1\n",
+                "  compress.level [L1]                          0.600 s    34.3%       1\n",
+                "  compress.level [L0]                          0.300 s    17.1%       1\n",
+                "    compress.level [L0]                        0.050 s     2.9%       1\n",
+                "extract                                        0.750 s    42.9%       2\n",
+                "  extract.level [L1]                           0.250 s    14.3%       1\n",
+                "lost                                           0.000 s     0.0%       1\n",
+                "total (root spans)                             1.750 s   100.0%        \n",
+            )
+        );
+        // What a repro manifest holds under `span_summary`.
+        let manifest = amrviz_json::Json::parse(&s.to_json().to_string()).unwrap();
+        assert_eq!(
+            manifest.to_string_compact(),
+            concat!(
+                "{\"total_seconds\":1.750000042,\"spans\":[",
+                "{\"stage\":\"compress\",\"seconds\":1,\"percent\":57.14285577142861,\"count\":1,\"children\":[",
+                "{\"stage\":\"compress.level [L1]\",\"seconds\":0.6,\"percent\":34.28571346285716,\"count\":1,\"children\":[]},",
+                "{\"stage\":\"compress.level [L0]\",\"seconds\":0.3,\"percent\":17.14285673142858,\"count\":1,\"children\":[",
+                "{\"stage\":\"compress.level [L0]\",\"seconds\":0.05,\"percent\":2.85714278857143,\"count\":1,\"children\":[]}]}]},",
+                "{\"stage\":\"extract\",\"seconds\":0.75,\"percent\":42.85714182857145,\"count\":2,\"children\":[",
+                "{\"stage\":\"extract.level [L1]\",\"seconds\":0.25,\"percent\":14.285713942857152,\"count\":1,\"children\":[]}]},",
+                "{\"stage\":\"lost\",\"seconds\":4.2e-8,\"percent\":2.3999999424000015e-6,\"count\":1,\"children\":[]}]}",
+            )
+        );
     }
 
     #[test]

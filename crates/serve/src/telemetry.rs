@@ -396,24 +396,38 @@ mod tests {
         assert!(!r.breached());
     }
 
+    /// A cache miss: every stage ran.
+    fn cold(us: u64) -> StageTimes {
+        StageTimes {
+            queue_wait_us: Some(us),
+            store_read_us: Some(2 * us),
+            structure_validate_us: Some(3 * us),
+            decode_us: Some(4 * us),
+            write_us: Some(5 * us),
+            first_level_us: None,
+        }
+    }
+
     #[test]
     fn snapshot_json_is_valid_and_carries_sections() {
         let t = ReqTelemetry::new(SloSpec::default());
-        t.record_at(1, Status::Ok, 1500, Some(&stages(900, 40)), 0xABC, 7);
+        t.record_at(0, Status::Ok, 1500, Some(&stages(900, 40)), 0xABC, 7);
         t.record_at(
-            1,
+            0,
             Status::Timeout,
             90_000,
             Some(&stages(88_000, 1)),
             0xDEF,
             8,
         );
+        t.record_at(0, Status::Degraded, 2000, Some(&cold(100)), 0x1F, 9);
         let snap = StatsSnapshot {
-            requests: 2,
+            requests: 3,
             ok: 1,
+            degraded: 1,
             timeout: 1,
             cache_hits: 1,
-            cache_misses: 1,
+            cache_misses: 2,
             ..Default::default()
         };
         let j = t.snapshot_json(&snap, 0, 2, 1, 4096, 1 << 20);
@@ -441,6 +455,41 @@ mod tests {
         assert!(!ex.is_empty());
         assert_eq!(ex[0].get("trace").unwrap().as_str().unwrap(), "def");
         assert_eq!(ex[0].get("total_us").unwrap().as_u64().unwrap(), 90_000);
+        // The stage family and the exemplars, byte for byte.
+        let after = |key: &str| &j[j.find(key).unwrap() + key.len()..];
+        let stages_us = after(",\"stages_us\":");
+        let stages_us = &stages_us[..stages_us.find(",\"first_level_us\":").unwrap()];
+        assert_eq!(
+            stages_us,
+            concat!(
+                "{\"queue_wait\":{\"lifetime\":{\"count\":3,\"sum\":106,\"min\":3,\"max\":100,\"mean\":35.333333333333336,\"p50\":4.0,\"p90\":100.0,\"p99\":100.0},",
+                "\"w5m\":{\"count\":3,\"sum\":106,\"min\":3,\"max\":100,\"mean\":35.333333333333336,\"p50\":4.0,\"p90\":100.0,\"p99\":100.0}},",
+                "\"store_read\":{\"lifetime\":{\"count\":1,\"sum\":200,\"min\":200,\"max\":200,\"mean\":200.0,\"p50\":200.0,\"p90\":200.0,\"p99\":200.0},",
+                "\"w5m\":{\"count\":1,\"sum\":200,\"min\":200,\"max\":200,\"mean\":200.0,\"p50\":200.0,\"p90\":200.0,\"p99\":200.0}},",
+                "\"structure_validate\":{\"lifetime\":{\"count\":1,\"sum\":300,\"min\":300,\"max\":300,\"mean\":300.0,\"p50\":300.0,\"p90\":300.0,\"p99\":300.0},",
+                "\"w5m\":{\"count\":1,\"sum\":300,\"min\":300,\"max\":300,\"mean\":300.0,\"p50\":300.0,\"p90\":300.0,\"p99\":300.0}},",
+                "\"decode\":{\"lifetime\":{\"count\":3,\"sum\":89300,\"min\":400,\"max\":88000,\"mean\":29766.666666666668,\"p50\":960.0,\"p90\":88000.0,\"p99\":88000.0},",
+                "\"w5m\":{\"count\":3,\"sum\":89300,\"min\":400,\"max\":88000,\"mean\":29766.666666666668,\"p50\":960.0,\"p90\":88000.0,\"p99\":88000.0}},",
+                "\"write\":{\"lifetime\":{\"count\":3,\"sum\":541,\"min\":1,\"max\":500,\"mean\":180.33333333333334,\"p50\":44.0,\"p90\":500.0,\"p99\":500.0},",
+                "\"w5m\":{\"count\":3,\"sum\":541,\"min\":1,\"max\":500,\"mean\":180.33333333333334,\"p50\":44.0,\"p90\":500.0,\"p99\":500.0}}}",
+            )
+        );
+        assert_eq!(
+            after(",\"exemplars\":"),
+            concat!(
+                "[{\"trace\":\"def\",\"total_us\":90000,\"label\":\"timeout key=0000000000000008\",",
+                "\"stages_us\":{\"queue_wait\":3,\"decode\":88000,\"write\":1}},",
+                "{\"trace\":\"1f\",\"total_us\":2000,\"label\":\"degraded key=0000000000000009\",",
+                "\"stages_us\":{\"queue_wait\":100,\"store_read\":200,\"structure_validate\":300,\"decode\":400,\"write\":500}},",
+                "{\"trace\":\"abc\",\"total_us\":1500,\"label\":\"ok key=0000000000000007\",",
+                "\"stages_us\":{\"queue_wait\":3,\"decode\":900,\"write\":40}}]}",
+            )
+        );
+        // A journal line's `stages_us`.
+        assert_eq!(
+            cold(100).to_json(),
+            "{\"queue_wait\":100,\"store_read\":200,\"structure_validate\":300,\"decode\":400,\"write\":500}"
+        );
     }
 
     #[test]
