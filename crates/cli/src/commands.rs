@@ -7,9 +7,9 @@ use amrviz_amr::plotfile::{read_plotfile, write_plotfile};
 use amrviz_amr::resample::{flatten_to_finest, Upsample};
 use amrviz_amr::AmrHierarchy;
 use amrviz_compress::{
-    compress_hierarchy_field, compressor_by_name, decompress_hierarchy_field_into, AmrCodecConfig,
-    CompressedHierarchyField, CompressionStats, Compressor, DecodeBudget, DecodePolicy, ErrorBound,
-    FabStatus, SzLr,
+    compress_hierarchy_field, compressor_by_name, compressor_by_tag,
+    decompress_hierarchy_field_into, AmrCodecConfig, CompressedHierarchyField, CompressionStats,
+    Compressor, DecodeBudget, DecodePolicy, ErrorBound, FabStatus, SzLr, ALGORITHMS,
 };
 use amrviz_core::args::{parse, Parsed};
 use amrviz_core::experiment::standard_camera;
@@ -24,13 +24,10 @@ use amrviz_viz::{extract_amr_isosurface, obj, IsoMethod};
 /// usage text to the same lists.
 pub type Flags = (&'static [&'static str], &'static [&'static str]);
 
-/// The names `--algo` takes, which `compressor_by_name` knows.
-const ALGOS: [&str; 3] = ["szlr", "szinterp", "zfp"];
-
 fn algo(name: Option<&str>) -> Result<Box<dyn Compressor>, String> {
     let name = name.unwrap_or("szlr");
     compressor_by_name(name)
-        .ok_or_else(|| format!("unknown algorithm `{name}` ({})", ALGOS.join("|")))
+        .ok_or_else(|| format!("unknown algorithm `{name}` ({})", ALGORITHMS.join("|")))
 }
 
 fn method(name: Option<&str>) -> Result<IsoMethod, String> {
@@ -214,10 +211,7 @@ pub fn decompress(argv: &[String]) -> Result<(), String> {
     let field_name = p.opt("field").unwrap_or("decompressed");
     let bytes = std::fs::read(stream_path).map_err(|e| e.to_string())?;
     let c = CompressedHierarchyField::from_bytes(&bytes).map_err(|e| e.to_string())?;
-    let comp = ALGOS
-        .into_iter()
-        .filter_map(compressor_by_name)
-        .find(|comp| comp.tag() == c.compressor)
+    let comp = compressor_by_tag(c.compressor)
         .ok_or_else(|| format!("{stream_path}: unknown compressor tag {:#x}", c.compressor))?;
     let cfg = AmrCodecConfig {
         skip_redundant: c.skip_redundant,
@@ -982,7 +976,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
             Some(s) => amrviz_serve::slo::SloSpec::parse(s)?,
             None => amrviz_serve::slo::SloSpec::default(),
         },
-        ..amrviz_serve::ServeConfig::default()
     };
     let server = amrviz_serve::start(cfg).map_err(|e| format!("starting server: {e}"))?;
     let proxy = match p.opt_parse::<u64>("chaos")? {
@@ -1204,7 +1197,7 @@ mod tests {
         .unwrap();
         let orig = load(&ds).unwrap();
         let field = orig.field("baryon_density").unwrap();
-        for algo in ALGOS {
+        for algo in ALGORITHMS {
             for skip in [false, true] {
                 let stream = path(&format!("{algo}_{skip}.amrz"));
                 let mut argv = args(&[&ds, "--field", "baryon_density", "--out", &stream]);

@@ -188,15 +188,9 @@ impl ObsOptions {
             eprintln!("trace written to {path} (open in chrome://tracing or ui.perfetto.dev)");
         }
         if let Some(path) = &self.flame_path {
-            amrviz_obs::flame::write_flamegraph_events(std::path::Path::new(path), &events)
-                .map_err(|e| format!("writing flamegraph to {path}: {e}"))?;
-            let kind = if path.to_ascii_lowercase().ends_with(".html")
-                || path.to_ascii_lowercase().ends_with(".htm")
-            {
-                "self-contained HTML"
-            } else {
-                "collapsed-stack text"
-            };
+            let kind =
+                amrviz_obs::flame::write_flamegraph_events(std::path::Path::new(path), &events)
+                    .map_err(|e| format!("writing flamegraph to {path}: {e}"))?;
             eprintln!("flamegraph written to {path} ({kind})");
         }
         if self.timing {

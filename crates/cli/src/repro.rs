@@ -567,9 +567,9 @@ impl Ctx {
     /// Drains the obs recorder into `manifest_<name>.json` and folds the
     /// top-level stage times into the invocation-wide totals.
     fn finish_experiment(&mut self, name: &str) {
-        let summary = amrviz_obs::summary::collect();
+        let summary = amrviz_obs::summary::build(&amrviz_obs::events_snapshot());
         for r in &summary.roots {
-            *self.stage_seconds.entry(r.key.clone()).or_insert(0.0) += r.seconds;
+            *self.stage_seconds.entry(r.key.clone()).or_insert(0.0) += r.total_ns as f64 / 1e9;
         }
         let mut counters = Json::obj();
         for (k, v) in amrviz_obs::counters_snapshot() {
@@ -596,10 +596,7 @@ impl Ctx {
             .set("counters", counters)
             .set("gauges", gauges)
             .set("histograms", histograms)
-            .set(
-                "span_summary",
-                Json::parse(&summary.to_json()).unwrap_or(Json::Null),
-            );
+            .set("span_summary", summary.to_json());
         let path = self.out.join(format!("manifest_{name}.json"));
         if std::fs::write(&path, m.to_string_pretty()).is_ok() {
             println!("  manifest: {}", path.display());

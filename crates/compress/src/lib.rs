@@ -254,8 +254,11 @@ pub(crate) fn checked_eb(eb: f64) -> Result<f64, CompressError> {
     }
 }
 
-/// The compressor behind an algorithm name (`szlr` | `szinterp` | `zfp`) —
-/// the names `--algo` takes and serve artifacts record.
+/// The algorithm names `--algo` takes and serve artifacts record, one per
+/// compressor.
+pub const ALGORITHMS: [&str; 3] = ["szlr", "szinterp", "zfp"];
+
+/// The compressor behind an algorithm name, one of [`ALGORITHMS`].
 pub fn compressor_by_name(name: &str) -> Option<Box<dyn Compressor>> {
     match name {
         "szlr" => Some(Box::new(SzLr::default())),
@@ -263,6 +266,14 @@ pub fn compressor_by_name(name: &str) -> Option<Box<dyn Compressor>> {
         "zfp" => Some(Box::new(ZfpLike)),
         _ => None,
     }
+}
+
+/// The compressor a container header names by its [`Compressor::tag`].
+pub fn compressor_by_tag(tag: u64) -> Option<Box<dyn Compressor>> {
+    ALGORITHMS
+        .into_iter()
+        .filter_map(compressor_by_name)
+        .find(|comp| comp.tag() == tag)
 }
 
 /// The unit tests' way in and out of a compressor — one piece through the

@@ -11,69 +11,34 @@
 //!   `file://`). Frame tooltips carry total/self time, span count and —
 //!   when [`crate::mem::CountingAlloc`] recorded them — peak bytes.
 //!
-//! The aggregation is [`crate::summary`]'s: spans group by parent chain and
-//! name, with `level = N` fields split into ` [L<n>]` rows, so the
+//! Both render the summary's tree, [`SpanAgg`]: spans group by parent chain
+//! and name, with `level = N` fields split into ` [L<n>]` rows, so the
 //! flamegraph's root frames are exactly the summary's (and the chrome
-//! trace's) root spans. Children are laid out in deterministic
-//! (lexicographic) order, so the same recording always renders the same
-//! file.
+//! trace's) root spans.
 
-use crate::summary::{aggregate, SpanAgg};
+use crate::summary::{aggregate, sort_tree, SpanAgg};
 use crate::SpanEvent;
 
-/// One aggregated frame of the flamegraph tree.
-#[derive(Debug, Clone)]
-pub struct FlameNode {
-    /// Span name plus ` [L<n>]` when the spans carried a `level` field.
-    pub key: String,
-    /// Total wall nanoseconds across all spans aggregated into this frame.
-    pub total_ns: u64,
-    /// `total_ns` minus the children's totals (clamped at 0).
-    pub self_ns: u64,
-    /// Number of spans aggregated.
-    pub count: usize,
-    /// Largest `mem_peak_bytes` of any aggregated span.
-    pub mem_peak_bytes: u64,
-    pub children: Vec<FlameNode>,
-}
-
-/// Builds the aggregated frame tree. The returned vector holds the root
-/// frames in deterministic (lexicographic) order.
-pub fn build_tree(events: &[SpanEvent]) -> Vec<FlameNode> {
-    fn view(nodes: Vec<SpanAgg>) -> Vec<FlameNode> {
-        let mut out: Vec<FlameNode> = nodes
-            .into_iter()
-            .map(|n| {
-                let children = view(n.children);
-                let child_total: u64 = children.iter().map(|c| c.total_ns).sum();
-                FlameNode {
-                    key: n.key,
-                    total_ns: n.total_ns,
-                    self_ns: n.total_ns.saturating_sub(child_total),
-                    count: n.count,
-                    mem_peak_bytes: n.mem_peak_bytes,
-                    children,
-                }
-            })
-            .collect();
-        out.sort_by(|a, b| a.key.cmp(&b.key));
-        out
-    }
-    view(aggregate(events))
+/// The span tree with every level sorted by key, so the same recording
+/// always renders the same file.
+fn by_key(events: &[SpanEvent]) -> Vec<SpanAgg> {
+    let mut roots = aggregate(events);
+    sort_tree(&mut roots, &|a, b| a.key.cmp(&b.key));
+    roots
 }
 
 /// Collapsed-stack text: `a;b;c <self-µs>` per frame with non-zero self
 /// time (leaves always emitted), lines sorted.
 pub fn collapsed(events: &[SpanEvent]) -> String {
-    let roots = build_tree(events);
+    let roots = by_key(events);
     let mut lines: Vec<String> = Vec::new();
-    fn walk(node: &FlameNode, prefix: &str, lines: &mut Vec<String>) {
+    fn walk(node: &SpanAgg, prefix: &str, lines: &mut Vec<String>) {
         let stack = if prefix.is_empty() {
             node.key.clone()
         } else {
             format!("{prefix};{}", node.key)
         };
-        let self_us = node.self_ns / 1_000;
+        let self_us = node.self_ns() / 1_000;
         if self_us > 0 || node.children.is_empty() {
             lines.push(format!("{stack} {self_us}"));
         }
@@ -117,16 +82,15 @@ fn fmt_bytes(b: u64) -> String {
 
 /// Self-contained HTML flamegraph (icicle layout, roots on top).
 pub fn html(events: &[SpanEvent]) -> String {
-    let roots = build_tree(events);
+    let roots = by_key(events);
     let total_ns: u64 = roots.iter().map(|r| r.total_ns).sum();
     let denom = if total_ns == 0 { 1.0 } else { total_ns as f64 };
 
     // Lay frames out server-side: x/width as fractions of the whole graph.
     let mut frames = String::new();
     let mut max_depth = 0usize;
-    #[allow(clippy::too_many_arguments)]
     fn walk(
-        node: &FlameNode,
+        node: &SpanAgg,
         x: f64,
         depth: usize,
         denom: f64,
@@ -145,7 +109,7 @@ pub fn html(events: &[SpanEvent]) -> String {
             "{} — {} ms total, {} ms self, {} span(s), {:.1}%{}",
             node.key,
             fmt_ms(node.total_ns),
-            fmt_ms(node.self_ns),
+            fmt_ms(node.self_ns()),
             node.count,
             pct,
             mem
@@ -230,23 +194,24 @@ fn html_escape(s: &str) -> String {
     out
 }
 
-/// Writes a flamegraph of `events`. A `.html` extension selects the
-/// self-contained HTML rendering; anything else gets collapsed-stack text.
-/// The caller supplies the events because `amrviz repro` resets the
-/// recorder per experiment and hands over what it collected in between.
+/// Writes a flamegraph of `events` and returns which rendering it wrote. A
+/// `.html` extension selects the self-contained HTML rendering; anything
+/// else gets collapsed-stack text. The caller supplies the events because
+/// `amrviz repro` resets the recorder per experiment and hands over what it
+/// collected in between.
 pub fn write_flamegraph_events(
     path: &std::path::Path,
     events: &[SpanEvent],
-) -> std::io::Result<()> {
+) -> std::io::Result<&'static str> {
     let is_html = path
         .extension()
         .is_some_and(|e| e.eq_ignore_ascii_case("html") || e.eq_ignore_ascii_case("htm"));
-    let body = if is_html {
-        html(events)
-    } else {
-        collapsed(events)
+    let (body, kind) = match is_html {
+        true => (html(events), "self-contained HTML"),
+        false => (collapsed(events), "collapsed-stack text"),
     };
-    std::fs::write(path, body)
+    std::fs::write(path, body)?;
+    Ok(kind)
 }
 
 #[cfg(test)]
@@ -284,56 +249,16 @@ mod tests {
 
     #[test]
     fn tree_computes_self_time() {
-        let roots = build_tree(&sample_events());
+        let roots = by_key(&sample_events());
         assert_eq!(roots.len(), 2);
-        let compress = roots.iter().find(|r| r.key == "compress").unwrap();
+        let compress = &roots[0];
+        assert_eq!(compress.key, "compress");
         assert_eq!(compress.total_ns, 1_000_000_000);
-        assert_eq!(compress.self_ns, 100_000_000);
+        assert_eq!(compress.self_ns(), 100_000_000);
         assert_eq!(compress.children.len(), 2);
         assert_eq!(compress.mem_peak_bytes, 1000);
-        let extract = roots.iter().find(|r| r.key == "extract").unwrap();
-        assert_eq!(extract.self_ns, extract.total_ns);
-    }
-
-    #[test]
-    fn summary_and_flame_agree_per_key() {
-        // Level-split children plus a span whose parent was never recorded.
-        let mut events = sample_events();
-        events.push(ev(5, 2, "compress.level", Some(0), 50_000_000));
-        events.push(ev(9, 7, "lost", None, 42));
-        fn flat_flame(nodes: &[FlameNode], path: &str, out: &mut Vec<(String, u64, usize)>) {
-            for n in nodes {
-                let p = format!("{path}/{}", n.key);
-                out.push((p.clone(), n.total_ns, n.count));
-                flat_flame(&n.children, &p, out);
-            }
-        }
-        fn flat_summary(
-            nodes: &[crate::summary::SummaryNode],
-            path: &str,
-            out: &mut Vec<(String, u64, usize)>,
-        ) {
-            for n in nodes {
-                let p = format!("{path}/{}", n.key);
-                out.push((p.clone(), (n.seconds * 1e9).round() as u64, n.count));
-                flat_summary(&n.children, &p, out);
-            }
-        }
-        let (mut f, mut s) = (Vec::new(), Vec::new());
-        flat_flame(&build_tree(&events), "", &mut f);
-        flat_summary(&crate::summary::build(&events).roots, "", &mut s);
-        f.sort();
-        s.sort();
-        assert_eq!(f, s);
-        assert!(
-            f.contains(&("/lost".to_string(), 42, 1)),
-            "orphan is a root"
-        );
-        assert!(f.contains(&(
-            "/compress/compress.level [L0]/compress.level [L0]".to_string(),
-            50_000_000,
-            1
-        )));
+        let extract = &roots[1];
+        assert_eq!(extract.self_ns(), extract.total_ns);
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //!   attribution (see [`mem`]).
 //! * **Exporters** — [`chrome::chrome_trace_json`] emits a
 //!   `chrome://tracing` / Perfetto `traceEvents` file;
-//!   [`summary::collect`] aggregates spans into a hierarchical
-//!   stage/level summary with percentages; [`flame::write_flamegraph_events`]
-//!   renders the span tree as collapsed stacks or a self-contained HTML
-//!   flamegraph.
+//!   every other exporter renders one span tree of [`summary::SpanAgg`]
+//!   nodes, keyed by stage and level: [`summary::build`] as a summary with
+//!   percentages, [`flame::write_flamegraph_events`] as collapsed stacks or
+//!   a self-contained HTML flamegraph.
 //! * **Continuous operation** — every root span starts a **trace**
 //!   (deterministic splitmix-derived `trace_id`, propagated across
 //!   `amrviz-par` workers via [`current_context`] / [`context_scope`]);

@@ -15,48 +15,47 @@
 //! concurrently on pool workers accumulate cumulative CPU-side wall time,
 //! so sibling percentages can exceed their parent's on parallel stages —
 //! that is the per-core cost, which is what a perf PR needs to see.
+//!
+//! The tree underneath, [`SpanAgg`], is the one every span exporter
+//! renders: this summary sorts each level by time, the flamegraph by key.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use crate::{events_snapshot, SpanEvent};
+use amrviz_json::Json;
 
-/// One aggregated row of the summary tree.
+use crate::SpanEvent;
+
+/// One node of the span tree: spans grouped by parent chain and key (name
+/// plus ` [L<n>]` for a `level` field). It is the one tree every span
+/// exporter renders — the `--timing` text and a manifest's `span_summary`
+/// through [`build`], the flamegraph through [`crate::flame`].
 #[derive(Debug, Clone)]
-pub struct SummaryNode {
+pub struct SpanAgg {
     /// Span name plus ` [L<n>]` when the spans carried a `level` field.
     pub key: String,
-    /// Total wall time across all spans aggregated into this node.
-    pub seconds: f64,
-    /// Percent of the summary's root total.
-    pub percent: f64,
+    /// Total wall nanoseconds across all spans aggregated into this node.
+    pub total_ns: u64,
     /// Number of spans aggregated.
     pub count: usize,
-    pub children: Vec<SummaryNode>,
-}
-
-/// The aggregated span tree of one recording.
-#[derive(Debug, Clone, Default)]
-pub struct Summary {
-    pub roots: Vec<SummaryNode>,
-    /// Sum of root-span wall time, the denominator of every percentage.
-    pub total_seconds: f64,
-}
-
-/// One node of the keyed span tree: spans grouped by parent chain and key
-/// (name plus ` [L<n>]` for a `level` field), children in first-seen
-/// order. [`Summary`] and [`crate::flame::FlameNode`] are both views of it.
-pub(crate) struct SpanAgg {
-    pub(crate) key: String,
-    pub(crate) total_ns: u64,
-    pub(crate) count: usize,
     /// Largest `mem_peak_bytes` of any aggregated span.
-    pub(crate) mem_peak_bytes: u64,
-    pub(crate) children: Vec<SpanAgg>,
+    pub mem_peak_bytes: u64,
+    /// Built in first-seen order; [`build`] sorts each level by time, the
+    /// flamegraph by key.
+    pub children: Vec<SpanAgg>,
 }
 
-/// Aggregates span events into the keyed tree; returns its roots. Spans
-/// with no recorded parent (including spans whose parent ran on another
-/// thread) are roots.
+impl SpanAgg {
+    /// `total_ns` minus the children's totals (clamped at 0).
+    pub fn self_ns(&self) -> u64 {
+        let child_ns: u64 = self.children.iter().map(|c| c.total_ns).sum();
+        self.total_ns.saturating_sub(child_ns)
+    }
+}
+
+/// Aggregates span events into the keyed tree; returns its roots, every
+/// level in first-seen order. Spans with no recorded parent (including
+/// spans whose parent ran on another thread) are roots.
 pub(crate) fn aggregate(events: &[SpanEvent]) -> Vec<SpanAgg> {
     struct Slot {
         key: String,
@@ -117,43 +116,42 @@ pub(crate) fn aggregate(events: &[SpanEvent]) -> Vec<SpanAgg> {
     lift(&mut slots, 0).children
 }
 
-/// Builds a summary from a list of span events.
-pub fn build(events: &[SpanEvent]) -> Summary {
-    let roots = aggregate(events);
-    let total_ns: u64 = roots.iter().map(|r| r.total_ns).sum();
-    let denom = if total_ns == 0 { 1.0 } else { total_ns as f64 };
-
-    // Stable sort over first-seen order, so equal times keep that order.
-    fn view(nodes: Vec<SpanAgg>, denom: f64) -> Vec<SummaryNode> {
-        let mut out: Vec<SummaryNode> = nodes
-            .into_iter()
-            .map(|n| SummaryNode {
-                key: n.key,
-                seconds: n.total_ns as f64 / 1e9,
-                percent: 100.0 * n.total_ns as f64 / denom,
-                count: n.count,
-                children: view(n.children, denom),
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            b.seconds
-                .partial_cmp(&a.seconds)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        out
-    }
-    Summary {
-        roots: view(roots, denom),
-        total_seconds: total_ns as f64 / 1e9,
+/// Sorts every level of the tree by `cmp`. The sort is stable, so equal
+/// nodes keep their first-seen order.
+pub(crate) fn sort_tree(nodes: &mut [SpanAgg], cmp: &dyn Fn(&SpanAgg, &SpanAgg) -> Ordering) {
+    nodes.sort_by(cmp);
+    for n in nodes {
+        sort_tree(&mut n.children, cmp);
     }
 }
 
-/// Summary of everything recorded so far in the global recorder.
-pub fn collect() -> Summary {
-    build(&events_snapshot())
+/// The span tree of one recording as the summary reads it: every level
+/// sorted by time, longest first.
+#[derive(Debug, Clone, Default)]
+pub struct Summary {
+    pub roots: Vec<SpanAgg>,
+    /// Sum of root-span wall time, the denominator of every percentage.
+    pub total_ns: u64,
+}
+
+/// Builds a summary from a list of span events.
+pub fn build(events: &[SpanEvent]) -> Summary {
+    let mut roots = aggregate(events);
+    sort_tree(&mut roots, &|a, b| b.total_ns.cmp(&a.total_ns));
+    let total_ns = roots.iter().map(|r| r.total_ns).sum();
+    Summary { roots, total_ns }
+}
+
+fn seconds(ns: u64) -> f64 {
+    ns as f64 / 1e9
 }
 
 impl Summary {
+    /// `ns` as a percentage of the root total.
+    pub fn percent(&self, ns: u64) -> f64 {
+        100.0 * ns as f64 / self.total_ns.max(1) as f64
+    }
+
     /// Plain-text rendering: indented stages, seconds, percent, count.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -161,46 +159,51 @@ impl Summary {
             "{:<42} {:>11} {:>8} {:>7}\n",
             "stage", "time", "%", "count"
         ));
-        fn walk(node: &SummaryNode, depth: usize, out: &mut String) {
+        fn walk(s: &Summary, node: &SpanAgg, depth: usize, out: &mut String) {
             let name = format!("{}{}", "  ".repeat(depth), node.key);
             out.push_str(&format!(
                 "{:<42} {:>9.3} s {:>7.1}% {:>7}\n",
-                name, node.seconds, node.percent, node.count
+                name,
+                seconds(node.total_ns),
+                s.percent(node.total_ns),
+                node.count
             ));
             for c in &node.children {
-                walk(c, depth + 1, out);
+                walk(s, c, depth + 1, out);
             }
         }
         for r in &self.roots {
-            walk(r, 0, &mut out);
+            walk(self, r, 0, &mut out);
         }
         out.push_str(&format!(
             "{:<42} {:>9.3} s {:>7.1}% {:>7}\n",
-            "total (root spans)", self.total_seconds, 100.0, ""
+            "total (root spans)",
+            seconds(self.total_ns),
+            100.0,
+            ""
         ));
         out
     }
 
-    /// JSON rendering (hand-assembled; no serde dependency).
-    pub fn to_json(&self) -> String {
-        fn node_json(n: &SummaryNode) -> String {
-            let children: Vec<String> = n.children.iter().map(node_json).collect();
-            format!(
-                "{{\"stage\":\"{}\",\"seconds\":{:e},\"percent\":{:e},\
-                 \"count\":{},\"children\":[{}]}}",
-                amrviz_json::escape(&n.key),
-                n.seconds,
-                n.percent,
-                n.count,
-                children.join(",")
-            )
-        }
-        let roots: Vec<String> = self.roots.iter().map(node_json).collect();
-        format!(
-            "{{\"total_seconds\":{:e},\"spans\":[{}]}}",
-            self.total_seconds,
-            roots.join(",")
-        )
+    /// The JSON a repro manifest holds under `span_summary`.
+    pub fn to_json(&self) -> Json {
+        let mut j = Json::obj();
+        j.set("total_seconds", seconds(self.total_ns))
+            .set("spans", self.nodes_json(&self.roots));
+        j
+    }
+
+    fn nodes_json(&self, nodes: &[SpanAgg]) -> Json {
+        let node = |n: &SpanAgg| {
+            let mut j = Json::obj();
+            j.set("stage", n.key.as_str())
+                .set("seconds", seconds(n.total_ns))
+                .set("percent", self.percent(n.total_ns))
+                .set("count", n.count)
+                .set("children", self.nodes_json(&n.children));
+            j
+        };
+        Json::Arr(nodes.iter().map(node).collect())
     }
 }
 
@@ -238,12 +241,12 @@ mod tests {
         ];
         let s = build(&events);
         assert_eq!(s.roots.len(), 2);
-        assert!((s.total_seconds - 2.0).abs() < 1e-9);
+        assert_eq!(s.total_ns, 2_000_000_000);
         let compress = s.roots.iter().find(|r| r.key == "compress").unwrap();
         assert_eq!(compress.children.len(), 2);
         assert_eq!(compress.children[0].key, "compress.level [L1]");
-        assert!((compress.percent - 50.0).abs() < 1e-9);
-        assert!((compress.children[0].percent - 30.0).abs() < 1e-9);
+        assert!((s.percent(compress.total_ns) - 50.0).abs() < 1e-9);
+        assert!((s.percent(compress.children[0].total_ns) - 30.0).abs() < 1e-9);
     }
 
     #[test]
@@ -252,7 +255,7 @@ mod tests {
         let s = build(&events);
         assert_eq!(s.roots.len(), 1);
         assert_eq!(s.roots[0].count, 2);
-        assert!((s.roots[0].percent - 100.0).abs() < 1e-9);
+        assert!((s.percent(s.roots[0].total_ns) - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -303,7 +306,7 @@ mod tests {
     fn empty_summary() {
         let s = build(&[]);
         assert!(s.roots.is_empty());
-        assert_eq!(s.total_seconds, 0.0);
+        assert_eq!(s.total_ns, 0);
         assert!(s.to_text().contains("total"));
     }
 }

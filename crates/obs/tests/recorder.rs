@@ -155,7 +155,7 @@ fn parenting_survives_thread_fan_out() {
     assert_eq!(leaf_count, 64);
 }
 
-fn count_key(nodes: &[amrviz_obs::summary::SummaryNode], name: &str) -> usize {
+fn count_key(nodes: &[amrviz_obs::summary::SpanAgg], name: &str) -> usize {
     nodes
         .iter()
         .map(|n| {
@@ -376,10 +376,15 @@ fn flame_roots_match_summary_and_chrome_trace() {
     amrviz_obs::disable();
     let events = amrviz_obs::events_snapshot();
 
-    let tree = amrviz_obs::flame::build_tree(&events);
+    // The collapsed stacks' root frames are the summary's roots (flame
+    // sorts lexicographically, summary by time).
+    let folded = amrviz_obs::flame::collapsed(&events);
+    let mut flame_roots: Vec<&str> = folded
+        .lines()
+        .map(|l| l.rsplit_once(' ').unwrap().0.split(';').next().unwrap())
+        .collect();
+    flame_roots.dedup();
     let summary = amrviz_obs::summary::build(&events);
-    // Same root frames (flame sorts lexicographically, summary by time).
-    let flame_roots: Vec<&str> = tree.iter().map(|n| n.key.as_str()).collect();
     let mut summary_roots: Vec<&str> = summary.roots.iter().map(|r| r.key.as_str()).collect();
     summary_roots.sort_unstable();
     assert_eq!(
@@ -406,7 +411,6 @@ fn flame_roots_match_summary_and_chrome_trace() {
     }
 
     // Collapsed-stack output nests child under parent with a self count.
-    let folded = amrviz_obs::flame::collapsed(&events);
     assert!(folded.contains("stage_a;child [L1] "), "{folded}");
     assert!(
         folded.lines().any(|l| l.starts_with("stage_b ")),

@@ -11,6 +11,8 @@
 //! of offered requests, never on offer order or thread interleaving —
 //! which is what makes it deterministic at any `AMRVIZ_THREADS`.
 
+use crate::telemetry::StageTimes;
+
 /// One retained tail request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Exemplar {
@@ -20,27 +22,20 @@ pub struct Exemplar {
     pub total_us: u64,
     /// Free-form label (status name, key, scenario — caller's choice).
     pub label: String,
-    /// Stage breakdown: `(stage name, microseconds)`, insertion order.
-    pub stages: Vec<(String, u64)>,
+    /// Stage breakdown.
+    pub stages: StageTimes,
 }
 
 impl Exemplar {
     /// Single-line JSON object (trace as hex string — the journal's own
     /// convention, since crates/json parses numbers as f64).
     pub fn to_json(&self) -> String {
-        let mut stages = String::new();
-        for (i, (name, us)) in self.stages.iter().enumerate() {
-            if i > 0 {
-                stages.push(',');
-            }
-            stages.push_str(&format!("\"{}\":{us}", amrviz_json::escape(name)));
-        }
         format!(
-            "{{\"trace\":\"{:x}\",\"total_us\":{},\"label\":\"{}\",\"stages_us\":{{{}}}}}",
+            "{{\"trace\":\"{:x}\",\"total_us\":{},\"label\":\"{}\",\"stages_us\":{}}}",
             self.trace,
             self.total_us,
             amrviz_json::escape(&self.label),
-            stages
+            self.stages.to_json()
         )
     }
 }
@@ -95,16 +90,6 @@ impl Reservoir {
         &self.items
     }
 
-    /// Number retained.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether nothing is retained yet.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Slowest duration a new offer must beat once the reservoir is full
     /// (0 while it still has room) — cheap pre-filter for hot paths.
     pub fn min_retained_us(&self) -> u64 {
@@ -117,28 +102,25 @@ impl Reservoir {
 
     /// JSON array of the retained exemplars, slowest first.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, e) in self.items.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.to_json());
-        }
-        out.push(']');
-        out
+        let items: Vec<String> = self.items.iter().map(Exemplar::to_json).collect();
+        format!("[{}]", items.join(","))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Stage;
 
     fn ex(trace: u64, total_us: u64) -> Exemplar {
+        let mut stages = StageTimes::default();
+        stages[Stage::Decode] = Some(total_us / 2);
+        stages[Stage::Write] = Some(1);
         Exemplar {
             trace,
             total_us,
             label: "ok".into(),
-            stages: vec![("decode".into(), total_us / 2), ("write".into(), 1)],
+            stages,
         }
     }
 
@@ -153,7 +135,7 @@ mod tests {
         assert_eq!(r.min_retained_us(), 700);
         // A fast request bounces off a full reservoir.
         assert!(!r.offer(ex(99, 50)));
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.snapshot().len(), 3);
     }
 
     #[test]
@@ -185,15 +167,15 @@ mod tests {
 
     #[test]
     fn exemplar_and_reservoir_json_parse() {
+        let mut stages = StageTimes::default();
+        stages[Stage::QueueWait] = Some(10);
+        stages[Stage::Decode] = Some(800);
+        stages[Stage::Write] = Some(90);
         let e = Exemplar {
             trace: 0xBEEF,
             total_us: 900,
             label: "ok key=42".into(),
-            stages: vec![
-                ("queue_wait".into(), 10),
-                ("decode".into(), 800),
-                ("write".into(), 90),
-            ],
+            stages,
         };
         let j = e.to_json();
         assert!(j.contains("\"trace\":\"beef\""), "{j}");

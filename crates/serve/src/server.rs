@@ -31,7 +31,7 @@ use crate::proto::{
 };
 use crate::slo::SloSpec;
 use crate::store::{BlobStore, StoreError};
-use crate::telemetry::{ReqTelemetry, StageTimes};
+use crate::telemetry::{ReqTelemetry, Stage, StageTimes};
 use amrviz_amr::MultiFab;
 use amrviz_codec::DecodeBudget;
 use amrviz_compress::{
@@ -62,9 +62,6 @@ pub struct ServeConfig {
     pub cache_bytes: usize,
     /// Cap on client-requested deadlines.
     pub max_deadline_ms: u32,
-    /// When the remaining deadline budget falls below this fraction at
-    /// stream-planning time, serve only the coarse level.
-    pub coarse_only_frac: f64,
     /// Stop accepting and drain after this long (None = run until `stop`).
     pub shutdown_after: Option<Duration>,
     /// Declared service-level objectives, evaluated over 5 m/1 h burn
@@ -81,7 +78,6 @@ impl Default for ServeConfig {
             queue_depth: 32,
             cache_bytes: 256 << 20,
             max_deadline_ms: 10_000,
-            coarse_only_frac: 0.25,
             shutdown_after: None,
             slo: SloSpec::default(),
         }
@@ -94,6 +90,10 @@ const IO_TIMEOUT: Duration = Duration::from_millis(2_000);
 
 /// Retry-after hint handed to shed clients.
 const RETRY_AFTER_MS: u32 = 50;
+
+/// When less than this fraction of a GET's deadline budget remains as its
+/// stream is planned, only the coarse level is served.
+const COARSE_ONLY_FRAC: f64 = 0.25;
 
 /// How long an accept loop sleeps when no connection is waiting.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
@@ -217,6 +217,21 @@ struct Inner {
     cond: Condvar,
 }
 
+impl Inner {
+    fn new(cfg: ServeConfig, store: BlobStore) -> Inner {
+        Inner {
+            cache: ArenaCache::new(cfg.cache_bytes),
+            stats: ServeStats::default(),
+            telemetry: ReqTelemetry::new(cfg.slo.clone()),
+            stop: AtomicBool::new(false),
+            queue: Mutex::new(VecDeque::new()),
+            cond: Condvar::new(),
+            store,
+            cfg,
+        }
+    }
+}
+
 /// A running server. Dropping the handle does NOT stop the server; call
 /// [`ServerHandle::shutdown`] (or let `shutdown_after` elapse) then
 /// [`ServerHandle::join`].
@@ -282,16 +297,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     let store = BlobStore::open(&cfg.store_dir)
         .map_err(|e| std::io::Error::other(format!("store: {e}")))?;
-    let inner = Arc::new(Inner {
-        cache: ArenaCache::new(cfg.cache_bytes),
-        stats: ServeStats::default(),
-        telemetry: ReqTelemetry::new(cfg.slo.clone()),
-        stop: AtomicBool::new(false),
-        queue: Mutex::new(VecDeque::new()),
-        cond: Condvar::new(),
-        store,
-        cfg,
-    });
+    let inner = Arc::new(Inner::new(cfg, store));
 
     let mut workers = Vec::new();
     for w in 0..inner.cfg.workers.max(1) {
@@ -503,10 +509,8 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
         Op::List => (serve_list(inner, &mut stream, &req, t0), 0u8, 0u8, None),
         Op::Stats => (serve_stats(inner, &mut stream, t0), 0, 0, None),
         Op::Get => {
-            let mut st = StageTimes {
-                queue_wait_us: Some(queue_wait_us),
-                ..StageTimes::default()
-            };
+            let mut st = StageTimes::default();
+            st[Stage::QueueWait] = Some(queue_wait_us);
             let (s, l, f) = serve_get(inner, &mut stream, &req, t0, &mut st);
             (s, l, f, Some(st))
         }
@@ -645,7 +649,7 @@ impl GetStream<'_> {
     fn open(&mut self) -> bool {
         let want = (self.req.max_level as usize + 1).min(self.available);
         self.n_levels = want.min(u8::MAX as usize);
-        let thin = (self.deadline - self.t0).mul_f64(self.inner.cfg.coarse_only_frac);
+        let thin = (self.deadline - self.t0).mul_f64(COARSE_ONLY_FRAC);
         if self.deadline.saturating_duration_since(Instant::now()) < thin {
             self.flags |= FLAG_COARSE_ONLY;
             self.inner.stats.coarse_only.fetch_add(1, Ordering::Relaxed);
@@ -718,7 +722,7 @@ fn decode_into_stream(out: &mut GetStream<'_>) -> Result<(), Status> {
         Err(StoreError::Corrupt { .. }) => return Err(Status::Corrupt),
         Err(StoreError::Io(_)) => return Err(Status::Internal),
     };
-    out.st.store_read_us = Some(us_since(stage_t));
+    out.st[Stage::StoreRead] = Some(us_since(stage_t));
     let budget = DecodeBudget::permissive().with_deadline(out.deadline);
     let stage_t = Instant::now();
     let art = decode_artifact(&bytes, &budget).map_err(|e| decode_failure(&e))?;
@@ -727,10 +731,10 @@ fn decode_into_stream(out: &mut GetStream<'_>) -> Result<(), Status> {
     // damage only decoding finds shows in its LEVEL frame and in END.
     out.flags = FLAG_DEGRADED * u8::from(art.container.checksum_failures() > 0);
     out.available = art.hier.num_levels();
-    out.st.structure_validate_us = Some(us_since(stage_t));
+    out.st[Stage::StructureValidate] = Some(us_since(stage_t));
     let mut levels = inner.cache.take_arena();
     let mut degraded_fabs = Vec::new();
-    let (stage_t, written_us) = (Instant::now(), out.st.write_us.unwrap_or(0));
+    let (stage_t, written_us) = (Instant::now(), out.st[Stage::Write].unwrap_or(0));
     let walked = decompress_hierarchy_field_streamed(
         &art.hier,
         &art.container,
@@ -745,8 +749,8 @@ fn decode_into_stream(out: &mut GetStream<'_>) -> Result<(), Status> {
         },
     );
     // Frame writes ran inside the walk; they are the write stage's time.
-    let written_us = out.st.write_us.unwrap_or(0) - written_us;
-    out.st.decode_us = Some(us_since(stage_t).saturating_sub(written_us));
+    let written_us = out.st[Stage::Write].unwrap_or(0) - written_us;
+    out.st[Stage::Decode] = Some(us_since(stage_t).saturating_sub(written_us));
     match walked.map_err(|e| decode_failure(&e)) {
         Err(status) if degraded_fabs.is_empty() => return Err(status),
         // The header is out: cut the stream, as an expired write would.
@@ -886,5 +890,64 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(snap, expect, "ShuttingDown counts nowhere");
+    }
+
+    /// A GET whose budget is thin when its stream is planned gets only the
+    /// coarse level, and a decode stopped there leaves nothing to cache. The
+    /// request's start is backdated so that 80 % of its budget is spent.
+    #[test]
+    fn coarse_only_miss_sends_one_level_and_caches_nothing() {
+        use amrviz_compress::{compress_hierarchy_field, ErrorBound, SzLr};
+        use amrviz_sim::{NyxScenario, Scale};
+        let dir = std::env::temp_dir().join(format!("amrviz_coarse_only_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = BlobStore::open(&dir).unwrap();
+        let hier = NyxScenario::new(Scale::Tiny, 11).generate();
+        let (field, cfg) = ("baryon_density", AmrCodecConfig::default());
+        let bound = ErrorBound::Rel(1e-3);
+        let container = compress_hierarchy_field(&hier, field, &SzLr::default(), bound, &cfg);
+        let artifact = crate::encode_artifact(&hier, field, "szlr", &container.unwrap());
+        let key = store.put(&artifact).unwrap();
+        let cfg = ServeConfig {
+            store_dir: dir.clone(),
+            ..ServeConfig::default()
+        };
+        let inner = Inner::new(cfg, store);
+        let req = Request {
+            op: Op::Get,
+            trace: 0,
+            key,
+            deadline_ms: 10_000,
+            max_level: 0xFF,
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        for round in 1..=2 {
+            let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (mut conn, _) = listener.accept().unwrap();
+            let t0 = Instant::now() - Duration::from_secs(8);
+            let served = std::thread::scope(|s| {
+                let server =
+                    s.spawn(|| serve_get(&inner, &mut conn, &req, t0, &mut StageTimes::default()));
+                let mut frame = || {
+                    proto::read_frame(&mut client, proto::MAX_RESPONSE_FRAME)
+                        .unwrap()
+                        .unwrap()
+                };
+                let header = RespHeader::decode(&frame()).unwrap();
+                assert_eq!((header.n_levels, header.flags), (1, FLAG_COARSE_ONLY));
+                proto::decode_level_frame(&frame(), &DecodeBudget::permissive()).unwrap();
+                let end = EndFrame::decode(&frame()).unwrap();
+                assert_eq!((end.status, end.levels_sent), (Status::Ok, 1));
+                server.join().unwrap()
+            });
+            assert_eq!(served, (Status::Ok, 1, FLAG_COARSE_ONLY));
+            drop(conn);
+            let rest = proto::read_frame(&mut client, proto::MAX_RESPONSE_FRAME);
+            assert!(rest.unwrap().is_none(), "END is the last frame");
+            let stats = inner.stats.snapshot();
+            let counts = (stats.cache_misses, stats.cache_hits, stats.coarse_only);
+            assert_eq!(counts, (round, 0, round));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -147,11 +147,8 @@ pub struct WindowReading {
 /// Per-window evaluation result.
 #[derive(Debug, Clone)]
 pub struct WindowEval {
-    pub label: &'static str,
-    pub secs: u64,
-    pub good: u64,
-    pub total: u64,
-    pub p99_us: u64,
+    /// The window evaluated.
+    pub reading: WindowReading,
     /// Availability burn rate (0 when no availability objective declared).
     pub burn: f64,
     /// This window exceeds the availability objective's alert burn.
@@ -179,20 +176,18 @@ impl SloReport {
 
     /// Compact single-line JSON for markers and STATS embedding.
     pub fn to_json(&self) -> String {
-        let mut windows = String::new();
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                windows.push(',');
-            }
-            windows.push_str(&format!(
+        let window = |w: &WindowEval| {
+            let r = &w.reading;
+            format!(
                 "{{\"label\":\"{}\",\"secs\":{},\"good\":{},\"total\":{},\"p99_us\":{},\"burn\":{:.2},\"avail_exceeded\":{},\"latency_exceeded\":{}}}",
-                w.label, w.secs, w.good, w.total, w.p99_us, w.burn, w.avail_exceeded, w.latency_exceeded
-            ));
-        }
+                r.label, r.secs, r.good, r.total, r.p99_us, w.burn, w.avail_exceeded, w.latency_exceeded
+            )
+        };
+        let windows: Vec<String> = self.windows.iter().map(window).collect();
         format!(
             "{{\"spec\":\"{}\",\"windows\":[{}],\"avail_breach\":{},\"latency_breach\":{},\"breached\":{}}}",
             amrviz_json::escape(&self.spec.display()),
-            windows,
+            windows.join(","),
             self.avail_breach,
             self.latency_breach,
             self.breached()
@@ -218,17 +213,13 @@ pub fn evaluate(spec: &SloSpec, readings: &[WindowReading]) -> SloReport {
             None => false,
         };
         windows.push(WindowEval {
-            label: r.label,
-            secs: r.secs,
-            good: r.good,
-            total: r.total,
-            p99_us: r.p99_us,
+            reading: r.clone(),
             burn,
             avail_exceeded,
             latency_exceeded,
         });
     }
-    let with_traffic: Vec<&WindowEval> = windows.iter().filter(|w| w.total > 0).collect();
+    let with_traffic: Vec<&WindowEval> = windows.iter().filter(|w| w.reading.total > 0).collect();
     let avail_breach = spec.availability_target_pct.is_some()
         && !with_traffic.is_empty()
         && with_traffic.iter().all(|w| w.avail_exceeded);
@@ -258,11 +249,11 @@ pub fn emit_journal(report: &SloReport) {
                     "spec",
                     format!("\"{}\"", amrviz_json::escape(&report.spec.display())),
                 ),
-                ("window", format!("\"{}\"", w.label)),
-                ("secs", w.secs.to_string()),
-                ("good", w.good.to_string()),
-                ("total", w.total.to_string()),
-                ("p99_us", w.p99_us.to_string()),
+                ("window", format!("\"{}\"", w.reading.label)),
+                ("secs", w.reading.secs.to_string()),
+                ("good", w.reading.good.to_string()),
+                ("total", w.reading.total.to_string()),
+                ("p99_us", w.reading.p99_us.to_string()),
                 ("burn", format!("{:.2}", w.burn)),
                 ("avail_exceeded", w.avail_exceeded.to_string()),
                 ("latency_exceeded", w.latency_exceeded.to_string()),

@@ -34,70 +34,93 @@ pub const WINDOWS: [(&str, u64); 2] = [("5m", 300), ("1h", 3600)];
 /// that a STATS snapshot stays a few KB.
 pub const EXEMPLAR_CAP: usize = 8;
 
-/// Request stage names, in pipeline order. The taxonomy every aggregated
-/// view and journal line shares.
-pub const STAGE_NAMES: [&str; 5] = [
-    "queue_wait",
-    "store_read",
-    "structure_validate",
-    "decode",
-    "write",
-];
+/// A request stage. Declaration order is pipeline order: it indexes
+/// [`StageTimes`] and the telemetry's stage rings, and orders every view of
+/// them — journal `stages_us`, the STATS `stages_us` family, exemplars.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Admission queue to worker pickup.
+    QueueWait,
+    /// Blob store read (cache miss only).
+    StoreRead,
+    /// Artifact structural decode + validation (cache miss only).
+    StructureValidate,
+    /// Field decompression into the arena (cache miss only).
+    Decode,
+    /// Cumulative gated socket writes.
+    Write,
+}
 
-/// Per-request stage timing breakdown in microseconds. `None` means the
-/// stage never ran for this request — a cache hit skips `store_read`,
-/// `structure_validate` and `decode` entirely, which is itself signal.
+impl Stage {
+    /// Every stage, in pipeline order.
+    pub const ALL: [Stage; 5] = [
+        Stage::QueueWait,
+        Stage::StoreRead,
+        Stage::StructureValidate,
+        Stage::Decode,
+        Stage::Write,
+    ];
+
+    /// The stage's key in journal lines and the STATS snapshot.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::QueueWait => "queue_wait",
+            Stage::StoreRead => "store_read",
+            Stage::StructureValidate => "structure_validate",
+            Stage::Decode => "decode",
+            Stage::Write => "write",
+        }
+    }
+}
+
+/// Per-request stage timing breakdown in microseconds, indexed by
+/// [`Stage`]. `None` means the stage never ran for this request — a cache
+/// hit skips `store_read`, `structure_validate` and `decode` entirely,
+/// which is itself signal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
-    /// Admission queue to worker pickup.
-    pub queue_wait_us: Option<u64>,
-    /// Blob store read (cache miss only).
-    pub store_read_us: Option<u64>,
-    /// Artifact structural decode + validation (cache miss only).
-    pub structure_validate_us: Option<u64>,
-    /// Field decompression into the arena (cache miss only).
-    pub decode_us: Option<u64>,
-    /// Cumulative gated socket writes.
-    pub write_us: Option<u64>,
+    us: [Option<u64>; Stage::ALL.len()],
     /// Not a stage but a milestone on the same clock: request start to the
     /// first `LEVEL` frame written — when the client could first render.
-    /// Absent from [`StageTimes::as_pairs`]; stages add up to at most the
+    /// Absent from every stage view; stages add up to at most the
     /// request's elapsed time, a milestone overlaps them.
     pub first_level_us: Option<u64>,
 }
 
+impl std::ops::Index<Stage> for StageTimes {
+    type Output = Option<u64>;
+    fn index(&self, stage: Stage) -> &Option<u64> {
+        &self.us[stage as usize]
+    }
+}
+
+impl std::ops::IndexMut<Stage> for StageTimes {
+    fn index_mut(&mut self, stage: Stage) -> &mut Option<u64> {
+        &mut self.us[stage as usize]
+    }
+}
+
 impl StageTimes {
-    /// Present stages as `(name, us)` pairs in [`STAGE_NAMES`] order.
-    pub fn as_pairs(&self) -> Vec<(&'static str, u64)> {
-        [
-            self.queue_wait_us,
-            self.store_read_us,
-            self.structure_validate_us,
-            self.decode_us,
-            self.write_us,
-        ]
-        .iter()
-        .zip(STAGE_NAMES)
-        .filter_map(|(v, name)| v.map(|us| (name, us)))
-        .collect()
+    /// The stages that ran, with their times, in pipeline order.
+    pub(crate) fn present(&self) -> impl Iterator<Item = (Stage, u64)> + '_ {
+        Stage::ALL
+            .into_iter()
+            .filter_map(|stage| self[stage].map(|us| (stage, us)))
     }
 
-    /// Compact JSON object of the present stages (for the journal line).
+    /// Compact JSON object of the present stages (journal lines and
+    /// exemplars).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, us)) in self.as_pairs().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{us}"));
-        }
-        out.push('}');
-        out
+        let pairs: Vec<String> = self
+            .present()
+            .map(|(stage, us)| format!("\"{}\":{us}", stage.name()))
+            .collect();
+        format!("{{{}}}", pairs.join(","))
     }
 
     /// Adds `us` to the cumulative write stage.
     pub fn add_write(&mut self, us: u64) {
-        self.write_us = Some(self.write_us.unwrap_or(0) + us);
+        self[Stage::Write] = Some(self[Stage::Write].unwrap_or(0) + us);
     }
 }
 
@@ -118,7 +141,7 @@ pub struct ReqTelemetry {
     /// Latency histograms indexed by `Status::code()`, which numbers
     /// `Status::ALL` from 0.
     latency: Mutex<Vec<WindowedHistogram>>,
-    /// Stage histograms indexed by [`STAGE_NAMES`] position.
+    /// Stage histograms indexed by [`Stage`].
     stages: Mutex<Vec<WindowedHistogram>>,
     /// Request start to first `LEVEL` frame written, over the GETs that
     /// sent one.
@@ -137,7 +160,7 @@ impl ReqTelemetry {
                     .collect(),
             ),
             stages: Mutex::new(
-                (0..STAGE_NAMES.len())
+                (0..Stage::ALL.len())
                     .map(|_| WindowedHistogram::with_slots(SLOTS))
                     .collect(),
             ),
@@ -185,12 +208,10 @@ impl ReqTelemetry {
         // Only requests that carried a stage breakdown (GETs) are
         // diagnosable, so only they reach the tail reservoir below.
         let Some(st) = stages else { return };
-        let pairs = st.as_pairs();
         {
             let mut hs = self.stages.lock().unwrap();
-            for (name, us) in &pairs {
-                let idx = STAGE_NAMES.iter().position(|n| n == name).unwrap();
-                hs[idx].record(slot, *us);
+            for (stage, us) in st.present() {
+                hs[stage as usize].record(slot, us);
             }
         }
         if let Some(us) = st.first_level_us {
@@ -202,7 +223,7 @@ impl ReqTelemetry {
                 trace,
                 total_us,
                 label: format!("{} key={key:016x}", status.name()),
-                stages: pairs.iter().map(|(n, us)| (n.to_string(), *us)).collect(),
+                stages: *st,
             });
         }
     }
@@ -309,7 +330,7 @@ impl ReqTelemetry {
         // Per-stage timing: same shape, keyed by the stage taxonomy.
         {
             let hs = self.stages.lock().unwrap();
-            let mut by_stage = STAGE_NAMES.into_iter().zip(hs.iter());
+            let mut by_stage = Stage::ALL.iter().map(|s| (s.name(), &hs[*s as usize]));
             out.push_str(&format!(",\"stages_us\":{}", family(&mut by_stage)));
         }
 
@@ -329,21 +350,29 @@ impl ReqTelemetry {
 mod tests {
     use super::*;
 
-    fn stages(decode: u64, write: u64) -> StageTimes {
-        StageTimes {
-            queue_wait_us: Some(3),
-            store_read_us: None,
-            structure_validate_us: None,
-            decode_us: Some(decode),
-            write_us: Some(write),
-            first_level_us: Some(decode + 5),
+    /// The given stages, every other one absent.
+    fn times(pairs: &[(Stage, u64)]) -> StageTimes {
+        let mut st = StageTimes::default();
+        for &(stage, us) in pairs {
+            st[stage] = Some(us);
         }
+        st
+    }
+
+    fn stages(decode: u64, write: u64) -> StageTimes {
+        let mut st = times(&[
+            (Stage::QueueWait, 3),
+            (Stage::Decode, decode),
+            (Stage::Write, write),
+        ]);
+        st.first_level_us = Some(decode + 5);
+        st
     }
 
     #[test]
     fn stage_times_pairs_and_json_skip_absent() {
         let st = stages(500, 20);
-        let pairs = st.as_pairs();
+        let pairs: Vec<(&str, u64)> = st.present().map(|(s, us)| (s.name(), us)).collect();
         assert_eq!(
             pairs,
             vec![("queue_wait", 3), ("decode", 500), ("write", 20)],
@@ -355,7 +384,7 @@ mod tests {
         let mut w = StageTimes::default();
         w.add_write(5);
         w.add_write(7);
-        assert_eq!(w.write_us, Some(12));
+        assert_eq!(w[Stage::Write], Some(12));
     }
 
     #[test]
@@ -381,16 +410,19 @@ mod tests {
         };
         // 5m window (60 slots ending at 119): only the good burst.
         let w5 = &r.windows[0];
-        assert_eq!(w5.total, 100);
-        assert_eq!(w5.good, 100);
-        assert_eq!(w5.p99_us, p99(&[(100, 100)]));
+        assert_eq!(w5.reading.total, 100);
+        assert_eq!(w5.reading.good, 100);
+        assert_eq!(w5.reading.p99_us, p99(&[(100, 100)]));
         assert!(!w5.avail_exceeded);
         // 1h window sees both bursts: 150 good of 200.
         let w1h = &r.windows[1];
-        assert_eq!(w1h.total, 200);
-        assert_eq!(w1h.good, 150);
-        assert_eq!(w1h.p99_us, p99(&[(150, 100), (50, 1000)]));
-        assert!(w1h.p99_us >= 1000, "the failure burst is the window's tail");
+        assert_eq!(w1h.reading.total, 200);
+        assert_eq!(w1h.reading.good, 150);
+        assert_eq!(w1h.reading.p99_us, p99(&[(150, 100), (50, 1000)]));
+        assert!(
+            w1h.reading.p99_us >= 1000,
+            "the failure burst is the window's tail"
+        );
         assert!(w1h.avail_exceeded, "25% bad over a 1% budget");
         // AND semantics: short window recovered, so no breach.
         assert!(!r.breached());
@@ -398,14 +430,7 @@ mod tests {
 
     /// A cache miss: every stage ran.
     fn cold(us: u64) -> StageTimes {
-        StageTimes {
-            queue_wait_us: Some(us),
-            store_read_us: Some(2 * us),
-            structure_validate_us: Some(3 * us),
-            decode_us: Some(4 * us),
-            write_us: Some(5 * us),
-            first_level_us: None,
-        }
+        times(&Stage::ALL.map(|s| (s, (s as u64 + 1) * us)))
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use amrviz_serve::exemplar::{Exemplar, Reservoir};
 use amrviz_serve::slo::{evaluate, SloSpec, WindowReading};
-use amrviz_serve::telemetry::{ReqTelemetry, StageTimes, SLOTS, SLOT_SECS};
+use amrviz_serve::telemetry::{ReqTelemetry, Stage, StageTimes, SLOTS, SLOT_SECS};
 use amrviz_serve::window::WindowedHistogram;
 use amrviz_serve::Status;
 use std::sync::Mutex;
@@ -63,10 +63,16 @@ fn slo_windows_age_out_across_ring_rotation() {
     }
     let r = t.slo_report_at(w5m_slots + 10);
     let (w5m, w1h) = (&r.windows[0], &r.windows[1]);
-    assert_eq!(w5m.total, 70, "failure burst aged out of the 5m window");
-    assert_eq!(w5m.good, 70);
-    assert_eq!(w1h.total, 100, "1h window still remembers the burst");
-    assert_eq!(w1h.good, 70);
+    assert_eq!(
+        w5m.reading.total, 70,
+        "failure burst aged out of the 5m window"
+    );
+    assert_eq!(w5m.reading.good, 70);
+    assert_eq!(
+        w1h.reading.total, 100,
+        "1h window still remembers the burst"
+    );
+    assert_eq!(w1h.reading.good, 70);
     assert!(w1h.avail_exceeded && !w5m.avail_exceeded);
     assert!(
         !r.breached(),
@@ -82,11 +88,15 @@ fn slo_windows_age_out_across_ring_rotation() {
 #[test]
 fn exemplar_reservoir_is_deterministic_across_thread_counts() {
     let offers: Vec<Exemplar> = (0..200u64)
-        .map(|i| Exemplar {
-            trace: i + 1,
-            total_us: (i * 7919) % 10_000, // pseudo-shuffled durations
-            label: format!("ok key={i:016x}"),
-            stages: vec![("decode".into(), ((i * 7919) % 10_000) / 2)],
+        .map(|i| {
+            let mut stages = StageTimes::default();
+            stages[Stage::Decode] = Some(((i * 7919) % 10_000) / 2);
+            Exemplar {
+                trace: i + 1,
+                total_us: (i * 7919) % 10_000, // pseudo-shuffled durations
+                label: format!("ok key={i:016x}"),
+                stages,
+            }
         })
         .collect();
 
@@ -122,12 +132,10 @@ fn telemetry_exemplars_are_order_independent() {
     let record_all = |order: &[usize]| -> Vec<String> {
         let t = ReqTelemetry::new(SloSpec::default());
         for &i in order {
-            let st = StageTimes {
-                queue_wait_us: Some(5),
-                decode_us: Some((i as u64) * 90),
-                write_us: Some(10),
-                ..StageTimes::default()
-            };
+            let mut st = StageTimes::default();
+            st[Stage::QueueWait] = Some(5);
+            st[Stage::Decode] = Some((i as u64) * 90);
+            st[Stage::Write] = Some(10);
             t.record_at(
                 1,
                 Status::Ok,

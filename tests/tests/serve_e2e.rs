@@ -7,8 +7,8 @@ use amrviz_compress::{
     compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, ErrorBound, SzLr,
 };
 use amrviz_serve::proto::{
-    encode_level_frame, read_frame, write_frame, EndFrame, Op, Request, FLAG_COARSE_ONLY,
-    FLAG_DEGRADED, MAX_RESPONSE_FRAME,
+    encode_level_frame, read_frame, write_frame, EndFrame, Op, Request, FLAG_DEGRADED,
+    MAX_RESPONSE_FRAME,
 };
 use amrviz_serve::{
     encode_artifact, exchange, start, BlobStore, ClientConfig, Outcome, RespHeader, ServeConfig,
@@ -310,33 +310,6 @@ fn hang_up_after_level_0_leaves_no_partial_cache_entry() {
 
     server.shutdown();
     assert_eq!(server.join().panics, 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn coarse_only_miss_sends_one_level_and_caches_nothing() {
-    let (dir, key, _) = populate("coarse_only");
-    // Any remaining budget is "thin": every response is coarse-only.
-    let server = start(ServeConfig {
-        store_dir: dir.clone(),
-        coarse_only_frac: 1.5,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    for round in 1..=2 {
-        let ex = exchange(server.addr(), &get(key, 5_000), &ClientConfig::default());
-        assert_eq!(ex.outcome, Outcome::Ok, "{ex:?}");
-        let header = ex.header.unwrap();
-        assert_eq!((header.n_levels, header.flags), (1, FLAG_COARSE_ONLY));
-        assert_eq!(ex.levels.len(), 1);
-        assert_eq!(ex.end.unwrap().levels_sent, 1);
-        // The decode stopped at level 0, so there was nothing whole to keep.
-        let stats = server.stats();
-        assert_eq!((stats.cache_misses, stats.cache_hits), (round, 0));
-    }
-    server.shutdown();
-    let stats = server.join();
-    assert_eq!((stats.coarse_only, stats.panics), (2, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
