@@ -924,6 +924,7 @@ mod tests {
         for round in 1..=2 {
             let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             let (mut conn, _) = listener.accept().unwrap();
+            conn.set_write_timeout(Some(IO_TIMEOUT)).unwrap();
             let t0 = Instant::now() - Duration::from_secs(8);
             let served = std::thread::scope(|s| {
                 let server =
