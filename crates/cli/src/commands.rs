@@ -104,6 +104,9 @@ pub fn simulate(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, SIMULATE_FLAGS.0, SIMULATE_FLAGS.1)?;
     let out = Path::new(p.required("out")?);
     let n = p.opt_parse::<usize>("n")?.unwrap_or(32);
+    if n == 0 {
+        return Err("--n must be at least 1".into());
+    }
     let steps = p.opt_parse::<u64>("steps")?.unwrap_or(24);
     let every = p.opt_parse::<u64>("snap-every")?.unwrap_or(8).max(1);
     std::fs::create_dir_all(out).map_err(|e| e.to_string())?;
@@ -279,16 +282,18 @@ pub fn extract(argv: &[String]) -> Result<(), String> {
     let iso = iso_value(&p, &hier, field)?;
     let levels = &hier.field(field).map_err(|e| e.to_string())?.levels;
     let res = extract_amr_isosurface(&hier, levels, iso, m);
-    obj::save_obj(Path::new(out), &res.combined()).map_err(|e| e.to_string())?;
+    let per_level: Vec<String> = res
+        .level_meshes
+        .iter()
+        .map(|m| m.num_triangles().to_string())
+        .collect();
+    let mesh = res.into_combined();
+    obj::save_obj(Path::new(out), &mesh).map_err(|e| e.to_string())?;
     println!(
         "{} @ iso {iso:.6e}: {} triangles ({} per-level) -> {out}",
         m.label(),
-        res.total_triangles(),
-        res.level_meshes
-            .iter()
-            .map(|m| m.num_triangles().to_string())
-            .collect::<Vec<_>>()
-            .join(" + ")
+        mesh.num_triangles(),
+        per_level.join(" + ")
     );
     Ok(())
 }
@@ -301,11 +306,16 @@ pub const RENDER_FLAGS: Flags = (
 );
 pub fn render(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, RENDER_FLAGS.0, RENDER_FLAGS.1)?;
+    let width = p.opt_parse::<usize>("width")?.unwrap_or(960);
+    let height = p.opt_parse::<usize>("height")?.unwrap_or(720);
+    for (flag, pixels) in [("width", width), ("height", height)] {
+        if pixels == 0 {
+            return Err(format!("--{flag} must be at least 1"));
+        }
+    }
     let hier = load(p.positional(0, "plotfile path")?)?;
     let field = p.required("field")?;
     let out = p.required("out")?;
-    let width = p.opt_parse::<usize>("width")?.unwrap_or(960);
-    let height = p.opt_parse::<usize>("height")?.unwrap_or(720);
 
     let img = match p.opt("mode").unwrap_or("surface") {
         "surface" => {
@@ -364,10 +374,7 @@ pub fn diff(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-pub const TORTURE_FLAGS: Flags = (
-    &["iters", "seed", "max-peak-mb", "recipes", "workers"],
-    &["serve"],
-);
+pub const TORTURE_FLAGS: Flags = (&["iters", "seed", "recipes"], &["serve"]);
 /// Fault-injection sweep: corrupt known-good streams and assert every
 /// decoder errors gracefully within its memory budget.
 pub fn torture(argv: &[String]) -> Result<(), String> {
@@ -378,10 +385,6 @@ pub fn torture(argv: &[String]) -> Result<(), String> {
     let cfg = amrviz_fault::TortureConfig {
         seed: p.opt_parse::<u64>("seed")?.unwrap_or(7),
         iters: p.opt_parse::<u32>("iters")?.unwrap_or(500),
-        max_peak_bytes: p
-            .opt_parse::<usize>("max-peak-mb")?
-            .unwrap_or(128)
-            .saturating_mul(1 << 20),
         recipes: p.opt_parse::<u32>("recipes")?.unwrap_or(0),
     };
     if cfg.iters == 0 {
@@ -862,11 +865,6 @@ fn serve_torture(p: &Parsed) -> Result<(), String> {
     let cfg = amrviz_serve::ServeTortureConfig {
         iters: p.opt_parse::<u64>("iters")?.unwrap_or(300),
         seed: p.opt_parse::<u64>("seed")?.unwrap_or(7),
-        workers: p.opt_parse::<usize>("workers")?.unwrap_or(2),
-        max_peak_bytes: p
-            .opt_parse::<usize>("max-peak-mb")?
-            .unwrap_or(1024)
-            .saturating_mul(1 << 20),
         ..amrviz_serve::ServeTortureConfig::default()
     };
     if cfg.iters == 0 {
@@ -934,7 +932,6 @@ pub const SERVE_FLAGS: Flags = (
         "workers",
         "queue-depth",
         "cache-mb",
-        "max-deadline-ms",
         "shutdown-after",
         "chaos",
         "seed-scenarios",
@@ -949,15 +946,13 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, SERVE_FLAGS.0, SERVE_FLAGS.1)?;
     p.report_warnings();
     let store_dir = std::path::PathBuf::from(p.required("store")?);
+    let shutdown_after = p.opt_secs("shutdown-after")?;
     if let Some(n) = p.opt_parse::<usize>("seed-scenarios")? {
         let seed = p.opt_parse::<u64>("seed")?.unwrap_or(1);
         let keys = seed_store(&store_dir, n, seed)?;
         let hex: Vec<String> = keys.iter().map(|k| format!("\"{k:016x}\"")).collect();
         println!("SERVE_KEYS [{}]", hex.join(","));
     }
-    let shutdown_after = p
-        .opt_parse::<f64>("shutdown-after")?
-        .map(std::time::Duration::from_secs_f64);
     if shutdown_after.is_none() {
         eprintln!("note: no --shutdown-after given; serving until killed");
     }
@@ -970,7 +965,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
             .opt_parse::<usize>("cache-mb")?
             .unwrap_or(256)
             .saturating_mul(1 << 20),
-        max_deadline_ms: p.opt_parse::<u32>("max-deadline-ms")?.unwrap_or(10_000),
         shutdown_after,
         slo: match p.opt("slo") {
             Some(s) => amrviz_serve::slo::SloSpec::parse(s)?,
@@ -1015,7 +1009,6 @@ pub const LOADGEN_FLAGS: Flags = (
         "rps",
         "duration",
         "deadline-ms",
-        "retries",
         "seed",
         "min-success",
         "slo",
@@ -1035,11 +1028,10 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
         addr,
         clients: p.opt_parse::<usize>("clients")?.unwrap_or(4),
         rps: p.opt_parse::<f64>("rps")?.unwrap_or(20.0),
-        duration: std::time::Duration::from_secs_f64(
-            p.opt_parse::<f64>("duration")?.unwrap_or(5.0),
-        ),
+        duration: p
+            .opt_secs("duration")?
+            .unwrap_or(std::time::Duration::from_secs(5)),
         deadline_ms: p.opt_parse::<u32>("deadline-ms")?.unwrap_or(500),
-        max_retries: p.opt_parse::<u32>("retries")?.unwrap_or(3),
         seed: p.opt_parse::<u64>("seed")?.unwrap_or(1),
     };
     let min_success = p.opt_parse::<f64>("min-success")?.unwrap_or(0.9);
@@ -1181,6 +1173,44 @@ mod tests {
         assert!(failed.starts_with("writing stats:"), "{failed}");
     }
 
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// A zero-sized image or grid is refused by name before any input is
+    /// read or any output written.
+    #[test]
+    fn zero_sizes_are_refused_by_name() {
+        let root = std::env::temp_dir().join(format!("amrviz_cli_zero_{}", std::process::id()));
+        let out = root.join("out.png").to_string_lossy().into_owned();
+        for flag in ["--width", "--height"] {
+            let argv = args(&["missing", "--field", "f", "--out", &out, flag, "0"]);
+            let err = render(&argv).unwrap_err();
+            assert!(err.starts_with(flag), "{flag}: {err}");
+        }
+        let dir = root.join("sim").to_string_lossy().into_owned();
+        let err = simulate(&args(&["--out", &dir, "--n", "0"])).unwrap_err();
+        assert!(err.starts_with("--n "), "{err}");
+        assert!(!root.exists(), "nothing is written");
+    }
+
+    /// A negative or NaN span of seconds is refused by name before a
+    /// server starts or a client connects.
+    #[test]
+    fn bad_seconds_are_refused_by_name() {
+        let store = std::env::temp_dir().join(format!("amrviz_cli_secs_{}", std::process::id()));
+        let store = store.to_string_lossy().into_owned();
+        for secs in ["-1", "nan"] {
+            let argv = args(&["--addr", "127.0.0.1:9", "--duration", secs]);
+            let err = loadgen(&argv).unwrap_err();
+            assert!(err.starts_with("--duration"), "{secs}: {err}");
+            let argv = args(&["--store", &store, "--shutdown-after", secs]);
+            let err = serve(&argv).unwrap_err();
+            assert!(err.starts_with("--shutdown-after"), "{secs}: {err}");
+        }
+        assert!(!Path::new(&store).exists(), "no store is opened");
+    }
+
     /// `decompress` takes the compressor and `skip_redundant` from the
     /// stream's header: every algorithm, with and without skipping, comes
     /// back within the pointwise bound with no flag naming either, and the
@@ -1189,7 +1219,6 @@ mod tests {
     fn decompress_reads_its_configuration_from_the_header() {
         let root = std::env::temp_dir().join(format!("amrviz_cli_rt_{}", std::process::id()));
         let path = |leaf: &str| root.join(leaf).to_string_lossy().into_owned();
-        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let ds = path("ds");
         generate(&args(&[
             "nyx", "--out", &ds, "--scale", "tiny", "--seed", "3",

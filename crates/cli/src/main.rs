@@ -255,10 +255,10 @@ USAGE:
                     [--mode surface|slice] [--iso V | --quantile Q]
                     [--method M] [--width W] [--height H] [--log]
   amrviz diff       <plotfile A> <plotfile B> --field F [--field-b G]
-  amrviz torture    [--iters N] [--seed S] [--max-peak-mb M] [--recipes K]
+  amrviz torture    [--iters N] [--seed S] [--recipes K]
                     fault-injection sweep over every decoder: mutated
                     streams must error gracefully, never panic, and stay
-                    under the peak-allocation cap (default 128 MiB).
+                    under the 128 MiB peak-allocation cap.
                     --recipes K appends K recipe-sampled AMR scenarios to
                     the corrupted-stream corpus; violations print the
                     reproducing recipe string. Prints one machine-readable
@@ -266,22 +266,23 @@ USAGE:
                     [--serve] instead chaos-tests the serving stack: an
                     in-process server behind a fault-injecting proxy, with
                     good/degraded/disk-corrupt/unknown keys and randomized
-                    deadlines ([--workers N] server workers, default 2).
-                    Asserts no panics, no post-deadline data, typed errors
-                    for corrupt blobs, and bounded peak memory. Prints
+                    deadlines, served by two workers. Asserts no panics,
+                    no post-deadline data, typed errors for corrupt blobs,
+                    and peak memory under 1 GiB. Prints
                     `SERVE_TORTURE {...}`; exits nonzero on any violation
                     with a reproducing command line.
   amrviz serve      --store DIR [--addr HOST:PORT] [--workers N]
-                    [--queue-depth D] [--cache-mb MB] [--max-deadline-ms MS]
-                    [--shutdown-after SECS] [--chaos SEED] [--slo SPEC]
+                    [--queue-depth D] [--cache-mb MB] [--shutdown-after SECS]
+                    [--chaos SEED] [--slo SPEC]
                     [--seed-scenarios N [--seed S]]
                     progressive AMR server: streams cached decoded
                     hierarchies coarse-level-first over a length-prefixed
                     binary protocol, honoring per-request deadline budgets
-                    (late work is cut mid-stream, never delivered late) and
-                    shedding load with typed RETRY_LATER + retry hint when
-                    the queue is full. --chaos puts a deterministic
-                    fault-injecting proxy in front (for CI/torture).
+                    (capped at 10 s; late work is cut mid-stream, never
+                    delivered late) and shedding load with typed
+                    RETRY_LATER + retry hint when the queue is full.
+                    --chaos puts a deterministic fault-injecting proxy in
+                    front (for CI/torture).
                     --seed-scenarios pre-populates the store with N tiny
                     compressed snapshots. --slo declares the objectives
                     (e.g. p99<250,avail>99) evaluated over 5m/1h burn
@@ -291,26 +292,27 @@ USAGE:
                     nonzero if any worker panicked or any data frame was
                     written past its deadline.
   amrviz loadgen    --addr HOST:PORT [--clients N] [--rps R]
-                    [--duration SECS] [--deadline-ms MS] [--retries K]
-                    [--seed S] [--min-success FRAC] [--slo SPEC]
+                    [--duration SECS] [--deadline-ms MS] [--seed S]
+                    [--min-success FRAC] [--slo SPEC]
                     closed-loop load generator: N client threads with
                     jittered pacing and seeded exponential backoff on
-                    shed/timeout. Discovers keys via LIST, prints a
-                    `LOADGEN {...}` line with p50/p99 latency and
-                    per-outcome latency histograms; exits nonzero when the
-                    success rate drops below --min-success (default 0.9) or
-                    any frame arrived after deadline + grace. --slo gates
+                    shed/timeout, at most 3 retries a request. Discovers
+                    keys via LIST, prints a `LOADGEN {...}` line with
+                    p50/p99 latency and per-outcome latency histograms;
+                    exits nonzero when the success rate drops below
+                    --min-success (default 0.9) or any frame arrived after
+                    deadline + grace. --slo gates
                     the whole run against a declared objective (e.g.
                     p99<250,avail>99), printing `LOADGEN_SLO {...}` and
                     exiting nonzero on breach.
-  amrviz top        HOST:PORT [--interval SECS] [--exemplars N]
-                    [--once] [--json]
+  amrviz top        HOST:PORT [--interval SECS] [--once] [--json]
                     live dashboard over the server's in-band STATS request
                     (same port as data traffic): outcome sparklines,
                     windowed latency and stage-timing percentiles, SLO
-                    burn-rate windows, and tail exemplars naming the stage
-                    each slow request spent its time in. Retries through
-                    chaos-proxy faults. --once renders a single frame;
+                    burn-rate windows, and the three slowest exemplars,
+                    each naming the stage it spent its time in. Redraws
+                    every 2 s by default. Retries through chaos-proxy
+                    faults. --once renders a single frame;
                     --once --json prints the raw validated snapshot for
                     scripts and CI.
   amrviz repro      <experiment> [--scale tiny|small|medium|paper] [--seed N]
@@ -422,6 +424,24 @@ mod tests {
             }
         }
         assert!(disagree.is_empty(), "{disagree:#?}");
+    }
+
+    /// Flags that only ever held one value are gone: each is an unknown
+    /// option to its command.
+    #[test]
+    fn one_value_flags_are_unknown() {
+        type Command = fn(&[String]) -> Result<(), String>;
+        let retired: [(&str, Command); 5] = [
+            ("--max-peak-mb", commands::torture),
+            ("--workers", commands::torture),
+            ("--max-deadline-ms", commands::serve),
+            ("--retries", commands::loadgen),
+            ("--exemplars", top::top),
+        ];
+        for (flag, command) in retired {
+            let err = command(&[flag.to_string(), "1".to_string()]).unwrap_err();
+            assert_eq!(err, format!("unknown option {flag}"));
+        }
     }
 
     /// `--trace d/t.json` on a directory that does not exist yet must not

@@ -98,7 +98,7 @@ impl ObsOverheadReport {
 /// min-of-N trials. The journal file is left in `out_dir` for inspection.
 pub fn run_obs_overhead(scale: Scale, out_dir: &Path) -> ObsOverheadReport {
     let was_enabled = amrviz_obs::is_enabled();
-    let built = Scenario::new(Application::Nyx, scale, 42).build();
+    let built = BuiltScenario::from_spec(Application::Nyx.spec(scale, 42));
 
     let workload = |b: &BuiltScenario| {
         let comp = CompressorKind::SzLr.instance();

@@ -554,8 +554,10 @@ impl Ctx {
                 "[repro] generating {key} scenario at {:?} scale…",
                 self.scale
             );
-            self.built
-                .insert(key, Scenario::new(app, self.scale, self.seed).build());
+            self.built.insert(
+                key,
+                BuiltScenario::from_spec(app.spec(self.scale, self.seed)),
+            );
         }
         &self.built[key]
     }

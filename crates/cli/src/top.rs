@@ -24,7 +24,10 @@ const POLL_ATTEMPTS: u32 = 15;
 /// Sparkline history length (polls).
 const SPARK_LEN: usize = 24;
 
-pub const TOP_FLAGS: crate::commands::Flags = (&["interval", "exemplars"], &["once", "json"]);
+/// Tail exemplars shown per frame.
+const EXEMPLARS: usize = 3;
+
+pub const TOP_FLAGS: crate::commands::Flags = (&["interval"], &["once", "json"]);
 pub fn top(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, TOP_FLAGS.0, TOP_FLAGS.1)?;
     p.report_warnings();
@@ -32,11 +35,7 @@ pub fn top(argv: &[String]) -> Result<(), String> {
         .positional(0, "server address (HOST:PORT)")?
         .parse()
         .map_err(|e| format!("bad server address: {e}"))?;
-    let interval = p.opt_parse::<f64>("interval")?.unwrap_or(2.0);
-    if !interval.is_finite() || interval <= 0.0 {
-        return Err(format!("--interval must be positive, got {interval}"));
-    }
-    let max_exemplars = p.opt_parse::<usize>("exemplars")?.unwrap_or(3);
+    let interval = p.opt_secs("interval")?.unwrap_or(Duration::from_secs(2));
     let once = p.switch("once");
     let as_json = p.switch("json");
     if as_json && !once {
@@ -64,11 +63,11 @@ pub fn top(argv: &[String]) -> Result<(), String> {
             // Clear + home; plain ANSI so it works in any terminal and CI logs.
             print!("\x1b[2J\x1b[H");
         }
-        print!("{}", render(addr, &doc, &spark, max_exemplars));
+        print!("{}", render(addr, &doc, &spark));
         if once {
             return Ok(());
         }
-        std::thread::sleep(Duration::from_secs_f64(interval));
+        std::thread::sleep(interval);
     }
 }
 
@@ -149,12 +148,7 @@ fn ms(us: f64) -> String {
 
 /// The full dashboard frame as one string (single write keeps redraw
 /// flicker-free).
-fn render(
-    addr: SocketAddr,
-    doc: &Json,
-    spark: &BTreeMap<String, VecDeque<u64>>,
-    max_exemplars: usize,
-) -> String {
+fn render(addr: SocketAddr, doc: &Json, spark: &BTreeMap<String, VecDeque<u64>>) -> String {
     let mut out = String::new();
     let health = gs(doc, "health");
     out.push_str(&format!(
@@ -275,7 +269,7 @@ fn render(
         if !exs.is_empty() {
             out.push('\n');
             out.push_str("tail exemplars (slowest retained requests)\n");
-            for e in exs.iter().take(max_exemplars) {
+            for e in exs.iter().take(EXEMPLARS) {
                 let total = gu(e, "total_us");
                 let stages = match e.get("stages_us") {
                     Some(Json::Obj(stages)) => stages.as_slice(),
@@ -342,10 +336,22 @@ mod tests {
         );
         let doc = Json::parse(&raw).unwrap();
         let addr: SocketAddr = "127.0.0.1:9999".parse().unwrap();
-        let frame = render(addr, &doc, &BTreeMap::new(), 3);
+        let frame = render(addr, &doc, &BTreeMap::new());
         assert!(frame.contains("health OK"), "{frame}");
         assert!(frame.contains("decode-bound"), "{frame}");
         assert!(frame.contains("trace abc"), "{frame}");
+    }
+
+    #[test]
+    fn bad_interval_is_refused_by_name() {
+        for secs in ["-1", "nan", "0"] {
+            let argv: Vec<String> = ["127.0.0.1:9", "--interval", secs]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let err = top(&argv).unwrap_err();
+            assert!(err.starts_with("--interval"), "{secs}: {err}");
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! options. Hand-rolled to keep the dependency budget at zero.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 #[derive(Debug, Default)]
 pub struct Parsed {
@@ -86,6 +87,20 @@ impl Parsed {
         }
     }
 
+    /// A span of seconds: a positive, finite number that fits a
+    /// [`Duration`]; anything else is an error naming the flag.
+    pub fn opt_secs(&self, name: &str) -> Result<Option<Duration>, String> {
+        let Some(secs) = self.opt_parse::<f64>(name)? else {
+            return Ok(None);
+        };
+        match Duration::try_from_secs_f64(secs) {
+            Ok(span) if secs > 0.0 => Ok(Some(span)),
+            _ => Err(format!(
+                "--{name} must be a positive number of seconds, got {secs}"
+            )),
+        }
+    }
+
     pub fn required(&self, name: &str) -> Result<&str, String> {
         self.opt(name).ok_or(format!("missing required --{name}"))
     }
@@ -142,6 +157,17 @@ mod tests {
     fn missing_value_and_unknown_option() {
         assert!(parse(&sv(&["--field"]), &["field"], &[]).is_err());
         assert!(parse(&sv(&["--nope", "v"]), &["field"], &[]).is_err());
+    }
+
+    #[test]
+    fn seconds_must_be_positive_and_finite() {
+        let secs = |v: &str| parse(&sv(&["--t", v]), &["t"], &[]).unwrap().opt_secs("t");
+        assert_eq!(secs("1.5"), Ok(Some(Duration::from_millis(1500))));
+        for bad in ["0", "-1", "nan", "inf", "1e300", "x"] {
+            let err = secs(bad).unwrap_err();
+            assert!(err.starts_with("--t"), "{bad}: {err}");
+        }
+        assert_eq!(parse(&[], &["t"], &[]).unwrap().opt_secs("t"), Ok(None));
     }
 
     #[test]

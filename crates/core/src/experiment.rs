@@ -531,15 +531,15 @@ impl ToJson for VizQualityRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Application, Scenario};
+    use crate::scenario::Application;
     use amrviz_sim::Scale;
 
     fn nyx() -> BuiltScenario {
-        Scenario::new(Application::Nyx, Scale::Tiny, 42).build()
+        BuiltScenario::from_spec(Application::Nyx.spec(Scale::Tiny, 42))
     }
 
     fn warpx() -> BuiltScenario {
-        Scenario::new(Application::Warpx, Scale::Tiny, 42).build()
+        BuiltScenario::from_spec(Application::Warpx.spec(Scale::Tiny, 42))
     }
 
     #[test]

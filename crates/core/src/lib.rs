@@ -22,8 +22,7 @@
 //! use amrviz_core::prelude::*;
 //!
 //! // A tiny Nyx-like snapshot, SZ-Interp at rel. eb 1e-3:
-//! let scenario = Scenario::new(Application::Nyx, Scale::Tiny, 42);
-//! let built = scenario.build();
+//! let built = BuiltScenario::from_spec(Application::Nyx.spec(Scale::Tiny, 42));
 //! let run = run_compression(&built, CompressorKind::SzInterp, 1e-3).unwrap();
 //! assert!(run.compression_ratio > 1.0);
 //! assert!(run.psnr_db > 40.0);
@@ -39,7 +38,7 @@ pub use experiment::{
     run_viz_quality, CompressionRun, CompressorKind, CrackRun, RateDistortionPoint, Table1Row,
     VizQualityRun,
 };
-pub use scenario::{Application, BuiltScenario, Scenario, ScenarioSpec};
+pub use scenario::{Application, BuiltScenario, ScenarioSpec};
 
 /// Convenient glob-import surface.
 pub mod prelude {
@@ -48,7 +47,7 @@ pub mod prelude {
         run_viz_quality, CompressionRun, CompressorKind, CrackRun, RateDistortionPoint,
         VizQualityRun,
     };
-    pub use crate::scenario::{Application, BuiltScenario, Scenario, ScenarioSpec};
+    pub use crate::scenario::{Application, BuiltScenario, ScenarioSpec};
     pub use amrviz_sim::Scale;
     pub use amrviz_viz::IsoMethod;
 }

@@ -54,15 +54,6 @@ impl ToJson for Application {
     }
 }
 
-/// A paper-application scenario specification (thin wrapper retaining the
-/// original two-app API; recipes construct [`ScenarioSpec`]s directly).
-#[derive(Debug, Clone, Copy)]
-pub struct Scenario {
-    pub app: Application,
-    pub scale: Scale,
-    pub seed: u64,
-}
-
 /// A generated scenario: the hierarchy plus evaluation conveniences.
 pub struct BuiltScenario {
     pub spec: ScenarioSpec,
@@ -74,17 +65,6 @@ pub struct BuiltScenario {
     /// uniform data so it is meaningful at every scale and crosses the
     /// coarse/fine interface.
     pub iso: f64,
-}
-
-impl Scenario {
-    pub fn new(app: Application, scale: Scale, seed: u64) -> Self {
-        Scenario { app, scale, seed }
-    }
-
-    /// Generates the snapshot and evaluation context.
-    pub fn build(&self) -> BuiltScenario {
-        BuiltScenario::from_spec(self.app.spec(self.scale, self.seed))
-    }
 }
 
 impl BuiltScenario {
@@ -116,7 +96,7 @@ mod tests {
     #[test]
     fn both_apps_build_at_tiny_scale() {
         for app in Application::ALL {
-            let built = Scenario::new(app, Scale::Tiny, 1).build();
+            let built = BuiltScenario::from_spec(app.spec(Scale::Tiny, 1));
             assert_eq!(built.hierarchy.num_levels(), 2);
             assert!(!built.uniform.data.is_empty());
             let (lo, hi) = built.uniform.min_max();
@@ -132,7 +112,7 @@ mod tests {
         // The crack/gap analysis is only meaningful if both levels produce
         // triangles at the chosen iso-value.
         for app in Application::ALL {
-            let built = Scenario::new(app, Scale::Tiny, 1).build();
+            let built = BuiltScenario::from_spec(app.spec(Scale::Tiny, 1));
             let field = built.spec.eval_field();
             let levels = &built.hierarchy.field(field).unwrap().levels;
             let res =

@@ -21,14 +21,18 @@ use amrviz_codec::{
 };
 use amrviz_compress::{
     compress_hierarchy_field, compress_zmesh, decompress_hierarchy_field_into, decompress_zmesh,
-    AmrCodecConfig, CompressedHierarchyField, Compressor, DecodePolicy, ErrorBound, SzInterp, SzLr,
-    ZfpLike,
+    AmrCodecConfig, CompressError, CompressedHierarchyField, Compressor, DecodePolicy, ErrorBound,
+    SzInterp, SzLr, ZfpLike,
 };
 use amrviz_obs::mem::{alloc_baseline, counting_alloc_installed, peak_since};
 use amrviz_recipe::ScenarioSpec;
 use amrviz_rng::Rng;
 
 use crate::mutate::{mutate_stream, Mutation};
+
+/// Peak-allocation cap per decode, in bytes (checked only when the
+/// counting allocator is installed).
+const MAX_PEAK_BYTES: usize = 128 << 20;
 
 /// Torture-run parameters.
 #[derive(Debug, Clone, Copy)]
@@ -37,9 +41,6 @@ pub struct TortureConfig {
     pub seed: u64,
     /// Number of (target, mutation) iterations.
     pub iters: u32,
-    /// Peak-allocation cap per decode, in bytes (checked only when the
-    /// counting allocator is installed).
-    pub max_peak_bytes: usize,
     /// Number of recipe-sampled hierarchy targets appended to the corpus
     /// (0 = paper corpus only). Each is a scenario drawn from the recipe
     /// space ([`ScenarioSpec::sample`]) whose compressed container is
@@ -53,7 +54,6 @@ impl Default for TortureConfig {
         TortureConfig {
             seed: 7,
             iters: 500,
-            max_peak_bytes: 128 << 20,
             recipes: 0,
         }
     }
@@ -70,24 +70,10 @@ pub struct DecodeFailure {
     pub msg: String,
 }
 
-/// Errors that carry a taxonomy class.
-trait ClassifiedError: std::fmt::Display {
-    fn class(&self) -> &'static str;
-}
-
-impl ClassifiedError for amrviz_codec::CodecError {
-    fn class(&self) -> &'static str {
-        amrviz_codec::CodecError::class(self)
-    }
-}
-
-impl ClassifiedError for amrviz_compress::CompressError {
-    fn class(&self) -> &'static str {
-        amrviz_compress::CompressError::class(self)
-    }
-}
-
-fn fail<E: ClassifiedError>(e: E) -> DecodeFailure {
+/// Classifies a codec or container error; a codec error keeps its class
+/// through [`CompressError`]'s `From`.
+fn fail(e: impl Into<CompressError>) -> DecodeFailure {
+    let e = e.into();
     DecodeFailure {
         class: e.class(),
         msg: e.to_string(),
@@ -553,7 +539,7 @@ pub fn run_torture(cfg: &TortureConfig) -> TortureReport {
                 fault_event("panic", &target.name, iter, cfg.seed, trace, &kinds);
             }
         }
-        if mem_checked && peak > cfg.max_peak_bytes {
+        if mem_checked && peak > MAX_PEAK_BYTES {
             over += 1;
             tallies[ti].over_budget += 1;
             if violations.len() < 8 {
@@ -737,7 +723,6 @@ mod tests {
             seed: 5,
             iters: 80,
             recipes: 3,
-            ..Default::default()
         };
         let a = run_torture(&cfg);
         let b = run_torture(&cfg);

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::{counters_snapshot, events_snapshot, SpanEvent};
+use crate::SpanEvent;
 
 /// Renders the given spans and counters as a chrome-trace JSON document.
 pub fn render_chrome_trace(
@@ -91,11 +91,6 @@ pub fn render_chrome_trace(
 
     out.push_str("]}");
     out
-}
-
-/// Chrome-trace JSON for everything recorded so far.
-pub fn chrome_trace_json() -> String {
-    render_chrome_trace(&events_snapshot(), &counters_snapshot())
 }
 
 #[cfg(test)]

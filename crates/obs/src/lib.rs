@@ -18,7 +18,7 @@
 //! * **Memory** — with [`mem::CountingAlloc`] installed as the global
 //!   allocator, every span carries `mem_net_bytes` / `mem_peak_bytes`
 //!   attribution (see [`mem`]).
-//! * **Exporters** — [`chrome::chrome_trace_json`] emits a
+//! * **Exporters** — [`chrome::render_chrome_trace`] emits a
 //!   `chrome://tracing` / Perfetto `traceEvents` file;
 //!   every other exporter renders one span tree of [`summary::SpanAgg`]
 //!   nodes, keyed by stage and level: [`summary::build`] as a summary with

@@ -9,6 +9,8 @@
 use std::sync::Mutex;
 
 use amrviz_json::Json;
+use amrviz_obs::chrome::render_chrome_trace;
+use amrviz_obs::{counters_snapshot, events_snapshot};
 
 // Installed for real in this test binary so the span-level memory
 // attribution tests measure actual allocations, exactly as the `amrviz`
@@ -180,7 +182,7 @@ fn chrome_trace_export_is_valid_json_with_matched_events() {
     }
     amrviz_obs::disable();
 
-    let text = amrviz_obs::chrome::chrome_trace_json();
+    let text = render_chrome_trace(&events_snapshot(), &counters_snapshot());
     let doc = Json::parse(&text).expect("trace must be valid JSON");
     let events = doc
         .get("traceEvents")
@@ -341,7 +343,7 @@ fn spans_attribute_peak_and_net_memory() {
         sp.mem_net_bytes
     );
     // The chrome exporter surfaces the same numbers as args.
-    let text = amrviz_obs::chrome::chrome_trace_json();
+    let text = render_chrome_trace(&events_snapshot(), &counters_snapshot());
     let doc = Json::parse(&text).unwrap();
     let ev = doc
         .get("traceEvents")
@@ -393,7 +395,7 @@ fn flame_roots_match_summary_and_chrome_trace() {
     );
 
     // Every flame root is a span name present in the chrome trace.
-    let text = amrviz_obs::chrome::chrome_trace_json();
+    let text = render_chrome_trace(&events_snapshot(), &counters_snapshot());
     let doc = Json::parse(&text).unwrap();
     let names: Vec<String> = doc
         .get("traceEvents")

@@ -131,8 +131,7 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// The canonical paper scenarios: Nyx baryon density / WarpX Ez on the
-    /// hard-wired two-level generators (identical output to the seed
-    /// repo's `Scenario::build`).
+    /// hard-wired two-level generators.
     pub fn paper(family: Family, scale: Scale, seed: u64) -> ScenarioSpec {
         assert!(
             matches!(family, Family::Nyx | Family::Warpx),

@@ -32,11 +32,12 @@ pub struct LoadgenConfig {
     pub duration: Duration,
     /// Deadline budget stamped on every request.
     pub deadline_ms: u32,
-    /// Retries per logical request on retryable outcomes.
-    pub max_retries: u32,
     /// Determinism seed (forked per client thread).
     pub seed: u64,
 }
+
+/// Retries per logical request on retryable outcomes.
+const MAX_RETRIES: u32 = 3;
 
 /// Base backoff: attempt k sleeps `BACKOFF_BASE * 2^k * jitter(0.5..1.5)`.
 const BACKOFF_BASE: Duration = Duration::from_millis(20);
@@ -146,7 +147,7 @@ fn logical_request(
             );
         }
         attempt += 1;
-        if !ex.outcome.is_retryable() || attempt > cfg.max_retries {
+        if !ex.outcome.is_retryable() || attempt > MAX_RETRIES {
             return (ex, attempt, t0.elapsed());
         }
         // Jittered exponential backoff: 2^k spread, ±50% seeded jitter.

@@ -60,8 +60,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Decoded-arena cache budget in bytes.
     pub cache_bytes: usize,
-    /// Cap on client-requested deadlines.
-    pub max_deadline_ms: u32,
     /// Stop accepting and drain after this long (None = run until `stop`).
     pub shutdown_after: Option<Duration>,
     /// Declared service-level objectives, evaluated over 5 m/1 h burn
@@ -77,7 +75,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 32,
             cache_bytes: 256 << 20,
-            max_deadline_ms: 10_000,
             shutdown_after: None,
             slo: SloSpec::default(),
         }
@@ -87,6 +84,15 @@ impl Default for ServeConfig {
 /// Per-socket read/write timeout: a stalled or chaos-delayed peer can hold
 /// a worker at most this long per syscall.
 const IO_TIMEOUT: Duration = Duration::from_millis(2_000);
+
+/// Cap on client-requested deadlines.
+const MAX_DEADLINE_MS: u32 = 10_000;
+
+/// When a request received at `t0` with a budget of `deadline_ms` must be
+/// done: the client's budget, capped at [`MAX_DEADLINE_MS`].
+fn request_deadline(t0: Instant, deadline_ms: u32) -> Instant {
+    t0 + Duration::from_millis(deadline_ms.min(MAX_DEADLINE_MS) as u64)
+}
 
 /// Retry-after hint handed to shed clients.
 const RETRY_AFTER_MS: u32 = 50;
@@ -581,8 +587,7 @@ fn serve_stats(inner: &Inner, stream: &mut TcpStream, t0: Instant) -> Status {
 }
 
 fn serve_list(inner: &Inner, stream: &mut TcpStream, req: &Request, t0: Instant) -> Status {
-    let budget_ms = req.deadline_ms.min(inner.cfg.max_deadline_ms);
-    let deadline = t0 + Duration::from_millis(budget_ms as u64);
+    let deadline = request_deadline(t0, req.deadline_ms);
     let keys = match inner.store.list() {
         Ok(k) => k,
         Err(_) => {
@@ -779,8 +784,7 @@ fn serve_get(
     t0: Instant,
     st: &mut StageTimes,
 ) -> (Status, u8, u8) {
-    let budget_ms = req.deadline_ms.min(inner.cfg.max_deadline_ms);
-    let deadline = t0 + Duration::from_millis(budget_ms as u64);
+    let deadline = request_deadline(t0, req.deadline_ms);
     if Instant::now() >= deadline {
         write_notification(stream, Status::Timeout, req.key);
         return (Status::Timeout, 0, 0);
@@ -890,6 +894,16 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(snap, expect, "ShuttingDown counts nowhere");
+    }
+
+    /// LIST and GET share one deadline rule: the client's budget, capped.
+    #[test]
+    fn client_deadlines_are_capped_at_ten_seconds() {
+        let t0 = Instant::now();
+        for (asked, granted) in [(0, 0), (10_000, 10_000), (u32::MAX, 10_000)] {
+            let budget = request_deadline(t0, asked) - t0;
+            assert_eq!(budget, Duration::from_millis(granted), "asked {asked} ms");
+        }
     }
 
     /// A GET whose budget is thin when its stream is planned gets only the

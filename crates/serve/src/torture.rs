@@ -35,18 +35,20 @@ use amrviz_rng::Rng;
 use amrviz_sim::{NyxScenario, Scale};
 use std::time::Duration;
 
+/// Server worker threads.
+const WORKERS: usize = 2;
+
+/// Peak allocated-bytes bound (checked only when the counting allocator is
+/// installed, i.e. under the `amrviz` binary).
+const MAX_PEAK_BYTES: usize = 1 << 30;
+
 /// Torture run configuration.
 #[derive(Debug, Clone)]
 pub struct ServeTortureConfig {
     pub iters: u64,
     pub seed: u64,
-    /// Server worker threads.
-    pub workers: usize,
     /// Store directory (created fresh; contents are overwritten).
     pub store_dir: std::path::PathBuf,
-    /// Peak allocated-bytes bound (checked only when the counting allocator
-    /// is installed, i.e. under the `amrviz` binary).
-    pub max_peak_bytes: usize,
 }
 
 impl Default for ServeTortureConfig {
@@ -54,10 +56,8 @@ impl Default for ServeTortureConfig {
         ServeTortureConfig {
             iters: 300,
             seed: 7,
-            workers: 2,
             store_dir: std::env::temp_dir()
                 .join(format!("amrviz_serve_torture_{}", std::process::id())),
-            max_peak_bytes: 1 << 30,
         }
     }
 }
@@ -196,7 +196,7 @@ pub fn run(cfg: &ServeTortureConfig) -> ServeTortureReport {
     let setup = populate(&cfg.store_dir, cfg.seed);
     let server = start(ServeConfig {
         store_dir: cfg.store_dir.clone(),
-        workers: cfg.workers,
+        workers: WORKERS,
         queue_depth: 8,
         cache_bytes: 64 << 20,
         ..ServeConfig::default()
@@ -350,13 +350,10 @@ pub fn run(cfg: &ServeTortureConfig) -> ServeTortureReport {
             ),
         );
     }
-    if mem::counting_alloc_installed() && peak_bytes > cfg.max_peak_bytes {
+    if mem::counting_alloc_installed() && peak_bytes > MAX_PEAK_BYTES {
         violate(
             &mut violations,
-            format!(
-                "peak allocation {peak_bytes} exceeds bound {}",
-                cfg.max_peak_bytes
-            ),
+            format!("peak allocation {peak_bytes} exceeds bound {MAX_PEAK_BYTES}"),
         );
     }
 

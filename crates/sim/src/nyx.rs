@@ -32,15 +32,17 @@ pub const NYX_FIELDS: [&str; 6] = [
     "velocity_z",
 ];
 
+/// Fraction of the domain refined to the fine level (Table 1: 40.7 %).
+const FINE_FRACTION: f64 = 0.407;
+
+/// Log-normal width of the density field; larger = spikier.
+const SIGMA: f64 = 1.3;
+
 /// Generator configuration for the Nyx-like scenario.
 #[derive(Debug, Clone)]
 pub struct NyxScenario {
     pub scale: Scale,
     pub seed: u64,
-    /// Fraction of the domain refined to the fine level (paper: 0.407).
-    pub target_fine_fraction: f64,
-    /// Log-normal width of the density field; larger = spikier.
-    pub sigma: f64,
     /// Which fields to generate (subset of [`NYX_FIELDS`]).
     pub fields: Vec<String>,
 }
@@ -52,8 +54,6 @@ impl NyxScenario {
         NyxScenario {
             scale,
             seed,
-            target_fine_fraction: 0.407,
-            sigma: 1.3,
             fields: vec!["baryon_density".to_string()],
         }
     }
@@ -81,7 +81,7 @@ impl NyxScenario {
             },
             self.seed,
         );
-        let mut density: Vec<f64> = g.iter().map(|&v| (self.sigma * v).exp()).collect();
+        let mut density: Vec<f64> = g.iter().map(|&v| (SIGMA * v).exp()).collect();
         let mean = density.iter().sum::<f64>() / density.len() as f64;
         for v in &mut density {
             *v /= mean;
@@ -118,7 +118,7 @@ impl NyxScenario {
                     let mut dm: Vec<f64> = g2
                         .iter()
                         .zip(&g)
-                        .map(|(&a, &b)| (self.sigma * (0.6 * b + 0.8 * a)).exp())
+                        .map(|(&a, &b)| (SIGMA * (0.6 * b + 0.8 * a)).exp())
                         .collect();
                     let m = dm.iter().sum::<f64>() / dm.len() as f64;
                     dm.iter_mut().for_each(|v| *v /= m);
@@ -163,7 +163,7 @@ impl NyxScenario {
         // (clustering can round coverage up slightly).
         let coarse_density = restrict_dense(&density, coarse_dims);
         let domain = Box3::from_dims(coarse_dims[0], coarse_dims[1], coarse_dims[2]);
-        let tags = tag_top_fraction_blocks(domain, &coarse_density, 4, self.target_fine_fraction);
+        let tags = tag_top_fraction_blocks(domain, &coarse_density, 4, FINE_FRACTION);
 
         let spec = TwoLevelSpec {
             coarse_dims,

@@ -14,25 +14,22 @@ use crate::build::TwoLevelSpec;
 
 use crate::scale::Scale;
 
+/// Fraction of the domain refined (Table 1: 8.6 %).
+const FINE_FRACTION: f64 = 0.086;
+
+/// Pulse amplitude (field units are arbitrary, V/m-ish).
+const AMPLITUDE: f64 = 1.0e9;
+
 /// Generator configuration for the WarpX-like scenario.
 #[derive(Debug, Clone)]
 pub struct WarpxScenario {
     pub scale: Scale,
     pub seed: u64,
-    /// Fraction of the domain refined (paper: 0.086).
-    pub target_fine_fraction: f64,
-    /// Pulse amplitude (field units are arbitrary, V/m-ish).
-    pub amplitude: f64,
 }
 
 impl WarpxScenario {
     pub fn new(scale: Scale, seed: u64) -> Self {
-        WarpxScenario {
-            scale,
-            seed,
-            target_fine_fraction: 0.086,
-            amplitude: 1.0e9,
-        }
+        WarpxScenario { scale, seed }
     }
 
     /// Generates the two-level snapshot with the "Ez" field (the paper's
@@ -68,7 +65,6 @@ impl WarpxScenario {
         let hz = hz_fine;
         let hx = prob_hi[0] / fx as f64;
         let hy = prob_hi[1] / fy as f64;
-        let amp = self.amplitude;
         let mut ez = Vec::with_capacity(fx * fy * fz);
         let mut envelope = Vec::with_capacity(fx * fy * fz);
         for k in 0..fz {
@@ -90,9 +86,10 @@ impl WarpxScenario {
                     let zc = z + 0.15 * lambda * r2 / sr2;
                     let pulse_osc = (std::f64::consts::TAU * zc / lambda).sin();
                     let wake_osc = (std::f64::consts::TAU * (z0 - zc) / lambda_p).cos();
-                    let e = amp * radial * (pulse_env * pulse_osc + 0.35 * wake_env * wake_osc);
+                    let e =
+                        AMPLITUDE * radial * (pulse_env * pulse_osc + 0.35 * wake_env * wake_osc);
                     let idx = i + fx * (j + fy * k);
-                    ez.push(e + 0.03 * amp * bg[idx]);
+                    ez.push(e + 0.03 * AMPLITUDE * bg[idx]);
                     envelope.push(radial * (pulse_env + wake_env));
                 }
             }
@@ -100,7 +97,7 @@ impl WarpxScenario {
 
         // Refinement: WarpX refines a single moving-window slab around the
         // pulse (mesh refinement follows the laser). Pick the z-window of
-        // width `target_fine_fraction·cz` with the highest total envelope.
+        // width `FINE_FRACTION·cz` with the highest total envelope.
         let coarse_env = crate::build::restrict_dense(&envelope, coarse_dims);
         let [ccx, ccy, ccz] = coarse_dims;
         let mut z_profile = vec![0.0f64; ccz];
@@ -108,7 +105,7 @@ impl WarpxScenario {
             z_profile[n / (ccx * ccy)] += v;
         }
         let blocking = 4usize;
-        let width = ((self.target_fine_fraction * ccz as f64).round() as usize)
+        let width = ((FINE_FRACTION * ccz as f64).round() as usize)
             .clamp(blocking, ccz)
             .next_multiple_of(blocking)
             .min(ccz);

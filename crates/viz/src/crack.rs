@@ -53,7 +53,7 @@ pub fn interface_gap(
     domain_hi: [f64; 3],
     boundary_tol: f64,
 ) -> Option<CrackMetrics> {
-    let locator = TriLocator::build(coarse)?;
+    let locator = TriLocator::build_owned(coarse.clone())?;
     let in_a_domain_face = |p: [f64; 3], q: [f64; 3]| -> bool {
         (0..3).any(|a| {
             [domain_lo[a], domain_hi[a]].iter().any(|face| {

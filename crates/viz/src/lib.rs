@@ -48,6 +48,4 @@ pub use marching::{marching_cubes, SampledGrid};
 pub use mesh::TriMesh;
 pub use pipeline::{extract_amr_isosurface, AmrIsoResult, IsoMethod};
 pub use resampling::extract_resampled_level;
-pub use surface_compare::{
-    normal_roughness, surface_distance, surface_distance_to, SurfaceDistance, TriLocator,
-};
+pub use surface_compare::{normal_roughness, surface_distance_to, SurfaceDistance, TriLocator};

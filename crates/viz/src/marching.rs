@@ -426,7 +426,7 @@ fn extract(grid: &SampledGrid, iso: f64, chunk: usize) -> TriMesh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::surface_compare::surface_distance;
+    use crate::surface_compare::{surface_distance_to, TriLocator};
     use amrviz_amr::IntVect;
     use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -1161,7 +1161,8 @@ mod tests {
                 want.boundary_length()
             );
             for (from, to) in [(&mesh, &want), (&want, &mesh)] {
-                let far = surface_distance(from, to).expect("both non-empty").max;
+                let to = TriLocator::build_owned(to.clone()).expect("non-empty");
+                let far = surface_distance_to(from, &to).expect("non-empty").max;
                 assert!(far <= h, "{name}: {far} apart, a cell is {h}");
             }
         }

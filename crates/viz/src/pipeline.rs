@@ -44,9 +44,9 @@ impl ToJson for IsoMethod {
 /// Extraction output: one surface per level.
 ///
 /// Levels are *not* welded together — their concatenation
-/// ([`AmrIsoResult::combined`]) shows exactly the cracks/gaps/overlaps each
-/// method produces, which is the object of study. The concatenation is built
-/// on demand; the result stores each triangle once, not twice.
+/// ([`AmrIsoResult::into_combined`]) shows exactly the cracks/gaps/overlaps
+/// each method produces, which is the object of study. The concatenation is
+/// built on demand; the result stores each triangle once, not twice.
 #[derive(Debug, Clone)]
 pub struct AmrIsoResult {
     pub method: IsoMethod,
@@ -61,16 +61,7 @@ impl AmrIsoResult {
     }
 
     /// Concatenates the level meshes in level order (the crack-preserving
-    /// whole-hierarchy surface).
-    pub fn combined(&self) -> TriMesh {
-        let mut combined = TriMesh::new();
-        for m in &self.level_meshes {
-            combined.append(m);
-        }
-        combined
-    }
-
-    /// [`AmrIsoResult::combined`], consuming the result: the first level's
+    /// whole-hierarchy surface), consuming the result: the first level's
     /// mesh storage is reused as the accumulator instead of copied.
     pub fn into_combined(self) -> TriMesh {
         let mut meshes = self.level_meshes.into_iter();
@@ -166,8 +157,12 @@ mod tests {
             let res = extract_field_isosurface(&h, "f", 0.0, method).unwrap();
             assert_eq!(res.level_meshes.len(), 2);
             assert!(res.total_triangles() > 0, "{method:?} empty");
-            assert_eq!(res.combined().num_triangles(), res.total_triangles());
-            assert_eq!(res.clone().into_combined(), res.combined());
+            let mut concatenated = TriMesh::new();
+            for m in &res.level_meshes {
+                concatenated.append(m);
+            }
+            assert_eq!(concatenated.num_triangles(), res.total_triangles());
+            assert_eq!(res.into_combined(), concatenated);
         }
     }
 

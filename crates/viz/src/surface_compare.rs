@@ -78,17 +78,9 @@ pub struct TriLocator {
 }
 
 impl TriLocator {
-    /// Builds the locator. Returns `None` for empty meshes.
-    ///
-    /// The locator stores its own copy of the geometry so it can outlive
-    /// the mesh; when the mesh is no longer needed, [`TriLocator::build_owned`]
-    /// reuses its buffers instead of copying them.
-    pub fn build(mesh: &TriMesh) -> Option<Self> {
-        Self::build_owned(mesh.clone())
-    }
-
-    /// [`TriLocator::build`], consuming the mesh: its vertex and triangle
-    /// buffers become the locator's storage.
+    /// Builds the locator, consuming the mesh: its vertex and triangle
+    /// buffers become the locator's storage. Returns `None` for empty
+    /// meshes.
     pub fn build_owned(mesh: TriMesh) -> Option<Self> {
         let (lo, hi) = mesh.bbox()?;
         if mesh.triangles.is_empty() {
@@ -274,16 +266,11 @@ impl ToJson for SurfaceDistance {
     }
 }
 
-/// Measures how far `from`'s surface lies from `to`'s. Samples every vertex
-/// and every triangle centroid of `from`; centroid distances are
-/// area-weighted for the mean/RMS, vertices contribute to the max.
-pub fn surface_distance(from: &TriMesh, to: &TriMesh) -> Option<SurfaceDistance> {
-    let locator = TriLocator::build(to)?;
-    surface_distance_to(from, &locator)
-}
-
-/// [`surface_distance`] against a prebuilt locator — use when comparing
-/// several meshes to the same reference surface.
+/// Measures how far `from`'s surface lies from the surface `locator` was
+/// built over. Samples every vertex and every triangle centroid of `from`;
+/// centroid distances are area-weighted for the mean/RMS, vertices
+/// contribute to the max. Build the locator once to compare several meshes
+/// to the same reference surface.
 pub fn surface_distance_to(from: &TriMesh, locator: &TriLocator) -> Option<SurfaceDistance> {
     if from.triangles.is_empty() {
         return None;
@@ -418,7 +405,7 @@ mod tests {
     #[test]
     fn locator_distance_matches_bruteforce() {
         let mesh = sphere_mesh(17, 0.3, [0.5; 3]);
-        let loc = TriLocator::build(&mesh).unwrap();
+        let loc = TriLocator::build_owned(mesh.clone()).unwrap();
         let probes = [
             [0.5, 0.5, 0.5],
             [0.0, 0.0, 0.0],
@@ -441,7 +428,8 @@ mod tests {
     #[test]
     fn identical_meshes_have_zero_distance() {
         let mesh = sphere_mesh(17, 0.3, [0.5; 3]);
-        let d = surface_distance(&mesh, &mesh).unwrap();
+        let loc = TriLocator::build_owned(mesh.clone()).unwrap();
+        let d = surface_distance_to(&mesh, &loc).unwrap();
         assert!(d.mean < 1e-12);
         assert!(d.max < 1e-12);
     }
@@ -450,7 +438,7 @@ mod tests {
     fn concentric_spheres_distance_is_radius_gap() {
         let inner = sphere_mesh(33, 0.2, [0.5; 3]);
         let outer = sphere_mesh(33, 0.3, [0.5; 3]);
-        let d = surface_distance(&inner, &outer).unwrap();
+        let d = surface_distance_to(&inner, &TriLocator::build_owned(outer).unwrap()).unwrap();
         assert!(
             (d.mean - 0.1).abs() < 0.01,
             "mean {} should be ≈ 0.1",
@@ -489,10 +477,10 @@ mod tests {
     #[test]
     fn empty_mesh_handled() {
         let empty = TriMesh::new();
-        assert!(TriLocator::build(&empty).is_none());
+        assert!(TriLocator::build_owned(empty.clone()).is_none());
         let sphere = sphere_mesh(9, 0.3, [0.5; 3]);
-        assert!(surface_distance(&empty, &sphere).is_none());
-        assert!(surface_distance(&sphere, &empty).is_none());
+        let loc = TriLocator::build_owned(sphere).unwrap();
+        assert!(surface_distance_to(&empty, &loc).is_none());
         assert_eq!(normal_roughness(&empty), 0.0);
     }
 }

@@ -16,7 +16,7 @@ fn main() {
         .and_then(|s| Scale::parse(&s))
         .unwrap_or(Scale::Small);
     println!("building Nyx scenario at {scale:?} scale…");
-    let built = Scenario::new(Application::Nyx, scale, 42).build();
+    let built = BuiltScenario::from_spec(Application::Nyx.spec(scale, 42));
     println!(
         "  fine level covers {:.1}% of the domain (paper: 40.7%)",
         built.hierarchy.level_density(1) * 100.0

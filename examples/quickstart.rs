@@ -15,13 +15,9 @@ use amrviz_viz::{extract_amr_isosurface, obj};
 fn main() {
     // 1. Generate a small Nyx-like cosmology snapshot (two AMR levels,
     //    spiky log-normal density, ~40% refined).
-    let scenario = Scenario::new(Application::Nyx, Scale::Small, 7);
-    println!(
-        "generating {} at {:?} scale…",
-        scenario.app.label(),
-        scenario.scale
-    );
-    let built = scenario.build();
+    let (app, scale) = (Application::Nyx, Scale::Small);
+    println!("generating {} at {scale:?} scale…", app.label());
+    let built = BuiltScenario::from_spec(app.spec(scale, 7));
     let h = &built.hierarchy;
     println!(
         "  {} levels; level domains: {:?} and {:?}; fine coverage {:.1}%",

@@ -25,7 +25,7 @@ fn main() {
         .and_then(|s| Scale::parse(&s))
         .unwrap_or(Scale::Small);
     println!("building WarpX scenario at {scale:?} scale…");
-    let built = Scenario::new(Application::Warpx, scale, 42).build();
+    let built = BuiltScenario::from_spec(Application::Warpx.spec(scale, 42));
     println!(
         "  fine level covers {:.1}% of the domain (paper: 8.6%)",
         built.hierarchy.level_density(1) * 100.0

@@ -94,12 +94,12 @@ pub fn assert_golden(name: &str, actual: &str) {
 /// The Nyx-like evaluation scenario at test scale (irregular, spiky
 /// density field).
 pub fn nyx_like(seed: u64) -> BuiltScenario {
-    Scenario::new(Application::Nyx, Scale::Tiny, seed).build()
+    BuiltScenario::from_spec(Application::Nyx.spec(Scale::Tiny, seed))
 }
 
 /// The WarpX-like evaluation scenario at test scale (smooth EM field).
 pub fn warpx_like(seed: u64) -> BuiltScenario {
-    Scenario::new(Application::Warpx, Scale::Tiny, seed).build()
+    BuiltScenario::from_spec(Application::Warpx.spec(Scale::Tiny, seed))
 }
 
 /// A one-level hierarchy of one box of `dims` cells whose field `"u"` is

@@ -12,8 +12,8 @@ use amrviz_viz::extract_amr_isosurface;
 #[test]
 fn same_seed_same_compressed_bytes() {
     for app in Application::ALL {
-        let a = Scenario::new(app, Scale::Tiny, 123).build();
-        let b = Scenario::new(app, Scale::Tiny, 123).build();
+        let a = BuiltScenario::from_spec(app.spec(Scale::Tiny, 123));
+        let b = BuiltScenario::from_spec(app.spec(Scale::Tiny, 123));
         let field = app.eval_field();
         for kind in CompressorKind::PAPER {
             let comp = kind.instance();
@@ -46,24 +46,24 @@ fn same_seed_same_compressed_bytes() {
 
 #[test]
 fn different_seeds_differ() {
-    let a = Scenario::new(Application::Nyx, Scale::Tiny, 1).build();
-    let b = Scenario::new(Application::Nyx, Scale::Tiny, 2).build();
+    let a = BuiltScenario::from_spec(Application::Nyx.spec(Scale::Tiny, 1));
+    let b = BuiltScenario::from_spec(Application::Nyx.spec(Scale::Tiny, 2));
     assert_ne!(a.uniform.data, b.uniform.data);
 }
 
 #[test]
 fn extraction_is_deterministic() {
-    let built = Scenario::new(Application::Warpx, Scale::Tiny, 77).build();
+    let built = BuiltScenario::from_spec(Application::Warpx.spec(Scale::Tiny, 77));
     let field = built.spec.eval_field();
     let levels = &built.hierarchy.field(field).unwrap().levels;
     let m1 = extract_amr_isosurface(&built.hierarchy, levels, built.iso, IsoMethod::Resampling);
     let m2 = extract_amr_isosurface(&built.hierarchy, levels, built.iso, IsoMethod::Resampling);
-    assert_eq!(m1.combined(), m2.combined());
+    assert_eq!(m1.into_combined(), m2.into_combined());
 }
 
 #[test]
 fn serialized_hierarchy_stream_roundtrip() {
-    let built = Scenario::new(Application::Warpx, Scale::Tiny, 31).build();
+    let built = BuiltScenario::from_spec(Application::Warpx.spec(Scale::Tiny, 31));
     let comp = CompressorKind::SzLr.instance();
     let cfg = AmrCodecConfig::default();
     let c = compress_hierarchy_field(

@@ -21,7 +21,7 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn full_pipeline_both_apps() {
     for app in Application::ALL {
-        let built = Scenario::new(app, Scale::Tiny, 9).build();
+        let built = BuiltScenario::from_spec(app.spec(Scale::Tiny, 9));
         let field = app.eval_field();
 
         // Store and reload the snapshot; data must survive bit-exactly.
@@ -70,7 +70,7 @@ fn full_pipeline_both_apps() {
 
 #[test]
 fn quality_metrics_track_error_bound() {
-    let built = Scenario::new(Application::Warpx, Scale::Tiny, 3).build();
+    let built = BuiltScenario::from_spec(Application::Warpx.spec(Scale::Tiny, 3));
     let mut last_psnr = f64::INFINITY;
     let mut last_cr = 0.0;
     for eb in [1e-4, 1e-3, 1e-2] {
@@ -86,7 +86,7 @@ fn quality_metrics_track_error_bound() {
 fn flattened_reconstruction_matches_pointwise_quality() {
     // The uniform-resolution merge used for Table 2 metrics must itself
     // honor the bound (merging only rearranges values).
-    let built = Scenario::new(Application::Nyx, Scale::Tiny, 5).build();
+    let built = BuiltScenario::from_spec(Application::Nyx.spec(Scale::Tiny, 5));
     let comp = CompressorKind::SzLr.instance();
     let cfg = AmrCodecConfig::default();
     let compressed = compress_hierarchy_field(

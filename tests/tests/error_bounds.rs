@@ -23,7 +23,7 @@ fn compressors() -> Vec<Box<dyn Compressor>> {
 #[test]
 fn bound_holds_on_scenarios_for_all_compressors() {
     for app in Application::ALL {
-        let built = Scenario::new(app, Scale::Tiny, 17).build();
+        let built = BuiltScenario::from_spec(app.spec(Scale::Tiny, 17));
         let field = app.eval_field();
         for comp in compressors() {
             for rel in [1e-4, 1e-2] {

@@ -13,7 +13,7 @@ use amrviz_viz::{extract_amr_isosurface, interface_gap};
 
 #[test]
 fn skip_and_restore_keeps_dual_cell_functional() {
-    let built = Scenario::new(Application::Warpx, Scale::Tiny, 11).build();
+    let built = BuiltScenario::from_spec(Application::Warpx.spec(Scale::Tiny, 11));
     let field = built.spec.eval_field();
     let comp = CompressorKind::SzInterp.instance();
 
@@ -61,7 +61,7 @@ fn skip_never_hurts_unique_cells() {
     // Omission only affects covered coarse cells; unique cells must honor
     // the bound exactly as without skipping.
     for app in Application::ALL {
-        let built = Scenario::new(app, Scale::Tiny, 13).build();
+        let built = BuiltScenario::from_spec(app.spec(Scale::Tiny, 13));
         let field = app.eval_field();
         let comp = CompressorKind::SzLr.instance();
         let cfg = AmrCodecConfig {
@@ -97,7 +97,7 @@ fn skip_never_hurts_unique_cells() {
 
 #[test]
 fn restored_cells_match_restriction_of_fine_data() {
-    let built = Scenario::new(Application::Nyx, Scale::Tiny, 19).build();
+    let built = BuiltScenario::from_spec(Application::Nyx.spec(Scale::Tiny, 19));
     let field = built.spec.eval_field();
     let comp = CompressorKind::SzInterp.instance();
     let cfg = AmrCodecConfig {

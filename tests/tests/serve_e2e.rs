@@ -476,9 +476,7 @@ fn serve_torture_smoke_zero_violations() {
     let report = amrviz_serve::torture::run(&ServeTortureConfig {
         iters: 40,
         seed: 9,
-        workers: 2,
         store_dir: temp_dir("torture_smoke"),
-        max_peak_bytes: 1 << 30,
     });
     assert!(
         report.passed(),

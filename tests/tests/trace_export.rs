@@ -46,7 +46,10 @@ fn traced_pipeline_doc() -> Json {
         let _ = extract_amr_isosurface(&built.hierarchy, &levels, built.iso, IsoMethod::Resampling);
     }
     amrviz_obs::disable();
-    let text = amrviz_obs::chrome::chrome_trace_json();
+    let text = amrviz_obs::chrome::render_chrome_trace(
+        &amrviz_obs::events_snapshot(),
+        &amrviz_obs::counters_snapshot(),
+    );
     amrviz_obs::reset();
     Json::parse(&text).expect("chrome trace must be valid JSON")
 }

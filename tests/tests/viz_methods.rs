@@ -5,12 +5,12 @@
 
 use amrviz_core::experiment::run_crack_analysis;
 use amrviz_core::prelude::*;
-use amrviz_viz::{extract_amr_isosurface, normal_roughness, surface_distance};
+use amrviz_viz::{extract_amr_isosurface, normal_roughness, surface_distance_to, TriLocator};
 
 #[test]
 fn crack_gap_ordering_matches_fig1() {
     for app in Application::ALL {
-        let built = Scenario::new(app, Scale::Tiny, 21).build();
+        let built = BuiltScenario::from_spec(app.spec(Scale::Tiny, 21));
         let rows = run_crack_analysis(&built);
         let by = |m: &str| rows.iter().find(|r| r.method == m).unwrap();
         let crack = by("re-sampling");
@@ -47,12 +47,13 @@ fn methods_agree_on_surface_location_for_original_data() {
     // §4.3: on original (uncompressed) data the re-sampling and dual-cell
     // surfaces are visually similar (the resolution advantage is ~(n+1)/n).
     // Quantitatively: their mutual distance is a fraction of a fine cell.
-    let built = Scenario::new(Application::Warpx, Scale::Tiny, 4).build();
+    let built = BuiltScenario::from_spec(Application::Warpx.spec(Scale::Tiny, 4));
     let field = built.spec.eval_field();
     let levels = &built.hierarchy.field(field).unwrap().levels;
     let a = extract_amr_isosurface(&built.hierarchy, levels, built.iso, IsoMethod::Resampling);
     let b = extract_amr_isosurface(&built.hierarchy, levels, built.iso, IsoMethod::DualCell);
-    let d = surface_distance(&b.into_combined(), &a.into_combined()).unwrap();
+    let a = TriLocator::build_owned(a.into_combined()).unwrap();
+    let d = surface_distance_to(&b.into_combined(), &a).unwrap();
     let fine_h = built.hierarchy.geometry().cell_size_at(2)[0];
     assert!(
         d.mean < 1.5 * fine_h,
@@ -67,7 +68,7 @@ fn per_level_meshes_are_watertight_away_from_boundaries() {
     // Within one level the marching-cubes extraction is watertight; open edges
     // only appear at level interfaces and domain boundaries. Check the
     // single-level case has *no* open edges at all for an interior surface.
-    let built = Scenario::new(Application::Nyx, Scale::Tiny, 8).build();
+    let built = BuiltScenario::from_spec(Application::Nyx.spec(Scale::Tiny, 8));
     let field = built.spec.eval_field();
     let levels = &built.hierarchy.field(field).unwrap().levels;
     let res = extract_amr_isosurface(&built.hierarchy, levels, built.iso, IsoMethod::Resampling);
@@ -84,7 +85,7 @@ fn per_level_meshes_are_watertight_away_from_boundaries() {
 
 #[test]
 fn roughness_is_finite_and_comparable_across_methods() {
-    let built = Scenario::new(Application::Warpx, Scale::Tiny, 2).build();
+    let built = BuiltScenario::from_spec(Application::Warpx.spec(Scale::Tiny, 2));
     let field = built.spec.eval_field();
     let levels = &built.hierarchy.field(field).unwrap().levels;
     for method in IsoMethod::ALL {
