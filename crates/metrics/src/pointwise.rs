@@ -198,6 +198,26 @@ mod tests {
     }
 
     #[test]
+    fn every_reported_statistic_is_pinned_to_the_bit() {
+        // Two chunks, the second ragged; errors of both signs and a zero.
+        let orig: Vec<f64> = (0..70_000).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
+        let recon: Vec<f64> = (0..70_000)
+            .map(|i| orig[i] + ((i * 7919 % 13) as f64 - 6.0) * 1e-3)
+            .collect();
+        let q = quality(&orig, &recon);
+        assert_eq!(q.n, 70_000);
+        assert_eq!(
+            [q.range, q.rmse, q.psnr, q.max_abs_err].map(f64::to_bits),
+            [
+                4618441417858186922,
+                4570774207100648034,
+                4634211168410610009,
+                4573567551181324032
+            ]
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
         quality(&[1.0], &[1.0, 2.0]);

@@ -236,6 +236,44 @@ mod tests {
     }
 
     #[test]
+    fn every_reported_field_is_pinned_to_the_bit() {
+        let got = IsoMethod::ALL.map(|method| {
+            let m = gap_for(method);
+            (
+                m.n_rim_edges,
+                [m.rim_length, m.mean_gap, m.max_gap].map(f64::to_bits),
+            )
+        });
+        let want = [
+            (
+                76,
+                [
+                    4611139104434430292,
+                    4570327120617934454,
+                    4571650718869598056,
+                ],
+            ),
+            (
+                80,
+                [
+                    4611150729033560999,
+                    4586923938995367598,
+                    4586930980063777220,
+                ],
+            ),
+            (
+                80,
+                [
+                    4611150729033560999,
+                    4567007007527438671,
+                    4569295247879187591,
+                ],
+            ),
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn watertight_mesh_reports_zero() {
         // Single-level sphere has no interface at all.
         let geom = Geometry::unit(Box3::from_dims(20, 20, 20));

@@ -308,6 +308,13 @@ mod tests {
     }
 
     #[test]
+    fn boundary_edges_of_quad_are_pinned() {
+        // Ascending packed keys; the shared diagonal (0, 2) is not open.
+        let edges = unit_quad().boundary_edges();
+        assert_eq!(edges, [(0, 1), (0, 3), (1, 2), (2, 3)]);
+    }
+
+    #[test]
     fn closed_tetra_is_watertight() {
         let t = tetra();
         assert!(t.is_watertight());

@@ -475,6 +475,22 @@ mod tests {
     }
 
     #[test]
+    fn distances_and_roughness_are_pinned_to_the_bit() {
+        let inner = sphere_mesh(33, 0.2, [0.5; 3]);
+        let outer = sphere_mesh(33, 0.3, [0.5; 3]);
+        let roughness = [normal_roughness(&inner), normal_roughness(&outer)];
+        let d = surface_distance_to(&inner, &TriLocator::build_owned(outer).unwrap()).unwrap();
+        assert_eq!(
+            [d.mean, d.max].map(f64::to_bits),
+            [4591912249111888047, 4591946036110179455]
+        );
+        assert_eq!(
+            roughness.map(f64::to_bits),
+            [4591135678612148603, 4588729862545927219]
+        );
+    }
+
+    #[test]
     fn empty_mesh_handled() {
         let empty = TriMesh::new();
         assert!(TriLocator::build_owned(empty.clone()).is_none());
