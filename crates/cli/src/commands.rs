@@ -298,6 +298,10 @@ pub fn extract(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The largest `render --width`/`--height`: an 8192² image and its
+/// z-buffer take ≈ 0.7 GB.
+const MAX_IMAGE_SIDE: usize = 8192;
+
 pub const RENDER_FLAGS: Flags = (
     &[
         "field", "out", "iso", "quantile", "method", "mode", "width", "height",
@@ -311,6 +315,9 @@ pub fn render(argv: &[String]) -> Result<(), String> {
     for (flag, pixels) in [("width", width), ("height", height)] {
         if pixels == 0 {
             return Err(format!("--{flag} must be at least 1"));
+        }
+        if pixels > MAX_IMAGE_SIDE {
+            return Err(format!("--{flag} must be at most {MAX_IMAGE_SIDE}"));
         }
     }
     let hier = load(p.positional(0, "plotfile path")?)?;
@@ -1177,16 +1184,24 @@ mod tests {
         a.iter().map(|s| s.to_string()).collect()
     }
 
-    /// A zero-sized image or grid is refused by name before any input is
-    /// read or any output written.
+    /// A zero-sized image or grid, or an image side past
+    /// [`MAX_IMAGE_SIDE`], is refused by name before any input is read or
+    /// any output written.
     #[test]
     fn zero_sizes_are_refused_by_name() {
         let root = std::env::temp_dir().join(format!("amrviz_cli_zero_{}", std::process::id()));
         let out = root.join("out.png").to_string_lossy().into_owned();
         for flag in ["--width", "--height"] {
-            let argv = args(&["missing", "--field", "f", "--out", &out, flag, "0"]);
+            for pixels in ["0", "8193", "200000"] {
+                let argv = args(&["missing", "--field", "f", "--out", &out, flag, pixels]);
+                let err = render(&argv).unwrap_err();
+                assert!(err.starts_with(flag), "{flag} {pixels}: {err}");
+            }
+            // The limit itself passes the flag check; the missing plotfile
+            // fails next.
+            let argv = args(&["missing", "--field", "f", "--out", &out, flag, "8192"]);
             let err = render(&argv).unwrap_err();
-            assert!(err.starts_with(flag), "{flag}: {err}");
+            assert!(!err.starts_with(flag), "{flag} 8192: {err}");
         }
         let dir = root.join("sim").to_string_lossy().into_owned();
         let err = simulate(&args(&["--out", &dir, "--n", "0"])).unwrap_err();

@@ -1244,6 +1244,7 @@ fn step_roughness(series: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amrviz_viz::CrackMetrics;
 
     #[test]
     fn fig14_resampling_smooths_blocks() {
@@ -1360,10 +1361,12 @@ mod tests {
             method: method.label(),
             coarse_triangles: 1,
             fine_triangles: 1,
-            rim_edges: 1,
-            rim_length: 1.0,
-            mean_gap,
-            max_gap: 1.0,
+            gap: CrackMetrics {
+                n_rim_edges: 1,
+                rim_length: 1.0,
+                mean_gap,
+                max_gap: 1.0,
+            },
         };
         let fig1 = |gaps: [f64; 3]| {
             let rows = IsoMethod::ALL.iter().zip(gaps).map(|(&m, g)| crack(m, g));

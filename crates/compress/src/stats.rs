@@ -1,7 +1,5 @@
 //! Compression-ratio bookkeeping.
 
-use amrviz_json::{Json, ToJson};
-
 /// Sizes and derived ratios for one compression run.
 #[derive(Debug, Clone, Copy)]
 pub struct CompressionStats {
@@ -38,16 +36,6 @@ impl CompressionStats {
     /// rate-distortion plots (Figs. 12–13).
     pub fn bits_per_value(&self) -> f64 {
         self.compressed_bytes as f64 * 8.0 / self.n_values as f64
-    }
-}
-
-impl ToJson for CompressionStats {
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("n_values", self.n_values)
-            .set("original_bytes", self.original_bytes)
-            .set("compressed_bytes", self.compressed_bytes);
-        o
     }
 }
 

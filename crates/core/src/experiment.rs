@@ -15,8 +15,8 @@ use amrviz_json::{Json, ToJson};
 use amrviz_metrics::{quality, rssim, ssim2, ssim3, QualityStats, SsimConfig};
 use amrviz_render::{render_mesh, Camera, RenderOptions};
 use amrviz_viz::{
-    extract_amr_isosurface, interface_gap, normal_roughness, surface_distance_to, IsoMethod,
-    TriLocator,
+    extract_amr_isosurface, interface_gap, normal_roughness, surface_distance_to, CrackMetrics,
+    IsoMethod, TriLocator,
 };
 
 use crate::scenario::BuiltScenario;
@@ -253,10 +253,7 @@ pub struct CrackRun {
     pub method: &'static str,
     pub coarse_triangles: usize,
     pub fine_triangles: usize,
-    pub rim_edges: usize,
-    pub rim_length: f64,
-    pub mean_gap: f64,
-    pub max_gap: f64,
+    pub gap: CrackMetrics,
 }
 
 /// Extracts the original-data surface with every method and measures the
@@ -269,29 +266,13 @@ pub fn run_crack_analysis(built: &BuiltScenario) -> Vec<CrackRun> {
     let mut rows = Vec::new();
     for method in IsoMethod::ALL {
         let res = extract_amr_isosurface(&built.hierarchy, levels, built.iso, method);
-        let gap = interface_gap(
-            &res.level_meshes[1],
-            &res.level_meshes[0],
-            geom.prob_lo,
-            geom.prob_hi,
-            1e-9,
-        );
-        let gap = gap.unwrap_or(amrviz_viz::CrackMetrics {
-            n_rim_edges: 0,
-            rim_length: 0.0,
-            mean_gap: 0.0,
-            p95_gap: 0.0,
-            max_gap: 0.0,
-        });
+        let (coarse, fine) = (&res.level_meshes[0], &res.level_meshes[1]);
         rows.push(CrackRun {
             scenario: built.spec.label(),
             method: method.label(),
-            coarse_triangles: res.level_meshes[0].num_triangles(),
-            fine_triangles: res.level_meshes[1].num_triangles(),
-            rim_edges: gap.n_rim_edges,
-            rim_length: gap.rim_length,
-            mean_gap: gap.mean_gap,
-            max_gap: gap.max_gap,
+            coarse_triangles: coarse.num_triangles(),
+            fine_triangles: fine.num_triangles(),
+            gap: interface_gap(fine, coarse, geom.prob_lo, geom.prob_hi, 1e-9),
         });
     }
     rows
@@ -440,12 +421,6 @@ pub fn run_viz_quality(
     Ok(rows)
 }
 
-impl ToJson for CompressorKind {
-    fn to_json(&self) -> Json {
-        Json::Str(self.label().to_string())
-    }
-}
-
 impl ToJson for CompressionRun {
     fn to_json(&self) -> Json {
         let mut o = Json::obj();
@@ -504,10 +479,10 @@ impl ToJson for CrackRun {
             .set("method", self.method)
             .set("coarse_triangles", self.coarse_triangles)
             .set("fine_triangles", self.fine_triangles)
-            .set("rim_edges", self.rim_edges)
-            .set("rim_length", self.rim_length)
-            .set("mean_gap", self.mean_gap)
-            .set("max_gap", self.max_gap);
+            .set("rim_edges", self.gap.n_rim_edges)
+            .set("rim_length", self.gap.rim_length)
+            .set("mean_gap", self.gap.mean_gap)
+            .set("max_gap", self.gap.max_gap);
         o
     }
 }
@@ -645,8 +620,8 @@ mod tests {
         let dual = by("dual-cell");
         let fixed = by("dual-cell+redundant");
         // Fig. 1 ordering: dual gap > re-sampling crack > redundant gap.
-        assert!(dual.mean_gap > resample.mean_gap);
-        assert!(fixed.mean_gap < dual.mean_gap);
+        assert!(dual.gap.mean_gap > resample.gap.mean_gap);
+        assert!(fixed.gap.mean_gap < dual.gap.mean_gap);
     }
 
     #[test]

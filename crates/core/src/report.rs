@@ -156,9 +156,9 @@ pub fn format_cracks(rows: &[CrackRun]) -> String {
                 r.method.to_string(),
                 r.coarse_triangles.to_string(),
                 r.fine_triangles.to_string(),
-                r.rim_edges.to_string(),
-                sig(r.mean_gap, 3),
-                sig(r.max_gap, 3),
+                r.gap.n_rim_edges.to_string(),
+                sig(r.gap.mean_gap, 3),
+                sig(r.gap.max_gap, 3),
             ]
         })
         .collect();

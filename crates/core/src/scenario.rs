@@ -4,7 +4,6 @@
 
 use amrviz_amr::resample::{flatten_to_finest, Upsample};
 use amrviz_amr::{AmrHierarchy, UniformField};
-use amrviz_json::{Json, ToJson};
 use amrviz_recipe::Family;
 pub use amrviz_recipe::ScenarioSpec;
 use amrviz_sim::Scale;
@@ -46,12 +45,6 @@ impl Application {
     }
 
     pub const ALL: [Application; 2] = [Application::Warpx, Application::Nyx];
-}
-
-impl ToJson for Application {
-    fn to_json(&self) -> Json {
-        Json::Str(self.label().to_string())
-    }
 }
 
 /// A generated scenario: the hierarchy plus evaluation conveniences.

@@ -1,7 +1,5 @@
 //! Pointwise error statistics between an original and a reconstruction.
 
-use amrviz_json::{Json, ToJson};
-
 /// Summary of pointwise reconstruction error.
 #[derive(Debug, Clone, Copy)]
 pub struct QualityStats {
@@ -9,19 +7,13 @@ pub struct QualityStats {
     pub n: usize,
     /// Value range (max − min) of the *original* data.
     pub range: f64,
-    /// Mean squared error.
-    pub mse: f64,
     /// Root mean squared error.
     pub rmse: f64,
-    /// Normalized RMSE (RMSE / range; 0 when the original is constant).
-    pub nrmse: f64,
     /// Peak signal-to-noise ratio, `20·log10(range/RMSE)` (dB).
     /// `f64::INFINITY` for bit-exact reconstructions.
     pub psnr: f64,
     /// Largest absolute pointwise error.
     pub max_abs_err: f64,
-    /// Mean absolute pointwise error.
-    pub mean_abs_err: f64,
 }
 
 /// Computes pointwise statistics. Panics if lengths differ or are zero.
@@ -38,35 +30,26 @@ pub fn quality(original: &[f64], reconstructed: &[f64]) -> QualityStats {
     // stats are bit-identical at any `--threads` setting. One trip over
     // the data yields the original's range and the error sums together.
     const CHUNK: usize = 1 << 16;
-    let start = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64, 0.0f64, 0.0f64);
-    let (min, max, se_sum, ae_sum, max_ae) = amrviz_par::reduce_chunked(
+    let start = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64, 0.0f64);
+    let (min, max, se_sum, max_ae) = amrviz_par::reduce_chunked(
         original.len(),
         CHUNK,
         start,
         |r| {
             original[r.clone()].iter().zip(&reconstructed[r]).fold(
                 start,
-                |(lo, hi, se, ae, mx), (&o, &rv)| {
+                |(lo, hi, se, mx), (&o, &rv)| {
                     let d = o - rv;
-                    (
-                        lo.min(o),
-                        hi.max(o),
-                        se + d * d,
-                        ae + d.abs(),
-                        mx.max(d.abs()),
-                    )
+                    (lo.min(o), hi.max(o), se + d * d, mx.max(d.abs()))
                 },
             )
         },
-        |(al, ah, se1, ae1, m1), (bl, bh, se2, ae2, m2)| {
-            (al.min(bl), ah.max(bh), se1 + se2, ae1 + ae2, m1.max(m2))
-        },
+        |(al, ah, se1, m1), (bl, bh, se2, m2)| (al.min(bl), ah.max(bh), se1 + se2, m1.max(m2)),
     );
     let range = max - min;
 
     let n = original.len();
-    let mse = se_sum / n as f64;
-    let rmse = mse.sqrt();
+    let rmse = (se_sum / n as f64).sqrt();
     let psnr = if rmse == 0.0 {
         f64::INFINITY
     } else if range == 0.0 {
@@ -77,27 +60,9 @@ pub fn quality(original: &[f64], reconstructed: &[f64]) -> QualityStats {
     QualityStats {
         n,
         range,
-        mse,
         rmse,
-        nrmse: if range == 0.0 { 0.0 } else { rmse / range },
         psnr,
         max_abs_err: max_ae,
-        mean_abs_err: ae_sum / n as f64,
-    }
-}
-
-impl ToJson for QualityStats {
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("n", self.n)
-            .set("range", self.range)
-            .set("mse", self.mse)
-            .set("rmse", self.rmse)
-            .set("nrmse", self.nrmse)
-            .set("psnr", self.psnr)
-            .set("max_abs_err", self.max_abs_err)
-            .set("mean_abs_err", self.mean_abs_err);
-        o
     }
 }
 
@@ -109,7 +74,7 @@ mod tests {
     fn identical_data_is_lossless() {
         let a = vec![1.0, 2.0, 3.0, 4.0];
         let s = quality(&a, &a);
-        assert_eq!(s.mse, 0.0);
+        assert_eq!(s.rmse, 0.0);
         assert_eq!(s.psnr, f64::INFINITY);
         assert_eq!(s.max_abs_err, 0.0);
         assert_eq!(s.range, 3.0);
@@ -120,12 +85,9 @@ mod tests {
         let orig = vec![0.0, 10.0]; // range 10
         let recon = vec![1.0, 9.0]; // errors ±1
         let s = quality(&orig, &recon);
-        assert!((s.mse - 1.0).abs() < 1e-15);
         assert!((s.rmse - 1.0).abs() < 1e-15);
         assert!((s.psnr - 20.0).abs() < 1e-12); // 20·log10(10/1)
         assert_eq!(s.max_abs_err, 1.0);
-        assert!((s.nrmse - 0.1).abs() < 1e-15);
-        assert_eq!(s.mean_abs_err, 1.0);
     }
 
     #[test]
@@ -147,14 +109,13 @@ mod tests {
         let s = quality(&orig, &recon);
         assert_eq!(s.range, 0.0);
         assert_eq!(s.psnr, f64::NEG_INFINITY);
-        assert_eq!(s.nrmse, 0.0);
     }
 
     #[test]
     fn one_pass_matches_the_two_pass_reference() {
-        // The reference: min/max in one chunked reduction, the error sums in
-        // a second, both over the same 65 536-element chunks.
-        fn two_pass(orig: &[f64], recon: &[f64]) -> [f64; 4] {
+        // The reference: min/max in one chunked reduction, the error sum and
+        // max in a second, both over the same 65 536-element chunks.
+        fn two_pass(orig: &[f64], recon: &[f64]) -> [f64; 3] {
             let chunks = || orig.chunks(1 << 16).zip(recon.chunks(1 << 16));
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
             for (o, _) in chunks() {
@@ -165,19 +126,15 @@ mod tests {
                     });
                 (lo, hi) = (lo.min(l), hi.max(h));
             }
-            let (mut se, mut ae, mut mx) = (0.0f64, 0.0f64, 0.0f64);
+            let (mut se, mut mx) = (0.0f64, 0.0f64);
             for (o, r) in chunks() {
-                let (s, a, m) =
-                    o.iter()
-                        .zip(r)
-                        .fold((0.0f64, 0.0f64, 0.0f64), |(s, a, m), (&o, &r)| {
-                            let d = o - r;
-                            (s + d * d, a + d.abs(), m.max(d.abs()))
-                        });
-                (se, ae, mx) = (se + s, ae + a, mx.max(m));
+                let (s, m) = o.iter().zip(r).fold((0.0f64, 0.0f64), |(s, m), (&o, &r)| {
+                    let d = o - r;
+                    (s + d * d, m.max(d.abs()))
+                });
+                (se, mx) = (se + s, mx.max(m));
             }
-            let n = orig.len() as f64;
-            [hi - lo, se / n, ae / n, mx]
+            [hi - lo, (se / orig.len() as f64).sqrt(), mx]
         }
         amrviz_rng::check(0x9a11, 6, |rng| {
             // Several chunks and a ragged last one.
@@ -188,7 +145,7 @@ mod tests {
                 .map(|v| v + rng.range_f64(-0.01, 0.01))
                 .collect();
             let q = quality(&orig, &recon);
-            let got = [q.range, q.mse, q.mean_abs_err, q.max_abs_err];
+            let got = [q.range, q.rmse, q.max_abs_err];
             assert_eq!(
                 got.map(f64::to_bits),
                 two_pass(&orig, &recon).map(f64::to_bits),

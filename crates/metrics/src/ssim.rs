@@ -59,16 +59,6 @@ impl Default for SsimConfig {
     }
 }
 
-impl SsimConfig {
-    /// Exhaustive evaluation (stride 1) — slower, reference-quality.
-    pub fn exhaustive() -> Self {
-        SsimConfig {
-            stride: 1,
-            ..Default::default()
-        }
-    }
-}
-
 /// The five sums a window needs: Σa, Σb, Σa², Σb², Σab.
 const Q: usize = 5;
 type Sums = [f64; Q];
@@ -449,7 +439,11 @@ mod tests {
         let v = ramp_volume(dims);
         let mean = v.iter().sum::<f64>() / v.len() as f64;
         let reflected: Vec<f64> = v.iter().map(|x| 2.0 * mean - x).collect();
-        let s = ssim3(&v, &reflected, dims, &SsimConfig::exhaustive());
+        let cfg = SsimConfig {
+            stride: 1,
+            ..Default::default()
+        };
+        let s = ssim3(&v, &reflected, dims, &cfg);
         assert!(s < 0.5, "anti-correlated data scored high: {s}");
     }
 
@@ -459,7 +453,11 @@ mod tests {
         let v = ramp_volume(dims);
         let mut rng = Rng::seed(3);
         let noisy: Vec<f64> = v.iter().map(|x| x + rng.range_f64(-0.3, 0.3)).collect();
-        let exact = ssim3(&v, &noisy, dims, &SsimConfig::exhaustive());
+        let every = SsimConfig {
+            stride: 1,
+            ..Default::default()
+        };
+        let exact = ssim3(&v, &noisy, dims, &every);
         let approx = ssim3(
             &v,
             &noisy,
@@ -536,7 +534,10 @@ mod tests {
             };
             *val += 0.5 * sign;
         }
-        let cfg = SsimConfig::exhaustive();
+        let cfg = SsimConfig {
+            stride: 1,
+            ..Default::default()
+        };
         let s = ssim3(&v, &blocky, dims, &cfg);
         assert!(s < 0.999, "blocky artifact not penalized: {s}");
     }

@@ -4,8 +4,8 @@
 //! §3.1), plus the quantitative surface metrics we use in place of its
 //! visual figure panels:
 //!
-//! * [`mesh`] — indexed triangle meshes with welding, areas, normals and
-//!   boundary-edge extraction;
+//! * [`mesh`] — indexed triangle meshes: areas, normals and boundary-edge
+//!   extraction;
 //! * [`marching`] — isosurface extraction on a sampled grid: marching cubes,
 //!   its 256-case table generated at compile time from a per-face rule (see
 //!   DESIGN.md for the substitution note);

@@ -582,10 +582,17 @@ mod tests {
         for chunk in [1, 7, 79, 80, 1000] {
             assert_eq!(extract(&grid, 0.0, chunk), mesh, "chunk = {chunk}");
         }
-        // No duplicated vertices anywhere (welding with a tiny tolerance
-        // must be a no-op). `mesh` is not needed afterwards, so weld in place.
-        let mut welded = mesh;
-        assert_eq!(welded.weld(1e-12), 0, "duplicate vertices in the output");
+        // No duplicated vertices anywhere: every position is distinct to the
+        // bit.
+        let mut positions: Vec<[u64; 3]> =
+            mesh.vertices.iter().map(|v| v.map(f64::to_bits)).collect();
+        positions.sort_unstable();
+        positions.dedup();
+        assert_eq!(
+            positions.len(),
+            mesh.num_vertices(),
+            "duplicate vertices in the output"
+        );
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Indexed triangle meshes.
 
-use std::collections::HashMap;
-
 /// An indexed triangle mesh in physical coordinates.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TriMesh {
@@ -123,50 +121,25 @@ impl TriMesh {
         ]
     }
 
-    /// All edges as packed `(min << 32) | max` keys, one entry per incident
-    /// triangle, sorted. Shared by the boundary/adjacency queries; the sort
-    /// is parallel, which matters on multi-million-triangle surfaces.
-    fn sorted_edge_keys(&self) -> Vec<u64> {
-        const CHUNK: usize = 1 << 15;
-        let mut keys: Vec<u64> = amrviz_par::reduce_chunked(
-            self.triangles.len(),
-            CHUNK,
-            Vec::new(),
-            |r| {
-                let mut part = Vec::with_capacity(3 * r.len());
-                for t in &self.triangles[r] {
-                    for (a, b) in [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])] {
-                        part.push(((a.min(b) as u64) << 32) | a.max(b) as u64);
-                    }
-                }
-                part
-            },
-            |mut acc, mut part| {
-                acc.append(&mut part);
-                acc
-            },
-        );
-        keys.sort_unstable();
-        keys
+    /// Every edge as a `(packed (min << 32) | max key, triangle)` pair, one
+    /// per incident triangle, sorted: an edge's triangles form one run.
+    pub(crate) fn edge_pairs(&self) -> Vec<(u64, u32)> {
+        sorted_pairs(self.triangles.len(), |t| {
+            let [a, b, c] = self.triangles[t];
+            [(a, b), (b, c), (c, a)].map(|(a, b)| ((a.min(b) as u64) << 32) | a.max(b) as u64)
+        })
     }
 
     /// Edges incident to exactly one triangle — the open boundary. Each edge
     /// is returned as an ordered vertex-index pair.
     pub fn boundary_edges(&self) -> Vec<(u32, u32)> {
-        let keys = self.sorted_edge_keys();
-        let mut edges = Vec::new();
-        let mut i = 0;
-        while i < keys.len() {
-            let mut j = i + 1;
-            while j < keys.len() && keys[j] == keys[i] {
-                j += 1;
-            }
-            if j - i == 1 {
-                edges.push(((keys[i] >> 32) as u32, keys[i] as u32));
-            }
-            i = j;
-        }
-        edges
+        self.edge_pairs()
+            .chunk_by(|x, y| x.0 == y.0)
+            .filter_map(|run| match run {
+                &[(key, _)] => Some(((key >> 32) as u32, key as u32)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Total length of the open boundary.
@@ -186,66 +159,36 @@ impl TriMesh {
     pub fn is_watertight(&self) -> bool {
         !self.is_empty() && self.boundary_edges().is_empty()
     }
+}
 
-    /// Merges vertices closer than `tol` (hash on a `tol`-grid, then checks
-    /// the 27 neighbor cells). Returns the number of vertices removed.
-    pub fn weld(&mut self, tol: f64) -> usize {
-        assert!(tol > 0.0);
-        let inv = 1.0 / tol;
-        let key = |p: [f64; 3]| -> (i64, i64, i64) {
-            (
-                (p[0] * inv).floor() as i64,
-                (p[1] * inv).floor() as i64,
-                (p[2] * inv).floor() as i64,
-            )
-        };
-        let mut grid: HashMap<(i64, i64, i64), Vec<u32>> = HashMap::new();
-        let mut remap = vec![u32::MAX; self.vertices.len()];
-        let mut new_vertices: Vec<[f64; 3]> = Vec::with_capacity(self.vertices.len());
-        let tol2 = tol * tol;
-        for (vi, &p) in self.vertices.iter().enumerate() {
-            let (kx, ky, kz) = key(p);
-            let mut found = None;
-            'search: for dz in -1..=1 {
-                for dy in -1..=1 {
-                    for dx in -1..=1 {
-                        if let Some(cands) = grid.get(&(kx + dx, ky + dy, kz + dz)) {
-                            for &c in cands {
-                                let q = new_vertices[c as usize];
-                                let d2 = (p[0] - q[0]).powi(2)
-                                    + (p[1] - q[1]).powi(2)
-                                    + (p[2] - q[2]).powi(2);
-                                if d2 <= tol2 {
-                                    found = Some(c);
-                                    break 'search;
-                                }
-                            }
-                        }
-                    }
-                }
+/// `(key, item)` pairs for the items `0..n`, each item paired with every key
+/// `keys` gives it, sorted: the items sharing a key form one run, in
+/// ascending item order ([`slice::chunk_by`] walks the runs). Items are
+/// visited in parallel chunks, and one sort replaces per-insert hashing,
+/// which matters on multi-million-triangle surfaces.
+pub(crate) fn sorted_pairs<K: IntoIterator<Item = u64>>(
+    n: usize,
+    keys: impl Fn(usize) -> K + Sync,
+) -> Vec<(u64, u32)> {
+    const CHUNK: usize = 1 << 14;
+    let mut pairs = amrviz_par::reduce_chunked(
+        n,
+        CHUNK,
+        Vec::new(),
+        |r| {
+            let mut part = Vec::new();
+            for item in r {
+                part.extend(keys(item).into_iter().map(|k| (k, item as u32)));
             }
-            remap[vi] = match found {
-                Some(c) => c,
-                None => {
-                    let id = new_vertices.len() as u32;
-                    new_vertices.push(p);
-                    grid.entry((kx, ky, kz)).or_default().push(id);
-                    id
-                }
-            };
-        }
-        let removed = self.vertices.len() - new_vertices.len();
-        self.vertices = new_vertices;
-        for t in &mut self.triangles {
-            for v in t.iter_mut() {
-                *v = remap[*v as usize];
-            }
-        }
-        // Drop triangles that collapsed.
-        self.triangles
-            .retain(|t| t[0] != t[1] && t[1] != t[2] && t[0] != t[2]);
-        removed
-    }
+            part
+        },
+        |mut acc, mut part| {
+            acc.append(&mut part);
+            acc
+        },
+    );
+    pairs.sort_unstable();
+    pairs
 }
 
 /// What [`TriMesh::append`] adds to the indices of a mesh of `more` vertices
@@ -363,37 +306,6 @@ mod tests {
                 assert_eq!(mesh.total_area().to_bits(), want.to_bits());
             });
         }
-    }
-
-    #[test]
-    fn weld_merges_duplicates() {
-        // Two triangles sharing an edge but with duplicated vertices.
-        let mut m = TriMesh {
-            vertices: vec![
-                [0.0, 0.0, 0.0],
-                [1.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0],
-                [1.0, 0.0, 1e-12],  // dup of 1
-                [0.0, 1.0, -1e-12], // dup of 2
-                [1.0, 1.0, 0.0],
-            ],
-            triangles: vec![[0, 1, 2], [3, 5, 4]],
-        };
-        let removed = m.weld(1e-9);
-        assert_eq!(removed, 2);
-        assert_eq!(m.num_vertices(), 4);
-        // Shared edge (1,2) now interior → boundary has 4 edges.
-        assert_eq!(m.boundary_edges().len(), 4);
-    }
-
-    #[test]
-    fn weld_drops_degenerate_triangles() {
-        let mut m = TriMesh {
-            vertices: vec![[0.0; 3], [1e-12, 0.0, 0.0], [1.0, 1.0, 1.0]],
-            triangles: vec![[0, 1, 2]],
-        };
-        m.weld(1e-9);
-        assert_eq!(m.num_triangles(), 0);
     }
 
     #[test]

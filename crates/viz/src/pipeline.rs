@@ -1,7 +1,6 @@
 //! Whole-hierarchy isosurface extraction with method selection.
 
 use amrviz_amr::{AmrHierarchy, MultiFab};
-use amrviz_json::{Json, ToJson};
 
 use crate::dual::{extract_dual_level, DualMode};
 use crate::mesh::TriMesh;
@@ -33,12 +32,6 @@ impl IsoMethod {
         IsoMethod::DualCell,
         IsoMethod::DualCellRedundant,
     ];
-}
-
-impl ToJson for IsoMethod {
-    fn to_json(&self) -> Json {
-        Json::Str(self.label().to_string())
-    }
 }
 
 /// Extraction output: one surface per level.
@@ -114,17 +107,6 @@ pub fn extract_amr_isosurface(
     res
 }
 
-/// Convenience: extract from a named field stored in the hierarchy.
-pub fn extract_field_isosurface(
-    hier: &AmrHierarchy,
-    field: &str,
-    iso: f64,
-    method: IsoMethod,
-) -> Result<AmrIsoResult, amrviz_amr::AmrError> {
-    let f = hier.field(field)?;
-    Ok(extract_amr_isosurface(hier, &f.levels, iso, method))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,8 +135,9 @@ mod tests {
     #[test]
     fn all_methods_produce_surfaces() {
         let h = two_level();
+        let levels = &h.field("f").unwrap().levels;
         for method in IsoMethod::ALL {
-            let res = extract_field_isosurface(&h, "f", 0.0, method).unwrap();
+            let res = extract_amr_isosurface(&h, levels, 0.0, method);
             assert_eq!(res.level_meshes.len(), 2);
             assert!(res.total_triangles() > 0, "{method:?} empty");
             let mut concatenated = TriMesh::new();
@@ -169,9 +152,9 @@ mod tests {
     #[test]
     fn redundant_mode_adds_coarse_triangles() {
         let h = two_level();
-        let plain = extract_field_isosurface(&h, "f", 0.0, IsoMethod::DualCell).unwrap();
-        let switching =
-            extract_field_isosurface(&h, "f", 0.0, IsoMethod::DualCellRedundant).unwrap();
+        let levels = &h.field("f").unwrap().levels;
+        let plain = extract_amr_isosurface(&h, levels, 0.0, IsoMethod::DualCell);
+        let switching = extract_amr_isosurface(&h, levels, 0.0, IsoMethod::DualCellRedundant);
         assert!(
             switching.level_meshes[0].num_triangles() > plain.level_meshes[0].num_triangles(),
             "switching cells should extend the coarse surface"

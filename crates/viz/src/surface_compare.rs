@@ -4,17 +4,13 @@
 //! we quantify the same effect: how far the isosurface extracted from
 //! decompressed data deviates from the surface of the original data, and
 //! how "bumpy" it became. Distances are computed with exact point-triangle
-//! projections accelerated by a uniform spatial hash.
+//! projections accelerated by a uniform grid.
 
-use std::collections::HashMap;
-
-use amrviz_json::{Json, ToJson};
-
-use crate::mesh::TriMesh;
+use crate::mesh::{sorted_pairs, TriMesh};
 
 /// Exact closest point on triangle `(a, b, c)` to `p` (Ericson, *Real-Time
 /// Collision Detection*, §5.1.5).
-pub fn closest_point_on_triangle(p: [f64; 3], a: [f64; 3], b: [f64; 3], c: [f64; 3]) -> [f64; 3] {
+fn closest_point_on_triangle(p: [f64; 3], a: [f64; 3], b: [f64; 3], c: [f64; 3]) -> [f64; 3] {
     let sub = |x: [f64; 3], y: [f64; 3]| [x[0] - y[0], x[1] - y[1], x[2] - y[2]];
     let dot = |x: [f64; 3], y: [f64; 3]| x[0] * y[0] + x[1] * y[1] + x[2] * y[2];
     let ab = sub(b, a);
@@ -73,8 +69,10 @@ pub struct TriLocator {
     lo: [f64; 3],
     cell: f64,
     dims: [usize; 3],
-    /// cell index → triangle indices overlapping that cell.
-    buckets: HashMap<usize, Vec<u32>>,
+    /// The triangles overlapping each cell, cell after cell: cell `c` holds
+    /// `cell_tris[cell_start[c]..cell_start[c + 1]]`, in ascending order.
+    cell_start: Vec<usize>,
+    cell_tris: Vec<u32>,
 }
 
 impl TriLocator {
@@ -91,71 +89,32 @@ impl TriLocator {
             .max(1e-300);
         // Aim for O(1) triangles per cell.
         let cell = (diag / (mesh.triangles.len() as f64).cbrt().max(1.0)).max(diag * 1e-6);
-        let dims = [
-            (((hi[0] - lo[0]) / cell).floor() as usize + 1).max(1),
-            (((hi[1] - lo[1]) / cell).floor() as usize + 1).max(1),
-            (((hi[2] - lo[2]) / cell).floor() as usize + 1).max(1),
-        ];
-        // (cell, triangle) pairs in parallel, then sort and group — far
-        // faster than per-insert hashing for millions of triangles.
+        let dims = [0, 1, 2].map(|a| (((hi[a] - lo[a]) / cell).floor() as usize + 1).max(1));
         let clampi = |v: f64, n: usize| (v.floor().max(0.0) as usize).min(n - 1);
-        let mut pairs: Vec<(usize, u32)> = {
-            const CHUNK: usize = 1 << 14;
-            let emit = |(t, tri): (usize, &[u32; 3])| {
-                let mut tlo = [f64::INFINITY; 3];
-                let mut thi = [f64::NEG_INFINITY; 3];
-                for &vi in tri {
-                    let v = mesh.vertices[vi as usize];
-                    for a in 0..3 {
-                        tlo[a] = tlo[a].min(v[a]);
-                        thi[a] = thi[a].max(v[a]);
-                    }
+        let pairs = sorted_pairs(mesh.triangles.len(), |t| {
+            let mut tlo = [f64::INFINITY; 3];
+            let mut thi = [f64::NEG_INFINITY; 3];
+            for &vi in &mesh.triangles[t] {
+                let v = mesh.vertices[vi as usize];
+                for a in 0..3 {
+                    tlo[a] = tlo[a].min(v[a]);
+                    thi[a] = thi[a].max(v[a]);
                 }
-                let c0 = [
-                    clampi((tlo[0] - lo[0]) / cell, dims[0]),
-                    clampi((tlo[1] - lo[1]) / cell, dims[1]),
-                    clampi((tlo[2] - lo[2]) / cell, dims[2]),
-                ];
-                let c1 = [
-                    clampi((thi[0] - lo[0]) / cell, dims[0]),
-                    clampi((thi[1] - lo[1]) / cell, dims[1]),
-                    clampi((thi[2] - lo[2]) / cell, dims[2]),
-                ];
-                (c0[2]..=c1[2]).flat_map(move |kz| {
-                    (c0[1]..=c1[1]).flat_map(move |ky| {
-                        (c0[0]..=c1[0])
-                            .map(move |kx| (kx + dims[0] * (ky + dims[1] * kz), t as u32))
-                    })
-                })
-            };
-            amrviz_par::reduce_chunked(
-                mesh.triangles.len(),
-                CHUNK,
-                Vec::new(),
-                |r| {
-                    let mut part = Vec::new();
-                    for t in r {
-                        part.extend(emit((t, &mesh.triangles[t])));
-                    }
-                    part
-                },
-                |mut acc, mut part| {
-                    acc.append(&mut part);
-                    acc
-                },
-            )
-        };
-        pairs.sort_unstable();
-        let mut buckets: HashMap<usize, Vec<u32>> = HashMap::with_capacity(pairs.len() / 2 + 1);
-        let mut i = 0;
-        while i < pairs.len() {
-            let key = pairs[i].0;
-            let mut j = i;
-            while j < pairs.len() && pairs[j].0 == key {
-                j += 1;
             }
-            buckets.insert(key, pairs[i..j].iter().map(|&(_, t)| t).collect());
-            i = j;
+            let c0 = [0, 1, 2].map(|a| clampi((tlo[a] - lo[a]) / cell, dims[a]));
+            let c1 = [0, 1, 2].map(|a| clampi((thi[a] - lo[a]) / cell, dims[a]));
+            (c0[2]..=c1[2]).flat_map(move |kz| {
+                (c0[1]..=c1[1]).flat_map(move |ky| {
+                    (c0[0]..=c1[0]).map(move |kx| (kx + dims[0] * (ky + dims[1] * kz)) as u64)
+                })
+            })
+        });
+        let mut cell_start = vec![0; dims[0] * dims[1] * dims[2] + 1];
+        for run in pairs.chunk_by(|x, y| x.0 == y.0) {
+            cell_start[run[0].0 as usize + 1] = run.len();
+        }
+        for c in 1..cell_start.len() {
+            cell_start[c] += cell_start[c - 1];
         }
         Some(TriLocator {
             vertices: mesh.vertices,
@@ -163,7 +122,8 @@ impl TriLocator {
             lo,
             cell,
             dims,
-            buckets,
+            cell_start,
+            cell_tris: pairs.into_iter().map(|(_, t)| t).collect(),
         })
     }
 
@@ -227,12 +187,10 @@ impl TriLocator {
                         {
                             continue;
                         }
-                        let key =
+                        let c =
                             kx as usize + self.dims[0] * (ky as usize + self.dims[1] * kz as usize);
-                        if let Some(tris) = self.buckets.get(&key) {
-                            for &t in tris {
-                                best = best.min(self.tri_distance(p, t));
-                            }
+                        for &t in &self.cell_tris[self.cell_start[c]..self.cell_start[c + 1]] {
+                            best = best.min(self.tri_distance(p, t));
                         }
                     }
                 }
@@ -247,30 +205,15 @@ impl TriLocator {
 pub struct SurfaceDistance {
     /// Area-weighted mean distance of `from` samples to `to`.
     pub mean: f64,
-    /// Area-weighted RMS distance.
-    pub rms: f64,
     /// Maximum sampled distance (≈ one-sided Hausdorff).
     pub max: f64,
-    /// Number of sample points used.
-    pub n_samples: usize,
-}
-
-impl ToJson for SurfaceDistance {
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("mean", self.mean)
-            .set("rms", self.rms)
-            .set("max", self.max)
-            .set("n_samples", self.n_samples);
-        o
-    }
 }
 
 /// Measures how far `from`'s surface lies from the surface `locator` was
 /// built over. Samples every vertex and every triangle centroid of `from`;
-/// centroid distances are area-weighted for the mean/RMS, vertices
-/// contribute to the max. Build the locator once to compare several meshes
-/// to the same reference surface.
+/// centroid distances are area-weighted for the mean, vertices contribute
+/// to the max. Build the locator once to compare several meshes to the
+/// same reference surface.
 pub fn surface_distance_to(from: &TriMesh, locator: &TriLocator) -> Option<SurfaceDistance> {
     if from.triangles.is_empty() {
         return None;
@@ -297,60 +240,24 @@ pub fn surface_distance_to(from: &TriMesh, locator: &TriLocator) -> Option<Surfa
         return None;
     }
     let mean = per_tri.iter().map(|&(a, d)| a * d).sum::<f64>() / total_area;
-    let rms = (per_tri.iter().map(|&(a, d)| a * d * d).sum::<f64>() / total_area).sqrt();
     let max = per_tri.iter().map(|&(_, d)| d).fold(vert_max, f64::max);
-    Some(SurfaceDistance {
-        mean,
-        rms,
-        max,
-        n_samples: per_tri.len() + from.vertices.len(),
-    })
+    Some(SurfaceDistance { mean, max })
 }
 
 /// Mean dihedral deviation (radians) across interior edges — a bumpiness
 /// measure: flat or smoothly-curved surfaces score low, block-artifact
 /// staircases score high.
 pub fn normal_roughness(mesh: &TriMesh) -> f64 {
-    // (packed edge key, triangle) pairs, sorted by key: manifold edges form
-    // runs of exactly two entries. Parallel sort + scan beats a HashMap by
-    // a wide margin on multi-million-triangle surfaces.
-    let mut pairs: Vec<(u64, u32)> = amrviz_par::reduce_chunked(
-        mesh.triangles.len(),
-        1 << 15,
-        Vec::new(),
-        |r| {
-            let mut part = Vec::with_capacity(3 * r.len());
-            for t in r {
-                let tri = &mesh.triangles[t];
-                for (a, b) in [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])] {
-                    part.push((((a.min(b) as u64) << 32) | a.max(b) as u64, t as u32));
-                }
-            }
-            part
-        },
-        |mut acc, mut part| {
-            acc.append(&mut part);
-            acc
-        },
-    );
-    pairs.sort_unstable();
-
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    let mut i = 0;
-    while i < pairs.len() {
-        let mut j = i + 1;
-        while j < pairs.len() && pairs[j].0 == pairs[i].0 {
-            j += 1;
-        }
-        if j - i == 2 {
-            let n1 = mesh.face_normal(pairs[i].1 as usize);
-            let n2 = mesh.face_normal(pairs[i + 1].1 as usize);
+    // Manifold edges are the runs of exactly two triangles.
+    let (mut sum, mut count) = (0.0, 0usize);
+    for run in mesh.edge_pairs().chunk_by(|x, y| x.0 == y.0) {
+        if let &[(_, t1), (_, t2)] = run {
+            let n1 = mesh.face_normal(t1 as usize);
+            let n2 = mesh.face_normal(t2 as usize);
             let dot = (n1[0] * n2[0] + n1[1] * n2[1] + n1[2] * n2[2]).clamp(-1.0, 1.0);
             sum += dot.acos();
             count += 1;
         }
-        i = j;
     }
     if count == 0 {
         0.0
@@ -402,26 +309,69 @@ mod tests {
         assert!((q[0] - 0.5).abs() < 1e-12 && (q[1] - 0.5).abs() < 1e-12);
     }
 
+    /// Two strips of the plane z = 0.3: zero extent in z, and no triangle
+    /// over 0.25 < x < 0.75.
+    fn flat_strips() -> TriMesh {
+        let mut flat = TriMesh::new();
+        for i in (0..5).chain(15..20) {
+            for j in 0..20 {
+                let (x, y) = (i as f64 / 20.0, j as f64 / 20.0);
+                let at = flat.num_vertices() as u32;
+                flat.vertices.extend([
+                    [x, y, 0.3],
+                    [x + 0.05, y, 0.3],
+                    [x + 0.05, y + 0.05, 0.3],
+                    [x, y + 0.05, 0.3],
+                ]);
+                flat.triangles
+                    .extend([[at, at + 1, at + 2], [at, at + 2, at + 3]]);
+            }
+        }
+        flat
+    }
+
     #[test]
     fn locator_distance_matches_bruteforce() {
-        let mesh = sphere_mesh(17, 0.3, [0.5; 3]);
-        let loc = TriLocator::build_owned(mesh.clone()).unwrap();
-        let probes = [
-            [0.5, 0.5, 0.5],
-            [0.0, 0.0, 0.0],
-            [0.9, 0.5, 0.5],
-            [0.5, 0.85, 0.45],
-            [2.0, 2.0, 2.0],
+        // The flat mesh's grid is one cell thick in z, and the cells over
+        // its gap hold no triangle: probes sit over them, on and off the
+        // plane.
+        let flat = TriLocator::build_owned(flat_strips()).unwrap();
+        assert_eq!(flat.dims[2], 1);
+        assert!(flat.cell_start.windows(2).any(|w| w[0] == w[1]));
+        let cases = [
+            (
+                sphere_mesh(17, 0.3, [0.5; 3]),
+                vec![
+                    [0.5, 0.5, 0.5],
+                    [0.0, 0.0, 0.0],
+                    [0.9, 0.5, 0.5],
+                    [0.5, 0.85, 0.45],
+                    [2.0, 2.0, 2.0],
+                ],
+            ),
+            (
+                flat_strips(),
+                vec![
+                    [0.5, 0.5, 0.3],
+                    [0.45, 0.1, 0.9],
+                    [0.55, 0.95, -0.2],
+                    [0.1, 0.1, 0.3],
+                    [2.0, 0.5, 0.3],
+                ],
+            ),
         ];
-        for p in probes {
-            let brute = (0..mesh.num_triangles() as u32)
-                .map(|t| loc.tri_distance(p, t))
-                .fold(f64::INFINITY, f64::min);
-            let fast = loc.distance(p);
-            assert!(
-                (fast - brute).abs() < 1e-12,
-                "at {p:?}: fast {fast} vs brute {brute}"
-            );
+        for (mesh, probes) in cases {
+            let loc = TriLocator::build_owned(mesh.clone()).unwrap();
+            for p in probes {
+                let brute = (0..mesh.num_triangles() as u32)
+                    .map(|t| loc.tri_distance(p, t))
+                    .fold(f64::INFINITY, f64::min);
+                let fast = loc.distance(p);
+                assert!(
+                    (fast - brute).abs() < 1e-12,
+                    "at {p:?}: fast {fast} vs brute {brute}"
+                );
+            }
         }
     }
 

@@ -44,7 +44,6 @@ fn skip_and_restore_keeps_dual_cell_functional() {
             geom.prob_hi,
             1e-9,
         )
-        .unwrap()
     };
     let plain = gap_of(IsoMethod::DualCell);
     let fixed = gap_of(IsoMethod::DualCellRedundant);

@@ -14,14 +14,14 @@ fn crack_gap_ordering_matches_fig1() {
         let rows = run_crack_analysis(&built);
         let by = |m: &str| rows.iter().find(|r| r.method == m).unwrap();
         let crack = by("re-sampling");
-        let gap = by("dual-cell");
-        let fixed = by("dual-cell+redundant");
+        let gap = by("dual-cell").gap;
+        let fixed = by("dual-cell+redundant").gap;
         // Fig. 1: re-sampling cracks are smaller than dual-cell gaps…
         assert!(
-            gap.mean_gap > crack.mean_gap,
+            gap.mean_gap > crack.gap.mean_gap,
             "{app:?}: dual gap {} !> crack {}",
             gap.mean_gap,
-            crack.mean_gap
+            crack.gap.mean_gap
         );
         // …and the redundant coarse data shrinks the gap. The shrink factor
         // is dramatic for WarpX's single clean slab interface; Nyx's
