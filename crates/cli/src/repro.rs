@@ -57,7 +57,7 @@ use amrviz_core::args;
 use amrviz_core::experiment::{self, standard_camera, CompressorKind};
 use amrviz_core::prelude::*;
 use amrviz_core::report;
-use amrviz_json::{Json, ToJson};
+use amrviz_json::Json;
 use amrviz_render::{render_slice, Color, RenderOptions};
 use amrviz_sim::solver::{AmrAdvection, FIELD};
 use amrviz_viz::extract_amr_isosurface;
@@ -562,8 +562,8 @@ impl Ctx {
         &self.built[key]
     }
 
-    fn record(&mut self, key: &str, value: impl ToJson) {
-        self.json.set(key, value.to_json());
+    fn record(&mut self, key: &str, value: impl Into<Json>) {
+        self.json.set(key, value);
     }
 
     /// Drains the obs recorder into `manifest_<name>.json` and folds the
@@ -669,6 +669,14 @@ impl Ctx {
     }
 }
 
+/// Result rows as one JSON array, each row by its `From<&Row>` impl.
+fn json_rows<'a, T>(rows: &'a [T]) -> Json
+where
+    &'a T: Into<Json>,
+{
+    Json::Arr(rows.iter().map(Into::into).collect())
+}
+
 fn table1(ctx: &mut Ctx) {
     println!("\n=== Table 1: dataset structure ===");
     ctx.scenario(Application::Warpx);
@@ -682,7 +690,7 @@ fn table1(ctx: &mut Ctx) {
         "paper: WarpX 128x128x1024 + 256x256x2048 (91.4% / 8.6%), \
          Nyx 256^3 + 512^3 (59.3% / 40.7%)"
     );
-    ctx.record("table1", &rows);
+    ctx.record("table1", json_rows(&rows));
 }
 
 fn table2(ctx: &mut Ctx) {
@@ -695,7 +703,7 @@ fn table2(ctx: &mut Ctx) {
     }
     println!("{}", report::format_table2(&all));
     ctx.runs.extend(all.iter().cloned());
-    ctx.record("table2", &all);
+    ctx.record("table2", json_rows(&all));
 }
 
 fn fig1(ctx: &mut Ctx) {
@@ -718,7 +726,7 @@ fn fig1(ctx: &mut Ctx) {
     ] {
         ctx.save_mesh_render(built, &levels, method, name);
     }
-    ctx.record("fig1", &rows);
+    ctx.record("fig1", json_rows(&rows));
 }
 
 fn fig2(ctx: &mut Ctx) {
@@ -758,7 +766,7 @@ fn fig2(ctx: &mut Ctx) {
             .set("fine_cells", h.box_array(1).num_cells());
         snapshots.push(snap_json);
     }
-    ctx.record("fig2", &snapshots);
+    ctx.record("fig2", snapshots);
 }
 
 fn figs_9_10(ctx: &mut Ctx, kind: CompressorKind, figname: &str) {
@@ -805,7 +813,7 @@ fn figs_9_10(ctx: &mut Ctx, kind: CompressorKind, figname: &str) {
         IsoMethod::DualCellRedundant,
         &format!("{figname}_{tag}_eb1e-2_dualcell"),
     );
-    ctx.record(figname, &rows);
+    ctx.record(figname, json_rows(&rows));
 }
 
 fn fig11(ctx: &mut Ctx) {
@@ -838,7 +846,7 @@ fn fig11(ctx: &mut Ctx) {
         IsoMethod::Resampling,
         "fig11_original_resampling",
     );
-    ctx.record("fig11", &all);
+    ctx.record("fig11", json_rows(&all));
 }
 
 fn rate_distortion(ctx: &mut Ctx, app: Application, figname: &str) {
@@ -851,7 +859,7 @@ fn rate_distortion(ctx: &mut Ctx, app: Application, figname: &str) {
     let built = ctx.scenario(app);
     let pts = experiment::run_rate_distortion(built, &RD_EBS).expect("rate-distortion runs");
     println!("{}", report::format_rate_distortion(&pts));
-    ctx.record(figname, &pts);
+    ctx.record(figname, json_rows(&pts));
 }
 
 fn fig14(ctx: &mut Ctx) {
@@ -874,9 +882,9 @@ fn fig14(ctx: &mut Ctx) {
     );
     let mut series = Json::obj();
     series
-        .set("original", orig.to_json())
-        .set("decompressed", blocky.to_json())
-        .set("resampled", resampled.to_json());
+        .set("original", orig)
+        .set("decompressed", blocky)
+        .set("resampled", resampled);
     ctx.record("fig14", series);
 }
 
@@ -993,7 +1001,7 @@ fn enumerated(ctx: &mut Ctx, recipe_src: &str) {
     }
     println!("{}", report::format_table2(&all));
     ctx.runs.extend(all.iter().cloned());
-    ctx.record("enumerated", &all);
+    ctx.record("enumerated", json_rows(&all));
 }
 
 /// `repro obs-overhead`: writes `OBS_OVERHEAD_<git>.json` into `out` and
@@ -1151,7 +1159,7 @@ pub fn repro(argv: &[String], obs: &ObsOptions) -> Result<(), String> {
         .set("experiments", Json::Arr(ctx.experiments.clone()))
         .set("decode_fabs", decode_fabs)
         .set("runs", Json::Arr(runs))
-        .set("stage_seconds", ctx.stage_seconds.to_json());
+        .set("stage_seconds", ctx.stage_seconds.clone());
     if let Some(stats) = journal_stats {
         let mut j = Json::obj();
         j.set("enqueued", stats.enqueued)
@@ -1348,8 +1356,8 @@ mod tests {
     }
 
     /// Every failure line of `figure` on `rows`, as `--check` prints them.
-    fn broken(figure: &str, rows: &impl ToJson) -> Vec<String> {
-        let failed = verdict_of(figure)(&rows.to_json());
+    fn broken(figure: &str, rows: impl Into<Json>) -> Vec<String> {
+        let failed = verdict_of(figure)(&rows.into());
         failed.iter().map(|f| format!("{figure}: {f}")).collect()
     }
 
@@ -1370,7 +1378,7 @@ mod tests {
         };
         let fig1 = |gaps: [f64; 3]| {
             let rows = IsoMethod::ALL.iter().zip(gaps).map(|(&m, g)| crack(m, g));
-            broken("fig1", &rows.collect::<Vec<_>>())
+            broken("fig1", json_rows(&rows.collect::<Vec<_>>()))
         };
         assert_eq!(fig1([0.011, 0.049, 7e-4]), [""; 0]);
         let no_crack = fig1([0.0, 0.049, 0.0]);
@@ -1385,15 +1393,15 @@ mod tests {
         let sweep = |c| [(c, 1e-4), (c, 1e-3), (c, 1e-2)];
         for (figure, compressor) in [("fig9", "SZ-L/R"), ("fig10", "SZ-Itp")] {
             let mut rows = viz_rows(&sweep(compressor), [0.1, 0.2]);
-            assert_eq!(broken(figure, &rows), [""; 0]);
+            assert_eq!(broken(figure, json_rows(&rows)), [""; 0]);
             let swapped = rows[2].image_rssim;
             rows[2].image_rssim = rows[3].image_rssim;
             rows[3].image_rssim = swapped;
-            let failed = broken(figure, &rows);
+            let failed = broken(figure, json_rows(&rows));
             assert_eq!(failed.len(), 1, "{failed:?}");
             let start = format!("{figure}: {compressor} eb 1e-3: dual-cell image_rssim 1e-5");
             assert!(failed[0].starts_with(&start), "{failed:?}");
-            let failed = broken(figure, &rows[..4].to_vec());
+            let failed = broken(figure, json_rows(&rows[..4]));
             assert!(failed[1].ends_with("2 re-sampling row(s) recorded, 3 expected"));
         }
 
@@ -1402,13 +1410,13 @@ mod tests {
         // when it turns into the paper's, or stops being an ordering.
         let both = [("SZ-L/R", 1e-2), ("SZ-Itp", 1e-2)];
         let mut rows = viz_rows(&both, [0.5, 0.4]);
-        assert_eq!(broken("fig11", &rows), [""; 0]);
+        assert_eq!(broken("fig11", json_rows(&rows)), [""; 0]);
         rows[1].image_rssim = 0.0;
-        let failed = broken("fig11", &rows);
+        let failed = broken("fig11", json_rows(&rows));
         assert_eq!(failed.len(), 1, "{failed:?}");
         assert!(failed[0].starts_with("fig11: SZ-L/R eb 1e-2: dual-cell image_rssim 0e0"));
         for geometry in [[0.4, 0.5], [0.5, 0.5], [0.5, f64::NAN]] {
-            let failed = broken("fig11", &viz_rows(&both, geometry));
+            let failed = broken("fig11", json_rows(&viz_rows(&both, geometry)));
             assert_eq!(failed.len(), 2, "{failed:?}");
             assert!(failed[1].starts_with("fig11: SZ-Itp eb 1e-2: dual-cell surface_error_cells"));
             assert!(failed[1].contains("divergence #3"), "{failed:?}");
@@ -1416,10 +1424,10 @@ mod tests {
         // Table 2: swap the two compressors' CR at one bound; reverse one
         // series' PSNR column; give SZ-L/R the worse R-SSIM on Nyx at 1e-2.
         let mut rows = table2_rows();
-        assert_eq!(broken("table2", &rows), [""; 0]);
+        assert_eq!(broken("table2", json_rows(&rows)), [""; 0]);
         let (lr, itp) = (rows[1].compression_ratio, rows[4].compression_ratio);
         (rows[1].compression_ratio, rows[4].compression_ratio) = (itp, lr);
-        let failed = broken("table2", &rows);
+        let failed = broken("table2", json_rows(&rows));
         assert_eq!(
             failed,
             ["table2: WarpX eb 1e-3: SZ-Itp CR 2e1 is not above SZ-L/R's 2.1e1"]
@@ -1429,14 +1437,14 @@ mod tests {
         for (row, psnr) in rows[6..9].iter_mut().zip(psnr.into_iter().rev()) {
             row.psnr_db = psnr;
         }
-        let failed = broken("table2", &rows);
+        let failed = broken("table2", json_rows(&rows));
         assert_eq!(failed.len(), 2, "{failed:?}");
         let start =
             "table2: Nyx SZ-L/R eb 1e-3: the tighter bound's PSNR 4e1 is not above PSNR 6e1";
         assert_eq!(failed[0], start);
         let mut rows = table2_rows();
         rows[8].rssim = 1.0;
-        let failed = broken("table2", &rows);
+        let failed = broken("table2", json_rows(&rows));
         assert_eq!(
             failed,
             ["table2: Nyx eb 1e-2: SZ-Itp R-SSIM 2e-2 is not above SZ-L/R's 1e0"]
@@ -1445,14 +1453,14 @@ mod tests {
         // SZ-L/R's on Nyx at 1e-2, fails.
         let mut rows = table2_rows();
         rows[8].compression_ratio = 30.0;
-        let failed = broken("table2", &rows);
+        let failed = broken("table2", json_rows(&rows));
         assert_eq!(failed.len(), 1, "{failed:?}");
         let start =
             "table2: Nyx eb 1e-2: SZ-Itp CR 3.1e1 is not below SZ-L/R's 3e1 as divergence #7";
         assert!(failed[0].starts_with(start), "{failed:?}");
         let mut rows = table2_rows();
         rows.remove(8);
-        let failed = broken("table2", &rows);
+        let failed = broken("table2", json_rows(&rows));
         assert_eq!(failed, ["table2: Nyx 2 SZ-L/R row(s) recorded, 3 expected"]);
 
         // Fig. 12: swap the two compressors' bits/val at one bound.
@@ -1464,10 +1472,10 @@ mod tests {
             })
         };
         let mut rows = rd_rows([warpx(1.0), warpx(0.5)]);
-        assert_eq!(broken("fig12", &rows), [""; 0]);
+        assert_eq!(broken("fig12", json_rows(&rows)), [""; 0]);
         let (lr, itp) = (rows[2].bits_per_value, rows[8].bits_per_value);
         (rows[2].bits_per_value, rows[8].bits_per_value) = (itp, lr);
-        let failed = broken("fig12", &rows);
+        let failed = broken("fig12", json_rows(&rows));
         assert_eq!(
             failed,
             ["fig12: eb 1e-3: SZ-L/R bits/val 2e0 is not above SZ-Itp's 4e0"]
@@ -1494,10 +1502,10 @@ mod tests {
                 (0.4, 45.3, 4.5e-2),
             ],
         ]);
-        assert_eq!(broken("fig13", &nyx), [""; 0]);
+        assert_eq!(broken("fig13", json_rows(&nyx)), [""; 0]);
         let mut rows = nyx.clone();
         rows[4].bits_per_value = 2.5;
-        let failed = broken("fig13", &rows);
+        let failed = broken("fig13", json_rows(&rows));
         assert_eq!(failed.len(), 1, "{failed:?}");
         let start = "fig13: eb 1e-2 at 2.500 bits/val: SZ-Itp R-SSIM 1.2";
         assert!(failed[0].starts_with(start), "{failed:?}");
@@ -1507,7 +1515,7 @@ mod tests {
         );
         let mut rows = nyx;
         rows[11].rssim = 1e-2;
-        let failed = broken("fig13", &rows);
+        let failed = broken("fig13", json_rows(&rows));
         assert_eq!(
             failed,
             ["fig13: eb 3e-2: SZ-Itp R-SSIM 1e-2 is not above SZ-L/R's 1.57e-2"]
@@ -1518,10 +1526,10 @@ mod tests {
         let (orig, blocky, resampled) = fig14_series(16, 1.4);
         let fig14 = |resampled: &[f64]| {
             let mut rows = Json::obj();
-            rows.set("original", orig.to_json())
-                .set("decompressed", blocky.to_json())
-                .set("resampled", resampled.to_json());
-            broken("fig14", &rows)
+            rows.set("original", orig.clone())
+                .set("decompressed", blocky.clone())
+                .set("resampled", resampled.to_vec());
+            broken("fig14", rows)
         };
         assert_eq!(fig14(&resampled), [""; 0]);
         assert_eq!(
@@ -1535,7 +1543,7 @@ mod tests {
         // Ablation: skip under keep; the hybrid 2 % behind a pure mode; a
         // WarpX variant under zMesh-1D; divergence #6 turning into the
         // paper's ordering.
-        assert_eq!(broken("ablation", &ablation_rows(|_, _, _| {})), [""; 0]);
+        assert_eq!(broken("ablation", ablation_rows(|_, _, _| {})), [""; 0]);
         let edit = |app: &'static str, variant: &'static str, to: f64| {
             ablation_rows(move |a, v, cr| {
                 if (a, v) == (app, variant) {
@@ -1543,22 +1551,22 @@ mod tests {
                 }
             })
         };
-        let failed = broken("ablation", &edit("Nyx", "SZ-Itp skip", 9.0));
+        let failed = broken("ablation", edit("Nyx", "SZ-Itp skip", 9.0));
         assert_eq!(
             failed,
             ["ablation: Nyx SZ-Itp: skip CR 9e0 is below keep CR 1e1"]
         );
-        let failed = broken("ablation", &edit("WarpX", "SZ-L/R hybrid", 29.4));
+        let failed = broken("ablation", edit("WarpX", "SZ-L/R hybrid", 29.4));
         assert_eq!(failed.len(), 1, "{failed:?}");
         let start =
             "ablation: WarpX SZ-L/R hybrid: CR 2.94e1 is below 99 % of SZ-L/R lorenzo-only's";
         assert!(failed[0].starts_with(start), "{failed:?}");
-        let failed = broken("ablation", &edit("WarpX", "SZ-L/R lorenzo-only", 7.0));
+        let failed = broken("ablation", edit("WarpX", "SZ-L/R lorenzo-only", 7.0));
         assert_eq!(
             failed,
             ["ablation: WarpX SZ-L/R lorenzo-only: CR 7e0 is not above zMesh-1D's 8e0"]
         );
-        let failed = broken("ablation", &edit("WarpX", "SZ-L/R regression-only", 9.0));
+        let failed = broken("ablation", edit("WarpX", "SZ-L/R regression-only", 9.0));
         assert_eq!(failed.len(), 1, "{failed:?}");
         let start = "ablation: WarpX SZ-L/R regression-only: CR 9e0 is not below zMesh-1D's 8e0 \
                      as divergence #6";

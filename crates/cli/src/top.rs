@@ -45,15 +45,7 @@ pub fn top(argv: &[String]) -> Result<(), String> {
     let mut spark: BTreeMap<String, VecDeque<u64>> = BTreeMap::new();
     let mut prev_counts: BTreeMap<String, u64> = BTreeMap::new();
     loop {
-        let raw = fetch_stats(addr)?;
-        let doc = Json::parse(&raw).map_err(|e| format!("STATS from {addr} is not JSON: {e}"))?;
-        let schema = doc.get("schema").and_then(|s| s.as_str()).unwrap_or("?");
-        if schema != amrviz_serve::STATS_SCHEMA {
-            return Err(format!(
-                "unexpected STATS schema `{schema}` (want {})",
-                amrviz_serve::STATS_SCHEMA
-            ));
-        }
+        let (raw, doc) = fetch_stats(addr)?;
         if as_json {
             println!("{raw}");
             return Ok(());
@@ -71,9 +63,11 @@ pub fn top(argv: &[String]) -> Result<(), String> {
     }
 }
 
-/// One STATS poll with retries: chaos-induced connection failures are
-/// expected, so keep trying until a snapshot arrives or patience runs out.
-fn fetch_stats(addr: SocketAddr) -> Result<String, String> {
+/// One STATS poll with retries: chaos-induced connection failures and
+/// corrupted payloads are expected, so keep trying until a snapshot of the
+/// right schema arrives or patience runs out. Returns the raw snapshot and
+/// its parse.
+fn fetch_stats(addr: SocketAddr) -> Result<(String, Json), String> {
     let req = Request {
         op: Op::Stats,
         trace: 0,
@@ -82,19 +76,30 @@ fn fetch_stats(addr: SocketAddr) -> Result<String, String> {
         max_level: 0,
     };
     let cfg = ClientConfig::default();
-    let mut last = "no attempt made";
+    let mut last = String::from("no attempt made");
     for attempt in 0..POLL_ATTEMPTS {
         if attempt > 0 {
             std::thread::sleep(Duration::from_millis(100));
         }
         let ex = exchange(addr, &req, &cfg);
-        if let Some(s) = ex.stats {
-            return Ok(s);
-        }
-        last = ex.outcome.name();
+        let Some(raw) = ex.stats else {
+            last = format!("outcome {}", ex.outcome.name());
+            continue;
+        };
+        last = match Json::parse(&raw) {
+            Err(e) => format!("STATS is not JSON: {e}"),
+            Ok(doc) => match doc.get("schema").and_then(|s| s.as_str()) {
+                Some(amrviz_serve::STATS_SCHEMA) => return Ok((raw, doc)),
+                schema => format!(
+                    "unexpected STATS schema `{}` (want {})",
+                    schema.unwrap_or("?"),
+                    amrviz_serve::STATS_SCHEMA
+                ),
+            },
+        };
     }
     Err(format!(
-        "no STATS from {addr} after {POLL_ATTEMPTS} attempts (last outcome: {last}); \
+        "no usable STATS from {addr} after {POLL_ATTEMPTS} attempts (last: {last}); \
          is the server running?"
     ))
 }
@@ -340,6 +345,51 @@ mod tests {
         assert!(frame.contains("health OK"), "{frame}");
         assert!(frame.contains("decode-bound"), "{frame}");
         assert!(frame.contains("trace abc"), "{frame}");
+    }
+
+    #[test]
+    fn a_poll_retries_a_payload_that_is_not_a_snapshot() {
+        use amrviz_serve::proto::{self, EndFrame};
+        use amrviz_serve::{RespHeader, Status};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let good = format!("{{\"schema\":\"{}\"}}", amrviz_serve::STATS_SCHEMA);
+        let replies = [
+            "{\"schema\":\"amrviz-serve-st\u{1}ts-v1\"".to_string(),
+            good.clone(),
+        ];
+        let responder = std::thread::spawn(move || {
+            for payload in replies {
+                let (mut stream, _) = listener.accept().unwrap();
+                proto::read_frame(&mut stream, proto::MAX_REQUEST_FRAME).unwrap();
+                let header = RespHeader {
+                    status: Status::Ok,
+                    flags: 0,
+                    retry_after_ms: 0,
+                    n_levels: 0,
+                    key: 0,
+                };
+                let end = EndFrame {
+                    status: Status::Ok,
+                    levels_sent: 0,
+                    server_elapsed_us: 1,
+                };
+                for frame in [
+                    header.encode(),
+                    proto::encode_stats_frame(&payload),
+                    end.encode(),
+                ] {
+                    proto::write_frame(&mut stream, &frame).unwrap();
+                }
+            }
+        });
+        let (raw, doc) = fetch_stats(addr).unwrap();
+        responder.join().unwrap();
+        assert_eq!(raw, good);
+        assert_eq!(
+            doc.get("schema").unwrap().as_str(),
+            Some(amrviz_serve::STATS_SCHEMA)
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use amrviz_compress::{
     compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, CompressError,
     CompressionStats, Compressor, ErrorBound, SzInterp, SzLr, ZfpLike,
 };
-use amrviz_json::{Json, ToJson};
+use amrviz_json::Json;
 use amrviz_metrics::{quality, rssim, ssim2, ssim3, QualityStats, SsimConfig};
 use amrviz_render::{render_mesh, Camera, RenderOptions};
 use amrviz_viz::{
@@ -421,84 +421,84 @@ pub fn run_viz_quality(
     Ok(rows)
 }
 
-impl ToJson for CompressionRun {
-    fn to_json(&self) -> Json {
+impl From<&CompressionRun> for Json {
+    fn from(row: &CompressionRun) -> Json {
         let mut o = Json::obj();
         // Key stays "app" for continuity with pre-recipe summary.jsonl.
-        o.set("app", self.scenario.as_str())
-            .set("recipe", self.recipe.as_str())
-            .set("compressor", self.compressor)
-            .set("rel_error_bound", self.rel_error_bound)
-            .set("abs_error_bound", self.abs_error_bound)
-            .set("compression_ratio", self.compression_ratio)
-            .set("compression_ratio_f32", self.compression_ratio_f32)
-            .set("bits_per_value", self.bits_per_value)
-            .set("psnr_db", self.psnr_db)
-            .set("ssim", self.ssim)
-            .set("rssim", self.rssim)
-            .set("max_abs_error", self.max_abs_error)
-            .set("compress_seconds", self.compress_seconds)
-            .set("decompress_seconds", self.decompress_seconds);
-        if self.trace_id != 0 {
+        o.set("app", row.scenario.as_str())
+            .set("recipe", row.recipe.as_str())
+            .set("compressor", row.compressor)
+            .set("rel_error_bound", row.rel_error_bound)
+            .set("abs_error_bound", row.abs_error_bound)
+            .set("compression_ratio", row.compression_ratio)
+            .set("compression_ratio_f32", row.compression_ratio_f32)
+            .set("bits_per_value", row.bits_per_value)
+            .set("psnr_db", row.psnr_db)
+            .set("ssim", row.ssim)
+            .set("rssim", row.rssim)
+            .set("max_abs_error", row.max_abs_error)
+            .set("compress_seconds", row.compress_seconds)
+            .set("decompress_seconds", row.decompress_seconds);
+        if row.trace_id != 0 {
             // Hex string, matching the journal: `crates/json` numbers are
             // f64 and would round a raw u64 id.
-            o.set("trace", format!("{:016x}", self.trace_id));
+            o.set("trace", format!("{:016x}", row.trace_id));
         }
         o
     }
 }
 
-impl ToJson for Table1Row {
-    fn to_json(&self) -> Json {
+impl From<&Table1Row> for Json {
+    fn from(row: &Table1Row) -> Json {
         let mut o = Json::obj();
-        o.set("app", self.scenario.as_str())
-            .set("levels", self.levels)
-            .set("grid_sizes", self.grid_sizes.to_json())
-            .set("densities", self.densities.to_json())
-            .set("total_cells", self.total_cells);
+        o.set("app", row.scenario.as_str())
+            .set("levels", row.levels)
+            .set("grid_sizes", row.grid_sizes.clone())
+            .set("densities", row.densities.clone())
+            .set("total_cells", row.total_cells);
         o
     }
 }
 
-impl ToJson for RateDistortionPoint {
-    fn to_json(&self) -> Json {
+impl From<&RateDistortionPoint> for Json {
+    fn from(row: &RateDistortionPoint) -> Json {
         let mut o = Json::obj();
-        o.set("compressor", self.compressor)
-            .set("rel_error_bound", self.rel_error_bound)
-            .set("bits_per_value", self.bits_per_value)
-            .set("psnr_db", self.psnr_db)
-            .set("rssim", self.rssim);
+        o.set("compressor", row.compressor)
+            .set("rel_error_bound", row.rel_error_bound)
+            .set("bits_per_value", row.bits_per_value)
+            .set("psnr_db", row.psnr_db)
+            .set("rssim", row.rssim);
         o
     }
 }
 
-impl ToJson for CrackRun {
-    fn to_json(&self) -> Json {
+impl From<&CrackRun> for Json {
+    fn from(row: &CrackRun) -> Json {
         let mut o = Json::obj();
-        o.set("app", self.scenario.as_str())
-            .set("method", self.method)
-            .set("coarse_triangles", self.coarse_triangles)
-            .set("fine_triangles", self.fine_triangles)
-            .set("rim_edges", self.gap.n_rim_edges)
-            .set("rim_length", self.gap.rim_length)
-            .set("mean_gap", self.gap.mean_gap)
-            .set("max_gap", self.gap.max_gap);
+        o.set("app", row.scenario.as_str())
+            .set("method", row.method)
+            .set("coarse_triangles", row.coarse_triangles)
+            .set("fine_triangles", row.fine_triangles)
+            .set("rim_edges", row.gap.n_rim_edges)
+            .set("rim_length", row.gap.rim_length)
+            .set("mean_gap", row.gap.mean_gap)
+            .set("max_gap", row.gap.max_gap);
         o
     }
 }
 
-impl ToJson for VizQualityRun {
-    fn to_json(&self) -> Json {
+impl From<&VizQualityRun> for Json {
+    fn from(row: &VizQualityRun) -> Json {
         let mut o = Json::obj();
-        o.set("app", self.scenario.as_str())
-            .set("compressor", self.compressor)
-            .set("rel_error_bound", self.rel_error_bound)
-            .set("method", self.method)
-            .set("surface_error_cells", self.surface_error_cells)
-            .set("surface_error_max_cells", self.surface_error_max_cells)
-            .set("roughness_increase", self.roughness_increase)
-            .set("image_rssim", self.image_rssim)
-            .set("triangles", self.triangles);
+        o.set("app", row.scenario.as_str())
+            .set("compressor", row.compressor)
+            .set("rel_error_bound", row.rel_error_bound)
+            .set("method", row.method)
+            .set("surface_error_cells", row.surface_error_cells)
+            .set("surface_error_max_cells", row.surface_error_max_cells)
+            .set("roughness_increase", row.roughness_increase)
+            .set("image_rssim", row.image_rssim)
+            .set("triangles", row.triangles);
         o
     }
 }

@@ -145,25 +145,10 @@ impl fmt::Display for Json {
 // Conversions
 // ---------------------------------------------------------------------------
 
-/// Types that can render themselves as a [`Json`] value — the stand-in for
-/// `serde::Serialize` across the workspace.
-pub trait ToJson {
-    fn to_json(&self) -> Json;
-}
-
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-}
-
 macro_rules! num_to_json {
     ($($t:ty),*) => {$(
         impl From<$t> for Json {
             fn from(v: $t) -> Json { Json::Num(v as f64) }
-        }
-        impl ToJson for $t {
-            fn to_json(&self) -> Json { Json::Num(*self as f64) }
         }
     )*};
 }
@@ -172,11 +157,6 @@ num_to_json!(f64, f32, i64, i32, i16, u64, u32, u16, u8, usize, isize);
 impl From<bool> for Json {
     fn from(v: bool) -> Json {
         Json::Bool(v)
-    }
-}
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
     }
 }
 
@@ -190,54 +170,20 @@ impl From<String> for Json {
         Json::Str(v)
     }
 }
-impl ToJson for &str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-impl<T: ToJson, const N: usize> ToJson for [T; N] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
-        }
-    }
-}
-impl<T: ToJson> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (*self).to_json()
-    }
-}
-impl<V: ToJson> ToJson for BTreeMap<String, V> {
-    fn to_json(&self) -> Json {
-        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-    }
-}
 
 impl<T: Into<Json>> From<Vec<T>> for Json {
     fn from(v: Vec<T>) -> Json {
         Json::Arr(v.into_iter().map(Into::into).collect())
+    }
+}
+impl<T: Into<Json>, const N: usize> From<[T; N]> for Json {
+    fn from(v: [T; N]) -> Json {
+        Json::Arr(v.into_iter().map(Into::into).collect())
+    }
+}
+impl<V: Into<Json>> From<BTreeMap<String, V>> for Json {
+    fn from(v: BTreeMap<String, V>) -> Json {
+        Json::Obj(v.into_iter().map(|(k, v)| (k, v.into())).collect())
     }
 }
 
@@ -669,11 +615,11 @@ mod tests {
     }
 
     #[test]
-    fn tojson_impls() {
-        assert_eq!(3u32.to_json(), Json::Num(3.0));
-        assert_eq!(vec![1i64, 2].to_json().to_string_compact(), "[1,2]");
-        assert_eq!([1.5f64; 2].to_json().to_string_compact(), "[1.5,1.5]");
-        assert_eq!(Some("x").to_json(), Json::Str("x".into()));
-        assert_eq!(None::<String>.to_json(), Json::Null);
+    fn from_impls() {
+        assert_eq!(Json::from(3u32), Json::Num(3.0));
+        assert_eq!(Json::from(vec![1i64, 2]).to_string_compact(), "[1,2]");
+        assert_eq!(Json::from([1.5f64; 2]).to_string_compact(), "[1.5,1.5]");
+        let map = BTreeMap::from([("b".to_string(), 2u8), ("a".to_string(), 1)]);
+        assert_eq!(Json::from(map).to_string_compact(), r#"{"a":1,"b":2}"#);
     }
 }

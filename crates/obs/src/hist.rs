@@ -12,10 +12,11 @@
 //!   [`SUB_BUCKETS`] = 8 equal sub-buckets (≤ 12.5 % relative width),
 //!   giving [`NUM_BUCKETS`] = 496 buckets total for the full `u64` range.
 //!
-//! Buckets are plain `u64` counts, so merging two histograms is a
-//! bucket-wise integer sum — **commutative and associative**, which is what
-//! makes the recorder's per-shard histograms deterministic: no matter which
-//! worker thread recorded which value, the merged snapshot is identical.
+//! Buckets are plain `u64` counts, so recording a value and merging two
+//! histograms are bucket-wise integer sums — **commutative and
+//! associative**, which is what makes the recorder's histograms
+//! deterministic: no matter which worker thread recorded which value, in
+//! what order, or how windows were merged, the snapshot is identical.
 //! Percentiles interpolate linearly inside the target bucket and clamp to
 //! the exact observed `[min, max]`, so they too are thread-count invariant
 //! for a fixed multiset of recorded values.

@@ -1,9 +1,9 @@
-//! Streaming event journal: bounded, mutex-sharded, drop-oldest queues
-//! drained by a background writer thread into a JSONL file.
+//! Streaming event journal: one bounded, drop-oldest queue drained by a
+//! background writer thread into a JSONL file.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Bounded memory** — each shard holds at most [`SHARD_CAP`] lines;
+//! 1. **Bounded memory** — the queue holds at most [`CAP`] lines;
 //!    overflow evicts the oldest line and bumps a drop counter that is
 //!    itself exported (`obs.dropped_events`). A stalled disk can never
 //!    balloon the process.
@@ -11,9 +11,10 @@
 //!    with a single `write_all` per line, so a crash mid-run leaves a
 //!    prefix of whole lines (line-atomic appends); `amrviz stats` can
 //!    always parse what made it to disk.
-//! 3. **Ordering** — a global sequence number is stamped at emit; the
-//!    writer drains all shards and sorts by `seq` before writing, so the
-//!    file is totally ordered even though producers are sharded.
+//! 3. **Ordering** — a global sequence number is stamped at emit; lines
+//!    are formatted outside the queue lock, so two producers can enqueue
+//!    out of `seq` order, and the writer sorts each drained batch by `seq`
+//!    before writing, so the file is totally ordered.
 //!
 //! Schema (`amrviz-journal-v1`): one JSON object per line with at least
 //! `seq`, `ts_ns` (nanoseconds since recorder epoch), and `kind`. `span`
@@ -38,21 +39,15 @@ use crate::lock_clean;
 /// Journal schema identifier, written in the `journal_start` meta line.
 pub const SCHEMA: &str = "amrviz-journal-v1";
 
-/// Maximum buffered lines per shard before drop-oldest kicks in.
-pub const SHARD_CAP: usize = 8192;
-
-/// Number of producer shards (power of two; indexed by thread id).
-pub const SHARDS: usize = 8;
+/// Maximum buffered lines before drop-oldest kicks in.
+pub const CAP: usize = 65_536;
 
 /// Writer poll interval while the journal is active.
 const POLL: Duration = Duration::from_millis(50);
 
-struct Shard {
-    queue: Mutex<VecDeque<(u64, String)>>,
-}
-
 struct JournalState {
-    shards: Vec<Shard>,
+    /// Formatted lines waiting for the writer, with their `seq`.
+    queue: Mutex<VecDeque<(u64, String)>>,
     writer: Mutex<Option<JoinHandle<()>>>,
     /// The journal file, shared between the background writer and
     /// synchronous [`flush`] callers. Drain-and-write always happens *under*
@@ -71,11 +66,7 @@ static DROPPED: AtomicU64 = AtomicU64::new(0);
 fn state() -> &'static JournalState {
     static STATE: OnceLock<JournalState> = OnceLock::new();
     STATE.get_or_init(|| JournalState {
-        shards: (0..SHARDS)
-            .map(|_| Shard {
-                queue: Mutex::new(VecDeque::new()),
-            })
-            .collect(),
+        queue: Mutex::new(VecDeque::new()),
         writer: Mutex::new(None),
         file: Mutex::new(None),
     })
@@ -106,9 +97,9 @@ pub struct JournalStats {
 }
 
 /// Enqueues a pre-serialized JSON *object body* (the part between `{` and
-/// `}`, without braces) under `kind`, stamping `seq`/`ts_ns`/`kind` and the
-/// calling thread. No-op (returning `None`) when the journal is inactive.
-pub(crate) fn push_raw(kind: &str, shard_hint: u64, body: &str) -> Option<u64> {
+/// `}`, without braces) under `kind`, stamping `seq`/`ts_ns`/`kind`.
+/// No-op (returning `None`) when the journal is inactive.
+pub(crate) fn push_raw(kind: &str, body: &str) -> Option<u64> {
     if !is_active() {
         return None;
     }
@@ -119,10 +110,8 @@ pub(crate) fn push_raw(kind: &str, shard_hint: u64, body: &str) -> Option<u64> {
     } else {
         format!("{{\"seq\":{seq},\"ts_ns\":{ts_ns},\"kind\":\"{kind}\",{body}}}")
     };
-    let s = state();
-    let shard = &s.shards[(shard_hint as usize) % SHARDS];
-    let mut q = lock_clean(&shard.queue);
-    if q.len() >= SHARD_CAP {
+    let mut q = lock_clean(&state().queue);
+    if q.len() >= CAP {
         q.pop_front();
         DROPPED.fetch_add(1, Ordering::Relaxed);
     }
@@ -153,49 +142,28 @@ pub fn emit(kind: &str, fields: &[(&str, String)]) -> Option<u64> {
     for (k, v) in fields {
         body.push_str(&format!(",\"{k}\":{v}"));
     }
-    push_raw(kind, thread, &body)
+    push_raw(kind, &body)
 }
 
-fn drain_sorted() -> Vec<(u64, String)> {
-    let s = state();
-    let mut all: Vec<(u64, String)> = Vec::new();
-    for shard in &s.shards {
-        let mut q = lock_clean(&shard.queue);
-        all.extend(q.drain(..));
-    }
-    all.sort_by_key(|(seq, _)| *seq);
-    all
-}
-
-fn write_lines(file: &mut std::fs::File, lines: Vec<(u64, String)>) {
-    for (_, mut line) in lines {
-        line.push('\n');
-        // One write_all per full line: a crash leaves whole lines only.
-        let _ = file.write_all(line.as_bytes());
-    }
-}
-
-/// Drains every shard and writes the sorted batch, all under the file lock
-/// so concurrent callers (writer thread vs. [`flush`]) cannot interleave
-/// batches out of seq order.
-fn drain_and_write() {
+/// Synchronously drains all pending journal lines to the file in `seq`
+/// order and flushes it. Safe to call from any thread at any time; a no-op
+/// when no journal is attached. The drain and the write both happen under
+/// the file lock, so the writer thread and a concurrent caller cannot
+/// interleave batches out of seq order. `amrviz serve` calls this during
+/// graceful drain, and the CLI teardown path calls it so short runs cannot
+/// lose the queued tail between writer polls.
+pub fn flush() {
     let mut guard = lock_clean(&state().file);
     if let Some(file) = guard.as_mut() {
-        let batch = drain_sorted();
-        if !batch.is_empty() {
-            write_lines(file, batch);
+        let mut batch = Vec::from(std::mem::take(&mut *lock_clean(&state().queue)));
+        batch.sort_by_key(|(seq, _)| *seq);
+        for (_, mut line) in batch {
+            line.push('\n');
+            // One write_all per full line: a crash leaves whole lines only.
+            let _ = file.write_all(line.as_bytes());
         }
         let _ = file.flush();
     }
-}
-
-/// Synchronously drains all pending journal lines to the file and flushes
-/// it. Safe to call from any thread at any time; a no-op when no journal is
-/// attached. `amrviz serve` calls this during graceful drain, and the CLI
-/// teardown path calls it so short runs cannot lose the queued tail between
-/// writer polls.
-pub fn flush() {
-    drain_and_write();
 }
 
 /// Test hook: pauses the background writer's polling so queue-overflow
@@ -224,20 +192,19 @@ pub fn start(path: &Path) -> Result<(), String> {
     *lock_clean(&state().file) = Some(file);
     push_raw(
         "meta",
-        0,
         &format!("\"event\":\"journal_start\",\"schema\":\"{SCHEMA}\""),
     );
     let handle = std::thread::Builder::new()
         .name("amrviz-journal".into())
         .spawn(move || loop {
             if !WRITER_PAUSED.load(Ordering::SeqCst) {
-                drain_and_write();
+                flush();
             }
             if STOPPING.load(Ordering::SeqCst) {
                 // Final drain: everything emitted before stop() flipped
                 // ACTIVE off is already queued. Runs even when paused —
                 // stop always lands the tail.
-                drain_and_write();
+                flush();
                 return;
             }
             std::thread::sleep(POLL);
@@ -254,7 +221,6 @@ pub fn stop() -> JournalStats {
     if is_active() {
         push_raw(
             "meta",
-            0,
             &format!(
                 "\"event\":\"journal_stop\",\"enqueued\":{},\"dropped\":{}",
                 enqueued(),
@@ -283,7 +249,7 @@ mod tests {
     fn inactive_journal_is_a_cheap_noop() {
         let _g = crate::tests::guard();
         assert!(!is_active());
-        assert_eq!(push_raw("span", 0, "\"name\":\"x\""), None);
+        assert_eq!(push_raw("span", "\"name\":\"x\""), None);
         assert_eq!(emit("fault", &[("iter", "1".into())]), None);
     }
 
@@ -299,7 +265,7 @@ mod tests {
         assert!(is_active());
         assert!(start(&path).is_err(), "double start must fail");
         for i in 0..50u64 {
-            push_raw("test", i, &format!("\"i\":{i}"));
+            push_raw("test", &format!("\"i\":{i}"));
         }
         emit(
             "fault",
@@ -317,7 +283,7 @@ mod tests {
         assert!(lines[0].contains("journal_start"));
         assert!(lines[0].contains(SCHEMA));
         assert!(lines.last().unwrap().contains("journal_stop"));
-        // Total order by seq despite sharded producers.
+        // Total order by seq.
         let mut prev = -1i64;
         for l in &lines {
             assert!(l.starts_with("{\"seq\":"), "line must open with seq: {l}");
@@ -342,20 +308,31 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let dropped_before = dropped();
+        // Paused before start: nothing drains until stop, so the queue's
+        // contents are fully determined by the pushes below.
+        set_writer_paused(true);
         start(&path).unwrap();
-        // Everything lands in one shard (fixed hint); exceed its cap
-        // faster than the 50 ms writer poll can drain.
-        for i in 0..(SHARD_CAP + 64) as u64 {
-            push_raw("flood", 7, &format!("\"i\":{i}"));
+        const EXTRA: usize = 64;
+        for i in 0..CAP + EXTRA {
+            push_raw("flood", &format!("\"i\":{i}"));
         }
+        // The start meta line plus the flood overfilled the queue by
+        // EXTRA + 1 lines, evicted oldest first.
+        assert_eq!(dropped() - dropped_before, (EXTRA + 1) as u64);
         let stats = stop();
-        // The writer may have drained mid-flood, so we can only assert the
-        // counter moved if the queue truly overflowed; either way totals
-        // stay consistent and the file stays parseable.
-        assert!(stats.dropped >= dropped_before);
+        set_writer_paused(false);
+        // The stop meta line evicts one more flood line.
+        assert_eq!(stats.dropped - dropped_before, (EXTRA + 2) as u64);
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.lines().count() > 0);
-        for l in text.lines() {
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), CAP);
+        assert!(
+            lines[0].ends_with(&format!(",\"i\":{}}}", EXTRA + 1)),
+            "the oldest lines went first: {}",
+            lines[0]
+        );
+        assert!(lines[CAP - 1].contains("journal_stop"));
+        for l in &lines {
             assert!(
                 l.starts_with('{') && l.ends_with('}'),
                 "whole lines only: {l}"

@@ -13,8 +13,8 @@
 //!   values).
 //! * **Histograms** — [`histogram!`] records `u64` samples into log-bucketed
 //!   [`hist::Histogram`]s (per-piece latencies, blob sizes, hit rates) whose
-//!   shard merge is a commutative integer sum, so p50/p90/p99 are identical
-//!   at any thread count for the same multiset of samples.
+//!   buckets are commutative integer sums, so p50/p90/p99 are identical at
+//!   any thread count for the same multiset of samples.
 //! * **Memory** — with [`mem::CountingAlloc`] installed as the global
 //!   allocator, every span carries `mem_net_bytes` / `mem_peak_bytes`
 //!   attribution (see [`mem`]).
@@ -39,10 +39,10 @@
 //! seconds and the trace can never disagree). Counters are meant to be
 //! batched — callers tally per block/fab/mesh and report once — so the
 //! per-value fast paths never touch the recorder. When enabled, completed
-//! spans are pushed to sharded, per-thread-indexed buffers; the single
-//! uncontended lock per *span* (not per value) is negligible next to the
-//! work a span wraps. A process that only streams a journal turns recording
-//! on with [`enable_streaming`] instead, and keeps no span at all.
+//! spans are pushed into one store under one lock; that lock per *span*
+//! (not per value) is negligible next to the work a span wraps. A process
+//! that only streams a journal turns recording on with [`enable_streaming`]
+//! instead, and keeps no span at all.
 //!
 //! ```
 //! amrviz_obs::reset();
@@ -70,10 +70,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-/// Number of event/counter shards; indexed by thread id so pool workers
-/// almost never contend on the same lock.
-const SHARDS: usize = 16;
 
 /// A span field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,10 +192,16 @@ struct Recorder {
     /// the derived trace ids — is thread-count invariant.
     next_trace: AtomicU64,
     epoch: Instant,
-    events: [Mutex<Vec<SpanEvent>>; SHARDS],
-    counters: [Mutex<BTreeMap<&'static str, u64>>; SHARDS],
-    gauges: Mutex<BTreeMap<&'static str, f64>>,
-    hists: [Mutex<BTreeMap<&'static str, hist::Histogram>>; SHARDS],
+    store: Mutex<Store>,
+}
+
+/// Everything recorded since the last [`reset`].
+#[derive(Default)]
+struct Store {
+    events: Vec<SpanEvent>,
+    counters: BTreeMap<&'static str, u64>,
+    gauges: BTreeMap<&'static str, f64>,
+    hists: BTreeMap<&'static str, hist::Histogram>,
 }
 
 impl Recorder {
@@ -212,10 +214,7 @@ impl Recorder {
             next_thread: AtomicU64::new(0),
             next_trace: AtomicU64::new(0),
             epoch: Instant::now(),
-            events: std::array::from_fn(|_| Mutex::new(Vec::new())),
-            counters: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
-            gauges: Mutex::new(BTreeMap::new()),
-            hists: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
+            store: Mutex::new(Store::default()),
         }
     }
 }
@@ -402,8 +401,8 @@ pub fn is_enabled() -> bool {
 /// corrupt the per-thread watermark stacks in [`mem`]:
 ///
 /// * Span state lives in each guard and in per-thread stacks; `reset` only
-///   clears the *completed*-event shards. An active [`SpanGuard`] keeps
-///   its id/parent/start and records normally into the fresh shards when
+///   clears the *completed* events. An active [`SpanGuard`] keeps
+///   its id/parent/start and records normally into the fresh store when
 ///   it finishes (its `start_ns` predates the reset — callers slicing by
 ///   time can drop it; exporters handle it like any orphan).
 /// * [`mem::reset_peak`] collapses only the *global* high-water mark.
@@ -412,17 +411,7 @@ pub fn is_enabled() -> bool {
 ///   thread-local peaks stay internally consistent (see
 ///   `mem::tests::reset_peak_during_active_frames_is_safe`).
 pub fn reset() {
-    let r = recorder();
-    for shard in &r.events {
-        lock_clean(shard).clear();
-    }
-    for shard in &r.counters {
-        lock_clean(shard).clear();
-    }
-    lock_clean(&r.gauges).clear();
-    for shard in &r.hists {
-        lock_clean(shard).clear();
-    }
+    *store() = Store::default();
     SPANS_RECORDED.store(0, Ordering::Relaxed);
     mem::reset_peak();
 }
@@ -431,6 +420,10 @@ pub fn reset() {
 /// thread must not take the whole recorder down).
 fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn store() -> std::sync::MutexGuard<'static, Store> {
+    lock_clean(&recorder().store)
 }
 
 /// Adds `delta` to the named monotonic counter.
@@ -447,10 +440,7 @@ pub fn counter_add(name: &'static str, delta: u64) {
     if !is_enabled() {
         return;
     }
-    let shard = (thread_id() as usize) % SHARDS;
-    *lock_clean(&recorder().counters[shard])
-        .entry(name)
-        .or_default() += delta;
+    *store().counters.entry(name).or_default() += delta;
 }
 
 /// Sets the named gauge to `value` (last write wins).
@@ -464,7 +454,7 @@ pub fn gauge_set(name: &'static str, value: f64) {
     if !is_enabled() {
         return;
     }
-    lock_clean(&recorder().gauges).insert(name, value);
+    store().gauges.insert(name, value);
 }
 
 /// Records one `u64` sample into the named histogram. No-op while
@@ -473,51 +463,29 @@ pub fn histogram_record(name: &'static str, value: u64) {
     if !is_enabled() {
         return;
     }
-    let shard = (thread_id() as usize) % SHARDS;
-    lock_clean(&recorder().hists[shard])
-        .entry(name)
-        .or_default()
-        .record(value);
+    store().hists.entry(name).or_default().record(value);
 }
 
-/// Merged snapshot of all histograms (every sample since the last
-/// [`reset`]). Shard merge is a bucket-wise integer sum, so the result is
-/// independent of which thread recorded which sample.
+/// Snapshot of all histograms (every sample since the last [`reset`]).
+/// Recording is a bucket-wise integer sum, so the result is independent of
+/// which thread recorded which sample.
 pub fn histograms_snapshot() -> BTreeMap<&'static str, hist::Histogram> {
-    let r = recorder();
-    let mut out: BTreeMap<&'static str, hist::Histogram> = BTreeMap::new();
-    for shard in &r.hists {
-        for (k, h) in lock_clean(shard).iter() {
-            out.entry(*k).or_default().merge(h);
-        }
-    }
-    out
+    store().hists.clone()
 }
 
-/// Merged snapshot of all counters (monotonic since the last [`reset`]).
+/// Snapshot of all counters (monotonic since the last [`reset`]).
 pub fn counters_snapshot() -> BTreeMap<&'static str, u64> {
-    let r = recorder();
-    let mut out = BTreeMap::new();
-    for shard in &r.counters {
-        for (k, v) in lock_clean(shard).iter() {
-            *out.entry(*k).or_insert(0) += *v;
-        }
-    }
-    out
+    store().counters.clone()
 }
 
 /// Snapshot of all gauges (last written value).
 pub fn gauges_snapshot() -> BTreeMap<&'static str, f64> {
-    lock_clean(&recorder().gauges).clone()
+    store().gauges.clone()
 }
 
 /// Snapshot of all completed spans, ordered by start time.
 pub fn events_snapshot() -> Vec<SpanEvent> {
-    let r = recorder();
-    let mut out = Vec::new();
-    for shard in &r.events {
-        out.extend(lock_clean(shard).iter().cloned());
-    }
+    let mut out = store().events.clone();
     out.sort_by_key(|e| (e.start_ns, e.id));
     out
 }
@@ -663,14 +631,13 @@ impl SpanGuard {
                     }
                     body.push('}');
                 }
-                journal::push_raw("span", a.thread, &body);
+                journal::push_raw("span", &body);
             }
             let r = recorder();
             if !r.retain.load(Ordering::Relaxed) {
                 return dur.as_secs_f64();
             }
-            let shard = (a.thread as usize) % SHARDS;
-            lock_clean(&r.events[shard]).push(SpanEvent {
+            store().events.push(SpanEvent {
                 id: a.id,
                 parent: a.parent,
                 trace_id: a.trace,
@@ -914,7 +881,7 @@ mod tests {
         enable();
         let outer = span!("outer");
         let ballast: Vec<u8> = vec![7u8; 1 << 16];
-        // Reset mid-span: clears completed shards + global peak only. The
+        // Reset mid-span: clears completed events + global peak only. The
         // active guard keeps its frame, so the exit pairs cleanly.
         reset();
         drop(ballast);
@@ -924,7 +891,7 @@ mod tests {
         assert!(secs >= 0.0);
         disable();
         let ev = events_snapshot();
-        assert_eq!(ev.len(), 2, "both spans land in the fresh shards");
+        assert_eq!(ev.len(), 2, "both spans land in the fresh store");
         let outer_ev = ev.iter().find(|e| e.name == "outer").unwrap();
         let inner_ev = ev.iter().find(|e| e.name == "inner").unwrap();
         assert_eq!(inner_ev.parent, outer_ev.id, "nesting survives the reset");

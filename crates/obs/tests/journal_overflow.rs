@@ -1,8 +1,8 @@
-//! Deterministic drop-oldest overflow coverage for the sharded journal.
+//! Deterministic drop-oldest overflow coverage for the journal under
+//! concurrent producers.
 //!
-//! The unit tests in `journal.rs` can only assert overflow *probabilistically*
-//! (the background writer races the flood). Here we pause the writer first,
-//! fill all 8×8192 queues past capacity, and check the exact accounting:
+//! We pause the writer first, flood the queue past [`CAP`] from several
+//! threads at once, and check the exact accounting:
 //! the exported drop counter matches the lines lost, and the survivors are
 //! still seq-sorted whole JSON lines — parseable by the same `crates/json`
 //! parser `amrviz stats` re-reads every line with.
@@ -10,7 +10,7 @@
 //! This is an integration test (own process) so no other test can race the
 //! global journal state.
 
-use amrviz_obs::journal::{self, SHARDS, SHARD_CAP};
+use amrviz_obs::journal::{self, CAP};
 
 #[test]
 fn paused_overflow_accounting_is_exact_and_survivors_parse() {
@@ -20,54 +20,37 @@ fn paused_overflow_accounting_is_exact_and_survivors_parse() {
     let _ = std::fs::remove_file(&path);
 
     // Pause *before* start so the writer never drains the start-meta line:
-    // every queue's contents are then fully determined by our pushes.
+    // the queue's contents are then fully determined by our pushes.
     journal::set_writer_paused(true);
     journal::start(&path).unwrap();
 
     let dropped_before = journal::dropped();
     let enqueued_before = journal::enqueued();
+    const PRODUCERS: usize = 8;
     const EXTRA: usize = 64;
-    // Flood every shard past its cap. emit() shards by thread id, so route
-    // each batch explicitly through its shard via the thread-spawn trick:
-    // push from the main thread with an explicit per-shard marker instead —
-    // emit() always lands on this thread's shard, so drive all shards by
-    // emitting from SHARDS scoped threads pinned by shard hint.
+    // Together the producers push EXTRA lines each past the queue's cap.
     std::thread::scope(|s| {
-        for shard in 0..SHARDS {
+        for producer in 0..PRODUCERS {
             s.spawn(move || {
-                for i in 0..SHARD_CAP + EXTRA {
-                    // emit() hashes the OS thread id; that does not map 1:1
-                    // onto shards, so several threads may share a shard.
-                    // Exact per-shard placement doesn't matter for the
-                    // accounting below — only totals do — but spawning
-                    // SHARDS producers exercises the sharded path.
+                for i in 0..CAP / PRODUCERS + EXTRA {
                     journal::emit(
                         "flood",
-                        &[("shard", shard.to_string()), ("i", i.to_string())],
+                        &[("producer", producer.to_string()), ("i", i.to_string())],
                     );
                 }
             });
         }
     });
 
-    let pushed = (SHARDS * (SHARD_CAP + EXTRA)) as u64;
+    let pushed = (PRODUCERS * (CAP / PRODUCERS + EXTRA)) as u64;
     let enqueued_delta = journal::enqueued() - enqueued_before;
     assert_eq!(enqueued_delta, pushed, "every push is counted as enqueued");
 
     let dropped_flood = journal::dropped() - dropped_before;
-    // With the writer paused nothing drained, so whatever exceeded total
-    // queue space must have been dropped. The start-meta line occupies one
-    // slot, so at least `pushed + 1 - SHARDS*SHARD_CAP` lines were evicted;
-    // uneven thread→shard hashing can only evict more, never fewer. An
-    // upper bound: even if every producer hashed onto one single shard,
-    // survivors number at least SHARD_CAP.
-    let capacity = (SHARDS * SHARD_CAP) as u64;
-    assert!(
-        dropped_flood >= pushed + 1 - capacity,
-        "dropped {dropped_flood} < minimum {}",
-        pushed + 1 - capacity
-    );
-    assert!(dropped_flood <= pushed + 1 - SHARD_CAP as u64);
+    // With the writer paused nothing drained, so exactly what exceeded the
+    // queue's cap was dropped: the start-meta line plus every push, less
+    // the CAP survivors.
+    assert_eq!(dropped_flood, pushed + 1 - CAP as u64);
 
     journal::set_writer_paused(false);
     let stats = journal::stop();
@@ -95,7 +78,10 @@ fn paused_overflow_accounting_is_exact_and_survivors_parse() {
             .get("seq")
             .and_then(|s| s.as_f64())
             .expect("seq field present") as i64;
-        assert!(seq > prev, "seq must be strictly increasing across shards");
+        assert!(
+            seq > prev,
+            "seq must be strictly increasing across producers"
+        );
         prev = seq;
         assert!(v.get("kind").is_some(), "kind stamped on every line");
     }

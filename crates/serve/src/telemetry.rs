@@ -138,34 +138,39 @@ pub fn dominant_stage<'a>(
 /// server, shared by all workers.
 pub struct ReqTelemetry {
     started: Instant,
+    rings: Mutex<Rings>,
+    spec: SloSpec,
+}
+
+/// Everything a request records, under one lock so a snapshot never sees
+/// a request in one section and not yet in another.
+struct Rings {
     /// Latency histograms indexed by `Status::code()`, which numbers
     /// `Status::ALL` from 0.
-    latency: Mutex<Vec<WindowedHistogram>>,
+    latency: Vec<WindowedHistogram>,
     /// Stage histograms indexed by [`Stage`].
-    stages: Mutex<Vec<WindowedHistogram>>,
+    stages: Vec<WindowedHistogram>,
     /// Request start to first `LEVEL` frame written, over the GETs that
     /// sent one.
-    first_level: Mutex<WindowedHistogram>,
-    exemplars: Mutex<Reservoir>,
-    spec: SloSpec,
+    first_level: WindowedHistogram,
+    exemplars: Reservoir,
 }
 
 impl ReqTelemetry {
     pub fn new(spec: SloSpec) -> Self {
+        let windowed = |n| {
+            (0..n)
+                .map(|_| WindowedHistogram::with_slots(SLOTS))
+                .collect()
+        };
         ReqTelemetry {
             started: Instant::now(),
-            latency: Mutex::new(
-                (0..Status::ALL.len())
-                    .map(|_| WindowedHistogram::with_slots(SLOTS))
-                    .collect(),
-            ),
-            stages: Mutex::new(
-                (0..Stage::ALL.len())
-                    .map(|_| WindowedHistogram::with_slots(SLOTS))
-                    .collect(),
-            ),
-            first_level: Mutex::new(WindowedHistogram::with_slots(SLOTS)),
-            exemplars: Mutex::new(Reservoir::new(EXEMPLAR_CAP)),
+            rings: Mutex::new(Rings {
+                latency: windowed(Status::ALL.len()),
+                stages: windowed(Stage::ALL.len()),
+                first_level: WindowedHistogram::with_slots(SLOTS),
+                exemplars: Reservoir::new(EXEMPLAR_CAP),
+            }),
             spec,
         }
     }
@@ -204,22 +209,19 @@ impl ReqTelemetry {
         trace: u64,
         key: u64,
     ) {
-        self.latency.lock().unwrap()[status.code() as usize].record(slot, total_us);
+        let mut rings = self.rings.lock().unwrap();
+        rings.latency[status.code() as usize].record(slot, total_us);
         // Only requests that carried a stage breakdown (GETs) are
         // diagnosable, so only they reach the tail reservoir below.
         let Some(st) = stages else { return };
-        {
-            let mut hs = self.stages.lock().unwrap();
-            for (stage, us) in st.present() {
-                hs[stage as usize].record(slot, us);
-            }
+        for (stage, us) in st.present() {
+            rings.stages[stage as usize].record(slot, us);
         }
         if let Some(us) = st.first_level_us {
-            self.first_level.lock().unwrap().record(slot, us);
+            rings.first_level.record(slot, us);
         }
-        let mut res = self.exemplars.lock().unwrap();
-        if total_us > res.min_retained_us() {
-            res.offer(Exemplar {
+        if total_us > rings.exemplars.min_retained_us() {
+            rings.exemplars.offer(Exemplar {
                 trace,
                 total_us,
                 label: format!("{} key={key:016x}", status.name()),
@@ -235,7 +237,11 @@ impl ReqTelemetry {
 
     /// [`ReqTelemetry::slo_report`] at an explicit slot (tests).
     pub fn slo_report_at(&self, now_slot: u64) -> SloReport {
-        let lat = self.latency.lock().unwrap();
+        self.slo_report_of(&self.rings.lock().unwrap().latency, now_slot)
+    }
+
+    /// The SLO report of latency rings the caller already holds locked.
+    fn slo_report_of(&self, lat: &[WindowedHistogram], now_slot: u64) -> SloReport {
         let mut readings = Vec::new();
         for (label, secs) in WINDOWS {
             let k = (secs / SLOT_SECS).max(1);
@@ -278,7 +284,8 @@ impl ReqTelemetry {
         cache_budget_bytes: usize,
     ) -> String {
         let now_slot = self.now_slot();
-        let slo = self.slo_report_at(now_slot);
+        let rings = self.rings.lock().unwrap();
+        let slo = self.slo_report_of(&rings.latency, now_slot);
         let w5m = (WINDOWS[0].1 / SLOT_SECS).max(1);
 
         // Health verdict: invariant violations or an SLO breach degrade it.
@@ -320,28 +327,21 @@ impl ReqTelemetry {
                 .collect();
             format!("{{{}}}", body.join(","))
         };
-        {
-            let lat = self.latency.lock().unwrap();
-            let mut by_status = Status::ALL
-                .iter()
-                .map(|s| (s.name(), &lat[s.code() as usize]));
-            out.push_str(&format!(",\"latency_us\":{}", family(&mut by_status)));
-        }
+        let mut by_status = Status::ALL
+            .iter()
+            .map(|s| (s.name(), &rings.latency[s.code() as usize]));
+        out.push_str(&format!(",\"latency_us\":{}", family(&mut by_status)));
         // Per-stage timing: same shape, keyed by the stage taxonomy.
-        {
-            let hs = self.stages.lock().unwrap();
-            let mut by_stage = Stage::ALL.iter().map(|s| (s.name(), &hs[*s as usize]));
-            out.push_str(&format!(",\"stages_us\":{}", family(&mut by_stage)));
-        }
-
-        let first_level = views(&self.first_level.lock().unwrap());
-        out.push_str(&format!(",\"first_level_us\":{first_level}"));
-
-        out.push_str(&format!(",\"slo\":{}", slo.to_json()));
+        let mut by_stage = Stage::ALL
+            .iter()
+            .map(|s| (s.name(), &rings.stages[*s as usize]));
+        out.push_str(&format!(",\"stages_us\":{}", family(&mut by_stage)));
         out.push_str(&format!(
-            ",\"exemplars\":{}}}",
-            self.exemplars.lock().unwrap().to_json()
+            ",\"first_level_us\":{}",
+            views(&rings.first_level)
         ));
+        out.push_str(&format!(",\"slo\":{}", slo.to_json()));
+        out.push_str(&format!(",\"exemplars\":{}}}", rings.exemplars.to_json()));
         out
     }
 }
@@ -515,6 +515,45 @@ mod tests {
             cold(100).to_json(),
             "{\"queue_wait\":100,\"store_read\":200,\"structure_validate\":300,\"decode\":400,\"write\":500}"
         );
+    }
+
+    #[test]
+    fn every_snapshot_sees_a_request_in_all_sections_or_none() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let t = ReqTelemetry::new(SloSpec::default());
+        let (done, start) = (AtomicBool::new(false), std::sync::Barrier::new(3));
+        // A family omits a member that has recorded nothing yet.
+        let lifetime_count = |doc: &amrviz_json::Json, section: &str, member: &str| {
+            let path = [section, member, "lifetime", "count"];
+            let count = path.iter().try_fold(doc, |j, key| j.get(key));
+            count.map_or(0, |c| c.as_u64().unwrap())
+        };
+        std::thread::scope(|s| {
+            for worker in 0..2u64 {
+                let (t, done, start) = (&t, &done, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut i = 0;
+                    while !done.load(Ordering::Relaxed) {
+                        let st = stages(50, 5);
+                        t.record_at(0, Status::Ok, 100 + i % 900, Some(&st), worker, i);
+                        i += 1;
+                    }
+                });
+            }
+            start.wait();
+            for _ in 0..2_000 {
+                let j = t.snapshot_json(&StatsSnapshot::default(), 0, 2, 0, 0, 0);
+                let doc = amrviz_json::Json::parse(&j).unwrap();
+                let ok = lifetime_count(&doc, "latency_us", "ok");
+                let queue_wait = lifetime_count(&doc, "stages_us", "queue_wait");
+                if ok != queue_wait {
+                    done.store(true, Ordering::Relaxed);
+                    panic!("a GET counted {ok} times in latency_us but {queue_wait} in stages_us");
+                }
+            }
+            done.store(true, Ordering::Relaxed);
+        });
     }
 
     #[test]
