@@ -41,8 +41,16 @@ fn method(name: Option<&str>) -> Result<IsoMethod, String> {
     }
 }
 
+/// The error bound from `--rel` or `--abs`: a positive, finite number, or
+/// an error naming the flag.
 fn bound(p: &Parsed) -> Result<ErrorBound, String> {
-    match (p.opt_parse::<f64>("rel")?, p.opt_parse::<f64>("abs")?) {
+    let positive = |name: &str| match p.opt_parse::<f64>(name)? {
+        Some(v) if !(v > 0.0 && v.is_finite()) => {
+            Err(format!("--{name} must be positive and finite, got {v}"))
+        }
+        v => Ok(v),
+    };
+    match (positive("rel")?, positive("abs")?) {
         (Some(_), Some(_)) => Err("--rel and --abs are mutually exclusive".into()),
         (Some(r), None) => Ok(ErrorBound::Rel(r)),
         (None, Some(a)) => Ok(ErrorBound::Abs(a)),
@@ -172,6 +180,7 @@ pub fn info(argv: &[String]) -> Result<(), String> {
 pub const COMPRESS_FLAGS: Flags = (&["field", "out", "algo", "rel", "abs"], &["skip-redundant"]);
 pub fn compress(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, COMPRESS_FLAGS.0, COMPRESS_FLAGS.1)?;
+    let bound = bound(&p)?;
     let hier = load(p.positional(0, "plotfile path")?)?;
     let field = p.required("field")?;
     let out = p.required("out")?;
@@ -181,7 +190,7 @@ pub fn compress(argv: &[String]) -> Result<(), String> {
         restore_redundant: false,
     };
     let sp = amrviz_obs::span!("compress", algo = comp.name());
-    let c = compress_hierarchy_field(&hier, field, comp.as_ref(), bound(&p)?, &cfg)
+    let c = compress_hierarchy_field(&hier, field, comp.as_ref(), bound, &cfg)
         .map_err(|e| e.to_string())?;
     let secs = sp.finish();
     std::fs::write(out, c.to_bytes()).map_err(|e| e.to_string())?;
@@ -1207,6 +1216,38 @@ mod tests {
         let err = simulate(&args(&["--out", &dir, "--n", "0"])).unwrap_err();
         assert!(err.starts_with("--n "), "{err}");
         assert!(!root.exists(), "nothing is written");
+    }
+
+    /// A non-finite or non-positive error bound is refused by name before
+    /// any input is read; one that only overflows against the data's range
+    /// is a typed error, not a panic. Neither writes an output.
+    #[test]
+    fn bad_error_bounds_are_refused_by_name() {
+        let root = std::env::temp_dir().join(format!("amrviz_cli_eb_{}", std::process::id()));
+        let path = |leaf: &str| root.join(leaf).to_string_lossy().into_owned();
+        let (ds, out) = (path("ds"), path("out.amrz"));
+        for (flag, eb) in [("--abs", "inf"), ("--rel", "nan"), ("--abs", "-1")] {
+            let argv = args(&["missing", "--field", "f", "--out", &out, flag, eb]);
+            let err = compress(&argv).unwrap_err();
+            assert!(err.starts_with(flag), "{flag} {eb}: {err}");
+        }
+        assert!(!root.exists(), "nothing is written");
+        generate(&args(&["warpx", "--out", &ds, "--scale", "tiny"])).unwrap();
+        for (flag, eb) in [
+            ("--abs", "inf"),
+            ("--rel", "1e308"),
+            ("--rel", "nan"),
+            ("--abs", "-1"),
+        ] {
+            let argv = args(&[&ds, "--field", "Ez", "--out", &out, flag, eb]);
+            let err = compress(&argv).unwrap_err();
+            assert!(
+                err.starts_with(flag) || err.contains("bad error bound inf"),
+                "{flag} {eb}: {err}"
+            );
+            assert!(!Path::new(&out).exists(), "{flag} {eb} wrote {out}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A negative or NaN span of seconds is refused by name before a

@@ -234,7 +234,7 @@ pub fn compress_hierarchy_field(
         .map_err(|e| CompressError::Malformed(e.to_string()))?;
 
     // Global range across all levels → single absolute bound.
-    let abs_eb = bound.resolve(|| global_range(&amr_field.levels));
+    let abs_eb = checked_eb(bound.resolve(|| global_range(&amr_field.levels)))?;
     amrviz_obs::gauge_set("compress.abs_eb", abs_eb);
 
     let mut blobs: Vec<Vec<Vec<u8>>> = Vec::with_capacity(hier.num_levels());
@@ -2071,5 +2071,24 @@ mod tests {
             &AmrCodecConfig::default(),
         );
         assert!(res.is_err());
+    }
+
+    /// A bound that resolves to infinity is a typed error, not a panic in
+    /// a pool worker.
+    #[test]
+    fn non_finite_bound_is_a_typed_error() {
+        let h = two_level_hier();
+        for bound in [ErrorBound::Abs(f64::INFINITY), ErrorBound::Rel(1e308)] {
+            let res = compress_hierarchy_field(
+                &h,
+                "rho",
+                &SzLr::default(),
+                bound,
+                &AmrCodecConfig::default(),
+            );
+            assert!(matches!(res, Err(CompressError::Malformed(_))), "{bound:?}");
+            let res = crate::compress_zmesh(&h, "rho", bound);
+            assert!(matches!(res, Err(CompressError::Malformed(_))), "{bound:?}");
+        }
     }
 }

@@ -110,7 +110,8 @@ impl ErrorBound {
     }
 }
 
-/// Errors produced by decompression, and by checking what it returned.
+/// Errors produced by compression (an unusable error bound), by
+/// decompression, and by checking what it returned.
 #[derive(Debug)]
 pub enum CompressError {
     /// Stream failed structural validation.

@@ -74,7 +74,7 @@ pub fn compress_zmesh(
 
     // Global range → absolute bound.
     let eb = bound.resolve(|| crate::amr_codec::global_range(&f.levels));
-    let q = Quantizer::new(eb);
+    let q = Quantizer::new(checked_eb(eb)?);
 
     // The interleaved 1D walk with previous-reconstruction prediction.
     let mut codes: Vec<u32> = Vec::with_capacity(dense[0].len() + dense[1].len());

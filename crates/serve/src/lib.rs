@@ -29,9 +29,9 @@
 //! [`artifact`] (self-contained blob format) · [`cache`] (decoded-arena
 //! LRU) · [`server`] (worker pool) · [`client`] (measuring client) ·
 //! [`chaos`] (fault proxy) · [`loadgen`] (load generator) · [`torture`]
-//! (invariant harness) · [`telemetry`] (request telemetry and the STATS
-//! snapshot, over [`window`] rings, the [`exemplar`] reservoir and the
-//! [`slo`] burn-rate math).
+//! (invariant harness) · [`telemetry`] (request telemetry, its tail
+//! exemplars and the STATS snapshot, over [`window`] rings and the [`slo`]
+//! burn-rate math).
 
 #![warn(clippy::or_fun_call)]
 
@@ -39,7 +39,6 @@ pub mod artifact;
 pub mod cache;
 pub mod chaos;
 pub mod client;
-pub mod exemplar;
 pub mod loadgen;
 pub mod proto;
 pub mod server;

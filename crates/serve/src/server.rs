@@ -563,7 +563,7 @@ fn serve_stats(inner: &Inner, stream: &mut TcpStream, t0: Instant) -> Status {
     let (cache_entries, cache_bytes) = inner.cache.stats();
     let queue_depth = inner.queue.lock().unwrap().len();
     let snap = inner.stats.snapshot();
-    let json = inner.telemetry.snapshot_json(
+    let (json, slo) = inner.telemetry.snapshot_json(
         &snap,
         queue_depth,
         inner.cfg.workers.max(1),
@@ -572,8 +572,9 @@ fn serve_stats(inner: &Inner, stream: &mut TcpStream, t0: Instant) -> Status {
         inner.cfg.cache_bytes,
     );
     // Every poll also journals the SLO state as typed events, so burn-rate
-    // history is reconstructible offline from the journal alone.
-    crate::slo::emit_journal(&inner.telemetry.slo_report());
+    // history is reconstructible offline from the journal alone. It is the
+    // report the snapshot's `slo` section shows, journaled outside the lock.
+    crate::slo::emit_journal(&slo);
     for payload in [
         bare_header(Status::Ok, 0, 0),
         proto::encode_stats_frame(&json),

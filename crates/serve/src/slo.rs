@@ -55,7 +55,8 @@ impl SloSpec {
     /// Parses the compact CLI form `"p99<MS,avail>PCT"` — e.g.
     /// `"p99<250,avail>99.5"`. Either clause may be omitted; at least one
     /// must be present. p99 values are milliseconds on the command line
-    /// (operator-friendly) and microseconds internally.
+    /// (operator-friendly) and whole microseconds internally, rounded to
+    /// the nearest; a bound that rounds below 1 µs is refused.
     pub fn parse(s: &str) -> Result<SloSpec, String> {
         let mut spec = SloSpec {
             p99_target_us: None,
@@ -70,10 +71,11 @@ impl SloSpec {
                 let ms: f64 = ms
                     .parse()
                     .map_err(|_| format!("bad p99 bound in SLO clause '{clause}'"))?;
-                if !ms.is_finite() || ms <= 0.0 {
-                    return Err(format!("p99 bound must be positive: '{clause}'"));
+                let us = (ms * 1000.0).round();
+                if !(us >= 1.0 && us.is_finite()) {
+                    return Err(format!("p99 bound must be at least 0.001 ms: '{clause}'"));
                 }
-                spec.p99_target_us = Some((ms * 1000.0) as u64);
+                spec.p99_target_us = Some(us as u64);
             } else if let Some(pct) = clause.strip_prefix("avail>") {
                 let pct: f64 = pct
                     .parse()
@@ -289,6 +291,34 @@ mod tests {
         assert!(SloSpec::parse("avail>100").is_err());
         assert!(SloSpec::parse("p50<10").is_err());
         assert!(SloSpec::parse("p99<abc").is_err());
+    }
+
+    /// Every accepted spec displays as a string that parses back to it; a
+    /// p99 bound that rounds below 1 µs is refused by its clause.
+    #[test]
+    fn display_parses_back_to_the_spec() {
+        let fixed = [
+            "p99<0.0015",
+            "p99<0.0005",
+            "p99<1e9,avail>0",
+            "avail>99.999",
+        ];
+        let drawn = (0..4_000u64).map(|i| {
+            let ms = (i * 7919 % 100_000) as f64 * 10f64.powi(i as i32 % 9 - 6);
+            format!("p99<{ms},avail>{}", (i * 104_729 % 100_000) as f64 / 1000.0)
+        });
+        let mut accepted = 0;
+        for text in fixed.into_iter().map(String::from).chain(drawn) {
+            let Ok(spec) = SloSpec::parse(&text) else {
+                continue;
+            };
+            assert_eq!(SloSpec::parse(&spec.display()), Ok(spec.clone()), "{text}");
+            accepted += 1;
+        }
+        assert!(accepted > 3_000, "{accepted} specs accepted");
+        assert_eq!(SloSpec::parse("p99<0.0015").unwrap().p99_target_us, Some(2));
+        let err = SloSpec::parse("p99<0.0004,avail>99").unwrap_err();
+        assert!(err.contains("'p99<0.0004'"), "{err}");
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! Ring geometry: 720 slots × 5 s = one hour of coverage, enough for the
 //! 1 h SLO burn window.
 
-use crate::exemplar::{Exemplar, Reservoir};
 use crate::proto::{Status, PROTO_VERSION};
 use crate::server::StatsSnapshot;
 use crate::slo::{evaluate, SloReport, SloSpec, WindowReading};
@@ -33,6 +32,33 @@ pub const WINDOWS: [(&str, u64); 2] = [("5m", 300), ("1h", 3600)];
 /// Tail exemplars retained: enough tail context to diagnose, small enough
 /// that a STATS snapshot stays a few KB.
 pub const EXEMPLAR_CAP: usize = 8;
+
+/// One retained tail request. A p99 says *that* the tail is slow; an
+/// exemplar says *why*: the stage breakdown of an actual tail request,
+/// with the trace id that resolves it to its journal lines.
+struct Exemplar {
+    trace: u64,
+    /// End-to-end server-side duration in microseconds.
+    total_us: u64,
+    status: Status,
+    key: u64,
+    stages: StageTimes,
+}
+
+impl Exemplar {
+    /// Single-line JSON object; the trace is a hex string, the journal's
+    /// own convention, since crates/json parses numbers as f64.
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"trace\":\"{:x}\",\"total_us\":{},\"label\":\"{} key={:016x}\",\"stages_us\":{}}}",
+            self.trace,
+            self.total_us,
+            self.status.name(),
+            self.key,
+            self.stages.to_json()
+        )
+    }
+}
 
 /// A request stage. Declaration order is pipeline order: it indexes
 /// [`StageTimes`] and the telemetry's stage rings, and orders every view of
@@ -134,8 +160,8 @@ pub fn dominant_stage<'a>(
 }
 
 /// The server's request telemetry: windowed per-status latency, windowed
-/// per-stage timings, and the tail-exemplar reservoir. One instance per
-/// server, shared by all workers.
+/// per-stage timings, and the tail exemplars. One instance per server,
+/// shared by all workers.
 pub struct ReqTelemetry {
     started: Instant,
     rings: Mutex<Rings>,
@@ -153,31 +179,26 @@ struct Rings {
     /// Request start to first `LEVEL` frame written, over the GETs that
     /// sent one.
     first_level: WindowedHistogram,
-    exemplars: Reservoir,
+    /// The [`EXEMPLAR_CAP`] slowest GETs, sorted descending by the total
+    /// order `(total_us, trace)`, no two on the same key. Over that order
+    /// the retained set is a pure function of the offered set, whatever
+    /// the arrival order or thread interleaving.
+    exemplars: Vec<Exemplar>,
 }
 
 impl ReqTelemetry {
     pub fn new(spec: SloSpec) -> Self {
-        let windowed = |n| {
-            (0..n)
-                .map(|_| WindowedHistogram::with_slots(SLOTS))
-                .collect()
-        };
+        let windowed = |n| (0..n).map(|_| WindowedHistogram::default()).collect();
         ReqTelemetry {
             started: Instant::now(),
             rings: Mutex::new(Rings {
                 latency: windowed(Status::ALL.len()),
                 stages: windowed(Stage::ALL.len()),
-                first_level: WindowedHistogram::with_slots(SLOTS),
-                exemplars: Reservoir::new(EXEMPLAR_CAP),
+                first_level: WindowedHistogram::default(),
+                exemplars: Vec::with_capacity(EXEMPLAR_CAP + 1),
             }),
             spec,
         }
-    }
-
-    /// Milliseconds since the server started.
-    pub fn uptime_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
     }
 
     /// Current telemetry slot id.
@@ -212,7 +233,7 @@ impl ReqTelemetry {
         let mut rings = self.rings.lock().unwrap();
         rings.latency[status.code() as usize].record(slot, total_us);
         // Only requests that carried a stage breakdown (GETs) are
-        // diagnosable, so only they reach the tail reservoir below.
+        // diagnosable, so only they reach the tail below.
         let Some(st) = stages else { return };
         for (stage, us) in st.present() {
             rings.stages[stage as usize].record(slot, us);
@@ -220,13 +241,21 @@ impl ReqTelemetry {
         if let Some(us) = st.first_level_us {
             rings.first_level.record(slot, us);
         }
-        if total_us > rings.exemplars.min_retained_us() {
-            rings.exemplars.offer(Exemplar {
-                trace,
-                total_us,
-                label: format!("{} key={key:016x}", status.name()),
-                stages: *st,
-            });
+        let offer = Exemplar {
+            trace,
+            total_us,
+            status,
+            key,
+            stages: *st,
+        };
+        // The floor and the duplicate check compare the whole order key, so
+        // a tie on duration is decided by the trace, never by arrival.
+        let rank = (total_us, trace);
+        let tail = &mut rings.exemplars;
+        let at = tail.partition_point(|e| (e.total_us, e.trace) > rank);
+        if at < EXEMPLAR_CAP && tail.get(at).is_none_or(|e| (e.total_us, e.trace) != rank) {
+            tail.insert(at, offer);
+            tail.truncate(EXEMPLAR_CAP);
         }
     }
 
@@ -271,8 +300,9 @@ impl ReqTelemetry {
         evaluate(&self.spec, &readings)
     }
 
-    /// The versioned STATS snapshot. `snap` and the cache numbers come from
-    /// the server (they live outside this module); everything windowed
+    /// The versioned STATS snapshot and the SLO report its `slo` section
+    /// shows, both read under one lock. `snap` and the cache numbers come
+    /// from the server (they live outside this module); everything windowed
     /// comes from the telemetry rings.
     pub fn snapshot_json(
         &self,
@@ -282,7 +312,7 @@ impl ReqTelemetry {
         cache_entries: usize,
         cache_bytes: usize,
         cache_budget_bytes: usize,
-    ) -> String {
+    ) -> (String, SloReport) {
         let now_slot = self.now_slot();
         let rings = self.rings.lock().unwrap();
         let slo = self.slo_report_of(&rings.latency, now_slot);
@@ -294,21 +324,6 @@ impl ReqTelemetry {
         } else {
             "ok"
         };
-
-        let mut out = format!(
-            "{{\"schema\":\"{STATS_SCHEMA}\",\"proto_version\":{PROTO_VERSION},\
-             \"uptime_ms\":{},\"health\":\"{health}\"",
-            self.uptime_ms()
-        );
-        out.push_str(&format!(",\"requests\":{}", snap.to_json_line()));
-        out.push_str(&format!(
-            ",\"queue_depth\":{queue_depth},\"workers\":{workers}"
-        ));
-        out.push_str(&format!(
-            ",\"cache\":{{\"entries\":{cache_entries},\"bytes\":{cache_bytes},\
-             \"budget_bytes\":{cache_budget_bytes},\"hits\":{},\"misses\":{}}}",
-            snap.cache_hits, snap.cache_misses
-        ));
 
         // Every histogram is shown as its lifetime and trailing-5m views.
         let views = |h: &WindowedHistogram| {
@@ -330,19 +345,30 @@ impl ReqTelemetry {
         let mut by_status = Status::ALL
             .iter()
             .map(|s| (s.name(), &rings.latency[s.code() as usize]));
-        out.push_str(&format!(",\"latency_us\":{}", family(&mut by_status)));
         // Per-stage timing: same shape, keyed by the stage taxonomy.
         let mut by_stage = Stage::ALL
             .iter()
             .map(|s| (s.name(), &rings.stages[*s as usize]));
-        out.push_str(&format!(",\"stages_us\":{}", family(&mut by_stage)));
-        out.push_str(&format!(
-            ",\"first_level_us\":{}",
-            views(&rings.first_level)
-        ));
-        out.push_str(&format!(",\"slo\":{}", slo.to_json()));
-        out.push_str(&format!(",\"exemplars\":{}}}", rings.exemplars.to_json()));
-        out
+        let exemplars: Vec<String> = rings.exemplars.iter().map(Exemplar::to_json).collect();
+        let out = format!(
+            "{{\"schema\":\"{STATS_SCHEMA}\",\"proto_version\":{PROTO_VERSION},\
+             \"uptime_ms\":{},\"health\":\"{health}\",\"requests\":{},\
+             \"queue_depth\":{queue_depth},\"workers\":{workers},\
+             \"cache\":{{\"entries\":{cache_entries},\"bytes\":{cache_bytes},\
+             \"budget_bytes\":{cache_budget_bytes},\"hits\":{},\"misses\":{}}},\
+             \"latency_us\":{},\"stages_us\":{},\"first_level_us\":{},\"slo\":{},\
+             \"exemplars\":[{}]}}",
+            self.started.elapsed().as_millis(),
+            snap.to_json_line(),
+            snap.cache_hits,
+            snap.cache_misses,
+            family(&mut by_status),
+            family(&mut by_stage),
+            views(&rings.first_level),
+            slo.to_json(),
+            exemplars.join(","),
+        );
+        (out, slo)
     }
 }
 
@@ -455,7 +481,7 @@ mod tests {
             cache_misses: 2,
             ..Default::default()
         };
-        let j = t.snapshot_json(&snap, 0, 2, 1, 4096, 1 << 20);
+        let (j, _) = t.snapshot_json(&snap, 0, 2, 1, 4096, 1 << 20);
         let doc = amrviz_json::Json::parse(&j).expect("snapshot json parses");
         assert_eq!(doc.get("schema").unwrap().as_str().unwrap(), STATS_SCHEMA);
         assert!(doc.get("health").is_some());
@@ -543,7 +569,7 @@ mod tests {
             }
             start.wait();
             for _ in 0..2_000 {
-                let j = t.snapshot_json(&StatsSnapshot::default(), 0, 2, 0, 0, 0);
+                let (j, _) = t.snapshot_json(&StatsSnapshot::default(), 0, 2, 0, 0, 0);
                 let doc = amrviz_json::Json::parse(&j).unwrap();
                 let ok = lifetime_count(&doc, "latency_us", "ok");
                 let queue_wait = lifetime_count(&doc, "stages_us", "queue_wait");
@@ -556,14 +582,113 @@ mod tests {
         });
     }
 
+    /// The GETs `(trace, total_us)`, recorded in the given order.
+    fn tail_of(gets: impl IntoIterator<Item = (u64, u64)>) -> ReqTelemetry {
+        let t = ReqTelemetry::new(SloSpec::default());
+        for (trace, total_us) in gets {
+            let st = times(&[(Stage::Decode, total_us / 2), (Stage::Write, 1)]);
+            t.record_at(0, Status::Ok, total_us, Some(&st), trace, trace);
+        }
+        t
+    }
+
+    /// The snapshot's `exemplars` section, as `(trace, total_us)` pairs.
+    fn retained(t: &ReqTelemetry) -> Vec<(u64, u64)> {
+        let (j, _) = t.snapshot_json(&StatsSnapshot::default(), 0, 1, 0, 0, 0);
+        let doc = amrviz_json::Json::parse(&j).expect("snapshot json parses");
+        let exemplars = doc.get("exemplars").unwrap().as_arr().unwrap();
+        let pair = |e: &amrviz_json::Json| {
+            let trace = e.get("trace").unwrap().as_str().unwrap();
+            let total_us = e.get("total_us").unwrap().as_u64().unwrap();
+            (u64::from_str_radix(trace, 16).unwrap(), total_us)
+        };
+        exemplars.iter().map(pair).collect()
+    }
+
+    #[test]
+    fn tail_keeps_the_k_slowest() {
+        let t = tail_of((0..20).map(|trace| (trace, trace * 100)));
+        let kept: Vec<u64> = retained(&t).iter().map(|&(_, us)| us).collect();
+        assert_eq!(kept, [1900, 1800, 1700, 1600, 1500, 1400, 1300, 1200]);
+        // A fast request bounces off a full tail.
+        t.record_at(0, Status::Ok, 50, Some(&stages(20, 1)), 99, 99);
+        assert_eq!(retained(&t).len(), EXEMPLAR_CAP);
+        assert_eq!(retained(&t).last(), Some(&(12, 1200)));
+    }
+
+    #[test]
+    fn tail_is_order_independent() {
+        let gets: Vec<(u64, u64)> = (0..20).map(|t| (t, (t * 37) % 1000)).collect();
+        let fwd = tail_of(gets.iter().copied());
+        let rev = tail_of(gets.iter().rev().copied());
+        assert_eq!(retained(&fwd), retained(&rev), "pure function of the set");
+        assert_eq!(retained(&fwd).len(), EXEMPLAR_CAP);
+    }
+
+    #[test]
+    fn tail_ties_break_on_trace() {
+        let t = tail_of((1..=10).map(|trace| (trace, 500)));
+        let traces: Vec<u64> = retained(&t).iter().map(|&(trace, _)| trace).collect();
+        assert_eq!(traces, [10, 9, 8, 7, 6, 5, 4, 3], "higher trace wins ties");
+        // A repeat of a retained (total_us, trace) key is not kept twice.
+        t.record_at(0, Status::Ok, 500, Some(&stages(250, 1)), 10, 10);
+        assert_eq!(retained(&t).len(), EXEMPLAR_CAP);
+        assert_eq!(retained(&t)[..2], [(10, 500), (9, 500)]);
+    }
+
+    /// Nine equal GETs: which eight are kept must not depend on whether the
+    /// highest trace arrives first or last.
+    #[test]
+    fn nine_equal_gets_keep_one_tail_in_either_order() {
+        let last = tail_of((1..=9).map(|trace| (trace, 100)));
+        let first = tail_of([9].into_iter().chain(1..=8).map(|trace| (trace, 100)));
+        let expect: Vec<(u64, u64)> = (2..=9).rev().map(|trace| (trace, 100)).collect();
+        assert_eq!(retained(&last), expect);
+        assert_eq!(retained(&first), expect);
+    }
+
+    #[test]
+    fn tail_json_parses() {
+        let t = ReqTelemetry::new(SloSpec::default());
+        let st = times(&[
+            (Stage::QueueWait, 10),
+            (Stage::Decode, 800),
+            (Stage::Write, 90),
+        ]);
+        t.record_at(0, Status::Ok, 900, Some(&st), 0xBEEF, 42);
+        let (j, _) = t.snapshot_json(&StatsSnapshot::default(), 0, 1, 0, 0, 0);
+        let tail = &j[j.find(",\"exemplars\":").unwrap()..];
+        assert_eq!(
+            tail,
+            concat!(
+                ",\"exemplars\":[{\"trace\":\"beef\",\"total_us\":900,\"label\":\"ok key=000000000000002a\",",
+                "\"stages_us\":{\"queue_wait\":10,\"decode\":800,\"write\":90}}]}",
+            )
+        );
+        amrviz_json::Json::parse(&j).expect("snapshot json parses");
+    }
+
+    /// The report a poll journals is the one its `slo` section shows.
+    #[test]
+    fn snapshot_returns_the_slo_report_it_shows() {
+        let t = ReqTelemetry::new(SloSpec::parse("p99<1,avail>99").unwrap());
+        t.record_at(0, Status::Ok, 1500, Some(&stages(900, 40)), 1, 1);
+        t.record_at(0, Status::Timeout, 90_000, None, 2, 2);
+        let (j, slo) = t.snapshot_json(&StatsSnapshot::default(), 0, 1, 0, 0, 0);
+        let section = &j[j.find(",\"slo\":").unwrap() + ",\"slo\":".len()..];
+        let section = &section[..section.find(",\"exemplars\":").unwrap()];
+        assert_eq!(section, slo.to_json());
+        assert!(slo.breached() && j.contains("\"health\":\"degraded\""));
+    }
+
     #[test]
     fn health_degrades_on_invariant_violation() {
         let t = ReqTelemetry::new(SloSpec::default());
         let mut snap = StatsSnapshot::default();
-        let j = t.snapshot_json(&snap, 0, 1, 0, 0, 0);
+        let (j, _) = t.snapshot_json(&snap, 0, 1, 0, 0, 0);
         assert!(j.contains("\"health\":\"ok\""));
         snap.post_deadline_responses = 1;
-        let j = t.snapshot_json(&snap, 0, 1, 0, 0, 0);
+        let (j, _) = t.snapshot_json(&snap, 0, 1, 0, 0, 0);
         assert!(j.contains("\"health\":\"degraded\""));
     }
 }

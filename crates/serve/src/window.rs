@@ -2,10 +2,10 @@
 //!
 //! The server's request telemetry ([`crate::telemetry`]) needs "p99 over
 //! the last five minutes" answerable at any instant without resetting
-//! anything. The scheme is a ring of `N` time slots:
+//! anything. The scheme is a ring of [`SLOTS`] time slots:
 //!
 //! * Every recorded value lands in the slot the owner derives from its own
-//!   clock (`elapsed / slot width`), stored at ring index `slot % N`.
+//!   clock (`elapsed / slot width`), stored at ring index `slot % SLOTS`.
 //! * Rotation is **lazy**: nothing ticks in the background. When a write
 //!   hits a ring entry whose stored slot id is stale, the entry is simply
 //!   overwritten with a fresh histogram for the current slot — O(1), no
@@ -17,6 +17,7 @@
 //! The ring itself is time-free: callers pass explicit slot ids, which is
 //! what makes the unit tests deterministic.
 
+use crate::telemetry::SLOTS;
 use amrviz_obs::hist::Histogram;
 
 /// Slot id marking an empty ring entry (no real slot reaches u64::MAX:
@@ -30,24 +31,26 @@ const EMPTY: u64 = u64::MAX;
 #[derive(Debug, Clone)]
 pub struct WindowedHistogram {
     pub lifetime: Histogram,
-    /// `(slot id, histogram)` entries; slot `s` lives at index `s % len`.
+    /// `(slot id, histogram)` entries; slot `s` lives at index `s % SLOTS`.
     ring: Vec<(u64, Histogram)>,
 }
 
-impl WindowedHistogram {
-    /// Histogram over a ring of `n` slots (clamped to at least 1), all empty.
-    pub fn with_slots(n: usize) -> Self {
+impl Default for WindowedHistogram {
+    /// A histogram over a ring of [`SLOTS`] empty slots.
+    fn default() -> Self {
         WindowedHistogram {
             lifetime: Histogram::new(),
-            ring: (0..n.max(1)).map(|_| (EMPTY, Histogram::new())).collect(),
+            ring: (0..SLOTS).map(|_| (EMPTY, Histogram::new())).collect(),
         }
     }
+}
 
+impl WindowedHistogram {
     /// Records one sample at `slot` (and into the lifetime histogram),
     /// lazily recycling the ring entry when it still holds an older slot.
     pub fn record(&mut self, slot: u64, value: u64) {
         self.lifetime.record(value);
-        let idx = (slot % self.ring.len() as u64) as usize;
+        let idx = (slot % SLOTS as u64) as usize;
         let entry = &mut self.ring[idx];
         if entry.0 != slot {
             *entry = (slot, Histogram::new());
@@ -79,16 +82,19 @@ impl WindowedHistogram {
 mod tests {
     use super::*;
 
+    /// [`SLOTS`] as a slot id.
+    const S: u64 = SLOTS as u64;
+
     #[test]
     fn ring_recycles_stale_slots_lazily() {
-        let mut h = WindowedHistogram::with_slots(4);
+        let mut h = WindowedHistogram::default();
         h.record(0, 10);
         h.record(1, 20);
-        // Slot 4 maps onto index 0 and must not inherit slot 0's sample.
-        h.record(4, 1);
-        assert_eq!(h.window_merged(4, 1).count(), 1);
-        // Slot 1 is still live (ring covers slots 1..=4 now).
-        let w = h.window_merged(4, 4);
+        // Slot S maps onto index 0 and must not inherit slot 0's sample.
+        h.record(S, 1);
+        assert_eq!(h.window_merged(S, 1).count(), 1);
+        // Slot 1 is still live (ring covers slots 1..=S now).
+        let w = h.window_merged(S, S);
         assert_eq!(
             (w.count(), w.sum()),
             (2, 21),
@@ -99,14 +105,14 @@ mod tests {
 
     #[test]
     fn window_bounds_are_half_open() {
-        let mut h = WindowedHistogram::with_slots(8);
+        let mut h = WindowedHistogram::default();
         for s in 0..8u64 {
             h.record(s, s);
         }
         // Window (5, 7]: slots 6 and 7 only.
         assert_eq!(h.window(7, 2).count(), 2);
         assert_eq!(h.window(7, 1).count(), 1);
-        // k = 8 covers the whole ring.
+        // k = 8 covers every recorded slot.
         assert_eq!(h.window(7, 8).count(), 8);
         // Future slots are never included.
         assert_eq!(h.window(3, 8).count(), 4);
@@ -114,14 +120,14 @@ mod tests {
 
     #[test]
     fn histogram_window_merges_and_lifetime_survives() {
-        let mut h = WindowedHistogram::with_slots(3);
+        let mut h = WindowedHistogram::default();
         h.record(0, 5);
         h.record(1, 50);
         h.record(2, 500);
-        h.record(5, 7); // 5 % 3 == 2: recycles slot 2's ring entry
+        h.record(S + 2, 7); // (S + 2) % S == 2: recycles slot 2's ring entry
         assert_eq!(h.lifetime.count(), 4);
-        let w = h.window_merged(5, 3);
-        assert_eq!(w.count(), 1, "only slot 5 is inside (3, 5]");
+        let w = h.window_merged(S + 2, 3);
+        assert_eq!(w.count(), 1, "only slot S + 2 is inside (S - 1, S + 2]");
         assert_eq!(w.max(), 7);
     }
 
@@ -132,7 +138,7 @@ mod tests {
         amrviz_rng::check(0x510_7a1e6, 16, |rng| {
             let n_slots = rng.range_usize(2, 8);
             let now = rng.below(1000) + n_slots as u64;
-            let mut wh = WindowedHistogram::with_slots(n_slots);
+            let mut wh = WindowedHistogram::default();
             let mut expect = Histogram::new();
             for _ in 0..rng.range_usize(1, 200) {
                 let slot = now - rng.below(n_slots as u64);

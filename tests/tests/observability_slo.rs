@@ -1,11 +1,10 @@
 //! Cross-crate tests for the request-centric observability stack: windowed
 //! telemetry across slot-rotation boundaries under concurrent writers,
-//! exemplar-reservoir determinism at different thread counts, and the SLO
+//! tail-exemplar determinism at different thread counts, and the SLO
 //! burn-rate math the serve STATS endpoint reports.
 
-use amrviz_serve::exemplar::{Exemplar, Reservoir};
 use amrviz_serve::slo::{evaluate, SloSpec, WindowReading};
-use amrviz_serve::telemetry::{ReqTelemetry, Stage, StageTimes, SLOTS, SLOT_SECS};
+use amrviz_serve::telemetry::{ReqTelemetry, Stage, StageTimes, EXEMPLAR_CAP, SLOTS, SLOT_SECS};
 use amrviz_serve::window::WindowedHistogram;
 use amrviz_serve::Status;
 use std::sync::Mutex;
@@ -18,35 +17,40 @@ use std::sync::Mutex;
 fn windowed_snapshot_across_rotation_under_concurrent_writers() {
     const WRITERS: usize = 8;
     const PER_WRITER: u64 = 500;
-    // Tiny ring so the recording range (slots 0..=11 below) actually wraps.
-    let h = Mutex::new(WindowedHistogram::with_slots(8));
+    // An "old" and a "new" slot one ring apart, both still alive.
+    const OLD: u64 = 4;
+    const NEW: u64 = OLD + SLOTS as u64 - 1;
+    let h = Mutex::new(WindowedHistogram::default());
     std::thread::scope(|s| {
         for w in 0..WRITERS {
             let h = &h;
             s.spawn(move || {
                 for i in 0..PER_WRITER {
-                    // Interleave an "old" slot (4) and a "new" slot (11);
-                    // 11 - 4 = 7 < 8 keeps both alive in the ring while
-                    // forcing every slot in between to rotate.
                     let slot = if (w as u64 + i).is_multiple_of(2) {
-                        4
+                        OLD
                     } else {
-                        11
+                        NEW
                     };
                     h.lock().unwrap().record(slot, 100 + (i % 7));
                 }
             });
         }
     });
-    let h = h.lock().unwrap();
+    let mut h = h.into_inner().unwrap();
     let total = (WRITERS as u64) * PER_WRITER;
     assert_eq!(h.lifetime.count(), total, "lifetime sees every sample");
-    // Window of 1 slot ending at 11: exactly the slot-11 half.
-    assert_eq!(h.window_merged(11, 1).count(), total / 2);
-    // Window covering slots 4..=11: everything.
-    assert_eq!(h.window_merged(11, 8).count(), total);
+    // Window of 1 slot ending at NEW: exactly the NEW half.
+    assert_eq!(h.window_merged(NEW, 1).count(), total / 2);
+    // Window covering slots OLD..=NEW, the whole ring: everything.
+    assert_eq!(h.window_merged(NEW, SLOTS as u64).count(), total);
     // A later window that excludes both recording slots is empty.
-    assert_eq!(h.window_merged(30, 4).count(), 0);
+    assert_eq!(h.window_merged(NEW + 30, 4).count(), 0);
+    // One ring past OLD wraps onto its entry, which starts empty.
+    h.record(OLD + SLOTS as u64, 1);
+    assert_eq!(h.window_merged(OLD + SLOTS as u64, 1).count(), 1);
+    let ring = h.window_merged(OLD + SLOTS as u64, SLOTS as u64);
+    assert_eq!(ring.count(), total / 2 + 1, "the OLD half aged out");
+    assert_eq!(h.lifetime.count(), total + 1);
 }
 
 /// The serve telemetry's SLO windows are slot-ring views: a failure burst
@@ -82,46 +86,47 @@ fn slo_windows_age_out_across_ring_rotation() {
     assert!(SLOTS as u64 * SLOT_SECS >= 3600);
 }
 
-/// Reservoir contents are a pure function of the offered *set*, so filling
-/// it from a worker pool must give identical results at any thread count
-/// and any interleaving.
+/// The retained tail is a pure function of the offered *set*, so GETs
+/// recorded from a worker pool must leave the same exemplars at any thread
+/// count and any interleaving — also when the floor is a tie on duration.
 #[test]
 fn exemplar_reservoir_is_deterministic_across_thread_counts() {
-    let offers: Vec<Exemplar> = (0..200u64)
-        .map(|i| {
-            let mut stages = StageTimes::default();
-            stages[Stage::Decode] = Some(((i * 7919) % 10_000) / 2);
-            Exemplar {
-                trace: i + 1,
-                total_us: (i * 7919) % 10_000, // pseudo-shuffled durations
-                label: format!("ok key={i:016x}"),
-                stages,
-            }
-        })
+    // `(total_us, trace)`: ten durations, about twenty GETs each, so the
+    // whole tail is a tie at 9 ms that only the trace id can break.
+    let offers: Vec<(u64, u64)> = (0..200u64)
+        .map(|i| (((i * 7919) % 10) * 1000, i + 1))
         .collect();
+    let mut expect = offers.clone();
+    expect.sort_unstable_by(|a, b| b.cmp(a));
+    expect.truncate(EXEMPLAR_CAP);
+    assert!(expect.iter().all(|&(us, _)| us == 9000));
 
     let fill = |threads: usize| -> Vec<(u64, u64)> {
         amrviz_par::set_threads(threads);
-        let res = Mutex::new(Reservoir::new(8));
-        // amrviz_par::run schedules dynamically, so the offer order the
-        // reservoir sees genuinely differs between runs and thread counts.
+        let t = ReqTelemetry::new(SloSpec::default());
+        // amrviz_par::run schedules dynamically, so the order the tail sees
+        // genuinely differs between runs and thread counts.
         amrviz_par::run(offers.len(), |i| {
-            res.lock().unwrap().offer(offers[i].clone());
+            let (total_us, trace) = offers[i];
+            let mut stages = StageTimes::default();
+            stages[Stage::Decode] = Some(total_us / 2);
+            t.record_at(0, Status::Ok, total_us, Some(&stages), trace, i as u64);
         });
-        res.into_inner()
-            .unwrap()
-            .snapshot()
+        let (json, _) = t.snapshot_json(&amrviz_serve::StatsSnapshot::default(), 0, 1, 0, 0, 0);
+        let doc = amrviz_json::Json::parse(&json).unwrap();
+        let exemplars = doc.get("exemplars").unwrap().as_arr().unwrap();
+        exemplars
             .iter()
-            .map(|e| (e.total_us, e.trace))
+            .map(|e| {
+                let trace = e.get("trace").unwrap().as_str().unwrap();
+                let total_us = e.get("total_us").unwrap().as_u64().unwrap();
+                (total_us, u64::from_str_radix(trace, 16).unwrap())
+            })
             .collect()
     };
 
-    let serial = fill(1);
-    let parallel = fill(4);
-    assert_eq!(serial, parallel, "same retained set at 1 and 4 threads");
-    assert_eq!(serial.len(), 8);
-    // Slowest first, strictly descending by (total_us, trace).
-    assert!(serial.windows(2).all(|w| w[0] > w[1]));
+    assert_eq!(fill(1), expect, "1 thread keeps the highest traces");
+    assert_eq!(fill(4), expect, "4 threads keep the highest traces");
 }
 
 /// Tail recording through ReqTelemetry keeps the same determinism: the
@@ -145,7 +150,8 @@ fn telemetry_exemplars_are_order_independent() {
                 i as u64,
             );
         }
-        let snap_json = t.snapshot_json(&amrviz_serve::StatsSnapshot::default(), 0, 1, 0, 0, 0);
+        let (snap_json, _) =
+            t.snapshot_json(&amrviz_serve::StatsSnapshot::default(), 0, 1, 0, 0, 0);
         let doc = amrviz_json::Json::parse(&snap_json).unwrap();
         doc.get("exemplars")
             .unwrap()
