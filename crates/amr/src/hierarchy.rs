@@ -2,6 +2,8 @@
 
 use std::collections::BTreeMap;
 
+use amrviz_codec::DecodeBudget;
+
 use crate::box_array::BoxArray;
 use crate::boxes::Box3;
 use crate::error::AmrError;
@@ -30,6 +32,41 @@ pub struct AmrHierarchy {
     pub time: f64,
     /// Simulation step of this snapshot (informational).
     pub step: u64,
+}
+
+/// Checks the structure of a hierarchy read from outside input (a plotfile
+/// header, a serving artifact) before anything is built from it: every
+/// physical extent finite and positive, every refinement ratio in 2..=16,
+/// and every level's whole index domain — the region the visualization
+/// masks allocate over — at most `budget.max_values` cells, counted with
+/// checked arithmetic. O(levels); allocates nothing.
+pub fn check_structure(
+    geom: &Geometry,
+    ref_ratios: &[i64],
+    budget: &DecodeBudget,
+) -> Result<(), AmrError> {
+    let invalid = |msg: String| Err(AmrError::InvalidStructure(msg));
+    for a in 0..3 {
+        let extent = geom.prob_hi[a] - geom.prob_lo[a];
+        if !(extent.is_finite() && extent > 0.0) {
+            return invalid(format!("physical extent {extent} on axis {a}"));
+        }
+    }
+    let size = geom.domain.size();
+    let mut cells = size.iter().try_fold(1u64, |n, &d| n.checked_mul(d as u64));
+    for (lev, &r) in std::iter::once(&1).chain(ref_ratios).enumerate() {
+        if lev > 0 && !(2..=16).contains(&r) {
+            return invalid(format!("refinement ratio {r} outside 2..=16"));
+        }
+        cells = cells.and_then(|n| n.checked_mul((r as u64).pow(3)));
+        if cells.is_none_or(|n| n > budget.max_values as u64) {
+            return invalid(format!(
+                "level {lev} index domain exceeds {} cells",
+                budget.max_values
+            ));
+        }
+    }
+    Ok(())
 }
 
 impl AmrHierarchy {

@@ -11,7 +11,9 @@
 //! * coarse↔fine transfer operators (`interp`);
 //! * rasterized coverage masks for level interiors/interfaces (`mask`);
 //! * tagging + Berger–Rigoutsos box clustering for regridding (`regrid`);
-//! * a multi-level [`AmrHierarchy`] with per-level fields (`hierarchy`);
+//! * a multi-level [`AmrHierarchy`] with per-level fields, and
+//!   [`check_structure`], the one structure check for hierarchies read
+//!   from outside input (`hierarchy`);
 //! * merging a hierarchy to a single uniform-resolution grid, omitting the
 //!   redundant coarse data exactly as the paper's §2.2 describes
 //!   (`resample`);
@@ -42,7 +44,7 @@ pub use boxes::Box3;
 pub use error::AmrError;
 pub use fab::Fab;
 pub use geometry::Geometry;
-pub use hierarchy::{AmrField, AmrHierarchy};
+pub use hierarchy::{check_structure, AmrField, AmrHierarchy};
 pub use interp::{prolong_piecewise_constant, prolong_trilinear, restrict_average};
 pub use ivec::IntVect;
 pub use mask::Raster;

@@ -22,7 +22,7 @@ use crate::box_array::BoxArray;
 use crate::boxes::Box3;
 use crate::error::AmrError;
 use crate::geometry::Geometry;
-use crate::hierarchy::AmrHierarchy;
+use crate::hierarchy::{check_structure, AmrHierarchy};
 use crate::multifab::MultiFab;
 
 /// Serialized header describing a hierarchy.
@@ -129,11 +129,13 @@ impl Header {
 
     fn from_json(v: &Json) -> Option<Header> {
         let g = v.get("geometry")?;
-        let geometry = Geometry::new(
-            box_from(g.get("domain")?)?,
-            f3_from(g.get("prob_lo")?)?,
-            f3_from(g.get("prob_hi")?)?,
-        );
+        // A literal, not `Geometry::new`: the extents are outside input,
+        // which `check_structure` refuses with an error instead of a panic.
+        let geometry = Geometry {
+            domain: box_from(g.get("domain")?)?,
+            prob_lo: f3_from(g.get("prob_lo")?)?,
+            prob_hi: f3_from(g.get("prob_hi")?)?,
+        };
         Some(Header {
             version: v.get("version")?.as_u64()? as u32,
             geometry,
@@ -204,10 +206,11 @@ pub fn read_plotfile(dir: &Path) -> Result<AmrHierarchy, AmrError> {
     read_plotfile_budgeted(dir, &amrviz_codec::DecodeBudget::default())
 }
 
-/// Reads a hierarchy from `dir`, validating every size the header declares
-/// — box dimensions, per-level cell counts — against `budget` and against
-/// the actual on-disk file sizes *before* any data buffer is allocated. A
-/// corrupted header cannot make this function reserve absurd memory.
+/// Reads a hierarchy from `dir`, validating the header's structure
+/// ([`check_structure`]) and every size it declares — box dimensions,
+/// per-level cell counts — against `budget` and against the actual on-disk
+/// file sizes *before* any data buffer is allocated. A corrupted header
+/// cannot make this function panic or reserve absurd memory.
 pub fn read_plotfile_budgeted(
     dir: &Path,
     budget: &amrviz_codec::DecodeBudget,
@@ -238,6 +241,8 @@ pub fn read_plotfile_budgeted(
                 .ok_or_else(|| AmrError::Corrupt("header box cell count overflow".into()))?;
         }
     }
+    check_structure(&header.geometry, &header.ref_ratios, budget)
+        .map_err(|e| AmrError::Corrupt(format!("header: {e}")))?;
     let mut hier = AmrHierarchy::new(header.geometry, header.ref_ratios, header.box_arrays)?;
     hier.time = header.time;
     hier.step = header.step;
@@ -392,6 +397,56 @@ mod tests {
                 assert!(msg.contains("header box"), "unexpected message: {msg}")
             }
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Structures no reader may build, each refused from the header alone
+    /// with a typed error: an inverted extent (was a `Geometry::new`
+    /// panic), a ratio of 2^40 (a mask panic), ratios of 1000 over empty
+    /// levels (a 4 TB allocation) and 20 levels of ratio 16, inside every
+    /// per-value limit but with a level domain past the budget.
+    #[test]
+    fn implausible_structures_are_refused_from_the_header() {
+        let dir = std::env::temp_dir().join(format!("amrviz_pf_shape_{}", std::process::id()));
+        let h = AmrHierarchy::single_level(Geometry::unit(Box3::from_dims(8, 8, 8)));
+        write_plotfile(&dir, &h).unwrap();
+        let path = dir.join("Header.json");
+        let base = Json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
+        for (ratios, prob_hi, expect) in [
+            (vec![], [1.0, -1.0, 1.0], "physical extent -1 on axis 1"),
+            (
+                vec![1i64 << 40],
+                [1.0; 3],
+                "refinement ratio 1099511627776 outside 2..=16",
+            ),
+            (
+                vec![1000, 1000],
+                [1.0; 3],
+                "refinement ratio 1000 outside 2..=16",
+            ),
+            (
+                vec![16; 19],
+                [1.0; 3],
+                "level 2 index domain exceeds 1073741824 cells",
+            ),
+        ] {
+            let mut header = base.clone();
+            let mut geometry = base.get("geometry").unwrap().clone();
+            geometry.set("prob_hi", prob_hi.to_vec());
+            let mut levels = base.get("box_arrays").unwrap().as_arr().unwrap().to_vec();
+            let mut empty = Json::obj();
+            empty.set("boxes", Json::Arr(Vec::new()));
+            levels.resize(ratios.len() + 1, empty);
+            header
+                .set("geometry", geometry)
+                .set("ref_ratios", ratios.clone())
+                .set("box_arrays", Json::Arr(levels));
+            fs::write(&path, header.to_string_pretty()).unwrap();
+            match read_plotfile(&dir) {
+                Err(AmrError::Corrupt(msg)) => assert!(msg.ends_with(expect), "{msg}"),
+                other => panic!("{ratios:?} {prob_hi:?}: expected Corrupt, got {other:?}"),
+            }
         }
         fs::remove_dir_all(&dir).ok();
     }

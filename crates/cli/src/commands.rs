@@ -73,6 +73,12 @@ fn iso_value(p: &Parsed, hier: &AmrHierarchy, field: &str) -> Result<f64, String
     }
     let uniform =
         flatten_to_finest(hier, field, Upsample::PiecewiseConstant).map_err(|e| e.to_string())?;
+    if uniform.data.iter().any(|v| !v.is_finite()) {
+        return Err(format!(
+            "--quantile needs finite data, but field `{field}` holds a NaN or infinity; \
+             give the iso value with --iso"
+        ));
+    }
     Ok(quantile(&uniform.data, q))
 }
 
@@ -1246,6 +1252,40 @@ mod tests {
                 "{flag} {eb}: {err}"
             );
             assert!(!Path::new(&out).exists(), "{flag} {eb} wrote {out}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A plotfile holding a NaN has no quantile: `extract` and `render`
+    /// refuse it by flag, name `--iso` and write nothing; with `--iso`
+    /// both work.
+    #[test]
+    fn quantile_of_nan_data_is_refused_by_name() {
+        let root = std::env::temp_dir().join(format!("amrviz_cli_nan_{}", std::process::id()));
+        let path = |leaf: &str| root.join(leaf).to_string_lossy().into_owned();
+        let (ds, obj, png) = (path("ds"), path("x.obj"), path("x.png"));
+        generate(&args(&["nyx", "--out", &ds, "--scale", "tiny"])).unwrap();
+        let bin = root.join("ds/baryon_density_L0.bin");
+        let mut bytes = std::fs::read(&bin).unwrap();
+        bytes[64..72].copy_from_slice(&f64::NAN.to_le_bytes());
+        std::fs::write(&bin, bytes).unwrap();
+        let argv = |out: &str, iso: &[&str]| {
+            args(
+                &[
+                    &[ds.as_str(), "--field", "baryon_density", "--out", out],
+                    iso,
+                ]
+                .concat(),
+            )
+        };
+        for (command, out) in [(extract as fn(&[String]) -> _, &obj), (render, &png)] {
+            let err = command(&argv(out, &[])).unwrap_err();
+            assert!(
+                err.starts_with("--quantile") && err.contains("--iso"),
+                "{err}"
+            );
+            assert!(!Path::new(out).exists(), "{out} was written");
+            command(&argv(out, &["--iso", "1"])).unwrap();
         }
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -46,6 +46,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 
 use crate::obs_overhead::{run_obs_overhead, OBS_OVERHEAD_MAX_PCT};
 use crate::ObsOptions;
@@ -56,7 +57,7 @@ use amrviz_compress::{
 use amrviz_core::args;
 use amrviz_core::experiment::{self, standard_camera, CompressorKind};
 use amrviz_core::prelude::*;
-use amrviz_core::report;
+use amrviz_core::report::{self, View};
 use amrviz_json::Json;
 use amrviz_render::{render_slice, Color, RenderOptions};
 use amrviz_sim::solver::{AmrAdvection, FIELD};
@@ -532,7 +533,7 @@ struct Ctx {
     scale: Scale,
     seed: u64,
     out: PathBuf,
-    built: BTreeMap<&'static str, BuiltScenario>,
+    built: BTreeMap<&'static str, Rc<BuiltScenario>>,
     json: Json,
     /// Compression runs observed during this invocation (Table 2 rows),
     /// reported in the final `SUMMARY` line.
@@ -547,23 +548,22 @@ struct Ctx {
 }
 
 impl Ctx {
-    fn scenario(&mut self, app: Application) -> &BuiltScenario {
-        let key = app.label();
-        if !self.built.contains_key(key) {
+    fn scenario(&mut self, app: Application) -> Rc<BuiltScenario> {
+        let (scale, seed) = (self.scale, self.seed);
+        let built = self.built.entry(app.label()).or_insert_with(|| {
             eprintln!(
-                "[repro] generating {key} scenario at {:?} scale…",
-                self.scale
+                "[repro] generating {} scenario at {scale:?} scale…",
+                app.label()
             );
-            self.built.insert(
-                key,
-                BuiltScenario::from_spec(app.spec(self.scale, self.seed)),
-            );
-        }
-        &self.built[key]
+            Rc::new(BuiltScenario::from_spec(app.spec(scale, seed)))
+        });
+        Rc::clone(built)
     }
 
-    fn record(&mut self, key: &str, value: impl Into<Json>) {
-        self.json.set(key, value);
+    /// Prints `rows` as `view`'s table and records them under `key`.
+    fn show<R>(&mut self, key: &str, view: &View<R>, rows: &[R]) {
+        println!("{}", view.table(rows));
+        self.json.set(key, view.json(rows));
     }
 
     /// Drains the obs recorder into `manifest_<name>.json` and folds the
@@ -616,27 +616,15 @@ impl Ctx {
         // Frame the surface itself (the paper's panels zoom to the refined
         // region), falling back to the whole domain for empty meshes. The
         // bbox is the union of the per-level boxes — no combined-mesh copy.
-        let bbox =
-            res.level_meshes
-                .iter()
-                .filter_map(|m| m.bbox())
-                .reduce(|(alo, ahi), (blo, bhi)| {
-                    (
-                        [alo[0].min(blo[0]), alo[1].min(blo[1]), alo[2].min(blo[2])],
-                        [ahi[0].max(bhi[0]), ahi[1].max(bhi[1]), ahi[2].max(bhi[2])],
-                    )
-                });
+        let boxes = res.level_meshes.iter().filter_map(|m| m.bbox());
+        let bbox = boxes.reduce(|(alo, ahi), (blo, bhi)| {
+            let lo = std::array::from_fn(|a| alo[a].min(blo[a]));
+            (lo, std::array::from_fn(|a| ahi[a].max(bhi[a])))
+        });
         let cam = match bbox {
             Some((lo, hi)) => {
-                let center = [
-                    0.5 * (lo[0] + hi[0]),
-                    0.5 * (lo[1] + hi[1]),
-                    0.5 * (lo[2] + hi[2]),
-                ];
-                let extent = (hi[0] - lo[0])
-                    .max(hi[1] - lo[1])
-                    .max(hi[2] - lo[2])
-                    .max(1e-6);
+                let center: [f64; 3] = std::array::from_fn(|a| 0.5 * (lo[a] + hi[a]));
+                let extent = (0..3).map(|a| hi[a] - lo[a]).fold(1e-6, f64::max);
                 let eye = [
                     center[0] - 2.0 * extent,
                     center[1] - 1.2 * extent,
@@ -669,64 +657,45 @@ impl Ctx {
     }
 }
 
-/// Result rows as one JSON array, each row by its `From<&Row>` impl.
-fn json_rows<'a, T>(rows: &'a [T]) -> Json
-where
-    &'a T: Into<Json>,
-{
-    Json::Arr(rows.iter().map(Into::into).collect())
-}
-
 fn table1(ctx: &mut Ctx) {
     println!("\n=== Table 1: dataset structure ===");
-    ctx.scenario(Application::Warpx);
-    ctx.scenario(Application::Nyx);
-    let rows = experiment::run_table1(&[
-        &ctx.built[Application::Warpx.label()],
-        &ctx.built[Application::Nyx.label()],
-    ]);
-    println!("{}", report::format_table1(&rows));
+    let (warpx, nyx) = (
+        ctx.scenario(Application::Warpx),
+        ctx.scenario(Application::Nyx),
+    );
+    let rows = experiment::run_table1(&[&warpx, &nyx]);
+    ctx.show("table1", &report::TABLE1, &rows);
     println!(
         "paper: WarpX 128x128x1024 + 256x256x2048 (91.4% / 8.6%), \
          Nyx 256^3 + 512^3 (59.3% / 40.7%)"
     );
-    ctx.record("table1", json_rows(&rows));
 }
 
 fn table2(ctx: &mut Ctx) {
     println!("\n=== Table 2: compression quality ===");
     let mut all = Vec::new();
     for app in Application::ALL {
-        let built = ctx.scenario(app);
-        let rows = experiment::run_table2(built).expect("table2 runs");
+        let rows = experiment::run_table2(&ctx.scenario(app)).expect("table2 runs");
         all.extend(rows);
     }
-    println!("{}", report::format_table2(&all));
-    ctx.runs.extend(all.iter().cloned());
-    ctx.record("table2", json_rows(&all));
+    ctx.show("table2", &report::TABLE2, &all);
+    ctx.runs.extend(all);
 }
 
 fn fig1(ctx: &mut Ctx) {
     println!("\n=== Fig. 1: cracks (re-sampling) vs gaps (dual) vs redundant fix ===");
     let built = ctx.scenario(Application::Warpx);
-    let rows = experiment::run_crack_analysis(built);
-    println!("{}", report::format_cracks(&rows));
-    let field = built.spec.eval_field();
-    let levels = built
-        .hierarchy
-        .field(field)
-        .expect("eval field")
-        .levels
-        .clone();
-    let built = &ctx.built[Application::Warpx.label()];
+    let rows = experiment::run_crack_analysis(&built);
+    ctx.show("fig1", &report::CRACKS, &rows);
+    let field = built.hierarchy.field(built.spec.eval_field());
+    let levels = &field.expect("eval field").levels;
     for (method, name) in [
         (IsoMethod::Resampling, "fig1a_resampling"),
         (IsoMethod::DualCell, "fig1b_dualcell"),
         (IsoMethod::DualCellRedundant, "fig1c_dualcell_redundant"),
     ] {
-        ctx.save_mesh_render(built, &levels, method, name);
+        ctx.save_mesh_render(&built, levels, method, name);
     }
-    ctx.record("fig1", json_rows(&rows));
 }
 
 fn fig2(ctx: &mut Ctx) {
@@ -766,7 +735,7 @@ fn fig2(ctx: &mut Ctx) {
             .set("fine_cells", h.box_array(1).num_cells());
         snapshots.push(snap_json);
     }
-    ctx.record("fig2", snapshots);
+    ctx.json.set("fig2", snapshots);
 }
 
 fn figs_9_10(ctx: &mut Ctx, kind: CompressorKind, figname: &str) {
@@ -777,13 +746,13 @@ fn figs_9_10(ctx: &mut Ctx, kind: CompressorKind, figname: &str) {
     );
     let built = ctx.scenario(Application::Warpx);
     let rows = experiment::run_viz_quality(
-        built,
+        &built,
         kind,
         &[1e-4, 1e-3, 1e-2],
         &[IsoMethod::Resampling, IsoMethod::DualCellRedundant],
     )
     .expect("viz-quality runs");
-    println!("{}", report::format_viz_quality(&rows));
+    ctx.show(figname, &report::VIZ_QUALITY, &rows);
 
     // Render the eb=1e-2 panels (the paper's most visible case).
     let comp = kind.instance();
@@ -799,21 +768,19 @@ fn figs_9_10(ctx: &mut Ctx, kind: CompressorKind, figname: &str) {
     .expect("field exists");
     let levels = decompress_hierarchy_field(&built.hierarchy, &compressed, comp.as_ref(), &cfg)
         .expect("own stream");
-    let built = &ctx.built[Application::Warpx.label()];
     let tag = kind.label().replace(['/', '-'], "").to_lowercase();
     ctx.save_mesh_render(
-        built,
+        &built,
         &levels,
         IsoMethod::Resampling,
         &format!("{figname}_{tag}_eb1e-2_resampling"),
     );
     ctx.save_mesh_render(
-        built,
+        &built,
         &levels,
         IsoMethod::DualCellRedundant,
         &format!("{figname}_{tag}_eb1e-2_dualcell"),
     );
-    ctx.record(figname, json_rows(&rows));
 }
 
 fn fig11(ctx: &mut Ctx) {
@@ -822,7 +789,7 @@ fn fig11(ctx: &mut Ctx) {
     let mut all = Vec::new();
     for kind in CompressorKind::PAPER {
         let rows = experiment::run_viz_quality(
-            built,
+            &built,
             kind,
             &[1e-2],
             &[IsoMethod::Resampling, IsoMethod::DualCellRedundant],
@@ -830,23 +797,15 @@ fn fig11(ctx: &mut Ctx) {
         .expect("viz-quality runs");
         all.extend(rows);
     }
-    println!("{}", report::format_viz_quality(&all));
+    ctx.show("fig11", &report::VIZ_QUALITY, &all);
     // Original-data render for reference.
-    let field = built.spec.eval_field();
-    let levels = built
-        .hierarchy
-        .field(field)
-        .expect("eval field")
-        .levels
-        .clone();
-    let built = &ctx.built[Application::Nyx.label()];
+    let field = built.hierarchy.field(built.spec.eval_field());
     ctx.save_mesh_render(
-        built,
-        &levels,
+        &built,
+        &field.expect("eval field").levels,
         IsoMethod::Resampling,
         "fig11_original_resampling",
     );
-    ctx.record("fig11", json_rows(&all));
 }
 
 fn rate_distortion(ctx: &mut Ctx, app: Application, figname: &str) {
@@ -856,10 +815,9 @@ fn rate_distortion(ctx: &mut Ctx, app: Application, figname: &str) {
         app.label(),
         app.eval_field()
     );
-    let built = ctx.scenario(app);
-    let pts = experiment::run_rate_distortion(built, &RD_EBS).expect("rate-distortion runs");
-    println!("{}", report::format_rate_distortion(&pts));
-    ctx.record(figname, json_rows(&pts));
+    let runs = experiment::run_rate_distortion(&ctx.scenario(app), &RD_EBS);
+    let runs = runs.expect("rate-distortion runs");
+    ctx.show(figname, &report::RATE_DISTORTION, &runs);
 }
 
 fn fig14(ctx: &mut Ctx) {
@@ -885,7 +843,7 @@ fn fig14(ctx: &mut Ctx) {
         .set("original", orig)
         .set("decompressed", blocky)
         .set("resampled", resampled);
-    ctx.record("fig14", series);
+    ctx.json.set("fig14", series);
 }
 
 /// The ablation's zMesh-style cross-level 1D baseline (the related work the
@@ -924,7 +882,7 @@ fn ablation(ctx: &mut Ctx) {
     };
     let mut rows = Vec::new();
     for app in Application::ALL {
-        let built = ctx.scenario(app);
+        let built = &ctx.scenario(app);
         for kind in CompressorKind::PAPER {
             for (how, skip_redundant) in [("keep", false), ("skip", true)] {
                 let cfg = AmrCodecConfig {
@@ -944,7 +902,7 @@ fn ablation(ctx: &mut Ctx) {
     println!("--- related-work baseline + predictor ablation (rel eb 1e-3) ---");
     let mut rows = Vec::new();
     for app in Application::ALL {
-        let built = ctx.scenario(app);
+        let built = &ctx.scenario(app);
         let field = built.spec.eval_field();
         let z = amrviz_compress::compress_zmesh(&built.hierarchy, field, ErrorBound::Rel(1e-3))
             .expect("field exists");
@@ -967,7 +925,7 @@ fn ablation(ctx: &mut Ctx) {
     record
         .set("redundant", redundant)
         .set("predictors", predictors);
-    ctx.record("ablation", record);
+    ctx.json.set("ablation", record);
 }
 
 /// `--suite enumerated`: expand a recipe into concrete scenarios and run
@@ -977,10 +935,8 @@ fn ablation(ctx: &mut Ctx) {
 /// `amrviz repro --suite "enumerated:<recipe>" --seed <seed>`.
 fn enumerated(ctx: &mut Ctx, recipe_src: &str) {
     println!("\n=== Enumerated suite: recipe-expanded scenario matrix ===");
-    let exp = match amrviz_recipe::expand(recipe_src, ctx.seed) {
-        Ok(e) => e,
-        Err(e) => panic!("recipe error: {e}"),
-    };
+    let exp = amrviz_recipe::expand(recipe_src, ctx.seed);
+    let exp = exp.unwrap_or_else(|e| panic!("recipe error: {e}"));
     println!(
         "recipe expands to {} scenario(s), {} excluded",
         exp.specs.len(),
@@ -993,15 +949,10 @@ fn enumerated(ctx: &mut Ctx, recipe_src: &str) {
     for spec in exp.specs {
         eprintln!("[repro] generating {}…", spec.label());
         let built = BuiltScenario::from_spec(spec);
-        for kind in CompressorKind::PAPER {
-            for eb in [1e-3, 1e-2] {
-                all.push(experiment::run_compression(&built, kind, eb).expect("suite run"));
-            }
-        }
+        all.extend(experiment::sweep(&built, &[1e-3, 1e-2]).expect("suite run"));
     }
-    println!("{}", report::format_table2(&all));
-    ctx.runs.extend(all.iter().cloned());
-    ctx.record("enumerated", json_rows(&all));
+    ctx.show("enumerated", &report::TABLE2, &all);
+    ctx.runs.extend(all);
 }
 
 /// `repro obs-overhead`: writes `OBS_OVERHEAD_<git>.json` into `out` and
@@ -1073,20 +1024,15 @@ pub fn repro(argv: &[String], obs: &ObsOptions) -> Result<(), String> {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx)));
         ctx.finish_experiment(name);
         let mut rec = Json::obj();
-        rec.set("name", name);
-        match outcome {
-            Ok(()) => {
-                rec.set("status", "ok");
-            }
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic>".into());
-                eprintln!("[repro] experiment {name} FAILED: {msg} — continuing batch");
-                rec.set("status", "failed").set("error", msg);
-            }
+        rec.set("name", name).set("status", "ok");
+        if let Err(payload) = outcome {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "<non-string panic>".into());
+            eprintln!("[repro] experiment {name} FAILED: {msg} — continuing batch");
+            rec.set("status", "failed").set("error", msg);
         }
         ctx.experiments.push(rec);
     };
@@ -1120,26 +1066,6 @@ pub fn repro(argv: &[String], obs: &ObsOptions) -> Result<(), String> {
     // Final machine-readable one-liner: what ran, how well it compressed,
     // and where the wall time went. Also appended to summary.jsonl so
     // successive invocations accumulate a log.
-    let runs: Vec<Json> = ctx
-        .runs
-        .iter()
-        .map(|r| {
-            let mut o = Json::obj();
-            o.set("scenario", r.scenario.as_str())
-                .set("recipe", r.recipe.as_str())
-                .set("compressor", r.compressor)
-                .set("rel_eb", r.rel_error_bound)
-                .set("compression_ratio", r.compression_ratio)
-                .set("psnr_db", r.psnr_db)
-                .set("ssim", r.ssim)
-                .set("compress_seconds", r.compress_seconds)
-                .set("decompress_seconds", r.decompress_seconds);
-            if r.trace_id != 0 {
-                o.set("trace", format!("{:016x}", r.trace_id));
-            }
-            o
-        })
-        .collect();
     let any_failed = ctx
         .experiments
         .iter()
@@ -1158,7 +1084,7 @@ pub fn repro(argv: &[String], obs: &ObsOptions) -> Result<(), String> {
         .set("threads", amrviz_par::threads() as u64)
         .set("experiments", Json::Arr(ctx.experiments.clone()))
         .set("decode_fabs", decode_fabs)
-        .set("runs", Json::Arr(runs))
+        .set("runs", report::SUMMARY_RUNS.json(&ctx.runs))
         .set("stage_seconds", ctx.stage_seconds.clone());
     if let Some(stats) = journal_stats {
         let mut j = Json::obj();
@@ -1378,7 +1304,7 @@ mod tests {
         };
         let fig1 = |gaps: [f64; 3]| {
             let rows = IsoMethod::ALL.iter().zip(gaps).map(|(&m, g)| crack(m, g));
-            broken("fig1", json_rows(&rows.collect::<Vec<_>>()))
+            broken("fig1", report::CRACKS.json(&rows.collect::<Vec<_>>()))
         };
         assert_eq!(fig1([0.011, 0.049, 7e-4]), [""; 0]);
         let no_crack = fig1([0.0, 0.049, 0.0]);
@@ -1393,15 +1319,15 @@ mod tests {
         let sweep = |c| [(c, 1e-4), (c, 1e-3), (c, 1e-2)];
         for (figure, compressor) in [("fig9", "SZ-L/R"), ("fig10", "SZ-Itp")] {
             let mut rows = viz_rows(&sweep(compressor), [0.1, 0.2]);
-            assert_eq!(broken(figure, json_rows(&rows)), [""; 0]);
+            assert_eq!(broken(figure, report::VIZ_QUALITY.json(&rows)), [""; 0]);
             let swapped = rows[2].image_rssim;
             rows[2].image_rssim = rows[3].image_rssim;
             rows[3].image_rssim = swapped;
-            let failed = broken(figure, json_rows(&rows));
+            let failed = broken(figure, report::VIZ_QUALITY.json(&rows));
             assert_eq!(failed.len(), 1, "{failed:?}");
             let start = format!("{figure}: {compressor} eb 1e-3: dual-cell image_rssim 1e-5");
             assert!(failed[0].starts_with(&start), "{failed:?}");
-            let failed = broken(figure, json_rows(&rows[..4]));
+            let failed = broken(figure, report::VIZ_QUALITY.json(&rows[..4]));
             assert!(failed[1].ends_with("2 re-sampling row(s) recorded, 3 expected"));
         }
 
@@ -1410,13 +1336,16 @@ mod tests {
         // when it turns into the paper's, or stops being an ordering.
         let both = [("SZ-L/R", 1e-2), ("SZ-Itp", 1e-2)];
         let mut rows = viz_rows(&both, [0.5, 0.4]);
-        assert_eq!(broken("fig11", json_rows(&rows)), [""; 0]);
+        assert_eq!(broken("fig11", report::VIZ_QUALITY.json(&rows)), [""; 0]);
         rows[1].image_rssim = 0.0;
-        let failed = broken("fig11", json_rows(&rows));
+        let failed = broken("fig11", report::VIZ_QUALITY.json(&rows));
         assert_eq!(failed.len(), 1, "{failed:?}");
         assert!(failed[0].starts_with("fig11: SZ-L/R eb 1e-2: dual-cell image_rssim 0e0"));
         for geometry in [[0.4, 0.5], [0.5, 0.5], [0.5, f64::NAN]] {
-            let failed = broken("fig11", json_rows(&viz_rows(&both, geometry)));
+            let failed = broken(
+                "fig11",
+                report::VIZ_QUALITY.json(&viz_rows(&both, geometry)),
+            );
             assert_eq!(failed.len(), 2, "{failed:?}");
             assert!(failed[1].starts_with("fig11: SZ-Itp eb 1e-2: dual-cell surface_error_cells"));
             assert!(failed[1].contains("divergence #3"), "{failed:?}");
@@ -1424,10 +1353,10 @@ mod tests {
         // Table 2: swap the two compressors' CR at one bound; reverse one
         // series' PSNR column; give SZ-L/R the worse R-SSIM on Nyx at 1e-2.
         let mut rows = table2_rows();
-        assert_eq!(broken("table2", json_rows(&rows)), [""; 0]);
+        assert_eq!(broken("table2", report::TABLE2.json(&rows)), [""; 0]);
         let (lr, itp) = (rows[1].compression_ratio, rows[4].compression_ratio);
         (rows[1].compression_ratio, rows[4].compression_ratio) = (itp, lr);
-        let failed = broken("table2", json_rows(&rows));
+        let failed = broken("table2", report::TABLE2.json(&rows));
         assert_eq!(
             failed,
             ["table2: WarpX eb 1e-3: SZ-Itp CR 2e1 is not above SZ-L/R's 2.1e1"]
@@ -1437,14 +1366,14 @@ mod tests {
         for (row, psnr) in rows[6..9].iter_mut().zip(psnr.into_iter().rev()) {
             row.psnr_db = psnr;
         }
-        let failed = broken("table2", json_rows(&rows));
+        let failed = broken("table2", report::TABLE2.json(&rows));
         assert_eq!(failed.len(), 2, "{failed:?}");
         let start =
             "table2: Nyx SZ-L/R eb 1e-3: the tighter bound's PSNR 4e1 is not above PSNR 6e1";
         assert_eq!(failed[0], start);
         let mut rows = table2_rows();
         rows[8].rssim = 1.0;
-        let failed = broken("table2", json_rows(&rows));
+        let failed = broken("table2", report::TABLE2.json(&rows));
         assert_eq!(
             failed,
             ["table2: Nyx eb 1e-2: SZ-Itp R-SSIM 2e-2 is not above SZ-L/R's 1e0"]
@@ -1453,14 +1382,14 @@ mod tests {
         // SZ-L/R's on Nyx at 1e-2, fails.
         let mut rows = table2_rows();
         rows[8].compression_ratio = 30.0;
-        let failed = broken("table2", json_rows(&rows));
+        let failed = broken("table2", report::TABLE2.json(&rows));
         assert_eq!(failed.len(), 1, "{failed:?}");
         let start =
             "table2: Nyx eb 1e-2: SZ-Itp CR 3.1e1 is not below SZ-L/R's 3e1 as divergence #7";
         assert!(failed[0].starts_with(start), "{failed:?}");
         let mut rows = table2_rows();
         rows.remove(8);
-        let failed = broken("table2", json_rows(&rows));
+        let failed = broken("table2", report::TABLE2.json(&rows));
         assert_eq!(failed, ["table2: Nyx 2 SZ-L/R row(s) recorded, 3 expected"]);
 
         // Fig. 12: swap the two compressors' bits/val at one bound.
@@ -1472,10 +1401,13 @@ mod tests {
             })
         };
         let mut rows = rd_rows([warpx(1.0), warpx(0.5)]);
-        assert_eq!(broken("fig12", json_rows(&rows)), [""; 0]);
+        assert_eq!(
+            broken("fig12", report::RATE_DISTORTION.json(&rows)),
+            [""; 0]
+        );
         let (lr, itp) = (rows[2].bits_per_value, rows[8].bits_per_value);
         (rows[2].bits_per_value, rows[8].bits_per_value) = (itp, lr);
-        let failed = broken("fig12", json_rows(&rows));
+        let failed = broken("fig12", report::RATE_DISTORTION.json(&rows));
         assert_eq!(
             failed,
             ["fig12: eb 1e-3: SZ-L/R bits/val 2e0 is not above SZ-Itp's 4e0"]
@@ -1502,10 +1434,10 @@ mod tests {
                 (0.4, 45.3, 4.5e-2),
             ],
         ]);
-        assert_eq!(broken("fig13", json_rows(&nyx)), [""; 0]);
+        assert_eq!(broken("fig13", report::RATE_DISTORTION.json(&nyx)), [""; 0]);
         let mut rows = nyx.clone();
         rows[4].bits_per_value = 2.5;
-        let failed = broken("fig13", json_rows(&rows));
+        let failed = broken("fig13", report::RATE_DISTORTION.json(&rows));
         assert_eq!(failed.len(), 1, "{failed:?}");
         let start = "fig13: eb 1e-2 at 2.500 bits/val: SZ-Itp R-SSIM 1.2";
         assert!(failed[0].starts_with(start), "{failed:?}");
@@ -1515,7 +1447,7 @@ mod tests {
         );
         let mut rows = nyx;
         rows[11].rssim = 1e-2;
-        let failed = broken("fig13", json_rows(&rows));
+        let failed = broken("fig13", report::RATE_DISTORTION.json(&rows));
         assert_eq!(
             failed,
             ["fig13: eb 3e-2: SZ-Itp R-SSIM 1e-2 is not above SZ-L/R's 1.57e-2"]
@@ -1609,27 +1541,16 @@ mod tests {
     /// SZ-Interp at 1e-4, 1e-3, 1e-2, SZ-Interp one CR point ahead — but on
     /// Nyx at 1e-2, one behind (divergence #7) — and SZ-L/R's R-SSIM the
     /// lower at every bound.
-    fn table2_rows() -> Vec<experiment::CompressionRun> {
+    fn table2_rows() -> Vec<CompressionRun> {
         let mut rows = Vec::new();
         for app in Application::ALL {
             for (c, compressor) in ["SZ-L/R", "SZ-Itp"].into_iter().enumerate() {
                 for (e, rel_error_bound) in [1e-4, 1e-3, 1e-2].into_iter().enumerate() {
-                    rows.push(experiment::CompressionRun {
-                        scenario: app.label().into(),
-                        recipe: String::new(),
-                        compressor,
-                        rel_error_bound,
-                        abs_error_bound: rel_error_bound,
+                    rows.push(CompressionRun {
                         compression_ratio: (10 * (e + 1) + c) as f64,
-                        compression_ratio_f32: 0.0,
-                        bits_per_value: 1.0,
                         psnr_db: 80.0 - 20.0 * e as f64,
-                        ssim: 1.0,
                         rssim: rel_error_bound * (1 + c) as f64,
-                        max_abs_error: 0.0,
-                        compress_seconds: 0.0,
-                        decompress_seconds: 0.0,
-                        trace_id: 0,
+                        ..run(app.label(), compressor, rel_error_bound)
                     });
                 }
             }
@@ -1638,24 +1559,43 @@ mod tests {
         rows
     }
 
+    /// A run of `compressor` at `rel_error_bound` on `scenario`: one bit per
+    /// value, an SSIM of 1 and every other figure 0.
+    fn run(scenario: &str, compressor: &'static str, rel_error_bound: f64) -> CompressionRun {
+        CompressionRun {
+            scenario: scenario.into(),
+            recipe: String::new(),
+            compressor,
+            rel_error_bound,
+            abs_error_bound: rel_error_bound,
+            compression_ratio: 0.0,
+            compression_ratio_f32: 0.0,
+            bits_per_value: 1.0,
+            psnr_db: 0.0,
+            ssim: 1.0,
+            rssim: 0.0,
+            max_abs_error: 0.0,
+            compress_seconds: 0.0,
+            decompress_seconds: 0.0,
+            trace_id: 0,
+        }
+    }
+
     /// Rate-distortion points `(bits/val, PSNR, R-SSIM)` of SZ-L/R, then of
     /// SZ-Interp, at each of the figures' six bounds.
-    fn rd_rows(points: [[(f64, f64, f64); 6]; 2]) -> Vec<experiment::RateDistortionPoint> {
+    fn rd_rows(points: [[(f64, f64, f64); 6]; 2]) -> Vec<CompressionRun> {
         let series = ["SZ-L/R", "SZ-Itp"].into_iter().zip(points);
         series
             .flat_map(|(compressor, points)| {
                 RD_EBS
                     .into_iter()
                     .zip(points)
-                    .map(
-                        move |(rel_error_bound, p)| experiment::RateDistortionPoint {
-                            compressor,
-                            rel_error_bound,
-                            bits_per_value: p.0,
-                            psnr_db: p.1,
-                            rssim: p.2,
-                        },
-                    )
+                    .map(move |(eb, p)| CompressionRun {
+                        bits_per_value: p.0,
+                        psnr_db: p.1,
+                        rssim: p.2,
+                        ..run("x", compressor, eb)
+                    })
             })
             .collect()
     }

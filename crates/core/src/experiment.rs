@@ -11,7 +11,6 @@ use amrviz_compress::{
     compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, CompressError,
     CompressionStats, Compressor, ErrorBound, SzInterp, SzLr, ZfpLike,
 };
-use amrviz_json::Json;
 use amrviz_metrics::{quality, rssim, ssim2, ssim3, QualityStats, SsimConfig};
 use amrviz_render::{render_mesh, Camera, RenderOptions};
 use amrviz_viz::{
@@ -204,46 +203,26 @@ pub fn run_table1(built: &[&BuiltScenario]) -> Vec<Table1Row> {
 /// Regenerates Table 2: both compressors × three error bounds per app.
 pub fn run_table2(built: &BuiltScenario) -> Result<Vec<CompressionRun>, CompressError> {
     let _sp = amrviz_obs::span!("run.table2");
-    let mut rows = Vec::new();
-    for kind in CompressorKind::PAPER {
-        for eb in [1e-4, 1e-3, 1e-2] {
-            rows.push(run_compression(built, kind, eb)?);
-        }
-    }
-    Ok(rows)
-}
-
-/// One point of a rate-distortion curve (Figs. 12–13).
-#[derive(Debug, Clone)]
-pub struct RateDistortionPoint {
-    pub compressor: &'static str,
-    pub rel_error_bound: f64,
-    pub bits_per_value: f64,
-    pub psnr_db: f64,
-    pub rssim: f64,
+    sweep(built, &[1e-4, 1e-3, 1e-2])
 }
 
 /// Sweeps error bounds for both compressors (Fig. 12 for WarpX "Ez",
-/// Fig. 13 for Nyx "Density").
+/// Fig. 13 for Nyx "Density"); [`crate::report::RATE_DISTORTION`] shows
+/// each run as a rate-distortion point.
 pub fn run_rate_distortion(
     built: &BuiltScenario,
     ebs: &[f64],
-) -> Result<Vec<RateDistortionPoint>, CompressError> {
+) -> Result<Vec<CompressionRun>, CompressError> {
     let _sp = amrviz_obs::span!("run.rate_distortion", bounds = ebs.len());
-    let mut pts = Vec::new();
-    for kind in CompressorKind::PAPER {
-        for &eb in ebs {
-            let run = run_compression(built, kind, eb)?;
-            pts.push(RateDistortionPoint {
-                compressor: kind.label(),
-                rel_error_bound: eb,
-                bits_per_value: run.bits_per_value,
-                psnr_db: run.psnr_db,
-                rssim: run.rssim,
-            });
-        }
-    }
-    Ok(pts)
+    sweep(built, ebs)
+}
+
+/// One run per paper compressor and bound, compressor-major.
+pub fn sweep(built: &BuiltScenario, ebs: &[f64]) -> Result<Vec<CompressionRun>, CompressError> {
+    let kinds = CompressorKind::PAPER.into_iter();
+    let runs = kinds.flat_map(|kind| ebs.iter().map(move |&eb| (kind, eb)));
+    runs.map(|(kind, eb)| run_compression(built, kind, eb))
+        .collect()
 }
 
 /// Crack/gap structure of the *original* data under each method (Fig. 1).
@@ -419,88 +398,6 @@ pub fn run_viz_quality(
         }
     }
     Ok(rows)
-}
-
-impl From<&CompressionRun> for Json {
-    fn from(row: &CompressionRun) -> Json {
-        let mut o = Json::obj();
-        // Key stays "app" for continuity with pre-recipe summary.jsonl.
-        o.set("app", row.scenario.as_str())
-            .set("recipe", row.recipe.as_str())
-            .set("compressor", row.compressor)
-            .set("rel_error_bound", row.rel_error_bound)
-            .set("abs_error_bound", row.abs_error_bound)
-            .set("compression_ratio", row.compression_ratio)
-            .set("compression_ratio_f32", row.compression_ratio_f32)
-            .set("bits_per_value", row.bits_per_value)
-            .set("psnr_db", row.psnr_db)
-            .set("ssim", row.ssim)
-            .set("rssim", row.rssim)
-            .set("max_abs_error", row.max_abs_error)
-            .set("compress_seconds", row.compress_seconds)
-            .set("decompress_seconds", row.decompress_seconds);
-        if row.trace_id != 0 {
-            // Hex string, matching the journal: `crates/json` numbers are
-            // f64 and would round a raw u64 id.
-            o.set("trace", format!("{:016x}", row.trace_id));
-        }
-        o
-    }
-}
-
-impl From<&Table1Row> for Json {
-    fn from(row: &Table1Row) -> Json {
-        let mut o = Json::obj();
-        o.set("app", row.scenario.as_str())
-            .set("levels", row.levels)
-            .set("grid_sizes", row.grid_sizes.clone())
-            .set("densities", row.densities.clone())
-            .set("total_cells", row.total_cells);
-        o
-    }
-}
-
-impl From<&RateDistortionPoint> for Json {
-    fn from(row: &RateDistortionPoint) -> Json {
-        let mut o = Json::obj();
-        o.set("compressor", row.compressor)
-            .set("rel_error_bound", row.rel_error_bound)
-            .set("bits_per_value", row.bits_per_value)
-            .set("psnr_db", row.psnr_db)
-            .set("rssim", row.rssim);
-        o
-    }
-}
-
-impl From<&CrackRun> for Json {
-    fn from(row: &CrackRun) -> Json {
-        let mut o = Json::obj();
-        o.set("app", row.scenario.as_str())
-            .set("method", row.method)
-            .set("coarse_triangles", row.coarse_triangles)
-            .set("fine_triangles", row.fine_triangles)
-            .set("rim_edges", row.gap.n_rim_edges)
-            .set("rim_length", row.gap.rim_length)
-            .set("mean_gap", row.gap.mean_gap)
-            .set("max_gap", row.gap.max_gap);
-        o
-    }
-}
-
-impl From<&VizQualityRun> for Json {
-    fn from(row: &VizQualityRun) -> Json {
-        let mut o = Json::obj();
-        o.set("app", row.scenario.as_str())
-            .set("compressor", row.compressor)
-            .set("rel_error_bound", row.rel_error_bound)
-            .set("method", row.method)
-            .set("surface_error_cells", row.surface_error_cells)
-            .set("surface_error_max_cells", row.surface_error_max_cells)
-            .set("roughness_increase", row.roughness_increase)
-            .set("image_rssim", row.image_rssim)
-            .set("triangles", row.triangles);
-        o
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,11 @@
 //! * [`scenario`] — the two applications (Nyx-like, WarpX-like) with their
 //!   evaluation fields and iso-values;
 //! * [`experiment`] — runners for each table/figure of the paper;
-//! * [`report`] — plain-text table formatting for the `repro` harness;
+//! * [`report`] — the result views: one column list per table or figure
+//!   ([`report::TABLE1`], [`report::TABLE2`], [`report::RATE_DISTORTION`],
+//!   [`report::CRACKS`], [`report::VIZ_QUALITY`], [`report::SUMMARY_RUNS`])
+//!   renders its ASCII table, its `results.json` rows and its `SUMMARY`
+//!   entries;
 //! * [`args`] — the flag parser the `amrviz` and `repro` binaries share.
 //!
 //! # Quickstart
@@ -35,8 +39,7 @@ pub mod scenario;
 
 pub use experiment::{
     run_compression, run_crack_analysis, run_rate_distortion, run_table1, run_table2,
-    run_viz_quality, CompressionRun, CompressorKind, CrackRun, RateDistortionPoint, Table1Row,
-    VizQualityRun,
+    run_viz_quality, CompressionRun, CompressorKind, CrackRun, Table1Row, VizQualityRun,
 };
 pub use scenario::{Application, BuiltScenario, ScenarioSpec};
 
@@ -44,8 +47,7 @@ pub use scenario::{Application, BuiltScenario, ScenarioSpec};
 pub mod prelude {
     pub use crate::experiment::{
         run_compression, run_crack_analysis, run_rate_distortion, run_table1, run_table2,
-        run_viz_quality, CompressionRun, CompressorKind, CrackRun, RateDistortionPoint,
-        VizQualityRun,
+        run_viz_quality, CompressionRun, CompressorKind, CrackRun, VizQualityRun,
     };
     pub use crate::scenario::{Application, BuiltScenario, ScenarioSpec};
     pub use amrviz_sim::Scale;

@@ -8,7 +8,7 @@
 //! Everything is budget-checked on decode; a corrupted artifact surfaces as
 //! a typed error, never a panic or absurd allocation.
 
-use amrviz_amr::{AmrHierarchy, BoxArray, Geometry};
+use amrviz_amr::{check_structure, AmrHierarchy, BoxArray, Geometry};
 use amrviz_codec::DecodeBudget;
 use amrviz_compress::wire::{ByteReader, ByteWriter};
 use amrviz_compress::{CompressError, CompressedHierarchyField};
@@ -67,10 +67,11 @@ pub fn encode_artifact(
     w.finish()
 }
 
-/// Parses and validates an artifact. The reconstructed hierarchy passes
-/// through `AmrHierarchy::new`, which enforces structural invariants
-/// (disjoint boxes, domain coverage) — so a corrupted structure fails
-/// *here*, before any decompression is attempted.
+/// Parses and validates an artifact. The declared geometry and ratios pass
+/// [`check_structure`] before any box is read, and the reconstructed
+/// hierarchy passes through `AmrHierarchy::new`, which enforces structural
+/// invariants (disjoint boxes, domain coverage) — so a corrupted structure
+/// fails *here*, before any decompression is attempted.
 pub fn decode_artifact(bytes: &[u8], budget: &DecodeBudget) -> Result<Artifact, CompressError> {
     let mut r = ByteReader::with_budget(bytes, *budget);
     for &expect in ARTIFACT_MAGIC {
@@ -94,32 +95,21 @@ pub fn decode_artifact(bytes: &[u8], budget: &DecodeBudget) -> Result<Artifact, 
     for v in prob_hi.iter_mut() {
         *v = r.f64()?;
     }
-    for a in 0..3 {
-        if prob_hi[a] <= prob_lo[a] || !prob_lo[a].is_finite() || !prob_hi[a].is_finite() {
-            return Err(CompressError::Malformed(
-                "degenerate physical extent in artifact".into(),
-            ));
-        }
-    }
-    let n_levels = budget
-        .check_values(r.uvarint()? as usize)
-        .map_err(CompressError::Codec)?;
-    if n_levels == 0 || n_levels > 32 {
-        return Err(CompressError::Malformed(format!(
-            "implausible level count {n_levels}"
-        )));
-    }
-    let mut ratios = Vec::with_capacity(n_levels.saturating_sub(1));
+    let n_levels = r.uvarint()?;
+    // Each ratio takes at least one byte of input, so a corrupt level count
+    // stops at the end of the stream, never in a count-sized allocation.
+    let mut ratios = Vec::new();
     for _ in 1..n_levels {
-        let ratio = r.uvarint()?;
-        if !(2..=16).contains(&ratio) {
-            return Err(CompressError::Malformed(format!(
-                "implausible refinement ratio {ratio}"
-            )));
-        }
-        ratios.push(ratio as i64);
+        ratios.push(r.uvarint()? as i64);
     }
-    let mut box_arrays = Vec::with_capacity(n_levels);
+    let geom = Geometry {
+        domain,
+        prob_lo,
+        prob_hi,
+    };
+    check_structure(&geom, &ratios, budget)
+        .map_err(|e| CompressError::Malformed(format!("invalid artifact hierarchy: {e}")))?;
+    let mut box_arrays = Vec::with_capacity(ratios.len() + 1);
     for _ in 0..n_levels {
         let nboxes = budget
             .check_values(r.uvarint()? as usize)
@@ -130,7 +120,6 @@ pub fn decode_artifact(bytes: &[u8], budget: &DecodeBudget) -> Result<Artifact, 
         }
         box_arrays.push(BoxArray::new(boxes));
     }
-    let geom = Geometry::new(domain, prob_lo, prob_hi);
     let hier = AmrHierarchy::new(geom, ratios, box_arrays)
         .map_err(|e| CompressError::Malformed(format!("invalid artifact hierarchy: {e}")))?;
     let container = CompressedHierarchyField::from_bytes_budgeted(r.section()?, budget)?;
@@ -217,6 +206,41 @@ mod tests {
             matches!(&err, CompressError::Malformed(m) if m.contains("trailing bytes")),
             "{err}"
         );
+    }
+
+    /// The shared structure check runs before any box or container byte is
+    /// read: an inverted extent and a level domain past the budget (two
+    /// ratios of 16 over an 8³ base: 2048³ cells) are malformed artifacts.
+    #[test]
+    fn implausible_structures_are_malformed() {
+        let container = compress_hierarchy_field(
+            &tiny_hierarchy(),
+            "density",
+            &SzLr::default(),
+            ErrorBound::Rel(1e-3),
+            &AmrCodecConfig::default(),
+        )
+        .unwrap();
+        let domain = Box3::from_dims(8, 8, 8);
+        let inverted = Geometry {
+            domain,
+            prob_lo: [0.0; 3],
+            prob_hi: [1.0, -1.0, 1.0],
+        };
+        let flat = AmrHierarchy::new(inverted, vec![], vec![BoxArray::single(domain)]).unwrap();
+        let empty = || BoxArray::new(Vec::new());
+        let levels = vec![BoxArray::single(domain), empty(), empty()];
+        let deep = AmrHierarchy::new(Geometry::unit(domain), vec![16, 16], levels).unwrap();
+        for (hier, expect) in [
+            (flat, "physical extent -1 on axis 1"),
+            (deep, "level 2 index domain exceeds 4194304 cells"),
+        ] {
+            let bytes = encode_artifact(&hier, "density", "szlr", &container);
+            match decode_artifact(&bytes, &DecodeBudget::strict()) {
+                Err(CompressError::Malformed(m)) => assert!(m.ends_with(expect), "{m}"),
+                other => panic!("expected Malformed, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -25,14 +25,15 @@ fn main() {
     // Fig. 1 on Nyx data: cracks vs gaps vs redundant-data fix.
     println!("\ncrack/gap structure of the original data:");
     let cracks = run_crack_analysis(&built);
-    println!("{}", report::format_cracks(&cracks));
+    println!("{}", report::CRACKS.table(&cracks));
 
     // Fig. 13: rate-distortion on the irregular density field. The paper's
     // finding: unlike on WarpX, SZ-Interp does *not* dominate here, and
     // SZ-L/R wins R-SSIM at large bounds.
     println!("rate-distortion (Fig. 13):");
-    let pts = run_rate_distortion(&built, &[1e-4, 1e-3, 1e-2, 3e-2]).expect("rate-distortion runs");
-    println!("{}", report::format_rate_distortion(&pts));
+    let runs =
+        run_rate_distortion(&built, &[1e-4, 1e-3, 1e-2, 3e-2]).expect("rate-distortion runs");
+    println!("{}", report::RATE_DISTORTION.table(&runs));
 
     // §2.2 ablation: omit the redundant coarse data during compression.
     println!("redundant coarse data ablation (rel eb 1e-3):");

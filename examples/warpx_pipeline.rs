@@ -45,7 +45,7 @@ fn main() {
             .expect("viz-quality runs"),
         );
     }
-    println!("{}", report::format_viz_quality(&rows));
+    println!("{}", report::VIZ_QUALITY.table(&rows));
     println!(
         "expected shape (paper §4.1): dual-cell rows show larger surface error,\n\
          larger roughness increase and larger image R-SSIM than re-sampling rows,\n\
