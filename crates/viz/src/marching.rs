@@ -1222,6 +1222,58 @@ mod tests {
         );
     }
 
+    /// FNV-1a of the mesh buffers as emitted: every vertex's bits in vertex
+    /// order, then every triangle's indices.
+    fn raw_fnv(mesh: &TriMesh) -> u64 {
+        let vertices = mesh.vertices.iter().flatten().flat_map(|v| v.to_le_bytes());
+        let triangles = mesh
+            .triangles
+            .iter()
+            .flatten()
+            .flat_map(|i| i.to_le_bytes());
+        amrviz_rng::fnv1a_64(&vertices.chain(triangles).collect::<Vec<u8>>())
+    }
+
+    #[test]
+    fn mesh_buffers_keep_their_pinned_order() {
+        // The vertex order (node raster, then direction) and the triangle
+        // order (cube raster), pinned to the bit where only order can move
+        // them. The random grids have node rows of one to three words,
+        // more layers than a chunk, samples on the iso-value, signed zeros
+        // and NaN, and a cube mask.
+        let mut grids = vec![(sphere_grid(40, 0.35), 0.0)];
+        for seed in 0..3u64 {
+            let mut rng = amrviz_rng::Rng::seed(0x0bde + seed);
+            let dims = [[9, 5, 70], [66, 4, 40], [130, 3, 36]][seed as usize];
+            let iso = 0.25;
+            let mut grid = SampledGrid::from_fn(
+                dims,
+                [-1.3, 0.2, 2.1],
+                [0.1, 0.07, 0.013],
+                |_, _, _| match rng.below(12) {
+                    0..=2 => iso,
+                    3 => -0.0,
+                    4 if seed == 2 => f64::NAN,
+                    _ => rng.range_f64(-1.0, 1.0),
+                },
+            );
+            grid.cell_mask = Some(cube_mask(&grid, |_| rng.chance(0.8)));
+            grids.push((grid, iso));
+        }
+        let pins: [u64; 4] = [
+            0x5c10bf706cd57b8f,
+            0xb4ae1cb7fe726d30,
+            0xa02e1bca97f71e26,
+            0xea1b8e855d28580c,
+        ];
+        for ((grid, iso), want) in grids.iter().zip(pins) {
+            for chunk in [1, CHUNK] {
+                let got = raw_fnv(&extract(grid, *iso, chunk));
+                assert_eq!(got, want, "{:?} at chunk {chunk}: {got:#018x}", grid.dims);
+            }
+        }
+    }
+
     #[test]
     fn translation_invariance_of_topology() {
         // The same sphere sampled at an offset grid: equal triangle counts

@@ -61,6 +61,19 @@ pub fn mesh_fingerprint(mesh: &TriMesh) -> u64 {
     fnv1a_64(&bytes)
 }
 
+/// FNV-1a of a mesh's buffers exactly as emitted: every vertex's `f64` bits
+/// in vertex order, then every triangle's indices. Unlike
+/// [`mesh_fingerprint`] it moves when a vertex or triangle moves.
+pub fn mesh_raw_fingerprint(mesh: &TriMesh) -> u64 {
+    let vertices = mesh.vertices.iter().flatten().flat_map(|v| v.to_le_bytes());
+    let triangles = mesh
+        .triangles
+        .iter()
+        .flatten()
+        .flat_map(|i| i.to_le_bytes());
+    fnv1a_64(&vertices.chain(triangles).collect::<Vec<u8>>())
+}
+
 /// Where golden snapshots live (`tests/golden/`), anchored to the crate so
 /// the tests work from any working directory.
 pub fn golden_dir() -> PathBuf {
@@ -163,5 +176,13 @@ mod tests {
             ..mesh.clone()
         };
         assert_ne!(mesh_fingerprint(&mesh), mesh_fingerprint(&flipped));
+        // The raw fingerprint sees the order the canonical one forgets.
+        assert_ne!(mesh_raw_fingerprint(&mesh), mesh_raw_fingerprint(&shuffled));
+        let swapped = TriMesh {
+            triangles: vec![[1, 3, 2], [0, 1, 2]],
+            ..mesh.clone()
+        };
+        assert_eq!(mesh_fingerprint(&mesh), mesh_fingerprint(&swapped));
+        assert_ne!(mesh_raw_fingerprint(&mesh), mesh_raw_fingerprint(&swapped));
     }
 }

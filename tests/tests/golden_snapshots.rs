@@ -1,6 +1,7 @@
 //! Golden snapshots of the pipeline's observable outputs: per-method mesh
-//! fingerprints (triangle count + FNV-1a of the canonicalized geometry)
-//! and fixed-precision compression figures (CR, PSNR).
+//! fingerprints (triangle count + FNV-1a of the canonicalized geometry,
+//! and per level the FNV-1a of the buffers in emitted order) and
+//! fixed-precision compression figures (CR, PSNR).
 //!
 //! Any intended change to extraction or compression output is re-blessed
 //! with `BLESS=1 cargo test -p amrviz-integration-tests golden`; an
@@ -11,7 +12,9 @@ use std::fmt::Write as _;
 use amrviz_compress::{compress_hierarchy_field, AmrCodecConfig, ErrorBound};
 use amrviz_core::experiment::{run_compression, CompressorKind};
 use amrviz_core::prelude::*;
-use amrviz_integration_tests::{assert_golden, mesh_fingerprint, nyx_like, warpx_like};
+use amrviz_integration_tests::{
+    assert_golden, mesh_fingerprint, mesh_raw_fingerprint, nyx_like, warpx_like,
+};
 use amrviz_viz::extract_amr_isosurface;
 
 fn mesh_snapshot(built: &BuiltScenario) -> String {
@@ -20,6 +23,12 @@ fn mesh_snapshot(built: &BuiltScenario) -> String {
     let mut out = String::new();
     for method in IsoMethod::ALL {
         let res = extract_amr_isosurface(&built.hierarchy, levels, built.iso, method);
+        // The order of vertices and triangles, which the canonical form
+        // below forgets.
+        for (lev, mesh) in res.level_meshes.iter().enumerate() {
+            let raw = mesh_raw_fingerprint(mesh);
+            writeln!(out, "{} level={lev} raw_fnv={raw:016x}", method.label()).unwrap();
+        }
         writeln!(
             out,
             "{} triangles={} fnv={:016x}",
