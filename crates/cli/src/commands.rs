@@ -62,10 +62,12 @@ fn load(path: &str) -> Result<AmrHierarchy, String> {
     read_plotfile(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))
 }
 
-/// Iso value from `--iso` or `--quantile` (default: 0.9 quantile).
+/// Iso value from `--iso` (finite) or `--quantile` (default: 0.9 quantile).
 fn iso_value(p: &Parsed, hier: &AmrHierarchy, field: &str) -> Result<f64, String> {
-    if let Some(v) = p.opt_parse::<f64>("iso")? {
-        return Ok(v);
+    match p.opt_parse::<f64>("iso")? {
+        Some(v) if !v.is_finite() => return Err(format!("--iso must be finite, got {v}")),
+        Some(v) => return Ok(v),
+        None => {}
     }
     let q = p.opt_parse::<f64>("quantile")?.unwrap_or(0.9);
     if !(0.0..=1.0).contains(&q) {
@@ -1286,6 +1288,25 @@ mod tests {
             );
             assert!(!Path::new(out).exists(), "{out} was written");
             command(&argv(out, &["--iso", "1"])).unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A NaN or infinite `--iso` crosses no surface: `extract` and `render`
+    /// refuse it by name and write nothing.
+    #[test]
+    fn non_finite_iso_is_refused_by_name() {
+        let root = std::env::temp_dir().join(format!("amrviz_cli_iso_{}", std::process::id()));
+        let path = |leaf: &str| root.join(leaf).to_string_lossy().into_owned();
+        let (ds, obj, png) = (path("ds"), path("x.obj"), path("x.png"));
+        generate(&args(&["nyx", "--out", &ds, "--scale", "tiny"])).unwrap();
+        for iso in ["nan", "inf", "-inf"] {
+            for (command, out) in [(extract as fn(&[String]) -> _, &obj), (render, &png)] {
+                let argv = args(&[&ds, "--field", "baryon_density", "--out", out, "--iso", iso]);
+                let err = command(&argv).unwrap_err();
+                assert!(err.starts_with("--iso must be finite"), "{iso}: {err}");
+                assert!(!Path::new(out).exists(), "{iso}: {out} was written");
+            }
         }
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -28,22 +28,24 @@
 //! triangle flat into it, and the neighbour then lays the same one back.)
 //!
 //! Every cube edge runs from a corner to the next one along an axis, so a
-//! crossing is named `(lo node, direction 1, 2 or 4)` and welding needs no
-//! map: a node plane keeps a byte of crossed directions per node and the
-//! mesh index of the node's first crossing. Extraction is count → scan →
-//! emit: classify the crossed cubes of every layer, mark and count the
-//! crossings of every node plane, then let fixed chunks of planes write their
-//! vertices (node raster order) and triangles (cube raster order) into their
-//! own ranges of one pre-sized mesh — the same mesh for any chunking.
-//!
-//! Emitting is table look-ups and index arithmetic. A vertex is interpolated
-//! once, straight into the mesh, by the chunk that owns its plane; the plane
-//! on top of a chunk belongs to the chunk above, and the lower chunk only
-//! numbers it — that numbering is the one thing still done twice.
+//! crossing is named `(lo node, axis)` and welding needs no map. Extraction
+//! is count → scan → emit, the same mesh for any chunking. Count: classify
+//! the crossed cubes of every layer, and mark the crossings of every node
+//! plane 64 edges a word — per node row and axis, the inside flags XOR the
+//! flags one node on, AND the cube-mask rows around the edge. Scan: size one
+//! mesh, unwritten, and give each fixed chunk of planes its own ranges of
+//! it. Emit: a chunk numbers each plane's crossings (node raster order, then
+//! axis) by a running count over the set bits of its words, into a table of
+//! three ids per node for two planes; interpolates them straight into the
+//! mesh, one row kernel per axis; and writes each cube's triangles (cube
+//! raster order), one table load per corner. The plane on top of a chunk is
+//! the next one's to interpolate: the lower chunk writes its ids only.
 //!
 //! Cracks between AMR *levels* (the paper's Fig. 1a) are unaffected by the
 //! in-cell triangulator: they come from resolution mismatch at level
 //! interfaces and are reproduced faithfully by the level extractors.
+
+use std::mem::MaybeUninit as Uninit;
 
 use amrviz_amr::{Box3, Raster};
 
@@ -176,21 +178,6 @@ const CUBE_TRIS: [(u8, [[u8; 3]; 5]); 256] = {
     out
 };
 
-/// Per cube inside-mask and lo corner: the directions (bit `d`) of the cube
-/// edges leaving that corner whose two ends lie on different sides.
-const CROSSED_DIRS: [[u8; 8]; 256] = {
-    let mut out = [[0u8; 8]; 256];
-    let mut n = 0;
-    while n < 256 * 8 * 3 {
-        let (case, lo, d) = (n / 24, n / 3 % 8, 1 << (n % 3));
-        if lo & d == 0 && (case >> lo ^ case >> (lo | d)) & 1 == 1 {
-            out[case][lo] |= 1 << d;
-        }
-        n += 1;
-    }
-    out
-};
-
 /// The cubes of a layer that an unmasked iso-crossing passes through, in
 /// raster order — each the in-plane index `i + nx·j` of its corner-0 node
 /// and its inside-mask — and how many triangles they will emit.
@@ -237,94 +224,128 @@ fn classify(grid: &SampledGrid, inside: &Raster, k: usize) -> Layer {
     (cubes, triangles)
 }
 
-/// The crossed directions of every node of plane `q` — bit `d` set when the
-/// edge to the node `d` further on is crossed in some unmasked cube, one mesh
-/// vertex each — gathered from the cube layers below and above it, and how
+/// The crossings of a node plane, 64 edges a word — per node row its x, y
+/// and z words back to back, bit `i` of the axis-`d` words set when the edge
+/// from node `i` one node on along `d` is crossed: its ends lie on different
+/// sides and some unmasked cube contains it, one mesh vertex each — and how
 /// many crossings that makes.
-fn mark_plane([nx, ny, _]: [usize; 3], layers: &[Layer], q: usize) -> (Vec<u8>, usize) {
-    let (mut dirs, mut crossings) = (vec![0u8; nx * ny], 0);
-    for (k, corners) in [(q.wrapping_sub(1), 4..8), (q, 0..4)] {
-        for &(n0, case) in layers.get(k).map_or(&[][..], |l| &l.0) {
-            for c in corners.clone() {
-                let slot = &mut dirs[n0 as usize + (c & 1) + nx * (c >> 1 & 1)];
-                let crossed = CROSSED_DIRS[case as usize][c];
-                crossings += (crossed & !*slot).count_ones() as usize;
-                *slot |= crossed;
-            }
+type Marks = (Vec<u64>, usize);
+
+/// [`Marks`] of node plane `q`. An edge's ends differ where its node row's
+/// `inside` flags differ from the row one node on; the cubes around it are
+/// the ≤ 4 in-range cube rows that contain its node row — for a y or a z
+/// edge the two of them it lies between, each cube `i` and `i − 1`.
+fn mark(grid: &SampledGrid, inside: &Raster, q: usize) -> Marks {
+    let [nx, ny, nz] = grid.dims;
+    let [cx, cy, cz] = grid.cell_dims();
+    let words = nx.div_ceil(64);
+    let unmasked = Raster::trues(Box3::from_dims(cx, 1, 1));
+    let cubes = |j: usize, k: usize| match &grid.cell_mask {
+        _ if j >= cy || k >= cz => &[][..],
+        Some(mask) => mask.row_words(j, k),
+        None => unmasked.row_words(0, 0),
+    };
+    let nodes = |j: usize, k: usize| (j < ny && k < nz).then(|| inside.row_words(j, k));
+    // Past a row's end, and in a row past the grid's, every word is zero.
+    let at = |row: &[u64], w: usize| row.get(w).copied().unwrap_or(0);
+    let mut out = vec![0; 3 * words * ny];
+    for (j, row) in out.chunks_exact_mut(3 * words).enumerate() {
+        let (jm, qm) = (j.wrapping_sub(1), q.wrapping_sub(1));
+        let around = [cubes(jm, qm), cubes(jm, q), cubes(j, qm), cubes(j, q)];
+        let (here, on_y, on_z) = (inside.row_words(j, q), nodes(j + 1, q), nodes(j, q + 1));
+        let (on_y, on_z) = (on_y.unwrap_or_default(), on_z.unwrap_or_default());
+        let (mut last_y, mut last_z) = (0, 0);
+        for w in 0..words {
+            let [a, b, c, d] = around.map(|r| at(r, w));
+            let (y, z, h) = (c | d, b | d, here[w]);
+            row[w] = (h ^ (h >> 1 | at(here, w + 1) << 63)) & (a | b | c | d);
+            row[words + w] = (h ^ at(on_y, w)) & (y | y << 1 | last_y >> 63);
+            row[2 * words + w] = (h ^ at(on_z, w)) & (z | z << 1 | last_z >> 63);
+            (last_y, last_z) = (y, z);
         }
     }
-    (dirs, crossings)
+    let crossings = out.iter().map(|w| w.count_ones() as usize).sum();
+    (out, crossings)
 }
 
-/// One node plane's welding table.
-struct Plane<'a> {
-    /// Per node, its [`mark_plane`] byte.
-    dirs: &'a [u8],
-    /// Per node: mesh index of its lowest-direction crossing; the node's
-    /// others follow in direction order.
-    first: Vec<u32>,
-}
+/// A mesh vertex not yet written.
+type Vertex = Uninit<[f64; 3]>;
 
-struct Marcher<'a> {
+/// The counted grid, emitted a chunk of node planes at a time.
+struct Emitter<'a> {
     grid: &'a SampledGrid,
     iso: f64,
     /// [`classify`] of every cube layer, and an empty one above the top plane.
     layers: Vec<Layer>,
-    /// [`mark_plane`]'s byte rows of every node plane.
-    dirs: Vec<Vec<u8>>,
+    /// [`mark`] of every node plane.
+    marks: Vec<Marks>,
+    /// Per layer parity and [`edge`] code: where the edge's vertex id sits in
+    /// the id table, counted from the entry of the cube's corner-0 node.
+    corner: [[usize; 64]; 2],
 }
 
-impl Marcher<'_> {
-    /// Plane `q` with its crossings numbered from `base` on in node raster
-    /// order and, for the chunk that owns the plane, interpolated into
-    /// `verts`, that range of the mesh.
-    fn plane(&self, q: usize, base: u32, mut verts: Option<&mut [[f64; 3]]>) -> Plane<'_> {
-        let (g, nx) = (self.grid, self.grid.dims[0]);
-        let dirs = &self.dirs[q][..];
-        let (mut first, mut id) = (vec![0; dirs.len()], 0);
-        for (n, &crossed) in dirs.iter().enumerate().filter(|(_, &c)| c != 0) {
-            first[n] = base + id as u32;
-            let Some(verts) = &mut verts else {
-                id += crossed.count_ones() as usize;
-                continue;
-            };
-            let (p, va) = g.node([n % nx, n / nx, q], 0);
-            let mut left = crossed;
-            while left != 0 {
-                let d = left.trailing_zeros() as usize;
-                left &= left - 1;
-                // Always interpolated lo node → hi node, so every cube
-                // around the edge sees the same bits.
-                let (r, vb) = g.node([n % nx, n / nx, q], d);
-                let t = ((self.iso - va) / (vb - va)).clamp(T_EPS, 1.0 - T_EPS);
-                verts[id] = std::array::from_fn(|a| p[a] + t * (r[a] - p[a]));
-                id += 1;
+impl Emitter<'_> {
+    /// Numbers plane `q`'s crossings from `base` on, in node raster order and
+    /// then direction, into `ids` — the plane's slot of the id table, entry
+    /// `3n + d` for node `n` and axis `d`, written for every node with a
+    /// crossing and read only for its crossed axes. Given `verts`, the
+    /// plane's range of the mesh, it interpolates them into it too.
+    fn number(&self, q: usize, base: u32, ids: &mut [u32], verts: Option<&mut [Vertex]>) -> usize {
+        let g = self.grid;
+        let nx = g.dims[0];
+        let words = nx.div_ceil(64);
+        let (mut id, mut wrote, mut verts) = (base, 0, verts);
+        for (j, row) in self.marks[q].0.chunks_exact(3 * words).enumerate() {
+            for w in 0..words {
+                // A crossed node's ids are its crossed axes' in turn.
+                let axes = [row[w], row[words + w], row[2 * words + w]];
+                let mut nodes = axes[0] | axes[1] | axes[2];
+                while nodes != 0 {
+                    let b = nodes.trailing_zeros();
+                    nodes &= nodes - 1;
+                    let [x, y, z] = axes.map(|a| (a >> b & 1) as u32);
+                    let n = 3 * (64 * w + b as usize + nx * j);
+                    ids[n..n + 3].copy_from_slice(&[id, id + x, id + x + y]);
+                    id += x + y + z;
+                }
+                let Some(verts) = verts.as_deref_mut() else {
+                    continue;
+                };
+                // Then one row kernel per axis over its crossing bits.
+                for (d, mut left) in axes.into_iter().enumerate() {
+                    while left != 0 {
+                        let i = 64 * w + left.trailing_zeros() as usize;
+                        left &= left - 1;
+                        // Always interpolated lo node → hi node, so every
+                        // cube around the edge sees the same bits.
+                        let ((p, va), (r, vb)) = (g.node([i, j, q], 0), g.node([i, j, q], 1 << d));
+                        let t = ((self.iso - va) / (vb - va)).clamp(T_EPS, 1.0 - T_EPS);
+                        let v = ids[3 * (i + nx * j) + d] - base;
+                        verts[v as usize].write(std::array::from_fn(|a| p[a] + t * (r[a] - p[a])));
+                        wrote += 1;
+                    }
+                }
             }
         }
-        Plane { dirs, first }
+        wrote
     }
 
-    /// Triangulates layer `k` between its two node planes into `tris`;
-    /// returns how many triangles it wrote.
-    fn emit_layer(&self, k: usize, lo: &Plane, hi: &Plane, tris: &mut [[u32; 3]]) -> usize {
-        let nx = self.grid.dims[0];
+    /// Triangulates layer `k` into `tris` from the id table holding its two
+    /// node planes; returns how many triangles it wrote.
+    fn triangulate(&self, k: usize, ids: &[u32], tris: &mut [Uninit<[u32; 3]>]) -> usize {
+        let corner = &self.corner[k % 2];
         let mut written = 0;
         for &(n0, case) in &self.layers[k].0 {
-            // Each corner's first crossing and crossed directions.
-            let corners: [(u32, u8); 8] = std::array::from_fn(|c| {
-                let plane = if c < 4 { lo } else { hi };
-                let n = n0 as usize + (c & 1) + nx * (c >> 1 & 1);
-                (plane.first[n], plane.dirs[n])
-            });
-            let vertex = |edge: u8| {
-                let (first, dirs) = corners[(edge >> 3) as usize];
-                first + (dirs & ((1 << (edge & 7)) - 1)).count_ones()
-            };
+            let at = 3 * n0 as usize;
             let (count, list) = &CUBE_TRIS[case as usize];
-            for &[a, b, c] in &list[..*count as usize] {
-                tris[written] = [vertex(a), vertex(b), vertex(c)];
-                written += 1;
+            let count = *count as usize;
+            // All five where they fit, so that no branch waits on the count:
+            // the slots past it are written over by the cubes after.
+            let end = written + if written + 5 <= tris.len() { 5 } else { count };
+            for (out, tri) in tris[written..end].iter_mut().zip(list) {
+                out.write(tri.map(|e| ids[at + corner[e as usize]]));
             }
+            written += count;
         }
         written
     }
@@ -361,6 +382,7 @@ fn extract(grid: &SampledGrid, iso: f64, chunk: usize) -> TriMesh {
     assert!(upright, "spacing {spacing:?} is not finite and positive");
     // Count: each node's side of the iso-value, one compare and one bit a
     // node; each layer's crossed cubes; then each node plane's crossings.
+    let count = amrviz_obs::span!("march.count");
     let [nx, ny, nz] = grid.dims;
     let inside = Raster::from_rows(Box3::from_dims(nx, ny, nz), |j, k, words| {
         let row = &grid.values[nx * (j + ny * k)..][..nx];
@@ -370,56 +392,79 @@ fn extract(grid: &SampledGrid, iso: f64, chunk: usize) -> TriMesh {
     });
     let mut layers = amrviz_par::run(cz, |k| classify(grid, &inside, k));
     layers.push((Vec::new(), 0));
-    let planes = amrviz_par::run(cz + 1, |q| mark_plane(grid.dims, &layers, q));
-    let (dirs, crossings): (_, Vec<_>) = planes.into_iter().unzip();
-    let m = Marcher {
+    let marks = amrviz_par::run(cz + 1, |q| mark(grid, &inside, q));
+    let plane = 3 * nx * ny;
+    let corner = [0, 1].map(|parity| {
+        std::array::from_fn(|e| {
+            let (c, d) = (e >> 3, (e & 7) >> 1);
+            (parity ^ c >> 2) * plane + 3 * ((c & 1) + nx * (c >> 1 & 1)) + d
+        })
+    });
+    let m = Emitter {
         grid,
         iso,
         layers,
-        dirs,
+        marks,
+        corner,
     };
 
-    // Scan: size the output once and give every chunk of planes, with the
-    // layer above each, its own ranges of it.
+    // Scan: size the output once, unwritten, and give every chunk of planes,
+    // with the layer above each, its own ranges of it.
+    let crossings: Vec<usize> = m.marks.iter().map(|m| m.1).collect();
+    let nv = vertex_total(&crossings, grid.dims);
+    let nt = m.layers.iter().map(|l| l.1).sum();
     let mut mesh = TriMesh {
-        vertices: vec![[0.0; 3]; vertex_total(&crossings, grid.dims)],
-        triangles: vec![[0; 3]; m.layers.iter().map(|l| l.1).sum()],
+        vertices: Vec::with_capacity(nv),
+        triangles: Vec::with_capacity(nt),
     };
-    let (mut verts, mut tris, mut first) = (&mut mesh.vertices[..], &mut mesh.triangles[..], 0);
-    let mut parts = Vec::new();
+    let mut verts = &mut mesh.vertices.spare_capacity_mut()[..nv];
+    let mut tris = &mut mesh.triangles.spare_capacity_mut()[..nt];
+    let (mut parts, mut first) = (Vec::new(), 0);
     for (v, l) in crossings.chunks(chunk).zip(m.layers.chunks(chunk)) {
         let (nv, nt) = (v.iter().sum(), l.iter().map(|l| l.1).sum());
         let (v, t);
-        (v, verts) = verts.split_at_mut(nv);
-        (t, tris) = tris.split_at_mut(nt);
+        (v, verts) = std::mem::take(&mut verts).split_at_mut(nv);
+        (t, tris) = std::mem::take(&mut tris).split_at_mut(nt);
         parts.push((first as u32, v, t));
         first += nv;
     }
+    count.finish();
 
     // Emit: every chunk writes the vertices of its node planes and the
-    // triangles of the cube layer above each.
+    // triangles of the cube layer above each, keeping the ids of two planes.
+    let _emit = amrviz_obs::span!("march.emit");
     amrviz_par::for_each_part(parts, |c, (first, verts, tris)| {
         let own = c * chunk..(cz + 1).min((c + 1) * chunk);
-        let (mut nv, mut nt) = (0, 0);
+        let mut ids = amrviz_par::scratch::take_u32();
+        ids.resize(2 * plane, 0);
+        let (mut nv, mut nt, mut wrote) = (0, 0, 0);
         // The chunk's planes take their vertex ranges in turn. Its last layer
-        // needs the plane above it, which the next chunk owns and
-        // interpolates: that one is numbered only — from the same base.
-        let mut plane = |q: usize| {
+        // needs the ids of the plane above it too, which the next chunk owns
+        // and interpolates: here they are only written, from the same base.
+        for q in own.start..=own.end.min(cz) {
             let (base, nq) = (first + nv as u32, crossings[q]);
             let range = own.contains(&q).then(|| {
                 nv += nq;
                 &mut verts[nv - nq..nv]
             });
-            m.plane(q, base, range)
-        };
-        let mut lo = plane(own.start);
-        for k in own.start..own.end.min(cz) {
-            let hi = plane(k + 1);
-            nt += m.emit_layer(k, &lo, &hi, &mut tris[nt..]);
-            lo = hi;
+            wrote += m.number(q, base, &mut ids[q % 2 * plane..][..plane], range);
+            if q > own.start {
+                nt += m.triangulate(q - 1, &ids, &mut tris[nt..]);
+            }
         }
-        debug_assert_eq!((nv, nt), (verts.len(), tris.len()), "count ≠ emit");
+        amrviz_par::scratch::give_u32(ids);
+        assert_eq!((wrote, nt), (verts.len(), tris.len()), "count ≠ emit");
     });
+    // SAFETY: `for_each_part` has returned, so every chunk has passed its
+    // `count ≠ emit` assert. So it wrote as many vertices as its range of
+    // `vertices` holds, each at its own rank among its plane's crossings,
+    // and its triangles one after another up to the end of its range of
+    // `triangles` (a slot written past a cube's count is written again by
+    // the cubes after it). The first `nv` and `nt` elements are initialized.
+    unsafe {
+        mesh.vertices.set_len(nv);
+        mesh.triangles.set_len(nt);
+    }
     mesh
 }
 

@@ -36,7 +36,7 @@ pub fn extract_resampled_level(
     let valid = hier.valid_mask(lev);
     let mut nodes = amrviz_par::scratch::take_f64();
     let sp_nodes = amrviz_obs::span!("resample.nodes", level = lev);
-    node_averages(level_data, &valid, &mut nodes);
+    average_to_nodes(level_data, &valid, &mut nodes);
     sp_nodes.finish();
 
     // March the level's unique cells only: valid and not covered.
@@ -54,23 +54,35 @@ pub fn extract_resampled_level(
     mesh
 }
 
-/// Node planes per task of [`node_averages`]. A task rasterizes the cell
+/// Node planes per task of [`average_to_nodes`]. A task rasterizes the cell
 /// planes its nodes touch, one more than it has node planes.
 const NODE_PLANES: usize = 8;
+
+/// Per byte of valid flags, its eight cells' weights: a byte each, 1 if
+/// valid.
+const WEIGHTS: [u64; 256] = {
+    let (mut out, mut n) = ([0; 256], 0);
+    while n < 256 * 8 {
+        out[n / 8] |= (((n / 8) >> (n % 8) & 1) << (8 * (n % 8))) as u64;
+        n += 1;
+    }
+    out
+};
 
 /// The vertex-centered grid of a level — its cells `level`, its domain
 /// `valid`'s region — written over `nodes`: node (i, j, k) averages the ≤ 8
 /// adjacent valid cells (`+0.0` where there is none). At patch boundaries
 /// the average is one-sided — the "dangling node" conflict responsible for
 /// cracks. Parallel over slabs of node planes.
-fn node_averages(level: &MultiFab, valid: &Raster, nodes: &mut Vec<f64>) {
+fn average_to_nodes(level: &MultiFab, valid: &Raster, nodes: &mut Vec<f64>) {
     let dom = valid.region();
     let [cx, cy, cz] = dom.size();
     let (nnx, plane) = (cx + 1, (cx + 1) * (cy + 1));
     nodes.clear();
     nodes.resize(plane * (cz + 1), 0.0);
     amrviz_par::for_each_chunk_mut(nodes, NODE_PLANES * plane, |s, slab| {
-        // The dense cell planes `ck0..ck1` under and over the slab's nodes.
+        // The dense cell planes `ck0..ck1` under and over the slab's nodes,
+        // in a rented buffer, and beside each cell its weight: 1 if valid.
         let nk0 = s * NODE_PLANES;
         let (ck0, ck1) = (nk0.saturating_sub(1), (nk0 + slab.len() / plane).min(cz));
         let (lo, hi) = (dom.lo(), dom.hi());
@@ -78,46 +90,67 @@ fn node_averages(level: &MultiFab, valid: &Raster, nodes: &mut Vec<f64>) {
             IntVect::new(lo[0], lo[1], lo[2] + ck0 as i64),
             IntVect::new(hi[0], hi[1], lo[2] + ck1 as i64 - 1),
         );
-        let mut cells = vec![0.0; planes.num_cells()];
+        let (mut cells, mut weights) =
+            (amrviz_par::scratch::take_f64(), vec![0; planes.num_cells()]);
+        cells.resize(planes.num_cells(), 0.0);
         rasterize_into(level, planes, &mut cells);
-        // One cell row, invalid cells as zero, with one absent cell (zero,
-        // uncounted) before and after it; and the node row's cell counts.
-        let (mut w, mut c, mut cnt) = (vec![0.0; cx + 2], vec![0u32; cx + 2], vec![0u32; nnx]);
-        for (n, out) in slab.chunks_exact_mut(nnx).enumerate() {
-            let (nj, nk) = (n % (cy + 1), nk0 + n / (cy + 1));
-            cnt.fill(0);
-            // The ≤ 4 cell rows touching this node row, z-major, each added
-            // x pair innermost: every node's sum keeps its (z, y, x) order,
-            // and adding `+0.0` cannot change a sum that started at `+0.0`.
-            for r in 0..4 {
-                let (cj, ck) = (
-                    (nj + (r & 1)).wrapping_sub(1),
-                    (nk + (r >> 1)).wrapping_sub(1),
-                );
-                if cj >= cy || ck >= cz {
+        // Invalid cells count as absent: zero, of weight zero. A word of
+        // valid flags at a time, a word of valid cells at once.
+        let rows = cells.chunks_exact_mut(cx).zip(weights.chunks_exact_mut(cx));
+        for (r, (cells, weights)) in rows.enumerate() {
+            let flags = valid.row_words(r % cy, ck0 + r / cy);
+            let words = cells.chunks_mut(64).zip(weights.chunks_mut(64));
+            for (&f, (c, w)) in flags.iter().zip(words) {
+                if f == u64::MAX {
+                    w.fill(1);
                     continue;
                 }
-                let flags = valid.row_words(cj, ck);
-                let row = cells[cx * (cj + cy * (ck - ck0))..][..cx]
-                    .iter()
-                    .enumerate();
-                for ((w, c), (i, &v)) in w[1..].iter_mut().zip(&mut c[1..]).zip(row) {
-                    let valid = flags[i / 64] >> (i % 64) & 1 == 1;
-                    (*w, *c) = (if valid { v } else { 0.0 }, valid as u32);
+                for (k, w) in w.chunks_mut(8).enumerate() {
+                    w.copy_from_slice(
+                        &WEIGHTS[(f >> (8 * k)) as usize & 255].to_le_bytes()[..w.len()],
+                    );
                 }
-                for (node, w) in out.iter_mut().zip(w.windows(2)) {
-                    *node = (*node + w[0]) + w[1];
-                }
-                for (cnt, c) in cnt.iter_mut().zip(c.windows(2)) {
-                    *cnt += c[0] + c[1];
-                }
-            }
-            for (node, &cnt) in out.iter_mut().zip(&cnt) {
-                if cnt > 0 {
-                    *node /= cnt as f64;
+                for (c, &w) in c.iter_mut().zip(&*w) {
+                    *c = f64::from_bits(c.to_bits() & u64::from(w).wrapping_neg());
                 }
             }
         }
+        // An absent cell row reads as invalid cells.
+        let absent = (vec![0.0; cx], vec![0; cx]);
+        for (n, out) in slab.chunks_exact_mut(nnx).enumerate() {
+            let (nj, nk) = (n % (cy + 1), nk0 + n / (cy + 1));
+            // The 4 cell rows around this node row, z-major: node i sums
+            // cells i − 1 and i of each in turn — the end nodes have an
+            // absent one — and divides by how many were valid. Invalid cells
+            // add `+0.0`, which cannot change a sum that started at `+0.0`;
+            // an empty sum is `+0.0`, and `+0.0 / 1` keeps it.
+            let rows: [(&[f64], &[u8]); 4] = std::array::from_fn(|r| {
+                let [cj, ck] = [nj + (r & 1), nk + (r >> 1)].map(|c| c.wrapping_sub(1));
+                let at = (cj < cy && ck < cz).then(|| cx * (cj + cy * (ck - ck0)));
+                at.map_or((&absent.0[..], &absent.1[..]), |at| {
+                    (&cells[at..][..cx], &weights[at..][..cx])
+                })
+            });
+            let end = |c: usize| {
+                let (s, n) = rows
+                    .iter()
+                    .fold((0.0, 0), |(s, n), (v, w)| (s + v[c], n + w[c]));
+                s / f64::from(n.max(1))
+            };
+            (out[0], out[cx]) = (end(0), end(cx - 1));
+            // The inner nodes the same way, with every cell in range.
+            let lo = rows.map(|(v, w)| (&v[..cx - 1], &w[..cx - 1]));
+            let hi = rows.map(|(v, w)| (&v[1..cx], &w[1..cx]));
+            for (i, out) in out[1..cx].iter_mut().enumerate() {
+                let (mut s, mut n) = (0.0, 0u8);
+                for (lo, hi) in lo.iter().zip(&hi) {
+                    s = (s + lo.0[i]) + hi.0[i];
+                    n += lo.1[i] + hi.1[i];
+                }
+                *out = s / f64::from(n.max(1));
+            }
+        }
+        amrviz_par::scratch::give_f64(cells);
     });
 }
 
@@ -161,9 +194,9 @@ mod tests {
         h
     }
 
-    /// [`node_averages`] one node at a time: the per-node loop the row kernel
+    /// [`average_to_nodes`] one node at a time: the per-node loop the row kernel
     /// replaced, kept as its oracle.
-    fn node_averages_oracle(cells: &[f64], valid: &Raster) -> Vec<f64> {
+    fn per_node_oracle(cells: &[f64], valid: &Raster) -> Vec<f64> {
         let [cx, cy, cz] = valid.region().size();
         let (nnx, nny) = (cx + 1, cy + 1);
         let mut nodes = vec![0.0f64; nnx * nny * (cz + 1)];
@@ -192,7 +225,14 @@ mod tests {
     fn node_rows_match_the_per_node_oracle_to_the_bit() {
         amrviz_rng::check(0x40de, 40, |rng| {
             // Node slabs of `NODE_PLANES` planes: one, two and three of them.
-            let [cx, cy, cz] = [7, 7, 3 * NODE_PLANES].map(|n| rng.range_usize(1, n));
+            // Rows of one word, or of up to three with long runs of valid
+            // cells, so that whole words are valid.
+            let wide = rng.chance(0.5);
+            let [cx, cy, cz] = match wide {
+                false => [7, 7, 3 * NODE_PLANES],
+                true => [140, 3, 2 * NODE_PLANES],
+            };
+            let [cx, cy, cz] = [cx, cy, cz].map(|n| rng.range_usize(1, n));
             let lo = IntVect::new(3, -2, 5);
             let dom = Box3::new(lo, lo + IntVect([cx, cy, cz].map(|n| n as i64 - 1)));
             // Valid cells come in runs, so whole neighbourhoods are invalid;
@@ -200,7 +240,7 @@ mod tests {
             let (mut valid, mut on) = (Raster::falses(dom), true);
             let cells: Vec<f64> = (0..dom.num_cells())
                 .map(|n| {
-                    if rng.chance(0.2) {
+                    if rng.chance(if wide { 0.01 } else { 0.2 }) {
                         on = !on;
                     }
                     let at = [n % cx, n / cx % cy, n / (cx * cy)];
@@ -223,8 +263,8 @@ mod tests {
                 Fab::from_fn(plane, |iv| cells[dom.offset(iv)])
             });
             let mut got = vec![f64::NAN; 5];
-            node_averages(&MultiFab::from_fabs(fabs.collect()), &valid, &mut got);
-            let want = node_averages_oracle(&cells, &valid);
+            average_to_nodes(&MultiFab::from_fabs(fabs.collect()), &valid, &mut got);
+            let want = per_node_oracle(&cells, &valid);
             let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             assert_eq!(bits(got), bits(want));
         });
