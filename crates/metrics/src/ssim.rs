@@ -367,11 +367,47 @@ mod tests {
             };
             let (a, b) = noisy_pair(dims, rng);
             let want = ssim3_chunked(&a, &b, dims, &cfg, 1).to_bits();
-            for chunk in [3, 8, 1000] {
+            let oz = Axis::new(dims[2], &cfg).origins();
+            for chunk in [3, 8, oz, 1000] {
                 let got = ssim3_chunked(&a, &b, dims, &cfg, chunk).to_bits();
                 assert_eq!(got, want, "{dims:?} {cfg:?} chunk {chunk}");
             }
         });
+    }
+
+    #[test]
+    fn scores_are_pinned_to_the_bit() {
+        // Origin counts off a multiple of 4 and the last origin clamped on
+        // every axis; a 2D image; a volume with one thin axis.
+        let stride1 = SsimConfig {
+            window: 5,
+            stride: 1,
+            ..Default::default()
+        };
+        let cases = [
+            (
+                [22, 18, 40],
+                SsimConfig::default(),
+                0x9153,
+                4606825789807712877,
+            ),
+            (
+                [38, 30, 1],
+                SsimConfig::default(),
+                0x9154,
+                4606825776960905201,
+            ),
+            ([19, 2, 26], stride1, 0x9155, 4606472733071388894),
+        ];
+        for (dims, cfg, seed, want) in cases {
+            let (a, b) = noisy_pair(dims, &mut Rng::seed(seed));
+            let got = ssim3(&a, &b, dims, &cfg);
+            assert_eq!(got.to_bits(), want, "{dims:?} {cfg:?}: {got}");
+        }
+        // The 2D image scores the same through `ssim2`.
+        let (img, rec) = noisy_pair([38, 30, 1], &mut Rng::seed(0x9154));
+        let flat = ssim2(&img, &rec, [38, 30], &SsimConfig::default());
+        assert_eq!(flat.to_bits(), cases[1].3);
     }
 
     #[test]
