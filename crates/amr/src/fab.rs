@@ -103,16 +103,6 @@ impl Fab {
         self.bx.cells().zip(self.data.iter().copied())
     }
 
-    /// Minimum value (NaNs propagate as in `f64::min`).
-    pub fn min(&self) -> f64 {
-        self.data.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Maximum value.
-    pub fn max(&self) -> f64 {
-        self.data.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Copies the overlap region from `src` into `self`. Returns the number
     /// of cells copied (0 when the boxes do not overlap).
     pub fn copy_from(&mut self, src: &Fab) -> usize {
@@ -236,8 +226,7 @@ mod tests {
         let fab = Fab::from_fn(bx, |iv| (iv[0] * 100 + iv[1] * 10 + iv[2]) as f64);
         assert_eq!(fab.get(IntVect::new(2, 3, 1)), 231.0);
         assert_eq!(fab.try_get(IntVect::new(0, 0, 0)), None);
-        assert_eq!(fab.min(), 111.0);
-        assert_eq!(fab.max(), 333.0);
+        assert_eq!(amrviz_par::min_max(fab.data()), (111.0, 333.0));
     }
 
     #[test]

@@ -64,31 +64,12 @@ impl MultiFab {
         self.fabs.iter().find_map(|f| f.try_get(iv))
     }
 
-    /// Global minimum across all fabs.
-    pub fn min(&self) -> f64 {
-        amrviz_par::run(self.fabs.len(), |i| self.fabs[i].min())
-            .into_iter()
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Global maximum across all fabs.
-    pub fn max(&self) -> f64 {
-        amrviz_par::run(self.fabs.len(), |i| self.fabs[i].max())
-            .into_iter()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// `(min, max)` in a single pass. Per-fab extrema are computed in
     /// parallel and folded in box order, so the result is thread-count
     /// independent.
     pub fn min_max(&self) -> (f64, f64) {
         amrviz_par::run(self.fabs.len(), |i| {
-            self.fabs[i]
-                .data()
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                    (lo.min(v), hi.max(v))
-                })
+            amrviz_par::min_max(self.fabs[i].data())
         })
         .into_iter()
         .fold((f64::INFINITY, f64::NEG_INFINITY), |(al, ah), (bl, bh)| {
@@ -177,8 +158,6 @@ mod tests {
         assert_eq!(mf.num_cells(), ba.num_cells());
         assert_eq!(mf.value_at(IntVect::new(6, 1, 2)), Some(6.0));
         assert_eq!(mf.value_at(IntVect::new(8, 0, 0)), None);
-        assert_eq!(mf.min(), 0.0);
-        assert_eq!(mf.max(), 7.0);
         assert_eq!(mf.min_max(), (0.0, 7.0));
     }
 

@@ -45,11 +45,7 @@ impl UniformField {
     }
 
     pub fn min_max(&self) -> (f64, f64) {
-        self.data
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                (lo.min(v), hi.max(v))
-            })
+        amrviz_par::min_max(&self.data)
     }
 }
 

@@ -37,11 +37,7 @@ impl<'a> Field3View<'a> {
         if self.data.is_empty() {
             return (0.0, 0.0);
         }
-        self.data
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                (lo.min(v), hi.max(v))
-            })
+        amrviz_par::min_max(self.data)
     }
 
     /// Value range `max − min`.

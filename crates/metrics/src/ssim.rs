@@ -19,11 +19,15 @@
 //! They are built in three passes, each a direct `w`-term sum: x-window
 //! sums of every row at the x origins, y-window sums of those at the y
 //! origins (one *plane sum* per z), then the z-window sum of `w` plane sums
-//! per origin, from which the SSIM expression is evaluated once. With the
-//! default window 7 and stride 2 that is ≈ 28 additions per cell (16 in the
-//! x pass, 8 in y, 4 in z) and three multiplications, against 5 · 7³ / 2³ ≈
-//! 214 additions and 129 multiplications when every window is summed from
-//! scratch.
+//! per origin, from which the SSIM expression is evaluated once. Every
+//! pass sums four origins per loop: four independent chains of adds that
+//! overlap, where a single window waits on each add before the next. Each
+//! window still adds its terms in the same order from 0.0.
+//!
+//! The z origins are split into one pool task per thread. A task's first
+//! window re-sums the `w − stride` planes it shares with the previous
+//! task's last, so fewer tasks waste less; the score does not depend on
+//! the split.
 //!
 //! Every window sum is still the sum of the same `w³` products, only
 //! re-associated. Running sums (add the entering term, subtract the
@@ -62,11 +66,6 @@ impl Default for SsimConfig {
 /// The five sums a window needs: Σa, Σb, Σa², Σb², Σab.
 const Q: usize = 5;
 type Sums = [f64; Q];
-
-/// z origins per pool task. A task's first `w − stride` plane sums repeat
-/// the previous task's last ones, so a larger chunk wastes less; a smaller
-/// one gives the pool more to share. The score does not depend on it.
-const Z_CHUNK: usize = 16;
 
 /// Window placement along one axis of `n` cells: the window (clamped to the
 /// axis) sits at every `stride`-th origin that fits, and at the last one
@@ -109,6 +108,43 @@ fn sum_terms<'a>(terms: impl Iterator<Item = &'a Sums>) -> Sums {
     acc
 }
 
+/// Four windows summed at once, each exactly as [`sum_terms`] sums it:
+/// window `k` adds `row(t)[at[k]]` for `t` in `0..w`, in order, onto 0.0.
+/// The four chains are independent, so their adds overlap where a single
+/// window's chain waits on each one.
+#[inline(always)]
+fn sum_terms4<'a>(w: usize, at: [usize; 4], row: impl Fn(usize) -> &'a [Sums]) -> [Sums; 4] {
+    let mut acc = [[0.0; Q]; 4];
+    for t in 0..w {
+        let row = row(t);
+        for (acc, &i) in acc.iter_mut().zip(&at) {
+            for (a, v) in acc.iter_mut().zip(&row[i]) {
+                *a += v;
+            }
+        }
+    }
+    acc
+}
+
+/// `out[i]` receives the sums of the window at origin `i`, whose term `t`
+/// is `row(t)[at(i)]`: four origins per loop, the remainder one at a time.
+#[inline(always)]
+fn window_sums<'a>(
+    out: &mut [Sums],
+    w: usize,
+    at: impl Fn(usize) -> usize,
+    row: impl Fn(usize) -> &'a [Sums],
+) {
+    let (quads, rest) = out.as_chunks_mut::<4>();
+    let done = 4 * quads.len();
+    for (q, sums) in quads.iter_mut().enumerate() {
+        *sums = sum_terms4(w, std::array::from_fn(|k| at(4 * q + k)), &row);
+    }
+    for (i, sums) in rest.iter_mut().enumerate() {
+        *sums = sum_terms((0..w).map(|t| &row(t)[at(done + i)]));
+    }
+}
+
 /// The x and y passes over one z plane: `out[yi][xi]` receives the five
 /// sums over the `wy × wx` cells at origin `(xi, yi)`. `prod` (one row of
 /// products) and `rows` (the x-window sums of every row) are scratch.
@@ -130,21 +166,24 @@ fn plane_sums(
         for ((p, &a), &b) in prod.iter_mut().zip(a).zip(b) {
             *p = [a, b, a * a, b * b, a * b];
         }
-        for (xi, sums) in row_sums.iter_mut().enumerate() {
-            *sums = sum_terms(prod[ax.origin(xi)..][..ax.w].iter());
-        }
+        window_sums(row_sums, ax.w, |xi| ax.origin(xi), |t| &prod[t..]);
     }
     for (yi, out_row) in out.chunks_exact_mut(ox).enumerate() {
         let band = &rows[ay.origin(yi) * ox..][..ay.w * ox];
-        for (xi, sums) in out_row.iter_mut().enumerate() {
-            *sums = sum_terms(band[xi..].iter().step_by(ox));
-        }
+        window_sums(out_row, ay.w, |xi| xi, |t| &band[t * ox..][..ox]);
     }
 }
 
 /// SSIM of a 3D volume pair with dims `[nx, ny, nz]` (x-fastest layout).
 pub fn ssim3(original: &[f64], reconstructed: &[f64], dims: [usize; 3], cfg: &SsimConfig) -> f64 {
-    ssim3_chunked(original, reconstructed, dims, cfg, Z_CHUNK)
+    let oz = Axis::new(dims[2], cfg).origins();
+    ssim3_chunked(
+        original,
+        reconstructed,
+        dims,
+        cfg,
+        oz.div_ceil(amrviz_par::threads()),
+    )
 }
 
 /// [`ssim3`] with `z_chunk` z origins per pool task.
@@ -171,11 +210,7 @@ fn ssim3_chunked(
     let (ox, oy, oz) = (ax.origins(), ay.origins(), az.origins());
 
     // Dynamic range of the original defines C1/C2.
-    let (min, max) = original
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-            (lo.min(v), hi.max(v))
-        });
+    let (min, max) = amrviz_par::min_max(original);
     let range = max - min;
     if range == 0.0 {
         // Constant original: SSIM is 1 iff reconstruction matches exactly.
@@ -193,10 +228,11 @@ fn ssim3_chunked(
     let partials = amrviz_par::run(oz.div_ceil(z_chunk), |ci| {
         // Sized by one plane and the window, never by `nz`.
         let mut buf = scratch::take_f64();
-        buf.resize((nx + ny * ox + az.w * plane) * Q, 0.0);
+        buf.resize((nx + ny * ox + (az.w + 1) * plane) * Q, 0.0);
         let (buf_sums, _) = buf.as_chunks_mut::<Q>();
         let (prod, rest) = buf_sums.split_at_mut(nx);
-        let (rows, ring) = rest.split_at_mut(ny * ox);
+        let (rows, rest) = rest.split_at_mut(ny * ox);
+        let (windows, ring) = rest.split_at_mut(plane);
 
         let mut partial = Vec::with_capacity(z_chunk);
         // The ring holds plane `z` in slot `z % w`; every plane the current
@@ -220,11 +256,10 @@ fn ssim3_chunked(
             // Slots in z order: from the window's first plane to the end
             // of the ring, then from its start.
             let s0 = z0 % az.w;
+            let slot = |t: usize| if s0 + t < az.w { s0 + t } else { s0 + t - az.w };
+            window_sums(windows, az.w, |o| o, |t| &ring[slot(t) * plane..][..plane]);
             let mut acc = 0.0;
-            for o in 0..plane {
-                let [sx, sy, sxx, syy, sxy] = sum_terms(
-                    (s0..s0 + az.w).map(|s| &ring[if s < az.w { s } else { s - az.w } * plane + o]),
-                );
+            for &[sx, sy, sxx, syy, sxy] in windows.iter() {
                 let mx = sx * inv_n;
                 let my = sy * inv_n;
                 let vx = (sxx * inv_n - mx * mx).max(0.0);

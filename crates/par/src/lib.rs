@@ -308,6 +308,34 @@ where
     parts.into_iter().fold(identity, combine)
 }
 
+/// `(min, max)` of `data`, ignoring NaN as `f64::min`/`f64::max` do:
+/// `(∞, −∞)` for empty or all-NaN input. Eight independent lanes of the
+/// compare-select `if x < lo { x } else { lo }` vectorise where a serial
+/// `f64::min` fold waits on each step. Every non-zero extreme has the
+/// serial fold's bits; a zero extreme may carry either sign when the data
+/// holds both `0.0` and `-0.0`, which `f64::min` leaves unspecified too.
+pub fn min_max(data: &[f64]) -> (f64, f64) {
+    const LANES: usize = 8;
+    let min = |a: f64, x: f64| if x < a { x } else { a };
+    let max = |a: f64, x: f64| if x > a { x } else { a };
+    let (rows, tail) = data.as_chunks::<LANES>();
+    let (mut lo, mut hi) = ([f64::INFINITY; LANES], [f64::NEG_INFINITY; LANES]);
+    for row in rows {
+        for i in 0..LANES {
+            lo[i] = min(lo[i], row[i]);
+            hi[i] = max(hi[i], row[i]);
+        }
+    }
+    (
+        lo.into_iter()
+            .chain(tail.iter().copied())
+            .fold(f64::INFINITY, min),
+        hi.into_iter()
+            .chain(tail.iter().copied())
+            .fold(f64::NEG_INFINITY, max),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,6 +422,52 @@ mod tests {
         assert_eq!(s1, sum_at(2));
         assert_eq!(s1, sum_at(8));
         set_threads(1);
+    }
+
+    #[test]
+    fn min_max_matches_the_serial_fold() {
+        let values = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.5,
+            -2.25,
+            3e300,
+            -7e-300,
+        ];
+        let serial = |d: &[f64]| {
+            d.iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                    (lo.min(v), hi.max(v))
+                })
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        // Lengths through two full rows of lanes and a tail.
+        for len in 0..=17 {
+            for _ in 0..2000 {
+                let d: Vec<f64> = (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        values[(state % values.len() as u64) as usize]
+                    })
+                    .collect();
+                let (got, want) = (min_max(&d), serial(&d));
+                for (g, w) in [(got.0, want.0), (got.1, want.1)] {
+                    if w == 0.0 {
+                        assert_eq!(g, w, "{d:?}");
+                    } else {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{d:?}");
+                    }
+                }
+            }
+        }
+        let none = (f64::INFINITY, f64::NEG_INFINITY);
+        assert_eq!(min_max(&[]), none);
+        assert_eq!(min_max(&[f64::NAN; 11]), none);
     }
 
     #[test]

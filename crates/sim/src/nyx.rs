@@ -264,9 +264,10 @@ mod tests {
         assert_eq!(h.field_names().len(), 6);
         // Velocities are signed; temperature positive.
         let v = h.field_level("velocity_x", 0).unwrap();
-        assert!(v.min() < 0.0 && v.max() > 0.0);
+        let (lo, hi) = v.min_max();
+        assert!(lo < 0.0 && hi > 0.0);
         let t = h.field_level("temperature", 0).unwrap();
-        assert!(t.min() > 0.0);
+        assert!(t.min_max().0 > 0.0);
     }
 
     #[test]

@@ -149,11 +149,13 @@ fn warpx_pipeline_is_bit_identical_at_1_2_8_threads() {
     let hier = warpx_like(42).hierarchy;
     let tall = hier.level_domain(hier.num_levels() - 1).size()[2];
     assert!(tall >= 3 * 32, "finest level only {tall} cells tall");
-    // `ssim3` hands out 16 z origins per task (window 7, stride 2): the
-    // score compared here must fold several tasks and a ragged last one.
+    // `ssim3` hands each pool thread one task of z origins (window 7,
+    // stride 2): at 8 threads the score compared here must fold 8 tasks
+    // and a ragged last one.
     let z_origins = (tall - 7).div_ceil(2) + 1;
+    let chunk = z_origins.div_ceil(8);
     assert!(
-        z_origins > 3 * 16 && !z_origins.is_multiple_of(16),
+        z_origins.div_ceil(chunk) == 8 && !z_origins.is_multiple_of(chunk),
         "{z_origins} z origins"
     );
     assert_thread_invariant(|| warpx_like(42), "WarpX");
