@@ -7,14 +7,14 @@ use amrviz_amr::plotfile::{read_plotfile, write_plotfile};
 use amrviz_amr::resample::{flatten_to_finest, Upsample};
 use amrviz_amr::AmrHierarchy;
 use amrviz_compress::{
-    compress_hierarchy_field, compressor_by_name, compressor_by_tag,
-    decompress_hierarchy_field_into, AmrCodecConfig, CompressedHierarchyField, CompressionStats,
-    Compressor, DecodeBudget, DecodePolicy, ErrorBound, FabStatus, SzLr, ALGORITHMS,
+    compress_hierarchy_field, compressor_by_name, decompress_hierarchy_field_into, AmrCodecConfig,
+    CompressionStats, DecodeBudget, DecodePolicy, ErrorBound, FabStatus, SzLr, ALGORITHMS,
 };
 use amrviz_core::args::{parse, Parsed};
 use amrviz_core::experiment::standard_camera;
 use amrviz_render::{render_mesh, render_slice, RenderOptions};
 use amrviz_serve::telemetry::dominant_stage;
+use amrviz_serve::{compressor_for, decode_artifact, encode_artifact, Artifact};
 use amrviz_sim::solver::AmrAdvection;
 use amrviz_sim::{quantile, NyxScenario, Scale, WarpxScenario};
 use amrviz_viz::{extract_amr_isosurface, obj, IsoMethod};
@@ -23,12 +23,6 @@ use amrviz_viz::{extract_amr_isosurface, obj, IsoMethod};
 /// command parses with its own pair, and `usage_and_parsers_agree` holds the
 /// usage text to the same lists.
 pub type Flags = (&'static [&'static str], &'static [&'static str]);
-
-fn algo(name: Option<&str>) -> Result<Box<dyn Compressor>, String> {
-    let name = name.unwrap_or("szlr");
-    compressor_by_name(name)
-        .ok_or_else(|| format!("unknown algorithm `{name}` ({})", ALGORITHMS.join("|")))
-}
 
 fn method(name: Option<&str>) -> Result<IsoMethod, String> {
     match name.unwrap_or("resampling") {
@@ -106,7 +100,7 @@ pub fn generate(argv: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown application `{other}` (nyx|warpx)")),
     };
     write_plotfile(Path::new(out), &hier).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "wrote {out}: {} levels, {} cells, fields: {:?}",
         hier.num_levels(),
         hier.total_cells(),
@@ -134,7 +128,7 @@ pub fn simulate(argv: &[String]) -> Result<(), String> {
         let h = sim.hierarchy();
         let dir = out.join(format!("plt{:05}", h.step));
         write_plotfile(&dir, h).map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "step {:>4}  t={:.4}  fine cells {:>8}  -> {}",
             h.step,
             sim.time(),
@@ -158,13 +152,13 @@ pub const INFO_FLAGS: Flags = (&[], &[]);
 pub fn info(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, INFO_FLAGS.0, INFO_FLAGS.1)?;
     let hier = load(p.positional(0, "plotfile path")?)?;
-    println!("levels:      {}", hier.num_levels());
-    println!("ref ratios:  {:?}", hier.ref_ratios());
-    println!("time/step:   {} / {}", hier.time, hier.step);
+    outln!("levels:      {}", hier.num_levels());
+    outln!("ref ratios:  {:?}", hier.ref_ratios());
+    outln!("time/step:   {} / {}", hier.time, hier.step);
     let g = hier.geometry();
-    println!("phys box:    {:?} .. {:?}", g.prob_lo, g.prob_hi);
+    outln!("phys box:    {:?} .. {:?}", g.prob_lo, g.prob_hi);
     for lev in 0..hier.num_levels() {
-        println!(
+        outln!(
             "level {lev}: domain {:?}, {} boxes, {} cells, density {:.1}%",
             hier.level_domain(lev).size(),
             hier.box_array(lev).len(),
@@ -180,7 +174,7 @@ pub fn info(argv: &[String]) -> Result<(), String> {
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(al, ah), (bl, bh)| {
                 (al.min(bl), ah.max(bh))
             });
-        println!("field {:<20} range [{lo:.6e}, {hi:.6e}]", f.name);
+        outln!("field {:<20} range [{lo:.6e}, {hi:.6e}]", f.name);
     }
     Ok(())
 }
@@ -191,8 +185,11 @@ pub fn compress(argv: &[String]) -> Result<(), String> {
     let bound = bound(&p)?;
     let hier = load(p.positional(0, "plotfile path")?)?;
     let field = p.required("field")?;
+    hier.field(field).map_err(|e| e.to_string())?;
     let out = p.required("out")?;
-    let comp = algo(p.opt("algo"))?;
+    let algo = p.opt("algo").unwrap_or("szlr");
+    let comp = compressor_by_name(algo)
+        .ok_or_else(|| format!("unknown algorithm `{algo}` ({})", ALGORITHMS.join("|")))?;
     let cfg = AmrCodecConfig {
         skip_redundant: p.switch("skip-redundant"),
         restore_redundant: false,
@@ -201,9 +198,9 @@ pub fn compress(argv: &[String]) -> Result<(), String> {
     let c = compress_hierarchy_field(&hier, field, comp.as_ref(), bound, &cfg)
         .map_err(|e| e.to_string())?;
     let secs = sp.finish();
-    std::fs::write(out, c.to_bytes()).map_err(|e| e.to_string())?;
+    std::fs::write(out, encode_artifact(&hier, field, algo, &c)).map_err(|e| e.to_string())?;
     let stats = CompressionStats::new(c.n_values, c.compressed_bytes());
-    println!(
+    outln!(
         "{} -> {out}: {} values, {} bytes, CR {:.1}x (f64) / {:.1}x (f32-equiv), \
          {:.2} bits/value, abs eb {:.3e}, {:.2} s ({:.0} MB/s)",
         comp.name(),
@@ -219,20 +216,24 @@ pub fn compress(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-pub const DECOMPRESS_FLAGS: Flags = (&["out", "field"], &["degrade"]);
-/// Decodes a compressed stream with the compressor and `skip_redundant`
-/// setting its header names, rebuilding skipped coarse cells from the finer
-/// levels.
+pub const DECOMPRESS_FLAGS: Flags = (&["out"], &["degrade"]);
+/// Decodes a file `compress` wrote into a plotfile holding its one field,
+/// on the hierarchy, time and step the file carries, with the compressor and
+/// `skip_redundant` setting it names; skipped coarse cells are rebuilt from
+/// the finer levels.
 pub fn decompress(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, DECOMPRESS_FLAGS.0, DECOMPRESS_FLAGS.1)?;
-    let hier = load(p.positional(0, "plotfile path (for structure)")?)?;
-    let stream_path = p.positional(1, "compressed stream path")?;
+    let path = p.positional(0, "compressed file path")?;
     let out = p.required("out")?;
-    let field_name = p.opt("field").unwrap_or("decompressed");
-    let bytes = std::fs::read(stream_path).map_err(|e| e.to_string())?;
-    let c = CompressedHierarchyField::from_bytes(&bytes).map_err(|e| e.to_string())?;
-    let comp = compressor_by_tag(c.compressor)
-        .ok_or_else(|| format!("{stream_path}: unknown compressor tag {:#x}", c.compressor))?;
+    let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let Artifact {
+        algo,
+        field,
+        mut hier,
+        container: c,
+    } = decode_artifact(&bytes, &DecodeBudget::default()).map_err(|e| format!("{path}: {e}"))?;
+    let comp =
+        compressor_for(&algo).ok_or_else(|| format!("{path}: unknown algorithm `{algo}`"))?;
     let cfg = AmrCodecConfig {
         skip_redundant: c.skip_redundant,
         restore_redundant: c.skip_redundant,
@@ -268,24 +269,9 @@ pub fn decompress(argv: &[String]) -> Result<(), String> {
             }
         }
     }
-    // Write a fresh plotfile holding only the decompressed field on the
-    // same structure.
-    let mut out_hier = AmrHierarchy::new(
-        *hier.geometry(),
-        hier.ref_ratios().to_vec(),
-        hier.box_arrays().to_vec(),
-    )
-    .map_err(|e| e.to_string())?;
-    out_hier.time = hier.time;
-    out_hier.step = hier.step;
-    out_hier
-        .add_field(field_name, levels)
-        .map_err(|e| e.to_string())?;
-    write_plotfile(Path::new(out), &out_hier).map_err(|e| e.to_string())?;
-    println!(
-        "wrote {out} with field `{field_name}` (abs eb {:.3e})",
-        c.abs_eb
-    );
+    hier.add_field(&field, levels).map_err(|e| e.to_string())?;
+    write_plotfile(Path::new(out), &hier).map_err(|e| e.to_string())?;
+    outln!("wrote {out} with field `{field}` (abs eb {:.3e})", c.abs_eb);
     Ok(())
 }
 
@@ -306,7 +292,7 @@ pub fn extract(argv: &[String]) -> Result<(), String> {
         .collect();
     let mesh = res.into_combined();
     obj::save_obj(Path::new(out), &mesh).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{} @ iso {iso:.6e}: {} triangles ({} per-level) -> {out}",
         m.label(),
         mesh.num_triangles(),
@@ -347,7 +333,7 @@ pub fn render(argv: &[String]) -> Result<(), String> {
             let iso = iso_value(&p, &hier, field)?;
             let levels = &hier.field(field).map_err(|e| e.to_string())?.levels;
             let mesh = extract_amr_isosurface(&hier, levels, iso, m).into_combined();
-            println!(
+            outln!(
                 "surface @ iso {iso:.6e}: {} triangles",
                 mesh.num_triangles()
             );
@@ -358,11 +344,11 @@ pub fn render(argv: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown mode `{other}` (surface|slice)")),
     };
     img.save_png(Path::new(out)).map_err(|e| e.to_string())?;
-    println!("wrote {out} ({}x{})", img.width, img.height);
+    outln!("wrote {out} ({}x{})", img.width, img.height);
     Ok(())
 }
 
-pub const DIFF_FLAGS: Flags = (&["field", "field-b"], &[]);
+pub const DIFF_FLAGS: Flags = (&["field"], &[]);
 /// Compares a field across two plotfiles on the uniform-resolution merge:
 /// PSNR, SSIM, R-SSIM, max error — the quality check for a compression
 /// round-trip.
@@ -370,10 +356,9 @@ pub fn diff(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, DIFF_FLAGS.0, DIFF_FLAGS.1)?;
     let ha = load(p.positional(0, "first plotfile")?)?;
     let hb = load(p.positional(1, "second plotfile")?)?;
-    let fa = p.required("field")?;
-    let fb = p.opt("field-b").unwrap_or(fa);
-    let ua = flatten_to_finest(&ha, fa, Upsample::PiecewiseConstant).map_err(|e| e.to_string())?;
-    let ub = flatten_to_finest(&hb, fb, Upsample::PiecewiseConstant).map_err(|e| e.to_string())?;
+    let f = p.required("field")?;
+    let ua = flatten_to_finest(&ha, f, Upsample::PiecewiseConstant).map_err(|e| e.to_string())?;
+    let ub = flatten_to_finest(&hb, f, Upsample::PiecewiseConstant).map_err(|e| e.to_string())?;
     if ua.dims() != ub.dims() {
         return Err(format!(
             "shape mismatch: {:?} vs {:?}",
@@ -388,13 +373,13 @@ pub fn diff(argv: &[String]) -> Result<(), String> {
         ua.dims(),
         &amrviz_metrics::SsimConfig::default(),
     );
-    println!("samples:     {}", q.n);
-    println!("range (A):   {:.6e}", q.range);
-    println!("max |err|:   {:.6e}", q.max_abs_err);
-    println!("RMSE:        {:.6e}", q.rmse);
-    println!("PSNR:        {:.2} dB", q.psnr);
-    println!("SSIM:        {:.9}", s);
-    println!("R-SSIM:      {:.3e}", 1.0 - s);
+    outln!("samples:     {}", q.n);
+    outln!("range (A):   {:.6e}", q.range);
+    outln!("max |err|:   {:.6e}", q.max_abs_err);
+    outln!("RMSE:        {:.6e}", q.rmse);
+    outln!("PSNR:        {:.2} dB", q.psnr);
+    outln!("SSIM:        {:.9}", s);
+    outln!("R-SSIM:      {:.3e}", 1.0 - s);
     Ok(())
 }
 
@@ -415,7 +400,7 @@ pub fn torture(argv: &[String]) -> Result<(), String> {
         return Err("--iters must be at least 1".into());
     }
     let report = amrviz_fault::run_torture(&cfg);
-    println!("TORTURE {}", report.to_json());
+    outln!("TORTURE {}", report.to_json());
     if report.passed() {
         Ok(())
     } else {
@@ -895,7 +880,7 @@ fn serve_torture(p: &Parsed) -> Result<(), String> {
         return Err("--iters must be at least 1".into());
     }
     let report = amrviz_serve::torture::run(&cfg);
-    println!("SERVE_TORTURE {}", report.to_json_line());
+    outln!("SERVE_TORTURE {}", report.to_json_line());
     if report.passed() {
         Ok(())
     } else {
@@ -940,9 +925,7 @@ fn seed_store(dir: &Path, n: usize, seed: u64) -> Result<Vec<u64>, String> {
             compress_hierarchy_field(&hier, field, &SzLr::default(), ErrorBound::Rel(1e-3), &cfg)
                 .map_err(|e| format!("seeding store: {e}"))?;
         let key = store
-            .put(&amrviz_serve::encode_artifact(
-                &hier, field, "szlr", &container,
-            ))
+            .put(&encode_artifact(&hier, field, "szlr", &container))
             .map_err(|e| e.to_string())?;
         keys.push(key);
     }
@@ -975,7 +958,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         let seed = p.opt_parse::<u64>("seed")?.unwrap_or(1);
         let keys = seed_store(&store_dir, n, seed)?;
         let hex: Vec<String> = keys.iter().map(|k| format!("\"{k:016x}\"")).collect();
-        println!("SERVE_KEYS [{}]", hex.join(","));
+        outln!("SERVE_KEYS [{}]", hex.join(","));
     }
     if shutdown_after.is_none() {
         eprintln!("note: no --shutdown-after given; serving until killed");
@@ -1005,8 +988,8 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     };
     // Machine-readable address line for scripts (CI parses this).
     match &proxy {
-        Some(pr) => println!("SERVE_LISTENING addr={} chaos={}", server.addr(), pr.addr()),
-        None => println!("SERVE_LISTENING addr={}", server.addr()),
+        Some(pr) => outln!("SERVE_LISTENING addr={} chaos={}", server.addr(), pr.addr()),
+        None => outln!("SERVE_LISTENING addr={}", server.addr()),
     }
     let _ = std::io::stdout().flush();
 
@@ -1016,7 +999,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     if let Some(pr) = proxy {
         pr.stop();
     }
-    println!("SERVE_STATS {}", stats.to_json_line());
+    outln!("SERVE_STATS {}", stats.to_json_line());
     if stats.panics > 0 || stats.post_deadline_responses > 0 {
         return Err(format!(
             "serve invariants violated: {} panic(s), {} post-deadline response(s)",
@@ -1084,8 +1067,8 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
     };
 
     let report = amrviz_serve::loadgen::run(&cfg, &keys);
-    println!("LOADGEN {}", report.to_json_line());
-    println!(
+    outln!("LOADGEN {}", report.to_json_line());
+    outln!(
         "loadgen: {} requests ({} attempts), p50 {:.1} ms, p99 {:.1} ms, success {:.1}%",
         report.requests,
         report.attempts,
@@ -1118,7 +1101,7 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
             p99_us: report.p99_us,
         };
         let eval = amrviz_serve::slo::evaluate(&spec, &[reading]);
-        println!("LOADGEN_SLO {}", eval.to_json());
+        outln!("LOADGEN_SLO {}", eval.to_json());
         if eval.breached() {
             return Err(format!(
                 "SLO {} breached over the run ({good}/{} good, p99 {:.1} ms)",
@@ -1228,7 +1211,8 @@ mod tests {
 
     /// A non-finite or non-positive error bound is refused by name before
     /// any input is read; one that only overflows against the data's range
-    /// is a typed error, not a panic. Neither writes an output.
+    /// is a typed error, not a panic, and so is a field the plotfile lacks.
+    /// None writes an output.
     #[test]
     fn bad_error_bounds_are_refused_by_name() {
         let root = std::env::temp_dir().join(format!("amrviz_cli_eb_{}", std::process::id()));
@@ -1255,6 +1239,11 @@ mod tests {
             );
             assert!(!Path::new(&out).exists(), "{flag} {eb} wrote {out}");
         }
+        // A field the plotfile lacks is named as such: there is no stream
+        // to call malformed yet.
+        let err = compress(&args(&[&ds, "--field", "nope", "--out", &out])).unwrap_err();
+        assert_eq!(err, "unknown field: nope");
+        assert!(!Path::new(&out).exists(), "unknown field wrote {out}");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1329,9 +1318,10 @@ mod tests {
     }
 
     /// `decompress` takes the compressor and `skip_redundant` from the
-    /// stream's header: every algorithm, with and without skipping, comes
+    /// file's header: every algorithm, with and without skipping, comes
     /// back within the pointwise bound with no flag naming either, and the
-    /// flags that used to are refused.
+    /// flags that used to are refused. The original plotfile is gone by
+    /// then: the file carries the structure it decodes against.
     #[test]
     fn decompress_reads_its_configuration_from_the_header() {
         let root = std::env::temp_dir().join(format!("amrviz_cli_rt_{}", std::process::id()));
@@ -1343,42 +1333,93 @@ mod tests {
         .unwrap();
         let orig = load(&ds).unwrap();
         let field = orig.field("baryon_density").unwrap();
-        for algo in ALGORITHMS {
-            for skip in [false, true] {
-                let stream = path(&format!("{algo}_{skip}.amrz"));
-                let mut argv = args(&[&ds, "--field", "baryon_density", "--out", &stream]);
-                argv.extend(args(&["--algo", algo, "--rel", "1e-3"]));
-                if skip {
-                    argv.push("--skip-redundant".into());
-                }
-                compress(&argv).unwrap();
-                let bytes = std::fs::read(&stream).unwrap();
-                let eb = CompressedHierarchyField::from_bytes(&bytes).unwrap().abs_eb;
-                let out = path(&format!("{algo}_{skip}_dec"));
-                decompress(&args(&[&ds, &stream, "--out", &out])).unwrap();
-                let dec = load(&out).unwrap();
-                let dec = dec.field("decompressed").unwrap();
-                for lev in 0..orig.num_levels() {
-                    let pairs = field.levels[lev].fabs().iter().zip(dec.levels[lev].fabs());
-                    for (a, b) in pairs {
-                        for (cell, v) in a.iter() {
-                            let err = (v - b.get(cell)).abs();
-                            assert!(
-                                err <= eb * (1.0 + 1e-12),
-                                "{algo} skip={skip} level {lev} {cell:?}: {err:e} > {eb:e}"
-                            );
-                        }
+        let cases: Vec<(&str, bool)> = ALGORITHMS
+            .into_iter()
+            .flat_map(|algo| [(algo, false), (algo, true)])
+            .collect();
+        for &(algo, skip) in &cases {
+            let stream = path(&format!("{algo}_{skip}.amrz"));
+            let mut argv = args(&[&ds, "--field", "baryon_density", "--out", &stream]);
+            argv.extend(args(&["--algo", algo, "--rel", "1e-3"]));
+            if skip {
+                argv.push("--skip-redundant".into());
+            }
+            compress(&argv).unwrap();
+        }
+        std::fs::remove_dir_all(&ds).unwrap();
+        for &(algo, skip) in &cases {
+            let stream = path(&format!("{algo}_{skip}.amrz"));
+            let bytes = std::fs::read(&stream).unwrap();
+            let budget = DecodeBudget::default();
+            let eb = decode_artifact(&bytes, &budget).unwrap().container.abs_eb;
+            let out = path(&format!("{algo}_{skip}_dec"));
+            decompress(&args(&[&stream, "--out", &out])).unwrap();
+            let dec = load(&out).unwrap();
+            let dec = dec.field("baryon_density").unwrap();
+            for lev in 0..orig.num_levels() {
+                let pairs = field.levels[lev].fabs().iter().zip(dec.levels[lev].fabs());
+                for (a, b) in pairs {
+                    for (cell, v) in a.iter() {
+                        let err = (v - b.get(cell)).abs();
+                        assert!(
+                            err <= eb * (1.0 + 1e-12),
+                            "{algo} skip={skip} level {lev} {cell:?}: {err:e} > {eb:e}"
+                        );
                     }
                 }
             }
         }
         let stream = path("szlr_true.amrz");
-        for flag in [&["--algo", "szlr"][..], &["--skip-redundant"]] {
-            let mut argv = args(&[&ds, &stream, "--out", &path("refused")]);
+        for flag in [
+            &["--algo", "szlr"][..],
+            &["--skip-redundant"],
+            &["--field", "f"],
+        ] {
+            let mut argv = args(&[&stream, "--out", &path("refused")]);
             argv.extend(args(flag));
             let refused = decompress(&argv).unwrap_err();
             assert!(refused.contains("unknown option"), "{flag:?}: {refused}");
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A `simulate` snapshot past step 0 comes back from its compressed
+    /// file alone with its field name, geometry, levels, boxes, time and
+    /// step.
+    #[test]
+    fn decompress_restores_the_snapshot_it_was_given() {
+        let root = std::env::temp_dir().join(format!("amrviz_cli_snap_{}", std::process::id()));
+        let path = |leaf: &str| root.join(leaf).to_string_lossy().into_owned();
+        let (sim, file, out) = (path("sim"), path("snap.amrz"), path("dec"));
+        simulate(&args(&[
+            "--out",
+            &sim,
+            "--n",
+            "16",
+            "--steps",
+            "2",
+            "--snap-every",
+            "2",
+        ]))
+        .unwrap();
+        let snap = path("sim/plt00002");
+        let orig = load(&snap).unwrap();
+        assert!(
+            orig.step == 2 && orig.time > 0.0,
+            "{} {}",
+            orig.step,
+            orig.time
+        );
+        let field = orig.field_names()[0].to_string();
+        compress(&args(&[&snap, "--field", &field, "--out", &file])).unwrap();
+        std::fs::remove_dir_all(&sim).unwrap();
+        decompress(&args(&[&file, "--out", &out])).unwrap();
+        let dec = load(&out).unwrap();
+        assert_eq!(dec.field_names(), [field.as_str()]);
+        assert_eq!(dec.geometry(), orig.geometry());
+        assert_eq!(dec.ref_ratios(), orig.ref_ratios());
+        assert_eq!(dec.box_arrays(), orig.box_arrays());
+        assert_eq!((dec.time, dec.step), (orig.time, orig.step));
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -5,16 +5,33 @@
 //! amrviz simulate   --out DIR [--n N] [--steps K] [--snap-every M]
 //! amrviz info       <plotfile>
 //! amrviz compress   <plotfile> --field F --out FILE [--algo A] [--rel EB | --abs EB] [--skip-redundant]
-//! amrviz decompress <plotfile> <stream> --out DIR [--field NAME] [--degrade]
+//! amrviz decompress <FILE> --out DIR [--degrade]
 //! amrviz extract    <plotfile> --field F --out FILE.obj [--iso V | --quantile Q] [--method M]
 //! amrviz render     <plotfile> --field F --out FILE.png [--mode surface|slice] [...]
-//! amrviz diff       <plotfile A> <plotfile B> --field F [--field-b G]
+//! amrviz diff       <plotfile A> <plotfile B> --field F
 //! amrviz repro      <experiment> | --suite enumerated[:RECIPE]   (see [`repro`])
 //! ```
 //!
 //! Algorithms: `szlr` (default), `szinterp`, `zfp`. Methods: `resampling`
 //! (default), `dual`, `dual-redundant`. Plotfiles are the directories
-//! written by `amrviz-amr::plotfile`.
+//! written by `amrviz-amr::plotfile`. A compressed file is the serve
+//! store's artifact (`amrviz_serve::encode_artifact`): it carries its
+//! hierarchy with time and step, field name and compressor, so `decompress`
+//! reads nothing else.
+
+/// `print!` for every command's stdout, through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        $crate::write_stdout(format_args!($($arg)*));
+    }};
+}
+
+/// `println!` for every command's stdout, through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)));
+    }};
+}
 
 mod commands;
 mod obs_overhead;
@@ -39,7 +56,7 @@ fn main() -> ExitCode {
         }
     };
     if argv.is_empty() || argv[0] == "--help" || argv[0] == "-h" || argv[0] == "help" {
-        print!("{}", usage());
+        out!("{}", usage());
         return ExitCode::SUCCESS;
     }
     if let Some(n) = obs_opts.threads {
@@ -84,6 +101,19 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Writes to stdout; returns whether the reader is still there. A reader
+/// that hangs up (`amrviz info PLT | head -1`) ends the printing quietly,
+/// not the command, which finishes its work and returns its own exit
+/// status. Any other write error is fatal, as under `println!`.
+fn write_stdout(args: std::fmt::Arguments) -> bool {
+    use std::io::Write;
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => true,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => false,
+        Err(e) => panic!("failed printing to stdout: {e}"),
     }
 }
 
@@ -241,20 +271,23 @@ USAGE:
   amrviz compress   <plotfile> --field F --out FILE
                     [--algo szlr|szinterp|zfp] [--rel EB | --abs EB]
                     [--skip-redundant]
-  amrviz decompress <plotfile> <stream> --out DIR [--field NAME]
-                    [--degrade]  repair corrupt fabs from neighbor levels
-                    instead of failing; prints a per-fab decode report.
-                    The stream's header names its compressor and whether
-                    it skipped covered coarse cells (rebuilt here from the
-                    finer levels). --field names the output field
-                    (default `decompressed`)
+                    writes one self-describing file: the field compressed,
+                    with the hierarchy structure, time and step it needs
+  amrviz decompress <FILE> --out DIR [--degrade]
+                    writes the field a `compress` FILE holds, under its
+                    own name, on the hierarchy, time and step the FILE
+                    carries; the original plotfile is not read. The FILE
+                    names its compressor and whether it skipped covered
+                    coarse cells (rebuilt here from the finer levels).
+                    --degrade repairs corrupt fabs from neighbor levels
+                    instead of failing and prints a per-fab decode report.
   amrviz extract    <plotfile> --field F --out FILE.obj
                     [--iso V | --quantile Q]
                     [--method resampling|dual|dual-redundant]
   amrviz render     <plotfile> --field F --out FILE.png
                     [--mode surface|slice] [--iso V | --quantile Q]
                     [--method M] [--width W] [--height H] [--log]
-  amrviz diff       <plotfile A> <plotfile B> --field F [--field-b G]
+  amrviz diff       <plotfile A> <plotfile B> --field F
   amrviz torture    [--iters N] [--seed S] [--recipes K]
                     fault-injection sweep over every decoder: mutated
                     streams must error gracefully, never panic, and stay

@@ -55,7 +55,9 @@ use amrviz_compress::{
     PredictorMode, SzLr,
 };
 use amrviz_core::args;
-use amrviz_core::experiment::{self, standard_camera, CompressorKind};
+use amrviz_core::experiment::{
+    self, fig14_series, standard_camera, step_roughness, CompressorKind,
+};
 use amrviz_core::prelude::*;
 use amrviz_core::report::{self, View};
 use amrviz_json::Json;
@@ -562,7 +564,7 @@ impl Ctx {
 
     /// Prints `rows` as `view`'s table and records them under `key`.
     fn show<R>(&mut self, key: &str, view: &View<R>, rows: &[R]) {
-        println!("{}", view.table(rows));
+        outln!("{}", view.table(rows));
         self.json.set(key, view.json(rows));
     }
 
@@ -583,10 +585,6 @@ impl Ctx {
             }
             counters.set(k, v);
         }
-        let mut gauges = Json::obj();
-        for (k, v) in amrviz_obs::gauges_snapshot() {
-            gauges.set(k, v);
-        }
         let mut histograms = Json::obj();
         for (k, h) in amrviz_obs::histograms_snapshot() {
             histograms.set(k, Json::parse(&h.stats_json()).unwrap_or(Json::Null));
@@ -596,12 +594,11 @@ impl Ctx {
             .set("scale", format!("{:?}", self.scale).to_lowercase())
             .set("seed", self.seed)
             .set("counters", counters)
-            .set("gauges", gauges)
             .set("histograms", histograms)
             .set("span_summary", summary.to_json());
         let path = self.out.join(format!("manifest_{name}.json"));
         if std::fs::write(&path, m.to_string_pretty()).is_ok() {
-            println!("  manifest: {}", path.display());
+            outln!("  manifest: {}", path.display());
         }
     }
 
@@ -652,27 +649,27 @@ impl Ctx {
         if let Err(e) = img.save_png(&path) {
             eprintln!("[repro] failed to write {}: {e}", path.display());
         } else {
-            println!("  wrote {}", path.display());
+            outln!("  wrote {}", path.display());
         }
     }
 }
 
 fn table1(ctx: &mut Ctx) {
-    println!("\n=== Table 1: dataset structure ===");
+    outln!("\n=== Table 1: dataset structure ===");
     let (warpx, nyx) = (
         ctx.scenario(Application::Warpx),
         ctx.scenario(Application::Nyx),
     );
     let rows = experiment::run_table1(&[&warpx, &nyx]);
     ctx.show("table1", &report::TABLE1, &rows);
-    println!(
+    outln!(
         "paper: WarpX 128x128x1024 + 256x256x2048 (91.4% / 8.6%), \
          Nyx 256^3 + 512^3 (59.3% / 40.7%)"
     );
 }
 
 fn table2(ctx: &mut Ctx) {
-    println!("\n=== Table 2: compression quality ===");
+    outln!("\n=== Table 2: compression quality ===");
     let mut all = Vec::new();
     for app in Application::ALL {
         let rows = experiment::run_table2(&ctx.scenario(app)).expect("table2 runs");
@@ -683,7 +680,7 @@ fn table2(ctx: &mut Ctx) {
 }
 
 fn fig1(ctx: &mut Ctx) {
-    println!("\n=== Fig. 1: cracks (re-sampling) vs gaps (dual) vs redundant fix ===");
+    outln!("\n=== Fig. 1: cracks (re-sampling) vs gaps (dual) vs redundant fix ===");
     let built = ctx.scenario(Application::Warpx);
     let rows = experiment::run_crack_analysis(&built);
     ctx.show("fig1", &report::CRACKS, &rows);
@@ -699,7 +696,7 @@ fn fig1(ctx: &mut Ctx) {
 }
 
 fn fig2(ctx: &mut Ctx) {
-    println!("\n=== Fig. 2: AMR grid adapts across timesteps ===");
+    outln!("\n=== Fig. 2: AMR grid adapts across timesteps ===");
     let n = match ctx.scale {
         Scale::Tiny => 16,
         Scale::Small => 32,
@@ -716,7 +713,7 @@ fn fig2(ctx: &mut Ctx) {
         }
         let h = sim.hierarchy();
         let bb = h.box_array(1).bounding_box();
-        println!(
+        outln!(
             "  step {:>3}  t={:.4}  fine boxes: {:>2}  fine cells: {:>8}  bbox: {}",
             h.step,
             sim.time(),
@@ -727,7 +724,7 @@ fn fig2(ctx: &mut Ctx) {
         let img = render_slice(h, FIELD, false).expect("field exists");
         let path = ctx.out.join(format!("fig2_step{}.png", h.step));
         img.save_png(&path).ok();
-        println!("  wrote {}", path.display());
+        outln!("  wrote {}", path.display());
         let mut snap_json = Json::obj();
         snap_json
             .set("step", h.step)
@@ -739,7 +736,7 @@ fn fig2(ctx: &mut Ctx) {
 }
 
 fn figs_9_10(ctx: &mut Ctx, kind: CompressorKind, figname: &str) {
-    println!(
+    outln!(
         "\n=== {}: WarpX × {} × methods × error bounds ===",
         figname,
         kind.label()
@@ -784,7 +781,7 @@ fn figs_9_10(ctx: &mut Ctx, kind: CompressorKind, figname: &str) {
 }
 
 fn fig11(ctx: &mut Ctx) {
-    println!("\n=== Fig. 11: Nyx × both compressors × methods at eb 1e-2 ===");
+    outln!("\n=== Fig. 11: Nyx × both compressors × methods at eb 1e-2 ===");
     let built = ctx.scenario(Application::Nyx);
     let mut all = Vec::new();
     for kind in CompressorKind::PAPER {
@@ -809,7 +806,7 @@ fn fig11(ctx: &mut Ctx) {
 }
 
 fn rate_distortion(ctx: &mut Ctx, app: Application, figname: &str) {
-    println!(
+    outln!(
         "\n=== {}: rate-distortion on {} \"{}\" ===",
         figname,
         app.label(),
@@ -821,7 +818,7 @@ fn rate_distortion(ctx: &mut Ctx, app: Application, figname: &str) {
 }
 
 fn fig14(ctx: &mut Ctx) {
-    println!("\n=== Fig. 14: 1D block-artifact smoothing by re-sampling ===");
+    outln!("\n=== Fig. 14: 1D block-artifact smoothing by re-sampling ===");
     let (orig, blocky, resampled) = fig14_series(16, 1.4);
     let fmt = |s: &[f64]| {
         s.iter()
@@ -829,10 +826,10 @@ fn fig14(ctx: &mut Ctx) {
             .collect::<Vec<_>>()
             .join(" ")
     };
-    println!("  original (cell):   {}", fmt(&orig));
-    println!("  decompressed:      {}", fmt(&blocky));
-    println!("  re-sampled (node): {}", fmt(&resampled));
-    println!(
+    outln!("  original (cell):   {}", fmt(&orig));
+    outln!("  decompressed:      {}", fmt(&blocky));
+    outln!("  re-sampled (node): {}", fmt(&resampled));
+    outln!(
         "  step roughness: original {:.2}, decompressed {:.2}, re-sampled {:.2}",
         step_roughness(&orig),
         step_roughness(&blocky),
@@ -872,7 +869,7 @@ fn ablation_row(keys: &[(&str, &str)], cr: f64) -> (Vec<String>, Json) {
 }
 
 fn ablation(ctx: &mut Ctx) {
-    println!("\n=== Ablation: redundant coarse data during compression (§2.2) ===");
+    outln!("\n=== Ablation: redundant coarse data during compression (§2.2) ===");
     let compress = |built: &BuiltScenario, comp: &dyn Compressor, cfg| {
         let field = built.spec.eval_field();
         let c =
@@ -897,9 +894,9 @@ fn ablation(ctx: &mut Ctx) {
     }
     let (table, redundant): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
     let header = ["App", "Compressor", "Redundant data", "CR (f64)"];
-    println!("{}", report::ascii_table(&header, &table));
+    outln!("{}", report::ascii_table(&header, &table));
 
-    println!("--- related-work baseline + predictor ablation (rel eb 1e-3) ---");
+    outln!("--- related-work baseline + predictor ablation (rel eb 1e-3) ---");
     let mut rows = Vec::new();
     for app in Application::ALL {
         let built = &ctx.scenario(app);
@@ -917,7 +914,7 @@ fn ablation(ctx: &mut Ctx) {
         }
     }
     let (table, predictors): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
-    println!(
+    outln!(
         "{}",
         report::ascii_table(&["App", "Variant", "CR (f64)"], &table)
     );
@@ -934,16 +931,16 @@ fn ablation(ctx: &mut Ctx) {
 /// string, so any row reproduces with
 /// `amrviz repro --suite "enumerated:<recipe>" --seed <seed>`.
 fn enumerated(ctx: &mut Ctx, recipe_src: &str) {
-    println!("\n=== Enumerated suite: recipe-expanded scenario matrix ===");
+    outln!("\n=== Enumerated suite: recipe-expanded scenario matrix ===");
     let exp = amrviz_recipe::expand(recipe_src, ctx.seed);
     let exp = exp.unwrap_or_else(|e| panic!("recipe error: {e}"));
-    println!(
+    outln!(
         "recipe expands to {} scenario(s), {} excluded",
         exp.specs.len(),
         exp.excluded.len()
     );
     for (recipe, reason) in &exp.excluded {
-        println!("  excluded ({reason}): {recipe}");
+        outln!("  excluded ({reason}): {recipe}");
     }
     let mut all = Vec::new();
     for spec in exp.specs {
@@ -962,8 +959,8 @@ fn obs_overhead(scale: Scale, out: &Path) -> Result<(), String> {
     let path = out.join(format!("OBS_OVERHEAD_{}.json", git_describe()));
     std::fs::write(&path, report.to_json().to_string_pretty())
         .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    println!("OBS_OVERHEAD written to {}", path.display());
-    print!("{}", report.render());
+    outln!("OBS_OVERHEAD written to {}", path.display());
+    out!("{}", report.render());
     if report.passed() {
         Ok(())
     } else {
@@ -1046,7 +1043,7 @@ pub fn repro(argv: &[String], obs: &ObsOptions) -> Result<(), String> {
                     instrumented(&mut ctx, name, &f);
                     if let (true, Some(verdict)) = (args.check, verdict) {
                         let failed = verdict(ctx.json.get(name).unwrap_or(&Json::Null));
-                        println!("CHECK {name}: {} claim(s) failed", failed.len());
+                        outln!("CHECK {name}: {} claim(s) failed", failed.len());
                         broken.extend(failed.iter().map(|row| format!("{name}: {row}")));
                     }
                 }
@@ -1056,7 +1053,7 @@ pub fn repro(argv: &[String], obs: &ObsOptions) -> Result<(), String> {
 
     let json_path: &Path = &ctx.out.join("results.json");
     if std::fs::write(json_path, ctx.json.to_string_pretty()).is_ok() {
-        println!("\nresults recorded in {}", json_path.display());
+        outln!("\nresults recorded in {}", json_path.display());
     }
 
     // Tear streaming down before the SUMMARY line so its journal totals
@@ -1093,7 +1090,7 @@ pub fn repro(argv: &[String], obs: &ObsOptions) -> Result<(), String> {
         summary.set("journal", j);
     }
     let line = summary.to_string_compact();
-    println!("SUMMARY {line}");
+    outln!("SUMMARY {line}");
     use std::io::Write;
     if let Ok(mut f) = std::fs::OpenOptions::new()
         .create(true)
@@ -1134,45 +1131,6 @@ fn git_describe() -> String {
         }
     }
     "unknown".to_string()
-}
-
-/// The one-dimensional Fig. 14 demonstration: a linear ramp, its blocky
-/// reconstruction under a coarse quantizer, and the re-sampled
-/// (vertex-averaged + midpoint-interpolated) version that smooths the
-/// blocks. Returns `(original, blocky, resampled)`; the resampled series
-/// has `n + 1` vertex samples.
-fn fig14_series(n: usize, eb: f64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    use amrviz_compress::quantizer::{Quantized, Quantizer};
-    let original: Vec<f64> = (0..n).map(|i| i as f64).collect();
-    // A large absolute bound makes the quantizer's staircase visible — the
-    // 1D stand-in for SZ-L/R's block artifacts (the paper's "111//444//777"
-    // sketch). Prediction is held at 0 so the raw quantization staircase
-    // shows (the real block compressor would predict the ramp exactly).
-    let q = Quantizer::new(eb);
-    let blocky: Vec<f64> = original
-        .iter()
-        .map(|&v| match q.quantize(0.0, v) {
-            Quantized::Code { recon, .. } => recon,
-            Quantized::Outlier => v,
-        })
-        .collect();
-    // Re-sampling: cell → vertex averaging (paper §2.3, 1D version).
-    let mut resampled = Vec::with_capacity(n + 1);
-    resampled.push(blocky[0]);
-    for i in 1..n {
-        resampled.push(0.5 * (blocky[i - 1] + blocky[i]));
-    }
-    resampled.push(blocky[n - 1]);
-    (original, blocky, resampled)
-}
-
-/// Total variation of a series — the Fig. 14 smoothing effect in one
-/// number (lower = smoother).
-fn step_roughness(series: &[f64]) -> f64 {
-    series
-        .windows(3)
-        .map(|w| (w[2] - 2.0 * w[1] + w[0]).abs())
-        .sum()
 }
 
 #[cfg(test)]

@@ -47,16 +47,16 @@ pub fn top(argv: &[String]) -> Result<(), String> {
     loop {
         let (raw, doc) = fetch_stats(addr)?;
         if as_json {
-            println!("{raw}");
+            outln!("{raw}");
             return Ok(());
         }
         update_sparklines(&doc, &mut spark, &mut prev_counts);
         if !once {
             // Clear + home; plain ANSI so it works in any terminal and CI logs.
-            print!("\x1b[2J\x1b[H");
+            out!("\x1b[2J\x1b[H");
         }
-        print!("{}", render(addr, &doc, &spark));
-        if once {
+        // A reader that hung up has seen its last frame.
+        if !crate::write_stdout(format_args!("{}", render(addr, &doc, &spark))) || once {
             return Ok(());
         }
         std::thread::sleep(interval);

@@ -235,7 +235,6 @@ pub fn compress_hierarchy_field(
 
     // Global range across all levels → single absolute bound.
     let abs_eb = checked_eb(bound.resolve(|| global_range(&amr_field.levels)))?;
-    amrviz_obs::gauge_set("compress.abs_eb", abs_eb);
 
     let mut blobs: Vec<Vec<Vec<u8>>> = Vec::with_capacity(hier.num_levels());
     let mut n_values = 0usize;

@@ -269,14 +269,6 @@ pub fn compressor_by_name(name: &str) -> Option<Box<dyn Compressor>> {
     }
 }
 
-/// The compressor a container header names by its [`Compressor::tag`].
-pub fn compressor_by_tag(tag: u64) -> Option<Box<dyn Compressor>> {
-    ALGORITHMS
-        .into_iter()
-        .filter_map(compressor_by_name)
-        .find(|comp| comp.tag() == tag)
-}
-
 /// The unit tests' way in and out of a compressor — one piece through the
 /// shared entropy stage, the body of a one-piece chunk — and the inputs
 /// shared by the tests that hold each compressor's row kernels to the

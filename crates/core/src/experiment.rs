@@ -400,6 +400,46 @@ pub fn run_viz_quality(
     Ok(rows)
 }
 
+/// The one-dimensional Fig. 14 demonstration: a linear ramp, its blocky
+/// reconstruction under a coarse quantizer, and the re-sampled
+/// (vertex-averaged + midpoint-interpolated) version that smooths the
+/// blocks. Returns `(original, blocky, resampled)`; the resampled series
+/// has `n + 1` vertex samples.
+pub fn fig14_series(n: usize, eb: f64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    use amrviz_compress::quantizer::{Quantized, Quantizer};
+    let original: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    // A large absolute bound makes the quantizer's staircase visible — the
+    // 1D stand-in for SZ-L/R's block artifacts (the paper's "111//444//777"
+    // sketch). Prediction is held at 0 so the raw quantization staircase
+    // shows (the real block compressor would predict the ramp exactly).
+    let q = Quantizer::new(eb);
+    let blocky: Vec<f64> = original
+        .iter()
+        .map(|&v| match q.quantize(0.0, v) {
+            Quantized::Code { recon, .. } => recon,
+            Quantized::Outlier => v,
+        })
+        .collect();
+    // Re-sampling: cell → vertex averaging (paper §2.3, 1D version).
+    let mut resampled = Vec::with_capacity(n + 1);
+    resampled.push(blocky[0]);
+    for i in 1..n {
+        resampled.push(0.5 * (blocky[i - 1] + blocky[i]));
+    }
+    resampled.push(blocky[n - 1]);
+    (original, blocky, resampled)
+}
+
+/// Second-difference roughness of a series, `Σ |v[i+2] − 2v[i+1] + v[i]|`
+/// — how "steppy" it looks, the Fig. 14 smoothing effect in one number
+/// (lower = smoother).
+pub fn step_roughness(series: &[f64]) -> f64 {
+    series
+        .windows(3)
+        .map(|w| (w[2] - 2.0 * w[1] + w[0]).abs())
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

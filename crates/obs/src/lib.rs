@@ -7,10 +7,8 @@
 //! * **Spans** — [`span!`] returns a guard that measures wall time and, when
 //!   recording is enabled, captures name, key/value fields, thread id, and
 //!   parent span (nesting is tracked per thread, safe under worker-pool fan-out).
-//! * **Counters / gauges** — [`counter!`] accumulates monotonic totals
-//!   (bytes in/out, quantizer outliers, triangles emitted, crack rim edges);
-//!   [`gauge_set`] records last-written values (resolved error bounds, iso
-//!   values).
+//! * **Counters** — [`counter!`] accumulates monotonic totals (bytes
+//!   in/out, quantizer outliers, triangles emitted, crack rim edges).
 //! * **Histograms** — [`histogram!`] records `u64` samples into log-bucketed
 //!   [`hist::Histogram`]s (per-piece latencies, blob sizes, hit rates) whose
 //!   buckets are commutative integer sums, so p50/p90/p99 are identical at
@@ -200,7 +198,6 @@ struct Recorder {
 struct Store {
     events: Vec<SpanEvent>,
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
     hists: BTreeMap<&'static str, hist::Histogram>,
 }
 
@@ -366,7 +363,7 @@ pub fn enable() {
 
 /// Turns recording on for a [`journal`] alone: finished spans stream to it
 /// and are not kept, so a long-running process holds no event per span
-/// (counters, gauges and histograms record as under [`enable`]).
+/// (counters and histograms record as under [`enable`]).
 pub fn enable_streaming() {
     recorder().retain.store(false, Ordering::Relaxed);
     recorder().enabled.store(true, Ordering::Relaxed);
@@ -387,7 +384,7 @@ pub fn is_enabled() -> bool {
         .is_some_and(|r| r.enabled.load(Ordering::Relaxed))
 }
 
-/// Clears all recorded events, counters, gauges and histograms, zeroes the
+/// Clears all recorded events, counters and histograms, zeroes the
 /// span tally of [`meta_snapshot`], and collapses the global allocation
 /// high-water mark back to the current live count (enabled state, thread
 /// ids, and the trace ordinal counter are kept). Successive measurements
@@ -443,20 +440,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
     *store().counters.entry(name).or_default() += delta;
 }
 
-/// Sets the named gauge to `value` (last write wins).
-///
-/// # Disabled behaviour
-///
-/// Like [`counter_add`], this is a silent no-op whenever recording is
-/// disabled, even if a span opened while recording was enabled is still
-/// active on this thread.
-pub fn gauge_set(name: &'static str, value: f64) {
-    if !is_enabled() {
-        return;
-    }
-    store().gauges.insert(name, value);
-}
-
 /// Records one `u64` sample into the named histogram. No-op while
 /// disabled (same semantics as [`counter_add`]).
 pub fn histogram_record(name: &'static str, value: u64) {
@@ -476,11 +459,6 @@ pub fn histograms_snapshot() -> BTreeMap<&'static str, hist::Histogram> {
 /// Snapshot of all counters (monotonic since the last [`reset`]).
 pub fn counters_snapshot() -> BTreeMap<&'static str, u64> {
     store().counters.clone()
-}
-
-/// Snapshot of all gauges (last written value).
-pub fn gauges_snapshot() -> BTreeMap<&'static str, f64> {
-    store().gauges.clone()
 }
 
 /// Snapshot of all completed spans, ordered by start time.
@@ -803,17 +781,14 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_accumulate() {
+    fn counters_accumulate() {
         let _g = guard();
         reset();
         enable();
         counter!("bytes", 10u64);
         counter!("bytes", 32usize);
-        gauge_set("eb", 0.5);
-        gauge_set("eb", 0.25);
         disable();
         assert_eq!(counters_snapshot()["bytes"], 42);
-        assert_eq!(gauges_snapshot()["eb"], 0.25);
     }
 
     #[test]

@@ -252,7 +252,6 @@ fn reset_clears_everything() {
     {
         let _sp = amrviz_obs::span!("temp");
         amrviz_obs::counter!("temp_counter", 1u64);
-        amrviz_obs::gauge_set("temp_gauge", 1.0);
         amrviz_obs::histogram!("temp_hist", 42u64);
     }
     assert_eq!(amrviz_obs::histograms_snapshot().len(), 1);
@@ -260,7 +259,6 @@ fn reset_clears_everything() {
     amrviz_obs::disable();
     assert!(amrviz_obs::events_snapshot().is_empty());
     assert!(amrviz_obs::counters_snapshot().is_empty());
-    assert!(amrviz_obs::gauges_snapshot().is_empty());
     assert!(amrviz_obs::histograms_snapshot().is_empty());
     // reset() also collapses the allocator's high-water mark: a fresh
     // baseline taken right after sees no residual peak.
@@ -305,12 +303,10 @@ fn finish_returns_zero_when_disabled_mid_span() {
         amrviz_obs::events_snapshot().is_empty(),
         "disabled span must not be recorded"
     );
-    // Counters and gauges are no-ops while disabled.
+    // Counters and histograms are no-ops while disabled.
     amrviz_obs::counter!("ignored", 7u64);
-    amrviz_obs::gauge_set("ignored_gauge", 1.0);
     amrviz_obs::histogram!("ignored_hist", 1u64);
     assert!(amrviz_obs::counters_snapshot().is_empty());
-    assert!(amrviz_obs::gauges_snapshot().is_empty());
     assert!(amrviz_obs::histograms_snapshot().is_empty());
 }
 

@@ -1,29 +1,36 @@
-//! Self-contained serving artifact: hierarchy structure + compressed field.
+//! The one compressed file: hierarchy structure + compressed field.
 //!
 //! The compressed container (`CompressedHierarchyField`) deliberately does
 //! not carry the hierarchy's box structure — the decoder reconstructs the
-//! piece schedule from a hierarchy it already has. For serving, the blob
-//! must stand alone, so an artifact bundles: the compressor algorithm name,
-//! the field name, the full level/box structure, and the container bytes.
-//! Everything is budget-checked on decode; a corrupted artifact surfaces as
-//! a typed error, never a panic or absurd allocation.
+//! piece schedule from a hierarchy it already has. A compressed file must
+//! stand alone, on disk (`amrviz compress`) and in the serve store alike,
+//! so an artifact bundles: the compressor algorithm name, the field name,
+//! the hierarchy's time and step, the full level/box structure, and the
+//! container bytes. Everything is budget-checked on decode; a corrupted
+//! artifact surfaces as a typed error, never a panic or absurd allocation.
 
 use amrviz_amr::{check_structure, AmrHierarchy, BoxArray, Geometry};
 use amrviz_codec::DecodeBudget;
 use amrviz_compress::wire::{ByteReader, ByteWriter};
 use amrviz_compress::{CompressError, CompressedHierarchyField};
 
-/// Artifact wire magic + version.
+/// Artifact wire magic.
 pub const ARTIFACT_MAGIC: &[u8; 4] = b"AVH1";
+
+/// The one artifact version read and written. Version 2 added the
+/// hierarchy's `time` and `step`; version 1 is refused.
+pub const ARTIFACT_VERSION: u8 = 2;
 
 /// A decoded artifact: everything needed to decompress and serve.
 #[derive(Debug)]
 pub struct Artifact {
     /// Compressor algorithm name (`szlr` | `szinterp` | `zfp`).
     pub algo: String,
-    /// Field name (reporting only; the container holds one field).
+    /// Field name, which `amrviz decompress` writes the field under (the
+    /// container holds one field).
     pub field: String,
-    /// Hierarchy *structure* (no field data attached).
+    /// Hierarchy *structure*, with its `time` and `step` (no field data
+    /// attached).
     pub hier: AmrHierarchy,
     /// The compressed field itself.
     pub container: CompressedHierarchyField,
@@ -41,9 +48,11 @@ pub fn encode_artifact(
     for &b in ARTIFACT_MAGIC {
         w.u8(b);
     }
-    w.u8(1); // artifact version
+    w.u8(ARTIFACT_VERSION);
     w.section(algo.as_bytes());
     w.section(field.as_bytes());
+    w.f64(hier.time);
+    w.uvarint(hier.step);
     let geom = hier.geometry();
     w.box3(&geom.domain);
     for a in 0..3 {
@@ -79,13 +88,17 @@ pub fn decode_artifact(bytes: &[u8], budget: &DecodeBudget) -> Result<Artifact, 
             return Err(CompressError::Malformed("bad artifact magic".into()));
         }
     }
-    if r.u8()? != 1 {
-        return Err(CompressError::Malformed("unknown artifact version".into()));
+    let version = r.u8()?;
+    if version != ARTIFACT_VERSION {
+        return Err(CompressError::Malformed(format!(
+            "artifact version {version}, this build reads version {ARTIFACT_VERSION}"
+        )));
     }
     let algo = String::from_utf8(r.section()?.to_vec())
         .map_err(|_| CompressError::Malformed("algo name not utf-8".into()))?;
     let field = String::from_utf8(r.section()?.to_vec())
         .map_err(|_| CompressError::Malformed("field name not utf-8".into()))?;
+    let (time, step) = (r.f64()?, r.uvarint()?);
     let domain = r.box3()?;
     let mut prob_lo = [0f64; 3];
     let mut prob_hi = [0f64; 3];
@@ -120,8 +133,9 @@ pub fn decode_artifact(bytes: &[u8], budget: &DecodeBudget) -> Result<Artifact, 
         }
         box_arrays.push(BoxArray::new(boxes));
     }
-    let hier = AmrHierarchy::new(geom, ratios, box_arrays)
+    let mut hier = AmrHierarchy::new(geom, ratios, box_arrays)
         .map_err(|e| CompressError::Malformed(format!("invalid artifact hierarchy: {e}")))?;
+    (hier.time, hier.step) = (time, step);
     let container = CompressedHierarchyField::from_bytes_budgeted(r.section()?, budget)?;
     if r.remaining() != 0 {
         return Err(CompressError::Malformed(
@@ -157,21 +171,20 @@ mod tests {
             (iv[0] as f64 * 0.2).sin() + 0.1 * lev as f64 + 0.01 * iv[1] as f64
         })
         .unwrap();
+        (h.time, h.step) = (0.375, 12);
         h
+    }
+
+    fn tiny_container() -> CompressedHierarchyField {
+        let cfg = AmrCodecConfig::default();
+        let (bound, szlr) = (ErrorBound::Rel(1e-3), SzLr::default());
+        compress_hierarchy_field(&tiny_hierarchy(), "density", &szlr, bound, &cfg).unwrap()
     }
 
     #[test]
     fn artifact_roundtrips_structure_and_container() {
         let hier = tiny_hierarchy();
-        let cfg = AmrCodecConfig::default();
-        let container = compress_hierarchy_field(
-            &hier,
-            "density",
-            &SzLr::default(),
-            ErrorBound::Rel(1e-3),
-            &cfg,
-        )
-        .unwrap();
+        let container = tiny_container();
         let bytes = encode_artifact(&hier, "density", "szlr", &container);
         let art = decode_artifact(&bytes, &DecodeBudget::strict()).unwrap();
         assert_eq!(art.algo, "szlr");
@@ -179,6 +192,7 @@ mod tests {
         assert_eq!(art.hier.num_levels(), 2);
         assert_eq!(art.hier.ref_ratios(), &[2]);
         assert_eq!(art.hier.box_array(1).len(), 1);
+        assert_eq!((art.hier.time, art.hier.step), (0.375, 12));
         assert_eq!(
             art.container.to_bytes(),
             container.to_bytes(),
@@ -189,15 +203,7 @@ mod tests {
     #[test]
     fn bytes_after_the_container_are_malformed() {
         let hier = tiny_hierarchy();
-        let cfg = AmrCodecConfig::default();
-        let container = compress_hierarchy_field(
-            &hier,
-            "density",
-            &SzLr::default(),
-            ErrorBound::Rel(1e-3),
-            &cfg,
-        )
-        .unwrap();
+        let container = tiny_container();
         let mut bytes = encode_artifact(&hier, "density", "szlr", &container);
         assert!(decode_artifact(&bytes, &DecodeBudget::strict()).is_ok());
         bytes.push(0);
@@ -213,14 +219,7 @@ mod tests {
     /// ratios of 16 over an 8³ base: 2048³ cells) are malformed artifacts.
     #[test]
     fn implausible_structures_are_malformed() {
-        let container = compress_hierarchy_field(
-            &tiny_hierarchy(),
-            "density",
-            &SzLr::default(),
-            ErrorBound::Rel(1e-3),
-            &AmrCodecConfig::default(),
-        )
-        .unwrap();
+        let container = tiny_container();
         let domain = Box3::from_dims(8, 8, 8);
         let inverted = Geometry {
             domain,
@@ -243,18 +242,35 @@ mod tests {
         }
     }
 
+    /// Version 1 carried no time or step; it is refused by number, before
+    /// any field after the version byte is read.
+    #[test]
+    fn version_1_artifacts_are_refused() {
+        let mut bytes = encode_artifact(&tiny_hierarchy(), "density", "szlr", &tiny_container());
+        bytes[ARTIFACT_MAGIC.len()] = 1;
+        match decode_artifact(&bytes, &DecodeBudget::strict()) {
+            Err(CompressError::Malformed(m)) => {
+                assert_eq!(m, "artifact version 1, this build reads version 2")
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    /// A container alone has no hierarchy to decode against: what an older
+    /// `amrviz compress` wrote is refused at the magic.
+    #[test]
+    fn bare_containers_are_refused() {
+        let bytes = tiny_container().to_bytes();
+        match decode_artifact(&bytes, &DecodeBudget::strict()) {
+            Err(CompressError::Malformed(m)) => assert_eq!(m, "bad artifact magic"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
     #[test]
     fn corrupted_artifacts_fail_typed() {
         let hier = tiny_hierarchy();
-        let cfg = AmrCodecConfig::default();
-        let container = compress_hierarchy_field(
-            &hier,
-            "density",
-            &SzLr::default(),
-            ErrorBound::Rel(1e-3),
-            &cfg,
-        )
-        .unwrap();
+        let container = tiny_container();
         let bytes = encode_artifact(&hier, "density", "szlr", &container);
         // Magic corruption, truncation, and random byte damage must all be
         // typed errors, never panics.

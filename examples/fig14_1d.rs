@@ -6,45 +6,20 @@
 //! cargo run --release -p amrviz-examples --bin fig14_1d
 //! ```
 
-use amrviz_compress::quantizer::{Quantized, Quantizer};
-
-/// Second-difference roughness — how "steppy" a series looks.
-fn roughness(series: &[f64]) -> f64 {
-    series
-        .windows(3)
-        .map(|w| (w[2] - 2.0 * w[1] + w[0]).abs())
-        .sum()
-}
+use amrviz_core::experiment::{fig14_series, step_roughness};
 
 fn main() {
-    let n = 24;
-    let original: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
-
-    // Blocky "decompression": quantize with a coarse bound and no
-    // prediction — the 1D stand-in for SZ-L/R's block-wise artifacts
-    // (the paper's "111//444//777" sketch).
-    let q = Quantizer::new(0.9);
-    let blocky: Vec<f64> = original
-        .iter()
-        .map(|&v| match q.quantize(0.0, v) {
-            Quantized::Code { recon, .. } => recon,
-            Quantized::Outlier => v,
-        })
-        .collect();
+    // A ramp "decompressed" under a coarse bound with no prediction — the
+    // 1D stand-in for SZ-L/R's block-wise artifacts (the paper's
+    // "111//444//777" sketch) — and its re-sampling, which interpolates
+    // cells to vertices first (paper §2.3): in 1D each interior vertex
+    // averages its two neighboring cells, which is exactly the
+    // interpolation of the paper's Fig. 14 ("2.5" and "5.5" mitigating the
+    // block steps). This is the series `amrviz repro fig14` records.
+    let (original, blocky, resampled) = fig14_series(24, 1.8);
 
     // Dual-cell visualization consumes the decompressed cell values as-is.
-    let dual = blocky.clone();
-
-    // Re-sampling first interpolates cells to vertices (paper §2.3): in 1D
-    // each interior vertex averages its two neighboring cells, which is
-    // exactly the interpolation of the paper's Fig. 14 ("2.5" and "5.5"
-    // mitigating the block steps).
-    let mut resampled = Vec::with_capacity(n + 1);
-    resampled.push(blocky[0]);
-    for i in 1..n {
-        resampled.push(0.5 * (blocky[i - 1] + blocky[i]));
-    }
-    resampled.push(blocky[n - 1]);
+    let dual = &blocky;
 
     let fmt = |s: &[f64]| {
         s.iter()
@@ -54,16 +29,16 @@ fn main() {
     };
     println!("original:           {}", fmt(&original));
     println!("decompressed:       {}", fmt(&blocky));
-    println!("dual-cell sees:     {}", fmt(&dual));
+    println!("dual-cell sees:     {}", fmt(dual));
     println!("re-sampling sees:   {}", fmt(&resampled));
     println!();
     println!(
         "step roughness — original: {:.2}, dual-cell: {:.2}, re-sampling: {:.2}",
-        roughness(&original),
-        roughness(&dual),
-        roughness(&resampled)
+        step_roughness(&original),
+        step_roughness(dual),
+        step_roughness(&resampled)
     );
-    assert!(roughness(&resampled) < roughness(&dual));
+    assert!(step_roughness(&resampled) < step_roughness(dual));
     println!(
         "\nre-sampling halves the visible steps: this is why the basic method\n\
          hides compression artifacts that the advanced dual-cell method exposes\n\
