@@ -181,6 +181,13 @@ pub fn info(argv: &[String]) -> Result<(), String> {
 
 pub const COMPRESS_FLAGS: Flags = (&["field", "out", "algo", "rel", "abs"], &["skip-redundant"]);
 pub fn compress(argv: &[String]) -> Result<(), String> {
+    outln!("{}", compress_file(argv)?);
+    Ok(())
+}
+
+/// Writes the compressed file and returns its summary line, whose bytes and
+/// ratio are the file's.
+fn compress_file(argv: &[String]) -> Result<String, String> {
     let p = parse(argv, COMPRESS_FLAGS.0, COMPRESS_FLAGS.1)?;
     let bound = bound(&p)?;
     let hier = load(p.positional(0, "plotfile path")?)?;
@@ -198,22 +205,22 @@ pub fn compress(argv: &[String]) -> Result<(), String> {
     let c = compress_hierarchy_field(&hier, field, comp.as_ref(), bound, &cfg)
         .map_err(|e| e.to_string())?;
     let secs = sp.finish();
-    std::fs::write(out, encode_artifact(&hier, field, algo, &c)).map_err(|e| e.to_string())?;
-    let stats = CompressionStats::new(c.n_values, c.compressed_bytes());
-    outln!(
+    let file = encode_artifact(&hier, field, algo, &c);
+    std::fs::write(out, &file).map_err(|e| e.to_string())?;
+    let stats = CompressionStats::new(c.n_values, file.len());
+    Ok(format!(
         "{} -> {out}: {} values, {} bytes, CR {:.1}x (f64) / {:.1}x (f32-equiv), \
          {:.2} bits/value, abs eb {:.3e}, {:.2} s ({:.0} MB/s)",
         comp.name(),
         c.n_values,
-        c.compressed_bytes(),
+        file.len(),
         stats.ratio(),
         stats.ratio_vs_f32(),
         stats.bits_per_value(),
         c.abs_eb,
         secs,
         stats.original_bytes as f64 / secs / 1e6
-    );
-    Ok(())
+    ))
 }
 
 pub const DECOMPRESS_FLAGS: Flags = (&["out"], &["degrade"]);
@@ -1244,6 +1251,43 @@ mod tests {
         let err = compress(&args(&[&ds, "--field", "nope", "--out", &out])).unwrap_err();
         assert_eq!(err, "unknown field: nope");
         assert!(!Path::new(&out).exists(), "unknown field wrote {out}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The summary line counts the file `compress` wrote, structure and
+    /// all, not just the container inside it.
+    #[test]
+    fn compress_reports_the_bytes_of_the_file_it_wrote() {
+        let root = std::env::temp_dir().join(format!("amrviz_cli_size_{}", std::process::id()));
+        let path = |leaf: &str| root.join(leaf).to_string_lossy().into_owned();
+        let (ds, out) = (path("ds"), path("out.amrz"));
+        generate(&args(&[
+            "nyx", "--out", &ds, "--scale", "tiny", "--seed", "42",
+        ]))
+        .unwrap();
+        for extra in [&[][..], &["--skip-redundant"]] {
+            let argv = [
+                &[ds.as_str(), "--field", "baryon_density", "--out", &out][..],
+                extra,
+            ];
+            let line = compress_file(&args(&argv.concat())).unwrap();
+            let bytes: usize = line
+                .split(", ")
+                .nth(1)
+                .unwrap()
+                .strip_suffix(" bytes")
+                .unwrap()
+                .parse()
+                .unwrap();
+            assert_eq!(
+                bytes as u64,
+                std::fs::metadata(&out).unwrap().len(),
+                "{line}"
+            );
+            let artifact = std::fs::read(&out).unwrap();
+            let art = decode_artifact(&artifact, &DecodeBudget::default()).unwrap();
+            assert!(art.container.compressed_bytes() < bytes, "{line}");
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -57,6 +57,44 @@ impl BitWriter {
         } else {
             value
         };
+        let (acc, used) = (self.acc, self.used);
+        let mut sink = BitSink {
+            out: &mut self.bytes,
+            acc,
+            used,
+        };
+        sink.write(value, n);
+        (self.acc, self.used) = (sink.acc, sink.used);
+    }
+
+    /// Pads with zero bits to a byte boundary and returns the buffer.
+    pub fn finish(mut self) -> Vec<u8> {
+        let (acc, used) = (self.acc, self.used);
+        BitSink {
+            out: &mut self.bytes,
+            acc,
+            used,
+        }
+        .finish();
+        self.bytes
+    }
+}
+
+/// [`BitWriter`]'s packing over a borrowed buffer, for a loop that owns
+/// the pending bits: growing an owned buffer takes a pointer into the
+/// writer and pins it in memory, while these stay in registers.
+pub(crate) struct BitSink<'a> {
+    pub(crate) out: &'a mut Vec<u8>,
+    /// Pending bits in the low `used` positions, oldest bit highest.
+    pub(crate) acc: u64,
+    /// Number of pending bits in `acc` (0..64).
+    pub(crate) used: u32,
+}
+
+impl BitSink<'_> {
+    /// Writes `value`, which has no bits above its low `n` (0..=64).
+    #[inline(always)]
+    pub(crate) fn write(&mut self, value: u64, n: u32) {
         let free = 64 - self.used;
         if n < free {
             self.acc = (self.acc << n) | value;
@@ -67,20 +105,19 @@ impl BitWriter {
         // bits of `value`, make one word; the low `rest` bits stay pending.
         let rest = n - free;
         let pending = if free == 64 { 0 } else { self.acc << free };
-        self.bytes
+        self.out
             .extend_from_slice(&(pending | (value >> rest)).to_be_bytes());
         self.acc = value & ((1u64 << rest) - 1);
         self.used = rest;
     }
 
-    /// Pads with zero bits to a byte boundary and returns the buffer.
-    pub fn finish(mut self) -> Vec<u8> {
+    /// Pads with zero bits to a byte boundary.
+    pub(crate) fn finish(self) {
         if self.used > 0 {
             let tail = (self.acc << (64 - self.used)).to_be_bytes();
-            self.bytes
+            self.out
                 .extend_from_slice(&tail[..self.used.div_ceil(8) as usize]);
         }
-        self.bytes
     }
 }
 

@@ -1,24 +1,22 @@
-//! Canonical Huffman coding over `u32` symbol alphabets.
+//! Canonical Huffman coding over `u32` symbol alphabets, with run symbols
+//! for each stream's most frequent symbol: SZ's "customized Huffman" stage
+//! and the lossless pass after it, in one. The mode (the smallest symbol on
+//! a tie) is never a literal; each maximal run of it is its length in
+//! bzip2's bijective base 2, lowest digit first, as two more symbols of the
+//! same canonical code, RUNA (1) and RUNB (2).
 //!
-//! This mirrors the role of SZ's "customized Huffman" stage: quantization
-//! codes (bin indices) are entropy-coded with a code table stored in the
-//! stream header. Codes are canonical, so the header only carries
-//! `(symbol, code length)` pairs.
-//!
-//! Neither direction works a bit or a hash at a time. The encoder counts
-//! into a dense window over `min..=max` of the stream when that span is
-//! proportionate to the stream's length (quantization codes cluster round
-//! the quantizer's radius) and otherwise sorts a copy and binary-searches;
-//! either way a symbol's code comes out of a packed `code << 6 | len`
-//! array, and its working tables are kept per thread so a stream of a
-//! thousand symbols costs no allocation. The decoder resolves codes of up
-//! to `LOOKUP_BITS` bits with one lookup in a table built from the
-//! validated header, several per peeked word; longer codes, and bit
-//! patterns no code owns, take the per-length walk of the canonical ranges.
+//! The encoder takes the range in one laned pass, counts in interleaved
+//! lanes over `min..=max` (or sorts a copy when that span is out of
+//! proportion), and finds the literals 64 symbols to a word, counting and
+//! writing the runs between them from those words. The decoder reads a
+//! literal and the run digits before it with one table lookup, several per
+//! peeked word, and writes the run as a block of modes the literal lands in;
+//! longer codes and patterns no code owns take the per-length walk.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
 
-use crate::bitio::{BitReader, BitWriter};
+use crate::bitio::{BitReader, BitSink};
 use crate::budget::DecodeBudget;
 use crate::varint::{read_uvarint, write_uvarint};
 use crate::CodecError;
@@ -27,18 +25,67 @@ use crate::CodecError;
 /// spare. Reached only by adversarially skewed alphabets, which we flatten.
 const MAX_CODE_LEN: u32 = 48;
 
-/// Widest code the decoder resolves with one table lookup (an 8 KiB table
+/// Widest code the decoder resolves with one table lookup (a 16 KiB table
 /// at most; shorter when the longest code is).
 const LOOKUP_BITS: u32 = 11;
 
 /// The encoder counts in a dense window when `max - min` of the stream is
-/// at most this many times its length — about where clearing and scanning
-/// the window costs what sorting a copy does — and below
-/// [`DENSE_SPAN_MAX`]: a 1 MiB window still counts in cache and stays
-/// invisible next to the stream's own buffers, the 8 MiB one a 2²⁰-symbol
-/// alphabet would take does neither.
+/// at most this many times its length — where clearing and scanning it
+/// costs what sorting a copy does — and below [`DENSE_SPAN_MAX`], which
+/// still counts in cache.
 const DENSE_SPAN_PER_SYMBOL: u64 = 8;
 const DENSE_SPAN_MAX: u64 = 1 << 17;
+
+/// Counters per symbol, so a run of one symbol is not one chain of
+/// dependent increments.
+const LANES: usize = 4;
+
+/// Header keys: the run digits, then each literal `s` as `s + LITERAL`.
+const RUNA: u64 = 0;
+const RUNB: u64 = 1;
+const LITERAL: u64 = 2;
+
+/// Runs shorter than this take their digit counts and codes from tables.
+const SHORT_RUNS: usize = 64;
+
+/// `[RUNA, RUNB]` digits of a run: the zeros and the ones among the bits of
+/// `run + 1` below its top one.
+const fn digits_of(run: usize) -> [u64; 2] {
+    let x = run as u64 + 1;
+    let ones = x.count_ones() as u64 - 1;
+    [63 - x.leading_zeros() as u64 - ones, ones]
+}
+
+const SHORT_RUN_DIGITS: [[u64; 2]; SHORT_RUNS] = {
+    let (mut t, mut run) = ([[0; 2]; SHORT_RUNS], 0);
+    while run < SHORT_RUNS {
+        (t[run], run) = (digits_of(run), run + 1);
+    }
+    t
+};
+
+/// A short run whose packed digit codes do not fit one write.
+const LONG_CODE: u64 = u64::MAX;
+
+/// A decoder table entry is `value << 32 | run << 16 | digits << 8 | FAST?
+/// | LIT? | len`: in `len` bits, `digits` run digits worth `run` (lowest
+/// first), then with `LIT` the literal `value`, `FAST` if `run < BLOCK`.
+const LIT: u64 = 1 << 6;
+const FAST: u64 = 1 << 7;
+
+/// The decoder writes this many modes ahead of a literal, which lands among
+/// them after a shorter run.
+const BLOCK: usize = 8;
+
+/// Slots the decoder keeps initialised past its `n` decoded symbols: what
+/// one peeked word's lookups and one more code write. It grows `out` by
+/// [`GROW`] more at a time, never past `total + SLACK`.
+const SLACK: usize = (BitReader::PEEK_BITS as usize + 1) * BLOCK;
+const GROW: usize = 1 << 12;
+
+/// Streams this many times longer than the decoder's table get the grouped
+/// one, whose building then costs little.
+const GROUPED_PER_ENTRY: usize = 8;
 
 /// The encoder's working tables, one set per thread and reused across
 /// calls, so the thousands of thousand-odd-symbol streams a pipeline
@@ -51,12 +98,17 @@ const DENSE_SPAN_MAX: u64 = 1 << 17;
 /// caller's large buffer swap roles and both end up large.
 #[derive(Default)]
 struct Tables {
-    /// `(symbol, frequency)`, ascending by symbol.
-    freqs: Vec<(u32, u64)>,
-    /// Dense path: per-symbol counts over `min..=max`, then packed codes.
-    window: Vec<u64>,
+    /// `(key, frequency)` of every coded key, ascending by key: the run
+    /// digits, then the literals (every symbol but the mode).
+    freqs: Vec<(u64, u64)>,
+    /// Dense path: `LANES` counts per symbol over `min..=max`.
+    lanes: Vec<u32>,
+    /// Dense path: packed codes per literal over `min..=max`.
+    codes: Vec<u64>,
     /// Sparse path: a sorted copy of the stream.
     copy: Vec<u32>,
+    /// One bit per symbol, set for the literals.
+    marks: Vec<u64>,
     /// `(weight, leaf)` in merge order, then `(length, leaf)` in canonical.
     sorted: Vec<(u64, usize)>,
     /// Weights of the internal nodes, in birth order.
@@ -75,6 +127,93 @@ const RETAINED_ENTRIES: usize = 1 << 13;
 
 thread_local! {
     static TABLES: RefCell<Tables> = RefCell::new(Tables::default());
+}
+
+/// `(min, max)` of a nonempty stream in eight lanes of `f64`
+/// compare-selects, which vectorise on baseline x86-64 where `u32` ones do
+/// not; a symbol with its top bit flipped is an exact `i32`.
+fn min_max(symbols: &[u32]) -> (u32, u32) {
+    let exact = |s: u32| (s ^ 1 << 31) as i32 as f64;
+    let (rows, tail) = symbols.as_chunks::<8>();
+    let (mut lo, mut hi) = ([f64::INFINITY; 8], [f64::NEG_INFINITY; 8]);
+    for row in rows {
+        for i in 0..8 {
+            let v = exact(row[i]);
+            lo[i] = if v < lo[i] { v } else { lo[i] };
+            hi[i] = if v > hi[i] { v } else { hi[i] };
+        }
+    }
+    let all = |lanes: [f64; 8]| lanes.into_iter().chain(tail.iter().map(|&s| exact(s)));
+    let back = |v: f64| v as i32 as u32 ^ 1 << 31;
+    let lo = all(lo).fold(f64::INFINITY, f64::min);
+    (back(lo), back(all(hi).fold(f64::NEG_INFINITY, f64::max)))
+}
+
+/// Sets bit `j` of word `w` of `marks` when symbol `64 w + j` is not
+/// `mode`: byte `j` of eight 0/1 flags, times `GATHER`, lands on bit
+/// `56 + j`.
+fn mark_literals(symbols: &[u32], mode: u32, marks: &mut Vec<u64>) {
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let (rows, tail) = symbols.as_chunks::<64>();
+    marks.clear();
+    marks.extend(rows.iter().map(|row| {
+        let mut flags = [0u8; 64];
+        for (flag, &s) in flags.iter_mut().zip(row) {
+            *flag = (s != mode) as u8;
+        }
+        let bytes = flags
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .map(|b| u64::from_le_bytes(*b));
+        let gathered = bytes.map(|b| b.wrapping_mul(GATHER) >> 56);
+        gathered.zip(0..).fold(0, |m, (b, k)| m | b << (8 * k))
+    }));
+    marks.push(
+        tail.iter()
+            .rev()
+            .fold(0, |m, &s| m << 1 | (s != mode) as u64),
+    );
+}
+
+/// Calls `f(run, p)` for each literal marked in `marks`, at `p` in order,
+/// with the length of the run of modes before it; returns the run after
+/// the last of `len` symbols.
+#[inline(always)]
+fn for_each_literal(marks: &[u64], len: usize, mut f: impl FnMut(usize, usize)) -> usize {
+    let mut next = 0;
+    for (w, &word) in marks.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let p = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            f(p - next, p);
+            next = p + 1;
+        }
+    }
+    len - next
+}
+
+/// Writes a run of the mode, a 0 among the bits of `run + 1` below its top
+/// one, lowest first, as RUNA's packed `code << 6 | len` and a 1 as RUNB's.
+fn put_run(bits: &mut BitSink, digit: &[u64; 2], run: usize) {
+    let x = run + 1;
+    for p in (0..usize::BITS - 1 - x.leading_zeros()).map(|i| digit[(x >> i) & 1]) {
+        bits.write(p >> 6, (p & 63) as u32);
+    }
+}
+
+/// Writes a literal's packed code `p` after the run before it, in one write
+/// when the run's codes are in `runs` and the two fit.
+#[inline(always)]
+fn put_literal(bits: &mut BitSink, runs: &[u64], digit: &[u64; 2], run: usize, p: u64) {
+    let r = runs.get(run).copied().unwrap_or(LONG_CODE);
+    if r != LONG_CODE && (r & 63) + (p & 63) <= 64 {
+        bits.write((r >> 6) << (p & 63) | p >> 6, ((r & 63) + (p & 63)) as u32);
+    } else {
+        put_run(bits, digit, run);
+        bits.write(p >> 6, (p & 63) as u32);
+    }
 }
 
 impl Tables {
@@ -141,78 +280,130 @@ impl Tables {
     }
 
     fn encode(&mut self, symbols: &[u32], lo: u32, hi: u32, out: &mut Vec<u8>) {
-        // Frequency table (deterministic order: by symbol), counted in a
+        // Frequency table (deterministic order: by key), counted in a
         // window over `lo..=hi` or, when that is out of proportion to the
-        // stream, from a sorted copy.
-        let span = (hi - lo) as u64;
-        let dense = span < DENSE_SPAN_MAX
-            && span <= DENSE_SPAN_PER_SYMBOL.saturating_mul(symbols.len() as u64);
+        // stream, from a sorted copy. A lane's count fits a `u32`.
+        let span = (hi - lo) as usize;
+        let dense = (span as u64) < DENSE_SPAN_MAX
+            && span as u64 <= DENSE_SPAN_PER_SYMBOL.saturating_mul(symbols.len() as u64)
+            && u32::try_from(symbols.len()).is_ok();
         self.freqs.clear();
+        self.freqs.extend([(RUNA, 0), (RUNB, 0)]);
         if dense {
-            self.window.clear();
-            self.window.resize(span as usize + 1, 0);
-            for &s in symbols {
-                self.window[(s - lo) as usize] += 1;
+            self.lanes.clear();
+            self.lanes.resize((span + 1) * LANES, 0);
+            let (rows, tail) = symbols.as_chunks::<LANES>();
+            for (lane, &s) in tail.iter().enumerate() {
+                self.lanes[(s - lo) as usize * LANES + lane] += 1;
             }
-            let counted = (lo..=hi).zip(self.window.iter().copied());
-            self.freqs.extend(counted.filter(|&(_, f)| f > 0));
+            for row in rows {
+                for (lane, &s) in row.iter().enumerate() {
+                    self.lanes[(s - lo) as usize * LANES + lane] += 1;
+                }
+            }
+            let counted = self.lanes.chunks_exact(LANES);
+            let counted = counted.map(|c| c.iter().map(|&n| n as u64).sum());
+            let keys = lo as u64 + LITERAL..;
+            self.freqs
+                .extend(keys.zip(counted).filter(|&(_, f): &(u64, u64)| f > 0));
         } else {
             self.copy.clear();
             self.copy.extend_from_slice(symbols);
             self.copy.sort_unstable();
             let runs = self.copy.chunk_by(|a, b| a == b);
             self.freqs
-                .extend(runs.map(|run| (run[0], run.len() as u64)));
+                .extend(runs.map(|run| (run[0] as u64 + LITERAL, run.len() as u64)));
         }
+
+        // The mode leaves the literals; the digits of its runs come in.
+        let at = (2..self.freqs.len()).max_by_key(|&i| (self.freqs[i].1, Reverse(i)));
+        let mode = (self.freqs.remove(at.expect("a symbol")).0 - LITERAL) as u32;
+        let mut digits = [0u64; 2];
+        let mut count = |run: usize| {
+            let d = SHORT_RUN_DIGITS.get(run).copied();
+            let d = d.unwrap_or_else(|| digits_of(run));
+            digits = [digits[0] + d[0], digits[1] + d[1]];
+        };
+        mark_literals(symbols, mode, &mut self.marks);
+        let tail = for_each_literal(&self.marks, symbols.len(), |run, _| count(run));
+        count(tail);
+        (self.freqs[0].1, self.freqs[1].1) = (digits[0], digits[1]);
+        self.freqs.retain(|&(_, f)| f > 0);
 
         self.flattened_code_lengths();
 
-        // Canonical order is (len, symbol); `freqs` ascends by symbol, so
+        // Canonical order is (len, key); `freqs` ascends by key, so
         // (len, index) sorts the same way.
         self.sorted.clear();
         self.sorted
             .extend(self.depth.iter().map(|&d| d as u64).zip(0..));
         self.sorted.sort_unstable();
 
-        // Header, and each symbol's packed code.
+        // Header, and each key's packed code.
+        write_uvarint(out, mode as u64);
         write_uvarint(out, self.sorted.len() as u64);
         self.packed.clear();
         self.packed.resize(self.sorted.len(), 0);
         let mut code = 0u64;
         let mut prev_len = 0u64;
         for &(len, index) in &self.sorted {
-            write_uvarint(out, self.freqs[index].0 as u64);
+            write_uvarint(out, self.freqs[index].0);
             write_uvarint(out, len);
             code <<= len - prev_len;
             self.packed[index] = code << 6 | len;
             code += 1;
             prev_len = len;
         }
-
-        // Body, appended in place: the counting window now holds the codes.
-        let mut bits = BitWriter::appending(std::mem::take(out));
+        let coded = |key| self.freqs.iter().position(|f| f.0 == key);
+        let digit = [RUNA, RUNB].map(|key| coded(key).map_or(0, |i| self.packed[i]));
+        // Body, appended in place: each literal's code after the run before
+        // it, a short run's digit codes packed into one.
+        let runs: [u64; SHORT_RUNS] = std::array::from_fn(|run| {
+            let x = run + 1;
+            let digits = (0..usize::BITS - 1 - x.leading_zeros()).map(|i| digit[(x >> i) & 1]);
+            let (code, len) =
+                digits.fold((0, 0), |(c, l), p| (c << (p & 63) | p >> 6, l + (p & 63)));
+            if len <= 56 {
+                code << 6 | len
+            } else {
+                LONG_CODE
+            }
+        });
         if dense {
-            for (&(s, _), &p) in self.freqs.iter().zip(&self.packed) {
-                self.window[(s - lo) as usize] = p;
-            }
-            for &s in symbols {
-                let p = self.window[(s - lo) as usize];
-                bits.write_bits(p >> 6, (p & 63) as u32);
-            }
-        } else {
-            for s in symbols {
-                let found = self.freqs.binary_search_by_key(s, |&(sym, _)| sym);
-                let p = self.packed[found.expect("every symbol was counted")];
-                bits.write_bits(p >> 6, (p & 63) as u32);
+            self.codes.resize(self.codes.len().max(span + 1), 0);
+            for (&(key, _), &p) in self.freqs.iter().zip(&self.packed) {
+                if key >= LITERAL {
+                    self.codes[(key - LITERAL) as usize - lo as usize] = p;
+                }
             }
         }
-        *out = bits.finish();
+        let mut bits = BitSink {
+            out,
+            acc: 0,
+            used: 0,
+        };
+        let (codes, freqs, packed) = (&self.codes, &self.freqs, &self.packed);
+        let tail = if dense {
+            for_each_literal(&self.marks, symbols.len(), |run, p| {
+                let code = codes[(symbols[p] - lo) as usize];
+                put_literal(&mut bits, &runs, &digit, run, code);
+            })
+        } else {
+            for_each_literal(&self.marks, symbols.len(), |run, p| {
+                let found = freqs.binary_search_by_key(&(symbols[p] as u64 + LITERAL), |f| f.0);
+                let code = packed[found.expect("every literal was counted")];
+                put_literal(&mut bits, &runs, &digit, run, code);
+            })
+        };
+        put_run(&mut bits, &digit, tail);
+        bits.finish();
     }
 }
 
-/// Encodes a symbol stream. Output layout:
-/// `uvarint n_symbols_in_stream`, `uvarint n_distinct`,
-/// `(uvarint symbol, uvarint len)*`, padded bitstream.
+/// Encodes a symbol stream. Output layout: `uvarint n_symbols_in_stream`,
+/// and for a nonempty stream `uvarint mode`, `uvarint n_keys`,
+/// `(uvarint key, uvarint len)*` in ascending `(len, key)` order (key 0 is
+/// RUNA, 1 RUNB, `s + 2` the literal `s`), then the padded bitstream.
 pub fn huffman_encode(symbols: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(symbols.len() / 2 + 16);
     huffman_encode_into(symbols, &mut out);
@@ -224,13 +415,18 @@ pub fn huffman_encode(symbols: &[u32]) -> Vec<u8> {
 /// buffers instead of chaining fresh allocations.
 pub fn huffman_encode_into(symbols: &[u32], out: &mut Vec<u8>) {
     write_uvarint(out, symbols.len() as u64);
-    let (Some(&lo), Some(&hi)) = (symbols.iter().min(), symbols.iter().max()) else {
+    if symbols.is_empty() {
         return;
-    };
+    }
+    let (lo, hi) = min_max(symbols);
     TABLES.with_borrow_mut(|tables| {
         tables.encode(symbols, lo, hi, out);
-        let widest = tables.freqs.capacity().max(tables.window.capacity());
-        if widest.max(tables.copy.capacity()) > RETAINED_ENTRIES {
+        let widest = tables.freqs.capacity().max(tables.codes.capacity());
+        if widest
+            .max(tables.copy.capacity())
+            .max(tables.marks.capacity())
+            > RETAINED_ENTRIES
+        {
             *tables = Tables::default();
         }
     });
@@ -244,13 +440,58 @@ pub fn huffman_decode(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
     Ok(out)
 }
 
+/// Initialises `out` to [`SLACK`] slots past `n`.
+fn room(out: &mut Vec<u32>, n: usize, total: usize) {
+    if out.len() < n + SLACK {
+        out.resize((n + SLACK + GROW).min(total + SLACK), 0);
+    }
+}
+
+/// Writes a run of `run` modes at `out[n..]`; returns where it ends.
+#[inline(never)]
+fn fill(out: &mut Vec<u32>, n: usize, run: usize, mode: u32, total: usize) -> usize {
+    room(out, n + run, total);
+    out[n..n + run].fill(mode);
+    n + run
+}
+
+/// The pending run once `entry`'s digits join it. Every digit at least
+/// doubles the run, and decoding stops once it reaches `total`, so the
+/// shift stays below the word.
+#[inline(always)]
+fn joined(entry: u64, run: usize, shift: u32) -> usize {
+    run + ((entry >> 16) as u16 as usize).wrapping_shl(shift)
+}
+
+/// Takes one table entry at `n` decoded symbols and a pending run of `run`
+/// modes, without a branch on its kind: a literal lands after its run,
+/// which the block of modes covers, and without one both writes fall in
+/// slots a later write covers. A literal's run is shorter than [`BLOCK`],
+/// and `buf` has `BLOCK` slots past `n`.
+#[inline(always)]
+fn step(buf: &mut [u32], entry: u64, mode: u32, n: &mut usize, run: &mut usize, shift: &mut u32) {
+    let joined = joined(entry, *run, *shift);
+    // Zero when a literal ends the run, all ones when it goes on.
+    let keep = ((entry & LIT == 0) as usize).wrapping_neg();
+    let block: &mut [u32; BLOCK] = (&mut buf[*n..*n + BLOCK]).try_into().unwrap();
+    *block = [mode; BLOCK];
+    block[joined % BLOCK] = (entry >> 32) as u32;
+    *n += (joined + 1) & !keep;
+    *run = joined & keep;
+    *shift = (*shift + (entry >> 8) as u32 % 64) & keep as u32;
+}
+
 /// Decodes a stream produced by [`huffman_encode`] into `out` (cleared
 /// first, capacity reused), validating every declared count against
-/// `budget` and the remaining input before any allocation. Corrupt tables
-/// (symbols or lengths beyond their range, non-canonical or repeated
-/// entries, over-full Kraft sums) return [`CodecError::Corrupt`]; they
-/// never panic or mis-index. On error `out` may hold a partial prefix; its
-/// contents are unspecified.
+/// `budget` before any allocation. Corrupt tables (symbols or lengths
+/// beyond their range, non-canonical or repeated entries, over-full Kraft
+/// sums), a run past the declared count and any bit after the last symbol
+/// but the last byte's zero padding return [`CodecError::Corrupt`]; they
+/// never panic or mis-index. Runs make a stream's length unbounded by its
+/// bytes, so `out` grows in steps as symbols decode: a forged count costs
+/// no more memory than the symbols its bits really carry, plus a few
+/// thousand slots, and never more than `budget` allows.
+/// On error `out` may hold a partial prefix; its contents are unspecified.
 pub fn huffman_decode_into(
     bytes: &[u8],
     budget: &DecodeBudget,
@@ -262,45 +503,46 @@ pub fn huffman_decode_into(
     if total == 0 {
         return Ok(());
     }
+    let mode = u32::try_from(read_uvarint(bytes, &mut pos)?)
+        .map_err(|_| CodecError::Corrupt("symbol out of range"))?;
     let distinct = read_uvarint(bytes, &mut pos)? as usize;
     if distinct == 0 {
         return Err(CodecError::Corrupt("no code table for nonempty stream"));
     }
-    // A table can't have more distinct symbols than the stream has symbols,
-    // and each header entry costs at least two bytes — both bounds hold
-    // before we reserve a single entry.
+    // A table can't have more keys than the stream has symbols, and each
+    // header entry costs at least two bytes — both bounds hold before we
+    // reserve a single entry.
     if distinct > total || distinct > (bytes.len() - pos) / 2 {
         return Err(CodecError::Corrupt("code table larger than stream"));
     }
-    // Symbols in header order and the number of codes per length. Both
+    // Entries in header order and the number of codes per length. Both
     // varints are range-checked at full width: narrowing first would let
     // symbol 2^32 + 7 pass as 7 and length 2^32 + 5 as 5.
-    let mut syms = Vec::with_capacity(distinct);
+    let mut values = Vec::with_capacity(distinct);
     let mut count = [0u64; MAX_CODE_LEN as usize + 1];
     let mut canonical = true;
     let mut prev = None;
     for _ in 0..distinct {
-        let sym = u32::try_from(read_uvarint(bytes, &mut pos)?)
-            .map_err(|_| CodecError::Corrupt("symbol out of range"))?;
+        let key = read_uvarint(bytes, &mut pos)?;
+        if key > u32::MAX as u64 + LITERAL {
+            return Err(CodecError::Corrupt("symbol out of range"));
+        }
         let len = read_uvarint(bytes, &mut pos)?;
         if len == 0 || len > MAX_CODE_LEN as u64 {
             return Err(CodecError::Corrupt("bad code length"));
         }
-        canonical &= prev < Some((len, sym));
-        prev = Some((len, sym));
+        canonical &= prev < Some((len, key));
+        prev = Some((len, key));
         count[len as usize] += 1;
-        syms.push(sym);
+        values.push(match key {
+            RUNA | RUNB => (key + 1) << 16 | 1 << 8,
+            literal => (literal - LITERAL) << 32 | LIT | FAST,
+        });
     }
-    // The header must already be in strictly ascending (len, symbol) order:
+    // The header must already be in strictly ascending (len, key) order:
     // canonical, and no entry twice.
     if !canonical {
         return Err(CodecError::Corrupt("code table not canonical"));
-    }
-
-    // Every symbol takes at least one bit, so `total` must fit in the
-    // remaining bitstream — checked before the output buffer is reserved.
-    if total > (bytes.len() - pos).saturating_mul(8) {
-        return Err(CodecError::Truncated);
     }
 
     // Canonical decode tables indexed by length.
@@ -325,29 +567,55 @@ pub fn huffman_decode_into(
         idx += count[len];
     }
 
-    // One entry per `bits`-bit prefix: `index << 6 | len` of the code that
-    // owns it, 0 where the code is longer or the pattern nobody's.
-    // Left-aligned canonical codes ascend in canonical order, so the table
-    // fills front to back. A plain local, kept out of the shared scratch
-    // pool for the reason given at [`Tables`].
+    // One entry per `bits`-bit prefix: the owning code's value and length,
+    // 0 where the code is longer or the pattern nobody's. Left-aligned
+    // canonical codes ascend in canonical order, so the table fills front
+    // to back. A plain local, kept out of the shared scratch pool for the
+    // reason given at [`Tables`].
     let bits = max_len.min(LOOKUP_BITS);
     let mut lookup = Vec::with_capacity(1 << bits);
-    let mut index = 0u32;
+    let mut index = 0;
     for len in 1..=bits {
         for _ in 0..count[len as usize] {
-            lookup.extend(std::iter::repeat_n(index << 6 | len, 1 << (bits - len)));
+            let entry = values[index] | len as u64;
+            lookup.extend(std::iter::repeat_n(entry, 1 << (bits - len)));
             index += 1;
         }
     }
     lookup.resize(1 << bits, 0);
+    // The same prefixes read as far as their bits go: run digits, up to and
+    // with the first literal.
+    let grouped: Vec<u64>;
+    let groups = if total < GROUPED_PER_ENTRY << bits {
+        &lookup
+    } else {
+        let group = |prefix: usize| {
+            let mut group = 0u64;
+            while group & LIT == 0 {
+                let used = group & 63;
+                let entry = lookup[(prefix << used) & ((1 << bits) - 1)];
+                if entry == 0 || used + (entry & 63) > bits as u64 {
+                    break;
+                }
+                let (run, digits) = ((group >> 16) as u16 as u64, (group >> 8) & 63);
+                let run = run + ((entry >> 16 & 0xffff) << digits);
+                let fast = FAST * (entry & LIT != 0 && run < BLOCK as u64) as u64;
+                group = entry >> 32 << 32 | run << 16 | (digits + (entry >> 8 & 63)) << 8;
+                group |= fast | entry & LIT | (used + (entry & 63));
+            }
+            group
+        };
+        grouped = (0..1 << bits).map(group).collect();
+        &grouped
+    };
 
     let mut reader = BitReader::new(&bytes[pos..]);
-    // The code at the reader's position when the lookup has no answer: walk
-    // the longer lengths' canonical ranges on the peeked word. A code that
-    // would need bits past the end is `Truncated`; a pattern no code owns
-    // is `Corrupt` once a bit beyond `max_len` exists to prove it, which is
-    // where a bit-at-a-time walk gives up.
-    let long_code = |reader: &mut BitReader<'_>| -> Result<u32, CodecError> {
+    // The entry of the code at the reader's position when the lookup has no
+    // answer: walk the longer lengths' canonical ranges on the peeked word.
+    // A code that would need bits past the end is `Truncated`; a pattern no
+    // code owns is `Corrupt` once a bit beyond `max_len` exists to prove
+    // it, which is where a bit-at-a-time walk gives up.
+    let long_code = |reader: &mut BitReader<'_>| -> Result<u64, CodecError> {
         let word = reader.peek();
         let left = reader.remaining();
         for len in bits + 1..=max_len {
@@ -358,9 +626,9 @@ pub fn huffman_decode_into(
             let code = word >> (64 - len);
             if code >= first_code[l] && code - first_code[l] < count[l] {
                 reader.consume(len)?;
-                return syms
+                return values
                     .get((first_index[l] + (code - first_code[l])) as usize)
-                    .copied()
+                    .map(|&value| value | len as u64)
                     .ok_or(CodecError::Corrupt("code index outside table"));
             }
         }
@@ -371,34 +639,71 @@ pub fn huffman_decode_into(
         })
     };
 
-    out.resize(total, 0);
-    for (stride, chunk) in out.chunks_mut(DecodeBudget::DEADLINE_STRIDE).enumerate() {
-        budget.check_deadline_every(stride * DecodeBudget::DEADLINE_STRIDE)?;
-        let mut i = 0;
-        while i < chunk.len() {
-            // As many lookups as one peeked word has whole prefixes for,
-            // then one checked consume for all of them.
-            let mut word = reader.peek();
-            let mut used = 0;
-            let mut missed = false;
-            while i < chunk.len() && used + bits <= BitReader::PEEK_BITS {
-                let entry = lookup[(word >> (64 - bits)) as usize];
-                let len = entry & 63;
-                if len == 0 {
-                    missed = true;
+    // `out` holds `n` decoded symbols, then slots the next codes write
+    // ahead into; `run` modes are pending, the next digit worth
+    // `1 << shift`.
+    let (mut n, mut run, mut shift) = (0, 0, 0);
+    let mut probe = 0;
+    while n + run < total {
+        if n >= probe {
+            budget.check_deadline()?;
+            probe = n + DecodeBudget::DEADLINE_STRIDE;
+        }
+        room(out, n, total);
+        // As many grouped lookups as one peeked word has whole prefixes
+        // for, then one checked consume for all of them. A prefix no group
+        // resolves, a literal after a run of a block or more, or a group
+        // that reaches `total` is left to one code at a time.
+        let buf = out.as_mut_slice();
+        let mut word = reader.peek();
+        let mut used = 0;
+        let mut one = false;
+        while used + bits <= BitReader::PEEK_BITS {
+            let entry = groups[(word >> (64 - bits)) as usize];
+            let len = (entry & 63) as u32;
+            // The common case first: a literal after a short run, none
+            // pending before it.
+            let at = (entry >> 16) as u16 as usize;
+            if run == 0 && entry & FAST != 0 && n + at + 1 < total {
+                let block: &mut [u32; BLOCK] = (&mut buf[n..n + BLOCK]).try_into().unwrap();
+                *block = [mode; BLOCK];
+                block[at % BLOCK] = (entry >> 32) as u32;
+                n += at + 1;
+            } else {
+                let (joined, lit) = (joined(entry, run, shift), entry & LIT != 0);
+                if (len == 0) | (lit & (joined >= BLOCK)) | (n + joined + lit as usize >= total) {
+                    one = true;
                     break;
                 }
-                chunk[i] = syms[(entry >> 6) as usize];
-                i += 1;
-                word <<= len;
-                used += len;
+                step(buf, entry, mode, &mut n, &mut run, &mut shift);
             }
-            reader.consume(used)?;
-            if missed {
-                chunk[i] = long_code(&mut reader)?;
-                i += 1;
+            word <<= len;
+            used += len;
+        }
+        reader.consume(used)?;
+        if one {
+            let entry = match lookup[(reader.peek() >> (64 - bits)) as usize] {
+                0 => long_code(&mut reader)?,
+                entry => {
+                    reader.consume((entry & 63) as u32)?;
+                    entry
+                }
+            };
+            if entry & LIT != 0 && run >= BLOCK {
+                (n, run, shift) = (fill(out, n, run, mode, total), 0, 0);
+            }
+            step(out, entry, mode, &mut n, &mut run, &mut shift);
+            if run > total - n {
+                return Err(CodecError::Corrupt("run overshoots the declared count"));
             }
         }
+    }
+    fill(out, n, run, mode, total);
+    out.truncate(total);
+    // The encoder pads the last byte with zeros; any other bit after the
+    // last symbol — run digits past `total` among them — is not its stream.
+    if reader.remaining() >= 8 || reader.peek() != 0 {
+        return Err(CodecError::Corrupt("bits after the last symbol"));
     }
     Ok(())
 }
@@ -424,8 +729,8 @@ mod tests {
     fn single_symbol_repeated() {
         let data = vec![42u32; 1000];
         let enc = huffman_encode(&data);
-        // 1 bit/symbol + header ≈ 130 bytes.
-        assert!(enc.len() < 140, "got {} bytes", enc.len());
+        // One run of 1000: nine digits, 2 bytes, after an 8-byte header.
+        assert_eq!(enc.len(), 10, "{enc:?}");
         assert_eq!(huffman_decode(&enc).unwrap(), data);
     }
 
@@ -498,9 +803,10 @@ mod tests {
         // exist); must be Corrupt, not a mis-indexed decode.
         let mut buf = Vec::new();
         write_uvarint(&mut buf, 5); // total symbols
+        write_uvarint(&mut buf, 0); // mode
         write_uvarint(&mut buf, 3); // distinct
-        for sym in 0..3u64 {
-            write_uvarint(&mut buf, sym);
+        for key in 2..5u64 {
+            write_uvarint(&mut buf, key);
             write_uvarint(&mut buf, 1); // len 1
         }
         buf.push(0x00); // bitstream
@@ -515,9 +821,10 @@ mod tests {
         // distinct > total is structurally impossible for a real encode.
         let mut buf = Vec::new();
         write_uvarint(&mut buf, 1); // total
+        write_uvarint(&mut buf, 0); // mode
         write_uvarint(&mut buf, 9); // distinct
-        for sym in 0..9u64 {
-            write_uvarint(&mut buf, sym);
+        for key in 2..11u64 {
+            write_uvarint(&mut buf, key);
             write_uvarint(&mut buf, 4);
         }
         buf.push(0x00);
@@ -576,8 +883,11 @@ mod tests {
 
     /// The coder this module replaced, kept as the oracle: a `HashMap`
     /// encoder over a `BinaryHeap` tree and a decoder that reads one bit per
-    /// step. The decoder carries the same three header rejections as
-    /// [`huffman_decode_into`]; nothing else was changed.
+    /// step, with the run symbols added the plain way — the encoder writes
+    /// the run-transformed key stream out first, taking digits off a run by
+    /// bzip2's `(run - d) / 2` rather than from the bits of `run + 1`, and
+    /// the decoder keeps its run in a `u128`. The decoder carries the same
+    /// header, run and trailing-bit rejections as [`huffman_decode_into`].
     mod reference {
         use super::super::MAX_CODE_LEN;
         use crate::bitio::{BitReader, BitWriter};
@@ -587,7 +897,7 @@ mod tests {
         use std::cmp::Reverse;
         use std::collections::{BinaryHeap, HashMap};
 
-        pub fn code_lengths(freqs: &[(u32, u64)]) -> Vec<u32> {
+        pub fn code_lengths(freqs: &[(u64, u64)]) -> Vec<u32> {
             if freqs.len() == 1 {
                 return vec![1];
             }
@@ -622,7 +932,7 @@ mod tests {
 
         /// Lengths after the `MAX_CODE_LEN` flattening, and how many
         /// halvings it took.
-        pub fn flattened_lengths(freqs: &mut [(u32, u64)]) -> (Vec<u32>, usize) {
+        pub fn flattened_lengths(freqs: &mut [(u64, u64)]) -> (Vec<u32>, usize) {
             let mut lens = code_lengths(freqs);
             let mut rounds = 0;
             while lens.iter().copied().max().unwrap_or(0) > MAX_CODE_LEN {
@@ -635,42 +945,70 @@ mod tests {
             (lens, rounds)
         }
 
+        /// Appends a run's digits as keys: 0 (RUNA) for 1, 1 (RUNB) for 2.
+        fn push_run(keys: &mut Vec<u64>, mut run: u64) {
+            while run > 0 {
+                let d = 2 - run % 2;
+                keys.push(d - 1);
+                run = (run - d) / 2;
+            }
+        }
+
         pub fn encode(symbols: &[u32]) -> Vec<u8> {
             let mut out = Vec::new();
             write_uvarint(&mut out, symbols.len() as u64);
             if symbols.is_empty() {
                 return out;
             }
-            let mut freq_map: HashMap<u32, u64> = HashMap::new();
+            let mut counts: HashMap<u32, u64> = HashMap::new();
             for &s in symbols {
-                *freq_map.entry(s).or_insert(0) += 1;
+                *counts.entry(s).or_insert(0) += 1;
             }
-            let mut freqs: Vec<(u32, u64)> = freq_map.into_iter().collect();
-            freqs.sort_unstable_by_key(|&(s, _)| s);
+            let (_, mode) = counts.iter().map(|(&s, &c)| (Reverse(c), s)).min().unwrap();
+            let mut keys = Vec::new();
+            let mut run = 0;
+            for &s in symbols {
+                if s == mode {
+                    run += 1;
+                } else {
+                    push_run(&mut keys, run);
+                    run = 0;
+                    keys.push(s as u64 + 2);
+                }
+            }
+            push_run(&mut keys, run);
+
+            let mut freq_map: HashMap<u64, u64> = HashMap::new();
+            for &k in &keys {
+                *freq_map.entry(k).or_insert(0) += 1;
+            }
+            let mut freqs: Vec<(u64, u64)> = freq_map.into_iter().collect();
+            freqs.sort_unstable_by_key(|&(k, _)| k);
             let (lens, _) = flattened_lengths(&mut freqs);
-            let mut entries: Vec<(u32, u32)> = freqs
+            let mut entries: Vec<(u32, u64)> = freqs
                 .iter()
                 .zip(&lens)
-                .map(|(&(sym, _), &len)| (len, sym))
+                .map(|(&(key, _), &len)| (len, key))
                 .collect();
             entries.sort_unstable();
-            let mut table: HashMap<u32, (u64, u32)> = HashMap::new();
+            let mut table: HashMap<u64, (u64, u32)> = HashMap::new();
             let mut code = 0u64;
             let mut prev_len = 0u32;
-            for &(len, sym) in &entries {
+            for &(len, key) in &entries {
                 code <<= len - prev_len;
-                table.insert(sym, (code, len));
+                table.insert(key, (code, len));
                 code += 1;
                 prev_len = len;
             }
+            write_uvarint(&mut out, mode as u64);
             write_uvarint(&mut out, entries.len() as u64);
-            for &(len, sym) in &entries {
-                write_uvarint(&mut out, sym as u64);
+            for &(len, key) in &entries {
+                write_uvarint(&mut out, key);
                 write_uvarint(&mut out, len as u64);
             }
             let mut bits = BitWriter::new();
-            for &s in symbols {
-                let (code, len) = table[&s];
+            for k in &keys {
+                let (code, len) = table[k];
                 bits.write_bits(code, len);
             }
             out.extend_from_slice(&bits.finish());
@@ -684,6 +1022,10 @@ mod tests {
             if total == 0 {
                 return Ok(out);
             }
+            let mode = read_uvarint(bytes, &mut pos)?;
+            if mode > u32::MAX as u64 {
+                return Err(CodecError::Corrupt("symbol out of range"));
+            }
             let distinct = read_uvarint(bytes, &mut pos)? as usize;
             if distinct == 0 {
                 return Err(CodecError::Corrupt("no code table for nonempty stream"));
@@ -693,21 +1035,18 @@ mod tests {
             }
             let mut entries = Vec::with_capacity(distinct);
             for _ in 0..distinct {
-                let sym = read_uvarint(bytes, &mut pos)?;
-                if sym > u32::MAX as u64 {
+                let key = read_uvarint(bytes, &mut pos)?;
+                if key > u32::MAX as u64 + 2 {
                     return Err(CodecError::Corrupt("symbol out of range"));
                 }
                 let len = read_uvarint(bytes, &mut pos)?;
                 if len == 0 || len > MAX_CODE_LEN as u64 {
                     return Err(CodecError::Corrupt("bad code length"));
                 }
-                entries.push((len as u32, sym as u32));
+                entries.push((len as u32, key));
             }
             if entries.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(CodecError::Corrupt("code table not canonical"));
-            }
-            if total > (bytes.len() - pos).saturating_mul(8) {
-                return Err(CodecError::Truncated);
             }
             let max_len = entries.last().unwrap().0;
             let mut count = vec![0u64; max_len as usize + 1];
@@ -730,14 +1069,16 @@ mod tests {
                 code = next << 1;
                 idx += count[len];
             }
-            let syms: Vec<u32> = entries.iter().map(|&(_, s)| s).collect();
+            let keys: Vec<u64> = entries.iter().map(|&(_, k)| k).collect();
             let mut reader = BitReader::new(&bytes[pos..]);
-            out.reserve(total);
-            for i in 0..total {
+            let (mut run, mut weight) = (0u128, 1u128);
+            let mut i = 0;
+            while out.len() as u128 + run < total as u128 {
                 budget.check_deadline_every(i)?;
+                i += 1;
                 let mut code = 0u64;
                 let mut len = 0u32;
-                loop {
+                let key = loop {
                     code = (code << 1) | reader.read_bit()? as u64;
                     len += 1;
                     if len > max_len {
@@ -746,13 +1087,27 @@ mod tests {
                     let l = len as usize;
                     if count[l] > 0 && code >= first_code[l] && code - first_code[l] < count[l] {
                         let i = first_index[l] + (code - first_code[l]);
-                        let sym = *syms
+                        break *keys
                             .get(i as usize)
                             .ok_or(CodecError::Corrupt("code index outside table"))?;
-                        out.push(sym);
-                        break;
                     }
+                };
+                if key < 2 {
+                    run += (key as u128 + 1) * weight;
+                    weight *= 2;
+                    if out.len() as u128 + run > total as u128 {
+                        return Err(CodecError::Corrupt("run overshoots the declared count"));
+                    }
+                } else {
+                    out.extend(std::iter::repeat_n(mode as u32, run as usize));
+                    (run, weight) = (0, 1);
+                    out.push((key - 2) as u32);
                 }
+            }
+            out.extend(std::iter::repeat_n(mode as u32, run as usize));
+            let rest = reader.remaining();
+            if rest >= 8 || reader.read_bits(rest as u32)? != 0 {
+                return Err(CodecError::Corrupt("bits after the last symbol"));
             }
             Ok(out)
         }
@@ -787,6 +1142,23 @@ mod tests {
                 ((1 << 15) + if rng.below(2) == 0 { mag } else { -mag }) as u32
             })
             .collect()
+    }
+
+    /// Quantization codes of a smooth field: mostly the radius code, in
+    /// runs of every length, with scattered neighbours and outliers.
+    fn run_heavy_stream(rng: &mut amrviz_rng::Rng, len: usize) -> Vec<u32> {
+        let mut data = Vec::with_capacity(len);
+        while data.len() < len {
+            let width = rng.below(10);
+            let run = rng.below(1 << width) as usize;
+            data.extend(std::iter::repeat_n(1 << 15, run.min(len - data.len())));
+            data.push(match rng.below(8) {
+                0 => 0,
+                k => (1 << 15) + k as u32 - 4,
+            });
+        }
+        data.truncate(len);
+        data
     }
 
     /// Both directions against the oracle: encoder bytes equal, decoder
@@ -844,15 +1216,17 @@ mod tests {
 
     #[test]
     fn matches_reference_on_codes_longer_than_the_lookup() {
-        // 24 Fibonacci frequencies make codes up to 23 bits: more than
-        // twice LOOKUP_BITS, so the per-length walk decodes the rare ones.
+        // 26 Fibonacci frequencies make codes longer than twice
+        // LOOKUP_BITS even once the mode is runs, so the per-length walk
+        // decodes the rare ones.
         check(0x4F6, 6, |rng| {
             let base = rng.below(1000) as u32;
-            let data = fibonacci_stream(rng, 24, base);
+            let data = fibonacci_stream(rng, 26, base);
             let enc = huffman_encode(&data);
             let longest = {
                 let mut pos = 0;
-                read_uvarint(&enc, &mut pos).unwrap();
+                read_uvarint(&enc, &mut pos).unwrap(); // total
+                read_uvarint(&enc, &mut pos).unwrap(); // mode
                 let distinct = read_uvarint(&enc, &mut pos).unwrap();
                 (0..distinct).fold(0, |_, _| {
                     read_uvarint(&enc, &mut pos).unwrap();
@@ -900,8 +1274,8 @@ mod tests {
         // (frequency, index) order must break the way the heap did.
         check(0x4F7, 256, |rng| {
             let top = 1 + rng.below(4);
-            let freqs: Vec<(u32, u64)> = (0..rng.range_usize(1, 300))
-                .map(|i| (i as u32, 1 + rng.below(top)))
+            let freqs: Vec<(u64, u64)> = (0..rng.range_usize(1, 300))
+                .map(|i| (i as u64, 1 + rng.below(top)))
                 .collect();
             let want = reference::code_lengths(&freqs);
             // Tables left dirty by a longer alphabet must not show.
@@ -923,16 +1297,17 @@ mod tests {
         assert!(TABLES.with_borrow(|t| t.freqs.capacity()) >= 100);
         assert_matches_reference(&wide);
         assert_eq!(
-            TABLES.with_borrow(|t| t.freqs.capacity() + t.window.capacity() + t.depth.capacity()),
+            TABLES.with_borrow(|t| t.freqs.capacity() + t.lanes.capacity() + t.depth.capacity()),
             0
         );
         assert_matches_reference(&narrow);
     }
 
-    /// Header with the given `(symbol, len)` varints, then `body`.
+    /// Header with mode 0 and the given `(key, len)` varints, then `body`.
     fn handmade(total: u64, entries: &[(u64, u64)], body: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
         write_uvarint(&mut buf, total);
+        write_uvarint(&mut buf, 0);
         write_uvarint(&mut buf, entries.len() as u64);
         for &(sym, len) in entries {
             write_uvarint(&mut buf, sym);
@@ -944,10 +1319,14 @@ mod tests {
 
     #[test]
     fn symbol_beyond_u32_rejected() {
-        // Narrowed first, 2^32 + 7 would decode as symbol 7.
-        let ok = handmade(4, &[(7, 1), (9, 1)], &[0b0101_0000]);
+        // Narrowed first, 2^32 + 7 would decode as symbol 7 (key 9).
+        let ok = handmade(4, &[(9, 1), (11, 1)], &[0b0101_0000]);
         assert_eq!(huffman_decode(&ok).unwrap(), vec![7, 9, 7, 9]);
-        let bad = handmade(4, &[((1 << 32) + 7, 1), ((1 << 32) + 9, 1)], &[0b0101_0000]);
+        let bad = handmade(
+            4,
+            &[((1 << 32) + 9, 1), ((1 << 32) + 11, 1)],
+            &[0b0101_0000],
+        );
         assert_eq!(
             huffman_decode(&bad),
             Err(CodecError::Corrupt("symbol out of range"))
@@ -957,7 +1336,11 @@ mod tests {
     #[test]
     fn code_length_beyond_u32_rejected() {
         // Narrowed first, 2^32 + 1 would read as a 1-bit code.
-        let bad = handmade(4, &[(7, (1 << 32) + 1), (9, (1 << 32) + 1)], &[0b0101_0000]);
+        let bad = handmade(
+            4,
+            &[(9, (1 << 32) + 1), (11, (1 << 32) + 1)],
+            &[0b0101_0000],
+        );
         assert_eq!(
             huffman_decode(&bad),
             Err(CodecError::Corrupt("bad code length"))
@@ -968,31 +1351,37 @@ mod tests {
     fn duplicate_table_entry_rejected() {
         // The same (len, symbol) twice is "in order" under `>` but gives
         // one symbol two codes.
-        let bad = handmade(4, &[(7, 1), (7, 1)], &[0b0101_0000]);
+        let bad = handmade(4, &[(9, 1), (9, 1)], &[0b0101_0000]);
         assert_eq!(
             huffman_decode(&bad),
             Err(CodecError::Corrupt("code table not canonical"))
         );
-        let unordered = handmade(4, &[(9, 1), (7, 1)], &[0b0101_0000]);
+        let unordered = handmade(4, &[(11, 1), (9, 1)], &[0b0101_0000]);
         assert_eq!(
             huffman_decode(&unordered),
             Err(CodecError::Corrupt("code table not canonical"))
         );
     }
 
-    /// Streams whose damage the error tests replay: a multi-length table, a
-    /// single symbol (an incomplete code: the pattern `1` is nobody's), and
-    /// codes beyond the lookup width.
+    /// Streams whose damage the error tests replay: a multi-length table,
+    /// one symbol (runs only), one run whose digits are all RUNA (a
+    /// one-key table, an incomplete code: the pattern `1` is nobody's),
+    /// codes beyond the lookup width, and quantizer-shaped codes whose mode
+    /// is most of the stream.
     fn taxonomy_corpus(rng: &mut amrviz_rng::Rng) -> Vec<Vec<u8>> {
         let skewed: Vec<u32> = (0..rng.range_usize(50, 600))
             .map(|_| (rng.below(40).pow(2) / 40) as u32 * 5)
             .collect();
         let mut deep = fibonacci_stream(rng, 16, 100);
         deep.truncate(rng.range_usize(200, 1200));
+        // Long enough that the decoder groups codes per lookup.
+        let runs = rng.range_usize(2000, 4000);
         vec![
             huffman_encode(&skewed),
             huffman_encode(&vec![3; rng.range_usize(1, 200)]),
+            huffman_encode(&vec![3; (1 << rng.range_usize(1, 12)) - 1]),
             huffman_encode(&deep),
+            huffman_encode(&run_heavy_stream(rng, runs)),
         ]
     }
 
@@ -1035,10 +1424,11 @@ mod tests {
 
     #[test]
     fn unowned_pattern_is_corrupt_only_with_a_bit_to_spare() {
-        // One symbol, one 1-bit code `0`: a `1` is nobody's. With another
-        // bit behind it the walk proves that (Corrupt); as the very last
-        // bit it cannot tell it from a cut-off longer code (Truncated).
-        let enc = huffman_encode(&[5; 16]);
+        // One run of 2^16 - 1: sixteen RUNA digits, one 1-bit code `0`, two
+        // bytes without padding. A `1` is nobody's. With another bit behind
+        // it the walk proves that (Corrupt); as the very last bit it cannot
+        // tell it from a cut-off longer code (Truncated).
+        let enc = huffman_encode(&[5; (1 << 16) - 1]);
         let n = enc.len();
         let mut early = enc.clone();
         early[n - 2] ^= 0x80;
@@ -1065,5 +1455,163 @@ mod tests {
             .is_deadline());
         huffman_decode_into(&enc, &DecodeBudget::default(), &mut out).unwrap();
         assert_eq!(out, data);
+    }
+
+    /// The header's mode, read back from an encoded stream.
+    fn coded_mode(enc: &[u8]) -> u64 {
+        let mut pos = 0;
+        read_uvarint(enc, &mut pos).unwrap();
+        read_uvarint(enc, &mut pos).unwrap()
+    }
+
+    #[test]
+    fn constant_stream_of_a_million_symbols_is_a_few_bytes() {
+        let data = vec![1u32 << 15; 1 << 20];
+        let enc = huffman_encode(&data);
+        // 20 digits (one RUNB, nineteen RUNA) after an 11-byte header.
+        assert_eq!(enc.len(), 14, "{enc:?}");
+        assert_matches_reference(&data);
+    }
+
+    #[test]
+    fn runs_of_powers_of_two_and_their_neighbours_at_start_middle_and_end() {
+        for k in 1..13 {
+            for run in [(1 << k) - 1, 1 << k, (1 << k) + 1] {
+                let mode = std::iter::repeat_n(4u32, run);
+                let others = [9u32, 2, 8, 7];
+                let start: Vec<u32> = mode.clone().chain(others).collect();
+                let middle: Vec<u32> = (others[..2].iter().copied())
+                    .chain(mode.clone())
+                    .chain(others[2..].iter().copied())
+                    .collect();
+                let end: Vec<u32> = others.into_iter().chain(mode).collect();
+                for data in [start, middle, end] {
+                    // A run of one ties with every other symbol.
+                    let mode = if run > 1 { 4 } else { 2 };
+                    assert_eq!(coded_mode(&huffman_encode(&data)), mode);
+                    assert_matches_reference(&data);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_mode_is_the_most_frequent_symbol_the_smallest_on_a_tie() {
+        // Neither the minimum nor the maximum.
+        let inner = [1, 5, 5, 9, 5, 5, 5, 2, 9, 5];
+        assert_eq!(coded_mode(&huffman_encode(&inner)), 5);
+        assert_matches_reference(&inner);
+        // A two-way tie, the larger symbol first in the stream.
+        let tie = [7, 3, 7, 3, 3, 7, 1];
+        assert_eq!(coded_mode(&huffman_encode(&tie)), 3);
+        assert_matches_reference(&tie);
+    }
+
+    #[test]
+    fn a_single_symbol_and_a_stream_without_repeats_roundtrip() {
+        assert_matches_reference(&[9]);
+        assert_matches_reference(&[u32::MAX]);
+        check(0x4FA, 16, |rng| {
+            let mut data: Vec<u32> = (0..rng.range_usize(2, 3000) as u32)
+                .map(|i| i * 3)
+                .collect();
+            for i in (1..data.len()).rev() {
+                data.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            // Every count ties: the smallest symbol is the mode, a run of 1.
+            assert_eq!(coded_mode(&huffman_encode(&data)), 0);
+            assert_matches_reference(&data);
+        });
+    }
+
+    #[test]
+    fn matches_reference_on_run_heavy_codes() {
+        check(0x4FB, 32, |rng| {
+            let len = rng.range_usize(1, 20_000);
+            assert_matches_reference(&run_heavy_stream(rng, len));
+        });
+    }
+
+    /// Both decoders' verdict on a forged stream, which must agree.
+    fn forged(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
+        let got = decode_under(bytes, &DecodeBudget::strict());
+        assert_eq!(got, reference::decode(bytes, &DecodeBudget::strict()));
+        got
+    }
+
+    #[test]
+    fn a_run_past_the_declared_count_is_corrupt() {
+        // RUNA = `0`, RUNB = `1`: runs of 2, then 2 + 4 = 6, for 3 symbols.
+        let table = [(RUNA, 1), (RUNB, 1)];
+        assert_eq!(forged(&handmade(2, &table, &[0b1000_0000])), Ok(vec![0; 2]));
+        assert_eq!(
+            forged(&handmade(3, &table, &[0b1100_0000])),
+            Err(CodecError::Corrupt("run overshoots the declared count"))
+        );
+        // With a literal (`1`) in the table.
+        let table = [(RUNB, 1), (11, 1)];
+        assert_eq!(
+            forged(&handmade(3, &table, &[0b0100_0000])),
+            Ok(vec![0, 0, 9])
+        );
+        assert_eq!(
+            forged(&handmade(4, &table, &[0b0010_0000])),
+            Err(CodecError::Corrupt("run overshoots the declared count"))
+        );
+    }
+
+    #[test]
+    fn run_digits_after_the_declared_count_are_corrupt() {
+        // Two RUNAs make a run of 3, which ends the stream; a third digit
+        // in the padding, or a byte more of them, is not padding.
+        let table = [(RUNA, 1), (RUNB, 1)];
+        assert_eq!(forged(&handmade(3, &table, &[0])), Ok(vec![0; 3]));
+        for body in [&[0b0010_0000][..], &[0b0001_0000], &[0, 0], &[0, 0x80]] {
+            assert_eq!(
+                forged(&handmade(3, &table, body)),
+                Err(CodecError::Corrupt("bits after the last symbol")),
+                "{body:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_count_beyond_the_bytes_fails_without_reserving_it() {
+        // The most symbols the strict budget allows, three bytes to carry
+        // them: literals run out of bits, digits overshoot. Neither grows
+        // the output a step past what the bits decoded.
+        let total = DecodeBudget::strict().max_values as u64;
+        let literals = handmade(total, &[(7, 1)], &[0; 3]);
+        let digits = handmade(total, &[(RUNA, 1), (RUNB, 1)], &[0xff; 3]);
+        for (bytes, want) in [
+            (literals, CodecError::Truncated),
+            (
+                digits,
+                CodecError::Corrupt("run overshoots the declared count"),
+            ),
+        ] {
+            let mut out = Vec::new();
+            let got = huffman_decode_into(&bytes, &DecodeBudget::strict(), &mut out);
+            assert_eq!(got, Err(want));
+            assert!(out.capacity() <= SLACK + GROW + 64, "{}", out.capacity());
+            assert_eq!(
+                reference::decode(&bytes, &DecodeBudget::strict()),
+                got.map(|()| out)
+            );
+        }
+    }
+
+    #[test]
+    fn a_long_run_is_stopped_by_an_expired_deadline() {
+        let data: Vec<u32> = (0..3 * DecodeBudget::DEADLINE_STRIDE as u32)
+            .map(|i| u32::from(i % 5000 == 0))
+            .collect();
+        let enc = huffman_encode(&data);
+        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
+        let mut out = Vec::new();
+        let expired = DecodeBudget::default().with_deadline(past);
+        assert!(huffman_decode_into(&enc, &expired, &mut out)
+            .unwrap_err()
+            .is_deadline());
     }
 }

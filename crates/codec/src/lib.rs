@@ -5,9 +5,12 @@
 //! over the result. This crate provides from-scratch equivalents:
 //!
 //! * [`bitio`] — MSB-first bit-level reader/writer;
-//! * [`huffman`] — canonical Huffman coding over `u32` symbol alphabets;
-//! * [`lzss`] — an LZ77/LZSS byte compressor with hash-chain matching,
-//!   standing in for zstd as the final lossless stage;
+//! * [`huffman`] — canonical Huffman coding over `u32` symbol alphabets,
+//!   with run symbols for each stream's most frequent symbol: the runs of
+//!   the zero-error code a lossless pass would win back, coded in the one
+//!   pass;
+//! * [`lzss`] — an LZ77/LZSS byte compressor with hash-chain matching, the
+//!   lossless pass of wire v4 and earlier, kept for the benchmark's probes;
 //! * [`varint`] — LEB128 varints and zigzag mapping for signed values.
 //!
 //! Everything round-trips losslessly; property tests in each module assert
@@ -17,17 +20,17 @@
 //! validated against a [`DecodeBudget`] (and the remaining input, where the
 //! format allows) *before* any allocation, so a corrupted length prefix
 //! yields a [`CodecError`] instead of a panic or an abort-on-alloc.
-//! [`fnv1a_64`] (from `amrviz-rng`) is the hash the v4 wire format uses for
+//! [`fnv1a_64`] (from `amrviz-rng`) is the hash the v5 wire format uses for
 //! per-chunk integrity.
 //!
 //! ```
-//! use amrviz_codec::{huffman_encode, huffman_decode, lzss_compress, lzss_decompress};
+//! use amrviz_codec::{huffman_decode, huffman_encode};
 //!
-//! let symbols: Vec<u32> = (0..1000).map(|i| i % 7).collect();
-//! let packed = lzss_compress(&huffman_encode(&symbols));
-//! assert!(packed.len() < symbols.len()); // ≪ 4 bytes/symbol
-//! let back = huffman_decode(&lzss_decompress(&packed).unwrap()).unwrap();
-//! assert_eq!(back, symbols);
+//! // Quantization codes of a smooth field: mostly the zero-error code.
+//! let symbols: Vec<u32> = (0..10_000).map(|i| if i % 97 == 0 { 7 } else { 4 }).collect();
+//! let packed = huffman_encode(&symbols);
+//! assert!(packed.len() < symbols.len() / 32); // < 1 bit/symbol: runs
+//! assert_eq!(huffman_decode(&packed).unwrap(), symbols);
 //! ```
 
 #![warn(clippy::or_fun_call)]

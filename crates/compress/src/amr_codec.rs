@@ -5,8 +5,8 @@
 //! the way in-situ AMR compression treats AMReX data (one dataset per level,
 //! paper §2.2); the entropy stage is shared the way AMRIC shares it. A
 //! level's fabs are cut, in box order, into *chunks* of at least
-//! [`CHUNK_CELLS`] cells, and each chunk's pieces go through one Huffman +
-//! LZSS pass under one checksum. The chunk is the unit of fan-out and of
+//! [`CHUNK_CELLS`] cells, and each chunk's pieces go through one run-length
+//! Huffman pass under one checksum. The chunk is the unit of fan-out and of
 //! damage. A relative error bound is resolved against the *global* value
 //! range across all levels so every level honors the same absolute bound.
 //!
@@ -39,10 +39,10 @@ pub const CONTAINER_MAGIC: u8 = 0xC3;
 /// Container wire version: the chunked layout of
 /// [`CompressedHierarchyField::to_bytes`]. It is the only version
 /// [`CompressedHierarchyField::from_bytes`] accepts.
-pub const CONTAINER_VERSION: u8 = 4;
+pub const CONTAINER_VERSION: u8 = 5;
 
 /// A chunk closes once its pieces hold this many cells: enough symbols that
-/// one Huffman table and one LZSS pass pay for themselves across many small
+/// one Huffman table and its run symbols pay for themselves across many small
 /// fabs, few enough that a level still fans out and a bad chunk stays a
 /// local loss.
 pub const CHUNK_CELLS: usize = 64 << 10;
@@ -103,10 +103,10 @@ impl CompressedHierarchyField {
             .count()
     }
 
-    /// Serializes to the v4 container:
+    /// Serializes to the v5 container:
     ///
     /// ```text
-    /// u8 CONTAINER_MAGIC (0xC3), u8 CONTAINER_VERSION (4),
+    /// u8 CONTAINER_MAGIC (0xC3), u8 CONTAINER_VERSION (5),
     /// uvarint compressor tag, u8 skip_redundant, f64 abs_eb,
     /// uvarint n_values, uvarint n_levels,
     /// per level: uvarint n_chunks,
@@ -114,7 +114,7 @@ impl CompressedHierarchyField {
     /// ```
     ///
     /// A chunk's bytes are its pieces' models, in piece order, as one
-    /// section, then one Huffman + LZSS coded section over all their
+    /// section, then one run-length Huffman coded section over all their
     /// symbols and one over all their side symbols (SZ-L/R's plane
     /// categories; an empty side section is its length byte). Which fabs
     /// and pieces a chunk holds is recomputed from the hierarchy and the
@@ -147,7 +147,7 @@ impl CompressedHierarchyField {
     /// Parses a serialized container, validating every declared count
     /// against `budget` and the remaining input before allocation.
     ///
-    /// Only the v4 layout written by [`CompressedHierarchyField::to_bytes`]
+    /// Only the v5 layout written by [`CompressedHierarchyField::to_bytes`]
     /// is accepted; a stream without the magic byte or with another version
     /// is `Malformed`, so the stored checksums are always the ones that were
     /// written. Parsing is structural only — a chunk with a wrong checksum
@@ -1980,7 +1980,7 @@ mod tests {
         assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
         assert!(err.to_string().contains("magic"), "got {err}");
 
-        // A v4 parse error is reported as itself, not masked by a retry.
+        // A v5 parse error is reported as itself, not masked by a retry.
         let mut bytes = c.to_bytes();
         bytes.push(0);
         let err = CompressedHierarchyField::from_bytes(&bytes).unwrap_err();
@@ -2041,6 +2041,23 @@ mod tests {
         let err = CompressedHierarchyField::from_bytes(&bytes).unwrap_err();
         assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
         assert!(err.to_string().contains("version 3"), "got {err}");
+    }
+
+    #[test]
+    fn legacy_v4_stream_is_rejected() {
+        let h = two_level_hier();
+        let (comp, cfg) = (SzLr::default(), AmrCodecConfig::default());
+        let c = compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
+        // Under version 4 every coded section was an LZSS stream of a
+        // Huffman stream without run symbols: the same chunk layout, other
+        // section bytes. It must not parse, not even with v5 sections
+        // under it, and v5 must: one parse path, keyed by the version.
+        let mut bytes = c.to_bytes();
+        assert!(CompressedHierarchyField::from_bytes(&bytes).is_ok());
+        bytes[1] = 4;
+        let err = CompressedHierarchyField::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
+        assert!(err.to_string().contains("version 4"), "got {err}");
     }
 
     #[test]

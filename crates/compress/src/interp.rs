@@ -7,7 +7,7 @@
 //! dimension at a time with 4-point cubic interpolation
 //! (weights −1/16, 9/16, 9/16, −1/16), falling back to linear/constant
 //! where neighbors are missing. Residuals go through the shared
-//! error-bounded quantizer; symbols through the shared Huffman + LZSS
+//! error-bounded quantizer; symbols through the shared run-length Huffman
 //! stage. A piece's model is the raw corner anchor and the outliers.
 //!
 //! The global smooth predictor is why SZ-Interp wins on smooth fields

@@ -15,7 +15,7 @@
 //!   produces smooth-but-wrong geometry on complex regions.
 //!
 //! Both share the same error-bounded linear quantizer with outlier escape
-//! ([`quantizer`]) and the same entropy backend (Huffman + LZSS from
+//! ([`quantizer`]) and the same entropy backend (run-length Huffman from
 //! `amrviz-codec`), and both guarantee `|x − x̂| ≤ eb` pointwise.
 //!
 //! [`ZfpLike`] adds a fixed-block transform codec in the spirit of ZFP
@@ -193,7 +193,7 @@ impl From<amrviz_codec::CodecError> for CompressError {
 /// A lossy, error-bounded compressor for 3D scalar fields, split where AMRIC
 /// splits it: the *model* half — predict and quantize one piece into model
 /// sections plus a symbol stream (and, for SZ-L/R, a side stream) — is each
-/// compressor's own; the *entropy* half — one Huffman + LZSS coded section
+/// compressor's own; the *entropy* half — one run-length Huffman section
 /// over the symbols of many pieces, one over their side symbols — is shared
 /// (`wire::write_pieces` / `wire::read_pieces`).
 ///

@@ -10,8 +10,8 @@
 
 use amrviz_amr::{Box3, IntVect};
 use amrviz_codec::{
-    huffman_decode_into, huffman_encode_into, lzss_compress_into, lzss_decompress_into,
-    read_uvarint, write_uvarint, zigzag_decode, zigzag_encode, CodecError, DecodeBudget,
+    huffman_decode_into, huffman_encode_into, read_uvarint, write_uvarint, zigzag_decode,
+    zigzag_encode, CodecError, DecodeBudget,
 };
 use amrviz_par::scratch;
 use std::ops::RangeInclusive;
@@ -90,19 +90,16 @@ impl ByteWriter {
         self.section(f64s_as_le_bytes(values));
     }
 
-    /// Section of Huffman + LZSS coded symbols — the entropy stage every
-    /// compressor shares, run through rented intermediates. No symbols is
-    /// an empty section: its length byte alone.
+    /// Section of run-length Huffman coded symbols — the one entropy pass
+    /// every compressor shares, written through a rented buffer. No symbols
+    /// is an empty section: its length byte alone.
     pub fn coded_section(&mut self, symbols: &[u32]) {
         if symbols.is_empty() {
             return self.section(&[]);
         }
         let mut huff = scratch::take_bytes();
         huffman_encode_into(symbols, &mut huff);
-        let mut lz = scratch::take_bytes();
-        lzss_compress_into(&huff, &mut lz);
-        self.section(&lz);
-        scratch::give_bytes(lz);
+        self.section(&huff);
         scratch::give_bytes(huff);
     }
 
@@ -211,15 +208,8 @@ impl<'a> ByteReader<'a> {
             out.clear();
             return count(0);
         }
-        // The rental goes back on every path: a failed decode (a corrupt
-        // blob, a deadline) must not drain the thread's pool.
-        let mut lz = scratch::take_bytes();
-        let decoded = lzss_decompress_into(section, &self.budget, &mut lz)
-            .map_err(CompressError::from)
-            .and_then(|()| count(read_uvarint(&lz, &mut 0)?))
-            .and_then(|()| Ok(huffman_decode_into(&lz, &self.budget, out)?));
-        scratch::give_bytes(lz);
-        decoded
+        count(read_uvarint(section, &mut 0)?)?;
+        Ok(huffman_decode_into(section, &self.budget, out)?)
     }
 
     /// Inverse of [`ByteWriter::box3`]. An inverted box is `Corrupt`, and
@@ -278,8 +268,9 @@ impl<'a> SideSymbols<'a> {
 /// A chunk body. `pieces` runs the model half
 /// ([`crate::Compressor::encode_piece`]) of each piece in order onto one
 /// model writer, one symbol buffer and one side-symbol buffer; the body
-/// appended to `out` is the models, as one section, then one Huffman + LZSS
-/// coded section over all the symbols and one over all the side symbols.
+/// appended to `out` is the models, as one section, then one run-length
+/// Huffman coded section over all the symbols and one over all the side
+/// symbols.
 /// Returns the bytes of the models and of the side section.
 pub(crate) fn write_pieces(
     out: &mut Vec<u8>,

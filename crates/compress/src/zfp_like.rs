@@ -7,7 +7,7 @@
 //! structure — independent 4×4×4 blocks, integer decorrelating transform,
 //! entropy-coded coefficients — but use a separable 2-level Haar
 //! S-transform (exactly invertible integer lifting) and the workspace's
-//! Huffman+LZSS backend. The codec honors an absolute error bound by
+//! run-length Huffman backend. The codec honors an absolute error bound by
 //! pre-quantizing values with step `2·eb` (the transform itself is
 //! lossless on integers). A piece's model is its escaped coefficients and
 //! raw-block values; its symbols are 64 per block.

@@ -10,8 +10,9 @@
 //!   (bit flips, truncation, byte swaps, section duplication, varint
 //!   length inflation), reproducible from a single `u64` seed;
 //! * [`run_torture`] — feeds mutated streams to every public decoder
-//!   (varint, bitio, huffman, LZSS, the three field compressors,
-//!   zMesh, the hierarchy container, and degraded-mode hierarchy decode)
+//!   (varint, bitio, huffman on plain and on run-heavy codes, LZSS, the
+//!   three field compressors, zMesh, the hierarchy container, and
+//!   degraded-mode hierarchy decode)
 //!   and tallies outcomes. Exposed to users as `amrviz torture`.
 //!
 //! Everything here is `std`-only and deterministic: the same

@@ -319,6 +319,27 @@ fn build_targets() -> Vec<Target> {
         Box::new(|bytes, budget| huffman_decode_into(bytes, budget, &mut Vec::new()).map_err(fail)),
     ));
 
+    // Quantization codes of a smooth field: mostly the radius code, in runs
+    // of every length, with scattered neighbours and outliers.
+    let mut rng = Rng::seed(0x5275_6e73);
+    let mut codes = Vec::new();
+    while codes.len() < 6000 {
+        let width = rng.below(11);
+        codes.extend(std::iter::repeat_n(
+            1u32 << 15,
+            rng.below(1 << width) as usize,
+        ));
+        codes.push(match rng.below(8) {
+            0 => 0,
+            k => (1 << 15) + k as u32 - 4,
+        });
+    }
+    targets.push(Target::fixed(
+        "huffman_runs",
+        huffman_encode(&codes),
+        Box::new(|bytes, budget| huffman_decode_into(bytes, budget, &mut Vec::new()).map_err(fail)),
+    ));
+
     let text: Vec<u8> = (0..3000).map(|i| ((i * 7) % 251) as u8).collect();
     targets.push(Target::fixed(
         "lzss",

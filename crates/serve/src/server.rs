@@ -741,11 +741,18 @@ fn decode_into_stream(out: &mut GetStream<'_>) -> Result<(), Status> {
     let mut levels = inner.cache.take_arena();
     let mut degraded_fabs = Vec::new();
     let (stage_t, written_us) = (Instant::now(), out.st[Stage::Write].unwrap_or(0));
+    // A skip-redundant container is decoded as `amrviz decompress` does:
+    // the skipped coarse cells rebuilt from the finer levels.
+    let skip = art.container.skip_redundant;
+    let cfg = AmrCodecConfig {
+        skip_redundant: skip,
+        restore_redundant: skip,
+    };
     let walked = decompress_hierarchy_field_streamed(
         &art.hier,
         &art.container,
         compressor.as_ref(),
-        &AmrCodecConfig::default(),
+        &cfg,
         DecodePolicy::Degrade,
         &budget,
         &mut levels,

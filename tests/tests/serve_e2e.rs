@@ -264,6 +264,55 @@ fn damage_only_decoding_finds_is_in_its_level_frame_and_in_end() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A skip-redundant artifact is served the way `amrviz decompress` reads
+/// it, next to a keep artifact in the same store: both `Ok`, and every
+/// LEVEL payload equals a local decode with the skipped coarse cells
+/// restored from the finer level.
+#[test]
+fn skip_redundant_artifacts_are_served_with_the_coarse_cells_restored() {
+    let dir = temp_dir("skip");
+    let store = BlobStore::open(&dir).unwrap();
+    let hier = NyxScenario::new(Scale::Tiny, 11).generate();
+    let skip = AmrCodecConfig {
+        skip_redundant: true,
+        restore_redundant: true,
+    };
+    let mut stored = Vec::new();
+    for cfg in [AmrCodecConfig::default(), skip] {
+        let comp = SzLr::default();
+        let field = "baryon_density";
+        let c = compress_hierarchy_field(&hier, field, &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
+        assert_eq!(c.skip_redundant, cfg.skip_redundant);
+        let frames: Vec<Vec<u8>> = decompress_hierarchy_field(&hier, &c, &comp, &cfg)
+            .unwrap()
+            .iter()
+            .enumerate()
+            .map(|(lev, mf)| encode_level_frame(lev, 0, mf))
+            .collect();
+        let key = store
+            .put(&encode_artifact(&hier, field, "szlr", &c))
+            .unwrap();
+        stored.push((key, frames));
+    }
+    let server = start(ServeConfig {
+        store_dir: dir.clone(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    for (key, frames) in &stored {
+        // The miss decodes the artifact; the hit replays what it kept.
+        let ex = exchange(server.addr(), &get(*key, 8_000), &ClientConfig::default());
+        assert_eq!(ex.outcome, Outcome::Ok, "{ex:?}");
+        assert_eq!(ex.levels.len(), 2);
+        let (_stream, got) = raw_get(server.addr(), *key, 2 + frames.len());
+        assert_eq!(&got[1..=frames.len()], &frames[..]);
+    }
+    server.shutdown();
+    let stats = server.join();
+    assert_eq!((stats.ok, stats.cache_misses, stats.panics), (4, 2, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn hang_up_after_level_0_leaves_no_partial_cache_entry() {
     let dir = temp_dir("hangup");

@@ -81,6 +81,33 @@ fn huffman_survives_truncation_at_every_prefix() {
 }
 
 #[test]
+fn run_heavy_huffman_survives_truncation_at_every_prefix() {
+    let budget = DecodeBudget::strict();
+    check(0xA7, 12, |rng| {
+        // Mostly the radius code in runs of every length, as a smooth
+        // field quantizes: the stream is mostly run digits.
+        let mut syms = Vec::new();
+        while syms.len() < 3000 {
+            let width = rng.below(12);
+            syms.extend(std::iter::repeat_n(1 << 15, rng.below(1 << width) as usize));
+            syms.push((1 << 15) + rng.below(5) as u32 - 2);
+        }
+        let stream = huffman_encode(&syms);
+        let mut decoded = Vec::new();
+        for cut in 0..=stream.len() {
+            let got = huffman_decode_into(&stream[..cut], &budget, &mut decoded);
+            assert_eq!(
+                got.is_ok(),
+                cut == stream.len(),
+                "cut {cut} of {}",
+                stream.len()
+            );
+        }
+        assert_eq!(decoded, syms);
+    });
+}
+
+#[test]
 fn lzss_survives_truncation_at_every_prefix() {
     let budget = DecodeBudget::strict();
     check(0xA5, 12, |rng| {
