@@ -440,7 +440,6 @@ pub const STATS_FLAGS: Flags = (&["slo"], &["strict"]);
 /// server-side outcomes against a declared objective.
 pub fn stats(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, STATS_FLAGS.0, STATS_FLAGS.1)?;
-    p.report_warnings();
     let path = p.positional(0, "journal file (JSONL)")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     if text.trim().is_empty() {
@@ -958,7 +957,6 @@ pub const SERVE_FLAGS: Flags = (
 /// proxy) until `--shutdown-after` elapses.
 pub fn serve(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, SERVE_FLAGS.0, SERVE_FLAGS.1)?;
-    p.report_warnings();
     let store_dir = std::path::PathBuf::from(p.required("store")?);
     let shutdown_after = p.opt_secs("shutdown-after")?;
     if let Some(n) = p.opt_parse::<usize>("seed-scenarios")? {
@@ -1033,7 +1031,6 @@ pub const LOADGEN_FLAGS: Flags = (
 /// distribution; exits nonzero below the success-rate floor.
 pub fn loadgen(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, LOADGEN_FLAGS.0, LOADGEN_FLAGS.1)?;
-    p.report_warnings();
     let addr: std::net::SocketAddr = p
         .required("addr")?
         .parse()
@@ -1145,29 +1142,35 @@ mod tests {
         }
     }
 
+    /// One journal holding every kind `amrviz stats` reads: spans of two
+    /// traces, nested and out of start order; server lines with stages and
+    /// a first level; a client line sharing a trace with a server line; a
+    /// shed event with no status; `slo`, `fault` and `meta` lines, and a
+    /// kind this build does not know.
+    const JOURNAL: &str = r#"{"seq":1,"kind":"span","trace":"00000000000000a1","span":1,"parent":0,"name":"repro.table2","thread":1,"start_ns":100,"dur_ns":9000000}
+{"seq":2,"kind":"span","trace":"00000000000000b2","span":9,"parent":0,"name":"serve.get","thread":3,"start_ns":50,"dur_ns":1500000}
+{"seq":3,"kind":"span","trace":"00000000000000a1","span":3,"parent":1,"name":"compress","thread":2,"start_ns":700,"dur_ns":2500000}
+{"seq":4,"kind":"span","trace":"00000000000000a1","span":2,"parent":1,"name":"generate","thread":1,"start_ns":200,"dur_ns":400000}
+{"seq":5,"kind":"span","trace":"00000000000000a1","span":4,"parent":3,"name":"compress.level","thread":2,"start_ns":800,"dur_ns":1250000}
+{"seq":6,"kind":"serve","trace":"0000000000000001","thread":4,"role":"server","status":"ok","elapsed_us":1500,"levels_sent":2,"stages_us":{"queue_wait":10,"store_read":90,"decode":1200,"write":200},"first_level_us":700}
+{"seq":7,"kind":"serve","trace":"0000000000000002","thread":4,"role":"server","status":"timeout","elapsed_us":9000,"levels_sent":0,"stages_us":{"queue_wait":500,"decode":8000}}
+{"seq":8,"kind":"serve","trace":"0000000000000001","thread":5,"role":"client","outcome":"ok","attempt":0,"elapsed_us":1800,"late_frames":0}
+{"seq":9,"kind":"serve","trace":"0000000000000003","thread":5,"role":"client","outcome":"shed","attempt":0,"elapsed_us":300,"late_frames":0}
+{"seq":10,"kind":"serve","thread":6,"role":"server","event":"shed","retry_after_ms":50}
+{"seq":11,"kind":"slo","thread":4,"spec":"p99<250ms,avail>99%","window":"1m","secs":60,"good":1,"total":2,"p99_us":9000,"burn":50.00,"avail_exceeded":true,"latency_exceeded":false,"breached":true}
+{"seq":12,"kind":"fault","thread":1,"what":"panic","target":"szlr","iter":3,"seed":7,"fault_trace":"00000000000000c3","mutations":["bitflip"]}
+{"seq":13,"kind":"mystery","thread":1}
+{"seq":14,"kind":"meta","thread":0,"dropped":3}
+"#;
+
     /// `amrviz stats FILE | head -1`: a closed pipe ends the printing, not
     /// the command — and not the `--slo` gate either.
     #[test]
     fn stats_survives_a_reader_that_hangs_up() {
-        let journal = "\
-            {\"kind\":\"serve\",\"trace\":\"01\",\"role\":\"server\",\"status\":\"ok\",\
-             \"elapsed_us\":900,\"stages_us\":{\"decode\":800,\"write\":90}}\n\
-            {\"kind\":\"serve\",\"trace\":\"02\",\"role\":\"server\",\"status\":\"timeout\",\
-             \"elapsed_us\":5000,\"stages_us\":{\"decode\":4900}}\n\
-            {\"kind\":\"span\",\"trace\":\"01\",\"span\":1,\"parent\":0,\"name\":\"serve.get\",\
-             \"thread\":1,\"start_ns\":0,\"dur_ns\":900000}\n";
-        let mut whole = Vec::new();
-        stats_journal(&mut whole, "j", journal, true, None).unwrap();
-        let whole = String::from_utf8(whole).unwrap();
-        assert!(
-            whole.starts_with("journal j: 3 lines, 0 dropped\n"),
-            "{whole}"
-        );
-        assert!(whole.contains("decode-bound (4.90 ms, 98%)"), "{whole}");
-        for room in [0, 10, whole.len() / 2] {
+        for room in [0, 10, 600] {
             let mut pipe = HangsUp { room };
-            assert_eq!(stats_journal(&mut pipe, "j", journal, true, None), Ok(()));
-            let gated = stats_journal(&mut pipe, "j", journal, true, Some("avail>99"));
+            assert_eq!(stats_journal(&mut pipe, "j", JOURNAL, false, None), Ok(()));
+            let gated = stats_journal(&mut pipe, "j", JOURNAL, false, Some("avail>99"));
             assert!(
                 gated.unwrap_err().starts_with("SLO avail>99"),
                 "room {room}"
@@ -1183,8 +1186,56 @@ mod tests {
                 Ok(())
             }
         }
-        let failed = stats_journal(&mut Full, "j", journal, true, None).unwrap_err();
+        let failed = stats_journal(&mut Full, "j", JOURNAL, false, None).unwrap_err();
         assert!(failed.starts_with("writing stats:"), "{failed}");
+    }
+
+    /// `amrviz stats` on [`JOURNAL`], pinned whole, with and without
+    /// `--slo`.
+    #[test]
+    fn stats_renders_every_journal_kind() {
+        let render = |slo| {
+            let mut out = Vec::new();
+            let result = stats_journal(&mut out, "j", JOURNAL, false, slo);
+            (String::from_utf8(out).unwrap(), result)
+        };
+        let plain = "\
+journal j: 14 lines, 3 dropped, 1 skipped
+  fault        1
+  meta         1
+  mystery      1
+  serve        5
+  slo          1
+  span         5
+serve outcomes (4 lines):
+  role     outcome             count     p50 ms     p99 ms
+  client   ok                      1       1.80       1.80
+  client   shed                    1       0.30       0.30
+  server   ok                      1       1.50       1.50
+  server   timeout                 1       9.00       9.00
+  server first_level_us over 1 GET(s): p50 0.70 ms, p99 0.70 ms
+  traces: 1 stitched (both ends), 1 server-only, 1 client-only
+slowest server requests (stage-attributed):
+        9.00 ms  trace 0000000000000002  timeout  decode-bound (8.00 ms, 89%)
+        1.50 ms  trace 0000000000000001  ok  decode-bound (1.20 ms, 80%), first level at 0.70 ms
+slo events (1):
+  spec                 window   good/total     p99 ms     burn  breached
+  p99<250ms,avail>99%  1m              1/2       9.00    50.00      true
+trace 00000000000000a1 (4 spans):
+  repro.table2 [9.000 ms, thread 1]
+    generate [0.400 ms, thread 1]
+    compress [2.500 ms, thread 2]
+      compress.level [1.250 ms, thread 2]
+trace 00000000000000b2 (1 spans):
+  serve.get [1.500 ms, thread 3]
+";
+        assert_eq!(render(None), (plain.to_string(), Ok(())));
+        let eval = r#"SLO_EVAL {"spec":"p99<10,avail>40","windows":[{"label":"journal","secs":0,"good":1,"total":2,"p99_us":9000,"burn":0.83,"avail_exceeded":false,"latency_exceeded":false}],"avail_breach":false,"latency_breach":false,"breached":false}"#;
+        let gated = (format!("{plain}{eval}\n"), Ok(()));
+        assert_eq!(render(Some("p99<10,avail>40")), gated);
+        let (_, breached) = render(Some("p99<5,avail>40"));
+        let why = "SLO p99<5,avail>40 breached over 2 server request(s) in j";
+        assert_eq!(breached, Err(why.to_string()));
     }
 
     fn args(a: &[&str]) -> Vec<String> {

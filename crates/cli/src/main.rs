@@ -244,7 +244,6 @@ const GLOBAL_FLAGS: commands::Flags = (&["trace", "flame", "threads", "journal"]
 /// flags keep the last occurrence and warn on stderr.
 fn extract_obs_options(argv: Vec<String>) -> Result<(Vec<String>, ObsOptions), String> {
     let (p, rest) = amrviz_core::args::split(&argv, GLOBAL_FLAGS.0, GLOBAL_FLAGS.1)?;
-    p.report_warnings();
     let threads = p.opt_parse::<usize>("threads")?;
     if threads == Some(0) {
         return Err("--threads must be at least 1".to_string());

@@ -472,7 +472,6 @@ pub const REPRO_FLAGS: crate::commands::Flags = (&["scale", "seed", "suite", "ou
 /// telemetry flags off it.
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let p = args::parse(argv, REPRO_FLAGS.0, REPRO_FLAGS.1)?;
-    p.report_warnings();
     let scale = p
         .opt("scale")
         .map(|v| Scale::parse(v).ok_or(format!("unknown scale: {v}")))

@@ -30,7 +30,6 @@ const EXEMPLARS: usize = 3;
 pub const TOP_FLAGS: crate::commands::Flags = (&["interval"], &["once", "json"]);
 pub fn top(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, TOP_FLAGS.0, TOP_FLAGS.1)?;
-    p.report_warnings();
     let addr: SocketAddr = p
         .positional(0, "server address (HOST:PORT)")?
         .parse()

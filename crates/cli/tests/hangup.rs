@@ -1,5 +1,7 @@
-//! A reader that hangs up before the first line ends the printing, not the
-//! command: `amrviz info PLT | head -1` exits 0 without a panic.
+//! The `amrviz` binary as a shell runs it: a reader that hangs up before
+//! the first line ends the printing, not the command (`amrviz info PLT |
+//! head -1` exits 0 without a panic), and a value flag given twice keeps
+//! its last value and says so once on stderr.
 
 use std::process::{Command, Stdio};
 
@@ -26,4 +28,19 @@ fn commands_survive_a_reader_that_hangs_up() {
         assert_eq!(run.status.code(), Some(0), "{argv:?}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_repeated_value_flag_warns_exactly_once() {
+    let out = std::env::temp_dir().join(format!("amrviz_repeated_{}", std::process::id()));
+    let run = amrviz()
+        .args(["compress", "/nonexistent", "--field", "f", "--out"])
+        .arg(&out)
+        .args(["--rel", "1e-3", "--rel", "1e-2"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    let warning = "warning: --rel given more than once; using `1e-2` (ignoring `1e-3`)";
+    assert_eq!(stderr.matches(warning).count(), 1, "{stderr}");
+    assert!(!run.status.success(), "the plotfile is missing: {stderr}");
 }

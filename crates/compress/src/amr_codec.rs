@@ -910,7 +910,7 @@ mod tests {
     use super::*;
     use crate::interp::SzInterp;
     use crate::szlr::SzLr;
-    use crate::zfp_like::ZfpLike;
+    use crate::test_support::compressors;
     use amrviz_amr::{BoxArray, Geometry, IntVect};
 
     fn two_level_hier() -> AmrHierarchy {
@@ -958,8 +958,8 @@ mod tests {
     fn roundtrip_within_bound_all_compressors() {
         let h = two_level_hier();
         let cfg = AmrCodecConfig::default();
-        let compressors: [&dyn Compressor; 3] = [&SzLr::default(), &SzInterp, &ZfpLike];
-        for comp in compressors {
+        for comp in compressors() {
+            let comp = &*comp;
             let c = compress_hierarchy_field(&h, "rho", comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
             let levels = decompress_hierarchy_field(&h, &c, comp, &cfg).unwrap();
             let err = max_err(&h, &levels, false);
@@ -1419,7 +1419,8 @@ mod tests {
         h.add_field_from_fn("rho", |_, iv| 1.0 + iv[0] as f64)
             .unwrap();
         let cfg = AmrCodecConfig::default();
-        for comp in [&SzLr::default() as &dyn Compressor, &SzInterp, &ZfpLike] {
+        for comp in compressors() {
+            let comp = &*comp;
             let mut c =
                 compress_hierarchy_field(&h, "rho", comp, ErrorBound::Abs(1e-3), &cfg).unwrap();
             edit_chunk(&mut c, (&h, &cfg, comp), (0, 0), |models, _, _| {
@@ -1744,7 +1745,8 @@ mod tests {
         let cfg = AmrCodecConfig::default();
         let plan = LevelPlan::new(&h, &cfg, 1);
         let fabs = plan.chunks[1].clone();
-        for comp in [&SzLr::default() as &dyn Compressor, &SzInterp, &ZfpLike] {
+        for comp in compressors() {
+            let comp = &*comp;
             let clean =
                 compress_hierarchy_field(&h, "rho", comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
             for grow in [false, true] {
@@ -1956,124 +1958,46 @@ mod tests {
         assert!(matches!(err, CompressError::FabDecode { .. }), "got {err}");
     }
 
+    /// Every container version but the current one is refused on its
+    /// first two bytes, whatever follows them; each later format step adds
+    /// one row.
     #[test]
-    fn legacy_v1_stream_is_rejected() {
+    fn legacy_v1_to_v4_and_unknown_versions_are_refused_by_number() {
         let h = two_level_hier();
-        let comp = SzInterp;
         let cfg = AmrCodecConfig::default();
-        let c = compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
-        // Serialize by hand in the v1 layout (no magic, no checksums). It
-        // must not parse: accepting it would mean recomputing checksums
-        // from the blobs, i.e. "verifying" a stream whose integrity words
-        // were stripped.
-        let mut w = ByteWriter::new();
-        w.f64(c.abs_eb);
-        w.uvarint(c.n_values as u64);
-        w.uvarint(c.blobs.len() as u64);
+        let c =
+            compress_hierarchy_field(&h, "rho", &SzInterp, ErrorBound::Rel(1e-3), &cfg).unwrap();
+        // The v1 layout: no magic, no checksums. Accepting it would mean
+        // "verifying" a stream whose integrity words were stripped.
+        let mut v1 = ByteWriter::new();
+        v1.f64(c.abs_eb);
+        v1.uvarint(c.n_values as u64);
+        v1.uvarint(c.blobs.len() as u64);
         for level in &c.blobs {
-            w.uvarint(level.len() as u64);
+            v1.uvarint(level.len() as u64);
             for blob in level {
-                w.section(blob);
+                v1.section(blob);
             }
         }
-        let err = CompressedHierarchyField::from_bytes(&w.finish()).unwrap_err();
-        assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
-        assert!(err.to_string().contains("magic"), "got {err}");
-
-        // A v5 parse error is reported as itself, not masked by a retry.
-        let mut bytes = c.to_bytes();
-        bytes.push(0);
-        let err = CompressedHierarchyField::from_bytes(&bytes).unwrap_err();
-        assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
-        assert!(err.to_string().contains("trailing bytes"), "got {err}");
-    }
-
-    #[test]
-    fn legacy_v2_stream_is_rejected() {
-        let h = two_level_hier();
-        let comp = SzInterp;
-        let cfg = AmrCodecConfig::default();
-        let c = compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
-        // Serialize by hand in the v2 layout: magic, version 2, no
-        // compressor or skip_redundant in the header, one checksummed blob
-        // per piece. It must not parse — a v2 blob is a standalone stream
-        // per piece, which no chunk decoder reads.
-        let mut w = ByteWriter::new();
-        w.u8(CONTAINER_MAGIC);
-        w.u8(2);
-        w.f64(c.abs_eb);
-        w.uvarint(c.n_values as u64);
-        w.uvarint(c.blobs.len() as u64);
-        for (level, sums) in c.blobs.iter().zip(&c.checksums) {
-            w.uvarint(level.len() as u64);
-            for (blob, &sum) in level.iter().zip(sums) {
-                w.u64_le(sum);
-                w.section(blob);
+        let v5 = c.to_bytes();
+        let version = |v: u8| [&[CONTAINER_MAGIC, v][..], &v5[2..]].concat();
+        let by_number = |v| format!("unsupported container version {v} (expected 5)");
+        for (stream, refusal) in [
+            (v1.finish(), Some("missing container magic".into())),
+            (version(2), Some(by_number(2))),
+            (version(3), Some(by_number(3))),
+            (version(4), Some(by_number(4))),
+            (version(99), Some(by_number(99))),
+            // A v5 parse error is reported as itself.
+            ([&v5[..], &[0]].concat(), Some("trailing bytes".into())),
+            (v5, None),
+        ] {
+            match (CompressedHierarchyField::from_bytes(&stream), refusal) {
+                (Ok(_), None) => {}
+                (Err(CompressError::Malformed(m)), Some(want)) if m.contains(&want) => {}
+                (got, want) => panic!("{want:?}: got {:?}", got.map(|_| ())),
             }
         }
-        let err = CompressedHierarchyField::from_bytes(&w.finish()).unwrap_err();
-        assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
-        assert!(err.to_string().contains("version 2"), "got {err}");
-    }
-
-    #[test]
-    fn legacy_v3_stream_is_rejected() {
-        let h = two_level_hier();
-        let (comp, cfg) = (SzLr::default(), AmrCodecConfig::default());
-        let mut c =
-            compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
-        // Re-assemble every chunk in the v3 layout — models and symbols, no
-        // side section — under version 3. It must not parse: a v3 chunk
-        // stores f32 planes where v4 stores plane bits, and has no side
-        // section to read their categories from.
-        for lev in 0..c.blobs.len() {
-            for ci in 0..c.blobs[lev].len() {
-                let mut r = ByteReader::new(&c.blobs[lev][ci]);
-                let mut w = ByteWriter::new();
-                w.section(r.section().unwrap());
-                w.section(r.section().unwrap());
-                c.blobs[lev][ci] = w.finish();
-                c.checksums[lev][ci] = fnv1a_64(&c.blobs[lev][ci]);
-            }
-        }
-        let mut bytes = c.to_bytes();
-        bytes[1] = 3;
-        let err = CompressedHierarchyField::from_bytes(&bytes).unwrap_err();
-        assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
-        assert!(err.to_string().contains("version 3"), "got {err}");
-    }
-
-    #[test]
-    fn legacy_v4_stream_is_rejected() {
-        let h = two_level_hier();
-        let (comp, cfg) = (SzLr::default(), AmrCodecConfig::default());
-        let c = compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
-        // Under version 4 every coded section was an LZSS stream of a
-        // Huffman stream without run symbols: the same chunk layout, other
-        // section bytes. It must not parse, not even with v5 sections
-        // under it, and v5 must: one parse path, keyed by the version.
-        let mut bytes = c.to_bytes();
-        assert!(CompressedHierarchyField::from_bytes(&bytes).is_ok());
-        bytes[1] = 4;
-        let err = CompressedHierarchyField::from_bytes(&bytes).unwrap_err();
-        assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
-        assert!(err.to_string().contains("version 4"), "got {err}");
-    }
-
-    #[test]
-    fn unknown_container_version_rejected_clearly() {
-        let h = two_level_hier();
-        let comp = SzInterp;
-        let cfg = AmrCodecConfig::default();
-        let c = compress_hierarchy_field(&h, "rho", &comp, ErrorBound::Rel(1e-3), &cfg).unwrap();
-        let mut bytes = c.to_bytes();
-        bytes[1] = 99;
-        let err = CompressedHierarchyField::from_bytes(&bytes).unwrap_err();
-        assert!(matches!(err, CompressError::Malformed(_)), "got {err}");
-        assert!(
-            err.to_string().contains("unsupported container version"),
-            "got: {err}"
-        );
     }
 
     #[test]

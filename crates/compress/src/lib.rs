@@ -278,6 +278,13 @@ pub(crate) mod test_support {
     use crate::wire::{read_pieces, write_pieces, ByteReader};
     use crate::{CompressError, Compressor, DecodeBudget, ErrorBound, Field3View};
 
+    /// Every compressor, one per entry of [`ALGORITHMS`](crate::ALGORITHMS).
+    pub(crate) fn compressors() -> impl Iterator<Item = Box<dyn Compressor>> {
+        crate::ALGORITHMS
+            .map(|algo| crate::compressor_by_name(algo).unwrap())
+            .into_iter()
+    }
+
     /// `f(i, j, k)` over `dims`, x-fastest.
     pub(crate) fn from_fn(
         dims: [usize; 3],
@@ -331,6 +338,25 @@ pub(crate) mod test_support {
     ) -> Result<Vec<f64>, CompressError> {
         let mut out = Vec::new();
         decode_into(comp, piece, body, &DecodeBudget::default(), &mut out).map(|()| out)
+    }
+
+    /// `f` through a one-piece chunk under `bound`, every cell checked
+    /// against the bound it resolved to: the body's length and the cells.
+    pub(crate) fn roundtrip(
+        comp: &dyn Compressor,
+        dims: [usize; 3],
+        f: &[f64],
+        bound: ErrorBound,
+    ) -> (usize, Vec<f64>) {
+        let name = comp.name();
+        let (body, eb) = encode(comp, dims, f, bound);
+        let back = decode(comp, (dims, eb), &body).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(back.len(), f.len(), "{name}");
+        for (n, (a, b)) in f.iter().zip(&back).enumerate() {
+            let within = (a - b).abs() <= eb * (1.0 + 1e-12);
+            assert!(within, "{name} {dims:?} cell {n}: |{a} - {b}| > {eb}");
+        }
+        (body.len(), back)
     }
 
     /// Oracle inputs: every dims in 1..=14 per axis is reachable (partial
@@ -389,6 +415,201 @@ pub(crate) mod test_support {
         let budget = DecodeBudget::default();
         decode_into(comp, (dims, eb), body, &budget, &mut out).unwrap();
         out
+    }
+}
+
+/// The contract every compressor keeps, written once over [`ALGORITHMS`]:
+/// the pointwise bound on smooth, random, outlier-heavy, huge, odd-shaped
+/// and constant fields and over three seeded sweeps; a typed error on a
+/// corrupt or truncated body and on an expired deadline; fewer bytes under
+/// a larger bound. What the compressors promise differently is a row of
+/// `PROMISES`.
+#[cfg(test)]
+mod contract {
+    use crate::test_support::{decode, decode_into, encode, from_fn, roundtrip};
+    use crate::{compressor_by_name, Compressor, DecodeBudget, ErrorBound, Field3View, ALGORITHMS};
+    use amrviz_rng::{check, Rng};
+
+    /// What one compressor promises beyond the bound: its algorithm name,
+    /// the least compression ratio of each [`RATIO_FIELDS`] field at 1e-3,
+    /// and the most body bytes of each [`CONSTANTS`] field.
+    struct Promise(&'static str, f64, [usize; 2]);
+
+    /// One row per entry of [`ALGORITHMS`], in its order.
+    const PROMISES: [Promise; ALGORITHMS.len()] = [
+        Promise("szlr", 15.0, [600, 200]),
+        Promise("szinterp", 15.0, [600, 200]),
+        // A range of zero resolves to a bound no block transform meets, so
+        // every block of a constant field is stored raw.
+        Promise("zfp", 8.0, [32_800, 13_900]),
+    ];
+
+    type Cells = fn(usize, usize, usize) -> f64;
+
+    /// Smooth fields, each at the dims its compressor's own tests took it.
+    const SMOOTH: [([usize; 3], Cells); 3] = [
+        ([20, 18, 16], |i, j, k| {
+            (i as f64 * 0.2).sin() * (j as f64 * 0.15).cos() + 0.05 * k as f64
+        }),
+        ([20, 18, 16], |i, j, k| {
+            (i as f64 * 0.1).sin() * (j as f64 * 0.08).cos() * (1.0 + 0.02 * k as f64)
+        }),
+        ([17, 12, 9], |i, j, k| {
+            (i as f64 * 0.3).sin() + (j as f64 * 0.2).cos() * k as f64 * 0.1
+        }),
+    ];
+
+    /// The smooth fields whose compression ratio is promised, at 32³.
+    const RATIO_FIELDS: [Cells; 2] = [SMOOTH[0].1, |i, j, k| ((i + j + k) as f64 * 0.05).sin()];
+
+    /// Constant fields: dims, value, relative bound.
+    const CONSTANTS: [([usize; 3], f64, f64); 2] = [([16; 3], 3.25, 1e-3), ([9; 3], -2.5, 1e-2)];
+
+    type Noisy = fn(&mut Rng, usize, usize, usize) -> f64;
+
+    /// A field of random dims below `max` per axis from `cells`, whose
+    /// noise draws from a fork of `rng`, under a bound of `10^e` of its
+    /// range for a random `e` in `-6..-1`, or `abs` if one is given.
+    fn swept(
+        rng: &mut Rng,
+        max: usize,
+        abs: Option<f64>,
+        cells: Noisy,
+    ) -> ([usize; 3], Vec<f64>, f64) {
+        let dims = [0; 3].map(|_| rng.range_usize(1, max));
+        let rel = abs
+            .is_none()
+            .then(|| 10f64.powi(rng.range_i64(-6, -1) as i32));
+        let mut noise = rng.fork(1);
+        let f = from_fn(dims, |i, j, k| cells(&mut noise, i, j, k));
+        let eb = abs.unwrap_or_else(|| rel.unwrap() * Field3View::new(dims, &f).range().max(1e-12));
+        (dims, f, eb)
+    }
+
+    type Case = fn(&dyn Compressor, &Promise);
+
+    /// The contract, one named case a row, each run on every compressor
+    /// with its promise.
+    const CASES: [(&str, Case); 10] = [
+        ("smooth fields at three bounds", |comp, _| {
+            for (dims, cells) in SMOOTH {
+                let f = from_fn(dims, cells);
+                for rel in [1e-4, 1e-3, 1e-2] {
+                    roundtrip(comp, dims, &f, ErrorBound::Rel(rel));
+                }
+            }
+        }),
+        ("the smooth-data ratio", |comp, &Promise(_, least, _)| {
+            for cells in RATIO_FIELDS {
+                let f = from_fn([32; 3], cells);
+                let (len, _) = roundtrip(comp, [32; 3], &f, ErrorBound::Rel(1e-3));
+                let ratio = (f.len() * 8) as f64 / len as f64;
+                assert!(ratio > least, "{}: ratio {ratio:.1}", comp.name());
+            }
+        }),
+        ("a constant field, exact", |comp, &Promise(_, _, bytes)| {
+            for ((dims, v, rel), most) in CONSTANTS.into_iter().zip(bytes) {
+                let f = from_fn(dims, |_, _, _| v);
+                let (len, back) = roundtrip(comp, dims, &f, ErrorBound::Rel(rel));
+                assert!(len < most, "{}: constant body {len} bytes", comp.name());
+                assert_eq!(back, f, "{}", comp.name());
+            }
+        }),
+        ("a random field under an absolute bound", |comp, _| {
+            for (seed, dims, half, eb) in
+                [(11, [13, 9, 7], 100.0, 0.5), (5, [11, 13, 6], 50.0, 0.25)]
+            {
+                let mut rng = Rng::seed(seed);
+                let f = from_fn(dims, |_, _, _| rng.range_f64(-half, half));
+                roundtrip(comp, dims, &f, ErrorBound::Abs(eb));
+            }
+        }),
+        ("outliers and huge values", |comp, _| {
+            // Alternating huge jumps: every residual escapes.
+            let f = from_fn([8; 3], |i, j, k| [1e9, -1e9][(i + j + k) % 2]);
+            roundtrip(comp, [8; 3], &f, ErrorBound::Abs(1e-9));
+            // One plane past a transform's headroom.
+            let f = from_fn([8; 3], |i, _, _| if i == 0 { 1e300 } else { 1.0 });
+            roundtrip(comp, [8; 3], &f, ErrorBound::Abs(1e-6));
+        }),
+        ("odd, degenerate and single-cell shapes", |comp, _| {
+            let f = from_fn([7, 11, 5], SMOOTH[0].1);
+            roundtrip(comp, [7, 11, 5], &f, ErrorBound::Rel(1e-3));
+            roundtrip(comp, [1; 3], &[42.0], ErrorBound::Abs(0.1));
+            for dims in [[1, 1, 1], [64, 1, 1], [1, 32, 1], [2, 2, 2], [1, 1, 128]] {
+                let f = from_fn(dims, |i, j, k| (i + 2 * j + 3 * k) as f64 * 0.37);
+                roundtrip(comp, dims, &f, ErrorBound::Rel(1e-3));
+            }
+        }),
+        ("corrupt and truncated bodies", |comp, _| {
+            let bodies = [
+                (from_fn([8; 3], SMOOTH[0].1), ErrorBound::Rel(1e-3)),
+                (from_fn([8; 3], SMOOTH[1].1), ErrorBound::Rel(1e-3)),
+                (from_fn([8; 3], |i, _, _| i as f64), ErrorBound::Abs(0.01)),
+            ];
+            for (f, bound) in bodies {
+                let (body, eb) = encode(comp, [8; 3], &f, bound);
+                let cut = [4, 5, 6].map(|cut| body[..cut].to_vec());
+                let first = [0x00, 0xFF].map(|b| [&[b][..], &body[1..]].concat());
+                for bad in cut.iter().chain(&first) {
+                    let got = decode(comp, ([8; 3], eb), bad);
+                    assert!(got.is_err(), "{}: {bad:?} decoded", comp.name());
+                }
+            }
+        }),
+        ("an expired deadline", |comp, _| {
+            // 40³ codes are more than three deadline strides of symbols.
+            let (dims, f) = ([40; 3], from_fn([40; 3], SMOOTH[0].1));
+            assert!(f.len() >= 3 * DecodeBudget::DEADLINE_STRIDE);
+            let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
+            let expired = DecodeBudget::default().with_deadline(past);
+            let (body, eb) = encode(comp, dims, &f, ErrorBound::Rel(1e-3));
+            let mut out = Vec::new();
+            let err = decode_into(comp, (dims, eb), &body, &expired, &mut out).unwrap_err();
+            assert!(err.is_deadline(), "{}: {err}", comp.name());
+            decode_into(comp, (dims, eb), &body, &DecodeBudget::default(), &mut out).unwrap();
+            assert_eq!(out.len(), f.len());
+        }),
+        ("a larger bound gives fewer bytes", |comp, _| {
+            for cells in [SMOOTH[0].1, SMOOTH[1].1] {
+                let f = from_fn([24; 3], cells);
+                let (small, _) = roundtrip(comp, [24; 3], &f, ErrorBound::Rel(1e-4));
+                let (large, _) = roundtrip(comp, [24; 3], &f, ErrorBound::Rel(1e-2));
+                assert!(large < small, "{}: {large} !< {small}", comp.name());
+            }
+        }),
+        // SZ-L/R's, SZ-Interp's and ZFP-like's own seeded sweeps.
+        ("three seeded bound sweeps", |comp, _| {
+            let sweeps: [(u64, u32, usize, Option<f64>, Noisy); 3] = [
+                (0x52A, 16, 13, None, |r, i, j, _| {
+                    (i as f64 * 0.3).sin() + r.range_f64(-0.2, 0.2) + j as f64 * 0.01
+                }),
+                (0x1CE, 16, 13, None, |r, i, _, k| {
+                    (k as f64 * 0.2).cos() + r.range_f64(-0.3, 0.3) + i as f64 * 0.05
+                }),
+                (0x2F9, 12, 10, Some(0.05), |r, _, _, _| {
+                    r.range_f64(-10.0, 10.0)
+                }),
+            ];
+            for (seed, cases, max, abs, cells) in sweeps {
+                check(seed, cases, |rng| {
+                    let (dims, f, eb) = swept(rng, max, abs, cells);
+                    roundtrip(comp, dims, &f, ErrorBound::Abs(eb));
+                });
+            }
+        }),
+    ];
+
+    #[test]
+    fn every_compressor_keeps_every_case() {
+        for (algo, promise) in ALGORITHMS.into_iter().zip(&PROMISES) {
+            assert_eq!(algo, promise.0, "PROMISES follows ALGORITHMS");
+            let comp = compressor_by_name(algo).unwrap();
+            for (case, run) in CASES {
+                eprintln!("{algo}: {case}"); // names the case of a failure
+                run(comp.as_ref(), promise);
+            }
+        }
     }
 }
 

@@ -29,7 +29,7 @@
 //!   plain `0.5` fails exactly there: `0.49999999999999994 + 0.5` rounds up
 //!   to `1.0`. The argument needs halves to be representable next to `t`,
 //!   i.e. `|t| < 2⁵¹`; in range `ulp(t) ≤ 2⁻³⁸`, and the ZFP-like codec,
-//!   which shares [`round_half_away`], stays below `2⁴⁵`.
+//!   which shares `round_half_away`, stays below `2⁴⁵`.
 //!
 //! The result differs from `round` in one unobservable bit: `round(−0.3)` is
 //! `−0.0` and the integer path gives `+0`, so a reconstruction of `p = −0.0`

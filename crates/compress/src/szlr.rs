@@ -17,7 +17,7 @@
 //! cell, entropy-coded with the other pieces'; its side symbols are four
 //! plane categories per regression block, entropy-coded in the chunk's side
 //! section. Each plane is quantized against the piece's previous one
-//! ([`PlaneCoder`]), and encoder, selection and decoder all predict with the
+//! (`PlaneCoder`), and encoder, selection and decoder all predict with the
 //! dequantized plane.
 //!
 //! # Shape of the hot path
@@ -25,11 +25,11 @@
 //! Everything below the block loop works on x-row slices of the field; no
 //! cell is addressed as `i + nx·(j + ny·k)` and no block is copied out.
 //! Selection reads a block twice: one pass feeds each row to the fit sums
-//! ([`FitSums`]) and to the Lorenzo-on-originals error (neither needs the
+//! (`FitSums`) and to the Lorenzo-on-originals error (neither needs the
 //! coefficients), a second accumulates the regression error. The predictor
 //! choice is then made once per block, outside the cell loop, and the block
 //! is encoded row by row through one of two predictor walks
-//! ([`Neighbours::walk`], [`RegressionCoeffs::walk`]) around a single inline
+//! (`Neighbours::walk`, `RegressionCoeffs::walk`) around a single inline
 //! quantize → code → reconstruct step that writes `codes[pos..pos + len]`
 //! by slice; outliers are appended out of line and counted afterwards. The
 //! decoder validates its sections up front and then runs the same walks
@@ -406,7 +406,7 @@ mod tests {
     use super::*;
     use crate::regression::ESCAPE;
     use crate::test_support::{
-        bits, decode, decode_in_place, decode_into, encode, from_fn, oracle_case,
+        bits, decode, decode_in_place, decode_into, encode, from_fn, oracle_case, roundtrip,
     };
     use crate::{DecodeBudget, ErrorBound};
     use amrviz_rng::check;
@@ -780,84 +780,6 @@ mod tests {
         }
     }
 
-    fn check_bound(orig: &[f64], recon: &[f64], eb: f64) {
-        assert_eq!(orig.len(), recon.len());
-        for (a, b) in orig.iter().zip(recon) {
-            assert!(
-                (a - b).abs() <= eb * (1.0 + 1e-12),
-                "bound violated: |{a} - {b}| > {eb}"
-            );
-        }
-    }
-
-    fn smooth_field(dims: [usize; 3]) -> Vec<f64> {
-        from_fn(dims, |i, j, k| {
-            (i as f64 * 0.2).sin() * (j as f64 * 0.15).cos() + 0.05 * k as f64
-        })
-    }
-
-    /// `f` through a one-piece chunk under `bound`, checked against the
-    /// bound it resolved to: the body's length and the decoded cells.
-    fn roundtrip(dims: [usize; 3], f: &[f64], bound: ErrorBound) -> (usize, Vec<f64>) {
-        let sz = SzLr::default();
-        let (body, eb) = encode(&sz, dims, f, bound);
-        let back = decode(&sz, (dims, eb), &body).unwrap();
-        check_bound(f, &back, eb);
-        (body.len(), back)
-    }
-
-    #[test]
-    fn roundtrip_smooth_within_bound() {
-        let f = smooth_field([20, 18, 16]);
-        for rel in [1e-4, 1e-3, 1e-2] {
-            roundtrip([20, 18, 16], &f, ErrorBound::Rel(rel));
-        }
-    }
-
-    #[test]
-    fn compresses_smooth_data_well() {
-        let f = smooth_field([32, 32, 32]);
-        let (len, _) = roundtrip([32, 32, 32], &f, ErrorBound::Rel(1e-3));
-        let ratio = (f.len() * 8) as f64 / len as f64;
-        assert!(ratio > 15.0, "ratio too low: {ratio:.1}");
-    }
-
-    #[test]
-    fn constant_field_is_tiny_and_exact() {
-        let f = vec![3.25; 4096];
-        let (len, back) = roundtrip([16, 16, 16], &f, ErrorBound::Rel(1e-3));
-        assert!(len < 600, "constant field body too big: {len}");
-        assert_eq!(back, f);
-    }
-
-    #[test]
-    fn random_field_respects_bound() {
-        let mut rng = amrviz_rng::Rng::seed(11);
-        let f = from_fn([13, 9, 7], |_, _, _| rng.range_f64(-100.0, 100.0));
-        roundtrip([13, 9, 7], &f, ErrorBound::Abs(0.5));
-    }
-
-    #[test]
-    fn outlier_heavy_data_roundtrips_exactly() {
-        // Alternating huge jumps — every residual escapes.
-        let f = from_fn([8, 8, 8], |i, j, k| match (i + j + k) % 2 {
-            0 => 1e9,
-            _ => -1e9,
-        });
-        roundtrip([8, 8, 8], &f, ErrorBound::Abs(1e-9));
-    }
-
-    #[test]
-    fn non_multiple_dims_handled() {
-        let f = smooth_field([7, 11, 5]); // none a multiple of 6
-        roundtrip([7, 11, 5], &f, ErrorBound::Rel(1e-3));
-    }
-
-    #[test]
-    fn single_cell_field() {
-        roundtrip([1, 1, 1], &[42.0], ErrorBound::Abs(0.1));
-    }
-
     #[test]
     fn regression_wins_on_planes() {
         // A perfect plane: regression predicts exactly; the body should be
@@ -866,63 +788,8 @@ mod tests {
         let f = from_fn(dims, |i, j, k| {
             2.0 * i as f64 - 3.0 * j as f64 + 0.5 * k as f64
         });
-        let (len, _) = roundtrip(dims, &f, ErrorBound::Rel(1e-4));
+        let (len, _) = roundtrip(&SzLr::default(), dims, &f, ErrorBound::Rel(1e-4));
         let ratio = (f.len() * 8) as f64 / len as f64;
         assert!(ratio > 20.0, "plane should compress hard, got {ratio:.1}");
-    }
-
-    #[test]
-    fn corrupt_stream_rejected() {
-        let dims = [8, 8, 8];
-        let sz = SzLr::default();
-        let (body, eb) = encode(&sz, dims, &smooth_field(dims), ErrorBound::Rel(1e-3));
-        assert!(decode(&sz, (dims, eb), &body[..4]).is_err());
-        let mut bad = body.clone();
-        bad[0] = 0xFF;
-        assert!(decode(&sz, (dims, eb), &bad).is_err());
-    }
-
-    #[test]
-    fn expired_deadline_surfaces_through_decompress() {
-        // 40³ codes are more than three deadline strides of symbols.
-        let dims = [40, 40, 40];
-        let f = smooth_field(dims);
-        assert!(f.len() >= 3 * DecodeBudget::DEADLINE_STRIDE);
-        let sz = SzLr::default();
-        let (body, eb) = encode(&sz, dims, &f, ErrorBound::Rel(1e-3));
-        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let expired = DecodeBudget::default().with_deadline(past);
-        let mut out = Vec::new();
-        let err = decode_into(&sz, (dims, eb), &body, &expired, &mut out).unwrap_err();
-        assert!(err.is_deadline(), "{err}");
-        let budget = DecodeBudget::default();
-        decode_into(&sz, (dims, eb), &body, &budget, &mut out).unwrap();
-        assert_eq!(out.len(), f.len());
-    }
-
-    #[test]
-    fn larger_bound_compresses_more() {
-        let dims = [24, 24, 24];
-        let f = smooth_field(dims);
-        let (small, _) = roundtrip(dims, &f, ErrorBound::Rel(1e-4));
-        let (large, _) = roundtrip(dims, &f, ErrorBound::Rel(1e-2));
-        assert!(large < small, "{large} !< {small}");
-    }
-
-    #[test]
-    fn bound_never_violated() {
-        check(0x52A, 16, |rng| {
-            let nx = rng.range_usize(1, 13);
-            let ny = rng.range_usize(1, 13);
-            let nz = rng.range_usize(1, 13);
-            let eb_exp = rng.range_i64(-6, -1) as i32;
-            let mut field_rng = rng.fork(1);
-            let dims = [nx, ny, nz];
-            let f = from_fn(dims, |i, j, _| {
-                (i as f64 * 0.3).sin() + field_rng.range_f64(-0.2, 0.2) + j as f64 * 0.01
-            });
-            let eb = 10f64.powi(eb_exp) * Field3View::new(dims, &f).range().max(1e-12);
-            roundtrip(dims, &f, ErrorBound::Abs(eb));
-        });
     }
 }

@@ -1,7 +1,7 @@
 //! Little helpers for serializing headers and sections, and the one
 //! entropy stage every compressed byte goes through: [`ByteWriter::coded_section`]
 //! / [`ByteReader::coded_section`], and over it the chunk body of
-//! [`write_pieces`] / [`read_pieces`].
+//! `write_pieces` / `read_pieces`.
 //!
 //! [`ByteReader`] carries a [`DecodeBudget`]: declared section lengths and
 //! box dimensions are validated against it (and the remaining buffer)

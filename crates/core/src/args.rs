@@ -10,9 +10,9 @@ pub struct Parsed {
     options: BTreeMap<String, String>,
     switches: Vec<String>,
     /// One entry per repeated value option (last occurrence wins, matching
-    /// the switch dedupe behavior, but noisily: callers print these to
-    /// stderr so `--seed 5 ... --seed 1` in a long
-    /// command line is never a silent surprise).
+    /// the switch dedupe behavior, but noisily: each is printed to stderr as
+    /// it is found, so `--seed 5 ... --seed 1` in a long command line is
+    /// never a silent surprise).
     warnings: Vec<String>,
 }
 
@@ -55,9 +55,9 @@ pub fn split(
         } else if value_opts.contains(&name) {
             let v = it.next().ok_or(format!("--{name} needs a value"))?;
             if let Some(prev) = out.options.insert(name.to_string(), v.clone()) {
-                out.warnings.push(format!(
-                    "--{name} given more than once; using `{v}` (ignoring `{prev}`)"
-                ));
+                let w = format!("--{name} given more than once; using `{v}` (ignoring `{prev}`)");
+                eprintln!("warning: {w}");
+                out.warnings.push(w);
             }
         } else if key != name && (value_opts.contains(&key) || switch_opts.contains(&key)) {
             return Err(equals_style(key));
@@ -119,13 +119,6 @@ impl Parsed {
     /// Warnings accumulated during parsing (e.g. repeated value options).
     pub fn warnings(&self) -> &[String] {
         &self.warnings
-    }
-
-    /// Prints every accumulated warning to stderr.
-    pub fn report_warnings(&self) {
-        for w in self.warnings() {
-            eprintln!("warning: {w}");
-        }
     }
 }
 

@@ -597,16 +597,80 @@ mod tests {
     use super::*;
     use amrviz_compress::wire::{ByteReader, ByteWriter};
 
+    /// Every prefix of every corpus stream, empty to whole, under the
+    /// strict budget: a typed error or a decode, never a panic. The whole
+    /// stream decodes, and a framed stream only whole; a varint list, a
+    /// bare bit stream and LZSS (which has no end marker) may also stop at
+    /// a token edge. The decoders no other test sweeps also take streams
+    /// drawn at random.
     #[test]
-    fn corpus_streams_decode_cleanly_unmutated() {
+    fn every_prefix_of_every_corpus_stream_decodes_or_fails_typed() {
         let budget = DecodeBudget::strict();
-        for t in build_targets() {
-            assert!(
-                (t.decode)(&t.stream, &budget).is_ok(),
-                "valid {} corpus stream must decode under the strict budget",
-                t.name
-            );
+        let sweep = |t: &Target, stream: &[u8]| {
+            let framed = !["varint", "bitio", "lzss"].contains(&t.name.as_str());
+            for cut in 0..=stream.len() {
+                let run = catch_unwind(AssertUnwindSafe(|| (t.decode)(&stream[..cut], &budget)));
+                let run = run.unwrap_or_else(|_| panic!("{}: prefix {cut} panicked", t.name));
+                let whole = cut == stream.len();
+                if whole || framed {
+                    let len = stream.len();
+                    assert_eq!(run.is_ok(), whole, "{}: prefix {cut} of {len}", t.name);
+                }
+            }
+        };
+        let targets = build_targets();
+        assert_eq!(targets.len(), 12);
+        for t in &targets {
+            sweep(t, &t.stream);
         }
+        type Draw = fn(&mut Rng) -> Vec<u8>;
+        let drawn: [(&str, u64, u32, Draw); 3] = [
+            ("varint", 0xA1, 16, |rng| {
+                let mut stream = Vec::new();
+                for _ in 0..rng.range_usize(1, 40) {
+                    write_uvarint(&mut stream, rng.next_u64() >> rng.below(64));
+                }
+                stream
+            }),
+            ("bitio", 0xA2, 16, |rng| {
+                let mut w = BitWriter::new();
+                for _ in 0..rng.range_usize(1, 300) {
+                    w.write_bits(rng.next_u64(), 1 + rng.below(32) as u32);
+                }
+                w.finish()
+            }),
+            ("lzss", 0xA5, 12, |rng| {
+                // Repetitive, so the stream holds real back-references.
+                let n = rng.range_usize(1, 600);
+                let data: Vec<u8> = (0..n)
+                    .map(|i| ((i / 7) % 31) as u8 ^ rng.below(4) as u8)
+                    .collect();
+                lzss_compress(&data)
+            }),
+        ];
+        for (name, seed, cases, draw) in drawn {
+            let t = targets.iter().find(|t| t.name == name).unwrap();
+            amrviz_rng::check(seed, cases, |rng| sweep(t, &draw(rng)));
+        }
+    }
+
+    /// The failures of `t` on 240 seeded mutations of `part`, each made a
+    /// whole stream by `whole`; none may panic.
+    fn mutated_failures(
+        t: &Target,
+        seed: u64,
+        part: &[u8],
+        whole: impl Fn(Vec<u8>) -> Vec<u8>,
+    ) -> Vec<DecodeFailure> {
+        let (budget, master) = (DecodeBudget::strict(), Rng::seed(seed));
+        let failure = |i| {
+            let (mutated, muts) = mutate_stream(&mut master.fork(i), part);
+            let stream = whole(mutated);
+            let outcome = catch_unwind(AssertUnwindSafe(|| (t.decode)(&stream, &budget)));
+            let result = outcome.unwrap_or_else(|_| panic!("{}: {i} {muts:?} panicked", t.name));
+            result.err()
+        };
+        (0..240).filter_map(failure).collect()
     }
 
     #[test]
@@ -618,22 +682,12 @@ mod tests {
         let mut seen = 0;
         for t in chunks {
             seen += 1;
-            let (mut errors, master) = (0, Rng::seed(0xC4C));
-            for i in 0..240 {
-                let (mutated, muts) = mutate_stream(&mut master.fork(i), &t.stream);
-                let outcome = catch_unwind(AssertUnwindSafe(|| (t.decode)(&mutated, &budget)));
-                let result = outcome
-                    .unwrap_or_else(|_| panic!("{}: mutation {i} {muts:?} panicked", t.name));
-                if let Err(e) = result {
-                    assert!(!e.msg.contains("checksum"), "{} {i}: {}", t.name, e.msg);
-                    errors += 1;
-                }
+            let failures = mutated_failures(&t, 0xC4C, &t.stream, |m| m);
+            if let Some(e) = failures.iter().find(|e| e.msg.contains("checksum")) {
+                panic!("{}: {}", t.name, e.msg);
             }
-            assert!(
-                errors > 120,
-                "{}: only {errors} of 240 decodes failed",
-                t.name
-            );
+            let errors = failures.len();
+            assert!(errors > 120, "{}: only {errors} of 240 failed", t.name);
             // The arena those decodes dirtied still takes the clean chunk.
             assert!((t.decode)(&t.stream, &budget).is_ok(), "{}", t.name);
         }
@@ -652,17 +706,14 @@ mod tests {
         let (models, symbols, side) = (r.section(), r.section(), r.section());
         let (models, symbols, side) = (models.unwrap(), symbols.unwrap(), side.unwrap());
         assert!(side.len() > 8, "the corpus chunk holds regression planes");
-        let (mut errors, master) = (0, Rng::seed(0x51DE));
-        for i in 0..240 {
-            let (mutated, muts) = mutate_stream(&mut master.fork(i), side);
+        let errors = mutated_failures(&target, 0x51DE, side, |mutated| {
             let mut w = ByteWriter::new();
             w.section(models);
             w.section(symbols);
             w.section(&mutated);
-            let outcome = catch_unwind(AssertUnwindSafe(|| (target.decode)(&w.finish(), &budget)));
-            let result = outcome.unwrap_or_else(|_| panic!("side mutation {i} {muts:?} panicked"));
-            errors += usize::from(result.is_err());
-        }
+            w.finish()
+        });
+        let errors = errors.len();
         assert!(errors > 120, "only {errors} of 240 side mutations failed");
         assert!((target.decode)(&target.stream, &budget).is_ok());
     }

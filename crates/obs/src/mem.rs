@@ -128,7 +128,7 @@ pub fn counting_alloc_installed() -> bool {
 /// # Safety under active spans
 ///
 /// This touches **only** the global `PEAK` atomic. The per-thread
-/// watermark state (`T_CUR`/`T_PEAK`) and the [`MemFrame`]s saved by
+/// watermark state (`T_CUR`/`T_PEAK`) and the `MemFrame`s saved by
 /// in-flight [`crate::SpanGuard`]s are deliberately left alone: each
 /// frame's `start_cur`/`saved_peak` live in the guard itself, so a
 /// `reset()` racing with active spans can never unbalance a

@@ -14,7 +14,7 @@
 //!       (scenario (family F) (topology T) (levels L)))))
 //! ```
 //!
-//! expands — cross-product via nested [`plug`](expand) substitution,
+//! expands — cross-product via nested [`plug`](mod@expand) substitution,
 //! minus documented exclusion rules — into 32 concrete, deterministically
 //! seeded [`ScenarioSpec`]s, each of which [generates](ScenarioSpec::generate)
 //! a full hierarchy. Three consumers drive experiments off this surface:

@@ -9,7 +9,7 @@
 //! * [`raster`] — a z-buffer triangle rasterizer with flat Lambertian
 //!   shading (flat shading makes compression bump/block artifacts pop,
 //!   which is the point);
-//! * [`slice`] — volume slice rendering with AMR box-outline overlays
+//! * [`slice`](mod@slice) — volume slice rendering with AMR box-outline overlays
 //!   (the Fig. 2 "grid adapts with the universe" analogue).
 
 pub mod camera;

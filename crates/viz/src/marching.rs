@@ -20,7 +20,7 @@
 //! segment runs from where the counter-clockwise walk enters the inside to
 //! where it leaves it, so every loop runs counter-clockwise as seen from the
 //! lower-valued side, and so does every triangle of its fan — under any
-//! finite positive spacing, which [`extract`] insists on, whatever the
+//! finite positive spacing, which `extract` insists on, whatever the
 //! values. The neighbouring cube sees a shared face from the other side and
 //! walks the same segment the other way round, which is what a consistently
 //! oriented surface needs of the two triangles meeting there. (A fan is not

@@ -1,11 +1,16 @@
 //! Integration-test host crate (tests live in `tests/tests/`) plus shared
 //! helpers: mesh canonicalization/fingerprinting, the golden-snapshot
-//! harness (`BLESS=1` regenerates), and scenario builders.
+//! harness (`BLESS=1` regenerates), scenario builders and the compressor
+//! list.
 
 use std::path::PathBuf;
 
 use amrviz_amr::{AmrHierarchy, Box3, BoxArray, Fab, Geometry, MultiFab};
 use amrviz_codec::fnv1a_64;
+use amrviz_compress::{
+    compress_hierarchy_field, compressor_by_name, decompress_hierarchy_field, AmrCodecConfig,
+    CompressedHierarchyField, Compressor, ErrorBound, ALGORITHMS,
+};
 use amrviz_core::prelude::*;
 use amrviz_viz::TriMesh;
 
@@ -113,6 +118,45 @@ pub fn nyx_like(seed: u64) -> BuiltScenario {
 /// The WarpX-like evaluation scenario at test scale (smooth EM field).
 pub fn warpx_like(seed: u64) -> BuiltScenario {
     BuiltScenario::from_spec(Application::Warpx.spec(Scale::Tiny, seed))
+}
+
+/// Every compressor, one per entry of [`ALGORITHMS`].
+pub fn compressors() -> Vec<Box<dyn Compressor>> {
+    ALGORITHMS
+        .map(|algo| compressor_by_name(algo).expect("a compressor"))
+        .into()
+}
+
+/// `field` of `h` through `comp` and the container under `bound` and
+/// `cfg`, every cell of every level checked against the bound the stream
+/// records: the stream and the decoded levels. `what` names the case.
+pub fn roundtrip_within_bound(
+    h: &AmrHierarchy,
+    field: &str,
+    comp: &dyn Compressor,
+    bound: ErrorBound,
+    cfg: &AmrCodecConfig,
+    what: &str,
+) -> (CompressedHierarchyField, Vec<MultiFab>) {
+    let name = comp.name();
+    let c = compress_hierarchy_field(h, field, comp, bound, cfg)
+        .unwrap_or_else(|e| panic!("{name} on {what}: {e}"));
+    let levels = decompress_hierarchy_field(h, &c, comp, cfg)
+        .unwrap_or_else(|e| panic!("{name} on {what}: {e}"));
+    assert_eq!(levels.len(), h.num_levels(), "{name} on {what}");
+    let tol = c.abs_eb * (1.0 + 1e-12);
+    for (lev, decoded) in levels.iter().enumerate() {
+        let orig = h.field_level(field, lev).expect("the field exists");
+        for (bi, (ofab, dfab)) in orig.fabs().iter().zip(decoded.fabs()).enumerate() {
+            for ((cell, o), d) in ofab.iter().zip(dfab.data()) {
+                assert!(
+                    (o - d).abs() <= tol,
+                    "{name} on {what}: lev {lev} box {bi} cell {cell:?}: |{o} - {d}| > {tol}"
+                );
+            }
+        }
+    }
+    (c, levels)
 }
 
 /// A one-level hierarchy of one box of `dims` cells whose field `"u"` is

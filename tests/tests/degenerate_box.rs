@@ -7,13 +7,11 @@
 //! sweeps over single-sample dimensions, and dual-cell stitching where a
 //! box contributes no interior dual cell at all.
 
-#![allow(clippy::needless_range_loop)] // level-indexed loops mirror the math
-
 use amrviz_amr::{AmrHierarchy, Box3, BoxArray, Geometry, IntVect};
 use amrviz_compress::{
-    compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, Compressor, ErrorBound,
-    SzInterp, SzLr, ZfpLike,
+    compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, ErrorBound,
 };
+use amrviz_integration_tests::{compressors, roundtrip_within_bound};
 use amrviz_viz::{extract_amr_isosurface, IsoMethod};
 
 /// An 8³ coarse domain with two fine boxes: a normal 4³ block and a lone
@@ -38,36 +36,12 @@ fn degenerate_hierarchy() -> AmrHierarchy {
     h
 }
 
-fn compressors() -> Vec<Box<dyn Compressor>> {
-    vec![
-        Box::new(SzLr::default()),
-        Box::new(SzInterp),
-        Box::new(ZfpLike),
-    ]
-}
-
 #[test]
 fn single_cell_box_roundtrips_within_bound() {
-    let h = degenerate_hierarchy();
+    let (h, cfg) = (degenerate_hierarchy(), AmrCodecConfig::default());
     for comp in compressors() {
-        let name = comp.name();
-        let cfg = AmrCodecConfig::default();
-        let c = compress_hierarchy_field(&h, "density", comp.as_ref(), ErrorBound::Rel(1e-3), &cfg)
-            .unwrap_or_else(|e| panic!("{name}: compress failed: {e}"));
-        let out = decompress_hierarchy_field(&h, &c, comp.as_ref(), &cfg)
-            .unwrap_or_else(|e| panic!("{name}: decompress failed: {e}"));
-        for lev in 0..h.num_levels() {
-            let orig = h.field_level("density", lev).unwrap();
-            for (ofab, dfab) in orig.fabs().iter().zip(out[lev].fabs()) {
-                for (o, d) in ofab.data().iter().zip(dfab.data()) {
-                    assert!(
-                        (o - d).abs() <= c.abs_eb * (1.0 + 1e-12),
-                        "{name}: lev {lev} |{o} - {d}| > {}",
-                        c.abs_eb
-                    );
-                }
-            }
-        }
+        let bound = ErrorBound::Rel(1e-3);
+        roundtrip_within_bound(&h, "density", comp.as_ref(), bound, &cfg, "a 1x1x1 box");
     }
 }
 

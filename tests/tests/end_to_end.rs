@@ -1,14 +1,11 @@
 //! End-to-end pipeline: generate → store → reload → compress → decompress →
 //! visualize → evaluate, for both applications.
 
-#![allow(clippy::needless_range_loop)] // level-indexed loops mirror the math
-
 use amrviz_amr::plotfile::{read_plotfile, write_plotfile};
-use amrviz_compress::{
-    compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, ErrorBound,
-};
+use amrviz_compress::{AmrCodecConfig, ErrorBound};
 use amrviz_core::experiment::{run_compression, CompressorKind};
 use amrviz_core::prelude::*;
+use amrviz_integration_tests::roundtrip_within_bound;
 use amrviz_metrics::quality;
 use amrviz_viz::extract_amr_isosurface;
 
@@ -38,24 +35,13 @@ fn full_pipeline_both_apps() {
         std::fs::remove_dir_all(&dir).ok();
 
         // Compress the *reloaded* hierarchy, decompress, and check quality.
-        let comp = CompressorKind::SzInterp.instance();
-        let cfg = AmrCodecConfig::default();
-        let compressed =
-            compress_hierarchy_field(&reloaded, field, comp.as_ref(), ErrorBound::Rel(1e-3), &cfg)
-                .unwrap();
-        assert!(compressed.compressed_bytes() < compressed.n_values * 8 / 3);
-        let levels =
-            decompress_hierarchy_field(&reloaded, &compressed, comp.as_ref(), &cfg).unwrap();
-
         // Pointwise bound on every level.
-        for lev in 0..reloaded.num_levels() {
-            let orig = reloaded.field_level(field, lev).unwrap();
-            for (ofab, dfab) in orig.fabs().iter().zip(levels[lev].fabs()) {
-                for (o, d) in ofab.data().iter().zip(dfab.data()) {
-                    assert!((o - d).abs() <= compressed.abs_eb * (1.0 + 1e-12));
-                }
-            }
-        }
+        let comp = CompressorKind::SzInterp.instance();
+        let (cfg, bound) = (AmrCodecConfig::default(), ErrorBound::Rel(1e-3));
+        let what = format!("{app:?} reloaded");
+        let (compressed, levels) =
+            roundtrip_within_bound(&reloaded, field, comp.as_ref(), bound, &cfg, &what);
+        assert!(compressed.compressed_bytes() < compressed.n_values * 8 / 3);
 
         // The decompressed data still yields surfaces with every method.
         for method in IsoMethod::ALL {
@@ -88,17 +74,15 @@ fn flattened_reconstruction_matches_pointwise_quality() {
     // honor the bound (merging only rearranges values).
     let built = BuiltScenario::from_spec(Application::Nyx.spec(Scale::Tiny, 5));
     let comp = CompressorKind::SzLr.instance();
-    let cfg = AmrCodecConfig::default();
-    let compressed = compress_hierarchy_field(
+    let (cfg, bound) = (AmrCodecConfig::default(), ErrorBound::Rel(1e-3));
+    let (compressed, levels) = roundtrip_within_bound(
         &built.hierarchy,
         "baryon_density",
         comp.as_ref(),
-        ErrorBound::Rel(1e-3),
+        bound,
         &cfg,
-    )
-    .unwrap();
-    let levels =
-        decompress_hierarchy_field(&built.hierarchy, &compressed, comp.as_ref(), &cfg).unwrap();
+        "Nyx",
+    );
     let ur = amrviz_amr::resample::flatten_levels_to_finest(
         &built.hierarchy,
         &levels,

@@ -1,57 +1,22 @@
 //! The error-bound contract, checked across every compressor, both
 //! applications, and adversarial fields.
 
-#![allow(clippy::needless_range_loop)] // level-indexed loops mirror the math
-
 use amrviz_amr::AmrHierarchy;
-use amrviz_compress::{
-    compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, Compressor, ErrorBound,
-    SzInterp, SzLr, ZfpLike,
-};
+use amrviz_compress::{AmrCodecConfig, Compressor, ErrorBound};
 use amrviz_core::prelude::*;
-use amrviz_integration_tests::one_box;
+use amrviz_integration_tests::{compressors, one_box, roundtrip_within_bound};
 use amrviz_rng::check;
-
-fn compressors() -> Vec<Box<dyn Compressor>> {
-    vec![
-        Box::new(SzLr::default()),
-        Box::new(SzInterp),
-        Box::new(ZfpLike),
-    ]
-}
 
 #[test]
 fn bound_holds_on_scenarios_for_all_compressors() {
+    let cfg = AmrCodecConfig::default();
     for app in Application::ALL {
         let built = BuiltScenario::from_spec(app.spec(Scale::Tiny, 17));
-        let field = app.eval_field();
         for comp in compressors() {
             for rel in [1e-4, 1e-2] {
-                let cfg = AmrCodecConfig::default();
-                let compressed = compress_hierarchy_field(
-                    &built.hierarchy,
-                    field,
-                    comp.as_ref(),
-                    ErrorBound::Rel(rel),
-                    &cfg,
-                )
-                .unwrap();
-                let levels =
-                    decompress_hierarchy_field(&built.hierarchy, &compressed, comp.as_ref(), &cfg)
-                        .unwrap();
-                for lev in 0..built.hierarchy.num_levels() {
-                    let orig = built.hierarchy.field_level(field, lev).unwrap();
-                    for (ofab, dfab) in orig.fabs().iter().zip(levels[lev].fabs()) {
-                        for (o, d) in ofab.data().iter().zip(dfab.data()) {
-                            assert!(
-                                (o - d).abs() <= compressed.abs_eb * (1.0 + 1e-12),
-                                "{} on {app:?} lev {lev}: |{o} - {d}| > {}",
-                                comp.name(),
-                                compressed.abs_eb
-                            );
-                        }
-                    }
-                }
+                let (field, what) = (app.eval_field(), format!("{app:?} at {rel:e}"));
+                let bound = ErrorBound::Rel(rel);
+                roundtrip_within_bound(&built.hierarchy, field, comp.as_ref(), bound, &cfg, &what);
             }
         }
     }
@@ -61,17 +26,13 @@ fn bound_holds_on_scenarios_for_all_compressors() {
 /// container, every cell checked against `abs`.
 fn assert_bound(h: &AmrHierarchy, comp: &dyn Compressor, bound: ErrorBound, abs: f64, what: &str) {
     let cfg = AmrCodecConfig::default();
-    let c = compress_hierarchy_field(h, "u", comp, bound, &cfg).unwrap();
-    let back = decompress_hierarchy_field(h, &c, comp, &cfg)
-        .unwrap_or_else(|e| panic!("{} failed to decode {what}: {e}", comp.name()));
-    let orig = h.field_level("u", 0).unwrap().fabs()[0].data();
-    for (o, d) in orig.iter().zip(back[0].fabs()[0].data()) {
-        assert!(
-            (o - d).abs() <= abs * (1.0 + 1e-12),
-            "{} on {what}: |{o} - {d}| > {abs}",
-            comp.name()
-        );
-    }
+    let (c, _) = roundtrip_within_bound(h, "u", comp, bound, &cfg, what);
+    assert!(
+        c.abs_eb <= abs,
+        "{} on {what}: {} > {abs}",
+        comp.name(),
+        c.abs_eb
+    );
 }
 
 #[test]

@@ -1,22 +1,19 @@
 //! Property-based round-trip tests: on randomized multi-level hierarchies
 //! the reconstruction error of every cell — including cells on box
 //! boundaries, where predictors have one-sided context — stays within the
-//! advertised absolute bound, for both paper compressors.
+//! advertised absolute bound, for every compressor.
 //!
 //! Two samplers drive the property: a free-form random hierarchy builder
 //! (arbitrary nesting, chopped boxes) and the recipe-space sampler from
 //! `crates/recipe`, whose failures report the canonical recipe string
 //! that regenerates the offending scenario.
 
-#![allow(clippy::needless_range_loop)] // level-indexed loops mirror the math
-
 use amrviz_amr::{AmrHierarchy, Box3, BoxArray, Geometry, IntVect};
 use amrviz_compress::{
-    compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, Compressor, ErrorBound,
-    SzInterp, SzLr,
+    compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, ErrorBound, SzLr,
 };
 use amrviz_core::BuiltScenario;
-use amrviz_integration_tests::mesh_fingerprint;
+use amrviz_integration_tests::{compressors, mesh_fingerprint, roundtrip_within_bound};
 use amrviz_recipe::ScenarioSpec;
 use amrviz_rng::{check, Rng};
 use amrviz_viz::{extract_amr_isosurface, IsoMethod};
@@ -92,44 +89,14 @@ fn add_random_field(h: &mut AmrHierarchy, rng: &mut Rng) {
     .expect("field fits hierarchy");
 }
 
-fn compressors() -> Vec<(&'static str, Box<dyn Compressor>)> {
-    vec![
-        ("SZ-L/R", Box::new(SzLr::default())),
-        ("SZ-Itp", Box::new(SzInterp)),
-    ]
-}
-
-fn assert_bound_holds(h: &AmrHierarchy, bound: ErrorBound) {
-    assert_bound_holds_on(h, "f", bound, "");
-}
-
 /// The round-trip property itself. `repro` is appended to failure
 /// messages — recipe-sampled scenarios pass their canonical recipe string
 /// so a failure names the exact scenario to regenerate.
 fn assert_bound_holds_on(h: &AmrHierarchy, field: &str, bound: ErrorBound, repro: &str) {
     let cfg = AmrCodecConfig::default();
-    for (name, comp) in compressors() {
-        let c =
-            compress_hierarchy_field(h, field, comp.as_ref(), bound, &cfg).expect("field exists");
-        let levels =
-            decompress_hierarchy_field(h, &c, comp.as_ref(), &cfg).expect("own stream decodes");
-        let tol = c.abs_eb * (1.0 + 1e-12);
-        for lev in 0..h.num_levels() {
-            let orig = h.field_level(field, lev).unwrap();
-            for (bi, (ofab, dfab)) in orig.fabs().iter().zip(levels[lev].fabs()).enumerate() {
-                let bx = ofab.box3();
-                for ((cell, o), d) in ofab.iter().zip(dfab.data()) {
-                    let on_boundary =
-                        (0..3).any(|a| cell[a] == bx.lo()[a] || cell[a] == bx.hi()[a]);
-                    assert!(
-                        (o - d).abs() <= tol,
-                        "{name} lev {lev} box {bi} cell {cell:?} \
-                         (boundary: {on_boundary}): |{o} - {d}| > {tol}{}{repro}",
-                        if repro.is_empty() { "" } else { "\n  recipe: " },
-                    );
-                }
-            }
-        }
+    let what = format!("recipe {repro:?}");
+    for comp in compressors() {
+        roundtrip_within_bound(h, field, comp.as_ref(), bound, &cfg, &what);
     }
 }
 
@@ -139,7 +106,7 @@ fn random_hierarchies_respect_relative_bound() {
         let mut h = random_hierarchy(rng);
         add_random_field(&mut h, rng);
         let eb = 10f64.powi(-(rng.range_i64(2, 4) as i32));
-        assert_bound_holds(&h, ErrorBound::Rel(eb));
+        assert_bound_holds_on(&h, "f", ErrorBound::Rel(eb), "");
     });
 }
 
@@ -148,7 +115,7 @@ fn random_hierarchies_respect_absolute_bound() {
     check(0xF00E, 24, |rng| {
         let mut h = random_hierarchy(rng);
         add_random_field(&mut h, rng);
-        assert_bound_holds(&h, ErrorBound::Abs(rng.range_f64(1e-4, 1e-1)));
+        assert_bound_holds_on(&h, "f", ErrorBound::Abs(rng.range_f64(1e-4, 1e-1)), "");
     });
 }
 
@@ -206,7 +173,7 @@ fn recipe_sampled_scenarios_respect_the_bound() {
 #[test]
 fn boundary_cells_are_exercised() {
     // Sanity-check the generator itself: multi-box levels exist, so the
-    // boundary-cell condition in `assert_bound_holds` is not vacuous.
+    // box-boundary cells `assert_bound_holds_on` checks are not vacuous.
     check(0xF00F, 16, |rng| {
         let h = random_hierarchy(rng);
         let multi_box_levels = (1..h.num_levels())

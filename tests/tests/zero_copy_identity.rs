@@ -11,19 +11,11 @@ use amrviz_amr::{AmrHierarchy, MultiFab};
 use amrviz_codec::fnv1a_64;
 use amrviz_compress::{
     compress_hierarchy_field, decompress_hierarchy_field, decompress_hierarchy_field_into,
-    AmrCodecConfig, Compressor, DecodeBudget, DecodePolicy, ErrorBound, SzInterp, SzLr, ZfpLike,
+    AmrCodecConfig, DecodeBudget, DecodePolicy, ErrorBound, SzLr,
 };
 use amrviz_core::prelude::*;
-use amrviz_integration_tests::{mesh_fingerprint, nyx_like, one_box, warpx_like};
+use amrviz_integration_tests::{compressors, mesh_fingerprint, nyx_like, one_box, warpx_like};
 use amrviz_viz::extract_amr_isosurface;
-
-fn compressors() -> Vec<(&'static str, Box<dyn Compressor>)> {
-    vec![
-        ("szlr", Box::new(SzLr::default())),
-        ("szinterp", Box::new(SzInterp)),
-        ("zfp-like", Box::new(ZfpLike)),
-    ]
-}
 
 fn test_field(dims: [usize; 3], phase: f64) -> AmrHierarchy {
     one_box(dims, |i, j, k| {
@@ -42,7 +34,7 @@ fn assert_bits_eq(a: &[f64], b: &[f64], ctx: &str) {
 fn decompress_into_dirty_buffer_is_bit_identical() {
     let (budget, cfg) = (DecodeBudget::default(), AmrCodecConfig::default());
     let fields = [test_field([11, 9, 7], 0.0), test_field([5, 13, 6], 1.7)];
-    for (name, c) in compressors() {
+    for c in compressors() {
         // One reused arena, first poisoned with NaNs in the first field's
         // shape: each decode must overwrite it to exactly the fresh result,
         // whether it lands on garbage, on its own output, or on another
@@ -65,7 +57,7 @@ fn decompress_into_dirty_buffer_is_bit_identical() {
             )
             .unwrap();
             let (got, want) = (reused[0].fabs()[0].data(), fresh[0].fabs()[0].data());
-            assert_bits_eq(got, want, &format!("{name}/{fi}"));
+            assert_bits_eq(got, want, &format!("{}/{fi}", c.name()));
         }
     }
 }
