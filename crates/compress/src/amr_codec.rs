@@ -1958,11 +1958,11 @@ mod tests {
         assert!(matches!(err, CompressError::FabDecode { .. }), "got {err}");
     }
 
-    /// Every container version but the current one is refused on its
-    /// first two bytes, whatever follows them; each later format step adds
-    /// one row.
-    #[test]
-    fn legacy_v1_to_v4_and_unknown_versions_are_refused_by_number() {
+    /// The container-version table, run on the rows named `rows`: every
+    /// version but the current one is refused on its first two bytes,
+    /// whatever follows them. Each later format step adds one row, and the
+    /// test of that version names it.
+    fn container_versions(rows: &[&str]) {
         let h = two_level_hier();
         let cfg = AmrCodecConfig::default();
         let c =
@@ -1982,22 +1982,53 @@ mod tests {
         let v5 = c.to_bytes();
         let version = |v: u8| [&[CONTAINER_MAGIC, v][..], &v5[2..]].concat();
         let by_number = |v| format!("unsupported container version {v} (expected 5)");
-        for (stream, refusal) in [
-            (v1.finish(), Some("missing container magic".into())),
-            (version(2), Some(by_number(2))),
-            (version(3), Some(by_number(3))),
-            (version(4), Some(by_number(4))),
-            (version(99), Some(by_number(99))),
+        let table = [
+            ("v1", v1.finish(), Some("missing container magic".into())),
+            ("v2", version(2), Some(by_number(2))),
+            ("v3", version(3), Some(by_number(3))),
+            ("v4", version(4), Some(by_number(4))),
+            ("v99", version(99), Some(by_number(99))),
             // A v5 parse error is reported as itself.
-            ([&v5[..], &[0]].concat(), Some("trailing bytes".into())),
-            (v5, None),
-        ] {
-            match (CompressedHierarchyField::from_bytes(&stream), refusal) {
+            (
+                "v5 + a byte",
+                [&v5[..], &[0]].concat(),
+                Some("trailing bytes".into()),
+            ),
+            ("v5", v5, None),
+        ];
+        for row in rows {
+            let (_, stream, refusal) = table.iter().find(|r| r.0 == *row).expect("a row");
+            match (CompressedHierarchyField::from_bytes(stream), refusal) {
                 (Ok(_), None) => {}
-                (Err(CompressError::Malformed(m)), Some(want)) if m.contains(&want) => {}
-                (got, want) => panic!("{want:?}: got {:?}", got.map(|_| ())),
+                (Err(CompressError::Malformed(m)), Some(want)) if m.contains(want) => {}
+                (got, want) => panic!("{row}: {want:?}: got {:?}", got.map(|_| ())),
             }
         }
+    }
+
+    #[test]
+    fn legacy_v1_stream_is_rejected() {
+        container_versions(&["v1", "v5 + a byte"]);
+    }
+
+    #[test]
+    fn legacy_v2_stream_is_rejected() {
+        container_versions(&["v2"]);
+    }
+
+    #[test]
+    fn legacy_v3_stream_is_rejected() {
+        container_versions(&["v3"]);
+    }
+
+    #[test]
+    fn legacy_v4_stream_is_rejected() {
+        container_versions(&["v5", "v4"]);
+    }
+
+    #[test]
+    fn unknown_container_version_rejected_clearly() {
+        container_versions(&["v99"]);
     }
 
     #[test]

@@ -252,6 +252,7 @@ impl Compressor for SzInterp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contract::keeps;
     use crate::test_support::{bits, decode_in_place, decode_into, encode, from_fn, oracle_case};
     use crate::{DecodeBudget, ErrorBound};
     use amrviz_rng::check;
@@ -427,6 +428,41 @@ mod tests {
             assert!(matches!(err, CompressError::Malformed(_)), "{err}");
             assert_eq!(out, [7.0; 3], "output touched");
         }
+    }
+
+    #[test]
+    fn roundtrip_smooth_within_bound() {
+        keeps("szinterp", "smooth fields at three bounds");
+    }
+
+    #[test]
+    fn random_field_respects_bound() {
+        keeps("szinterp", "a random field under an absolute bound");
+    }
+
+    #[test]
+    fn degenerate_shapes() {
+        keeps("szinterp", "odd, degenerate and single-cell shapes");
+    }
+
+    #[test]
+    fn constant_field_exact() {
+        keeps("szinterp", "a constant field, exact");
+    }
+
+    #[test]
+    fn larger_bound_compresses_more() {
+        keeps("szinterp", "a larger bound gives fewer bytes");
+    }
+
+    #[test]
+    fn corrupt_stream_rejected() {
+        keeps("szinterp", "corrupt and truncated bodies");
+    }
+
+    #[test]
+    fn bound_never_violated() {
+        keeps("szinterp", "three seeded bound sweeps");
     }
 
     #[test]

@@ -425,7 +425,7 @@ pub(crate) mod test_support {
 /// a larger bound. What the compressors promise differently is a row of
 /// `PROMISES`.
 #[cfg(test)]
-mod contract {
+pub(crate) mod contract {
     use crate::test_support::{decode, decode_into, encode, from_fn, roundtrip};
     use crate::{compressor_by_name, Compressor, DecodeBudget, ErrorBound, Field3View, ALGORITHMS};
     use amrviz_rng::{check, Rng};
@@ -599,6 +599,14 @@ mod contract {
             }
         }),
     ];
+
+    /// Runs the case named `case` on the compressor named `algo`, with its
+    /// promise: how each compressor's own tests name the rows it always had.
+    pub(crate) fn keeps(algo: &str, case: &str) {
+        let promise = PROMISES.iter().find(|p| p.0 == algo).expect("a promise");
+        let (_, run) = CASES.iter().find(|c| c.0 == case).expect("a case");
+        run(compressor_by_name(algo).unwrap().as_ref(), promise);
+    }
 
     #[test]
     fn every_compressor_keeps_every_case() {

@@ -404,6 +404,7 @@ impl Compressor for SzLr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contract::keeps;
     use crate::regression::ESCAPE;
     use crate::test_support::{
         bits, decode, decode_in_place, decode_into, encode, from_fn, oracle_case, roundtrip,
@@ -778,6 +779,61 @@ mod tests {
             }
             assert_eq!(back[2 + 12 * (3 + 6)].to_bits(), special.to_bits());
         }
+    }
+
+    #[test]
+    fn roundtrip_smooth_within_bound() {
+        keeps("szlr", "smooth fields at three bounds");
+    }
+
+    #[test]
+    fn compresses_smooth_data_well() {
+        keeps("szlr", "the smooth-data ratio");
+    }
+
+    #[test]
+    fn constant_field_is_tiny_and_exact() {
+        keeps("szlr", "a constant field, exact");
+    }
+
+    #[test]
+    fn random_field_respects_bound() {
+        keeps("szlr", "a random field under an absolute bound");
+    }
+
+    #[test]
+    fn outlier_heavy_data_roundtrips_exactly() {
+        keeps("szlr", "outliers and huge values");
+    }
+
+    #[test]
+    fn non_multiple_dims_handled() {
+        keeps("szlr", "odd, degenerate and single-cell shapes");
+    }
+
+    #[test]
+    fn single_cell_field() {
+        keeps("szlr", "odd, degenerate and single-cell shapes");
+    }
+
+    #[test]
+    fn corrupt_stream_rejected() {
+        keeps("szlr", "corrupt and truncated bodies");
+    }
+
+    #[test]
+    fn expired_deadline_surfaces_through_decompress() {
+        keeps("szlr", "an expired deadline");
+    }
+
+    #[test]
+    fn larger_bound_compresses_more() {
+        keeps("szlr", "a larger bound gives fewer bytes");
+    }
+
+    #[test]
+    fn bound_never_violated() {
+        keeps("szlr", "three seeded bound sweeps");
     }
 
     #[test]

@@ -316,6 +316,7 @@ impl Compressor for ZfpLike {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contract::keeps;
     use crate::test_support::{bits, decode_in_place, encode, oracle_case};
     use amrviz_rng::check;
 
@@ -469,6 +470,31 @@ mod tests {
             let got = decode_in_place(&ZfpLike, (dims, eb), &got);
             assert_eq!(bits(&got), bits(&want), "decode differs: {dims:?}");
         });
+    }
+
+    #[test]
+    fn roundtrip_smooth_within_bound() {
+        keeps("zfp", "smooth fields at three bounds");
+    }
+
+    #[test]
+    fn compresses_smooth_data() {
+        keeps("zfp", "the smooth-data ratio");
+    }
+
+    #[test]
+    fn huge_values_escape_to_raw_blocks() {
+        keeps("zfp", "outliers and huge values");
+    }
+
+    #[test]
+    fn corrupt_stream_rejected() {
+        keeps("zfp", "corrupt and truncated bodies");
+    }
+
+    #[test]
+    fn bound_never_violated() {
+        keeps("zfp", "three seeded bound sweeps");
     }
 
     #[test]

@@ -597,60 +597,40 @@ mod tests {
     use super::*;
     use amrviz_compress::wire::{ByteReader, ByteWriter};
 
+    #[test]
+    fn corpus_streams_decode_cleanly_unmutated() {
+        let budget = DecodeBudget::strict();
+        for t in build_targets() {
+            assert!(
+                (t.decode)(&t.stream, &budget).is_ok(),
+                "valid {} corpus stream must decode under the strict budget",
+                t.name
+            );
+        }
+    }
+
     /// Every prefix of every corpus stream, empty to whole, under the
     /// strict budget: a typed error or a decode, never a panic. The whole
     /// stream decodes, and a framed stream only whole; a varint list, a
     /// bare bit stream and LZSS (which has no end marker) may also stop at
-    /// a token edge. The decoders no other test sweeps also take streams
-    /// drawn at random.
+    /// a token edge. The random input families of the codecs' own sweeps
+    /// are in the integration suite's `truncation_fuzz`.
     #[test]
     fn every_prefix_of_every_corpus_stream_decodes_or_fails_typed() {
         let budget = DecodeBudget::strict();
-        let sweep = |t: &Target, stream: &[u8]| {
-            let framed = !["varint", "bitio", "lzss"].contains(&t.name.as_str());
-            for cut in 0..=stream.len() {
-                let run = catch_unwind(AssertUnwindSafe(|| (t.decode)(&stream[..cut], &budget)));
-                let run = run.unwrap_or_else(|_| panic!("{}: prefix {cut} panicked", t.name));
-                let whole = cut == stream.len();
-                if whole || framed {
-                    let len = stream.len();
-                    assert_eq!(run.is_ok(), whole, "{}: prefix {cut} of {len}", t.name);
-                }
-            }
-        };
         let targets = build_targets();
         assert_eq!(targets.len(), 12);
         for t in &targets {
-            sweep(t, &t.stream);
-        }
-        type Draw = fn(&mut Rng) -> Vec<u8>;
-        let drawn: [(&str, u64, u32, Draw); 3] = [
-            ("varint", 0xA1, 16, |rng| {
-                let mut stream = Vec::new();
-                for _ in 0..rng.range_usize(1, 40) {
-                    write_uvarint(&mut stream, rng.next_u64() >> rng.below(64));
+            let framed = !["varint", "bitio", "lzss"].contains(&t.name.as_str());
+            let len = t.stream.len();
+            for cut in 0..=len {
+                let run = catch_unwind(AssertUnwindSafe(|| (t.decode)(&t.stream[..cut], &budget)));
+                let run = run.unwrap_or_else(|_| panic!("{}: prefix {cut} panicked", t.name));
+                let whole = cut == len;
+                if whole || framed {
+                    assert_eq!(run.is_ok(), whole, "{}: prefix {cut} of {len}", t.name);
                 }
-                stream
-            }),
-            ("bitio", 0xA2, 16, |rng| {
-                let mut w = BitWriter::new();
-                for _ in 0..rng.range_usize(1, 300) {
-                    w.write_bits(rng.next_u64(), 1 + rng.below(32) as u32);
-                }
-                w.finish()
-            }),
-            ("lzss", 0xA5, 12, |rng| {
-                // Repetitive, so the stream holds real back-references.
-                let n = rng.range_usize(1, 600);
-                let data: Vec<u8> = (0..n)
-                    .map(|i| ((i / 7) % 31) as u8 ^ rng.below(4) as u8)
-                    .collect();
-                lzss_compress(&data)
-            }),
-        ];
-        for (name, seed, cases, draw) in drawn {
-            let t = targets.iter().find(|t| t.name == name).unwrap();
-            amrviz_rng::check(seed, cases, |rng| sweep(t, &draw(rng)));
+            }
         }
     }
 
