@@ -977,7 +977,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
             .opt_parse::<usize>("cache-mb")?
             .unwrap_or(256)
             .saturating_mul(1 << 20),
-        shutdown_after,
         slo: match p.opt("slo") {
             Some(s) => amrviz_serve::slo::SloSpec::parse(s)?,
             None => amrviz_serve::slo::SloSpec::default(),
@@ -998,8 +997,10 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     }
     let _ = std::io::stdout().flush();
 
-    // With --shutdown-after, `start`'s accept thread flips the stop flag
-    // itself; joining blocks until the drain completes.
+    if let Some(after) = shutdown_after {
+        std::thread::sleep(after);
+        server.shutdown();
+    }
     let stats = server.join();
     if let Some(pr) = proxy {
         pr.stop();

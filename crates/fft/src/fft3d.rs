@@ -27,6 +27,7 @@ impl Grid3 {
     }
 
     /// Grid built from a real scalar field.
+    #[cfg(test)]
     pub fn from_real(nx: usize, ny: usize, nz: usize, real: &[f64]) -> Self {
         assert_eq!(real.len(), nx * ny * nz);
         Grid3 {

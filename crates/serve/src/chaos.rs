@@ -15,7 +15,7 @@
 //!   mid-stream reset);
 //! - **none**: bytes pass through untouched.
 
-use crate::server::accept_loop;
+use crate::server::{wake_accept, ACCEPT_BACKOFF};
 use amrviz_rng::Rng;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -69,7 +69,6 @@ impl ChaosProxy {
     /// Starts a proxy on an OS-picked port forwarding to `upstream`.
     pub fn start(upstream: SocketAddr, seed: u64) -> std::io::Result<ChaosProxy> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
@@ -94,29 +93,35 @@ impl ChaosProxy {
     /// finish on their own (sockets carry timeouts).
     pub fn stop(mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        wake_accept(self.addr);
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
     }
 }
 
+/// Accepts until [`ChaosProxy::stop`] sets the stop flag and wakes it; the
+/// connection that woke it is dropped unforwarded.
 fn forward_connections(listener: &TcpListener, upstream: SocketAddr, seed: u64, stop: &AtomicBool) {
     let base = Rng::seed(seed);
     let mut conn_index = 0u64;
-    accept_loop(
-        listener,
-        || stop.load(Ordering::SeqCst),
-        |client| {
-            let mut rng = base.fork(conn_index);
-            conn_index += 1;
-            let c2s = pick_fault(&mut rng);
-            let s2c = pick_fault(&mut rng);
-            // Upstream down: the client sees a reset.
-            if let Ok(server) = TcpStream::connect_timeout(&upstream, Duration::from_secs(2)) {
-                spawn_pumps(client, server, c2s, s2c);
-            }
-        },
-    );
+    for client in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok(client) = client else {
+            std::thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
+        let mut rng = base.fork(conn_index);
+        conn_index += 1;
+        let c2s = pick_fault(&mut rng);
+        let s2c = pick_fault(&mut rng);
+        // Upstream down: the client sees a reset.
+        if let Ok(server) = TcpStream::connect_timeout(&upstream, Duration::from_secs(2)) {
+            spawn_pumps(client, server, c2s, s2c);
+        }
+    }
 }
 
 fn spawn_pumps(client: TcpStream, server: TcpStream, c2s: Fault, s2c: Fault) {
@@ -198,6 +203,22 @@ mod tests {
             assert_eq!(pick_fault(&mut a), pick_fault(&mut b));
             assert_eq!(pick_fault(&mut a), pick_fault(&mut b));
         }
+    }
+
+    /// An idle proxy's accept thread is blocked in `accept`, so `stop` must
+    /// wake it or never return; the watchdog turns a missed wake into a
+    /// failure.
+    #[test]
+    fn idle_proxy_stop_returns() {
+        let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+        let proxy = ChaosProxy::start(upstream.local_addr().unwrap(), 1).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            proxy.stop();
+            let _ = done_tx.send(());
+        });
+        let stopped = done_rx.recv_timeout(Duration::from_secs(10));
+        stopped.expect("stop returned");
     }
 
     #[test]

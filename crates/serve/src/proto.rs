@@ -406,10 +406,13 @@ pub fn write_level_frame(
         bufs.push(IoSlice::new(&layout.head[cut[0]..cut[1]]));
         bufs.push(IoSlice::new(f64s_as_le_bytes(fab.data())));
     }
-    // `write_vectored` takes what the OS accepts in one call (at most
-    // `IOV_MAX` slices, often less than all their bytes): advance past what
-    // went out and offer the rest again.
-    let mut bufs = &mut bufs[..];
+    write_all_vectored(w, &mut bufs)
+}
+
+/// Writes every byte of `bufs`, gathered. `write_vectored` takes what the
+/// OS accepts in one call (at most `IOV_MAX` slices, often less than all
+/// their bytes): advance past what went out and offer the rest again.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
     while !bufs.is_empty() {
         match w.write_vectored(bufs) {
             Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
@@ -525,9 +528,14 @@ pub fn decode_keys_frame(bytes: &[u8], budget: &DecodeBudget) -> Result<Vec<u64>
 /// Writes one length-prefixed frame. A payload above
 /// [`MAX_RESPONSE_FRAME`] (which no reader accepts, and whose length would
 /// not survive the `u32` prefix much longer) is `InvalidInput`.
+///
+/// Prefix and payload leave in one gathered write, so a small frame is one
+/// segment. A request is then sent whole before the peer can answer it: a
+/// server that sheds with a reply and closes before the request arrives
+/// resets the connection only after the reply is in the client's buffer.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&check_frame_len(payload.len())?)?;
-    w.write_all(payload)
+    let prefix = check_frame_len(payload.len())?;
+    write_all_vectored(w, &mut [IoSlice::new(&prefix), IoSlice::new(payload)])
 }
 
 /// Reads one length-prefixed frame, capping the declared length at `max`.

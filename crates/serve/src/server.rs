@@ -38,13 +38,13 @@ use amrviz_compress::{
     decompress_hierarchy_field_streamed, AmrCodecConfig, CompressError, DecodePolicy,
 };
 use amrviz_obs::{context_scope, journal, TraceContext};
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Server configuration. `Default` is sized for tests and smoke runs.
@@ -60,8 +60,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Decoded-arena cache budget in bytes.
     pub cache_bytes: usize,
-    /// Stop accepting and drain after this long (None = run until `stop`).
-    pub shutdown_after: Option<Duration>,
     /// Declared service-level objectives, evaluated over 5 m/1 h burn
     /// windows and surfaced in STATS snapshots + `slo` journal events.
     pub slo: SloSpec,
@@ -75,7 +73,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 32,
             cache_bytes: 256 << 20,
-            shutdown_after: None,
             slo: SloSpec::default(),
         }
     }
@@ -101,24 +98,18 @@ const RETRY_AFTER_MS: u32 = 50;
 /// stream is planned, only the coarse level is served.
 const COARSE_ONLY_FRAC: f64 = 0.25;
 
-/// How long an accept loop sleeps when no connection is waiting.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long an accept loop backs off after a failed `accept`, so that a
+/// persistent error (out of file descriptors) does not spin the thread.
+pub(crate) const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
-/// Accepts on the non-blocking `listener` until `stop()` says so, handing
-/// each connection to `admit`. The accept loop of the server and of the
-/// chaos proxy.
-pub(crate) fn accept_loop(
-    listener: &TcpListener,
-    mut stop: impl FnMut() -> bool,
-    mut admit: impl FnMut(TcpStream),
-) {
-    while !stop() {
-        match listener.accept() {
-            Ok((stream, _)) => admit(stream),
-            // Nothing waiting (`WouldBlock`) or a failed accept: poll again.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
+/// Wakes the accept loop blocked on `addr` (over loopback when it is
+/// unspecified) with one connection. A failed connect means the listener is
+/// gone, or that pending connections will show the loop its stop flag.
+pub(crate) fn wake_accept(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(Ipv4Addr::LOCALHOST.into());
     }
+    let _ = TcpStream::connect_timeout(&addr, IO_TIMEOUT);
 }
 
 /// Declares the serve counters once. The list generates the shared atomics
@@ -217,11 +208,14 @@ struct Inner {
     stats: ServeStats,
     telemetry: ReqTelemetry,
     stop: AtomicBool,
-    /// Admitted connections with their admission timestamp, so queue-wait
-    /// is attributable per request.
-    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
-    cond: Condvar,
+    /// Connections admitted and not yet taken by a worker (STATS
+    /// `queue_depth`).
+    queued: AtomicUsize,
 }
+
+/// An admitted connection with its admission timestamp, so queue-wait is
+/// attributable per request.
+type Admitted = (TcpStream, Instant);
 
 impl Inner {
     fn new(cfg: ServeConfig, store: BlobStore) -> Inner {
@@ -230,8 +224,7 @@ impl Inner {
             stats: ServeStats::default(),
             telemetry: ReqTelemetry::new(cfg.slo.clone()),
             stop: AtomicBool::new(false),
-            queue: Mutex::new(VecDeque::new()),
-            cond: Condvar::new(),
+            queued: AtomicUsize::new(0),
             store,
             cfg,
         }
@@ -239,8 +232,7 @@ impl Inner {
 }
 
 /// A running server. Dropping the handle does NOT stop the server; call
-/// [`ServerHandle::shutdown`] (or let `shutdown_after` elapse) then
-/// [`ServerHandle::join`].
+/// [`ServerHandle::shutdown`] then [`ServerHandle::join`].
 pub struct ServerHandle {
     addr: SocketAddr,
     inner: Arc<Inner>,
@@ -262,18 +254,17 @@ impl ServerHandle {
     /// Begins graceful drain: stop accepting, finish queued work.
     pub fn shutdown(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.cond.notify_all();
+        wake_accept(self.addr);
     }
 
     /// Waits for drain to complete, flushes the journal, and returns the
-    /// final stats. Call [`ServerHandle::shutdown`] first unless
-    /// `shutdown_after` was set.
+    /// final stats. Call [`ServerHandle::shutdown`] first.
     pub fn join(mut self) -> StatsSnapshot {
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
-        // Accept thread exit implies stop is set; wake any idle workers.
-        self.inner.cond.notify_all();
+        // The accept thread's exit dropped the queue's sender: each worker
+        // returns once the queue is empty.
         for t in self.workers.drain(..) {
             let _ = t.join();
         }
@@ -299,26 +290,27 @@ impl ServerHandle {
 /// Binds, spawns the accept thread and worker pool, and returns.
 pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let store = BlobStore::open(&cfg.store_dir)
         .map_err(|e| std::io::Error::other(format!("store: {e}")))?;
+    let (admit_tx, admit_rx) = sync_channel(cfg.queue_depth.max(1));
+    let admitted = Arc::new(Mutex::new(admit_rx));
     let inner = Arc::new(Inner::new(cfg, store));
 
     let mut workers = Vec::new();
     for w in 0..inner.cfg.workers.max(1) {
-        let inner = Arc::clone(&inner);
+        let (inner, admitted) = (Arc::clone(&inner), Arc::clone(&admitted));
         workers.push(
             std::thread::Builder::new()
                 .name(format!("serve-worker-{w}"))
-                .spawn(move || worker_loop(&inner))?,
+                .spawn(move || worker_loop(&inner, &admitted))?,
         );
     }
     let accept = {
         let inner = Arc::clone(&inner);
         std::thread::Builder::new()
             .name("serve-accept".into())
-            .spawn(move || accept_connections(&inner, &listener))?
+            .spawn(move || accept_connections(&inner, &listener, &admit_tx))?
     };
     Ok(ServerHandle {
         addr,
@@ -328,32 +320,31 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-fn accept_connections(inner: &Inner, listener: &TcpListener) {
-    let started = Instant::now();
-    let stop = || {
-        if inner
-            .cfg
-            .shutdown_after
-            .is_some_and(|after| started.elapsed() >= after)
-        {
-            inner.stop.store(true, Ordering::SeqCst);
+/// Accepts until [`ServerHandle::shutdown`] sets the stop flag and wakes
+/// it; the connection that woke it is dropped unserved.
+fn accept_connections(inner: &Inner, listener: &TcpListener, queue: &SyncSender<Admitted>) {
+    for stream in listener.incoming() {
+        if inner.stop.load(Ordering::SeqCst) {
+            return;
         }
-        inner.stop.load(Ordering::SeqCst)
-    };
-    accept_loop(listener, stop, |stream| {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-        admit(inner, stream);
-    });
-    inner.cond.notify_all();
+        match stream {
+            Ok(stream) => admit(inner, queue, stream),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
+    }
 }
 
 /// Admission control: bounded queue, drop-newest with a typed shed reply.
-fn admit(inner: &Inner, mut stream: TcpStream) {
-    let mut q = inner.queue.lock().unwrap();
-    if q.len() >= inner.cfg.queue_depth.max(1) {
-        drop(q);
+fn admit(inner: &Inner, queue: &SyncSender<Admitted>, stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    // Counted before the send, so a worker's decrement never precedes it.
+    inner.queued.fetch_add(1, Ordering::Relaxed);
+    if let Err(TrySendError::Full((mut stream, _)) | TrySendError::Disconnected((mut stream, _))) =
+        queue.try_send((stream, Instant::now()))
+    {
+        inner.queued.fetch_sub(1, Ordering::Relaxed);
         inner.stats.count_outcome(Status::RetryLater);
         if journal::is_active() {
             journal::emit(
@@ -371,34 +362,18 @@ fn admit(inner: &Inner, mut stream: TcpStream) {
         write_notification(&mut stream, Status::RetryLater, 0);
         // Shed requests count against availability in the SLO windows.
         inner.telemetry.record(Status::RetryLater, 0, None, 0, 0);
-        return;
     }
-    q.push_back((stream, Instant::now()));
-    drop(q);
-    inner.cond.notify_one();
 }
 
-fn worker_loop(inner: &Inner) {
+fn worker_loop(inner: &Inner, admitted: &Mutex<Receiver<Admitted>>) {
     loop {
-        let stream = {
-            let mut q = inner.queue.lock().unwrap();
-            loop {
-                if let Some(s) = q.pop_front() {
-                    break Some(s);
-                }
-                if inner.stop.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, _) = inner
-                    .cond
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap();
-                q = guard;
-            }
-        };
-        let Some((stream, admitted_at)) = stream else {
+        // Blocks until a connection is admitted; `Err` once the accept
+        // thread has exited and the queue is drained.
+        let next = admitted.lock().expect("no worker panics holding it").recv();
+        let Ok((stream, admitted_at)) = next else {
             return;
         };
+        inner.queued.fetch_sub(1, Ordering::Relaxed);
         let result = catch_unwind(AssertUnwindSafe(|| {
             handle_connection(inner, stream, admitted_at)
         }));
@@ -561,7 +536,7 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
 /// saturated server wants the answer, not a timeout.
 fn serve_stats(inner: &Inner, stream: &mut TcpStream, t0: Instant) -> Status {
     let (cache_entries, cache_bytes) = inner.cache.stats();
-    let queue_depth = inner.queue.lock().unwrap().len();
+    let queue_depth = inner.queued.load(Ordering::Relaxed);
     let snap = inner.stats.snapshot();
     let (json, slo) = inner.telemetry.snapshot_json(
         &snap,
@@ -902,6 +877,29 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(snap, expect, "ShuttingDown counts nowhere");
+    }
+
+    /// An idle server's accept thread is blocked in `accept`, so `shutdown`
+    /// must wake it or `join` never returns; the watchdog turns a missed
+    /// wake into a failure. The unspecified bind address is woken over
+    /// loopback, and the waking connection is never served.
+    #[test]
+    fn idle_server_shutdown_and_join_return() {
+        let dir = std::env::temp_dir().join(format!("amrviz_idle_join_{}", std::process::id()));
+        let server = start(ServeConfig {
+            addr: "0.0.0.0:0".into(),
+            store_dir: dir.clone(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done_tx.send(server.join());
+        });
+        let stats = done_rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(stats.expect("join returned").requests, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// LIST and GET share one deadline rule: the client's budget, capped.

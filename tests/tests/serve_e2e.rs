@@ -396,6 +396,25 @@ fn overload_sheds_with_typed_retry_later() {
 
     drop(parked);
     drop(parked2);
+    // Once the worker has seen both hang-ups the queue is empty and a STATS
+    // exchange is admitted; its gauge must be back at 0 after the shed.
+    let stats_req = Request {
+        op: Op::Stats,
+        trace: 0,
+        key: 0,
+        deadline_ms: 2_000,
+        max_level: 0,
+    };
+    let snapshot = (0..100)
+        .find_map(|_| {
+            let ex = exchange(addr, &stats_req, &ClientConfig::default());
+            if ex.outcome == Outcome::Shed {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            ex.stats
+        })
+        .expect("a STATS exchange is admitted once the queue drains");
+    assert!(snapshot.contains("\"queue_depth\":0,"), "{snapshot}");
     server.shutdown();
     let stats = server.join();
     assert!(stats.shed >= 1);
