@@ -134,8 +134,9 @@ struct ObsOptions {
 impl Drop for ObsOptions {
     /// Flush-on-drop backstop: if a command panics (or any path skips
     /// `finish`), unwinding still stops the journal and lands the queued
-    /// tail — a short run must never lose its final events to the 50 ms
-    /// writer poll. No-op on the normal path where `finish` already ran.
+    /// tail — a short run must never lose its final events because the
+    /// process exited before the writer drained. No-op on the normal path
+    /// where `finish` already ran.
     fn drop(&mut self) {
         if self.journal_path.is_some() && amrviz_obs::journal::is_active() {
             amrviz_obs::journal::stop();

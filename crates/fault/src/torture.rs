@@ -20,13 +20,14 @@ use amrviz_codec::{
     read_uvarint, write_uvarint, BitReader, BitWriter, DecodeBudget,
 };
 use amrviz_compress::{
-    compress_hierarchy_field, compress_zmesh, decompress_hierarchy_field_into, decompress_zmesh,
-    AmrCodecConfig, CompressError, CompressedHierarchyField, Compressor, DecodePolicy, ErrorBound,
-    SzInterp, SzLr, ZfpLike,
+    compress_hierarchy_field, compress_zmesh, compressor_by_name, decompress_hierarchy_field_into,
+    decompress_zmesh, AmrCodecConfig, CompressError, CompressedHierarchyField, Compressor,
+    DecodePolicy, ErrorBound, SzInterp, SzLr, ZfpLike,
 };
 use amrviz_obs::mem::{alloc_baseline, counting_alloc_installed, peak_since};
 use amrviz_recipe::ScenarioSpec;
 use amrviz_rng::Rng;
+use amrviz_serve::{decode_artifact, encode_artifact};
 
 use crate::mutate::{mutate_stream, Mutation};
 
@@ -371,7 +372,9 @@ fn build_targets() -> Vec<Target> {
         ));
     }
 
-    let container = szlr_container(&hier, "density");
+    let compressed = szlr_compressed(&hier, "density");
+    let container = compressed.to_bytes();
+    let artifact = encode_artifact(&hier, "density", "szlr", &compressed);
     targets.push(Target::fixed(
         "container_from_bytes",
         container.clone(),
@@ -402,19 +405,27 @@ fn build_targets() -> Vec<Target> {
         }),
     ));
 
+    // --- file layer: what `compress` writes and `decompress --degrade`
+    // reads back ---
+    targets.push(Target::fixed(
+        "artifact",
+        artifact,
+        Box::new(decompress_file),
+    ));
+
     targets
 }
 
-/// `field` of `hier` compressed by SZ-L/R (skip+restore), serialized.
-fn szlr_container(hier: &AmrHierarchy, field: &str) -> Vec<u8> {
+/// `field` of `hier` compressed by SZ-L/R (skip+restore).
+fn szlr_compressed(hier: &AmrHierarchy, field: &str) -> CompressedHierarchyField {
     let comp = SzLr::default();
     let compressed =
         compress_hierarchy_field(hier, field, &comp, ErrorBound::Rel(1e-3), &SKIP_RESTORE);
-    compressed.expect("the field compresses").to_bytes()
+    compressed.expect("the field compresses")
 }
 
-/// Parses `bytes` as a [`szlr_container`] and decodes it onto `hier` under
-/// [`DecodePolicy::Degrade`], into `levels`.
+/// Parses `bytes` as a [`szlr_compressed`] container and decodes it onto
+/// `hier` under [`DecodePolicy::Degrade`], into `levels`.
 fn degrade(
     hier: &AmrHierarchy,
     bytes: &[u8],
@@ -424,6 +435,29 @@ fn degrade(
     let parsed = CompressedHierarchyField::from_bytes_budgeted(bytes, budget).map_err(fail)?;
     let (comp, policy) = (SzLr::default(), DecodePolicy::Degrade);
     decompress_hierarchy_field_into(hier, &parsed, &comp, &SKIP_RESTORE, policy, budget, levels)
+        .map(|_| ())
+        .map_err(fail)
+}
+
+/// Parses `bytes` as an artifact and decodes its container onto its own
+/// hierarchy under [`DecodePolicy::Degrade`], as `decompress --degrade`
+/// does with the file it reads.
+fn decompress_file(bytes: &[u8], budget: &DecodeBudget) -> Result<(), DecodeFailure> {
+    let art = decode_artifact(bytes, budget).map_err(fail)?;
+    let algo = &art.algo;
+    let unknown = || {
+        fail(CompressError::Malformed(format!(
+            "unknown algorithm `{algo}`"
+        )))
+    };
+    let comp = compressor_by_name(algo).ok_or_else(unknown)?;
+    let skip = art.container.skip_redundant;
+    let cfg = AmrCodecConfig {
+        skip_redundant: skip,
+        restore_redundant: skip,
+    };
+    let (c, policy, levels) = (&art.container, DecodePolicy::Degrade, &mut Vec::new());
+    decompress_hierarchy_field_into(&art.hier, c, comp.as_ref(), &cfg, policy, budget, levels)
         .map(|_| ())
         .map_err(fail)
 }
@@ -443,7 +477,7 @@ fn recipe_targets(seed: u64, count: u32) -> Vec<Target> {
         out.push(Target {
             name: format!("recipe:{}", spec.label()),
             repro: spec.recipe.clone(),
-            stream: szlr_container(&hier, spec.eval_field()),
+            stream: szlr_compressed(&hier, spec.eval_field()).to_bytes(),
             decode: Box::new(move |bytes, budget| degrade(&hier, bytes, budget, &mut Vec::new())),
         });
     }
@@ -619,7 +653,7 @@ mod tests {
     fn every_prefix_of_every_corpus_stream_decodes_or_fails_typed() {
         let budget = DecodeBudget::strict();
         let targets = build_targets();
-        assert_eq!(targets.len(), 12);
+        assert_eq!(targets.len(), 13);
         for t in &targets {
             let framed = !["varint", "bitio", "lzss"].contains(&t.name.as_str());
             let len = t.stream.len();

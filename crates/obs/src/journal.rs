@@ -7,14 +7,13 @@
 //!    overflow evicts the oldest line and bumps a drop counter that is
 //!    itself exported (`obs.dropped_events`). A stalled disk can never
 //!    balloon the process.
-//! 2. **Crash safety** — lines are pre-serialized at emit time and written
-//!    with a single `write_all` per line, so a crash mid-run leaves a
-//!    prefix of whole lines (line-atomic appends); `amrviz stats` can
-//!    always parse what made it to disk.
-//! 3. **Ordering** — a global sequence number is stamped at emit; lines
-//!    are formatted outside the queue lock, so two producers can enqueue
-//!    out of `seq` order, and the writer sorts each drained batch by `seq`
-//!    before writing, so the file is totally ordered.
+//! 2. **Crash safety** — each line is written with a single `write_all`,
+//!    so a crash mid-run leaves a prefix of whole lines (line-atomic
+//!    appends); `amrviz stats` can always parse what made it to disk.
+//! 3. **Ordering** — one lock, the queue's, stamps `seq` as it enqueues
+//!    and opens/closes the queue with the `journal_start`/`journal_stop`
+//!    lines; each drain writes the whole queue under the file lock. The
+//!    writer wakes once the pending lines span 50 ms, or on close.
 //!
 //! Schema (`amrviz-journal-v1`): one JSON object per line with at least
 //! `seq`, `ts_ns` (nanoseconds since recorder epoch), and `kind`. `span`
@@ -26,13 +25,13 @@
 //! silently round u64 ids.
 
 use std::collections::VecDeque;
-use std::fs::OpenOptions;
+use std::fmt::Write as _;
+use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::lock_clean;
 
@@ -42,35 +41,38 @@ pub const SCHEMA: &str = "amrviz-journal-v1";
 /// Maximum buffered lines before drop-oldest kicks in.
 pub const CAP: usize = 65_536;
 
-/// Writer poll interval while the journal is active.
-const POLL: Duration = Duration::from_millis(50);
+/// The time pending lines must span before a push wakes the writer: a
+/// wake-up per line cost each instrumented thread a futex syscall per span
+/// and broke `repro obs-overhead`'s gate; this keeps a 50 ms poll's cadence.
+const LINGER_NS: u64 = 50_000_000;
 
-struct JournalState {
-    /// Formatted lines waiting for the writer, with their `seq`.
-    queue: Mutex<VecDeque<(u64, String)>>,
-    writer: Mutex<Option<JoinHandle<()>>>,
-    /// The journal file, shared between the background writer and
-    /// synchronous [`flush`] callers. Drain-and-write always happens *under*
-    /// this lock, which is what keeps the file totally seq-ordered even when
-    /// a flush races the writer's poll.
-    file: Mutex<Option<std::fs::File>>,
+struct Queue {
+    /// `(seq, ts_ns, kind, body)` in `seq` order; the drain renders each
+    /// as `{"seq":…,"ts_ns":…,"kind":…,<body>}`.
+    lines: VecDeque<(u64, u64, &'static str, String)>,
+    /// The next `seq` to stamp; process-wide, never reset.
+    next_seq: u64,
+    /// Test hook: the writer leaves the queue alone; flush and stop drain.
+    paused: bool,
 }
 
+/// Open exactly while [`ACTIVE`] is set; `ACTIVE` changes only under it.
+static QUEUE: Mutex<Queue> = Mutex::new(Queue {
+    lines: VecDeque::new(),
+    next_seq: 0,
+    paused: false,
+});
+/// Wakes the writer: a push that makes the queue [`due`], an unpause, a close.
+static WAKE: Condvar = Condvar::new();
+/// Held by `start` and `stop` throughout, so they never overlap.
+static WRITER: Mutex<Option<JoinHandle<()>>> = Mutex::new(None);
+/// Every drain takes the queue and writes it under this lock.
+static FILE: Mutex<Option<File>> = Mutex::new(None);
+
+/// Lock-free mirror of "the queue is open", for [`is_active`].
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-static STOPPING: AtomicBool = AtomicBool::new(false);
-static WRITER_PAUSED: AtomicBool = AtomicBool::new(false);
-static SEQ: AtomicU64 = AtomicU64::new(0);
 static ENQUEUED: AtomicU64 = AtomicU64::new(0);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
-
-fn state() -> &'static JournalState {
-    static STATE: OnceLock<JournalState> = OnceLock::new();
-    STATE.get_or_init(|| JournalState {
-        queue: Mutex::new(VecDeque::new()),
-        writer: Mutex::new(None),
-        file: Mutex::new(None),
-    })
-}
 
 /// Cheap probe: is a journal file attached right now? Producers use this
 /// to skip serialization entirely when nobody is listening.
@@ -96,28 +98,41 @@ pub struct JournalStats {
     pub dropped: u64,
 }
 
+/// Stamps and appends one line, evicting the oldest at [`CAP`].
+fn push(q: &mut Queue, kind: &'static str, body: String) -> u64 {
+    let seq = q.next_seq;
+    q.next_seq += 1;
+    if q.lines.len() >= CAP {
+        q.lines.pop_front();
+        DROPPED.fetch_add(1, Ordering::Relaxed);
+    }
+    q.lines
+        .push_back((seq, crate::epoch_elapsed_ns(), kind, body));
+    ENQUEUED.fetch_add(1, Ordering::Relaxed);
+    seq
+}
+
 /// Enqueues a pre-serialized JSON *object body* (the part between `{` and
-/// `}`, without braces) under `kind`, stamping `seq`/`ts_ns`/`kind`.
-/// No-op (returning `None`) when the journal is inactive.
-pub(crate) fn push_raw(kind: &str, body: &str) -> Option<u64> {
+/// `}`, without braces) under `kind`. Returns the line's `seq`, or `None`
+/// when no journal is attached — also when `stop` closed the queue after
+/// the caller's [`is_active`] probe passed.
+pub(crate) fn push_raw(kind: &'static str, body: &str) -> Option<u64> {
+    let body = body.to_owned();
+    let mut q = lock_clean(&QUEUE);
     if !is_active() {
         return None;
     }
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let ts_ns = crate::epoch_elapsed_ns();
-    let line = if body.is_empty() {
-        format!("{{\"seq\":{seq},\"ts_ns\":{ts_ns},\"kind\":\"{kind}\"}}")
-    } else {
-        format!("{{\"seq\":{seq},\"ts_ns\":{ts_ns},\"kind\":\"{kind}\",{body}}}")
-    };
-    let mut q = lock_clean(&state().queue);
-    if q.len() >= CAP {
-        q.pop_front();
-        DROPPED.fetch_add(1, Ordering::Relaxed);
+    let seq = push(&mut q, kind, body);
+    if due(&q) {
+        WAKE.notify_one();
     }
-    q.push_back((seq, line));
-    ENQUEUED.fetch_add(1, Ordering::Relaxed);
     Some(seq)
+}
+
+/// Whether the pending lines span [`LINGER_NS`]: the writer's cue to drain.
+fn due(q: &Queue) -> bool {
+    let span = q.lines.back().zip(q.lines.front()).map(|(b, a)| b.1 - a.1);
+    span.is_some_and(|ns| ns >= LINGER_NS)
 }
 
 /// Emits a free-form journal event of `kind` with the given pre-rendered
@@ -125,115 +140,99 @@ pub(crate) fn push_raw(kind: &str, body: &str) -> Option<u64> {
 /// valid JSON; keys must be plain identifiers. The event is stamped with
 /// the calling thread and the current trace id (if any). Returns the
 /// assigned sequence number, or `None` when no journal is attached.
-pub fn emit(kind: &str, fields: &[(&str, String)]) -> Option<u64> {
+pub fn emit(kind: &'static str, fields: &[(&str, String)]) -> Option<u64> {
     if !is_active() {
         return None;
     }
     let mut body = String::new();
     let trace = crate::current_trace_id();
     if trace != 0 {
-        body.push_str(&format!("\"trace\":\"{trace:016x}\""));
+        let _ = write!(body, "\"trace\":\"{trace:016x}\",");
     }
-    let thread = crate::thread_id();
-    body.push_str(&format!(
-        "{}\"thread\":{thread}",
-        if body.is_empty() { "" } else { "," }
-    ));
+    let _ = write!(body, "\"thread\":{}", crate::thread_id());
     for (k, v) in fields {
-        body.push_str(&format!(",\"{k}\":{v}"));
+        let _ = write!(body, ",\"{k}\":{v}");
     }
     push_raw(kind, &body)
 }
 
-/// Synchronously drains all pending journal lines to the file in `seq`
-/// order and flushes it. Safe to call from any thread at any time; a no-op
-/// when no journal is attached. The drain and the write both happen under
-/// the file lock, so the writer thread and a concurrent caller cannot
-/// interleave batches out of seq order. `amrviz serve` calls this during
-/// graceful drain, and the CLI teardown path calls it so short runs cannot
-/// lose the queued tail between writer polls.
+/// Synchronously drains all pending journal lines to the file and flushes
+/// it. Safe to call from any thread at any time; a no-op when no journal
+/// is attached. `amrviz serve` calls this during graceful drain.
 pub fn flush() {
-    let mut guard = lock_clean(&state().file);
-    if let Some(file) = guard.as_mut() {
-        let mut batch = Vec::from(std::mem::take(&mut *lock_clean(&state().queue)));
-        batch.sort_by_key(|(seq, _)| *seq);
-        for (_, mut line) in batch {
-            line.push('\n');
-            // One write_all per full line: a crash leaves whole lines only.
-            let _ = file.write_all(line.as_bytes());
-        }
-        let _ = file.flush();
+    let mut file = lock_clean(&FILE);
+    let Some(file) = file.as_mut() else { return };
+    let batch = std::mem::take(&mut lock_clean(&QUEUE).lines);
+    for (seq, ts_ns, kind, body) in batch {
+        let sep = if body.is_empty() { "" } else { "," };
+        let line = format!("{{\"seq\":{seq},\"ts_ns\":{ts_ns},\"kind\":\"{kind}\"{sep}{body}}}\n");
+        // One write_all per full line: a crash leaves whole lines only.
+        let _ = file.write_all(line.as_bytes());
     }
+    let _ = file.flush();
 }
 
-/// Test hook: pauses the background writer's polling so queue-overflow
-/// behavior can be exercised deterministically. Synchronous [`flush`] and
-/// [`stop`] still drain.
+/// Test hook: pauses the background writer so queue overflow can be
+/// exercised deterministically; [`flush`] and [`stop`] still drain.
 #[doc(hidden)]
 pub fn set_writer_paused(paused: bool) {
-    WRITER_PAUSED.store(paused, Ordering::SeqCst);
+    lock_clean(&QUEUE).paused = paused;
+    WAKE.notify_one();
+}
+
+/// Waits until the queue is [`due`] (and not paused) or has closed, then
+/// drains; returns after the drain that follows the close.
+fn write_loop() {
+    let mut open = true;
+    while open {
+        let idle = |q: &mut Queue| is_active() && (q.paused || !due(q));
+        let q = WAKE.wait_while(lock_clean(&QUEUE), idle);
+        open = is_active();
+        drop(q);
+        flush();
+    }
 }
 
 /// Attaches a journal file (append + create) and starts the background
 /// writer. Errors if a journal is already active or the file cannot be
 /// opened. Writes a `journal_start` meta line carrying the schema id.
 pub fn start(path: &Path) -> Result<(), String> {
-    if ACTIVE.swap(true, Ordering::SeqCst) {
+    let mut writer = lock_clean(&WRITER);
+    if writer.is_some() {
         return Err("journal already active".into());
     }
-    STOPPING.store(false, Ordering::SeqCst);
-    let file = match OpenOptions::new().create(true).append(true).open(path) {
-        Ok(f) => f,
-        Err(e) => {
-            ACTIVE.store(false, Ordering::SeqCst);
-            return Err(format!("journal: cannot open {}: {e}", path.display()));
-        }
-    };
-    *lock_clean(&state().file) = Some(file);
-    push_raw(
-        "meta",
-        &format!("\"event\":\"journal_start\",\"schema\":\"{SCHEMA}\""),
-    );
+    let file = File::options().create(true).append(true).open(path);
+    let file = file.map_err(|e| format!("journal: cannot open {}: {e}", path.display()))?;
+    *lock_clean(&FILE) = Some(file);
+    let mut q = lock_clean(&QUEUE);
+    // The writer waits for this lock, so it first sees the queue open.
     let handle = std::thread::Builder::new()
         .name("amrviz-journal".into())
-        .spawn(move || loop {
-            if !WRITER_PAUSED.load(Ordering::SeqCst) {
-                flush();
-            }
-            if STOPPING.load(Ordering::SeqCst) {
-                // Final drain: everything emitted before stop() flipped
-                // ACTIVE off is already queued. Runs even when paused —
-                // stop always lands the tail.
-                flush();
-                return;
-            }
-            std::thread::sleep(POLL);
-        })
+        .spawn(write_loop)
         .map_err(|e| format!("journal: cannot spawn writer: {e}"))?;
-    *lock_clean(&state().writer) = Some(handle);
+    *writer = Some(handle);
+    ACTIVE.store(true, Ordering::SeqCst);
+    let start = format!(r#""event":"journal_start","schema":"{SCHEMA}""#);
+    push(&mut q, "meta", start);
     Ok(())
 }
 
-/// Stops the journal: emits a `journal_stop` meta line with drop totals,
-/// detaches producers, and joins the writer (flushing everything queued).
-/// Safe to call when no journal is active (returns current totals).
+/// Stops the journal: pushes `journal_stop` (with the totals before it) and
+/// closes the queue in one critical section, then joins the writer, which
+/// drains the rest. Safe to call when no journal is active (returns totals).
 pub fn stop() -> JournalStats {
-    if is_active() {
-        push_raw(
-            "meta",
-            &format!(
-                "\"event\":\"journal_stop\",\"enqueued\":{},\"dropped\":{}",
-                enqueued(),
-                dropped()
-            ),
-        );
+    let mut writer = lock_clean(&WRITER);
+    if let Some(handle) = writer.take() {
+        let mut q = lock_clean(&QUEUE);
+        let (enqueued, dropped) = (enqueued(), dropped());
+        let stop = format!(r#""event":"journal_stop","enqueued":{enqueued},"dropped":{dropped}"#);
+        push(&mut q, "meta", stop);
         ACTIVE.store(false, Ordering::SeqCst);
-        STOPPING.store(true, Ordering::SeqCst);
-        if let Some(h) = lock_clean(&state().writer).take() {
-            let _ = h.join();
-        }
+        drop(q);
+        WAKE.notify_one();
+        let _ = handle.join();
         // Close the file so a later start() on a new path gets a fresh one.
-        *lock_clean(&state().file) = None;
+        *lock_clean(&FILE) = None;
     }
     JournalStats {
         enqueued: enqueued(),

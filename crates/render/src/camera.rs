@@ -1,20 +1,16 @@
-//! Look-at cameras (orthographic and perspective).
+//! The orthographic look-at camera every rendered figure uses.
 
-/// A camera defined by eye position, look-at target, and up hint.
+/// An orthographic camera looking from `eye` toward a target. The view
+/// basis is fixed at construction, so projecting a vertex is three dot
+/// products and a scale.
 #[derive(Debug, Clone, Copy)]
 pub struct Camera {
-    pub eye: [f64; 3],
-    pub target: [f64; 3],
-    pub up: [f64; 3],
-    pub projection: Projection,
-}
-
-#[derive(Debug, Clone, Copy)]
-pub enum Projection {
-    /// `half_height` is the world-space half-extent visible vertically.
-    Orthographic { half_height: f64 },
-    /// `fov_y` in radians.
-    Perspective { fov_y: f64 },
+    eye: [f64; 3],
+    right: [f64; 3],
+    up: [f64; 3],
+    forward: [f64; 3],
+    /// World-space half-extent visible vertically.
+    half_height: f64,
 }
 
 fn sub(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
@@ -43,70 +39,49 @@ fn normalize(v: [f64; 3]) -> [f64; 3] {
 }
 
 impl Camera {
-    /// Orthographic camera looking at `target` from `eye`.
+    /// Orthographic camera looking at `target` from `eye`, world +z up.
     pub fn orthographic(eye: [f64; 3], target: [f64; 3], half_height: f64) -> Self {
-        Camera {
-            eye,
-            target,
-            up: [0.0, 0.0, 1.0],
-            projection: Projection::Orthographic { half_height },
-        }
-    }
-
-    /// Perspective camera with vertical field of view `fov_y` (radians).
-    pub fn perspective(eye: [f64; 3], target: [f64; 3], fov_y: f64) -> Self {
-        Camera {
-            eye,
-            target,
-            up: [0.0, 0.0, 1.0],
-            projection: Projection::Perspective { fov_y },
-        }
-    }
-
-    /// Orthonormal view basis `(right, up, forward)`.
-    pub fn basis(&self) -> ([f64; 3], [f64; 3], [f64; 3]) {
-        let forward = normalize(sub(self.target, self.eye));
-        let mut right = cross(forward, self.up);
+        let forward = normalize(sub(target, eye));
+        let mut right = cross(forward, [0.0, 0.0, 1.0]);
         if dot(right, right) < 1e-24 {
             // Up was parallel to the view direction; pick another up.
             right = cross(forward, [0.0, 1.0, 0.0]);
         }
         let right = normalize(right);
         let up = cross(right, forward);
-        (right, up, forward)
+        Camera {
+            eye,
+            right,
+            up,
+            forward,
+            half_height,
+        }
+    }
+
+    /// Orthonormal view basis `(right, up, forward)`.
+    pub fn basis(&self) -> ([f64; 3], [f64; 3], [f64; 3]) {
+        (self.right, self.up, self.forward)
     }
 
     /// Projects a world point to pixel coordinates and camera-space depth.
-    /// Returns `None` for points behind a perspective camera.
-    pub fn project(&self, p: [f64; 3], width: usize, height: usize) -> Option<([f64; 2], f64)> {
-        let (right, up, forward) = self.basis();
+    pub fn project(&self, p: [f64; 3], width: usize, height: usize) -> ([f64; 2], f64) {
         let rel = sub(p, self.eye);
-        let x = dot(rel, right);
-        let y = dot(rel, up);
-        let z = dot(rel, forward);
+        let x = dot(rel, self.right);
+        let y = dot(rel, self.up);
+        let z = dot(rel, self.forward);
         let aspect = width as f64 / height as f64;
-        let (sx, sy) = match self.projection {
-            Projection::Orthographic { half_height } => {
-                (x / (half_height * aspect), y / half_height)
-            }
-            Projection::Perspective { fov_y } => {
-                if z <= 1e-9 {
-                    return None;
-                }
-                let t = (fov_y / 2.0).tan();
-                (x / (z * t * aspect), y / (z * t))
-            }
-        };
+        let sx = x / (self.half_height * aspect);
+        let sy = y / self.half_height;
         // NDC [−1,1] → pixels, y flipped (screen origin top-left).
         let px = (sx + 1.0) * 0.5 * width as f64;
         let py = (1.0 - (sy + 1.0) * 0.5) * height as f64;
-        Some(([px, py], z))
+        ([px, py], z)
     }
 
     /// Unit vector from the eye toward the target — handy as a light
     /// direction for headlight shading.
     pub fn view_dir(&self) -> [f64; 3] {
-        normalize(sub(self.target, self.eye))
+        self.forward
     }
 }
 
@@ -117,7 +92,7 @@ mod tests {
     #[test]
     fn ortho_center_maps_to_image_center() {
         let cam = Camera::orthographic([0.0, -5.0, 0.0], [0.0, 0.0, 0.0], 1.0);
-        let ([px, py], z) = cam.project([0.0, 0.0, 0.0], 200, 100).unwrap();
+        let ([px, py], z) = cam.project([0.0, 0.0, 0.0], 200, 100);
         assert!((px - 100.0).abs() < 1e-9);
         assert!((py - 50.0).abs() < 1e-9);
         assert!((z - 5.0).abs() < 1e-9);
@@ -127,24 +102,9 @@ mod tests {
     fn ortho_up_is_screen_up() {
         let cam = Camera::orthographic([0.0, -5.0, 0.0], [0.0, 0.0, 0.0], 1.0);
         // +z world is "up" → smaller py.
-        let ([_, py_hi], _) = cam.project([0.0, 0.0, 0.5], 100, 100).unwrap();
-        let ([_, py_lo], _) = cam.project([0.0, 0.0, -0.5], 100, 100).unwrap();
+        let ([_, py_hi], _) = cam.project([0.0, 0.0, 0.5], 100, 100);
+        let ([_, py_lo], _) = cam.project([0.0, 0.0, -0.5], 100, 100);
         assert!(py_hi < py_lo);
-    }
-
-    #[test]
-    fn perspective_shrinks_with_distance() {
-        let cam = Camera::perspective([0.0, -5.0, 0.0], [0.0, 0.0, 0.0], 1.0);
-        let ([px_near, _], _) = cam.project([0.5, 0.0, 0.0], 100, 100).unwrap();
-        let ([px_far, _], _) = cam.project([0.5, 5.0, 0.0], 100, 100).unwrap();
-        let center = 50.0;
-        assert!((px_far - center).abs() < (px_near - center).abs());
-    }
-
-    #[test]
-    fn behind_perspective_camera_is_culled() {
-        let cam = Camera::perspective([0.0, -5.0, 0.0], [0.0, 0.0, 0.0], 1.0);
-        assert!(cam.project([0.0, -10.0, 0.0], 100, 100).is_none());
     }
 
     #[test]

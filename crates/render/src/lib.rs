@@ -5,7 +5,7 @@
 //!
 //! * [`image`] — RGB raster images with an (uncompressed) PNG writer;
 //! * [`color`] — colors and the viridis-like colormap;
-//! * [`camera`] — orthographic/perspective look-at cameras;
+//! * [`camera`] — the orthographic look-at camera;
 //! * [`raster`] — a z-buffer triangle rasterizer with flat Lambertian
 //!   shading (flat shading makes compression bump/block artifacts pop,
 //!   which is the point);

@@ -53,16 +53,9 @@ fn render_mesh_into(
 
     for t in 0..mesh.num_triangles() {
         let [ia, ib, ic] = mesh.triangles[t];
-        let pa = mesh.vertices[ia as usize];
-        let pb = mesh.vertices[ib as usize];
-        let pc = mesh.vertices[ic as usize];
-        let (Some((sa, za)), Some((sb, zb)), Some((sc, zc))) = (
-            camera.project(pa, w, h),
-            camera.project(pb, w, h),
-            camera.project(pc, w, h),
-        ) else {
-            continue;
-        };
+        let (sa, za) = camera.project(mesh.vertices[ia as usize], w, h);
+        let (sb, zb) = camera.project(mesh.vertices[ib as usize], w, h);
+        let (sc, zc) = camera.project(mesh.vertices[ic as usize], w, h);
         // Screen-space bounding box.
         let min_x = sa[0].min(sb[0]).min(sc[0]).floor().max(0.0) as usize;
         let max_x = (sa[0].max(sb[0]).max(sc[0]).ceil() as usize).min(w.saturating_sub(1));
