@@ -106,25 +106,10 @@ impl Fab {
     /// Copies the overlap region from `src` into `self`. Returns the number
     /// of cells copied (0 when the boxes do not overlap).
     pub fn copy_from(&mut self, src: &Fab) -> usize {
-        let Some(overlap) = self.bx.intersect(&src.bx) else {
-            return 0;
-        };
-        let (dst_bx, src_bx) = (self.bx, src.bx);
-        let [onx, ony, onz] = overlap.size();
-        let dlo = overlap.lo() - dst_bx.lo();
-        let slo = overlap.lo() - src_bx.lo();
-        let [dnx, dny, _] = dst_bx.size();
-        let [snx, sny, _] = src_bx.size();
-        for kk in 0..onz {
-            for jj in 0..ony {
-                let drow = (dlo[0] as usize)
-                    + dnx * ((dlo[1] as usize + jj) + dny * (dlo[2] as usize + kk));
-                let srow = (slo[0] as usize)
-                    + snx * ((slo[1] as usize + jj) + sny * (slo[2] as usize + kk));
-                self.data[drow..drow + onx].copy_from_slice(&src.data[srow..srow + onx]);
-            }
+        match self.bx.intersect(&src.bx) {
+            Some(overlap) => copy_region(&mut self.data, self.bx, &src.data, src.bx, overlap),
+            None => 0,
         }
-        onx * ony * onz
     }
 
     /// Applies `f` to every value in place.
@@ -138,7 +123,7 @@ impl Fab {
     pub fn subfab(&self, region: Box3) -> Fab {
         assert!(self.bx.contains_box(&region), "subfab region outside fab");
         let mut out = Fab::zeros(region);
-        out.copy_from(self);
+        copy_region(&mut out.data, region, &self.data, self.bx, region);
         out
     }
 
@@ -152,17 +137,7 @@ impl Fab {
     pub fn read_region_into(&self, region: Box3, out: &mut [f64]) {
         assert!(self.bx.contains_box(&region), "read region outside fab");
         assert_eq!(out.len(), region.num_cells(), "region buffer size mismatch");
-        let [onx, ony, onz] = region.size();
-        let slo = region.lo() - self.bx.lo();
-        let [snx, sny, _] = self.bx.size();
-        for kk in 0..onz {
-            for jj in 0..ony {
-                let drow = onx * (jj + ony * kk);
-                let srow = (slo[0] as usize)
-                    + snx * ((slo[1] as usize + jj) + sny * (slo[2] as usize + kk));
-                out[drow..drow + onx].copy_from_slice(&self.data[srow..srow + onx]);
-            }
-        }
+        copy_region(out, region, &self.data, self.bx, region);
     }
 
     /// Writes a `region`-shaped, x-fastest buffer into the fab — the inverse
@@ -175,18 +150,39 @@ impl Fab {
     pub fn write_region_from(&mut self, region: Box3, src: &[f64]) {
         assert!(self.bx.contains_box(&region), "write region outside fab");
         assert_eq!(src.len(), region.num_cells(), "region buffer size mismatch");
-        let [onx, ony, onz] = region.size();
-        let dlo = region.lo() - self.bx.lo();
-        let [dnx, dny, _] = self.bx.size();
-        for kk in 0..onz {
-            for jj in 0..ony {
-                let srow = onx * (jj + ony * kk);
-                let drow = (dlo[0] as usize)
-                    + dnx * ((dlo[1] as usize + jj) + dny * (dlo[2] as usize + kk));
-                self.data[drow..drow + onx].copy_from_slice(&src[srow..srow + onx]);
-            }
+        copy_region(&mut self.data, self.bx, src, region, region);
+    }
+}
+
+/// The one strided box copy: copies the cells of `region` from `src`, laid
+/// out x-fastest over `src_bx`, into `dst`, laid out over `dst_bx`, one
+/// x-row at a time, and returns the number of cells copied. `region` must
+/// lie inside both boxes.
+#[inline]
+pub(crate) fn copy_region(
+    dst: &mut [f64],
+    dst_bx: Box3,
+    src: &[f64],
+    src_bx: Box3,
+    region: Box3,
+) -> usize {
+    // Offset, in a buffer over `bx`, of the row (jj, kk) of `region`.
+    let rows = |bx: Box3| {
+        let lo = region.lo() - bx.lo();
+        let [nx, ny, _] = bx.size();
+        move |jj: usize, kk: usize| {
+            lo[0] as usize + nx * ((lo[1] as usize + jj) + ny * (lo[2] as usize + kk))
+        }
+    };
+    let (drow, srow) = (rows(dst_bx), rows(src_bx));
+    let [onx, ony, onz] = region.size();
+    for kk in 0..onz {
+        for jj in 0..ony {
+            let (d, s) = (drow(jj, kk), srow(jj, kk));
+            dst[d..d + onx].copy_from_slice(&src[s..s + onx]);
         }
     }
+    onx * ony * onz
 }
 
 #[cfg(test)]

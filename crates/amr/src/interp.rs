@@ -3,6 +3,7 @@
 use crate::boxes::Box3;
 use crate::fab::Fab;
 use crate::ivec::IntVect;
+use crate::multifab::MultiFab;
 
 /// Piecewise-constant (injection) prolongation: each fine cell takes its
 /// coarse parent's value. `target` is a fine-index box; `coarse` must cover
@@ -115,6 +116,31 @@ pub fn restrict_average(fine: &Fab, target: Box3, ratio: i64) -> Fab {
     })
 }
 
+/// The one average-down: overwrites each cell of `coarse` inside `region`
+/// that has a full set of children in `fine` with their average
+/// ([`restrict_average`]), and returns whether any cell was. A degenerate
+/// unaligned fine box may hold the full set of children of no coarse cell
+/// ([`Box3::coarsen_inward`]); its coarse parents keep their own data.
+pub fn restrict_within(coarse: &mut MultiFab, fine: &MultiFab, ratio: i64, region: Box3) -> bool {
+    let mut restricted_any = false;
+    for cfab in coarse.fabs_mut() {
+        let Some(target) = cfab.box3().intersect(&region) else {
+            continue;
+        };
+        for ffab in fine.fabs() {
+            let Some(covered) = ffab.box3().coarsen_inward(ratio) else {
+                continue;
+            };
+            let Some(overlap) = target.intersect(&covered) else {
+                continue;
+            };
+            cfab.copy_from(&restrict_average(ffab, overlap, ratio));
+            restricted_any = true;
+        }
+    }
+    restricted_any
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,6 +219,16 @@ mod tests {
         // children x-values: {0,1} → 0.5 and {2,3} → 2.5
         assert!((coarse.get(IntVect::new(0, 0, 0)) - 0.5).abs() < 1e-12);
         assert!((coarse.get(IntVect::new(1, 0, 0)) - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn restrict_average_averages_a_dense_block() {
+        let fine = Fab::from_vec(b([0, 0, 0], [3, 3, 3]), (0..64).map(f64::from).collect());
+        let coarse = restrict_average(&fine, b([0, 0, 0], [1, 1, 1]), 2);
+        assert_eq!(coarse.data().len(), 8);
+        // First coarse cell averages fine cells (0..1)³.
+        let want = (0.0 + 1.0 + 4.0 + 5.0 + 16.0 + 17.0 + 20.0 + 21.0) / 8.0;
+        assert_eq!(coarse.data()[0], want);
     }
 
     #[test]

@@ -45,7 +45,9 @@ pub use error::AmrError;
 pub use fab::Fab;
 pub use geometry::Geometry;
 pub use hierarchy::{check_structure, AmrField, AmrHierarchy};
-pub use interp::{prolong_piecewise_constant, prolong_trilinear, restrict_average};
+pub use interp::{
+    prolong_piecewise_constant, prolong_trilinear, restrict_average, restrict_within,
+};
 pub use ivec::IntVect;
 pub use mask::Raster;
 pub use multifab::{rasterize_into, MultiFab};

@@ -2,7 +2,7 @@
 
 use crate::box_array::BoxArray;
 use crate::boxes::Box3;
-use crate::fab::Fab;
+use crate::fab::{copy_region, Fab};
 use crate::ivec::IntVect;
 
 /// A field over a whole level: one [`Fab`] per box of the level's
@@ -94,6 +94,30 @@ impl MultiFab {
         out
     }
 
+    /// Cuts a dense, x-fastest array over `region` into a field on `ba` —
+    /// the inverse of [`rasterize_into`].
+    ///
+    /// # Panics
+    /// Panics if `dense.len() != region.num_cells()` or if a box of `ba`
+    /// is not contained in `region`.
+    pub fn from_dense(ba: &BoxArray, region: Box3, dense: &[f64]) -> Self {
+        assert_eq!(
+            dense.len(),
+            region.num_cells(),
+            "dense buffer size mismatch"
+        );
+        let fabs = ba
+            .iter()
+            .map(|&bx| {
+                assert!(region.contains_box(&bx), "box {bx} outside dense region");
+                let mut fab = Fab::zeros(bx);
+                copy_region(fab.data_mut(), bx, dense, region, bx);
+                fab
+            })
+            .collect();
+        MultiFab { fabs }
+    }
+
     /// Rebuilds a multifab from a flat buffer laid out like
     /// [`MultiFab::to_flat`] over `ba`.
     pub fn from_flat(ba: &BoxArray, flat: &[f64]) -> Self {
@@ -111,32 +135,16 @@ impl MultiFab {
 
 /// Rasterizes a multifab onto a dense array over `region`, writing values of
 /// cells covered by the multifab and leaving others untouched. Returns the
-/// number of cells written.
+/// number of cells written. The inverse is [`MultiFab::from_dense`].
 pub fn rasterize_into(mf: &MultiFab, region: Box3, out: &mut [f64]) -> usize {
     assert_eq!(out.len(), region.num_cells());
-    let [nx, ny, _] = region.size();
-    let mut written = 0;
-    for fab in mf.fabs() {
-        let Some(overlap) = fab.box3().intersect(&region) else {
-            continue;
-        };
-        let src_bx = fab.box3();
-        let [snx, sny, _] = src_bx.size();
-        let [onx, ony, onz] = overlap.size();
-        let dlo = overlap.lo() - region.lo();
-        let slo = overlap.lo() - src_bx.lo();
-        for kk in 0..onz {
-            for jj in 0..ony {
-                let drow =
-                    (dlo[0] as usize) + nx * ((dlo[1] as usize + jj) + ny * (dlo[2] as usize + kk));
-                let srow = (slo[0] as usize)
-                    + snx * ((slo[1] as usize + jj) + sny * (slo[2] as usize + kk));
-                out[drow..drow + onx].copy_from_slice(&fab.data()[srow..srow + onx]);
-            }
-        }
-        written += onx * ony * onz;
-    }
-    written
+    mf.fabs()
+        .iter()
+        .filter_map(|fab| {
+            let overlap = fab.box3().intersect(&region)?;
+            Some(copy_region(out, region, fab.data(), fab.box3(), overlap))
+        })
+        .sum()
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! the redundant data) functional.
 
 use amrviz_amr::{
-    prolong_trilinear, rasterize_into, restrict_average, AmrHierarchy, Box3, Fab, MultiFab,
+    prolong_trilinear, rasterize_into, restrict_within, AmrHierarchy, Box3, Fab, MultiFab,
 };
 use amrviz_codec::{fnv1a_64, DecodeBudget};
 
@@ -791,7 +791,9 @@ fn settle_level(
 }
 
 /// Rebuilds coarse data under fine patches from the decompressed fine
-/// level (finest first so restrictions cascade downward).
+/// level (finest first so restrictions cascade downward). A coarse cell
+/// without a full set of fine children keeps its decoded data, which
+/// `encode_pieces` never skips.
 fn restore_redundant(hier: &AmrHierarchy, levels: &mut [MultiFab]) {
     let _sp = amrviz_obs::span!("decompress.restore_redundant");
     for lev in (0..hier.num_levels().saturating_sub(1)).rev() {
@@ -799,31 +801,6 @@ fn restore_redundant(hier: &AmrHierarchy, levels: &mut [MultiFab]) {
         let domain = hier.level_domain(lev);
         restrict_within(&mut coarse[lev], &fine[0], hier.ratio_at(lev), domain);
     }
-}
-
-/// Overwrites each cell of `coarse` inside `region` that has a full set of
-/// children in `fine` with their average, and returns whether any cell was.
-/// A degenerate unaligned fine box may hold the full set of children of no
-/// coarse cell; its coarse parents keep their own data (`encode_pieces`
-/// never skips them).
-fn restrict_within(coarse: &mut MultiFab, fine: &MultiFab, ratio: i64, region: Box3) -> bool {
-    let mut restricted_any = false;
-    for cfab in coarse.fabs_mut() {
-        let Some(target) = cfab.box3().intersect(&region) else {
-            continue;
-        };
-        for ffab in fine.fabs() {
-            let Some(covered) = ffab.box3().coarsen_inward(ratio) else {
-                continue;
-            };
-            let Some(overlap) = target.intersect(&covered) else {
-                continue;
-            };
-            cfab.copy_from(&restrict_average(ffab, overlap, ratio));
-            restricted_any = true;
-        }
-    }
-    restricted_any
 }
 
 /// Shapes `levels[lev]` onto `ba`, reusing the existing fab allocations

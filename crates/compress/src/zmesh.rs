@@ -18,7 +18,7 @@
 //! by the shared coded section (`wire`).
 
 use amrviz_amr::multifab::rasterize_into;
-use amrviz_amr::{AmrHierarchy, Box3, Fab, MultiFab};
+use amrviz_amr::{AmrHierarchy, Box3, MultiFab};
 use amrviz_codec::DecodeBudget;
 
 use crate::quantizer::{Quantized, Quantizer};
@@ -146,17 +146,9 @@ pub fn decompress_zmesh(
     })?;
 
     // Scatter dense arrays back to the hierarchy's fabs.
-    let mut levels = Vec::with_capacity(2);
-    for (lev, (dom, values)) in doms.into_iter().zip(dense).enumerate() {
-        let full = Fab::from_vec(dom, values);
-        let fabs = hier.box_array(lev).iter().map(|&bx| {
-            let mut fab = Fab::zeros(bx);
-            fab.copy_from(&full);
-            fab
-        });
-        levels.push(MultiFab::from_fabs(fabs.collect()));
-    }
-    Ok(levels)
+    Ok((0..2)
+        .map(|lev| MultiFab::from_dense(hier.box_array(lev), doms[lev], &dense[lev]))
+        .collect())
 }
 
 #[cfg(test)]

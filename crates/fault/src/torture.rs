@@ -790,7 +790,7 @@ mod tests {
             line.contains("\"mutations\":[\"bitflip\",\"truncate\"]"),
             "{line}"
         );
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

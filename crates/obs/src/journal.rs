@@ -298,7 +298,7 @@ mod tests {
             assert!(seq > prev, "seq must be strictly increasing");
             prev = seq;
         }
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -340,6 +340,6 @@ mod tests {
                 "whole lines only: {l}"
             );
         }
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -91,5 +91,5 @@ fn paused_overflow_accounting_is_exact_and_survivors_parse() {
         total_dropped_window > 0,
         "flood past capacity must evict something"
     );
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -245,28 +245,6 @@ fn chrome_trace_export_is_valid_json_with_matched_events() {
 }
 
 #[test]
-fn reset_clears_everything() {
-    let _g = lock();
-    amrviz_obs::reset();
-    amrviz_obs::enable();
-    {
-        let _sp = amrviz_obs::span!("temp");
-        amrviz_obs::counter!("temp_counter", 1u64);
-        amrviz_obs::histogram!("temp_hist", 42u64);
-    }
-    assert_eq!(amrviz_obs::histograms_snapshot().len(), 1);
-    amrviz_obs::reset();
-    amrviz_obs::disable();
-    assert!(amrviz_obs::events_snapshot().is_empty());
-    assert!(amrviz_obs::counters_snapshot().is_empty());
-    assert!(amrviz_obs::histograms_snapshot().is_empty());
-    // reset() also collapses the allocator's high-water mark: a fresh
-    // baseline taken right after sees no residual peak.
-    let base = amrviz_obs::mem::alloc_baseline();
-    assert_eq!(amrviz_obs::mem::peak_since(base), 0);
-}
-
-#[test]
 fn histogram_macro_aggregates_across_threads() {
     let _g = lock();
     amrviz_obs::reset();

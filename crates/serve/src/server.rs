@@ -356,12 +356,12 @@ fn admit(inner: &Inner, queue: &SyncSender<Admitted>, stream: TcpStream) {
                 ],
             );
         }
+        // Shed requests count against availability in the SLO windows.
+        inner.telemetry.record(Status::RetryLater, 0, None, 0, 0);
         // Best-effort typed reply from the accept thread (bounded by the
         // socket write timeout). The request frame is never read — shedding
         // must not depend on a possibly-slow client.
         write_notification(&mut stream, Status::RetryLater, 0);
-        // Shed requests count against availability in the SLO windows.
-        inner.telemetry.record(Status::RetryLater, 0, None, 0, 0);
     }
 }
 
@@ -402,11 +402,7 @@ fn write_gated(
     stats: &ServeStats,
     write: impl FnOnce(&mut TcpStream) -> std::io::Result<()>,
 ) -> Result<(), Status> {
-    let decided_at = Instant::now();
-    if decided_at >= deadline {
-        stats.deadline_aborts.fetch_add(1, Ordering::Relaxed);
-        return Err(Status::Timeout);
-    }
+    let decided_at = gate(deadline, stats)?;
     let written = write(stream);
     if decided_at >= deadline {
         stats
@@ -415,6 +411,34 @@ fn write_gated(
     }
     // A socket error, or a frame that does not fit the wire (`InvalidInput`).
     written.map_err(|_| Status::Internal)
+}
+
+/// The gate's decision alone, for [`write_gated`] and a GET's END: the
+/// decision time, or `Timeout` (counted in `deadline_aborts`) at or after
+/// `deadline`.
+fn gate(deadline: Instant, stats: &ServeStats) -> Result<Instant, Status> {
+    let decided_at = Instant::now();
+    if decided_at >= deadline {
+        stats.deadline_aborts.fetch_add(1, Ordering::Relaxed);
+        return Err(Status::Timeout);
+    }
+    Ok(decided_at)
+}
+
+/// What a handler leaves to [`respond`]: the status, levels sent and flags
+/// it counts, and how the response ends once it is counted.
+type Reply = (Status, u8, u8, End);
+
+/// The END frame that closes a response, written after the request is
+/// counted.
+enum End {
+    /// None: the stream was cut, and the prefix the client holds is the
+    /// whole response.
+    Cut,
+    /// A notification's END: no levels, no elapsed time.
+    Bare,
+    /// The levels sent and the server-side elapsed time.
+    Timed,
 }
 
 /// A header that announces no levels: every reply but a GET's data stream.
@@ -443,16 +467,25 @@ fn us_since(t: Instant) -> u64 {
     t.elapsed().as_micros() as u64
 }
 
-/// Writes an error/notification header + END, with the retry-after hint on
-/// the statuses a retry can help. Exempt from the deadline gate: a `Timeout`
-/// reply *is* the deadline signal, and shed/corrupt/not-found replies carry
-/// no hierarchy data.
-fn write_notification(stream: &mut TcpStream, status: Status, key: u64) {
+/// Writes an error/notification header, with the retry-after hint on the
+/// statuses a retry can help; its bare END follows once the request is
+/// counted. Exempt from the deadline gate: a `Timeout` reply *is* the
+/// deadline signal, and shed/corrupt/not-found replies carry no hierarchy
+/// data.
+fn notify(stream: &mut TcpStream, status: Status, key: u64) -> Reply {
     let retry = match status.is_retryable() {
         true => RETRY_AFTER_MS,
         false => 0,
     };
     let _ = proto::write_frame(stream, &bare_header(status, retry, key));
+    (status, 0, 0, End::Bare)
+}
+
+/// A notification header and its END at once, for the replies counted
+/// before they are written (a shed connection, a request that does not
+/// decode).
+fn write_notification(stream: &mut TcpStream, status: Status, key: u64) {
+    notify(stream, status, key);
     let _ = proto::write_frame(stream, &end_frame(status, 0, 0));
 }
 
@@ -481,35 +514,54 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
         trace: req.trace,
     });
     inner.stats.requests.fetch_add(1, Ordering::Relaxed);
-    let t0 = Instant::now();
-    let (status, levels_sent, flags, stages) = match req.op {
-        Op::Ping => {
-            write_notification(&mut stream, Status::Ok, 0);
-            (Status::Ok, 0u8, 0u8, None)
-        }
-        Op::List => (serve_list(inner, &mut stream, &req, t0), 0u8, 0u8, None),
-        Op::Stats => (serve_stats(inner, &mut stream, t0), 0, 0, None),
+    respond(inner, &mut stream, &req, Instant::now(), queue_wait_us);
+}
+
+/// Answers one request that started at `t0`: runs its handler, counts it,
+/// writes END and journals it. Returns the counted status, levels sent and
+/// flags.
+fn respond(
+    inner: &Inner,
+    stream: &mut TcpStream,
+    req: &Request,
+    t0: Instant,
+    queue_wait_us: u64,
+) -> (Status, u8, u8) {
+    let mut stages = None;
+    let (status, levels_sent, flags, end) = match req.op {
+        Op::Ping => notify(stream, Status::Ok, 0),
+        Op::List => serve_list(inner, stream, req, t0),
+        Op::Stats => serve_stats(inner, stream),
         Op::Get => {
-            let mut st = StageTimes::default();
+            let st = stages.insert(StageTimes::default());
             st[Stage::QueueWait] = Some(queue_wait_us);
-            let (s, l, f) = serve_get(inner, &mut stream, &req, t0, &mut st);
-            (s, l, f, Some(st))
+            serve_get(inner, stream, req, t0, st)
         }
     };
     let elapsed_us = us_since(t0);
+    // The one accounting site, ahead of END: a client that holds END finds
+    // its request in the next STATS poll. STATS polls are monitoring
+    // traffic: answered, counted in `requests`, but excluded from the SLO
+    // latency/availability windows so watching the server never moves its
+    // own objectives.
     inner.stats.count_outcome(status);
-    // STATS polls are monitoring traffic: answered, counted in `requests`,
-    // but excluded from the SLO latency/availability windows so watching
-    // the server never moves its own objectives.
     if req.op != Op::Stats {
         inner
             .telemetry
             .record(status, elapsed_us, stages.as_ref(), req.trace, req.key);
     }
+    let end = match end {
+        End::Cut => None,
+        End::Bare => Some(end_frame(status, 0, 0)),
+        End::Timed => Some(end_frame(status, levels_sent, elapsed_us)),
+    };
+    if let Some(end) = end {
+        let _ = proto::write_frame(stream, &end);
+    }
     // The line is rendered only for a listener: a request served with no
     // journal attached must not pay for ten `String`s nobody reads.
     if !journal::is_active() {
-        return;
+        return (status, levels_sent, flags);
     }
     let mut fields = vec![
         ("role", "\"server\"".into()),
@@ -528,13 +580,14 @@ fn handle_connection(inner: &Inner, mut stream: TcpStream, admitted_at: Instant)
         }
     }
     journal::emit("serve", &fields);
+    (status, levels_sent, flags)
 }
 
 /// Answers `Op::Stats`: one header, one STATS frame carrying the snapshot
-/// JSON, one END. Exempt from the deadline gate like other notifications —
-/// the snapshot carries no hierarchy data, and an operator polling a
-/// saturated server wants the answer, not a timeout.
-fn serve_stats(inner: &Inner, stream: &mut TcpStream, t0: Instant) -> Status {
+/// JSON; END follows. Exempt from the deadline gate like other
+/// notifications — the snapshot carries no hierarchy data, and an operator
+/// polling a saturated server wants the answer, not a timeout.
+fn serve_stats(inner: &Inner, stream: &mut TcpStream) -> Reply {
     let (cache_entries, cache_bytes) = inner.cache.stats();
     let queue_depth = inner.queued.load(Ordering::Relaxed);
     let snap = inner.stats.snapshot();
@@ -550,43 +603,42 @@ fn serve_stats(inner: &Inner, stream: &mut TcpStream, t0: Instant) -> Status {
     // history is reconstructible offline from the journal alone. It is the
     // report the snapshot's `slo` section shows, journaled outside the lock.
     crate::slo::emit_journal(&slo);
-    for payload in [
+    let sent = [
         bare_header(Status::Ok, 0, 0),
         proto::encode_stats_frame(&json),
-        end_frame(Status::Ok, 0, us_since(t0)),
-    ] {
-        if proto::write_frame(stream, &payload).is_err() {
-            return Status::Internal;
-        }
+    ]
+    .iter()
+    .try_for_each(|payload| proto::write_frame(stream, payload));
+    match sent {
+        Ok(()) => (Status::Ok, 0, 0, End::Timed),
+        Err(_) => (Status::Internal, 0, 0, End::Cut),
     }
-    Status::Ok
 }
 
-fn serve_list(inner: &Inner, stream: &mut TcpStream, req: &Request, t0: Instant) -> Status {
+fn serve_list(inner: &Inner, stream: &mut TcpStream, req: &Request, t0: Instant) -> Reply {
     let deadline = request_deadline(t0, req.deadline_ms);
-    let keys = match inner.store.list() {
-        Ok(k) => k,
-        Err(_) => {
-            write_notification(stream, Status::Internal, 0);
-            return Status::Internal;
-        }
+    let Ok(keys) = inner.store.list() else {
+        return notify(stream, Status::Internal, 0);
     };
-    for payload in [
+    let sent = [
         bare_header(Status::Ok, 0, 0),
         proto::encode_keys_frame(&keys),
-    ] {
-        let frame = |s: &mut TcpStream| proto::write_frame(s, &payload);
-        if let Err(status) = write_gated(stream, deadline, &inner.stats, frame) {
-            return status;
-        }
+    ]
+    .iter()
+    .try_for_each(|payload| {
+        let frame = |s: &mut TcpStream| proto::write_frame(s, payload);
+        write_gated(stream, deadline, &inner.stats, frame)
+    });
+    match sent {
+        Ok(()) => (Status::Ok, 0, 0, End::Timed),
+        Err(status) => (status, 0, 0, End::Cut),
     }
-    let _ = proto::write_frame(stream, &end_frame(Status::Ok, 0, us_since(t0)));
-    Status::Ok
 }
 
 /// One GET's response: the header when level 0 is ready, gated `LEVEL`
-/// frames, `END`. A cache hit and a decoding miss feed it the same way — one
-/// level at a time, each the moment it is final.
+/// frames, then `END` once the request is counted. A cache hit and a
+/// decoding miss feed it the same way — one level at a time, each the
+/// moment it is final.
 struct GetStream<'a> {
     inner: &'a Inner,
     stream: &'a mut TcpStream,
@@ -602,6 +654,8 @@ struct GetStream<'a> {
     /// Levels the header announced, and the levels sent since.
     n_levels: usize,
     sent: u8,
+    /// Whether the header is out.
+    opened: bool,
     /// Why the stream ended early (no `END` follows), once it has.
     cut: Option<Status>,
 }
@@ -643,14 +697,8 @@ impl GetStream<'_> {
             n_levels: self.n_levels as u8,
             key: self.req.key,
         };
-        if self.write(|s| proto::write_frame(s, &header.encode())) {
-            return true;
-        }
-        if self.cut == Some(Status::Timeout) {
-            // Nothing sent yet: a typed Timeout is still possible.
-            write_notification(self.stream, Status::Timeout, self.req.key);
-        }
-        false
+        self.opened = self.write(|s| proto::write_frame(s, &header.encode()));
+        self.opened
     }
 
     /// Takes one final level; `Break` once nothing more is to be sent.
@@ -670,14 +718,22 @@ impl GetStream<'_> {
         }
     }
 
-    /// Closes a stream that was not cut with `END`: the authoritative status.
-    fn finish(mut self) -> (Status, u8, u8) {
+    /// The authoritative status. `END` passes the deadline gate here, like
+    /// every frame before it, and is written once the request is counted.
+    fn finish(mut self) -> Reply {
         if self.cut.is_none() {
-            let end = end_frame(self.status(), self.sent, us_since(self.t0));
-            self.write(|s| proto::write_frame(s, &end));
+            self.cut = gate(self.deadline, &self.inner.stats).err();
         }
-        let status = self.cut.unwrap_or_else(|| self.status());
-        (status, self.sent, self.flags)
+        let (status, end) = match self.cut {
+            // Nothing sent yet: a typed Timeout is still possible.
+            Some(Status::Timeout) if !self.opened => {
+                notify(self.stream, Status::Timeout, self.req.key);
+                (Status::Timeout, End::Bare)
+            }
+            Some(cut) => (cut, End::Cut),
+            None => (self.status(), End::Timed),
+        };
+        (status, self.sent, self.flags, end)
     }
 }
 
@@ -766,11 +822,10 @@ fn serve_get(
     req: &Request,
     t0: Instant,
     st: &mut StageTimes,
-) -> (Status, u8, u8) {
+) -> Reply {
     let deadline = request_deadline(t0, req.deadline_ms);
     if Instant::now() >= deadline {
-        write_notification(stream, Status::Timeout, req.key);
-        return (Status::Timeout, 0, 0);
+        return notify(stream, Status::Timeout, req.key);
     }
     let mut out = GetStream {
         inner,
@@ -783,6 +838,7 @@ fn serve_get(
         flags: 0,
         n_levels: 0,
         sent: 0,
+        opened: false,
         cut: None,
     };
     if let Some(entry) = inner.cache.get(req.key) {
@@ -796,8 +852,7 @@ fn serve_get(
             .enumerate()
             .try_for_each(|(lev, (mf, &degraded))| out.level(lev, mf, degraded));
     } else if let Err(status) = decode_into_stream(&mut out) {
-        write_notification(out.stream, status, req.key);
-        return (status, 0, 0);
+        return notify(out.stream, status, req.key);
     }
     out.finish()
 }
@@ -947,8 +1002,7 @@ mod tests {
             conn.set_write_timeout(Some(IO_TIMEOUT)).unwrap();
             let t0 = Instant::now() - Duration::from_secs(8);
             let served = std::thread::scope(|s| {
-                let server =
-                    s.spawn(|| serve_get(&inner, &mut conn, &req, t0, &mut StageTimes::default()));
+                let server = s.spawn(|| respond(&inner, &mut conn, &req, t0, 0));
                 let mut frame = || {
                     proto::read_frame(&mut client, proto::MAX_RESPONSE_FRAME)
                         .unwrap()

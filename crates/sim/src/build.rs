@@ -2,8 +2,8 @@
 //! fine-resolution fields.
 
 use amrviz_amr::{
-    berger_rigoutsos, AmrHierarchy, Box3, BoxArray, Fab, Geometry, IntVect, MultiFab, Raster,
-    RegridConfig,
+    berger_rigoutsos, restrict_average, AmrHierarchy, Box3, BoxArray, Fab, Geometry, IntVect,
+    MultiFab, Raster, RegridConfig,
 };
 
 /// Structural parameters of a two-level snapshot.
@@ -29,37 +29,13 @@ pub fn quantile(values: &[f64], p: f64) -> f64 {
     *val
 }
 
-/// Restriction of a dense fine field (2× per axis) to the coarse grid.
-pub(crate) fn restrict_dense(fine: &[f64], coarse_dims: [usize; 3]) -> Vec<f64> {
-    let [cx, cy, cz] = coarse_dims;
-    let (fx, fy) = (2 * cx, 2 * cy);
-    assert_eq!(fine.len(), 8 * cx * cy * cz);
-    let mut out = Vec::with_capacity(cx * cy * cz);
-    for k in 0..cz {
-        for j in 0..cy {
-            for i in 0..cx {
-                let mut acc = 0.0;
-                for dk in 0..2 {
-                    for dj in 0..2 {
-                        for di in 0..2 {
-                            acc += fine[(2 * i + di) + fx * ((2 * j + dj) + fy * (2 * k + dk))];
-                        }
-                    }
-                }
-                out.push(acc * 0.125);
-            }
-        }
-    }
-    out
-}
-
 /// Builds the two-level hierarchy: coarse data is the restriction of the
 /// given dense fine fields (so the redundant coarse data is consistent, as
 /// in a real patch-based AMR run), the fine level covers the clustered
 /// `tags` region.
 pub(crate) fn build_two_level(
     spec: &TwoLevelSpec,
-    fine_fields: &[(String, Vec<f64>)],
+    fine_fields: Vec<(String, Vec<f64>)>,
     tags: &Raster,
 ) -> AmrHierarchy {
     let [cx, cy, cz] = spec.coarse_dims;
@@ -77,7 +53,7 @@ pub(crate) fn build_two_level(
 /// as coarse-level boxes (e.g. WarpX's single moving-window slab).
 pub(crate) fn build_two_level_from_boxes(
     spec: &TwoLevelSpec,
-    fine_fields: &[(String, Vec<f64>)],
+    fine_fields: Vec<(String, Vec<f64>)>,
     coarse_cluster: BoxArray,
 ) -> AmrHierarchy {
     let [cx, cy, cz] = spec.coarse_dims;
@@ -92,21 +68,14 @@ pub(crate) fn build_two_level_from_boxes(
         .expect("constructed box arrays are valid");
 
     let fine_domain = domain.refine(2);
-    let [fx, fy, _] = fine_domain.size();
     for (name, fine_dense) in fine_fields {
-        let coarse_dense = restrict_dense(fine_dense, spec.coarse_dims);
-        let coarse_mf = fill_from_dense(hier.box_array(0), domain, &coarse_dense);
-        let fine_mf = MultiFab::from_fabs(
-            hier.box_array(1)
-                .iter()
-                .map(|&bx| {
-                    Fab::from_fn(bx, |iv: IntVect| {
-                        fine_dense[iv[0] as usize + fx * (iv[1] as usize + fy * iv[2] as usize)]
-                    })
-                })
-                .collect(),
-        );
-        hier.add_field(name, vec![coarse_mf, fine_mf])
+        let fine = Fab::from_vec(fine_domain, fine_dense);
+        let coarse = restrict_average(&fine, domain, 2);
+        let levels = vec![
+            MultiFab::from_dense(hier.box_array(0), domain, coarse.data()),
+            MultiFab::from_dense(hier.box_array(1), fine_domain, fine.data()),
+        ];
+        hier.add_field(&name, levels)
             .expect("field matches constructed box arrays");
     }
     hier
@@ -170,21 +139,6 @@ pub(crate) fn tag_top_fraction_blocks(
     tags
 }
 
-/// Multifab over `ba` with values copied from a dense array over `domain`.
-pub(crate) fn fill_from_dense(ba: &BoxArray, domain: Box3, dense: &[f64]) -> MultiFab {
-    let [nx, ny, _] = domain.size();
-    MultiFab::from_fabs(
-        ba.iter()
-            .map(|&bx| {
-                Fab::from_fn(bx, |iv: IntVect| {
-                    let d = iv - domain.lo();
-                    dense[d[0] as usize + nx * (d[1] as usize + ny * d[2] as usize)]
-                })
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,17 +150,6 @@ mod tests {
         assert_eq!(quantile(&v, 0.0), 0.0);
         assert_eq!(quantile(&v, 1.0), 100.0);
         assert_eq!(quantile(&v, 0.5), 50.0);
-    }
-
-    #[test]
-    fn restrict_dense_averages() {
-        let coarse_dims = [2, 2, 2];
-        let fine: Vec<f64> = (0..64).map(|i| i as f64).collect();
-        let coarse = restrict_dense(&fine, coarse_dims);
-        assert_eq!(coarse.len(), 8);
-        // First coarse cell averages fine cells (0..1)³.
-        let want = (0.0 + 1.0 + 4.0 + 5.0 + 16.0 + 17.0 + 20.0 + 21.0) / 8.0;
-        assert_eq!(coarse[0], want);
     }
 
     #[test]
@@ -229,10 +172,10 @@ mod tests {
                 }
             })
             .collect();
-        let coarse = restrict_dense(&fine, spec.coarse_dims);
         let domain = Box3::from_dims(16, 16, 16);
-        let tags = tag_where(domain, &coarse, |v| v > 5.0);
-        let hier = build_two_level(&spec, &[("u".into(), fine.clone())], &tags);
+        let coarse = restrict_average(&Fab::from_vec(domain.refine(2), fine.clone()), domain, 2);
+        let tags = tag_where(domain, coarse.data(), |v| v > 5.0);
+        let hier = build_two_level(&spec, vec![("u".into(), fine)], &tags);
 
         assert_eq!(hier.num_levels(), 2);
         // All tagged cells are covered by the fine level.

@@ -15,9 +15,9 @@
 //!   refines on over-density), tuned so the fine level holds ≈ 40.7% of the
 //!   domain (Table 1).
 
-use amrviz_amr::{AmrHierarchy, Box3};
+use amrviz_amr::{restrict_average, AmrHierarchy, Box3, Fab};
 
-use crate::build::{build_two_level, restrict_dense, tag_top_fraction_blocks, TwoLevelSpec};
+use crate::build::{build_two_level, tag_top_fraction_blocks, TwoLevelSpec};
 use crate::grf::{gaussian_random_field, Spectrum};
 use crate::noise::fractal;
 use crate::scale::Scale;
@@ -161,9 +161,13 @@ impl NyxScenario {
 
         // Tag over-dense blocks so the refined fraction matches the target
         // (clustering can round coverage up slightly).
-        let coarse_density = restrict_dense(&density, coarse_dims);
         let domain = Box3::from_dims(coarse_dims[0], coarse_dims[1], coarse_dims[2]);
-        let tags = tag_top_fraction_blocks(domain, &coarse_density, 4, FINE_FRACTION);
+        // `density` lives to the end of `generate`, as the fields do: freed
+        // before the build, it left the allocator returning and re-faulting
+        // ≈ 50 MB on every later `nyx_pipeline` iteration.
+        let density = Fab::from_vec(domain.refine(2), density);
+        let coarse_density = restrict_average(&density, domain, 2);
+        let tags = tag_top_fraction_blocks(domain, coarse_density.data(), 4, FINE_FRACTION);
 
         let spec = TwoLevelSpec {
             coarse_dims,
@@ -172,7 +176,7 @@ impl NyxScenario {
             blocking: 4,
             max_box_cells: 64 * 64 * 64,
         };
-        let mut hier = build_two_level(&spec, &fields, &tags);
+        let mut hier = build_two_level(&spec, fields, &tags);
         hier.time = 0.0;
         hier.step = 0;
         hier

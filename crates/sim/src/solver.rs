@@ -12,20 +12,22 @@
 use amrviz_amr::multifab::rasterize_into;
 use amrviz_amr::regrid::tag_gradient;
 use amrviz_amr::{
-    berger_rigoutsos, AmrHierarchy, Box3, BoxArray, Fab, Geometry, IntVect, MultiFab, RegridConfig,
+    berger_rigoutsos, restrict_within, AmrHierarchy, Box3, BoxArray, Fab, Geometry, IntVect,
+    MultiFab, RegridConfig,
 };
 
 /// The advected field name.
 pub const FIELD: &str = "u";
+
+/// Steps between regrids.
+const REGRID_EVERY: u64 = 4;
 
 /// Two-level AMR advection solver.
 pub struct AmrAdvection {
     hier: AmrHierarchy,
     velocity: [f64; 3],
     /// Gradient-magnitude threshold for tagging (in value/cell units).
-    pub tag_threshold: f64,
-    /// Steps between regrids.
-    pub regrid_every: u64,
+    tag_threshold: f64,
     regrid_cfg: RegridConfig,
     dt: f64,
     steps: u64,
@@ -68,7 +70,6 @@ impl AmrAdvection {
             hier,
             velocity,
             tag_threshold,
-            regrid_every: 4,
             regrid_cfg: RegridConfig {
                 efficiency: 0.7,
                 blocking_factor: 4,
@@ -160,7 +161,6 @@ impl AmrAdvection {
             &mut u0,
         );
         let new0 = upwind_periodic(&u0, dom0.size(), h0, self.velocity, dt);
-        let new0_fab = Fab::from_vec(dom0, new0);
 
         // Level 1: dense over the fine bounding region, ghost values from
         // trilinear prolongation of the *old* coarse solution.
@@ -184,39 +184,22 @@ impl AmrAdvection {
             // Old values first (zeroth-order hold for any cells the clipped
             // stencil could not update at the physical boundary), then the
             // stepped interior.
-            let mut out = Fab::zeros(fab.box3());
-            out.copy_from(&work);
+            let mut out = work.subfab(fab.box3());
             out.copy_from(&stepped);
             new_fine_fabs.push(out);
         }
         let new_fine = MultiFab::from_fabs(new_fine_fabs);
 
         // Write back, then restrict fine → coarse on covered cells.
-        let mut new_coarse = MultiFab::from_fabs(
-            self.hier
-                .box_array(0)
-                .iter()
-                .map(|&bx| {
-                    let mut f = Fab::zeros(bx);
-                    f.copy_from(&new0_fab);
-                    f
-                })
-                .collect(),
-        );
-        for ffab in new_fine.fabs() {
-            let coarse_target = ffab.box3().coarsen(2);
-            let restricted = amrviz_amr::restrict_average(ffab, coarse_target, 2);
-            for cfab in new_coarse.fabs_mut() {
-                cfab.copy_from(&restricted);
-            }
-        }
+        let mut new_coarse = MultiFab::from_dense(self.hier.box_array(0), dom0, &new0);
+        restrict_within(&mut new_coarse, &new_fine, 2, dom0);
         let field = self.hier.field_mut(FIELD).expect("field exists");
         field.levels = vec![new_coarse, new_fine];
 
         self.steps += 1;
         self.hier.step = self.steps;
         self.hier.time += dt;
-        if self.steps.is_multiple_of(self.regrid_every) {
+        if self.steps.is_multiple_of(REGRID_EVERY) {
             let dummy = |_: [f64; 3]| 0.0;
             self.regrid(&dummy);
         }

@@ -8,7 +8,7 @@
 //! exactly what a Gaussian-enveloped wave packet plus a damped sinusoidal
 //! wake provides.
 
-use amrviz_amr::{AmrHierarchy, Box3};
+use amrviz_amr::{restrict_average, AmrHierarchy, Box3, Fab};
 
 use crate::build::TwoLevelSpec;
 
@@ -98,8 +98,13 @@ impl WarpxScenario {
         // Refinement: WarpX refines a single moving-window slab around the
         // pulse (mesh refinement follows the laser). Pick the z-window of
         // width `FINE_FRACTION·cz` with the highest total envelope.
-        let coarse_env = crate::build::restrict_dense(&envelope, coarse_dims);
         let [ccx, ccy, ccz] = coarse_dims;
+        let coarse_domain = Box3::from_dims(ccx, ccy, ccz);
+        // `envelope` lives to the end of `generate`, as `density` does in
+        // `nyx.rs`: when set-up frees its large buffers decides whether later
+        // iterations re-fault them.
+        let envelope = Fab::from_vec(coarse_domain.refine(2), envelope);
+        let coarse_env = restrict_average(&envelope, coarse_domain, 2).into_vec();
         let mut z_profile = vec![0.0f64; ccz];
         for (n, &v) in coarse_env.iter().enumerate() {
             z_profile[n / (ccx * ccy)] += v;
@@ -132,7 +137,7 @@ impl WarpxScenario {
         };
         crate::build::build_two_level_from_boxes(
             &spec,
-            &[("Ez".to_string(), ez)],
+            vec![("Ez".to_string(), ez)],
             amrviz_amr::BoxArray::single(slab),
         )
     }

@@ -8,7 +8,7 @@ use amrviz_compress::{
 };
 use amrviz_serve::proto::{
     encode_level_frame, read_frame, write_frame, EndFrame, Op, Request, FLAG_DEGRADED,
-    MAX_RESPONSE_FRAME,
+    MAX_RESPONSE_FRAME, TAG_END,
 };
 use amrviz_serve::{
     encode_artifact, exchange, start, BlobStore, ClientConfig, Outcome, RespHeader, ServeConfig,
@@ -534,6 +534,49 @@ fn stats_endpoint_reports_stages_slo_and_exemplars() {
     server.shutdown();
     let stats = server.join();
     assert_eq!(stats.panics, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_request_is_counted_before_its_end_frame() {
+    let (dir, key, _) = populate("counted");
+    let server = start(ServeConfig {
+        store_dir: dir.clone(),
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let stats_req = Request {
+        op: Op::Stats,
+        trace: 0,
+        key: 0,
+        deadline_ms: 5_000,
+        max_level: 0,
+    };
+    for i in 1..=50u64 {
+        // A raw reader that stops at END and does not wait for the close.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write_frame(&mut stream, &get(key, 8_000).encode()).unwrap();
+        let end = std::iter::from_fn(|| read_frame(&mut stream, MAX_RESPONSE_FRAME).unwrap())
+            .find(|frame| frame.first() == Some(&TAG_END));
+        assert!(end.is_some(), "GET {i} ended without END");
+        // The outcome counters (`i` GETs and the `i - 1` STATS polls before
+        // this one) and the SLO windows, polled at once.
+        let ok = server.stats().ok;
+        assert_eq!(ok, 2 * i - 1, "GET {i} not counted at its END");
+        let ex = exchange(addr, &stats_req, &ClientConfig::default());
+        let doc = amrviz_json::Json::parse(&ex.stats.expect("stats frame")).unwrap();
+        let ok = doc
+            .get("latency_us")
+            .and_then(|l| l.get("ok")?.get("lifetime")?.get("count")?.as_u64());
+        assert_eq!(ok, Some(i), "GET {i} not in latency_us at its END");
+    }
+    server.shutdown();
+    assert_eq!(server.join().panics, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

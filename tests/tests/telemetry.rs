@@ -173,5 +173,5 @@ fn journal_roundtrips_span_trees_through_jsonl() {
     // Bracketing meta lines are present.
     assert!(text.lines().next().unwrap().contains("journal_start"));
     assert!(text.lines().last().unwrap().contains("journal_stop"));
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
