@@ -1239,6 +1239,48 @@ trace 00000000000000b2 (1 spans):
         assert_eq!(breached, Err(why.to_string()));
     }
 
+    /// Journal lines that leave out every optional field `stats` reads: a
+    /// span without `trace`, `name` or `thread`, a serve line without
+    /// `trace`, `role` or `elapsed_us`, a server line without `trace` or
+    /// `elapsed_us`, and an `slo` line without `burn` or `breached`.
+    const SPARSE_JOURNAL: &str = r#"{"seq":1,"kind":"span","span":5,"parent":0,"start_ns":10,"dur_ns":2000000}
+{"seq":2,"kind":"serve","status":"ok","stages_us":{"decode":40}}
+{"seq":3,"kind":"serve","role":"server","status":"corrupt","stages_us":{"store_read":70,"decode":30},"first_level_us":20}
+{"seq":4,"kind":"slo","spec":"avail>99%","window":"5m","good":3,"total":4,"p99_us":1500}
+"#;
+
+    /// What each missing field reads as, pinned whole: a span's trace `0`
+    /// and name `?`, a serve line's trace and role `?`, an elapsed time
+    /// of 0, a burn of 0.00 and `breached` false.
+    #[test]
+    fn stats_renders_the_defaults_of_missing_fields() {
+        let mut out = Vec::new();
+        let result = stats_journal(&mut out, "s", SPARSE_JOURNAL, true, None);
+        let text = "\
+journal s: 4 lines, 0 dropped
+  serve        2
+  slo          1
+  span         1
+serve outcomes (2 lines):
+  role     outcome             count     p50 ms     p99 ms
+  ?        ok                      1       0.00       0.00
+  server   corrupt                 1       0.00       0.00
+  server first_level_us over 1 GET(s): p50 0.02 ms, p99 0.02 ms
+  traces: 0 stitched (both ends), 0 server-only, 0 client-only
+slowest server requests (stage-attributed):
+        0.00 ms  trace ?  corrupt  store_read-bound (0.07 ms), first level at 0.02 ms
+slo events (1):
+  spec                 window   good/total     p99 ms     burn  breached
+  avail>99%            5m              3/4       1.50     0.00     false
+trace 0 (1 spans):
+  ? [2.000 ms, thread 0]
+";
+        assert_eq!(
+            (String::from_utf8(out).unwrap(), result),
+            (text.into(), Ok(()))
+        );
+    }
+
     fn args(a: &[&str]) -> Vec<String> {
         a.iter().map(|s| s.to_string()).collect()
     }
@@ -1476,6 +1518,27 @@ trace 00000000000000b2 (1 spans):
             let refused = decompress(&argv).unwrap_err();
             assert!(refused.contains("unknown option"), "{flag:?}: {refused}");
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A file whose algorithm names no compressor is refused by name, and
+    /// nothing is written. Bytes 6–9 are the name: `AVH1`, the version,
+    /// then the name's length 4 and `szlr`.
+    #[test]
+    fn decompress_refuses_an_unknown_algorithm() {
+        let root = std::env::temp_dir().join(format!("amrviz_cli_algo_{}", std::process::id()));
+        let path = |leaf: &str| root.join(leaf).to_string_lossy().into_owned();
+        let (ds, file, out) = (path("ds"), path("f.amrz"), path("dec"));
+        generate(&args(&["warpx", "--out", &ds, "--scale", "tiny"])).unwrap();
+        compress(&args(&[&ds, "--field", "Ez", "--out", &file])).unwrap();
+        let mut bytes = std::fs::read(&file).unwrap();
+        assert_eq!(&bytes[4..10], b"\x02\x04szlr");
+        bytes[9] = b'q';
+        std::fs::write(&file, bytes).unwrap();
+        let err = decompress(&args(&[&file, "--out", &out])).unwrap_err();
+        assert!(err.starts_with(&file), "{err}");
+        assert!(err.ends_with("unknown algorithm `szlq`"), "{err}");
+        assert!(!Path::new(&out).exists(), "{out} was written");
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -668,6 +668,20 @@ mod tests {
         }
     }
 
+    /// An artifact whose algorithm (bytes 6–9: length 4, then `szlr`)
+    /// names no compressor is a corrupt stream to the file reader.
+    #[test]
+    fn an_artifact_naming_no_compressor_is_corrupt() {
+        let targets = build_targets();
+        let t = targets.iter().find(|t| t.name == "artifact").unwrap();
+        let mut bytes = t.stream.clone();
+        assert_eq!(&bytes[5..10], b"\x04szlr");
+        bytes[9] = b'q';
+        let e = (t.decode)(&bytes, &DecodeBudget::strict()).err().unwrap();
+        assert_eq!(e.class, "corrupt", "{}", e.msg);
+        assert!(e.msg.ends_with("unknown algorithm `szlq`"), "{}", e.msg);
+    }
+
     /// The failures of `t` on 240 seeded mutations of `part`, each made a
     /// whole stream by `whole`; none may panic.
     fn mutated_failures(

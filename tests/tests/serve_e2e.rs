@@ -313,6 +313,51 @@ fn skip_redundant_artifacts_are_served_with_the_coarse_cells_restored() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An artifact whose algorithm names no compressor is `Corrupt` before the
+/// header: no LEVEL frame, and of the miss path's stages only the store
+/// read is timed.
+#[test]
+fn an_artifact_naming_no_compressor_is_served_corrupt() {
+    let (dir, good, _) = populate("algo");
+    let store = BlobStore::open(&dir).unwrap();
+    let mut bytes = store.get(good).unwrap();
+    assert_eq!(&bytes[5..10], b"\x04szlr");
+    bytes[9] = b'q';
+    let key = store.put(&bytes).unwrap();
+    let server = start(ServeConfig {
+        store_dir: dir.clone(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let cfg = ClientConfig::default();
+    let ex = exchange(server.addr(), &get(key, 5_000), &cfg);
+    assert_eq!(ex.outcome, Outcome::Corrupt, "{ex:?}");
+    assert_eq!(ex.header.unwrap().status, Status::Corrupt);
+    assert!(ex.levels.is_empty(), "{ex:?}");
+    let stats = Request {
+        op: Op::Stats,
+        trace: 0,
+        key: 0,
+        deadline_ms: 5_000,
+        max_level: 0,
+    };
+    let doc = amrviz_json::Json::parse(&exchange(server.addr(), &stats, &cfg).stats.unwrap());
+    let doc = doc.unwrap();
+    let timed = |stage: &str| {
+        let stage = doc.get("stages_us").and_then(|s| s.get(stage));
+        stage.and_then(|s| s.get("lifetime")?.get("count")?.as_u64())
+    };
+    assert_eq!(timed("store_read"), Some(1));
+    for stage in ["structure_validate", "decode", "write"] {
+        let n = timed(stage);
+        assert!(n.is_none_or(|n| n == 0), "{stage}: {n:?}");
+    }
+    server.shutdown();
+    let stats = server.join();
+    assert_eq!((stats.corrupt, stats.panics), (1, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn hang_up_after_level_0_leaves_no_partial_cache_entry() {
     let dir = temp_dir("hangup");
