@@ -1,20 +1,23 @@
 //! Implementations of the `amrviz` subcommands.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
+use std::ops::ControlFlow;
 use std::path::Path;
 
 use amrviz_amr::plotfile::{read_plotfile, write_plotfile};
 use amrviz_amr::resample::{flatten_to_finest, Upsample};
 use amrviz_amr::AmrHierarchy;
 use amrviz_compress::{
-    compress_hierarchy_field, compressor_by_name, decompress_hierarchy_field_into, AmrCodecConfig,
-    CompressionStats, DecodeBudget, DecodePolicy, ErrorBound, FabStatus, SzLr, ALGORITHMS,
+    compress_hierarchy_field, compressor_by_name, AmrCodecConfig, CompressionStats, DecodeBudget,
+    DecodePolicy, ErrorBound, FabStatus, SzLr, ALGORITHMS,
 };
 use amrviz_core::args::{parse, Parsed};
 use amrviz_core::experiment::standard_camera;
+use amrviz_json::Json;
 use amrviz_render::{render_mesh, render_slice, RenderOptions};
 use amrviz_serve::telemetry::dominant_stage;
-use amrviz_serve::{compressor_for, decode_artifact, encode_artifact, Artifact};
+use amrviz_serve::{decode_artifact, encode_artifact};
 use amrviz_sim::solver::AmrAdvection;
 use amrviz_sim::{quantile, NyxScenario, Scale, WarpxScenario};
 use amrviz_viz::{extract_amr_isosurface, obj, IsoMethod};
@@ -233,34 +236,19 @@ pub fn decompress(argv: &[String]) -> Result<(), String> {
     let path = p.positional(0, "compressed file path")?;
     let out = p.required("out")?;
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let Artifact {
-        algo,
-        field,
-        mut hier,
-        container: c,
-    } = decode_artifact(&bytes, &DecodeBudget::default()).map_err(|e| format!("{path}: {e}"))?;
-    let comp =
-        compressor_for(&algo).ok_or_else(|| format!("{path}: unknown algorithm `{algo}`"))?;
-    let cfg = AmrCodecConfig {
-        skip_redundant: c.skip_redundant,
-        restore_redundant: c.skip_redundant,
-    };
+    let budget = DecodeBudget::default();
+    let art = decode_artifact(&bytes, &budget).map_err(|e| format!("{path}: {e}"))?;
     let policy = if p.switch("degrade") {
         DecodePolicy::Degrade
     } else {
         DecodePolicy::Strict
     };
     let mut levels = Vec::new();
-    let report = decompress_hierarchy_field_into(
-        &hier,
-        &c,
-        comp.as_ref(),
-        &cfg,
-        policy,
-        &DecodeBudget::default(),
-        &mut levels,
-    )
-    .map_err(|e| e.to_string())?;
+    let report = art
+        .decode_levels(policy, &budget, &mut levels, |_, _, _| {
+            ControlFlow::Continue(())
+        })
+        .map_err(|e| e.to_string())?;
     let (n_ok, n_degraded, n_failed) = report.counts();
     if n_degraded + n_failed > 0 {
         eprintln!("decode report: {n_ok} fabs ok, {n_degraded} degraded, {n_failed} failed");
@@ -276,9 +264,11 @@ pub fn decompress(argv: &[String]) -> Result<(), String> {
             }
         }
     }
+    let (field, mut hier) = (art.field, art.hier);
     hier.add_field(&field, levels).map_err(|e| e.to_string())?;
     write_plotfile(Path::new(out), &hier).map_err(|e| e.to_string())?;
-    outln!("wrote {out} with field `{field}` (abs eb {:.3e})", c.abs_eb);
+    let abs_eb = art.container.abs_eb;
+    outln!("wrote {out} with field `{field}` (abs eb {abs_eb:.3e})");
     Ok(())
 }
 
@@ -449,44 +439,39 @@ pub fn stats(argv: &[String]) -> Result<(), String> {
     stats_journal(&mut out, path, &text, p.switch("strict"), p.opt("slo"))
 }
 
-/// One parsed `kind: "span"` journal line.
-struct JournalSpan {
-    trace: String,
-    id: u64,
-    parent: u64,
-    name: String,
-    thread: u64,
-    start_ns: u64,
-    dur_ns: u64,
-}
-
-/// One parsed `kind: "serve"` journal line (server- or client-side).
-struct ServeLine {
-    trace: String,
-    role: String,
-    /// Server `status` or client `outcome`.
-    result: String,
-    elapsed_us: u64,
-    /// Per-stage timing breakdown (server GET lines), taxonomy order.
-    stages_us: Vec<(String, u64)>,
-    /// Request start to first LEVEL frame written (server GET lines that
-    /// sent one).
-    first_level_us: Option<u64>,
-}
-
-/// One parsed `kind: "slo"` journal line (burn-rate window evaluation).
-struct SloEvent {
-    spec: String,
-    window: String,
-    good: u64,
-    total: u64,
-    p99_us: u64,
-    burn: f64,
-    breached: bool,
-}
-
 /// Journal event kinds this binary understands.
 const KNOWN_KINDS: [&str; 5] = ["span", "serve", "meta", "fault", "slo"];
+
+// Defaulting readers for the JSON the program writes, journal lines and the
+// STATS snapshot alike: a field that is missing or of another type reads
+// as 0, 0.0, `false`, `?` or no entries.
+
+pub(crate) fn u64_of(j: &Json, k: &str) -> u64 {
+    j.get(k).and_then(Json::as_u64).unwrap_or(0)
+}
+
+pub(crate) fn f64_of(j: &Json, k: &str) -> f64 {
+    j.get(k).and_then(Json::as_f64).unwrap_or(0.0)
+}
+
+pub(crate) fn bool_of(j: &Json, k: &str) -> bool {
+    j.get(k).and_then(Json::as_bool).unwrap_or(false)
+}
+
+pub(crate) fn str_of<'a>(j: &'a Json, k: &str) -> &'a str {
+    j.get(k).and_then(Json::as_str).unwrap_or("?")
+}
+
+pub(crate) fn entries_of<'a>(j: &'a Json, k: &str) -> &'a [(String, Json)] {
+    match j.get(k) {
+        Some(Json::Obj(entries)) => entries,
+        _ => &[],
+    }
+}
+
+/// A `serve` line with its result: the server's `status` or the client's
+/// `outcome`.
+type ServeLine<'a> = (&'a str, &'a Json);
 
 fn stats_journal(
     out: &mut dyn Write,
@@ -495,11 +480,9 @@ fn stats_journal(
     strict: bool,
     slo: Option<&str>,
 ) -> Result<(), String> {
-    let mut kinds: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let mut spans: Vec<JournalSpan> = Vec::new();
-    let mut serve_lines: Vec<ServeLine> = Vec::new();
-    let mut slo_events: Vec<SloEvent> = Vec::new();
-    let mut warned_kinds: std::collections::BTreeSet<String> = Default::default();
+    let mut kinds: BTreeMap<String, u64> = BTreeMap::new();
+    let (mut spans, mut serve, mut slo_events) = (Vec::new(), Vec::new(), Vec::new());
+    let mut warned_kinds: BTreeSet<String> = Default::default();
     let mut dropped = 0u64;
     let mut n_lines = 0u64;
     let mut skipped = 0u64;
@@ -512,7 +495,7 @@ fn stats_journal(
         // the schema contract. Violations are fatal under --strict and
         // warn-and-skip otherwise (a journal from a newer binary must stay
         // readable).
-        let v = match amrviz_json::Json::parse(line) {
+        let v = match Json::parse(line) {
             Ok(v) => v,
             Err(e) => {
                 if strict {
@@ -549,73 +532,23 @@ fn stats_journal(
             continue;
         }
         match kind {
-            "span" => {
-                let get_u64 = |k: &str| v.get(k).and_then(|x| x.as_u64()).unwrap_or(0);
-                spans.push(JournalSpan {
-                    trace: v
-                        .get("trace")
-                        .and_then(|t| t.as_str())
-                        .unwrap_or("0")
-                        .to_string(),
-                    id: get_u64("span"),
-                    parent: get_u64("parent"),
-                    name: v
-                        .get("name")
-                        .and_then(|n| n.as_str())
-                        .unwrap_or("?")
-                        .to_string(),
-                    thread: get_u64("thread"),
-                    start_ns: get_u64("start_ns"),
-                    dur_ns: get_u64("dur_ns"),
-                });
-            }
-            "serve" => {
-                let str_of = |k: &str| v.get(k).and_then(|x| x.as_str()).unwrap_or("?").to_string();
-                // Server lines carry `status`, client lines `outcome`;
-                // lifecycle events (e.g. drain) carry neither and are
-                // counted in the kind totals only.
-                let result = v
-                    .get("status")
-                    .or_else(|| v.get("outcome"))
-                    .and_then(|x| x.as_str());
-                if let Some(result) = result {
-                    let mut stages_us = Vec::new();
-                    if let Some(amrviz_json::Json::Obj(entries)) = v.get("stages_us") {
-                        for (name, us) in entries {
-                            stages_us.push((name.clone(), us.as_u64().unwrap_or(0)));
-                        }
-                    }
-                    serve_lines.push(ServeLine {
-                        trace: str_of("trace"),
-                        role: str_of("role"),
-                        result: result.to_string(),
-                        elapsed_us: v.get("elapsed_us").and_then(|x| x.as_u64()).unwrap_or(0),
-                        stages_us,
-                        first_level_us: v.get("first_level_us").and_then(|x| x.as_u64()),
-                    });
-                }
-            }
+            "span" => spans.push(v),
+            "serve" => serve.push(v),
             "meta" => {
                 if let Some(d) = v.get("dropped").and_then(|d| d.as_u64()) {
                     dropped = d;
                 }
             }
-            "slo" => {
-                let str_of = |k: &str| v.get(k).and_then(|x| x.as_str()).unwrap_or("?").to_string();
-                let u64_of = |k: &str| v.get(k).and_then(|x| x.as_u64()).unwrap_or(0);
-                slo_events.push(SloEvent {
-                    spec: str_of("spec"),
-                    window: str_of("window"),
-                    good: u64_of("good"),
-                    total: u64_of("total"),
-                    p99_us: u64_of("p99_us"),
-                    burn: v.get("burn").and_then(|x| x.as_f64()).unwrap_or(0.0),
-                    breached: v.get("breached").and_then(|x| x.as_bool()).unwrap_or(false),
-                });
-            }
+            "slo" => slo_events.push(v),
             _ => {}
         }
     }
+    // Lifecycle events (e.g. drain) carry neither `status` nor `outcome` and
+    // are counted in the kind totals only.
+    let serve_lines: Vec<ServeLine> = serve
+        .iter()
+        .filter_map(|l| Some((l.get("status").or_else(|| l.get("outcome"))?.as_str()?, l)))
+        .collect();
 
     // `--slo SPEC`: gate the journal's server-side outcomes against a
     // declared objective, whole journal as one window. Exact-rank p99 (not
@@ -628,19 +561,22 @@ fn stats_journal(
             // The live STATS endpoint's rule, applied to the journal's status
             // names: client-attributable errors don't burn the server's
             // budget. A name this build does not know counts, and is not good.
-            let status = |l: &ServeLine| amrviz_serve::Status::from_name(&l.result);
+            let status = |name| amrviz_serve::Status::from_name(name);
             let server: Vec<&ServeLine> = serve_lines
                 .iter()
-                .filter(|l| {
-                    l.role == "server"
-                        && status(l).is_none_or(amrviz_serve::Status::counts_toward_slo)
+                .filter(|(name, l)| {
+                    str_of(l, "role") == "server"
+                        && status(name).is_none_or(amrviz_serve::Status::counts_toward_slo)
                 })
                 .collect();
             let good = server
                 .iter()
-                .filter(|l| status(l).is_some_and(amrviz_serve::Status::is_good))
+                .filter(|(name, _)| status(name).is_some_and(amrviz_serve::Status::is_good))
                 .count() as u64;
-            let mut lat: Vec<u64> = server.iter().map(|l| l.elapsed_us).collect();
+            let mut lat: Vec<u64> = server
+                .iter()
+                .map(|(_, l)| u64_of(l, "elapsed_us"))
+                .collect();
             lat.sort_unstable();
             let reading = amrviz_serve::slo::WindowReading {
                 label: "journal",
@@ -680,42 +616,44 @@ fn stats_journal(
                 writeln!(
                     out,
                     "  {:<20} {:<6} {:>12} {:>10.2} {:>8.2} {:>9}",
-                    e.spec,
-                    e.window,
-                    format!("{}/{}", e.good, e.total),
-                    e.p99_us as f64 / 1e3,
-                    e.burn,
-                    e.breached
+                    str_of(e, "spec"),
+                    str_of(e, "window"),
+                    format!("{}/{}", u64_of(e, "good"), u64_of(e, "total")),
+                    u64_of(e, "p99_us") as f64 / 1e3,
+                    f64_of(e, "burn"),
+                    bool_of(e, "breached")
                 )?;
             }
         }
 
-        // Stitch spans into per-trace trees, traces in first-seen order.
-        let mut trace_order: Vec<String> = Vec::new();
-        let mut by_trace: std::collections::BTreeMap<String, Vec<usize>> = Default::default();
+        // Stitch spans into per-trace trees, traces in first-seen order; a
+        // span outside any trace is trace 0's.
+        let mut trace_order: Vec<&str> = Vec::new();
+        let mut by_trace: BTreeMap<&str, Vec<usize>> = Default::default();
         for (i, s) in spans.iter().enumerate() {
-            if !by_trace.contains_key(&s.trace) {
-                trace_order.push(s.trace.clone());
+            let trace = s.get("trace").and_then(Json::as_str).unwrap_or("0");
+            if !by_trace.contains_key(trace) {
+                trace_order.push(trace);
             }
-            by_trace.entry(s.trace.clone()).or_default().push(i);
+            by_trace.entry(trace).or_default().push(i);
         }
         const MAX_TRACES: usize = 20;
         for trace in trace_order.iter().take(MAX_TRACES) {
             let idxs = &by_trace[trace];
             writeln!(out, "trace {trace} ({} spans):", idxs.len())?;
-            let ids: std::collections::BTreeSet<u64> = idxs.iter().map(|&i| spans[i].id).collect();
-            let mut children: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
+            let ids: BTreeSet<u64> = idxs.iter().map(|&i| u64_of(&spans[i], "span")).collect();
+            let mut children: BTreeMap<u64, Vec<usize>> = Default::default();
             let mut roots: Vec<usize> = Vec::new();
             for &i in idxs {
-                let s = &spans[i];
-                if s.parent != 0 && ids.contains(&s.parent) {
-                    children.entry(s.parent).or_default().push(i);
+                let parent = u64_of(&spans[i], "parent");
+                if parent != 0 && ids.contains(&parent) {
+                    children.entry(parent).or_default().push(i);
                 } else {
                     roots.push(i);
                 }
             }
             let order = |list: &mut Vec<usize>| {
-                list.sort_by_key(|&i| (spans[i].start_ns, spans[i].id));
+                list.sort_by_key(|&i| (u64_of(&spans[i], "start_ns"), u64_of(&spans[i], "span")));
             };
             order(&mut roots);
             for list in children.values_mut() {
@@ -729,12 +667,12 @@ fn stats_journal(
                     out,
                     "  {:indent$}{} [{:.3} ms, thread {}]",
                     "",
-                    s.name,
-                    s.dur_ns as f64 / 1e6,
-                    s.thread,
+                    str_of(s, "name"),
+                    u64_of(s, "dur_ns") as f64 / 1e6,
+                    u64_of(s, "thread"),
                     indent = depth * 2
                 )?;
-                if let Some(kids) = children.get(&s.id) {
+                if let Some(kids) = children.get(&u64_of(s, "span")) {
                     for &k in kids.iter().rev() {
                         stack.push((k, depth + 1));
                     }
@@ -772,35 +710,38 @@ fn stats_journal(
 /// Names the dominant stage of the slowest server requests — the "p99 is
 /// decode-bound" answer, straight from journal `stages_us` breakdowns.
 fn print_tail_breakdown(out: &mut dyn Write, lines: &[ServeLine]) -> std::io::Result<()> {
-    let mut tail: Vec<&ServeLine> = lines
+    let mut tail: Vec<ServeLine> = lines
         .iter()
-        .filter(|l| l.role == "server" && !l.stages_us.is_empty())
+        .copied()
+        .filter(|(_, l)| str_of(l, "role") == "server" && !entries_of(l, "stages_us").is_empty())
         .collect();
     if tail.is_empty() {
         return Ok(());
     }
-    tail.sort_by(|a, b| b.elapsed_us.cmp(&a.elapsed_us).then(b.trace.cmp(&a.trace)));
+    tail.sort_by_key(|&(_, l)| std::cmp::Reverse((u64_of(l, "elapsed_us"), str_of(l, "trace"))));
     writeln!(out, "slowest server requests (stage-attributed):")?;
-    for l in tail.iter().take(3) {
-        let stages = l.stages_us.iter().map(|(name, us)| (name.as_str(), *us));
+    for (result, l) in tail.into_iter().take(3) {
+        let elapsed_us = u64_of(l, "elapsed_us");
+        let stages = entries_of(l, "stages_us").iter();
+        let stages = stages.map(|(name, us)| (name.as_str(), us.as_u64().unwrap_or(0)));
         let attribution = match dominant_stage(stages) {
-            Some((name, us)) if l.elapsed_us > 0 => format!(
+            Some((name, us)) if elapsed_us > 0 => format!(
                 "{name}-bound ({:.2} ms, {:.0}%)",
                 us as f64 / 1e3,
-                us as f64 / l.elapsed_us as f64 * 100.0
+                us as f64 / elapsed_us as f64 * 100.0
             ),
             Some((name, us)) => format!("{name}-bound ({:.2} ms)", us as f64 / 1e3),
             None => "no stage breakdown".to_string(),
         };
-        let first = l.first_level_us.map_or(String::new(), |us| {
+        let first = l.get("first_level_us").and_then(Json::as_u64);
+        let first = first.map_or(String::new(), |us| {
             format!(", first level at {:.2} ms", us as f64 / 1e3)
         });
         writeln!(
             out,
-            "  {:>10.2} ms  trace {}  {}  {attribution}{first}",
-            l.elapsed_us as f64 / 1e3,
-            l.trace,
-            l.result
+            "  {:>10.2} ms  trace {}  {result}  {attribution}{first}",
+            elapsed_us as f64 / 1e3,
+            str_of(l, "trace"),
         )?;
     }
     Ok(())
@@ -813,12 +754,10 @@ fn print_serve_summary(out: &mut dyn Write, lines: &[ServeLine]) -> std::io::Res
         amrviz_obs::hist::exact_percentile(sorted_us, p) as f64 / 1e3
     };
     // (role, result) -> latencies; BTreeMap keeps the table stable.
-    let mut table: std::collections::BTreeMap<(String, String), Vec<u64>> = Default::default();
-    for l in lines {
-        table
-            .entry((l.role.clone(), l.result.clone()))
-            .or_default()
-            .push(l.elapsed_us);
+    let mut table: BTreeMap<(&str, &str), Vec<u64>> = Default::default();
+    for &(result, l) in lines {
+        let latencies = table.entry((str_of(l, "role"), result)).or_default();
+        latencies.push(u64_of(l, "elapsed_us"));
     }
     writeln!(out, "serve outcomes ({} lines):", lines.len())?;
     writeln!(
@@ -837,7 +776,10 @@ fn print_serve_summary(out: &mut dyn Write, lines: &[ServeLine]) -> std::io::Res
         )?;
     }
     // When a viewer could first render, against when the stream closed.
-    let mut first: Vec<u64> = lines.iter().filter_map(|l| l.first_level_us).collect();
+    let first = lines
+        .iter()
+        .filter_map(|(_, l)| l.get("first_level_us")?.as_u64());
+    let mut first: Vec<u64> = first.collect();
     if !first.is_empty() {
         first.sort_unstable();
         writeln!(
@@ -850,18 +792,19 @@ fn print_serve_summary(out: &mut dyn Write, lines: &[ServeLine]) -> std::io::Res
     }
     // Stitching: a trace observed by both ends means the client journal line
     // and the server journal line describe the same exchange.
-    let mut server_traces: std::collections::BTreeSet<&str> = Default::default();
-    let mut client_traces: std::collections::BTreeSet<&str> = Default::default();
-    for l in lines {
-        if l.trace == "?" {
+    let mut server_traces: BTreeSet<&str> = Default::default();
+    let mut client_traces: BTreeSet<&str> = Default::default();
+    for (_, l) in lines {
+        let trace = str_of(l, "trace");
+        if trace == "?" {
             continue;
         }
-        match l.role.as_str() {
+        match str_of(l, "role") {
             "server" => {
-                server_traces.insert(&l.trace);
+                server_traces.insert(trace);
             }
             "client" => {
-                client_traces.insert(&l.trace);
+                client_traces.insert(trace);
             }
             _ => {}
         }

@@ -8,6 +8,7 @@
 //! in. `--once --json` prints one validated snapshot and exits, which is
 //! what scripts and CI consume.
 
+use crate::commands::{bool_of, entries_of, f64_of, str_of, u64_of};
 use amrviz_core::args::parse;
 use amrviz_json::Json;
 use amrviz_serve::telemetry::dominant_stage;
@@ -103,18 +104,6 @@ fn fetch_stats(addr: SocketAddr) -> Result<(String, Json), String> {
     ))
 }
 
-fn gu(j: &Json, k: &str) -> u64 {
-    j.get(k).and_then(|x| x.as_u64()).unwrap_or(0)
-}
-
-fn gf(j: &Json, k: &str) -> f64 {
-    j.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0)
-}
-
-fn gs<'a>(j: &'a Json, k: &str) -> &'a str {
-    j.get(k).and_then(|x| x.as_str()).unwrap_or("?")
-}
-
 /// Feeds the per-outcome sparkline histories from deltas of the lifetime
 /// counters between polls (first poll seeds the baseline, drawing nothing).
 fn update_sparklines(
@@ -122,18 +111,16 @@ fn update_sparklines(
     spark: &mut BTreeMap<String, VecDeque<u64>>,
     prev: &mut BTreeMap<String, u64>,
 ) {
-    if let Some(Json::Obj(entries)) = doc.get("latency_us") {
-        for (name, h) in entries {
-            let count = h.get("lifetime").map(|l| gu(l, "count")).unwrap_or(0);
-            if let Some(&was) = prev.get(name) {
-                let hist = spark.entry(name.clone()).or_default();
-                hist.push_back(count.saturating_sub(was));
-                while hist.len() > SPARK_LEN {
-                    hist.pop_front();
-                }
+    for (name, h) in entries_of(doc, "latency_us") {
+        let count = h.get("lifetime").map(|l| u64_of(l, "count")).unwrap_or(0);
+        if let Some(&was) = prev.get(name) {
+            let hist = spark.entry(name.clone()).or_default();
+            hist.push_back(count.saturating_sub(was));
+            while hist.len() > SPARK_LEN {
+                hist.pop_front();
             }
-            prev.insert(name.clone(), count);
         }
+        prev.insert(name.clone(), count);
     }
 }
 
@@ -154,31 +141,31 @@ fn ms(us: f64) -> String {
 /// flicker-free).
 fn render(addr: SocketAddr, doc: &Json, spark: &BTreeMap<String, VecDeque<u64>>) -> String {
     let mut out = String::new();
-    let health = gs(doc, "health");
+    let health = str_of(doc, "health");
     out.push_str(&format!(
         "amrviz top {addr} — health {} — uptime {:.1} s — proto v{}\n",
         if health == "ok" { "OK" } else { "DEGRADED" },
-        gf(doc, "uptime_ms") / 1e3,
-        gu(doc, "proto_version"),
+        f64_of(doc, "uptime_ms") / 1e3,
+        u64_of(doc, "proto_version"),
     ));
     if let Some(req) = doc.get("requests") {
         out.push_str(&format!(
             "requests {}  ok {}  degraded {}  shed {}  timeout {}  not_found {}  \
              corrupt {}  io_err {}  panics {}  post_deadline {}\n",
-            gu(req, "requests"),
-            gu(req, "ok"),
-            gu(req, "degraded"),
-            gu(req, "shed"),
-            gu(req, "timeout"),
-            gu(req, "not_found"),
-            gu(req, "corrupt"),
-            gu(req, "io_errors"),
-            gu(req, "panics"),
-            gu(req, "post_deadline_responses"),
+            u64_of(req, "requests"),
+            u64_of(req, "ok"),
+            u64_of(req, "degraded"),
+            u64_of(req, "shed"),
+            u64_of(req, "timeout"),
+            u64_of(req, "not_found"),
+            u64_of(req, "corrupt"),
+            u64_of(req, "io_errors"),
+            u64_of(req, "panics"),
+            u64_of(req, "post_deadline_responses"),
         ));
     }
     if let Some(c) = doc.get("cache") {
-        let (hits, misses) = (gu(c, "hits"), gu(c, "misses"));
+        let (hits, misses) = (u64_of(c, "hits"), u64_of(c, "misses"));
         let rate = if hits + misses > 0 {
             hits as f64 / (hits + misses) as f64 * 100.0
         } else {
@@ -186,11 +173,11 @@ fn render(addr: SocketAddr, doc: &Json, spark: &BTreeMap<String, VecDeque<u64>>)
         };
         out.push_str(&format!(
             "queue {}  workers {}  cache {} entries, {:.1}/{:.1} MB, hit rate {rate:.1}%\n",
-            gu(doc, "queue_depth"),
-            gu(doc, "workers"),
-            gu(c, "entries"),
-            gf(c, "bytes") / 1e6,
-            gf(c, "budget_bytes") / 1e6,
+            u64_of(doc, "queue_depth"),
+            u64_of(doc, "workers"),
+            u64_of(c, "entries"),
+            f64_of(c, "bytes") / 1e6,
+            f64_of(c, "budget_bytes") / 1e6,
         ));
     }
 
@@ -199,19 +186,17 @@ fn render(addr: SocketAddr, doc: &Json, spark: &BTreeMap<String, VecDeque<u64>>)
         "{:<14} {:>9} {:>9} {:>9} {:>9}  {}\n",
         "latency (5m)", "count", "p50 ms", "p99 ms", "max ms", "recent"
     ));
-    if let Some(Json::Obj(entries)) = doc.get("latency_us") {
-        for (name, h) in entries {
-            let Some(w) = h.get("w5m") else { continue };
-            let line = spark.get(name).map(sparkline).unwrap_or_default();
-            out.push_str(&format!(
-                "  {:<12} {:>9} {:>9} {:>9} {:>9}  {line}\n",
-                name,
-                gu(w, "count"),
-                ms(gf(w, "p50")),
-                ms(gf(w, "p99")),
-                ms(gf(w, "max")),
-            ));
-        }
+    for (name, h) in entries_of(doc, "latency_us") {
+        let Some(w) = h.get("w5m") else { continue };
+        let line = spark.get(name).map(sparkline).unwrap_or_default();
+        out.push_str(&format!(
+            "  {:<12} {:>9} {:>9} {:>9} {:>9}  {line}\n",
+            name,
+            u64_of(w, "count"),
+            ms(f64_of(w, "p50")),
+            ms(f64_of(w, "p99")),
+            ms(f64_of(w, "max")),
+        ));
     }
 
     out.push('\n');
@@ -219,30 +204,24 @@ fn render(addr: SocketAddr, doc: &Json, spark: &BTreeMap<String, VecDeque<u64>>)
         "{:<20} {:>9} {:>9} {:>9} {:>9}\n",
         "stage (5m)", "count", "p50 ms", "p90 ms", "p99 ms"
     ));
-    if let Some(Json::Obj(entries)) = doc.get("stages_us") {
-        for (name, h) in entries {
-            let Some(w) = h.get("w5m") else { continue };
-            out.push_str(&format!(
-                "  {:<18} {:>9} {:>9} {:>9} {:>9}\n",
-                name,
-                gu(w, "count"),
-                ms(gf(w, "p50")),
-                ms(gf(w, "p90")),
-                ms(gf(w, "p99")),
-            ));
-        }
+    for (name, h) in entries_of(doc, "stages_us") {
+        let Some(w) = h.get("w5m") else { continue };
+        out.push_str(&format!(
+            "  {:<18} {:>9} {:>9} {:>9} {:>9}\n",
+            name,
+            u64_of(w, "count"),
+            ms(f64_of(w, "p50")),
+            ms(f64_of(w, "p90")),
+            ms(f64_of(w, "p99")),
+        ));
     }
 
     if let Some(slo) = doc.get("slo") {
         out.push('\n');
         out.push_str(&format!(
             "SLO {}  —  {}\n",
-            gs(slo, "spec"),
-            if slo
-                .get("breached")
-                .and_then(|b| b.as_bool())
-                .unwrap_or(false)
-            {
+            str_of(slo, "spec"),
+            if bool_of(slo, "breached") {
                 "BREACHED"
             } else {
                 "within objectives"
@@ -251,19 +230,19 @@ fn render(addr: SocketAddr, doc: &Json, spark: &BTreeMap<String, VecDeque<u64>>)
         if let Some(windows) = slo.get("windows").and_then(|w| w.as_arr()) {
             for w in windows {
                 let mut flags = String::new();
-                if w.get("avail_exceeded").and_then(|b| b.as_bool()) == Some(true) {
+                if bool_of(w, "avail_exceeded") {
                     flags.push_str(" [AVAIL]");
                 }
-                if w.get("latency_exceeded").and_then(|b| b.as_bool()) == Some(true) {
+                if bool_of(w, "latency_exceeded") {
                     flags.push_str(" [LATENCY]");
                 }
                 out.push_str(&format!(
                     "  {:<4} good {}/{}  burn {:.2}  p99 {} ms{flags}\n",
-                    gs(w, "label"),
-                    gu(w, "good"),
-                    gu(w, "total"),
-                    gf(w, "burn"),
-                    ms(gf(w, "p99_us")),
+                    str_of(w, "label"),
+                    u64_of(w, "good"),
+                    u64_of(w, "total"),
+                    f64_of(w, "burn"),
+                    ms(f64_of(w, "p99_us")),
                 ));
             }
         }
@@ -274,12 +253,8 @@ fn render(addr: SocketAddr, doc: &Json, spark: &BTreeMap<String, VecDeque<u64>>)
             out.push('\n');
             out.push_str("tail exemplars (slowest retained requests)\n");
             for e in exs.iter().take(EXEMPLARS) {
-                let total = gu(e, "total_us");
-                let stages = match e.get("stages_us") {
-                    Some(Json::Obj(stages)) => stages.as_slice(),
-                    _ => &[],
-                };
-                let stages = stages
+                let total = u64_of(e, "total_us");
+                let stages = entries_of(e, "stages_us")
                     .iter()
                     .map(|(name, us)| (name.as_str(), us.as_u64().unwrap_or(0)));
                 let bound = match dominant_stage(stages) {
@@ -293,8 +268,8 @@ fn render(addr: SocketAddr, doc: &Json, spark: &BTreeMap<String, VecDeque<u64>>)
                 out.push_str(&format!(
                     "  {:>9} ms  trace {}  {}  {bound}\n",
                     ms(total as f64),
-                    gs(e, "trace"),
-                    gs(e, "label"),
+                    str_of(e, "trace"),
+                    str_of(e, "label"),
                 ));
                 if let Some(Json::Obj(stages)) = e.get("stages_us") {
                     let parts: Vec<String> = stages

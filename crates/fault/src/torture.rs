@@ -11,6 +11,7 @@
 //! installs it; plain `cargo test` does not, and the memory assertion is
 //! skipped there rather than reporting fake peaks).
 
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -20,9 +21,9 @@ use amrviz_codec::{
     read_uvarint, write_uvarint, BitReader, BitWriter, DecodeBudget,
 };
 use amrviz_compress::{
-    compress_hierarchy_field, compress_zmesh, compressor_by_name, decompress_hierarchy_field_into,
-    decompress_zmesh, AmrCodecConfig, CompressError, CompressedHierarchyField, Compressor,
-    DecodePolicy, ErrorBound, SzInterp, SzLr, ZfpLike,
+    compress_hierarchy_field, compress_zmesh, decompress_hierarchy_field_into, decompress_zmesh,
+    AmrCodecConfig, CompressError, CompressedHierarchyField, Compressor, DecodePolicy, ErrorBound,
+    SzInterp, SzLr, ZfpLike,
 };
 use amrviz_obs::mem::{alloc_baseline, counting_alloc_installed, peak_since};
 use amrviz_recipe::ScenarioSpec;
@@ -439,25 +440,13 @@ fn degrade(
         .map_err(fail)
 }
 
-/// Parses `bytes` as an artifact and decodes its container onto its own
-/// hierarchy under [`DecodePolicy::Degrade`], as `decompress --degrade`
-/// does with the file it reads.
+/// Parses `bytes` as an artifact and decodes it under
+/// [`DecodePolicy::Degrade`], as `decompress --degrade` does with the file
+/// it reads.
 fn decompress_file(bytes: &[u8], budget: &DecodeBudget) -> Result<(), DecodeFailure> {
     let art = decode_artifact(bytes, budget).map_err(fail)?;
-    let algo = &art.algo;
-    let unknown = || {
-        fail(CompressError::Malformed(format!(
-            "unknown algorithm `{algo}`"
-        )))
-    };
-    let comp = compressor_by_name(algo).ok_or_else(unknown)?;
-    let skip = art.container.skip_redundant;
-    let cfg = AmrCodecConfig {
-        skip_redundant: skip,
-        restore_redundant: skip,
-    };
-    let (c, policy, levels) = (&art.container, DecodePolicy::Degrade, &mut Vec::new());
-    decompress_hierarchy_field_into(&art.hier, c, comp.as_ref(), &cfg, policy, budget, levels)
+    let (policy, levels) = (DecodePolicy::Degrade, &mut Vec::new());
+    art.decode_levels(policy, budget, levels, |_, _, _| ControlFlow::Continue(()))
         .map(|_| ())
         .map_err(fail)
 }

@@ -9,10 +9,15 @@
 //! container bytes. Everything is budget-checked on decode; a corrupted
 //! artifact surfaces as a typed error, never a panic or absurd allocation.
 
-use amrviz_amr::{check_structure, AmrHierarchy, BoxArray, Geometry};
+use std::ops::ControlFlow;
+
+use amrviz_amr::{check_structure, AmrHierarchy, BoxArray, Geometry, MultiFab};
 use amrviz_codec::DecodeBudget;
 use amrviz_compress::wire::{ByteReader, ByteWriter};
-use amrviz_compress::{CompressError, CompressedHierarchyField};
+use amrviz_compress::{
+    compressor_by_name, decompress_hierarchy_field_streamed, AmrCodecConfig, CompressError,
+    CompressedHierarchyField, DecodePolicy, DecodeReport, ALGORITHMS,
+};
 
 /// Artifact wire magic.
 pub const ARTIFACT_MAGIC: &[u8; 4] = b"AVH1";
@@ -34,6 +39,44 @@ pub struct Artifact {
     pub hier: AmrHierarchy,
     /// The compressed field itself.
     pub container: CompressedHierarchyField,
+}
+
+impl Artifact {
+    /// Decodes the field onto the artifact's own hierarchy under `policy`
+    /// and `budget`, into `levels`, handing each level to `sink` as soon as
+    /// it is final (see [`decompress_hierarchy_field_streamed`]): the one
+    /// way the program reads a compressed file back. The compressor is the
+    /// one `algo` names. A container that left out the coarse cells under
+    /// finer ones (`skip_redundant`) has them rebuilt from the finer
+    /// levels, the paper's §2.2 rule for dual-cell visualization.
+    pub fn decode_levels(
+        &self,
+        policy: DecodePolicy,
+        budget: &DecodeBudget,
+        levels: &mut Vec<MultiFab>,
+        sink: impl FnMut(usize, &MultiFab, u32) -> ControlFlow<()>,
+    ) -> Result<DecodeReport, CompressError> {
+        let compressor = compressor_by_name(&self.algo).ok_or_else(|| unknown(&self.algo))?;
+        let skip = self.container.skip_redundant;
+        let cfg = AmrCodecConfig {
+            skip_redundant: skip,
+            restore_redundant: skip,
+        };
+        decompress_hierarchy_field_streamed(
+            &self.hier,
+            &self.container,
+            compressor.as_ref(),
+            &cfg,
+            policy,
+            budget,
+            levels,
+            sink,
+        )
+    }
+}
+
+fn unknown(algo: &str) -> CompressError {
+    CompressError::Malformed(format!("unknown algorithm `{algo}`"))
 }
 
 /// Serializes an artifact from a hierarchy's structure plus an
@@ -80,7 +123,8 @@ pub fn encode_artifact(
 /// [`check_structure`] before any box is read, and the reconstructed
 /// hierarchy passes through `AmrHierarchy::new`, which enforces structural
 /// invariants (disjoint boxes, domain coverage) — so a corrupted structure
-/// fails *here*, before any decompression is attempted.
+/// fails *here*, before any decompression is attempted. So does an
+/// algorithm name that is none of [`ALGORITHMS`], once the rest has parsed.
 pub fn decode_artifact(bytes: &[u8], budget: &DecodeBudget) -> Result<Artifact, CompressError> {
     let mut r = ByteReader::with_budget(bytes, *budget);
     for &expect in ARTIFACT_MAGIC {
@@ -141,6 +185,9 @@ pub fn decode_artifact(bytes: &[u8], budget: &DecodeBudget) -> Result<Artifact, 
         return Err(CompressError::Malformed(
             "trailing bytes after artifact".into(),
         ));
+    }
+    if !ALGORITHMS.contains(&algo.as_str()) {
+        return Err(unknown(&algo));
     }
     Ok(Artifact {
         algo,

@@ -247,12 +247,7 @@ pub fn exchange(addr: SocketAddr, req: &Request, cfg: &ClientConfig) -> Exchange
                         };
                     }
                 }
-                let ex = finish(ex);
-                // The server closes the connection once it has counted the
-                // request: waiting for that close means a STATS poll sent
-                // after this exchange returns sees it.
-                let _ = proto::read_frame(&mut stream, MAX_RESPONSE_FRAME);
-                return ex;
+                return finish(ex);
             }
             _ => {
                 ex.outcome = Outcome::ProtocolError;

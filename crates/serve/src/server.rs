@@ -24,7 +24,6 @@
 
 use crate::artifact::decode_artifact;
 use crate::cache::{ArenaCache, DecodedEntry};
-use crate::compressor_for;
 use crate::proto::{
     self, EndFrame, Op, Request, RespHeader, Status, FLAG_COARSE_ONLY, FLAG_DEGRADED,
     MAX_REQUEST_FRAME,
@@ -34,9 +33,7 @@ use crate::store::{BlobStore, StoreError};
 use crate::telemetry::{ReqTelemetry, Stage, StageTimes};
 use amrviz_amr::MultiFab;
 use amrviz_codec::DecodeBudget;
-use amrviz_compress::{
-    decompress_hierarchy_field_streamed, AmrCodecConfig, CompressError, DecodePolicy,
-};
+use amrviz_compress::{CompressError, DecodePolicy};
 use amrviz_obs::{context_scope, journal, TraceContext};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
@@ -763,7 +760,6 @@ fn decode_into_stream(out: &mut GetStream<'_>) -> Result<(), Status> {
     let budget = DecodeBudget::permissive().with_deadline(out.deadline);
     let stage_t = Instant::now();
     let art = decode_artifact(&bytes, &budget).map_err(|e| decode_failure(&e))?;
-    let compressor = compressor_for(&art.algo).ok_or(Status::Corrupt)?;
     // Failed checksums are known before the header and announced in it;
     // damage only decoding finds shows in its LEVEL frame and in END.
     out.flags = FLAG_DEGRADED * u8::from(art.container.checksum_failures() > 0);
@@ -772,26 +768,11 @@ fn decode_into_stream(out: &mut GetStream<'_>) -> Result<(), Status> {
     let mut levels = inner.cache.take_arena();
     let mut degraded_fabs = Vec::new();
     let (stage_t, written_us) = (Instant::now(), out.st[Stage::Write].unwrap_or(0));
-    // A skip-redundant container is decoded as `amrviz decompress` does:
-    // the skipped coarse cells rebuilt from the finer levels.
-    let skip = art.container.skip_redundant;
-    let cfg = AmrCodecConfig {
-        skip_redundant: skip,
-        restore_redundant: skip,
-    };
-    let walked = decompress_hierarchy_field_streamed(
-        &art.hier,
-        &art.container,
-        compressor.as_ref(),
-        &cfg,
-        DecodePolicy::Degrade,
-        &budget,
-        &mut levels,
-        |lev, mf, degraded| {
-            degraded_fabs.push(degraded);
-            out.level(lev, mf, degraded)
-        },
-    );
+    let policy = DecodePolicy::Degrade;
+    let walked = art.decode_levels(policy, &budget, &mut levels, |lev, mf, degraded| {
+        degraded_fabs.push(degraded);
+        out.level(lev, mf, degraded)
+    });
     // Frame writes ran inside the walk; they are the write stage's time.
     let written_us = out.st[Stage::Write].unwrap_or(0) - written_us;
     out.st[Stage::Decode] = Some(us_since(stage_t).saturating_sub(written_us));
@@ -972,7 +953,7 @@ mod tests {
     /// request's start is backdated so that 80 % of its budget is spent.
     #[test]
     fn coarse_only_miss_sends_one_level_and_caches_nothing() {
-        use amrviz_compress::{compress_hierarchy_field, ErrorBound, SzLr};
+        use amrviz_compress::{compress_hierarchy_field, AmrCodecConfig, ErrorBound, SzLr};
         use amrviz_sim::{NyxScenario, Scale};
         let dir = std::env::temp_dir().join(format!("amrviz_coarse_only_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

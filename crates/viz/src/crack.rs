@@ -28,15 +28,16 @@ pub struct CrackMetrics {
 
 /// Measures the interface gap between `fine` and `coarse`.
 ///
-/// `domain_lo`/`domain_hi` bound the physical domain; a rim edge lying in
-/// one of those outer faces (both ends within `boundary_tol` of the same
-/// face) is excluded — it is domain clipping, not a level-interface defect.
+/// `domain_lo`/`domain_hi` bound the physical domain; a rim edge along one
+/// of those outer faces (both ends within `boundary_tol[a]` of the same
+/// face normal to axis `a`) is excluded — it is domain clipping, not a
+/// level-interface defect.
 pub fn interface_gap(
     fine: &TriMesh,
     coarse: &TriMesh,
     domain_lo: [f64; 3],
     domain_hi: [f64; 3],
-    boundary_tol: f64,
+    boundary_tol: [f64; 3],
 ) -> CrackMetrics {
     let mut m = CrackMetrics::default();
     let Some(locator) = TriLocator::build_owned(coarse.clone()) else {
@@ -45,7 +46,7 @@ pub fn interface_gap(
     let in_a_domain_face = |p: [f64; 3], q: [f64; 3]| -> bool {
         (0..3).any(|a| {
             [domain_lo[a], domain_hi[a]].iter().any(|face| {
-                (p[a] - face).abs() <= boundary_tol && (q[a] - face).abs() <= boundary_tol
+                (p[a] - face).abs() <= boundary_tol[a] && (q[a] - face).abs() <= boundary_tol[a]
             })
         })
     };
@@ -112,7 +113,7 @@ mod tests {
             &res.level_meshes[0],
             [0.0; 3],
             [1.0; 3],
-            1e-9,
+            [1e-9; 3],
         )
     }
 
@@ -175,7 +176,7 @@ mod tests {
             vertices: vec![[0.0, 0.0, 0.4], [1.0, 0.0, 0.4], [0.0, 1.0, 0.4]],
             triangles: vec![[0, 1, 2]],
         };
-        let m = interface_gap(&fine, &coarse, [0.0; 3], [1.0; 3], 1e-9);
+        let m = interface_gap(&fine, &coarse, [0.0; 3], [1.0; 3], [1e-9; 3]);
         assert_eq!(m.n_rim_edges, 1, "the corner edge, once");
         assert!((m.rim_length - 0.08f64.sqrt()).abs() < 1e-12);
         assert!(
@@ -201,7 +202,7 @@ mod tests {
             vertices: vec![[-1.0, -1.0, 0.0], [3.0, -1.0, 0.0], [-1.0, 3.0, 0.0]],
             triangles: vec![[0, 1, 2]],
         };
-        let m = interface_gap(&fine, &coarse, [0.0; 3], [1.0; 3], 1e-9);
+        let m = interface_gap(&fine, &coarse, [0.0; 3], [1.0; 3], [1e-9; 3]);
         assert_eq!(m.n_rim_edges, 20);
         assert!((m.mean_gap - 0.105).abs() < 1e-12, "mean {}", m.mean_gap);
         assert!((m.max_gap - 0.20).abs() < 1e-12, "max {}", m.max_gap);
@@ -263,7 +264,7 @@ mod tests {
             0.0,
             DualMode::Plain,
         );
-        let m = interface_gap(&mesh, &mesh, [0.0; 3], [1.0; 3], 1e-9);
+        let m = interface_gap(&mesh, &mesh, [0.0; 3], [1.0; 3], [1e-9; 3]);
         assert_eq!(m.n_rim_edges, 0);
         assert_eq!(m.max_gap, 0.0);
     }

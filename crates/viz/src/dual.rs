@@ -73,7 +73,7 @@ pub fn extract_dual_level(
         origin,
         spacing: h,
         values: cells,
-        cell_mask: Some(mask),
+        cell_mask: mask,
     };
     let _sp = amrviz_obs::span!("dual.march", level = lev);
     let mesh = marching_cubes(&grid, iso);

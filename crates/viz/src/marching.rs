@@ -54,9 +54,9 @@ use crate::mesh::TriMesh;
 /// A node-centered sampled scalar grid in physical space.
 ///
 /// `dims` counts grid *nodes* per axis; cubes (cells) number `dims − 1` per
-/// axis. `cell_mask`, when present, selects which cubes are triangulated
-/// (used by the AMR extractors to restrict each level to its own region):
-/// a raster of the cube grid's shape, its row `(j, k)` the cubes' row.
+/// axis. `cell_mask` selects which cubes are triangulated (the AMR
+/// extractors restrict each level to its own region with it): a raster of
+/// the cube grid's shape, its row `(j, k)` the cubes' row.
 /// Every component of `spacing` must be finite and strictly positive: the
 /// triangle winding is tabulated for a grid that is not mirrored.
 #[derive(Debug, Clone)]
@@ -65,11 +65,13 @@ pub struct SampledGrid {
     pub origin: [f64; 3],
     pub spacing: [f64; 3],
     pub values: Vec<f64>,
-    pub cell_mask: Option<Raster>,
+    pub cell_mask: Raster,
 }
 
 impl SampledGrid {
-    /// Builds a full (unmasked) grid by evaluating `f` at every node.
+    /// Builds a grid that marches every cube, evaluating `f` at every node.
+    /// A grid with no cubes along an axis keeps a one-cube mask there; it
+    /// marches nothing.
     pub fn from_fn(
         dims: [usize; 3],
         origin: [f64; 3],
@@ -77,12 +79,13 @@ impl SampledGrid {
         mut f: impl FnMut(f64, f64, f64) -> f64,
     ) -> Self {
         let [nx, ny, nz] = dims;
+        let [cx, cy, cz] = dims.map(|n| n.saturating_sub(1).max(1));
         let mut grid = SampledGrid {
             dims,
             origin,
             spacing,
             values: vec![0.0; nx * ny * nz],
-            cell_mask: None,
+            cell_mask: Raster::trues(Box3::from_dims(cx, cy, cz)),
         };
         for n in 0..grid.values.len() {
             let ([x, y, z], _) = grid.node([n % nx, n / nx % ny, n / (nx * ny)], 0);
@@ -178,9 +181,10 @@ const CUBE_TRIS: [(u8, [[u8; 3]; 5]); 256] = {
     out
 };
 
-/// The cubes of a layer that an unmasked iso-crossing passes through, in
-/// raster order — each the in-plane index `i + nx·j` of its corner-0 node
-/// and its inside-mask — and how many triangles they will emit.
+/// The cubes of a layer that the mask marches and an iso-crossing passes
+/// through, in raster order — each the in-plane index `i + nx·j` of its
+/// corner-0 node and its inside-mask — and how many triangles they will
+/// emit.
 type Layer = (Vec<(u32, u8)>, usize);
 
 /// [`Layer`] `k` of the grid, from the `inside` flags of its nodes. A cube
@@ -190,13 +194,14 @@ type Layer = (Vec<(u32, u8)>, usize);
 fn classify(grid: &SampledGrid, inside: &Raster, k: usize) -> Layer {
     let nx = grid.dims[0];
     let [cx, cy, _] = grid.cell_dims();
-    // The cube bits of a row's last word; a node row may have one word more.
-    let (words, tail) = (cx.div_ceil(64), u64::MAX >> (63 - (cx - 1) % 64));
+    // A node row may have one word more than a cube row; the mask's bits
+    // past the cube row's end are zero.
+    let words = cx.div_ceil(64);
     let (mut cubes, mut triangles) = (Vec::new(), 0);
     for j in 0..cy {
         let rows =
             [(0, 0), (1, 0), (0, 1), (1, 1)].map(|(dj, dk)| inside.row_words(j + dj, k + dk));
-        let mask = grid.cell_mask.as_ref().map(|m| m.row_words(j, k));
+        let mask = grid.cell_mask.row_words(j, k);
         for w in 0..words {
             // Per node row, the flags at x = i and at x = i + 1 of cube i:
             // corner bits 2r and 2r + 1.
@@ -205,8 +210,7 @@ fn classify(grid: &SampledGrid, inside: &Raster, k: usize) -> Layer {
             let (any, all) = corners.iter().fold((0, u64::MAX), |(any, all), &(a, b)| {
                 (any | a | b, all & a & b)
             });
-            let live = if w + 1 == words { tail } else { u64::MAX };
-            let mut crossed = any & !all & live & mask.map_or(u64::MAX, |m| m[w]);
+            let mut crossed = any & !all & mask[w];
             while crossed != 0 {
                 let b = crossed.trailing_zeros();
                 crossed &= crossed - 1;
@@ -227,8 +231,8 @@ fn classify(grid: &SampledGrid, inside: &Raster, k: usize) -> Layer {
 /// The crossings of a node plane, 64 edges a word — per node row its x, y
 /// and z words back to back, bit `i` of the axis-`d` words set when the edge
 /// from node `i` one node on along `d` is crossed: its ends lie on different
-/// sides and some unmasked cube contains it, one mesh vertex each — and how
-/// many crossings that makes.
+/// sides and some cube the mask marches contains it, one mesh vertex each —
+/// and how many crossings that makes.
 type Marks = (Vec<u64>, usize);
 
 /// [`Marks`] of node plane `q`. An edge's ends differ where its node row's
@@ -237,13 +241,11 @@ type Marks = (Vec<u64>, usize);
 /// edge the two of them it lies between, each cube `i` and `i − 1`.
 fn mark(grid: &SampledGrid, inside: &Raster, q: usize) -> Marks {
     let [nx, ny, nz] = grid.dims;
-    let [cx, cy, cz] = grid.cell_dims();
+    let [_, cy, cz] = grid.cell_dims();
     let words = nx.div_ceil(64);
-    let unmasked = Raster::trues(Box3::from_dims(cx, 1, 1));
-    let cubes = |j: usize, k: usize| match &grid.cell_mask {
-        _ if j >= cy || k >= cz => &[][..],
-        Some(mask) => mask.row_words(j, k),
-        None => unmasked.row_words(0, 0),
+    let cubes = |j: usize, k: usize| match j < cy && k < cz {
+        true => grid.cell_mask.row_words(j, k),
+        false => &[][..],
     };
     let nodes = |j: usize, k: usize| (j < ny && k < nz).then(|| inside.row_words(j, k));
     // Past a row's end, and in a row past the grid's, every word is zero.
@@ -373,10 +375,8 @@ fn extract(grid: &SampledGrid, iso: f64, chunk: usize) -> TriMesh {
     if cx == 0 || cy == 0 || cz == 0 {
         return TriMesh::new();
     }
-    if let Some(mask) = &grid.cell_mask {
-        let size = mask.region().size();
-        assert_eq!(size, [cx, cy, cz], "cell mask size mismatch");
-    }
+    let size = grid.cell_mask.region().size();
+    assert_eq!(size, [cx, cy, cz], "cell mask size mismatch");
     let spacing = grid.spacing;
     let upright = spacing.iter().all(|&h| h > 0.0 && h.is_finite());
     assert!(upright, "spacing {spacing:?} is not finite and positive");
@@ -486,12 +486,6 @@ mod tests {
         mask
     }
 
-    /// Whether the grid's mask, if it has one, lets `cube` be marched.
-    fn unmasked(grid: &SampledGrid, [i, j, k]: [usize; 3]) -> bool {
-        let bit = |m: &Raster| m.row_words(j, k)[i / 64] >> (i % 64) & 1 == 1;
-        grid.cell_mask.as_ref().is_none_or(bit)
-    }
-
     /// The six Kuhn tetrahedra of a cube, as corner indices (`dx + 2dy +
     /// 4dz`), all around the main diagonal 0–7: the triangulator this module
     /// marched before the cube table, kept as the [`reference`]'s.
@@ -579,7 +573,7 @@ mod tests {
     fn cell_mask_restricts_output() {
         let mut grid = SampledGrid::from_fn([9, 9, 9], [0.0; 3], [0.125; 3], |x, _, _| x);
         // Only march the k < 4 half.
-        grid.cell_mask = Some(cube_mask(&grid, |[_, _, k]| k < 4));
+        grid.cell_mask = cube_mask(&grid, |[_, _, k]| k < 4);
         let mesh = marching_cubes(&grid, 0.5);
         assert!(!mesh.is_empty());
         for v in &mesh.vertices {
@@ -700,7 +694,10 @@ mod tests {
         for (k, j, i) in
             (0..cz).flat_map(|k| (0..cy).flat_map(move |j| (0..cx).map(move |i| (k, j, i))))
         {
-            if !unmasked(grid, [i, j, k]) {
+            if !grid
+                .cell_mask
+                .get(IntVect::new(i as i64, j as i64, k as i64))
+            {
                 continue;
             }
             for tet in &TETS {
@@ -774,7 +771,7 @@ mod tests {
             (0..cx * cy * cz).flat_map(|n| (0..24).map(move |e| (n, (e / 3, e % 3))))
         {
             let cube = [n % cx, n / cx % cy, n / (cx * cy)];
-            if corner >> axis & 1 == 1 || !unmasked(grid, cube) {
+            if corner >> axis & 1 == 1 || !grid.cell_mask.get(IntVect(cube.map(|c| c as i64))) {
                 continue;
             }
             let lo: [usize; 3] = std::array::from_fn(|a| cube[a] + (corner >> a & 1));
@@ -855,7 +852,9 @@ mod tests {
         }
         let edges = edges_of_vertices(grid, iso, &mesh);
         let cd = grid.cell_dims();
-        let marched = |cube: [usize; 3]| (0..3).all(|a| cube[a] < cd[a]) && unmasked(grid, cube);
+        let marched = |cube: [usize; 3]| {
+            (0..3).all(|a| cube[a] < cd[a]) && grid.cell_mask.get(IntVect(cube.map(|c| c as i64)))
+        };
         // The cube face both grid edges of a mesh edge lie in — the axis all
         // four end nodes agree on, at the least of the nodes — as the cubes
         // below and above it.
@@ -925,7 +924,7 @@ mod tests {
                         },
                     );
                     if rng.chance(0.7) {
-                        grid.cell_mask = Some(cube_mask(&grid, |_| rng.chance(0.6)));
+                        grid.cell_mask = cube_mask(&grid, |_| rng.chance(0.6));
                     }
                     assert_well_formed(&grid, iso);
                 },
@@ -1181,7 +1180,7 @@ mod tests {
         for (name, field) in fields {
             let mut grid = SampledGrid::from_fn([n; 3], [0.0; 3], [h; 3], field);
             if name == "masked plane" {
-                grid.cell_mask = Some(cube_mask(&grid, |[i, j, _]| (i + j) % 7 != 3));
+                grid.cell_mask = cube_mask(&grid, |[i, j, _]| (i + j) % 7 != 3);
             }
             let faces = (0..n * n * n)
                 .flat_map(|c| (0..3).map(move |a| ([c % n, c / n % n, c / (n * n)], a)));
@@ -1250,7 +1249,7 @@ mod tests {
         let mask = cube_mask(&grid, |[i, j, k]| {
             k != plane && !(k == plane - 1 && i == 1 && j == 2)
         });
-        grid.cell_mask = Some(mask);
+        grid.cell_mask = mask;
         let mesh = assert_well_formed(&grid, 0.5);
         let on_plane = mesh
             .vertices
@@ -1302,7 +1301,7 @@ mod tests {
                     _ => rng.range_f64(-1.0, 1.0),
                 },
             );
-            grid.cell_mask = Some(cube_mask(&grid, |_| rng.chance(0.8)));
+            grid.cell_mask = cube_mask(&grid, |_| rng.chance(0.8));
             grids.push((grid, iso));
         }
         let pins: [u64; 4] = [

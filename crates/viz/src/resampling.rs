@@ -46,7 +46,7 @@ pub fn extract_resampled_level(
         origin,
         spacing: h,
         values: nodes,
-        cell_mask: Some(hier.unique_mask(lev)),
+        cell_mask: hier.unique_mask(lev),
     };
     let _sp = amrviz_obs::span!("resample.march", level = lev);
     let mesh = marching_cubes(&grid, iso);

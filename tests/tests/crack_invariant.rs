@@ -29,7 +29,7 @@ fn gap_for(built: &BuiltScenario, method: IsoMethod) -> CrackMetrics {
         &res.level_meshes[0],
         geom.prob_lo,
         geom.prob_hi,
-        1e-9,
+        [1e-9; 3],
     )
 }
 
@@ -122,7 +122,7 @@ fn watertight_single_level_reports_zero_everywhere() {
         &res.level_meshes[0],
         geom.prob_lo,
         geom.prob_hi,
-        1e-9,
+        [1e-9; 3],
     );
     // Every rim midpoint lies on the mesh itself, so its distance is zero
     // up to point-in-triangle roundoff.

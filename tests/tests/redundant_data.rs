@@ -42,7 +42,7 @@ fn skip_and_restore_keeps_dual_cell_functional() {
             &res.level_meshes[0],
             geom.prob_lo,
             geom.prob_hi,
-            1e-9,
+            [1e-9; 3],
         )
     };
     let plain = gap_of(IsoMethod::DualCell);
