@@ -101,9 +101,10 @@ pub fn run_obs_overhead(scale: Scale, out_dir: &Path) -> ObsOverheadReport {
     let built = BuiltScenario::from_spec(Application::Nyx.spec(scale, 42));
 
     let workload = |b: &BuiltScenario| {
-        let comp = CompressorKind::SzLr.instance();
+        let kind = CompressorKind::SzLr;
+        let comp = kind.instance();
         let codec_cfg = AmrCodecConfig::default();
-        let sp = amrviz_obs::span!("bench.compress", compressor = "sz-lorenzo");
+        let sp = amrviz_obs::span!("bench.compress", compressor = kind.label());
         let compressed = compress_hierarchy_field(
             &b.hierarchy,
             b.spec.eval_field(),
@@ -113,12 +114,12 @@ pub fn run_obs_overhead(scale: Scale, out_dir: &Path) -> ObsOverheadReport {
         )
         .expect("scenario field exists");
         sp.finish();
-        let sp = amrviz_obs::span!("bench.decompress", compressor = "sz-lorenzo");
+        let sp = amrviz_obs::span!("bench.decompress", compressor = kind.label());
         let levels =
             decompress_hierarchy_field(&b.hierarchy, &compressed, comp.as_ref(), &codec_cfg)
                 .expect("own stream decodes");
         sp.finish();
-        let sp = amrviz_obs::span!("bench.extract", compressor = "sz-lorenzo");
+        let sp = amrviz_obs::span!("bench.extract", compressor = kind.label());
         let iso =
             amrviz_viz::extract_amr_isosurface(&b.hierarchy, &levels, b.iso, IsoMethod::Resampling);
         sp.finish();

@@ -51,19 +51,19 @@ use std::rc::Rc;
 use crate::obs_overhead::{run_obs_overhead, OBS_OVERHEAD_MAX_PCT};
 use crate::ObsOptions;
 use amrviz_compress::{
-    compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, Compressor, ErrorBound,
+    compress_hierarchy_field, AmrCodecConfig, CompressionStats, Compressor, ErrorBound,
     PredictorMode, SzLr,
 };
 use amrviz_core::args;
 use amrviz_core::experiment::{
-    self, fig14_series, standard_camera, step_roughness, CompressorKind,
+    self, fig14_series, standard_camera, step_roughness, CompressorKind, SurfaceOf,
 };
 use amrviz_core::prelude::*;
 use amrviz_core::report::{self, View};
 use amrviz_json::Json;
 use amrviz_render::{render_slice, Color, RenderOptions};
 use amrviz_sim::solver::{AmrAdvection, FIELD};
-use amrviz_viz::extract_amr_isosurface;
+use amrviz_viz::AmrIsoResult;
 
 struct Args {
     experiment: String,
@@ -601,54 +601,50 @@ impl Ctx {
         }
     }
 
-    fn save_mesh_render(
-        &self,
-        built: &BuiltScenario,
-        levels: &[amrviz_amr::MultiFab],
-        method: IsoMethod,
-        name: &str,
-    ) {
-        let res = extract_amr_isosurface(&built.hierarchy, levels, built.iso, method);
-        // Frame the surface itself (the paper's panels zoom to the refined
-        // region), falling back to the whole domain for empty meshes. The
-        // bbox is the union of the per-level boxes — no combined-mesh copy.
-        let boxes = res.level_meshes.iter().filter_map(|m| m.bbox());
-        let bbox = boxes.reduce(|(alo, ahi), (blo, bhi)| {
-            let lo = std::array::from_fn(|a| alo[a].min(blo[a]));
-            (lo, std::array::from_fn(|a| ahi[a].max(bhi[a])))
-        });
-        let cam = match bbox {
-            Some((lo, hi)) => {
-                let center: [f64; 3] = std::array::from_fn(|a| 0.5 * (lo[a] + hi[a]));
-                let extent = (0..3).map(|a| hi[a] - lo[a]).fold(1e-6, f64::max);
-                let eye = [
-                    center[0] - 2.0 * extent,
-                    center[1] - 1.2 * extent,
-                    center[2] + 1.0 * extent,
-                ];
-                amrviz_render::Camera::orthographic(eye, center, 0.65 * extent)
-            }
-            None => standard_camera(built.hierarchy.geometry()),
-        };
+    /// Renders each surface a runner handed its sink to `<name>.png`.
+    fn save_panels(&self, built: &BuiltScenario, panels: &[(String, AmrIsoResult)]) {
         let opts = RenderOptions {
             width: 960,
             height: 720,
         };
-        // Color the levels differently so cracks/gaps/overlaps stand out,
-        // like the paper's red fine-level box.
-        let img = amrviz_render::raster::render_meshes(
-            &[
-                (&res.level_meshes[0], Color::new(205, 205, 210)),
-                (&res.level_meshes[1], Color::new(235, 120, 90)),
-            ],
-            &cam,
-            &opts,
-        );
-        let path = self.out.join(format!("{name}.png"));
-        if let Err(e) = img.save_png(&path) {
-            eprintln!("[repro] failed to write {}: {e}", path.display());
-        } else {
-            outln!("  wrote {}", path.display());
+        for (name, res) in panels {
+            // Frame the surface itself (the paper's panels zoom to the refined
+            // region), falling back to the whole domain for empty meshes. The
+            // bbox is the union of the per-level boxes — no combined-mesh copy.
+            let boxes = res.level_meshes.iter().filter_map(|m| m.bbox());
+            let bbox = boxes.reduce(|(alo, ahi), (blo, bhi)| {
+                let lo = std::array::from_fn(|a| alo[a].min(blo[a]));
+                (lo, std::array::from_fn(|a| ahi[a].max(bhi[a])))
+            });
+            let cam = match bbox {
+                Some((lo, hi)) => {
+                    let center: [f64; 3] = std::array::from_fn(|a| 0.5 * (lo[a] + hi[a]));
+                    let extent = (0..3).map(|a| hi[a] - lo[a]).fold(1e-6, f64::max);
+                    let eye = [
+                        center[0] - 2.0 * extent,
+                        center[1] - 1.2 * extent,
+                        center[2] + 1.0 * extent,
+                    ];
+                    amrviz_render::Camera::orthographic(eye, center, 0.65 * extent)
+                }
+                None => standard_camera(built.hierarchy.geometry()),
+            };
+            // Color the levels differently so cracks/gaps/overlaps stand out,
+            // like the paper's red fine-level box.
+            let img = amrviz_render::raster::render_meshes(
+                &[
+                    (&res.level_meshes[0], Color::new(205, 205, 210)),
+                    (&res.level_meshes[1], Color::new(235, 120, 90)),
+                ],
+                &cam,
+                &opts,
+            );
+            let path = self.out.join(format!("{name}.png"));
+            if let Err(e) = img.save_png(&path) {
+                eprintln!("[repro] failed to write {}: {e}", path.display());
+            } else {
+                outln!("  wrote {}", path.display());
+            }
         }
     }
 }
@@ -681,17 +677,17 @@ fn table2(ctx: &mut Ctx) {
 fn fig1(ctx: &mut Ctx) {
     outln!("\n=== Fig. 1: cracks (re-sampling) vs gaps (dual) vs redundant fix ===");
     let built = ctx.scenario(Application::Warpx);
-    let rows = experiment::run_crack_analysis(&built);
+    let mut panels = Vec::new();
+    let rows = experiment::run_crack_analysis(&built, |_, res| {
+        let name = match res.method {
+            IsoMethod::Resampling => "fig1a_resampling",
+            IsoMethod::DualCell => "fig1b_dualcell",
+            IsoMethod::DualCellRedundant => "fig1c_dualcell_redundant",
+        };
+        panels.push((name.to_string(), res.clone()));
+    });
     ctx.show("fig1", &report::CRACKS, &rows);
-    let field = built.hierarchy.field(built.spec.eval_field());
-    let levels = &field.expect("eval field").levels;
-    for (method, name) in [
-        (IsoMethod::Resampling, "fig1a_resampling"),
-        (IsoMethod::DualCell, "fig1b_dualcell"),
-        (IsoMethod::DualCellRedundant, "fig1c_dualcell_redundant"),
-    ] {
-        ctx.save_mesh_render(&built, levels, method, name);
-    }
+    ctx.save_panels(&built, &panels);
 }
 
 fn fig2(ctx: &mut Ctx) {
@@ -741,67 +737,48 @@ fn figs_9_10(ctx: &mut Ctx, kind: CompressorKind, figname: &str) {
         kind.label()
     );
     let built = ctx.scenario(Application::Warpx);
+    let tag = kind.label().replace(['/', '-'], "").to_lowercase();
+    let mut panels = Vec::new();
     let rows = experiment::run_viz_quality(
         &built,
-        kind,
+        &[kind],
         &[1e-4, 1e-3, 1e-2],
         &[IsoMethod::Resampling, IsoMethod::DualCellRedundant],
+        |of, res| {
+            // Render the eb=1e-2 panels (the paper's most visible case).
+            if of == SurfaceOf::Decompressed(kind, 1e-2) {
+                let method = match res.method {
+                    IsoMethod::Resampling => "resampling",
+                    _ => "dualcell",
+                };
+                panels.push((format!("{figname}_{tag}_eb1e-2_{method}"), res.clone()));
+            }
+        },
     )
     .expect("viz-quality runs");
     ctx.show(figname, &report::VIZ_QUALITY, &rows);
-
-    // Render the eb=1e-2 panels (the paper's most visible case).
-    let comp = kind.instance();
-    let field = built.spec.eval_field();
-    let cfg = AmrCodecConfig::default();
-    let compressed = compress_hierarchy_field(
-        &built.hierarchy,
-        field,
-        comp.as_ref(),
-        ErrorBound::Rel(1e-2),
-        &cfg,
-    )
-    .expect("field exists");
-    let levels = decompress_hierarchy_field(&built.hierarchy, &compressed, comp.as_ref(), &cfg)
-        .expect("own stream");
-    let tag = kind.label().replace(['/', '-'], "").to_lowercase();
-    ctx.save_mesh_render(
-        &built,
-        &levels,
-        IsoMethod::Resampling,
-        &format!("{figname}_{tag}_eb1e-2_resampling"),
-    );
-    ctx.save_mesh_render(
-        &built,
-        &levels,
-        IsoMethod::DualCellRedundant,
-        &format!("{figname}_{tag}_eb1e-2_dualcell"),
-    );
+    ctx.save_panels(&built, &panels);
 }
 
 fn fig11(ctx: &mut Ctx) {
     outln!("\n=== Fig. 11: Nyx × both compressors × methods at eb 1e-2 ===");
     let built = ctx.scenario(Application::Nyx);
-    let mut all = Vec::new();
-    for kind in CompressorKind::PAPER {
-        let rows = experiment::run_viz_quality(
-            &built,
-            kind,
-            &[1e-2],
-            &[IsoMethod::Resampling, IsoMethod::DualCellRedundant],
-        )
-        .expect("viz-quality runs");
-        all.extend(rows);
-    }
-    ctx.show("fig11", &report::VIZ_QUALITY, &all);
-    // Original-data render for reference.
-    let field = built.hierarchy.field(built.spec.eval_field());
-    ctx.save_mesh_render(
+    let mut panels = Vec::new();
+    let rows = experiment::run_viz_quality(
         &built,
-        &field.expect("eval field").levels,
-        IsoMethod::Resampling,
-        "fig11_original_resampling",
-    );
+        &CompressorKind::PAPER,
+        &[1e-2],
+        &[IsoMethod::Resampling, IsoMethod::DualCellRedundant],
+        |of, res| {
+            // Original-data render for reference.
+            if of == SurfaceOf::Original && res.method == IsoMethod::Resampling {
+                panels.push(("fig11_original_resampling".to_string(), res.clone()));
+            }
+        },
+    )
+    .expect("viz-quality runs");
+    ctx.show("fig11", &report::VIZ_QUALITY, &rows);
+    ctx.save_panels(&built, &panels);
 }
 
 fn rate_distortion(ctx: &mut Ctx, app: Application, figname: &str) {
@@ -869,54 +846,50 @@ fn ablation_row(keys: &[(&str, &str)], cr: f64) -> (Vec<String>, Json) {
 
 fn ablation(ctx: &mut Ctx) {
     outln!("\n=== Ablation: redundant coarse data during compression (§2.2) ===");
-    let compress = |built: &BuiltScenario, comp: &dyn Compressor, cfg| {
+    let compress = |built: &BuiltScenario, comp: &dyn Compressor, skip_redundant| {
         let field = built.spec.eval_field();
+        let cfg = AmrCodecConfig {
+            skip_redundant,
+            restore_redundant: false,
+        };
         let c =
             compress_hierarchy_field(&built.hierarchy, field, comp, ErrorBound::Rel(1e-3), &cfg)
                 .expect("field exists");
-        (c.n_values * 8) as f64 / c.compressed_bytes() as f64
+        CompressionStats::new(c.n_values, c.compressed_bytes()).ratio()
     };
-    let mut rows = Vec::new();
+    let (mut redundant, mut predictors) = (Vec::new(), Vec::new());
     for app in Application::ALL {
         let built = &ctx.scenario(app);
+        let mut keep_cr = f64::NAN;
         for kind in CompressorKind::PAPER {
             for (how, skip_redundant) in [("keep", false), ("skip", true)] {
-                let cfg = AmrCodecConfig {
-                    skip_redundant,
-                    restore_redundant: false,
-                };
-                let cr = compress(built, kind.instance().as_ref(), cfg);
+                let cr = compress(built, kind.instance().as_ref(), skip_redundant);
+                if kind == CompressorKind::SzLr && !skip_redundant {
+                    keep_cr = cr;
+                }
                 let keys = [("app", app.label()), ("compressor", kind.label())];
-                rows.push(ablation_row(&[keys[0], keys[1], ("redundant", how)], cr));
+                redundant.push(ablation_row(&[keys[0], keys[1], ("redundant", how)], cr));
             }
         }
-    }
-    let (table, redundant): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
-    let header = ["App", "Compressor", "Redundant data", "CR (f64)"];
-    outln!("{}", report::ascii_table(&header, &table));
-
-    outln!("--- related-work baseline + predictor ablation (rel eb 1e-3) ---");
-    let mut rows = Vec::new();
-    for app in Application::ALL {
-        let built = &ctx.scenario(app);
         let field = built.spec.eval_field();
         let z = amrviz_compress::compress_zmesh(&built.hierarchy, field, ErrorBound::Rel(1e-3))
             .expect("field exists");
-        let zmesh = (built.hierarchy.total_cells() * 8) as f64 / z.len() as f64;
-        let variants = predictor_variants()
-            .map(|(variant, comp)| (variant, compress(built, &comp, AmrCodecConfig::default())));
-        for (variant, cr) in [(ZMESH, zmesh)].into_iter().chain(variants) {
-            rows.push(ablation_row(
-                &[("app", app.label()), ("variant", variant)],
-                cr,
-            ));
+        let zmesh = CompressionStats::new(built.hierarchy.total_cells(), z.len()).ratio();
+        // The hybrid is SZ-L/R as the "keep" row above ran it: one call, one CR.
+        let [(hybrid, _), pure @ ..] = predictor_variants();
+        let pure = pure.map(|(variant, comp)| (variant, compress(built, &comp, false)));
+        for (variant, cr) in [(ZMESH, zmesh), (hybrid, keep_cr)].into_iter().chain(pure) {
+            let keys = [("app", app.label()), ("variant", variant)];
+            predictors.push(ablation_row(&keys, cr));
         }
     }
-    let (table, predictors): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
-    outln!(
-        "{}",
-        report::ascii_table(&["App", "Variant", "CR (f64)"], &table)
-    );
+    let (table, redundant): (Vec<_>, Vec<_>) = redundant.into_iter().unzip();
+    let header = ["App", "Compressor", "Redundant data", "CR (f64)"];
+    outln!("{}", report::ascii_table(&header, &table));
+    outln!("--- related-work baseline + predictor ablation (rel eb 1e-3) ---");
+    let (table, predictors): (Vec<_>, Vec<_>) = predictors.into_iter().unzip();
+    let header = ["App", "Variant", "CR (f64)"];
+    outln!("{}", report::ascii_table(&header, &table));
     let mut record = Json::obj();
     record
         .set("redundant", redundant)

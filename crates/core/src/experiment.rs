@@ -14,8 +14,8 @@ use amrviz_compress::{
 use amrviz_metrics::{quality, rssim, ssim2, ssim3, QualityStats, SsimConfig};
 use amrviz_render::{render_mesh, Camera, RenderOptions};
 use amrviz_viz::{
-    extract_amr_isosurface, interface_gap, normal_roughness, surface_distance_to, CrackMetrics,
-    IsoMethod, TriLocator,
+    extract_amr_isosurface, interface_gap, normal_roughness, surface_distance_to, AmrIsoResult,
+    CrackMetrics, IsoMethod, TriLocator,
 };
 
 use crate::scenario::BuiltScenario;
@@ -235,9 +235,21 @@ pub struct CrackRun {
     pub gap: CrackMetrics,
 }
 
+/// Which data a surface handed to a runner's sink was extracted from: the
+/// original, or what a compressor decompressed at a relative error bound.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SurfaceOf {
+    Original,
+    Decompressed(CompressorKind, f64),
+}
+
 /// Extracts the original-data surface with every method and measures the
-/// level-interface defects.
-pub fn run_crack_analysis(built: &BuiltScenario) -> Vec<CrackRun> {
+/// level-interface defects. `sink` sees each extracted surface before it is
+/// measured, so a figure can draw the very surfaces its rows scored.
+pub fn run_crack_analysis(
+    built: &BuiltScenario,
+    mut sink: impl FnMut(SurfaceOf, &AmrIsoResult),
+) -> Vec<CrackRun> {
     let _sp = amrviz_obs::span!("run.crack_analysis");
     let field = built.spec.eval_field();
     let levels = &built.hierarchy.field(field).expect("eval field").levels;
@@ -251,6 +263,7 @@ pub fn run_crack_analysis(built: &BuiltScenario) -> Vec<CrackRun> {
     let mut rows = Vec::new();
     for method in IsoMethod::ALL {
         let res = extract_amr_isosurface(&built.hierarchy, levels, built.iso, method);
+        sink(SurfaceOf::Original, &res);
         let (coarse, fine) = (&res.level_meshes[0], &res.level_meshes[1]);
         rows.push(CrackRun {
             scenario: built.spec.label(),
@@ -307,16 +320,18 @@ pub fn standard_camera(geom: &Geometry) -> Camera {
     Camera::orthographic(eye, center, 0.55 * diag)
 }
 
-/// Runs the decompress → extract → compare pipeline for one compressor at
-/// several bounds under both extraction methods.
+/// Runs the decompress → extract → compare pipeline for each compressor at
+/// several bounds under each extraction method, compressor-major. `sink`
+/// sees every extracted surface before it is combined: the original data's
+/// per method, then the decompressed data's per compressor, bound and method.
 pub fn run_viz_quality(
     built: &BuiltScenario,
-    kind: CompressorKind,
+    kinds: &[CompressorKind],
     ebs: &[f64],
     methods: &[IsoMethod],
+    mut sink: impl FnMut(SurfaceOf, &AmrIsoResult),
 ) -> Result<Vec<VizQualityRun>, CompressError> {
-    let _sp = amrviz_obs::span!("run.viz_quality", compressor = kind.label());
-    let comp = kind.instance();
+    let _sp = amrviz_obs::span!("run.viz_quality");
     let field = built.spec.eval_field();
     let orig_levels = &built
         .hierarchy
@@ -330,7 +345,7 @@ pub fn run_viz_quality(
     )[0];
 
     // Reference surfaces and renders from the original data, computed once
-    // per method (they do not depend on the error bound).
+    // per method (they depend on neither the compressor nor the bound).
     let cam = standard_camera(built.hierarchy.geometry());
     let opts = RenderOptions {
         width: 480,
@@ -345,8 +360,9 @@ pub fn run_viz_quality(
     let references: Vec<Reference> = methods
         .iter()
         .map(|&method| {
-            let orig = extract_amr_isosurface(&built.hierarchy, orig_levels, built.iso, method)
-                .into_combined();
+            let res = extract_amr_isosurface(&built.hierarchy, orig_levels, built.iso, method);
+            sink(SurfaceOf::Original, &res);
+            let orig = res.into_combined();
             let lum = render_mesh(&orig, &cam, &opts).luminance();
             let roughness = normal_roughness(&orig);
             Reference {
@@ -361,46 +377,50 @@ pub fn run_viz_quality(
         .collect();
 
     let mut rows = Vec::new();
-    for &eb in ebs {
-        let cfg = AmrCodecConfig::default();
-        let compressed = compress_hierarchy_field(
-            &built.hierarchy,
-            field,
-            comp.as_ref(),
-            ErrorBound::Rel(eb),
-            &cfg,
-        )?;
-        let levels =
-            decompress_hierarchy_field(&built.hierarchy, &compressed, comp.as_ref(), &cfg)?;
-        for r in &references {
-            let recon = extract_amr_isosurface(&built.hierarchy, &levels, built.iso, r.method)
-                .into_combined();
-            let dist = r
-                .locator
-                .as_ref()
-                .and_then(|loc| surface_distance_to(&recon, loc));
-            let (mean_c, max_c) = match dist {
-                Some(d) => (d.mean / fine_cell, d.max / fine_cell),
-                None => (f64::NAN, f64::NAN),
-            };
-            let img_r = render_mesh(&recon, &cam, &opts);
-            let image_ssim = ssim2(
-                &r.lum,
-                &img_r.luminance(),
-                [opts.width, opts.height],
-                &SsimConfig::default(),
-            );
-            rows.push(VizQualityRun {
-                scenario: built.spec.label(),
-                compressor: kind.label(),
-                rel_error_bound: eb,
-                method: r.method.label(),
-                surface_error_cells: mean_c,
-                surface_error_max_cells: max_c,
-                roughness_increase: normal_roughness(&recon) - r.roughness,
-                image_rssim: rssim(image_ssim),
-                triangles: recon.num_triangles(),
-            });
+    let cfg = AmrCodecConfig::default();
+    for &kind in kinds {
+        let comp = kind.instance();
+        for &eb in ebs {
+            let compressed = compress_hierarchy_field(
+                &built.hierarchy,
+                field,
+                comp.as_ref(),
+                ErrorBound::Rel(eb),
+                &cfg,
+            )?;
+            let levels =
+                decompress_hierarchy_field(&built.hierarchy, &compressed, comp.as_ref(), &cfg)?;
+            for r in &references {
+                let res = extract_amr_isosurface(&built.hierarchy, &levels, built.iso, r.method);
+                sink(SurfaceOf::Decompressed(kind, eb), &res);
+                let recon = res.into_combined();
+                let dist = r
+                    .locator
+                    .as_ref()
+                    .and_then(|loc| surface_distance_to(&recon, loc));
+                let (mean_c, max_c) = match dist {
+                    Some(d) => (d.mean / fine_cell, d.max / fine_cell),
+                    None => (f64::NAN, f64::NAN),
+                };
+                let img_r = render_mesh(&recon, &cam, &opts);
+                let image_ssim = ssim2(
+                    &r.lum,
+                    &img_r.luminance(),
+                    [opts.width, opts.height],
+                    &SsimConfig::default(),
+                );
+                rows.push(VizQualityRun {
+                    scenario: built.spec.label(),
+                    compressor: kind.label(),
+                    rel_error_bound: eb,
+                    method: r.method.label(),
+                    surface_error_cells: mean_c,
+                    surface_error_max_cells: max_c,
+                    roughness_increase: normal_roughness(&recon) - r.roughness,
+                    image_rssim: rssim(image_ssim),
+                    triangles: recon.num_triangles(),
+                });
+            }
         }
     }
     Ok(rows)
@@ -494,7 +514,7 @@ mod tests {
             uniform,
             iso: 0.0,
         };
-        let rows = run_crack_analysis(&built);
+        let rows = run_crack_analysis(&built, |_, _| {});
         assert_eq!(rows.len(), IsoMethod::ALL.len());
         for row in rows {
             assert!(row.fine_triangles > 0 && row.coarse_triangles > 0);
@@ -600,7 +620,7 @@ mod tests {
     #[test]
     fn crack_analysis_shape() {
         let b = warpx();
-        let rows = run_crack_analysis(&b);
+        let rows = run_crack_analysis(&b, |_, _| {});
         assert_eq!(rows.len(), 3);
         let by = |m: &str| rows.iter().find(|r| r.method == m).unwrap();
         let resample = by("re-sampling");
@@ -619,9 +639,10 @@ mod tests {
         let b = warpx();
         let rows = run_viz_quality(
             &b,
-            CompressorKind::SzLr,
+            &[CompressorKind::SzLr],
             &[1e-2],
             &[IsoMethod::Resampling, IsoMethod::DualCellRedundant],
+            |_, _| {},
         )
         .unwrap();
         let resample = rows.iter().find(|r| r.method == "re-sampling").unwrap();
@@ -641,6 +662,68 @@ mod tests {
             dual.image_rssim,
             resample.image_rssim
         );
+    }
+
+    /// Each level mesh's sizes, vertex bits and triangle corners in order:
+    /// equal only when two extractions agree bit for bit.
+    fn mesh_bits(res: &AmrIsoResult) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for m in &res.level_meshes {
+            bits.extend([m.vertices.len(), m.triangles.len()].map(|n| n as u64));
+            bits.extend(m.vertices.iter().flatten().map(|v| v.to_bits()));
+            bits.extend(m.triangles.iter().flatten().map(|&i| u64::from(i)));
+        }
+        bits
+    }
+
+    #[test]
+    fn the_sink_sees_fresh_extractions() {
+        let b = warpx();
+        let orig_levels = &b.hierarchy.field(b.spec.eval_field()).unwrap().levels;
+        let extract = |levels: &[MultiFab], method| {
+            mesh_bits(&extract_amr_isosurface(&b.hierarchy, levels, b.iso, method))
+        };
+
+        let mut seen = Vec::new();
+        run_crack_analysis(&b, |of, res| seen.push((of, res.method, mesh_bits(res))));
+        assert_eq!(seen.len(), IsoMethod::ALL.len());
+        for ((of, method, bits), want) in seen.into_iter().zip(IsoMethod::ALL) {
+            assert_eq!((of, method), (SurfaceOf::Original, want));
+            assert!(bits == extract(orig_levels, method), "{}", method.label());
+        }
+
+        let (kinds, ebs) = (CompressorKind::PAPER, [1e-3, 1e-2]);
+        let methods = [IsoMethod::Resampling, IsoMethod::DualCell];
+        let mut seen = Vec::new();
+        run_viz_quality(&b, &kinds, &ebs, &methods, |of, res| {
+            seen.push((of, res.method, mesh_bits(res)))
+        })
+        .unwrap();
+        // The original's per method, then compressor-major, bound, method.
+        let mut want: Vec<_> = methods.map(|m| (SurfaceOf::Original, m)).into();
+        for kind in kinds {
+            for eb in ebs {
+                want.extend(methods.map(|m| (SurfaceOf::Decompressed(kind, eb), m)));
+            }
+        }
+        let got: Vec<_> = seen.iter().map(|&(of, method, _)| (of, method)).collect();
+        assert_eq!(got, want);
+        let cfg = AmrCodecConfig::default();
+        for (of, method, bits) in seen {
+            let want = match of {
+                SurfaceOf::Original => extract(orig_levels, method),
+                SurfaceOf::Decompressed(kind, eb) => {
+                    let (comp, field) = (kind.instance(), b.spec.eval_field());
+                    let bound = ErrorBound::Rel(eb);
+                    let c =
+                        compress_hierarchy_field(&b.hierarchy, field, comp.as_ref(), bound, &cfg);
+                    let levels =
+                        decompress_hierarchy_field(&b.hierarchy, &c.unwrap(), comp.as_ref(), &cfg);
+                    extract(&levels.unwrap(), method)
+                }
+            };
+            assert!(bits == want, "{of:?} {}", method.label());
+        }
     }
 
     #[test]

@@ -151,7 +151,7 @@ pub fn exchange(addr: SocketAddr, req: &Request, cfg: &ClientConfig) -> Exchange
             Ok(None) => {
                 // Clean close. With a header but no END: deadline cut.
                 ex.outcome = match ex.header {
-                    Some(h) if ex.end.is_none() && h.status_streams_data() => Outcome::CutShort,
+                    Some(h) if ex.end.is_none() && h.status.is_good() => Outcome::CutShort,
                     Some(_) => ex.outcome,
                     None => Outcome::IoError,
                 };
@@ -235,7 +235,7 @@ pub fn exchange(addr: SocketAddr, req: &Request, cfg: &ClientConfig) -> Exchange
                 };
                 ex.end = Some(e);
                 if let Some(h) = ex.header {
-                    if h.status_streams_data() {
+                    if h.status.is_good() {
                         // The header flags what was known when it left;
                         // END's status also covers what decoding found.
                         let degraded =
@@ -254,14 +254,6 @@ pub fn exchange(addr: SocketAddr, req: &Request, cfg: &ClientConfig) -> Exchange
                 return finish(ex);
             }
         }
-    }
-}
-
-impl RespHeader {
-    /// True when this header announces a data-bearing stream (LEVEL/KEYS
-    /// frames follow before END).
-    pub fn status_streams_data(&self) -> bool {
-        matches!(self.status, Status::Ok | Status::Degraded)
     }
 }
 

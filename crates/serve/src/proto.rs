@@ -157,7 +157,9 @@ impl Status {
         Status::ALL.iter().copied().find(|s| s.name() == name)
     }
 
-    /// Counted as *good* for availability: the client got usable data.
+    /// Counted as *good* for availability: the client got usable data. A
+    /// header with a good status announces a data-bearing stream (LEVEL/KEYS
+    /// frames follow before END).
     pub fn is_good(self) -> bool {
         matches!(self, Status::Ok | Status::Degraded)
     }

@@ -288,7 +288,7 @@ pub fn run(cfg: &ServeTortureConfig) -> ServeTortureReport {
                         );
                     }
                     if let Some(h) = ex.header {
-                        if h.status_streams_data() && h.flags & FLAG_DEGRADED == 0 {
+                        if h.status.is_good() && h.flags & FLAG_DEGRADED == 0 {
                             violate(
                                 &mut violations,
                                 format!("iter {i}: damaged blob streamed without FLAG_DEGRADED"),

@@ -24,7 +24,7 @@ fn main() {
 
     // Fig. 1 on Nyx data: cracks vs gaps vs redundant-data fix.
     println!("\ncrack/gap structure of the original data:");
-    let cracks = run_crack_analysis(&built);
+    let cracks = run_crack_analysis(&built, |_, _| {});
     println!("{}", report::CRACKS.table(&cracks));
 
     // Fig. 13: rate-distortion on the irregular density field. The paper's

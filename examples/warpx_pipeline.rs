@@ -10,14 +10,10 @@
 //! cargo run --release -p amrviz-examples --bin warpx_pipeline [-- scale]
 //! ```
 
-use amrviz_compress::{
-    compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, ErrorBound,
-};
-use amrviz_core::experiment::{run_viz_quality, standard_camera, CompressorKind};
+use amrviz_core::experiment::{run_viz_quality, standard_camera, CompressorKind, SurfaceOf};
 use amrviz_core::prelude::*;
 use amrviz_core::report;
 use amrviz_render::{raster::render_meshes, Color, RenderOptions};
-use amrviz_viz::extract_amr_isosurface;
 
 fn main() {
     let scale = std::env::args()
@@ -32,19 +28,21 @@ fn main() {
     );
 
     // Quantified Figs. 9 & 10: how far does the decompressed-data surface
-    // drift from the original-data surface under each method?
-    let mut rows = Vec::new();
-    for kind in CompressorKind::PAPER {
-        rows.extend(
-            run_viz_quality(
-                &built,
-                kind,
-                &[1e-4, 1e-3, 1e-2],
-                &[IsoMethod::Resampling, IsoMethod::DualCellRedundant],
-            )
-            .expect("viz-quality runs"),
-        );
-    }
+    // drift from the original-data surface under each method? The eb = 1e-2
+    // SZ-L/R surfaces are kept for the paper's Fig. 9c vs 9f panels.
+    let mut panels = Vec::new();
+    let rows = run_viz_quality(
+        &built,
+        &CompressorKind::PAPER,
+        &[1e-4, 1e-3, 1e-2],
+        &[IsoMethod::Resampling, IsoMethod::DualCellRedundant],
+        |of, res| {
+            if of == SurfaceOf::Decompressed(CompressorKind::SzLr, 1e-2) {
+                panels.push(res.clone());
+            }
+        },
+    )
+    .expect("viz-quality runs");
     println!("{}", report::VIZ_QUALITY.table(&rows));
     println!(
         "expected shape (paper §4.1): dual-cell rows show larger surface error,\n\
@@ -52,29 +50,15 @@ fn main() {
          and the gap grows with the error bound."
     );
 
-    // Render the eb = 1e-2 SZ-L/R panels (the paper's Fig. 9c vs 9f).
-    let comp = CompressorKind::SzLr.instance();
-    let cfg = AmrCodecConfig::default();
-    let compressed = compress_hierarchy_field(
-        &built.hierarchy,
-        "Ez",
-        comp.as_ref(),
-        ErrorBound::Rel(1e-2),
-        &cfg,
-    )
-    .expect("field exists");
-    let levels = decompress_hierarchy_field(&built.hierarchy, &compressed, comp.as_ref(), &cfg)
-        .expect("own stream decodes");
     let cam = standard_camera(built.hierarchy.geometry());
     let opts = RenderOptions {
         width: 960,
         height: 720,
     };
-    for (method, name) in [
-        (IsoMethod::Resampling, "warpx_szlr_1e-2_resampling.png"),
-        (IsoMethod::DualCellRedundant, "warpx_szlr_1e-2_dualcell.png"),
-    ] {
-        let res = extract_amr_isosurface(&built.hierarchy, &levels, built.iso, method);
+    for (res, name) in panels.iter().zip([
+        "warpx_szlr_1e-2_resampling.png",
+        "warpx_szlr_1e-2_dualcell.png",
+    ]) {
         let img = render_meshes(
             &[
                 (&res.level_meshes[0], Color::new(205, 205, 210)),

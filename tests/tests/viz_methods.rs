@@ -11,7 +11,7 @@ use amrviz_viz::{extract_amr_isosurface, normal_roughness, surface_distance_to, 
 fn crack_gap_ordering_matches_fig1() {
     for app in Application::ALL {
         let built = BuiltScenario::from_spec(app.spec(Scale::Tiny, 21));
-        let rows = run_crack_analysis(&built);
+        let rows = run_crack_analysis(&built, |_, _| {});
         let by = |m: &str| rows.iter().find(|r| r.method == m).unwrap();
         let crack = by("re-sampling");
         let gap = by("dual-cell").gap;
