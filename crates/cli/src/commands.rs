@@ -382,43 +382,36 @@ pub fn diff(argv: &[String]) -> Result<(), String> {
 
 pub const TORTURE_FLAGS: Flags = (&["iters", "seed", "recipes"], &["serve"]);
 /// Fault-injection sweep: corrupt known-good streams and assert every
-/// decoder errors gracefully within its memory budget.
+/// decoder errors gracefully within its memory budget; `--serve` instead
+/// chaos-tests the serving stack.
 pub fn torture(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, TORTURE_FLAGS.0, TORTURE_FLAGS.1)?;
-    if p.switch("serve") {
-        return serve_torture(&p);
-    }
-    let cfg = amrviz_fault::TortureConfig {
-        seed: p.opt_parse::<u64>("seed")?.unwrap_or(7),
-        iters: p.opt_parse::<u32>("iters")?.unwrap_or(500),
-        recipes: p.opt_parse::<u32>("recipes")?.unwrap_or(0),
-    };
-    if cfg.iters == 0 {
-        return Err("--iters must be at least 1".into());
-    }
-    let report = amrviz_fault::run_torture(&cfg);
-    outln!("TORTURE {}", report.to_json());
-    if report.passed() {
-        Ok(())
+    let verdict = if p.switch("serve") {
+        if p.opt("recipes").is_some() {
+            return Err("--recipes samples decoder targets; --serve has none".into());
+        }
+        let cfg = amrviz_fault::ServeTortureConfig {
+            iters: p.opt_parse::<u64>("iters")?.unwrap_or(300),
+            seed: p.opt_parse::<u64>("seed")?.unwrap_or(7),
+            ..amrviz_fault::ServeTortureConfig::default()
+        };
+        if cfg.iters == 0 {
+            return Err("--iters must be at least 1".into());
+        }
+        amrviz_fault::serve_torture::run(&cfg).verdict()
     } else {
-        let mut msg = format!(
-            "torture run failed: {} panic(s), {} over-budget decode(s)",
-            report.panics, report.over_budget
-        );
-        for v in &report.violations {
-            msg.push('\n');
-            msg.push_str("  ");
-            msg.push_str(v);
+        let cfg = amrviz_fault::TortureConfig {
+            seed: p.opt_parse::<u64>("seed")?.unwrap_or(7),
+            iters: p.opt_parse::<u32>("iters")?.unwrap_or(500),
+            recipes: p.opt_parse::<u32>("recipes")?.unwrap_or(0),
+        };
+        if cfg.iters == 0 {
+            return Err("--iters must be at least 1".into());
         }
-        msg.push_str(&format!(
-            "\nreproduce with: amrviz torture --seed {} --iters {}",
-            report.seed, report.iters
-        ));
-        if report.recipes > 0 {
-            msg.push_str(&format!(" --recipes {}", report.recipes));
-        }
-        Err(msg)
-    }
+        amrviz_fault::run_torture(&cfg).verdict()
+    };
+    outln!("{}", verdict.line);
+    verdict.result
 }
 
 pub const STATS_FLAGS: Flags = (&["slo"], &["strict"]);
@@ -816,38 +809,6 @@ fn print_serve_summary(out: &mut dyn Write, lines: &[ServeLine]) -> std::io::Res
         server_traces.len() - both,
         client_traces.len() - both
     )
-}
-
-/// `amrviz torture --serve`: chaos-test the serving stack end to end.
-fn serve_torture(p: &Parsed) -> Result<(), String> {
-    let cfg = amrviz_serve::ServeTortureConfig {
-        iters: p.opt_parse::<u64>("iters")?.unwrap_or(300),
-        seed: p.opt_parse::<u64>("seed")?.unwrap_or(7),
-        ..amrviz_serve::ServeTortureConfig::default()
-    };
-    if cfg.iters == 0 {
-        return Err("--iters must be at least 1".into());
-    }
-    let report = amrviz_serve::torture::run(&cfg);
-    outln!("SERVE_TORTURE {}", report.to_json_line());
-    if report.passed() {
-        Ok(())
-    } else {
-        let mut msg = format!(
-            "serve torture failed: {} violation(s)",
-            report.violations.len()
-        );
-        for v in &report.violations {
-            msg.push('\n');
-            msg.push_str("  ");
-            msg.push_str(v);
-        }
-        msg.push_str(&format!(
-            "\nreproduce with: amrviz torture --serve --seed {} --iters {}",
-            cfg.seed, cfg.iters
-        ));
-        Err(msg)
-    }
 }
 
 /// Seeds a serve store with deterministic tiny scenario artifacts so the
@@ -1251,6 +1212,17 @@ trace 0 (1 spans):
         let err = simulate(&args(&["--out", &dir, "--n", "0"])).unwrap_err();
         assert!(err.starts_with("--n "), "{err}");
         assert!(!root.exists(), "nothing is written");
+    }
+
+    /// `--recipes` samples decoder targets, so the serve torture, which has
+    /// none, refuses it by name before it starts a server.
+    #[test]
+    fn torture_serve_refuses_recipes_by_name() {
+        for recipes in ["0", "3"] {
+            let argv = args(&["--serve", "--recipes", recipes, "--iters", "1"]);
+            let err = torture(&argv).unwrap_err();
+            assert!(err.starts_with("--recipes "), "{recipes}: {err}");
+        }
     }
 
     /// A non-finite or non-positive error bound is refused by name before

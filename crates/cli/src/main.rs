@@ -303,7 +303,8 @@ USAGE:
                     no post-deadline data, typed errors for corrupt blobs,
                     and peak memory under 1 GiB. Prints
                     `SERVE_TORTURE {...}`; exits nonzero on any violation
-                    with a reproducing command line.
+                    with a reproducing command line. It takes no
+                    --recipes.
   amrviz serve      --store DIR [--addr HOST:PORT] [--workers N]
                     [--queue-depth D] [--cache-mb MB] [--shutdown-after SECS]
                     [--chaos SEED] [--slo SPEC]

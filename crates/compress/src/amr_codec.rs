@@ -1776,20 +1776,25 @@ mod tests {
         let c = compress_hierarchy_field(&h, "rho", &szlr, ErrorBound::Rel(1e-3), &plain).unwrap();
         let c = CompressedHierarchyField::from_bytes(&c.to_bytes()).unwrap();
         assert_eq!((c.compressor, c.skip_redundant), (szlr.tag(), false));
-        let other_block = SzLr {
-            block_size: 4,
-            ..szlr
-        };
-        let cases: [(&dyn Compressor, AmrCodecConfig, &str); 3] = [
-            (&SzInterp, plain, "not SZ-Itp's"),
-            (&other_block, plain, "not SZ-L/R's (0x4a1)"),
-            (&szlr, skip_restore(), "skip_redundant = false"),
+        // SZ-L/R's tag with 4³ blocks, as a build with another block edge
+        // would write it.
+        let mut block4 = c.clone();
+        block4.compressor = 0x4a1;
+        let cases: [(_, &dyn Compressor, _, _); 3] = [
+            (&c, &SzInterp, plain, "not SZ-Itp's"),
+            (
+                &block4,
+                &szlr,
+                plain,
+                "compressor 0x4a1's, not SZ-L/R's (0x6a1)",
+            ),
+            (&c, &szlr, skip_restore(), "skip_redundant = false"),
         ];
-        for (comp, cfg, says) in cases {
+        for (c, comp, cfg, says) in cases {
             let mut levels = vec![MultiFab::from_fn(h.box_array(0), |_| 7.5)];
             let err = decompress_hierarchy_field_streamed(
                 &h,
-                &c,
+                c,
                 comp,
                 &cfg,
                 DecodePolicy::Degrade,

@@ -2,9 +2,9 @@
 //! with error-bounded quantization (Liang et al. 2018, as used by the
 //! paper's §3.3).
 //!
-//! The volume is partitioned into `block_size³` blocks (6³ by default,
-//! matching the paper). Each block independently selects the predictor with
-//! the smaller estimated total error:
+//! The volume is partitioned into `BLOCK`³ blocks (6³, the paper's). Each
+//! block independently selects the predictor with the smaller estimated
+//! total error:
 //!
 //! * **Lorenzo** — 3D first-order corner predictor on previously
 //!   reconstructed values; shares information across block boundaries.
@@ -56,6 +56,10 @@ use crate::{CompressError, Compressor};
 /// Magic byte identifying an SZ-L/R stream.
 const MAGIC: u8 = 0xA1;
 
+/// Edge length of prediction blocks (paper §3.3: 6). It rides in the tag,
+/// above the magic byte.
+const BLOCK: usize = 6;
+
 /// Which predictors a block may choose — `Hybrid` is the real SZ-L/R;
 /// the single-predictor modes exist for the ablation benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,21 +74,10 @@ pub enum PredictorMode {
 }
 
 /// SZ-L/R compressor configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SzLr {
-    /// Edge length of prediction blocks (paper: 6).
-    pub block_size: usize,
     /// Predictor selection policy.
     pub mode: PredictorMode,
-}
-
-impl Default for SzLr {
-    fn default() -> Self {
-        SzLr {
-            block_size: 6,
-            mode: PredictorMode::Hybrid,
-        }
-    }
 }
 
 impl SzLr {
@@ -92,7 +85,6 @@ impl SzLr {
     pub fn lorenzo_only() -> Self {
         SzLr {
             mode: PredictorMode::LorenzoOnly,
-            ..Default::default()
         }
     }
 
@@ -100,7 +92,6 @@ impl SzLr {
     pub fn regression_only() -> Self {
         SzLr {
             mode: PredictorMode::RegressionOnly,
-            ..Default::default()
         }
     }
 }
@@ -110,7 +101,6 @@ impl SzLr {
 #[derive(Clone, Copy)]
 struct Blocks {
     dims: [usize; 3],
-    bs: usize,
 }
 
 /// One block: origin and (possibly partial) extents.
@@ -122,12 +112,12 @@ struct Block {
 
 impl Blocks {
     fn count(&self) -> usize {
-        self.dims.iter().map(|d| d.div_ceil(self.bs)).product()
+        self.dims.iter().map(|d| d.div_ceil(BLOCK)).product()
     }
 
     /// Calls `f` for every block, x-fastest.
     fn for_each(&self, mut f: impl FnMut(Block)) {
-        let bs = self.bs;
+        let bs = BLOCK;
         let [nx, ny, nz] = self.dims;
         for k in (0..nz).step_by(bs) {
             for j in (0..ny).step_by(bs) {
@@ -225,7 +215,7 @@ impl Compressor for SzLr {
     }
 
     fn tag(&self) -> u64 {
-        u64::from(MAGIC) | (self.block_size as u64) << 8
+        u64::from(MAGIC) | (BLOCK as u64) << 8
     }
 
     fn symbol_count(&self, dims: [usize; 3]) -> usize {
@@ -234,11 +224,7 @@ impl Compressor for SzLr {
 
     /// Four plane categories per regression block.
     fn side_capacity(&self, dims: [usize; 3]) -> usize {
-        4 * Blocks {
-            dims,
-            bs: self.block_size,
-        }
-        .count()
+        4 * Blocks { dims }.count()
     }
 
     fn encode_piece(
@@ -254,11 +240,7 @@ impl Compressor for SzLr {
         let n = field.len();
         let data = field.data;
         let q = Quantizer::new(eb);
-        let bs = self.block_size;
-        let blocks = Blocks {
-            dims: field.dims,
-            bs,
-        };
+        let blocks = Blocks { dims: field.dims };
 
         // All working state is rented from the per-thread scratch pool, so
         // a worker compressing many boxes allocates these once, not per box.
@@ -268,13 +250,13 @@ impl Compressor for SzLr {
         recon.resize(n, 0.0);
         let mut outliers = scratch::take_f64();
         let mut zero = scratch::take_f64();
-        zero.resize(bs.min(nx), 0.0);
+        zero.resize(BLOCK.min(nx), 0.0);
         let start = symbols.len();
         symbols.resize(start + n, 0);
         let codes = &mut symbols[start..];
         let mut pred_bits = BitWriter::with_buffer(scratch::take_bytes());
         let mut plane_bits = BitWriter::with_buffer(scratch::take_bytes());
-        let mut coder = PlaneCoder::new(eb, bs);
+        let mut coder = PlaneCoder::new(eb, BLOCK);
 
         let mut pos = 0usize;
         blocks.for_each(|block| {
@@ -334,8 +316,7 @@ impl Compressor for SzLr {
     ) -> Result<(), CompressError> {
         let _sp = amrviz_obs::span!("szlr.decompress", values = codes.len());
         let q = Quantizer::new(eb);
-        let bs = self.block_size;
-        let blocks = Blocks { dims, bs };
+        let blocks = Blocks { dims };
 
         // Section slices borrow the input stream directly (`ByteReader`
         // hands back `&[u8]` tied to its buffer), so nothing is copied.
@@ -362,14 +343,14 @@ impl Compressor for SzLr {
                 plane_section.len()
             )));
         }
-        let (mut coder, mut reader) = (PlaneCoder::new(eb, bs), BitReader::new(plane_section));
+        let (mut coder, mut reader) = (PlaneCoder::new(eb, BLOCK), BitReader::new(plane_section));
         let mut categories = categories.chunks_exact(4);
 
         // Every cell is written below, so a buffer that already has the
         // right length (a fab decoded in place) is not zeroed first.
         out.resize(codes.len(), 0.0);
         let mut zero = scratch::take_f64();
-        zero.resize(bs.min(dims[0]), 0.0);
+        zero.resize(BLOCK.min(dims[0]), 0.0);
         let (mut pos, mut b) = (0usize, 0usize);
         blocks.for_each(|block| {
             let len = block.ext[0];
@@ -422,7 +403,7 @@ mod tests {
         use crate::lorenzo::lorenzo3_predict;
         use crate::quantizer::{quantize_oracle, Quantized, Quantizer};
         use crate::regression::{fit_block, RegressionCoeffs};
-        use crate::szlr::{PredictorMode, SzLr};
+        use crate::szlr::{PredictorMode, SzLr, BLOCK};
         use crate::wire::{ByteReader, ByteWriter};
         use crate::CompressError;
         use amrviz_codec::{BitReader, BitWriter};
@@ -497,8 +478,8 @@ mod tests {
             let (mut codes, mut outliers) = (Vec::new(), Vec::new());
             let (mut pred_bits, mut plane_bits) = (BitWriter::new(), BitWriter::new());
             let (mut categories, mut prev) = (Vec::new(), [0i64; 4]);
-            let step = steps(eb, sz.block_size);
-            for (base, ext) in blocks(dims, sz.block_size) {
+            let step = steps(eb, BLOCK);
+            for (base, ext) in blocks(dims, BLOCK) {
                 let mut block_vals = Vec::new();
                 for dk in 0..ext[2] {
                     for dj in 0..ext[1] {
@@ -645,7 +626,6 @@ mod tests {
         check(0x5A1B, 96, |rng| {
             let (dims, f, bound) = oracle_case(rng);
             let sz = SzLr {
-                block_size: [6, 6, 6, 4, 1, 9][rng.below(6) as usize],
                 mode: [
                     PredictorMode::Hybrid,
                     PredictorMode::LorenzoOnly,
@@ -655,7 +635,7 @@ mod tests {
             let (got, eb) = encode(&sz, dims, &f, bound);
             let want = oracle::compress(&sz, dims, &f, eb);
             assert_eq!(got, want, "body differs: {sz:?} dims {dims:?} {bound:?}");
-            let want = oracle::decompress(sz.block_size, dims, eb, &got).unwrap();
+            let want = oracle::decompress(BLOCK, dims, eb, &got).unwrap();
             let got = decode_in_place(&sz, (dims, eb), &got);
             assert_eq!(bits(&got), bits(&want), "decode differs: {sz:?} {dims:?}");
         });
@@ -740,7 +720,7 @@ mod tests {
         assert!(rejected(&surplus, "surplus side").contains("last piece takes"));
         // A side count over four per block, and a forged count of 2⁴⁰, fail
         // on the declared count, before the side buffer is sized.
-        let blocks = Blocks { dims, bs: 6 }.count();
+        let blocks = Blocks { dims }.count();
         let over = with_sections(&good, keep, |_, w| {
             w.coded_section(&vec![0; 4 * blocks + 1])
         });

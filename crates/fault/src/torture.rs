@@ -31,6 +31,7 @@ use amrviz_rng::Rng;
 use amrviz_serve::{decode_artifact, encode_artifact};
 
 use crate::mutate::{mutate_stream, Mutation};
+use crate::Verdict;
 
 /// Peak-allocation cap per decode, in bytes (checked only when the
 /// counting allocator is installed).
@@ -61,28 +62,11 @@ impl Default for TortureConfig {
     }
 }
 
-/// A typed decode failure: the codec-taxonomy class (`corrupt` /
-/// `truncated` / `budget`) plus the rendered message. The torture loop
-/// matches on the class so the report shows *which kind* of graceful error
-/// each target produced — the same split serve uses for retryable-vs-fatal.
-pub struct DecodeFailure {
-    /// Stable class name from [`amrviz_codec::CodecError::class`].
-    pub class: &'static str,
-    /// Human-readable message (kept for violation triage only).
-    pub msg: String,
-}
-
-/// Classifies a codec or container error; a codec error keeps its class
-/// through [`CompressError`]'s `From`.
-fn fail(e: impl Into<CompressError>) -> DecodeFailure {
-    let e = e.into();
-    DecodeFailure {
-        class: e.class(),
-        msg: e.to_string(),
-    }
-}
-
-type DecodeFn = Box<dyn Fn(&[u8], &DecodeBudget) -> Result<(), DecodeFailure> + Sync>;
+/// A decoder under torture. Codec errors arrive through [`CompressError`]'s
+/// `From`, which keeps their class; the loop tallies outcomes by
+/// [`CompressError::class`], the same split serve uses for
+/// retryable-vs-fatal.
+type DecodeFn = Box<dyn Fn(&[u8], &DecodeBudget) -> Result<(), CompressError> + Sync>;
 
 /// A named decoder plus a known-good stream to corrupt.
 struct Target {
@@ -160,6 +144,23 @@ impl TortureReport {
     /// The robustness contract: no panics, no allocation blow-ups.
     pub fn passed(&self) -> bool {
         self.panics == 0 && self.over_budget == 0
+    }
+
+    /// The `TORTURE` line and, on a violation, the failure message.
+    pub fn verdict(&self) -> Verdict {
+        let mut replay = format!("--seed {} --iters {}", self.seed, self.iters);
+        if self.recipes > 0 {
+            replay.push_str(&format!(" --recipes {}", self.recipes));
+        }
+        let (panics, over) = (self.panics, self.over_budget);
+        Verdict::new(
+            format!("TORTURE {}", self.to_json()),
+            (!self.passed()).then(|| {
+                format!("torture run failed: {panics} panic(s), {over} over-budget decode(s)")
+            }),
+            &self.violations,
+            replay,
+        )
     }
 
     /// Single-line machine-readable JSON summary.
@@ -270,7 +271,6 @@ fn chunk_target<C: Compressor + 'static>(name: &str, c: C) -> Target {
                 levels,
             )
             .map(|_| ())
-            .map_err(fail)
         }),
     )
 }
@@ -291,7 +291,7 @@ fn build_targets() -> Vec<Target> {
         Box::new(|bytes, _| {
             let mut pos = 0;
             while pos < bytes.len() {
-                read_uvarint(bytes, &mut pos).map_err(fail)?;
+                read_uvarint(bytes, &mut pos)?;
             }
             Ok(())
         }),
@@ -318,7 +318,7 @@ fn build_targets() -> Vec<Target> {
     targets.push(Target::fixed(
         "huffman",
         huffman_encode(&symbols),
-        Box::new(|bytes, budget| huffman_decode_into(bytes, budget, &mut Vec::new()).map_err(fail)),
+        Box::new(|bytes, budget| Ok(huffman_decode_into(bytes, budget, &mut Vec::new())?)),
     ));
 
     // Quantization codes of a smooth field: mostly the radius code, in runs
@@ -339,16 +339,14 @@ fn build_targets() -> Vec<Target> {
     targets.push(Target::fixed(
         "huffman_runs",
         huffman_encode(&codes),
-        Box::new(|bytes, budget| huffman_decode_into(bytes, budget, &mut Vec::new()).map_err(fail)),
+        Box::new(|bytes, budget| Ok(huffman_decode_into(bytes, budget, &mut Vec::new())?)),
     ));
 
     let text: Vec<u8> = (0..3000).map(|i| ((i * 7) % 251) as u8).collect();
     targets.push(Target::fixed(
         "lzss",
         lzss_compress(&text),
-        Box::new(|bytes, budget| {
-            lzss_decompress_into(bytes, budget, &mut Vec::new()).map_err(fail)
-        }),
+        Box::new(|bytes, budget| Ok(lzss_decompress_into(bytes, budget, &mut Vec::new())?)),
     ));
 
     // --- compressor layer: each compressor's pieces inside one chunk ---
@@ -365,11 +363,7 @@ fn build_targets() -> Vec<Target> {
         targets.push(Target::fixed(
             "zmesh",
             zmesh_stream,
-            Box::new(move |bytes, budget| {
-                decompress_zmesh(&hier, bytes, budget)
-                    .map(|_| ())
-                    .map_err(fail)
-            }),
+            Box::new(move |bytes, budget| decompress_zmesh(&hier, bytes, budget).map(|_| ())),
         ));
     }
 
@@ -380,9 +374,7 @@ fn build_targets() -> Vec<Target> {
         "container_from_bytes",
         container.clone(),
         Box::new(|bytes, budget| {
-            CompressedHierarchyField::from_bytes_budgeted(bytes, budget)
-                .map(|_| ())
-                .map_err(fail)
+            CompressedHierarchyField::from_bytes_budgeted(bytes, budget).map(|_| ())
         }),
     ));
 
@@ -432,23 +424,21 @@ fn degrade(
     bytes: &[u8],
     budget: &DecodeBudget,
     levels: &mut Vec<MultiFab>,
-) -> Result<(), DecodeFailure> {
-    let parsed = CompressedHierarchyField::from_bytes_budgeted(bytes, budget).map_err(fail)?;
+) -> Result<(), CompressError> {
+    let parsed = CompressedHierarchyField::from_bytes_budgeted(bytes, budget)?;
     let (comp, policy) = (SzLr::default(), DecodePolicy::Degrade);
     decompress_hierarchy_field_into(hier, &parsed, &comp, &SKIP_RESTORE, policy, budget, levels)
         .map(|_| ())
-        .map_err(fail)
 }
 
 /// Parses `bytes` as an artifact and decodes it under
 /// [`DecodePolicy::Degrade`], as `decompress --degrade` does with the file
 /// it reads.
-fn decompress_file(bytes: &[u8], budget: &DecodeBudget) -> Result<(), DecodeFailure> {
-    let art = decode_artifact(bytes, budget).map_err(fail)?;
+fn decompress_file(bytes: &[u8], budget: &DecodeBudget) -> Result<(), CompressError> {
+    let art = decode_artifact(bytes, budget)?;
     let (policy, levels) = (DecodePolicy::Degrade, &mut Vec::new());
     art.decode_levels(policy, budget, levels, |_, _, _| ControlFlow::Continue(()))
         .map(|_| ())
-        .map_err(fail)
 }
 
 /// Builds `count` recipe-sampled hierarchy targets: each draws a
@@ -557,7 +547,7 @@ pub fn run_torture(cfg: &TortureConfig) -> TortureReport {
             Ok(Err(failure)) => {
                 graceful += 1;
                 tallies[ti].errors += 1;
-                match failure.class {
+                match failure.class() {
                     "corrupt" => tallies[ti].errors_corrupt += 1,
                     "truncated" => tallies[ti].errors_truncated += 1,
                     _ => tallies[ti].errors_budget += 1,
@@ -667,8 +657,8 @@ mod tests {
         assert_eq!(&bytes[5..10], b"\x04szlr");
         bytes[9] = b'q';
         let e = (t.decode)(&bytes, &DecodeBudget::strict()).err().unwrap();
-        assert_eq!(e.class, "corrupt", "{}", e.msg);
-        assert!(e.msg.ends_with("unknown algorithm `szlq`"), "{}", e.msg);
+        assert_eq!(e.class(), "corrupt", "{e}");
+        assert!(e.to_string().ends_with("unknown algorithm `szlq`"), "{e}");
     }
 
     /// The failures of `t` on 240 seeded mutations of `part`, each made a
@@ -678,7 +668,7 @@ mod tests {
         seed: u64,
         part: &[u8],
         whole: impl Fn(Vec<u8>) -> Vec<u8>,
-    ) -> Vec<DecodeFailure> {
+    ) -> Vec<CompressError> {
         let (budget, master) = (DecodeBudget::strict(), Rng::seed(seed));
         let failure = |i| {
             let (mutated, muts) = mutate_stream(&mut master.fork(i), part);
@@ -700,8 +690,8 @@ mod tests {
         for t in chunks {
             seen += 1;
             let failures = mutated_failures(&t, 0xC4C, &t.stream, |m| m);
-            if let Some(e) = failures.iter().find(|e| e.msg.contains("checksum")) {
-                panic!("{}: {}", t.name, e.msg);
+            if let Some(e) = failures.iter().find(|e| e.to_string().contains("checksum")) {
+                panic!("{}: {e}", t.name);
             }
             let errors = failures.len();
             assert!(errors > 120, "{}: only {errors} of 240 failed", t.name);

@@ -20,16 +20,17 @@
 //!   header (failed checksums) or in the `LEVEL` frame and `END` status
 //!   (damage only decoding finds) — a response never silently passes off
 //!   damaged data as clean.
-//! - The whole stack is **chaos-tested**: [`torture`] runs a real server
-//!   behind a deterministic fault-injecting proxy ([`chaos`]) and asserts
-//!   the contract (no panics, no post-deadline data frames, corrupt blobs
-//!   degraded-or-typed, bounded peak memory).
+//! - The whole stack is **chaos-tested**: `amrviz-fault`'s serve torture
+//!   runs a real server behind this crate's deterministic fault-injecting
+//!   proxy ([`chaos`]) and asserts the contract (no panics, no
+//!   post-deadline data frames, corrupt blobs degraded-or-typed, bounded
+//!   peak memory).
 //!
 //! Module map: [`proto`] (wire protocol) · [`store`] (blob store) ·
 //! [`artifact`] (self-contained blob format) · [`cache`] (decoded-arena
 //! LRU) · [`server`] (worker pool) · [`client`] (measuring client) ·
-//! [`chaos`] (fault proxy) · [`loadgen`] (load generator) · [`torture`]
-//! (invariant harness) · [`telemetry`] (request telemetry, its tail
+//! [`chaos`] (fault proxy) · [`loadgen`] (load generator) ·
+//! [`telemetry`] (request telemetry, its tail
 //! exemplars and the STATS snapshot, over [`window`] rings and the [`slo`]
 //! burn-rate math).
 
@@ -45,7 +46,6 @@ pub mod server;
 pub mod slo;
 pub mod store;
 pub mod telemetry;
-pub mod torture;
 pub mod window;
 
 pub use amrviz_compress::compressor_by_name as compressor_for;
@@ -58,4 +58,3 @@ pub use proto::{Op, Request, RespHeader, Status};
 pub use server::{start, ServeConfig, ServerHandle, StatsSnapshot};
 pub use store::{BlobStore, StoreError};
 pub use telemetry::{ReqTelemetry, StageTimes, STATS_SCHEMA};
-pub use torture::{ServeTortureConfig, ServeTortureReport};

@@ -1,7 +1,7 @@
 //! The `amrviz serve` TCP server: blocking worker pool, bounded admission
 //! queue, per-request deadline budgets, graceful drain.
 //!
-//! Robustness contract (chaos-tested by [`crate::torture`]):
+//! Robustness contract (chaos-tested by `amrviz-fault`'s serve torture):
 //!
 //! - **No panic escapes.** Each connection runs under `catch_unwind`; a
 //!   panicking request is counted and the connection dropped, the pool

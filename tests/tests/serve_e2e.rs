@@ -6,13 +6,14 @@ use amrviz_codec::fnv1a_64;
 use amrviz_compress::{
     compress_hierarchy_field, decompress_hierarchy_field, AmrCodecConfig, ErrorBound, SzLr,
 };
+use amrviz_fault::ServeTortureConfig;
 use amrviz_serve::proto::{
     encode_level_frame, read_frame, write_frame, EndFrame, Op, Request, FLAG_DEGRADED,
     MAX_RESPONSE_FRAME, TAG_END,
 };
 use amrviz_serve::{
     encode_artifact, exchange, start, BlobStore, ClientConfig, Outcome, RespHeader, ServeConfig,
-    ServeTortureConfig, Status,
+    Status,
 };
 use amrviz_sim::{NyxScenario, Scale};
 use std::net::{SocketAddr, TcpStream};
@@ -629,7 +630,7 @@ fn a_request_is_counted_before_its_end_frame() {
 fn serve_torture_smoke_zero_violations() {
     // A short chaos run as a tier-1 regression net; the CI torture job runs
     // the full 300 iterations.
-    let report = amrviz_serve::torture::run(&ServeTortureConfig {
+    let report = amrviz_fault::serve_torture::run(&ServeTortureConfig {
         iters: 40,
         seed: 9,
         store_dir: temp_dir("torture_smoke"),

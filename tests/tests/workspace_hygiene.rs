@@ -58,3 +58,20 @@ fn every_declared_workspace_dependency_is_used() {
     assert!(edges > 50, "manifests were not parsed: {edges} edges");
     assert!(unused.is_empty(), "declared but never used: {unused:#?}");
 }
+
+/// The serving library only serves: it decodes and streams hierarchies,
+/// so its `[dependencies]` name no generator, recipe, evaluation or
+/// fault-injection crate. Its tests may still build fixtures with sim.
+#[test]
+fn serve_depends_on_no_generator_recipe_evaluation_or_fault_crate() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
+    let manifest = std::fs::read_to_string(root.join("crates/serve/Cargo.toml")).unwrap();
+    let deps = workspace_deps(&manifest);
+    assert!(deps.iter().any(|d| d == "amrviz-compress"), "{deps:?}");
+    let banned = ["amrviz-sim", "amrviz-recipe", "amrviz-core", "amrviz-fault"];
+    let listed: Vec<_> = deps
+        .iter()
+        .filter(|d| banned.contains(&d.as_str()))
+        .collect();
+    assert!(listed.is_empty(), "serve depends on {listed:?}");
+}
